@@ -10,8 +10,9 @@
 //! which every shard count must reproduce bit-identically. The
 //! throughput-scaling assertion only fires on hosts with >= 8 cores
 //! (sharding parallelizes mirror planning and partition writes; on a
-//! 1-core runner the sweep still proves correctness, not speed). Output
-//! lands in `results/BENCH_stream.json`.
+//! smaller runner the sweep still proves correctness, not speed, and
+//! prints an explicit `SKIPPED (host_cores=N)` line). Output lands in
+//! `results/BENCH_stream.json`.
 
 use psgraph_bench::stream_exp;
 use psgraph_harness::bench::{BenchmarkId, Harness};
@@ -75,11 +76,15 @@ fn stream_ingest(c: &mut Harness) {
 
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     group.metric("host_cores", host as f64);
+    let (_, at8) = *throughputs.last().unwrap();
     if host >= 8 && !fast {
-        let (_, at8) = *throughputs.last().unwrap();
         assert!(
             at8 >= 100_000.0,
             "expected >=100k events/s at 8 shards on an 8-core host, got {at8:.0}"
+        );
+    } else {
+        eprintln!(
+            "[sim] stream >=100k events/s at 8 shards: SKIPPED (host_cores={host}, fast={fast}); measured {at8:.0} events/s"
         );
     }
     group.finish();

@@ -166,6 +166,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let r = stream_exp::run_stream_with(scale, events, shards).expect("stream");
         println!("{}", stream_exp::table(&r));
+        println!("{}", r.maintenance);
         if shards > 1 {
             let reference = stream_exp::run_stream(scale, events).expect("stream reference");
             assert_eq!(

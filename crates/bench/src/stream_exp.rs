@@ -112,6 +112,9 @@ pub struct StreamRepro {
     /// Wall-clock cost of a full refresh (export every object + cold
     /// load), for comparison.
     pub full_reload_ms: f64,
+    /// Per-batch maintainer telemetry from the run's own counters — no
+    /// wall-clock column, so it is identical across shard counts.
+    pub maintenance: Table,
 }
 
 impl StreamRepro {
@@ -405,6 +408,19 @@ pub fn run_stream_with(
     let mut batches = 0usize;
     let mut effective_batches = 0usize;
     let mut emitted = 0usize;
+    let mut maintenance = Table::new(
+        "Streaming — per-batch maintainer telemetry (run counters, sim cost model)",
+        &[
+            "PR rounds",
+            "absorbed",
+            "cross-part Δ",
+            "PS RPCs/round",
+            "PS KB/round",
+            "CC unions",
+            "recomputes",
+            "relabeled",
+        ],
+    );
 
     let ingest_t0 = Instant::now();
     while emitted < total_events {
@@ -417,9 +433,32 @@ pub fn run_stream_with(
 
         let fx = ingest.drain(&client)?;
         let effective = !fx.effects.is_empty();
+        // Maintainer telemetry from the run's own counters; PS traffic is
+        // the network's, measured around `propagate` alone.
+        let net = ps.network().stats();
+        let before = pr_state.pushed();
         pr.on_batch(&mut pr_state, &client, &fx.effects)?;
-        pr.propagate(&mut pr_state, &client, ingest.adjacency())?;
-        cc.on_batch(&client, &fx.applied, ingest.adjacency())?;
+        let (rpcs0, bytes0) = (net.rpcs(), net.total_bytes());
+        let rounds = pr.propagate(&mut pr_state, &client, ingest.adjacency())?;
+        let per_round = |total: u64| total as f64 / rounds.max(1) as f64;
+        let rpcs = per_round(net.rpcs() - rpcs0);
+        let kb = per_round(net.total_bytes() - bytes0) / 1e3;
+        let after = pr_state.pushed();
+        let cs = cc.on_batch(&client, &fx.applied, ingest.adjacency())?;
+        let cells = [
+            rounds.to_string(),
+            (after.0 - before.0).to_string(),
+            (after.1 - before.1).to_string(),
+            format!("{rpcs:.2}"),
+            format!("{kb:.1}"),
+            cs.unions.to_string(),
+            cs.recomputes.to_string(),
+            cs.relabeled.to_string(),
+        ];
+        maintenance.push(Row::new(
+            format!("batch {batches}"),
+            cells.into_iter().map(Cell::Text).collect(),
+        ));
         batches += 1;
         if effective {
             pending.push((effective_batches, fx.watermark));
@@ -566,6 +605,7 @@ pub fn run_stream_with(
         events_per_sec,
         swap_walls_ms,
         full_reload_ms,
+        maintenance,
     })
 }
 

@@ -2,8 +2,12 @@
 //! mutating graph — the computation half of the streaming loop
 //! (`psgraph-stream` feeds these from micro-batches of edge events).
 //!
-//! **PageRank** uses Gauss–Southwell residual pushing. The PS holds two
-//! vectors, `ranks` and `res`, with the invariant
+//! **PageRank** uses Gauss–Southwell residual pushing, run on the PS: each
+//! round is one fused server-side operator
+//! ([`VectorHandle::residual_push`]) over the co-located rank, residual
+//! and out-list partitions, and only the frontier and cross-partition Δs
+//! cross the wire. The PS holds two vectors, `ranks` and `res`, with the
+//! invariant
 //!
 //! ```text
 //! res = (1-d)·1 + d·Aᵀ·ranks − ranks        A[u][x] = 1/out_deg(u)
@@ -18,13 +22,15 @@
 //!
 //! **Connected components** keeps the min-member-id labeling of
 //! [`psgraph_graph::metrics::connected_components`] (weakly connected,
-//! edges treated as undirected). Edge adds union two labels in O(smaller
-//! component). Edge removals recompute *one* component from its members'
-//! live out-lists — bounded by the component size, never the graph.
+//! edges treated as undirected). Per batch: every add unions two labels
+//! (a merge of two sorted member lists), then each *distinct* component a
+//! remove touched is recomputed once from its members' live out-lists —
+//! bounded by the component size, never the graph, and by the number of
+//! touched components, never the number of remove events.
 
 use std::sync::Arc;
 
-use psgraph_ps::{NeighborTableHandle, Partitioner, Ps, RecoveryMode, VectorHandle};
+use psgraph_ps::{NeighborTableHandle, Partitioner, Ps, PushFrontier, RecoveryMode, VectorHandle};
 use psgraph_sim::{FxHashMap, FxHashSet, NodeClock};
 
 use crate::error::{CoreError, Result};
@@ -52,15 +58,26 @@ impl Default for IncrementalPageRank {
 pub struct PrState {
     pub ranks: VectorHandle<f64>,
     residuals: VectorHandle<f64>,
-    /// Vertices whose residual may exceed the threshold.
-    dirty: FxHashSet<u64>,
+    /// Vertices whose residual may exceed the threshold, plus the
+    /// cross-partition contributions still in flight between rounds.
+    front: PushFrontier,
+    /// Running totals over every round so far: vertices absorbed and
+    /// contributions that crossed partitions.
+    pushed: (u64, u64),
     n: u64,
 }
 
 impl PrState {
-    /// Number of frontier vertices awaiting a push check.
+    /// Frontier vertices (and undelivered contributions) awaiting the
+    /// next push round.
     pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
+        self.front.len()
+    }
+
+    /// Running `(vertices absorbed, cross-partition contributions)` over
+    /// every push round so far — per-batch telemetry is the difference.
+    pub fn pushed(&self) -> (u64, u64) {
+        self.pushed
     }
 
     /// Driver-side reset after PS crash recovery: the rank/residual
@@ -69,7 +86,7 @@ impl PrState {
     /// empty dirty set. The event-log replay re-dirties exactly what the
     /// original run did.
     pub fn reset_after_recovery(&mut self) {
-        self.dirty.clear();
+        self.front.clear();
     }
 }
 
@@ -90,7 +107,7 @@ impl IncrementalPageRank {
             Partitioner::Range,
             RecoveryMode::Consistent,
         )?;
-        Ok(PrState { ranks, residuals, dirty: FxHashSet::default(), n })
+        Ok(PrState { ranks, residuals, front: PushFrontier::default(), pushed: (0, 0), n })
     }
 
     /// Reset to the from-scratch initial condition (`ranks = 0`,
@@ -104,7 +121,8 @@ impl IncrementalPageRank {
     ) -> Result<usize> {
         st.ranks.fill(client, 0.0)?;
         st.residuals.fill(client, 1.0 - self.damping)?;
-        st.dirty = (0..st.n).collect();
+        st.front.clear();
+        st.front.extend(0..st.n);
         self.propagate(st, client, adj)
     }
 
@@ -150,13 +168,16 @@ impl IncrementalPageRank {
         if !upd.is_empty() {
             let (idx, vals): (Vec<u64>, Vec<f64>) = upd.into_iter().unzip();
             st.residuals.push_add(client, &idx, &vals)?;
-            st.dirty.extend(idx);
+            st.front.extend(idx);
         }
         Ok(())
     }
 
-    /// Push residuals until every vertex is at or below the threshold.
-    /// Returns the number of push rounds.
+    /// Push residuals until every vertex is at or below the threshold,
+    /// one fused PS round at a time. Returns the number of rounds. On
+    /// `Err` — a dead server, or `max_rounds` reached — the frontier is
+    /// left as it stood before the failed round, so a later call resumes
+    /// instead of mistaking the state for converged.
     pub fn propagate(
         &self,
         st: &mut PrState,
@@ -164,52 +185,24 @@ impl IncrementalPageRank {
         adj: &NeighborTableHandle,
     ) -> Result<usize> {
         let mut rounds = 0usize;
-        while !st.dirty.is_empty() {
-            let mut frontier: Vec<u64> = st.dirty.iter().copied().collect();
-            frontier.sort_unstable();
-            st.dirty.clear();
-            let res = st.residuals.pull(client, &frontier)?;
-            let active: Vec<(u64, f64)> = frontier
-                .into_iter()
-                .zip(res)
-                .filter(|&(_, r)| r.abs() > self.threshold)
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            rounds += 1;
-            if rounds > self.max_rounds {
+        while !st.front.is_empty() {
+            if rounds == self.max_rounds {
                 return Err(CoreError::Invalid(format!(
                     "incremental pagerank did not converge within {} rounds",
                     self.max_rounds
                 )));
             }
-            let (idx, vals): (Vec<u64>, Vec<f64>) = active.iter().copied().unzip();
-            // Absorb the residual into the rank, then zero it exactly
-            // (x + (-x) == 0 in IEEE 754).
-            st.ranks.push_add(client, &idx, &vals)?;
-            let negs: Vec<f64> = vals.iter().map(|v| -v).collect();
-            st.residuals.push_add(client, &idx, &negs)?;
-            // Distribute d·res/deg to out-neighbors, folding contributions
-            // in source order so the result is partition-independent.
-            let lists = adj.pull(client, &idx)?;
-            let mut acc: FxHashMap<u64, f64> = FxHashMap::default();
-            for ((_, r), list) in active.iter().zip(&lists) {
-                if list.is_empty() {
-                    continue;
-                }
-                let contrib = self.damping * r / list.len() as f64;
-                for &x in list.iter() {
-                    *acc.entry(x).or_default() += contrib;
-                }
-            }
-            let mut upd: Vec<(u64, f64)> = acc.into_iter().collect();
-            upd.sort_unstable_by_key(|&(v, _)| v);
-            if !upd.is_empty() {
-                let (ids, vs): (Vec<u64>, Vec<f64>) = upd.into_iter().unzip();
-                st.residuals.push_add(client, &ids, &vs)?;
-                st.dirty.extend(ids);
-            }
+            let round = st.ranks.residual_push(
+                client,
+                &st.residuals,
+                adj,
+                self.damping,
+                self.threshold,
+                &mut st.front,
+            )?;
+            rounds += 1;
+            st.pushed.0 += round.absorbed as u64;
+            st.pushed.1 += round.remote as u64;
         }
         Ok(rounds)
     }
@@ -225,9 +218,9 @@ impl IncrementalPageRank {
 pub struct CcStats {
     /// Adds that merged two components.
     pub unions: usize,
-    /// Removes that triggered a bounded component recompute.
+    /// Distinct components a remove touched, each recomputed once.
     pub recomputes: usize,
-    /// Vertices whose label changed (pushed to the PS).
+    /// Vertices whose label differs after the batch (pushed to the PS).
     pub relabeled: usize,
 }
 
@@ -240,7 +233,34 @@ pub struct IncrementalCc {
     mirror: Vec<u64>,
     /// Component label → sorted member list.
     members: FxHashMap<u64, Vec<u64>>,
+    /// Vertex → position inside the component being recomputed, [`ABSENT`]
+    /// everywhere between recomputes (reusable dense scratch).
+    slot: Vec<usize>,
     n: u64,
+}
+
+const ABSENT: usize = usize::MAX;
+
+/// Union-find root with path halving.
+fn find(parent: &mut [usize], mut v: usize) -> usize {
+    while parent[v] != v {
+        parent[v] = parent[parent[v]];
+        v = parent[v];
+    }
+    v
+}
+
+/// Join the sets of `a` and `b`, keeping the smaller root — so a set's
+/// root is always its minimum element.
+fn link(parent: &mut [usize], a: usize, b: usize) {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    if ra != rb {
+        parent[ra.max(rb)] = ra.min(rb);
+    }
+}
+
+fn no_members(label: u64) -> CoreError {
+    CoreError::Invalid(format!("cc invariant: label {label} has no member list"))
 }
 
 impl IncrementalCc {
@@ -257,21 +277,30 @@ impl IncrementalCc {
         let ids: Vec<u64> = (0..n).collect();
         labels.push_set(&NodeClock::new(), &ids, &ids)?;
         let members = ids.iter().map(|&v| (v, vec![v])).collect();
-        Ok(IncrementalCc { labels, mirror: ids, members, n })
+        Ok(IncrementalCc { labels, mirror: ids, members, slot: vec![ABSENT; n as usize], n })
     }
 
     /// Union components from the full out-table (initial bootstrap after
-    /// base training).
+    /// base training): one pull, a driver-side union-find over the pulled
+    /// lists, one push of the labels that changed.
     pub fn bootstrap(&mut self, client: &NodeClock, adj: &NeighborTableHandle) -> Result<()> {
         let ids: Vec<u64> = (0..self.n).collect();
         let lists = adj.pull(client, &ids)?;
-        let mut stats = CcStats::default();
+        // Labels are min-member ids, so the mirror is already a forest.
+        let mut parent: Vec<usize> = self.mirror.iter().map(|&l| l as usize).collect();
         for (u, list) in lists.iter().enumerate() {
             for &w in list.iter() {
-                self.union(client, u as u64, w, &mut stats)?;
+                self.check(w)?;
+                link(&mut parent, u, w as usize);
             }
         }
-        Ok(())
+        let labels: Vec<u64> =
+            (0..parent.len()).map(|v| find(&mut parent, v) as u64).collect();
+        let changed: Vec<u64> =
+            ids.into_iter().filter(|&v| labels[v as usize] != self.mirror[v as usize]).collect();
+        self.mirror = labels;
+        self.rebuild_members();
+        self.push_labels(client, &changed)
     }
 
     /// Labels as the serving tier and tests see them.
@@ -287,126 +316,165 @@ impl IncrementalCc {
     /// crashed.
     pub fn restore_from_ps(&mut self, client: &NodeClock) -> Result<()> {
         self.mirror = self.labels.pull_all(client)?;
-        let mut members: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
+        self.rebuild_members();
+        Ok(())
+    }
+
+    fn rebuild_members(&mut self) {
+        self.members.clear();
         for (v, &label) in self.mirror.iter().enumerate() {
-            members.entry(label).or_default().push(v as u64);
+            self.members.entry(label).or_default().push(v as u64);
         }
-        self.members = members;
+    }
+
+    fn check(&self, v: u64) -> Result<()> {
+        if v >= self.n {
+            return Err(CoreError::Invalid(format!(
+                "cc: vertex {v} out of range (n = {})",
+                self.n
+            )));
+        }
         Ok(())
     }
 
     /// Apply one micro-batch of edge events that were *actually applied*
-    /// to the out-table (`add == true` for insertions). Adds union; each
-    /// remove recomputes only the affected component.
+    /// to the out-table (`add == true` for insertions); `adj` already
+    /// holds the post-batch table. All adds are unioned first, which makes
+    /// the label partition a coarsening of the true one (removes only
+    /// split), so recomputing each distinct component a remove touched
+    /// *once*, from the final table, yields the canonical labels — at one
+    /// adjacency pull per such component and one label push per batch.
     pub fn on_batch(
         &mut self,
         client: &NodeClock,
         events: &[(u64, u64, bool)],
         adj: &NeighborTableHandle,
     ) -> Result<CcStats> {
-        let mut stats = CcStats::default();
-        for &(u, w, add) in events {
-            if add {
-                self.union(client, u, w, &mut stats)?;
-            } else {
-                self.recompute_component(client, u, adj, &mut stats)?;
-            }
+        for &(u, w, _) in events {
+            self.check(u)?;
+            self.check(w)?;
         }
+        let mut stats = CcStats::default();
+        // (vertex, label it had before the change), in change order.
+        let mut changed: Vec<(u64, u64)> = Vec::new();
+        for &(u, w, _) in events.iter().filter(|e| e.2) {
+            self.union(u, w, &mut stats, &mut changed)?;
+        }
+        let mut split: Vec<u64> =
+            events.iter().filter(|e| !e.2).map(|e| self.mirror[e.0 as usize]).collect();
+        split.sort_unstable();
+        split.dedup();
+        for label in split {
+            self.recompute_component(client, label, adj, &mut changed)?;
+            stats.recomputes += 1;
+        }
+        // Keep each vertex's pre-batch label (stable sort, first entry)
+        // and push only the vertices that ended somewhere else.
+        changed.sort_by_key(|&(v, _)| v);
+        changed.dedup_by_key(|c| c.0);
+        changed.retain(|&(v, before)| self.mirror[v as usize] != before);
+        let ids: Vec<u64> = changed.iter().map(|&(v, _)| v).collect();
+        self.push_labels(client, &ids)?;
+        stats.relabeled = ids.len();
         Ok(stats)
     }
 
-    fn union(&mut self, client: &NodeClock, u: u64, w: u64, stats: &mut CcStats) -> Result<()> {
+    /// One `push_set` of the mirror's labels of `vertices`.
+    fn push_labels(&self, client: &NodeClock, vertices: &[u64]) -> Result<()> {
+        if vertices.is_empty() {
+            return Ok(());
+        }
+        let vals: Vec<u64> = vertices.iter().map(|&v| self.mirror[v as usize]).collect();
+        Ok(self.labels.push_set(client, vertices, &vals)?)
+    }
+
+    fn relabel(&mut self, vertices: &[u64], label: u64, changed: &mut Vec<(u64, u64)>) {
+        for &v in vertices {
+            changed.push((v, self.mirror[v as usize]));
+            self.mirror[v as usize] = label;
+        }
+    }
+
+    fn union(
+        &mut self,
+        u: u64,
+        w: u64,
+        stats: &mut CcStats,
+        changed: &mut Vec<(u64, u64)>,
+    ) -> Result<()> {
         let (lu, lw) = (self.mirror[u as usize], self.mirror[w as usize]);
         if lu == lw {
             return Ok(());
         }
         stats.unions += 1;
         let (winner, loser) = (lu.min(lw), lu.max(lw));
-        let moved = self.members.remove(&loser).expect("loser component exists");
-        self.relabel(client, &moved, winner, stats)?;
-        let into = self.members.get_mut(&winner).expect("winner component exists");
-        into.extend_from_slice(&moved);
-        into.sort_unstable();
+        let moved = self.members.remove(&loser).ok_or_else(|| no_members(loser))?;
+        let into = self.members.get_mut(&winner).ok_or_else(|| no_members(winner))?;
+        // Both lists are sorted: merge, do not re-sort.
+        let mut merged = Vec::with_capacity(into.len() + moved.len());
+        let (mut a, mut b) = (into.iter().peekable(), moved.iter().peekable());
+        while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+            merged.push(if x < y { a.next(); x } else { b.next(); y });
+        }
+        merged.extend(a);
+        merged.extend(b);
+        *into = merged;
+        self.relabel(&moved, winner, changed);
         Ok(())
     }
 
-    /// Re-derive the split of `u`'s component from its members' live
-    /// out-lists. Sound because every edge incident to a member has both
-    /// endpoints inside the (pre-removal) component, so member out-lists
-    /// cover all surviving connectivity.
+    /// Re-derive the split of component `label` from its members' live
+    /// out-lists. Sound because every live edge incident to a member has
+    /// both endpoints inside the (coarsened) component, so member
+    /// out-lists cover all surviving connectivity.
     fn recompute_component(
         &mut self,
         client: &NodeClock,
-        u: u64,
+        label: u64,
         adj: &NeighborTableHandle,
-        stats: &mut CcStats,
+        changed: &mut Vec<(u64, u64)>,
     ) -> Result<()> {
-        stats.recomputes += 1;
-        let label = self.mirror[u as usize];
-        let comp = self.members.get(&label).expect("component exists").clone();
-        let index: FxHashMap<u64, usize> =
-            comp.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut parent: Vec<usize> = (0..comp.len()).collect();
-        fn find(parent: &mut [usize], mut v: usize) -> usize {
-            while parent[v] != v {
-                parent[v] = parent[parent[v]];
-                v = parent[v];
-            }
-            v
+        let comp = self.members.get(&label).ok_or_else(|| no_members(label))?;
+        let lists = adj.pull(client, comp)?;
+        for (i, &v) in comp.iter().enumerate() {
+            self.slot[v as usize] = i;
         }
-        let lists = adj.pull(client, &comp)?;
+        let mut parent: Vec<usize> = (0..comp.len()).collect();
         for (i, list) in lists.iter().enumerate() {
-            for t in list.iter() {
+            for &t in list.iter() {
                 // Targets outside the member set belong to other
-                // components (the edge to them was already gone when the
-                // component formed) — skip defensively.
-                let Some(&j) = index.get(t) else { continue };
-                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                if ri != rj {
-                    let (lo, hi) = (ri.min(rj), ri.max(rj));
-                    parent[hi] = lo;
+                // components — skip defensively.
+                match self.slot.get(t as usize) {
+                    Some(&j) if j != ABSENT => link(&mut parent, i, j),
+                    _ => {}
                 }
             }
         }
-        let mut groups: FxHashMap<usize, Vec<u64>> = FxHashMap::default();
+        for &v in comp {
+            self.slot[v as usize] = ABSENT;
+        }
+        // `comp` is sorted and a root is its set's minimum, so groups open
+        // in ascending order of their first (= min-id) member.
+        let mut group_of = vec![ABSENT; comp.len()];
+        let mut groups: Vec<Vec<u64>> = Vec::new();
         for (i, &v) in comp.iter().enumerate() {
-            groups.entry(find(&mut parent, i)).or_default().push(v);
+            let root = find(&mut parent, i);
+            if group_of[root] == ABSENT {
+                group_of[root] = groups.len();
+                groups.push(Vec::new());
+            }
+            groups[group_of[root]].push(v);
         }
         if groups.len() == 1 {
             return Ok(()); // still connected, labels unchanged
         }
-        self.members.remove(&label);
-        let mut split: Vec<Vec<u64>> = groups.into_values().collect();
-        split.sort_unstable_by_key(|g| g[0]);
-        for group in split {
-            // `comp` was sorted, so each group is sorted and its first
-            // element is the new min-id label.
+        for group in groups {
             let new_label = group[0];
             if new_label != label {
-                self.relabel(client, &group, new_label, stats)?;
+                self.relabel(&group, new_label, changed);
             }
             self.members.insert(new_label, group);
         }
-        Ok(())
-    }
-
-    fn relabel(
-        &mut self,
-        client: &NodeClock,
-        vertices: &[u64],
-        label: u64,
-        stats: &mut CcStats,
-    ) -> Result<()> {
-        let changed: Vec<u64> =
-            vertices.iter().copied().filter(|&v| self.mirror[v as usize] != label).collect();
-        if changed.is_empty() {
-            return Ok(());
-        }
-        self.labels.push_set(client, &changed, &vec![label; changed.len()])?;
-        for &v in &changed {
-            self.mirror[v as usize] = label;
-        }
-        stats.relabeled += changed.len();
         Ok(())
     }
 }

@@ -14,7 +14,8 @@
 //! * **Operators**: `pull`, `push_add`, `push_set`, fills, and
 //!   user-defined server-side functions (*psFunc*, §III-A) — including the
 //!   server-side partial dot products used by LINE (§IV-D) and the
-//!   Adam/AdaGrad optimizers used by GraphSage (§IV-E).
+//!   Adam/AdaGrad optimizers used by GraphSage (§IV-E), and the fused
+//!   residual-push round of online PageRank (`residual_push`).
 //! * **Synchronization** (`sync`): BSP and ASP superstep control.
 //! * **Checkpoint/recovery** (`ps`, `master`): periodic per-server
 //!   checkpoints to the DFS, a master that health-checks servers, restarts
@@ -35,6 +36,7 @@ pub mod neighbor;
 pub mod partition;
 pub mod ps;
 pub mod psfunc;
+pub mod residual_push;
 pub mod server;
 pub mod snapshot;
 pub mod sync;
@@ -50,6 +52,7 @@ pub use neighbor::{NeighborEntry, NeighborTableHandle};
 pub use partition::{PartitionLayout, Partitioner};
 pub use ps::{Ps, PsConfig, RecoveryMode};
 pub use psfunc::PartitionViewMut;
+pub use residual_push::{PushFrontier, PushRound};
 pub use server::PsServer;
 pub use snapshot::{SnapshotData, SnapshotEntry, SnapshotKind, SnapshotManifest, SnapshotWriter};
 pub use sync::SyncMode;

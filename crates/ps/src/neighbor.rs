@@ -63,6 +63,13 @@ impl NeighborEntry {
         }
     }
 
+    /// Every slot in insertion order, [`TOMBSTONE`]s included — for
+    /// server-side operators that walk the entry in place instead of
+    /// materializing [`NeighborEntry::live`].
+    pub(crate) fn slots(&self) -> &[u64] {
+        &self.slots
+    }
+
     /// Append `x` unless it is already a live neighbor. Returns whether
     /// the edge was added.
     pub fn add(&mut self, x: u64) -> bool {
@@ -92,7 +99,7 @@ impl NeighborEntry {
     }
 }
 
-type TablePart = FxHashMap<u64, NeighborEntry>;
+pub(crate) type TablePart = FxHashMap<u64, NeighborEntry>;
 
 fn part_bytes(map: &TablePart) -> u64 {
     map.values().map(|e| 8 + 24 + e.slot_len() as u64 * 8)

@@ -183,6 +183,46 @@ impl PsServer {
         Ok(r)
     }
 
+    /// Mutable access to partitions `a` and `b` plus shared access to `c`
+    /// — co-located partitions of three *different* objects — under one
+    /// store lock: the server-side form of an operator fused over several
+    /// objects. `f` returns its result and whether it wrote `a` / `b`;
+    /// only a written partition has its version bumped. Footprints must
+    /// not change (as with [`PsServer::update`]).
+    pub fn update_pair_with<A: 'static, B: 'static, C: 'static, R>(
+        &self,
+        a: (&str, usize),
+        b: (&str, usize),
+        c: (&str, usize),
+        f: impl FnOnce(&mut A, &mut B, &C) -> (R, [bool; 2]),
+    ) -> Result<R> {
+        self.ensure_alive()?;
+        if a == b || a == c || b == c {
+            return Err(PsError::DimensionMismatch(format!(
+                "{}, {} and {} must be three distinct objects",
+                a.0, b.0, c.0
+            )));
+        }
+        let keys = [a, b, c].map(|(name, p)| (name.to_string(), p));
+        let mut store = self.store.write();
+        let [Some(pa), Some(pb), Some(pc)] =
+            store.get_disjoint_mut([&keys[0], &keys[1], &keys[2]])
+        else {
+            return Err(PsError::NotFound(format!(
+                "{}[{}], {}[{}] or {}[{}]",
+                a.0, a.1, b.0, b.1, c.0, c.1
+            )));
+        };
+        let mismatch = |name: &str| PsError::TypeMismatch { name: name.to_string() };
+        let ta = pa.data.downcast_mut::<A>().ok_or_else(|| mismatch(a.0))?;
+        let tb = pb.data.downcast_mut::<B>().ok_or_else(|| mismatch(b.0))?;
+        let tc = pc.data.downcast_ref::<C>().ok_or_else(|| mismatch(c.0))?;
+        let (r, wrote) = f(ta, tb, tc);
+        pa.version += wrote[0] as u64;
+        pb.version += wrote[1] as u64;
+        Ok(r)
+    }
+
     /// Write version of a partition (see [`StoredPartition::version`]).
     pub fn version(&self, name: &str, partition: usize) -> Result<u64> {
         self.ensure_alive()?;
@@ -328,6 +368,36 @@ mod tests {
         s.insert("v", 0, vec![0.0f64; 2], 16).unwrap();
         assert_eq!(s.version("v", 0).unwrap(), 3, "replace continues the count");
         assert!(matches!(s.version("v", 1), Err(PsError::NotFound(_))));
+    }
+
+    #[test]
+    fn update_pair_with_spans_three_objects_and_bumps_only_written_ones() {
+        let s = PsServer::new(0, 1 << 20);
+        s.insert("a", 0, 1u64, 8).unwrap();
+        s.insert("b", 0, 2u64, 8).unwrap();
+        s.insert("c", 0, vec![3u64], 8).unwrap();
+        let sum = s
+            .update_pair_with(("a", 0), ("b", 0), ("c", 0), |a: &mut u64, b: &mut u64, c: &Vec<u64>| {
+                *a += c[0];
+                (*a + *b, [true, false])
+            })
+            .unwrap();
+        assert_eq!(sum, 6);
+        assert_eq!(s.get("a", 0, |a: &u64| *a).unwrap(), 4);
+        assert_eq!((s.version("a", 0).unwrap(), s.version("b", 0).unwrap()), (2, 1));
+        let noop = |_: &mut u64, _: &mut u64, _: &Vec<u64>| ((), [false; 2]);
+        assert!(matches!(
+            s.update_pair_with(("a", 0), ("a", 0), ("c", 0), noop),
+            Err(PsError::DimensionMismatch(_))
+        ));
+        assert!(matches!(
+            s.update_pair_with(("a", 0), ("b", 1), ("c", 0), noop),
+            Err(PsError::NotFound(_))
+        ));
+        assert!(matches!(
+            s.update_pair_with(("a", 0), ("c", 0), ("b", 0), noop),
+            Err(PsError::TypeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -116,4 +116,11 @@ for seed in 1 2 3 4 5 6 7 8 9 10; do
         stream --scale 0.01 --events 2000 --shards 2 >/dev/null
 done
 
+# The benchmark is its own workspace, so nothing above compiles it: a
+# `core`/`ps` signature change could break `benchmark/src/sut.rs` and
+# only the perf gate would notice. Its own gate builds it offline with
+# warnings denied, checks BENCHMARK.json against the metric tables and
+# smoke-runs all four workloads (every correctness check, < 25 s).
+bash benchmark/ci.sh
+
 echo "ci: OK"
