@@ -4,7 +4,7 @@
 //! ingestor shard counts (1/2/4/8).
 //!
 //! Recorded samples are the wall-clock cost of each delta hot-swap (from
-//! the single-ingestor reference run); per shard count the metrics carry
+//! the one-shard run); per shard count the metrics carry
 //! ingest throughput, event-time freshness lag (p50/p99 — event-time, so
 //! shard-count-invariant by construction) and the final-state digest,
 //! which every shard count must reproduce bit-identically. The
@@ -26,13 +26,13 @@ fn stream_ingest(c: &mut Harness) {
     let mut reference_digest = None;
     let mut throughputs: Vec<(usize, f64)> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
-        let r = stream_exp::run_stream_with(0.02, events, shards).expect("stream repro");
+        let r = stream_exp::run_stream(0.02, events, shards).expect("stream repro");
         assert_eq!(r.wrong, 0, "served answers must match the swap-time PS state");
         assert!(r.cc_ok && r.pr_linf < 1e-6, "incremental maintainers drifted");
         let reference = *reference_digest.get_or_insert(r.state_digest);
         assert_eq!(
             r.state_digest, reference,
-            "final PS state at {shards} shards diverged from the single-ingestor reference"
+            "final PS state at {shards} shards diverged from the one-shard run"
         );
 
         if shards == 1 {

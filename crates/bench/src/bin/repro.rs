@@ -11,8 +11,9 @@
 //! sizes the `stream` edge-event stream (default 50 000; the chaos soak
 //! defaults to 12 000 per run unless `--events` is given explicitly);
 //! `--shards` routes the stream across N owner-keyed ingestor shards
-//! (default 1; with N > 1 the run also replays a single-ingestor
-//! reference and asserts the final PS state digests are bit-identical);
+//! (default 1; the printed state digest is the same at every N, which
+//! `scripts/ci.sh` checks by diffing the `--shards 1` and `--shards 4`
+//! outputs);
 //! `--seeds` sizes the chaos fault-schedule sweep (default 20) and
 //! `--seed` replays exactly one failing schedule; `--threads` sizes the
 //! global work-stealing pool (default: host parallelism; the simulated
@@ -164,16 +165,9 @@ fn main() {
     }
     if do_all || which == "stream" {
         let t0 = std::time::Instant::now();
-        let r = stream_exp::run_stream_with(scale, events, shards).expect("stream");
+        let r = stream_exp::run_stream(scale, events, shards).expect("stream");
         println!("{}", stream_exp::table(&r));
         println!("{}", r.maintenance);
-        if shards > 1 {
-            let reference = stream_exp::run_stream(scale, events).expect("stream reference");
-            assert_eq!(
-                r.state_digest, reference.state_digest,
-                "sharded final PS state diverged from the single-ingestor reference"
-            );
-        }
         assert_eq!(r.wrong, 0, "served answers diverged from the swap-time PS state");
         assert!(r.swaps >= 1, "at least one delta hot-swap must run");
         assert!(

@@ -35,7 +35,7 @@
 //! printed seed alone: `repro -- chaos --seed <S>` replays just that
 //! schedule.
 
-use psgraph_core::algos::{IncrementalCc, IncrementalPageRank, PrState};
+use psgraph_core::algos::{IncrementalCc, IncrementalPageRank};
 use psgraph_core::CoreError;
 use psgraph_dfs::Dfs;
 use psgraph_graph::Dataset;
@@ -45,18 +45,19 @@ use psgraph_net::{IdempotencyFilter, RetryPolicy};
 use psgraph_ps::{Ps, PsConfig, SnapshotWriter};
 use psgraph_serve::frontend::Outcome;
 use psgraph_serve::{
-    GraphTruth, Interpreter, ObjectMap, Plan, PlanOutput, Pred, Query, Scorer, ServeCluster,
-    ServeConfig, Source, Stage, Value,
+    Interpreter, ObjectMap, Plan, PlanOutput, Pred, Query, Scorer, ServeCluster, ServeConfig,
+    Source, Stage, Value,
 };
 use psgraph_sim::{
     ChaosConfig, FaultSchedule, FaultSite, FaultStats, NodeClock, SimTime, SplitMix64,
 };
 use psgraph_stream::{
-    replay_from_log, DriftRmat, EdgeEvent, EventLog, IngestConfig, Ingestor, RefreshConfig,
-    RefreshDriver, ShardedIngestor, StreamCheckpoint,
+    DriftRmat, EdgeEvent, EventLog, IngestConfig, RefreshConfig, RefreshDriver, ShardedIngestor,
+    StreamCheckpoint,
 };
 
 use crate::report::{Cell, Row, Table};
+use crate::stream_state::{Fingerprint, Mirror};
 
 /// Events per micro-batch (every shard mailbox sized to match, so even a
 /// batch routed entirely to one shard fits).
@@ -81,16 +82,6 @@ const CKPT_PATH: &str = "/chaos/ckpt";
 
 fn se(e: impl std::fmt::Display) -> CoreError {
     CoreError::Invalid(format!("chaos: {e}"))
-}
-
-/// Bit-exact digest of the PS-resident stream state.
-#[derive(PartialEq, Eq)]
-struct Fingerprint {
-    rank_bits: Vec<u64>,
-    labels: Vec<u64>,
-    degree_bits: Vec<u64>,
-    adjacency: Vec<Vec<u64>>,
-    watermark: SimTime,
 }
 
 /// What one soak run (fault-free or seeded) measured.
@@ -164,79 +155,6 @@ impl ChaosRepro {
     }
 }
 
-/// Swap-time serving truth (see `stream_exp`).
-struct Mirror {
-    ranks: Vec<f64>,
-    labels: Vec<u64>,
-    adj: Vec<Vec<u64>>,
-}
-
-fn capture(
-    client: &NodeClock,
-    ingestor: &ShardedIngestor,
-    pr: &IncrementalPageRank,
-    st: &PrState,
-    cc: &IncrementalCc,
-    n: u64,
-) -> Result<Mirror, CoreError> {
-    let ranks = pr.ranks(st, client)?;
-    let ids: Vec<u64> = (0..n).collect();
-    let adj =
-        ingestor.adjacency().pull(client, &ids)?.into_iter().map(|l| l.to_vec()).collect();
-    Ok(Mirror { ranks, labels: cc.labels().to_vec(), adj })
-}
-
-impl Mirror {
-    /// The interpreter-ready view of the swap-time state (the stream
-    /// publishes no embeddings, so compound plans score by rank).
-    fn truth(&self, n: u64) -> GraphTruth {
-        let mut t = GraphTruth::new(n);
-        t.ranks = Some(self.ranks.clone());
-        t.communities = Some(self.labels.clone());
-        t.adjacency = Some(self.adj.clone());
-        t
-    }
-}
-
-fn answer_matches(query: &Query, value: &Value, m: &Mirror) -> bool {
-    match (query, value) {
-        (Query::Rank(v), Value::Rank(r)) => r.to_bits() == m.ranks[*v as usize].to_bits(),
-        (Query::Community(v), Value::Community(c)) => *c == m.labels[*v as usize],
-        (Query::Neighbors(v), Value::Neighbors(ns)) => ns == &m.adj[*v as usize],
-        _ => false,
-    }
-}
-
-fn fingerprint(
-    client: &NodeClock,
-    ingestor: &ShardedIngestor,
-    pr: &IncrementalPageRank,
-    st: &PrState,
-    cc: &IncrementalCc,
-    n: u64,
-) -> Result<Fingerprint, CoreError> {
-    let ids: Vec<u64> = (0..n).collect();
-    Ok(Fingerprint {
-        rank_bits: pr.ranks(st, client)?.iter().map(|r| r.to_bits()).collect(),
-        labels: cc.labels().to_vec(),
-        degree_bits: ingestor
-            .degrees()
-            .pull(client, &ids)
-            .map_err(se)?
-            .iter()
-            .map(|d| d.to_bits())
-            .collect(),
-        adjacency: ingestor
-            .adjacency()
-            .pull(client, &ids)
-            .map_err(se)?
-            .into_iter()
-            .map(|l| l.to_vec())
-            .collect(),
-        watermark: ingestor.watermark(),
-    })
-}
-
 struct RunResult {
     print: Fingerprint,
     outcome: SeedOutcome,
@@ -293,7 +211,7 @@ fn run_once(
     let rcfg = RefreshConfig::default();
     let swap_every = rcfg.swap_every_batches;
     let mut driver = RefreshDriver::new("/chaos/snapshot", manifest, rcfg);
-    let mut mirror = capture(&client, &ingestor, &pr, &pr_state, &cc, n)?;
+    let mut mirror = Mirror::capture(&client, ingestor.adjacency(), &pr, &pr_state, &cc, n)?;
     let mut truth = mirror.truth(n);
 
     // Durable stream: the event log and the initial checkpoint pair, so a
@@ -518,7 +436,7 @@ fn run_once(
                 for (_, wmark) in pending.drain(..) {
                     lags.push(rec.at.saturating_sub(wmark));
                 }
-                mirror = capture(&client, &ingestor, &pr, &pr_state, &cc, n)?;
+                mirror = Mirror::capture(&client, ingestor.adjacency(), &pr, &pr_state, &cc, n)?;
                 truth = mirror.truth(n);
             }
         }
@@ -543,7 +461,7 @@ fn run_once(
                             Stage::TopK(8),
                         ],
                     };
-                    for (_, outcome) in cluster.frontend_mut().execute_plan_now(queries, at, &plan)
+                    for (_, outcome) in cluster.frontend_mut().submit_plan(queries, at, &plan)
                     {
                         match outcome {
                             Outcome::Answered { value, .. } => {
@@ -576,7 +494,7 @@ fn run_once(
                         match outcome {
                             Outcome::Answered { value, .. } => {
                                 answered += 1;
-                                if !answer_matches(&q, &value, &mirror) {
+                                if !mirror.answers(&q, &value) {
                                     wrong += 1;
                                 }
                             }
@@ -612,7 +530,15 @@ fn run_once(
         }
     }
 
-    let print = fingerprint(&client, &ingestor, &pr, &pr_state, &cc, n)?;
+    let print = Fingerprint::capture(
+        &client,
+        ingestor.adjacency(),
+        ingestor.degrees(),
+        &pr.ranks(&pr_state, &client)?,
+        cc.labels(),
+        ingestor.watermark(),
+        n,
+    )?;
     let freshness_max = lags.iter().copied().max().unwrap_or(SimTime::ZERO);
     Ok(RunResult {
         print,
@@ -865,20 +791,6 @@ pub fn table(r: &ChaosRepro) -> Table {
         text(format!("{worst_fresh} / {bound}")),
     ));
     t
-}
-
-/// Replay helper used by docs and the property suite: re-drive a suffix
-/// of an event log through a fresh ingestor (no faults), returning the
-/// batch count — the building block `run_once` recovery uses.
-pub fn replay_suffix(
-    dfs: &Dfs,
-    client: &NodeClock,
-    ingestor: &mut Ingestor,
-    from_event: usize,
-    to_event: usize,
-) -> Result<usize, CoreError> {
-    replay_from_log(dfs, LOG_PATH, client, ingestor, from_event, to_event, BATCH, |_, _| Ok(()))
-        .map_err(se)
 }
 
 #[cfg(test)]

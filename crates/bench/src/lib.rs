@@ -12,6 +12,7 @@ pub mod query_exp;
 pub mod report;
 pub mod serve_exp;
 pub mod stream_exp;
+mod stream_state;
 pub mod table1;
 pub mod table2;
 

@@ -24,7 +24,7 @@ use psgraph_core::CoreError;
 use psgraph_harness::json::Json;
 use psgraph_serve::loadgen::{self, LoadReport};
 use psgraph_serve::{
-    reference, ExpandMode, Interpreter, Mode, Plan, PlanCounters, PlanOutput, Pred, PushPolicy,
+    ExpandMode, Interpreter, Mode, Plan, PlanCounters, PlanOutput, Pred, PushPolicy,
     Query, QueryMix, Scorer, ServeCluster, ServeConfig, Source, Stage, Value, Workload,
 };
 use psgraph_sim::failpoint::FailureInjector;
@@ -171,7 +171,7 @@ fn ablation_palette() -> Vec<Plan> {
 
 /// Does a plan's served value match the interpreter's output bit for
 /// bit?
-fn plan_matches(value: &Value, want: &PlanOutput) -> bool {
+pub(crate) fn plan_matches(value: &Value, want: &PlanOutput) -> bool {
     match (value, want) {
         (Value::Vertices(got), PlanOutput::Vertices(w)) => got == w,
         (Value::Ranked(got), PlanOutput::Ranked(w)) => {
@@ -241,6 +241,7 @@ pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
 
     let mut wrong = 0usize;
     for (_, q, value) in &report.values {
+        let legacy = |plan: Plan| interp.run(&plan).is_ok_and(|want| plan_matches(value, &want));
         let ok = match (q, value) {
             (Query::Rank(v), Value::Rank(r)) => r.to_bits() == ranks[*v as usize].to_bits(),
             (Query::Community(v), Value::Community(c)) => *c == communities[*v as usize],
@@ -251,17 +252,9 @@ pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
                     && e.len() == embeddings[*v as usize].len()
             }
             (Query::Neighbors(v), Value::Neighbors(ns)) => ns == &adjacency[*v as usize],
-            (Query::KHop { v, hops }, Value::Vertices(vs)) => {
-                vs == &reference::khop(adjacency, *v, *hops)
-            }
-            (Query::TopK { v, k }, Value::Ranked(r)) => {
-                let want = reference::topk(embeddings, adjacency, *v, *k, shards);
-                plan_matches(&Value::Ranked(r.clone()), &PlanOutput::Ranked(want))
-            }
-            (Query::TopKAll { v, k }, Value::Ranked(r)) => {
-                let want = reference::topk_all(embeddings, *v, *k);
-                plan_matches(&Value::Ranked(r.clone()), &PlanOutput::Ranked(want))
-            }
+            (Query::KHop { v, hops }, _) => legacy(Plan::khop(*v, *hops)),
+            (Query::TopK { v, k }, _) => legacy(Plan::topk(*v, *k)),
+            (Query::TopKAll { v, k }, _) => legacy(Plan::topk_all(*v, *k)),
             _ => false,
         };
         if !ok {

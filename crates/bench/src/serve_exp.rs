@@ -27,15 +27,15 @@ use psgraph_ps::snapshot::DeltaWriter;
 use psgraph_ps::{
     ColMatrixHandle, CsrHandle, Partitioner, RecoveryMode, SnapshotWriter, VectorHandle,
 };
-use psgraph_serve::frontend::reference;
 use psgraph_serve::{
-    Monitor, ObjectMap, Query, ScriptedAction, ServeCluster, ServeConfig, SwapStats, Value,
-    Workload,
+    Interpreter, Monitor, ObjectMap, Plan, Query, ScriptedAction, ServeCluster, ServeConfig,
+    SwapStats, Value, Workload,
 };
 use psgraph_sim::failpoint::{FailPlan, FailureInjector};
 use psgraph_sim::{CostModel, NodeClock, SimTime};
 
 use crate::deploy::{psgraph_context, PaperAlloc, ScaleRule};
+use crate::query_exp::plan_matches;
 use crate::report::{Cell, Row, Table};
 
 /// Embedding width for the served LINE model (the paper's online models
@@ -85,9 +85,11 @@ pub struct ServeRepro {
     pub train_time: SimTime,
 }
 
-use psgraph_core::truth::out_adjacency;
+use psgraph_core::truth::{out_adjacency, TruthBuilder};
 
 /// Does `value` answer `query` bit-exactly against this model state?
+/// Compound shapes are checked against `interp`, the single-node
+/// interpreter over the same state's adjacency and embeddings.
 fn answer_matches(
     query: &Query,
     value: &Value,
@@ -95,8 +97,9 @@ fn answer_matches(
     labels: &[u64],
     embeddings: &[Vec<f32>],
     adjacency: &[Vec<u64>],
-    shards: usize,
+    interp: &Interpreter,
 ) -> bool {
+    let compound = |plan: Plan| interp.run(&plan).is_ok_and(|want| plan_matches(value, &want));
     match (query, value) {
         (Query::Rank(v), Value::Rank(r)) => r.to_bits() == ranks[*v as usize].to_bits(),
         (Query::Community(v), Value::Community(c)) => *c == labels[*v as usize],
@@ -107,16 +110,8 @@ fn answer_matches(
                     .all(|(a, b)| a.to_bits() == b.to_bits())
         }
         (Query::Neighbors(v), Value::Neighbors(ns)) => ns == &adjacency[*v as usize],
-        (Query::KHop { v, hops }, Value::Vertices(vs)) => {
-            vs == &reference::khop(adjacency, *v, *hops)
-        }
-        (Query::TopK { v, k }, Value::Ranked(r)) => {
-            let want = reference::topk(embeddings, adjacency, *v, *k, shards);
-            r.len() == want.len()
-                && r.iter()
-                    .zip(&want)
-                    .all(|((gv, gs), (wv, ws))| gv == wv && gs.to_bits() == ws.to_bits())
-        }
+        (Query::KHop { v, hops }, _) => compound(Plan::khop(*v, *hops)),
+        (Query::TopK { v, k }, _) => compound(Plan::topk(*v, *k)),
         _ => false,
     }
 }
@@ -279,17 +274,22 @@ pub fn run_serve(scale: f64, queries: usize) -> Result<ServeRepro, CoreError> {
     // Pre-swap answers must match the original PS state; post-swap
     // answers the updated one. An answer matching only the old state
     // after the swap is a stale cache entry.
-    let shards = cfg.shards;
+    let truth_over = |embeddings: &[Vec<f32>]| {
+        TruthBuilder::new(n).adjacency(adjacency.clone()).embeddings(embeddings.to_vec()).build()
+    };
+    let (truth0, truth1) = (truth_over(&embeddings), truth_over(&embeddings1));
+    let interp0 = Interpreter::new(&truth0, cfg.shards);
+    let interp1 = Interpreter::new(&truth1, cfg.shards);
     let mut wrong = 0usize;
     let mut stale = 0usize;
     for (idx, query, value) in &report.values {
         let ok0 =
-            answer_matches(query, value, &ranks, &labels, &embeddings, &adjacency, shards);
+            answer_matches(query, value, &ranks, &labels, &embeddings, &adjacency, &interp0);
         if *idx < swap_at {
             if !ok0 {
                 wrong += 1;
             }
-        } else if !answer_matches(query, value, &ranks1, &labels1, &embeddings1, &adjacency, shards)
+        } else if !answer_matches(query, value, &ranks1, &labels1, &embeddings1, &adjacency, &interp1)
         {
             if ok0 {
                 stale += 1;

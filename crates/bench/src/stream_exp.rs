@@ -39,16 +39,14 @@ use psgraph_core::CoreError;
 use psgraph_dfs::Dfs;
 use psgraph_graph::{metrics, Dataset, EdgeList};
 use psgraph_net::rpc::NodeId;
-use psgraph_ps::{NeighborTableHandle, Ps, PsConfig, SnapshotWriter, VectorHandle};
+use psgraph_ps::{Ps, PsConfig, SnapshotWriter};
 use psgraph_serve::frontend::Outcome;
-use psgraph_serve::{ObjectMap, Query, ServeCluster, ServeConfig, Value};
+use psgraph_serve::{ObjectMap, Query, ServeCluster, ServeConfig};
 use psgraph_sim::{NodeClock, SimTime, SplitMix64};
-use psgraph_stream::{
-    BatchEffect, DriftRmat, EdgeEvent, IngestConfig, IngestStats, Ingestor, RefreshConfig,
-    RefreshDriver, ShardedIngestor,
-};
+use psgraph_stream::{DriftRmat, IngestConfig, RefreshConfig, RefreshDriver, ShardedIngestor};
 
 use crate::report::{Cell, Row, Table};
+use crate::stream_state::{Fingerprint, Mirror};
 
 /// Events per micro-batch; every ingest mailbox is sized to match, so
 /// within a batch no offer is rejected even if all events route to one
@@ -63,8 +61,7 @@ const QUERIES_PER_BATCH: usize = 4;
 pub struct StreamRepro {
     pub num_vertices: u64,
     pub base_edges: usize,
-    /// Ingestor shards the stream was routed across (1 = the plain
-    /// single-ingestor reference path).
+    /// Ingestor shards the stream was routed across.
     pub shards: usize,
     /// Events emitted by the drift source.
     pub events: usize,
@@ -135,151 +132,6 @@ fn se(e: impl std::fmt::Display) -> CoreError {
     CoreError::Invalid(format!("stream: {e}"))
 }
 
-/// One or many writers behind a common surface: `Single` is the
-/// reference path (one mailbox, one watermark, the driver's clock);
-/// `Sharded` routes by edge owner and drains all shards as one logical
-/// batch on per-shard clocks.
-enum Ingest {
-    Single(Ingestor),
-    Sharded(ShardedIngestor),
-}
-
-impl Ingest {
-    fn create(
-        ps: &std::sync::Arc<Ps>,
-        cfg: &IngestConfig,
-        n: u64,
-        shards: usize,
-    ) -> Result<Ingest, CoreError> {
-        Ok(if shards <= 1 {
-            Ingest::Single(Ingestor::create(ps, cfg, n).map_err(se)?)
-        } else {
-            Ingest::Sharded(ShardedIngestor::create(ps, cfg, n, shards).map_err(se)?)
-        })
-    }
-
-    fn bootstrap(&self, client: &NodeClock, edges: &[(u64, u64)]) -> Result<(), CoreError> {
-        match self {
-            Ingest::Single(i) => i.bootstrap(client, edges).map_err(se),
-            Ingest::Sharded(s) => s.bootstrap(client, edges).map_err(se),
-        }
-    }
-
-    fn adjacency(&self) -> &NeighborTableHandle {
-        match self {
-            Ingest::Single(i) => &i.adjacency,
-            Ingest::Sharded(s) => s.adjacency(),
-        }
-    }
-
-    fn degrees(&self) -> &VectorHandle<f64> {
-        match self {
-            Ingest::Single(i) => &i.degrees,
-            Ingest::Sharded(s) => s.degrees(),
-        }
-    }
-
-    fn offer(&mut self, from: NodeId, ev: EdgeEvent) -> bool {
-        match self {
-            Ingest::Single(i) => i.offer(from, ev),
-            Ingest::Sharded(s) => s.offer(from, ev),
-        }
-    }
-
-    fn drain(&mut self, client: &NodeClock) -> Result<BatchEffect, CoreError> {
-        match self {
-            Ingest::Single(i) => i.apply_pending(client).map_err(se),
-            Ingest::Sharded(s) => s.drain_all().map_err(se),
-        }
-    }
-
-    fn watermark(&self) -> SimTime {
-        match self {
-            Ingest::Single(i) => i.watermark(),
-            Ingest::Sharded(s) => s.watermark(),
-        }
-    }
-
-    fn stats(&self) -> IngestStats {
-        match self {
-            Ingest::Single(i) => i.stats(),
-            Ingest::Sharded(s) => s.stats(),
-        }
-    }
-}
-
-/// The PS state at the instant of the last publish — what the serving
-/// tier must answer with until the next swap.
-struct Mirror {
-    ranks: Vec<f64>,
-    labels: Vec<u64>,
-    adj: Vec<Vec<u64>>,
-}
-
-fn capture(
-    client: &NodeClock,
-    adjacency: &NeighborTableHandle,
-    pr: &IncrementalPageRank,
-    st: &PrState,
-    cc: &IncrementalCc,
-    n: u64,
-) -> Result<Mirror, CoreError> {
-    let ranks = pr.ranks(st, client)?;
-    let ids: Vec<u64> = (0..n).collect();
-    let adj = adjacency.pull(client, &ids)?.into_iter().map(|l| l.to_vec()).collect();
-    Ok(Mirror { ranks, labels: cc.labels().to_vec(), adj })
-}
-
-fn answer_matches(query: &Query, value: &Value, m: &Mirror) -> bool {
-    match (query, value) {
-        (Query::Rank(v), Value::Rank(r)) => r.to_bits() == m.ranks[*v as usize].to_bits(),
-        (Query::Community(v), Value::Community(c)) => *c == m.labels[*v as usize],
-        (Query::Neighbors(v), Value::Neighbors(ns)) => ns == &m.adj[*v as usize],
-        _ => false,
-    }
-}
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// Bit-exact fold of the final streamed state: adjacency lists (length +
-/// neighbors per source, in source order), degree bits, rank bits,
-/// component labels. Two runs produced identical PS state iff their
-/// digests match.
-fn state_digest(
-    client: &NodeClock,
-    adjacency: &NeighborTableHandle,
-    degrees: &VectorHandle<f64>,
-    ranks: &[f64],
-    labels: &[u64],
-    n: u64,
-) -> Result<u64, CoreError> {
-    let ids: Vec<u64> = (0..n).collect();
-    let lists = adjacency.pull(client, &ids)?;
-    let degs = degrees.pull(client, &ids)?;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for l in &lists {
-        fnv1a(&mut h, &(l.len() as u64).to_le_bytes());
-        for &d in l.iter() {
-            fnv1a(&mut h, &d.to_le_bytes());
-        }
-    }
-    for &d in &degs {
-        fnv1a(&mut h, &d.to_bits().to_le_bytes());
-    }
-    for &r in ranks {
-        fnv1a(&mut h, &r.to_bits().to_le_bytes());
-    }
-    for &l in labels {
-        fnv1a(&mut h, &l.to_le_bytes());
-    }
-    Ok(h)
-}
-
 /// Export everything dirtied since the last swap, install it on the live
 /// tier, settle the freshness accounting for the batches it published,
 /// and re-capture the serving-truth mirror. Returns `None` when the
@@ -291,7 +143,7 @@ fn publish(
     dfs: &Dfs,
     client: &NodeClock,
     cluster: &mut ServeCluster,
-    ingest: &Ingest,
+    ingest: &ShardedIngestor,
     pr: &IncrementalPageRank,
     pr_state: &PrState,
     cc: &IncrementalCc,
@@ -320,7 +172,7 @@ fn publish(
         lags.push(rec.at.saturating_sub(wmark));
         *max_batches_to_publish = (*max_batches_to_publish).max(effective_batches - bi);
     }
-    capture(client, ingest.adjacency(), pr, pr_state, cc, n).map(Some)
+    Mirror::capture(client, ingest.adjacency(), pr, pr_state, cc, n).map(Some)
 }
 
 fn percentile(sorted: &[SimTime], p: f64) -> SimTime {
@@ -332,16 +184,10 @@ fn percentile(sorted: &[SimTime], p: f64) -> SimTime {
 }
 
 /// Bootstrap DS3′ at `scale`, serve it, then stream `total_events` drift
-/// events through micro-batches with periodic delta hot-swaps —
-/// single-ingestor reference path (`shards = 1`).
-pub fn run_stream(scale: f64, total_events: usize) -> Result<StreamRepro, CoreError> {
-    run_stream_with(scale, total_events, 1)
-}
-
-/// [`run_stream`] with the event stream routed across `shards` ingestor
-/// shards keyed by edge owner. `shards = 1` is the plain [`Ingestor`]
-/// path; every shard count must end with the same `state_digest`.
-pub fn run_stream_with(
+/// events through micro-batches with periodic delta hot-swaps, the event
+/// stream routed across `shards` ingestor shards keyed by edge owner.
+/// Every shard count must end with the same `state_digest`.
+pub fn run_stream(
     scale: f64,
     total_events: usize,
     shards: usize,
@@ -356,8 +202,8 @@ pub fn run_stream_with(
     // Mutable ingest state + incremental maintainers, converged on the
     // base graph.
     let icfg = IngestConfig { prefix: "stream".into(), mailbox_cap: BATCH };
-    let mut ingest = Ingest::create(&ps, &icfg, n, shards)?;
-    ingest.bootstrap(&client, g.edges())?;
+    let mut ingest = ShardedIngestor::create(&ps, &icfg, n, shards).map_err(se)?;
+    ingest.bootstrap(&client, g.edges()).map_err(se)?;
     let pr = IncrementalPageRank::default();
     let mut pr_state = pr.create_state(&ps, "stream.pr", n)?;
     pr.init_full(&mut pr_state, &client, ingest.adjacency())?;
@@ -382,7 +228,7 @@ pub fn run_stream_with(
     let rcfg = RefreshConfig::default();
     let swap_every = rcfg.swap_every_batches;
     let mut driver = RefreshDriver::new("/stream/snapshot", manifest, rcfg);
-    let mut mirror = capture(&client, ingest.adjacency(), &pr, &pr_state, &cc, n)?;
+    let mut mirror = Mirror::capture(&client, ingest.adjacency(), &pr, &pr_state, &cc, n)?;
 
     // The drifting event source, seeded with the base edge set so
     // removals can name live edges from the start.
@@ -431,7 +277,7 @@ pub fn run_stream_with(
         }
         emitted += take;
 
-        let fx = ingest.drain(&client)?;
+        let fx = ingest.drain_all().map_err(se)?;
         let effective = !fx.effects.is_empty();
         // Maintainer telemetry from the run's own counters; PS traffic is
         // the network's, measured around `propagate` alone.
@@ -498,7 +344,7 @@ pub fn run_stream_with(
             for (_, outcome) in cluster.frontend_mut().execute_now(queries, at, q) {
                 if let Outcome::Answered { value, .. } = outcome {
                     answered += 1;
-                    if !answer_matches(&q, &value, &mirror) {
+                    if !mirror.answers(&q, &value) {
                         wrong += 1;
                     }
                 }
@@ -557,7 +403,15 @@ pub fn run_stream_with(
         u.dedup();
         u.len()
     };
-    let digest = state_digest(&client, ingest.adjacency(), ingest.degrees(), &inc, cc.labels(), n)?;
+    let print = Fingerprint::capture(
+        &client,
+        ingest.adjacency(),
+        ingest.degrees(),
+        &inc,
+        cc.labels(),
+        ingest.watermark(),
+        n,
+    )?;
 
     // Swap cost vs a full refresh of the same final state. Both sides
     // include their export: the delta path exports dirty partitions and
@@ -578,7 +432,7 @@ pub fn run_stream_with(
     Ok(StreamRepro {
         num_vertices: n,
         base_edges,
-        shards: shards.max(1),
+        shards,
         events: emitted,
         batches,
         applied_adds: stats.applied_adds,
@@ -601,7 +455,7 @@ pub fn run_stream_with(
         cc_ok,
         components,
         final_watermark: ingest.watermark(),
-        state_digest: digest,
+        state_digest: print.digest(),
         events_per_sec,
         swap_walls_ms,
         full_reload_ms,
@@ -670,7 +524,7 @@ mod tests {
 
     #[test]
     fn stream_repro_stays_fresh_and_correct() {
-        let r = run_stream(0.02, 5_000).expect("stream repro must run");
+        let r = run_stream(0.02, 5_000, 1).expect("stream repro must run");
         assert_eq!(r.wrong, 0, "served answers must match the swap-time PS state");
         assert!(r.answered > 0, "queries must be answered");
         assert!(r.swaps >= 2, "expected a scheduled swap plus the tail swap");
@@ -697,9 +551,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stream_is_bit_identical_to_single_ingestor() {
-        let single = run_stream_with(0.01, 2_000, 1).expect("reference run");
-        let sharded = run_stream_with(0.01, 2_000, 4).expect("sharded run");
+    fn sharded_stream_is_bit_identical_to_one_shard() {
+        let single = run_stream(0.01, 2_000, 1).expect("reference run");
+        let sharded = run_stream(0.01, 2_000, 4).expect("sharded run");
         assert_eq!(
             sharded.state_digest, single.state_digest,
             "sharded final PS state must be bit-identical to the reference"

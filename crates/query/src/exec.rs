@@ -68,8 +68,7 @@ pub fn scalar_score<V: VertexView + ?Sized>(
 }
 
 /// Full-row dot product: one f64 fold in column order. This is the
-/// `DotAssoc::FullRow` association (identical to the shard-local
-/// `local_topk` fold).
+/// `DotAssoc::FullRow` association.
 pub fn dot_full(q: &[f32], row: &[f32]) -> f64 {
     q.iter().zip(row).map(|(a, b)| *a as f64 * *b as f64).sum()
 }

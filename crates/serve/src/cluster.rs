@@ -3,16 +3,20 @@
 use psgraph_dfs::Dfs;
 use psgraph_net::Network;
 use psgraph_ps::snapshot::{
-    load_object, PatchRegion, SnapshotData, SnapshotDelta, SnapshotManifest, SnapshotWriter,
+    load_object, DeltaEntry, PatchRegion, SnapshotData, SnapshotDelta, SnapshotManifest,
+    SnapshotWriter,
 };
 use psgraph_ps::{
-    ColMatrixHandle, CsrHandle, Partitioner, Ps, PsConfig, RecoveryMode, VectorHandle,
+    ColMatrixHandle, CsrHandle, Element, Partitioner, Ps, PsConfig, RecoveryMode, VectorHandle,
 };
 use psgraph_sim::{CostModel, NodeClock};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::{Result, ServeError};
-use crate::frontend::{CacheKey, Frontend, SloPolicy};
+use crate::frontend::{
+    CacheKey, Frontend, SloPolicy, TAG_COMMUNITY, TAG_EMBEDDING, TAG_NEIGHBORS, TAG_RANK,
+};
 use crate::router::Router;
 use crate::shard::{
     col_range, vertex_range, Adjacency, EmbedSlice, Replica, ShardData, ShardSpec,
@@ -273,215 +277,59 @@ impl ServeCluster {
     /// replica of those shards (dead ones included — they must rejoin
     /// with current data), and invalidate exactly the cached keys the
     /// delta made stale. Queries already in flight keep the version they
-    /// started with; every later answer reflects the delta.
+    /// started with; every later answer reflects the delta. A malformed
+    /// delta is rejected before any replica is touched.
     pub fn swap_in(&mut self, delta: &SnapshotDelta) -> Result<SwapStats> {
-        let num_shards = self.frontend.num_shards();
         let n = self.num_vertices;
+        let router = self.frontend.router();
+        let specs: Vec<ShardSpec> =
+            (0..router.num_shards()).map(|s| router.replicas(s)[0].data().spec).collect();
+        // Column shards tile `[0, dim)` in ascending order.
+        let dim = specs.last().map_or(0, |s| s.col_hi);
         // Working copies of patched shards, cloned from the live data on
         // first touch.
-        let mut rebuilt: Vec<Option<ShardData>> = (0..num_shards).map(|_| None).collect();
+        let mut rebuilt: Vec<Option<ShardData>> = specs.iter().map(|_| None).collect();
         // Vertex ranges whose cached answers are stale, per cache tag.
-        let mut dirty_rows: Vec<(u8, u64, u64)> = Vec::new();
-        // A column stripe spans every row, so any embedding patch dirties
-        // every cached embedding.
-        let mut embed_dirty = false;
+        let mut dirty_rows: Vec<(u8, Range<u64>)> = Vec::new();
         let mut regions_applied = 0usize;
 
-        {
-            let router = self.frontend.router();
-            let working = |rebuilt: &mut Vec<Option<ShardData>>, s: usize| -> ShardData {
-                rebuilt[s]
-                    .take()
-                    .unwrap_or_else(|| (*router.replicas(s)[0].data()).clone())
-            };
-            for entry in &delta.entries {
-                let role = [
-                    (&self.objects.ranks, 0u8),
-                    (&self.objects.communities, 1),
-                    (&self.objects.embeddings, 2),
-                    (&self.objects.adjacency, 3),
-                ]
-                .into_iter()
-                .find(|(name, _)| name.as_deref() == Some(entry.name.as_str()));
-                // Objects the cluster does not serve are none of our
-                // business — skip them.
-                let Some((_, tag)) = role else { continue };
-                if entry.rows != n {
-                    return Err(ServeError::Dfs(format!(
-                        "delta entry {} has {} rows but the tier serves {n} vertices",
-                        entry.name, entry.rows
-                    )));
-                }
-                let mismatch = || {
-                    ServeError::Dfs(format!(
-                        "delta entry {} carries a region of the wrong kind", entry.name
-                    ))
-                };
-                for region in &entry.regions {
-                    regions_applied += 1;
-                    match (tag, region) {
-                        (0, PatchRegion::RowsF64 { row_lo, values }) => {
-                            let row_hi = row_lo + values.len() as u64;
-                            for s in 0..num_shards {
-                                let (vlo, vhi) = vertex_range(s, n, num_shards);
-                                let (lo, hi) = ((*row_lo).max(vlo), row_hi.min(vhi));
-                                if lo >= hi {
-                                    continue;
-                                }
-                                let mut data = working(&mut rebuilt, s);
-                                let ranks = data.ranks.as_mut().ok_or_else(|| {
-                                    ServeError::Dfs("delta patches unserved ranks".into())
-                                })?;
-                                for v in lo..hi {
-                                    ranks[(v - vlo) as usize] =
-                                        values[(v - row_lo) as usize];
-                                }
-                                rebuilt[s] = Some(data);
-                            }
-                            dirty_rows.push((0, *row_lo, row_hi));
-                        }
-                        (1, PatchRegion::RowsU64 { row_lo, values }) => {
-                            let row_hi = row_lo + values.len() as u64;
-                            for s in 0..num_shards {
-                                let (vlo, vhi) = vertex_range(s, n, num_shards);
-                                let (lo, hi) = ((*row_lo).max(vlo), row_hi.min(vhi));
-                                if lo >= hi {
-                                    continue;
-                                }
-                                let mut data = working(&mut rebuilt, s);
-                                let coms = data.communities.as_mut().ok_or_else(|| {
-                                    ServeError::Dfs("delta patches unserved communities".into())
-                                })?;
-                                for v in lo..hi {
-                                    coms[(v - vlo) as usize] = values[(v - row_lo) as usize];
-                                }
-                                rebuilt[s] = Some(data);
-                            }
-                            dirty_rows.push((1, *row_lo, row_hi));
-                        }
-                        (2, PatchRegion::Cols { col_lo, col_hi, data: patch }) => {
-                            let dim = entry.cols as usize;
-                            let stripe = (col_hi - col_lo) as usize;
-                            // A column stripe cuts across every shard: the
-                            // column-sliced `embed` on shards whose col
-                            // range intersects, and the row-major
-                            // `embed_rows` on all of them.
-                            for s in 0..num_shards {
-                                let (clo, chi) = col_range(s, dim, num_shards);
-                                let (lo, hi) =
-                                    ((*col_lo as usize).max(clo), (*col_hi as usize).min(chi));
-                                let mut data = working(&mut rebuilt, s);
-                                if lo < hi {
-                                    let embed = data.embed.as_mut().ok_or_else(|| {
-                                        ServeError::Dfs("delta patches unserved embeddings".into())
-                                    })?;
-                                    for r in 0..embed.rows as usize {
-                                        for j in lo..hi {
-                                            embed.data[r * embed.width + (j - clo)] =
-                                                patch[r * stripe + (j - *col_lo as usize)];
-                                        }
-                                    }
-                                }
-                                if let Some(er) = data.embed_rows.as_mut() {
-                                    let (vlo, vhi) = vertex_range(s, n, num_shards);
-                                    for v in vlo..vhi {
-                                        let r = (v - vlo) as usize;
-                                        for j in *col_lo as usize..*col_hi as usize {
-                                            er.data[r * er.width + j] = patch
-                                                [v as usize * stripe + (j - *col_lo as usize)];
-                                        }
-                                    }
-                                }
-                                rebuilt[s] = Some(data);
-                            }
-                            embed_dirty = true;
-                        }
-                        (2, PatchRegion::RowsF32 { row_lo, data: patch }) => {
-                            let dim = entry.cols as usize;
-                            if dim == 0 || patch.len() % dim != 0 {
-                                return Err(mismatch());
-                            }
-                            let row_hi = row_lo + (patch.len() / dim) as u64;
-                            for s in 0..num_shards {
-                                let (clo, chi) = col_range(s, dim, num_shards);
-                                let (vlo, vhi) = vertex_range(s, n, num_shards);
-                                let (rlo, rhi) = ((*row_lo).max(vlo), row_hi.min(vhi));
-                                if clo >= chi && rlo >= rhi {
-                                    continue;
-                                }
-                                let mut data = working(&mut rebuilt, s);
-                                if clo < chi {
-                                    let embed = data.embed.as_mut().ok_or_else(|| {
-                                        ServeError::Dfs("delta patches unserved embeddings".into())
-                                    })?;
-                                    for v in *row_lo..row_hi {
-                                        let src = (v - row_lo) as usize * dim;
-                                        for j in clo..chi {
-                                            embed.data[v as usize * embed.width + (j - clo)] =
-                                                patch[src + j];
-                                        }
-                                    }
-                                }
-                                if rlo < rhi {
-                                    if let Some(er) = data.embed_rows.as_mut() {
-                                        for v in rlo..rhi {
-                                            let src = (v - row_lo) as usize * dim;
-                                            let dst = (v - vlo) as usize * er.width;
-                                            er.data[dst..dst + dim]
-                                                .copy_from_slice(&patch[src..src + dim]);
-                                        }
-                                    }
-                                }
-                                rebuilt[s] = Some(data);
-                            }
-                            dirty_rows.push((2, *row_lo, row_hi));
-                        }
-                        (3, PatchRegion::Adj { row_lo, offsets, targets }) => {
-                            let row_hi = row_lo + offsets.len() as u64 - 1;
-                            for s in 0..num_shards {
-                                let (vlo, vhi) = vertex_range(s, n, num_shards);
-                                let (lo, hi) = ((*row_lo).max(vlo), row_hi.min(vhi));
-                                if lo >= hi {
-                                    continue;
-                                }
-                                let mut data = working(&mut rebuilt, s);
-                                let adj = data.adjacency.as_mut().ok_or_else(|| {
-                                    ServeError::Dfs("delta patches unserved adjacency".into())
-                                })?;
-                                let mut lists: Vec<Vec<u64>> = (0..(vhi - vlo) as usize)
-                                    .map(|i| {
-                                        adj.targets[adj.offsets[i] as usize
-                                            ..adj.offsets[i + 1] as usize]
-                                            .to_vec()
-                                    })
-                                    .collect();
-                                for v in lo..hi {
-                                    let i = (v - row_lo) as usize;
-                                    lists[(v - vlo) as usize] = targets
-                                        [offsets[i] as usize..offsets[i + 1] as usize]
-                                        .to_vec();
-                                }
-                                let mut new_offsets = Vec::with_capacity(lists.len() + 1);
-                                let mut new_targets = Vec::new();
-                                new_offsets.push(0u64);
-                                for l in &lists {
-                                    new_targets.extend_from_slice(l);
-                                    new_offsets.push(new_targets.len() as u64);
-                                }
-                                *adj = Adjacency { offsets: new_offsets, targets: new_targets };
-                                rebuilt[s] = Some(data);
-                            }
-                            dirty_rows.push((3, *row_lo, row_hi));
-                        }
-                        _ => return Err(mismatch()),
+        for entry in &delta.entries {
+            let role = [
+                (&self.objects.ranks, TAG_RANK),
+                (&self.objects.communities, TAG_COMMUNITY),
+                (&self.objects.embeddings, TAG_EMBEDDING),
+                (&self.objects.adjacency, TAG_NEIGHBORS),
+            ]
+            .into_iter()
+            .find(|(name, _)| name.as_deref() == Some(entry.name.as_str()));
+            // Objects the cluster does not serve are none of our
+            // business — skip them.
+            let Some((_, tag)) = role else { continue };
+            for region in &entry.regions {
+                regions_applied += 1;
+                let span = region_span(tag, entry, region, n, dim)?;
+                // The one shard-overlap loop: clip the region to each
+                // shard's vertex and column ranges, and run the region's
+                // copy kernel on the working copy of every shard it
+                // reaches.
+                for (s, spec) in specs.iter().enumerate() {
+                    let (r, c) = (&span.rows, &span.cols);
+                    let rows = r.start.max(spec.vertex_lo)..r.end.min(spec.vertex_hi);
+                    let cols = c.start.max(spec.col_lo)..c.end.min(spec.col_hi);
+                    if rows.is_empty() && cols.is_empty() {
+                        continue;
                     }
+                    let data = rebuilt[s]
+                        .get_or_insert_with(|| (*router.replicas(s)[0].data()).clone());
+                    patch_shard(data, entry, region, rows, cols)?;
                 }
+                dirty_rows.push((tag, span.rows));
             }
         }
 
         let mut shards_rebuilt = 0;
-        for (s, slot) in rebuilt.iter_mut().enumerate() {
-            if let Some(data) = slot.take() {
+        for (s, slot) in rebuilt.into_iter().enumerate() {
+            if let Some(data) = slot {
                 shards_rebuilt += 1;
                 let data = Arc::new(data);
                 for rep in self.replicas.iter().filter(|r| r.shard() == s) {
@@ -490,10 +338,7 @@ impl ServeCluster {
             }
         }
         let keys_invalidated = self.frontend.invalidate_keys(|&(tag, v): &CacheKey| {
-            if tag == 2 && embed_dirty {
-                return false;
-            }
-            !dirty_rows.iter().any(|&(t, lo, hi)| t == tag && (lo..hi).contains(&v))
+            !dirty_rows.iter().any(|(t, rows)| *t == tag && rows.contains(&v))
         });
         // The swapped data may have moved rank spans, community counts,
         // or degrees — re-pull shard statistics so the pushdown planner
@@ -521,6 +366,23 @@ impl ServeCluster {
         embeddings: Option<&[Vec<f32>]>,
         cfg: &ServeConfig,
     ) -> Result<Self> {
+        Ok(Self::build("arr", ranks, communities, adjacency, embeddings, cfg)?.0)
+    }
+
+    /// The one arrays → PS handles → [`SnapshotWriter`] → [`ObjectMap`] →
+    /// [`ServeCluster::load`] path behind [`ServeCluster::from_arrays`]
+    /// and [`ServeCluster::demo_with_ps`]. Objects are named
+    /// `<prefix>.rank` / `.community` / `.adj` / `.embed` and snapshotted
+    /// under `/snapshot/<prefix>`; the returned backend holds a handle
+    /// for each array that was present.
+    fn build(
+        prefix: &str,
+        ranks: Option<&[f64]>,
+        communities: Option<&[u64]>,
+        adjacency: Option<&[Vec<u64>]>,
+        embeddings: Option<&[Vec<f32>]>,
+        cfg: &ServeConfig,
+    ) -> Result<(Self, Backend)> {
         let n = ranks
             .map(<[f64]>::len)
             .or(communities.map(<[u64]>::len))
@@ -533,50 +395,52 @@ impl ServeCluster {
         let dfs = Dfs::in_memory();
         let client = NodeClock::new();
         let ids: Vec<u64> = (0..n).collect();
-        let mut w = SnapshotWriter::new(&dfs, "/snapshot/arrays", &client);
-        let mut objects = ObjectMap::default();
+        let name = |object: &str| format!("{prefix}.{object}");
 
-        if let Some(r) = ranks {
-            let h = VectorHandle::<f64>::create(
-                &ps,
-                "arr.rank",
-                n,
-                Partitioner::Range,
-                RecoveryMode::Consistent,
-            )?;
-            h.push_set(&client, &ids, r)?;
-            w.vector_f64(&h)?;
-            objects.ranks = Some("arr.rank".into());
+        let ranks = ranks.map(|r| vector(&ps, name("rank"), &ids, r, &client)).transpose()?;
+        let communities =
+            communities.map(|c| vector(&ps, name("community"), &ids, c, &client)).transpose()?;
+        let adjacency = adjacency
+            .map(|adj| {
+                let tables: Vec<(u64, Vec<u64>)> =
+                    adj.iter().enumerate().map(|(i, ns)| (i as u64, ns.clone())).collect();
+                CsrHandle::build(&ps, name("adj"), n, &tables, &client, RecoveryMode::Consistent)
+            })
+            .transpose()?;
+        let embeddings = embeddings
+            .map(|rows| -> Result<_> {
+                let dim = rows.first().map_or(0, Vec::len);
+                let mode = RecoveryMode::Inconsistent;
+                let h = ColMatrixHandle::create(&ps, name("embed"), n, dim, mode)?;
+                h.push_add_rows(&client, &ids, rows)?;
+                Ok(h)
+            })
+            .transpose()?;
+
+        let dir = format!("/snapshot/{prefix}");
+        let mut w = SnapshotWriter::new(&dfs, &dir, &client);
+        let mut objects = ObjectMap::default();
+        if let Some(h) = &ranks {
+            w.vector_f64(h)?;
+            objects.ranks = Some(name("rank"));
         }
-        if let Some(c) = communities {
-            let h = VectorHandle::<u64>::create(
-                &ps,
-                "arr.community",
-                n,
-                Partitioner::Range,
-                RecoveryMode::Consistent,
-            )?;
-            h.push_set(&client, &ids, c)?;
-            w.vector_u64(&h)?;
-            objects.communities = Some("arr.community".into());
+        if let Some(h) = &communities {
+            w.vector_u64(h)?;
+            objects.communities = Some(name("community"));
         }
-        if let Some(adj) = adjacency {
-            let tables: Vec<(u64, Vec<u64>)> =
-                adj.iter().enumerate().map(|(i, ns)| (i as u64, ns.clone())).collect();
-            let h =
-                CsrHandle::build(&ps, "arr.adj", n, &tables, &client, RecoveryMode::Consistent)?;
-            w.adjacency(&h)?;
-            objects.adjacency = Some("arr.adj".into());
+        if let Some(h) = &adjacency {
+            w.adjacency(h)?;
+            objects.adjacency = Some(name("adj"));
         }
-        if let Some(rows) = embeddings {
-            let dim = rows.first().map_or(0, Vec::len);
-            let h = ColMatrixHandle::create(&ps, "arr.embed", n, dim, RecoveryMode::Inconsistent)?;
-            h.push_add_rows(&client, &ids, rows)?;
-            w.colmatrix(&h)?;
-            objects.embeddings = Some("arr.embed".into());
+        if let Some(h) = &embeddings {
+            w.colmatrix(h)?;
+            objects.embeddings = Some(name("embed"));
         }
-        w.finish()?;
-        ServeCluster::load(&dfs, "/snapshot/arrays", &objects, cfg, &client)
+        let manifest = w.finish()?;
+        let cluster = ServeCluster::load(&dfs, &dir, &objects, cfg, &client)?;
+        let backend =
+            Backend { ps, dfs, client, dir, manifest, ranks, communities, adjacency, embeddings };
+        Ok((cluster, backend))
     }
 
     /// A tiny in-memory snapshot + cluster for tests: `n` vertices with
@@ -595,79 +459,219 @@ impl ServeCluster {
         dim: usize,
         cfg: &ServeConfig,
     ) -> Result<(Self, DemoTruth, DemoBackend)> {
-        let ps = Ps::new(PsConfig::default());
-        let dfs = Dfs::in_memory();
-        let client = NodeClock::new();
-        let ids: Vec<u64> = (0..n).collect();
-
-        let ranks: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
-        let hv = VectorHandle::<f64>::create(
-            &ps,
-            "demo.rank",
-            n,
-            Partitioner::Range,
-            RecoveryMode::Consistent,
-        )?;
-        hv.push_set(&client, &ids, &ranks)?;
-
-        let coms: Vec<u64> = (0..n).map(|i| i % 7).collect();
-        let hc = VectorHandle::<u64>::create(
-            &ps,
-            "demo.community",
-            n,
-            Partitioner::Range,
-            RecoveryMode::Consistent,
-        )?;
-        hc.push_set(&client, &ids, &coms)?;
-
-        let adj: Vec<Vec<u64>> = (0..n).map(|i| vec![(i + 1) % n, (i + 2) % n]).collect();
-        let tables: Vec<(u64, Vec<u64>)> =
-            adj.iter().enumerate().map(|(i, ns)| (i as u64, ns.clone())).collect();
-        let ha = CsrHandle::build(&ps, "demo.adj", n, &tables, &client, RecoveryMode::Consistent)?;
-
-        let embed: Vec<Vec<f32>> = (0..n)
-            .map(|i| (0..dim).map(|j| ((i * 31 + j as u64 * 7) % 13) as f32 * 0.1 - 0.6).collect())
-            .collect();
-        let hm = psgraph_ps::ColMatrixHandle::create(
-            &ps,
-            "demo.embed",
-            n,
-            dim,
-            RecoveryMode::Inconsistent,
-        )?;
-        hm.push_add_rows(&client, &ids, &embed)?;
-
-        let mut w = SnapshotWriter::new(&dfs, "/snapshot/demo", &client);
-        w.vector_f64(&hv)?;
-        w.vector_u64(&hc)?;
-        w.adjacency(&ha)?;
-        w.colmatrix(&hm)?;
-        let manifest = w.finish()?;
-
-        let objects = ObjectMap {
-            ranks: Some("demo.rank".into()),
-            communities: Some("demo.community".into()),
-            embeddings: Some("demo.embed".into()),
-            adjacency: Some("demo.adj".into()),
+        let truth = DemoTruth {
+            ranks: (0..n).map(|i| i as f64 / n as f64).collect(),
+            communities: (0..n).map(|i| i % 7).collect(),
+            adjacency: (0..n).map(|i| vec![(i + 1) % n, (i + 2) % n]).collect(),
+            embeddings: (0..n)
+                .map(|i| {
+                    (0..dim).map(|j| ((i * 31 + j as u64 * 7) % 13) as f32 * 0.1 - 0.6).collect()
+                })
+                .collect(),
         };
-        let cluster = ServeCluster::load(&dfs, "/snapshot/demo", &objects, cfg, &client)?;
+        let (cluster, b) = Self::build(
+            "demo",
+            Some(&truth.ranks),
+            Some(&truth.communities),
+            Some(&truth.adjacency),
+            Some(&truth.embeddings),
+            cfg,
+        )?;
+        let built = "the demo tier builds every object";
         let backend = DemoBackend {
-            ps,
-            dfs,
-            client,
-            dir: "/snapshot/demo".into(),
-            manifest,
-            ranks: hv,
-            communities: hc,
-            adjacency: ha,
-            embeddings: hm,
+            ps: b.ps,
+            dfs: b.dfs,
+            client: b.client,
+            dir: b.dir,
+            manifest: b.manifest,
+            ranks: b.ranks.expect(built),
+            communities: b.communities.expect(built),
+            adjacency: b.adjacency.expect(built),
+            embeddings: b.embeddings.expect(built),
         };
-        Ok((
-            cluster,
-            DemoTruth { ranks, communities: coms, adjacency: adj, embeddings: embed },
-            backend,
-        ))
+        Ok((cluster, truth, backend))
     }
+}
+
+/// A range-partitioned PS vector holding `values`.
+fn vector<E: Element>(
+    ps: &Arc<Ps>,
+    name: String,
+    ids: &[u64],
+    values: &[E],
+    client: &NodeClock,
+) -> Result<VectorHandle<E>> {
+    let n = ids.len() as u64;
+    let h = VectorHandle::create(ps, name, n, Partitioner::Range, RecoveryMode::Consistent)?;
+    h.push_set(client, ids, values)?;
+    Ok(h)
+}
+
+/// The PS side [`ServeCluster::build`] leaves behind: a [`DemoBackend`]
+/// whose handles exist only for the arrays that were given.
+struct Backend {
+    ps: Arc<Ps>,
+    dfs: Dfs,
+    client: NodeClock,
+    dir: String,
+    manifest: SnapshotManifest,
+    ranks: Option<VectorHandle<f64>>,
+    communities: Option<VectorHandle<u64>>,
+    adjacency: Option<CsrHandle>,
+    embeddings: Option<ColMatrixHandle>,
+}
+
+/// The rows × columns of a served table that one patch region rewrites.
+/// Vertex-keyed regions span no columns; a column stripe spans every
+/// row; a row-matrix patch spans every column (each column shard holds
+/// all rows of its slice).
+struct Span {
+    rows: Range<u64>,
+    cols: Range<usize>,
+}
+
+/// Check `region` against its entry and the tier's shape, and return the
+/// span it rewrites. `SnapshotDelta::decode` only checks lengths against
+/// its buffer, so everything the copy kernels in [`patch_shard`] index
+/// by — row and column bounds, payload sizes, CSR offsets — is checked
+/// here, once, before any shard is patched.
+fn region_span(
+    tag: u8,
+    entry: &DeltaEntry,
+    region: &PatchRegion,
+    n: u64,
+    dim: usize,
+) -> Result<Span> {
+    let bad = |what: &str| ServeError::Dfs(format!("delta entry {}: {what}", entry.name));
+    if entry.rows != n {
+        return Err(bad(&format!("has {} rows but the tier serves {n} vertices", entry.rows)));
+    }
+    let rows_from = |row_lo: u64, len: usize| {
+        row_lo
+            .checked_add(len as u64)
+            .filter(|&row_hi| row_hi <= n)
+            .map(|row_hi| row_lo..row_hi)
+            .ok_or_else(|| bad("region rows run past the last vertex"))
+    };
+    let cols = entry.cols as usize;
+    if tag == TAG_EMBEDDING && cols != dim {
+        return Err(bad(&format!("has {cols} columns but the tier serves {dim}")));
+    }
+    match (tag, region) {
+        (TAG_RANK, PatchRegion::RowsF64 { row_lo, values }) => {
+            Ok(Span { rows: rows_from(*row_lo, values.len())?, cols: 0..0 })
+        }
+        (TAG_COMMUNITY, PatchRegion::RowsU64 { row_lo, values }) => {
+            Ok(Span { rows: rows_from(*row_lo, values.len())?, cols: 0..0 })
+        }
+        (TAG_EMBEDDING, PatchRegion::Cols { col_lo, col_hi, data }) => {
+            let (lo, hi) = (*col_lo as usize, *col_hi as usize);
+            if lo > hi || hi > cols {
+                return Err(bad("column stripe out of range"));
+            }
+            if data.len() as u64 != n * (hi - lo) as u64 {
+                return Err(bad("column stripe payload is not rows × stripe"));
+            }
+            Ok(Span { rows: 0..n, cols: lo..hi })
+        }
+        (TAG_EMBEDDING, PatchRegion::RowsF32 { row_lo, data }) => {
+            if cols == 0 || data.len() % cols != 0 {
+                return Err(bad("row payload is not a whole number of rows"));
+            }
+            Ok(Span { rows: rows_from(*row_lo, data.len() / cols)?, cols: 0..cols })
+        }
+        (TAG_NEIGHBORS, PatchRegion::Adj { row_lo, offsets, targets }) => {
+            let Some(&last) = offsets.last() else {
+                return Err(bad("adjacency region has no offsets"));
+            };
+            if offsets.windows(2).any(|w| w[0] > w[1]) || last > targets.len() as u64 {
+                return Err(bad("adjacency offsets are not monotone within the targets"));
+            }
+            Ok(Span { rows: rows_from(*row_lo, offsets.len() - 1)?, cols: 0..0 })
+        }
+        _ => Err(bad("carries a region of the wrong kind")),
+    }
+}
+
+/// Copy one shard's share of a validated `region` into its working copy:
+/// `rows` / `cols` are the region's span clipped to the shard.
+fn patch_shard(
+    data: &mut ShardData,
+    entry: &DeltaEntry,
+    region: &PatchRegion,
+    rows: Range<u64>,
+    cols: Range<usize>,
+) -> Result<()> {
+    let unserved = |what: &str| ServeError::Dfs(format!("delta patches unserved {what}"));
+    let (vlo, clo) = (data.spec.vertex_lo, data.spec.col_lo);
+    // The clipped rows as positions past `base` — the shard's first
+    // vertex or the region's first row (nothing when the clip is empty).
+    let past = |base: u64| {
+        if rows.is_empty() { 0..0 } else { (rows.start - base) as usize..(rows.end - base) as usize }
+    };
+    let local = past(vlo);
+    match region {
+        PatchRegion::RowsF64 { row_lo, values } => {
+            let ranks = data.ranks.as_mut().ok_or_else(|| unserved("ranks"))?;
+            ranks[local].copy_from_slice(&values[past(*row_lo)]);
+        }
+        PatchRegion::RowsU64 { row_lo, values } => {
+            let coms = data.communities.as_mut().ok_or_else(|| unserved("communities"))?;
+            coms[local].copy_from_slice(&values[past(*row_lo)]);
+        }
+        PatchRegion::Cols { col_lo, col_hi, data: patch } => {
+            // A column stripe cuts across every shard: the column-sliced
+            // `embed` on shards whose col range intersects, and the
+            // row-major `embed_rows` on all of them.
+            let (col_lo, col_hi) = (*col_lo as usize, *col_hi as usize);
+            let stripe = col_hi - col_lo;
+            if !cols.is_empty() {
+                let embed = data.embed.as_mut().ok_or_else(|| unserved("embeddings"))?;
+                for r in 0..embed.rows as usize {
+                    for j in cols.clone() {
+                        embed.data[r * embed.width + (j - clo)] = patch[r * stripe + (j - col_lo)];
+                    }
+                }
+            }
+            if let Some(er) = data.embed_rows.as_mut() {
+                for v in rows {
+                    let dst = (v - vlo) as usize * er.width;
+                    let src = v as usize * stripe;
+                    er.data[dst + col_lo..dst + col_hi].copy_from_slice(&patch[src..src + stripe]);
+                }
+            }
+        }
+        PatchRegion::RowsF32 { row_lo, data: patch } => {
+            let dim = entry.cols as usize;
+            if !cols.is_empty() {
+                let embed = data.embed.as_mut().ok_or_else(|| unserved("embeddings"))?;
+                for (i, row) in patch.chunks_exact(dim).enumerate() {
+                    let dst = (*row_lo as usize + i) * embed.width;
+                    embed.data[dst..dst + cols.len()].copy_from_slice(&row[cols.clone()]);
+                }
+            }
+            if let Some(er) = data.embed_rows.as_mut() {
+                let src = past(*row_lo);
+                er.data[local.start * dim..local.end * dim]
+                    .copy_from_slice(&patch[src.start * dim..src.end * dim]);
+            }
+        }
+        PatchRegion::Adj { row_lo, offsets, targets } => {
+            let adj = data.adjacency.as_mut().ok_or_else(|| unserved("adjacency"))?;
+            // Splice the replacement lists into the shard's CSR: rows
+            // before the clip, the patched rows, rows after it.
+            let patched = past(*row_lo);
+            let (plo, phi) = (offsets[patched.start] as usize, offsets[patched.end] as usize);
+            let (olo, ohi) = (adj.offsets[local.start] as usize, adj.offsets[local.end] as usize);
+            let mut new_offsets = adj.offsets[..local.start].to_vec();
+            new_offsets.extend(offsets[patched].iter().map(|o| o - plo as u64 + olo as u64));
+            let shift = (olo + phi - plo) as u64;
+            new_offsets.extend(adj.offsets[local.end..].iter().map(|o| o - ohi as u64 + shift));
+            adj.targets.splice(olo..ohi, targets[plo..phi].iter().copied());
+            adj.offsets = new_offsets;
+        }
+    }
+    Ok(())
 }
 
 /// Outcome of one [`ServeCluster::swap_in`].
@@ -712,10 +716,31 @@ mod tests {
     use super::*;
     use crate::frontend::Outcome;
     use crate::shard::{Query, Value};
+    use psgraph_query::{GraphTruth, Interpreter, Plan, PlanOutput};
     use psgraph_sim::SimTime;
 
     fn small() -> (ServeCluster, DemoTruth) {
         ServeCluster::demo(24, 4, &ServeConfig::default()).unwrap()
+    }
+
+    fn graph_truth(t: &DemoTruth) -> GraphTruth {
+        let mut truth = GraphTruth::new(t.ranks.len() as u64);
+        truth.adjacency = Some(t.adjacency.clone());
+        truth.embeddings = Some(t.embeddings.clone());
+        truth
+    }
+
+    /// `got` must equal the interpreter's ranking for `plan`, bit for bit.
+    fn assert_ranked(got: &[(u64, f64)], truth: &GraphTruth, plan: &Plan) {
+        let want = match Interpreter::new(truth, 2).run(plan) {
+            Ok(PlanOutput::Ranked(want)) => want,
+            other => panic!("{plan:?} must yield a ranking, got {other:?}"),
+        };
+        assert_eq!(got.len(), want.len());
+        for ((gv, gs), (wv, ws)) in got.iter().zip(&want) {
+            assert_eq!(gv, wv);
+            assert_eq!(gs.to_bits(), ws.to_bits());
+        }
     }
 
     #[test]
@@ -776,14 +801,15 @@ mod tests {
 
     #[test]
     fn khop_and_topk_match_reference() {
-        use crate::frontend::reference;
         let (mut cluster, truth) = small();
+        let truth = graph_truth(&truth);
         let outs = cluster
             .frontend_mut()
             .execute_now(0, SimTime::ZERO, Query::KHop { v: 3, hops: 2 });
         match &outs[0].1 {
             Outcome::Answered { value: Value::Vertices(vs), .. } => {
-                assert_eq!(vs, &reference::khop(&truth.adjacency, 3, 2));
+                let want = Interpreter::new(&truth, 2).run(&Plan::khop(3, 2));
+                assert_eq!(want, Ok(PlanOutput::Vertices(vs.clone())));
                 assert_eq!(vs, &[4, 5, 6, 7]); // ring: +1/+2 twice
             }
             other => panic!("unexpected outcome {other:?}"),
@@ -793,12 +819,7 @@ mod tests {
             .execute_now(1, SimTime::from_millis(1), Query::TopK { v: 3, k: 3 });
         match &outs[0].1 {
             Outcome::Answered { value: Value::Ranked(r), .. } => {
-                let want = reference::topk(&truth.embeddings, &truth.adjacency, 3, 3, 2);
-                assert_eq!(r.len(), want.len());
-                for ((gv, gs), (wv, ws)) in r.iter().zip(&want) {
-                    assert_eq!(gv, wv);
-                    assert_eq!(gs.to_bits(), ws.to_bits());
-                }
+                assert_ranked(r, &truth, &Plan::topk(3, 3));
             }
             other => panic!("unexpected outcome {other:?}"),
         }
@@ -806,20 +827,15 @@ mod tests {
 
     #[test]
     fn topk_all_scatter_gather_matches_reference() {
-        use crate::frontend::reference;
         let (mut cluster, truth) = small();
+        let truth = graph_truth(&truth);
         let mut t = SimTime::ZERO;
         for (i, v) in [0u64, 5, 13, 23].into_iter().enumerate() {
             let outs =
                 cluster.frontend_mut().execute_now(i, t, Query::TopKAll { v, k: 6 });
             match &outs[0].1 {
                 Outcome::Answered { value: Value::Ranked(r), .. } => {
-                    let want = reference::topk_all(&truth.embeddings, v, 6);
-                    assert_eq!(r.len(), want.len());
-                    for ((gv, gs), (wv, ws)) in r.iter().zip(&want) {
-                        assert_eq!(gv, wv);
-                        assert_eq!(gs.to_bits(), ws.to_bits());
-                    }
+                    assert_ranked(r, &truth, &Plan::topk_all(v, 6));
                     assert!(!r.iter().any(|&(u, _)| u == v), "query vertex excluded");
                 }
                 other => panic!("unexpected outcome {other:?}"),
@@ -834,11 +850,7 @@ mod tests {
             .execute_now(11, t + SimTime::from_millis(1), Query::TopKAll { v: 5, k: 6 });
         match &outs[0].1 {
             Outcome::Answered { value: Value::Ranked(r), .. } => {
-                let want = reference::topk_all(&truth.embeddings, 5, 6);
-                for ((gv, gs), (wv, ws)) in r.iter().zip(&want) {
-                    assert_eq!(gv, wv);
-                    assert_eq!(gs.to_bits(), ws.to_bits());
-                }
+                assert_ranked(r, &truth, &Plan::topk_all(5, 6));
             }
             other => panic!("unexpected outcome {other:?}"),
         }
@@ -847,7 +859,6 @@ mod tests {
 
     #[test]
     fn row_matrix_delta_swaps_rows_and_invalidates_per_row() {
-        use crate::frontend::reference;
         use psgraph_ps::snapshot::DeltaWriter;
         use psgraph_ps::MatrixHandle;
 
@@ -895,8 +906,8 @@ mod tests {
 
         // Row-precise invalidation: the patched partition's cached row is
         // gone, the far row survived.
-        assert!(cluster.frontend().cache().peek(&(2, 2)).is_none());
-        assert!(cluster.frontend().cache().peek(&(2, 20)).is_some());
+        assert!(cluster.frontend().cache().peek(&(TAG_EMBEDDING, 2)).is_none());
+        assert!(cluster.frontend().cache().peek(&(TAG_EMBEDDING, 20)).is_some());
 
         // Post-swap gather and cross-shard top-k both see the new rows.
         let t = SimTime::from_millis(5);
@@ -913,12 +924,9 @@ mod tests {
         let outs = cluster.frontend_mut().execute_now(11, t, Query::TopKAll { v: 1, k: 5 });
         match &outs[0].1 {
             Outcome::Answered { value: Value::Ranked(r), .. } => {
-                let want = reference::topk_all(&fresh, 1, 5);
-                assert_eq!(r.len(), want.len());
-                for ((gv, gs), (wv, ws)) in r.iter().zip(&want) {
-                    assert_eq!(gv, wv);
-                    assert_eq!(gs.to_bits(), ws.to_bits());
-                }
+                let mut truth = GraphTruth::new(n);
+                truth.embeddings = Some(fresh);
+                assert_ranked(r, &truth, &Plan::topk_all(1, 5));
             }
             other => panic!("unexpected outcome {other:?}"),
         }
@@ -968,9 +976,9 @@ mod tests {
         // Stale keys gone — rank 1 and embedding 5 — untouched rank 23
         // kept.
         assert!(stats.keys_invalidated >= 2);
-        assert!(cluster.frontend().cache().peek(&(0, 1)).is_none());
-        assert!(cluster.frontend().cache().peek(&(2, 5)).is_none());
-        assert!(cluster.frontend().cache().peek(&(0, 23)).is_some());
+        assert!(cluster.frontend().cache().peek(&(TAG_RANK, 1)).is_none());
+        assert!(cluster.frontend().cache().peek(&(TAG_EMBEDDING, 5)).is_none());
+        assert!(cluster.frontend().cache().peek(&(TAG_RANK, 23)).is_some());
 
         // Post-swap answers match post-update PS state, bit for bit.
         let outs = cluster.frontend_mut().execute_now(10, t, Query::Rank(1));
@@ -1000,6 +1008,90 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
+    }
+
+    /// `SnapshotDelta::decode` accepts all of these (it checks lengths
+    /// against the buffer only); `swap_in` must reject each one with an
+    /// error — not an out-of-bounds panic — and leave the tier serving
+    /// the old data, including the shard a valid region earlier in the
+    /// same delta had already patched in its working copy.
+    #[test]
+    fn swap_in_rejects_inconsistent_deltas_and_keeps_serving() {
+        use psgraph_ps::snapshot::SnapshotKind;
+
+        let (mut cluster, truth) = small();
+        let entry = |name: &str, kind, cols, region| DeltaEntry {
+            name: name.into(),
+            kind,
+            rows: 24,
+            cols,
+            part_versions: Vec::new(),
+            regions: vec![region],
+        };
+        let rank = |region| entry("demo.rank", SnapshotKind::VecF64, 0, region);
+        let community = |region| entry("demo.community", SnapshotKind::VecU64, 0, region);
+        let adj = |row_lo, offsets: &[u64], targets: &[u64]| {
+            let region =
+                PatchRegion::Adj { row_lo, offsets: offsets.to_vec(), targets: targets.to_vec() };
+            entry("demo.adj", SnapshotKind::Adjacency, 0, region)
+        };
+        let embed = |cols, region| entry("demo.embed", SnapshotKind::MatF32, cols, region);
+        let stripe =
+            |col_lo, col_hi, len| PatchRegion::Cols { col_lo, col_hi, data: vec![0.5; len] };
+        let malformed = vec![
+            ("adjacency without offsets", adj(0, &[], &[])),
+            ("adjacency offsets decrease", adj(0, &[0, 2, 1], &[1, 2])),
+            ("adjacency offsets past the targets", adj(0, &[0, 3], &[1])),
+            ("adjacency rows past the last vertex", adj(23, &[0, 0, 0], &[])),
+            ("column stripe inverted", embed(4, stripe(3, 1, 0))),
+            ("column stripe past the matrix width", embed(4, stripe(2, 6, 24 * 4))),
+            ("column stripe payload short", embed(4, stripe(0, 2, 7))),
+            ("matrix wider than the tier", embed(8, stripe(0, 8, 24 * 8))),
+            (
+                "f64 rows past the last vertex",
+                rank(PatchRegion::RowsF64 { row_lo: 22, values: vec![9.0; 5] }),
+            ),
+            (
+                "f64 row range overflows",
+                rank(PatchRegion::RowsF64 { row_lo: u64::MAX, values: vec![9.0; 2] }),
+            ),
+            (
+                "u64 rows past the last vertex",
+                community(PatchRegion::RowsU64 { row_lo: 24, values: vec![1] }),
+            ),
+            (
+                "f32 rows past the last vertex",
+                embed(4, PatchRegion::RowsF32 { row_lo: 23, data: vec![0.5; 8] }),
+            ),
+            (
+                "f32 payload not whole rows",
+                embed(4, PatchRegion::RowsF32 { row_lo: 0, data: vec![0.5; 5] }),
+            ),
+            (
+                "region kind does not match the object",
+                rank(PatchRegion::RowsU64 { row_lo: 0, values: vec![1] }),
+            ),
+        ];
+        for (what, bad) in malformed {
+            let good = rank(PatchRegion::RowsF64 { row_lo: 1, values: vec![99.0] });
+            let delta = SnapshotDelta { entries: vec![good, bad] };
+            match cluster.swap_in(&delta) {
+                Err(ServeError::Dfs(_)) => {}
+                other => panic!("{what}: expected a Dfs error, got {other:?}"),
+            }
+        }
+
+        let mut ask = |i: usize, q: Query| {
+            let outs = cluster.frontend_mut().execute_now(i, SimTime::from_millis(i as u64), q);
+            match &outs[0].1 {
+                Outcome::Answered { value, cached: false, .. } => value.clone(),
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        };
+        assert_eq!(ask(0, Query::Rank(1)), Value::Rank(truth.ranks[1]));
+        assert_eq!(ask(1, Query::Community(23)), Value::Community(truth.communities[23]));
+        assert_eq!(ask(2, Query::Neighbors(0)), Value::Neighbors(truth.adjacency[0].clone()));
+        assert_eq!(ask(3, Query::Embedding(5)), Value::Embedding(truth.embeddings[5].clone()));
     }
 
     #[test]

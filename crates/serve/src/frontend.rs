@@ -7,7 +7,8 @@
 //! item, so batching trades a little queueing delay for fewer
 //! per-message latencies. Multi-shard queries (embedding gather, top-k,
 //! k-hop) fan out to one live replica of each shard and complete at the
-//! slowest leg.
+//! slowest leg; every such phase is one call of `Frontend::scatter`,
+//! the only place a fan-out leg is routed, charged, and recorded.
 //!
 //! Admission control sheds load in two regimes: a hard bound on the
 //! routed replica's in-flight queue, and an SLO guard that starts
@@ -28,7 +29,7 @@
 
 use psgraph_harness::Pool;
 use psgraph_net::Network;
-use psgraph_query::exec::{self, PushedPartial};
+use psgraph_query::exec;
 use psgraph_query::plan::{DotAssoc, ExpandMode, Plan, Scorer, Source, Stage};
 use psgraph_query::{decide, PushPolicy, TierStats};
 use psgraph_sim::{NodeClock, SimTime};
@@ -38,10 +39,7 @@ use std::sync::Arc;
 use crate::cache::LruCache;
 use crate::error::{Result, ServeError};
 use crate::router::Router;
-use crate::shard::{owner_of, Query, ShardSpec, Value};
-
-// The caps live with the plan IR now; re-exported for API compatibility.
-pub use psgraph_query::plan::{KHOP_FRONTIER_CAP, TOPK_CANDIDATES};
+use crate::shard::{owner_of, Query, ShardData, ShardSpec, Value};
 
 /// Minimum sample count before the SLO guard trusts the window p99.
 const SLO_MIN_SAMPLES: usize = 32;
@@ -140,12 +138,20 @@ struct LegAcc {
 /// Cache key: query-kind tag + vertex.
 pub type CacheKey = (u8, u64);
 
+/// The query-kind tags of a [`CacheKey`], one per served object: the
+/// frontend keys cached answers by them and the hot-swap path
+/// invalidates by them.
+pub const TAG_RANK: u8 = 0;
+pub const TAG_COMMUNITY: u8 = 1;
+pub const TAG_EMBEDDING: u8 = 2;
+pub const TAG_NEIGHBORS: u8 = 3;
+
 fn cache_key(q: &Query) -> Option<CacheKey> {
     match *q {
-        Query::Rank(v) => Some((0, v)),
-        Query::Community(v) => Some((1, v)),
-        Query::Embedding(v) => Some((2, v)),
-        Query::Neighbors(v) => Some((3, v)),
+        Query::Rank(v) => Some((TAG_RANK, v)),
+        Query::Community(v) => Some((TAG_COMMUNITY, v)),
+        Query::Embedding(v) => Some((TAG_EMBEDDING, v)),
+        Query::Neighbors(v) => Some((TAG_NEIGHBORS, v)),
         Query::KHop { .. } | Query::TopK { .. } | Query::TopKAll { .. } => None,
     }
 }
@@ -203,27 +209,9 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    /// Build a frontend over `router`. Every shard must have at least one
-    /// replica (dead or alive) so its layout is known.
-    pub fn new(
-        router: Router,
-        net: Network,
-        cache_budget: u64,
-        policy: SloPolicy,
-        num_vertices: u64,
-    ) -> Self {
-        Frontend::with_pool(
-            router,
-            net,
-            cache_budget,
-            policy,
-            num_vertices,
-            Arc::clone(Pool::global()),
-        )
-    }
-
-    /// Like [`Frontend::new`] with an explicit scatter pool (thread-count
-    /// sweeps, determinism tests).
+    /// Build a frontend over `router`, running its scatter phases on
+    /// `pool`. Every shard must have at least one replica (dead or alive)
+    /// so its layout is known.
     pub fn with_pool(
         router: Router,
         net: Network,
@@ -376,17 +364,6 @@ impl Frontend {
         out
     }
 
-    /// Alias of [`Frontend::submit_plan`] for closed-loop callers, by
-    /// analogy with [`Frontend::execute_now`].
-    pub fn execute_plan_now(
-        &mut self,
-        idx: usize,
-        arrival: SimTime,
-        plan: &Plan,
-    ) -> Vec<(usize, Outcome)> {
-        self.submit_plan(idx, arrival, plan)
-    }
-
     /// Flush every pending batch (end of workload).
     pub fn drain(&mut self) -> Vec<(usize, Outcome)> {
         let mut out = Vec::new();
@@ -451,22 +428,42 @@ impl Frontend {
         out.push((idx, Outcome::Failed(err.to_string())));
     }
 
-    /// Route + admission-check against shard `primary`'s least-loaded
-    /// replica. Returns that replica's load, or `None` after pushing a
-    /// shed/failed outcome.
-    fn admit(
+    /// The prologue every submitted query or plan passes through:
+    /// bounds-check the anchor vertex, answer from the cache when `key`
+    /// hits, then route + admission-check against the least-loaded replica
+    /// of the anchor's owner shard (plans without an anchor scatter
+    /// everywhere; gate on shard 0 as the canonical proxy). Returns that
+    /// shard and its routed replica's load, or `None` once an
+    /// answered/shed/failed outcome has been pushed.
+    fn enter(
         &mut self,
         idx: usize,
         arrival: SimTime,
-        primary: usize,
+        anchor: Option<u64>,
+        key: Option<CacheKey>,
         out: &mut Vec<(usize, Outcome)>,
-    ) -> Option<usize> {
-        let rep = match self.router.route(primary, arrival) {
-            Some(r) => r,
-            None => {
-                self.fail(idx, ServeError::NoReplica { shard: primary }, out);
-                return None;
-            }
+    ) -> Option<(usize, usize)> {
+        if let Some(v) = anchor.filter(|&v| v >= self.num_vertices) {
+            self.fail(
+                idx,
+                ServeError::BadQuery(format!(
+                    "vertex {v} out of range (graph has {})",
+                    self.num_vertices
+                )),
+                out,
+            );
+            return None;
+        }
+        if let Some(value) = key.and_then(|key| self.cache.get(&key).cloned()) {
+            let done = arrival + self.net.cost_model().cpu_cost(self.policy.cache_hit_ops);
+            self.answer(idx, arrival, done, value, true, out);
+            return None;
+        }
+
+        let primary = anchor.map_or(0, |v| owner_of(v, self.num_vertices, self.specs.len()));
+        let Some(rep) = self.router.route(primary, arrival) else {
+            self.fail(idx, ServeError::NoReplica { shard: primary }, out);
+            return None;
         };
         let load = rep.load_at(arrival);
         if load >= self.policy.queue_cap {
@@ -483,7 +480,7 @@ impl Frontend {
                 }
             }
         }
-        Some(load)
+        Some((primary, load))
     }
 
     fn handle(
@@ -495,30 +492,10 @@ impl Frontend {
         out: &mut Vec<(usize, Outcome)>,
     ) {
         let v = query.vertex();
-        if v >= self.num_vertices {
-            self.fail(
-                idx,
-                ServeError::BadQuery(format!(
-                    "vertex {v} out of range (graph has {})",
-                    self.num_vertices
-                )),
-                out,
-            );
+        let Some((primary, load)) = self.enter(idx, arrival, Some(v), cache_key(&query), out)
+        else {
             return;
-        }
-
-        if let Some(key) = cache_key(&query) {
-            if let Some(value) = self.cache.get(&key).cloned() {
-                let done = arrival + self.net.cost_model().cpu_cost(self.policy.cache_hit_ops);
-                self.answer(idx, arrival, done, value, true, out);
-                return;
-            }
-        }
-
-        // Admission control against the replica the query would land on.
-        let primary = owner_of(v, self.num_vertices, self.specs.len());
-        let Some(load) = self.admit(idx, arrival, primary, out) else { return };
-
+        };
         match query {
             Query::Rank(_) | Query::Community(_) | Query::Neighbors(_) => {
                 let batch = self.batches[primary].get_or_insert_with(|| Batch {
@@ -530,31 +507,26 @@ impl Frontend {
                 // nothing to amortize against — holding the item only
                 // buys it the full batch window of latency.
                 if immediate
-                    || self.batches[primary].as_ref().unwrap().items.len()
-                        >= self.policy.batch_max
+                    || batch.items.len() >= self.policy.batch_max
                     || (self.policy.adaptive_flush && load == 0)
                 {
                     self.flush_batch(primary, arrival, out);
                 }
             }
-            Query::Embedding(_) => self.execute_embedding(idx, arrival, v, out),
-            Query::KHop { hops, .. } => {
-                let plan = Plan::khop(v, hops);
-                self.run_plan(idx, arrival, &plan, out);
-            }
-            Query::TopK { k, .. } => {
-                let plan = Plan::topk(v, k);
-                self.run_plan(idx, arrival, &plan, out);
-            }
-            Query::TopKAll { k, .. } => {
-                let plan = Plan::topk_all(v, k);
-                self.run_plan(idx, arrival, &plan, out);
-            }
+            Query::Embedding(_) => match self.load_embedding(v, arrival) {
+                Ok((row, done, _)) => {
+                    self.answer(idx, arrival, done, Value::Embedding(row), false, out)
+                }
+                Err(e) => self.fail(idx, e, out),
+            },
+            Query::KHop { hops, .. } => self.run_plan(idx, arrival, &Plan::khop(v, hops), out),
+            Query::TopK { k, .. } => self.run_plan(idx, arrival, &Plan::topk(v, k), out),
+            Query::TopKAll { k, .. } => self.run_plan(idx, arrival, &Plan::topk_all(v, k), out),
         }
     }
 
-    /// Validate, bounds-check, and admission-check a compound plan, then
-    /// execute it.
+    /// Validate a compound plan, pass it through the shared prologue
+    /// (keyed on its anchor, never cached), then execute it.
     fn handle_plan(
         &mut self,
         idx: usize,
@@ -565,31 +537,12 @@ impl Frontend {
         if let Err(e) = plan.validate() {
             return self.fail(idx, ServeError::BadQuery(e.to_string()), out);
         }
-        let anchor = plan.anchor();
-        if let Some(v) = anchor {
-            if v >= self.num_vertices {
-                return self.fail(
-                    idx,
-                    ServeError::BadQuery(format!(
-                        "vertex {v} out of range (graph has {})",
-                        self.num_vertices
-                    )),
-                    out,
-                );
-            }
+        if self.enter(idx, arrival, plan.anchor(), None, out).is_some() {
+            self.run_plan(idx, arrival, plan, out);
         }
-        // Admission against the anchor's shard (plans without an anchor
-        // scatter everywhere; gate on shard 0 as the canonical proxy).
-        let primary = anchor
-            .map(|v| owner_of(v, self.num_vertices, self.specs.len()))
-            .unwrap_or(0);
-        if self.admit(idx, arrival, primary, out).is_none() {
-            return;
-        }
-        self.run_plan(idx, arrival, plan, out);
     }
 
-    fn compute_point(data: &crate::shard::ShardData, query: Query) -> Result<Value> {
+    fn compute_point(data: &ShardData, query: Query) -> Result<Value> {
         match query {
             Query::Rank(v) => data.rank(v).map(Value::Rank),
             Query::Community(v) => data.community(v).map(Value::Community),
@@ -646,121 +599,101 @@ impl Frontend {
         }
     }
 
-    /// Gather `v`'s full embedding row across the column shards. Returns
-    /// the row (column slices concatenated in column order), the slowest
-    /// leg's completion time, and the response bytes shipped.
+    /// The one multi-shard fan-out. Each `(shard, work)` item becomes a
+    /// leg against one live replica of that shard: `leg` sees the routed
+    /// replica's data and returns its result with the request bytes,
+    /// server ops, and response bytes it declares; `scatter` alone
+    /// routes, charges the RPC on a fresh clock at `at`, and records the
+    /// completion on the replica.
     ///
-    /// The per-shard legs run concurrently on the frontend pool; results
-    /// merge serially in shard order (the deterministic reduction rule),
-    /// so the row bytes and the first-error choice are identical for
-    /// every pool size.
-    fn gather_embedding(&self, v: u64, arrival: SimTime) -> Result<(Vec<f32>, SimTime, u64)> {
-        let shards: Vec<usize> =
-            (0..self.specs.len()).filter(|&s| self.specs[s].col_width() != 0).collect();
-        let router = &self.router;
-        let net = &self.net;
-        let specs = &self.specs;
-        let ops_per_item = self.policy.ops_per_item;
-        let legs: Vec<Result<(usize, Vec<f32>, SimTime, u64)>> =
-            self.pool.map(shards, move |shard| {
-                let width = specs[shard].col_width() as u64;
-                let rep =
-                    router.route(shard, arrival).ok_or(ServeError::NoReplica { shard })?;
-                let clock = NodeClock::new();
-                clock.advance(arrival);
-                net.rpc(&clock, rep.port(), 24, ops_per_item + width, 16 + 4 * width);
-                let done = clock.now();
-                rep.record_completion(arrival, done);
-                let data = rep.data();
-                let slice = data.embed_cols(v)?.to_vec();
-                Ok((data.spec.col_lo, slice, done, 16 + 4 * width))
-            });
-        let mut parts: Vec<(usize, Vec<f32>)> = Vec::new();
-        let mut done_max = arrival;
-        let mut bytes = 0u64;
-        for leg in legs {
-            let (lo, slice, done, resp) = leg?;
-            parts.push((lo, slice));
-            done_max = done_max.max(done);
-            bytes += resp;
-        }
-        if parts.is_empty() {
-            return Err(ServeError::BadQuery("no embeddings served".into()));
-        }
-        parts.sort_by_key(|(lo, _)| *lo);
-        Ok((parts.into_iter().flat_map(|(_, s)| s).collect(), done_max, bytes))
-    }
-
-    /// Gather the full embedding rows of `vertices`: one concurrent leg
-    /// per column shard, each shipping that shard's column segment for
-    /// every requested row; segments concatenate in column order so the
-    /// reassembled rows are bit-identical to the stored ones. Returns
-    /// rows in input order, the slowest completion, and response bytes.
-    fn fetch_embed_rows(
+    /// Legs run concurrently on the frontend pool and merge serially in
+    /// `work` order (ascending shard — the deterministic reduction rule),
+    /// so the results, the slowest leg's completion time, the response
+    /// bytes shipped, and the choice of first error by shard index are
+    /// identical for every pool size.
+    fn scatter<W: Send, T: Send>(
         &self,
-        vertices: &[u64],
+        work: Vec<(usize, W)>,
         at: SimTime,
-    ) -> Result<(Vec<Vec<f32>>, SimTime, u64)> {
-        let shards: Vec<usize> =
-            (0..self.specs.len()).filter(|&s| self.specs[s].col_width() != 0).collect();
-        let router = &self.router;
-        let net = &self.net;
-        let specs = &self.specs;
-        let ops_per_item = self.policy.ops_per_item;
-        let n = vertices.len() as u64;
-        let legs: Vec<Result<(usize, Vec<Vec<f32>>, SimTime, u64)>> =
-            self.pool.map(shards, move |shard| {
-                let width = specs[shard].col_width() as u64;
-                let rep = router.route(shard, at).ok_or(ServeError::NoReplica { shard })?;
-                let data = rep.data();
-                let mut segs: Vec<Vec<f32>> = Vec::with_capacity(vertices.len());
-                for &v in vertices {
-                    segs.push(data.embed_cols(v)?.to_vec());
-                }
-                let resp = 16 + n * 4 * width;
-                let clock = NodeClock::new();
-                clock.advance(at);
-                net.rpc(&clock, rep.port(), 16 + 8 * n, n * (ops_per_item + width), resp);
-                let done = clock.now();
-                rep.record_completion(at, done);
-                Ok((data.spec.col_lo, segs, done, resp))
-            });
-        let mut parts: Vec<(usize, Vec<Vec<f32>>)> = Vec::new();
+        leg: impl Fn(&ShardData, W) -> Result<(T, u64, u64, u64)> + Send + Sync,
+    ) -> Result<(Vec<T>, SimTime, u64)> {
+        let (router, net) = (&self.router, &self.net);
+        let legs: Vec<Result<(T, SimTime, u64)>> = self.pool.map(work, move |(shard, w)| {
+            let rep = router.route(shard, at).ok_or(ServeError::NoReplica { shard })?;
+            let (result, req_bytes, ops, resp_bytes) = leg(&rep.data(), w)?;
+            let clock = NodeClock::new();
+            clock.advance(at);
+            net.rpc(&clock, rep.port(), req_bytes, ops, resp_bytes);
+            let done = clock.now();
+            rep.record_completion(at, done);
+            Ok((result, done, resp_bytes))
+        });
+        let mut results = Vec::with_capacity(legs.len());
         let mut done_max = at;
         let mut bytes = 0u64;
         for leg in legs {
-            let (lo, segs, done, resp) = leg?;
-            parts.push((lo, segs));
+            let (result, done, resp_bytes) = leg?;
+            results.push(result);
             done_max = done_max.max(done);
-            bytes += resp;
+            bytes += resp_bytes;
         }
-        if parts.is_empty() {
-            return Err(ServeError::BadQuery("no embeddings served".into()));
-        }
-        parts.sort_by_key(|(lo, _)| *lo);
-        let mut rows: Vec<Vec<f32>> = vec![Vec::new(); vertices.len()];
-        for (_, segs) in parts {
-            for (row, seg) in rows.iter_mut().zip(segs) {
-                row.extend(seg);
-            }
-        }
-        Ok((rows, done_max, bytes))
+        Ok((results, done_max, bytes))
     }
 
-    fn execute_embedding(
-        &mut self,
-        idx: usize,
-        arrival: SimTime,
-        v: u64,
-        out: &mut Vec<(usize, Outcome)>,
-    ) {
-        let (full, done_max, _) = match self.gather_embedding(v, arrival) {
-            Ok(x) => x,
-            Err(e) => return self.fail(idx, e, out),
-        };
-        let value = Value::Embedding(full);
-        self.cache.insert((2, v), value.clone(), value.approx_bytes());
-        self.answer(idx, arrival, done_max, value, false, out);
+    /// Scatter work for per-vertex fetches: positions into `vertices`
+    /// grouped by owner shard, shards with nothing to fetch left out.
+    fn by_owner(&self, vertices: &[u64]) -> Vec<(usize, Vec<usize>)> {
+        let num_shards = self.specs.len();
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
+        for (i, &u) in vertices.iter().enumerate() {
+            by_shard[owner_of(u, self.num_vertices, num_shards)].push(i);
+        }
+        by_shard.into_iter().enumerate().filter(|(_, idxs)| !idxs.is_empty()).collect()
+    }
+
+    /// Scatter work for whole-shard legs: every shard whose placement
+    /// satisfies `serves`.
+    fn shards_where(&self, serves: impl Fn(&ShardSpec) -> bool) -> Vec<(usize, ())> {
+        (0..self.specs.len()).filter(|&s| serves(&self.specs[s])).map(|s| (s, ())).collect()
+    }
+
+    /// Scatter work for embedding legs: every shard that serves a
+    /// column slice.
+    fn col_shards(&self) -> Vec<(usize, ())> {
+        self.shards_where(|spec| spec.col_width() != 0)
+    }
+
+    /// Undo [`Frontend::by_owner`]: per-shard `(position, result)` lists
+    /// back into input order.
+    fn in_input_order<T: Clone + Default>(n: usize, parts: Vec<Vec<(usize, T)>>) -> Vec<T> {
+        let mut results = vec![T::default(); n];
+        for (i, x) in parts.into_iter().flatten() {
+            results[i] = x;
+        }
+        results
+    }
+
+    /// Evaluate a per-vertex `kernel` (a predicate or a scalar scorer)
+    /// shard-side for each vertex (grouped by owner). Returns the results
+    /// in input order, the slowest completion, and response bytes.
+    fn fetch_per_vertex<T: Clone + Default + Send>(
+        &self,
+        vertices: &[u64],
+        at: SimTime,
+        kernel: impl Fn(&ShardData, u64) -> std::result::Result<T, exec::ExecError> + Send + Sync,
+    ) -> Result<(Vec<T>, SimTime, u64)> {
+        let ops_per_item = self.policy.ops_per_item;
+        let (parts, done, bytes) = self.scatter(self.by_owner(vertices), at, |data, idxs| {
+            let mut got = Vec::with_capacity(idxs.len());
+            for &i in &idxs {
+                let x = kernel(data, vertices[i])
+                    .map_err(|e| ServeError::BadQuery(e.to_string()))?;
+                got.push((i, x));
+            }
+            let n = idxs.len() as u64;
+            Ok((got, 16 + 8 * n, n * ops_per_item, 16 + 8 * n))
+        })?;
+        Ok((Self::in_input_order(vertices.len(), parts), done, bytes))
     }
 
     /// Fetch neighbor lists of `vertices` (grouped by owner shard) at
@@ -771,53 +704,65 @@ impl Frontend {
         vertices: &[u64],
         at: SimTime,
     ) -> Result<(Vec<Vec<u64>>, SimTime, u64)> {
-        let num_shards = self.specs.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (i, &u) in vertices.iter().enumerate() {
-            by_shard[owner_of(u, self.num_vertices, num_shards)].push(i);
-        }
-        let work: Vec<(usize, Vec<usize>)> = by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .collect();
-        let router = &self.router;
-        let net = &self.net;
         let ops_per_item = self.policy.ops_per_item;
-        // One concurrent leg per owner shard; merged in shard order.
-        let legs: Vec<Result<(Vec<(usize, Vec<u64>)>, SimTime, u64)>> =
-            self.pool.map(work, move |(shard, idxs)| {
-                let rep = router.route(shard, at).ok_or(ServeError::NoReplica { shard })?;
-                let data = rep.data();
-                // Compute first so the response size is the real payload.
-                let mut ops = 0u64;
-                let mut resp = 16u64;
-                let mut got: Vec<(usize, Vec<u64>)> = Vec::with_capacity(idxs.len());
-                for &i in &idxs {
-                    let ns = data.neighbors(vertices[i])?;
-                    ops += ops_per_item + ns.len() as u64;
-                    resp += 8 * ns.len() as u64;
-                    got.push((i, ns.to_vec()));
-                }
-                let clock = NodeClock::new();
-                clock.advance(at);
-                net.rpc(&clock, rep.port(), 16 + 8 * idxs.len() as u64, ops, resp);
-                let done = clock.now();
-                rep.record_completion(at, done);
-                Ok((got, done, resp))
-            });
-        let mut lists: Vec<Vec<u64>> = vec![Vec::new(); vertices.len()];
-        let mut done_max = at;
-        let mut bytes = 0u64;
-        for leg in legs {
-            let (got, done, resp) = leg?;
-            for (i, ns) in got {
-                lists[i] = ns;
+        let (parts, done, bytes) = self.scatter(self.by_owner(vertices), at, |data, idxs| {
+            // Compute first so the response size is the real payload.
+            let mut ops = 0u64;
+            let mut resp = 16u64;
+            let mut got = Vec::with_capacity(idxs.len());
+            for &i in &idxs {
+                let ns = data.neighbors(vertices[i])?;
+                ops += ops_per_item + ns.len() as u64;
+                resp += 8 * ns.len() as u64;
+                got.push((i, ns.to_vec()));
             }
-            done_max = done_max.max(done);
-            bytes += resp;
+            Ok((got, 16 + 8 * idxs.len() as u64, ops, resp))
+        })?;
+        Ok((Self::in_input_order(vertices.len(), parts), done, bytes))
+    }
+
+    /// Gather the full embedding rows of `vertices`: one leg per column
+    /// shard, each shipping that shard's column segment for every
+    /// requested row; segments concatenate in shard order — which is
+    /// column order, the shards tile the columns ascending — so the
+    /// reassembled rows are bit-identical to the stored ones. Returns
+    /// rows in input order, the slowest completion, and response bytes.
+    fn fetch_embed_rows(
+        &self,
+        vertices: &[u64],
+        at: SimTime,
+    ) -> Result<(Vec<Vec<f32>>, SimTime, u64)> {
+        let ops_per_item = self.policy.ops_per_item;
+        let n = vertices.len() as u64;
+        let (parts, done, bytes) = self.scatter(self.col_shards(), at, |data, ()| {
+            let width = data.spec.col_width() as u64;
+            let segs = vertices
+                .iter()
+                .map(|&v| data.embed_cols(v).map(<[f32]>::to_vec))
+                .collect::<Result<Vec<Vec<f32>>>>()?;
+            Ok((segs, 16 + 8 * n, n * (ops_per_item + width), 16 + n * 4 * width))
+        })?;
+        if parts.is_empty() {
+            return Err(ServeError::BadQuery("no embeddings served".into()));
         }
-        Ok((lists, done_max, bytes))
+        let mut rows: Vec<Vec<f32>> = vec![Vec::new(); vertices.len()];
+        for segs in parts {
+            for (row, seg) in rows.iter_mut().zip(segs) {
+                row.extend(seg);
+            }
+        }
+        Ok((rows, done, bytes))
+    }
+
+    /// Gather `v`'s full embedding row and cache it as the answer to
+    /// `Query::Embedding(v)`.
+    fn load_embedding(&mut self, v: u64, at: SimTime) -> Result<(Vec<f32>, SimTime, u64)> {
+        let (mut rows, done, bytes) = self.fetch_embed_rows(&[v], at)?;
+        let row = rows.pop().expect("one row per requested vertex");
+        let value = Value::Embedding(row.clone());
+        let footprint = value.approx_bytes();
+        self.cache.insert((TAG_EMBEDDING, v), value, footprint);
+        Ok((row, done, bytes))
     }
 
     /// Execute a validated, admitted plan and record its outcome plus
@@ -863,15 +808,13 @@ impl Frontend {
             matches!(plan.source, Source::All) && plan.dot_vertex().is_some();
         let (q_row, mut done) = if needs_full_q {
             let v = plan.dot_vertex().unwrap();
-            match self.cache.get(&(2, v)).cloned() {
+            match self.cache.get(&(TAG_EMBEDDING, v)).cloned() {
                 Some(Value::Embedding(e)) => {
                     (Some(e), arrival + self.net.cost_model().cpu_cost(self.policy.cache_hit_ops))
                 }
                 _ => {
-                    let (q, t, bytes) = self.gather_embedding(v, arrival)?;
+                    let (q, t, bytes) = self.load_embedding(v, arrival)?;
                     acc.bytes += bytes;
-                    let value = Value::Embedding(q.clone());
-                    self.cache.insert((2, v), value.clone(), value.approx_bytes());
                     (Some(q), t)
                 }
             }
@@ -921,7 +864,8 @@ impl Frontend {
                         continue;
                     }
                     let before = ids.len();
-                    let (keep, t, bytes) = self.fetch_keep(&ids, *p, done)?;
+                    let (keep, t, bytes) = self
+                        .fetch_per_vertex(&ids, done, |data, v| exec::pred_keep(data, v, *p))?;
                     done = t;
                     acc.bytes += bytes;
                     let mut it = keep.iter();
@@ -973,40 +917,30 @@ impl Frontend {
                         scores = Some(rows.iter().map(|r| exec::dot_full(q, r)).collect());
                         continue;
                     }
-                    if self.specs.iter().all(|s| s.col_width() == 0) {
+                    // Partial dot products on every column shard, all
+                    // issued at `done`, partials summed in shard order —
+                    // the ColShards association.
+                    let ops_per_item = self.policy.ops_per_item;
+                    let n = ids.len() as u64;
+                    let (partials, t, bytes) =
+                        self.scatter(self.col_shards(), done, |data, ()| {
+                            let width = data.spec.col_width() as u64;
+                            let dots = data.partial_dots(*qv, &ids)?;
+                            Ok((dots, 24 + 8 * n, n * (2 * width + ops_per_item), 16 + 8 * n))
+                        })?;
+                    if partials.is_empty() {
                         // No shard serves embedding columns: fail like
                         // the interpreter, not with all-zero scores.
                         return Err(ServeError::BadQuery("no embeddings served".into()));
                     }
-                    // Partial dot products on every column shard, all
-                    // issued at `done`, partials summed in shard order —
-                    // the ColShards association.
+                    done = t;
+                    acc.bytes += bytes;
                     let mut sc = vec![0.0f64; ids.len()];
-                    let mut done_max = done;
-                    for shard in 0..self.specs.len() {
-                        let width = self.specs[shard].col_width() as u64;
-                        if width == 0 {
-                            continue;
-                        }
-                        let rep = self
-                            .router
-                            .route(shard, done)
-                            .ok_or(ServeError::NoReplica { shard })?;
-                        let partials = rep.data().partial_dots(*qv, &ids)?;
-                        let ops = ids.len() as u64 * (2 * width + self.policy.ops_per_item);
-                        let resp = 16 + 8 * ids.len() as u64;
-                        let clock = NodeClock::new();
-                        clock.advance(done);
-                        self.net.rpc(&clock, rep.port(), 24 + 8 * ids.len() as u64, ops, resp);
-                        let leg_done = clock.now();
-                        rep.record_completion(done, leg_done);
-                        done_max = done_max.max(leg_done);
-                        acc.bytes += resp;
-                        for (s, p) in sc.iter_mut().zip(partials) {
+                    for dots in partials {
+                        for (s, p) in sc.iter_mut().zip(dots) {
                             *s += p;
                         }
                     }
-                    done = done_max;
                     scores = Some(sc);
                 }
                 Stage::Score(s) => {
@@ -1014,7 +948,8 @@ impl Frontend {
                         scores = Some(Vec::new());
                         continue;
                     }
-                    let (vals, t, bytes) = self.fetch_scalar_scores(&ids, *s, done)?;
+                    let (vals, t, bytes) = self
+                        .fetch_per_vertex(&ids, done, |data, v| exec::scalar_score(data, v, *s))?;
                     done = t;
                     acc.bytes += bytes;
                     scores = Some(vals);
@@ -1039,9 +974,8 @@ impl Frontend {
 
     /// Scatter the pushed prefix `stages[..cut]` to one live replica of
     /// every (non-empty) vertex shard; each evaluates it over its own
-    /// range via the shared kernel and ships surviving rows back. Legs
-    /// run concurrently on the pool; rows concatenate in canonical shard
-    /// order (ascending vertex ranges).
+    /// range via the shared kernel and ships surviving rows back, which
+    /// concatenate in canonical shard order (ascending vertex ranges).
     fn scatter_pushed(
         &self,
         plan: &Plan,
@@ -1051,51 +985,38 @@ impl Frontend {
         acc: &mut LegAcc,
     ) -> Result<(Vec<(u64, f64)>, bool, SimTime)> {
         let stages = &plan.stages[..cut];
-        let shards: Vec<usize> = (0..self.specs.len())
-            .filter(|&s| self.specs[s].vertex_hi - self.specs[s].vertex_lo != 0)
-            .collect();
-        let router = &self.router;
-        let net = &self.net;
+        let shards = self.shards_where(|spec| spec.vertex_hi != spec.vertex_lo);
         let ops_per_item = self.policy.ops_per_item;
         let dim = q_row.map_or(0, <[f32]>::len) as u64;
         let dot_pushed = stages.iter().any(|s| matches!(s, Stage::Score(Scorer::Dot(_))));
         // Request: header + one stage descriptor each + the query row if
         // a dot scorer ships with the prefix.
         let req = 24 + 8 * cut as u64 + if dot_pushed { 4 * dim } else { 0 };
-        let legs: Vec<Result<(PushedPartial, SimTime, u64)>> =
-            self.pool.map(shards, move |shard| {
-                let rep = router.route(shard, at).ok_or(ServeError::NoReplica { shard })?;
-                let data = rep.data();
-                let (lo, hi) = (data.spec.vertex_lo, data.spec.vertex_hi);
-                let pp = exec::run_pushed(&*data, lo, hi, stages, q_row)
-                    .map_err(|e| ServeError::BadQuery(e.to_string()))?;
-                // Ops: rows entering each stage, reconstructed from the
-                // per-stage pruning counts.
-                let mut ops = 0u64;
-                let mut entering = hi - lo;
-                for (i, st) in stages.iter().enumerate() {
-                    ops += match st {
-                        Stage::Filter(_) | Stage::Score(Scorer::Rank | Scorer::Degree) => {
-                            entering * ops_per_item
-                        }
-                        Stage::Score(Scorer::Dot(_)) => entering * (2 * dim + ops_per_item),
-                        Stage::TopK(_) | Stage::Collect { .. } | Stage::Expand { .. } => 0,
-                    };
-                    entering -= pp.pruned[i];
-                }
-                let resp = 16 + pp.rows.len() as u64 * if pp.scored { 16 } else { 8 };
-                let clock = NodeClock::new();
-                clock.advance(at);
-                net.rpc(&clock, rep.port(), req, ops, resp);
-                let done = clock.now();
-                rep.record_completion(at, done);
-                Ok((pp, done, resp))
-            });
+        let (partials, done, bytes) = self.scatter(shards, at, |data, ()| {
+            let (lo, hi) = (data.spec.vertex_lo, data.spec.vertex_hi);
+            let pp = exec::run_pushed(data, lo, hi, stages, q_row)
+                .map_err(|e| ServeError::BadQuery(e.to_string()))?;
+            // Ops: rows entering each stage, reconstructed from the
+            // per-stage pruning counts.
+            let mut ops = 0u64;
+            let mut entering = hi - lo;
+            for (i, st) in stages.iter().enumerate() {
+                ops += match st {
+                    Stage::Filter(_) | Stage::Score(Scorer::Rank | Scorer::Degree) => {
+                        entering * ops_per_item
+                    }
+                    Stage::Score(Scorer::Dot(_)) => entering * (2 * dim + ops_per_item),
+                    Stage::TopK(_) | Stage::Collect { .. } | Stage::Expand { .. } => 0,
+                };
+                entering -= pp.pruned[i];
+            }
+            let resp = 16 + pp.rows.len() as u64 * if pp.scored { 16 } else { 8 };
+            Ok((pp, req, ops, resp))
+        })?;
+        acc.bytes += bytes;
         let mut rows: Vec<(u64, f64)> = Vec::new();
         let mut scored = false;
-        let mut done_max = at;
-        for leg in legs {
-            let (pp, done, resp) = leg?;
+        for pp in partials {
             for (i, st) in stages.iter().enumerate() {
                 let pruned = pp.pruned[i];
                 match st {
@@ -1108,171 +1029,7 @@ impl Frontend {
             }
             rows.extend(pp.rows);
             scored |= pp.scored;
-            done_max = done_max.max(done);
-            acc.bytes += resp;
         }
-        Ok((rows, scored, done_max))
-    }
-
-    /// Evaluate `pred` shard-side for each vertex (grouped by owner).
-    /// Returns keep flags in input order, the slowest completion, and
-    /// response bytes.
-    fn fetch_keep(
-        &self,
-        vertices: &[u64],
-        pred: psgraph_query::Pred,
-        at: SimTime,
-    ) -> Result<(Vec<bool>, SimTime, u64)> {
-        let num_shards = self.specs.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (i, &u) in vertices.iter().enumerate() {
-            by_shard[owner_of(u, self.num_vertices, num_shards)].push(i);
-        }
-        let work: Vec<(usize, Vec<usize>)> = by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .collect();
-        let router = &self.router;
-        let net = &self.net;
-        let ops_per_item = self.policy.ops_per_item;
-        let legs: Vec<Result<(Vec<(usize, bool)>, SimTime, u64)>> =
-            self.pool.map(work, move |(shard, idxs)| {
-                let rep = router.route(shard, at).ok_or(ServeError::NoReplica { shard })?;
-                let data = rep.data();
-                let mut got: Vec<(usize, bool)> = Vec::with_capacity(idxs.len());
-                for &i in &idxs {
-                    let keep = exec::pred_keep(&*data, vertices[i], pred)
-                        .map_err(|e| ServeError::BadQuery(e.to_string()))?;
-                    got.push((i, keep));
-                }
-                let n = idxs.len() as u64;
-                let resp = 16 + 8 * n;
-                let clock = NodeClock::new();
-                clock.advance(at);
-                net.rpc(&clock, rep.port(), 16 + 8 * n, n * ops_per_item, resp);
-                let done = clock.now();
-                rep.record_completion(at, done);
-                Ok((got, done, resp))
-            });
-        let mut keep = vec![false; vertices.len()];
-        let mut done_max = at;
-        let mut bytes = 0u64;
-        for leg in legs {
-            let (got, done, resp) = leg?;
-            for (i, k) in got {
-                keep[i] = k;
-            }
-            done_max = done_max.max(done);
-            bytes += resp;
-        }
-        Ok((keep, done_max, bytes))
-    }
-
-    /// Fetch scalar scores (`Rank`/`Degree`) shard-side for each vertex
-    /// (grouped by owner). Returns scores in input order, the slowest
-    /// completion, and response bytes.
-    fn fetch_scalar_scores(
-        &self,
-        vertices: &[u64],
-        scorer: Scorer,
-        at: SimTime,
-    ) -> Result<(Vec<f64>, SimTime, u64)> {
-        let num_shards = self.specs.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); num_shards];
-        for (i, &u) in vertices.iter().enumerate() {
-            by_shard[owner_of(u, self.num_vertices, num_shards)].push(i);
-        }
-        let work: Vec<(usize, Vec<usize>)> = by_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, idxs)| !idxs.is_empty())
-            .collect();
-        let router = &self.router;
-        let net = &self.net;
-        let ops_per_item = self.policy.ops_per_item;
-        let legs: Vec<Result<(Vec<(usize, f64)>, SimTime, u64)>> =
-            self.pool.map(work, move |(shard, idxs)| {
-                let rep = router.route(shard, at).ok_or(ServeError::NoReplica { shard })?;
-                let data = rep.data();
-                let mut got: Vec<(usize, f64)> = Vec::with_capacity(idxs.len());
-                for &i in &idxs {
-                    let s = exec::scalar_score(&*data, vertices[i], scorer)
-                        .map_err(|e| ServeError::BadQuery(e.to_string()))?;
-                    got.push((i, s));
-                }
-                let n = idxs.len() as u64;
-                let resp = 16 + 8 * n;
-                let clock = NodeClock::new();
-                clock.advance(at);
-                net.rpc(&clock, rep.port(), 16 + 8 * n, n * ops_per_item, resp);
-                let done = clock.now();
-                rep.record_completion(at, done);
-                Ok((got, done, resp))
-            });
-        let mut scores = vec![0.0f64; vertices.len()];
-        let mut done_max = at;
-        let mut bytes = 0u64;
-        for leg in legs {
-            let (got, done, resp) = leg?;
-            for (i, s) in got {
-                scores[i] = s;
-            }
-            done_max = done_max.max(done);
-            bytes += resp;
-        }
-        Ok((scores, done_max, bytes))
-    }
-}
-
-/// Driver-side reference answers: each legacy query shape compiles to
-/// its plan and runs under the single-node [`Interpreter`] over full
-/// truth arrays. The interpreter reproduces the distributed float
-/// association (candidate caps, tie-breaks, per-column-shard partial
-/// sums), so these stay bit-identical to served answers — `repro --
-/// serve` checks every one.
-pub mod reference {
-    use psgraph_query::{GraphTruth, Interpreter, Plan, PlanOutput};
-
-    /// Vertices within `hops` hops of `v`, excluding `v`, sorted.
-    pub fn khop(adj: &[Vec<u64>], v: u64, hops: u32) -> Vec<u64> {
-        let mut truth = GraphTruth::new(adj.len() as u64);
-        truth.adjacency = Some(adj.to_vec());
-        match Interpreter::new(&truth, 1).run(&Plan::khop(v, hops)) {
-            Ok(PlanOutput::Vertices(ids)) => ids,
-            other => unreachable!("khop plan must yield vertices, got {other:?}"),
-        }
-    }
-
-    /// Top-`k` 2-hop neighbors of `v` by embedding dot product, with the
-    /// same per-column-shard partial-sum association the serving tier
-    /// uses.
-    pub fn topk(
-        embed: &[Vec<f32>],
-        adj: &[Vec<u64>],
-        v: u64,
-        k: usize,
-        num_shards: usize,
-    ) -> Vec<(u64, f64)> {
-        let mut truth = GraphTruth::new(adj.len() as u64);
-        truth.adjacency = Some(adj.to_vec());
-        truth.embeddings = Some(embed.to_vec());
-        match Interpreter::new(&truth, num_shards).run(&Plan::topk(v, k)) {
-            Ok(PlanOutput::Ranked(top)) => top,
-            other => unreachable!("topk plan must yield a ranking, got {other:?}"),
-        }
-    }
-
-    /// Exact top-`k` over *all* vertices by embedding dot product with
-    /// `v` — the truth path for `Query::TopKAll`. Scores accumulate over
-    /// the full row in column order, matching the shard-local scoring of
-    /// `ShardData::local_topk` bit for bit.
-    pub fn topk_all(embed: &[Vec<f32>], v: u64, k: usize) -> Vec<(u64, f64)> {
-        let mut truth = GraphTruth::new(embed.len() as u64);
-        truth.embeddings = Some(embed.to_vec());
-        match Interpreter::new(&truth, 1).run(&Plan::topk_all(v, k)) {
-            Ok(PlanOutput::Ranked(top)) => top,
-            other => unreachable!("topk_all plan must yield a ranking, got {other:?}"),
-        }
+        Ok((rows, scored, done))
     }
 }

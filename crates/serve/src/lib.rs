@@ -36,7 +36,7 @@ pub mod shard;
 pub use cache::LruCache;
 pub use cluster::{DemoBackend, DemoTruth, ObjectMap, ServeCluster, ServeConfig, SwapStats};
 pub use error::ServeError;
-pub use frontend::{reference, Frontend, Outcome, PlanCounters, SloPolicy};
+pub use frontend::{Frontend, Outcome, PlanCounters, SloPolicy};
 // The query-plan surface, re-exported so serving callers need not
 // depend on psgraph-query directly.
 pub use psgraph_query::{

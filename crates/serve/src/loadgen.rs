@@ -402,7 +402,7 @@ pub fn run_with(
                     }
                     Draw::P(plan) => {
                         queries.push(Query::Rank(plan.anchor().unwrap_or(0)));
-                        let outs = cluster.frontend_mut().execute_plan_now(i, at, &plan);
+                        let outs = cluster.frontend_mut().submit_plan(i, at, &plan);
                         plans_issued.push(Some(plan));
                         outs
                     }

@@ -164,39 +164,6 @@ impl ShardData {
             .collect()
     }
 
-    /// Score every vertex in this shard's range against the full query row
-    /// `q` and return the local top `k` as `(vertex, score)`, descending by
-    /// score with vertex id breaking ties. `exclude` (the query vertex) is
-    /// never a candidate. Used by the scatter phase of cross-shard top-k:
-    /// because score order is total, merging per-shard top-k lists yields
-    /// the exact global top-k.
-    pub fn local_topk(&self, q: &[f32], k: usize, exclude: u64) -> Result<Vec<(u64, f64)>> {
-        let rows = self
-            .embed_rows
-            .as_ref()
-            .ok_or_else(|| ServeError::BadQuery("shard serves no embedding rows".into()))?;
-        if q.len() != rows.width {
-            return Err(ServeError::BadQuery(format!(
-                "query row has {} dims, shard stores {}",
-                q.len(),
-                rows.width
-            )));
-        }
-        let mut scored: Vec<(u64, f64)> = Vec::with_capacity(rows.rows as usize);
-        for r in 0..rows.rows {
-            let v = self.spec.vertex_lo + r;
-            if v == exclude {
-                continue;
-            }
-            let row = rows.row(r);
-            let score: f64 = q.iter().zip(row).map(|(a, b)| *a as f64 * *b as f64).sum();
-            scored.push((v, score));
-        }
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        Ok(scored)
-    }
-
     /// Statistics the cost-based planner reads to choose pushdown cuts.
     pub fn stats(&self) -> psgraph_query::ShardStats {
         let rows = self.spec.vertex_hi - self.spec.vertex_lo;
@@ -507,22 +474,6 @@ mod tests {
         assert_eq!(d.embed_cols(9).unwrap(), &[18.0, 19.0]);
         let dots = d.partial_dots(0, &[1, 9]).unwrap();
         assert_eq!(dots, vec![0.0 * 2.0 + 1.0 * 3.0, 0.0 * 18.0 + 1.0 * 19.0]);
-    }
-
-    #[test]
-    fn local_topk_scores_own_range_and_excludes_query_vertex() {
-        let d = data0();
-        // q = [1,1,1,1] → score(v) = 4v; exclude vertex 3.
-        let top = d.local_topk(&[1.0; 4], 3, 3).unwrap();
-        assert_eq!(top, vec![(4, 16.0), (2, 8.0), (1, 4.0)]);
-        // k larger than the range returns everything local (minus exclude).
-        assert_eq!(d.local_topk(&[1.0; 4], 100, 3).unwrap().len(), 4);
-        // Ties break by ascending vertex id.
-        let tied = d.local_topk(&[0.0; 4], 2, 99).unwrap();
-        assert_eq!(tied, vec![(0, 0.0), (1, 0.0)]);
-        // Dim mismatch and missing rows are rejected.
-        assert!(d.local_topk(&[1.0; 3], 2, 0).is_err());
-        assert!(ShardData::empty(spec2(0)).local_topk(&[1.0; 4], 2, 0).is_err());
     }
 
     #[test]

@@ -223,7 +223,7 @@ fn distributed_plans_match_interpreter_bit_exactly() {
                     let at = SimTime::from_millis(10 * (i as u64 + 1));
                     let want = interp.run(plan);
                     for (_, outcome) in
-                        cluster.frontend_mut().execute_plan_now(i, at, plan)
+                        cluster.frontend_mut().submit_plan(i, at, plan)
                     {
                         match (&outcome, &want) {
                             (Outcome::Answered { value, .. }, Ok(w)) => {

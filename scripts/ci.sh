@@ -68,12 +68,13 @@ fi
 
 # Streaming smoke: drift-RMAT edge events through micro-batch ingestion,
 # incremental PageRank/CC maintenance, and delta hot-swaps into the live
-# tier, at one ingestor and at four owner-keyed shards. The binary
+# tier, at one owner-keyed ingestor shard and at four. The binary
 # asserts zero wrong answers, L∞ ≤ 1e-6 vs a full recompute,
-# reference-equal components, bounded freshness lag, and (at --shards 4)
-# a final PS state digest bit-identical to a single-ingestor reference
-# run. The two outputs must agree line-for-line — digest, freshness,
-# swap/batch counts included — once wall-clock rows are stripped
+# reference-equal components, and bounded freshness lag. The two outputs
+# must agree line-for-line — the final PS state digest (this diff is
+# the 1-vs-4 bit-identity check; the binary runs no second reference
+# pass), freshness, swap/batch counts included — once wall-clock rows
+# are stripped
 # (events/s and swap cost legitimately differ across shard counts; the
 # shard-count row is stripped too since it names the sweep point).
 cargo run --release --offline -p psgraph-bench --bin repro -- \
@@ -104,17 +105,24 @@ cargo run --release --offline -p psgraph-bench --bin repro -- chaos --scale 0.02
 # Schedule-perturbation sweep: rerun both smokes under ten seeded
 # steal-schedule perturbations (randomized victim order + injected
 # yields). The binaries' internal correctness asserts — zero wrong
-# answers, reference-equal results, and (sharded stream) a state digest
-# bit-identical to the single-ingestor reference — must hold on every
-# schedule: the sharded drain plans batches on the pool, so this is the
-# path a steal-order bug would corrupt.
+# answers, reference-equal results — must hold on every schedule, and
+# the sharded stream's state digest must be the same on all ten: the
+# sharded drain plans batches on the pool, so this is the path a
+# steal-order bug would corrupt.
+: >/tmp/ci-perturb-digests.log
 for seed in 1 2 3 4 5 6 7 8 9 10; do
     echo "ci: perturbation seed $seed"
     PSGRAPH_POOL_PERTURB=$seed cargo run --release --offline -p psgraph-bench --bin repro -- \
         serve --scale 0.01 --queries 1500 >/dev/null
     PSGRAPH_POOL_PERTURB=$seed cargo run --release --offline -p psgraph-bench --bin repro -- \
-        stream --scale 0.01 --events 2000 --shards 2 >/dev/null
+        stream --scale 0.01 --events 2000 --shards 2 | grep 'final state digest' \
+        >>/tmp/ci-perturb-digests.log
 done
+if [ "$(sort -u /tmp/ci-perturb-digests.log | wc -l)" -ne 1 ]; then
+    echo "ci: sharded stream digest varies across steal schedules" >&2
+    sort /tmp/ci-perturb-digests.log | uniq -c >&2
+    exit 1
+fi
 
 # The benchmark is its own workspace, so nothing above compiles it: a
 # `core`/`ps` signature change could break `benchmark/src/sut.rs` and
@@ -122,5 +130,10 @@ done
 # warnings denied, checks BENCHMARK.json against the metric tables and
 # smoke-runs all four workloads (every correctness check, < 25 s).
 bash benchmark/ci.sh
+
+# Per-crate non-test / test line counts (ROADMAP's simplicity gate asks
+# every PR to report them; `scripts/loc.sh <rev>` adds the delta).
+# Informational: never fails the build.
+scripts/loc.sh || true
 
 echo "ci: OK"
