@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
+use psgraph_graph::metrics::sorted_intersection_count;
 use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
-use psgraph_sim::FxHashSet;
 
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
@@ -65,8 +65,9 @@ impl CommonNeighbor {
         let mut supersteps = 0;
 
         // Undirected adjacency via a pipelined symmetrize + groupBy
-        // (in-shuffle dedup), pushed to the PS.
+        // (in-shuffle sort + dedup), pushed to the PS.
         let tables = crate::runner::to_undirected_neighbor_tables(edges)?;
+        let _objects = super::PsObjects::new(ctx, &["cn.adj"]);
         let adj = NeighborTableHandle::create(
             ctx.ps(),
             "cn.adj",
@@ -78,6 +79,8 @@ impl CommonNeighbor {
         ctx.cluster()
             .run_stage(tables.num_partitions(), |p, exec| {
                 let part = tables.partition(p)?;
+                // The per-pair kernel below merges the lists as pushed.
+                debug_assert!(part.iter().all(|(_, ns)| ns.windows(2).all(|w| w[0] < w[1])));
                 if !part.is_empty() {
                     adj_ref.push(exec.clock(), &part).df()?;
                 }
@@ -130,14 +133,9 @@ impl CommonNeighbor {
                     let neigh = adj_ref.pull(exec.clock(), &wanted).df()?;
                     let mut out = Vec::with_capacity(slice.len());
                     let mut work = 0u64;
-                    for (k, &(a, b)) in slice.iter().enumerate() {
-                        let na = &neigh[2 * k];
-                        let nb = &neigh[2 * k + 1];
-                        let (small, large) =
-                            if na.len() <= nb.len() { (na, nb) } else { (nb, na) };
-                        let set: FxHashSet<u64> = large.iter().copied().collect();
-                        let count = small.iter().filter(|v| set.contains(v)).count() as u64;
-                        work += (small.len() + large.len()) as u64;
+                    for (&(a, b), pair) in slice.iter().zip(neigh.chunks_exact(2)) {
+                        let (count, comparisons) = sorted_intersection_count(&pair[0], &pair[1]);
+                        work += comparisons;
                         out.push((a, b, count));
                     }
                     exec.charge_cpu(ctx.cluster().cost(), work * 3);
@@ -148,8 +146,6 @@ impl CommonNeighbor {
         }
 
         let counts: Vec<(u64, u64, u64)> = results.into_iter().flatten().collect();
-        ctx.ps().unregister("cn.adj");
-
         Ok(CommonNeighborOutput { counts, stats: ctx.stats_since(start, snap, supersteps) })
     }
 }
@@ -232,6 +228,33 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         assert!(small.stats.supersteps > big.stats.supersteps);
+    }
+
+    #[test]
+    fn failed_run_releases_its_neighbor_table() {
+        use psgraph_ps::VectorHandle;
+        use psgraph_sim::FailPlan;
+        let g = gen::rmat(60, 300, Default::default(), 233).dedup();
+        let ctx = PsGraphContext::local();
+        let edges = distribute_edges(&ctx, &g, 8).unwrap();
+        // Another job's object, so the pre-run footprint is not just zero.
+        let _other = VectorHandle::<u64>::create(
+            ctx.ps(), "other", 60, Partitioner::Range, RecoveryMode::Inconsistent,
+        )
+        .unwrap();
+        let in_use = || -> Vec<u64> {
+            (1..ctx.ps().num_servers()).map(|s| ctx.ps().server(s).memory().in_use()).collect()
+        };
+        let before = in_use();
+        // Server 0 dies with nothing checkpointed: the run must fail …
+        ctx.ps().injector().schedule(FailPlan::kill_server(0, 1));
+        CommonNeighbor { checkpoint: false, batch_size: 8 }
+            .run(&ctx, &edges, g.num_vertices())
+            .unwrap_err();
+        // … and still hand the surviving servers' memory back.
+        assert!(!ctx.ps().is_registered("cn.adj"));
+        assert!(ctx.ps().is_registered("other"));
+        assert_eq!(in_use(), before);
     }
 
     #[test]

@@ -42,6 +42,7 @@ impl ConnectedComponents {
 
         let tables = crate::runner::to_undirected_neighbor_tables(edges)?;
 
+        let _objects = super::PsObjects::new(ctx, &["cc.labels"]);
         let labels = VectorHandle::<u64>::create(
             ctx.ps(), "cc.labels", num_vertices, Partitioner::Range, RecoveryMode::Consistent,
         )?;
@@ -101,7 +102,6 @@ impl ConnectedComponents {
 
         let out = labels.pull_all(ctx.cluster().driver())?;
         ctx.cluster().clock().barrier([ctx.cluster().driver()]);
-        ctx.ps().unregister("cc.labels");
         Ok(ConnectedComponentsOutput {
             labels: out,
             stats: ctx.stats_since(start, snap, supersteps),

@@ -117,6 +117,7 @@ impl FastUnfolding {
         for pass in 0..self.max_passes {
             let tables = graph.group_by_key(graph.num_partitions())?;
 
+            let objects = super::PsObjects::new(ctx, &["fu.vertex2com", "fu.com2weight"]);
             let vertex2com = VectorHandle::<u64>::create(
                 ctx.ps(),
                 "fu.vertex2com",
@@ -290,8 +291,7 @@ impl FastUnfolding {
 
             let v2c_all = vertex2com.pull_all(ctx.cluster().driver())?;
             ctx.cluster().clock().barrier([ctx.cluster().driver()]);
-            ctx.ps().unregister("fu.vertex2com");
-            ctx.ps().unregister("fu.com2weight");
+            drop(objects);
 
             // Accept the pass only if modularity did not degrade (first
             // pass always accepted), so the reported modularity is the

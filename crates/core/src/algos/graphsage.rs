@@ -181,6 +181,10 @@ impl GraphSage {
         let snap = ctx.net_snapshot();
         let mut supersteps = 0u64;
 
+        let _objects = super::PsObjects::new(
+            ctx,
+            &["gs.adj", "gs.x", "gs.w1", "gs.w2", "gs.w1.m", "gs.w1.v", "gs.w2.m", "gs.w2.v"],
+        );
         let (models, preprocess_time) = self.preprocess(ctx, edges, features, num_vertices)?;
         supersteps += 1;
 
@@ -271,11 +275,6 @@ impl GraphSage {
         let train_accuracy = self.evaluate(ctx, &models, &train2, labels)?;
         let test_accuracy = self.evaluate(ctx, &models, &test, labels)?;
         supersteps += 1;
-
-        for name in ["gs.adj", "gs.x", "gs.w1", "gs.w2", "gs.w1.m", "gs.w1.v", "gs.w2.m", "gs.w2.v"]
-        {
-            ctx.ps().unregister(name);
-        }
 
         Ok(GraphSageOutput {
             train_accuracy,

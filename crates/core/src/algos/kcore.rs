@@ -68,6 +68,7 @@ impl KCore {
         // groups are sorted/deduped inside the aggregation.
         let tables = crate::runner::to_undirected_neighbor_tables(edges)?;
 
+        let _objects = super::PsObjects::new(ctx, &["kcore.core"]);
         let core = VectorHandle::<u64>::create(
             ctx.ps(), "kcore.core", num_vertices, Partitioner::Range, RecoveryMode::Consistent,
         )?;
@@ -138,7 +139,6 @@ impl KCore {
 
         let coreness = core.pull_all(ctx.cluster().driver())?;
         ctx.cluster().clock().barrier([ctx.cluster().driver()]);
-        ctx.ps().unregister("kcore.core");
 
         Ok(KCoreOutput { coreness, stats: ctx.stats_since(start, snap, supersteps) })
     }

@@ -46,6 +46,7 @@ impl LabelPropagation {
 
         let tables = crate::runner::to_undirected_neighbor_tables(edges)?;
 
+        let _objects = super::PsObjects::new(ctx, &["lp.labels"]);
         let labels = VectorHandle::<u64>::create(
             ctx.ps(), "lp.labels", num_vertices, Partitioner::Range, RecoveryMode::Consistent,
         )?;
@@ -115,7 +116,6 @@ impl LabelPropagation {
 
         let out = labels.pull_all(ctx.cluster().driver())?;
         ctx.cluster().clock().barrier([ctx.cluster().driver()]);
-        ctx.ps().unregister("lp.labels");
         Ok(LabelPropagationOutput { labels: out, stats: ctx.stats_since(start, snap, supersteps) })
     }
 }

@@ -122,6 +122,7 @@ impl Line {
         let snap = ctx.net_snapshot();
         let mut supersteps = 0u64;
 
+        let _objects = super::PsObjects::new(ctx, &["line.embed", "line.ctx"]);
         let embed = ColMatrixHandle::create(
             ctx.ps(), "line.embed", num_vertices, cfg.dim, RecoveryMode::Inconsistent,
         )?;
@@ -256,10 +257,6 @@ impl Line {
         let ids: Vec<u64> = (0..num_vertices).collect();
         let embeddings = embed.pull_rows(ctx.cluster().driver(), &ids)?;
         ctx.cluster().clock().barrier([ctx.cluster().driver()]);
-        ctx.ps().unregister("line.embed");
-        if context.is_some() {
-            ctx.ps().unregister("line.ctx");
-        }
 
         Ok(LineOutput {
             embeddings,

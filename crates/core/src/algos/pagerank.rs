@@ -77,6 +77,7 @@ impl PageRank {
         // groupBy: edge partitioning → vertex partitioning (Fig. 4 step 1).
         let tables = to_neighbor_tables(edges)?;
 
+        let _objects = super::PsObjects::new(ctx, &["pr.ranks", "pr.dranks"]);
         let ranks = VectorHandle::<f64>::create(
             ctx.ps(), "pr.ranks", num_vertices, Partitioner::Range, RecoveryMode::Consistent,
         )?;
@@ -197,8 +198,6 @@ impl PageRank {
         ranks.accumulate_and_reset(ctx.cluster().driver(), &dranks)?;
         let out = ranks.pull_all(ctx.cluster().driver())?;
         ctx.cluster().clock().barrier([ctx.cluster().driver()]);
-        ctx.ps().unregister("pr.ranks");
-        ctx.ps().unregister("pr.dranks");
 
         Ok(PageRankOutput {
             ranks: out,

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
+use psgraph_graph::metrics::sorted_intersection_count;
 use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
-use psgraph_sim::FxHashSet;
 
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
@@ -58,6 +58,7 @@ impl TriangleCount {
 
         // Undirected adjacency on the PS (pipelined symmetrize).
         let tables = crate::runner::to_undirected_neighbor_tables(&canon)?;
+        let _objects = super::PsObjects::new(ctx, &["tc.adj"]);
         let adj = NeighborTableHandle::create(
             ctx.ps(),
             "tc.adj",
@@ -69,6 +70,8 @@ impl TriangleCount {
         ctx.cluster()
             .run_stage(tables.num_partitions(), |p, exec| {
                 let part = tables.partition(p)?;
+                // The per-edge kernel below merges the lists as pushed.
+                debug_assert!(part.iter().all(|(_, ns)| ns.windows(2).all(|w| w[0] < w[1])));
                 if !part.is_empty() {
                     adj_ref.push(exec.clock(), &part).df()?;
                 }
@@ -117,14 +120,10 @@ impl TriangleCount {
                     let neigh = adj_ref.pull(exec.clock(), &wanted).df()?;
                     let mut count = 0u64;
                     let mut work = 0u64;
-                    for (k, _) in slice.iter().enumerate() {
-                        let na = &neigh[2 * k];
-                        let nb = &neigh[2 * k + 1];
-                        let (small, large) =
-                            if na.len() <= nb.len() { (na, nb) } else { (nb, na) };
-                        let set: FxHashSet<u64> = large.iter().copied().collect();
-                        count += small.iter().filter(|v| set.contains(v)).count() as u64;
-                        work += (small.len() + large.len()) as u64;
+                    for pair in neigh.chunks_exact(2) {
+                        let (common, comparisons) = sorted_intersection_count(&pair[0], &pair[1]);
+                        count += common;
+                        work += comparisons;
                     }
                     exec.charge_cpu(ctx.cluster().cost(), work * 3);
                     Ok(count)
@@ -133,7 +132,6 @@ impl TriangleCount {
             total += partials.into_iter().sum::<u64>();
         }
 
-        ctx.ps().unregister("tc.adj");
         debug_assert_eq!(total % 3, 0, "each triangle counted exactly 3 times");
         Ok(TriangleOutput {
             triangles: total / 3,
@@ -181,6 +179,19 @@ mod tests {
     fn powerlaw_graph_matches_exact() {
         let g = gen::rmat(50, 400, Default::default(), 59).dedup();
         assert_eq!(count(&g), metrics::triangles_exact(&g));
+    }
+
+    #[test]
+    fn failed_run_releases_its_neighbor_table() {
+        use psgraph_sim::FailPlan;
+        let g = gen::rmat(60, 300, Default::default(), 61).dedup();
+        let ctx = PsGraphContext::local();
+        let edges = distribute_edges(&ctx, &g, 8).unwrap();
+        // The table is never checkpointed, so a dead server fails the run.
+        ctx.ps().injector().schedule(FailPlan::kill_server(1, 1));
+        TriangleCount { batch_size: 8 }.run(&ctx, &edges, g.num_vertices()).unwrap_err();
+        assert!(!ctx.ps().is_registered("tc.adj"));
+        assert_eq!(ctx.ps().resident_bytes(), 0);
     }
 
     #[test]

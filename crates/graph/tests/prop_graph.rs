@@ -1,6 +1,7 @@
 //! Property tests for graph containers and generators, using the in-tree
 //! harness.
 
+use psgraph_graph::metrics::sorted_intersection_count;
 use psgraph_graph::{gen, EdgeList};
 use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
@@ -80,4 +81,77 @@ fn out_degrees_sum_to_edge_count() {
         prop_assert_eq!(table_total, distinct.len());
         Ok(())
     });
+}
+
+/// `len` strictly ascending ids with random gaps of up to `max_gap`.
+fn arb_sorted_unique(src: &mut Source, len: usize, max_gap: u64) -> Vec<u64> {
+    let mut next = 0u64;
+    (0..len)
+        .map(|_| {
+            next += src.u64_range(1, max_gap + 1);
+            next
+        })
+        .collect()
+}
+
+fn intersection_matches_hash_set(a: &[u64], b: &[u64]) -> Result<(), String> {
+    let set: std::collections::HashSet<u64> = b.iter().copied().collect();
+    let want = a.iter().filter(|v| set.contains(v)).count() as u64;
+    for (x, y) in [(a, b), (b, a)] {
+        let (count, comparisons) = sorted_intersection_count(x, y);
+        prop_assert_eq!(count, want, "|{:?} ∩ {:?}|", x, y);
+        prop_assert!(
+            comparisons <= (x.len() + y.len()) as u64,
+            "{} comparisons for lengths {} and {}",
+            comparisons,
+            x.len(),
+            y.len()
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn sorted_intersection_matches_hash_set_at_every_length_ratio() {
+    check(
+        "sorted_intersection_matches_hash_set_at_every_length_ratio",
+        |src: &mut Source| {
+            // Ratios 1:1 … 1:10 000 cover the merge branch, the gallop
+            // branch and the switch between them.
+            let ratio = [1usize, 2, 5, 7, 8, 9, 16, 100, 1_000, 10_000][src.choice(10) as usize];
+            let short_len = src.usize_range(0, 2.max(4_000 / ratio));
+            let long = arb_sorted_unique(src, short_len.max(1) * ratio, 3);
+            // The long list's mean gap is 2, so a mean gap of 2·ratio spans
+            // the same id range; draw from a quarter to twice that, so the
+            // short list may end early or overshoot.
+            let max_gap = ratio as u64 * src.u64_range(1, 9);
+            (arb_sorted_unique(src, short_len, max_gap), long)
+        },
+        |(short, long)| intersection_matches_hash_set(short, long),
+    );
+}
+
+#[test]
+fn sorted_intersection_edge_cases() {
+    let long: Vec<u64> = (0..100).map(|i| i * 2).collect();
+    let odd: Vec<u64> = (0..100).map(|i| i * 2 + 1).collect();
+    for (a, b, want) in [
+        (&[][..], &[][..], 0u64),
+        (&[], &long[..], 0),
+        (&long[..], &long[..], 100),
+        (&long[..], &odd[..], 0),
+        (&[198], &long[..], 1),
+        (&[0], &long[..], 1),
+        (&[199], &long[..], 0),
+        (&[7], &[7], 1),
+        (&[7], &[8], 0),
+        (&[0, 198], &long[..], 2),
+    ] {
+        assert_eq!(sorted_intersection_count(a, b).0, want, "{a:?} ∩ {b:?}");
+        intersection_matches_hash_set(a, b).unwrap();
+    }
+    // Identical lists merge in one comparison per element; a lone element
+    // is found in a long list in logarithmically many.
+    assert_eq!(sorted_intersection_count(&long, &long), (100, 100));
+    assert!(sorted_intersection_count(&[198], &long).1 <= 16);
 }

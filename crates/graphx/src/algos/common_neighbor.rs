@@ -2,7 +2,7 @@
 //! count, but returning per-pair overlap counts.
 
 use psgraph_dataflow::{DataflowError, Rdd};
-use psgraph_sim::FxHashSet;
+use psgraph_graph::metrics::sorted_intersection_count;
 
 use crate::graph::GxGraph;
 
@@ -74,11 +74,8 @@ fn gx_cn_one_batch(
         let keyed_part = keyed_by_b.partition_by_key(parts)?;
         nbrs.join_copartitioned(&keyed_part)? // (b, (N(b), (N(a), a)))
     };
-    let counted = with_both.map(|&(b, (ref nb, (ref na, a)))| {
-        let (small, large) = if na.len() <= nb.len() { (na, nb) } else { (nb, na) };
-        let set: FxHashSet<u64> = large.iter().copied().collect();
-        (a, b, small.iter().filter(|v| set.contains(v)).count() as u64)
-    })?;
+    let counted =
+        with_both.map(|&(b, (ref nb, (ref na, a)))| (a, b, sorted_intersection_count(na, nb).0))?;
     counted.collect()
 }
 

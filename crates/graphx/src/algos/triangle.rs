@@ -6,7 +6,7 @@
 //! This is the second Fig. 6 OOM.
 
 use psgraph_dataflow::DataflowError;
-use psgraph_sim::FxHashSet;
+use psgraph_graph::metrics::sorted_intersection_count;
 
 use crate::graph::GxGraph;
 
@@ -22,11 +22,8 @@ pub fn gx_triangle_count(gx: &GxGraph) -> Result<u64, DataflowError> {
     // ⋈ N(b): each record now carries TWO adjacency lists.
     let with_both = keyed_by_b.join(&nbrs, parts)?; // (b, ((a, N(a)), N(b)))
 
-    let counts = with_both.map(|&(_b, ((_a, ref na), ref nb))| {
-        let (small, large) = if na.len() <= nb.len() { (na, nb) } else { (nb, na) };
-        let set: FxHashSet<u64> = large.iter().copied().collect();
-        small.iter().filter(|v| set.contains(v)).count() as u64
-    })?;
+    let counts =
+        with_both.map(|&(_b, ((_a, ref na), ref nb))| sorted_intersection_count(na, nb).0)?;
 
     let total: u64 = counts.fold(0u64, |acc, &c| acc + c)?;
     debug_assert_eq!(total % 3, 0);

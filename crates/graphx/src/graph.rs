@@ -75,9 +75,10 @@ impl GxGraph {
         ones.reduce_by_key(self.parts(), |a, b| a + b)
     }
 
-    /// Vertex table of sorted undirected neighbor lists (the `groupBy`
-    /// that GraphX's triangle count runs — each executor materializes its
-    /// vertices' full adjacency).
+    /// Vertex table of strictly ascending undirected neighbor lists (the
+    /// `groupBy` that GraphX's triangle count runs — each executor
+    /// materializes its vertices' full adjacency). Triangle count and
+    /// common neighbor merge these lists, so the order is a contract.
     pub fn neighbor_sets(&self) -> Result<Rdd<(u64, Vec<u64>)>, DataflowError> {
         let sym = self.undirected_edges()?;
         let grouped = sym.group_by_key(self.parts())?;

@@ -17,6 +17,7 @@
 
 use psgraph_sim::bytes::{Buf, BufMut};
 use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::error::{PsError, Result};
@@ -125,22 +126,39 @@ fn encode_part(map: &TablePart) -> Vec<u8> {
     buf
 }
 
+/// Inverse of [`encode_part`]. The buffer comes off the DFS, so nothing in
+/// it is trusted: every read is bounds-checked and every on-disk length is
+/// bounded by the bytes that are left, so a truncated or corrupt
+/// checkpoint is a [`PsError::Dfs`], never a panic or a huge allocation.
 fn decode_part(mut bytes: &[u8]) -> Result<TablePart> {
     let buf = &mut bytes;
+    let corrupt = |what: &str| PsError::Dfs(format!("corrupt neighbor-table checkpoint: {what}"));
     if buf.remaining() < 8 {
-        return Err(PsError::Dfs("truncated neighbor-table checkpoint".into()));
+        return Err(corrupt("truncated header"));
     }
-    let n = buf.get_u64_le() as usize;
+    let n = buf.get_u64_le();
+    // Every entry carries at least its 16-byte (vertex, length) header.
+    if n > (buf.remaining() / 16) as u64 {
+        return Err(corrupt("entry count exceeds the bytes present"));
+    }
     let mut map = TablePart::default();
-    map.reserve(n);
+    map.reserve(n as usize);
     for _ in 0..n {
-        let k = buf.get_u64_le();
-        let len = buf.get_u64_le() as usize;
-        let mut v = Vec::with_capacity(len);
-        for _ in 0..len {
-            v.push(buf.get_u64_le());
+        if buf.remaining() < 16 {
+            return Err(corrupt("truncated entry header"));
         }
-        map.insert(k, NeighborEntry::new(v));
+        let k = buf.get_u64_le();
+        let len = buf.get_u64_le();
+        if len > (buf.remaining() / 8) as u64 {
+            return Err(corrupt("list length exceeds the bytes present"));
+        }
+        let v = (0..len).map(|_| buf.get_u64_le()).collect();
+        if map.insert(k, NeighborEntry::new(v)).is_some() {
+            return Err(corrupt("vertex listed twice"));
+        }
+    }
+    if buf.remaining() != 0 {
+        return Err(corrupt("trailing bytes"));
     }
     Ok(map)
 }
@@ -448,19 +466,36 @@ impl NeighborTableHandle {
         Ok(self.update_edges(client, &ops)?.1)
     }
 
-    /// Pull the adjacency of `ids`. Vertices with no entry return an empty
-    /// list. Result aligns with the input. Tombstoned slots are never
-    /// visible to readers.
+    /// Pull the adjacency of `ids` (any order, duplicates allowed). Vertices
+    /// with no entry return an empty list. Result aligns with the input.
+    /// Tombstoned slots are never visible to readers.
+    ///
+    /// Each distinct id crosses the wire once: the request, the server ops
+    /// and the response are charged over the distinct ids of every
+    /// (server, partition) group, and a repeated id gets an `Arc` clone of
+    /// its first occurrence's list — so a batch of edges around a hub
+    /// ships the hub's list once, not once per incident edge.
     pub fn pull(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<Arc<Vec<u64>>>> {
         self.check(ids)?;
         static EMPTY: std::sync::OnceLock<Arc<Vec<u64>>> = std::sync::OnceLock::new();
         let empty = EMPTY.get_or_init(|| Arc::new(Vec::new()));
         let mut out: Vec<Arc<Vec<u64>>> = vec![Arc::clone(empty); ids.len()];
+        // Group the first occurrence of each id by (server, partition);
+        // remember where every later occurrence copies from.
+        let mut first: FxHashMap<u64, usize> = FxHashMap::default();
+        first.reserve(ids.len());
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
         let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
         for (pos, &v) in ids.iter().enumerate() {
-            let p = self.layout.partition_of(v);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
+            match first.entry(v) {
+                Entry::Occupied(e) => repeats.push((pos, *e.get())),
+                Entry::Vacant(e) => {
+                    e.insert(pos);
+                    let p = self.layout.partition_of(v);
+                    let s = self.layout.server_of_partition(p);
+                    groups.entry(s).or_default().entry(p).or_default().push(pos);
+                }
+            }
         }
         for (s, parts) in groups {
             let server = self.ps.server(s);
@@ -486,6 +521,9 @@ impl NeighborTableHandle {
                 items * self.ps.config().ops_per_item,
                 resp_bytes,
             );
+        }
+        for (pos, from) in repeats {
+            out[pos] = Arc::clone(&out[from]);
         }
         Ok(out)
     }
@@ -859,6 +897,50 @@ mod tests {
         assert_eq!(*t.pull(&c, &[50]).unwrap()[0], vec![60, 80]);
         assert_eq!(t.len().unwrap(), 2);
         assert_eq!(t.tombstones().unwrap(), 0, "restore compacts");
+    }
+
+    #[test]
+    fn decode_part_never_panics_on_damaged_checkpoints() {
+        use psgraph_harness::prop::{check, Source};
+        use psgraph_harness::{prop_assert, prop_assert_eq};
+        check(
+            "decode_part_never_panics_on_damaged_checkpoints",
+            |src: &mut Source| {
+                let entries = src.vec_with(0, 6, |s| {
+                    (s.u64_range(0, 50), s.vec_with(0, 5, |s| s.u64_range(0, 50)))
+                });
+                let flips = src.vec_with(1, 4, |s| (s.any_u64(), s.choice(8) as u32));
+                (entries, flips)
+            },
+            |(entries, flips)| {
+                let mut part = TablePart::default();
+                for (v, ns) in entries {
+                    part.insert(*v, NeighborEntry::new(ns.clone()));
+                }
+                let bytes = encode_part(&part);
+
+                // Untouched: round-trips to the same live lists.
+                let back = decode_part(&bytes).map_err(|e| e.to_string())?;
+                prop_assert_eq!(back.len(), part.len());
+                for (v, e) in &part {
+                    prop_assert_eq!(back[v].live(), e.live(), "vertex {}", v);
+                }
+                // Truncated anywhere: a clean error (no prefix of an
+                // encoding is itself one), never a panic.
+                for cut in 0..bytes.len() {
+                    prop_assert!(decode_part(&bytes[..cut]).is_err(), "cut at {}", cut);
+                }
+                // Bit flips: an error or some table, never a panic or an
+                // allocation sized by a corrupt length.
+                let mut damaged = bytes.clone();
+                for &(at, bit) in flips {
+                    let at = (at % damaged.len() as u64) as usize;
+                    damaged[at] ^= 1 << bit;
+                }
+                let _ = decode_part(&damaged);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -314,6 +314,7 @@ impl<E: Element> VectorHandle<E> {
         for (s, parts) in self.group(indices) {
             let server = self.ps.server(s);
             server.ensure_alive()?;
+            let n: u64 = parts.values().map(|v| v.len() as u64).sum();
             let mut nonzero = 0u64;
             for (p, positions) in parts {
                 server.get(&self.name, p, |part: &VecPart<E>| {
@@ -326,7 +327,6 @@ impl<E: Element> VectorHandle<E> {
                     }
                 })?;
             }
-            let n = out.len() as u64;
             self.charge_rpc(
                 client,
                 server,
@@ -705,6 +705,39 @@ mod tests {
         let idx: Vec<u64> = (0..1000).collect();
         v.pull(&c, &idx).unwrap();
         assert!(c.now() > t0);
+    }
+
+    #[test]
+    fn pull_sparse_bills_each_server_for_its_own_share() {
+        let ps = Ps::new(PsConfig { servers: 4, ..Default::default() });
+        let c = client();
+        let v = VectorHandle::<f64>::create(
+            &ps, "v", 1000, Partitioner::Range, RecoveryMode::Inconsistent,
+        )
+        .unwrap();
+        let idx: Vec<u64> = (0..1000).collect();
+        // One entry in ten is nonzero, as in a late PageRank round.
+        let hot: Vec<u64> = (0..1000).step_by(10).collect();
+        v.push_set(&c, &hot, &vec![1.0; hot.len()]).unwrap();
+
+        // (request bytes, response bytes, client round-trip time) of `f`.
+        let stats = ps.network().stats();
+        let charged = |f: &dyn Fn()| {
+            let (sent, recv, t0) = (stats.bytes_sent(), stats.bytes_received(), c.now());
+            f();
+            (stats.bytes_sent() - sent, stats.bytes_received() - recv, c.now() - t0)
+        };
+        let (dense_sent, dense_recv, dense_time) = charged(&|| drop(v.pull(&c, &idx).unwrap()));
+        let (sparse_sent, sparse_recv, sparse_time) =
+            charged(&|| drop(v.pull_sparse(&c, &idx).unwrap()));
+        assert_eq!(dense_sent, 8 * 1000);
+        assert_eq!(sparse_sent, 8 * 1000, "each server is sent its own indices only");
+        // 100 values plus one 250-bit presence map (+8) per server.
+        assert_eq!(sparse_recv, 100 * 8 + 4 * (250 / 8 + 8));
+        assert!(sparse_recv < dense_recv);
+        // Same server ops as `pull`, fewer bytes: never the slower call.
+        assert!(sparse_time <= dense_time, "{sparse_time} vs {dense_time}");
+        assert_eq!(v.pull_sparse(&c, &idx).unwrap(), v.pull(&c, &idx).unwrap());
     }
 
     #[test]

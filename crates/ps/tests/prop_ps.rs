@@ -2,8 +2,10 @@
 
 use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
-use psgraph_ps::{PartitionLayout, Partitioner, Ps, PsConfig, RecoveryMode, VectorHandle};
-use psgraph_sim::NodeClock;
+use psgraph_ps::{
+    NeighborTableHandle, PartitionLayout, Partitioner, Ps, PsConfig, RecoveryMode, VectorHandle,
+};
+use psgraph_sim::{NodeClock, SimTime};
 
 /// Any partitioner valid for `parts` partitions: `HashRange` requires the
 /// partition count to be a multiple of its bucket count, so buckets are
@@ -112,6 +114,94 @@ fn sparse_pull_matches_dense_pull_under_any_partitioner() {
             for (q, got) in queries.iter().zip(&sparse) {
                 prop_assert_eq!(*got, dense[*q as usize], "query {}", q);
             }
+            Ok(())
+        },
+    );
+}
+
+/// What one `pull(ids)` on a freshly built copy of `table` returns and
+/// charges: (lists, request bytes, response bytes, RPCs, client time).
+fn neighbor_pull_on_fresh_ps(
+    table: &[(u64, Vec<u64>)],
+    size: u64,
+    partitioner: Partitioner,
+    ids: &[u64],
+) -> (Vec<Vec<u64>>, u64, u64, u64, SimTime) {
+    let ps = Ps::new(PsConfig { servers: 3, ..Default::default() });
+    let loader = NodeClock::new();
+    let adj =
+        NeighborTableHandle::create(&ps, "prop.adj", size, partitioner, RecoveryMode::Inconsistent)
+            .unwrap();
+    adj.push(&loader, table).unwrap();
+    let stats = ps.network().stats();
+    let (sent, recv, rpcs) = (stats.bytes_sent(), stats.bytes_received(), stats.rpcs());
+    // Arrive after the load has drained, so only this pull occupies a port.
+    let client = NodeClock::new();
+    client.sync_to(loader.now());
+    let lists = adj.pull(&client, ids).unwrap().iter().map(|l| l.to_vec()).collect();
+    (
+        lists,
+        stats.bytes_sent() - sent,
+        stats.bytes_received() - recv,
+        stats.rpcs() - rpcs,
+        client.now() - loader.now(),
+    )
+}
+
+#[test]
+fn neighbor_pull_ships_each_distinct_id_once() {
+    check(
+        "neighbor_pull_ships_each_distinct_id_once",
+        |src: &mut Source| {
+            let size = src.u64_range(1, 120);
+            // Sparse table: some vertices have no entry and read as empty.
+            let mut table: Vec<(u64, Vec<u64>)> = Vec::new();
+            for v in 0..size {
+                if src.choice(4) != 0 {
+                    table.push((v, src.vec_with(0, 12, |s| s.u64_range(0, size))));
+                }
+            }
+            // A small id range makes repeats the common case, as around a hub.
+            let hot = src.u64_range(1, size + 1);
+            let ids = src.vec_with(0, 80, |s| s.u64_range(0, hot));
+            (size, table, ids, arb_partitioner(src, 3))
+        },
+        |(size, table, ids, partitioner)| {
+            let mut distinct: Vec<u64> = Vec::new();
+            for &v in ids {
+                if !distinct.contains(&v) {
+                    distinct.push(v);
+                }
+            }
+            let (with_dups, sent, recv, rpcs, time) =
+                neighbor_pull_on_fresh_ps(table, *size, *partitioner, ids);
+            let (once, sent1, recv1, rpcs1, time1) =
+                neighbor_pull_on_fresh_ps(table, *size, *partitioner, &distinct);
+
+            // Position-wise the fan-out of the distinct pull.
+            for (pos, v) in ids.iter().enumerate() {
+                let d = distinct.iter().position(|x| x == v).unwrap();
+                prop_assert_eq!(&with_dups[pos], &once[d], "position {} (vertex {})", pos, v);
+            }
+            // Repeats are free: same bytes, RPCs and server time.
+            prop_assert_eq!((sent, recv, rpcs, time), (sent1, recv1, rpcs1, time1));
+
+            // And a duplicate-free request costs what it always did: 8 bytes
+            // per id out, `len·8 + 16` per stored entry back, one RPC per
+            // server that owns any of the ids.
+            let layout = PartitionLayout::new(*partitioner, *size, 3, 3);
+            let mut servers: Vec<usize> = distinct
+                .iter()
+                .map(|&v| layout.server_of_partition(layout.partition_of(v)))
+                .collect();
+            servers.sort_unstable();
+            servers.dedup();
+            let stored = |v: &u64| table.iter().find(|(k, _)| k == v).map(|(_, ns)| ns.len());
+            let want_recv: u64 =
+                distinct.iter().filter_map(stored).map(|len| len as u64 * 8 + 16).sum();
+            prop_assert_eq!(sent1, distinct.len() as u64 * 8);
+            prop_assert_eq!(recv1, want_recv);
+            prop_assert_eq!(rpcs1, servers.len() as u64);
             Ok(())
         },
     );

@@ -14,10 +14,13 @@ fi
 
 # The harness is the substrate every test stands on (the work-stealing
 # pool lives there) — hold it to warnings-as-errors. Same bar for the
-# serving tier and the query engine (newest subsystems).
+# serving tier and the query engine (newest subsystems), and for the PS
+# and the algorithm crate (where the benchmark's batch workloads live).
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-harness --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-query --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-serve --all-targets
+RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-ps --all-targets
+RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-core --all-targets
 
 cargo build --release --offline --workspace
 # Release mode: the fig6/table emergence tests simulate whole cluster
