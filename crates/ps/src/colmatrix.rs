@@ -10,16 +10,17 @@
 //! [`ColMatrixHandle::axpy_pairs`] run entirely server-side: only vertex-id
 //! pairs, scalar coefficients, and partial sums cross the network — this is
 //! the communication optimization the LINE ablation bench measures against
-//! pull-whole-row training.
+//! pull-whole-row training. Every operation touches every server, so all
+//! of them go over [`PsObject::each_partition`].
 
-use psgraph_sim::bytes::{Buf, BufMut};
+use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
 use std::sync::Arc;
 
 use crate::error::{PsError, Result};
+use crate::object::{Partition, PsObject, Reader};
 use crate::partition::{PartitionLayout, Partitioner};
-use crate::ps::{ObjectOps, Ps, RecoveryMode};
-use crate::server::PsServer;
+use crate::ps::{Ps, RecoveryMode};
 
 /// One server's column slice of the matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,10 +36,6 @@ impl ColPart {
         self.col_end - self.col_start
     }
 
-    fn approx_bytes(&self) -> u64 {
-        self.data.len() as u64 * 4 + 48
-    }
-
     #[inline]
     fn row(&self, r: u64) -> &[f32] {
         let w = self.width();
@@ -49,6 +46,12 @@ impl ColPart {
     fn row_mut(&mut self, r: u64) -> &mut [f32] {
         let w = self.width();
         &mut self.data[r as usize * w..(r as usize + 1) * w]
+    }
+}
+
+impl Partition for ColPart {
+    fn approx_bytes(&self) -> u64 {
+        self.data.len() as u64 * 4 + 48
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -62,70 +65,27 @@ impl ColPart {
         buf
     }
 
-    fn decode(mut bytes: &[u8]) -> Result<Self> {
-        let buf = &mut bytes;
-        if buf.remaining() < 24 {
-            return Err(PsError::Dfs("truncated col-matrix checkpoint".into()));
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        let mut r = Reader::new(bytes, "col-matrix");
+        let (col_start, col_end) = (r.usize()?, r.usize()?);
+        let len = r.count(4)?;
+        // `width()` and `row()` rely on a non-empty column range that the
+        // data tiles exactly.
+        if col_start >= col_end || !len.is_multiple_of(col_end - col_start) {
+            return Err(r.corrupt("data does not tile the column range"));
         }
-        let col_start = buf.get_u64_le() as usize;
-        let col_end = buf.get_u64_le() as usize;
-        let len = buf.get_u64_le() as usize;
-        let mut data = Vec::with_capacity(len);
-        for _ in 0..len {
-            data.push(buf.get_f32_le());
-        }
+        let data = r.elems(len)?;
+        r.finish()?;
         Ok(ColPart { col_start, col_end, data })
     }
 }
 
-struct ColMatrixOps {
-    name: String,
-    layout: PartitionLayout,
-    recovery: RecoveryMode,
-}
-
-impl ObjectOps for ColMatrixOps {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn layout(&self) -> &PartitionLayout {
-        &self.layout
-    }
-
-    fn recovery_mode(&self) -> RecoveryMode {
-        self.recovery
-    }
-
-    fn encode_partition(&self, server: &PsServer, partition: usize) -> Result<Vec<u8>> {
-        server.get(&self.name, partition, |p: &ColPart| p.encode())
-    }
-
-    fn decode_partition(&self, server: &PsServer, partition: usize, bytes: &[u8]) -> Result<()> {
-        let part = ColPart::decode(bytes)?;
-        let size = part.approx_bytes();
-        server.insert(&self.name, partition, part, size)
-    }
-}
-
 /// Client handle to a column-partitioned `rows × cols` f32 matrix.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ColMatrixHandle {
-    ps: Arc<Ps>,
-    name: String,
+    obj: PsObject,
     rows: u64,
     cols: usize,
-    layout: PartitionLayout,
-}
-
-impl std::fmt::Debug for ColMatrixHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ColMatrixHandle")
-            .field("name", &self.name)
-            .field("rows", &self.rows)
-            .field("cols", &self.cols)
-            .finish()
-    }
 }
 
 impl ColMatrixHandle {
@@ -139,90 +99,63 @@ impl ColMatrixHandle {
         recovery: RecoveryMode,
     ) -> Result<Self> {
         assert!(cols > 0, "need at least one column");
-        let name = name.into();
         let layout = PartitionLayout::new(
             Partitioner::Range,
             cols as u64,
             ps.num_servers().min(cols),
             ps.num_servers(),
         );
-        for p in 0..layout.num_partitions {
-            let (c0, c1) = layout.range_of(p).expect("range layout");
-            let server = ps.server(layout.server_of_partition(p));
-            let part = ColPart {
+        let obj = PsObject::new(ps, name, layout);
+        obj.install(recovery, |p| {
+            let (c0, c1) = obj.layout.range_of(p).expect("range layout");
+            ColPart {
                 col_start: c0 as usize,
                 col_end: c1 as usize,
                 data: vec![0.0; rows as usize * (c1 - c0) as usize],
-            };
-            let bytes = part.approx_bytes();
-            server.insert(&name, p, part, bytes)?;
-        }
-        ps.register(Arc::new(ColMatrixOps {
-            name: name.clone(),
-            layout: layout.clone(),
-            recovery,
-        }));
-        Ok(ColMatrixHandle { ps: Arc::clone(ps), name, rows, cols, layout })
+            }
+        })?;
+        Ok(ColMatrixHandle { obj, rows, cols })
     }
 
     pub fn name(&self) -> &str {
-        &self.name
+        &self.obj.name
     }
 
     pub fn rows(&self) -> u64 {
         self.rows
     }
 
-    /// Per-partition write versions (see [`PsServer::version`]).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Per-partition write versions (see [`crate::PsServer::version`]).
     pub fn partition_versions(&self) -> Result<Vec<u64>> {
-        (0..self.layout.num_partitions)
-            .map(|p| {
-                self.ps
-                    .server(self.layout.server_of_partition(p))
-                    .version(&self.name, p)
-            })
-            .collect()
+        self.obj.partition_versions()
     }
 
     /// Pull one server's full column slice (snapshot delta export: a
     /// changed partition is a column stripe of every row). Charged as one
     /// bulk RPC to `client`.
     pub(crate) fn pull_col_slice(&self, client: &NodeClock, partition: usize) -> Result<ColPart> {
-        let server = self.ps.server(self.layout.server_of_partition(partition));
+        let server = self.obj.server(partition);
         server.ensure_alive()?;
-        let part = server.get(&self.name, partition, |p: &ColPart| p.clone())?;
-        self.ps.network().rpc(
-            client,
-            server.port(),
-            16,
-            part.data.len() as u64 * self.ps.config().ops_per_item,
-            part.data.len() as u64 * 4 + 16,
-        );
+        let part = server.get(&self.obj.name, partition, |p: &ColPart| p.clone())?;
+        let n = part.data.len() as u64;
+        self.obj.charge(client, server, 16, self.obj.item_ops(n), n * 4 + 16);
         Ok(part)
     }
 
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn check_rows(&self, rows: &[u64]) -> Result<()> {
-        for &r in rows {
-            if r >= self.rows {
-                return Err(PsError::IndexOutOfBounds {
-                    name: self.name.clone(),
-                    index: r,
-                    size: self.rows,
-                });
-            }
-        }
-        Ok(())
+    fn check_rows(&self, rows: impl IntoIterator<Item = u64>) -> Result<()> {
+        self.obj.check_below(self.rows, rows)
     }
 
     fn same_shape(&self, other: &ColMatrixHandle) -> Result<()> {
-        if self.rows != other.rows || self.cols != other.cols || self.layout != other.layout {
+        if self.rows != other.rows || self.cols != other.cols || self.obj.layout != other.obj.layout
+        {
             return Err(PsError::DimensionMismatch(format!(
                 "{} and {} have different shapes/layouts",
-                self.name, other.name
+                self.obj.name, other.obj.name
             )));
         }
         Ok(())
@@ -230,30 +163,24 @@ impl ColMatrixHandle {
 
     /// Seeded uniform init in `[-scale, scale)`.
     pub fn init_uniform(&self, client: &NodeClock, seed: u64, scale: f32) -> Result<()> {
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            let n = server.update(&self.name, p, |part: &mut ColPart| {
+        self.obj.each_partition(|p, server| {
+            let n = self.obj.write(server, p, |part: &mut ColPart| {
                 let mut rng = SplitMix64::new(seed ^ (p as u64).wrapping_mul(0xA5A5_5A5A));
                 for v in part.data.iter_mut() {
                     *v = (rng.next_f64() as f32 * 2.0 - 1.0) * scale;
                 }
-                part.data.len()
+                part.data.len() as u64
             })?;
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                24,
-                n as u64 * self.ps.config().ops_per_item,
-                8,
-            );
-        }
-        Ok(())
+            self.obj.charge(client, server, 24, self.obj.item_ops(n), 8);
+            Ok(())
+        })
     }
 
     /// Server-side partial dot products, merged client-side:
     /// `out[k] = Σ_c self[i_k, c] × other[j_k, c]` for `pairs[k] = (i_k, j_k)`.
-    /// Only ids and one f64 per pair per server cross the wire.
+    /// Only ids and one f64 per pair per server cross the wire; the server
+    /// CPU is `pairs × width × 2` raw ops (a multiply and an add per
+    /// column), not a per-item charge.
     pub fn dot_pairs(
         &self,
         client: &NodeClock,
@@ -261,23 +188,20 @@ impl ColMatrixHandle {
         pairs: &[(u64, u64)],
     ) -> Result<Vec<f64>> {
         self.same_shape(other)?;
-        let is: Vec<u64> = pairs.iter().map(|(i, _)| *i).collect();
-        let js: Vec<u64> = pairs.iter().map(|(_, j)| *j).collect();
-        self.check_rows(&is)?;
-        self.check_rows(&js)?;
+        self.check_rows(pairs.iter().map(|&(i, _)| i))?;
+        self.check_rows(pairs.iter().map(|&(_, j)| j))?;
         let mut out = vec![0.0f64; pairs.len()];
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
+        let n = pairs.len() as u64;
+        self.obj.each_partition(|p, server| {
             // Copy the needed rows of `self` out, then scan `other`
             // (avoids nested locks when self == other).
             let mut self_rows: FxHashMap<u64, Vec<f32>> = FxHashMap::default();
-            server.get(&self.name, p, |a: &ColPart| {
-                for &i in &is {
+            server.get(&self.obj.name, p, |a: &ColPart| {
+                for &(i, _) in pairs {
                     self_rows.entry(i).or_insert_with(|| a.row(i).to_vec());
                 }
             })?;
-            let width = server.get(&other.name, p, |b: &ColPart| {
+            let width = server.get(&other.obj.name, p, |b: &ColPart| {
                 for (k, &(i, j)) in pairs.iter().enumerate() {
                     let arow = &self_rows[&i];
                     let brow = b.row(j);
@@ -287,22 +211,18 @@ impl ColMatrixHandle {
                     }
                     out[k] += s;
                 }
-                b.width()
+                b.width() as u64
             })?;
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                pairs.len() as u64 * 16,
-                (pairs.len() * width) as u64 * 2,
-                pairs.len() as u64 * 8,
-            );
-        }
+            self.obj.charge(client, server, n * 16, n * width * 2, n * 8);
+            Ok(())
+        })?;
         Ok(out)
     }
 
     /// Server-side pair update: `self[dst] += coef × src[src_row]`, using
     /// the *pre-update* value of `src` (SGD semantics when `src` is `self`
-    /// or a sibling matrix). Updates apply in input order.
+    /// or a sibling matrix). Updates apply in input order. Server CPU is
+    /// `updates × width × 2` raw ops, as for [`ColMatrixHandle::dot_pairs`].
     pub fn axpy_pairs(
         &self,
         client: &NodeClock,
@@ -310,20 +230,17 @@ impl ColMatrixHandle {
         updates: &[(u64, u64, f64)],
     ) -> Result<()> {
         self.same_shape(src)?;
-        let dsts: Vec<u64> = updates.iter().map(|(d, _, _)| *d).collect();
-        let srcs: Vec<u64> = updates.iter().map(|(_, s, _)| *s).collect();
-        self.check_rows(&dsts)?;
-        self.check_rows(&srcs)?;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
+        self.check_rows(updates.iter().map(|&(d, _, _)| d))?;
+        self.check_rows(updates.iter().map(|&(_, s, _)| s))?;
+        let n = updates.len() as u64;
+        self.obj.each_partition(|p, server| {
             let mut src_rows: FxHashMap<u64, Vec<f32>> = FxHashMap::default();
-            server.get(&src.name, p, |s: &ColPart| {
-                for &r in &srcs {
+            server.get(&src.obj.name, p, |s: &ColPart| {
+                for &(_, r, _) in updates {
                     src_rows.entry(r).or_insert_with(|| s.row(r).to_vec());
                 }
             })?;
-            let width = server.update(&self.name, p, |d: &mut ColPart| {
+            let width = self.obj.write(server, p, |d: &mut ColPart| {
                 for &(dst, srow, coef) in updates {
                     let from = &src_rows[&srow];
                     let to = d.row_mut(dst);
@@ -331,41 +248,29 @@ impl ColMatrixHandle {
                         *t += coef as f32 * *f;
                     }
                 }
-                d.width()
+                d.width() as u64
             })?;
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                updates.len() as u64 * 24,
-                (updates.len() * width) as u64 * 2,
-                8,
-            );
-        }
-        Ok(())
+            self.obj.charge(client, server, n * 24, n * width * 2, 8);
+            Ok(())
+        })
     }
 
     /// Pull full rows, gathering slices from every server (the expensive
     /// baseline the column layout avoids; also used for final readout).
     pub fn pull_rows(&self, client: &NodeClock, rows: &[u64]) -> Result<Vec<Vec<f32>>> {
-        self.check_rows(rows)?;
+        self.check_rows(rows.iter().copied())?;
         let mut out = vec![vec![0.0f32; self.cols]; rows.len()];
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            let width = server.get(&self.name, p, |part: &ColPart| {
+        let n = rows.len() as u64;
+        self.obj.each_partition(|p, server| {
+            let width = server.get(&self.obj.name, p, |part: &ColPart| {
                 for (k, &r) in rows.iter().enumerate() {
                     out[k][part.col_start..part.col_end].copy_from_slice(part.row(r));
                 }
-                part.width()
+                part.width() as u64
             })?;
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                rows.len() as u64 * 8,
-                (rows.len() * width) as u64 * self.ps.config().ops_per_item,
-                (rows.len() * width * 4) as u64,
-            );
-        }
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n * width), n * width * 4);
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -380,7 +285,7 @@ impl ColMatrixHandle {
         if rows.len() != deltas.len() {
             return Err(PsError::DimensionMismatch(format!(
                 "{}: {} rows vs {} deltas",
-                self.name,
+                self.obj.name,
                 rows.len(),
                 deltas.len()
             )));
@@ -389,44 +294,32 @@ impl ColMatrixHandle {
             if d.len() != self.cols {
                 return Err(PsError::DimensionMismatch(format!(
                     "{}: delta width {} vs cols {}",
-                    self.name,
+                    self.obj.name,
                     d.len(),
                     self.cols
                 )));
             }
         }
-        self.check_rows(rows)?;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            let width = server.update(&self.name, p, |part: &mut ColPart| {
+        self.check_rows(rows.iter().copied())?;
+        let n = rows.len() as u64;
+        self.obj.each_partition(|p, server| {
+            let width = self.obj.write(server, p, |part: &mut ColPart| {
                 for (k, &r) in rows.iter().enumerate() {
                     let slice = &deltas[k][part.col_start..part.col_end];
                     for (t, f) in part.row_mut(r).iter_mut().zip(slice) {
                         *t += *f;
                     }
                 }
-                part.width()
+                part.width() as u64
             })?;
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                (rows.len() * (8 + width * 4)) as u64,
-                (rows.len() * width) as u64 * self.ps.config().ops_per_item,
-                8,
-            );
-        }
-        Ok(())
+            self.obj.charge(client, server, n * (8 + width * 4), self.obj.item_ops(n * width), 8);
+            Ok(())
+        })
     }
 
     /// Bytes resident on servers.
     pub fn resident_bytes(&self) -> Result<u64> {
-        let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &ColPart| part.approx_bytes())?;
-        }
-        Ok(total)
+        self.obj.resident_bytes::<ColPart>()
     }
 }
 

@@ -8,16 +8,17 @@
 //! the whole graph: each server holds a contiguous vertex range with
 //! offsets + packed neighbor ids. It is the memory-densest representation
 //! (8 B per edge + 8 B per vertex, no per-entry map overhead), suited to
-//! algorithms that build the adjacency once and only read it.
+//! algorithms that build the adjacency once and only read it. Reads are
+//! routed by [`PsObject`] like every other handle's.
 
-use psgraph_sim::bytes::{Buf, BufMut};
+use psgraph_sim::bytes::BufMut;
 use psgraph_sim::NodeClock;
 use std::sync::Arc;
 
-use crate::error::{PsError, Result};
+use crate::error::Result;
+use crate::object::{Partition, PsObject, Reader};
 use crate::partition::{PartitionLayout, Partitioner};
-use crate::ps::{ObjectOps, Ps, RecoveryMode};
-use crate::server::PsServer;
+use crate::ps::{Ps, RecoveryMode};
 
 /// One server's CSR slice: vertices `[start, start + n)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,13 +31,15 @@ pub struct CsrPart {
 }
 
 impl CsrPart {
-    fn approx_bytes(&self) -> u64 {
-        (self.offsets.len() + self.targets.len()) as u64 * 8 + 48
-    }
-
     fn neighbors(&self, v: u64) -> &[u64] {
         let i = (v - self.start) as usize;
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+impl Partition for CsrPart {
+    fn approx_bytes(&self) -> u64 {
+        (self.offsets.len() + self.targets.len()) as u64 * 8 + 48
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -54,68 +57,28 @@ impl CsrPart {
         buf
     }
 
-    fn decode(mut bytes: &[u8]) -> Result<Self> {
-        let buf = &mut bytes;
-        if buf.remaining() < 24 {
-            return Err(PsError::Dfs("truncated CSR checkpoint".into()));
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        let mut r = Reader::new(bytes, "CSR");
+        let start = r.u64()?;
+        let (n_off, n_tgt) = (r.usize()?, r.usize()?);
+        let offsets: Vec<u64> = r.elems(n_off)?;
+        let targets: Vec<u64> = r.elems(n_tgt)?;
+        // `neighbors()` slices `targets` by consecutive offsets.
+        if offsets.first() != Some(&0)
+            || offsets.last() != Some(&(n_tgt as u64))
+            || offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(r.corrupt("offsets do not tile the targets"));
         }
-        let start = buf.get_u64_le();
-        let n_off = buf.get_u64_le() as usize;
-        let n_tgt = buf.get_u64_le() as usize;
-        if buf.remaining() < (n_off + n_tgt) * 8 {
-            return Err(PsError::Dfs("truncated CSR checkpoint".into()));
-        }
-        let offsets = (0..n_off).map(|_| buf.get_u64_le()).collect();
-        let targets = (0..n_tgt).map(|_| buf.get_u64_le()).collect();
+        r.finish()?;
         Ok(CsrPart { start, offsets, targets })
     }
 }
 
-struct CsrOps {
-    name: String,
-    layout: PartitionLayout,
-    recovery: RecoveryMode,
-}
-
-impl ObjectOps for CsrOps {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn layout(&self) -> &PartitionLayout {
-        &self.layout
-    }
-
-    fn recovery_mode(&self) -> RecoveryMode {
-        self.recovery
-    }
-
-    fn encode_partition(&self, server: &PsServer, partition: usize) -> Result<Vec<u8>> {
-        server.get(&self.name, partition, |p: &CsrPart| p.encode())
-    }
-
-    fn decode_partition(&self, server: &PsServer, partition: usize, bytes: &[u8]) -> Result<()> {
-        let part = CsrPart::decode(bytes)?;
-        let size = part.approx_bytes();
-        server.insert(&self.name, partition, part, size)
-    }
-}
-
 /// Client handle to an immutable CSR adjacency snapshot on the PS.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct CsrHandle {
-    ps: Arc<Ps>,
-    name: String,
-    layout: PartitionLayout,
-}
-
-impl std::fmt::Debug for CsrHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CsrHandle")
-            .field("name", &self.name)
-            .field("vertices", &self.layout.size)
-            .finish()
-    }
+    obj: PsObject,
 }
 
 impl CsrHandle {
@@ -130,27 +93,21 @@ impl CsrHandle {
         client: &NodeClock,
         recovery: RecoveryMode,
     ) -> Result<Self> {
-        let name = name.into();
         let layout = PartitionLayout::new(
             Partitioner::Range,
             num_vertices,
             ps.num_servers(),
             ps.num_servers(),
         );
+        let obj = PsObject::new(ps, name, layout);
+        obj.check(tables.iter().map(|(v, _)| *v))?;
         // Index input entries by vertex.
         let mut by_vertex: Vec<Option<&Vec<u64>>> = vec![None; num_vertices as usize];
         for (v, ns) in tables {
-            if *v >= num_vertices {
-                return Err(PsError::IndexOutOfBounds {
-                    name: name.clone(),
-                    index: *v,
-                    size: num_vertices,
-                });
-            }
             by_vertex[*v as usize] = Some(ns);
         }
-        for p in 0..layout.num_partitions {
-            let (start, end) = layout.range_of(p).expect("range layout");
+        obj.install(recovery, |p| {
+            let (start, end) = obj.layout.range_of(p).expect("range layout");
             let mut offsets = Vec::with_capacity((end - start) as usize + 1);
             let mut targets = Vec::new();
             offsets.push(0);
@@ -161,138 +118,87 @@ impl CsrHandle {
                 offsets.push(targets.len() as u64);
             }
             let part = CsrPart { start, offsets, targets };
-            let bytes = part.approx_bytes();
-            let server = ps.server(layout.server_of_partition(p));
-            ps.network().rpc(
-                client,
-                server.port(),
-                bytes,
-                part.targets.len() as u64 * ps.config().ops_per_item,
-                8,
-            );
-            server.insert(&name, p, part, bytes)?;
-        }
-        ps.register(Arc::new(CsrOps { name: name.clone(), layout: layout.clone(), recovery }));
-        Ok(CsrHandle { ps: Arc::clone(ps), name, layout })
+            let ops = obj.item_ops(part.targets.len() as u64);
+            obj.charge(client, obj.server(p), part.approx_bytes(), ops, 8);
+            part
+        })?;
+        Ok(CsrHandle { obj })
     }
 
     pub(crate) fn layout(&self) -> &PartitionLayout {
-        &self.layout
+        &self.obj.layout
     }
 
-    /// Per-partition write versions (see [`PsServer::version`]). The CSR
-    /// store is immutable in normal operation, so these only move when the
-    /// object is rebuilt under the same name.
+    /// Per-partition write versions (see [`crate::PsServer::version`]). The
+    /// CSR store is immutable in normal operation, so these only move when
+    /// the object is rebuilt under the same name.
     pub fn partition_versions(&self) -> Result<Vec<u64>> {
-        (0..self.layout.num_partitions)
-            .map(|p| {
-                self.ps
-                    .server(self.layout.server_of_partition(p))
-                    .version(&self.name, p)
-            })
-            .collect()
+        self.obj.partition_versions()
     }
 
     pub fn name(&self) -> &str {
-        &self.name
+        &self.obj.name
     }
 
     pub fn num_vertices(&self) -> u64 {
-        self.layout.size
+        self.obj.layout.size
     }
 
-    /// Pull adjacency lists for `ids` (aligned with the input).
+    /// Pull adjacency lists for `ids` (aligned with the input). The
+    /// response size is only known once the lists were read, so the
+    /// charge follows the visit.
     pub fn pull(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<Vec<u64>>> {
-        for &v in ids {
-            if v >= self.layout.size {
-                return Err(PsError::IndexOutOfBounds {
-                    name: self.name.clone(),
-                    index: v,
-                    size: self.layout.size,
-                });
-            }
-        }
+        self.obj.check(ids.iter().copied())?;
         let mut out: Vec<Vec<u64>> = vec![Vec::new(); ids.len()];
-        let mut groups: psgraph_sim::FxHashMap<usize, Vec<usize>> = Default::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            groups.entry(self.layout.partition_of(v)).or_default().push(pos);
-        }
-        for (p, positions) in groups {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            let mut resp = 0u64;
-            server.get(&self.name, p, |part: &CsrPart| {
-                for &pos in &positions {
-                    let ns = part.neighbors(ids[pos]);
-                    resp += ns.len() as u64 * 8 + 8;
-                    out[pos] = ns.to_vec();
-                }
-            })?;
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                positions.len() as u64 * 8,
-                positions.len() as u64 * self.ps.config().ops_per_item,
-                resp,
-            );
-        }
+        self.obj.scatter(ids.iter().copied().enumerate(), |server, n, parts| {
+            let mut resp_bytes = 0u64;
+            for (p, positions) in parts {
+                server.get(&self.obj.name, p, |part: &CsrPart| {
+                    for &pos in &positions {
+                        let ns = part.neighbors(ids[pos]);
+                        resp_bytes += ns.len() as u64 * 8 + 8;
+                        out[pos] = ns.to_vec();
+                    }
+                })?;
+            }
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), resp_bytes);
+            Ok(())
+        })?;
         Ok(out)
     }
 
     /// Out-degrees for `ids` (only counts cross the wire).
     pub fn degrees(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<u64>> {
-        for &v in ids {
-            if v >= self.layout.size {
-                return Err(PsError::IndexOutOfBounds {
-                    name: self.name.clone(),
-                    index: v,
-                    size: self.layout.size,
-                });
-            }
-        }
+        self.obj.check(ids.iter().copied())?;
         let mut out = vec![0u64; ids.len()];
-        let mut groups: psgraph_sim::FxHashMap<usize, Vec<usize>> = Default::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            groups.entry(self.layout.partition_of(v)).or_default().push(pos);
-        }
-        for (p, positions) in groups {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            server.get(&self.name, p, |part: &CsrPart| {
-                for &pos in &positions {
-                    out[pos] = part.neighbors(ids[pos]).len() as u64;
-                }
-            })?;
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                positions.len() as u64 * 8,
-                positions.len() as u64 * self.ps.config().ops_per_item,
-                positions.len() as u64 * 8,
-            );
-        }
+        self.obj.scatter(ids.iter().copied().enumerate(), |server, n, parts| {
+            for (p, positions) in parts {
+                server.get(&self.obj.name, p, |part: &CsrPart| {
+                    for &pos in &positions {
+                        out[pos] = part.neighbors(ids[pos]).len() as u64;
+                    }
+                })?;
+            }
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), n * 8);
+            Ok(())
+        })?;
         Ok(out)
     }
 
     /// Total edges stored (diagnostics).
     pub fn num_edges(&self) -> Result<u64> {
         let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &CsrPart| part.targets.len() as u64)?;
-        }
+        self.obj.each_partition(|p, server| {
+            total += server.get(&self.obj.name, p, |part: &CsrPart| part.targets.len() as u64)?;
+            Ok(())
+        })?;
         Ok(total)
     }
 
     /// Bytes resident on servers — compare with
     /// `NeighborTableHandle::resident_bytes` to see the CSR advantage.
     pub fn resident_bytes(&self) -> Result<u64> {
-        let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &CsrPart| part.approx_bytes())?;
-        }
-        Ok(total)
+        self.obj.resident_bytes::<CsrPart>()
     }
 }
 

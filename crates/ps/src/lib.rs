@@ -24,7 +24,10 @@
 //!   algorithms such as PageRank) — §III-B.
 //!
 //! Every operation charges simulated time: client-side RPC latency + wire
-//! bytes, server-side queueing + CPU, via `psgraph_net`.
+//! bytes, server-side queueing + CPU, via `psgraph_net`. The handles share
+//! one crate-private client core (`object`): key → (server, partition)
+//! grouping and visit order, the liveness check before a leg, the RPC
+//! charge, and checkpoint encode / bounds-checked decode of a partition.
 
 pub mod colmatrix;
 pub mod csr;
@@ -33,6 +36,7 @@ pub mod error;
 pub mod master;
 pub mod matrix;
 pub mod neighbor;
+mod object;
 pub mod partition;
 pub mod ps;
 pub mod psfunc;

@@ -7,17 +7,18 @@
 //! server-side optimizers the paper implements as `psFunc` UDFs: plain SGD,
 //! AdaGrad, and Adam — the optimizer state (first/second moments) lives
 //! next to the weights on the server and never crosses the network.
+//! Routing, liveness and the RPC charge are [`PsObject`]'s.
 
-use psgraph_sim::bytes::{Buf, BufMut};
+use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::element::Element;
 use crate::error::{PsError, Result};
+use crate::object::{Partition, PsObject, Reader};
 use crate::partition::{PartitionLayout, Partitioner};
-use crate::ps::{ObjectOps, Ps, RecoveryMode};
-use crate::server::PsServer;
+use crate::ps::{Ps, RecoveryMode};
 
 /// One stored matrix partition (a set of rows).
 #[derive(Debug, Clone, PartialEq)]
@@ -29,23 +30,14 @@ pub enum MatPart<E> {
 }
 
 impl<E: Element> MatPart<E> {
-    fn approx_bytes(&self) -> u64 {
-        match self {
-            MatPart::Dense { data, .. } => (data.len() * E::WIDTH) as u64 + 48,
-            MatPart::Sparse { cols, map } => {
-                (map.len() * (8 + 24 + cols * E::WIDTH)) as u64 + 48
-            }
-        }
-    }
-
-    fn row(&self, key: u64) -> Option<Vec<E>> {
+    fn row(&self, key: u64) -> Vec<E> {
         match self {
             MatPart::Dense { start, cols, data } => {
                 let i = (key - start) as usize * cols;
-                Some(data[i..i + cols].to_vec())
+                data[i..i + cols].to_vec()
             }
             MatPart::Sparse { cols, map } => {
-                Some(map.get(&key).cloned().unwrap_or_else(|| vec![E::default(); *cols]))
+                map.get(&key).cloned().unwrap_or_else(|| vec![E::default(); *cols])
             }
         }
     }
@@ -59,6 +51,17 @@ impl<E: Element> MatPart<E> {
             MatPart::Sparse { cols, map } => map
                 .entry(key)
                 .or_insert_with(|| vec![E::default(); *cols]),
+        }
+    }
+}
+
+impl<E: Element> Partition for MatPart<E> {
+    fn approx_bytes(&self) -> u64 {
+        match self {
+            MatPart::Dense { data, .. } => (data.len() * E::WIDTH) as u64 + 48,
+            MatPart::Sparse { cols, map } => {
+                (map.len() * (8 + 24 + cols * E::WIDTH)) as u64 + 48
+            }
         }
     }
 
@@ -91,103 +94,42 @@ impl<E: Element> MatPart<E> {
         buf
     }
 
-    fn decode(mut bytes: &[u8]) -> Result<Self> {
-        let buf = &mut bytes;
-        if buf.remaining() < 1 {
-            return Err(PsError::Dfs("truncated matrix checkpoint".into()));
-        }
-        match buf.get_u8() {
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        let mut r = Reader::new(bytes, "matrix");
+        let part = match r.u8()? {
             0 => {
-                let start = buf.get_u64_le();
-                let cols = buf.get_u64_le() as usize;
-                let len = buf.get_u64_le() as usize;
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(E::decode(buf));
+                let start = r.u64()?;
+                let cols = r.usize()?;
+                let len = r.count(E::WIDTH)?;
+                if cols == 0 || !len.is_multiple_of(cols) {
+                    return Err(r.corrupt("data is not whole rows"));
                 }
-                Ok(MatPart::Dense { start, cols, data })
+                MatPart::Dense { start, cols, data: r.elems(len)? }
             }
             1 => {
-                let cols = buf.get_u64_le() as usize;
-                let n = buf.get_u64_le() as usize;
+                let cols = r.usize()?;
+                let row_bytes = cols.checked_mul(E::WIDTH).and_then(|b| b.checked_add(8));
+                let n = r.count(row_bytes.ok_or_else(|| r.corrupt("row width overflows"))?)?;
                 let mut map = FxHashMap::default();
                 for _ in 0..n {
-                    let k = buf.get_u64_le();
-                    let mut row = Vec::with_capacity(cols);
-                    for _ in 0..cols {
-                        row.push(E::decode(buf));
-                    }
-                    map.insert(k, row);
+                    let k = r.u64()?;
+                    map.insert(k, r.elems(cols)?);
                 }
-                Ok(MatPart::Sparse { cols, map })
+                MatPart::Sparse { cols, map }
             }
-            t => Err(PsError::Dfs(format!("bad matrix partition tag {t}"))),
-        }
-    }
-}
-
-struct MatrixOps<E: Element> {
-    name: String,
-    layout: PartitionLayout,
-    recovery: RecoveryMode,
-    _e: PhantomData<fn() -> E>,
-}
-
-impl<E: Element> ObjectOps for MatrixOps<E> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn layout(&self) -> &PartitionLayout {
-        &self.layout
-    }
-
-    fn recovery_mode(&self) -> RecoveryMode {
-        self.recovery
-    }
-
-    fn encode_partition(&self, server: &PsServer, partition: usize) -> Result<Vec<u8>> {
-        server.get(&self.name, partition, |p: &MatPart<E>| p.encode())
-    }
-
-    fn decode_partition(&self, server: &PsServer, partition: usize, bytes: &[u8]) -> Result<()> {
-        let part = MatPart::<E>::decode(bytes)?;
-        let size = part.approx_bytes();
-        server.insert(&self.name, partition, part, size)
+            t => return Err(r.corrupt(&format!("bad partition tag {t}"))),
+        };
+        r.finish()?;
+        Ok(part)
     }
 }
 
 /// Typed client handle to a PS row-partitioned matrix.
+#[derive(Debug, Clone)]
 pub struct MatrixHandle<E: Element> {
-    ps: Arc<Ps>,
-    name: String,
-    rows: u64,
+    obj: PsObject,
     cols: usize,
-    layout: PartitionLayout,
     _e: PhantomData<fn() -> E>,
-}
-
-impl<E: Element> Clone for MatrixHandle<E> {
-    fn clone(&self) -> Self {
-        MatrixHandle {
-            ps: Arc::clone(&self.ps),
-            name: self.name.clone(),
-            rows: self.rows,
-            cols: self.cols,
-            layout: self.layout.clone(),
-            _e: PhantomData,
-        }
-    }
-}
-
-impl<E: Element> std::fmt::Debug for MatrixHandle<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatrixHandle")
-            .field("name", &self.name)
-            .field("rows", &self.rows)
-            .field("cols", &self.cols)
-            .finish()
-    }
 }
 
 impl<E: Element> MatrixHandle<E> {
@@ -202,40 +144,26 @@ impl<E: Element> MatrixHandle<E> {
         recovery: RecoveryMode,
     ) -> Result<Self> {
         assert!(cols > 0, "matrix needs at least one column");
-        let name = name.into();
         let layout =
             PartitionLayout::new(partitioner, rows, ps.num_servers(), ps.num_servers());
-        let handle = MatrixHandle {
-            ps: Arc::clone(ps),
-            name: name.clone(),
-            rows,
-            cols,
-            layout: layout.clone(),
-            _e: PhantomData,
-        };
-        for p in 0..layout.num_partitions {
-            let server = ps.server(layout.server_of_partition(p));
-            let part = match layout.range_of(p) {
-                Some((start, end)) => MatPart::Dense {
-                    start,
-                    cols,
-                    data: vec![E::default(); (end - start) as usize * cols],
-                },
-                None => MatPart::Sparse { cols, map: FxHashMap::default() },
-            };
-            let bytes = part.approx_bytes();
-            server.insert(&name, p, part, bytes)?;
-        }
-        ps.register(Arc::new(MatrixOps::<E> { name, layout, recovery, _e: PhantomData }));
-        Ok(handle)
+        let obj = PsObject::new(ps, name, layout);
+        obj.install(recovery, |p| match obj.layout.range_of(p) {
+            Some((start, end)) => MatPart::Dense {
+                start,
+                cols,
+                data: vec![E::default(); (end - start) as usize * cols],
+            },
+            None => MatPart::Sparse { cols, map: FxHashMap::default() },
+        })?;
+        Ok(MatrixHandle { obj, cols, _e: PhantomData })
     }
 
     pub fn name(&self) -> &str {
-        &self.name
+        &self.obj.name
     }
 
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.obj.layout.size
     }
 
     pub fn cols(&self) -> usize {
@@ -243,84 +171,30 @@ impl<E: Element> MatrixHandle<E> {
     }
 
     pub fn layout(&self) -> &PartitionLayout {
-        &self.layout
+        &self.obj.layout
     }
 
     /// Per-partition write versions (see [`crate::PsServer::version`]).
     pub fn partition_versions(&self) -> Result<Vec<u64>> {
-        (0..self.layout.num_partitions)
-            .map(|p| {
-                self.ps
-                    .server(self.layout.server_of_partition(p))
-                    .version(&self.name, p)
-            })
-            .collect()
-    }
-
-    fn check_rows(&self, rows: &[u64]) -> Result<()> {
-        for &r in rows {
-            if r >= self.rows {
-                return Err(PsError::IndexOutOfBounds {
-                    name: self.name.clone(),
-                    index: r,
-                    size: self.rows,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn group(&self, rows: &[u64]) -> FxHashMap<usize, FxHashMap<usize, Vec<usize>>> {
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &r) in rows.iter().enumerate() {
-            let p = self.layout.partition_of(r);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        groups
-    }
-
-    fn charge_rpc(
-        &self,
-        client: &NodeClock,
-        server: &PsServer,
-        req_bytes: u64,
-        items: u64,
-        resp_bytes: u64,
-    ) {
-        self.ps.network().rpc(
-            client,
-            server.port(),
-            req_bytes,
-            items * self.ps.config().ops_per_item,
-            resp_bytes,
-        );
+        self.obj.partition_versions()
     }
 
     /// Pull whole rows; result aligns with `rows`.
     pub fn pull_rows(&self, client: &NodeClock, rows: &[u64]) -> Result<Vec<Vec<E>>> {
-        self.check_rows(rows)?;
+        self.obj.check(rows.iter().copied())?;
         let mut out: Vec<Vec<E>> = vec![Vec::new(); rows.len()];
-        let row_bytes = (self.cols * E::WIDTH) as u64;
-        for (s, parts) in self.group(rows) {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: usize = parts.values().map(Vec::len).sum();
-            self.charge_rpc(
-                client,
-                server,
-                n as u64 * 8,
-                n as u64 * self.cols as u64,
-                n as u64 * row_bytes,
-            );
+        let (cols, row_bytes) = (self.cols as u64, (self.cols * E::WIDTH) as u64);
+        self.obj.scatter(rows.iter().copied().enumerate(), |server, n, parts| {
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n * cols), n * row_bytes);
             for (p, positions) in parts {
-                server.get(&self.name, p, |part: &MatPart<E>| {
+                server.get(&self.obj.name, p, |part: &MatPart<E>| {
                     for &pos in &positions {
-                        out[pos] = part.row(rows[pos]).expect("row in partition");
+                        out[pos] = part.row(rows[pos]);
                     }
                 })?;
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -335,7 +209,7 @@ impl<E: Element> MatrixHandle<E> {
         if rows.len() != values.len() {
             return Err(PsError::DimensionMismatch(format!(
                 "{}: {} rows vs {} value rows",
-                self.name,
+                self.obj.name,
                 rows.len(),
                 values.len()
             )));
@@ -344,35 +218,25 @@ impl<E: Element> MatrixHandle<E> {
             if v.len() != self.cols {
                 return Err(PsError::DimensionMismatch(format!(
                     "{}: row of width {} vs cols {}",
-                    self.name,
+                    self.obj.name,
                     v.len(),
                     self.cols
                 )));
             }
         }
-        self.check_rows(rows)?;
-        let row_bytes = (self.cols * E::WIDTH) as u64;
-        for (s, parts) in self.group(rows) {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: usize = parts.values().map(Vec::len).sum();
-            self.charge_rpc(
-                client,
-                server,
-                n as u64 * (8 + row_bytes),
-                n as u64 * self.cols as u64,
-                8,
-            );
+        self.obj.check(rows.iter().copied())?;
+        let (cols, row_bytes) = (self.cols as u64, (self.cols * E::WIDTH) as u64);
+        self.obj.scatter(rows.iter().copied().enumerate(), |server, n, parts| {
+            self.obj.charge(client, server, n * (8 + row_bytes), self.obj.item_ops(n * cols), 8);
             for (p, positions) in parts {
-                server.update_resize(&self.name, p, |part: &mut MatPart<E>, _old| {
+                self.obj.write(server, p, |part: &mut MatPart<E>| {
                     for &pos in &positions {
                         apply(part.row_mut(rows[pos]), &values[pos]);
                     }
-                    ((), part.approx_bytes())
                 })?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Add deltas into rows.
@@ -401,18 +265,13 @@ impl<E: Element> MatrixHandle<E> {
 
     /// Pull the whole matrix (driver-side initialization / readout).
     pub fn pull_all(&self, client: &NodeClock) -> Result<Vec<Vec<E>>> {
-        let rows: Vec<u64> = (0..self.rows).collect();
+        let rows: Vec<u64> = (0..self.rows()).collect();
         self.pull_rows(client, &rows)
     }
 
     /// Bytes resident on the servers for this matrix.
     pub fn resident_bytes(&self) -> Result<u64> {
-        let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &MatPart<E>| part.approx_bytes())?;
-        }
-        Ok(total)
+        self.obj.resident_bytes::<MatPart<E>>()
     }
 }
 
@@ -421,24 +280,22 @@ impl MatrixHandle<f32> {
     /// deterministic per run). Dense partitions fill every row; sparse
     /// partitions stay lazy (rows materialize on first update).
     pub fn init_uniform(&self, client: &NodeClock, seed: u64, scale: f32) -> Result<()> {
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            let n = server.update(&self.name, p, |part: &mut MatPart<f32>| {
+        self.obj.each_partition(|p, server| {
+            let n = self.obj.write(server, p, |part: &mut MatPart<f32>| {
                 let mut rng = SplitMix64::new(seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
                 match part {
                     MatPart::Dense { data, .. } => {
                         for v in data.iter_mut() {
                             *v = (rng.next_f64() as f32 * 2.0 - 1.0) * scale;
                         }
-                        data.len()
+                        data.len() as u64
                     }
                     MatPart::Sparse { .. } => 0,
                 }
             })?;
-            self.charge_rpc(client, server, 24, n as u64, 8);
-        }
-        Ok(())
+            self.obj.charge(client, server, 24, self.obj.item_ops(n), 8);
+            Ok(())
+        })
     }
 
     /// Server-side SGD step: `row -= lr × grad` — the simplest psFunc
@@ -467,13 +324,13 @@ impl MatrixHandle<f32> {
         lr: f32,
         eps: f32,
     ) -> Result<()> {
-        let state = self.optimizer_state(".G")?;
-        self.optimizer_step(client, rows, grads, move |w, g, gsq| {
+        let state = [self.optimizer_state(".G")?];
+        self.optimizer_step(client, rows, grads, &state, move |w, g, [gsq]| {
             for i in 0..w.len() {
                 gsq[i] += g[i] * g[i];
                 w[i] -= lr * g[i] / (gsq[i].sqrt() + eps);
             }
-        }, &state)
+        })
     }
 
     /// Server-side Adam (psFunc, paper §IV-E): first/second moments live in
@@ -490,159 +347,84 @@ impl MatrixHandle<f32> {
         eps: f32,
         t: u64,
     ) -> Result<()> {
-        let m = self.optimizer_state(".m")?;
-        let v = self.optimizer_state(".v")?;
+        let state = [self.optimizer_state(".m")?, self.optimizer_state(".v")?];
         let bc1 = 1.0 - beta1.powi(t as i32);
         let bc2 = 1.0 - beta2.powi(t as i32);
-        // Two-state update: run through the generic path twice would race;
-        // fuse instead.
-        self.fused_adam(client, rows, grads, lr, beta1, beta2, eps, bc1, bc2, &m, &v)
+        self.optimizer_step(client, rows, grads, &state, move |w, g, [mrow, vrow]| {
+            for i in 0..w.len() {
+                mrow[i] = beta1 * mrow[i] + (1.0 - beta1) * g[i];
+                vrow[i] = beta2 * vrow[i] + (1.0 - beta2) * g[i] * g[i];
+                let mhat = mrow[i] / bc1;
+                let vhat = vrow[i] / bc2;
+                w[i] -= lr * mhat / (vhat.sqrt() + eps);
+            }
+        })
     }
 
-    /// Lazily create a same-shaped shadow matrix for optimizer state.
+    /// The same-shaped shadow matrix `<name><suffix>` holding optimizer
+    /// state, created on first use.
     fn optimizer_state(&self, suffix: &str) -> Result<MatrixHandle<f32>> {
-        let name = format!("{}{suffix}", self.name);
-        if self.ps.is_registered(&name) {
-            Ok(MatrixHandle {
-                ps: Arc::clone(&self.ps),
-                name,
-                rows: self.rows,
-                cols: self.cols,
-                layout: self.layout.clone(),
-                _e: PhantomData,
-            })
+        let name = format!("{}{suffix}", self.obj.name);
+        if self.obj.ps.is_registered(&name) {
+            let obj = PsObject::new(&self.obj.ps, name, self.obj.layout.clone());
+            Ok(MatrixHandle { obj, cols: self.cols, _e: PhantomData })
         } else {
             MatrixHandle::<f32>::create(
-                &self.ps,
+                &self.obj.ps,
                 name,
-                self.rows,
+                self.rows(),
                 self.cols,
-                self.layout.partitioner,
+                self.obj.layout.partitioner,
                 RecoveryMode::Inconsistent,
             )
         }
     }
 
-    fn optimizer_step(
+    /// One optimizer step over `S` co-located state matrices (AdaGrad 1,
+    /// Adam 2), fused so the state rows and the weight row of a key are
+    /// updated together: `apply(weights, grad, state rows)`.
+    fn optimizer_step<const S: usize>(
         &self,
         client: &NodeClock,
         rows: &[u64],
         grads: &[Vec<f32>],
-        apply: impl Fn(&mut [f32], &[f32], &mut [f32]),
-        state: &MatrixHandle<f32>,
+        state: &[MatrixHandle<f32>; S],
+        apply: impl Fn(&mut [f32], &[f32], &mut [Vec<f32>; S]),
     ) -> Result<()> {
         if rows.len() != grads.len() {
             return Err(PsError::DimensionMismatch(format!(
                 "{}: {} rows vs {} grads",
-                self.name,
+                self.obj.name,
                 rows.len(),
                 grads.len()
             )));
         }
-        self.check_rows(rows)?;
-        let row_bytes = (self.cols * 4) as u64;
-        for (s, parts) in self.group(rows) {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: usize = parts.values().map(Vec::len).sum();
-            // Gradients cross the wire; weights and state do not.
-            self.charge_rpc(
-                client,
-                server,
-                n as u64 * (8 + row_bytes),
-                3 * n as u64 * self.cols as u64,
-                8,
-            );
-            for (p, positions) in parts {
-                // Pull state rows out, update weights against them, put back.
-                for &pos in &positions {
-                    let key = rows[pos];
-                    let mut srow = server
-                        .get(&state.name, p, |sp: &MatPart<f32>| sp.row(key))?
-                        .expect("state row");
-                    server.update_resize(&self.name, p, |wp: &mut MatPart<f32>, _old| {
-                        apply(wp.row_mut(key), &grads[pos], &mut srow);
-                        ((), wp.approx_bytes())
-                    })?;
-                    server.update_resize(&state.name, p, |sp: &mut MatPart<f32>, _old| {
-                        sp.row_mut(key).copy_from_slice(&srow);
-                        ((), sp.approx_bytes())
-                    })?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fused_adam(
-        &self,
-        client: &NodeClock,
-        rows: &[u64],
-        grads: &[Vec<f32>],
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        bc1: f32,
-        bc2: f32,
-        m: &MatrixHandle<f32>,
-        v: &MatrixHandle<f32>,
-    ) -> Result<()> {
-        if rows.len() != grads.len() {
-            return Err(PsError::DimensionMismatch(format!(
-                "{}: {} rows vs {} grads",
-                self.name,
-                rows.len(),
-                grads.len()
-            )));
-        }
-        self.check_rows(rows)?;
-        let row_bytes = (self.cols * 4) as u64;
-        for (s, parts) in self.group(rows) {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: usize = parts.values().map(Vec::len).sum();
-            self.charge_rpc(
-                client,
-                server,
-                n as u64 * (8 + row_bytes),
-                5 * n as u64 * self.cols as u64,
-                8,
-            );
+        self.obj.check(rows.iter().copied())?;
+        let (cols, row_bytes) = (self.cols as u64, (self.cols * 4) as u64);
+        self.obj.scatter(rows.iter().copied().enumerate(), |server, n, parts| {
+            // Gradients cross the wire; weights and state do not. Each
+            // state row is read and written back, the weight row updated.
+            let ops = self.obj.item_ops((2 * S as u64 + 1) * n * cols);
+            self.obj.charge(client, server, n * (8 + row_bytes), ops, 8);
             for (p, positions) in parts {
                 for &pos in &positions {
                     let key = rows[pos];
-                    let g = &grads[pos];
-                    let mut mrow = server
-                        .get(&m.name, p, |sp: &MatPart<f32>| sp.row(key))?
-                        .expect("m row");
-                    let mut vrow = server
-                        .get(&v.name, p, |sp: &MatPart<f32>| sp.row(key))?
-                        .expect("v row");
-                    server.update_resize(&self.name, p, |wp: &mut MatPart<f32>, _old| {
-                        let w = wp.row_mut(key);
-                        for i in 0..w.len() {
-                            mrow[i] = beta1 * mrow[i] + (1.0 - beta1) * g[i];
-                            vrow[i] = beta2 * vrow[i] + (1.0 - beta2) * g[i] * g[i];
-                            let mhat = mrow[i] / bc1;
-                            let vhat = vrow[i] / bc2;
-                            w[i] -= lr * mhat / (vhat.sqrt() + eps);
-                        }
-                        ((), wp.approx_bytes())
+                    let mut srows: [Vec<f32>; S] = std::array::from_fn(|_| Vec::new());
+                    for (s, srow) in state.iter().zip(&mut srows) {
+                        *srow = server.get(&s.obj.name, p, |sp: &MatPart<f32>| sp.row(key))?;
+                    }
+                    self.obj.write(server, p, |wp: &mut MatPart<f32>| {
+                        apply(wp.row_mut(key), &grads[pos], &mut srows)
                     })?;
-                    server.update_resize(&m.name, p, |sp: &mut MatPart<f32>, _old| {
-                        sp.row_mut(key).copy_from_slice(&mrow);
-                        ((), sp.approx_bytes())
-                    })?;
-                    server.update_resize(&v.name, p, |sp: &mut MatPart<f32>, _old| {
-                        sp.row_mut(key).copy_from_slice(&vrow);
-                        ((), sp.approx_bytes())
-                    })?;
+                    for (s, srow) in state.iter().zip(&srows) {
+                        s.obj.write(server, p, |sp: &mut MatPart<f32>| {
+                            sp.row_mut(key).copy_from_slice(srow)
+                        })?;
+                    }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 }
 

@@ -14,16 +14,19 @@
 //! compaction preserves slot order, the *live* neighbor list is always
 //! exactly "insertion order minus removed elements", independent of when
 //! compaction runs.
+//!
+//! Requests are routed by [`PsObject`]; each keyed operation below is its
+//! cost formula plus what it does to one partition.
 
-use psgraph_sim::bytes::{Buf, BufMut};
+use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-use crate::error::{PsError, Result};
+use crate::error::Result;
+use crate::object::{Partition, PsObject, Reader};
 use crate::partition::{PartitionLayout, Partitioner};
-use crate::ps::{ObjectOps, Ps, RecoveryMode};
-use crate::server::PsServer;
+use crate::ps::{Ps, RecoveryMode};
 
 /// Sentinel marking a removed slot. Never a valid vertex id: every id is
 /// bounds-checked against the table size before reaching a server.
@@ -126,88 +129,61 @@ fn encode_part(map: &TablePart) -> Vec<u8> {
     buf
 }
 
-/// Inverse of [`encode_part`]. The buffer comes off the DFS, so nothing in
-/// it is trusted: every read is bounds-checked and every on-disk length is
-/// bounded by the bytes that are left, so a truncated or corrupt
-/// checkpoint is a [`PsError::Dfs`], never a panic or a huge allocation.
-fn decode_part(mut bytes: &[u8]) -> Result<TablePart> {
-    let buf = &mut bytes;
-    let corrupt = |what: &str| PsError::Dfs(format!("corrupt neighbor-table checkpoint: {what}"));
-    if buf.remaining() < 8 {
-        return Err(corrupt("truncated header"));
-    }
-    let n = buf.get_u64_le();
+/// Inverse of [`encode_part`], under the [`Partition::decode`] contract.
+fn decode_part(bytes: &[u8]) -> Result<TablePart> {
+    let mut r = Reader::new(bytes, "neighbor-table");
     // Every entry carries at least its 16-byte (vertex, length) header.
-    if n > (buf.remaining() / 16) as u64 {
-        return Err(corrupt("entry count exceeds the bytes present"));
-    }
+    let n = r.count(16)?;
     let mut map = TablePart::default();
-    map.reserve(n as usize);
+    map.reserve(n);
     for _ in 0..n {
-        if buf.remaining() < 16 {
-            return Err(corrupt("truncated entry header"));
-        }
-        let k = buf.get_u64_le();
-        let len = buf.get_u64_le();
-        if len > (buf.remaining() / 8) as u64 {
-            return Err(corrupt("list length exceeds the bytes present"));
-        }
-        let v = (0..len).map(|_| buf.get_u64_le()).collect();
-        if map.insert(k, NeighborEntry::new(v)).is_some() {
-            return Err(corrupt("vertex listed twice"));
+        let k = r.u64()?;
+        let len = r.count(8)?;
+        if map.insert(k, NeighborEntry::new(r.elems(len)?)).is_some() {
+            return Err(r.corrupt("vertex listed twice"));
         }
     }
-    if buf.remaining() != 0 {
-        return Err(corrupt("trailing bytes"));
-    }
+    r.finish()?;
     Ok(map)
 }
 
-struct NeighborOps {
-    name: String,
-    layout: PartitionLayout,
-    recovery: RecoveryMode,
+impl Partition for TablePart {
+    fn encode(&self) -> Vec<u8> {
+        encode_part(self)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        decode_part(bytes)
+    }
+
+    fn approx_bytes(&self) -> u64 {
+        part_bytes(self)
+    }
 }
 
-impl ObjectOps for NeighborOps {
-    fn name(&self) -> &str {
-        &self.name
+/// Apply the ordered edge operations `ops[pos]`, `pos` in `positions`, to
+/// one partition; returns how many adds and removes took effect.
+fn apply_edge_ops(
+    part: &mut TablePart,
+    ops: &[(u64, u64, bool)],
+    positions: &[usize],
+) -> (usize, usize) {
+    let (mut added, mut removed) = (0, 0);
+    for &pos in positions {
+        let (src, dst, add) = ops[pos];
+        if add {
+            added += part.entry(src).or_default().add(dst) as usize;
+        } else if let Some(e) = part.get_mut(&src) {
+            removed += e.remove(dst) as usize;
+        }
     }
-
-    fn layout(&self) -> &PartitionLayout {
-        &self.layout
-    }
-
-    fn recovery_mode(&self) -> RecoveryMode {
-        self.recovery
-    }
-
-    fn encode_partition(&self, server: &PsServer, partition: usize) -> Result<Vec<u8>> {
-        server.get(&self.name, partition, |p: &TablePart| encode_part(p))
-    }
-
-    fn decode_partition(&self, server: &PsServer, partition: usize, bytes: &[u8]) -> Result<()> {
-        let part = decode_part(bytes)?;
-        let size = part_bytes(&part);
-        server.insert(&self.name, partition, part, size)
-    }
+    (added, removed)
 }
 
 /// Client handle to a PS neighbor table.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct NeighborTableHandle {
-    ps: Arc<Ps>,
-    name: String,
-    layout: PartitionLayout,
-}
-
-impl std::fmt::Debug for NeighborTableHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NeighborTableHandle")
-            .field("name", &self.name)
-            .field("vertices", &self.layout.size)
-            .finish()
-    }
+    obj: PsObject,
 }
 
 impl NeighborTableHandle {
@@ -219,90 +195,44 @@ impl NeighborTableHandle {
         partitioner: Partitioner,
         recovery: RecoveryMode,
     ) -> Result<Self> {
-        let name = name.into();
         let layout =
             PartitionLayout::new(partitioner, num_vertices, ps.num_servers(), ps.num_servers());
-        for p in 0..layout.num_partitions {
-            let server = ps.server(layout.server_of_partition(p));
-            let part = TablePart::default();
-            let bytes = part_bytes(&part);
-            server.insert(&name, p, part, bytes)?;
-        }
-        ps.register(Arc::new(NeighborOps {
-            name: name.clone(),
-            layout: layout.clone(),
-            recovery,
-        }));
-        Ok(NeighborTableHandle { ps: Arc::clone(ps), name, layout })
+        let obj = PsObject::new(ps, name, layout);
+        obj.install(recovery, |_| TablePart::default())?;
+        Ok(NeighborTableHandle { obj })
     }
 
     pub fn name(&self) -> &str {
-        &self.name
+        &self.obj.name
     }
 
     pub fn num_vertices(&self) -> u64 {
-        self.layout.size
+        self.obj.layout.size
     }
 
     pub fn layout(&self) -> &PartitionLayout {
-        &self.layout
-    }
-
-    fn check(&self, ids: &[u64]) -> Result<()> {
-        for &v in ids {
-            if v >= self.layout.size {
-                return Err(PsError::IndexOutOfBounds {
-                    name: self.name.clone(),
-                    index: v,
-                    size: self.layout.size,
-                });
-            }
-        }
-        Ok(())
+        &self.obj.layout
     }
 
     /// Push neighbor lists (replacing any existing entry for the vertex).
     pub fn push(&self, client: &NodeClock, entries: &[(u64, Vec<u64>)]) -> Result<()> {
-        let ids: Vec<u64> = entries.iter().map(|(v, _)| *v).collect();
-        self.check(&ids)?;
-        // Group entry positions by (server, partition).
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            let p = self.layout.partition_of(v);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        for (s, parts) in groups {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let total: u64 = parts
-                .values()
-                .flatten()
-                .map(|&pos| 16 + entries[pos].1.len() as u64 * 8)
-                .sum();
-            let items: u64 = parts
-                .values()
-                .flatten()
-                .map(|&pos| entries[pos].1.len() as u64 + 1)
-                .sum();
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                total,
-                items * self.ps.config().ops_per_item,
-                8,
-            );
-            for (p, positions) in parts {
-                server.update_resize(&self.name, p, |part: &mut TablePart, _old| {
-                    for &pos in &positions {
+        let ids = || entries.iter().map(|(v, _)| *v);
+        self.obj.check(ids())?;
+        self.obj.scatter(ids().enumerate(), |server, _, parts| {
+            let lens = || parts.values().flatten().map(|&pos| entries[pos].1.len() as u64);
+            let req_bytes = lens().map(|len| 16 + len * 8).sum();
+            let items = lens().map(|len| len + 1).sum();
+            self.obj.charge(client, server, req_bytes, self.obj.item_ops(items), 8);
+            for (p, positions) in &parts {
+                self.obj.write(server, *p, |part: &mut TablePart| {
+                    for &pos in positions {
                         let (v, ns) = &entries[pos];
                         part.insert(*v, NeighborEntry::new(ns.clone()));
                     }
-                    ((), part_bytes(part))
                 })?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Apply ordered edge mutations: `(src, dst, add)` adds `dst` to
@@ -317,51 +247,19 @@ impl NeighborTableHandle {
         client: &NodeClock,
         ops: &[(u64, u64, bool)],
     ) -> Result<(usize, usize)> {
-        for &(src, dst, _) in ops {
-            self.check(&[src, dst])?;
-        }
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &(src, _, _)) in ops.iter().enumerate() {
-            let p = self.layout.partition_of(src);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        let mut added = 0usize;
-        let mut removed = 0usize;
-        for (s, parts) in groups {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: u64 = parts.values().map(|v| v.len() as u64).sum();
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                n * 17,
-                n * self.ps.config().ops_per_item,
-                16,
-            );
+        self.obj.check(ops.iter().flat_map(|&(src, dst, _)| [src, dst]))?;
+        let (mut added, mut removed) = (0, 0);
+        self.obj.scatter(ops.iter().map(|op| op.0).enumerate(), |server, n, parts| {
+            self.obj.charge(client, server, n * 17, self.obj.item_ops(n), 16);
             for (p, positions) in parts {
-                let (a, r) =
-                    server.update_resize(&self.name, p, |part: &mut TablePart, _old| {
-                        let mut a = 0usize;
-                        let mut r = 0usize;
-                        for &pos in &positions {
-                            let (src, dst, add) = ops[pos];
-                            if add {
-                                if part.entry(src).or_default().add(dst) {
-                                    a += 1;
-                                }
-                            } else if let Some(e) = part.get_mut(&src) {
-                                if e.remove(dst) {
-                                    r += 1;
-                                }
-                            }
-                        }
-                        ((a, r), part_bytes(part))
-                    })?;
+                let (a, r) = self.obj.write(server, p, |part: &mut TablePart| {
+                    apply_edge_ops(part, ops, &positions)
+                })?;
                 added += a;
                 removed += r;
             }
-        }
+            Ok(())
+        })?;
         Ok((added, removed))
     }
 
@@ -384,61 +282,30 @@ impl NeighborTableHandle {
         lanes: &[(&NodeClock, &[(u64, u64, bool)])],
     ) -> Result<Vec<(usize, usize)>> {
         for &(_, ops) in lanes {
-            for &(src, dst, _) in ops {
-                self.check(&[src, dst])?;
-            }
+            self.obj.check(ops.iter().flat_map(|&(src, dst, _)| [src, dst]))?;
         }
-        // (lane, server, partition, op positions) in canonical order.
-        let mut tasks: Vec<(usize, usize, usize, Vec<usize>)> = Vec::new();
+        // (lane, partition, op positions): the grouping of every lane,
+        // sorted into canonical (server, partition) order.
+        let mut tasks: Vec<(usize, usize, Vec<usize>)> = Vec::new();
         for (lane, &(clock, ops)) in lanes.iter().enumerate() {
-            let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> =
-                FxHashMap::default();
-            for (pos, &(src, _, _)) in ops.iter().enumerate() {
-                let p = self.layout.partition_of(src);
-                let s = self.layout.server_of_partition(p);
-                groups.entry(s).or_default().entry(p).or_default().push(pos);
-            }
-            let mut servers: Vec<usize> = groups.keys().copied().collect();
-            servers.sort_unstable();
-            for s in servers {
-                let parts = &groups[&s];
-                let server = self.ps.server(s);
+            let mut groups: Vec<_> =
+                self.obj.group(ops.iter().map(|op| op.0).enumerate()).into_iter().collect();
+            groups.sort_unstable_by_key(|&(s, _)| s);
+            for (s, parts) in groups {
+                let server = self.obj.ps.server(s);
                 server.ensure_alive()?;
                 let n: u64 = parts.values().map(|v| v.len() as u64).sum();
-                self.ps.network().rpc(
-                    clock,
-                    server.port(),
-                    n * 17,
-                    n * self.ps.config().ops_per_item,
-                    16,
-                );
-                let mut pids: Vec<usize> = parts.keys().copied().collect();
-                pids.sort_unstable();
-                for p in pids {
-                    tasks.push((lane, s, p, parts[&p].clone()));
-                }
+                self.obj.charge(clock, server, n * 17, self.obj.item_ops(n), 16);
+                let mut parts: Vec<_> = parts.into_iter().collect();
+                parts.sort_unstable_by_key(|&(p, _)| p);
+                tasks.extend(parts.into_iter().map(|(p, positions)| (lane, p, positions)));
             }
         }
         let results: Vec<Result<(usize, usize)>> =
-            self.ps.pool().map((0..tasks.len()).collect(), |t| {
-                let (lane, s, p, ref positions) = tasks[t];
-                let ops = lanes[lane].1;
-                self.ps.server(s).update_resize(&self.name, p, |part: &mut TablePart, _old| {
-                    let mut a = 0usize;
-                    let mut r = 0usize;
-                    for &pos in positions {
-                        let (src, dst, add) = ops[pos];
-                        if add {
-                            if part.entry(src).or_default().add(dst) {
-                                a += 1;
-                            }
-                        } else if let Some(e) = part.get_mut(&src) {
-                            if e.remove(dst) {
-                                r += 1;
-                            }
-                        }
-                    }
-                    ((a, r), part_bytes(part))
+            self.obj.ps.pool().map((0..tasks.len()).collect(), |t| {
+                let (lane, p, ref positions) = tasks[t];
+                self.obj.write(self.obj.server(p), p, |part: &mut TablePart| {
+                    apply_edge_ops(part, lanes[lane].1, positions)
                 })
             });
         let mut out = vec![(0usize, 0usize); lanes.len()];
@@ -474,36 +341,34 @@ impl NeighborTableHandle {
     /// and the response are charged over the distinct ids of every
     /// (server, partition) group, and a repeated id gets an `Arc` clone of
     /// its first occurrence's list — so a batch of edges around a hub
-    /// ships the hub's list once, not once per incident edge.
+    /// ships the hub's list once, not once per incident edge. The response
+    /// size is only known once the lists were read, so the charge follows
+    /// the visit.
     pub fn pull(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<Arc<Vec<u64>>>> {
-        self.check(ids)?;
+        self.obj.check(ids.iter().copied())?;
         static EMPTY: std::sync::OnceLock<Arc<Vec<u64>>> = std::sync::OnceLock::new();
         let empty = EMPTY.get_or_init(|| Arc::new(Vec::new()));
         let mut out: Vec<Arc<Vec<u64>>> = vec![Arc::clone(empty); ids.len()];
-        // Group the first occurrence of each id by (server, partition);
-        // remember where every later occurrence copies from.
+        // Only the first occurrence of each id is routed; remember where
+        // every later occurrence copies from.
         let mut first: FxHashMap<u64, usize> = FxHashMap::default();
         first.reserve(ids.len());
         let mut repeats: Vec<(usize, usize)> = Vec::new();
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            match first.entry(v) {
-                Entry::Occupied(e) => repeats.push((pos, *e.get())),
-                Entry::Vacant(e) => {
-                    e.insert(pos);
-                    let p = self.layout.partition_of(v);
-                    let s = self.layout.server_of_partition(p);
-                    groups.entry(s).or_default().entry(p).or_default().push(pos);
-                }
+        let firsts = ids.iter().copied().enumerate().filter(|&(pos, v)| match first.entry(v) {
+            Entry::Occupied(e) => {
+                repeats.push((pos, *e.get()));
+                false
             }
-        }
-        for (s, parts) in groups {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
+            Entry::Vacant(e) => {
+                e.insert(pos);
+                true
+            }
+        });
+        self.obj.scatter(firsts, |server, n, parts| {
             let mut resp_bytes = 0u64;
             let mut items = 0u64;
             for (p, positions) in &parts {
-                server.get(&self.name, *p, |part: &TablePart| {
+                server.get(&self.obj.name, *p, |part: &TablePart| {
                     for &pos in positions {
                         if let Some(e) = part.get(&ids[pos]) {
                             let ns = e.live();
@@ -514,14 +379,9 @@ impl NeighborTableHandle {
                     }
                 })?;
             }
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                parts.values().map(|v| v.len() as u64 * 8).sum(),
-                items * self.ps.config().ops_per_item,
-                resp_bytes,
-            );
-        }
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(items), resp_bytes);
+            Ok(())
+        })?;
         for (pos, from) in repeats {
             out[pos] = Arc::clone(&out[from]);
         }
@@ -530,33 +390,19 @@ impl NeighborTableHandle {
 
     /// Out-degrees of `ids` (server-side; only counts cross the wire).
     pub fn degrees(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<u64>> {
-        self.check(ids)?;
+        self.obj.check(ids.iter().copied())?;
         let mut out = vec![0u64; ids.len()];
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            let p = self.layout.partition_of(v);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        for (s, parts) in groups {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: usize = parts.values().map(Vec::len).sum();
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                n as u64 * 8,
-                n as u64 * self.ps.config().ops_per_item,
-                n as u64 * 8,
-            );
+        self.obj.scatter(ids.iter().copied().enumerate(), |server, n, parts| {
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), n * 8);
             for (p, positions) in parts {
-                server.get(&self.name, p, |part: &TablePart| {
+                server.get(&self.obj.name, p, |part: &TablePart| {
                     for &pos in &positions {
                         out[pos] = part.get(&ids[pos]).map_or(0, |e| e.live_len() as u64);
                     }
                 })?;
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -570,27 +416,13 @@ impl NeighborTableHandle {
         k: usize,
         seed: u64,
     ) -> Result<Vec<Vec<u64>>> {
-        self.check(ids)?;
+        self.obj.check(ids.iter().copied())?;
         let mut out: Vec<Vec<u64>> = vec![Vec::new(); ids.len()];
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &v) in ids.iter().enumerate() {
-            let p = self.layout.partition_of(v);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        for (s, parts) in groups {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: usize = parts.values().map(Vec::len).sum();
-            self.ps.network().rpc(
-                client,
-                server.port(),
-                n as u64 * 8,
-                (n * k) as u64 * self.ps.config().ops_per_item,
-                (n * k) as u64 * 8,
-            );
+        self.obj.scatter(ids.iter().copied().enumerate(), |server, n, parts| {
+            let sampled = n * k as u64;
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(sampled), sampled * 8);
             for (p, positions) in parts {
-                server.get(&self.name, p, |part: &TablePart| {
+                server.get(&self.obj.name, p, |part: &TablePart| {
                     for &pos in &positions {
                         let v = ids[pos];
                         if let Some(e) = part.get(&v) {
@@ -611,18 +443,24 @@ impl NeighborTableHandle {
                     }
                 })?;
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
+    }
+
+    /// `Σ f(partition)` over every partition (diagnostics; not charged).
+    fn sum_parts(&self, f: impl Fn(&TablePart) -> usize) -> Result<usize> {
+        let mut total = 0;
+        self.obj.each_partition(|p, server| {
+            total += server.get(&self.obj.name, p, &f)?;
+            Ok(())
+        })?;
+        Ok(total)
     }
 
     /// Number of vertices with entries (diagnostics).
     pub fn len(&self) -> Result<usize> {
-        let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &TablePart| part.len())?;
-        }
-        Ok(total)
+        self.sum_parts(TablePart::len)
     }
 
     pub fn is_empty(&self) -> Result<bool> {
@@ -632,41 +470,24 @@ impl NeighborTableHandle {
     /// Total tombstoned slots across all entries (diagnostics: memory
     /// awaiting compaction).
     pub fn tombstones(&self) -> Result<usize> {
-        let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &TablePart| {
-                part.values().map(|e| e.dead).sum::<usize>()
-            })?;
-        }
-        Ok(total)
+        self.sum_parts(|part| part.values().map(|e| e.dead).sum())
     }
 
     /// Per-partition write versions (delta export diffs against these).
     pub fn partition_versions(&self) -> Result<Vec<u64>> {
-        (0..self.layout.num_partitions)
-            .map(|p| {
-                self.ps
-                    .server(self.layout.server_of_partition(p))
-                    .version(&self.name, p)
-            })
-            .collect()
+        self.obj.partition_versions()
     }
 
     /// Bytes resident on servers.
     pub fn resident_bytes(&self) -> Result<u64> {
-        let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &TablePart| part_bytes(part))?;
-        }
-        Ok(total)
+        self.obj.resident_bytes::<TablePart>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PsError;
     use crate::ps::PsConfig;
     use psgraph_dfs::Dfs;
 
@@ -899,48 +720,24 @@ mod tests {
         assert_eq!(t.tombstones().unwrap(), 0, "restore compacts");
     }
 
+    // Truncation and bit flips are fuzzed for every partition type at
+    // once in `object::tests`; these two are the table's own rules.
     #[test]
-    fn decode_part_never_panics_on_damaged_checkpoints() {
-        use psgraph_harness::prop::{check, Source};
-        use psgraph_harness::{prop_assert, prop_assert_eq};
-        check(
-            "decode_part_never_panics_on_damaged_checkpoints",
-            |src: &mut Source| {
-                let entries = src.vec_with(0, 6, |s| {
-                    (s.u64_range(0, 50), s.vec_with(0, 5, |s| s.u64_range(0, 50)))
-                });
-                let flips = src.vec_with(1, 4, |s| (s.any_u64(), s.choice(8) as u32));
-                (entries, flips)
-            },
-            |(entries, flips)| {
-                let mut part = TablePart::default();
-                for (v, ns) in entries {
-                    part.insert(*v, NeighborEntry::new(ns.clone()));
-                }
-                let bytes = encode_part(&part);
+    fn decode_part_rejects_a_repeated_vertex_and_trailing_bytes() {
+        let mut part = TablePart::default();
+        part.insert(3, NeighborEntry::new(vec![1, 2]));
+        let good = encode_part(&part);
+        assert!(decode_part(&good).is_ok());
 
-                // Untouched: round-trips to the same live lists.
-                let back = decode_part(&bytes).map_err(|e| e.to_string())?;
-                prop_assert_eq!(back.len(), part.len());
-                for (v, e) in &part {
-                    prop_assert_eq!(back[v].live(), e.live(), "vertex {}", v);
-                }
-                // Truncated anywhere: a clean error (no prefix of an
-                // encoding is itself one), never a panic.
-                for cut in 0..bytes.len() {
-                    prop_assert!(decode_part(&bytes[..cut]).is_err(), "cut at {}", cut);
-                }
-                // Bit flips: an error or some table, never a panic or an
-                // allocation sized by a corrupt length.
-                let mut damaged = bytes.clone();
-                for &(at, bit) in flips {
-                    let at = (at % damaged.len() as u64) as usize;
-                    damaged[at] ^= 1 << bit;
-                }
-                let _ = decode_part(&damaged);
-                Ok(())
-            },
-        );
+        // Two entries, both for vertex 3.
+        let mut twice = 2u64.to_le_bytes().to_vec();
+        twice.extend_from_slice(&good[8..]);
+        twice.extend_from_slice(&good[8..]);
+        assert!(matches!(decode_part(&twice), Err(PsError::Dfs(m)) if m.contains("twice")));
+
+        let mut trailing = good.clone();
+        trailing.extend_from_slice(&[0; 8]);
+        assert!(matches!(decode_part(&trailing), Err(PsError::Dfs(m)) if m.contains("trailing")));
     }
 
     #[test]

@@ -1,0 +1,584 @@
+//! The one client-side core every PS handle embeds (paper §III-A: one
+//! `pull` / `push` / `psFunc` contract over vectors, matrices and neighbor
+//! tables, routed by one partitioner).
+//!
+//! A handle is a [`PsObject`] — which cluster, which name, which layout —
+//! plus its own shape. What every request has in common lives here and
+//! nowhere else: which server and partition owns a key and in which order
+//! a request visits them ([`PsObject::group`]), the liveness check that
+//! precedes any charge ([`PsObject::scatter`], [`PsObject::each_partition`]),
+//! the RPC charge itself ([`PsObject::charge`]), and what the cluster needs
+//! from a partition type to checkpoint and restore it ([`Partition`],
+//! decoded through the bounds-checked [`Reader`]). DESIGN.md §8.8 states
+//! the contract.
+
+use psgraph_sim::bytes::Buf;
+use psgraph_sim::{FxHashMap, NodeClock};
+use std::marker::PhantomData;
+use std::sync::Arc;
+
+use crate::element::Element;
+use crate::error::{PsError, Result};
+use crate::partition::PartitionLayout;
+use crate::ps::{ObjectOps, Ps, RecoveryMode};
+use crate::server::PsServer;
+
+/// What the cluster needs from a stored partition type.
+pub(crate) trait Partition: Send + Sync + Sized + 'static {
+    /// The checkpoint encoding.
+    fn encode(&self) -> Vec<u8>;
+
+    /// Inverse of [`Partition::encode`]. The buffer comes off the DFS, so
+    /// nothing in it is trusted: a truncated or corrupt checkpoint is a
+    /// [`PsError::Dfs`], never a panic or an allocation sized by a corrupt
+    /// length ([`Reader`] enforces both).
+    fn decode(bytes: &[u8]) -> Result<Self>;
+
+    /// Bytes this partition occupies on its server.
+    fn approx_bytes(&self) -> u64;
+}
+
+/// The checkpoint / recovery hooks of an object whose partitions are `P`s.
+struct PartOps<P> {
+    name: String,
+    layout: PartitionLayout,
+    recovery: RecoveryMode,
+    _p: PhantomData<fn() -> P>,
+}
+
+impl<P: Partition> ObjectOps for PartOps<P> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn layout(&self) -> &PartitionLayout {
+        &self.layout
+    }
+
+    fn recovery_mode(&self) -> RecoveryMode {
+        self.recovery
+    }
+
+    fn encode_partition(&self, server: &PsServer, partition: usize) -> Result<Vec<u8>> {
+        server.get(&self.name, partition, P::encode)
+    }
+
+    fn decode_partition(&self, server: &PsServer, partition: usize, bytes: &[u8]) -> Result<()> {
+        let part = P::decode(bytes)?;
+        let size = part.approx_bytes();
+        server.insert(&self.name, partition, part, size)
+    }
+}
+
+/// One server's share of a request: positions of its keys, by partition.
+pub(crate) type ServerGroup = FxHashMap<usize, Vec<usize>>;
+
+/// Visit every partition of `layout` in partition order, failing at the
+/// first one whose server is down — before `visit` sees it.
+pub(crate) fn each_partition(
+    ps: &Ps,
+    layout: &PartitionLayout,
+    mut visit: impl FnMut(usize, &PsServer) -> Result<()>,
+) -> Result<()> {
+    for p in 0..layout.num_partitions {
+        let server = ps.server(layout.server_of_partition(p));
+        server.ensure_alive()?;
+        visit(p, server)?;
+    }
+    Ok(())
+}
+
+/// A named, partitioned object on a PS cluster — the part of every handle
+/// that is not its shape.
+#[derive(Debug, Clone)]
+pub(crate) struct PsObject {
+    pub(crate) ps: Arc<Ps>,
+    pub(crate) name: String,
+    pub(crate) layout: PartitionLayout,
+}
+
+impl PsObject {
+    pub(crate) fn new(ps: &Arc<Ps>, name: impl Into<String>, layout: PartitionLayout) -> Self {
+        PsObject {
+            ps: Arc::clone(ps),
+            name: name.into(),
+            layout,
+        }
+    }
+
+    /// Build every partition with `build`, place it on its server, and
+    /// register the object for checkpoint / recovery.
+    pub(crate) fn install<P: Partition>(
+        &self,
+        recovery: RecoveryMode,
+        mut build: impl FnMut(usize) -> P,
+    ) -> Result<()> {
+        for p in 0..self.layout.num_partitions {
+            let part = build(p);
+            let bytes = part.approx_bytes();
+            self.server(p).insert(&self.name, p, part, bytes)?;
+        }
+        self.ps.register(Arc::new(PartOps::<P> {
+            name: self.name.clone(),
+            layout: self.layout.clone(),
+            recovery,
+            _p: PhantomData,
+        }));
+        Ok(())
+    }
+
+    /// The server hosting partition `p`.
+    pub(crate) fn server(&self, p: usize) -> &PsServer {
+        self.ps.server(self.layout.server_of_partition(p))
+    }
+
+    /// Reject the first key outside `[0, size)`.
+    pub(crate) fn check_below(&self, size: u64, keys: impl IntoIterator<Item = u64>) -> Result<()> {
+        match keys.into_iter().find(|&k| k >= size) {
+            Some(index) => Err(PsError::IndexOutOfBounds {
+                name: self.name.clone(),
+                index,
+                size,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Reject the first key outside the layout's key space.
+    pub(crate) fn check(&self, keys: impl IntoIterator<Item = u64>) -> Result<()> {
+        self.check_below(self.layout.size, keys)
+    }
+
+    /// Which server and partition owns each `(position, key)`, and — the
+    /// iteration order of the result — in which order a request visits
+    /// them. A server's port is FIFO in sim time, so that order is part of
+    /// every workload's modelled cost: it is the iteration order of this
+    /// nested map (`0, 2, 1, 3` on four servers, and for some server
+    /// subsets of a seven-server cluster the order the request names them
+    /// in), pinned by `tests/golden_sim_cost.rs`. Positions keep their
+    /// input order within a partition.
+    pub(crate) fn group(
+        &self,
+        keys: impl IntoIterator<Item = (usize, u64)>,
+    ) -> FxHashMap<usize, ServerGroup> {
+        let mut groups: FxHashMap<usize, ServerGroup> = FxHashMap::default();
+        for (pos, key) in keys {
+            let p = self.layout.partition_of(key);
+            let s = self.layout.server_of_partition(p);
+            groups.entry(s).or_default().entry(p).or_default().push(pos);
+        }
+        groups
+    }
+
+    /// One leg per server that owns any of `keys`: `visit` gets the
+    /// server (checked alive first), how many keys it owns, and their
+    /// positions by partition. `visit` decides when to
+    /// [`charge`](PsObject::charge) — before touching the partitions when
+    /// the cost is known from the request, after when the response size
+    /// is only known once they were read.
+    pub(crate) fn scatter(
+        &self,
+        keys: impl IntoIterator<Item = (usize, u64)>,
+        mut visit: impl FnMut(&PsServer, u64, ServerGroup) -> Result<()>,
+    ) -> Result<()> {
+        for (s, parts) in self.group(keys) {
+            let server = self.ps.server(s);
+            server.ensure_alive()?;
+            let n = parts.values().map(|positions| positions.len() as u64).sum();
+            visit(server, n, parts)?;
+        }
+        Ok(())
+    }
+
+    /// Whole-object operations: see [`each_partition`].
+    pub(crate) fn each_partition(
+        &self,
+        visit: impl FnMut(usize, &PsServer) -> Result<()>,
+    ) -> Result<()> {
+        each_partition(&self.ps, &self.layout, visit)
+    }
+
+    /// Charge one RPC from `client` to `server`: request bytes, raw server
+    /// CPU ops, response bytes.
+    pub(crate) fn charge(
+        &self,
+        client: &NodeClock,
+        server: &PsServer,
+        req_bytes: u64,
+        ops: u64,
+        resp_bytes: u64,
+    ) {
+        self.ps.network().rpc(client, server.port(), req_bytes, ops, resp_bytes);
+    }
+
+    /// Server CPU ops of touching `items` items.
+    pub(crate) fn item_ops(&self, items: u64) -> u64 {
+        items * self.ps.config().ops_per_item
+    }
+
+    /// Mutate partition `p` on `server`; its footprint is re-measured
+    /// afterwards, so the server's memory meter follows every write.
+    pub(crate) fn write<P: Partition, R>(
+        &self,
+        server: &PsServer,
+        p: usize,
+        f: impl FnOnce(&mut P) -> R,
+    ) -> Result<R> {
+        server.update_resize(&self.name, p, |part: &mut P, _old| {
+            let r = f(part);
+            (r, part.approx_bytes())
+        })
+    }
+
+    /// Per-partition write versions (see [`PsServer::version`]) — the
+    /// change detector snapshot delta export compares against.
+    pub(crate) fn partition_versions(&self) -> Result<Vec<u64>> {
+        let mut versions = Vec::with_capacity(self.layout.num_partitions);
+        self.each_partition(|p, server| {
+            versions.push(server.version(&self.name, p)?);
+            Ok(())
+        })?;
+        Ok(versions)
+    }
+
+    /// Bytes resident on the servers for this object.
+    pub(crate) fn resident_bytes<P: Partition>(&self) -> Result<u64> {
+        let mut total = 0;
+        self.each_partition(|p, server| {
+            total += server.get(&self.name, p, P::approx_bytes)?;
+            Ok(())
+        })?;
+        Ok(total)
+    }
+}
+
+/// Bounds-checked cursor over an untrusted checkpoint buffer: every read
+/// checks the bytes left first (the `sim::bytes` getters panic on a short
+/// buffer by contract), and every on-disk length is bounded by the bytes
+/// that are left before anything is allocated for it.
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    what: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    /// `what` names the format in error messages.
+    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> Self {
+        Reader { buf, what }
+    }
+
+    pub(crate) fn corrupt(&self, why: &str) -> PsError {
+        PsError::Dfs(format!("corrupt {} checkpoint: {why}", self.what))
+    }
+
+    fn need(&self, bytes: usize) -> Result<()> {
+        if self.buf.len() < bytes {
+            return Err(self.corrupt("truncated"));
+        }
+        Ok(())
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8> {
+        self.need(1)?;
+        Ok(self.buf.get_u8())
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64> {
+        self.need(8)?;
+        Ok(self.buf.get_u64_le())
+    }
+
+    /// A `u64` field used as an in-memory size or index.
+    pub(crate) fn usize(&mut self) -> Result<usize> {
+        usize::try_from(self.u64()?).map_err(|_| self.corrupt("field exceeds the address space"))
+    }
+
+    /// An on-disk count of items that take at least `width` bytes each: no
+    /// more than the bytes left can hold.
+    pub(crate) fn count(&mut self, width: usize) -> Result<usize> {
+        let n = self.u64()?;
+        if n > (self.buf.len() / width) as u64 {
+            return Err(self.corrupt("count exceeds the bytes present"));
+        }
+        Ok(n as usize)
+    }
+
+    pub(crate) fn elem<E: Element>(&mut self) -> Result<E> {
+        self.need(E::WIDTH)?;
+        Ok(E::decode(&mut self.buf))
+    }
+
+    pub(crate) fn elems<E: Element>(&mut self, n: usize) -> Result<Vec<E>> {
+        self.need(
+            n.checked_mul(E::WIDTH)
+                .ok_or_else(|| self.corrupt("length overflows"))?,
+        )?;
+        Ok((0..n).map(|_| E::decode(&mut self.buf)).collect())
+    }
+
+    /// The encoding ends here: anything left over is corruption.
+    pub(crate) fn finish(self) -> Result<()> {
+        if !self.buf.is_empty() {
+            return Err(self.corrupt("trailing bytes"));
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::colmatrix::ColPart;
+    use crate::csr::CsrPart;
+    use crate::matrix::MatPart;
+    use crate::neighbor::{NeighborEntry, TablePart};
+    use crate::ps::PsConfig;
+    use crate::vector::VecPart;
+    use psgraph_harness::prop::{check, Source};
+    use psgraph_harness::{prop_assert, prop_assert_eq};
+
+    fn object(servers: usize, layout: PartitionLayout) -> PsObject {
+        PsObject::new(
+            &Ps::new(PsConfig {
+                servers,
+                ..Default::default()
+            }),
+            "obj",
+            layout,
+        )
+    }
+
+    #[test]
+    fn group_keeps_positions_per_owner_and_omits_idle_servers() {
+        let obj = object(4, PartitionLayout::range(100, 4));
+        // Server 1 owns [25, 50): no key lands there.
+        let keys = [0u64, 99, 50, 1, 75, 0];
+        let groups = obj.group(keys.iter().copied().enumerate());
+        let mut seen = vec![false; keys.len()];
+        for (s, parts) in &groups {
+            for (p, positions) in parts {
+                assert_eq!(obj.layout.server_of_partition(*p), *s);
+                assert!(
+                    positions.is_sorted(),
+                    "input order is kept within a partition"
+                );
+                for &i in positions {
+                    assert_eq!(obj.layout.partition_of(keys[i]), *p);
+                    assert!(
+                        !std::mem::replace(&mut seen[i], true),
+                        "position {i} grouped twice"
+                    );
+                }
+            }
+        }
+        assert!(seen.iter().all(|&b| b));
+        assert!(
+            !groups.contains_key(&1),
+            "a server that owns no key gets no leg"
+        );
+        assert!(obj.group(std::iter::empty()).is_empty());
+    }
+
+    #[test]
+    fn scatter_checks_liveness_before_the_leg_and_counts_its_keys() {
+        let obj = object(4, PartitionLayout::range(100, 4));
+        let keys = [0u64, 99, 50, 1, 75, 0];
+        let mut legs = Vec::new();
+        obj.scatter(keys.iter().copied().enumerate(), |server, n, parts| {
+            assert_eq!(n, parts.values().map(|v| v.len() as u64).sum::<u64>());
+            legs.push((server.id(), n));
+            Ok(())
+        })
+        .unwrap();
+        legs.sort_unstable();
+        assert_eq!(legs, vec![(0, 3), (2, 1), (3, 2)]);
+
+        obj.ps.kill_server(3);
+        let mut visited = Vec::new();
+        let err = obj.scatter(keys.iter().copied().enumerate(), |server, _, _| {
+            visited.push(server.id());
+            Ok(())
+        });
+        assert_eq!(err, Err(PsError::ServerDown { id: 3 }));
+        assert!(!visited.contains(&3), "a dead server's leg never runs");
+        // An idle dead server does not fail a request that skips it.
+        obj.scatter([(0, 10u64)], |_, _, _| Ok(())).unwrap();
+        // Whole-object visits stop at the first dead server, in partition order.
+        let mut reached = Vec::new();
+        let err = obj.each_partition(|p, _| {
+            reached.push(p);
+            Ok(())
+        });
+        assert_eq!(
+            (err, reached),
+            (Err(PsError::ServerDown { id: 3 }), vec![0, 1, 2])
+        );
+    }
+
+    #[test]
+    fn check_names_the_first_key_out_of_range() {
+        let obj = object(2, PartitionLayout::range(10, 2));
+        assert_eq!(obj.check([3, 9, 0]), Ok(()));
+        let out_of_bounds = |index, size| {
+            Err(PsError::IndexOutOfBounds {
+                name: "obj".into(),
+                index,
+                size,
+            })
+        };
+        assert_eq!(obj.check([3, 12, 10]), out_of_bounds(12, 10));
+        assert_eq!(obj.check_below(4, [3, 4]), out_of_bounds(4, 4));
+    }
+
+    /// What every [`Partition::decode`] owes a damaged checkpoint.
+    fn survives_damage<P: Partition>(
+        part: &P,
+        flips: &[(u64, u32)],
+    ) -> std::result::Result<(), String> {
+        let bytes = part.encode();
+        // Untouched: round-trips to an equal partition.
+        let back = P::decode(&bytes).map_err(|e| e.to_string())?;
+        prop_assert_eq!(back.encode(), bytes.clone());
+        prop_assert_eq!(back.approx_bytes(), part.approx_bytes());
+        // Truncated anywhere: a clean error (no prefix of an encoding is
+        // itself one), never a panic. Same for anything after the end.
+        for cut in 0..bytes.len() {
+            prop_assert!(P::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        prop_assert!(P::decode(&longer).is_err(), "trailing byte accepted");
+        // Bit flips: an error or some partition that can be used, never a
+        // panic or an allocation sized by a corrupt length.
+        let mut damaged = bytes.clone();
+        for &(at, bit) in flips {
+            let at = (at % damaged.len() as u64) as usize;
+            damaged[at] ^= 1 << bit;
+        }
+        if let Ok(part) = P::decode(&damaged) {
+            prop_assert_eq!(part.encode().len(), damaged.len());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn no_partition_decoder_panics_on_a_damaged_checkpoint() {
+        check(
+            "no_partition_decoder_panics_on_a_damaged_checkpoint",
+            |src: &mut Source| {
+                let f32s = |s: &mut Source, n: usize| -> Vec<f32> {
+                    (0..n).map(|_| s.f64_range(-8.0, 8.0) as f32).collect()
+                };
+                let vec_dense = VecPart::Dense {
+                    start: src.u64_range(0, 100),
+                    data: src.vec_with(0, 8, |s| s.f64_range(-8.0, 8.0)),
+                };
+                let vec_sparse = VecPart::Sparse {
+                    map: src
+                        .vec_with(0, 8, |s| (s.u64_range(0, 50), s.any_u64()))
+                        .into_iter()
+                        .collect(),
+                };
+                let (cols, rows) = (src.usize_range(1, 4), src.usize_range(0, 4));
+                let mat_dense = MatPart::Dense {
+                    start: src.u64_range(0, 100),
+                    cols,
+                    data: f32s(src, cols * rows),
+                };
+                let mat_sparse = MatPart::Sparse {
+                    cols,
+                    map: src
+                        .vec_with(0, 5, |s| (s.u64_range(0, 50), f32s(s, cols)))
+                        .into_iter()
+                        .collect(),
+                };
+                let col_start = src.usize_range(0, 5);
+                let col = ColPart {
+                    col_start,
+                    col_end: col_start + cols,
+                    data: f32s(src, cols * rows),
+                };
+                let lists = src.vec_with(0, 6, |s| s.vec_with(0, 5, |s| s.u64_range(0, 50)));
+                let table: TablePart = lists
+                    .iter()
+                    .enumerate()
+                    .map(|(v, ns)| (v as u64 * 7, NeighborEntry::new(ns.clone())))
+                    .collect();
+                let mut csr = CsrPart {
+                    start: src.u64_range(0, 100),
+                    offsets: vec![0],
+                    targets: vec![],
+                };
+                for ns in &lists {
+                    csr.targets.extend_from_slice(ns);
+                    csr.offsets.push(csr.targets.len() as u64);
+                }
+                let flips = src.vec_with(1, 4, |s| (s.any_u64(), s.choice(8) as u32));
+                (
+                    vec_dense, vec_sparse, mat_dense, mat_sparse, col, table, csr, flips,
+                )
+            },
+            |(vec_dense, vec_sparse, mat_dense, mat_sparse, col, table, csr, flips)| {
+                survives_damage::<VecPart<f64>>(vec_dense, flips)?;
+                survives_damage::<VecPart<u64>>(vec_sparse, flips)?;
+                survives_damage::<MatPart<f32>>(mat_dense, flips)?;
+                survives_damage::<MatPart<f32>>(mat_sparse, flips)?;
+                survives_damage(col, flips)?;
+                survives_damage(table, flips)?;
+                survives_damage(csr, flips)
+            },
+        );
+    }
+
+    #[test]
+    fn decoders_reject_encodings_that_would_panic_on_use() {
+        // A reversed / empty column range, or data that does not tile it.
+        let col = ColPart {
+            col_start: 2,
+            col_end: 4,
+            data: vec![1.0; 4],
+        };
+        for bad in [
+            ColPart {
+                col_start: 4,
+                col_end: 2,
+                ..col.clone()
+            },
+            ColPart {
+                col_end: 2,
+                ..col.clone()
+            },
+            ColPart {
+                col_end: 5,
+                ..col.clone()
+            },
+        ] {
+            assert!(ColPart::decode(&bad.encode()).is_err(), "{bad:?}");
+        }
+        // CSR offsets that run backwards or past the targets.
+        let csr = CsrPart {
+            start: 0,
+            offsets: vec![0, 2, 3],
+            targets: vec![7, 8, 9],
+        };
+        for offsets in [vec![0, 3, 2, 3], vec![1, 2, 3], vec![0, 2, 4], vec![]] {
+            let bad = CsrPart {
+                offsets,
+                ..csr.clone()
+            };
+            assert!(CsrPart::decode(&bad.encode()).is_err(), "{bad:?}");
+        }
+        // A dense matrix whose data is not whole rows.
+        let mat = MatPart::Dense {
+            start: 0,
+            cols: 3,
+            data: vec![0.0f32; 4],
+        };
+        assert!(MatPart::<f32>::decode(&mat.encode()).is_err());
+        // A count far larger than the buffer never sizes an allocation.
+        let mut huge = vec![0u8];
+        huge.extend_from_slice(&0u64.to_le_bytes());
+        huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(VecPart::<f64>::decode(&huge).is_err());
+    }
+}

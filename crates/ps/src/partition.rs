@@ -123,21 +123,6 @@ impl PartitionLayout {
             .filter(|&p| self.server_of_partition(p) == server)
             .collect()
     }
-
-    /// Group `keys` by target server, preserving per-server input order.
-    /// Returns `(server, positions-into-keys)` pairs for the non-empty
-    /// servers.
-    pub fn group_by_server(&self, keys: &[u64]) -> Vec<(usize, Vec<usize>)> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.num_servers];
-        for (i, &k) in keys.iter().enumerate() {
-            groups[self.server_of(k)].push(i);
-        }
-        groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -221,21 +206,6 @@ mod tests {
         assert_eq!(l.server_of_partition(4), 1);
         assert_eq!(l.partitions_of_server(0), vec![0, 3]);
         assert_eq!(l.partitions_of_server(2), vec![2, 5]);
-    }
-
-    #[test]
-    fn group_by_server_partitions_positions() {
-        let l = PartitionLayout::range(100, 4);
-        let keys = vec![0, 99, 50, 1, 75];
-        let groups = l.group_by_server(&keys);
-        let mut seen = vec![false; keys.len()];
-        for (s, positions) in &groups {
-            for &i in positions {
-                assert_eq!(l.server_of(keys[i]), *s);
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&b| b));
     }
 
     #[test]

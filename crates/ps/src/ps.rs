@@ -11,6 +11,7 @@ use std::sync::Arc;
 use psgraph_dfs::Dfs;
 
 use crate::error::{PsError, Result};
+use crate::object::each_partition;
 use crate::partition::PartitionLayout;
 use crate::server::PsServer;
 
@@ -235,18 +236,15 @@ impl Ps {
         ops: &dyn ObjectOps,
         generation: Option<u64>,
     ) -> Result<()> {
-        let layout = ops.layout();
-        for p in 0..layout.num_partitions {
-            let server = &self.servers[layout.server_of_partition(p)];
-            server.ensure_alive()?;
+        each_partition(self, ops.layout(), |p, server| {
             let bytes = ops.encode_partition(server, p)?;
             dfs.write(
                 &Self::ckpt_path_gen(generation, ops.name(), p),
                 &bytes,
                 server.port().clock(),
             )?;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Recover a restarted server: restore its partitions of

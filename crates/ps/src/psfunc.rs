@@ -51,28 +51,26 @@ impl<E: Element> VectorHandle<E> {
         f: impl Fn(PartitionViewMut<'_, E>) -> R + Send + Sync,
         merge: impl Fn(R, R) -> R,
     ) -> Result<R> {
-        let layout = self.layout().clone();
-        let f = &f;
-        let computed: Vec<Result<(R, u64)>> = self.owner_ps().pool().map(
-            (0..layout.num_partitions).collect(),
+        let (obj, f) = (&self.obj, &f);
+        let computed: Vec<Result<(R, u64)>> = obj.ps.pool().map(
+            (0..obj.layout.num_partitions).collect(),
             |p| {
-                self.with_partition_mut(p, |part| match part {
-                    VecPart::Dense { start, data } => {
-                        let n = data.len() as u64;
-                        (f(PartitionViewMut::Dense { start: *start, data }), n)
-                    }
-                    VecPart::Sparse { map } => {
-                        let n = map.len() as u64;
-                        (f(PartitionViewMut::Sparse(map)), n)
-                    }
+                obj.write(obj.server(p), p, |part: &mut VecPart<E>| {
+                    let n = part.len() as u64;
+                    let view = match part {
+                        VecPart::Dense { start, data } => {
+                            PartitionViewMut::Dense { start: *start, data }
+                        }
+                        VecPart::Sparse { map } => PartitionViewMut::Sparse(map),
+                    };
+                    (f(view), n)
                 })
             },
         );
         let mut acc = R::default();
         for (p, res) in computed.into_iter().enumerate() {
             let (r, items) = res?;
-            let server_idx = layout.server_of_partition(p);
-            self.charge_server_rpc(client, server_idx, req_bytes, items, resp_bytes);
+            obj.charge(client, obj.server(p), req_bytes, obj.item_ops(items), resp_bytes);
             acc = merge(acc, r);
         }
         Ok(acc)

@@ -174,7 +174,7 @@ impl VectorHandle<f64> {
                 size: n,
             });
         }
-        let ps = self.owner_ps();
+        let ps = &self.obj.ps;
         let parts = layout.num_partitions;
         front.combiner.ensure(n as usize);
         front.inbound.resize_with(parts, Vec::new);
@@ -201,8 +201,8 @@ impl VectorHandle<f64> {
             let (ids, inbound) = (&front.ids[span], &front.inbound[p]);
             let combiner = &mut front.combiner;
             let returned = next_ids.len();
-            let server_idx = layout.server_of_partition(p);
-            let leg = ps.server(server_idx).update_pair_with(
+            let server = self.obj.server(p);
+            let leg = server.update_pair_with(
                 (self.name(), p),
                 (res.name(), p),
                 (adj.name(), p),
@@ -267,11 +267,11 @@ impl VectorHandle<f64> {
                     (Ok(leg), wrote)
                 },
             )??;
-            self.charge_server_rpc(
+            self.obj.charge(
                 client,
-                server_idx,
+                server,
                 8 * ids.len() as u64 + 16 * inbound.len() as u64,
-                (leg.absorbed + leg.slots + leg.applied) as u64,
+                self.obj.item_ops((leg.absorbed + leg.slots + leg.applied) as u64),
                 16 * leg.remote as u64 + 8 * (next_ids.len() - returned) as u64,
             );
             round.absorbed += leg.absorbed;

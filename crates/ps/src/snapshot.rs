@@ -22,9 +22,11 @@ use psgraph_sim::NodeClock;
 
 use crate::colmatrix::ColMatrixHandle;
 use crate::csr::CsrHandle;
+use crate::element::Element;
 use crate::error::{PsError, Result};
 use crate::matrix::MatrixHandle;
 use crate::neighbor::NeighborTableHandle;
+use crate::partition::PartitionLayout;
 use crate::vector::VectorHandle;
 
 /// Manifest magic ("PSGSNAP2" as big-endian bytes — v2 added the
@@ -228,6 +230,31 @@ pub fn load_object(
     })
 }
 
+/// The ids `[start, end)` in requests of at most [`EXPORT_CHUNK`].
+fn chunks(start: u64, end: u64) -> impl Iterator<Item = Vec<u64>> {
+    (start..end)
+        .step_by(EXPORT_CHUNK)
+        .map(move |lo| (lo..(lo + EXPORT_CHUNK as u64).min(end)).collect())
+}
+
+/// The CSR (`offsets` from 0, packed `targets`) of the adjacency lists
+/// `pull` returns for each request, concatenated in request order.
+fn pull_csr<L: AsRef<Vec<u64>>>(
+    requests: impl Iterator<Item = Vec<u64>>,
+    mut pull: impl FnMut(&[u64]) -> Result<Vec<L>>,
+) -> Result<(Vec<u64>, Vec<u64>)> {
+    let mut offsets = vec![0u64];
+    let mut targets: Vec<u64> = Vec::new();
+    for ids in requests {
+        offsets.reserve(ids.len());
+        for ns in pull(&ids)? {
+            targets.extend_from_slice(ns.as_ref());
+            offsets.push(targets.len() as u64);
+        }
+    }
+    Ok((offsets, targets))
+}
+
 /// Exports live PS objects into a snapshot directory on the DFS.
 pub struct SnapshotWriter<'a> {
     dfs: &'a Dfs,
@@ -267,152 +294,91 @@ impl<'a> SnapshotWriter<'a> {
 
     /// Export a dense f64 vector (ranks, scores).
     pub fn vector_f64(&mut self, h: &VectorHandle<f64>) -> Result<()> {
-        let part_versions = h.partition_versions()?;
-        let values = h.pull_all(self.client)?;
-        let mut payload = Vec::with_capacity(values.len() * 8);
-        for v in &values {
-            payload.put_f64_le(*v);
-        }
-        self.write_object(
-            SnapshotEntry {
-                name: h.name().to_string(),
-                kind: SnapshotKind::VecF64,
-                rows: values.len() as u64,
-                cols: 1,
-                part_versions,
-            },
-            payload,
-        )
+        self.vector(h, SnapshotKind::VecF64)
     }
 
     /// Export a dense u64 vector (community / label assignments).
     pub fn vector_u64(&mut self, h: &VectorHandle<u64>) -> Result<()> {
+        self.vector(h, SnapshotKind::VecU64)
+    }
+
+    fn vector<E: Element>(&mut self, h: &VectorHandle<E>, kind: SnapshotKind) -> Result<()> {
         let part_versions = h.partition_versions()?;
         let values = h.pull_all(self.client)?;
-        let mut payload = Vec::with_capacity(values.len() * 8);
+        let mut payload = Vec::with_capacity(values.len() * E::WIDTH);
         for v in &values {
-            payload.put_u64_le(*v);
+            v.encode(&mut payload);
         }
-        self.write_object(
-            SnapshotEntry {
-                name: h.name().to_string(),
-                kind: SnapshotKind::VecU64,
-                rows: values.len() as u64,
-                cols: 1,
-                part_versions,
-            },
-            payload,
-        )
+        let entry = SnapshotEntry {
+            name: h.name().to_string(),
+            kind,
+            rows: values.len() as u64,
+            cols: 1,
+            part_versions,
+        };
+        self.write_object(entry, payload)
     }
 
     /// Export a row-partitioned f32 matrix.
     pub fn matrix_f32(&mut self, h: &MatrixHandle<f32>) -> Result<()> {
-        let part_versions = h.partition_versions()?;
-        let rows = h.pull_all(self.client)?;
-        let cols = rows.first().map_or(0, Vec::len);
-        let mut payload = Vec::with_capacity(rows.len() * cols * 4);
-        for row in &rows {
-            for v in row {
-                payload.put_f32_le(*v);
-            }
-        }
-        self.write_object(
-            SnapshotEntry {
-                name: h.name().to_string(),
-                kind: SnapshotKind::MatF32,
-                rows: rows.len() as u64,
-                cols: cols as u32,
-                part_versions,
-            },
-            payload,
-        )
+        let versions = h.partition_versions()?;
+        self.matrix(h.name(), h.rows(), h.cols(), versions, [h.pull_all(self.client)])
     }
 
     /// Export a column-partitioned f32 matrix (LINE/GraphSage embeddings),
     /// gathering full rows in chunks through the normal pull path.
     pub fn colmatrix(&mut self, h: &ColMatrixHandle) -> Result<()> {
-        let part_versions = h.partition_versions()?;
-        let rows = h.rows();
-        let cols = h.cols();
+        let (client, versions) = (self.client, h.partition_versions()?);
+        let rows = chunks(0, h.rows()).map(|ids| h.pull_rows(client, &ids));
+        self.matrix(h.name(), h.rows(), h.cols(), versions, rows)
+    }
+
+    /// Write a `rows × cols` matrix whose rows arrive in pulled chunks.
+    fn matrix(
+        &mut self,
+        name: &str,
+        rows: u64,
+        cols: usize,
+        part_versions: Vec<u64>,
+        pulled: impl IntoIterator<Item = Result<Vec<Vec<f32>>>>,
+    ) -> Result<()> {
         let mut payload = Vec::with_capacity(rows as usize * cols * 4);
-        let mut start = 0u64;
-        while start < rows {
-            let end = (start + EXPORT_CHUNK as u64).min(rows);
-            let ids: Vec<u64> = (start..end).collect();
-            for row in h.pull_rows(self.client, &ids)? {
-                for v in &row {
-                    payload.put_f32_le(*v);
-                }
+        for chunk in pulled {
+            for v in chunk?.iter().flatten() {
+                payload.put_f32_le(*v);
             }
-            start = end;
         }
-        self.write_object(
-            SnapshotEntry {
-                name: h.name().to_string(),
-                kind: SnapshotKind::MatF32,
-                rows,
-                cols: cols as u32,
-                part_versions,
-            },
-            payload,
-        )
+        let entry = SnapshotEntry {
+            name: name.to_string(),
+            kind: SnapshotKind::MatF32,
+            rows,
+            cols: cols as u32,
+            part_versions,
+        };
+        self.write_object(entry, payload)
     }
 
     /// Export a CSR adjacency snapshot.
     pub fn adjacency(&mut self, h: &CsrHandle) -> Result<()> {
-        let part_versions = h.partition_versions()?;
-        let n = h.num_vertices();
-        let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut targets: Vec<u64> = Vec::new();
-        offsets.push(0u64);
-        let mut start = 0u64;
-        while start < n {
-            let end = (start + EXPORT_CHUNK as u64).min(n);
-            let ids: Vec<u64> = (start..end).collect();
-            for ns in h.pull(self.client, &ids)? {
-                targets.extend_from_slice(&ns);
-                offsets.push(targets.len() as u64);
-            }
-            start = end;
-        }
-        let mut payload = Vec::with_capacity((offsets.len() + 1 + targets.len()) * 8);
-        for &o in &offsets {
-            payload.put_u64_le(o);
-        }
-        payload.put_u64_le(targets.len() as u64);
-        for &t in &targets {
-            payload.put_u64_le(t);
-        }
-        self.write_object(
-            SnapshotEntry {
-                name: h.name().to_string(),
-                kind: SnapshotKind::Adjacency,
-                rows: n,
-                cols: 0,
-                part_versions,
-            },
-            payload,
-        )
+        let client = self.client;
+        self.csr(h.name(), h.num_vertices(), h.partition_versions()?, |ids| h.pull(client, ids))
     }
 
     /// Export a mutable neighbor table as a CSR adjacency snapshot (live
     /// lists only — tombstones never reach the file).
     pub fn neighbor_table(&mut self, h: &NeighborTableHandle) -> Result<()> {
-        let part_versions = h.partition_versions()?;
-        let n = h.num_vertices();
-        let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut targets: Vec<u64> = Vec::new();
-        offsets.push(0u64);
-        let mut start = 0u64;
-        while start < n {
-            let end = (start + EXPORT_CHUNK as u64).min(n);
-            let ids: Vec<u64> = (start..end).collect();
-            for ns in h.pull(self.client, &ids)? {
-                targets.extend_from_slice(&ns);
-                offsets.push(targets.len() as u64);
-            }
-            start = end;
-        }
+        let client = self.client;
+        self.csr(h.name(), h.num_vertices(), h.partition_versions()?, |ids| h.pull(client, ids))
+    }
+
+    fn csr<L: AsRef<Vec<u64>>>(
+        &mut self,
+        name: &str,
+        n: u64,
+        part_versions: Vec<u64>,
+        pull: impl FnMut(&[u64]) -> Result<Vec<L>>,
+    ) -> Result<()> {
+        let (offsets, targets) = pull_csr(chunks(0, n), pull)?;
         let mut payload = Vec::with_capacity((offsets.len() + 1 + targets.len()) * 8);
         for &o in &offsets {
             payload.put_u64_le(o);
@@ -421,16 +387,14 @@ impl<'a> SnapshotWriter<'a> {
         for &t in &targets {
             payload.put_u64_le(t);
         }
-        self.write_object(
-            SnapshotEntry {
-                name: h.name().to_string(),
-                kind: SnapshotKind::Adjacency,
-                rows: n,
-                cols: 0,
-                part_versions,
-            },
-            payload,
-        )
+        let entry = SnapshotEntry {
+            name: name.to_string(),
+            kind: SnapshotKind::Adjacency,
+            rows: n,
+            cols: 0,
+            part_versions,
+        };
+        self.write_object(entry, payload)
     }
 
     /// Write the manifest and return it. Must be called last — objects
@@ -675,6 +639,14 @@ fn delta_path(dir: &str) -> String {
     format!("{}/DELTA", dir.trim_end_matches('/'))
 }
 
+/// The key interval of range partition `p`; a delta can only patch
+/// contiguous rows.
+fn range_of(layout: &PartitionLayout, name: &str, p: usize) -> Result<(u64, u64)> {
+    layout
+        .range_of(p)
+        .ok_or_else(|| PsError::Dfs(format!("delta: {name} is not range-partitioned")))
+}
+
 /// Exports only the partitions whose write version moved since a base
 /// manifest — the incremental counterpart of [`SnapshotWriter`]. Each
 /// export method pulls the dirty partitions through the normal client RPC
@@ -726,173 +698,110 @@ impl<'a> DeltaWriter<'a> {
             .collect())
     }
 
-    fn push_entry(
+    /// Diff one object against the base manifest: `region(p)` exports
+    /// partition `p` for each partition whose version moved, and the entry
+    /// is recorded unless nothing did. Returns the re-exported count.
+    fn diff(
         &mut self,
         name: &str,
         kind: SnapshotKind,
         rows: u64,
         cols: u32,
         part_versions: Vec<u64>,
-        regions: Vec<PatchRegion>,
-    ) {
+        region: impl FnMut(usize) -> Result<PatchRegion>,
+    ) -> Result<usize> {
+        let dirty = self.dirty_partitions(name, kind, rows, &part_versions)?;
+        let regions = dirty.iter().copied().map(region).collect::<Result<Vec<_>>>()?;
         if !regions.is_empty() {
-            self.delta.entries.push(DeltaEntry {
-                name: name.to_string(),
-                kind,
-                rows,
-                cols,
-                part_versions,
-                regions,
-            });
+            let name = name.to_string();
+            self.delta.entries.push(DeltaEntry { name, kind, rows, cols, part_versions, regions });
         }
+        Ok(dirty.len())
     }
 
     /// Diff a f64 vector; returns how many partitions were re-exported.
     pub fn vector_f64(&mut self, h: &VectorHandle<f64>) -> Result<usize> {
-        let current = h.partition_versions()?;
-        let dirty =
-            self.dirty_partitions(h.name(), SnapshotKind::VecF64, h.size(), &current)?;
-        let mut regions = Vec::with_capacity(dirty.len());
-        for &p in &dirty {
-            let (start, end) = h.layout().range_of(p).ok_or_else(|| {
-                PsError::Dfs(format!("delta: {} is not range-partitioned", h.name()))
-            })?;
-            let ids: Vec<u64> = (start..end).collect();
-            regions.push(PatchRegion::RowsF64 { row_lo: start, values: h.pull(self.client, &ids)? });
-        }
-        self.push_entry(h.name(), SnapshotKind::VecF64, h.size(), 1, current, regions);
-        Ok(dirty.len())
+        self.vector(h, SnapshotKind::VecF64, |row_lo, values| PatchRegion::RowsF64 { row_lo, values })
     }
 
     /// Diff a u64 vector; returns how many partitions were re-exported.
     pub fn vector_u64(&mut self, h: &VectorHandle<u64>) -> Result<usize> {
-        let current = h.partition_versions()?;
-        let dirty =
-            self.dirty_partitions(h.name(), SnapshotKind::VecU64, h.size(), &current)?;
-        let mut regions = Vec::with_capacity(dirty.len());
-        for &p in &dirty {
-            let (start, end) = h.layout().range_of(p).ok_or_else(|| {
-                PsError::Dfs(format!("delta: {} is not range-partitioned", h.name()))
-            })?;
+        self.vector(h, SnapshotKind::VecU64, |row_lo, values| PatchRegion::RowsU64 { row_lo, values })
+    }
+
+    fn vector<E: Element>(
+        &mut self,
+        h: &VectorHandle<E>,
+        kind: SnapshotKind,
+        region: impl Fn(u64, Vec<E>) -> PatchRegion,
+    ) -> Result<usize> {
+        let client = self.client;
+        self.diff(h.name(), kind, h.size(), 1, h.partition_versions()?, |p| {
+            let (start, end) = range_of(h.layout(), h.name(), p)?;
             let ids: Vec<u64> = (start..end).collect();
-            regions.push(PatchRegion::RowsU64 { row_lo: start, values: h.pull(self.client, &ids)? });
-        }
-        self.push_entry(h.name(), SnapshotKind::VecU64, h.size(), 1, current, regions);
-        Ok(dirty.len())
+            Ok(region(start, h.pull(client, &ids)?))
+        })
     }
 
     /// Diff a column-partitioned matrix: each dirty partition is one
     /// column stripe of every row. Returns the re-exported count.
     pub fn colmatrix(&mut self, h: &ColMatrixHandle) -> Result<usize> {
-        let current = h.partition_versions()?;
-        let dirty =
-            self.dirty_partitions(h.name(), SnapshotKind::MatF32, h.rows(), &current)?;
-        let mut regions = Vec::with_capacity(dirty.len());
-        for &p in &dirty {
-            let part = h.pull_col_slice(self.client, p)?;
-            regions.push(PatchRegion::Cols {
+        let (client, cols) = (self.client, h.cols() as u32);
+        self.diff(h.name(), SnapshotKind::MatF32, h.rows(), cols, h.partition_versions()?, |p| {
+            let part = h.pull_col_slice(client, p)?;
+            Ok(PatchRegion::Cols {
                 col_lo: part.col_start as u32,
                 col_hi: part.col_end as u32,
                 data: part.data,
-            });
-        }
-        self.push_entry(
-            h.name(),
-            SnapshotKind::MatF32,
-            h.rows(),
-            h.cols() as u32,
-            current,
-            regions,
-        );
-        Ok(dirty.len())
+            })
+        })
     }
 
     /// Diff a row-partitioned f32 matrix: each dirty partition is one
     /// contiguous block of full rows. Returns the re-exported count.
     pub fn matrix_f32(&mut self, h: &MatrixHandle<f32>) -> Result<usize> {
-        let current = h.partition_versions()?;
-        let dirty =
-            self.dirty_partitions(h.name(), SnapshotKind::MatF32, h.rows(), &current)?;
-        let mut regions = Vec::with_capacity(dirty.len());
-        for &p in &dirty {
-            let (start, end) = h.layout().range_of(p).ok_or_else(|| {
-                PsError::Dfs(format!("delta: {} is not range-partitioned", h.name()))
-            })?;
+        let (client, cols) = (self.client, h.cols() as u32);
+        self.diff(h.name(), SnapshotKind::MatF32, h.rows(), cols, h.partition_versions()?, |p| {
+            let (start, end) = range_of(h.layout(), h.name(), p)?;
             let ids: Vec<u64> = (start..end).collect();
             let mut data = Vec::with_capacity(ids.len() * h.cols());
-            for row in h.pull_rows(self.client, &ids)? {
+            for row in h.pull_rows(client, &ids)? {
                 data.extend_from_slice(&row);
             }
-            regions.push(PatchRegion::RowsF32 { row_lo: start, data });
-        }
-        self.push_entry(
-            h.name(),
-            SnapshotKind::MatF32,
-            h.rows(),
-            h.cols() as u32,
-            current,
-            regions,
-        );
-        Ok(dirty.len())
+            Ok(PatchRegion::RowsF32 { row_lo: start, data })
+        })
     }
 
     /// Diff a mutable neighbor table: each dirty partition is re-exported
     /// as a CSR patch of its vertex range (live lists only). Returns the
     /// re-exported count.
     pub fn neighbor_table(&mut self, h: &NeighborTableHandle) -> Result<usize> {
-        let current = h.partition_versions()?;
-        let dirty = self.dirty_partitions(
-            h.name(),
-            SnapshotKind::Adjacency,
-            h.num_vertices(),
-            &current,
-        )?;
-        let mut regions = Vec::with_capacity(dirty.len());
-        for &p in &dirty {
-            let (start, end) = h.layout().range_of(p).ok_or_else(|| {
-                PsError::Dfs(format!("delta: {} is not range-partitioned", h.name()))
-            })?;
-            let ids: Vec<u64> = (start..end).collect();
-            let mut offsets = Vec::with_capacity(ids.len() + 1);
-            let mut targets: Vec<u64> = Vec::new();
-            offsets.push(0u64);
-            for ns in h.pull(self.client, &ids)? {
-                targets.extend_from_slice(&ns);
-                offsets.push(targets.len() as u64);
-            }
-            regions.push(PatchRegion::Adj { row_lo: start, offsets, targets });
-        }
-        self.push_entry(h.name(), SnapshotKind::Adjacency, h.num_vertices(), 0, current, regions);
-        Ok(dirty.len())
+        let client = self.client;
+        let versions = h.partition_versions()?;
+        self.csr(h.name(), h.layout(), versions, |ids| h.pull(client, ids))
     }
 
     /// Diff a CSR adjacency (dirty only when rebuilt under the same
     /// name). Returns the re-exported count.
     pub fn adjacency(&mut self, h: &CsrHandle) -> Result<usize> {
-        let current = h.partition_versions()?;
-        let dirty = self.dirty_partitions(
-            h.name(),
-            SnapshotKind::Adjacency,
-            h.num_vertices(),
-            &current,
-        )?;
-        let mut regions = Vec::with_capacity(dirty.len());
-        for &p in &dirty {
-            let (start, end) = h.layout().range_of(p).ok_or_else(|| {
-                PsError::Dfs(format!("delta: {} is not range-partitioned", h.name()))
-            })?;
-            let ids: Vec<u64> = (start..end).collect();
-            let mut offsets = Vec::with_capacity(ids.len() + 1);
-            let mut targets: Vec<u64> = Vec::new();
-            offsets.push(0u64);
-            for ns in h.pull(self.client, &ids)? {
-                targets.extend_from_slice(&ns);
-                offsets.push(targets.len() as u64);
-            }
-            regions.push(PatchRegion::Adj { row_lo: start, offsets, targets });
-        }
-        self.push_entry(h.name(), SnapshotKind::Adjacency, h.num_vertices(), 0, current, regions);
-        Ok(dirty.len())
+        let client = self.client;
+        let versions = h.partition_versions()?;
+        self.csr(h.name(), h.layout(), versions, |ids| h.pull(client, ids))
+    }
+
+    fn csr<L: AsRef<Vec<u64>>>(
+        &mut self,
+        name: &str,
+        layout: &PartitionLayout,
+        part_versions: Vec<u64>,
+        mut pull: impl FnMut(&[u64]) -> Result<Vec<L>>,
+    ) -> Result<usize> {
+        self.diff(name, SnapshotKind::Adjacency, layout.size, 0, part_versions, |p| {
+            let (start, end) = range_of(layout, name, p)?;
+            // One request per dirty partition.
+            let (offsets, targets) = pull_csr(std::iter::once((start..end).collect()), &mut pull)?;
+            Ok(PatchRegion::Adj { row_lo: start, offsets, targets })
+        })
     }
 
     /// Write the delta file and return the delta. [`SnapshotDelta::rebase`]
@@ -968,14 +877,21 @@ mod tests {
         let adj =
             CsrHandle::build(&ps, "adj", 7, &tables, &c, RecoveryMode::Inconsistent).unwrap();
 
+        // A matrix with no rows still has a width.
+        let empty = MatrixHandle::<f32>::create(
+            &ps, "empty", 0, 4, Partitioner::Range, RecoveryMode::Inconsistent,
+        )
+        .unwrap();
+
         let t0 = c.now();
         let mut w = SnapshotWriter::new(&dfs, "/snapshot/test", &c);
         w.vector_f64(&ranks).unwrap();
         w.vector_u64(&labels).unwrap();
         w.colmatrix(&embed).unwrap();
         w.adjacency(&adj).unwrap();
+        w.matrix_f32(&empty).unwrap();
         let manifest = w.finish().unwrap();
-        assert_eq!(manifest.entries.len(), 4);
+        assert_eq!(manifest.entries.len(), 5);
         assert!(c.now() > t0, "export must charge simulated time");
 
         let loaded = SnapshotManifest::load(&dfs, "/snapshot/test", &c).unwrap();
@@ -1003,6 +919,12 @@ mod tests {
             }
             other => panic!("wrong kind: {other:?}"),
         }
+        let empty_entry = loaded.entry("empty").unwrap();
+        assert_eq!((empty_entry.rows, empty_entry.cols), (0, 4));
+        assert_eq!(
+            load_object(&dfs, "/snapshot/test", empty_entry, &c).unwrap(),
+            SnapshotData::MatF32 { cols: 4, data: vec![] }
+        );
         match load_object(&dfs, "/snapshot/test", loaded.entry("adj").unwrap(), &c).unwrap() {
             SnapshotData::Adjacency { offsets, targets } => {
                 assert_eq!(offsets.len(), 8);

@@ -4,18 +4,20 @@
 //!
 //! A vector of logical size `n` is split by a [`PartitionLayout`]: range
 //! partitions store dense slices, hash partitions store sparse maps whose
-//! missing keys read as `E::default()`.
+//! missing keys read as `E::default()`. Every operation here is a cost
+//! formula plus a per-partition closure; routing, liveness and the RPC
+//! charge are [`PsObject`]'s.
 
-use psgraph_sim::bytes::{Buf, BufMut};
+use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{FxHashMap, NodeClock};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::element::Element;
 use crate::error::{PsError, Result};
+use crate::object::{Partition, PsObject, Reader};
 use crate::partition::{PartitionLayout, Partitioner};
-use crate::ps::{ObjectOps, Ps, RecoveryMode};
-use crate::server::PsServer;
+use crate::ps::{Ps, RecoveryMode};
 
 /// One stored vector partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,13 +29,6 @@ pub enum VecPart<E> {
 }
 
 impl<E: Element> VecPart<E> {
-    fn approx_bytes(&self) -> u64 {
-        match self {
-            VecPart::Dense { data, .. } => (data.len() * E::WIDTH) as u64 + 32,
-            VecPart::Sparse { map } => (map.len() * (8 + E::WIDTH + 16)) as u64 + 32,
-        }
-    }
-
     fn get(&self, key: u64) -> E {
         match self {
             VecPart::Dense { start, data } => data[(key - start) as usize],
@@ -63,6 +58,24 @@ impl<E: Element> VecPart<E> {
         }
     }
 
+    /// Stored entries: every slot of a dense slice, the present keys of a
+    /// sparse map.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            VecPart::Dense { data, .. } => data.len(),
+            VecPart::Sparse { map } => map.len(),
+        }
+    }
+}
+
+impl<E: Element> Partition for VecPart<E> {
+    fn approx_bytes(&self) -> u64 {
+        match self {
+            VecPart::Dense { data, .. } => (data.len() * E::WIDTH) as u64 + 32,
+            VecPart::Sparse { map } => (map.len() * (8 + E::WIDTH + 16)) as u64 + 32,
+        }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
@@ -88,93 +101,36 @@ impl<E: Element> VecPart<E> {
         buf
     }
 
-    fn decode(mut bytes: &[u8]) -> Result<Self> {
-        let buf = &mut bytes;
-        if buf.remaining() < 1 {
-            return Err(PsError::Dfs("truncated vector checkpoint".into()));
-        }
-        match buf.get_u8() {
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        let mut r = Reader::new(bytes, "vector");
+        let part = match r.u8()? {
             0 => {
-                let start = buf.get_u64_le();
-                let len = buf.get_u64_le() as usize;
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(E::decode(buf));
-                }
-                Ok(VecPart::Dense { start, data })
+                let start = r.u64()?;
+                let len = r.count(E::WIDTH)?;
+                VecPart::Dense { start, data: r.elems(len)? }
             }
             1 => {
-                let len = buf.get_u64_le() as usize;
+                let len = r.count(8 + E::WIDTH)?;
                 let mut map = FxHashMap::default();
                 map.reserve(len);
                 for _ in 0..len {
-                    let k = buf.get_u64_le();
-                    map.insert(k, E::decode(buf));
+                    let k = r.u64()?;
+                    map.insert(k, r.elem()?);
                 }
-                Ok(VecPart::Sparse { map })
+                VecPart::Sparse { map }
             }
-            t => Err(PsError::Dfs(format!("bad vector partition tag {t}"))),
-        }
+            t => return Err(r.corrupt(&format!("bad partition tag {t}"))),
+        };
+        r.finish()?;
+        Ok(part)
     }
 }
 
 /// Typed client handle to a PS vector.
+#[derive(Debug, Clone)]
 pub struct VectorHandle<E: Element> {
-    ps: Arc<Ps>,
-    name: String,
-    layout: PartitionLayout,
+    pub(crate) obj: PsObject,
     _e: PhantomData<fn() -> E>,
-}
-
-impl<E: Element> Clone for VectorHandle<E> {
-    fn clone(&self) -> Self {
-        VectorHandle {
-            ps: Arc::clone(&self.ps),
-            name: self.name.clone(),
-            layout: self.layout.clone(),
-            _e: PhantomData,
-        }
-    }
-}
-
-impl<E: Element> std::fmt::Debug for VectorHandle<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VectorHandle")
-            .field("name", &self.name)
-            .field("size", &self.layout.size)
-            .finish()
-    }
-}
-
-struct VectorOps<E: Element> {
-    name: String,
-    layout: PartitionLayout,
-    recovery: RecoveryMode,
-    _e: PhantomData<fn() -> E>,
-}
-
-impl<E: Element> ObjectOps for VectorOps<E> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn layout(&self) -> &PartitionLayout {
-        &self.layout
-    }
-
-    fn recovery_mode(&self) -> RecoveryMode {
-        self.recovery
-    }
-
-    fn encode_partition(&self, server: &PsServer, partition: usize) -> Result<Vec<u8>> {
-        server.get(&self.name, partition, |p: &VecPart<E>| p.encode())
-    }
-
-    fn decode_partition(&self, server: &PsServer, partition: usize, bytes: &[u8]) -> Result<()> {
-        let part = VecPart::<E>::decode(bytes)?;
-        let size = part.approx_bytes();
-        server.insert(&self.name, partition, part, size)
-    }
 }
 
 impl<E: Element> VectorHandle<E> {
@@ -187,119 +143,53 @@ impl<E: Element> VectorHandle<E> {
         partitioner: Partitioner,
         recovery: RecoveryMode,
     ) -> Result<Self> {
-        let name = name.into();
         let layout =
             PartitionLayout::new(partitioner, size, ps.num_servers(), ps.num_servers());
-        let handle = VectorHandle {
-            ps: Arc::clone(ps),
-            name: name.clone(),
-            layout: layout.clone(),
-            _e: PhantomData,
-        };
-        for p in 0..layout.num_partitions {
-            let server = ps.server(layout.server_of_partition(p));
-            let part = match layout.range_of(p) {
-                Some((start, end)) => VecPart::Dense {
-                    start,
-                    data: vec![E::default(); (end - start) as usize],
-                },
-                None => VecPart::Sparse { map: FxHashMap::default() },
-            };
-            let bytes = part.approx_bytes();
-            server.insert(&name, p, part, bytes)?;
-        }
-        ps.register(Arc::new(VectorOps::<E> {
-            name,
-            layout,
-            recovery,
-            _e: PhantomData,
-        }));
-        Ok(handle)
+        let obj = PsObject::new(ps, name, layout);
+        obj.install(recovery, |p| match obj.layout.range_of(p) {
+            Some((start, end)) => VecPart::Dense {
+                start,
+                data: vec![E::default(); (end - start) as usize],
+            },
+            None => VecPart::Sparse { map: FxHashMap::default() },
+        })?;
+        Ok(VectorHandle { obj, _e: PhantomData })
     }
 
     pub fn name(&self) -> &str {
-        &self.name
+        &self.obj.name
     }
 
     pub fn size(&self) -> u64 {
-        self.layout.size
+        self.obj.layout.size
     }
 
     pub fn layout(&self) -> &PartitionLayout {
-        &self.layout
+        &self.obj.layout
     }
 
-    /// Per-partition write versions (see [`PsServer::version`]) — the
-    /// change detector snapshot delta export compares against.
+    /// Per-partition write versions (see [`crate::PsServer::version`]) —
+    /// the change detector snapshot delta export compares against.
     pub fn partition_versions(&self) -> Result<Vec<u64>> {
-        (0..self.layout.num_partitions)
-            .map(|p| {
-                self.ps
-                    .server(self.layout.server_of_partition(p))
-                    .version(&self.name, p)
-            })
-            .collect()
-    }
-
-    fn check_indices(&self, indices: &[u64]) -> Result<()> {
-        for &i in indices {
-            if i >= self.layout.size {
-                return Err(PsError::IndexOutOfBounds {
-                    name: self.name.clone(),
-                    index: i,
-                    size: self.layout.size,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Group positions of `indices` by (server, partition).
-    fn group(&self, indices: &[u64]) -> FxHashMap<usize, FxHashMap<usize, Vec<usize>>> {
-        let mut groups: FxHashMap<usize, FxHashMap<usize, Vec<usize>>> = FxHashMap::default();
-        for (pos, &k) in indices.iter().enumerate() {
-            let p = self.layout.partition_of(k);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
-        }
-        groups
-    }
-
-    fn charge_rpc(
-        &self,
-        client: &NodeClock,
-        server: &PsServer,
-        req_bytes: u64,
-        items: u64,
-        resp_bytes: u64,
-    ) {
-        self.ps.network().rpc(
-            client,
-            server.port(),
-            req_bytes,
-            items * self.ps.config().ops_per_item,
-            resp_bytes,
-        );
+        self.obj.partition_versions()
     }
 
     /// Pull `indices` (any order, duplicates allowed); result aligns with
     /// the input.
     pub fn pull(&self, client: &NodeClock, indices: &[u64]) -> Result<Vec<E>> {
-        self.check_indices(indices)?;
+        self.obj.check(indices.iter().copied())?;
         let mut out = vec![E::default(); indices.len()];
-        for (s, parts) in self.group(indices) {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: usize = parts.values().map(Vec::len).sum();
-            self.charge_rpc(client, server, n as u64 * 8, n as u64, (n * E::WIDTH) as u64);
+        self.obj.scatter(indices.iter().copied().enumerate(), |server, n, parts| {
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), n * E::WIDTH as u64);
             for (p, positions) in parts {
-                server.get(&self.name, p, |part: &VecPart<E>| {
+                server.get(&self.obj.name, p, |part: &VecPart<E>| {
                     for &pos in &positions {
                         out[pos] = part.get(indices[pos]);
                     }
                 })?;
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -307,17 +197,14 @@ impl<E: Element> VectorHandle<E> {
     /// entries plus a presence bitmap — the §IV-A sparsity optimization
     /// ("the ranks of many vertices barely change … transferring the
     /// increments of ranks"). Same result as `pull`; only the charged
-    /// response bytes differ.
+    /// response bytes differ (so the charge follows the visit).
     pub fn pull_sparse(&self, client: &NodeClock, indices: &[u64]) -> Result<Vec<E>> {
-        self.check_indices(indices)?;
+        self.obj.check(indices.iter().copied())?;
         let mut out = vec![E::default(); indices.len()];
-        for (s, parts) in self.group(indices) {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: u64 = parts.values().map(|v| v.len() as u64).sum();
+        self.obj.scatter(indices.iter().copied().enumerate(), |server, n, parts| {
             let mut nonzero = 0u64;
             for (p, positions) in parts {
-                server.get(&self.name, p, |part: &VecPart<E>| {
+                server.get(&self.obj.name, p, |part: &VecPart<E>| {
                     for &pos in &positions {
                         let v = part.get(indices[pos]);
                         if v != E::default() {
@@ -327,14 +214,10 @@ impl<E: Element> VectorHandle<E> {
                     }
                 })?;
             }
-            self.charge_rpc(
-                client,
-                server,
-                n * 8,
-                n,
-                nonzero * E::WIDTH as u64 + n / 8 + 8,
-            );
-        }
+            let resp_bytes = nonzero * E::WIDTH as u64 + n / 8 + 8;
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), resp_bytes);
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -359,126 +242,106 @@ impl<E: Element> VectorHandle<E> {
         if indices.len() != values.len() {
             return Err(PsError::DimensionMismatch(format!(
                 "{}: {} indices vs {} values",
-                self.name,
+                self.obj.name,
                 indices.len(),
                 values.len()
             )));
         }
-        self.check_indices(indices)?;
-        for (s, parts) in self.group(indices) {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n: usize = parts.values().map(Vec::len).sum();
-            self.charge_rpc(client, server, (n * (8 + E::WIDTH)) as u64, n as u64, 8);
+        self.obj.check(indices.iter().copied())?;
+        self.obj.scatter(indices.iter().copied().enumerate(), |server, n, parts| {
+            self.obj.charge(client, server, n * (8 + E::WIDTH as u64), self.obj.item_ops(n), 8);
             for (p, positions) in parts {
-                server.update_resize(&self.name, p, |part: &mut VecPart<E>, _old| {
+                self.obj.write(server, p, |part: &mut VecPart<E>| {
                     for &pos in &positions {
                         apply(part, indices[pos], values[pos]);
                     }
-                    ((), part.approx_bytes())
                 })?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Pull the entire vector (bulk, one RPC per partition).
     pub fn pull_all(&self, client: &NodeClock) -> Result<Vec<E>> {
-        let mut out = vec![E::default(); self.layout.size as usize];
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            let n = server.get(&self.name, p, |part: &VecPart<E>| match part {
-                VecPart::Dense { start, data } => {
-                    out[*start as usize..*start as usize + data.len()].copy_from_slice(data);
-                    data.len()
-                }
-                VecPart::Sparse { map } => {
-                    for (&k, &v) in map {
-                        out[k as usize] = v;
+        let mut out = vec![E::default(); self.size() as usize];
+        self.obj.each_partition(|p, server| {
+            let n = server.get(&self.obj.name, p, |part: &VecPart<E>| {
+                match part {
+                    VecPart::Dense { start, data } => {
+                        out[*start as usize..*start as usize + data.len()].copy_from_slice(data);
                     }
-                    map.len()
+                    VecPart::Sparse { map } => {
+                        for (&k, &v) in map {
+                            out[k as usize] = v;
+                        }
+                    }
                 }
+                part.len() as u64
             })?;
-            self.charge_rpc(client, server, 16, n as u64, (n * E::WIDTH) as u64);
-        }
+            self.obj.charge(client, server, 16, self.obj.item_ops(n), n * E::WIDTH as u64);
+            Ok(())
+        })?;
         Ok(out)
     }
 
     /// Server-side fill. For sparse partitions a non-default fill is
     /// rejected (no enumerable key set).
     pub fn fill(&self, client: &NodeClock, value: E) -> Result<()> {
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            let n = server.update_resize(&self.name, p, |part: &mut VecPart<E>, old| {
-                let n = match part {
-                    VecPart::Dense { data, .. } => {
-                        data.fill(value);
-                        data.len()
+        self.obj.each_partition(|p, server| {
+            let n = self.obj.write(server, p, |part: &mut VecPart<E>| {
+                let n = part.len() as u64;
+                match part {
+                    VecPart::Dense { data, .. } => data.fill(value),
+                    VecPart::Sparse { map } if value == E::default() => map.clear(),
+                    VecPart::Sparse { .. } => {
+                        return Err(PsError::DimensionMismatch(format!(
+                            "{}: non-default fill on sparse partition",
+                            self.obj.name
+                        )));
                     }
-                    VecPart::Sparse { map } => {
-                        if value == E::default() {
-                            let n = map.len();
-                            map.clear();
-                            n
-                        } else {
-                            let err = PsError::DimensionMismatch(format!(
-                                "{}: non-default fill on sparse partition",
-                                self.name
-                            ));
-                            return (Err(err), old);
-                        }
-                    }
-                };
-                (Ok(n), part.approx_bytes())
+                }
+                Ok(n)
             })??;
-            self.charge_rpc(client, server, 16, n as u64, 8);
-        }
-        Ok(())
+            self.obj.charge(client, server, 16, self.obj.item_ops(n), 8);
+            Ok(())
+        })
     }
 
     /// Server-side `self += other; other := 0` — the PageRank step 4 of
     /// §IV-A ("PS adds Δranks to ranks and resets Δranks to zero"),
     /// executed entirely on the servers without moving the vectors.
     pub fn accumulate_and_reset(&self, client: &NodeClock, delta: &VectorHandle<E>) -> Result<()> {
-        if self.layout != delta.layout {
+        if self.obj.layout != delta.obj.layout {
             return Err(PsError::DimensionMismatch(format!(
                 "{} and {} have different layouts",
-                self.name, delta.name
+                self.obj.name, delta.obj.name
             )));
         }
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
+        self.obj.each_partition(|p, server| {
             // Take the delta partition's contents, zeroing it.
             let drained: Vec<(u64, E)> =
-                server.update_resize(&delta.name, p, |part: &mut VecPart<E>, _old| {
-                    let drained = match part {
-                        VecPart::Dense { start, data } => {
-                            let d: Vec<(u64, E)> = data
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, v)| **v != E::default())
-                                .map(|(i, v)| (*start + i as u64, *v))
-                                .collect();
-                            data.fill(E::default());
-                            d
-                        }
-                        VecPart::Sparse { map } => map.drain().collect(),
-                    };
-                    (drained, part.approx_bytes())
+                delta.obj.write(server, p, |part: &mut VecPart<E>| match part {
+                    VecPart::Dense { start, data } => {
+                        let d: Vec<(u64, E)> = data
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, v)| **v != E::default())
+                            .map(|(i, v)| (*start + i as u64, *v))
+                            .collect();
+                        data.fill(E::default());
+                        d
+                    }
+                    VecPart::Sparse { map } => map.drain().collect(),
                 })?;
-            let n = drained.len();
-            server.update_resize(&self.name, p, |part: &mut VecPart<E>, _old| {
+            let n = drained.len() as u64;
+            self.obj.write(server, p, |part: &mut VecPart<E>| {
                 for (k, v) in drained {
                     part.add(k, v);
                 }
-                ((), part.approx_bytes())
             })?;
-            self.charge_rpc(client, server, 16, 2 * n as u64, 8);
-        }
-        Ok(())
+            self.obj.charge(client, server, 16, self.obj.item_ops(2 * n), 8);
+            Ok(())
+        })
     }
 
     /// Server-side aggregate: `Σ f(value)` over all stored entries
@@ -486,65 +349,24 @@ impl<E: Element> VectorHandle<E> {
     /// convergence checks (e.g. `Σ |Δrank|`).
     pub fn aggregate(&self, client: &NodeClock, f: impl Fn(E) -> f64) -> Result<f64> {
         let mut total = 0.0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            server.ensure_alive()?;
-            let (part_sum, n) = server.get(&self.name, p, |part: &VecPart<E>| match part {
-                VecPart::Dense { data, .. } => {
-                    (data.iter().map(|&v| f(v)).sum::<f64>(), data.len())
-                }
-                VecPart::Sparse { map } => {
-                    (map.values().map(|&v| f(v)).sum::<f64>(), map.len())
-                }
+        self.obj.each_partition(|p, server| {
+            let (part_sum, n) = server.get(&self.obj.name, p, |part: &VecPart<E>| {
+                let sum: f64 = match part {
+                    VecPart::Dense { data, .. } => data.iter().map(|&v| f(v)).sum(),
+                    VecPart::Sparse { map } => map.values().map(|&v| f(v)).sum(),
+                };
+                (sum, part.len() as u64)
             })?;
-            self.charge_rpc(client, server, 16, n as u64, 8);
+            self.obj.charge(client, server, 16, self.obj.item_ops(n), 8);
             total += part_sum;
-        }
+            Ok(())
+        })?;
         Ok(total)
-    }
-
-    /// Crate-internal: the owning PS (psFunc machinery reaches its pool).
-    pub(crate) fn owner_ps(&self) -> &Arc<Ps> {
-        &self.ps
-    }
-
-    /// Crate-internal: mutate one partition in place on its server
-    /// (footprint re-measured afterwards). Used by the psFunc machinery.
-    pub(crate) fn with_partition_mut<R>(
-        &self,
-        p: usize,
-        f: impl FnOnce(&mut VecPart<E>) -> R,
-    ) -> Result<R> {
-        let server = self.ps.server(self.layout.server_of_partition(p));
-        server.ensure_alive()?;
-        server.update_resize(&self.name, p, |part: &mut VecPart<E>, _old| {
-            let r = f(part);
-            let bytes = part.approx_bytes();
-            (r, bytes)
-        })
-    }
-
-    /// Crate-internal: charge one RPC against a server by index.
-    pub(crate) fn charge_server_rpc(
-        &self,
-        client: &NodeClock,
-        server_idx: usize,
-        req_bytes: u64,
-        items: u64,
-        resp_bytes: u64,
-    ) {
-        let server = self.ps.server(server_idx);
-        self.charge_rpc(client, server, req_bytes, items, resp_bytes);
     }
 
     /// Bytes resident on the servers for this vector.
     pub fn resident_bytes(&self) -> Result<u64> {
-        let mut total = 0;
-        for p in 0..self.layout.num_partitions {
-            let server = self.ps.server(self.layout.server_of_partition(p));
-            total += server.get(&self.name, p, |part: &VecPart<E>| part.approx_bytes())?;
-        }
-        Ok(total)
+        self.obj.resident_bytes::<VecPart<E>>()
     }
 }
 

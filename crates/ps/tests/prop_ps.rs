@@ -206,3 +206,58 @@ fn neighbor_pull_ships_each_distinct_id_once() {
         },
     );
 }
+
+/// A table seeded with `base`, `ops` applied by `apply`: the counts it
+/// returned and every vertex's live list, tombstone total included.
+fn table_after(
+    base: &[(u64, Vec<u64>)],
+    size: u64,
+    partitioner: Partitioner,
+    apply: impl FnOnce(&NeighborTableHandle, &NodeClock) -> (usize, usize),
+) -> ((usize, usize), Vec<Vec<u64>>, usize) {
+    let ps = Ps::new(PsConfig { servers: 3, ..Default::default() });
+    let clock = NodeClock::new();
+    let adj =
+        NeighborTableHandle::create(&ps, "prop.upd", size, partitioner, RecoveryMode::Inconsistent)
+            .unwrap();
+    adj.push(&clock, base).unwrap();
+    let counts = apply(&adj, &clock);
+    let all: Vec<u64> = (0..size).collect();
+    let lists = adj.pull(&clock, &all).unwrap().iter().map(|l| l.to_vec()).collect();
+    (counts, lists, adj.tombstones().unwrap())
+}
+
+#[test]
+fn update_edges_and_its_sharded_form_apply_the_same_ops() {
+    check(
+        "update_edges_and_its_sharded_form_apply_the_same_ops",
+        |src: &mut Source| {
+            let size = src.u64_range(2, 40);
+            let mut base: Vec<(u64, Vec<u64>)> = Vec::new();
+            for v in 0..size {
+                if src.bool() {
+                    base.push((v, (0..src.u64_range(0, 4)).map(|i| (v + i + 1) % size).collect()));
+                }
+            }
+            let mut ops = src.vec_with(0, 40, |s| (s.u64_range(0, size), s.u64_range(0, size), s.bool()));
+            // One source always sees add → remove → add of the same edge,
+            // interleaved with whatever else the sequence holds.
+            let (hot, dst) = (src.u64_range(0, size), src.u64_range(0, size));
+            for add in [true, false, true] {
+                let at = src.usize_range(0, ops.len() + 1);
+                ops.insert(at, (hot, dst, add));
+            }
+            (size, base, ops, arb_partitioner(src, 3))
+        },
+        |(size, base, ops, partitioner)| {
+            let plain = table_after(base, *size, *partitioner, |adj, clock| {
+                adj.update_edges(clock, ops).unwrap()
+            });
+            let sharded = table_after(base, *size, *partitioner, |adj, clock| {
+                adj.update_edges_sharded(&[(clock, ops.as_slice())]).unwrap()[0]
+            });
+            prop_assert_eq!(plain, sharded);
+            Ok(())
+        },
+    );
+}
