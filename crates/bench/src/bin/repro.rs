@@ -102,6 +102,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let cells = fig6::run_fig6(scale).expect("fig6");
         println!("{}", fig6::table(&cells));
+        println!("{}", fig6::digest_line(&cells));
         println!("(fig6 wall clock: {:?})\n", t0.elapsed());
     }
     if do_all || which == "line" {

@@ -16,7 +16,7 @@ use psgraph_graphx::{
 use psgraph_sim::SimTime;
 
 use crate::deploy::{graphx_cluster, psgraph_context, PaperAlloc, ScaleRule, SIM_EXECUTORS};
-use crate::report::{Cell, Row, Table};
+use crate::report::{fnv, Cell, Row, Table};
 
 /// Iterations used for PageRank on both systems (the paper runs to
 /// convergence; ~30 damped iterations reach machine-precision ranks).
@@ -52,6 +52,21 @@ pub struct Fig6Cell {
     pub paper_gx_hours: Option<f64>,
     pub psgraph: Outcome,
     pub graphx: Outcome,
+    /// FNV digest of the PSGraph job's output, for the jobs whose output
+    /// must not depend on the pool's schedule (all but Fast Unfolding).
+    pub digest: Option<u64>,
+}
+
+impl Fig6Cell {
+    fn new(
+        label: &'static str,
+        paper_ps_hours: f64,
+        paper_gx_hours: Option<f64>,
+        (psgraph, digest): (Outcome, Option<u64>),
+        graphx: Outcome,
+    ) -> Self {
+        Fig6Cell { label, paper_ps_hours, paper_gx_hours, psgraph, graphx, digest }
+    }
 }
 
 fn ps_outcome(r: std::result::Result<SimTime, CoreError>) -> Result<Outcome, CoreError> {
@@ -70,8 +85,13 @@ fn gx_outcome(r: std::result::Result<SimTime, DataflowError>) -> Result<Outcome,
     }
 }
 
+/// A PSGraph job; returns the digest of its output (see [`Fig6Cell::digest`]).
 type PsJob<'a> = Box<
-    dyn FnOnce(&Arc<PsGraphContext>, &psgraph_dataflow::Rdd<(u64, u64)>, u64) -> Result<(), CoreError>
+    dyn FnOnce(
+            &Arc<PsGraphContext>,
+            &psgraph_dataflow::Rdd<(u64, u64)>,
+            u64,
+        ) -> Result<Option<u64>, CoreError>
         + 'a,
 >;
 
@@ -80,14 +100,15 @@ fn ps_run(
     alloc: PaperAlloc,
     g: &EdgeList,
     f: PsJob<'_>,
-) -> Result<Outcome, CoreError> {
+) -> Result<(Outcome, Option<u64>), CoreError> {
     let ctx = psgraph_context(rule, alloc);
+    let mut digest = None;
     let run = || -> Result<SimTime, CoreError> {
         let edges = distribute_edges(&ctx, g, ctx.cluster().default_partitions())?;
-        f(&ctx, &edges, g.num_vertices())?;
+        digest = f(&ctx, &edges, g.num_vertices())?;
         Ok(ctx.now())
     };
-    ps_outcome(run())
+    Ok((ps_outcome(run())?, digest))
 }
 
 fn gx_run(
@@ -113,103 +134,107 @@ pub fn run_fig6(scale: f64) -> Result<Vec<Fig6Cell>, CoreError> {
     let r2 = ScaleRule::new(Dataset::Ds2, scale);
     let mut out = Vec::new();
 
-    out.push(Fig6Cell {
-        label: "PageRank (DS1)",
-        paper_ps_hours: 0.5,
-        paper_gx_hours: Some(4.0),
-        psgraph: ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
+    out.push(Fig6Cell::new(
+        "PageRank (DS1)",
+        0.5,
+        Some(4.0),
+        ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
             PageRank {
                 max_iterations: PR_ITERATIONS,
                 delta_threshold: 1e-6,
                 ..Default::default()
             }
             .run(ctx, e, n)
-            .map(|_| ())
+            .map(|out| Some(fnv(out.ranks.iter().map(|r| r.to_bits()))))
         }))?,
-        graphx: gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
+        gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
             gx_pagerank(gx, 0.85, PR_ITERATIONS).map(|_| ())
         })?,
-    });
+    ));
 
-    out.push(Fig6Cell {
-        label: "PageRank (DS2)",
-        paper_ps_hours: 7.0,
-        paper_gx_hours: None,
-        psgraph: ps_run(r2, PaperAlloc::PSGRAPH_DS2, &ds2, Box::new(|ctx, e, n| {
+    out.push(Fig6Cell::new(
+        "PageRank (DS2)",
+        7.0,
+        None,
+        ps_run(r2, PaperAlloc::PSGRAPH_DS2, &ds2, Box::new(|ctx, e, n| {
             PageRank {
                 max_iterations: PR_ITERATIONS,
                 delta_threshold: 1e-6,
                 ..Default::default()
             }
             .run(ctx, e, n)
-            .map(|_| ())
+            .map(|out| Some(fnv(out.ranks.iter().map(|r| r.to_bits()))))
         }))?,
-        graphx: gx_run(r2, PaperAlloc::GRAPHX_DS2, &ds2, |gx| {
+        gx_run(r2, PaperAlloc::GRAPHX_DS2, &ds2, |gx| {
             gx_pagerank(gx, 0.85, PR_ITERATIONS).map(|_| ())
         })?,
-    });
+    ));
 
-    out.push(Fig6Cell {
-        label: "Common Neighbor (DS1)",
-        paper_ps_hours: 0.5,
-        paper_gx_hours: Some(1.5),
-        psgraph: ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
-            CommonNeighbor::default().run(ctx, e, n).map(|_| ())
+    out.push(Fig6Cell::new(
+        "Common Neighbor (DS1)",
+        0.5,
+        Some(1.5),
+        ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
+            CommonNeighbor::default().run(ctx, e, n).map(|out| {
+                Some(fnv(out.counts.into_iter().flat_map(|(a, b, c)| [a, b, c])))
+            })
         }))?,
-        graphx: gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
+        gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
             gx_common_neighbor(gx).map(|_| ())
         })?,
-    });
+    ));
 
-    out.push(Fig6Cell {
-        label: "Common Neighbor (DS2)",
-        paper_ps_hours: 3.5,
-        paper_gx_hours: None,
-        psgraph: ps_run(r2, PaperAlloc::PSGRAPH_DS2, &ds2, Box::new(|ctx, e, n| {
-            CommonNeighbor::default().run(ctx, e, n).map(|_| ())
+    out.push(Fig6Cell::new(
+        "Common Neighbor (DS2)",
+        3.5,
+        None,
+        ps_run(r2, PaperAlloc::PSGRAPH_DS2, &ds2, Box::new(|ctx, e, n| {
+            CommonNeighbor::default().run(ctx, e, n).map(|out| {
+                Some(fnv(out.counts.into_iter().flat_map(|(a, b, c)| [a, b, c])))
+            })
         }))?,
-        graphx: gx_run(r2, PaperAlloc::GRAPHX_DS2, &ds2, |gx| {
+        gx_run(r2, PaperAlloc::GRAPHX_DS2, &ds2, |gx| {
             gx_common_neighbor(gx).map(|_| ())
         })?,
-    });
+    ));
 
-    out.push(Fig6Cell {
-        label: "Fast Unfolding (DS1)",
-        paper_ps_hours: 3.5,
-        paper_gx_hours: Some(10.3),
-        psgraph: ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
+    out.push(Fig6Cell::new(
+        "Fast Unfolding (DS1)",
+        3.5,
+        Some(10.3),
+        ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
             FastUnfolding { max_passes: 3, max_sweeps: 5, ..Default::default() }
                 .run_unweighted(ctx, e, n)
-                .map(|_| ())
+                .map(|_| None)
         }))?,
-        graphx: gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
+        gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
             gx_fast_unfolding(gx, 3, 5).map(|_| ())
         })?,
-    });
+    ));
 
-    out.push(Fig6Cell {
-        label: "K-Core (DS1)",
-        paper_ps_hours: 2.0,
-        paper_gx_hours: None,
-        psgraph: ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
-            KCore::default().run(ctx, e, n).map(|_| ())
+    out.push(Fig6Cell::new(
+        "K-Core (DS1)",
+        2.0,
+        None,
+        ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
+            KCore::default().run(ctx, e, n).map(|out| Some(fnv(out.coreness)))
         }))?,
-        graphx: gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
+        gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
             gx_kcore(gx, 100).map(|_| ())
         })?,
-    });
+    ));
 
-    out.push(Fig6Cell {
-        label: "Triangle Count (DS1)",
-        paper_ps_hours: 0.7,
-        paper_gx_hours: None,
-        psgraph: ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
-            TriangleCount::default().run(ctx, e, n).map(|_| ())
+    out.push(Fig6Cell::new(
+        "Triangle Count (DS1)",
+        0.7,
+        None,
+        ps_run(r1, PaperAlloc::PSGRAPH_DS1, &ds1, Box::new(|ctx, e, n| {
+            TriangleCount::default().run(ctx, e, n).map(|out| Some(out.triangles))
         }))?,
-        graphx: gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
+        gx_run(r1, PaperAlloc::GRAPHX_DS1, &ds1, |gx| {
             gx_triangle_count(gx).map(|_| ())
         })?,
-    });
+    ));
 
     Ok(out)
 }
@@ -242,6 +267,16 @@ pub fn table(cells: &[Fig6Cell]) -> Table {
         ));
     }
     t
+}
+
+/// One line naming every PSGraph output digest — what CI compares across
+/// steal schedules.
+pub fn digest_line(cells: &[Fig6Cell]) -> String {
+    let digests: Vec<String> = cells
+        .iter()
+        .filter_map(|c| Some(format!("{} {:016x}", c.label, c.digest?)))
+        .collect();
+    format!("PSGraph output digests: {}", digests.join(", "))
 }
 
 #[cfg(test)]

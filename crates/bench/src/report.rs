@@ -2,6 +2,14 @@
 
 use std::fmt;
 
+/// FNV-1a over the little-endian bytes of `words`: the digest the smokes
+/// print for outputs that must not move between runs.
+pub fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// One table cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {

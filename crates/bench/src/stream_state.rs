@@ -89,20 +89,14 @@ impl Fingerprint {
     /// rank bits, component labels. The watermark is reported on its own
     /// row and is not folded in.
     pub(crate) fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |word: u64| {
-            for b in word.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for l in &self.adjacency {
-            fold(l.len() as u64);
-            l.iter().copied().for_each(&mut fold);
-        }
-        self.degree_bits.iter().copied().for_each(&mut fold);
-        self.rank_bits.iter().copied().for_each(&mut fold);
-        self.labels.iter().copied().for_each(&mut fold);
-        h
+        let lists = self.adjacency.iter().flat_map(|l| {
+            std::iter::once(l.len() as u64).chain(l.iter().copied())
+        });
+        crate::report::fnv(
+            lists
+                .chain(self.degree_bits.iter().copied())
+                .chain(self.rank_bits.iter().copied())
+                .chain(self.labels.iter().copied()),
+        )
     }
 }

@@ -4,11 +4,13 @@
 //! The neighbor tables are pushed to the PS once; afterwards the
 //! executors stream batches of pairs, pull both endpoints' adjacency from
 //! the PS, and intersect locally — no shuffle per query, which is why
-//! PSGraph beats GraphX 3× on DS1 and survives DS2 (Fig. 6).
+//! PSGraph beats GraphX 3× on DS1 and survives DS2 (Fig. 6). An executor
+//! talks to the PS once per round for all its partitions' batches, so a
+//! hub's list reaches it once per round, not once per partition.
 
 use std::sync::Arc;
 
-use psgraph_dataflow::Rdd;
+use psgraph_dataflow::{DataflowError, Executor, Rdd};
 use psgraph_graph::metrics::sorted_intersection_count;
 use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
 
@@ -75,18 +77,7 @@ impl CommonNeighbor {
             Partitioner::Hash,
             RecoveryMode::Inconsistent,
         )?;
-        let adj_ref = &adj;
-        ctx.cluster()
-            .run_stage(tables.num_partitions(), |p, exec| {
-                let part = tables.partition(p)?;
-                // The per-pair kernel below merges the lists as pushed.
-                debug_assert!(part.iter().all(|(_, ns)| ns.windows(2).all(|w| w[0] < w[1])));
-                if !part.is_empty() {
-                    adj_ref.push(exec.clock(), &part).df()?;
-                }
-                Ok(())
-            })
-            .map_err(crate::error::CoreError::from)?;
+        push_adjacency(ctx, &tables, &adj)?;
         supersteps += 1;
 
         if self.checkpoint {
@@ -96,17 +87,7 @@ impl CommonNeighbor {
         // Stream pair batches: pull adjacency, intersect locally.
         let batch = self.batch_size.max(1);
         let mut results: Vec<Vec<(u64, u64, u64)>> = Vec::new();
-        let total_batches = {
-            let counts = ctx
-                .cluster()
-                .run_stage(pairs.num_partitions(), |p, _exec| {
-                    Ok(pairs.partition(p)?.len().div_ceil(batch))
-                })
-                .map_err(crate::error::CoreError::from)?;
-            counts.into_iter().max().unwrap_or(0)
-        };
-
-        for round in 0..total_batches {
+        for round in 0..num_rounds(ctx, pairs, batch)? {
             let (killed_execs, _) = ctx.superstep_maintenance(supersteps)?;
             if !killed_execs.is_empty() {
                 tables.recover()?;
@@ -114,40 +95,102 @@ impl CommonNeighbor {
             }
             supersteps += 1;
 
-            let adj_ref = &adj;
-            let round_results: Vec<Vec<(u64, u64, u64)>> = ctx
+            let round_results: Vec<Vec<Vec<(u64, u64, u64)>>> = ctx
                 .cluster()
-                .run_stage(pairs.num_partitions(), move |p, exec| {
-                    let part = pairs.partition(p)?;
-                    let lo = round * batch;
-                    if lo >= part.len() {
-                        return Ok(Vec::new());
-                    }
-                    let hi = ((round + 1) * batch).min(part.len());
-                    let slice = &part[lo..hi];
-                    let mut wanted = Vec::with_capacity(slice.len() * 2);
-                    for &(a, b) in slice {
-                        wanted.push(a);
-                        wanted.push(b);
-                    }
-                    let neigh = adj_ref.pull(exec.clock(), &wanted).df()?;
-                    let mut out = Vec::with_capacity(slice.len());
-                    let mut work = 0u64;
-                    for (&(a, b), pair) in slice.iter().zip(neigh.chunks_exact(2)) {
-                        let (count, comparisons) = sorted_intersection_count(&pair[0], &pair[1]);
-                        work += comparisons;
-                        out.push((a, b, count));
-                    }
-                    exec.charge_cpu(ctx.cluster().cost(), work * 3);
-                    Ok(out)
+                .run_executors(pairs.num_partitions(), |exec, parts| {
+                    let local = pairs.partitions(parts)?;
+                    let batches: Vec<&[(u64, u64)]> =
+                        local.iter().map(|part| batch_of(part, round, batch)).collect();
+                    let counts = count_common(ctx, exec, &adj, &batches)?;
+                    Ok(batches
+                        .iter()
+                        .zip(counts)
+                        .map(|(pairs, counts)| {
+                            pairs.iter().zip(counts).map(|(&(a, b), c)| (a, b, c)).collect()
+                        })
+                        .collect())
                 })
                 .map_err(crate::error::CoreError::from)?;
-            results.push(round_results.into_iter().flatten().collect());
+            results.extend(ctx.cluster().in_partition_order(round_results));
         }
 
         let counts: Vec<(u64, u64, u64)> = results.into_iter().flatten().collect();
         Ok(CommonNeighborOutput { counts, stats: ctx.stats_since(start, snap, supersteps) })
     }
+}
+
+/// Push the neighbor tables to the PS table `adj`: every executor ships
+/// the lists of all its partitions as one request.
+pub(crate) fn push_adjacency(
+    ctx: &PsGraphContext,
+    tables: &Rdd<(u64, Vec<u64>)>,
+    adj: &NeighborTableHandle,
+) -> Result<()> {
+    ctx.cluster()
+        .run_executors(tables.num_partitions(), |exec, parts| {
+            let entries: Vec<(u64, Vec<u64>)> =
+                tables.partitions(parts)?.iter().flat_map(|part| part.iter().cloned()).collect();
+            // The per-pair kernel merges the lists as pushed.
+            debug_assert!(entries.iter().all(|(_, ns)| ns.windows(2).all(|w| w[0] < w[1])));
+            if !entries.is_empty() {
+                adj.push(exec.clock(), &entries).df()?;
+            }
+            Ok(())
+        })
+        .map_err(crate::error::CoreError::from)?;
+    Ok(())
+}
+
+/// Rounds needed to stream `pairs` in batches of `batch` per partition.
+pub(crate) fn num_rounds(
+    ctx: &PsGraphContext,
+    pairs: &Rdd<(u64, u64)>,
+    batch: usize,
+) -> Result<usize> {
+    let counts = ctx
+        .cluster()
+        .run_stage(pairs.num_partitions(), |p, _exec| Ok(pairs.partition(p)?.len().div_ceil(batch)))
+        .map_err(crate::error::CoreError::from)?;
+    Ok(counts.into_iter().max().unwrap_or(0))
+}
+
+/// A partition's `round`-th batch of `batch` pairs (empty once it ran out).
+pub(crate) fn batch_of(part: &[(u64, u64)], round: usize, batch: usize) -> &[(u64, u64)] {
+    let lo = (round * batch).min(part.len());
+    &part[lo..((round + 1) * batch).min(part.len())]
+}
+
+/// One round on one executor: pull both endpoints' adjacency for the
+/// current batch of every partition it hosts — one request, so a list that
+/// several batches name is shipped once — and count `|N(a) ∩ N(b)|` per
+/// pair, batch by batch.
+pub(crate) fn count_common(
+    ctx: &PsGraphContext,
+    exec: &Executor,
+    adj: &NeighborTableHandle,
+    batches: &[&[(u64, u64)]],
+) -> std::result::Result<Vec<Vec<u64>>, DataflowError> {
+    let wanted: Vec<u64> =
+        batches.iter().flat_map(|pairs| pairs.iter()).flat_map(|&(a, b)| [a, b]).collect();
+    let neigh = adj.pull(exec.clock(), &wanted).df()?;
+    let mut lists = neigh.chunks_exact(2);
+    let mut work = 0u64;
+    let counts = batches
+        .iter()
+        .map(|pairs| {
+            lists
+                .by_ref()
+                .take(pairs.len())
+                .map(|ab| {
+                    let (count, comparisons) = sorted_intersection_count(&ab[0], &ab[1]);
+                    work += comparisons;
+                    count
+                })
+                .collect()
+        })
+        .collect();
+    exec.charge_cpu(ctx.cluster().cost(), work * 3);
+    Ok(counts)
 }
 
 #[cfg(test)]

@@ -1,12 +1,16 @@
 //! Connected components on the parameter server: min-label propagation
 //! with the labels vector on the PS — the same increments-only pattern as
-//! PageRank (§IV-A): a vertex pushes its label only when it shrank.
+//! PageRank (§IV-A): a vertex pushes its label only when it shrank. Each
+//! executor reads `[v, N(v)…]` of all its partitions through its
+//! [`PsAgent`]'s plan, one request per superstep; min-label propagation is
+//! monotone, so the fixed point is the same whichever pushes a read sees.
 
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
 use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
 
+use crate::agent::PsAgent;
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
 use crate::error::Result;
@@ -49,6 +53,7 @@ impl ConnectedComponents {
         let ids: Vec<u64> = (0..num_vertices).collect();
         labels.push_set(ctx.cluster().driver(), &ids, &ids)?;
 
+        let agent = PsAgent::new(ctx.cluster());
         let mut supersteps = 0;
         for step in 0..self.max_iterations {
             let (killed_execs, _) = ctx.superstep_maintenance(step)?;
@@ -57,28 +62,18 @@ impl ConnectedComponents {
             }
             supersteps += 1;
 
-            let labels_ref = &labels;
             let changes: Vec<u64> = ctx
                 .cluster()
-                .run_stage(tables.num_partitions(), |p, exec| {
-                    let part = tables.partition(p)?;
-                    let mut wanted = Vec::new();
-                    for (v, ns) in part.iter() {
-                        wanted.push(*v);
-                        wanted.extend_from_slice(ns);
-                    }
-                    if wanted.is_empty() {
-                        return Ok(0);
-                    }
-                    let got = labels_ref.pull(exec.clock(), &wanted).df()?;
+                .run_executors(tables.num_partitions(), |exec, parts| {
+                    let local = tables.partitions(parts)?;
+                    let got = agent.pull(exec, &labels, || super::neighborhood_keys(&local))?;
                     let mut cursor = 0;
                     let mut upd_idx = Vec::new();
                     let mut upd_val = Vec::new();
-                    for (v, ns) in part.iter() {
+                    for (v, ns) in local.iter().flat_map(|part| part.iter()) {
                         let own = got[cursor];
                         cursor += 1;
-                        let min_nbr =
-                            got[cursor..cursor + ns.len()].iter().copied().min();
+                        let min_nbr = got[cursor..cursor + ns.len()].iter().copied().min();
                         cursor += ns.len();
                         if let Some(m) = min_nbr {
                             if m < own {
@@ -87,9 +82,9 @@ impl ConnectedComponents {
                             }
                         }
                     }
-                    exec.charge_cpu(ctx.cluster().cost(), wanted.len() as u64 * 2);
+                    exec.charge_cpu(ctx.cluster().cost(), got.len() as u64 * 2);
                     if !upd_idx.is_empty() {
-                        labels_ref.push_set(exec.clock(), &upd_idx, &upd_val).df()?;
+                        labels.push_set(exec.clock(), &upd_idx, &upd_val).df()?;
                     }
                     Ok(upd_idx.len() as u64)
                 })

@@ -6,14 +6,18 @@
 //! to the H-index of its neighbors' current values. The sequence is
 //! monotonically non-increasing and converges to the exact coreness. The
 //! `coreness` vector lives on the PS; executors hold the (undirected)
-//! neighbor tables and push only changed values — the same
-//! increment-sparsity trick as PageRank.
+//! neighbor tables, read the estimates through their [`PsAgent`]'s plan —
+//! one request per executor per superstep — and push only changed values,
+//! the same increment-sparsity trick as PageRank. The iteration is
+//! monotone, so its fixed point does not depend on which of this
+//! superstep's pushes a read already sees.
 
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
 use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
 
+use crate::agent::PsAgent;
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
 use crate::error::Result;
@@ -73,20 +77,21 @@ impl KCore {
             ctx.ps(), "kcore.core", num_vertices, Partitioner::Range, RecoveryMode::Consistent,
         )?;
 
-        // Initialize core[v] = degree(v), pushed by the executors.
-        let core_ref = &core;
+        // Initialize core[v] = degree(v): each executor pushes the degrees
+        // of all its partitions as one request.
         ctx.cluster()
-            .run_stage(tables.num_partitions(), |p, exec| {
-                let part = tables.partition(p)?;
+            .run_executors(tables.num_partitions(), |exec, parts| {
+                let local = tables.partitions(parts)?;
                 let (idx, vals): (Vec<u64>, Vec<u64>) =
-                    part.iter().map(|(v, ns)| (*v, ns.len() as u64)).unzip();
+                    local.iter().flat_map(|part| part.iter()).map(|(v, ns)| (*v, ns.len() as u64)).unzip();
                 if !idx.is_empty() {
-                    core_ref.push_set(exec.clock(), &idx, &vals).df()?;
+                    core.push_set(exec.clock(), &idx, &vals).df()?;
                 }
                 Ok(())
             })
             .map_err(crate::error::CoreError::from)?;
 
+        let agent = PsAgent::new(ctx.cluster());
         let mut supersteps = 0;
         for step in 0..self.max_iterations {
             let (killed_execs, _) = ctx.superstep_maintenance(step)?;
@@ -95,24 +100,18 @@ impl KCore {
             }
             supersteps += 1;
 
-            let core_ref = &core;
             let changes: Vec<u64> = ctx
                 .cluster()
-                .run_stage(tables.num_partitions(), |p, exec| {
-                    let part = tables.partition(p)?;
-                    // Pull current estimates for all local vertices and
-                    // their neighbors in one batch.
-                    let mut wanted: Vec<u64> = Vec::new();
-                    for (v, ns) in part.iter() {
-                        wanted.push(*v);
-                        wanted.extend_from_slice(ns);
-                    }
-                    let got = core_ref.pull(exec.clock(), &wanted).df()?;
+                .run_executors(tables.num_partitions(), |exec, parts| {
+                    let local = tables.partitions(parts)?;
+                    // One planned pull of the current estimates of every
+                    // local vertex and its neighbors, all partitions at once.
+                    let got = agent.pull(exec, &core, || super::neighborhood_keys(&local))?;
                     let mut cursor = 0usize;
                     let mut upd_idx = Vec::new();
                     let mut upd_val = Vec::new();
                     let mut work = 0u64;
-                    for (v, ns) in part.iter() {
+                    for (v, ns) in local.iter().flat_map(|part| part.iter()) {
                         let own = got[cursor];
                         cursor += 1;
                         let mut nvals = got[cursor..cursor + ns.len()].to_vec();
@@ -126,7 +125,7 @@ impl KCore {
                     }
                     exec.charge_cpu(ctx.cluster().cost(), work * 6);
                     if !upd_idx.is_empty() {
-                        core_ref.push_set(exec.clock(), &upd_idx, &upd_val).df()?;
+                        core.push_set(exec.clock(), &upd_idx, &upd_val).df()?;
                     }
                     Ok(upd_idx.len() as u64)
                 })

@@ -4,23 +4,25 @@
 //!
 //! 1. executors hold vertex-partitioned neighbor tables (built once with
 //!    `groupBy`),
-//! 2. each executor pulls `Δranks` of its local source vertices,
+//! 2. each executor pulls `Δranks` of its local source vertices — one
+//!    planned request over all its partitions, through its [`PsAgent`],
 //! 3. computes the damped contributions `d·Δ_src/L(src)` to destinations,
 //! 4. the PS adds `Δranks` into `ranks` and zeroes `Δranks` (server-side
 //!    `accumulate_and_reset`),
-//! 5. executors push the new contributions into `Δranks`.
+//! 5. each executor pushes the new contributions into `Δranks`, again as
+//!    one request.
 //!
 //! The run converges when `Σ|Δ|` falls below the tolerance. Only rank
 //! *increments* cross the network — the sparsity optimization the paper
 //! credits for the 8× win over GraphX.
 
-use psgraph_sim::sync::Mutex;
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
 use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
 use psgraph_sim::FxHashMap;
 
+use crate::agent::PsAgent;
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
 use crate::error::Result;
@@ -92,6 +94,8 @@ impl PageRank {
             ctx.ps().checkpoint_all(ctx.dfs())?;
         }
 
+        let agent = PsAgent::new(ctx.cluster());
+        let num_parts = tables.num_partitions();
         let mut supersteps = 0;
         for step in 0..self.max_iterations {
             let (killed_execs, _killed_servers) = ctx.superstep_maintenance(step)?;
@@ -100,24 +104,27 @@ impl PageRank {
             }
             supersteps += 1;
 
-            // Steps 2–3: pull Δ of local sources, compute contributions as
-            // (dst, src, value) triples. Keeping the source id lets the
-            // driver fold every destination's sum in a canonical order, so
-            // the floating-point result is identical no matter how the
-            // edge list was partitioned (determinism contract: same seed ⇒
-            // bit-identical ranks).
+            // Steps 2–3, once per executor over all its partitions: pull Δ
+            // of the local sources through the agent's plan (one RPC per
+            // server), compute contributions as (dst, src, value) triples.
+            // Keeping the source id lets the driver fold every
+            // destination's sum in a canonical order, so the floating-point
+            // result is identical no matter how the edge list was
+            // partitioned (determinism contract: same seed ⇒ bit-identical
+            // ranks).
             let damping = self.damping;
             let threshold = self.delta_threshold;
-            let dranks_ref = &dranks;
             let staged: Vec<Vec<(u64, u64, f64)>> = ctx
                 .cluster()
-                .run_stage(tables.num_partitions(), |p, exec| {
-                    let part = tables.partition(p)?;
-                    let srcs: Vec<u64> = part.iter().map(|(s, _)| *s).collect();
-                    let deltas = dranks_ref.pull_sparse(exec.clock(), &srcs).df()?;
-                    let mut updates: Vec<(u64, u64, f64)> = Vec::new();
+                .run_executors(num_parts, |exec, parts| {
+                    let local = tables.partitions(parts)?;
+                    let sources = || local.iter().flat_map(|part| part.iter());
+                    let deltas = agent
+                        .pull_sparse(exec, &dranks, || sources().map(|(src, _)| *src).collect())?;
+                    let mut updates: Vec<(u64, u64, f64)> =
+                        Vec::with_capacity(sources().map(|(_, ns)| ns.len()).sum());
                     let mut work = 0u64;
-                    for ((src, neighbors), delta) in part.iter().zip(deltas) {
+                    for ((src, neighbors), delta) in sources().zip(deltas) {
                         if delta.abs() <= threshold || neighbors.is_empty() {
                             continue;
                         }
@@ -141,12 +148,11 @@ impl PageRank {
             // partitioning AND any pool size; the expensive sort+fold is
             // what the pool parallelizes. Each destination then gets
             // exactly one add per superstep, from its owner partition.
-            let num_parts = tables.num_partitions();
             let mut buckets: Vec<Vec<(u64, u64, f64)>> = vec![Vec::new(); num_parts];
             for (dst, src, c) in staged.into_iter().flatten() {
                 buckets[(dst % num_parts as u64) as usize].push((dst, src, c));
             }
-            let staged: Vec<FxHashMap<u64, f64>> =
+            let sums: Vec<FxHashMap<u64, f64>> =
                 ctx.cluster().pool().map(buckets, |mut bucket| {
                     bucket.sort_unstable_by_key(|&(dst, src, _)| (dst, src));
                     let mut sums: FxHashMap<u64, f64> = FxHashMap::default();
@@ -160,22 +166,15 @@ impl PageRank {
             ranks.accumulate_and_reset(ctx.cluster().driver(), &dranks)?;
             ctx.cluster().clock().barrier([ctx.cluster().driver()]);
 
-            // Step 5: push the new contributions into Δranks.
-            let staged = Arc::new(
-                staged.into_iter().map(|m| Mutex::new(Some(m))).collect::<Vec<_>>(),
-            );
-            let staged2 = Arc::clone(&staged);
-            let dranks_ref = &dranks;
+            // Step 5: every executor pushes the sums its partitions own
+            // into Δranks, as one request.
             ctx.cluster()
-                .run_stage(tables.num_partitions(), move |p, exec| {
-                    let Some(updates) = staged2[p].lock().take() else {
-                        return Ok(());
-                    };
-                    if updates.is_empty() {
-                        return Ok(());
+                .run_executors(num_parts, |exec, parts| {
+                    let (idx, vals): (Vec<u64>, Vec<f64>) =
+                        parts.iter().flat_map(|&p| &sums[p]).map(|(&dst, &sum)| (dst, sum)).unzip();
+                    if !idx.is_empty() {
+                        dranks.push_add(exec.clock(), &idx, &vals).df()?;
                     }
-                    let (idx, vals): (Vec<u64>, Vec<f64>) = updates.into_iter().unzip();
-                    dranks_ref.push_add(exec.clock(), &idx, &vals).df()?;
                     Ok(())
                 })
                 .map_err(crate::error::CoreError::from)?;

@@ -9,12 +9,12 @@
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
-use psgraph_graph::metrics::sorted_intersection_count;
 use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
 
 use crate::context::{PsGraphContext, RunStats};
-use crate::error::PsResultExt;
 use crate::error::Result;
+
+use super::common_neighbor::{batch_of, count_common, num_rounds, push_adjacency};
 
 /// Triangle-count job configuration.
 #[derive(Debug, Clone)]
@@ -66,67 +66,27 @@ impl TriangleCount {
             Partitioner::Hash,
             RecoveryMode::Inconsistent,
         )?;
-        let adj_ref = &adj;
-        ctx.cluster()
-            .run_stage(tables.num_partitions(), |p, exec| {
-                let part = tables.partition(p)?;
-                // The per-edge kernel below merges the lists as pushed.
-                debug_assert!(part.iter().all(|(_, ns)| ns.windows(2).all(|w| w[0] < w[1])));
-                if !part.is_empty() {
-                    adj_ref.push(exec.clock(), &part).df()?;
-                }
-                Ok(())
-            })
-            .map_err(crate::error::CoreError::from)?;
+        push_adjacency(ctx, &tables, &adj)?;
         supersteps += 1;
 
         // Stream canonical edges; each common neighbor of (a, b) closes a
         // triangle; every triangle is counted once per of its 3 edges.
         let batch = self.batch_size.max(1);
-        let rounds = {
-            let counts = ctx
-                .cluster()
-                .run_stage(canon.num_partitions(), |p, _exec| {
-                    Ok(canon.partition(p)?.len().div_ceil(batch))
-                })
-                .map_err(crate::error::CoreError::from)?;
-            counts.into_iter().max().unwrap_or(0)
-        };
-
         let mut total = 0u64;
-        for round in 0..rounds {
+        for round in 0..num_rounds(ctx, &canon, batch)? {
             let (killed_execs, _) = ctx.superstep_maintenance(supersteps)?;
             if !killed_execs.is_empty() {
                 canon.recover()?;
             }
             supersteps += 1;
 
-            let adj_ref = &adj;
             let partials: Vec<u64> = ctx
                 .cluster()
-                .run_stage(canon.num_partitions(), |p, exec| {
-                    let part = canon.partition(p)?;
-                    let lo = round * batch;
-                    if lo >= part.len() {
-                        return Ok(0);
-                    }
-                    let hi = ((round + 1) * batch).min(part.len());
-                    let slice = &part[lo..hi];
-                    let mut wanted = Vec::with_capacity(slice.len() * 2);
-                    for &(a, b) in slice {
-                        wanted.push(a);
-                        wanted.push(b);
-                    }
-                    let neigh = adj_ref.pull(exec.clock(), &wanted).df()?;
-                    let mut count = 0u64;
-                    let mut work = 0u64;
-                    for pair in neigh.chunks_exact(2) {
-                        let (common, comparisons) = sorted_intersection_count(&pair[0], &pair[1]);
-                        count += common;
-                        work += comparisons;
-                    }
-                    exec.charge_cpu(ctx.cluster().cost(), work * 3);
-                    Ok(count)
+                .run_executors(canon.num_partitions(), |exec, parts| {
+                    let local = canon.partitions(parts)?;
+                    let batches: Vec<&[(u64, u64)]> =
+                        local.iter().map(|part| batch_of(part, round, batch)).collect();
+                    Ok(count_common(ctx, exec, &adj, &batches)?.into_iter().flatten().sum())
                 })
                 .map_err(crate::error::CoreError::from)?;
             total += partials.into_iter().sum::<u64>();

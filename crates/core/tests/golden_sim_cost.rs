@@ -1,19 +1,26 @@
-//! Golden sim-cost test for the two neighbor-table jobs (Fig. 6's Common
-//! Neighbor and Triangle Count): pins what a default run on a fixed RMAT
-//! graph moves over the PS network and how long it takes on the sim clock,
-//! so a later change cannot silently re-inflate the traffic.
+//! Golden sim-cost test for the batch jobs that talk to the PS once per
+//! executor per superstep (Fig. 6's Common Neighbor, Triangle Count,
+//! PageRank and K-Core, plus Connected Components): pins what a default
+//! run on a fixed RMAT graph moves over the PS network and how long it
+//! takes on the sim clock, so a later change cannot silently re-inflate the
+//! traffic. Every job runs with more partitions than executors — the shape
+//! the benchmark runs — so a line moves if an executor goes back to one
+//! request per partition.
 //!
-//! Recorded when `NeighborTableHandle::pull` started shipping each
-//! distinct id once per request and the per-pair intersection became a
-//! sorted merge / gallop. At the parent commit (4d13dbb) the same two runs
-//! read `ps_bytes=55954264 elapsed=54805341ns` (Common Neighbor) and
-//! `ps_bytes=46228656 elapsed=48115512ns` (Triangle Count), every other
-//! column as below. A deliberate cost-model change re-records the lines
-//! (the failure message prints the actual ones).
+//! Recorded when the jobs moved onto `Cluster::run_executors` and the
+//! `PsAgent`'s request plans. At the parent commit (7a96f46), one task per
+//! partition, the five runs read
+//! `ps_rpcs=56 ps_bytes=7562416 elapsed=14941569ns` (Common Neighbor),
+//! `ps_rpcs=56 ps_bytes=7295920 elapsed=15732546ns` (Triangle Count),
+//! `ps_rpcs=1006 ps_bytes=530362 elapsed=48138099ns` (PageRank),
+//! `supersteps=7 ps_rpcs=575 ps_bytes=5047832 elapsed=39638994ns` (K-Core) and
+//! `ps_rpcs=275 ps_bytes=2923080 elapsed=22878992ns` (Connected Components),
+//! results and `spark_bytes` as below. A deliberate cost-model change
+//! re-records the lines (the failure message prints the actual ones).
 
 use std::sync::Arc;
 
-use psgraph_core::algos::{CommonNeighbor, TriangleCount};
+use psgraph_core::algos::{CommonNeighbor, ConnectedComponents, KCore, PageRank, TriangleCount};
 use psgraph_core::runner::distribute_edges;
 use psgraph_core::{PsGraphConfig, PsGraphContext, RunStats};
 use psgraph_graph::gen;
@@ -37,12 +44,22 @@ fn run(job: impl FnOnce(&Arc<PsGraphContext>) -> (String, RunStats)) -> String {
 }
 
 const EXPECTED: &[&str] = &[
-    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=56 ps_bytes=7562416 spark_bytes=572192 elapsed=14941569ns",
-    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=56 ps_bytes=7295920 spark_bytes=788416 elapsed=15732546ns",
+    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=28 ps_bytes=4364416 spark_bytes=572192 elapsed=8349210ns",
+    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=28 ps_bytes=4293840 spark_bytes=788416 elapsed=9485897ns",
+    "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=286352 elapsed=7704915ns",
+    "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=123 ps_bytes=752280 spark_bytes=572192 elapsed=12123257ns",
+    "connected_components: components=328 supersteps=4 ps_rpcs=53 ps_bytes=421128 spark_bytes=572192 elapsed=9174580ns",
 ];
 
+/// Partitions of the vector jobs: six per executor, as in the benchmark.
+const PARTITIONS: usize = 24;
+
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+}
+
 #[test]
-fn neighbor_table_jobs_cost_exactly_what_they_did() {
+fn batch_jobs_cost_exactly_what_they_did() {
     let g = gen::rmat(2048, 30_000, Default::default(), 14).dedup();
     let n = g.num_vertices();
     let lines = [
@@ -56,6 +73,26 @@ fn neighbor_table_jobs_cost_exactly_what_they_did() {
             let edges = distribute_edges(ctx, &g, 8).unwrap();
             let out = TriangleCount::default().run(ctx, &edges, n).unwrap();
             (format!("triangle_count: triangles={}", out.triangles), out.stats)
+        }),
+        run(|ctx| {
+            let edges = distribute_edges(ctx, &g, PARTITIONS).unwrap();
+            let job = PageRank { max_iterations: 10, delta_threshold: 1e-6, ..Default::default() };
+            let out = job.run(ctx, &edges, n).unwrap();
+            let digest = fnv(out.ranks.iter().map(|r| r.to_bits()));
+            (format!("pagerank: ranks={digest:016x}"), out.stats)
+        }),
+        run(|ctx| {
+            let edges = distribute_edges(ctx, &g, PARTITIONS).unwrap();
+            let out = KCore::default().run(ctx, &edges, n).unwrap();
+            let digest = fnv(out.coreness.iter().copied());
+            let max = out.coreness.iter().max().unwrap();
+            (format!("kcore: coreness={digest:016x} max={max}"), out.stats)
+        }),
+        run(|ctx| {
+            let edges = distribute_edges(ctx, &g, PARTITIONS).unwrap();
+            let out = ConnectedComponents::default().run(ctx, &edges, n).unwrap();
+            let roots = out.labels.iter().enumerate().filter(|&(v, &l)| v as u64 == l).count();
+            (format!("connected_components: components={roots}"), out.stats)
         }),
     ];
     let actual: Vec<&str> = lines.iter().map(String::as_str).collect();

@@ -274,21 +274,25 @@ impl Cluster {
         self.executors[id].restart(self.clock.now());
     }
 
-    /// Run one stage of `tasks` partition-indexed tasks.
+    /// Run one stage over `tasks` partitions, one task per executor: `f`
+    /// gets an executor and the partitions it hosts (`p % executors`, in
+    /// partition order) and decides how to walk them — this is where a
+    /// job can talk to the PS once for all of an executor's partitions
+    /// instead of once per partition.
     ///
-    /// Tasks are grouped by home executor and each executor group runs as
-    /// one task on the shared work-stealing pool (real parallelism up to
-    /// the pool's thread count), charging simulated costs to its own
-    /// clock. Within a group, partitions execute serially in partition
-    /// order, and results land in partition-indexed slots — the
-    /// deterministic reduction rule, so the output is bit-identical for
-    /// any pool size. A BSP barrier over all live executors closes the
-    /// stage. Returns per-partition results in partition order, or the
-    /// first error (OOM / executor-lost) encountered.
-    pub fn run_stage<R, F>(&self, tasks: usize, f: F) -> Result<Vec<R>>
+    /// The executor tasks run on the shared work-stealing pool (real
+    /// parallelism up to the pool's thread count), each charging simulated
+    /// costs to its own executor's clock. Results come back in executor
+    /// order, one per executor that hosts a partition — the deterministic
+    /// reduction rule, so the output is bit-identical for any pool size. A
+    /// BSP barrier over all live executors closes the stage. A dead
+    /// executor fails the stage with `ExecutorLost`; the first error
+    /// recorded is the stage's, and executor tasks that have not started
+    /// by then are skipped.
+    pub fn run_executors<R, F>(&self, tasks: usize, f: F) -> Result<Vec<R>>
     where
         R: Send,
-        F: Fn(usize, &Executor) -> Result<R> + Send + Sync,
+        F: Fn(&Executor, &[usize]) -> Result<R> + Send + Sync,
     {
         self.stages_run.fetch_add(1, Ordering::Relaxed);
         // Stages start from the current global time.
@@ -298,45 +302,28 @@ impl Cluster {
             }
         }
 
-        let mut by_exec: Vec<Vec<usize>> = vec![Vec::new(); self.executors.len()];
-        for p in 0..tasks {
-            by_exec[p % self.executors.len()].push(p);
-        }
-
-        let results: Mutex<Vec<Option<R>>> =
-            Mutex::new((0..tasks).map(|_| None).collect());
+        let hosts = self.executors.len().min(tasks);
+        let by_exec: Vec<Vec<usize>> =
+            (0..hosts).map(|e| (e..tasks).step_by(self.executors.len()).collect()).collect();
+        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..hosts).map(|_| None).collect());
         let first_err: Mutex<Option<DataflowError>> = Mutex::new(None);
 
         self.pool.scope(|scope| {
-            for (eid, parts) in by_exec.iter().enumerate() {
-                if parts.is_empty() {
-                    continue;
-                }
-                let exec = Arc::clone(&self.executors[eid]);
-                let f = &f;
-                let results = &results;
-                let first_err = &first_err;
+            for (exec, parts) in self.executors.iter().zip(&by_exec) {
+                let (f, results, first_err) = (&f, &results, &first_err);
                 scope.spawn(move |_| {
-                    for &p in parts {
-                        if first_err.lock().is_some() {
-                            return;
-                        }
-                        if !exec.is_alive() {
-                            let mut g = first_err.lock();
-                            if g.is_none() {
-                                *g = Some(DataflowError::ExecutorLost { id: exec.id() });
-                            }
-                            return;
-                        }
-                        match f(p, &exec) {
-                            Ok(r) => results.lock()[p] = Some(r),
-                            Err(e) => {
-                                let mut g = first_err.lock();
-                                if g.is_none() {
-                                    *g = Some(e);
-                                }
-                                return;
-                            }
+                    if first_err.lock().is_some() {
+                        return;
+                    }
+                    let outcome = if exec.is_alive() {
+                        f(exec, parts)
+                    } else {
+                        Err(DataflowError::ExecutorLost { id: exec.id() })
+                    };
+                    match outcome {
+                        Ok(r) => results.lock()[exec.id()] = Some(r),
+                        Err(e) => {
+                            first_err.lock().get_or_insert(e);
                         }
                     }
                 });
@@ -350,19 +337,52 @@ impl Cluster {
         self.clock
             .barrier(self.executors.iter().filter(|e| e.is_alive()).map(|e| e.clock()));
 
-        let out = results.into_inner();
-        let mut v = Vec::with_capacity(tasks);
-        for (p, r) in out.into_iter().enumerate() {
-            match r {
-                Some(r) => v.push(r),
-                None => {
-                    return Err(DataflowError::Other(format!(
-                        "task for partition {p} produced no result"
-                    )))
+        Ok(results
+            .into_inner()
+            .into_iter()
+            .map(|r| r.expect("every executor task stored a result or an error"))
+            .collect())
+    }
+
+    /// Per-partition values that [`Cluster::run_executors`] tasks returned
+    /// (one `Vec` per executor, in the order of its `parts`), back in
+    /// partition order.
+    pub fn in_partition_order<R>(&self, per_executor: Vec<Vec<R>>) -> Vec<R> {
+        let tasks = per_executor.iter().map(Vec::len).sum();
+        let mut per_executor: Vec<_> = per_executor.into_iter().map(Vec::into_iter).collect();
+        (0..tasks)
+            .map(|p| {
+                per_executor[p % self.executors.len()]
+                    .next()
+                    .expect("one value per hosted partition")
+            })
+            .collect()
+    }
+
+    /// Run one stage of `tasks` partition-indexed tasks:
+    /// [`Cluster::run_executors`] with each executor walking its partitions
+    /// serially in partition order, stopping at the first error anywhere in
+    /// the stage. Returns per-partition results in partition order, or the
+    /// first error (OOM / executor-lost) encountered.
+    pub fn run_stage<R, F>(&self, tasks: usize, f: F) -> Result<Vec<R>>
+    where
+        R: Send,
+        F: Fn(usize, &Executor) -> Result<R> + Send + Sync,
+    {
+        let failed = AtomicBool::new(false);
+        let per_executor = self.run_executors(tasks, |exec, parts| {
+            let mut out = Vec::with_capacity(parts.len());
+            for &p in parts {
+                // Another executor failed: the stage returns its error and
+                // nothing of this one is read.
+                if failed.load(Ordering::Relaxed) {
+                    break;
                 }
+                out.push(f(p, exec).inspect_err(|_| failed.store(true, Ordering::Relaxed))?);
             }
-        }
-        Ok(v)
+            Ok(out)
+        })?;
+        Ok(self.in_partition_order(per_executor))
     }
 
     /// Consume any failure-injection plans due at `superstep`, killing the
@@ -391,6 +411,33 @@ mod tests {
         let out = c.run_stage(10, |p, _e| Ok(p * 2)).unwrap();
         assert_eq!(out, (0..10).map(|p| p * 2).collect::<Vec<_>>());
         assert_eq!(c.stages_run(), 1);
+    }
+
+    #[test]
+    fn executor_tasks_get_their_partitions_in_partition_order() {
+        let c = Cluster::local();
+        let out = c.run_executors(10, |e, parts| Ok((e.id(), parts.to_vec()))).unwrap();
+        assert_eq!(
+            out,
+            vec![(0, vec![0, 4, 8]), (1, vec![1, 5, 9]), (2, vec![2, 6]), (3, vec![3, 7])]
+        );
+        // An executor that hosts no partition gets no task.
+        let out = c.run_executors(2, |e, parts| Ok((e.id(), parts.len()))).unwrap();
+        assert_eq!(out, vec![(0, 1), (1, 1)]);
+        assert_eq!(c.stages_run(), 2);
+        assert_eq!(
+            c.in_partition_order(vec![vec![0, 4], vec![1, 5], vec![2], vec![3]]),
+            vec![0, 1, 2, 3, 4, 5]
+        );
+        // Same failure semantics as a partition-indexed stage.
+        let err = c.run_executors(8, |e, _| match e.id() {
+            2 => Err(DataflowError::Other("boom".into())),
+            id => Ok(id),
+        });
+        assert_eq!(err, Err(DataflowError::Other("boom".into())));
+        c.kill_executor(3);
+        let err = c.run_executors(8, |e, _| Ok(e.id())).unwrap_err();
+        assert_eq!(err, DataflowError::ExecutorLost { id: 3 });
     }
 
     #[test]

@@ -149,6 +149,12 @@ impl<T: Record> Rdd<T> {
         }
     }
 
+    /// [`Rdd::partition`] for each of `parts` — what an executor task of
+    /// [`Cluster::run_executors`] reads.
+    pub fn partitions(&self, parts: &[usize]) -> Result<Vec<Arc<Vec<T>>>> {
+        parts.iter().map(|&p| self.partition(p)).collect()
+    }
+
     /// Like [`Rdd::partition`] but falls back to recomputing through
     /// lineage (without re-caching), as Spark does for uncached ancestors.
     pub fn partition_or_recompute(&self, p: usize, exec: &Executor) -> Result<Arc<Vec<T>>> {

@@ -655,6 +655,38 @@ mod tests {
     }
 
     #[test]
+    fn reduce_by_key_ships_at_most_one_record_per_map_partition_and_key() {
+        let c = cluster();
+        // 8 map partitions × 13 keys, 4 000 records: a map task sees every
+        // key about forty times.
+        let records: Vec<(u64, f64)> = (0..4_000u64).map(|i| (i % 13, 1.0)).collect();
+        let rdd = Rdd::from_vec(&c, records, 8).unwrap();
+        let keys_per_map_task: u64 = (0..rdd.num_partitions())
+            .map(|p| {
+                let part = rdd.partition(p).unwrap();
+                part.iter().map(|(k, _)| *k).collect::<std::collections::BTreeSet<_>>().len() as u64
+            })
+            .sum();
+        let shipped = |shuffle: &dyn Fn()| {
+            let before = c.network().stats().total_bytes();
+            shuffle();
+            c.network().stats().total_bytes() - before
+        };
+        let reduced = shipped(&|| drop(rdd.reduce_by_key(5, |a, b| a + b).unwrap()));
+        let fused = shipped(&|| {
+            let fm = |kv: &(u64, f64), out: &mut Vec<(u64, f64)>| out.push(*kv);
+            drop(rdd.flat_map_reduce_by_key(5, fm, |a, b| a + b).unwrap())
+        });
+        // Map-side combine: a (u64, f64) record is 16 bytes on the wire.
+        assert!(reduced > 0 && reduced <= keys_per_map_task * 16, "{reduced} B");
+        assert_eq!(fused, reduced);
+        // The bound is not vacuous: grouping has nothing to combine and
+        // ships every record that leaves its executor.
+        let grouped = shipped(&|| drop(rdd.group_by_key(5).unwrap()));
+        assert!(grouped > 20 * reduced, "{grouped} B grouped vs {reduced} B reduced");
+    }
+
+    #[test]
     fn join_produces_cross_product_per_key() {
         let c = cluster();
         let left = Rdd::from_vec(&c, vec![(1u64, 10u64), (1, 11), (2, 20)], 4).unwrap();

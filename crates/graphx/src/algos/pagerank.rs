@@ -119,4 +119,46 @@ mod tests {
         gx_pagerank(&gx2, 0.85, 8).unwrap();
         assert!(c2.now() > c1.now().scale(2.0), "per-iteration shuffle cost");
     }
+
+    #[test]
+    fn superstep_shuffle_volume_is_combined_map_side() {
+        // The baseline must not be naive where Spark is not: the
+        // per-destination sum is a `reduceByKey`, so a map task ships one
+        // partial sum per destination it saw, not one record per edge.
+        // Bound every shuffle of a superstep by what it may ship — the
+        // contribution leg by one 16-byte record per (map task, dst) — and
+        // hold the measured per-superstep network volume to it.
+        use psgraph_dataflow::shuffle::key_partition;
+        use psgraph_dataflow::ClusterConfig;
+        const PARTS: usize = 8;
+        let g = close_ring(&gen::rmat(64, 2_400, Default::default(), 21).dedup());
+        let (n, e) = (g.num_vertices(), g.num_edges() as u64);
+        let shipped = |iterations| {
+            let c = Cluster::new(ClusterConfig::default().with_executors(PARTS));
+            let gx = GxGraph::from_edgelist(&c, &g, PARTS).unwrap();
+            gx_pagerank(&gx, 0.85, iterations).unwrap();
+            c.network().stats().total_bytes()
+        };
+        let per_superstep = (shipped(3) - shipped(1)) / 2;
+
+        // Contributions are produced by the edge ⋈ (rank, degree) join,
+        // whose output is partitioned by source.
+        let mut dsts_by_task = vec![std::collections::BTreeSet::new(); PARTS];
+        for &(src, dst) in g.edges() {
+            dsts_by_task[key_partition(&src, PARTS)].insert(dst);
+        }
+        let contributions = dsts_by_task.iter().map(|d| d.len() as u64).sum::<u64>() * 16;
+        // ranks ⋈ degrees (two 16 B sides), the edge table (16 B an edge)
+        // and (src, (rank, degree)) (24 B) into the triplet join, and the
+        // re-densifying union of zeros and sums (16 B each, combined).
+        let other_legs = n * (16 + 16) + e * 16 + n * 24 + n * (16 + 16);
+        assert!(
+            per_superstep <= contributions + other_legs,
+            "{per_superstep} B per superstep vs bound {contributions} + {other_legs}"
+        );
+        // One record per edge on the contribution leg would not fit: on 8
+        // executors 7/8 of a shuffle crosses the network.
+        let naive = (e * 16 + other_legs) * 7 / 8;
+        assert!(naive > contributions + other_legs, "bound has no teeth on this graph");
+    }
 }

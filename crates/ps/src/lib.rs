@@ -53,6 +53,7 @@ pub use error::PsError;
 pub use master::Master;
 pub use matrix::MatrixHandle;
 pub use neighbor::{NeighborEntry, NeighborTableHandle};
+pub use object::PullPlan;
 pub use partition::{PartitionLayout, Partitioner};
 pub use ps::{Ps, PsConfig, RecoveryMode};
 pub use psfunc::PartitionViewMut;

@@ -20,7 +20,6 @@
 
 use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use crate::error::Result;
@@ -337,44 +336,29 @@ impl NeighborTableHandle {
     /// with no entry return an empty list. Result aligns with the input.
     /// Tombstoned slots are never visible to readers.
     ///
-    /// Each distinct id crosses the wire once: the request, the server ops
-    /// and the response are charged over the distinct ids of every
-    /// (server, partition) group, and a repeated id gets an `Arc` clone of
-    /// its first occurrence's list — so a batch of edges around a hub
-    /// ships the hub's list once, not once per incident edge. The response
-    /// size is only known once the lists were read, so the charge follows
-    /// the visit.
+    /// Each distinct id crosses the wire once: the request is a one-shot
+    /// [`PullPlan`](crate::PullPlan), so the request, the server ops and
+    /// the response are charged over the distinct ids of every (server,
+    /// partition) group, and a repeated id gets an `Arc` clone of its first
+    /// occurrence's list — a batch of edges around a hub ships the hub's
+    /// list once, not once per incident edge. The response size is only
+    /// known once the lists were read, so the charge follows the visit.
     pub fn pull(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<Arc<Vec<u64>>>> {
-        self.obj.check(ids.iter().copied())?;
+        let plan = self.obj.plan(ids)?;
         static EMPTY: std::sync::OnceLock<Arc<Vec<u64>>> = std::sync::OnceLock::new();
         let empty = EMPTY.get_or_init(|| Arc::new(Vec::new()));
-        let mut out: Vec<Arc<Vec<u64>>> = vec![Arc::clone(empty); ids.len()];
-        // Only the first occurrence of each id is routed; remember where
-        // every later occurrence copies from.
-        let mut first: FxHashMap<u64, usize> = FxHashMap::default();
-        first.reserve(ids.len());
-        let mut repeats: Vec<(usize, usize)> = Vec::new();
-        let firsts = ids.iter().copied().enumerate().filter(|&(pos, v)| match first.entry(v) {
-            Entry::Occupied(e) => {
-                repeats.push((pos, *e.get()));
-                false
-            }
-            Entry::Vacant(e) => {
-                e.insert(pos);
-                true
-            }
-        });
-        self.obj.scatter(firsts, |server, n, parts| {
+        let mut distinct: Vec<Arc<Vec<u64>>> = vec![Arc::clone(empty); plan.distinct()];
+        self.obj.replay(&plan, |server, n, runs| {
             let mut resp_bytes = 0u64;
             let mut items = 0u64;
-            for (p, positions) in &parts {
+            for (p, run) in runs {
                 server.get(&self.obj.name, *p, |part: &TablePart| {
-                    for &pos in positions {
-                        if let Some(e) = part.get(&ids[pos]) {
+                    for (slot, id) in distinct[run.clone()].iter_mut().zip(&plan.ids()[run.clone()]) {
+                        if let Some(e) = part.get(id) {
                             let ns = e.live();
                             resp_bytes += ns.len() as u64 * 8 + 16;
                             items += ns.len() as u64 + 1;
-                            out[pos] = ns;
+                            *slot = ns;
                         }
                     }
                 })?;
@@ -382,10 +366,7 @@ impl NeighborTableHandle {
             self.obj.charge(client, server, n * 8, self.obj.item_ops(items), resp_bytes);
             Ok(())
         })?;
-        for (pos, from) in repeats {
-            out[pos] = Arc::clone(&out[from]);
-        }
-        Ok(out)
+        Ok(plan.fan_out(&distinct))
     }
 
     /// Out-degrees of `ids` (server-side; only counts cross the wire).

@@ -7,7 +7,9 @@
 //! nowhere else: which server and partition owns a key and in which order
 //! a request visits them ([`PsObject::group`]), the liveness check that
 //! precedes any charge ([`PsObject::scatter`], [`PsObject::each_partition`]),
-//! the RPC charge itself ([`PsObject::charge`]), and what the cluster needs
+//! that routing kept for requests that repeat — across calls or within one
+//! ([`PullPlan`], [`PsObject::replay`]), the RPC charge itself
+//! ([`PsObject::charge`]), and what the cluster needs
 //! from a partition type to checkpoint and restore it ([`Partition`],
 //! decoded through the bounds-checked [`Reader`]). DESIGN.md §8.8 states
 //! the contract.
@@ -15,6 +17,7 @@
 use psgraph_sim::bytes::Buf;
 use psgraph_sim::{FxHashMap, NodeClock};
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::element::Element;
@@ -72,6 +75,59 @@ impl<P: Partition> ObjectOps for PartOps<P> {
 
 /// One server's share of a request: positions of its keys, by partition.
 pub(crate) type ServerGroup = FxHashMap<usize, Vec<usize>>;
+
+/// One partition's share of a [`PullPlan`]: the partition, and its run of
+/// the plan's distinct ids.
+pub(crate) type PlanRun = (usize, Range<usize>);
+
+/// The routing of one keyed read, worked out once and replayed: the
+/// request's *distinct* ids grouped by (server, partition) in
+/// [`PsObject::group`]'s visit order, plus where every request position —
+/// repeats included — finds its value among them.
+///
+/// A replay ([`PsObject::replay`]) contacts the same servers in the same
+/// order as the one-shot request would and charges over the distinct ids
+/// only, so a duplicate-free plan costs exactly what the one-shot request
+/// costs. A plan is bound to the layout it was built for, not to an object:
+/// any object with that layout can replay it.
+#[derive(Debug, Clone)]
+pub struct PullPlan {
+    layout: PartitionLayout,
+    /// Distinct ids, one contiguous run per (server, partition) group.
+    ids: Vec<u64>,
+    /// One leg per server in visit order: the server, and its partitions
+    /// with the run of `ids` each owns.
+    legs: Vec<(usize, Vec<PlanRun>)>,
+    /// `slots[pos]` indexes the id of request position `pos` in `ids`.
+    slots: Vec<u32>,
+}
+
+impl PullPlan {
+    /// Length of the request the plan was built from.
+    pub fn positions(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Distinct ids among them — what a replay ships.
+    pub fn distinct(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Bytes the plan occupies on the client that holds it.
+    pub fn approx_bytes(&self) -> u64 {
+        (self.ids.len() * 8 + self.slots.len() * 4 + self.legs.len() * 48) as u64
+    }
+
+    /// The distinct ids in replay order.
+    pub(crate) fn ids(&self) -> &[u64] {
+        &self.ids
+    }
+
+    /// One value per request position from one value per distinct id.
+    pub(crate) fn fan_out<T: Clone>(&self, distinct: &[T]) -> Vec<T> {
+        self.slots.iter().map(|&s| distinct[s as usize].clone()).collect()
+    }
+}
 
 /// Visit every partition of `layout` in partition order, failing at the
 /// first one whose server is down — before `visit` sees it.
@@ -186,6 +242,78 @@ impl PsObject {
             server.ensure_alive()?;
             let n = parts.values().map(|positions| positions.len() as u64).sum();
             visit(server, n, parts)?;
+        }
+        Ok(())
+    }
+
+    /// Route `keys` (any order, duplicates allowed) once: see [`PullPlan`].
+    /// Only the first occurrence of each id is routed — through
+    /// [`PsObject::group`], so a replay visits servers and partitions in
+    /// the order the one-shot request over the distinct ids would.
+    pub(crate) fn plan(&self, keys: &[u64]) -> Result<PullPlan> {
+        self.check(keys.iter().copied())?;
+        if u32::try_from(keys.len()).is_err() {
+            return Err(PsError::DimensionMismatch(format!(
+                "{}: a plan holds fewer than 2^32 ids, not {}",
+                self.name,
+                keys.len()
+            )));
+        }
+        // `slots` first numbers the distinct ids by first occurrence …
+        let mut firsts: Vec<u64> = Vec::new();
+        let mut seen: FxHashMap<u64, u32> = FxHashMap::default();
+        seen.reserve(keys.len());
+        let mut slots: Vec<u32> = keys
+            .iter()
+            .map(|&key| {
+                *seen.entry(key).or_insert_with(|| {
+                    firsts.push(key);
+                    firsts.len() as u32 - 1
+                })
+            })
+            .collect();
+        // … and then by where the grouping put them.
+        let mut ids = Vec::with_capacity(firsts.len());
+        let mut moved_to = vec![0u32; firsts.len()];
+        let mut legs = Vec::new();
+        for (s, parts) in self.group(firsts.iter().copied().enumerate()) {
+            let mut runs = Vec::with_capacity(parts.len());
+            for (p, positions) in parts {
+                let start = ids.len();
+                for first in positions {
+                    moved_to[first] = ids.len() as u32;
+                    ids.push(firsts[first]);
+                }
+                runs.push((p, start..ids.len()));
+            }
+            legs.push((s, runs));
+        }
+        for slot in &mut slots {
+            *slot = moved_to[*slot as usize];
+        }
+        Ok(PullPlan { layout: self.layout.clone(), ids, legs, slots })
+    }
+
+    /// [`PsObject::scatter`] over a plan: one leg per server in the plan's
+    /// visit order; `visit` gets the server (checked alive first), how
+    /// many distinct ids it owns, and per partition the run of
+    /// [`PullPlan::ids`] to read.
+    pub(crate) fn replay(
+        &self,
+        plan: &PullPlan,
+        mut visit: impl FnMut(&PsServer, u64, &[PlanRun]) -> Result<()>,
+    ) -> Result<()> {
+        if plan.layout != self.layout {
+            return Err(PsError::DimensionMismatch(format!(
+                "{}: plan was built for another layout",
+                self.name
+            )));
+        }
+        for (s, runs) in &plan.legs {
+            let server = self.ps.server(*s);
+            server.ensure_alive()?;
+            let n = runs.iter().map(|(_, run)| run.len() as u64).sum();
+            visit(server, n, runs)?;
         }
         Ok(())
     }
@@ -413,6 +541,58 @@ mod tests {
             (err, reached),
             (Err(PsError::ServerDown { id: 3 }), vec![0, 1, 2])
         );
+    }
+
+    #[test]
+    fn plan_routes_each_distinct_id_once_and_places_every_position() {
+        let obj = object(4, PartitionLayout::range(100, 4));
+        // Server 1 owns [25, 50): no key lands there.
+        let keys = [0u64, 99, 50, 1, 75, 0, 99, 0];
+        let plan = obj.plan(&keys).unwrap();
+        assert_eq!((plan.positions(), plan.distinct()), (8, 5));
+        // Replaying with "the value of id k is k" reads the request back.
+        let mut values = vec![u64::MAX; plan.distinct()];
+        let mut legs = Vec::new();
+        obj.replay(&plan, |server, n, runs| {
+            assert_eq!(n, runs.iter().map(|(_, run)| run.len() as u64).sum::<u64>());
+            legs.push((server.id(), n));
+            for (p, run) in runs {
+                assert_eq!(obj.layout.server_of_partition(*p), server.id());
+                for i in run.clone() {
+                    assert_eq!(obj.layout.partition_of(plan.ids()[i]), *p);
+                    values[i] = plan.ids()[i];
+                }
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(plan.fan_out(&values), keys);
+        // The legs of the one-shot request over the distinct ids, in its order.
+        let mut one_shot = Vec::new();
+        obj.scatter([0u64, 99, 50, 1, 75].into_iter().enumerate(), |server, n, _| {
+            one_shot.push((server.id(), n));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(legs, one_shot);
+
+        // Same liveness rule as `scatter`, and a plan fits one layout only.
+        obj.ps.kill_server(3);
+        let mut visited = Vec::new();
+        let err = obj.replay(&plan, |server, _, _| {
+            visited.push(server.id());
+            Ok(())
+        });
+        assert_eq!(err, Err(PsError::ServerDown { id: 3 }));
+        assert!(!visited.contains(&3), "a dead server's leg never runs");
+        let other = object(4, PartitionLayout::hash(100, 4));
+        assert!(matches!(
+            other.replay(&plan, |_, _, _| Ok(())),
+            Err(PsError::DimensionMismatch(_))
+        ));
+        assert!(matches!(obj.plan(&[3, 100]), Err(PsError::IndexOutOfBounds { index: 100, .. })));
+        let empty = obj.plan(&[]).unwrap();
+        assert_eq!((empty.positions(), empty.distinct(), empty.approx_bytes()), (0, 0, 0));
     }
 
     #[test]

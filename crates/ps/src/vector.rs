@@ -15,9 +15,10 @@ use std::sync::Arc;
 
 use crate::element::Element;
 use crate::error::{PsError, Result};
-use crate::object::{Partition, PsObject, Reader};
+use crate::object::{Partition, PlanRun, PsObject, PullPlan, Reader};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
+use crate::server::PsServer;
 
 /// One stored vector partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,6 +220,63 @@ impl<E: Element> VectorHandle<E> {
             Ok(())
         })?;
         Ok(out)
+    }
+
+    /// Route a request that will be issued again and again (a superstep's
+    /// `[v, N(v)…]` read): see [`PullPlan`]. Any vector with this layout
+    /// can replay the plan.
+    pub fn plan(&self, indices: &[u64]) -> Result<PullPlan> {
+        self.obj.plan(indices)
+    }
+
+    /// [`VectorHandle::pull`] of the request `plan` was built from: same
+    /// result, servers visited in the same order, but each distinct index
+    /// crosses the wire once — request, server ops and response are
+    /// charged over the distinct indices, and repeats are filled in
+    /// client-side.
+    pub fn pull_planned(&self, client: &NodeClock, plan: &PullPlan) -> Result<Vec<E>> {
+        let mut distinct = vec![E::default(); plan.distinct()];
+        self.obj.replay(plan, |server, n, runs| {
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), n * E::WIDTH as u64);
+            self.read_runs(server, plan, runs, &mut distinct)?;
+            Ok(())
+        })?;
+        Ok(plan.fan_out(&distinct))
+    }
+
+    /// [`VectorHandle::pull_sparse`] of the request `plan` was built from,
+    /// charged over its distinct indices like
+    /// [`VectorHandle::pull_planned`].
+    pub fn pull_sparse_planned(&self, client: &NodeClock, plan: &PullPlan) -> Result<Vec<E>> {
+        let mut distinct = vec![E::default(); plan.distinct()];
+        self.obj.replay(plan, |server, n, runs| {
+            let nonzero = self.read_runs(server, plan, runs, &mut distinct)?;
+            let resp_bytes = nonzero * E::WIDTH as u64 + n / 8 + 8;
+            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), resp_bytes);
+            Ok(())
+        })?;
+        Ok(plan.fan_out(&distinct))
+    }
+
+    /// Read one server's runs of `plan`'s distinct ids into `distinct`;
+    /// returns how many of the values read are nonzero.
+    fn read_runs(
+        &self,
+        server: &PsServer,
+        plan: &PullPlan,
+        runs: &[PlanRun],
+        distinct: &mut [E],
+    ) -> Result<u64> {
+        let mut nonzero = 0;
+        for (p, run) in runs {
+            server.get(&self.obj.name, *p, |part: &VecPart<E>| {
+                for (slot, &key) in distinct[run.clone()].iter_mut().zip(&plan.ids()[run.clone()]) {
+                    *slot = part.get(key);
+                    nonzero += (*slot != E::default()) as u64;
+                }
+            })?;
+        }
+        Ok(nonzero)
     }
 
     /// Add `values[i]` into position `indices[i]` (the `push`+`add`

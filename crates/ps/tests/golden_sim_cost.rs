@@ -14,7 +14,8 @@
 //! server's port clock** — a port is FIFO in sim time, so the port clocks
 //! are what pins the visit order. The script ends with server 1 killed:
 //! one keyed operation per handle records the `PsError` and the charges
-//! already made to the servers visited before the dead one.
+//! already made to the servers visited before the dead one. A second,
+//! shorter script (`run_plans`) does the same for the planned reads.
 //!
 //! Recorded at f10724d, before the handles' hand-rolled `(server,
 //! partition)` fan-outs became one `PsObject::scatter`. A refactor of the
@@ -570,7 +571,84 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.lines
 }
 
-/// Recorded at f10724d (see the module docs).
+/// The planned reads, on a PS of their own so that every line above stays
+/// where it was recorded: each request shape is routed once
+/// (`VectorHandle::plan` charges nothing) and replayed through
+/// `pull_planned` / `pull_sparse_planned`, again after a write, on a second
+/// vector of the same layout, against a vector of another layout, and with
+/// server 1 down.
+fn run_plans(servers: usize, partitioner: Partitioner) -> Vec<String> {
+    let ps = Ps::new(PsConfig {
+        servers,
+        ..Default::default()
+    });
+    let tag = format!(
+        "s{servers}/{}",
+        if partitioner == Partitioner::Range {
+            "range"
+        } else {
+            "hash"
+        }
+    );
+    let mut t = Probe {
+        ps: Arc::clone(&ps),
+        client: NodeClock::new(),
+        tag,
+        lines: Vec::new(),
+    };
+    let rec = RecoveryMode::Inconsistent;
+    let layout = PartitionLayout::new(partitioner, N, servers, servers);
+    let reqs = requests(&layout);
+    let mixed = reqs[0].1.clone();
+    let v = VectorHandle::<f64>::create(&ps, "v", N, partitioner, rec).unwrap();
+    let u = VectorHandle::<u64>::create(&ps, "u", N, partitioner, rec).unwrap();
+    let wide = VectorHandle::<f64>::create(&ps, "wide", 2 * N, partitioner, rec).unwrap();
+    t.op("plan.seed", |c| v.push_set(c, &mixed[..6], &f64s(&mixed[..6])));
+    let mut plans = Vec::new();
+    for (name, keys) in &reqs {
+        let plan = t.op_ret(&format!("plan.build {name}"), |_| v.plan(keys)).unwrap();
+        t.op(&format!("plan.shape {name}"), |_| {
+            (plan.positions(), plan.distinct(), plan.approx_bytes())
+        });
+        plans.push(plan);
+    }
+    for ((name, _), plan) in reqs.iter().zip(&plans) {
+        t.op(&format!("plan.pull_planned {name}"), |c| {
+            v.pull_planned(c, plan)
+        });
+    }
+    for ((name, _), plan) in reqs.iter().zip(&plans) {
+        t.op(&format!("plan.pull_sparse_planned {name}"), |c| {
+            v.pull_sparse_planned(c, plan)
+        });
+    }
+    t.op("plan.write", |c| v.push_add(c, &mixed, &f64s(&mixed)));
+    t.op("plan.pull_planned mixed after write", |c| {
+        v.pull_planned(c, &plans[0])
+    });
+    t.op("plan.pull_sparse_planned rev after write", |c| {
+        v.pull_sparse_planned(c, &plans[1])
+    });
+    t.op("plan.pull_planned same layout", |c| {
+        u.pull_planned(c, &plans[0])
+    });
+    t.op("plan.pull_planned other layout", |c| {
+        wide.pull_planned(c, &plans[0])
+    });
+    t.op("plan.build out_of_bounds", |_| {
+        v.plan(&[1, N]).map(|p| p.distinct())
+    });
+    ps.kill_server(1);
+    t.op("dead1 plan.pull_planned", |c| v.pull_planned(c, &plans[0]));
+    t.op("dead1 plan.pull_sparse_planned", |c| {
+        v.pull_sparse_planned(c, &plans[1])
+    });
+    t.op("dead1 plan.build", |_| v.plan(&mixed).map(|p| p.distinct()));
+    t.lines
+}
+
+/// Recorded at f10724d (see the module docs); the `plan.` lines were added
+/// with `PullPlan`.
 const EXPECTED: &str = include_str!("golden_sim_cost.expected");
 
 #[test]
@@ -579,6 +657,11 @@ fn every_ps_operation_costs_exactly_what_it_did() {
     for servers in [4, 7] {
         for partitioner in [Partitioner::Range, Partitioner::Hash] {
             actual.extend(run(servers, partitioner));
+        }
+    }
+    for servers in [4, 7] {
+        for partitioner in [Partitioner::Range, Partitioner::Hash] {
+            actual.extend(run_plans(servers, partitioner));
         }
     }
     let expected: Vec<&str> = EXPECTED.lines().collect();

@@ -119,6 +119,115 @@ fn sparse_pull_matches_dense_pull_under_any_partitioner() {
     );
 }
 
+/// What `read` returns and charges on a freshly built vector holding
+/// `writes`: (values, RPCs, request bytes, response bytes, client clock,
+/// every server's port clock).
+type Charged = (Vec<f64>, u64, u64, u64, SimTime, Vec<SimTime>);
+
+fn vector_read_on_fresh_ps(
+    servers: usize,
+    partitioner: Partitioner,
+    size: u64,
+    writes: &[(u64, f64)],
+    read: impl FnOnce(&VectorHandle<f64>, &NodeClock) -> Vec<f64>,
+) -> Charged {
+    let ps = Ps::new(PsConfig { servers, ..Default::default() });
+    let client = NodeClock::new();
+    let v =
+        VectorHandle::<f64>::create(&ps, "prop.plan", size, partitioner, RecoveryMode::Inconsistent)
+            .unwrap();
+    let (idx, vals): (Vec<u64>, Vec<f64>) = writes.iter().copied().unzip();
+    v.push_set(&client, &idx, &vals).unwrap();
+    let stats = ps.network().stats();
+    let (rpcs, sent, recv) = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
+    let values = read(&v, &client);
+    (
+        values,
+        stats.rpcs() - rpcs,
+        stats.bytes_sent() - sent,
+        stats.bytes_received() - recv,
+        client.now(),
+        (0..servers).map(|s| ps.server(s).port().clock().now()).collect(),
+    )
+}
+
+#[test]
+fn planned_pull_replays_the_one_shot_pull_and_charges_distinct_ids_only() {
+    check(
+        "planned_pull_replays_the_one_shot_pull_and_charges_distinct_ids_only",
+        |src: &mut Source| {
+            let size = src.u64_range(1, 150);
+            // Zeros among the values, so the sparse response size matters.
+            let writes = src.vec_with(0, 60, |s| {
+                (s.u64_range(0, size), s.i64_range(-3, 4) as f64 * 0.5)
+            });
+            // A small id range makes repeats the common case.
+            let hot = src.u64_range(1, size + 1);
+            let ids = src.vec_with(0, 90, |s| s.u64_range(0, hot));
+            let later = src.vec_with(1, 20, |s| (s.u64_range(0, hot), s.i64_range(1, 9) as f64));
+            let servers = if src.bool() { 4 } else { 7 };
+            let partitioner = if src.bool() { Partitioner::Range } else { Partitioner::Hash };
+            (size, writes, ids, later, servers, partitioner)
+        },
+        |(size, writes, ids, later, servers, partitioner)| {
+            let fresh = |read: &dyn Fn(&VectorHandle<f64>, &NodeClock) -> Vec<f64>| {
+                vector_read_on_fresh_ps(*servers, *partitioner, *size, writes, read)
+            };
+            let mut distinct: Vec<u64> = Vec::new();
+            for &k in ids {
+                if !distinct.contains(&k) {
+                    distinct.push(k);
+                }
+            }
+            type Read = fn(&VectorHandle<f64>, &NodeClock, &[u64]) -> Vec<f64>;
+            let flavours: [(Read, Read); 2] = [
+                (
+                    |v, c, ids| v.pull(c, ids).unwrap(),
+                    |v, c, ids| v.pull_planned(c, &v.plan(ids).unwrap()).unwrap(),
+                ),
+                (
+                    |v, c, ids| v.pull_sparse(c, ids).unwrap(),
+                    |v, c, ids| v.pull_sparse_planned(c, &v.plan(ids).unwrap()).unwrap(),
+                ),
+            ];
+            for (one_shot, planned) in flavours {
+                // Same values as the one-shot request, repeats included.
+                let want = fresh(&|v, c| one_shot(v, c, ids));
+                let got = fresh(&|v, c| planned(v, c, ids));
+                prop_assert_eq!(&got.0, &want.0);
+                // Repeats are free: the plan charges what the plan over its
+                // distinct ids charges …
+                let got_distinct = fresh(&|v, c| planned(v, c, &distinct));
+                prop_assert_eq!(&got.1, &got_distinct.1);
+                prop_assert_eq!((got.2, got.3, got.4), (got_distinct.2, got_distinct.3, got_distinct.4));
+                prop_assert_eq!(&got.5, &got_distinct.5);
+                // … and a duplicate-free plan charges exactly what `pull`
+                // does: RPCs, bytes each way, client clock, port clocks.
+                let want_distinct = fresh(&|v, c| one_shot(v, c, &distinct));
+                prop_assert_eq!(&got_distinct, &want_distinct);
+            }
+            // A plan holds routing, not values: a replay after a write sees it.
+            let (replayed, ..) = fresh(&|v, c| {
+                let plan = v.plan(ids).unwrap();
+                assert_eq!((plan.positions(), plan.distinct()), (ids.len(), distinct.len()));
+                v.pull_planned(c, &plan).unwrap();
+                let (idx, vals): (Vec<u64>, Vec<f64>) = later.iter().copied().unzip();
+                v.push_set(c, &idx, &vals).unwrap();
+                let second = v.pull_planned(c, &plan).unwrap();
+                assert_eq!(second, v.pull(c, ids).unwrap());
+                assert_eq!(v.pull_sparse_planned(c, &plan).unwrap(), second);
+                second
+            });
+            for (pos, k) in ids.iter().enumerate() {
+                if let Some((_, val)) = later.iter().rev().find(|(w, _)| w == k) {
+                    prop_assert_eq!(replayed[pos], *val, "position {} (key {})", pos, k);
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 /// What one `pull(ids)` on a freshly built copy of `table` returns and
 /// charges: (lists, request bytes, response bytes, RPCs, client time).
 fn neighbor_pull_on_fresh_ps(

@@ -111,8 +111,12 @@ cargo run --release --offline -p psgraph-bench --bin repro -- chaos --scale 0.02
 # answers, reference-equal results — must hold on every schedule, and
 # the sharded stream's state digest must be the same on all ten: the
 # sharded drain plans batches on the pool, so this is the path a
-# steal-order bug would corrupt.
+# steal-order bug would corrupt. Same for the batch path: a small
+# `repro -- fig6` prints the digests of the PSGraph PageRank / Common
+# Neighbor / K-Core / Triangle Count outputs, whose executor tasks read
+# and write the PS concurrently — the line must not vary either.
 : >/tmp/ci-perturb-digests.log
+: >/tmp/ci-perturb-fig6.log
 for seed in 1 2 3 4 5 6 7 8 9 10; do
     echo "ci: perturbation seed $seed"
     PSGRAPH_POOL_PERTURB=$seed cargo run --release --offline -p psgraph-bench --bin repro -- \
@@ -120,12 +124,20 @@ for seed in 1 2 3 4 5 6 7 8 9 10; do
     PSGRAPH_POOL_PERTURB=$seed cargo run --release --offline -p psgraph-bench --bin repro -- \
         stream --scale 0.01 --events 2000 --shards 2 | grep 'final state digest' \
         >>/tmp/ci-perturb-digests.log
+    PSGRAPH_POOL_PERTURB=$seed cargo run --release --offline -p psgraph-bench --bin repro -- \
+        fig6 --scale 0.02 | grep 'PSGraph output digests' >>/tmp/ci-perturb-fig6.log
 done
 if [ "$(sort -u /tmp/ci-perturb-digests.log | wc -l)" -ne 1 ]; then
     echo "ci: sharded stream digest varies across steal schedules" >&2
     sort /tmp/ci-perturb-digests.log | uniq -c >&2
     exit 1
 fi
+if [ "$(sort -u /tmp/ci-perturb-fig6.log | wc -l)" -ne 1 ]; then
+    echo "ci: fig6 output digests vary across steal schedules" >&2
+    sort /tmp/ci-perturb-fig6.log | uniq -c >&2
+    exit 1
+fi
+head -1 /tmp/ci-perturb-fig6.log
 
 # The benchmark is its own workspace, so nothing above compiles it: a
 # `core`/`ps` signature change could break `benchmark/src/sut.rs` and

@@ -100,6 +100,47 @@ fn unrecoverable_when_checkpoint_missing() {
 }
 
 #[test]
+fn executor_kill_mid_run_does_not_change_kcore_or_common_neighbor() {
+    // 12 partitions on 4 executors: one executor task covers three
+    // partitions. The killed executor's share of the job — K-Core's request
+    // plan over its three tables, Common Neighbor's per-round union of its
+    // three batches — has to be rebuilt from the recovered partitions (the
+    // plan's own life cycle is pinned in `core::agent`'s tests).
+    let g = gen::rmat(120, 900, Default::default(), 241).dedup();
+    let n = g.num_vertices();
+    let deploy = |kill: Option<FailPlan>| {
+        let ctx = PsGraphContext::local();
+        let edges = distribute_edges(&ctx, &g, 12).unwrap();
+        if let Some(plan) = kill {
+            ctx.cluster().injector().schedule(plan);
+        }
+        (ctx, edges)
+    };
+    let kcore = |kill| {
+        let (ctx, edges) = deploy(kill);
+        let out = KCore::default().run(&ctx, &edges, n).unwrap();
+        (out.coreness, out.stats.supersteps, ctx.now())
+    };
+    let (clean, steps, t_clean) = kcore(None);
+    assert!(steps > 3, "the kill below must land mid-run");
+    let (killed, _, t_killed) = kcore(Some(FailPlan::kill_executor(1, 2)));
+    assert_eq!(killed, clean);
+    assert_eq!(killed, metrics::kcore_exact(&g));
+    assert!(t_killed >= t_clean + PsGraphContext::local().cost().restart_overhead());
+
+    let common = |kill| {
+        let (ctx, edges) = deploy(kill);
+        let out = CommonNeighbor { batch_size: 16, ..Default::default() }.run(&ctx, &edges, n).unwrap();
+        (out.counts, out.stats.supersteps)
+    };
+    let (clean, steps) = common(None);
+    assert!(steps > 3, "the kill below must land mid-run");
+    // Superstep 1 is the adjacency push; 2 is the second round of pairs.
+    let (killed, _) = common(Some(FailPlan::kill_executor(2, 2)));
+    assert_eq!(killed, clean, "same counts, in the same order");
+}
+
+#[test]
 fn failure_free_runs_are_reproducible() {
     let g = gen::rmat(100, 800, Default::default(), 239).dedup();
     let run = || {
@@ -112,11 +153,12 @@ fn failure_free_runs_are_reproducible() {
     };
     let (r1, t1) = run();
     let (r2, t2) = run();
-    // Ranks agree to float-accumulation noise: executors push their
-    // updates to the PS concurrently, so server-side summation order can
-    // differ in the last ULP between runs. Everything else is seeded.
+    // Ranks are bit-identical: every destination's contributions are
+    // folded in (dst, src) order before anything is pushed, and each
+    // destination then gets exactly one add per superstep, so no sum
+    // depends on the order in which executors reach the servers.
     for (v, (a, b)) in r1.iter().zip(&r2).enumerate() {
-        assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "vertex {v}: {a} vs {b}");
+        assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: {a} vs {b}");
     }
     // Simulated time is *near*-deterministic: per-node costs are exact,
     // but PS-port queueing order also depends on thread interleaving.

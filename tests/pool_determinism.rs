@@ -2,11 +2,13 @@
 //! *byte-identical* for every pool size and across repeated runs. The
 //! engine's rule is that parallel stages combine partial results in
 //! canonical partition order, never completion order — these tests pin
-//! that rule end-to-end through PageRank and the shuffle machinery.
+//! that rule end-to-end through PageRank, the monotone fixed-point jobs
+//! (K-Core, Connected Components), Common Neighbor and the shuffle
+//! machinery.
 
 use std::sync::Arc;
 
-use psgraph::core::algos::PageRank;
+use psgraph::core::algos::{CommonNeighbor, ConnectedComponents, KCore, PageRank};
 use psgraph::core::runner::distribute_edges;
 use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::dataflow::{Cluster, ClusterConfig, Rdd};
@@ -108,5 +110,41 @@ fn perturbed_schedules_do_not_change_outputs() {
     let baseline = run(None);
     for seed in [1u64, 7, 42] {
         assert_eq!(run(Some(seed)), baseline, "perturbation seed {seed} changed the ranks");
+    }
+}
+
+/// K-Core coreness, CC labels and Common Neighbor counts on one pool. The
+/// executors talk to the PS once per superstep for all their partitions
+/// (12 partitions on 4 executors), concurrently: which of a superstep's
+/// pushes a K-Core / CC read already sees depends on the schedule, the
+/// fixed point must not.
+fn batch_outputs(pool: Pool) -> (Vec<u64>, Vec<u64>, Vec<(u64, u64, u64)>) {
+    let g = gen::rmat(160, 1_200, Default::default(), 23).dedup();
+    let n = g.num_vertices();
+    let ctx = PsGraphContext::new(PsGraphConfig::default().with_pool(Arc::new(pool)));
+    let edges = distribute_edges(&ctx, &g, 12).unwrap();
+    (
+        KCore::default().run(&ctx, &edges, n).unwrap().coreness,
+        ConnectedComponents::default().run(&ctx, &edges, n).unwrap().labels,
+        CommonNeighbor { batch_size: 32, ..Default::default() }.run(&ctx, &edges, n).unwrap().counts,
+    )
+}
+
+#[test]
+fn kcore_cc_and_common_neighbor_identical_across_pools_and_schedules() {
+    let baseline = batch_outputs(Pool::with_perturb(1, None));
+    assert!(baseline.0.iter().any(|&c| c > 1) && !baseline.2.is_empty());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for threads in [nproc, 4, 8] {
+        assert!(
+            batch_outputs(Pool::with_perturb(threads, None)) == baseline,
+            "outputs diverge on a {threads}-worker pool"
+        );
+    }
+    for seed in [1u64, 7, 42] {
+        assert!(
+            batch_outputs(Pool::with_perturb(4, Some(seed))) == baseline,
+            "perturbation seed {seed} changed the outputs"
+        );
     }
 }
