@@ -4,8 +4,10 @@
 //! neighbor table `A`, and the layer weights `W¹`/`W²` (+bias rows). Each
 //! training step an executor (1) pulls the current weights, (2) samples
 //! 2-hop neighborhoods server-side, (3) pulls the sampled vertices'
-//! features, (4) crosses the JNI bridge into the tensor runtime, runs
-//! forward + backward with autograd, (5) crosses back and pushes the
+//! features, (4) crosses the JNI bridge into the tensor runtime — the
+//! features plus each layer's select / mean operators as CSR index
+//! structures, never dense `|L1| × |L2|` matrices — and runs forward +
+//! backward with autograd, (5) crosses back and pushes the
 //! gradients to the PS, where an Adam psFunc applies them. The mean
 //! aggregator is used; layer k computes
 //! `h^k_v = σ(W^k · concat(h^{k-1}_v, mean h^{k-1}_{N(v)}))`.
@@ -15,8 +17,8 @@ use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
 use psgraph_ps::{MatrixHandle, NeighborTableHandle, Partitioner, RecoveryMode};
-use psgraph_sim::{FxHashMap, SimTime};
-use psgraph_tensor::{Graph, JniBridge, Linear, Tensor};
+use psgraph_sim::SimTime;
+use psgraph_tensor::{Columns, Graph, JniBridge, Linear, SageBatch, SageOps, Tensor, Var};
 
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
@@ -194,8 +196,9 @@ impl GraphSage {
             .collect();
         let test: Vec<u64> =
             (0..num_vertices).filter(|&v| !is_train(v, cfg.seed, cfg.train_fraction)).collect();
-        let train_rdd = Rdd::from_vec(ctx.cluster(), train, ctx.cluster().default_partitions())
-            .map_err(CoreError::from)?;
+        let train_rdd =
+            Rdd::from_vec(ctx.cluster(), train.clone(), ctx.cluster().default_partitions())
+                .map_err(CoreError::from)?;
 
         let bridge = Arc::new(JniBridge::new(ctx.cost().clone()));
         let adam_t = Arc::new(AtomicU64::new(0));
@@ -226,32 +229,21 @@ impl GraphSage {
                         let l2 = pull_layer(exec.clock(), &models_ref.w2, 2 * cfg.hidden_dim)?;
                         let sample_seed =
                             cfg.seed ^ (epoch << 40) ^ ((p as u64) << 20) ^ bi as u64;
-                        let (x, s1, m1, s2, m2, batch_ids) = build_batch(
-                            ctx, exec, models_ref, batch, cfg, sample_seed,
+                        let (mut g, logits, vars) = forward_batch(
+                            ctx, exec, bridge_ref, models_ref, batch, cfg, sample_seed, &l1, &l2,
+                            3, // forward + backward
                         )?;
-                        // Fig. 5: JNI-feed the graph mini-batch.
-                        bridge_ref.feed(exec.clock(), &[&x, &s1, &m1, &s2, &m2]);
-
-                        let mut g = Graph::new();
-                        let (logits, vars) =
-                            forward(&mut g, &x, &s1, &m1, &s2, &m2, &l1, &l2);
                         let y: Vec<usize> =
-                            batch_ids.iter().map(|&v| labels_ref[v as usize]).collect();
+                            batch.iter().map(|&v| labels_ref[v as usize]).collect();
                         let loss = g.softmax_cross_entropy(logits, &y);
                         g.backward(loss);
                         loss_sum += g.scalar(loss) as f64;
                         batches += 1;
-                        // Charge the tensor compute to the executor.
-                        let flops = (x.len() * cfg.hidden_dim
-                            + s1.rows() * 2 * cfg.feat_dim * cfg.hidden_dim
-                            + s2.rows() * 2 * cfg.hidden_dim * cfg.num_classes)
-                            as u64;
-                        exec.charge_cpu(ctx.cluster().cost(), flops * 3);
 
                         // Fig. 5: gradients cross back over JNI, then go
                         // to the PS where Adam (psFunc) applies them.
-                        let gw1 = layer_grads(&g, vars.0, vars.1);
-                        let gw2 = layer_grads(&g, vars.2, vars.3);
+                        let gw1 = layer_grads(&g, vars[0], vars[1]);
+                        let gw2 = layer_grads(&g, vars[2], vars[3]);
                         bridge_ref.read_back(exec.clock(), &[&gw1.0, &gw1.1, &gw2.0, &gw2.1]);
                         let t = adam_ref.fetch_add(1, Ordering::Relaxed) + 1;
                         push_grads(exec.clock(), &models_ref.w1, &gw1, cfg.lr, t)?;
@@ -269,10 +261,7 @@ impl GraphSage {
         }
 
         // Evaluation (driver-coordinated, same forward path).
-        let train2: Vec<u64> = (0..num_vertices)
-            .filter(|&v| is_train(v, cfg.seed, cfg.train_fraction))
-            .collect();
-        let train_accuracy = self.evaluate(ctx, &models, &train2, labels)?;
+        let train_accuracy = self.evaluate(ctx, &models, &train, labels)?;
         let test_accuracy = self.evaluate(ctx, &models, &test, labels)?;
         supersteps += 1;
 
@@ -286,7 +275,9 @@ impl GraphSage {
         })
     }
 
-    /// Forward-only accuracy over `vertices`.
+    /// Forward-only accuracy over `vertices`. Nothing writes the weights
+    /// while this runs, so each executor pulls them once for all of its
+    /// partitions; every batch pays the JNI feed and one forward pass.
     pub fn evaluate(
         &self,
         ctx: &Arc<PsGraphContext>,
@@ -298,41 +289,38 @@ impl GraphSage {
             return Ok(0.0);
         }
         let cfg = &self.config;
+        let bridge = JniBridge::new(ctx.cost().clone());
         let rdd = Rdd::from_vec(
             ctx.cluster(),
             vertices.to_vec(),
             ctx.cluster().default_partitions(),
         )
         .map_err(CoreError::from)?;
-        let labels_ref = labels;
-        let counts: Vec<(u64, u64)> = ctx
+        let correct: Vec<u64> = ctx
             .cluster()
-            .run_stage(rdd.num_partitions(), |p, exec| {
-                let part = rdd.partition(p)?;
+            .run_executors(rdd.num_partitions(), |exec, parts| {
+                let l1 = pull_layer(exec.clock(), &models.w1, 2 * cfg.feat_dim)?;
+                let l2 = pull_layer(exec.clock(), &models.w2, 2 * cfg.hidden_dim)?;
                 let mut correct = 0u64;
-                let mut total = 0u64;
-                for (bi, batch) in part.chunks(cfg.batch_size.max(1)).enumerate() {
-                    let l1 = pull_layer(exec.clock(), &models.w1, 2 * cfg.feat_dim)?;
-                    let l2 = pull_layer(exec.clock(), &models.w2, 2 * cfg.hidden_dim)?;
-                    let (x, s1, m1, s2, m2, ids) = build_batch(
-                        ctx, exec, models, batch, cfg,
-                        cfg.seed ^ 0xEAA ^ ((p as u64) << 20) ^ bi as u64,
-                    )?;
-                    let mut g = Graph::new();
-                    let (logits, _) = forward(&mut g, &x, &s1, &m1, &s2, &m2, &l1, &l2);
-                    let preds = g.value(logits).argmax_rows();
-                    for (pred, &v) in preds.iter().zip(&ids) {
-                        if *pred == labels_ref[v as usize] {
-                            correct += 1;
-                        }
-                        total += 1;
+                for &p in parts {
+                    let part = rdd.partition(p)?;
+                    for (bi, batch) in part.chunks(cfg.batch_size.max(1)).enumerate() {
+                        let seed = cfg.seed ^ 0xEAA ^ ((p as u64) << 20) ^ bi as u64;
+                        let (g, logits, _) = forward_batch(
+                            ctx, exec, &bridge, models, batch, cfg, seed, &l1, &l2, 1,
+                        )?;
+                        let preds = g.value(logits).argmax_rows();
+                        correct += preds
+                            .iter()
+                            .zip(batch)
+                            .filter(|&(pred, &v)| *pred == labels[v as usize])
+                            .count() as u64;
                     }
                 }
-                Ok((correct, total))
+                Ok(correct)
             })
             .map_err(CoreError::from)?;
-        let (c, t) = counts.into_iter().fold((0, 0), |(c, t), (pc, pt)| (c + pc, t + pt));
-        Ok(if t == 0 { 0.0 } else { c as f64 / t as f64 })
+        Ok(correct.iter().sum::<u64>() as f64 / vertices.len() as f64)
     }
 }
 
@@ -369,7 +357,7 @@ fn pull_layer(
 }
 
 /// Extract (weight grad, bias grad) tensors for a layer's vars.
-fn layer_grads(g: &Graph, wv: psgraph_tensor::Var, bv: psgraph_tensor::Var) -> (Tensor, Tensor) {
+fn layer_grads(g: &Graph, wv: Var, bv: Var) -> (Tensor, Tensor) {
     (
         g.grad(wv).cloned().unwrap_or_else(|| Tensor::zeros(1, 1)),
         g.grad(bv).cloned().unwrap_or_else(|| Tensor::zeros(1, 1)),
@@ -393,10 +381,35 @@ fn push_grads(
     Ok(())
 }
 
-type BatchTensors = (Tensor, Tensor, Tensor, Tensor, Tensor, Vec<u64>);
+/// Fig. 5 steps 3–4 for one mini-batch: sample and pull its closure, feed
+/// it over the JNI bridge and run the forward pass. The executor is
+/// charged `passes` × the forward flops (3 when a backward pass follows).
+#[allow(clippy::too_many_arguments)]
+fn forward_batch(
+    ctx: &Arc<PsGraphContext>,
+    exec: &psgraph_dataflow::Executor,
+    bridge: &JniBridge,
+    models: &GraphSageModels,
+    batch: &[u64],
+    cfg: &GraphSageConfig,
+    seed: u64,
+    l1: &Linear,
+    l2: &Linear,
+    passes: u64,
+) -> std::result::Result<(Graph, Var, [Var; 4]), psgraph_dataflow::DataflowError> {
+    let b = build_batch(ctx, exec, models, batch, cfg, seed)?;
+    bridge.feed(exec.clock(), b.byte_size());
+    let mut g = Graph::new();
+    let (logits, vars) = b.forward(&mut g, l1, l2);
+    let flops = (b.x.len() * cfg.hidden_dim
+        + b.layer1.rows() * 2 * cfg.feat_dim * cfg.hidden_dim
+        + b.layer2.rows() * 2 * cfg.hidden_dim * cfg.num_classes) as u64;
+    exec.charge_cpu(ctx.cluster().cost(), flops * passes);
+    Ok((g, logits, vars))
+}
 
-/// Assemble the mini-batch tensors: features `X` of the 2-hop closure,
-/// selection/aggregation matrices for each layer, and the batch ids.
+/// Assemble the mini-batch: features `X` of the 2-hop closure and the
+/// select / mean operators of each layer.
 fn build_batch(
     ctx: &Arc<PsGraphContext>,
     exec: &psgraph_dataflow::Executor,
@@ -404,115 +417,43 @@ fn build_batch(
     batch: &[u64],
     cfg: &GraphSageConfig,
     seed: u64,
-) -> std::result::Result<BatchTensors, psgraph_dataflow::DataflowError> {
+) -> std::result::Result<SageBatch, psgraph_dataflow::DataflowError> {
     // Hop-1 sampling (server-side, only samples cross the wire).
     let n1 = models.adj.sample_neighbors(exec.clock(), batch, cfg.fanout1, seed).df()?;
     // Layer-1 targets: batch ∪ their sampled neighbors.
-    let mut l1_ids: Vec<u64> = batch.to_vec();
-    let mut seen: FxHashMap<u64, usize> =
-        batch.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    for ns in &n1 {
-        for &u in ns {
-            if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(u) {
-                e.insert(l1_ids.len());
-                l1_ids.push(u);
-            }
-        }
-    }
+    let mut l1 = Columns::default();
+    l1.extend(batch.iter().copied());
+    l1.extend(n1.iter().flatten().copied());
     // Hop-2 sampling for every layer-1 target.
     let n2 = models
         .adj
-        .sample_neighbors(exec.clock(), &l1_ids, cfg.fanout2, seed ^ 0x2).df()?;
-    let mut l2_ids: Vec<u64> = l1_ids.clone();
-    let mut seen2: FxHashMap<u64, usize> =
-        l1_ids.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    for ns in &n2 {
-        for &u in ns {
-            if let std::collections::hash_map::Entry::Vacant(e) = seen2.entry(u) {
-                e.insert(l2_ids.len());
-                l2_ids.push(u);
-            }
-        }
-    }
+        .sample_neighbors(exec.clock(), l1.ids(), cfg.fanout2, seed ^ 0x2).df()?;
+    let mut l2 = l1.clone();
+    l2.extend(n2.iter().flatten().copied());
 
     // Pull features of the closure.
-    let rows = models.features.pull_rows(exec.clock(), &l2_ids).df()?;
-    let mut x = Tensor::zeros(l2_ids.len(), cfg.feat_dim);
+    let rows = models.features.pull_rows(exec.clock(), l2.ids()).df()?;
+    let mut x = Tensor::zeros(l2.len(), cfg.feat_dim);
     for (r, row) in rows.iter().enumerate() {
         x.row_mut(r).copy_from_slice(row);
     }
 
-    // S1 (|L1| × |L2|) selection, M1 (|L1| × |L2|) mean aggregation.
-    let mut s1 = Tensor::zeros(l1_ids.len(), l2_ids.len());
-    let mut m1 = Tensor::zeros(l1_ids.len(), l2_ids.len());
-    for (r, (v, ns)) in l1_ids.iter().zip(&n2).enumerate() {
-        s1.set(r, seen2[v], 1.0);
-        if ns.is_empty() {
-            m1.set(r, seen2[v], 1.0); // no neighbors: aggregate self
-        } else {
-            let w = 1.0 / ns.len() as f32;
-            for u in ns {
-                let c = seen2[u];
-                m1.set(r, c, m1.get(r, c) + w);
-            }
-        }
-    }
-    // S2/M2 (|B| × |L1|).
-    let mut s2 = Tensor::zeros(batch.len(), l1_ids.len());
-    let mut m2 = Tensor::zeros(batch.len(), l1_ids.len());
-    for (r, (v, ns)) in batch.iter().zip(&n1).enumerate() {
-        s2.set(r, seen[v], 1.0);
-        if ns.is_empty() {
-            m2.set(r, seen[v], 1.0);
-        } else {
-            let w = 1.0 / ns.len() as f32;
-            for u in ns {
-                let c = seen[u];
-                m2.set(r, c, m2.get(r, c) + w);
-            }
-        }
-    }
+    // One operator row per target: its own column among the layer below,
+    // and its sampled neighbors' columns.
+    let ops = |below: &Columns, targets: &[u64], sampled: &[Vec<u64>]| {
+        let col = |v: &u64| below.get(*v).expect("closure holds every sampled id");
+        SageOps::new(
+            below.len(),
+            targets.iter().zip(sampled).map(|(v, ns)| (col(v), ns.iter().map(col).collect())),
+        )
+    };
+    let layer1 = ops(&l2, l1.ids(), &n2);
+    let layer2 = ops(&l1, batch, &n1);
     exec.charge_cpu(
         ctx.cluster().cost(),
-        (l2_ids.len() * cfg.feat_dim + l1_ids.len() + batch.len()) as u64 * 2,
+        (l2.len() * cfg.feat_dim + l1.len() + batch.len()) as u64 * 2,
     );
-    Ok((x, s1, m1, s2, m2, batch.to_vec()))
-}
-
-type LayerVars =
-    (psgraph_tensor::Var, psgraph_tensor::Var, psgraph_tensor::Var, psgraph_tensor::Var);
-
-/// Two-layer GraphSage forward with mean aggregation.
-#[allow(clippy::too_many_arguments)]
-fn forward(
-    g: &mut Graph,
-    x: &Tensor,
-    s1: &Tensor,
-    m1: &Tensor,
-    s2: &Tensor,
-    m2: &Tensor,
-    l1: &Linear,
-    l2: &Linear,
-) -> (psgraph_tensor::Var, LayerVars) {
-    let xv = g.input(x.clone());
-    let s1v = g.input(s1.clone());
-    let m1v = g.input(m1.clone());
-    let s2v = g.input(s2.clone());
-    let m2v = g.input(m2.clone());
-
-    // Layer 1 on the L1 closure.
-    let own1 = g.matmul(s1v, xv);
-    let agg1 = g.matmul(m1v, xv);
-    let cat1 = g.concat_cols(own1, agg1);
-    let (z1, w1, b1) = l1.forward(g, cat1);
-    let h1 = g.relu(z1);
-
-    // Layer 2 on the batch.
-    let own2 = g.matmul(s2v, h1);
-    let agg2 = g.matmul(m2v, h1);
-    let cat2 = g.concat_cols(own2, agg2);
-    let (logits, w2, b2) = l2.forward(g, cat2);
-    (logits, (w1, b1, w2, b2))
+    Ok(SageBatch { x, layer1, layer2 })
 }
 
 #[cfg(test)]
@@ -576,20 +517,6 @@ mod tests {
         assert_eq!(train, again);
         let n_train = train.iter().filter(|&&b| b).count();
         assert!((600..800).contains(&n_train), "split {n_train}");
-    }
-
-    #[test]
-    fn forward_shapes() {
-        let l1 = Linear::new(8, 6, 1);
-        let l2 = Linear::new(12, 2, 2);
-        let x = Tensor::uniform(10, 4, 1.0, 3);
-        let s1 = Tensor::uniform(5, 10, 0.1, 4);
-        let m1 = Tensor::uniform(5, 10, 0.1, 5);
-        let s2 = Tensor::uniform(3, 5, 0.1, 6);
-        let m2 = Tensor::uniform(3, 5, 0.1, 7);
-        let mut g = Graph::new();
-        let (logits, _) = forward(&mut g, &x, &s1, &m1, &s2, &m2, &l1, &l2);
-        assert_eq!((g.value(logits).rows(), g.value(logits).cols()), (3, 2));
     }
 
     #[test]

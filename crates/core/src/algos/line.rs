@@ -3,11 +3,12 @@
 //! Each vertex owns an embedding vector (and, for second-order proximity,
 //! a context vector). Both matrices are stored on the PS **partitioned by
 //! column**, so every server holds the same dimension slice of `u` and
-//! `c`; executors then train with server-side partial dot products and
-//! pair-updates (psFunc), moving only `(id, id, coef)` triples and scalar
-//! partials over the wire. The `use_psfunc = false` path is the ablation
-//! baseline the paper argues against: pull whole embedding rows, compute
-//! on the executor, push whole gradient rows back.
+//! `c`; executors then train in the two psFunc rounds of §IV-D — partial
+//! dot products, then one fused server-side pair-update — moving only
+//! `(id, id, coef)` triples and scalar partials over the wire. The
+//! `use_psfunc = false` path is the ablation baseline the paper argues
+//! against: pull whole embedding rows, compute on the executor, push whole
+//! gradient rows back.
 //!
 //! Optimization uses skip-gram with negative sampling (unigram^{3/4}
 //! noise distribution, as in the LINE paper). Updates against already-
@@ -196,8 +197,7 @@ impl Line {
                             // Server-side dots, then server-side updates.
                             let dots =
                                 embed_ref.dot_pairs(exec.clock(), target_matrix, &pairs).df()?;
-                            let mut emb_upd = Vec::with_capacity(samples.len());
-                            let mut tgt_upd = Vec::with_capacity(samples.len());
+                            let mut updates = Vec::with_capacity(samples.len());
                             for (&(i, t, label), &dot) in samples.iter().zip(&dots) {
                                 let s = sigmoid(dot);
                                 loss -= if label > 0.5 {
@@ -206,11 +206,9 @@ impl Line {
                                     (1.0 - s).max(1e-12).ln()
                                 };
                                 let coef = cfg.lr as f64 * (label - s);
-                                emb_upd.push((i, t, coef));
-                                tgt_upd.push((t, i, coef));
+                                updates.push((i, t, coef));
                             }
-                            embed_ref.axpy_pairs(exec.clock(), target_matrix, &emb_upd).df()?;
-                            target_matrix.axpy_pairs(exec.clock(), embed_ref, &tgt_upd).df()?;
+                            embed_ref.update_pairs(exec.clock(), target_matrix, &updates).df()?;
                         } else {
                             // Ablation baseline: move whole rows.
                             let srcs: Vec<u64> = samples.iter().map(|&(i, _, _)| i).collect();

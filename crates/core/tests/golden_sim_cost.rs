@@ -1,9 +1,10 @@
 //! Golden sim-cost test for the batch jobs that talk to the PS once per
 //! executor per superstep (Fig. 6's Common Neighbor, Triangle Count,
-//! PageRank and K-Core, plus Connected Components): pins what a default
-//! run on a fixed RMAT graph moves over the PS network and how long it
+//! PageRank and K-Core, plus Connected Components) and for the two
+//! learning jobs (GraphSage, LINE in both orders): pins what a default
+//! run on a fixed graph computes, moves over the PS network and how long it
 //! takes on the sim clock, so a later change cannot silently re-inflate the
-//! traffic. Every job runs with more partitions than executors — the shape
+//! traffic — or move a bit of a model. Every job runs with more partitions than executors — the shape
 //! the benchmark runs — so a line moves if an executor goes back to one
 //! request per partition.
 //!
@@ -15,12 +16,27 @@
 //! `ps_rpcs=1006 ps_bytes=530362 elapsed=48138099ns` (PageRank),
 //! `supersteps=7 ps_rpcs=575 ps_bytes=5047832 elapsed=39638994ns` (K-Core) and
 //! `ps_rpcs=275 ps_bytes=2923080 elapsed=22878992ns` (Connected Components),
-//! results and `spark_bytes` as below. A deliberate cost-model change
-//! re-records the lines (the failure message prints the actual ones).
+//! results and `spark_bytes` as below.
+//!
+//! The `graphsage:` and `line(…):` lines were recorded when GraphSage's
+//! mini-batch operators became CSR and LINE's two pair-updates one fused
+//! psFunc. Their loss / accuracy / embedding digests are the parent
+//! commit's (c457f5e) — computed there first, with dense `|L1| × |L2|`
+//! selection matrices and three psFunc rounds per LINE batch — where the
+//! runs cost
+//! `ps_rpcs=1092 ps_bytes=10234128 elapsed=211090766ns` (GraphSage),
+//! `ps_rpcs=582 ps_bytes=41528192 elapsed=94765429ns` (LINE, second order) and
+//! `ps_rpcs=580 ps_bytes=41528128 elapsed=94765429ns` (LINE, first order).
+//!
+//! A deliberate cost-model change re-records the lines (the failure
+//! message prints the actual ones); a digest must not move with it.
 
 use std::sync::Arc;
 
-use psgraph_core::algos::{CommonNeighbor, ConnectedComponents, KCore, PageRank, TriangleCount};
+use psgraph_core::algos::{
+    CommonNeighbor, ConnectedComponents, GraphSage, GraphSageConfig, KCore, Line, LineConfig,
+    LineOrder, PageRank, TriangleCount,
+};
 use psgraph_core::runner::distribute_edges;
 use psgraph_core::{PsGraphConfig, PsGraphContext, RunStats};
 use psgraph_graph::gen;
@@ -49,6 +65,9 @@ const EXPECTED: &[&str] = &[
     "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=286352 elapsed=7704915ns",
     "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=123 ps_bytes=752280 spark_bytes=572192 elapsed=12123257ns",
     "connected_components: components=328 supersteps=4 ps_rpcs=53 ps_bytes=421128 spark_bytes=572192 elapsed=9174580ns",
+    "graphsage: loss=f8bfd9cb90d44881 accuracy=92328807b4eb6fed supersteps=4 ps_rpcs=964 ps_bytes=10057232 spark_bytes=408096 elapsed=112996378ns",
+    "line(second): loss=8913c0a2c2554574 embeddings=211cd4d92341965c supersteps=2 ps_rpcs=390 ps_bytes=27783296 spark_bytes=0 elapsed=72507217ns",
+    "line(first): loss=9fea2211ca7f304e embeddings=2bf198f17803dab8 supersteps=2 ps_rpcs=388 ps_bytes=27783232 spark_bytes=0 elapsed=72507217ns",
 ];
 
 /// Partitions of the vector jobs: six per executor, as in the benchmark.
@@ -56,6 +75,19 @@ const PARTITIONS: usize = 24;
 
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Two epochs of LINE on `g`: the losses and every embedding bit.
+fn line(g: &psgraph_graph::EdgeList, order: LineOrder) -> String {
+    run(|ctx| {
+        let edges = distribute_edges(ctx, g, 8).unwrap();
+        let job = Line::new(LineConfig { order, epochs: 2, ..Default::default() });
+        let out = job.run(ctx, &edges, g.num_vertices()).unwrap();
+        let loss = fnv(out.loss_per_epoch.iter().map(|l| l.to_bits()));
+        let emb = fnv(out.embeddings.iter().flatten().map(|x| x.to_bits() as u64));
+        let tag = format!("{order:?}").to_lowercase();
+        (format!("line({tag}): loss={loss:016x} embeddings={emb:016x}"), out.stats)
+    })
 }
 
 #[test]
@@ -94,6 +126,19 @@ fn batch_jobs_cost_exactly_what_they_did() {
             let roots = out.labels.iter().enumerate().filter(|&(v, &l)| v as u64 == l).count();
             (format!("connected_components: components={roots}"), out.stats)
         }),
+        run(|ctx| {
+            let s = gen::sbm2(2000, 8.0, 0.5, 16, 0.8, 77);
+            let edges = distribute_edges(ctx, &s.graph, 8).unwrap();
+            let job = GraphSage::new(GraphSageConfig { epochs: 2, ..Default::default() });
+            let out = job
+                .run(ctx, &edges, &Arc::new(s.features), &Arc::new(s.labels), 2000)
+                .unwrap();
+            let loss = fnv(out.loss_per_epoch.iter().map(|l| l.to_bits()));
+            let acc = fnv([out.train_accuracy.to_bits(), out.test_accuracy.to_bits()]);
+            (format!("graphsage: loss={loss:016x} accuracy={acc:016x}"), out.stats)
+        }),
+        line(&g, LineOrder::Second),
+        line(&g, LineOrder::First),
     ];
     let actual: Vec<&str> = lines.iter().map(String::as_str).collect();
     assert!(actual == EXPECTED, "sim cost changed; actual lines:\n{}", lines.join("\n"));

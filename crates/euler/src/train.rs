@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use psgraph_sim::{FxHashMap, SimTime, SplitMix64};
-use psgraph_tensor::{Adam, Graph, Linear, Optimizer, Tensor};
+use psgraph_tensor::{Adam, Columns, Graph, Linear, Optimizer, SageBatch, SageOps, Tensor};
 
 use crate::cluster::EulerCluster;
 use crate::preprocess::EulerGraph;
@@ -87,133 +87,74 @@ impl Model {
     }
 }
 
+/// What a vertex query returned: full adjacency and features.
+type VertexCache = FxHashMap<u64, (Vec<u64>, Vec<f32>)>;
+
 /// Per-vertex service queries for the 2-hop closure of `batch`. Every
 /// vertex costs one full RPC round trip (Euler's per-sample access).
-#[allow(clippy::type_complexity)]
+/// Returns the layer-1 targets, the closure and what the queries fetched.
 fn fetch_closure(
     cluster: &EulerCluster,
     worker: usize,
     batch: &[u64],
     cfg: &EulerConfig,
     seed: u64,
-) -> (Vec<u64>, Vec<u64>, FxHashMap<u64, (Vec<u64>, Vec<f32>)>) {
+) -> (Columns, Columns, VertexCache) {
     let mut rng = SplitMix64::new(seed);
-    let mut cache: FxHashMap<u64, (Vec<u64>, Vec<f32>)> = FxHashMap::default();
-    let fetch = |v: u64, cache: &mut FxHashMap<u64, (Vec<u64>, Vec<f32>)>| {
-        cache.entry(v).or_insert_with(|| {
-            
-            cluster.query_vertex(worker, v)
-        });
+    let mut cache = VertexCache::default();
+    let fetch = |v: u64, cache: &mut VertexCache| {
+        cache.entry(v).or_insert_with(|| cluster.query_vertex(worker, v));
     };
-    let mut l1_ids: Vec<u64> = batch.to_vec();
+    let mut l1 = Columns::default();
+    l1.extend(batch.iter().copied());
     for &v in batch {
         fetch(v, &mut cache);
-        let ns = sample_k(&cache[&v].0.clone(), cfg.fanout1, &mut rng);
-        for u in ns {
-            if !l1_ids.contains(&u) {
-                l1_ids.push(u);
-            }
-        }
+        l1.extend(sample_k(&cache[&v].0, cfg.fanout1, &mut rng));
     }
-    let mut l2_ids: Vec<u64> = l1_ids.clone();
-    for &v in &l1_ids {
+    let mut l2 = l1.clone();
+    for &v in l1.ids() {
         fetch(v, &mut cache);
-        let ns = sample_k(&cache[&v].0.clone(), cfg.fanout2, &mut rng);
-        for u in ns {
+        for u in sample_k(&cache[&v].0, cfg.fanout2, &mut rng) {
             fetch(u, &mut cache);
-            if !l2_ids.contains(&u) {
-                l2_ids.push(u);
-            }
+            l2.insert(u);
         }
     }
-    (l1_ids, l2_ids, cache)
+    (l1, l2, cache)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn batch_tensors(
+/// The mini-batch as the tensor runtime takes it: closure features, and
+/// per layer one operator row per target over freshly sampled neighbors
+/// (those outside the closure are dropped).
+fn build_batch(
     batch: &[u64],
-    l1_ids: &[u64],
-    l2_ids: &[u64],
-    cache: &FxHashMap<u64, (Vec<u64>, Vec<f32>)>,
+    l1: &Columns,
+    l2: &Columns,
+    cache: &VertexCache,
     cfg: &EulerConfig,
     seed: u64,
-) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
+) -> SageBatch {
     let mut rng = SplitMix64::new(seed ^ 0x7EA);
-    let pos1: FxHashMap<u64, usize> =
-        l1_ids.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let pos2: FxHashMap<u64, usize> =
-        l2_ids.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-
-    let mut x = Tensor::zeros(l2_ids.len(), cfg.feat_dim);
-    for (r, v) in l2_ids.iter().enumerate() {
+    let mut x = Tensor::zeros(l2.len(), cfg.feat_dim);
+    for (r, v) in l2.ids().iter().enumerate() {
         if let Some((_, f)) = cache.get(v) {
             if f.len() == cfg.feat_dim {
                 x.row_mut(r).copy_from_slice(f);
             }
         }
     }
-    let mut s1 = Tensor::zeros(l1_ids.len(), l2_ids.len());
-    let mut m1 = Tensor::zeros(l1_ids.len(), l2_ids.len());
-    for (r, v) in l1_ids.iter().enumerate() {
-        s1.set(r, pos2[v], 1.0);
-        let ns: Vec<u64> = sample_k(&cache[v].0, cfg.fanout2, &mut rng)
-            .into_iter()
-            .filter(|u| pos2.contains_key(u))
-            .collect();
-        if ns.is_empty() {
-            m1.set(r, pos2[v], 1.0);
-        } else {
-            let w = 1.0 / ns.len() as f32;
-            for u in &ns {
-                let c = pos2[u];
-                m1.set(r, c, m1.get(r, c) + w);
-            }
-        }
-    }
-    let mut s2 = Tensor::zeros(batch.len(), l1_ids.len());
-    let mut m2 = Tensor::zeros(batch.len(), l1_ids.len());
-    for (r, v) in batch.iter().enumerate() {
-        s2.set(r, pos1[v], 1.0);
-        let ns: Vec<u64> = sample_k(&cache[v].0, cfg.fanout1, &mut rng)
-            .into_iter()
-            .filter(|u| pos1.contains_key(u))
-            .collect();
-        if ns.is_empty() {
-            m2.set(r, pos1[v], 1.0);
-        } else {
-            let w = 1.0 / ns.len() as f32;
-            for u in &ns {
-                let c = pos1[u];
-                m2.set(r, c, m2.get(r, c) + w);
-            }
-        }
-    }
-    (x, s1, m1, s2, m2)
-}
-
-type ForwardVars = (psgraph_tensor::Var, psgraph_tensor::Var, psgraph_tensor::Var, psgraph_tensor::Var, psgraph_tensor::Var);
-
-fn forward(
-    g: &mut Graph,
-    tensors: &(Tensor, Tensor, Tensor, Tensor, Tensor),
-    model: &Model,
-) -> ForwardVars {
-    let (x, s1, m1, s2, m2) = tensors;
-    let xv = g.input(x.clone());
-    let s1v = g.input(s1.clone());
-    let m1v = g.input(m1.clone());
-    let s2v = g.input(s2.clone());
-    let m2v = g.input(m2.clone());
-    let own1 = g.matmul(s1v, xv);
-    let agg1 = g.matmul(m1v, xv);
-    let cat1 = g.concat_cols(own1, agg1);
-    let (z1, w1, b1) = model.l1.forward(g, cat1);
-    let h1 = g.relu(z1);
-    let own2 = g.matmul(s2v, h1);
-    let agg2 = g.matmul(m2v, h1);
-    let cat2 = g.concat_cols(own2, agg2);
-    let (logits, w2, b2) = model.l2.forward(g, cat2);
-    (logits, w1, b1, w2, b2)
+    let mut ops = |below: &Columns, targets: &[u64], fanout: usize| {
+        SageOps::new(
+            below.len(),
+            targets.iter().map(|v| {
+                let own = below.get(*v).expect("a target is a row of the layer below");
+                let sampled = sample_k(&cache[v].0, fanout, &mut rng);
+                (own, sampled.into_iter().filter_map(|u| below.get(u)).collect())
+            }),
+        )
+    };
+    let layer1 = ops(l2, l1.ids(), cfg.fanout2);
+    let layer2 = ops(l1, batch, cfg.fanout1);
+    SageBatch { x, layer1, layer2 }
 }
 
 /// Run Euler's GraphSage training end to end on an already-loaded cluster.
@@ -244,15 +185,15 @@ pub fn train(
                 .collect();
             for (bi, batch) in mine.chunks(cfg.batch_size.max(1)).enumerate() {
                 let seed = cfg.seed ^ (epoch << 32) ^ ((w as u64) << 16) ^ bi as u64;
-                let (l1_ids, l2_ids, cache) = fetch_closure(cluster, w, batch, cfg, seed);
-                let tensors = batch_tensors(batch, &l1_ids, &l2_ids, &cache, cfg, seed);
+                let (l1, l2, cache) = fetch_closure(cluster, w, batch, cfg, seed);
+                let b = build_batch(batch, &l1, &l2, &cache, cfg, seed);
                 // Worker-side compute.
-                let flops = (tensors.0.len() * cfg.hidden_dim) as u64 * 6;
+                let flops = (b.x.len() * cfg.hidden_dim) as u64 * 6;
                 cluster
                     .worker(w)
                     .advance(cluster.network().cost_model().cpu_cost(flops));
                 let mut g = Graph::new();
-                let (logits, w1, b1, w2, b2) = forward(&mut g, &tensors, model);
+                let (logits, [w1, b1, w2, b2]) = b.forward(&mut g, &model.l1, &model.l2);
                 let y: Vec<usize> = batch.iter().map(|&v| graph.labels[v as usize]).collect();
                 let loss = g.softmax_cross_entropy(logits, &y);
                 g.backward(loss);
@@ -288,10 +229,10 @@ pub fn train(
         let mut correct = 0usize;
         for (bi, batch) in ids.chunks(cfg.batch_size.max(1)).enumerate() {
             let seed = cfg.seed ^ 0xE7A1 ^ bi as u64;
-            let (l1_ids, l2_ids, cache) = fetch_closure(cluster, 0, batch, cfg, seed);
-            let tensors = batch_tensors(batch, &l1_ids, &l2_ids, &cache, cfg, seed);
+            let (l1, l2, cache) = fetch_closure(cluster, 0, batch, cfg, seed);
+            let b = build_batch(batch, &l1, &l2, &cache, cfg, seed);
             let mut g = Graph::new();
-            let (logits, ..) = forward(&mut g, &tensors, &models[0]);
+            let (logits, _) = b.forward(&mut g, &models[0].l1, &models[0].l2);
             let preds = g.value(logits).argmax_rows();
             for (p, &v) in preds.iter().zip(batch) {
                 if *p == graph.labels[v as usize] {

@@ -7,14 +7,15 @@
 //!
 //! Each server holds a column slice `[c0, c1)` of *every* row. The psFunc
 //! operators [`ColMatrixHandle::dot_pairs`] and
-//! [`ColMatrixHandle::axpy_pairs`] run entirely server-side: only vertex-id
-//! pairs, scalar coefficients, and partial sums cross the network — this is
-//! the communication optimization the LINE ablation bench measures against
-//! pull-whole-row training. Every operation touches every server, so all
-//! of them go over [`PsObject::each_partition`].
+//! [`ColMatrixHandle::update_pairs`] run entirely server-side, reading the
+//! co-located slices of both matrices in place under one store lock: only
+//! vertex-id pairs, scalar coefficients, and partial sums cross the
+//! network — this is the communication optimization the LINE ablation
+//! bench measures against pull-whole-row training. Every operation touches
+//! every server, so all of them go over [`PsObject::each_partition`].
 
 use psgraph_sim::bytes::BufMut;
-use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
+use psgraph_sim::{NodeClock, SplitMix64};
 use std::sync::Arc;
 
 use crate::error::{PsError, Result};
@@ -77,6 +78,13 @@ impl Partition for ColPart {
         let data = r.elems(len)?;
         r.finish()?;
         Ok(ColPart { col_start, col_end, data })
+    }
+}
+
+/// `to += coef × from`, element-wise in f32.
+fn axpy(to: &mut [f32], coef: f64, from: &[f32]) {
+    for (t, f) in to.iter_mut().zip(from) {
+        *t += coef as f32 * *f;
     }
 }
 
@@ -146,6 +154,11 @@ impl ColMatrixHandle {
         Ok(part)
     }
 
+    /// Partition `p` as the server's store names it.
+    fn part(&self, p: usize) -> (&str, usize) {
+        (&self.obj.name, p)
+    }
+
     fn check_rows(&self, rows: impl IntoIterator<Item = u64>) -> Result<()> {
         self.obj.check_below(self.rows, rows)
     }
@@ -193,23 +206,13 @@ impl ColMatrixHandle {
         let mut out = vec![0.0f64; pairs.len()];
         let n = pairs.len() as u64;
         self.obj.each_partition(|p, server| {
-            // Copy the needed rows of `self` out, then scan `other`
-            // (avoids nested locks when self == other).
-            let mut self_rows: FxHashMap<u64, Vec<f32>> = FxHashMap::default();
-            server.get(&self.obj.name, p, |a: &ColPart| {
-                for &(i, _) in pairs {
-                    self_rows.entry(i).or_insert_with(|| a.row(i).to_vec());
-                }
-            })?;
-            let width = server.get(&other.obj.name, p, |b: &ColPart| {
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    let arow = &self_rows[&i];
-                    let brow = b.row(j);
+            let width = server.get_pair(self.part(p), other.part(p), |a: &ColPart, b: &ColPart| {
+                for (o, &(i, j)) in out.iter_mut().zip(pairs) {
                     let mut s = 0.0f64;
-                    for (x, y) in arow.iter().zip(brow) {
+                    for (x, y) in a.row(i).iter().zip(b.row(j)) {
                         s += (*x as f64) * (*y as f64);
                     }
-                    out[k] += s;
+                    *o += s;
                 }
                 b.width() as u64
             })?;
@@ -219,38 +222,61 @@ impl ColMatrixHandle {
         Ok(out)
     }
 
-    /// Server-side pair update: `self[dst] += coef × src[src_row]`, using
-    /// the *pre-update* value of `src` (SGD semantics when `src` is `self`
-    /// or a sibling matrix). Updates apply in input order. Server CPU is
-    /// `updates × width × 2` raw ops, as for [`ColMatrixHandle::dot_pairs`].
-    pub fn axpy_pairs(
+    /// Server-side fused pair update (one SGD round of LINE): for every
+    /// `(i, t, coef)` of `updates`, in input order,
+    /// `self[i] += coef × other[t]` reading `other` as it was before the
+    /// call; then, again for every update in input order,
+    /// `other[t] += coef × self[i]` reading `self` as the first pass left
+    /// it. `other` may be `self` (first-order LINE). One RPC per server:
+    /// the update list crosses once, server CPU is `updates × width × 4`
+    /// raw ops (a multiply and an add per column, per pass).
+    pub fn update_pairs(
         &self,
         client: &NodeClock,
-        src: &ColMatrixHandle,
+        other: &ColMatrixHandle,
         updates: &[(u64, u64, f64)],
     ) -> Result<()> {
-        self.same_shape(src)?;
-        self.check_rows(updates.iter().map(|&(d, _, _)| d))?;
-        self.check_rows(updates.iter().map(|&(_, s, _)| s))?;
+        self.same_shape(other)?;
+        self.check_rows(updates.iter().map(|&(i, _, _)| i))?;
+        self.check_rows(updates.iter().map(|&(_, t, _)| t))?;
         let n = updates.len() as u64;
+        // Distinct matrices: the pass that writes one only reads the
+        // other, so rows are read in place.
+        let both = |a: &mut ColPart, b: &mut ColPart| {
+            for &(i, t, coef) in updates {
+                axpy(a.row_mut(i), coef, b.row(t));
+            }
+            for &(i, t, coef) in updates {
+                axpy(b.row_mut(t), coef, a.row(i));
+            }
+            a.width() as u64
+        };
+        // One matrix on both sides: each pass reads the rows as they were
+        // when it began, from a copy.
+        let aliased = |a: &mut ColPart| {
+            let w = a.width();
+            let mut from = vec![0.0f32; updates.len() * w];
+            for (into, &(_, t, _)) in from.chunks_exact_mut(w).zip(updates) {
+                into.copy_from_slice(a.row(t));
+            }
+            for (from, &(i, _, coef)) in from.chunks_exact(w).zip(updates) {
+                axpy(a.row_mut(i), coef, from);
+            }
+            for (into, &(i, _, _)) in from.chunks_exact_mut(w).zip(updates) {
+                into.copy_from_slice(a.row(i));
+            }
+            for (from, &(_, t, coef)) in from.chunks_exact(w).zip(updates) {
+                axpy(a.row_mut(t), coef, from);
+            }
+            w as u64
+        };
         self.obj.each_partition(|p, server| {
-            let mut src_rows: FxHashMap<u64, Vec<f32>> = FxHashMap::default();
-            server.get(&src.obj.name, p, |s: &ColPart| {
-                for &(_, r, _) in updates {
-                    src_rows.entry(r).or_insert_with(|| s.row(r).to_vec());
-                }
-            })?;
-            let width = self.obj.write(server, p, |d: &mut ColPart| {
-                for &(dst, srow, coef) in updates {
-                    let from = &src_rows[&srow];
-                    let to = d.row_mut(dst);
-                    for (t, f) in to.iter_mut().zip(from) {
-                        *t += coef as f32 * *f;
-                    }
-                }
-                d.width() as u64
-            })?;
-            self.obj.charge(client, server, n * 24, n * width * 2, 8);
+            let width = if self.obj.name == other.obj.name {
+                self.obj.write(server, p, aliased)?
+            } else {
+                server.update_pair(self.part(p), other.part(p), both)?
+            };
+            self.obj.charge(client, server, n * 24, n * width * 4, 8);
             Ok(())
         })
     }
@@ -389,27 +415,36 @@ mod tests {
     }
 
     #[test]
-    fn axpy_pairs_updates_server_side() {
+    fn update_pairs_self_reads_each_pass_from_its_start() {
         let ps = ps();
         let c = NodeClock::new();
         let u = ColMatrixHandle::create(&ps, "u", 4, 6, RecoveryMode::Inconsistent).unwrap();
         u.push_add_rows(&c, &[0], &[vec![1.0; 6]]).unwrap();
         u.push_add_rows(&c, &[1], &[vec![2.0; 6]]).unwrap();
-        // u[0] += 0.5 * u[1] → 2.0; both sides pre-update values.
-        u.axpy_pairs(&c, &u.clone(), &[(0, 1, 0.5)]).unwrap();
-        assert_eq!(u.pull_rows(&c, &[0]).unwrap()[0], vec![2.0f32; 6]);
-        assert_eq!(u.pull_rows(&c, &[1]).unwrap()[0], vec![2.0f32; 6]);
+        // Pass 1: u[0] += 0.5·u[1] → 2, then u[1] += 1·u[0] with the
+        // u[0] of before the call → 3. Pass 2 reads what pass 1 left:
+        // u[1] += 0.5·2 → 4, then u[0] += 1·3 (not 4) → 5.
+        u.update_pairs(&c, &u.clone(), &[(0, 1, 0.5), (1, 0, 1.0)]).unwrap();
+        assert_eq!(u.pull_rows(&c, &[0]).unwrap()[0], vec![5.0f32; 6]);
+        assert_eq!(u.pull_rows(&c, &[1]).unwrap()[0], vec![4.0f32; 6]);
     }
 
     #[test]
-    fn axpy_cross_matrix() {
+    fn update_pairs_cross_matrix_updates_both_sides() {
         let ps = ps();
         let c = NodeClock::new();
         let u = ColMatrixHandle::create(&ps, "u", 4, 6, RecoveryMode::Inconsistent).unwrap();
         let ctx = ColMatrixHandle::create(&ps, "ctx", 4, 6, RecoveryMode::Inconsistent).unwrap();
         ctx.push_add_rows(&c, &[3], &[vec![4.0; 6]]).unwrap();
-        u.axpy_pairs(&c, &ctx, &[(2, 3, -0.25)]).unwrap();
+        let before = (u.partition_versions().unwrap(), ctx.partition_versions().unwrap());
+        // u[2] += -0.25·ctx[3] → -1; then ctx[3] += -0.25·u[2] → 4.25.
+        u.update_pairs(&c, &ctx, &[(2, 3, -0.25)]).unwrap();
         assert_eq!(u.pull_rows(&c, &[2]).unwrap()[0], vec![-1.0f32; 6]);
+        assert_eq!(ctx.pull_rows(&c, &[3]).unwrap()[0], vec![4.25f32; 6]);
+        // Both matrices were written: the delta exporter must see both.
+        let bumped = |v: &[u64]| v.iter().map(|x| x + 1).collect::<Vec<_>>();
+        assert_eq!(u.partition_versions().unwrap(), bumped(&before.0));
+        assert_eq!(ctx.partition_versions().unwrap(), bumped(&before.1));
     }
 
     #[test]
@@ -419,7 +454,7 @@ mod tests {
         let a = ColMatrixHandle::create(&ps, "a", 4, 6, RecoveryMode::Inconsistent).unwrap();
         let b = ColMatrixHandle::create(&ps, "b", 4, 8, RecoveryMode::Inconsistent).unwrap();
         assert!(a.dot_pairs(&c, &b, &[(0, 0)]).is_err());
-        assert!(a.axpy_pairs(&c, &b, &[(0, 0, 1.0)]).is_err());
+        assert!(a.update_pairs(&c, &b, &[(0, 0, 1.0)]).is_err());
         assert!(a.pull_rows(&c, &[4]).is_err());
         assert!(a.push_add_rows(&c, &[0], &[vec![0.0; 5]]).is_err());
     }

@@ -4,7 +4,7 @@
 //! A psFunc runs *on the server that owns a partition*: the client ships
 //! only the function's (small) arguments and receives only its (small)
 //! result, while the data never leaves the server. The built-in operators
-//! (`accumulate_and_reset`, `dot_pairs`, `axpy_pairs`, `adam_step`, …)
+//! (`accumulate_and_reset`, `dot_pairs`, `update_pairs`, `adam_step`, …)
 //! are specializations of this pattern; this module exposes it directly
 //! for user-defined computations over PS vectors.
 //!

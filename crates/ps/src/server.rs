@@ -18,6 +18,56 @@ struct StoredPartition {
     version: u64,
 }
 
+impl StoredPartition {
+    fn typed<T: 'static>(&self, name: &str) -> Result<&T> {
+        self.data
+            .downcast_ref::<T>()
+            .ok_or_else(|| PsError::TypeMismatch { name: name.to_string() })
+    }
+
+    fn typed_mut<T: 'static>(&mut self, name: &str) -> Result<&mut T> {
+        self.data
+            .downcast_mut::<T>()
+            .ok_or_else(|| PsError::TypeMismatch { name: name.to_string() })
+    }
+}
+
+type Store = FxHashMap<(String, usize), StoredPartition>;
+
+/// A partition as requests name it: object and partition index.
+type PartRef<'a> = (&'a str, usize);
+
+fn key((name, partition): PartRef) -> (String, usize) {
+    (name.to_string(), partition)
+}
+
+/// Which of `parts` a request could not find: "`a[0]`", "`a[0]` or `b[1]`".
+fn not_found(parts: &[PartRef]) -> PsError {
+    let named: Vec<String> = parts.iter().map(|(name, p)| format!("{name}[{p}]")).collect();
+    PsError::NotFound(named.join(" or "))
+}
+
+/// Mutable access to several stored partitions at once; they must be
+/// pairwise distinct.
+fn disjoint_mut<'s, const N: usize>(
+    store: &'s mut Store,
+    parts: [PartRef; N],
+) -> Result<[&'s mut StoredPartition; N]> {
+    if parts.iter().enumerate().any(|(i, part)| parts[..i].contains(part)) {
+        let names: Vec<&str> = parts.iter().map(|part| part.0).collect();
+        return Err(PsError::DimensionMismatch(format!(
+            "{} must be distinct objects",
+            names.join(", ")
+        )));
+    }
+    let keys = parts.map(key);
+    let found = store.get_disjoint_mut(keys.each_ref());
+    if found.iter().any(Option::is_none) {
+        return Err(not_found(&parts));
+    }
+    Ok(found.map(|part| part.expect("checked above")))
+}
+
 /// A PS server node.
 pub struct PsServer {
     id: usize,
@@ -30,7 +80,7 @@ pub struct PsServer {
     /// version recorded in a snapshot manifest — the delta writer's
     /// "version differs ⇒ dirty" check stays sound across crashes.
     epoch: AtomicU64,
-    store: RwLock<FxHashMap<(String, usize), StoredPartition>>,
+    store: RwLock<Store>,
 }
 
 impl std::fmt::Debug for PsServer {
@@ -133,14 +183,26 @@ impl PsServer {
     ) -> Result<R> {
         self.ensure_alive()?;
         let store = self.store.read();
-        let part = store
-            .get(&(name.to_string(), partition))
-            .ok_or_else(|| PsError::NotFound(format!("{name}[{partition}]")))?;
-        let typed = part
-            .data
-            .downcast_ref::<T>()
-            .ok_or_else(|| PsError::TypeMismatch { name: name.to_string() })?;
-        Ok(f(typed))
+        let part =
+            store.get(&key((name, partition))).ok_or_else(|| not_found(&[(name, partition)]))?;
+        Ok(f(part.typed(name)?))
+    }
+
+    /// Read-only access to two partitions under one store lock — the
+    /// server-side form of an operator that reads co-located partitions
+    /// of two objects (or one partition through both arguments).
+    pub fn get_pair<A: 'static, B: 'static, R>(
+        &self,
+        a: (&str, usize),
+        b: (&str, usize),
+        f: impl FnOnce(&A, &B) -> R,
+    ) -> Result<R> {
+        self.ensure_alive()?;
+        let store = self.store.read();
+        let (Some(pa), Some(pb)) = (store.get(&key(a)), store.get(&key(b))) else {
+            return Err(not_found(&[a, b]));
+        };
+        Ok(f(pa.typed(a.0)?, pb.typed(b.0)?))
     }
 
     /// Mutable access; the closure must not change the partition's
@@ -164,15 +226,9 @@ impl PsServer {
     ) -> Result<R> {
         self.ensure_alive()?;
         let mut store = self.store.write();
-        let part = store
-            .get_mut(&(name.to_string(), partition))
-            .ok_or_else(|| PsError::NotFound(format!("{name}[{partition}]")))?;
+        let [part] = disjoint_mut(&mut store, [(name, partition)])?;
         let old_bytes = part.bytes;
-        let typed = part
-            .data
-            .downcast_mut::<T>()
-            .ok_or_else(|| PsError::TypeMismatch { name: name.to_string() })?;
-        let (r, new_bytes) = f(typed, old_bytes);
+        let (r, new_bytes) = f(part.typed_mut(name)?, old_bytes);
         if new_bytes > old_bytes {
             self.memory.alloc(new_bytes - old_bytes)?;
         } else {
@@ -183,12 +239,29 @@ impl PsServer {
         Ok(r)
     }
 
-    /// Mutable access to partitions `a` and `b` plus shared access to `c`
-    /// — co-located partitions of three *different* objects — under one
-    /// store lock: the server-side form of an operator fused over several
-    /// objects. `f` returns its result and whether it wrote `a` / `b`;
-    /// only a written partition has its version bumped. Footprints must
-    /// not change (as with [`PsServer::update`]).
+    /// Mutable access to partitions `a` and `b` — co-located partitions
+    /// of two *different* objects — under one store lock: the server-side
+    /// form of an operator that updates both from each other. Both
+    /// versions are bumped. Footprints must not change (as with
+    /// [`PsServer::update`]).
+    pub fn update_pair<A: 'static, B: 'static, R>(
+        &self,
+        a: (&str, usize),
+        b: (&str, usize),
+        f: impl FnOnce(&mut A, &mut B) -> R,
+    ) -> Result<R> {
+        self.ensure_alive()?;
+        let mut store = self.store.write();
+        let [pa, pb] = disjoint_mut(&mut store, [a, b])?;
+        let r = f(pa.typed_mut(a.0)?, pb.typed_mut(b.0)?);
+        pa.version += 1;
+        pb.version += 1;
+        Ok(r)
+    }
+
+    /// [`PsServer::update_pair`] plus shared access to a partition `c` of
+    /// a third object. `f` returns its result and whether it wrote `a` /
+    /// `b`; only a written partition has its version bumped.
     pub fn update_pair_with<A: 'static, B: 'static, C: 'static, R>(
         &self,
         a: (&str, usize),
@@ -197,27 +270,9 @@ impl PsServer {
         f: impl FnOnce(&mut A, &mut B, &C) -> (R, [bool; 2]),
     ) -> Result<R> {
         self.ensure_alive()?;
-        if a == b || a == c || b == c {
-            return Err(PsError::DimensionMismatch(format!(
-                "{}, {} and {} must be three distinct objects",
-                a.0, b.0, c.0
-            )));
-        }
-        let keys = [a, b, c].map(|(name, p)| (name.to_string(), p));
         let mut store = self.store.write();
-        let [Some(pa), Some(pb), Some(pc)] =
-            store.get_disjoint_mut([&keys[0], &keys[1], &keys[2]])
-        else {
-            return Err(PsError::NotFound(format!(
-                "{}[{}], {}[{}] or {}[{}]",
-                a.0, a.1, b.0, b.1, c.0, c.1
-            )));
-        };
-        let mismatch = |name: &str| PsError::TypeMismatch { name: name.to_string() };
-        let ta = pa.data.downcast_mut::<A>().ok_or_else(|| mismatch(a.0))?;
-        let tb = pb.data.downcast_mut::<B>().ok_or_else(|| mismatch(b.0))?;
-        let tc = pc.data.downcast_ref::<C>().ok_or_else(|| mismatch(c.0))?;
-        let (r, wrote) = f(ta, tb, tc);
+        let [pa, pb, pc] = disjoint_mut(&mut store, [a, b, c])?;
+        let (r, wrote) = f(pa.typed_mut(a.0)?, pb.typed_mut(b.0)?, pc.typed(c.0)?);
         pa.version += wrote[0] as u64;
         pb.version += wrote[1] as u64;
         Ok(r)
@@ -228,9 +283,9 @@ impl PsServer {
         self.ensure_alive()?;
         self.store
             .read()
-            .get(&(name.to_string(), partition))
+            .get(&key((name, partition)))
             .map(|p| p.version)
-            .ok_or_else(|| PsError::NotFound(format!("{name}[{partition}]")))
+            .ok_or_else(|| not_found(&[(name, partition)]))
     }
 
     /// Whether a partition exists.
@@ -397,6 +452,34 @@ mod tests {
         assert!(matches!(
             s.update_pair_with(("a", 0), ("c", 0), ("b", 0), noop),
             Err(PsError::TypeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn pair_accessors_read_and_write_two_partitions_under_one_lock() {
+        let s = PsServer::new(0, 1 << 20);
+        s.insert("a", 0, 1u64, 8).unwrap();
+        s.insert("b", 0, 2u64, 8).unwrap();
+        assert_eq!(s.get_pair(("a", 0), ("b", 0), |a: &u64, b: &u64| a + b).unwrap(), 3);
+        // A read may name one partition through both arguments.
+        assert_eq!(s.get_pair(("a", 0), ("a", 0), |a: &u64, b: &u64| a + b).unwrap(), 2);
+        s.update_pair(("a", 0), ("b", 0), |a: &mut u64, b: &mut u64| std::mem::swap(a, b))
+            .unwrap();
+        assert_eq!(s.get_pair(("a", 0), ("b", 0), |a: &u64, b: &u64| (*a, *b)).unwrap(), (2, 1));
+        assert_eq!((s.version("a", 0).unwrap(), s.version("b", 0).unwrap()), (2, 2));
+        let noop = |_: &mut u64, _: &mut u64| ();
+        assert!(matches!(
+            s.update_pair(("a", 0), ("a", 0), noop),
+            Err(PsError::DimensionMismatch(_))
+        ));
+        assert!(matches!(s.update_pair(("a", 0), ("b", 1), noop), Err(PsError::NotFound(_))));
+        assert!(matches!(
+            s.get_pair(("a", 0), ("b", 0), |_: &u64, _: &f64| ()),
+            Err(PsError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            s.get_pair(("a", 1), ("b", 0), |_: &u64, _: &u64| ()),
+            Err(PsError::NotFound(_))
         ));
     }
 

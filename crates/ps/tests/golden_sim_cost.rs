@@ -22,6 +22,19 @@
 //! client tier must leave every line unchanged; a deliberate cost-model or
 //! visit-order change re-records them (the failure message prints the
 //! actual lines).
+//!
+//! Re-recorded once since, when `ColMatrixHandle::axpy_pairs` gave way to
+//! the fused `update_pairs`: the three `colmatrix.axpy_pairs*` lines became
+//! the `colmatrix.update_pairs*` lines and a `dead1` line was added for it.
+//! The fused operator does twice the server arithmetic per call and writes
+//! both matrices, and every line records absolute clocks, so the lines
+//! *after* them moved too — by clock readings, and by what `cm` / `cm2`
+//! hold wherever a result or a file digest shows it. Checked at that
+//! change: with the old operator kept beside the new `PsServer` accessors
+//! all 966 recorded lines passed unchanged (`colmatrix.dot_pairs*`
+//! included); after the swap the 90 lines before `colmatrix.update_pairs`
+//! and all `plan.` lines are byte-identical, and no other line's RPC or
+//! byte counts moved.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -296,12 +309,14 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.op("colmatrix.dot_pairs empty", |c| cm.dot_pairs(c, &cm2, &[]));
     let updates: Vec<(u64, u64, f64)> =
         vec![(19, 0, 0.5), (3, 3, -0.25), (7, 12, 0.125), (19, 1, 1.0)];
-    t.op("colmatrix.axpy_pairs", |c| cm.axpy_pairs(c, &cm2, &updates));
-    t.op("colmatrix.axpy_pairs self", |c| {
-        cm.axpy_pairs(c, &cm, &updates)
+    t.op("colmatrix.update_pairs", |c| {
+        cm.update_pairs(c, &cm2, &updates)
     });
-    t.op("colmatrix.axpy_pairs empty", |c| {
-        cm.axpy_pairs(c, &cm2, &[])
+    t.op("colmatrix.update_pairs self", |c| {
+        cm.update_pairs(c, &cm, &updates)
+    });
+    t.op("colmatrix.update_pairs empty", |c| {
+        cm.update_pairs(c, &cm2, &[])
     });
     let crow: Vec<u64> = vec![19, 3, 7, 3];
     let cdelta: Vec<Vec<f32>> = crow
@@ -473,7 +488,7 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
         m.push_add_rows(c, &[17], &[vec![1.0; 3]])
     });
     t.op("delta.dirty colmatrix", |c| {
-        cm.axpy_pairs(c, &cm2, &[(2, 3, 0.5)])
+        cm.update_pairs(c, &cm2, &[(2, 3, 0.5)])
     });
     t.op("delta.dirty neighbor", |c| {
         nt.update_edges(c, &[(55, 6, true), (3, 11, false)])
@@ -557,6 +572,9 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.op("dead1 colmatrix.pull_rows", |c| cm.pull_rows(c, &crow));
     t.op("dead1 colmatrix.dot_pairs", |c| {
         cm.dot_pairs(c, &cm2, &pairs)
+    });
+    t.op("dead1 colmatrix.update_pairs", |c| {
+        cm.update_pairs(c, &cm2, &updates)
     });
     t.op("dead1 neighbor.pull", |c| nt.pull(c, &mixed));
     t.op("dead1 neighbor.update_edges", |c| nt.update_edges(c, &ops));
@@ -648,7 +666,7 @@ fn run_plans(servers: usize, partitioner: Partitioner) -> Vec<String> {
 }
 
 /// Recorded at f10724d (see the module docs); the `plan.` lines were added
-/// with `PullPlan`.
+/// with `PullPlan`, the `update_pairs` lines replaced the `axpy_pairs` ones.
 const EXPECTED: &str = include_str!("golden_sim_cost.expected");
 
 #[test]

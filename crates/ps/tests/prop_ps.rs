@@ -3,7 +3,8 @@
 use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
 use psgraph_ps::{
-    NeighborTableHandle, PartitionLayout, Partitioner, Ps, PsConfig, RecoveryMode, VectorHandle,
+    ColMatrixHandle, NeighborTableHandle, PartitionLayout, Partitioner, Ps, PsConfig,
+    RecoveryMode, VectorHandle,
 };
 use psgraph_sim::{NodeClock, SimTime};
 
@@ -366,6 +367,98 @@ fn update_edges_and_its_sharded_form_apply_the_same_ops() {
                 adj.update_edges_sharded(&[(clock, ops.as_slice())]).unwrap()[0]
             });
             prop_assert_eq!(plain, sharded);
+            Ok(())
+        },
+    );
+}
+
+/// Two seeded `rows × cols` column matrices on a fresh PS, and the client
+/// that initialised them. With `aliased`, the second is the first.
+fn col_matrices(
+    servers: usize,
+    rows: u64,
+    cols: usize,
+    aliased: bool,
+) -> (std::sync::Arc<Ps>, NodeClock, ColMatrixHandle, ColMatrixHandle) {
+    let ps = Ps::new(PsConfig { servers, ..Default::default() });
+    let client = NodeClock::new();
+    let rec = RecoveryMode::Inconsistent;
+    let a = ColMatrixHandle::create(&ps, "prop.a", rows, cols, rec).unwrap();
+    a.init_uniform(&client, 11, 1.0).unwrap();
+    let b = if aliased {
+        a.clone()
+    } else {
+        let b = ColMatrixHandle::create(&ps, "prop.b", rows, cols, rec).unwrap();
+        b.init_uniform(&client, 12, 1.0).unwrap();
+        b
+    };
+    (ps, client, a, b)
+}
+
+fn row_bits(m: &ColMatrixHandle, client: &NodeClock) -> Vec<Vec<u32>> {
+    let all: Vec<u64> = (0..m.rows()).collect();
+    let rows = m.pull_rows(client, &all).unwrap();
+    rows.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect()
+}
+
+#[test]
+fn fused_pair_update_equals_the_two_client_side_passes_and_charges_one_rpc_per_server() {
+    check(
+        "fused_pair_update_equals_the_two_client_side_passes",
+        |src: &mut Source| {
+            let rows = src.u64_range(1, 12);
+            let cols = src.usize_range(1, 10);
+            // Few rows, many updates: repeated `i` and `t` are the rule.
+            let updates = src.vec_with(0, 30, |s| {
+                (s.u64_range(0, rows), s.u64_range(0, rows), s.i64_range(-8, 9) as f64 * 0.125)
+            });
+            (rows, cols, updates, if src.bool() { 3 } else { 4 }, src.bool())
+        },
+        |(rows, cols, updates, servers, aliased)| {
+            let (is, ts): (Vec<u64>, Vec<u64>) = updates.iter().map(|&(i, t, _)| (i, t)).unzip();
+            let scaled = |from: Vec<Vec<f32>>| -> Vec<Vec<f32>> {
+                from.iter()
+                    .zip(updates)
+                    .map(|(row, &(_, _, coef))| row.iter().map(|x| coef as f32 * x).collect())
+                    .collect()
+            };
+
+            // Reference: `a[i] += c·b[t]` for every update from `b` as it
+            // was, then `b[t] += c·a[i]` for every update from `a` as the
+            // first pass left it — two whole-row round trips.
+            let (_, client, a, b) = col_matrices(*servers, *rows, *cols, *aliased);
+            let from_b = scaled(b.pull_rows(&client, &ts).unwrap());
+            a.push_add_rows(&client, &is, &from_b).unwrap();
+            let from_a = scaled(a.pull_rows(&client, &is).unwrap());
+            b.push_add_rows(&client, &ts, &from_a).unwrap();
+            let want = (row_bits(&a, &client), row_bits(&b, &client));
+
+            let (ps, client, a, b) = col_matrices(*servers, *rows, *cols, *aliased);
+            let before = (row_bits(&a, &client), row_bits(&b, &client));
+            let stats = ps.network().stats();
+            let (rpcs, sent, recv) = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
+            let t0 = client.now();
+            a.update_pairs(&client, &b, updates).unwrap();
+            // One RPC per column slice, each `n·24` bytes out, `n·width·4`
+            // ops, 8 bytes back; a lone client never queues at a port.
+            let n = updates.len() as u64;
+            let slices = (*servers).min(*cols) as u64;
+            let cost = ps.network().cost_model();
+            let layout = PartitionLayout::new(Partitioner::Range, *cols as u64, slices as usize, *servers);
+            let elapsed = (0..slices as usize).fold(SimTime::ZERO, |t, p| {
+                let (c0, c1) = layout.range_of(p).unwrap();
+                t + cost.net_cost(n * 24) + cost.cpu_cost(n * (c1 - c0) * 4) + cost.net_cost(8)
+            });
+            prop_assert_eq!(stats.rpcs() - rpcs, slices);
+            prop_assert_eq!(stats.bytes_sent() - sent, slices * n * 24);
+            prop_assert_eq!(stats.bytes_received() - recv, slices * 8);
+            prop_assert_eq!(client.now().saturating_sub(t0), elapsed);
+
+            let got = (row_bits(&a, &client), row_bits(&b, &client));
+            prop_assert_eq!(&got, &want);
+            if updates.is_empty() {
+                prop_assert_eq!(&got, &before);
+            }
             Ok(())
         },
     );

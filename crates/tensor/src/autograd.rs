@@ -2,6 +2,9 @@
 //! "Autograd mechanism" the paper relies on PyTorch for (§III-C: "PyTorch
 //! performs forward calculation and backward propagation with Autograd").
 
+use std::sync::Arc;
+
+use crate::sparse::SparseRows;
 use crate::tensor::Tensor;
 
 /// Handle to a node in the computation graph.
@@ -14,6 +17,8 @@ enum Op {
     /// from inputs for [`Graph::is_param`].
     Leaf { requires_grad: bool },
     MatMul(Var, Var),
+    /// `A·x` for a constant sparse operator `A`.
+    Spmm(Arc<SparseRows>, Var),
     Add(Var, Var),
     /// `x + bias_row` broadcast over rows.
     AddBias(Var, Var),
@@ -32,6 +37,9 @@ struct Node {
     op: Op,
     value: Tensor,
     grad: Option<Tensor>,
+    /// Whether a trainable parameter lies at or upstream of this node —
+    /// `backward` neither computes nor stores a gradient where none does.
+    needs_grad: bool,
 }
 
 /// A dynamic computation graph (fresh per forward/backward pass, like a
@@ -47,7 +55,21 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> Var {
-        self.nodes.push(Node { op, value, grad: None });
+        let needs = |v: &Var| self.nodes[v.0].needs_grad;
+        let needs_grad = match &op {
+            Op::Leaf { requires_grad } => *requires_grad,
+            Op::MatMul(a, b) | Op::Add(a, b) | Op::AddBias(a, b) | Op::ConcatCols(a, b) => {
+                needs(a) || needs(b)
+            }
+            Op::Spmm(_, x)
+            | Op::Relu(x)
+            | Op::Sigmoid(x)
+            | Op::Tanh(x)
+            | Op::Scale(x, _)
+            | Op::SoftmaxCrossEntropy { logits: x, .. }
+            | Op::Mse { pred: x, .. } => needs(x),
+        };
+        self.nodes.push(Node { op, value, grad: None, needs_grad });
         Var(self.nodes.len() - 1)
     }
 
@@ -66,7 +88,9 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// Gradient of the last `backward` target w.r.t. `v` (if it flowed).
+    /// Gradient of the last `backward` target w.r.t. `v` — `None` if the
+    /// target does not depend on `v`, or no parameter lies at or upstream
+    /// of `v` (a constant input has none).
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
     }
@@ -79,6 +103,12 @@ impl Graph {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = self.value(a).matmul(self.value(b));
         self.push(Op::MatMul(a, b), value)
+    }
+
+    /// `a·x` for a constant sparse operator: gradient flows into `x` only.
+    pub fn spmm(&mut self, a: &SparseRows, x: Var) -> Var {
+        let value = a.matmul(self.value(x));
+        self.push(Op::Spmm(Arc::new(a.clone()), x), value)
     }
 
     pub fn add(&mut self, a: Var, b: Var) -> Var {
@@ -147,7 +177,12 @@ impl Graph {
         self.push(Op::Mse { pred, target }, Tensor::from_vec(1, 1, vec![loss]))
     }
 
-    fn accumulate(&mut self, v: Var, g: Tensor) {
+    /// Add `g()` to `v`'s gradient — computed only if `v` needs one.
+    fn accumulate(&mut self, v: Var, g: impl FnOnce(&Graph) -> Tensor) {
+        if !self.nodes[v.0].needs_grad {
+            return;
+        }
+        let g = g(self);
         match &mut self.nodes[v.0].grad {
             Some(existing) => *existing = existing.add(&g),
             slot @ None => *slot = Some(g),
@@ -165,70 +200,64 @@ impl Graph {
         // The tape is already topologically ordered (ops only reference
         // earlier nodes), so one reverse sweep suffices.
         for i in (0..=target.0).rev() {
+            if !self.nodes[i].needs_grad {
+                continue;
+            }
             let Some(g) = self.nodes[i].grad.clone() else { continue };
             match self.nodes[i].op.clone() {
                 Op::Leaf { .. } => {}
                 Op::MatMul(a, b) => {
-                    let da = g.matmul(&self.value(b).transpose());
-                    let db = self.value(a).transpose().matmul(&g);
-                    self.accumulate(a, da);
-                    self.accumulate(b, db);
+                    self.accumulate(a, |t| g.matmul(&t.value(b).transpose()));
+                    self.accumulate(b, |t| t.value(a).transpose().matmul(&g));
                 }
+                Op::Spmm(a, x) => self.accumulate(x, |_| a.transpose_matmul(&g)),
                 Op::Add(a, b) => {
-                    self.accumulate(a, g.clone());
-                    self.accumulate(b, g);
+                    self.accumulate(a, |_| g.clone());
+                    self.accumulate(b, |_| g);
                 }
                 Op::AddBias(x, bias) => {
-                    self.accumulate(bias, g.col_sum());
-                    self.accumulate(x, g);
+                    self.accumulate(bias, |_| g.col_sum());
+                    self.accumulate(x, |_| g);
                 }
-                Op::Relu(x) => {
-                    let mask = self.value(x).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    self.accumulate(x, g.hadamard(&mask));
-                }
+                Op::Relu(x) => self.accumulate(x, |t| {
+                    g.hadamard(&t.value(x).map(|v| if v > 0.0 { 1.0 } else { 0.0 }))
+                }),
                 Op::Sigmoid(x) => {
-                    let s = &self.nodes[i].value;
-                    let ds = s.map(|v| v * (1.0 - v));
-                    self.accumulate(x, g.hadamard(&ds));
+                    self.accumulate(x, |t| g.hadamard(&t.nodes[i].value.map(|v| v * (1.0 - v))))
                 }
                 Op::Tanh(x) => {
-                    let t = &self.nodes[i].value;
-                    let dt = t.map(|v| 1.0 - v * v);
-                    self.accumulate(x, g.hadamard(&dt));
+                    self.accumulate(x, |t| g.hadamard(&t.nodes[i].value.map(|v| 1.0 - v * v)))
                 }
-                Op::Scale(x, k) => {
-                    self.accumulate(x, g.scale(k));
-                }
+                Op::Scale(x, k) => self.accumulate(x, |_| g.scale(k)),
                 Op::ConcatCols(a, b) => {
                     let ca = self.value(a).cols();
-                    let rows = g.rows();
-                    let cb = g.cols() - ca;
-                    let mut ga = Tensor::zeros(rows, ca);
-                    let mut gb = Tensor::zeros(rows, cb);
-                    for r in 0..rows {
-                        ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                        gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
-                    }
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
+                    let cols = |lo: usize, hi: usize| {
+                        let mut part = Tensor::zeros(g.rows(), hi - lo);
+                        for r in 0..g.rows() {
+                            part.row_mut(r).copy_from_slice(&g.row(r)[lo..hi]);
+                        }
+                        part
+                    };
+                    self.accumulate(a, |_| cols(0, ca));
+                    self.accumulate(b, |_| cols(ca, g.cols()));
                 }
-                Op::SoftmaxCrossEntropy { logits, labels } => {
+                Op::SoftmaxCrossEntropy { logits, labels } => self.accumulate(logits, |t| {
                     let scale = g.get(0, 0) / labels.len() as f32;
-                    let mut dl = self.value(logits).softmax_rows();
+                    let mut dl = t.value(logits).softmax_rows();
                     for (r, &y) in labels.iter().enumerate() {
                         let v = dl.get(r, y);
                         dl.set(r, y, v - 1.0);
                     }
-                    self.accumulate(logits, dl.scale(scale));
-                }
-                Op::Mse { pred, target } => {
-                    let scale = g.get(0, 0) * 2.0 / self.value(pred).len() as f32;
-                    let mut dp = self.value(pred).clone();
-                    for (d, t) in dp.data_mut().iter_mut().zip(target.data()) {
-                        *d -= t;
+                    dl.scale(scale)
+                }),
+                Op::Mse { pred, target } => self.accumulate(pred, |t| {
+                    let scale = g.get(0, 0) * 2.0 / t.value(pred).len() as f32;
+                    let mut dp = t.value(pred).clone();
+                    for (d, want) in dp.data_mut().iter_mut().zip(target.data()) {
+                        *d -= want;
                     }
-                    self.accumulate(pred, dp.scale(scale));
-                }
+                    dp.scale(scale)
+                }),
             }
         }
     }
@@ -243,6 +272,8 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psgraph_harness::prop::{check, Source};
+    use psgraph_harness::prop_assert_eq;
 
     /// Numeric gradient of `loss(build)` w.r.t. one parameter entry.
     fn numeric_grad(
@@ -406,17 +437,87 @@ mod tests {
     }
 
     #[test]
-    fn inputs_have_no_grad_but_flow_through() {
+    fn no_gradient_where_no_parameter_lives() {
         let mut g = Graph::new();
         let x = g.input(Tensor::uniform(2, 2, 1.0, 4));
+        let pre = g.relu(x); // constant: only inputs upstream
         let w = g.param(Tensor::uniform(2, 2, 1.0, 5));
-        let y = g.matmul(x, w);
-        let loss = g.mse(y, Tensor::zeros(2, 2));
+        let y = g.matmul(pre, w);
+        let h = g.tanh(y);
+        let loss = g.mse(h, Tensor::zeros(2, 2));
         g.backward(loss);
         assert!(g.grad(w).is_some());
-        // Inputs also receive grads (needed for multi-layer GNNs) — they
-        // are just not updated by optimizers.
-        assert!(g.grad(x).is_some());
+        // Gradient flows *through* a node that depends on a parameter …
+        assert!(g.grad(y).is_some());
+        // … and stops where nothing trainable is upstream.
+        assert!(g.grad(pre).is_none());
+        assert!(g.grad(x).is_none());
+    }
+
+    #[test]
+    fn grad_check_spmm_between_layers() {
+        // A constant sparse operator applied to a trainable layer's output,
+        // with a repeated column, an empty row and an explicit zero.
+        let mut a = SparseRows::new(4);
+        a.push_row([(2, 0.5), (0, 0.25), (2, 0.25)]);
+        a.push_row([]);
+        a.push_row([(3, 1.0), (1, 0.0)]);
+        let w = Tensor::uniform(3, 2, 0.5, 61);
+        check_grads(
+            |g, p| {
+                let x = g.input(Tensor::uniform(4, 3, 1.0, 19));
+                let w = g.param(p.clone());
+                let h = g.matmul(x, w);
+                let agg = g.spmm(&a, h);
+                let loss = g.mse(agg, Tensor::uniform(3, 2, 1.0, 20));
+                (w, loss)
+            },
+            w,
+        );
+    }
+
+    /// A random operator of one to six rows and columns: empty rows,
+    /// repeated columns and explicit zero weights included.
+    fn arb_operator(s: &mut Source) -> SparseRows {
+        let mut a = SparseRows::new(s.usize_range(1, 7));
+        for _ in 0..s.usize_range(1, 7) {
+            let entries = s.vec_with(0, 6, |s| {
+                let w = match s.choice(5) {
+                    0 => 0.0,
+                    k => (s.choice(64) as f32 - 32.0) / (8.0 * k as f32),
+                };
+                (s.usize_range(0, a.cols()), w)
+            });
+            a.push_row(entries);
+        }
+        a
+    }
+
+    #[test]
+    fn spmm_equals_matmul_on_the_materialised_matrix_bit_for_bit() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        check(
+            "spmm_equals_matmul_on_the_materialised_matrix",
+            |s: &mut Source| (arb_operator(s), s.usize_range(1, 6), s.any_u64()),
+            |(a, width, seed)| {
+                // `x` is a parameter here so that its gradient is kept.
+                let run = |apply: &dyn Fn(&mut Graph, Var) -> Var| {
+                    let mut g = Graph::new();
+                    let x = g.param(Tensor::uniform(a.cols(), *width, 2.0, *seed));
+                    let y = apply(&mut g, x);
+                    let loss = g.mse(y, Tensor::uniform(a.rows(), *width, 2.0, seed ^ 1));
+                    g.backward(loss);
+                    (bits(g.value(y)), g.grad(x).map(bits))
+                };
+                let sparse = run(&|g, x| g.spmm(a, x));
+                let dense = run(&|g, x| {
+                    let av = g.input(a.to_dense());
+                    g.matmul(av, x)
+                });
+                prop_assert_eq!(sparse, dense);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -26,9 +26,9 @@ impl JniBridge {
         JniBridge { cost, bytes_in: AtomicU64::new(0), bytes_out: AtomicU64::new(0) }
     }
 
-    /// Feed tensors into the native runtime (step 1). Returns the charge.
-    pub fn feed(&self, clock: &NodeClock, tensors: &[&Tensor]) -> SimTime {
-        let bytes: u64 = tensors.iter().map(|t| t.byte_size()).sum();
+    /// Feed `bytes` of graph data — features plus the index structures of
+    /// a mini-batch — into the native runtime (step 1). Returns the charge.
+    pub fn feed(&self, clock: &NodeClock, bytes: u64) -> SimTime {
         let c = self.cost.jni_cost(bytes);
         clock.advance(c);
         self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
@@ -41,14 +41,6 @@ impl JniBridge {
         let c = self.cost.jni_cost(bytes);
         clock.advance(c);
         self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-        c
-    }
-
-    /// Raw byte variant for non-tensor payloads (edge lists, labels).
-    pub fn transfer_bytes(&self, clock: &NodeClock, bytes: u64) -> SimTime {
-        let c = self.cost.jni_cost(bytes);
-        clock.advance(c);
-        self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
         c
     }
 
@@ -70,7 +62,7 @@ mod tests {
         let b = JniBridge::new(CostModel::default());
         let clock = NodeClock::new();
         let t = Tensor::zeros(100, 100); // 40 kB
-        let c1 = b.feed(&clock, &[&t, &t]);
+        let c1 = b.feed(&clock, 2 * t.byte_size());
         assert!(c1 > SimTime::ZERO);
         assert_eq!(b.bytes_in(), 80_000);
         let c2 = b.read_back(&clock, &[&t]);
@@ -79,12 +71,12 @@ mod tests {
     }
 
     #[test]
-    fn transfer_scales_with_bytes() {
+    fn feed_scales_with_bytes() {
         let b = JniBridge::new(CostModel::default());
         let c1 = NodeClock::new();
         let c2 = NodeClock::new();
-        b.transfer_bytes(&c1, 1 << 10);
-        b.transfer_bytes(&c2, 1 << 24);
+        b.feed(&c1, 1 << 10);
+        b.feed(&c2, 1 << 24);
         assert!(c2.now() > c1.now());
     }
 
@@ -92,7 +84,7 @@ mod tests {
     fn empty_transfer_is_free() {
         let b = JniBridge::new(CostModel::default());
         let clock = NodeClock::new();
-        assert_eq!(b.feed(&clock, &[]), SimTime::ZERO);
+        assert_eq!(b.feed(&clock, 0), SimTime::ZERO);
         assert_eq!(clock.now(), SimTime::ZERO);
     }
 }

@@ -2,9 +2,12 @@
 //! the PyTorch runtime that PSGraph embeds via JNI (paper §III-C, §IV-E).
 //!
 //! Scope is exactly what GraphSage training needs: dense f32 matrices,
-//! reverse-mode automatic differentiation over a tape ([`autograd::Graph`]),
-//! linear layers with nonlinear activations, softmax cross-entropy loss,
-//! and client-side optimizers for the Euler baseline (PSGraph itself runs
+//! constant sparse operators in CSR form ([`sparse::SparseRows`]) for a
+//! mini-batch's selection / aggregation structure, reverse-mode automatic
+//! differentiation over a tape ([`autograd::Graph`]), linear layers with
+//! nonlinear activations, the two-layer mean-aggregator forward both
+//! GraphSage trainers share ([`nn::SageBatch`]), softmax cross-entropy
+//! loss, and client-side optimizers for the Euler baseline (PSGraph itself runs
 //! its optimizers server-side as psFuncs — see `psgraph_ps::MatrixHandle`).
 //! The [`jni::JniBridge`] charges the JVM ↔ native copy costs the paper
 //! pays when feeding graph data into PyTorch and reading gradients back.
@@ -16,10 +19,12 @@ pub mod autograd;
 pub mod jni;
 pub mod nn;
 pub mod optim;
+pub mod sparse;
 pub mod tensor;
 
 pub use autograd::{Graph, Var};
 pub use jni::JniBridge;
-pub use nn::Linear;
+pub use nn::{Columns, Linear, SageBatch, SageOps};
 pub use optim::{Adam, Optimizer, Sgd};
+pub use sparse::SparseRows;
 pub use tensor::Tensor;

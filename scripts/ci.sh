@@ -14,13 +14,17 @@ fi
 
 # The harness is the substrate every test stands on (the work-stealing
 # pool lives there) — hold it to warnings-as-errors. Same bar for the
-# serving tier and the query engine (newest subsystems), and for the PS
-# and the algorithm crate (where the benchmark's batch workloads live).
+# serving tier and the query engine (newest subsystems), for the PS
+# and the algorithm crate (where the benchmark's batch workloads live),
+# and for the tensor runtime and the Euler baseline that share its
+# mini-batch code.
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-harness --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-query --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-serve --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-ps --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-core --all-targets
+RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-tensor --all-targets
+RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-euler --all-targets
 
 cargo build --release --offline --workspace
 # Release mode: the fig6/table emergence tests simulate whole cluster
