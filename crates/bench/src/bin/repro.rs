@@ -16,7 +16,7 @@
 //! outputs);
 //! `--seeds` sizes the chaos fault-schedule sweep (default 20) and
 //! `--seed` replays exactly one failing schedule; `--threads` sizes the
-//! global work-stealing pool (default: host parallelism; the simulated
+//! global thread pool (default: host parallelism; the simulated
 //! times are thread-count-invariant, only wall clock changes).
 
 use psgraph_bench::{chaos_exp, fig6, line_exp, query_exp, serve_exp, stream_exp, table1, table2};

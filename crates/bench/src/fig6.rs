@@ -270,7 +270,7 @@ pub fn table(cells: &[Fig6Cell]) -> Table {
 }
 
 /// One line naming every PSGraph output digest — what CI compares across
-/// steal schedules.
+/// claim schedules.
 pub fn digest_line(cells: &[Fig6Cell]) -> String {
     let digests: Vec<String> = cells
         .iter()

@@ -127,7 +127,10 @@ mod tests {
     use psgraph_graph::{gen, EdgeList};
 
     fn run_lp(g: &EdgeList) -> LabelPropagationOutput {
-        let ctx = PsGraphContext::local();
+        // A pool of 1: the job is order-sensitive and these tests are
+        // about the algorithm, not the claim schedule (ROADMAP 1(c)).
+        let pool = Arc::new(psgraph_harness::Pool::new(1));
+        let ctx = PsGraphContext::new(crate::PsGraphConfig::default().with_pool(pool));
         let edges = distribute_edges(&ctx, g, 8).unwrap();
         LabelPropagation::default().run(&ctx, &edges, g.num_vertices()).unwrap()
     }

@@ -280,15 +280,15 @@ impl Cluster {
     /// job can talk to the PS once for all of an executor's partitions
     /// instead of once per partition.
     ///
-    /// The executor tasks run on the shared work-stealing pool (real
-    /// parallelism up to the pool's thread count), each charging simulated
-    /// costs to its own executor's clock. Results come back in executor
-    /// order, one per executor that hosts a partition — the deterministic
-    /// reduction rule, so the output is bit-identical for any pool size. A
-    /// BSP barrier over all live executors closes the stage. A dead
-    /// executor fails the stage with `ExecutorLost`; the first error
-    /// recorded is the stage's, and executor tasks that have not started
-    /// by then are skipped.
+    /// The executor tasks are one `Pool::map` over the hosting executors
+    /// (real parallelism up to the pool's thread count, the calling thread
+    /// included), each charging simulated costs to its own executor's
+    /// clock. Results come back in executor order, one per executor that
+    /// hosts a partition — the deterministic reduction rule, so the output
+    /// is bit-identical for any pool size. A BSP barrier over all live
+    /// executors closes the stage. A dead executor fails the stage with
+    /// `ExecutorLost`; the first error recorded is the stage's, and
+    /// executor tasks that have not started by then are skipped.
     pub fn run_executors<R, F>(&self, tasks: usize, f: F) -> Result<Vec<R>>
     where
         R: Send,
@@ -302,31 +302,29 @@ impl Cluster {
             }
         }
 
-        let hosts = self.executors.len().min(tasks);
-        let by_exec: Vec<Vec<usize>> =
-            (0..hosts).map(|e| (e..tasks).step_by(self.executors.len()).collect()).collect();
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..hosts).map(|_| None).collect());
+        let hosted: Vec<(&Arc<Executor>, Vec<usize>)> = self
+            .executors
+            .iter()
+            .take(tasks)
+            .map(|e| (e, (e.id()..tasks).step_by(self.executors.len()).collect()))
+            .collect();
         let first_err: Mutex<Option<DataflowError>> = Mutex::new(None);
 
-        self.pool.scope(|scope| {
-            for (exec, parts) in self.executors.iter().zip(&by_exec) {
-                let (f, results, first_err) = (&f, &results, &first_err);
-                scope.spawn(move |_| {
-                    if first_err.lock().is_some() {
-                        return;
-                    }
-                    let outcome = if exec.is_alive() {
-                        f(exec, parts)
-                    } else {
-                        Err(DataflowError::ExecutorLost { id: exec.id() })
-                    };
-                    match outcome {
-                        Ok(r) => results.lock()[exec.id()] = Some(r),
-                        Err(e) => {
-                            first_err.lock().get_or_insert(e);
-                        }
-                    }
-                });
+        let results = self.pool.map(hosted, |(exec, parts)| {
+            if first_err.lock().is_some() {
+                return None;
+            }
+            let outcome = if exec.is_alive() {
+                f(exec, &parts)
+            } else {
+                Err(DataflowError::ExecutorLost { id: exec.id() })
+            };
+            match outcome {
+                Ok(r) => Some(r),
+                Err(e) => {
+                    first_err.lock().get_or_insert(e);
+                    None
+                }
             }
         });
 
@@ -338,7 +336,6 @@ impl Cluster {
             .barrier(self.executors.iter().filter(|e| e.is_alive()).map(|e| e.clock()));
 
         Ok(results
-            .into_inner()
             .into_iter()
             .map(|r| r.expect("every executor task stored a result or an error"))
             .collect())
@@ -415,29 +412,53 @@ mod tests {
 
     #[test]
     fn executor_tasks_get_their_partitions_in_partition_order() {
-        let c = Cluster::local();
-        let out = c.run_executors(10, |e, parts| Ok((e.id(), parts.to_vec()))).unwrap();
-        assert_eq!(
-            out,
-            vec![(0, vec![0, 4, 8]), (1, vec![1, 5, 9]), (2, vec![2, 6]), (3, vec![3, 7])]
-        );
-        // An executor that hosts no partition gets no task.
-        let out = c.run_executors(2, |e, parts| Ok((e.id(), parts.len()))).unwrap();
-        assert_eq!(out, vec![(0, 1), (1, 1)]);
-        assert_eq!(c.stages_run(), 2);
-        assert_eq!(
-            c.in_partition_order(vec![vec![0, 4], vec![1, 5], vec![2], vec![3]]),
-            vec![0, 1, 2, 3, 4, 5]
-        );
-        // Same failure semantics as a partition-indexed stage.
-        let err = c.run_executors(8, |e, _| match e.id() {
-            2 => Err(DataflowError::Other("boom".into())),
-            id => Ok(id),
-        });
-        assert_eq!(err, Err(DataflowError::Other("boom".into())));
-        c.kill_executor(3);
-        let err = c.run_executors(8, |e, _| Ok(e.id())).unwrap_err();
-        assert_eq!(err, DataflowError::ExecutorLost { id: 3 });
+        for threads in [1, 4] {
+            let pool = Arc::new(Pool::with_perturb(threads, None));
+            let c = Cluster::new(ClusterConfig::default().with_pool(pool));
+            let out = c.run_executors(10, |e, parts| Ok((e.id(), parts.to_vec()))).unwrap();
+            assert_eq!(
+                out,
+                vec![(0, vec![0, 4, 8]), (1, vec![1, 5, 9]), (2, vec![2, 6]), (3, vec![3, 7])]
+            );
+            // An executor that hosts no partition gets no task.
+            let out = c.run_executors(2, |e, parts| Ok((e.id(), parts.len()))).unwrap();
+            assert_eq!(out, vec![(0, 1), (1, 1)]);
+            assert_eq!(c.stages_run(), 2);
+            assert_eq!(
+                c.in_partition_order(vec![vec![0, 4], vec![1, 5], vec![2], vec![3]]),
+                vec![0, 1, 2, 3, 4, 5]
+            );
+            // Same failure semantics as a partition-indexed stage: the
+            // first error recorded is the stage's, and an executor that
+            // has not started by then is skipped.
+            let started = Mutex::new(Vec::new());
+            let err = c
+                .run_executors(8, |e, _| {
+                    started.lock().push(e.id());
+                    match e.id() {
+                        1 => Err(DataflowError::Other("first".into())),
+                        3 => Err(DataflowError::Other("late".into())),
+                        id => Ok(id),
+                    }
+                })
+                .unwrap_err();
+            let mut started = started.into_inner();
+            if threads == 1 {
+                assert_eq!(err, DataflowError::Other("first".into()));
+                assert_eq!(started, vec![0, 1], "executors 2 and 3 never started");
+            } else {
+                // Which of the two was recorded first is the schedule's
+                // choice; no executor ever starts twice.
+                assert!(matches!(&err, DataflowError::Other(m) if m == "first" || m == "late"));
+                started.sort_unstable();
+                assert!(started.windows(2).all(|w| w[0] != w[1]), "{started:?}");
+            }
+            // A dead executor fails the stage only if it hosts a partition.
+            c.kill_executor(3);
+            let err = c.run_executors(8, |e, _| Ok(e.id())).unwrap_err();
+            assert_eq!(err, DataflowError::ExecutorLost { id: 3 }, "{threads} threads");
+            assert_eq!(c.run_executors(3, |e, _| Ok(e.id())), Ok(vec![0, 1, 2]));
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!
 //! Both are deterministic-by-default and safe to run fully offline.
 
-//! * [`pool`] — a hermetic work-stealing thread pool (the rayon
-//!   replacement): per-worker LIFO deques with randomized stealing,
-//!   `scope`-style structured fork/join with panic propagation, and a
-//!   deterministic reduction rule so parallel results are bit-identical
-//!   at any thread count.
+//! * [`pool`] — a hermetic thread pool (the rayon replacement) with one
+//!   primitive, an indexed parallel `map`: a call is one job whose
+//!   indices the calling thread and the workers claim, results come back
+//!   by input position (the deterministic reduction rule, so parallel
+//!   results are bit-identical at any thread count), and an item's panic
+//!   reaches the caller.
 
 pub mod bench;
 pub mod json;
@@ -27,5 +28,5 @@ pub mod pool;
 pub mod prop;
 
 pub use bench::{black_box, BenchmarkId, Harness};
-pub use pool::{Pool, Scope};
+pub use pool::Pool;
 pub use prop::{Config, Gen, Source};

@@ -23,9 +23,11 @@
 //! The floating-point fold order is canonical — a destination receives
 //! its local partial (summed in ascending source order) first, then the
 //! inbound partials in ascending source-partition order — and the
-//! partitions run serially on the calling thread in partition order (a
-//! pool dispatch per round costs more than two partition bodies save), so
-//! results and simulated time are a pure function of (state, frontier).
+//! partitions run serially on the calling thread in partition order (the
+//! bodies share one dense combiner, the frontier's `n`-sized scratch, and
+//! append to one next frontier; overlapping them would need a copy of
+//! both per partition), so results and simulated time are a pure function
+//! of (state, frontier).
 
 use psgraph_sim::NodeClock;
 

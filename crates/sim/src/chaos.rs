@@ -5,9 +5,9 @@
 //! site S for key K (attempt A)?" as a **pure function** of
 //! `(seed, site, key, lane)` — no internal draw counter, no shared mutable
 //! RNG state. That is the determinism rule that makes chaos compatible
-//! with the work-stealing pool: the answer cannot depend on which thread
+//! with the thread pool: the answer cannot depend on which thread
 //! asks first or how calls interleave, so a run is bit-replayable from the
-//! seed alone regardless of `POOL_THREADS` or steal order (DESIGN.md
+//! seed alone regardless of `POOL_THREADS` or claim order (DESIGN.md
 //! "Fault model"). Callers supply stable keys (event index, batch number,
 //! heartbeat round, block id); retries pass a fresh `lane` so a lost
 //! message is not lost identically forever.

@@ -16,7 +16,7 @@
 //! ([`NeighborTableHandle::update_edges_sharded`]); every RPC charge and
 //! every merge fold runs serially in canonical shard order, so both the
 //! results and the simulated-time accounting are identical for every
-//! pool size and steal schedule.
+//! pool size and claim schedule.
 //!
 //! Watermark rule: the merged watermark is `min` over the *effective*
 //! shard watermarks — a fast shard must not mask a straggler, so a shard
@@ -58,6 +58,8 @@ pub struct ShardedIngestor {
     /// The monotone min-merged watermark.
     merged: Watermark,
     n: u64,
+    /// The deployment's pool (`Ps::pool`): batches are planned on it.
+    pool: Arc<Pool>,
 }
 
 impl ShardedIngestor {
@@ -84,6 +86,7 @@ impl ShardedIngestor {
             routed: Watermark::new(),
             merged: Watermark::new(),
             n,
+            pool: Arc::clone(ps.pool()),
         })
     }
 
@@ -244,7 +247,7 @@ impl ShardedIngestor {
             batches.push((events, srcs, old));
         }
 
-        let planned = Pool::global().map(batches, |(events, srcs, old)| {
+        let planned = self.pool.map(batches, |(events, srcs, old)| {
             plan_batch(&events, &srcs, old)
         });
 

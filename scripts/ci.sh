@@ -12,8 +12,8 @@ if grep -q '^source = ' Cargo.lock; then
     exit 1
 fi
 
-# The harness is the substrate every test stands on (the work-stealing
-# pool lives there) — hold it to warnings-as-errors. Same bar for the
+# The harness is the substrate every test stands on (the thread pool
+# lives there) — hold it to warnings-as-errors. Same bar for the
 # serving tier and the query engine (newest subsystems), for the PS
 # and the algorithm crate (where the benchmark's batch workloads live),
 # and for the tensor runtime and the Euler baseline that share its
@@ -25,6 +25,11 @@ RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-ps --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-core --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-tensor --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-euler --all-targets
+
+# The pool is the one place with `unsafe`: run the harness suite once in
+# debug too, for the overflow checks and `debug_assert!`s the release
+# run below compiles out.
+cargo test -q --offline -p psgraph-harness
 
 cargo build --release --offline --workspace
 # Release mode: the fig6/table emergence tests simulate whole cluster
@@ -110,15 +115,16 @@ cat /tmp/ci-stream-s4.log
 cargo run --release --offline -p psgraph-bench --bin repro -- chaos --scale 0.02 --seeds 3 --events 3000
 
 # Schedule-perturbation sweep: rerun both smokes under ten seeded
-# steal-schedule perturbations (randomized victim order + injected
-# yields). The binaries' internal correctness asserts — zero wrong
-# answers, reference-equal results — must hold on every schedule, and
-# the sharded stream's state digest must be the same on all ten: the
-# sharded drain plans batches on the pool, so this is the path a
-# steal-order bug would corrupt. Same for the batch path: a small
-# `repro -- fig6` prints the digests of the PSGraph PageRank / Common
-# Neighbor / K-Core / Triangle Count outputs, whose executor tasks read
-# and write the PS concurrently — the line must not vary either.
+# claim-schedule perturbations (injected yields, a seeded starting point
+# among open jobs, a head start for helpers). The binaries' internal
+# correctness asserts — zero wrong answers, reference-equal results —
+# must hold on every schedule, and the sharded stream's state digest
+# must be the same on all ten: the sharded drain plans batches on the
+# pool, so this is the path a claim-order bug would corrupt. Same for
+# the batch path: a small `repro -- fig6` prints the digests of the
+# PSGraph PageRank / Common Neighbor / K-Core / Triangle Count outputs,
+# whose executor tasks read and write the PS concurrently — the line
+# must not vary either.
 : >/tmp/ci-perturb-digests.log
 : >/tmp/ci-perturb-fig6.log
 for seed in 1 2 3 4 5 6 7 8 9 10; do
@@ -132,12 +138,12 @@ for seed in 1 2 3 4 5 6 7 8 9 10; do
         fig6 --scale 0.02 | grep 'PSGraph output digests' >>/tmp/ci-perturb-fig6.log
 done
 if [ "$(sort -u /tmp/ci-perturb-digests.log | wc -l)" -ne 1 ]; then
-    echo "ci: sharded stream digest varies across steal schedules" >&2
+    echo "ci: sharded stream digest varies across claim schedules" >&2
     sort /tmp/ci-perturb-digests.log | uniq -c >&2
     exit 1
 fi
 if [ "$(sort -u /tmp/ci-perturb-fig6.log | wc -l)" -ne 1 ]; then
-    echo "ci: fig6 output digests vary across steal schedules" >&2
+    echo "ci: fig6 output digests vary across claim schedules" >&2
     sort /tmp/ci-perturb-fig6.log | uniq -c >&2
     exit 1
 fi

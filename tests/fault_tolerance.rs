@@ -5,9 +5,10 @@
 
 use psgraph::core::algos::{CommonNeighbor, KCore, PageRank};
 use psgraph::core::runner::distribute_edges;
-use psgraph::core::PsGraphContext;
+use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::graph::{gen, metrics};
 use psgraph::sim::{FailPlan, SimTime};
+use std::sync::Arc;
 
 #[test]
 fn executor_and_server_failures_in_one_run() {
@@ -143,16 +144,15 @@ fn executor_kill_mid_run_does_not_change_kcore_or_common_neighbor() {
 #[test]
 fn failure_free_runs_are_reproducible() {
     let g = gen::rmat(100, 800, Default::default(), 239).dedup();
-    let run = || {
-        let ctx = PsGraphContext::local();
+    let run = |ctx: Arc<PsGraphContext>| {
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
         let out = PageRank { max_iterations: 15, ..Default::default() }
             .run(&ctx, &edges, g.num_vertices())
             .unwrap();
         (out.ranks, out.stats.elapsed)
     };
-    let (r1, t1) = run();
-    let (r2, t2) = run();
+    let (r1, t1) = run(PsGraphContext::local());
+    let (r2, t2) = run(PsGraphContext::local());
     // Ranks are bit-identical: every destination's contributions are
     // folded in (dst, src) order before anything is pushed, and each
     // destination then gets exactly one add per superstep, so no sum
@@ -165,4 +165,12 @@ fn failure_free_runs_are_reproducible() {
     let ratio = t1.as_secs_f64() / t2.as_secs_f64();
     assert!((0.9..1.1).contains(&ratio), "elapsed {t1} vs {t2}");
     assert!(t1 > SimTime::ZERO);
+    // On a pool of 1 there is no interleaving: the claim is exact, ranks
+    // and simulated time (what the benchmark's serial pass relies on).
+    let serial = || {
+        let pool = Arc::new(psgraph_harness::Pool::with_perturb(1, None));
+        let (ranks, elapsed) = run(PsGraphContext::new(PsGraphConfig::default().with_pool(pool)));
+        (ranks.into_iter().map(f64::to_bits).collect::<Vec<_>>(), elapsed)
+    };
+    assert_eq!(serial(), serial(), "a pool of 1 repeats to the bit");
 }

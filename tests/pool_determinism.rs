@@ -1,4 +1,4 @@
-//! Satellite suite for the work-stealing pool: outputs must be
+//! Satellite suite for the thread pool: outputs must be
 //! *byte-identical* for every pool size and across repeated runs. The
 //! engine's rule is that parallel stages combine partial results in
 //! canonical partition order, never completion order — these tests pin
@@ -92,8 +92,8 @@ fn shuffle_repeated_runs_are_bit_identical() {
 
 #[test]
 fn perturbed_schedules_do_not_change_outputs() {
-    // Same pool size, adversarially perturbed steal schedules (seeded
-    // yields + randomized victim order) — outputs must not move.
+    // Same pool size, adversarially perturbed claim schedules (seeded
+    // yields, job order and helper head starts) — outputs must not move.
     let run = |perturb: Option<u64>| {
         let g = gen::rmat(96, 600, Default::default(), 5).dedup();
         let pool = Arc::new(Pool::with_perturb(4, perturb));
