@@ -9,7 +9,8 @@
 //!
 //! * **message loss + duplication** on the event transport — every
 //!   micro-batch is split into per-shard lanes (ingest runs on a
-//!   [`ShardedIngestor`], one owner-keyed writer per source range) and
+//!   [`psgraph_stream::ShardedIngestor`], one owner-keyed writer per
+//!   source range) and
 //!   each lane travels via [`psgraph_net::Network::send_reliable`]
 //!   (retry/backoff/deadline) gated by an
 //!   [`psgraph_net::IdempotencyFilter`], so a fault can lose or
@@ -30,34 +31,21 @@
 //!
 //! Assertions per seed: zero wrong answers, freshness lag within a
 //! crash-count-aware bound, and a final PS state **bit-identical** to
-//! the fault-free reference. Recovery latency percentiles land in
-//! `results/BENCH_chaos.json`. Any failure is reproducible from its
-//! printed seed alone: `repro -- chaos --seed <S>` replays just that
-//! schedule.
+//! the fault-free reference. Recovery latency percentiles are a row of
+//! the summary table; a second table has one row per seed. Any failure is
+//! reproducible from its printed seed alone: `repro -- chaos --seed <S>`
+//! replays just that schedule.
 
-use psgraph_core::algos::{IncrementalCc, IncrementalPageRank};
 use psgraph_core::CoreError;
-use psgraph_dfs::Dfs;
 use psgraph_graph::Dataset;
-use psgraph_harness::json::Json;
 use psgraph_net::rpc::{NodeId, ServicePort};
 use psgraph_net::{IdempotencyFilter, RetryPolicy};
-use psgraph_ps::{Ps, PsConfig, SnapshotWriter};
-use psgraph_serve::frontend::Outcome;
-use psgraph_serve::{
-    Interpreter, ObjectMap, Plan, PlanOutput, Pred, Query, Scorer, ServeCluster, ServeConfig,
-    Source, Stage, Value,
-};
-use psgraph_sim::{
-    ChaosConfig, FaultSchedule, FaultSite, FaultStats, NodeClock, SimTime, SplitMix64,
-};
-use psgraph_stream::{
-    DriftRmat, EdgeEvent, EventLog, IngestConfig, RefreshConfig, RefreshDriver, ShardedIngestor,
-    StreamCheckpoint,
-};
+use psgraph_serve::{Plan, Pred, Query, Scorer, Source, Stage};
+use psgraph_sim::{ChaosConfig, FaultSchedule, FaultSite, FaultStats, SimTime, SplitMix64};
+use psgraph_stream::{DriftRmat, EdgeEvent, EventLog, StreamCheckpoint};
 
-use crate::report::{Cell, Row, Table};
-use crate::stream_state::{Fingerprint, Mirror};
+use crate::report::{percentile, Cell, Row, Table};
+use crate::stream_state::{Asked, Fingerprint, Rig};
 
 /// Events per micro-batch (every shard mailbox sized to match, so even a
 /// batch routed entirely to one shard fits).
@@ -145,14 +133,6 @@ impl ChaosRepro {
             .map(|s| s.seed)
             .collect()
     }
-
-    pub fn recovery_percentile(&self, p: f64) -> SimTime {
-        if self.recovery_sorted.is_empty() {
-            return SimTime::ZERO;
-        }
-        let rank = ((self.recovery_sorted.len() as f64) * p).ceil() as usize;
-        self.recovery_sorted[rank.clamp(1, self.recovery_sorted.len()) - 1]
-    }
 }
 
 struct RunResult {
@@ -170,69 +150,28 @@ fn run_once(
     chaos: FaultSchedule,
 ) -> Result<RunResult, CoreError> {
     let n = base.num_vertices();
-    let ps = Ps::new(PsConfig::default());
-    let dfs = Dfs::in_memory();
-    let client = NodeClock::new();
     let active = chaos.is_active();
-    if active {
-        ps.network().attach_chaos(chaos.clone());
-        dfs.network().attach_chaos(chaos.clone());
-    }
-
-    // Train: sharded mutable ingest state + incremental maintainers,
-    // converged on the base graph.
-    let icfg = IngestConfig { prefix: "stream".into(), mailbox_cap: BATCH };
-    let mut ingestor = ShardedIngestor::create(&ps, &icfg, n, SHARDS).map_err(se)?;
-    ingestor.bootstrap(&client, base.edges()).map_err(se)?;
-    let pr = IncrementalPageRank::default();
-    let mut pr_state = pr.create_state(&ps, "stream.pr", n)?;
-    pr.init_full(&mut pr_state, &client, ingestor.adjacency())?;
-    let mut cc = IncrementalCc::create(&ps, "stream.cc", n)?;
-    cc.bootstrap(&client, ingestor.adjacency())?;
-
-    // Serve: snapshot the trained state, load the tier over it.
-    let mut w = SnapshotWriter::new(&dfs, "/chaos/snapshot", &client);
-    w.vector_f64(&pr_state.ranks)?;
-    w.vector_u64(&cc.labels)?;
-    w.neighbor_table(ingestor.adjacency())?;
-    let manifest = w.finish()?;
-    let objects = ObjectMap {
-        ranks: Some("stream.pr.ranks".into()),
-        communities: Some("stream.cc.labels".into()),
-        embeddings: None,
-        adjacency: Some("stream.adj".into()),
-    };
-    let scfg = ServeConfig::default();
-    let mut cluster =
-        ServeCluster::load(&dfs, "/chaos/snapshot", &objects, &scfg, &client).map_err(se)?;
-    if active {
-        cluster.network().attach_chaos(chaos.clone());
-    }
-    let rcfg = RefreshConfig::default();
-    let swap_every = rcfg.swap_every_batches;
-    let mut driver = RefreshDriver::new("/chaos/snapshot", manifest, rcfg);
-    let mut mirror = Mirror::capture(&client, ingestor.adjacency(), &pr, &pr_state, &cc, n)?;
-    let mut truth = mirror.truth(n);
+    let mut rig = Rig::build(base, SHARDS, BATCH, "/chaos/snapshot", &chaos)?;
 
     // Durable stream: the event log and the initial checkpoint pair, so a
     // crash at *any* later point has something published to roll back to.
-    EventLog::write(&dfs, LOG_PATH, events, &client).map_err(se)?;
+    EventLog::write(&rig.dfs, LOG_PATH, events, &rig.client).map_err(se)?;
     let mut generation = 0u64;
-    ps.checkpoint_all_generation(&dfs, generation)?;
+    rig.ps.checkpoint_all_generation(&rig.dfs, generation)?;
     StreamCheckpoint {
         generation,
         batches_done: 0,
         events_done: 0,
-        watermark: ingestor.watermark(),
+        watermark: rig.ingest.watermark(),
     }
-    .write(&dfs, CKPT_PATH, &client)
+    .write(&rig.dfs, CKPT_PATH, &rig.client)
     .map_err(se)?;
 
     let nbatches = events.len().div_ceil(BATCH);
     let transport_port = ServicePort::new(NodeId::Executor(0));
     let policy = RetryPolicy::default();
     let filter = IdempotencyFilter::new();
-    let num_replicas = cluster.replicas().len();
+    let num_replicas = rig.cluster.replicas().len();
 
     // The freshness bound scales with the injected crash budget: each
     // crash can wipe (and replay) up to a checkpoint interval of batches
@@ -241,17 +180,11 @@ fn run_once(
         SimTime::from_secs_f64(batches as f64 * BATCH as f64 / events_per_sec)
     };
     let crash_budget = if active { CRASH_CAP } else { 0 };
-    let freshness_bound = span(2 * swap_every + crash_budget * (CKPT_EVERY + swap_every))
+    let freshness_bound = span(2 * rig.swap_every + crash_budget * (CKPT_EVERY + rig.swap_every))
         + SimTime::from_secs(5).scale(crash_budget as f64);
 
     let mut rng = SplitMix64::new(0x50AC ^ chaos.seed());
-    let mut pending: Vec<(usize, SimTime)> = Vec::new();
-    let mut lags: Vec<SimTime> = Vec::new();
-    let mut queries = 0usize;
-    let mut answered = 0usize;
     let mut compound_answered = 0usize;
-    let mut unserved = 0usize;
-    let mut wrong = 0usize;
     let mut ps_crashes = 0usize;
     let mut replica_kills = 0usize;
     let mut transport_retries = 0u64;
@@ -279,16 +212,17 @@ fn run_once(
         if active {
             for shard in 0..SHARDS {
                 let lane: Vec<EdgeEvent> =
-                    evs.iter().copied().filter(|e| ingestor.owner(e) == shard).collect();
+                    evs.iter().copied().filter(|e| rig.ingest.owner(e) == shard).collect();
                 if lane.is_empty() {
                     continue;
                 }
                 let key = (incarnation << 40) | ((b * SHARDS + shard) as u64);
-                let ing = &mut ingestor;
-                let receipt = ps
+                let ing = &mut rig.ingest;
+                let receipt = rig
+                    .ps
                     .network()
                     .send_reliable(
-                        &client,
+                        &rig.client,
                         &transport_port,
                         lane.len() as u64 * 25,
                         lane.len() as u64 * 4,
@@ -311,23 +245,20 @@ fn run_once(
             }
         } else {
             for ev in evs {
-                assert!(ingestor.offer(NodeId::Driver, *ev), "mailboxes sized to the batch");
+                assert!(rig.ingest.offer(NodeId::Driver, *ev), "mailboxes sized to the batch");
             }
         }
 
         // Apply + maintain: one logical micro-batch drained across all
         // shards, effects merged source-sorted, applied in arrival order.
-        let fx = ingestor.drain_all().map_err(se)?;
-        pr.on_batch(&mut pr_state, &client, &fx.effects)?;
-        pr.propagate(&mut pr_state, &client, ingestor.adjacency())?;
-        cc.on_batch(&client, &fx.applied, ingestor.adjacency())?;
-        pending.push((b, fx.watermark));
+        let (fx, _) = rig.apply()?;
+        rig.pending.push((b, fx.watermark));
         if b < high_water {
             batches_replayed += 1;
         }
         recoveries_inflight.retain(|&(t0, target)| {
             if b >= target {
-                recovery_latencies.push(client.now().saturating_sub(t0));
+                recovery_latencies.push(rig.client.now().saturating_sub(t0));
                 false
             } else {
                 true
@@ -341,7 +272,7 @@ fn run_once(
         if active && b == high_water {
             revives.retain(|&(due, id)| {
                 if b >= due {
-                    cluster.revive_replica(id);
+                    rig.cluster.revive_replica(id);
                     false
                 } else {
                     true
@@ -349,7 +280,7 @@ fn run_once(
             });
             if chaos.crash(FaultSite::ReplicaCrash, b as u64, 0) {
                 let victim = chaos.pick(FaultSite::ReplicaCrash, b as u64, 1, num_replicas);
-                if cluster.kill_replica(victim) {
+                if rig.cluster.kill_replica(victim) {
                     replica_kills += 1;
                     revives.push((b + REPLICA_DOWN_BATCHES, victim));
                 }
@@ -375,7 +306,7 @@ fn run_once(
         // recovery must come up from the *previous* published pair.
         if due_ckpt && crash_point != 0 {
             generation += 1;
-            ps.checkpoint_all_generation(&dfs, generation)?;
+            rig.ps.checkpoint_all_generation(&rig.dfs, generation)?;
             if !(crash_now && crash_point == 1) {
                 StreamCheckpoint {
                     generation,
@@ -383,10 +314,10 @@ fn run_once(
                     events_done: hi as u64,
                     watermark: fx.watermark,
                 }
-                .write(&dfs, CKPT_PATH, &client)
+                .write(&rig.dfs, CKPT_PATH, &rig.client)
                 .map_err(se)?;
                 if generation >= 2 {
-                    ps.discard_checkpoint_generation(&dfs, generation - 2);
+                    rig.ps.discard_checkpoint_generation(&rig.dfs, generation - 2);
                 }
             }
         }
@@ -396,19 +327,19 @@ fn run_once(
             // all Consistent objects roll back to the last *published*
             // generation, the ingestor rewinds to its watermark, and the
             // event-log suffix will replay through the main loop.
-            let t0 = client.now();
-            for s in 0..ps.num_servers() {
-                ps.kill_server(s);
+            let t0 = rig.client.now();
+            for s in 0..rig.ps.num_servers() {
+                rig.ps.kill_server(s);
             }
-            for s in 0..ps.num_servers() {
-                ps.restart_server(s, t0);
+            for s in 0..rig.ps.num_servers() {
+                rig.ps.restart_server(s, t0);
             }
-            let ck = StreamCheckpoint::read(&dfs, CKPT_PATH, &client).map_err(se)?;
-            ps.recover_server_from_generation(0, &dfs, &client, ck.generation)?;
-            ingestor.reset_for_replay(ck.watermark);
-            pr_state.reset_after_recovery();
-            cc.restore_from_ps(&client)?;
-            pending.retain(|&(bi, _)| bi < ck.batches_done as usize);
+            let ck = StreamCheckpoint::read(&rig.dfs, CKPT_PATH, &rig.client).map_err(se)?;
+            rig.ps.recover_server_from_generation(0, &rig.dfs, &rig.client, ck.generation)?;
+            rig.ingest.reset_for_replay(ck.watermark);
+            rig.pr_state.reset_after_recovery();
+            rig.cc.restore_from_ps(&rig.client)?;
+            rig.pending.retain(|&(bi, _)| bi < ck.batches_done as usize);
             recoveries_inflight.push((t0, b));
             ps_crashes += 1;
             incarnation += 1;
@@ -420,25 +351,8 @@ fn run_once(
         // (replayed all-duplicate batches are no-ops), and it is
         // suppressed while a recovery is still replaying (publishing a
         // rolled-back PS would serve time-travel).
-        if driver.tick(!fx.effects.is_empty()) && !catching_up {
-            if let Some(rec) = driver
-                .refresh(
-                    &dfs,
-                    &client,
-                    &mut cluster,
-                    &pr_state.ranks,
-                    &cc.labels,
-                    ingestor.adjacency(),
-                    ingestor.watermark(),
-                )
-                .map_err(se)?
-            {
-                for (_, wmark) in pending.drain(..) {
-                    lags.push(rec.at.saturating_sub(wmark));
-                }
-                mirror = Mirror::capture(&client, ingestor.adjacency(), &pr, &pr_state, &cc, n)?;
-                truth = mirror.truth(n);
-            }
+        if rig.driver.tick(!fx.effects.is_empty()) && !catching_up {
+            rig.publish()?;
         }
 
         // Interleaved queries, verified bit-for-bit against the swap-time
@@ -446,43 +360,23 @@ fn run_once(
         // a *wrong* answer is a correctness bug.
         for _ in 0..QUERIES_PER_BATCH {
             let v = rng.next_below(n);
-            let at = client.now();
+            let at = rig.client.now();
             match rng.next_below(4) {
                 // Compound plan leg: an All-source filter → score → top-k
                 // pipeline over the published community labels, checked
                 // bit-for-bit against the interpreter on the swap-time
                 // truth. Faults may shed it; they must not corrupt it.
                 3 => {
+                    let labels = rig.truth.communities.as_ref().expect("the rig publishes labels");
                     let plan = Plan {
                         source: Source::All,
                         stages: vec![
-                            Stage::Filter(Pred::CommunityEq(mirror.labels[v as usize])),
+                            Stage::Filter(Pred::CommunityEq(labels[v as usize])),
                             Stage::Score(Scorer::Rank),
                             Stage::TopK(8),
                         ],
                     };
-                    for (_, outcome) in cluster.frontend_mut().submit_plan(queries, at, &plan)
-                    {
-                        match outcome {
-                            Outcome::Answered { value, .. } => {
-                                answered += 1;
-                                compound_answered += 1;
-                                let ok = match (Interpreter::new(&truth, 1).run(&plan), &value) {
-                                    (Ok(PlanOutput::Ranked(want)), Value::Ranked(got)) => {
-                                        want.len() == got.len()
-                                            && want.iter().zip(got).all(|((wv, ws), (gv, gs))| {
-                                                wv == gv && ws.to_bits() == gs.to_bits()
-                                            })
-                                    }
-                                    _ => false,
-                                };
-                                if !ok {
-                                    wrong += 1;
-                                }
-                            }
-                            Outcome::Shed { .. } | Outcome::Failed(_) => unserved += 1,
-                        }
-                    }
+                    compound_answered += rig.ask(at, Asked::Plan(&plan));
                 }
                 kind => {
                     let q = match kind {
@@ -490,56 +384,27 @@ fn run_once(
                         1 => Query::Community(v),
                         _ => Query::Neighbors(v),
                     };
-                    for (_, outcome) in cluster.frontend_mut().execute_now(queries, at, q) {
-                        match outcome {
-                            Outcome::Answered { value, .. } => {
-                                answered += 1;
-                                if !mirror.answers(&q, &value) {
-                                    wrong += 1;
-                                }
-                            }
-                            Outcome::Shed { .. } | Outcome::Failed(_) => unserved += 1,
-                        }
-                    }
+                    rig.ask(at, Asked::Query(&q));
                 }
             }
-            queries += 1;
         }
         b += 1;
     }
+    // A crash after the last batch's checkpoint has no later batch to
+    // settle it at: the restart + restore is charged and nothing is left
+    // to replay, so the recovery ends here.
+    let now = rig.client.now();
+    recovery_latencies.extend(recoveries_inflight.iter().map(|&(t0, _)| now.saturating_sub(t0)));
 
-    // Publish the tail so freshness accounting closes out. A `None` here
-    // means everything pending was a no-op (nothing dirty since the last
-    // swap) — there is nothing to publish, so those batches carry no lag.
-    if driver.batches_since_swap() > 0 || !pending.is_empty() {
-        if let Some(rec) = driver
-            .refresh(
-                &dfs,
-                &client,
-                &mut cluster,
-                &pr_state.ranks,
-                &cc.labels,
-                ingestor.adjacency(),
-                ingestor.watermark(),
-            )
-            .map_err(se)?
-        {
-            for (_, wmark) in pending.drain(..) {
-                lags.push(rec.at.saturating_sub(wmark));
-            }
-        }
+    // Publish the tail so freshness accounting closes out. Nothing
+    // published means everything pending was a no-op (nothing dirty since
+    // the last swap), so those batches carry no lag.
+    if rig.driver.batches_since_swap() > 0 || !rig.pending.is_empty() {
+        rig.swap()?;
     }
 
-    let print = Fingerprint::capture(
-        &client,
-        ingestor.adjacency(),
-        ingestor.degrees(),
-        &pr.ranks(&pr_state, &client)?,
-        cc.labels(),
-        ingestor.watermark(),
-        n,
-    )?;
-    let freshness_max = lags.iter().copied().max().unwrap_or(SimTime::ZERO);
+    let print = rig.fingerprint()?;
+    let freshness_max = rig.lags.iter().copied().max().unwrap_or(SimTime::ZERO);
     Ok(RunResult {
         print,
         outcome: SeedOutcome {
@@ -549,13 +414,13 @@ fn run_once(
             replica_kills,
             transport_retries,
             dup_suppressed: filter.suppressed(),
-            corrupt_fallbacks: dfs.corrupt_fallbacks(),
+            corrupt_fallbacks: rig.dfs.corrupt_fallbacks(),
             batches_replayed,
-            queries,
-            answered,
+            queries: rig.tally.queries,
+            answered: rig.tally.answered,
             compound_answered,
-            unserved,
-            wrong,
+            unserved: rig.tally.unserved,
+            wrong: rig.tally.wrong,
             freshness_max,
             freshness_bound,
             recovery_latencies,
@@ -614,90 +479,6 @@ pub fn replay_command(seed: u64, scale: f64, events: usize) -> String {
     format!(
         "cargo run -p psgraph-bench --release --bin repro -- chaos --seed {seed} --scale {scale} --events {events}"
     )
-}
-
-/// Write the soak summary (recovery-latency percentiles, fault tallies,
-/// per-seed outcomes) to `results/BENCH_chaos.json`.
-pub fn write_report(r: &ChaosRepro) -> std::io::Result<std::path::PathBuf> {
-    let dir = psgraph_harness::bench::out_dir();
-    std::fs::create_dir_all(&dir)?;
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let agg = |f: fn(&SeedOutcome) -> u64| -> i64 {
-        r.seeds.iter().map(f).sum::<u64>() as i64
-    };
-    let seeds: Vec<Json> = r
-        .seeds
-        .iter()
-        .map(|s| {
-            Json::Obj(vec![
-                ("seed".into(), Json::Int(s.seed as i64)),
-                ("ps_crashes".into(), Json::Int(s.ps_crashes as i64)),
-                ("replica_kills".into(), Json::Int(s.replica_kills as i64)),
-                ("losses".into(), Json::Int(s.faults.losses as i64)),
-                ("duplicates".into(), Json::Int(s.faults.duplicates as i64)),
-                ("delays".into(), Json::Int(s.faults.delays as i64)),
-                ("corruptions".into(), Json::Int(s.faults.corruptions as i64)),
-                ("dup_suppressed".into(), Json::Int(s.dup_suppressed as i64)),
-                ("corrupt_fallbacks".into(), Json::Int(s.corrupt_fallbacks as i64)),
-                ("batches_replayed".into(), Json::Int(s.batches_replayed as i64)),
-                ("wrong".into(), Json::Int(s.wrong as i64)),
-                ("unserved".into(), Json::Int(s.unserved as i64)),
-                ("compound_answered".into(), Json::Int(s.compound_answered as i64)),
-                ("freshness_max_ns".into(), Json::Int(s.freshness_max.as_nanos() as i64)),
-                ("state_identical".into(), Json::Bool(s.state_identical)),
-                (
-                    "recovery_ns".into(),
-                    Json::Arr(
-                        s.recovery_latencies
-                            .iter()
-                            .map(|l| Json::Int(l.as_nanos() as i64))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let json = Json::Obj(vec![
-        ("group".into(), Json::str("chaos")),
-        ("unit".into(), Json::str("ns")),
-        ("timestamp_unix".into(), Json::Int(ts as i64)),
-        ("num_vertices".into(), Json::Int(r.num_vertices as i64)),
-        ("events".into(), Json::Int(r.events as i64)),
-        ("batches".into(), Json::Int(r.batches as i64)),
-        ("seeds".into(), Json::Int(r.seeds.len() as i64)),
-        ("wrong_total".into(), Json::Int(r.total_wrong() as i64)),
-        (
-            "state_mismatches".into(),
-            Json::Int(r.mismatched_seeds().len() as i64),
-        ),
-        ("recoveries".into(), Json::Int(r.recovery_sorted.len() as i64)),
-        (
-            "recovery_p50_ns".into(),
-            Json::Int(r.recovery_percentile(0.50).as_nanos() as i64),
-        ),
-        (
-            "recovery_p99_ns".into(),
-            Json::Int(r.recovery_percentile(0.99).as_nanos() as i64),
-        ),
-        (
-            "recovery_max_ns".into(),
-            Json::Int(
-                r.recovery_sorted.last().copied().unwrap_or(SimTime::ZERO).as_nanos() as i64,
-            ),
-        ),
-        ("ps_crashes_total".into(), Json::Int(agg(|s| s.ps_crashes as u64))),
-        ("replica_kills_total".into(), Json::Int(agg(|s| s.replica_kills as u64))),
-        ("losses_total".into(), Json::Int(agg(|s| s.faults.losses))),
-        ("duplicates_total".into(), Json::Int(agg(|s| s.faults.duplicates))),
-        ("delays_total".into(), Json::Int(agg(|s| s.faults.delays))),
-        ("corruptions_total".into(), Json::Int(agg(|s| s.faults.corruptions))),
-        ("per_seed".into(), Json::Arr(seeds)),
-    ]);
-    let path = dir.join("BENCH_chaos.json");
-    std::fs::write(&path, json.pretty())?;
-    Ok(path)
 }
 
 /// Render the soak table.
@@ -769,8 +550,8 @@ pub fn table(r: &ChaosRepro) -> Table {
         "recovery latency p50 / p99 / max (simulated)",
         text(format!(
             "{} / {} / {}",
-            r.recovery_percentile(0.50),
-            r.recovery_percentile(0.99),
+            percentile(&r.recovery_sorted, 0.50),
+            percentile(&r.recovery_sorted, 0.99),
             r.recovery_sorted.last().copied().unwrap_or(SimTime::ZERO)
         )),
     ));
@@ -790,6 +571,43 @@ pub fn table(r: &ChaosRepro) -> Table {
         "freshness lag worst / bound",
         text(format!("{worst_fresh} / {bound}")),
     ));
+    t
+}
+
+/// One row per seed — what its schedule injected and what that cost; the
+/// summary table's rows are sums and maxima over these.
+pub fn seed_table(r: &ChaosRepro) -> Table {
+    let columns = |s: &SeedOutcome| {
+        let f = &s.faults;
+        let recoveries: Vec<String> = s.recovery_latencies.iter().map(|l| l.to_string()).collect();
+        [
+            (
+                "loss/dup/delay/corrupt",
+                format!("{}/{}/{}/{}", f.losses, f.duplicates, f.delays, f.corruptions),
+            ),
+            ("PS crashes", s.ps_crashes.to_string()),
+            ("replica kills", s.replica_kills.to_string()),
+            ("dups absorbed", s.dup_suppressed.to_string()),
+            ("corrupt reads", s.corrupt_fallbacks.to_string()),
+            ("replayed", s.batches_replayed.to_string()),
+            ("answered/unserved", format!("{}/{}", s.answered, s.unserved)),
+            ("compound", s.compound_answered.to_string()),
+            ("wrong", s.wrong.to_string()),
+            ("freshness max", s.freshness_max.to_string()),
+            (
+                "recovery latencies (simulated)",
+                if recoveries.is_empty() { "—".into() } else { recoveries.join(", ") },
+            ),
+            ("final state", if s.state_identical { "identical" } else { "DIVERGED" }.into()),
+        ]
+    };
+    let headers = columns(&r.seeds[0]).map(|(name, _)| name);
+    let mut t =
+        Table::new("Chaos soak — per seed (replay one with `repro -- chaos --seed S`)", &headers);
+    for s in &r.seeds {
+        let cells = columns(s).into_iter().map(|(_, value)| Cell::Text(value)).collect();
+        t.push(Row::new(format!("seed {}", s.seed), cells));
+    }
     t
 }
 
@@ -822,10 +640,12 @@ mod tests {
             r.seeds.iter().any(|s| s.ps_crashes > 0),
             "at least one seed must exercise PS crash recovery"
         );
-        assert!(
-            r.seeds.iter().all(|s| s.ps_crashes == 0 || !s.recovery_latencies.is_empty()),
+        assert_eq!(
+            r.recovery_sorted.len(),
+            r.seeds.iter().map(|s| s.ps_crashes).sum::<usize>(),
             "every crash must report a recovery latency"
         );
+        assert_eq!(seed_table(&r).rows.len(), 3);
     }
 
     #[test]

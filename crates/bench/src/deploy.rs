@@ -149,17 +149,6 @@ pub fn psgraph_unbounded() -> Arc<PsGraphContext> {
     PsGraphContext::new(cfg)
 }
 
-/// [`psgraph_unbounded`] pinned to an explicit thread pool (thread-count
-/// scaling sweeps).
-pub fn psgraph_unbounded_with_pool(
-    pool: Arc<psgraph_harness::Pool>,
-) -> Arc<PsGraphContext> {
-    let mut cfg =
-        PsGraphConfig::sized(SIM_EXECUTORS, u64::MAX, SIM_SERVERS, u64::MAX).with_pool(pool);
-    cfg.cluster.default_partitions = SIM_EXECUTORS * 6;
-    PsGraphContext::new(cfg)
-}
-
 /// An unbounded GraphX cluster (calibration probes).
 pub fn graphx_unbounded() -> Arc<Cluster> {
     let mut cfg = ClusterConfig::default()

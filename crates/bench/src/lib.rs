@@ -4,6 +4,7 @@
 //! See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
 //! measured results.
 
+pub mod ablations;
 pub mod chaos_exp;
 pub mod deploy;
 pub mod fig6;

@@ -16,21 +16,19 @@
 //!    identical, and the `Auto` leg must move strictly fewer bytes
 //!    shard→frontend than the frontend-only baseline.
 //!
-//! `repro -- query` drives both and `write_report` lands the result in
-//! `results/BENCH_query.json`.
+//! `repro -- query` drives both and prints one table.
 
-use psgraph_core::truth::TruthBuilder;
 use psgraph_core::CoreError;
-use psgraph_harness::json::Json;
 use psgraph_serve::loadgen::{self, LoadReport};
 use psgraph_serve::{
-    ExpandMode, Interpreter, Mode, Plan, PlanCounters, PlanOutput, Pred, PushPolicy,
-    Query, QueryMix, Scorer, ServeCluster, ServeConfig, Source, Stage, Value, Workload,
+    ExpandMode, GraphTruth, Mode, Plan, PlanCounters, Pred, PushPolicy, QueryMix, Scorer,
+    ServeCluster, ServeConfig, Source, Stage, Workload,
 };
 use psgraph_sim::failpoint::FailureInjector;
 use psgraph_sim::{SimTime, SplitMix64};
 
 use crate::report::{Cell, Row, Table};
+use crate::stream_state::{answers, Asked};
 
 /// Embedding width of the synthetic graph.
 const QUERY_DIM: usize = 16;
@@ -50,7 +48,6 @@ pub struct QueryRepro {
     pub num_vertices: u64,
     pub dim: usize,
     pub shards: usize,
-    pub queries: usize,
     pub answered: usize,
     pub shed: usize,
     pub failed: usize,
@@ -67,10 +64,10 @@ pub struct QueryRepro {
     pub frontend_only: AblationLeg,
 }
 
-/// Synthetic truth arrays: grid-valued embeddings (multiples of 0.25,
-/// so `0.0 + x` round-trips bit-exactly through the PS load path) and
+/// A synthetic truth: grid-valued embeddings (multiples of 0.25, so
+/// `0.0 + x` round-trips bit-exactly through the PS load path) and
 /// sorted, deduplicated adjacency (what the CSR snapshot stores).
-fn synth_graph(n: u64, seed: u64) -> (Vec<f64>, Vec<u64>, Vec<Vec<u64>>, Vec<Vec<f32>>) {
+fn synth_graph(n: u64, seed: u64) -> GraphTruth {
     let mut rng = SplitMix64::new(seed);
     let ranks: Vec<f64> = (0..n).map(|_| rng.next_below(1_000) as f64 / 1_000.0).collect();
     let communities: Vec<u64> = (0..n).map(|_| rng.next_below(16)).collect();
@@ -88,7 +85,13 @@ fn synth_graph(n: u64, seed: u64) -> (Vec<f64>, Vec<u64>, Vec<Vec<u64>>, Vec<Vec
             (0..QUERY_DIM).map(|_| (rng.next_below(9) as f32 - 4.0) * 0.25).collect()
         })
         .collect();
-    (ranks, communities, adjacency, embeddings)
+    GraphTruth {
+        num_vertices: n,
+        ranks: Some(ranks),
+        communities: Some(communities),
+        adjacency: Some(adjacency),
+        embeddings: Some(embeddings),
+    }
 }
 
 /// The compound shapes the mixed leg draws (re-anchored per query).
@@ -169,36 +172,20 @@ fn ablation_palette() -> Vec<Plan> {
     ]
 }
 
-/// Does a plan's served value match the interpreter's output bit for
-/// bit?
-pub(crate) fn plan_matches(value: &Value, want: &PlanOutput) -> bool {
-    match (value, want) {
-        (Value::Vertices(got), PlanOutput::Vertices(w)) => got == w,
-        (Value::Ranked(got), PlanOutput::Ranked(w)) => {
-            got.len() == w.len()
-                && got
-                    .iter()
-                    .zip(w)
-                    .all(|((gv, gs), (wv, ws))| gv == wv && gs.to_bits() == ws.to_bits())
-        }
-        _ => false,
-    }
-}
-
 fn cluster(
-    arrays: &(Vec<f64>, Vec<u64>, Vec<Vec<u64>>, Vec<Vec<f32>>),
+    truth: &GraphTruth,
     shards: usize,
     push: PushPolicy,
-) -> Result<ServeCluster, psgraph_serve::ServeError> {
-    let (ranks, communities, adjacency, embeddings) = arrays;
+) -> Result<ServeCluster, CoreError> {
     let cfg = ServeConfig { shards, push, ..ServeConfig::default() };
     ServeCluster::from_arrays(
-        Some(ranks),
-        Some(communities),
-        Some(adjacency),
-        Some(embeddings),
+        truth.ranks.as_deref(),
+        truth.communities.as_deref(),
+        truth.adjacency.as_deref(),
+        truth.embeddings.as_deref(),
         &cfg,
     )
+    .map_err(|e| CoreError::Invalid(e.to_string()))
 }
 
 /// Run both legs. `scale` sizes the synthetic graph like the other
@@ -207,19 +194,16 @@ fn cluster(
 pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
     let n = ((16_384.0 * scale) as u64).max(512);
     let shards = 4usize;
-    let arrays = synth_graph(n, 0xBEEF);
-    let (ranks, communities, adjacency, embeddings) = &arrays;
-    let truth = TruthBuilder::new(n)
-        .ranks(ranks.clone())
-        .communities(communities.clone())
-        .adjacency(adjacency.clone())
-        .embeddings(embeddings.clone())
-        .build();
-    let interp = Interpreter::new(&truth, shards);
+    let truth = synth_graph(n, 0xBEEF);
+    let wrong_in = |rep: &LoadReport| {
+        let queries = rep.values.iter().map(|(_, q, value)| (Asked::Query(q), value));
+        let plans = rep.plans.iter().map(|(_, plan, value)| (Asked::Plan(plan), value));
+        let wrong = |(asked, value): &(Asked<'_>, &_)| !answers(&truth, shards, *asked, value);
+        queries.chain(plans).filter(wrong).count()
+    };
 
     // Leg 1: mixed legacy + compound traffic, everything verified.
-    let mut mixed_cluster =
-        cluster(&arrays, shards, PushPolicy::Auto).map_err(|e| CoreError::Invalid(e.to_string()))?;
+    let mut mixed_cluster = cluster(&truth, shards, PushPolicy::Auto)?;
     let wl = Workload {
         queries,
         zipf_s: 1.0,
@@ -238,39 +222,7 @@ pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
         ..Workload::default()
     };
     let report = loadgen::run(&mut mixed_cluster, &wl, &FailureInjector::none(), true);
-
-    let mut wrong = 0usize;
-    for (_, q, value) in &report.values {
-        let legacy = |plan: Plan| interp.run(&plan).is_ok_and(|want| plan_matches(value, &want));
-        let ok = match (q, value) {
-            (Query::Rank(v), Value::Rank(r)) => r.to_bits() == ranks[*v as usize].to_bits(),
-            (Query::Community(v), Value::Community(c)) => *c == communities[*v as usize],
-            (Query::Embedding(v), Value::Embedding(e)) => {
-                e.iter()
-                    .zip(&embeddings[*v as usize])
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-                    && e.len() == embeddings[*v as usize].len()
-            }
-            (Query::Neighbors(v), Value::Neighbors(ns)) => ns == &adjacency[*v as usize],
-            (Query::KHop { v, hops }, _) => legacy(Plan::khop(*v, *hops)),
-            (Query::TopK { v, k }, _) => legacy(Plan::topk(*v, *k)),
-            (Query::TopKAll { v, k }, _) => legacy(Plan::topk_all(*v, *k)),
-            _ => false,
-        };
-        if !ok {
-            wrong += 1;
-        }
-    }
-    for (_, plan, value) in &report.plans {
-        match interp.run(plan) {
-            Ok(want) => {
-                if !plan_matches(value, &want) {
-                    wrong += 1;
-                }
-            }
-            Err(_) => wrong += 1,
-        }
-    }
+    let mut wrong = wrong_in(&report);
 
     // Leg 2: plan-only ablation, closed-loop so admission never sheds
     // and both policies see the identical request stream.
@@ -294,7 +246,7 @@ pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
         ..Workload::default()
     };
     let run_leg = |push: PushPolicy| -> Result<(AblationLeg, LoadReport), CoreError> {
-        let mut c = cluster(&arrays, shards, push).map_err(|e| CoreError::Invalid(e.to_string()))?;
+        let mut c = cluster(&truth, shards, push)?;
         let rep = loadgen::run(&mut c, &leg_wl, &FailureInjector::none(), true);
         assert_eq!(rep.shed, 0, "closed-loop ablation leg must not shed");
         assert_eq!(rep.failed, 0, "ablation leg must not fail");
@@ -312,22 +264,12 @@ pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
         auto_rep.plans, fo_rep.plans,
         "pushdown changed plan answers — the deterministic-reduction rule is broken"
     );
-    for (_, plan, value) in &auto_rep.plans {
-        match interp.run(plan) {
-            Ok(want) => {
-                if !plan_matches(value, &want) {
-                    wrong += 1;
-                }
-            }
-            Err(_) => wrong += 1,
-        }
-    }
+    wrong += wrong_in(&auto_rep);
 
     Ok(QueryRepro {
         num_vertices: n,
         dim: QUERY_DIM,
         shards,
-        queries,
         answered: report.answered,
         shed: report.shed,
         failed: report.failed,
@@ -390,62 +332,4 @@ pub fn table(r: &QueryRepro) -> Table {
         text(format!("{} / {}", r.frontend_only.p50, r.frontend_only.p99)),
     ));
     t
-}
-
-fn counters_json(c: &PlanCounters) -> Json {
-    Json::Obj(vec![
-        ("plans".into(), Json::Int(c.plans as i64)),
-        ("pushed_plans".into(), Json::Int(c.pushed_plans as i64)),
-        ("stages_pushed".into(), Json::Int(c.stages_pushed as i64)),
-        ("shard_bytes".into(), Json::Int(c.shard_bytes as i64)),
-        ("pruned_filter".into(), Json::Int(c.pruned_filter as i64)),
-        ("pruned_score".into(), Json::Int(c.pruned_score as i64)),
-        ("pruned_topk".into(), Json::Int(c.pruned_topk as i64)),
-        ("pruned_collect".into(), Json::Int(c.pruned_collect as i64)),
-        ("rows_pruned".into(), Json::Int(c.rows_pruned() as i64)),
-    ])
-}
-
-/// Write the experiment summary to `results/BENCH_query.json`.
-pub fn write_report(r: &QueryRepro) -> std::io::Result<std::path::PathBuf> {
-    let dir = psgraph_harness::bench::out_dir();
-    std::fs::create_dir_all(&dir)?;
-    let ts = std::time::SystemTime::now()
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let leg = |l: &AblationLeg| {
-        Json::Obj(vec![
-            ("counters".into(), counters_json(&l.counters)),
-            ("answered".into(), Json::Int(l.answered as i64)),
-            ("p50_ns".into(), Json::Int(l.p50.as_nanos() as i64)),
-            ("p99_ns".into(), Json::Int(l.p99.as_nanos() as i64)),
-        ])
-    };
-    let json = Json::Obj(vec![
-        ("group".into(), Json::str("query")),
-        ("unit".into(), Json::str("ns")),
-        ("timestamp_unix".into(), Json::Int(ts as i64)),
-        ("num_vertices".into(), Json::Int(r.num_vertices as i64)),
-        ("dim".into(), Json::Int(r.dim as i64)),
-        ("shards".into(), Json::Int(r.shards as i64)),
-        ("queries".into(), Json::Int(r.queries as i64)),
-        ("answered".into(), Json::Int(r.answered as i64)),
-        ("shed".into(), Json::Int(r.shed as i64)),
-        ("failed".into(), Json::Int(r.failed as i64)),
-        ("plans_answered".into(), Json::Int(r.plans_answered as i64)),
-        ("wrong".into(), Json::Int(r.wrong as i64)),
-        ("mixed".into(), counters_json(&r.mixed)),
-        ("pushdown_auto".into(), leg(&r.auto)),
-        ("frontend_only".into(), leg(&r.frontend_only)),
-        (
-            "pushdown_bytes_ratio".into(),
-            Json::Float(
-                r.auto.counters.shard_bytes as f64
-                    / r.frontend_only.counters.shard_bytes.max(1) as f64,
-            ),
-        ),
-    ]);
-    let path = dir.join("BENCH_query.json");
-    std::fs::write(&path, json.pretty())?;
-    Ok(path)
 }

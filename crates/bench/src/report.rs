@@ -2,12 +2,24 @@
 
 use std::fmt;
 
+use psgraph_sim::SimTime;
+
 /// FNV-1a over the little-endian bytes of `words`: the digest the smokes
 /// print for outputs that must not move between runs.
 pub fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     words.into_iter().flat_map(u64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// Nearest-rank percentile (0 < p ≤ 1) of an ascending sample; zero for
+/// an empty one.
+pub fn percentile(sorted: &[SimTime], p: f64) -> SimTime {
+    if sorted.is_empty() {
+        return SimTime::ZERO;
+    }
+    let rank = ((sorted.len() as f64) * p).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// One table cell.

@@ -21,6 +21,7 @@
 
 use psgraph_core::algos::{LabelPropagation, Line, LineConfig, PageRank};
 use psgraph_core::runner::distribute_edges;
+use psgraph_core::truth::out_adjacency;
 use psgraph_core::CoreError;
 use psgraph_graph::Dataset;
 use psgraph_ps::snapshot::DeltaWriter;
@@ -28,15 +29,15 @@ use psgraph_ps::{
     ColMatrixHandle, CsrHandle, Partitioner, RecoveryMode, SnapshotWriter, VectorHandle,
 };
 use psgraph_serve::{
-    Interpreter, Monitor, ObjectMap, Plan, Query, ScriptedAction, ServeCluster, ServeConfig,
-    SwapStats, Value, Workload,
+    GraphTruth, Monitor, ObjectMap, ScriptedAction, ServeCluster, ServeConfig, SwapStats,
+    Workload,
 };
 use psgraph_sim::failpoint::{FailPlan, FailureInjector};
 use psgraph_sim::{CostModel, NodeClock, SimTime};
 
 use crate::deploy::{psgraph_context, PaperAlloc, ScaleRule};
-use crate::query_exp::plan_matches;
 use crate::report::{Cell, Row, Table};
+use crate::stream_state::{answers, Asked};
 
 /// Embedding width for the served LINE model (the paper's online models
 /// are narrower than the dim-128 offline runs).
@@ -83,37 +84,6 @@ pub struct ServeRepro {
     pub wrong: usize,
     /// Simulated time spent training the served models.
     pub train_time: SimTime,
-}
-
-use psgraph_core::truth::{out_adjacency, TruthBuilder};
-
-/// Does `value` answer `query` bit-exactly against this model state?
-/// Compound shapes are checked against `interp`, the single-node
-/// interpreter over the same state's adjacency and embeddings.
-fn answer_matches(
-    query: &Query,
-    value: &Value,
-    ranks: &[f64],
-    labels: &[u64],
-    embeddings: &[Vec<f32>],
-    adjacency: &[Vec<u64>],
-    interp: &Interpreter,
-) -> bool {
-    let compound = |plan: Plan| interp.run(&plan).is_ok_and(|want| plan_matches(value, &want));
-    match (query, value) {
-        (Query::Rank(v), Value::Rank(r)) => r.to_bits() == ranks[*v as usize].to_bits(),
-        (Query::Community(v), Value::Community(c)) => *c == labels[*v as usize],
-        (Query::Embedding(v), Value::Embedding(e)) => {
-            e.len() == embeddings[*v as usize].len()
-                && e.iter()
-                    .zip(&embeddings[*v as usize])
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        }
-        (Query::Neighbors(v), Value::Neighbors(ns)) => ns == &adjacency[*v as usize],
-        (Query::KHop { v, hops }, _) => compound(Plan::khop(*v, *hops)),
-        (Query::TopK { v, k }, _) => compound(Plan::topk(*v, *k)),
-        _ => false,
-    }
 }
 
 /// Train on DS3′ at `scale`, snapshot, and serve `queries` Zipf queries
@@ -274,23 +244,29 @@ pub fn run_serve(scale: f64, queries: usize) -> Result<ServeRepro, CoreError> {
     // Pre-swap answers must match the original PS state; post-swap
     // answers the updated one. An answer matching only the old state
     // after the swap is a stale cache entry.
-    let truth_over = |embeddings: &[Vec<f32>]| {
-        TruthBuilder::new(n).adjacency(adjacency.clone()).embeddings(embeddings.to_vec()).build()
+    let truth1 = GraphTruth {
+        num_vertices: n,
+        ranks: Some(ranks1),
+        communities: Some(labels1),
+        adjacency: Some(adjacency.clone()),
+        embeddings: Some(embeddings1),
     };
-    let (truth0, truth1) = (truth_over(&embeddings), truth_over(&embeddings1));
-    let interp0 = Interpreter::new(&truth0, cfg.shards);
-    let interp1 = Interpreter::new(&truth1, cfg.shards);
+    let truth0 = GraphTruth {
+        num_vertices: n,
+        ranks: Some(ranks),
+        communities: Some(labels),
+        adjacency: Some(adjacency),
+        embeddings: Some(embeddings),
+    };
     let mut wrong = 0usize;
     let mut stale = 0usize;
     for (idx, query, value) in &report.values {
-        let ok0 =
-            answer_matches(query, value, &ranks, &labels, &embeddings, &adjacency, &interp0);
+        let ok0 = answers(&truth0, cfg.shards, Asked::Query(query), value);
         if *idx < swap_at {
             if !ok0 {
                 wrong += 1;
             }
-        } else if !answer_matches(query, value, &ranks1, &labels1, &embeddings1, &adjacency, &interp1)
-        {
+        } else if !answers(&truth1, cfg.shards, Asked::Query(query), value) {
             if ok0 {
                 stale += 1;
             } else {

@@ -3,7 +3,8 @@
 //!
 //! Pipeline: bootstrap DS3′ into the mutable ingest state (tombstone
 //! neighbor table + degree vector), converge incremental PageRank and
-//! connected components, snapshot everything, and load a serving tier.
+//! connected components, snapshot everything, and load a serving tier
+//! (the rig in `stream_state`, shared with `repro -- chaos`).
 //! Then a drift-parameterized RMAT source emits timestamped edge
 //! add/remove events which are applied in micro-batches:
 //!
@@ -11,10 +12,11 @@
 //!    and unions / recomputes components. With `--shards N` the batch is
 //!    routed across N ingestor shards keyed by edge owner (source-range
 //!    tiling) and drained as one logical batch whose watermark is the
-//!    min-merge across shards ([`ShardedIngestor`]).
-//! 2. Every `swap_every_batches` *effective* batches a [`RefreshDriver`]
-//!    exports a [`psgraph_ps::snapshot::DeltaWriter`] delta of the
-//!    dirtied partitions and hot-swaps it into the live replicas.
+//!    min-merge across shards ([`psgraph_stream::ShardedIngestor`]).
+//! 2. Every `swap_every_batches` *effective* batches a
+//!    [`psgraph_stream::RefreshDriver`] exports a
+//!    [`psgraph_ps::snapshot::DeltaWriter`] delta of the dirtied
+//!    partitions and hot-swaps it into the live replicas.
 //! 3. Queries are interleaved throughout and checked bit-for-bit against
 //!    the *swap-time* PS state (the tier serves the last published
 //!    snapshot, not the live PS) — `wrong` must be 0.
@@ -34,19 +36,16 @@
 
 use std::time::Instant;
 
-use psgraph_core::algos::{IncrementalCc, IncrementalPageRank, PrState};
 use psgraph_core::CoreError;
-use psgraph_dfs::Dfs;
 use psgraph_graph::{metrics, Dataset, EdgeList};
 use psgraph_net::rpc::NodeId;
-use psgraph_ps::{Ps, PsConfig, SnapshotWriter};
-use psgraph_serve::frontend::Outcome;
-use psgraph_serve::{ObjectMap, Query, ServeCluster, ServeConfig};
-use psgraph_sim::{NodeClock, SimTime, SplitMix64};
-use psgraph_stream::{DriftRmat, IngestConfig, RefreshConfig, RefreshDriver, ShardedIngestor};
+use psgraph_ps::SnapshotWriter;
+use psgraph_serve::{Query, ServeCluster};
+use psgraph_sim::{FaultSchedule, SimTime, SplitMix64};
+use psgraph_stream::DriftRmat;
 
-use crate::report::{Cell, Row, Table};
-use crate::stream_state::{Fingerprint, Mirror};
+use crate::report::{percentile, Cell, Row, Table};
+use crate::stream_state::{Asked, Rig};
 
 /// Events per micro-batch; every ingest mailbox is sized to match, so
 /// within a batch no offer is rejected even if all events route to one
@@ -122,65 +121,6 @@ impl StreamRepro {
             self.swap_walls_ms.iter().sum::<f64>() / self.swap_walls_ms.len() as f64
         }
     }
-
-    pub fn skipped_total(&self) -> u64 {
-        self.skipped_dup_adds + self.skipped_missing_removes
-    }
-}
-
-fn se(e: impl std::fmt::Display) -> CoreError {
-    CoreError::Invalid(format!("stream: {e}"))
-}
-
-/// Export everything dirtied since the last swap, install it on the live
-/// tier, settle the freshness accounting for the batches it published,
-/// and re-capture the serving-truth mirror. Returns `None` when the
-/// driver skipped the swap because nothing was dirty — the tier (and the
-/// mirror) are unchanged and pending batches stay pending.
-#[allow(clippy::too_many_arguments)]
-fn publish(
-    driver: &mut RefreshDriver,
-    dfs: &Dfs,
-    client: &NodeClock,
-    cluster: &mut ServeCluster,
-    ingest: &ShardedIngestor,
-    pr: &IncrementalPageRank,
-    pr_state: &PrState,
-    cc: &IncrementalCc,
-    n: u64,
-    effective_batches: usize,
-    pending: &mut Vec<(usize, SimTime)>,
-    lags: &mut Vec<SimTime>,
-    max_batches_to_publish: &mut usize,
-    walls_ms: &mut Vec<f64>,
-) -> Result<Option<Mirror>, CoreError> {
-    let t0 = Instant::now();
-    let rec = driver
-        .refresh(
-            dfs,
-            client,
-            cluster,
-            &pr_state.ranks,
-            &cc.labels,
-            ingest.adjacency(),
-            ingest.watermark(),
-        )
-        .map_err(se)?;
-    let Some(rec) = rec else { return Ok(None) };
-    walls_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    for (bi, wmark) in pending.drain(..) {
-        lags.push(rec.at.saturating_sub(wmark));
-        *max_batches_to_publish = (*max_batches_to_publish).max(effective_batches - bi);
-    }
-    Mirror::capture(client, ingest.adjacency(), pr, pr_state, cc, n).map(Some)
-}
-
-fn percentile(sorted: &[SimTime], p: f64) -> SimTime {
-    if sorted.is_empty() {
-        return SimTime::ZERO;
-    }
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Bootstrap DS3′ at `scale`, serve it, then stream `total_events` drift
@@ -194,41 +134,7 @@ pub fn run_stream(
 ) -> Result<StreamRepro, CoreError> {
     let g = Dataset::Ds3.generate(scale).dedup();
     let n = g.num_vertices();
-    let base_edges = g.edges().len();
-    let ps = Ps::new(PsConfig::default());
-    let dfs = Dfs::in_memory();
-    let client = NodeClock::new();
-
-    // Mutable ingest state + incremental maintainers, converged on the
-    // base graph.
-    let icfg = IngestConfig { prefix: "stream".into(), mailbox_cap: BATCH };
-    let mut ingest = ShardedIngestor::create(&ps, &icfg, n, shards).map_err(se)?;
-    ingest.bootstrap(&client, g.edges()).map_err(se)?;
-    let pr = IncrementalPageRank::default();
-    let mut pr_state = pr.create_state(&ps, "stream.pr", n)?;
-    pr.init_full(&mut pr_state, &client, ingest.adjacency())?;
-    let mut cc = IncrementalCc::create(&ps, "stream.cc", n)?;
-    cc.bootstrap(&client, ingest.adjacency())?;
-
-    // Snapshot the trained state and bring up the serving tier over it.
-    let mut w = SnapshotWriter::new(&dfs, "/stream/snapshot", &client);
-    w.vector_f64(&pr_state.ranks)?;
-    w.vector_u64(&cc.labels)?;
-    w.neighbor_table(ingest.adjacency())?;
-    let manifest = w.finish()?;
-    let objects = ObjectMap {
-        ranks: Some("stream.pr.ranks".into()),
-        communities: Some("stream.cc.labels".into()),
-        embeddings: None,
-        adjacency: Some("stream.adj".into()),
-    };
-    let scfg = ServeConfig::default();
-    let mut cluster =
-        ServeCluster::load(&dfs, "/stream/snapshot", &objects, &scfg, &client).map_err(se)?;
-    let rcfg = RefreshConfig::default();
-    let swap_every = rcfg.swap_every_batches;
-    let mut driver = RefreshDriver::new("/stream/snapshot", manifest, rcfg);
-    let mut mirror = Mirror::capture(&client, ingest.adjacency(), &pr, &pr_state, &cc, n)?;
+    let mut rig = Rig::build(&g, shards, BATCH, "/stream/snapshot", &FaultSchedule::off())?;
 
     // The drifting event source, seeded with the base edge set so
     // removals can name live edges from the start.
@@ -240,17 +146,12 @@ pub fn run_stream(
     };
     let mut source = drift.start(g.edges());
     let expected_interval =
-        SimTime::from_secs_f64(swap_every as f64 * BATCH as f64 / drift.events_per_sec);
+        SimTime::from_secs_f64(rig.swap_every as f64 * BATCH as f64 / drift.events_per_sec);
     let freshness_bound = expected_interval.scale(2.0);
 
     let mut rng = SplitMix64::new(0xBEEF);
-    let mut pending: Vec<(usize, SimTime)> = Vec::new();
-    let mut lags: Vec<SimTime> = Vec::new();
     let mut max_batches_to_publish = 0usize;
     let mut swap_walls_ms: Vec<f64> = Vec::new();
-    let mut queries = 0usize;
-    let mut answered = 0usize;
-    let mut wrong = 0usize;
     let mut batches = 0usize;
     let mut effective_batches = 0usize;
     let mut emitted = 0usize;
@@ -267,69 +168,41 @@ pub fn run_stream(
             "relabeled",
         ],
     );
+    // A publish with the swap itself timed (not the truth capture after
+    // it); a swap that ran settles how long its oldest batch (pending is
+    // in batch order) waited, in effective batches.
+    let mut publish = |rig: &mut Rig, effective_batches: usize| -> Result<(), CoreError> {
+        let oldest = rig.pending.first().map(|&(bi, _)| bi);
+        let t0 = Instant::now();
+        if rig.swap()? {
+            swap_walls_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            rig.recapture()?;
+            if let Some(bi) = oldest {
+                max_batches_to_publish = max_batches_to_publish.max(effective_batches - bi);
+            }
+        }
+        Ok(())
+    };
 
     let ingest_t0 = Instant::now();
     while emitted < total_events {
         let take = BATCH.min(total_events - emitted);
         for _ in 0..take {
             let ev = source.next_event();
-            assert!(ingest.offer(NodeId::Driver, ev), "mailboxes sized to the batch");
+            assert!(rig.ingest.offer(NodeId::Driver, ev), "mailboxes sized to the batch");
         }
         emitted += take;
 
-        let fx = ingest.drain_all().map_err(se)?;
-        let effective = !fx.effects.is_empty();
-        // Maintainer telemetry from the run's own counters; PS traffic is
-        // the network's, measured around `propagate` alone.
-        let net = ps.network().stats();
-        let before = pr_state.pushed();
-        pr.on_batch(&mut pr_state, &client, &fx.effects)?;
-        let (rpcs0, bytes0) = (net.rpcs(), net.total_bytes());
-        let rounds = pr.propagate(&mut pr_state, &client, ingest.adjacency())?;
-        let per_round = |total: u64| total as f64 / rounds.max(1) as f64;
-        let rpcs = per_round(net.rpcs() - rpcs0);
-        let kb = per_round(net.total_bytes() - bytes0) / 1e3;
-        let after = pr_state.pushed();
-        let cs = cc.on_batch(&client, &fx.applied, ingest.adjacency())?;
-        let cells = [
-            rounds.to_string(),
-            (after.0 - before.0).to_string(),
-            (after.1 - before.1).to_string(),
-            format!("{rpcs:.2}"),
-            format!("{kb:.1}"),
-            cs.unions.to_string(),
-            cs.recomputes.to_string(),
-            cs.relabeled.to_string(),
-        ];
-        maintenance.push(Row::new(
-            format!("batch {batches}"),
-            cells.into_iter().map(Cell::Text).collect(),
-        ));
+        let (fx, telemetry) = rig.apply()?;
+        maintenance.push(Row::new(format!("batch {batches}"), telemetry));
         batches += 1;
+        let effective = !fx.effects.is_empty();
         if effective {
-            pending.push((effective_batches, fx.watermark));
+            rig.pending.push((effective_batches, fx.watermark));
             effective_batches += 1;
         }
-
-        if driver.tick(effective) {
-            if let Some(m) = publish(
-                &mut driver,
-                &dfs,
-                &client,
-                &mut cluster,
-                &ingest,
-                &pr,
-                &pr_state,
-                &cc,
-                n,
-                effective_batches,
-                &mut pending,
-                &mut lags,
-                &mut max_batches_to_publish,
-                &mut swap_walls_ms,
-            )? {
-                mirror = m;
-            }
+        if rig.driver.tick(effective) {
+            publish(&mut rig, effective_batches)?;
         }
 
         // Interleaved queries, verified against the swap-time truth.
@@ -340,54 +213,27 @@ pub fn run_stream(
                 1 => Query::Community(v),
                 _ => Query::Neighbors(v),
             };
-            let at = client.now();
-            for (_, outcome) in cluster.frontend_mut().execute_now(queries, at, q) {
-                if let Outcome::Answered { value, .. } = outcome {
-                    answered += 1;
-                    if !mirror.answers(&q, &value) {
-                        wrong += 1;
-                    }
-                }
-            }
-            queries += 1;
+            rig.ask(rig.client.now(), Asked::Query(&q));
         }
     }
     // Publish the tail so the tier ends bit-identical to the PS.
-    if driver.batches_since_swap() > 0 {
-        if let Some(m) = publish(
-            &mut driver,
-            &dfs,
-            &client,
-            &mut cluster,
-            &ingest,
-            &pr,
-            &pr_state,
-            &cc,
-            n,
-            effective_batches,
-            &mut pending,
-            &mut lags,
-            &mut max_batches_to_publish,
-            &mut swap_walls_ms,
-        )? {
-            mirror = m;
-        }
+    if rig.driver.batches_since_swap() > 0 {
+        publish(&mut rig, effective_batches)?;
     }
     let ingest_wall = ingest_t0.elapsed();
     let events_per_sec = emitted as f64 / ingest_wall.as_secs_f64().max(1e-9);
-    drop(mirror);
 
     // Incremental vs from-scratch: PageRank within 1e-6 L∞, components
     // equal to the reference labels of the live edge set.
-    let mut full = pr.create_state(&ps, "stream.fullck", n)?;
-    pr.init_full(&mut full, &client, ingest.adjacency())?;
-    let inc = pr.ranks(&pr_state, &client)?;
-    let fr = pr.ranks(&full, &client)?;
+    let mut full = rig.pr.create_state(&rig.ps, "stream.fullck", n)?;
+    rig.pr.init_full(&mut full, &rig.client, rig.ingest.adjacency())?;
+    let inc = rig.pr.ranks(&rig.pr_state, &rig.client)?;
+    let fr = rig.pr.ranks(&full, &rig.client)?;
     let pr_linf =
         inc.iter().zip(&fr).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
 
     let ids: Vec<u64> = (0..n).collect();
-    let lists = ingest.adjacency().pull(&client, &ids)?;
+    let lists = rig.ingest.adjacency().pull(&rig.client, &ids)?;
     let mut live = Vec::new();
     for (s, l) in lists.iter().enumerate() {
         for &d in l.iter() {
@@ -395,43 +241,37 @@ pub fn run_stream(
         }
     }
     let live_edges = live.len();
-    let truth = metrics::connected_components(&EdgeList::new(n, live));
-    let cc_ok = cc.labels() == truth.as_slice();
+    let reference = metrics::connected_components(&EdgeList::new(n, live));
+    let cc_ok = rig.cc.labels() == reference.as_slice();
     let components = {
-        let mut u = truth;
+        let mut u = reference;
         u.sort_unstable();
         u.dedup();
         u.len()
     };
-    let print = Fingerprint::capture(
-        &client,
-        ingest.adjacency(),
-        ingest.degrees(),
-        &inc,
-        cc.labels(),
-        ingest.watermark(),
-        n,
-    )?;
+    let state_digest = rig.fingerprint()?.digest();
 
     // Swap cost vs a full refresh of the same final state. Both sides
     // include their export: the delta path exports dirty partitions and
     // installs a patch; the full path re-exports every object and cold
     // loads the tier.
     let reload_t0 = Instant::now();
-    let mut fw = SnapshotWriter::new(&dfs, "/stream/full", &client);
-    fw.vector_f64(&pr_state.ranks)?;
-    fw.vector_u64(&cc.labels)?;
-    fw.neighbor_table(ingest.adjacency())?;
+    let mut fw = SnapshotWriter::new(&rig.dfs, "/stream/full", &rig.client);
+    fw.vector_f64(&rig.pr_state.ranks)?;
+    fw.vector_u64(&rig.cc.labels)?;
+    fw.neighbor_table(rig.ingest.adjacency())?;
     fw.finish()?;
-    let reload = ServeCluster::load(&dfs, "/stream/full", &objects, &scfg, &client).map_err(se)?;
+    let reload =
+        ServeCluster::load(&rig.dfs, "/stream/full", &rig.objects, &rig.serve, &rig.client)
+            .map_err(|e| CoreError::Invalid(format!("stream: {e}")))?;
     let full_reload_ms = reload_t0.elapsed().as_secs_f64() * 1e3;
     drop(reload);
 
-    lags.sort_unstable();
-    let stats = ingest.stats();
+    rig.lags.sort_unstable();
+    let stats = rig.ingest.stats();
     Ok(StreamRepro {
         num_vertices: n,
-        base_edges,
+        base_edges: g.edges().len(),
         shards,
         events: emitted,
         batches,
@@ -440,22 +280,22 @@ pub fn run_stream(
         skipped_dup_adds: stats.skipped_dup_adds,
         skipped_missing_removes: stats.skipped_missing_removes,
         live_edges,
-        swaps: driver.swaps().len(),
-        dirty_partitions: driver.swaps().iter().map(|s| s.dirty_partitions).sum(),
-        swap_every_batches: swap_every,
+        swaps: rig.driver.swaps().len(),
+        dirty_partitions: rig.driver.swaps().iter().map(|s| s.dirty_partitions).sum(),
+        swap_every_batches: rig.swap_every,
         max_batches_to_publish,
-        freshness_p50: percentile(&lags, 0.50),
-        freshness_p99: percentile(&lags, 0.99),
-        freshness_max: lags.last().copied().unwrap_or(SimTime::ZERO),
+        freshness_p50: percentile(&rig.lags, 0.50),
+        freshness_p99: percentile(&rig.lags, 0.99),
+        freshness_max: rig.lags.last().copied().unwrap_or(SimTime::ZERO),
         freshness_bound,
-        queries,
-        answered,
-        wrong,
+        queries: rig.tally.queries,
+        answered: rig.tally.answered,
+        wrong: rig.tally.wrong,
         pr_linf,
         cc_ok,
         components,
-        final_watermark: ingest.watermark(),
-        state_digest: print.digest(),
+        final_watermark: rig.ingest.watermark(),
+        state_digest,
         events_per_sec,
         swap_walls_ms,
         full_reload_ms,

@@ -2,8 +2,9 @@
 //!
 //! Training leaves plain arrays behind (ranks, labels, embeddings, edge
 //! lists); the single-node oracle in `psgraph_query` wants a
-//! [`GraphTruth`]. [`TruthBuilder`] bridges the two, normalizing edge
-//! lists into the sorted, deduplicated out-adjacency the CSR snapshot
+//! [`GraphTruth`], whose fields take the arrays as they are.
+//! [`out_adjacency`] bridges the one that differs, normalizing an edge
+//! list into the sorted, deduplicated out-adjacency the CSR snapshot
 //! stores — so interpreter answers are the serving-tier truth bit for
 //! bit.
 
@@ -23,58 +24,15 @@ pub fn out_adjacency(edges: &[(u64, u64)], n: u64) -> Vec<Vec<u64>> {
     adj
 }
 
-/// Assemble a [`GraphTruth`] from whichever trained objects exist.
-pub struct TruthBuilder {
-    truth: GraphTruth,
-}
-
-impl TruthBuilder {
-    pub fn new(num_vertices: u64) -> Self {
-        TruthBuilder { truth: GraphTruth::new(num_vertices) }
-    }
-
-    pub fn ranks(mut self, ranks: Vec<f64>) -> Self {
-        self.truth.ranks = Some(ranks);
-        self
-    }
-
-    pub fn communities(mut self, labels: Vec<u64>) -> Self {
-        self.truth.communities = Some(labels);
-        self
-    }
-
-    /// Adjacency from a raw edge list (normalized via [`out_adjacency`]).
-    pub fn edges(mut self, edges: &[(u64, u64)]) -> Self {
-        self.truth.adjacency = Some(out_adjacency(edges, self.truth.num_vertices));
-        self
-    }
-
-    /// Adjacency already in per-vertex neighbor-list form. Lists must be
-    /// sorted and deduplicated to match the CSR snapshot.
-    pub fn adjacency(mut self, adj: Vec<Vec<u64>>) -> Self {
-        self.truth.adjacency = Some(adj);
-        self
-    }
-
-    pub fn embeddings(mut self, rows: Vec<Vec<f32>>) -> Self {
-        self.truth.embeddings = Some(rows);
-        self
-    }
-
-    pub fn build(self) -> GraphTruth {
-        self.truth
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use psgraph_query::Plan;
 
     #[test]
-    fn builder_normalizes_edges_and_feeds_the_interpreter() {
+    fn normalized_edges_feed_the_interpreter() {
         let edges = [(0u64, 2u64), (0, 1), (0, 2), (1, 3), (3, 0)];
-        let truth = TruthBuilder::new(4).edges(&edges).build();
+        let truth = GraphTruth { adjacency: Some(out_adjacency(&edges, 4)), ..GraphTruth::new(4) };
         assert_eq!(truth.adjacency.as_ref().unwrap()[0], vec![1, 2], "sorted + deduped");
         let out = Interpreter::new(&truth, 1).run(&Plan::khop(0, 2)).unwrap();
         assert_eq!(out, PlanOutput::Vertices(vec![1, 2, 3]));

@@ -13,7 +13,7 @@ use crate::rpc::NodeId;
 
 /// Snapshot of one mailbox's admission history. Backpressure loss used to
 /// be invisible (`try_post` returning `false` was the only trace); these
-/// counters make it observable in load reports and bench JSON.
+/// counters make it observable in load reports and the benchmark's rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MailboxCounters {
     /// Messages admitted into the queue.

@@ -10,8 +10,8 @@
 //! [`ColMatrixHandle::update_pairs`] run entirely server-side, reading the
 //! co-located slices of both matrices in place under one store lock: only
 //! vertex-id pairs, scalar coefficients, and partial sums cross the
-//! network — this is the communication optimization the LINE ablation
-//! bench measures against pull-whole-row training. Every operation touches
+//! network — this is the communication optimization `repro -- line`
+//! measures against pull-whole-row training. Every operation touches
 //! every server, so all of them go over [`PsObject::each_partition`].
 
 use psgraph_sim::bytes::BufMut;

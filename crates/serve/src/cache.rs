@@ -5,7 +5,8 @@
 //! costs a few words, and the cache evicts in exact least-recently-used
 //! order until a new value fits. Under Zipf-skewed traffic (the regime the
 //! paper's online workloads live in) a small budget absorbs most of the
-//! head of the distribution — the `serve_qps` bench measures exactly that.
+//! head of the distribution — `loadgen`'s cache tests and the benchmark's
+//! `serve.cache_hit_rate` row measure exactly that.
 
 use psgraph_sim::{FxHashMap, MemoryMeter};
 use std::hash::Hash;

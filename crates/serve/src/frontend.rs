@@ -61,11 +61,6 @@ pub struct SloPolicy {
     pub ops_per_item: u64,
     /// Frontend CPU ops charged for a cache hit.
     pub cache_hit_ops: u64,
-    /// Flush a point-lookup batch immediately when the routed replica is
-    /// idle (TCP_NODELAY-style): batching only pays off when there is a
-    /// queue to amortize against, and waiting out `batch_window` on an
-    /// idle tier puts the whole window into p99.
-    pub adaptive_flush: bool,
 }
 
 impl Default for SloPolicy {
@@ -78,13 +73,12 @@ impl Default for SloPolicy {
             batch_window: SimTime::from_micros(200),
             ops_per_item: 4,
             cache_hit_ops: 64,
-            adaptive_flush: true,
         }
     }
 }
 
 /// Cumulative counters for compound-plan execution, exposed per run as
-/// deltas in `LoadReport` and the query bench JSON.
+/// deltas in `LoadReport`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCounters {
     /// Plans executed (answered or failed, not shed).
@@ -503,13 +497,12 @@ impl Frontend {
                     items: Vec::new(),
                 });
                 batch.items.push(BatchItem { idx, arrival, query });
-                // Adaptive flush: with the routed replica idle there is
-                // nothing to amortize against — holding the item only
-                // buys it the full batch window of latency.
-                if immediate
-                    || batch.items.len() >= self.policy.batch_max
-                    || (self.policy.adaptive_flush && load == 0)
-                {
+                // Adaptive flush (TCP_NODELAY-style): batching only pays
+                // off when there is a queue to amortize against. With the
+                // routed replica idle, holding the item buys it nothing
+                // but the full batch window of latency — which on an idle
+                // tier puts the whole window into p99.
+                if immediate || batch.items.len() >= self.policy.batch_max || load == 0 {
                     self.flush_batch(primary, arrival, out);
                 }
             }

@@ -5,7 +5,7 @@
 //! * **Open loop** — arrivals are a Poisson process at a target QPS,
 //!   independent of completions. This is the honest way to measure tail
 //!   latency (no coordinated omission) and is what `repro -- serve` and
-//!   the `serve_qps` bench use.
+//!   the benchmark's `serve_ladder` workload use.
 //! * **Closed loop** — `workers` clients each issue, wait for the answer,
 //!   think, repeat. Throughput self-limits; batching is bypassed because
 //!   a worker needs its answer before its next send.
@@ -39,7 +39,7 @@ pub struct QueryMix {
     pub topk_all: u32,
     /// Compound declarative plans drawn from
     /// [`Workload::plan_palette`], re-anchored on the Zipf-drawn
-    /// vertex. Zero in the stock mixes; the query bench opts in.
+    /// vertex. Zero in the stock mixes; `repro -- query` opts in.
     pub compound: u32,
 }
 
@@ -558,6 +558,38 @@ mod tests {
     fn assert_freshness_panics_on_stale_answers() {
         let report = report_with(vec![SimTime::from_millis(10)]);
         assert_freshness(&report, &[], SimTime::from_millis(5));
+    }
+
+    #[test]
+    fn cache_counters_are_per_run_on_a_reused_cluster() {
+        // Two runs on the SAME cluster: the frontend's counters are
+        // cumulative, so a report built from them instead of from deltas
+        // would count the first run's lookups again in the second.
+        let (mut cluster, _) = ServeCluster::demo(4_096, 16, &ServeConfig::default()).unwrap();
+        let wl = Workload { queries: 3_000, ..Workload::default() };
+        let warm = run(&mut cluster, &wl, &FailureInjector::none(), false);
+        let second = run(&mut cluster, &wl, &FailureInjector::none(), false);
+        assert!(warm.cache_hits + warm.cache_misses > 0, "the warm-up must look up the cache");
+        assert!(
+            second.cache_hits + second.cache_misses <= wl.queries as u64,
+            "per-run cache counters leaked from the warm-up: {} lookups over {} queries",
+            second.cache_hits + second.cache_misses,
+            wl.queries
+        );
+        assert!(second.hit_rate > 0.0 && second.hit_rate <= 1.0, "hit rate {}", second.hit_rate);
+    }
+
+    #[test]
+    fn zipf_point_lookups_hit_a_small_cache_and_never_a_zero_budget_one() {
+        let wl = Workload { queries: 5_000, mix: QueryMix::point_only(), ..Workload::default() };
+        let report = |cache_budget: u64| {
+            let cfg = ServeConfig { cache_budget, ..ServeConfig::default() };
+            let (mut cluster, _) = ServeCluster::demo(4_096, 16, &cfg).unwrap();
+            run(&mut cluster, &wl, &FailureInjector::none(), false)
+        };
+        assert_eq!(report(0).cache_hits, 0, "a zero-budget cache cannot hit");
+        let hit_rate = report(256 * 1024).hit_rate;
+        assert!(hit_rate > 0.2, "Zipf(1.0) should hit a 256 KiB cache, got {hit_rate:.3}");
     }
 
     #[test]

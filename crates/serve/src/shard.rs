@@ -391,8 +391,8 @@ impl Replica {
 
     /// Admission counters of the completion queue. `dropped` counts
     /// saturated [`Replica::record_completion`] calls — silent
-    /// load-undercounting made observable ([`crate::LoadReport`] and the
-    /// serve benches surface the per-run deltas).
+    /// load-undercounting made observable ([`crate::LoadReport`] carries
+    /// the per-run deltas).
     pub fn queue_counters(&self) -> psgraph_net::MailboxCounters {
         self.pending.counters()
     }

@@ -4,6 +4,7 @@
 # build policy"). Fails on any warning in the harness crate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+results_before="$(git status --porcelain -- results/)"
 
 # Hermetic guard: the lockfile must contain path dependencies only — a
 # `source = ...` line means something resolved from a registry or git.
@@ -16,8 +17,9 @@ fi
 # lives there) — hold it to warnings-as-errors. Same bar for the
 # serving tier and the query engine (newest subsystems), for the PS
 # and the algorithm crate (where the benchmark's batch workloads live),
-# and for the tensor runtime and the Euler baseline that share its
-# mini-batch code.
+# for the tensor runtime and the Euler baseline that share its
+# mini-batch code, and for the experiment crate (`repro`, the rig and
+# verifier its sections share) whose asserts the smokes below rely on.
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-harness --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-query --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-serve --all-targets
@@ -25,6 +27,7 @@ RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-ps --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-core --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-tensor --all-targets
 RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-euler --all-targets
+RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-bench --all-targets
 
 # The pool is the one place with `unsafe`: run the harness suite once in
 # debug too, for the overflow checks and `debug_assert!`s the release
@@ -114,6 +117,12 @@ cat /tmp/ci-stream-s4.log
 # command (`repro -- chaos --seed S ...`).
 cargo run --release --offline -p psgraph-bench --bin repro -- chaos --scale 0.02 --seeds 3 --events 3000
 
+# Ablation smoke: the design choices DESIGN.md §4 calls out (delta
+# PageRank, hash partitioning under a hot range, co-partitioned join,
+# ASP under a straggler), each against its baseline on the simulated
+# clock. The binary asserts every direction.
+cargo run --release --offline -p psgraph-bench --bin repro -- ablations --scale 0.01
+
 # Schedule-perturbation sweep: rerun both smokes under ten seeded
 # claim-schedule perturbations (injected yields, a seeded starting point
 # among open jobs, a head start for helpers). The binaries' internal
@@ -148,6 +157,16 @@ if [ "$(sort -u /tmp/ci-perturb-fig6.log | wc -l)" -ne 1 ]; then
     exit 1
 fi
 head -1 /tmp/ci-perturb-fig6.log
+
+# A run worth keeping is recorded under results/ deliberately, as text;
+# running CI must not rewrite a tracked artifact. Compared with the
+# state the script started from, so the check also works on a tree with
+# a ledger not yet committed; on a clean checkout it is "must be empty".
+if [ "$(git status --porcelain -- results/)" != "$results_before" ]; then
+    echo "ci: the smokes changed files under results/" >&2
+    git status --porcelain -- results/ >&2
+    exit 1
+fi
 
 # The benchmark is its own workspace, so nothing above compiles it: a
 # `core`/`ps` signature change could break `benchmark/src/sut.rs` and

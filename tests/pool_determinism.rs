@@ -3,8 +3,8 @@
 //! engine's rule is that parallel stages combine partial results in
 //! canonical partition order, never completion order — these tests pin
 //! that rule end-to-end through PageRank, the monotone fixed-point jobs
-//! (K-Core, Connected Components), Common Neighbor and the shuffle
-//! machinery.
+//! (K-Core, Connected Components), Common Neighbor, the shuffle
+//! machinery and the serving frontend's per-shard scatter.
 
 use std::sync::Arc;
 
@@ -13,6 +13,8 @@ use psgraph::core::runner::distribute_edges;
 use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::dataflow::{Cluster, ClusterConfig, Rdd};
 use psgraph::graph::gen;
+use psgraph::serve::{loadgen, QueryMix, ServeCluster, ServeConfig, Workload};
+use psgraph::sim::failpoint::FailureInjector;
 use psgraph_harness::Pool;
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -46,7 +48,7 @@ fn pagerank_bit_identical_across_pool_sizes() {
 
 #[test]
 fn pagerank_repeated_runs_on_one_pool_size_are_bit_identical() {
-    // Steal schedules differ between runs even at a fixed pool size; the
+    // Claim schedules differ between runs even at a fixed pool size; the
     // canonical-order reduction must hide that entirely.
     let first = pagerank_bits(4);
     for _ in 0..2 {
@@ -146,5 +148,46 @@ fn kcore_cc_and_common_neighbor_identical_across_pools_and_schedules() {
             batch_outputs(Pool::with_perturb(4, Some(seed))) == baseline,
             "perturbation seed {seed} changed the outputs"
         );
+    }
+}
+
+/// The heaviest serve op — `TopKAll`, scored on every shard and merged at
+/// the frontend — driven through frontends whose scatter runs on `pool`.
+/// Shard partials merge in shard order, so neither an answer nor a
+/// simulated latency may depend on which thread scored which shard.
+fn topk_all_report(pool: Pool) -> loadgen::LoadReport {
+    let cfg = ServeConfig { cache_budget: 256 * 1024, ..Default::default() }
+        .with_pool(Arc::new(pool));
+    let (mut cluster, _truth) = ServeCluster::demo(2_048, 16, &cfg).unwrap();
+    let mix = QueryMix {
+        rank: 0,
+        community: 0,
+        embedding: 0,
+        neighbors: 0,
+        khop: 0,
+        topk: 0,
+        topk_all: 1,
+        compound: 0,
+    };
+    let wl = Workload { queries: 200, zipf_s: 1.0, mix, ..Default::default() };
+    loadgen::run(&mut cluster, &wl, &FailureInjector::none(), true)
+}
+
+#[test]
+fn serve_answers_and_latencies_identical_across_pools_and_schedules() {
+    let baseline = topk_all_report(Pool::with_perturb(1, None));
+    assert_eq!(baseline.values.len(), 200, "every TopKAll query must be answered");
+    for threads in POOL_SIZES {
+        for seed in [1u64, 7, 42] {
+            let rep = topk_all_report(Pool::with_perturb(threads, Some(seed)));
+            assert!(
+                rep.values == baseline.values,
+                "answers diverge at {threads} threads, seed {seed}"
+            );
+            assert!(
+                rep.latencies == baseline.latencies,
+                "simulated latencies diverge at {threads} threads, seed {seed}"
+            );
+        }
     }
 }
