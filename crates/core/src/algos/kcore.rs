@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
+use psgraph_graph::metrics::h_index;
 use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
 
 use crate::agent::PsAgent;
@@ -39,21 +40,6 @@ impl Default for KCore {
 pub struct KCoreOutput {
     pub coreness: Vec<u64>,
     pub stats: RunStats,
-}
-
-/// H-index of a multiset: the largest `h` such that at least `h` values
-/// are `≥ h`.
-pub fn h_index(values: &mut [u64]) -> u64 {
-    values.sort_unstable_by(|a, b| b.cmp(a));
-    let mut h = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        if v >= (i + 1) as u64 {
-            h = (i + 1) as u64;
-        } else {
-            break;
-        }
-    }
-    h
 }
 
 impl KCore {
@@ -111,12 +97,12 @@ impl KCore {
                     let mut upd_idx = Vec::new();
                     let mut upd_val = Vec::new();
                     let mut work = 0u64;
+                    let mut scratch = Vec::new();
                     for (v, ns) in local.iter().flat_map(|part| part.iter()) {
                         let own = got[cursor];
                         cursor += 1;
-                        let mut nvals = got[cursor..cursor + ns.len()].to_vec();
+                        let h = h_index(&got[cursor..cursor + ns.len()], &mut scratch).min(own);
                         cursor += ns.len();
-                        let h = h_index(&mut nvals).min(own);
                         work += ns.len() as u64;
                         if h < own {
                             upd_idx.push(*v);
@@ -153,15 +139,6 @@ mod tests {
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, g, 8).unwrap();
         KCore::default().run(&ctx, &edges, g.num_vertices()).unwrap()
-    }
-
-    #[test]
-    fn h_index_examples() {
-        assert_eq!(h_index(&mut [5, 4, 3, 2, 1]), 3);
-        assert_eq!(h_index(&mut [1, 1, 1]), 1);
-        assert_eq!(h_index(&mut [10, 10]), 2);
-        assert_eq!(h_index(&mut []), 0);
-        assert_eq!(h_index(&mut [0, 0]), 0);
     }
 
     #[test]

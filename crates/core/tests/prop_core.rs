@@ -1,9 +1,9 @@
 //! Property tests for algorithm invariants that hold on any graph, using
 //! the in-tree harness.
 
-use psgraph_core::algos::{ConnectedComponents, KCore, TriangleCount};
+use psgraph_core::algos::{ConnectedComponents, KCore, PageRank, TriangleCount};
 use psgraph_core::runner::distribute_edges;
-use psgraph_core::PsGraphContext;
+use psgraph_core::{PsGraphConfig, PsGraphContext};
 use psgraph_harness::prop::{check_with, Config, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
 use psgraph_graph::EdgeList;
@@ -76,6 +76,43 @@ fn component_labels_are_constant_within_an_edge() {
                     s,
                     d
                 );
+            }
+            Ok(())
+        },
+    );
+}
+
+/// With a delta threshold only sources that still move contribute, so
+/// which destinations a superstep pushes depends on the fold. The ranks
+/// (bit for bit) may not depend on how the edge list was partitioned or on
+/// how many executors hold it, and neither may the PS bytes wherever the
+/// requests are comparable: on one executor every partitioning makes the
+/// same requests, so equal bytes mean equal key sets (on several, which
+/// executor holds which sources moves the per-request header bytes).
+#[test]
+fn thresholded_pagerank_is_independent_of_the_partition_count() {
+    check_with(
+        "thresholded_pagerank_is_independent_of_the_partition_count",
+        &Config::with_cases(10),
+        arb_graph,
+        |g| {
+            let run = |parts: usize, executors: usize| {
+                let mut config = PsGraphConfig::default();
+                config.cluster = config.cluster.with_executors(executors);
+                let ctx = PsGraphContext::new(config);
+                let edges = distribute_edges(&ctx, g, parts).unwrap();
+                let job =
+                    PageRank { max_iterations: 40, delta_threshold: 1e-3, ..Default::default() };
+                let out = job.run(&ctx, &edges, g.num_vertices()).unwrap();
+                let bits: Vec<u64> = out.ranks.iter().map(|r| r.to_bits()).collect();
+                (bits, out.stats.ps_net_bytes)
+            };
+            let want = run(2, 1);
+            for parts in [5, 8] {
+                prop_assert_eq!(run(parts, 1), want.clone(), "{} partitions vs 2", parts);
+            }
+            for parts in [2, 5, 8] {
+                prop_assert_eq!(&run(parts, 4).0, &want.0, "{} partitions on 4 executors", parts);
             }
             Ok(())
         },

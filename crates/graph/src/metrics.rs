@@ -181,6 +181,28 @@ pub fn sorted_intersection_count(a: &[u64], b: &[u64]) -> (u64, u64) {
     (count, comparisons)
 }
 
+/// H-index of a multiset: the largest `h` such that at least `h` values
+/// are `≥ h`. Linear in `values.len()`: values are clipped to the length
+/// (the answer cannot exceed it) and counted into `scratch`, which a
+/// caller keeps across calls so a superstep over many vertices does not
+/// allocate per vertex.
+pub fn h_index(values: &[u64], scratch: &mut Vec<u32>) -> u64 {
+    let d = values.len();
+    scratch.clear();
+    scratch.resize(d + 1, 0);
+    for &v in values {
+        scratch[v.min(d as u64) as usize] += 1;
+    }
+    let mut at_least = 0usize;
+    for h in (1..=d).rev() {
+        at_least += scratch[h] as usize;
+        if at_least >= h {
+            return h as u64;
+        }
+    }
+    0
+}
+
 /// Newman modularity `Q` of a community assignment on a weighted
 /// undirected graph (each undirected edge listed once in `g`).
 pub fn modularity(g: &WeightedEdgeList, community: &[u64]) -> f64 {
@@ -294,6 +316,17 @@ mod tests {
         let cn = common_neighbors_exact(&g, &[(1, 3), (0, 2), (0, 0)]);
         assert_eq!(cn[0], 2); // 1 and 3 share {0, 2}
         assert_eq!(cn[1], 2); // 0 and 2 share {1, 3}
+    }
+
+    #[test]
+    fn h_index_examples() {
+        // One scratch across calls of different lengths, as K-Core uses it.
+        let scratch = &mut Vec::new();
+        assert_eq!(h_index(&[5, 4, 3, 2, 1], scratch), 3);
+        assert_eq!(h_index(&[1, 1, 1], scratch), 1);
+        assert_eq!(h_index(&[10, 10], scratch), 2);
+        assert_eq!(h_index(&[], scratch), 0);
+        assert_eq!(h_index(&[0, 0], scratch), 0);
     }
 
     #[test]

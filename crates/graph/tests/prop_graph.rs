@@ -1,7 +1,7 @@
 //! Property tests for graph containers and generators, using the in-tree
 //! harness.
 
-use psgraph_graph::metrics::sorted_intersection_count;
+use psgraph_graph::metrics::{h_index, sorted_intersection_count};
 use psgraph_graph::{gen, EdgeList};
 use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
@@ -154,4 +154,37 @@ fn sorted_intersection_edge_cases() {
     // is found in a long list in logarithmically many.
     assert_eq!(sorted_intersection_count(&long, &long), (100, 100));
     assert!(sorted_intersection_count(&[198], &long).1 <= 16);
+}
+
+/// The definition `metrics::h_index` replaced: sort descending, take the
+/// last 1-based position whose value still reaches it.
+fn sorted_h_index(values: &[u64]) -> u64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable_by(|a, b| b.cmp(a));
+    sorted.iter().zip(1u64..).take_while(|&(&v, i)| v >= i).count() as u64
+}
+
+#[test]
+fn h_index_matches_the_sort_based_definition() {
+    // One scratch across all cases: a longer multiset's counts must not
+    // leak into a shorter one's.
+    let scratch = std::cell::RefCell::new(Vec::new());
+    check(
+        "h_index_matches_the_sort_based_definition",
+        |src: &mut Source| {
+            // Value ranges around the length (where the answer is decided),
+            // far above it (every value clips), all zeros, all equal.
+            let len = src.usize_range(0, 200);
+            let len64 = len as u64;
+            let hi = [1, 2, len64 + 1, 2 * len64 + 2, 1 << 62][src.choice(5) as usize];
+            let all_equal = src.choice(4) == 0;
+            let first = src.u64_range(0, hi);
+            let draws = (0..len).map(|_| if all_equal { first } else { src.u64_range(0, hi) });
+            draws.collect::<Vec<u64>>()
+        },
+        |values| {
+            prop_assert_eq!(h_index(values, &mut scratch.borrow_mut()), sorted_h_index(values));
+            Ok(())
+        },
+    );
 }

@@ -8,6 +8,7 @@
 //! (which pulls neighbor values from the PS in streamed batches) does not.
 
 use psgraph_dataflow::DataflowError;
+use psgraph_graph::metrics::h_index;
 
 /// Spark iterative jobs truncate lineage only at checkpoint intervals
 /// (GraphX's Pregel never does it automatically; production jobs
@@ -18,19 +19,6 @@ use psgraph_dataflow::DataflowError;
 pub(crate) const CHECKPOINT_INTERVAL: u64 = 20;
 
 use crate::graph::GxGraph;
-
-fn h_index(values: &mut [u64]) -> u64 {
-    values.sort_unstable_by(|a, b| b.cmp(a));
-    let mut h = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        if v >= (i + 1) as u64 {
-            h = (i + 1) as u64;
-        } else {
-            break;
-        }
-    }
-    h
-}
 
 /// Compute coreness for every vertex (vertices absent from the edge table
 /// get coreness 0). Returns dense `(vertex, coreness)` pairs.
@@ -49,10 +37,9 @@ pub fn gx_kcore(gx: &GxGraph, max_iterations: u64) -> Result<Vec<(u64, u64)>, Da
             .map(|&(_src, (dst, core))| (dst, core))?;
         // THE expensive step: group all neighbor estimates per vertex.
         let grouped = msgs.group_by_key(parts)?;
-        let new_cores = grouped.join(&cores, parts)?.map(|(v, (nvals, own))| {
-            let mut nvals = nvals.clone();
-            (*v, h_index(&mut nvals).min(*own))
-        })?;
+        let new_cores = grouped
+            .join(&cores, parts)?
+            .map(|(v, (nvals, own))| (*v, h_index(nvals, &mut Vec::new()).min(*own)))?;
         // Converged?
         let changed = new_cores
             .join(&cores, parts)?

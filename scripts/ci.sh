@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Hermetic CI: the workspace must build and test fully offline with an
 # empty registry cache (path dependencies only — see DESIGN.md "Hermetic
-# build policy"). Fails on any warning in the harness crate.
+# build policy"). Fails on any warning in the workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 results_before="$(git status --porcelain -- results/)"
@@ -13,21 +13,9 @@ if grep -q '^source = ' Cargo.lock; then
     exit 1
 fi
 
-# The harness is the substrate every test stands on (the thread pool
-# lives there) — hold it to warnings-as-errors. Same bar for the
-# serving tier and the query engine (newest subsystems), for the PS
-# and the algorithm crate (where the benchmark's batch workloads live),
-# for the tensor runtime and the Euler baseline that share its
-# mini-batch code, and for the experiment crate (`repro`, the rig and
-# verifier its sections share) whose asserts the smokes below rely on.
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-harness --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-query --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-serve --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-ps --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-core --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-tensor --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-euler --all-targets
-RUSTFLAGS="-D warnings" cargo build --offline -p psgraph-bench --all-targets
+# Warnings are errors in every crate and every target: libraries, the
+# `repro` binary, examples, unit and integration tests.
+RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
 
 # The pool is the one place with `unsafe`: run the harness suite once in
 # debug too, for the overflow checks and `debug_assert!`s the release
