@@ -187,11 +187,6 @@ impl<T> Mailbox<T> {
         self.shared.queue.lock().drain(..).collect()
     }
 
-    /// Non-blocking single receive.
-    pub fn try_recv(&self) -> Option<Message<T>> {
-        self.shared.queue.lock().pop_front()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.shared.queue.lock().is_empty()
     }
@@ -208,6 +203,7 @@ mod tests {
     #[test]
     fn post_and_drain_in_order() {
         let mb: Mailbox<u32> = Mailbox::new();
+        assert_eq!(mb.capacity(), usize::MAX);
         mb.post(NodeId::Executor(0), SimTime::from_secs(1), 10);
         mb.post(NodeId::Executor(1), SimTime::from_secs(2), 20);
         let msgs = mb.drain();
@@ -216,13 +212,6 @@ mod tests {
         assert_eq!(msgs[0].from, NodeId::Executor(0));
         assert_eq!(msgs[1].payload, 20);
         assert!(mb.is_empty());
-    }
-
-    #[test]
-    fn try_recv_returns_none_when_empty() {
-        let mb: Mailbox<()> = Mailbox::new();
-        assert!(mb.try_recv().is_none());
-        assert_eq!(mb.capacity(), usize::MAX);
     }
 
     #[test]
@@ -239,10 +228,10 @@ mod tests {
             .unwrap_err();
         assert_eq!(rejected.payload, 4);
         // Draining frees capacity again.
-        assert_eq!(mb.try_recv().unwrap().payload, 1);
-        assert!(mb.try_post(NodeId::Driver, SimTime::ZERO, 5));
         let got: Vec<u32> = mb.drain().into_iter().map(|m| m.payload).collect();
-        assert_eq!(got, vec![2, 5]);
+        assert_eq!(got, vec![1, 2]);
+        assert!(mb.try_post(NodeId::Driver, SimTime::ZERO, 5));
+        assert_eq!(mb.len(), 1);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl ServicePort {
 
     /// Reserve the port from `arrival` for `service`: returns the completion
     /// time. Requests arriving while the port is busy wait their turn.
-    pub fn serve(&self, arrival: SimTime, service: SimTime) -> SimTime {
+    pub(crate) fn serve(&self, arrival: SimTime, service: SimTime) -> SimTime {
         let mut free = self.next_free.lock();
         let start = free.max(arrival);
         let done = start + service;
@@ -184,13 +184,9 @@ impl Network {
         }
     }
 
-    /// A synchronous RPC from `client` to `port`.
-    ///
-    /// Timeline: the request leaves the client now, travels
-    /// `net_cost(req_bytes)`, queues at the port, is served for
-    /// `cpu_cost(server_ops)`, and the response travels
-    /// `net_cost(resp_bytes)` back. The client blocks (its clock jumps to
-    /// the response arrival). Returns the round-trip simulated duration.
+    /// A synchronous RPC from `client` to `port`: one [`Network::rpc_at`]
+    /// leg that leaves now, and the client blocks (its clock jumps to the
+    /// response arrival). Returns the round-trip simulated duration.
     pub fn rpc(
         &self,
         client: &NodeClock,
@@ -200,7 +196,28 @@ impl Network {
         resp_bytes: u64,
     ) -> SimTime {
         let sent_at = client.now();
-        let mut arrival = sent_at + self.cost.net_cost(req_bytes);
+        let back = self.rpc_at(sent_at, port, req_bytes, server_ops, resp_bytes);
+        client.sync_to(back);
+        back.saturating_sub(sent_at)
+    }
+
+    /// One leg of a request that leaves its client at `at`; returns when
+    /// the response is back. No clock but the port's moves, so the legs
+    /// of one fan-out all leave at the same `at` and the caller resumes
+    /// at the slowest of them.
+    ///
+    /// Timeline: the request travels `net_cost(req_bytes)`, queues at the
+    /// port (FIFO in sim time), is served for `cpu_cost(server_ops)`, and
+    /// the response travels `net_cost(resp_bytes)` back.
+    pub fn rpc_at(
+        &self,
+        at: SimTime,
+        port: &ServicePort,
+        req_bytes: u64,
+        server_ops: u64,
+        resp_bytes: u64,
+    ) -> SimTime {
+        let mut arrival = at + self.cost.net_cost(req_bytes);
         if let Some(chaos) = self.chaos_if_active() {
             // Keyed by the call *shape* (callee + sizes + work), not by a
             // draw counter: the same logical call is perturbed identically
@@ -211,23 +228,10 @@ impl Network {
             arrival += chaos.delay(FaultSite::Rpc, port.id.as_key(), lane);
         }
         let done = port.serve(arrival, self.cost.cpu_cost(server_ops));
-        let back = done + self.cost.net_cost(resp_bytes);
-        client.sync_to(back);
         self.stats.rpc_count.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_sent.fetch_add(req_bytes, Ordering::Relaxed);
         self.stats.bytes_received.fetch_add(resp_bytes, Ordering::Relaxed);
-        back.saturating_sub(sent_at)
-    }
-
-    /// Fire-and-forget message (e.g. heartbeats): charges the sender only
-    /// the serialization/latency cost, and delivers at the computed arrival.
-    pub fn one_way(&self, from: &NodeClock, to: &NodeClock, bytes: u64) -> SimTime {
-        let arrival = from.now() + self.cost.net_cost(bytes);
-        from.advance(self.cost.net_latency);
-        to.sync_to(arrival);
-        self.stats.rpc_count.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        arrival
+        done + self.cost.net_cost(resp_bytes)
     }
 
     /// Bulk point-to-point transfer (shuffle fetch): pipelined, so only
@@ -322,16 +326,73 @@ mod tests {
     }
 
     #[test]
-    fn one_way_delivers_at_arrival() {
+    fn a_leg_on_an_idle_port_is_back_one_round_trip_after_it_left() {
         let n = net();
-        let from = NodeClock::new();
-        let to = NodeClock::new();
-        from.advance(SimTime::from_secs(1));
-        let arrival = n.one_way(&from, &to, 1_000);
-        assert!(arrival > SimTime::from_secs(1));
-        assert_eq!(to.now(), arrival);
-        // Sender only paid latency, not full wire time of a big message.
-        assert!(from.now() < arrival + SimTime::from_secs(1));
+        let cost = n.cost_model();
+        let rtt = cost.net_cost(1000) + cost.cpu_cost(500) + cost.net_cost(64);
+        let at = SimTime::from_secs(3);
+        let port = ServicePort::new(NodeId::Server(0));
+        assert_eq!(n.rpc_at(at, &port, 1000, 500, 64), at + rtt);
+        assert_eq!(port.clock().now(), at + rtt - cost.net_cost(64));
+        assert_eq!(n.stats().rpcs(), 1);
+        assert_eq!((n.stats().bytes_sent(), n.stats().bytes_received()), (1000, 64));
+    }
+
+    #[test]
+    fn legs_of_one_fan_out_overlap_across_ports_and_queue_at_one() {
+        let n = net();
+        let ops = 2_000_000_000; // 1 simulated second of server CPU
+        let at = SimTime::from_secs(1);
+        let (p0, p1) = (ServicePort::new(NodeId::Server(0)), ServicePort::new(NodeId::Server(1)));
+        // Two ports: both legs are back one round trip after `at`.
+        let a = n.rpc_at(at, &p0, 10, ops, 10);
+        let b = n.rpc_at(at, &p1, 10, ops, 10);
+        assert_eq!(a, b);
+        // One port: the second leg waits for the first one's service slot.
+        let q = ServicePort::new(NodeId::Server(2));
+        let first = n.rpc_at(at, &q, 10, ops, 10);
+        let second = n.rpc_at(at, &q, 10, ops, 10);
+        assert_eq!(first, a);
+        assert_eq!(second, first + n.cost_model().cpu_cost(ops));
+    }
+
+    #[test]
+    fn rpc_is_one_leg_that_leaves_now_and_blocks_the_client() {
+        let (n, m) = (net(), net());
+        let (c, d) = (NodeClock::new(), NodeClock::new());
+        let (p, q) = (ServicePort::new(NodeId::Server(0)), ServicePort::new(NodeId::Server(0)));
+        for (req, ops, resp) in [(100, 7, 900), (5_000, 1_000_000, 8), (0, 0, 0)] {
+            c.advance(SimTime(1_234));
+            d.advance(SimTime(1_234));
+            let rtt = n.rpc(&c, &p, req, ops, resp);
+            let sent = d.now();
+            d.sync_to(m.rpc_at(sent, &q, req, ops, resp));
+            assert_eq!(c.now(), d.now());
+            assert_eq!(rtt, d.now() - sent);
+            assert_eq!(p.clock().now(), q.clock().now());
+        }
+    }
+
+    #[test]
+    fn attached_chaos_perturbs_rpc_at_identically_across_runs() {
+        use psgraph_sim::ChaosConfig;
+        let cfg = ChaosConfig {
+            seed: 11,
+            p_delay: 1.0,
+            max_delay: SimTime(1_000_000),
+            ..ChaosConfig::off()
+        };
+        let at = SimTime::from_secs(2);
+        let plain = net().rpc_at(at, &ServicePort::new(NodeId::Server(1)), 300, 300, 300);
+        let run = || {
+            let n = net();
+            n.attach_chaos(FaultSchedule::new(cfg));
+            let port = ServicePort::new(NodeId::Server(1));
+            (0..3).map(|_| n.rpc_at(at, &port, 300, 300, 300)).collect::<Vec<_>>()
+        };
+        let (a, b) = (run(), run());
+        assert!(a[0] > plain, "chaos delay did not lengthen the leg: {} vs {plain}", a[0]);
+        assert_eq!(a, b, "same seed + same call shape must perturb identically");
     }
 
     #[test]

@@ -148,10 +148,12 @@ impl ColMatrixHandle {
     pub(crate) fn pull_col_slice(&self, client: &NodeClock, partition: usize) -> Result<ColPart> {
         let server = self.obj.server(partition);
         server.ensure_alive()?;
-        let part = server.get(&self.obj.name, partition, |p: &ColPart| p.clone())?;
-        let n = part.data.len() as u64;
-        self.obj.charge(client, server, 16, self.obj.item_ops(n), n * 4 + 16);
-        Ok(part)
+        self.obj.fan_out(client, |fan| {
+            let part = server.get(&self.obj.name, partition, |p: &ColPart| p.clone())?;
+            let n = part.data.len() as u64;
+            fan.leg(server, (16, self.obj.item_ops(n), n * 4 + 16));
+            Ok(part)
+        })
     }
 
     /// Partition `p` as the server's store names it.
@@ -176,7 +178,7 @@ impl ColMatrixHandle {
 
     /// Seeded uniform init in `[-scale, scale)`.
     pub fn init_uniform(&self, client: &NodeClock, seed: u64, scale: f32) -> Result<()> {
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let n = self.obj.write(server, p, |part: &mut ColPart| {
                 let mut rng = SplitMix64::new(seed ^ (p as u64).wrapping_mul(0xA5A5_5A5A));
                 for v in part.data.iter_mut() {
@@ -184,8 +186,7 @@ impl ColMatrixHandle {
                 }
                 part.data.len() as u64
             })?;
-            self.obj.charge(client, server, 24, self.obj.item_ops(n), 8);
-            Ok(())
+            Ok((24, self.obj.item_ops(n), 8))
         })
     }
 
@@ -205,7 +206,7 @@ impl ColMatrixHandle {
         self.check_rows(pairs.iter().map(|&(_, j)| j))?;
         let mut out = vec![0.0f64; pairs.len()];
         let n = pairs.len() as u64;
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let width = server.get_pair(self.part(p), other.part(p), |a: &ColPart, b: &ColPart| {
                 for (o, &(i, j)) in out.iter_mut().zip(pairs) {
                     let mut s = 0.0f64;
@@ -216,8 +217,7 @@ impl ColMatrixHandle {
                 }
                 b.width() as u64
             })?;
-            self.obj.charge(client, server, n * 16, n * width * 2, n * 8);
-            Ok(())
+            Ok((n * 16, n * width * 2, n * 8))
         })?;
         Ok(out)
     }
@@ -270,14 +270,13 @@ impl ColMatrixHandle {
             }
             w as u64
         };
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let width = if self.obj.name == other.obj.name {
                 self.obj.write(server, p, aliased)?
             } else {
                 server.update_pair(self.part(p), other.part(p), both)?
             };
-            self.obj.charge(client, server, n * 24, n * width * 4, 8);
-            Ok(())
+            Ok((n * 24, n * width * 4, 8))
         })
     }
 
@@ -287,15 +286,14 @@ impl ColMatrixHandle {
         self.check_rows(rows.iter().copied())?;
         let mut out = vec![vec![0.0f32; self.cols]; rows.len()];
         let n = rows.len() as u64;
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let width = server.get(&self.obj.name, p, |part: &ColPart| {
                 for (k, &r) in rows.iter().enumerate() {
                     out[k][part.col_start..part.col_end].copy_from_slice(part.row(r));
                 }
                 part.width() as u64
             })?;
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n * width), n * width * 4);
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n * width), n * width * 4))
         })?;
         Ok(out)
     }
@@ -328,7 +326,7 @@ impl ColMatrixHandle {
         }
         self.check_rows(rows.iter().copied())?;
         let n = rows.len() as u64;
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let width = self.obj.write(server, p, |part: &mut ColPart| {
                 for (k, &r) in rows.iter().enumerate() {
                     let slice = &deltas[k][part.col_start..part.col_end];
@@ -338,8 +336,7 @@ impl ColMatrixHandle {
                 }
                 part.width() as u64
             })?;
-            self.obj.charge(client, server, n * (8 + width * 4), self.obj.item_ops(n * width), 8);
-            Ok(())
+            Ok((n * (8 + width * 4), self.obj.item_ops(n * width), 8))
         })
     }
 

@@ -16,7 +16,7 @@ use psgraph_sim::NodeClock;
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::object::{Partition, PsObject, Reader};
+use crate::object::{each_partition, Partition, PsObject, Reader};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
 
@@ -106,21 +106,24 @@ impl CsrHandle {
         for (v, ns) in tables {
             by_vertex[*v as usize] = Some(ns);
         }
-        obj.install(recovery, |p| {
-            let (start, end) = obj.layout.range_of(p).expect("range layout");
-            let mut offsets = Vec::with_capacity((end - start) as usize + 1);
-            let mut targets = Vec::new();
-            offsets.push(0);
-            for v in start..end {
-                if let Some(ns) = by_vertex[v as usize] {
-                    targets.extend_from_slice(ns);
+        // One upload leg per partition, all in flight together.
+        obj.fan_out(client, |fan| {
+            obj.install(recovery, |p| {
+                let (start, end) = obj.layout.range_of(p).expect("range layout");
+                let mut offsets = Vec::with_capacity((end - start) as usize + 1);
+                let mut targets = Vec::new();
+                offsets.push(0);
+                for v in start..end {
+                    if let Some(ns) = by_vertex[v as usize] {
+                        targets.extend_from_slice(ns);
+                    }
+                    offsets.push(targets.len() as u64);
                 }
-                offsets.push(targets.len() as u64);
-            }
-            let part = CsrPart { start, offsets, targets };
-            let ops = obj.item_ops(part.targets.len() as u64);
-            obj.charge(client, obj.server(p), part.approx_bytes(), ops, 8);
-            part
+                let part = CsrPart { start, offsets, targets };
+                let ops = obj.item_ops(part.targets.len() as u64);
+                fan.leg(obj.server(p), (part.approx_bytes(), ops, 8));
+                part
+            })
         })?;
         Ok(CsrHandle { obj })
     }
@@ -150,7 +153,7 @@ impl CsrHandle {
     pub fn pull(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<Vec<u64>>> {
         self.obj.check(ids.iter().copied())?;
         let mut out: Vec<Vec<u64>> = vec![Vec::new(); ids.len()];
-        self.obj.scatter(ids.iter().copied().enumerate(), |server, n, parts| {
+        self.obj.scatter(client, ids.iter().copied().enumerate(), |server, n, parts| {
             let mut resp_bytes = 0u64;
             for (p, positions) in parts {
                 server.get(&self.obj.name, p, |part: &CsrPart| {
@@ -161,8 +164,7 @@ impl CsrHandle {
                     }
                 })?;
             }
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), resp_bytes);
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n), resp_bytes))
         })?;
         Ok(out)
     }
@@ -171,7 +173,7 @@ impl CsrHandle {
     pub fn degrees(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<u64>> {
         self.obj.check(ids.iter().copied())?;
         let mut out = vec![0u64; ids.len()];
-        self.obj.scatter(ids.iter().copied().enumerate(), |server, n, parts| {
+        self.obj.scatter(client, ids.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 server.get(&self.obj.name, p, |part: &CsrPart| {
                     for &pos in &positions {
@@ -179,8 +181,7 @@ impl CsrHandle {
                     }
                 })?;
             }
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), n * 8);
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n), n * 8))
         })?;
         Ok(out)
     }
@@ -188,7 +189,7 @@ impl CsrHandle {
     /// Total edges stored (diagnostics).
     pub fn num_edges(&self) -> Result<u64> {
         let mut total = 0;
-        self.obj.each_partition(|p, server| {
+        each_partition(&self.obj.ps, &self.obj.layout, |p, server| {
             total += server.get(&self.obj.name, p, |part: &CsrPart| part.targets.len() as u64)?;
             Ok(())
         })?;

@@ -184,8 +184,7 @@ impl<E: Element> MatrixHandle<E> {
         self.obj.check(rows.iter().copied())?;
         let mut out: Vec<Vec<E>> = vec![Vec::new(); rows.len()];
         let (cols, row_bytes) = (self.cols as u64, (self.cols * E::WIDTH) as u64);
-        self.obj.scatter(rows.iter().copied().enumerate(), |server, n, parts| {
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n * cols), n * row_bytes);
+        self.obj.scatter(client, rows.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 server.get(&self.obj.name, p, |part: &MatPart<E>| {
                     for &pos in &positions {
@@ -193,7 +192,7 @@ impl<E: Element> MatrixHandle<E> {
                     }
                 })?;
             }
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n * cols), n * row_bytes))
         })?;
         Ok(out)
     }
@@ -226,8 +225,7 @@ impl<E: Element> MatrixHandle<E> {
         }
         self.obj.check(rows.iter().copied())?;
         let (cols, row_bytes) = (self.cols as u64, (self.cols * E::WIDTH) as u64);
-        self.obj.scatter(rows.iter().copied().enumerate(), |server, n, parts| {
-            self.obj.charge(client, server, n * (8 + row_bytes), self.obj.item_ops(n * cols), 8);
+        self.obj.scatter(client, rows.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 self.obj.write(server, p, |part: &mut MatPart<E>| {
                     for &pos in &positions {
@@ -235,7 +233,7 @@ impl<E: Element> MatrixHandle<E> {
                     }
                 })?;
             }
-            Ok(())
+            Ok((n * (8 + row_bytes), self.obj.item_ops(n * cols), 8))
         })
     }
 
@@ -280,7 +278,7 @@ impl MatrixHandle<f32> {
     /// deterministic per run). Dense partitions fill every row; sparse
     /// partitions stay lazy (rows materialize on first update).
     pub fn init_uniform(&self, client: &NodeClock, seed: u64, scale: f32) -> Result<()> {
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let n = self.obj.write(server, p, |part: &mut MatPart<f32>| {
                 let mut rng = SplitMix64::new(seed ^ (p as u64).wrapping_mul(0x9E37_79B9));
                 match part {
@@ -293,8 +291,7 @@ impl MatrixHandle<f32> {
                     MatPart::Sparse { .. } => 0,
                 }
             })?;
-            self.obj.charge(client, server, 24, self.obj.item_ops(n), 8);
-            Ok(())
+            Ok((24, self.obj.item_ops(n), 8))
         })
     }
 
@@ -401,11 +398,7 @@ impl MatrixHandle<f32> {
         }
         self.obj.check(rows.iter().copied())?;
         let (cols, row_bytes) = (self.cols as u64, (self.cols * 4) as u64);
-        self.obj.scatter(rows.iter().copied().enumerate(), |server, n, parts| {
-            // Gradients cross the wire; weights and state do not. Each
-            // state row is read and written back, the weight row updated.
-            let ops = self.obj.item_ops((2 * S as u64 + 1) * n * cols);
-            self.obj.charge(client, server, n * (8 + row_bytes), ops, 8);
+        self.obj.scatter(client, rows.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 for &pos in &positions {
                     let key = rows[pos];
@@ -423,7 +416,10 @@ impl MatrixHandle<f32> {
                     }
                 }
             }
-            Ok(())
+            // Gradients cross the wire; weights and state do not. Each
+            // state row is read and written back, the weight row updated.
+            let ops = self.obj.item_ops((2 * S as u64 + 1) * n * cols);
+            Ok((n * (8 + row_bytes), ops, 8))
         })
     }
 }

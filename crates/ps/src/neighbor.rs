@@ -23,7 +23,7 @@ use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::object::{Partition, PsObject, Reader};
+use crate::object::{each_partition, Partition, PsObject, Reader};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
 
@@ -217,11 +217,10 @@ impl NeighborTableHandle {
     pub fn push(&self, client: &NodeClock, entries: &[(u64, Vec<u64>)]) -> Result<()> {
         let ids = || entries.iter().map(|(v, _)| *v);
         self.obj.check(ids())?;
-        self.obj.scatter(ids().enumerate(), |server, _, parts| {
+        self.obj.scatter(client, ids().enumerate(), |server, _, parts| {
             let lens = || parts.values().flatten().map(|&pos| entries[pos].1.len() as u64);
             let req_bytes = lens().map(|len| 16 + len * 8).sum();
             let items = lens().map(|len| len + 1).sum();
-            self.obj.charge(client, server, req_bytes, self.obj.item_ops(items), 8);
             for (p, positions) in &parts {
                 self.obj.write(server, *p, |part: &mut TablePart| {
                     for &pos in positions {
@@ -230,7 +229,7 @@ impl NeighborTableHandle {
                     }
                 })?;
             }
-            Ok(())
+            Ok((req_bytes, self.obj.item_ops(items), 8))
         })
     }
 
@@ -248,8 +247,7 @@ impl NeighborTableHandle {
     ) -> Result<(usize, usize)> {
         self.obj.check(ops.iter().flat_map(|&(src, dst, _)| [src, dst]))?;
         let (mut added, mut removed) = (0, 0);
-        self.obj.scatter(ops.iter().map(|op| op.0).enumerate(), |server, n, parts| {
-            self.obj.charge(client, server, n * 17, self.obj.item_ops(n), 16);
+        self.obj.scatter(client, ops.iter().map(|op| op.0).enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 let (a, r) = self.obj.write(server, p, |part: &mut TablePart| {
                     apply_edge_ops(part, ops, &positions)
@@ -257,7 +255,7 @@ impl NeighborTableHandle {
                 added += a;
                 removed += r;
             }
-            Ok(())
+            Ok((n * 17, self.obj.item_ops(n), 16))
         })?;
         Ok((added, removed))
     }
@@ -290,15 +288,18 @@ impl NeighborTableHandle {
             let mut groups: Vec<_> =
                 self.obj.group(ops.iter().map(|op| op.0).enumerate()).into_iter().collect();
             groups.sort_unstable_by_key(|&(s, _)| s);
-            for (s, parts) in groups {
-                let server = self.obj.ps.server(s);
-                server.ensure_alive()?;
-                let n: u64 = parts.values().map(|v| v.len() as u64).sum();
-                self.obj.charge(clock, server, n * 17, self.obj.item_ops(n), 16);
-                let mut parts: Vec<_> = parts.into_iter().collect();
-                parts.sort_unstable_by_key(|&(p, _)| p);
-                tasks.extend(parts.into_iter().map(|(p, positions)| (lane, p, positions)));
-            }
+            self.obj.fan_out(clock, |fan| {
+                for (s, parts) in groups {
+                    let server = self.obj.ps.server(s);
+                    server.ensure_alive()?;
+                    let n: u64 = parts.values().map(|v| v.len() as u64).sum();
+                    fan.leg(server, (n * 17, self.obj.item_ops(n), 16));
+                    let mut parts: Vec<_> = parts.into_iter().collect();
+                    parts.sort_unstable_by_key(|&(p, _)| p);
+                    tasks.extend(parts.into_iter().map(|(p, positions)| (lane, p, positions)));
+                }
+                Ok(())
+            })?;
         }
         let results: Vec<Result<(usize, usize)>> =
             self.obj.ps.pool().map((0..tasks.len()).collect(), |t| {
@@ -348,7 +349,7 @@ impl NeighborTableHandle {
         static EMPTY: std::sync::OnceLock<Arc<Vec<u64>>> = std::sync::OnceLock::new();
         let empty = EMPTY.get_or_init(|| Arc::new(Vec::new()));
         let mut distinct: Vec<Arc<Vec<u64>>> = vec![Arc::clone(empty); plan.distinct()];
-        self.obj.replay(&plan, |server, n, runs| {
+        self.obj.replay(client, &plan, |server, n, runs| {
             let mut resp_bytes = 0u64;
             let mut items = 0u64;
             for (p, run) in runs {
@@ -363,8 +364,7 @@ impl NeighborTableHandle {
                     }
                 })?;
             }
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(items), resp_bytes);
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(items), resp_bytes))
         })?;
         Ok(plan.fan_out(&distinct))
     }
@@ -373,8 +373,7 @@ impl NeighborTableHandle {
     pub fn degrees(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<u64>> {
         self.obj.check(ids.iter().copied())?;
         let mut out = vec![0u64; ids.len()];
-        self.obj.scatter(ids.iter().copied().enumerate(), |server, n, parts| {
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), n * 8);
+        self.obj.scatter(client, ids.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 server.get(&self.obj.name, p, |part: &TablePart| {
                     for &pos in &positions {
@@ -382,7 +381,7 @@ impl NeighborTableHandle {
                     }
                 })?;
             }
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n), n * 8))
         })?;
         Ok(out)
     }
@@ -399,9 +398,7 @@ impl NeighborTableHandle {
     ) -> Result<Vec<Vec<u64>>> {
         self.obj.check(ids.iter().copied())?;
         let mut out: Vec<Vec<u64>> = vec![Vec::new(); ids.len()];
-        self.obj.scatter(ids.iter().copied().enumerate(), |server, n, parts| {
-            let sampled = n * k as u64;
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(sampled), sampled * 8);
+        self.obj.scatter(client, ids.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 server.get(&self.obj.name, p, |part: &TablePart| {
                     for &pos in &positions {
@@ -424,7 +421,8 @@ impl NeighborTableHandle {
                     }
                 })?;
             }
-            Ok(())
+            let sampled = n * k as u64;
+            Ok((n * 8, self.obj.item_ops(sampled), sampled * 8))
         })?;
         Ok(out)
     }
@@ -432,7 +430,7 @@ impl NeighborTableHandle {
     /// `Σ f(partition)` over every partition (diagnostics; not charged).
     fn sum_parts(&self, f: impl Fn(&TablePart) -> usize) -> Result<usize> {
         let mut total = 0;
-        self.obj.each_partition(|p, server| {
+        each_partition(&self.obj.ps, &self.obj.layout, |p, server| {
             total += server.get(&self.obj.name, p, &f)?;
             Ok(())
         })?;

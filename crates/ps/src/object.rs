@@ -15,7 +15,7 @@
 //! the contract.
 
 use psgraph_sim::bytes::Buf;
-use psgraph_sim::{FxHashMap, NodeClock};
+use psgraph_sim::{FxHashMap, NodeClock, SimTime};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
@@ -129,8 +129,31 @@ impl PullPlan {
     }
 }
 
+/// What one leg of a request declares it cost: request bytes, raw server
+/// CPU ops, response bytes. The serve frontend's legs declare the same
+/// triple.
+pub(crate) type LegCost = (u64, u64, u64);
+
+/// The legs of one request, in flight together: every leg leaves the
+/// client at the same instant, and the client resumes when the slowest is
+/// back (see [`PsObject::fan_out`]).
+pub(crate) struct FanOut<'a> {
+    ps: &'a Ps,
+    departs: SimTime,
+    back: SimTime,
+}
+
+impl FanOut<'_> {
+    /// Charge one leg that ran, on `server`'s port.
+    pub(crate) fn leg(&mut self, server: &PsServer, (req_bytes, ops, resp_bytes): LegCost) {
+        let back = self.ps.network().rpc_at(self.departs, server.port(), req_bytes, ops, resp_bytes);
+        self.back = self.back.max(back);
+    }
+}
+
 /// Visit every partition of `layout` in partition order, failing at the
-/// first one whose server is down — before `visit` sees it.
+/// first one whose server is down — before `visit` sees it. Charges
+/// nothing: the charged form is [`PsObject::each_partition`].
 pub(crate) fn each_partition(
     ps: &Ps,
     layout: &PartitionLayout,
@@ -226,24 +249,42 @@ impl PsObject {
         groups
     }
 
-    /// One leg per server that owns any of `keys`: `visit` gets the
+    /// One request from `client`, its legs in flight together: every leg
+    /// `body` charges ([`FanOut::leg`]) leaves at the client's current
+    /// time, and the client resumes when the slowest is back — on an
+    /// error too, having paid for the legs charged before it.
+    pub(crate) fn fan_out<T>(
+        &self,
+        client: &NodeClock,
+        body: impl FnOnce(&mut FanOut<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let departs = client.now();
+        let mut fan = FanOut { ps: &self.ps, departs, back: departs };
+        let out = body(&mut fan);
+        client.sync_to(fan.back);
+        out
+    }
+
+    /// One leg per server that owns any of `keys`, as one
+    /// [`fan_out`](PsObject::fan_out) from `client`: `visit` gets the
     /// server (checked alive first), how many keys it owns, and their
-    /// positions by partition. `visit` decides when to
-    /// [`charge`](PsObject::charge) — before touching the partitions when
-    /// the cost is known from the request, after when the response size
-    /// is only known once they were read.
+    /// positions by partition, and returns what the leg cost; a leg is
+    /// charged iff its visit succeeded.
     pub(crate) fn scatter(
         &self,
+        client: &NodeClock,
         keys: impl IntoIterator<Item = (usize, u64)>,
-        mut visit: impl FnMut(&PsServer, u64, ServerGroup) -> Result<()>,
+        mut visit: impl FnMut(&PsServer, u64, ServerGroup) -> Result<LegCost>,
     ) -> Result<()> {
-        for (s, parts) in self.group(keys) {
-            let server = self.ps.server(s);
-            server.ensure_alive()?;
-            let n = parts.values().map(|positions| positions.len() as u64).sum();
-            visit(server, n, parts)?;
-        }
-        Ok(())
+        self.fan_out(client, |fan| {
+            for (s, parts) in self.group(keys) {
+                let server = self.ps.server(s);
+                server.ensure_alive()?;
+                let n = parts.values().map(|positions| positions.len() as u64).sum();
+                fan.leg(server, visit(server, n, parts)?);
+            }
+            Ok(())
+        })
     }
 
     /// Route `keys` (any order, duplicates allowed) once: see [`PullPlan`].
@@ -294,14 +335,15 @@ impl PsObject {
         Ok(PullPlan { layout: self.layout.clone(), ids, legs, slots })
     }
 
-    /// [`PsObject::scatter`] over a plan: one leg per server in the plan's
-    /// visit order; `visit` gets the server (checked alive first), how
-    /// many distinct ids it owns, and per partition the run of
-    /// [`PullPlan::ids`] to read.
+    /// [`PsObject::scatter`] over a plan: one leg per server of the plan;
+    /// `visit` gets the server (checked alive first), how many distinct
+    /// ids it owns, and per partition the run of [`PullPlan::ids`] to
+    /// read, and returns what the leg cost.
     pub(crate) fn replay(
         &self,
+        client: &NodeClock,
         plan: &PullPlan,
-        mut visit: impl FnMut(&PsServer, u64, &[PlanRun]) -> Result<()>,
+        mut visit: impl FnMut(&PsServer, u64, &[PlanRun]) -> Result<LegCost>,
     ) -> Result<()> {
         if plan.layout != self.layout {
             return Err(PsError::DimensionMismatch(format!(
@@ -309,34 +351,31 @@ impl PsObject {
                 self.name
             )));
         }
-        for (s, runs) in &plan.legs {
-            let server = self.ps.server(*s);
-            server.ensure_alive()?;
-            let n = runs.iter().map(|(_, run)| run.len() as u64).sum();
-            visit(server, n, runs)?;
-        }
-        Ok(())
+        self.fan_out(client, |fan| {
+            for (s, runs) in &plan.legs {
+                let server = self.ps.server(*s);
+                server.ensure_alive()?;
+                let n = runs.iter().map(|(_, run)| run.len() as u64).sum();
+                fan.leg(server, visit(server, n, runs)?);
+            }
+            Ok(())
+        })
     }
 
-    /// Whole-object operations: see [`each_partition`].
+    /// Whole-object operations, one leg per partition in partition order
+    /// as one [`fan_out`](PsObject::fan_out) from `client` (the liveness
+    /// rule of [`each_partition`]); `visit` returns what its leg cost.
     pub(crate) fn each_partition(
         &self,
-        visit: impl FnMut(usize, &PsServer) -> Result<()>,
-    ) -> Result<()> {
-        each_partition(&self.ps, &self.layout, visit)
-    }
-
-    /// Charge one RPC from `client` to `server`: request bytes, raw server
-    /// CPU ops, response bytes.
-    pub(crate) fn charge(
-        &self,
         client: &NodeClock,
-        server: &PsServer,
-        req_bytes: u64,
-        ops: u64,
-        resp_bytes: u64,
-    ) {
-        self.ps.network().rpc(client, server.port(), req_bytes, ops, resp_bytes);
+        mut visit: impl FnMut(usize, &PsServer) -> Result<LegCost>,
+    ) -> Result<()> {
+        self.fan_out(client, |fan| {
+            each_partition(&self.ps, &self.layout, |p, server| {
+                fan.leg(server, visit(p, server)?);
+                Ok(())
+            })
+        })
     }
 
     /// Server CPU ops of touching `items` items.
@@ -362,7 +401,7 @@ impl PsObject {
     /// change detector snapshot delta export compares against.
     pub(crate) fn partition_versions(&self) -> Result<Vec<u64>> {
         let mut versions = Vec::with_capacity(self.layout.num_partitions);
-        self.each_partition(|p, server| {
+        each_partition(&self.ps, &self.layout, |p, server| {
             versions.push(server.version(&self.name, p)?);
             Ok(())
         })?;
@@ -372,7 +411,7 @@ impl PsObject {
     /// Bytes resident on the servers for this object.
     pub(crate) fn resident_bytes<P: Partition>(&self) -> Result<u64> {
         let mut total = 0;
-        self.each_partition(|p, server| {
+        each_partition(&self.ps, &self.layout, |p, server| {
             total += server.get(&self.name, p, P::approx_bytes)?;
             Ok(())
         })?;
@@ -510,12 +549,13 @@ mod tests {
     #[test]
     fn scatter_checks_liveness_before_the_leg_and_counts_its_keys() {
         let obj = object(4, PartitionLayout::range(100, 4));
+        let client = NodeClock::new();
         let keys = [0u64, 99, 50, 1, 75, 0];
         let mut legs = Vec::new();
-        obj.scatter(keys.iter().copied().enumerate(), |server, n, parts| {
+        obj.scatter(&client, keys.iter().copied().enumerate(), |server, n, parts| {
             assert_eq!(n, parts.values().map(|v| v.len() as u64).sum::<u64>());
             legs.push((server.id(), n));
-            Ok(())
+            Ok((0, 0, 0))
         })
         .unwrap();
         legs.sort_unstable();
@@ -523,19 +563,19 @@ mod tests {
 
         obj.ps.kill_server(3);
         let mut visited = Vec::new();
-        let err = obj.scatter(keys.iter().copied().enumerate(), |server, _, _| {
+        let err = obj.scatter(&client, keys.iter().copied().enumerate(), |server, _, _| {
             visited.push(server.id());
-            Ok(())
+            Ok((0, 0, 0))
         });
         assert_eq!(err, Err(PsError::ServerDown { id: 3 }));
         assert!(!visited.contains(&3), "a dead server's leg never runs");
         // An idle dead server does not fail a request that skips it.
-        obj.scatter([(0, 10u64)], |_, _, _| Ok(())).unwrap();
+        obj.scatter(&client, [(0, 10u64)], |_, _, _| Ok((0, 0, 0))).unwrap();
         // Whole-object visits stop at the first dead server, in partition order.
         let mut reached = Vec::new();
-        let err = obj.each_partition(|p, _| {
+        let err = obj.each_partition(&client, |p, _| {
             reached.push(p);
-            Ok(())
+            Ok((0, 0, 0))
         });
         assert_eq!(
             (err, reached),
@@ -543,9 +583,55 @@ mod tests {
         );
     }
 
+    /// One leg's round trip on an idle port.
+    fn rtt(obj: &PsObject, (req_bytes, ops, resp_bytes): LegCost) -> SimTime {
+        let cost = obj.ps.network().cost_model();
+        cost.net_cost(req_bytes) + cost.cpu_cost(ops) + cost.net_cost(resp_bytes)
+    }
+
+    #[test]
+    fn a_request_resumes_at_its_slowest_leg_also_when_a_server_is_down() {
+        let obj = object(4, PartitionLayout::range(100, 4));
+        let keys = [0u64, 99, 50, 1, 75, 0, 30];
+        // Legs of different sizes: the slowest is not the last one visited.
+        let cost_of = |server: &PsServer, n: u64| (n * 8, n * 90_000 / (server.id() as u64 + 1), 64);
+        let client = NodeClock::new();
+        client.advance(SimTime::from_secs(1));
+        let mut legs = Vec::new();
+        let request = |legs: &mut Vec<LegCost>| {
+            legs.clear();
+            let t = client.now();
+            let rpcs = obj.ps.network().stats().rpcs();
+            let out = obj.scatter(&client, keys.iter().copied().enumerate(), |server, n, _| {
+                legs.push(cost_of(server, n));
+                Ok(cost_of(server, n))
+            });
+            assert_eq!(obj.ps.network().stats().rpcs() - rpcs, legs.len() as u64);
+            (out, t)
+        };
+        let (out, t0) = request(&mut legs);
+        out.unwrap();
+        assert_eq!(legs.len(), 4);
+        let slowest = legs.iter().map(|&leg| rtt(&obj, leg)).max().unwrap();
+        assert_eq!(client.now(), t0 + slowest);
+
+        // Server 3 down: `ServerDown`, the legs visited before it charged,
+        // and the client waits for the slowest of them — not their sum.
+        // (Every port is idle again by `t1`: each was free once its leg
+        // was served, before its response was back.)
+        obj.ps.kill_server(3);
+        let (out, t1) = request(&mut legs);
+        assert_eq!(out, Err(PsError::ServerDown { id: 3 }));
+        assert!(legs.len() >= 2, "{legs:?}");
+        let rtts: Vec<SimTime> = legs.iter().map(|&leg| rtt(&obj, leg)).collect();
+        assert_eq!(client.now(), t1 + *rtts.iter().max().unwrap());
+        assert!(client.now() < t1 + rtts.iter().fold(SimTime::ZERO, |a, &b| a + b));
+    }
+
     #[test]
     fn plan_routes_each_distinct_id_once_and_places_every_position() {
         let obj = object(4, PartitionLayout::range(100, 4));
+        let client = NodeClock::new();
         // Server 1 owns [25, 50): no key lands there.
         let keys = [0u64, 99, 50, 1, 75, 0, 99, 0];
         let plan = obj.plan(&keys).unwrap();
@@ -553,7 +639,7 @@ mod tests {
         // Replaying with "the value of id k is k" reads the request back.
         let mut values = vec![u64::MAX; plan.distinct()];
         let mut legs = Vec::new();
-        obj.replay(&plan, |server, n, runs| {
+        obj.replay(&client, &plan, |server, n, runs| {
             assert_eq!(n, runs.iter().map(|(_, run)| run.len() as u64).sum::<u64>());
             legs.push((server.id(), n));
             for (p, run) in runs {
@@ -563,15 +649,15 @@ mod tests {
                     values[i] = plan.ids()[i];
                 }
             }
-            Ok(())
+            Ok((0, 0, 0))
         })
         .unwrap();
         assert_eq!(plan.fan_out(&values), keys);
         // The legs of the one-shot request over the distinct ids, in its order.
         let mut one_shot = Vec::new();
-        obj.scatter([0u64, 99, 50, 1, 75].into_iter().enumerate(), |server, n, _| {
+        obj.scatter(&client, [0u64, 99, 50, 1, 75].into_iter().enumerate(), |server, n, _| {
             one_shot.push((server.id(), n));
-            Ok(())
+            Ok((0, 0, 0))
         })
         .unwrap();
         assert_eq!(legs, one_shot);
@@ -579,15 +665,15 @@ mod tests {
         // Same liveness rule as `scatter`, and a plan fits one layout only.
         obj.ps.kill_server(3);
         let mut visited = Vec::new();
-        let err = obj.replay(&plan, |server, _, _| {
+        let err = obj.replay(&client, &plan, |server, _, _| {
             visited.push(server.id());
-            Ok(())
+            Ok((0, 0, 0))
         });
         assert_eq!(err, Err(PsError::ServerDown { id: 3 }));
         assert!(!visited.contains(&3), "a dead server's leg never runs");
         let other = object(4, PartitionLayout::hash(100, 4));
         assert!(matches!(
-            other.replay(&plan, |_, _, _| Ok(())),
+            other.replay(&client, &plan, |_, _, _| Ok((0, 0, 0))),
             Err(PsError::DimensionMismatch(_))
         ));
         assert!(matches!(obj.plan(&[3, 100]), Err(PsError::IndexOutOfBounds { index: 100, .. })));

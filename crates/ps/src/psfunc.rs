@@ -67,13 +67,15 @@ impl<E: Element> VectorHandle<E> {
                 })
             },
         );
-        let mut acc = R::default();
-        for (p, res) in computed.into_iter().enumerate() {
-            let (r, items) = res?;
-            obj.charge(client, obj.server(p), req_bytes, obj.item_ops(items), resp_bytes);
-            acc = merge(acc, r);
-        }
-        Ok(acc)
+        obj.fan_out(client, |fan| {
+            let mut acc = R::default();
+            for (p, res) in computed.into_iter().enumerate() {
+                let (r, items) = res?;
+                fan.leg(obj.server(p), (req_bytes, obj.item_ops(items), resp_bytes));
+                acc = merge(acc, r);
+            }
+            Ok(acc)
+        })
     }
 }
 

@@ -148,8 +148,9 @@ impl VectorHandle<f64> {
     /// Declared cost per involved server: request 8 B per frontier id +
     /// 16 B per inbound contribution, response 16 B per outbound
     /// contribution + 8 B per returned id, server CPU per vertex
-    /// absorbed, slot scanned and contribution applied — charged on
-    /// `client` in partition order.
+    /// absorbed, slot scanned and contribution applied. The legs leave
+    /// `client` together and it resumes when the slowest is back (a leg
+    /// needs only its own request, so the servers work in parallel).
     pub fn residual_push(
         &self,
         client: &NodeClock,
@@ -198,87 +199,87 @@ impl VectorHandle<f64> {
         let mut next_ids = Vec::with_capacity(front.ids.len());
         let mut next_inbound = vec![Vec::new(); parts];
         let mut round = PushRound::default();
-        for (p, span) in legs {
-            let start = ranges[p].0;
-            let (ids, inbound) = (&front.ids[span], &front.inbound[p]);
-            let combiner = &mut front.combiner;
-            let returned = next_ids.len();
-            let server = self.obj.server(p);
-            let leg = server.update_pair_with(
-                (self.name(), p),
-                (res.name(), p),
-                (adj.name(), p),
-                |ranks: &mut VecPart<f64>, res: &mut VecPart<f64>, table: &TablePart| {
-                    let (VecPart::Dense { data: ranks, .. }, VecPart::Dense { data: res, .. }) =
-                        (ranks, res)
-                    else {
-                        let e = PsError::TypeMismatch { name: self.name().to_string() };
-                        return (Err(e), [false; 2]);
-                    };
-                    let mut leg = Leg { applied: inbound.len(), ..Leg::default() };
-                    // Candidates: frontier ∪ inbound destinations, merged
-                    // into ascending order through the combiner's marks.
-                    for &(dst, delta) in inbound {
-                        res[(dst - start) as usize] += delta;
-                        combiner.mark(dst);
-                    }
-                    for &v in ids {
-                        combiner.mark(v);
-                    }
-                    let mut candidates = Vec::with_capacity(ids.len() + inbound.len());
-                    combiner.drain(|v, _| candidates.push(v));
-                    for v in candidates {
-                        let i = (v - start) as usize;
-                        let r = res[i];
-                        if r.abs() <= threshold {
-                            continue;
-                        }
-                        // x + (-x) == 0 exactly, so zero the residual outright.
-                        ranks[i] += r;
-                        res[i] = 0.0;
-                        leg.absorbed += 1;
-                        let Some(entry) = table.get(&v).filter(|e| e.live_len() > 0) else {
-                            continue;
+        self.obj.fan_out(client, |fan| {
+            for (p, span) in legs {
+                let start = ranges[p].0;
+                let (ids, inbound) = (&front.ids[span], &front.inbound[p]);
+                let combiner = &mut front.combiner;
+                let returned = next_ids.len();
+                let server = self.obj.server(p);
+                let leg = server.update_pair_with(
+                    (self.name(), p),
+                    (res.name(), p),
+                    (adj.name(), p),
+                    |ranks: &mut VecPart<f64>, res: &mut VecPart<f64>, table: &TablePart| {
+                        let (VecPart::Dense { data: ranks, .. }, VecPart::Dense { data: res, .. }) =
+                            (ranks, res)
+                        else {
+                            let e = PsError::TypeMismatch { name: self.name().to_string() };
+                            return (Err(e), [false; 2]);
                         };
-                        let contrib = damping * r / entry.live_len() as f64;
-                        leg.slots += entry.slot_len();
-                        // `x < n` also skips TOMBSTONE (u64::MAX).
-                        for &x in entry.slots().iter().filter(|&&x| x < n) {
-                            combiner.add(x, contrib);
+                        let mut leg = Leg { applied: inbound.len(), ..Leg::default() };
+                        // Candidates: frontier ∪ inbound destinations, merged
+                        // into ascending order through the combiner's marks.
+                        for &(dst, delta) in inbound {
+                            res[(dst - start) as usize] += delta;
+                            combiner.mark(dst);
                         }
-                    }
-                    // Drained ids ascend, so their partition only moves forward.
-                    let mut q = 0;
-                    combiner.drain(|x, sum| {
-                        while x >= ranges[q].1 {
-                            q += 1;
+                        for &v in ids {
+                            combiner.mark(v);
                         }
-                        if q == p {
-                            let i = (x - start) as usize;
-                            res[i] += sum;
-                            leg.applied += 1;
-                            if res[i].abs() > threshold {
-                                next_ids.push(x);
+                        let mut candidates = Vec::with_capacity(ids.len() + inbound.len());
+                        combiner.drain(|v, _| candidates.push(v));
+                        for v in candidates {
+                            let i = (v - start) as usize;
+                            let r = res[i];
+                            if r.abs() <= threshold {
+                                continue;
                             }
-                        } else {
-                            next_inbound[q].push((x, sum));
-                            leg.remote += 1;
+                            // x + (-x) == 0 exactly, so zero the residual outright.
+                            ranks[i] += r;
+                            res[i] = 0.0;
+                            leg.absorbed += 1;
+                            let Some(entry) = table.get(&v).filter(|e| e.live_len() > 0) else {
+                                continue;
+                            };
+                            let contrib = damping * r / entry.live_len() as f64;
+                            leg.slots += entry.slot_len();
+                            // `x < n` also skips TOMBSTONE (u64::MAX).
+                            for &x in entry.slots().iter().filter(|&&x| x < n) {
+                                combiner.add(x, contrib);
+                            }
                         }
-                    });
-                    let wrote = [leg.absorbed > 0, leg.absorbed + leg.applied > 0];
-                    (Ok(leg), wrote)
-                },
-            )??;
-            self.obj.charge(
-                client,
-                server,
-                8 * ids.len() as u64 + 16 * inbound.len() as u64,
-                self.obj.item_ops((leg.absorbed + leg.slots + leg.applied) as u64),
-                16 * leg.remote as u64 + 8 * (next_ids.len() - returned) as u64,
-            );
-            round.absorbed += leg.absorbed;
-            round.remote += leg.remote;
-        }
+                        // Drained ids ascend, so their partition only moves forward.
+                        let mut q = 0;
+                        combiner.drain(|x, sum| {
+                            while x >= ranges[q].1 {
+                                q += 1;
+                            }
+                            if q == p {
+                                let i = (x - start) as usize;
+                                res[i] += sum;
+                                leg.applied += 1;
+                                if res[i].abs() > threshold {
+                                    next_ids.push(x);
+                                }
+                            } else {
+                                next_inbound[q].push((x, sum));
+                                leg.remote += 1;
+                            }
+                        });
+                        let wrote = [leg.absorbed > 0, leg.absorbed + leg.applied > 0];
+                        (Ok(leg), wrote)
+                    },
+                )??;
+                let req_bytes = 8 * ids.len() as u64 + 16 * inbound.len() as u64;
+                let ops = self.obj.item_ops((leg.absorbed + leg.slots + leg.applied) as u64);
+                let resp_bytes = 16 * leg.remote as u64 + 8 * (next_ids.len() - returned) as u64;
+                fan.leg(server, (req_bytes, ops, resp_bytes));
+                round.absorbed += leg.absorbed;
+                round.remote += leg.remote;
+            }
+            Ok(())
+        })?;
         front.ids = next_ids;
         front.inbound = next_inbound;
         Ok(round)

@@ -180,8 +180,7 @@ impl<E: Element> VectorHandle<E> {
     pub fn pull(&self, client: &NodeClock, indices: &[u64]) -> Result<Vec<E>> {
         self.obj.check(indices.iter().copied())?;
         let mut out = vec![E::default(); indices.len()];
-        self.obj.scatter(indices.iter().copied().enumerate(), |server, n, parts| {
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), n * E::WIDTH as u64);
+        self.obj.scatter(client, indices.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 server.get(&self.obj.name, p, |part: &VecPart<E>| {
                     for &pos in &positions {
@@ -189,7 +188,7 @@ impl<E: Element> VectorHandle<E> {
                     }
                 })?;
             }
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n), n * E::WIDTH as u64))
         })?;
         Ok(out)
     }
@@ -202,7 +201,7 @@ impl<E: Element> VectorHandle<E> {
     pub fn pull_sparse(&self, client: &NodeClock, indices: &[u64]) -> Result<Vec<E>> {
         self.obj.check(indices.iter().copied())?;
         let mut out = vec![E::default(); indices.len()];
-        self.obj.scatter(indices.iter().copied().enumerate(), |server, n, parts| {
+        self.obj.scatter(client, indices.iter().copied().enumerate(), |server, n, parts| {
             let mut nonzero = 0u64;
             for (p, positions) in parts {
                 server.get(&self.obj.name, p, |part: &VecPart<E>| {
@@ -215,9 +214,7 @@ impl<E: Element> VectorHandle<E> {
                     }
                 })?;
             }
-            let resp_bytes = nonzero * E::WIDTH as u64 + n / 8 + 8;
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), resp_bytes);
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n), nonzero * E::WIDTH as u64 + n / 8 + 8))
         })?;
         Ok(out)
     }
@@ -236,10 +233,9 @@ impl<E: Element> VectorHandle<E> {
     /// client-side.
     pub fn pull_planned(&self, client: &NodeClock, plan: &PullPlan) -> Result<Vec<E>> {
         let mut distinct = vec![E::default(); plan.distinct()];
-        self.obj.replay(plan, |server, n, runs| {
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), n * E::WIDTH as u64);
+        self.obj.replay(client, plan, |server, n, runs| {
             self.read_runs(server, plan, runs, &mut distinct)?;
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n), n * E::WIDTH as u64))
         })?;
         Ok(plan.fan_out(&distinct))
     }
@@ -249,11 +245,9 @@ impl<E: Element> VectorHandle<E> {
     /// [`VectorHandle::pull_planned`].
     pub fn pull_sparse_planned(&self, client: &NodeClock, plan: &PullPlan) -> Result<Vec<E>> {
         let mut distinct = vec![E::default(); plan.distinct()];
-        self.obj.replay(plan, |server, n, runs| {
+        self.obj.replay(client, plan, |server, n, runs| {
             let nonzero = self.read_runs(server, plan, runs, &mut distinct)?;
-            let resp_bytes = nonzero * E::WIDTH as u64 + n / 8 + 8;
-            self.obj.charge(client, server, n * 8, self.obj.item_ops(n), resp_bytes);
-            Ok(())
+            Ok((n * 8, self.obj.item_ops(n), nonzero * E::WIDTH as u64 + n / 8 + 8))
         })?;
         Ok(plan.fan_out(&distinct))
     }
@@ -306,8 +300,7 @@ impl<E: Element> VectorHandle<E> {
             )));
         }
         self.obj.check(indices.iter().copied())?;
-        self.obj.scatter(indices.iter().copied().enumerate(), |server, n, parts| {
-            self.obj.charge(client, server, n * (8 + E::WIDTH as u64), self.obj.item_ops(n), 8);
+        self.obj.scatter(client, indices.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
                 self.obj.write(server, p, |part: &mut VecPart<E>| {
                     for &pos in &positions {
@@ -315,14 +308,14 @@ impl<E: Element> VectorHandle<E> {
                     }
                 })?;
             }
-            Ok(())
+            Ok((n * (8 + E::WIDTH as u64), self.obj.item_ops(n), 8))
         })
     }
 
     /// Pull the entire vector (bulk, one RPC per partition).
     pub fn pull_all(&self, client: &NodeClock) -> Result<Vec<E>> {
         let mut out = vec![E::default(); self.size() as usize];
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let n = server.get(&self.obj.name, p, |part: &VecPart<E>| {
                 match part {
                     VecPart::Dense { start, data } => {
@@ -336,8 +329,7 @@ impl<E: Element> VectorHandle<E> {
                 }
                 part.len() as u64
             })?;
-            self.obj.charge(client, server, 16, self.obj.item_ops(n), n * E::WIDTH as u64);
-            Ok(())
+            Ok((16, self.obj.item_ops(n), n * E::WIDTH as u64))
         })?;
         Ok(out)
     }
@@ -345,7 +337,7 @@ impl<E: Element> VectorHandle<E> {
     /// Server-side fill. For sparse partitions a non-default fill is
     /// rejected (no enumerable key set).
     pub fn fill(&self, client: &NodeClock, value: E) -> Result<()> {
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let n = self.obj.write(server, p, |part: &mut VecPart<E>| {
                 let n = part.len() as u64;
                 match part {
@@ -360,8 +352,7 @@ impl<E: Element> VectorHandle<E> {
                 }
                 Ok(n)
             })??;
-            self.obj.charge(client, server, 16, self.obj.item_ops(n), 8);
-            Ok(())
+            Ok((16, self.obj.item_ops(n), 8))
         })
     }
 
@@ -375,7 +366,7 @@ impl<E: Element> VectorHandle<E> {
                 self.obj.name, delta.obj.name
             )));
         }
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             // Take the delta partition's contents, zeroing it.
             let drained: Vec<(u64, E)> =
                 delta.obj.write(server, p, |part: &mut VecPart<E>| match part {
@@ -397,8 +388,7 @@ impl<E: Element> VectorHandle<E> {
                     part.add(k, v);
                 }
             })?;
-            self.obj.charge(client, server, 16, self.obj.item_ops(2 * n), 8);
-            Ok(())
+            Ok((16, self.obj.item_ops(2 * n), 8))
         })
     }
 
@@ -407,7 +397,7 @@ impl<E: Element> VectorHandle<E> {
     /// convergence checks (e.g. `Σ |Δrank|`).
     pub fn aggregate(&self, client: &NodeClock, f: impl Fn(E) -> f64) -> Result<f64> {
         let mut total = 0.0;
-        self.obj.each_partition(|p, server| {
+        self.obj.each_partition(client, |p, server| {
             let (part_sum, n) = server.get(&self.obj.name, p, |part: &VecPart<E>| {
                 let sum: f64 = match part {
                     VecPart::Dense { data, .. } => data.iter().map(|&v| f(v)).sum(),
@@ -415,9 +405,8 @@ impl<E: Element> VectorHandle<E> {
                 };
                 (sum, part.len() as u64)
             })?;
-            self.obj.charge(client, server, 16, self.obj.item_ops(n), 8);
             total += part_sum;
-            Ok(())
+            Ok((16, self.obj.item_ops(n), 8))
         })?;
         Ok(total)
     }

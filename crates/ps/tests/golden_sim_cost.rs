@@ -35,6 +35,15 @@
 //! included); after the swap the 90 lines before `colmatrix.update_pairs`
 //! and all `plan.` lines are byte-identical, and no other line's RPC or
 //! byte counts moved.
+//!
+//! Re-recorded twice more in PR 21. First when the legs of one request
+//! started to leave together (`PsObject::fan_out`: one departure time, the
+//! client resumes at the slowest leg): a script checked that every
+//! `client=` / `ports=` value — and the clock some results embed — is at
+//! most the parent's and every other byte is equal, on all 970 lines.
+//! Then when `PsObject::group` started to return its legs by ascending
+//! (server, partition): only the `dead1` lines moved, in which legs ran
+//! before the dead server (`results/PERF_pr21_gnn_epoch.txt` lists them).
 
 use std::fmt::Debug;
 use std::sync::Arc;

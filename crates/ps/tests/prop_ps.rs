@@ -440,14 +440,15 @@ fn fused_pair_update_equals_the_two_client_side_passes_and_charges_one_rpc_per_s
             let t0 = client.now();
             a.update_pairs(&client, &b, updates).unwrap();
             // One RPC per column slice, each `n·24` bytes out, `n·width·4`
-            // ops, 8 bytes back; a lone client never queues at a port.
+            // ops, 8 bytes back, all leaving at once; a lone client never
+            // queues at a port, so it waits for the widest slice only.
             let n = updates.len() as u64;
             let slices = (*servers).min(*cols) as u64;
             let cost = ps.network().cost_model();
             let layout = PartitionLayout::new(Partitioner::Range, *cols as u64, slices as usize, *servers);
             let elapsed = (0..slices as usize).fold(SimTime::ZERO, |t, p| {
                 let (c0, c1) = layout.range_of(p).unwrap();
-                t + cost.net_cost(n * 24) + cost.cpu_cost(n * (c1 - c0) * 4) + cost.net_cost(8)
+                t.max(cost.net_cost(n * 24) + cost.cpu_cost(n * (c1 - c0) * 4) + cost.net_cost(8))
             });
             prop_assert_eq!(stats.rpcs() - rpcs, slices);
             prop_assert_eq!(stats.bytes_sent() - sent, slices * n * 24);
@@ -459,6 +460,123 @@ fn fused_pair_update_equals_the_two_client_side_passes_and_charges_one_rpc_per_s
             if updates.is_empty() {
                 prop_assert_eq!(&got, &before);
             }
+            Ok(())
+        },
+    );
+}
+
+/// What `op` charges from `client` once every port is idle: (RPCs, bytes
+/// sent, bytes received, the client's elapsed time).
+fn charged(ps: &Ps, client: &NodeClock, op: impl FnOnce(&NodeClock)) -> (u64, u64, u64, SimTime) {
+    let idle = (0..ps.num_servers()).map(|s| ps.server(s).port().clock().now()).max().unwrap();
+    client.sync_to(idle);
+    let (t0, stats) = (client.now(), ps.network().stats());
+    let (rpcs, sent, recv) = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
+    op(client);
+    (stats.rpcs() - rpcs, stats.bytes_sent() - sent, stats.bytes_received() - recv, client.now() - t0)
+}
+
+#[test]
+fn a_multi_server_request_costs_its_slowest_leg_and_ships_what_its_legs_ship() {
+    check(
+        "a_multi_server_request_costs_its_slowest_leg_and_ships_what_its_legs_ship",
+        |src: &mut Source| {
+            let size = src.u64_range(1, 120);
+            let keys = src.vec_with(1, 60, |s| s.u64_range(0, size));
+            let lists: Vec<Vec<u64>> =
+                (0..size).map(|_| src.vec_with(0, 9, |s| s.u64_range(0, size))).collect();
+            let (rows, cols) = (src.u64_range(1, 12), src.usize_range(1, 10));
+            let pairs = src.vec_with(0, 20, |s| (s.u64_range(0, rows), s.u64_range(0, rows)));
+            let servers = if src.bool() { 4 } else { 7 };
+            let partitioner = if src.bool() { Partitioner::Range } else { Partitioner::Hash };
+            (size, keys, lists, rows, cols, pairs, servers, partitioner)
+        },
+        |(size, keys, lists, rows, cols, pairs, servers, partitioner)| {
+            let (size, servers, partitioner) = (*size, *servers, *partitioner);
+            let ps = Ps::new(PsConfig { servers, ..Default::default() });
+            let client = NodeClock::new();
+            let rec = RecoveryMode::Inconsistent;
+            let v = VectorHandle::<f64>::create(&ps, "prop.v", size, partitioner, rec).unwrap();
+            let m = psgraph_ps::MatrixHandle::<f32>::create(&ps, "prop.m", size, 3, partitioner, rec)
+                .unwrap();
+            let adj = NeighborTableHandle::create(&ps, "prop.n", size, partitioner, rec).unwrap();
+            let table: Vec<(u64, Vec<u64>)> =
+                lists.iter().enumerate().map(|(k, ns)| (k as u64, ns.clone())).collect();
+            adj.push(&client, &table).unwrap();
+            let ones = vec![1.0; keys.len()];
+            v.push_set(&client, keys, &ones).unwrap();
+            let plan = v.plan(keys).unwrap();
+
+            // Keyed requests: the legs are the one-server requests over each
+            // server's keys, so the request must ship their sum and cost
+            // their max — one RPC per server that owns a key, as before.
+            let layout = PartitionLayout::new(partitioner, size, servers, servers);
+            let mut owners: Vec<usize> = keys.iter().map(|&k| layout.server_of(k)).collect();
+            owners.sort_unstable();
+            owners.dedup();
+            type Op<'a> = Box<dyn Fn(&NodeClock, &[u64]) + 'a>;
+            let ops: [(&str, Op); 5] = [
+                ("vector.pull", Box::new(|c, ks| drop(v.pull(c, ks).unwrap()))),
+                ("vector.push_add", Box::new(|c, ks| v.push_add(c, ks, &ones[..ks.len()]).unwrap())),
+                ("vector.pull_planned", Box::new(|c, ks| {
+                    // The plan of the whole request replays; a restriction plans anew.
+                    let own;
+                    let p = if ks.len() == keys.len() { &plan } else { own = v.plan(ks).unwrap(); &own };
+                    drop(v.pull_planned(c, p).unwrap())
+                })),
+                ("matrix.pull_rows", Box::new(|c, ks| drop(m.pull_rows(c, ks).unwrap()))),
+                ("neighbor.pull", Box::new(|c, ks| drop(adj.pull(c, ks).unwrap()))),
+            ];
+            for (name, op) in &ops {
+                let whole = charged(&ps, &client, |c| op(c, keys));
+                let legs: Vec<_> = owners
+                    .iter()
+                    .map(|&s| {
+                        let own: Vec<u64> =
+                            keys.iter().copied().filter(|&k| layout.server_of(k) == s).collect();
+                        charged(&ps, &client, |c| op(c, &own))
+                    })
+                    .collect();
+                prop_assert!(legs.iter().all(|leg| leg.0 == 1), "{}: {:?}", name, legs);
+                prop_assert_eq!(whole.0, owners.len() as u64, "{}", name);
+                prop_assert_eq!(whole.1, legs.iter().map(|l| l.1).sum::<u64>(), "{}", name);
+                prop_assert_eq!(whole.2, legs.iter().map(|l| l.2).sum::<u64>(), "{}", name);
+                prop_assert_eq!(whole.3, legs.iter().map(|l| l.3).max().unwrap(), "{}", name);
+            }
+
+            // Whole-object requests: one leg per partition, each priced by its
+            // declared formula on an idle port; the client waits for the max.
+            let cost = ps.network().cost_model();
+            let rtt = |req: u64, ops: u64, resp: u64| {
+                cost.net_cost(req) + cost.cpu_cost(ops) + cost.net_cost(resp)
+            };
+            let slowest = |legs: &mut dyn Iterator<Item = SimTime>| legs.max().unwrap();
+            // psFunc: the UDF reports each partition's length, which sets its ops.
+            let mut lens = Vec::new();
+            let got = charged(&ps, &client, |c| {
+                lens = v.ps_func(c, 40, 24, |view| match view {
+                    psgraph_ps::PartitionViewMut::Dense { data, .. } => vec![data.len() as u64],
+                    psgraph_ps::PartitionViewMut::Sparse(map) => vec![map.len() as u64],
+                }, |mut a, b| { a.extend(b); a }).unwrap();
+            });
+            let per_item = ps.config().ops_per_item;
+            prop_assert_eq!((got.0, got.1, got.2), (servers as u64, servers as u64 * 40, servers as u64 * 24));
+            prop_assert_eq!(got.3, slowest(&mut lens.iter().map(|&n| rtt(40, n * per_item, 24))));
+
+            let a = ColMatrixHandle::create(&ps, "prop.a", *rows, *cols, rec).unwrap();
+            let b = ColMatrixHandle::create(&ps, "prop.b", *rows, *cols, rec).unwrap();
+            let slices = servers.min(*cols);
+            let cl = PartitionLayout::new(Partitioner::Range, *cols as u64, slices, servers);
+            let widths: Vec<u64> =
+                (0..slices).map(|p| cl.range_of(p).map(|(c0, c1)| c1 - c0).unwrap()).collect();
+            let n = pairs.len() as u64;
+            let got = charged(&ps, &client, |c| drop(a.dot_pairs(c, &b, pairs).unwrap()));
+            prop_assert_eq!((got.0, got.1, got.2), (slices as u64, slices as u64 * n * 16, slices as u64 * n * 8));
+            prop_assert_eq!(got.3, slowest(&mut widths.iter().map(|&w| rtt(n * 16, n * w * 2, n * 8))));
+            let updates: Vec<(u64, u64, f64)> = pairs.iter().map(|&(i, t)| (i, t, 0.5)).collect();
+            let got = charged(&ps, &client, |c| a.update_pairs(c, &b, &updates).unwrap());
+            prop_assert_eq!((got.0, got.1, got.2), (slices as u64, slices as u64 * n * 24, slices as u64 * 8));
+            prop_assert_eq!(got.3, slowest(&mut widths.iter().map(|&w| rtt(n * 24, n * w * 4, 8))));
             Ok(())
         },
     );

@@ -32,7 +32,7 @@ use psgraph_net::Network;
 use psgraph_query::exec;
 use psgraph_query::plan::{DotAssoc, ExpandMode, Plan, Scorer, Source, Stage};
 use psgraph_query::{decide, PushPolicy, TierStats};
-use psgraph_sim::{NodeClock, SimTime};
+use psgraph_sim::SimTime;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -573,10 +573,7 @@ impl Frontend {
         }
         let req_bytes = 16 + 16 * batch.items.len() as u64;
 
-        let clock = NodeClock::new();
-        clock.advance(t_flush);
-        self.net.rpc(&clock, rep.port(), req_bytes, ops, resp_bytes);
-        let done = clock.now();
+        let done = self.net.rpc_at(t_flush, rep.port(), req_bytes, ops, resp_bytes);
 
         for (item, res) in batch.items.into_iter().zip(results) {
             rep.record_completion(item.arrival, done);
@@ -596,8 +593,8 @@ impl Frontend {
     /// leg against one live replica of that shard: `leg` sees the routed
     /// replica's data and returns its result with the request bytes,
     /// server ops, and response bytes it declares; `scatter` alone
-    /// routes, charges the RPC on a fresh clock at `at`, and records the
-    /// completion on the replica.
+    /// routes, charges the leg as one `Network::rpc_at` departing at `at`,
+    /// and records the completion on the replica.
     ///
     /// Legs run concurrently on the frontend pool and merge serially in
     /// `work` order (ascending shard — the deterministic reduction rule),
@@ -614,10 +611,7 @@ impl Frontend {
         let legs: Vec<Result<(T, SimTime, u64)>> = self.pool.map(work, move |(shard, w)| {
             let rep = router.route(shard, at).ok_or(ServeError::NoReplica { shard })?;
             let (result, req_bytes, ops, resp_bytes) = leg(&rep.data(), w)?;
-            let clock = NodeClock::new();
-            clock.advance(at);
-            net.rpc(&clock, rep.port(), req_bytes, ops, resp_bytes);
-            let done = clock.now();
+            let done = net.rpc_at(at, rep.port(), req_bytes, ops, resp_bytes);
             rep.record_completion(at, done);
             Ok((result, done, resp_bytes))
         });
