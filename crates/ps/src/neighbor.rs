@@ -218,7 +218,9 @@ impl NeighborTableHandle {
         let ids = || entries.iter().map(|(v, _)| *v);
         self.obj.check(ids())?;
         self.obj.scatter(client, ids().enumerate(), |server, _, parts| {
-            let lens = || parts.values().flatten().map(|&pos| entries[pos].1.len() as u64);
+            let lens = || {
+                parts.iter().flat_map(|(_, positions)| positions).map(|&pos| entries[pos].1.len() as u64)
+            };
             let req_bytes = lens().map(|len| 16 + len * 8).sum();
             let items = lens().map(|len| len + 1).sum();
             for (p, positions) in &parts {
@@ -281,21 +283,16 @@ impl NeighborTableHandle {
         for &(_, ops) in lanes {
             self.obj.check(ops.iter().flat_map(|&(src, dst, _)| [src, dst]))?;
         }
-        // (lane, partition, op positions): the grouping of every lane,
-        // sorted into canonical (server, partition) order.
+        // (lane, partition, op positions): the grouping of every lane, in
+        // canonical (lane, server, partition) order.
         let mut tasks: Vec<(usize, usize, Vec<usize>)> = Vec::new();
         for (lane, &(clock, ops)) in lanes.iter().enumerate() {
-            let mut groups: Vec<_> =
-                self.obj.group(ops.iter().map(|op| op.0).enumerate()).into_iter().collect();
-            groups.sort_unstable_by_key(|&(s, _)| s);
             self.obj.fan_out(clock, |fan| {
-                for (s, parts) in groups {
+                for (s, parts) in self.obj.group(ops.iter().map(|op| op.0).enumerate()) {
                     let server = self.obj.ps.server(s);
                     server.ensure_alive()?;
-                    let n: u64 = parts.values().map(|v| v.len() as u64).sum();
+                    let n: u64 = parts.iter().map(|(_, positions)| positions.len() as u64).sum();
                     fan.leg(server, (n * 17, self.obj.item_ops(n), 16));
-                    let mut parts: Vec<_> = parts.into_iter().collect();
-                    parts.sort_unstable_by_key(|&(p, _)| p);
                     tasks.extend(parts.into_iter().map(|(p, positions)| (lane, p, positions)));
                 }
                 Ok(())

@@ -73,8 +73,9 @@ impl<P: Partition> ObjectOps for PartOps<P> {
     }
 }
 
-/// One server's share of a request: positions of its keys, by partition.
-pub(crate) type ServerGroup = FxHashMap<usize, Vec<usize>>;
+/// One server's share of a request: positions of its keys, by partition,
+/// partitions ascending.
+pub(crate) type ServerGroup = Vec<(usize, Vec<usize>)>;
 
 /// One partition's share of a [`PullPlan`]: the partition, and its run of
 /// the plan's distinct ids.
@@ -228,23 +229,32 @@ impl PsObject {
         self.check_below(self.layout.size, keys)
     }
 
-    /// Which server and partition owns each `(position, key)`, and — the
-    /// iteration order of the result — in which order a request visits
-    /// them. A server's port is FIFO in sim time, so that order is part of
-    /// every workload's modelled cost: it is the iteration order of this
-    /// nested map (`0, 2, 1, 3` on four servers, and for some server
-    /// subsets of a seven-server cluster the order the request names them
-    /// in), pinned by `tests/golden_sim_cost.rs`. Positions keep their
-    /// input order within a partition.
+    /// Which server and partition owns each `(position, key)`: one group
+    /// per server that owns any key, servers ascending, each listing its
+    /// partitions ascending. Positions keep their input order within a
+    /// partition. The order of the legs is not part of any cost — they
+    /// leave together ([`PsObject::fan_out`]) and each port sees at most
+    /// one of them — it only decides which legs ran before a dead server.
     pub(crate) fn group(
         &self,
         keys: impl IntoIterator<Item = (usize, u64)>,
-    ) -> FxHashMap<usize, ServerGroup> {
-        let mut groups: FxHashMap<usize, ServerGroup> = FxHashMap::default();
+    ) -> Vec<(usize, ServerGroup)> {
+        let mut by_part: Vec<Vec<usize>> = vec![Vec::new(); self.layout.num_partitions];
         for (pos, key) in keys {
-            let p = self.layout.partition_of(key);
-            let s = self.layout.server_of_partition(p);
-            groups.entry(s).or_default().entry(p).or_default().push(pos);
+            by_part[self.layout.partition_of(key)].push(pos);
+        }
+        let mut owned: Vec<(usize, usize)> = (0..by_part.len())
+            .filter(|&p| !by_part[p].is_empty())
+            .map(|p| (self.layout.server_of_partition(p), p))
+            .collect();
+        owned.sort_unstable();
+        let mut groups: Vec<(usize, ServerGroup)> = Vec::new();
+        for (s, p) in owned {
+            let part = (p, std::mem::take(&mut by_part[p]));
+            match groups.last_mut() {
+                Some((last, parts)) if *last == s => parts.push(part),
+                _ => groups.push((s, vec![part])),
+            }
         }
         groups
     }
@@ -280,7 +290,7 @@ impl PsObject {
             for (s, parts) in self.group(keys) {
                 let server = self.ps.server(s);
                 server.ensure_alive()?;
-                let n = parts.values().map(|positions| positions.len() as u64).sum();
+                let n = parts.iter().map(|(_, positions)| positions.len() as u64).sum();
                 fan.leg(server, visit(server, n, parts)?);
             }
             Ok(())
@@ -499,6 +509,7 @@ mod tests {
     use crate::csr::CsrPart;
     use crate::matrix::MatPart;
     use crate::neighbor::{NeighborEntry, TablePart};
+    use crate::partition::Partitioner;
     use crate::ps::PsConfig;
     use crate::vector::VecPart;
     use psgraph_harness::prop::{check, Source};
@@ -516,32 +527,18 @@ mod tests {
     }
 
     #[test]
-    fn group_keeps_positions_per_owner_and_omits_idle_servers() {
-        let obj = object(4, PartitionLayout::range(100, 4));
-        // Server 1 owns [25, 50): no key lands there.
-        let keys = [0u64, 99, 50, 1, 75, 0];
-        let groups = obj.group(keys.iter().copied().enumerate());
-        let mut seen = vec![false; keys.len()];
-        for (s, parts) in &groups {
-            for (p, positions) in parts {
-                assert_eq!(obj.layout.server_of_partition(*p), *s);
-                assert!(
-                    positions.is_sorted(),
-                    "input order is kept within a partition"
-                );
-                for &i in positions {
-                    assert_eq!(obj.layout.partition_of(keys[i]), *p);
-                    assert!(
-                        !std::mem::replace(&mut seen[i], true),
-                        "position {i} grouped twice"
-                    );
-                }
-            }
-        }
-        assert!(seen.iter().all(|&b| b));
-        assert!(
-            !groups.contains_key(&1),
-            "a server that owns no key gets no leg"
+    fn group_orders_servers_and_partitions_and_omits_idle_servers() {
+        // Eight range partitions of 12 keys on four servers (p → p % 4);
+        // server 1 (partitions 1 and 5) owns none of the keys.
+        let obj = object(4, PartitionLayout::new(Partitioner::Range, 100, 8, 4));
+        let keys = [99u64, 50, 0, 1, 75, 0, 30];
+        assert_eq!(
+            obj.group(keys.iter().copied().enumerate()),
+            vec![
+                (0, vec![(0, vec![2, 3, 5]), (4, vec![1])]),
+                (2, vec![(2, vec![6]), (6, vec![4])]),
+                (3, vec![(7, vec![0])]),
+            ]
         );
         assert!(obj.group(std::iter::empty()).is_empty());
     }
@@ -553,12 +550,11 @@ mod tests {
         let keys = [0u64, 99, 50, 1, 75, 0];
         let mut legs = Vec::new();
         obj.scatter(&client, keys.iter().copied().enumerate(), |server, n, parts| {
-            assert_eq!(n, parts.values().map(|v| v.len() as u64).sum::<u64>());
+            assert_eq!(n, parts.iter().map(|(_, v)| v.len() as u64).sum::<u64>());
             legs.push((server.id(), n));
             Ok((0, 0, 0))
         })
         .unwrap();
-        legs.sort_unstable();
         assert_eq!(legs, vec![(0, 3), (2, 1), (3, 2)]);
 
         obj.ps.kill_server(3);
