@@ -10,7 +10,7 @@
 //!    filter → expand → score → top-k pipeline) against a synthetic
 //!    random graph. Every answered legacy query is verified against the
 //!    frontend `reference` oracle and every answered plan bit-exactly
-//!    against [`Interpreter`]; `wrong` must be 0.
+//!    against [`Interpreter`](psgraph_serve::Interpreter); `wrong` must be 0.
 //! 2. **Pushdown ablation** — the same plan-only workload replayed on
 //!    two fresh clusters differing only in push policy. Answers must be
 //!    identical, and the `Auto` leg must move strictly fewer bytes

@@ -15,8 +15,8 @@
 //!    hash-aggregated in memory — the exact mechanism that makes GraphX's
 //!    join-based message passing slow.
 //! 2. **Memory is finite.** Cached partitions, shuffle buffers, and join
-//!    hash tables all draw from per-executor [`MemoryMeter`]s
-//!    (`psgraph_sim::MemoryMeter`); exceeding the budget aborts the job
+//!    hash tables all draw from per-executor
+//!    [`MemoryMeter`](psgraph_sim::MemoryMeter)s; exceeding the budget aborts the job
 //!    with OOM, which is how the GraphX baseline fails on K-Core, Triangle
 //!    Count, and the DS2 dataset in Fig. 6.
 //!

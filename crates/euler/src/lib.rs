@@ -9,11 +9,11 @@
 //!    data-to-JSON transformation, and several minutes for JSON
 //!    partitioning. These operations are executed sequentially and
 //!    individually, meaning every operation reads from disk and writes to
-//!    disk"). [`preprocess`] runs exactly those three passes against the
+//!    disk"). [`preprocess`](fn@preprocess) runs exactly those three passes against the
 //!    DFS on one driver, paying full read+write bandwidth each time; the
 //!    JSON text format inflates the bytes several-fold.
 //! 2. **Per-vertex graph-service queries during training.** Euler's
-//!    workers query a remote graph engine per sample; [`train`] issues one
+//!    workers query a remote graph engine per sample; [`train`](fn@train) issues one
 //!    RPC per vertex for sampling and feature fetch (vs PSGraph's batched
 //!    PS pulls), so every mini-batch pays hundreds of network latencies.
 //!

@@ -126,7 +126,7 @@ const GALLOP_RATIO: usize = 8;
 /// comparisons made — the work a caller charges to its executor clock.
 ///
 /// Lists of comparable length are merged linearly; when one is at least
-/// [`GALLOP_RATIO`] times longer, each element of the shorter one is
+/// `GALLOP_RATIO` times longer, each element of the shorter one is
 /// located in the longer one by an exponential probe from a moving lower
 /// bound followed by a binary search, so a hub's list is not walked for
 /// every low-degree partner. Either way `comparisons ≤ a.len() + b.len()`.

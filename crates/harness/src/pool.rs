@@ -3,7 +3,7 @@
 //! parallel map whose calling thread does the work too. DESIGN.md §6 has
 //! the rationale; in short:
 //!
-//! * **A `map` call is one job.** The caller publishes a [`Job`] — its
+//! * **A `map` call is one job.** The caller publishes a `Job` — its
 //!   per-index body, erased to `&dyn Fn(usize)` over the caller's stack,
 //!   plus a `next` and a `done` counter — in a small list of open jobs.
 //!   Indices are claimed with `next.fetch_add(1)`, so each runs on exactly

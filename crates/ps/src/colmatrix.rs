@@ -12,7 +12,9 @@
 //! vertex-id pairs, scalar coefficients, and partial sums cross the
 //! network — this is the communication optimization `repro -- line`
 //! measures against pull-whole-row training. Every operation touches
-//! every server, so all of them go over [`PsObject::each_partition`].
+//! every server, so all of them go over `PsObject::each_partition`: one
+//! leg per column slice, all in flight together, so the servers compute
+//! their partial dot products in parallel.
 
 use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{NodeClock, SplitMix64};

@@ -9,7 +9,7 @@
 //! offsets + packed neighbor ids. It is the memory-densest representation
 //! (8 B per edge + 8 B per vertex, no per-entry map overhead), suited to
 //! algorithms that build the adjacency once and only read it. Reads are
-//! routed by [`PsObject`] like every other handle's.
+//! routed by `PsObject` like every other handle's.
 
 use psgraph_sim::bytes::BufMut;
 use psgraph_sim::NodeClock;
@@ -148,8 +148,8 @@ impl CsrHandle {
     }
 
     /// Pull adjacency lists for `ids` (aligned with the input). The
-    /// response size is only known once the lists were read, so the
-    /// charge follows the visit.
+    /// response size is only known once the lists were read, so each leg
+    /// declares it after the visit.
     pub fn pull(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<Vec<u64>>> {
         self.obj.check(ids.iter().copied())?;
         let mut out: Vec<Vec<u64>> = vec![Vec::new(); ids.len()];

@@ -26,8 +26,9 @@
 //! Every operation charges simulated time: client-side RPC latency + wire
 //! bytes, server-side queueing + CPU, via `psgraph_net`. The handles share
 //! one crate-private client core (`object`): key → (server, partition)
-//! grouping and visit order, the liveness check before a leg, the RPC
-//! charge, and checkpoint encode / bounds-checked decode of a partition.
+//! grouping, the liveness check before a leg, the charge of a request's
+//! legs (all leaving at once, the client resuming at the slowest), and
+//! checkpoint encode / bounds-checked decode of a partition.
 
 pub mod colmatrix;
 pub mod csr;

@@ -7,7 +7,7 @@
 //! server-side optimizers the paper implements as `psFunc` UDFs: plain SGD,
 //! AdaGrad, and Adam — the optimizer state (first/second moments) lives
 //! next to the weights on the server and never crosses the network.
-//! Routing, liveness and the RPC charge are [`PsObject`]'s.
+//! Routing, liveness and the RPC charge are `PsObject`'s.
 
 use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};

@@ -15,7 +15,7 @@
 //! exactly "insertion order minus removed elements", independent of when
 //! compaction runs.
 //!
-//! Requests are routed by [`PsObject`]; each keyed operation below is its
+//! Requests are routed by `PsObject`; each keyed operation below is its
 //! cost formula plus what it does to one partition.
 
 use psgraph_sim::bytes::BufMut;
@@ -218,9 +218,7 @@ impl NeighborTableHandle {
         let ids = || entries.iter().map(|(v, _)| *v);
         self.obj.check(ids())?;
         self.obj.scatter(client, ids().enumerate(), |server, _, parts| {
-            let lens = || {
-                parts.iter().flat_map(|(_, positions)| positions).map(|&pos| entries[pos].1.len() as u64)
-            };
+            let lens = || parts.iter().flat_map(|(_, at)| at).map(|&pos| entries[pos].1.len() as u64);
             let req_bytes = lens().map(|len| 16 + len * 8).sum();
             let items = lens().map(|len| len + 1).sum();
             for (p, positions) in &parts {
@@ -265,8 +263,8 @@ impl NeighborTableHandle {
     /// Apply several writers' mutation lanes at once — the sharded
     /// streaming ingest path, where each lane is one shard's micro-batch.
     ///
-    /// Wire costs are charged serially in canonical (lane, server) order,
-    /// each lane on its *own* clock, so the simulated-time accounting —
+    /// Wire costs are charged in canonical (lane, server) order, each lane
+    /// as one fan-out on its *own* clock, so the simulated-time accounting —
     /// including the port occupancy the writes leave behind for later
     /// readers — is identical for every pool size. The per-partition data
     /// application then runs concurrently on the PS worker pool: distinct
@@ -340,7 +338,8 @@ impl NeighborTableHandle {
     /// partition) group, and a repeated id gets an `Arc` clone of its first
     /// occurrence's list — a batch of edges around a hub ships the hub's
     /// list once, not once per incident edge. The response size is only
-    /// known once the lists were read, so the charge follows the visit.
+    /// known once the lists were read, so each leg declares it after the
+    /// visit.
     pub fn pull(&self, client: &NodeClock, ids: &[u64]) -> Result<Vec<Arc<Vec<u64>>>> {
         let plan = self.obj.plan(ids)?;
         static EMPTY: std::sync::OnceLock<Arc<Vec<u64>>> = std::sync::OnceLock::new();

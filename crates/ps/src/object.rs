@@ -4,15 +4,16 @@
 //!
 //! A handle is a [`PsObject`] — which cluster, which name, which layout —
 //! plus its own shape. What every request has in common lives here and
-//! nowhere else: which server and partition owns a key and in which order
-//! a request visits them ([`PsObject::group`]), the liveness check that
-//! precedes any charge ([`PsObject::scatter`], [`PsObject::each_partition`]),
-//! that routing kept for requests that repeat — across calls or within one
-//! ([`PullPlan`], [`PsObject::replay`]), the RPC charge itself
-//! ([`PsObject::charge`]), and what the cluster needs
-//! from a partition type to checkpoint and restore it ([`Partition`],
-//! decoded through the bounds-checked [`Reader`]). DESIGN.md §8.8 states
-//! the contract.
+//! nowhere else: which server and partition owns a key
+//! ([`PsObject::group`]), the liveness check that precedes any leg
+//! ([`PsObject::scatter`], [`PsObject::each_partition`]), that routing
+//! kept for requests that repeat — across calls or within one
+//! ([`PullPlan`], [`PsObject::replay`]), the charge — one departure time
+//! per request, every leg that ran charged from it, the client resuming at
+//! the slowest ([`PsObject::fan_out`]) — and what the cluster needs from a
+//! partition type to checkpoint and restore it ([`Partition`], decoded
+//! through the bounds-checked [`Reader`]). DESIGN.md §8.8 states the
+//! contract.
 
 use psgraph_sim::bytes::Buf;
 use psgraph_sim::{FxHashMap, NodeClock, SimTime};
@@ -82,22 +83,22 @@ pub(crate) type ServerGroup = Vec<(usize, Vec<usize>)>;
 pub(crate) type PlanRun = (usize, Range<usize>);
 
 /// The routing of one keyed read, worked out once and replayed: the
-/// request's *distinct* ids grouped by (server, partition) in
-/// [`PsObject::group`]'s visit order, plus where every request position —
+/// request's *distinct* ids grouped by (server, partition) as the one-shot
+/// request over them would group them, plus where every request position —
 /// repeats included — finds its value among them.
 ///
-/// A replay ([`PsObject::replay`]) contacts the same servers in the same
-/// order as the one-shot request would and charges over the distinct ids
-/// only, so a duplicate-free plan costs exactly what the one-shot request
-/// costs. A plan is bound to the layout it was built for, not to an object:
-/// any object with that layout can replay it.
+/// A replay contacts the same servers as the one-shot request would and
+/// charges over the distinct ids only, so a duplicate-free plan costs
+/// exactly what the one-shot request costs. A plan is bound to the layout
+/// it was built for, not to an object: any object with that layout can
+/// replay it.
 #[derive(Debug, Clone)]
 pub struct PullPlan {
     layout: PartitionLayout,
     /// Distinct ids, one contiguous run per (server, partition) group.
     ids: Vec<u64>,
-    /// One leg per server in visit order: the server, and its partitions
-    /// with the run of `ids` each owns.
+    /// One leg per server, ascending: the server, and its partitions with
+    /// the run of `ids` each owns.
     legs: Vec<(usize, Vec<PlanRun>)>,
     /// `slots[pos]` indexes the id of request position `pos` in `ids`.
     slots: Vec<u32>,
@@ -299,8 +300,8 @@ impl PsObject {
 
     /// Route `keys` (any order, duplicates allowed) once: see [`PullPlan`].
     /// Only the first occurrence of each id is routed — through
-    /// [`PsObject::group`], so a replay visits servers and partitions in
-    /// the order the one-shot request over the distinct ids would.
+    /// [`PsObject::group`], so a replay has the legs the one-shot request
+    /// over the distinct ids would have.
     pub(crate) fn plan(&self, keys: &[u64]) -> Result<PullPlan> {
         self.check(keys.iter().copied())?;
         if u32::try_from(keys.len()).is_err() {

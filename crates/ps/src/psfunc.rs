@@ -8,9 +8,9 @@
 //! are specializations of this pattern; this module exposes it directly
 //! for user-defined computations over PS vectors.
 //!
-//! Cost model: one RPC per involved server, with caller-declared request
-//! /response byte volumes and per-item server CPU — mirroring what a real
-//! UDF deployment must declare to its scheduler.
+//! Cost model: one RPC per partition, all in flight together, with
+//! caller-declared request/response byte volumes and per-item server CPU
+//! — mirroring what a real UDF deployment must declare to its scheduler.
 
 use psgraph_sim::NodeClock;
 
@@ -37,12 +37,14 @@ impl<E: Element> VectorHandle<E> {
     ///
     /// The UDF is applied to the partitions concurrently on the PS's
     /// thread pool (each application holds its server's state lock, as a
-    /// real server-side UDF would). RPC charges and the `merge` fold then
-    /// run serially in canonical partition order — the deterministic
-    /// reduction rule, so the result and the simulated-time accounting
-    /// are identical for every pool size. On error, partitions owned by
-    /// live servers may still have been mutated (as with a real fan-out
-    /// whose legs fail independently).
+    /// real server-side UDF would). The per-partition legs are then
+    /// charged as one fan-out from `client` (they leave together; the
+    /// client resumes at the slowest) and `merge` folds the results, both
+    /// in canonical partition order — the deterministic reduction rule,
+    /// so the result and the simulated-time accounting are identical for
+    /// every pool size. On error, partitions owned by live servers may
+    /// still have been mutated (as with a real fan-out whose legs fail
+    /// independently).
     pub fn ps_func<R: Default + Send>(
         &self,
         client: &NodeClock,

@@ -278,7 +278,7 @@ impl PsServer {
         Ok(r)
     }
 
-    /// Write version of a partition (see [`StoredPartition::version`]).
+    /// Write version of a partition (see `StoredPartition::version`).
     pub fn version(&self, name: &str, partition: usize) -> Result<u64> {
         self.ensure_alive()?;
         self.store

@@ -6,7 +6,7 @@
 //! partitions store dense slices, hash partitions store sparse maps whose
 //! missing keys read as `E::default()`. Every operation here is a cost
 //! formula plus a per-partition closure; routing, liveness and the RPC
-//! charge are [`PsObject`]'s.
+//! charge are `PsObject`'s.
 
 use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{FxHashMap, NodeClock};
@@ -197,7 +197,7 @@ impl<E: Element> VectorHandle<E> {
     /// entries plus a presence bitmap — the §IV-A sparsity optimization
     /// ("the ranks of many vertices barely change … transferring the
     /// increments of ranks"). Same result as `pull`; only the charged
-    /// response bytes differ (so the charge follows the visit).
+    /// response bytes differ (each leg declares them after the visit).
     pub fn pull_sparse(&self, client: &NodeClock, indices: &[u64]) -> Result<Vec<E>> {
         self.obj.check(indices.iter().copied())?;
         let mut out = vec![E::default(); indices.len()];
@@ -227,7 +227,7 @@ impl<E: Element> VectorHandle<E> {
     }
 
     /// [`VectorHandle::pull`] of the request `plan` was built from: same
-    /// result, servers visited in the same order, but each distinct index
+    /// result, same servers contacted, but each distinct index
     /// crosses the wire once — request, server ops and response are
     /// charged over the distinct indices, and repeats are filled in
     /// client-side.

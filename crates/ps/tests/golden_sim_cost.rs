@@ -5,14 +5,14 @@
 //! `MatrixHandle`, `ColMatrixHandle`, `NeighborTableHandle` and
 //! `CsrHandle` — plus the snapshot / delta writers, checkpoint + recovery
 //! and the fused residual-push round that sit on top of them — on a
-//! 4-server PS (the benchmark's `SIM_SERVERS`) and on a 7-server PS (where
-//! the order a request visits its servers can depend on which key it
-//! names first), under the Range and the Hash partitioner. Requests include
+//! 4-server PS (the benchmark's `SIM_SERVERS`) and on a 7-server PS (where,
+//! until PR 21, the order a request visited its servers could depend on
+//! which key it named first), under the Range and the Hash partitioner. Requests include
 //! repeated keys, keys owned by one server only, and the empty request.
 //! Every line records the operation's result, the `Network::stats` deltas
 //! (RPCs, bytes sent, bytes received), the client clock, and **every
 //! server's port clock** — a port is FIFO in sim time, so the port clocks
-//! are what pins the visit order. The script ends with server 1 killed:
+//! pin when every leg was served. The script ends with server 1 killed:
 //! one keyed operation per handle records the `PsError` and the charges
 //! already made to the servers visited before the dead one. A second,
 //! shorter script (`run_plans`) does the same for the planned reads.
@@ -42,8 +42,10 @@
 //! `client=` / `ports=` value — and the clock some results embed — is at
 //! most the parent's and every other byte is equal, on all 970 lines.
 //! Then when `PsObject::group` started to return its legs by ascending
-//! (server, partition): only the `dead1` lines moved, in which legs ran
-//! before the dead server (`results/PERF_pr21_gnn_epoch.txt` lists them).
+//! (server, partition): only the `dead1` lines moved — which legs ran
+//! before the dead server, and the port clocks that leaves behind — plus
+//! the rendered digest of the ten `plan.build` lines whose plan lists its
+//! ids in the new order (`results/PERF_pr21_gnn_epoch.txt` lists them).
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -115,7 +117,8 @@ impl Probe {
 /// The request shapes of a keyed operation: all servers with repeats, the
 /// same keys reversed, one server's keys only, nothing — and one key each
 /// on servers 0 and 4 (0 and 3 of four) in both orders: with seven servers
-/// that pair is visited in the order the request names it.
+/// that pair was visited in the order the request named it until legs were
+/// grouped by ascending server.
 fn requests(layout: &PartitionLayout) -> Vec<(&'static str, Vec<u64>)> {
     let mixed: Vec<u64> = vec![69, 3, 40, 3, 17, 55, 69, 22, 8, 61, 33];
     let mut rev = mixed.clone();

@@ -11,7 +11,7 @@
 //! a single-ingestor run over the same events.
 //!
 //! Determinism (DESIGN.md §6): the wall-clock-parallel stages are the
-//! pure per-shard mirror computation ([`plan_batch`] on the worker pool)
+//! pure per-shard mirror computation (`plan_batch` on the worker pool)
 //! and the per-partition table writes
 //! ([`NeighborTableHandle::update_edges_sharded`]); every RPC charge and
 //! every merge fold runs serially in canonical shard order, so both the

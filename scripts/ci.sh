@@ -16,6 +16,8 @@ fi
 # Warnings are errors in every crate and every target: libraries, the
 # `repro` binary, examples, unit and integration tests.
 RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
+# The docs build clean too: no broken, ambiguous or private intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-going
 
 # The pool is the one place with `unsafe`: run the harness suite once in
 # debug too, for the overflow checks and `debug_assert!`s the release
