@@ -151,3 +151,48 @@ fn batch_jobs_cost_exactly_what_they_did() {
     let actual: Vec<&str> = lines.iter().map(String::as_str).collect();
     assert!(actual == EXPECTED, "sim cost changed; actual lines:\n{}", lines.join("\n"));
 }
+
+const CYCLE_EXPECTED: &[&str] = &[
+    "pagerank(4-cycle, 1 steps): ranks=4c105ca20d7d0bf9 supersteps=1 ps_rpcs=14 ps_bytes=448 spark_bytes=0 elapsed=201140ns",
+    "pagerank(4-cycle, 2 steps): ranks=1fa86cd78279a129 supersteps=2 ps_rpcs=22 ps_bytes=704 spark_bytes=0 elapsed=301227ns",
+];
+
+/// One PageRank superstep, derived by hand in DESIGN.md §8 (mechanism 10):
+/// the directed 4-cycle in one partition, so executor 0 hosts every source
+/// and each of the two PS servers owns two vertices. Runs of one and two
+/// supersteps differ by exactly the second one.
+#[test]
+fn one_pagerank_superstep_costs_what_design_md_derives() {
+    let g = psgraph_graph::EdgeList::new(4, (0..4u64).map(|v| (v, (v + 1) % 4)).collect());
+    let lines = [1, 2].map(|steps| {
+        run(|ctx| {
+            let edges = distribute_edges(ctx, &g, 1).unwrap();
+            let out = PageRank { max_iterations: steps, ..Default::default() }
+                .run(ctx, &edges, g.num_vertices())
+                .unwrap();
+            let digest = fnv(out.ranks.iter().map(|r| r.to_bits()));
+            (format!("pagerank(4-cycle, {steps} steps): ranks={digest:016x}"), out.stats)
+        })
+    });
+    assert!(lines == CYCLE_EXPECTED, "sim cost changed; actual lines:\n{}", lines.join("\n"));
+    let elapsed = |line: &str| -> u64 {
+        line.rsplit_once("elapsed=").unwrap().1.trim_end_matches("ns").parse().unwrap()
+    };
+    // The two legs of every request leave together, and a leg costs
+    // `net(request) + cpu(ops) + net(response)` plus any wait at its port.
+    let cost = psgraph_sim::CostModel::default();
+    let (net, cpu) = (|bytes| cost.net_cost(bytes), |ops| cost.cpu_cost(ops));
+    // Executor 0 pulls Δ of its four sources (two ids per server: 16 B out,
+    // 2 × 4 ops, 2 nonzero × 8 + 8 B back), then charges 4 out-edges × 4
+    // ops over its 2 cores. The driver's `accumulate_and_reset` leaves at
+    // the driver's clock — the superstep's start — and finishes earlier.
+    let pull = net(16) + cpu(8) + net(24) + cpu(8);
+    // Executor 0 pushes four sums (two per server: 32 B, 8 ops, 8 B back);
+    // the driver's `aggregate` leaves with it and queues behind it at each
+    // port for its own 8 ops.
+    let push_then_aggregate = net(32) + cpu(8) + cpu(8) + net(8);
+    assert_eq!(
+        elapsed(&lines[1]) - elapsed(&lines[0]),
+        (pull + push_then_aggregate).as_nanos()
+    );
+}

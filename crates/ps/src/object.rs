@@ -244,20 +244,17 @@ impl PsObject {
         for (pos, key) in keys {
             by_part[self.layout.partition_of(key)].push(pos);
         }
-        let mut owned: Vec<(usize, usize)> = (0..by_part.len())
-            .filter(|&p| !by_part[p].is_empty())
-            .map(|p| (self.layout.server_of_partition(p), p))
-            .collect();
-        owned.sort_unstable();
-        let mut groups: Vec<(usize, ServerGroup)> = Vec::new();
-        for (s, p) in owned {
-            let part = (p, std::mem::take(&mut by_part[p]));
-            match groups.last_mut() {
-                Some((last, parts)) if *last == s => parts.push(part),
-                _ => groups.push((s, vec![part])),
-            }
-        }
-        groups
+        (0..self.layout.num_servers)
+            .map(|s| {
+                let owned = self.layout.partitions_of_server(s).into_iter();
+                let parts: ServerGroup = owned
+                    .map(|p| (p, std::mem::take(&mut by_part[p])))
+                    .filter(|(_, positions)| !positions.is_empty())
+                    .collect();
+                (s, parts)
+            })
+            .filter(|(_, parts)| !parts.is_empty())
+            .collect()
     }
 
     /// One request from `client`, its legs in flight together: every leg
