@@ -132,6 +132,7 @@ fn run_fig6(a: &Args) {
     let cells = fig6::run_fig6(a.scale).expect("fig6");
     println!("{}", fig6::table(&cells));
     println!("{}", fig6::digest_line(&cells));
+    println!("{}", fig6::sim_digest_line(&cells));
 }
 
 fn run_line(a: &Args) {

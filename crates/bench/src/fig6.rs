@@ -279,6 +279,31 @@ pub fn digest_line(cells: &[Fig6Cell]) -> String {
     format!("PSGraph output digests: {}", digests.join(", "))
 }
 
+/// The rows whose PSGraph sim time must not depend on the claim schedule:
+/// no stage of these jobs reads what the same stage writes on the PS.
+/// K-Core's and Fast Unfolding's stages do, so which push a read sees —
+/// and K-Core's superstep count with it — still follows the schedule.
+const SIM_SCHEDULE_FREE: [&str; 5] = [
+    "PageRank (DS1)",
+    "PageRank (DS2)",
+    "Common Neighbor (DS1)",
+    "Common Neighbor (DS2)",
+    "Triangle Count (DS1)",
+];
+
+/// One line digesting the PSGraph sim times of the schedule-free rows —
+/// what CI compares across claim schedules next to [`digest_line`].
+pub fn sim_digest_line(cells: &[Fig6Cell]) -> String {
+    let nanos = cells
+        .iter()
+        .filter(|c| SIM_SCHEDULE_FREE.contains(&c.label))
+        .map(|c| match c.psgraph {
+            Outcome::Time(t) => t.as_nanos(),
+            Outcome::Oom => u64::MAX,
+        });
+    format!("PSGraph sim digest ({}): {:016x}", SIM_SCHEDULE_FREE.join(", "), fnv(nanos))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,6 +36,16 @@
 //! 9174580ns (Connected Components), 112996378ns (GraphSage) and
 //! 72507217ns (LINE, both orders).
 //!
+//! Re-recorded a second time when a stage's PS requests started to be
+//! charged in sim order (`sim::stage`: recorded while the stage runs,
+//! replayed by departure when it ends) instead of in the order the host ran
+//! the executors. Only `elapsed=` moved, and every one fell or held; at the
+//! parent commit (bac296d) they read 10143571ns (K-Core), 8473006ns
+//! (Connected Components), 83487538ns (GraphSage) and 37603137ns (LINE,
+//! both orders). Common Neighbor, Triangle Count and PageRank did not move:
+//! their executors' requests of a stage all leave at the stage's start, so
+//! (departure, executor) order is the host's order on one thread.
+//!
 //! A deliberate cost-model change re-records the lines (the failure
 //! message prints the actual ones); a digest must not move with it.
 
@@ -49,12 +59,19 @@ use psgraph_core::runner::distribute_edges;
 use psgraph_core::{PsGraphConfig, PsGraphContext, RunStats};
 use psgraph_graph::gen;
 use psgraph_harness::Pool;
+use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
 
-/// Run `job` on a fresh default deployment with a one-thread pool — the only
-/// pool size at which sim time is bit-reproducible today — and render its
-/// result, `RunStats` and the PS RPCs it made as one line.
+/// A fresh default deployment on a one-thread pool: K-Core's and CC's
+/// superstep counts, so their RPCs and clocks, still depend on the schedule
+/// on a larger one (a stage's reads see whichever of its pushes ran first).
+fn deployment() -> Arc<PsGraphContext> {
+    PsGraphContext::new(PsGraphConfig::default().with_pool(Arc::new(Pool::new(1))))
+}
+
+/// Run `job` on a fresh [`deployment`] and render its result, `RunStats`
+/// and the PS RPCs it made as one line.
 fn run(job: impl FnOnce(&Arc<PsGraphContext>) -> (String, RunStats)) -> String {
-    let ctx = PsGraphContext::new(PsGraphConfig::default().with_pool(Arc::new(Pool::new(1))));
+    let ctx = deployment();
     let rpcs0 = ctx.ps().network().stats().rpcs();
     let (result, stats) = job(&ctx);
     format!(
@@ -71,11 +88,11 @@ const EXPECTED: &[&str] = &[
     "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=28 ps_bytes=4364416 spark_bytes=572192 elapsed=7894570ns",
     "triangle_count: triangles=170022 supersteps=4 ps_rpcs=28 ps_bytes=4293840 spark_bytes=788416 elapsed=9037937ns",
     "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=286352 elapsed=6526803ns",
-    "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=123 ps_bytes=752280 spark_bytes=572192 elapsed=10143571ns",
-    "connected_components: components=328 supersteps=4 ps_rpcs=53 ps_bytes=421128 spark_bytes=572192 elapsed=8473006ns",
-    "graphsage: loss=f8bfd9cb90d44881 accuracy=92328807b4eb6fed supersteps=4 ps_rpcs=964 ps_bytes=10057232 spark_bytes=408096 elapsed=83487538ns",
-    "line(second): loss=8913c0a2c2554574 embeddings=211cd4d92341965c supersteps=2 ps_rpcs=390 ps_bytes=27783296 spark_bytes=0 elapsed=37603137ns",
-    "line(first): loss=9fea2211ca7f304e embeddings=2bf198f17803dab8 supersteps=2 ps_rpcs=388 ps_bytes=27783232 spark_bytes=0 elapsed=37603137ns",
+    "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=123 ps_bytes=752280 spark_bytes=572192 elapsed=8829776ns",
+    "connected_components: components=328 supersteps=4 ps_rpcs=53 ps_bytes=421128 spark_bytes=572192 elapsed=8089457ns",
+    "graphsage: loss=f8bfd9cb90d44881 accuracy=92328807b4eb6fed supersteps=4 ps_rpcs=964 ps_bytes=10057232 spark_bytes=408096 elapsed=23910265ns",
+    "line(second): loss=8913c0a2c2554574 embeddings=211cd4d92341965c supersteps=2 ps_rpcs=390 ps_bytes=27783296 spark_bytes=0 elapsed=14145939ns",
+    "line(first): loss=9fea2211ca7f304e embeddings=2bf198f17803dab8 supersteps=2 ps_rpcs=388 ps_bytes=27783232 spark_bytes=0 elapsed=14145939ns",
 ];
 
 /// Partitions of the vector jobs: six per executor, as in the benchmark.
@@ -195,4 +212,53 @@ fn one_pagerank_superstep_costs_what_design_md_derives() {
         elapsed(&lines[1]) - elapsed(&lines[0]),
         (pull + push_then_aggregate).as_nanos()
     );
+}
+
+const STAGE_EXPECTED: &str =
+    "stage(executor 0 computes then pulls, executor 1 pulls then computes): ps_rpcs=2 ps_bytes=64 elapsed=150032ns";
+
+/// One two-executor stage, derived by hand in DESIGN.md §8 (mechanism 11):
+/// executor 0 computes for 100 µs and then pulls two ids from PS server 0;
+/// executor 1 pulls the same two ids at once and then computes for 100 µs.
+/// On a one-thread pool the host runs executor 0's task first, but
+/// executor 1's pull left first, so it is served first.
+#[test]
+fn one_two_executor_stage_costs_what_design_md_derives() {
+    let ctx = deployment();
+    let v = VectorHandle::<f64>::create(
+        ctx.ps(), "v", 4, Partitioner::Range, RecoveryMode::Inconsistent,
+    )
+    .unwrap();
+    let stats = ctx.ps().network().stats();
+    let (t0, rpcs0, bytes0) = (ctx.now(), stats.rpcs(), stats.total_bytes());
+    // 400 000 ops over an executor's two cores.
+    let compute = 400_000;
+    ctx.cluster()
+        .run_executors(2, |exec, _| {
+            let pull = || v.pull(exec.clock(), &[0, 1]).unwrap();
+            if exec.id() == 0 {
+                exec.charge_cpu(ctx.cost(), compute);
+                pull();
+            } else {
+                pull();
+                exec.charge_cpu(ctx.cost(), compute);
+            }
+            Ok(())
+        })
+        .unwrap();
+    let elapsed = ctx.now() - t0;
+    let line = format!(
+        "stage(executor 0 computes then pulls, executor 1 pulls then computes): ps_rpcs={} ps_bytes={} elapsed={}ns",
+        stats.rpcs() - rpcs0,
+        stats.total_bytes() - bytes0,
+        elapsed.as_nanos(),
+    );
+    assert!(line == STAGE_EXPECTED, "sim cost changed; actual line:\n{line}");
+    // Executor 1's pull leaves at the stage's start and is back one round
+    // trip later (16 B out, 2 × 4 ops, 16 B back), with 100 µs of compute
+    // still to do; executor 0's leaves after its 100 µs and finds the port
+    // idle. Both end one round trip and 100 µs after the start.
+    let cost = ctx.cost();
+    let round_trip = cost.net_cost(16) + cost.cpu_cost(8) + cost.net_cost(16);
+    assert_eq!(elapsed, round_trip + cost.cpu_cost(compute / 2));
 }

@@ -4,7 +4,7 @@ use psgraph_harness::Pool;
 use psgraph_net::Network;
 use psgraph_sim::sync::Mutex;
 use psgraph_sim::{
-    ClusterClock, CostModel, FailureInjector, MemoryMeter, NodeClock, SimTime,
+    stage, ClusterClock, CostModel, FailureInjector, MemoryMeter, NodeClock, SimTime,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -129,11 +129,6 @@ impl Executor {
     pub fn charge_cpu(&self, cost: &CostModel, ops: u64) {
         self.clock
             .advance(cost.cpu_cost(ops.div_ceil(self.cores as u64)));
-    }
-
-    /// Charge sequential (single-core) CPU work.
-    pub fn charge_cpu_serial(&self, cost: &CostModel, ops: u64) {
-        self.clock.advance(cost.cpu_cost(ops));
     }
 
     fn kill(&self) {
@@ -283,11 +278,14 @@ impl Cluster {
     /// The executor tasks are one `Pool::map` over the hosting executors
     /// (real parallelism up to the pool's thread count, the calling thread
     /// included), each charging simulated costs to its own executor's
-    /// clock. Results come back in executor order, one per executor that
-    /// hosts a partition — the deterministic reduction rule, so the output
-    /// is bit-identical for any pool size. A BSP barrier over all live
-    /// executors closes the stage. A dead executor fails the stage with
-    /// `ExecutorLost`; the first error recorded is the stage's, and
+    /// clock. The map is one `sim::stage` over the hosting executors'
+    /// clocks: their requests are charged in sim order when the map is
+    /// done — also when a task failed — so the stage ends at the same sim
+    /// time on any pool. Results come back in executor order, one per
+    /// executor that hosts a partition — the deterministic reduction rule,
+    /// so the output is bit-identical for any pool size. A BSP barrier over
+    /// all live executors closes the stage. A dead executor fails the stage
+    /// with `ExecutorLost`; the first error recorded is the stage's, and
     /// executor tasks that have not started by then are skipped.
     pub fn run_executors<R, F>(&self, tasks: usize, f: F) -> Result<Vec<R>>
     where
@@ -309,8 +307,7 @@ impl Cluster {
             .map(|e| (e, (e.id()..tasks).step_by(self.executors.len()).collect()))
             .collect();
         let first_err: Mutex<Option<DataflowError>> = Mutex::new(None);
-
-        let results = self.pool.map(hosted, |(exec, parts)| {
+        let task = |(exec, parts): (&Arc<Executor>, Vec<usize>)| {
             if first_err.lock().is_some() {
                 return None;
             }
@@ -326,7 +323,10 @@ impl Cluster {
                     None
                 }
             }
-        });
+        };
+
+        let clients: Vec<&NodeClock> = hosted.iter().map(|&(e, _)| e.clock()).collect();
+        let results = stage(&clients, || self.pool.map(hosted, task));
 
         if let Some(e) = first_err.into_inner() {
             return Err(e);
@@ -458,6 +458,42 @@ mod tests {
             let err = c.run_executors(8, |e, _| Ok(e.id())).unwrap_err();
             assert_eq!(err, DataflowError::ExecutorLost { id: 3 }, "{threads} threads");
             assert_eq!(c.run_executors(3, |e, _| Ok(e.id())), Ok(vec![0, 1, 2]));
+        }
+    }
+
+    #[test]
+    fn a_stage_ends_at_the_same_sim_time_on_any_pool_and_schedule() {
+        use psgraph_net::{NodeId, ServicePort};
+        // Eight executors share one port: each computes for a time of its
+        // own before every one of three requests, and its last request is
+        // two legs made from a nested map — on another thread on a larger
+        // pool, but still on the executor's clock.
+        let stage_end = |threads: usize, perturb: Option<u64>| {
+            let pool = Arc::new(Pool::with_perturb(threads, perturb));
+            let c = Cluster::new(ClusterConfig::default().with_executors(8).with_pool(pool));
+            let port = ServicePort::new(NodeId::Server(0));
+            c.run_executors(8, |e, _| {
+                let rpc = || c.network().rpc(e.clock(), &port, 64, 20_000, 64);
+                for round in 0..3u64 {
+                    e.charge_cpu(c.cost(), 40_000 * ((e.id() as u64 * 5 + round * 3) % 8));
+                    if round < 2 {
+                        rpc();
+                    } else {
+                        c.pool().map(vec![0, 1], |_| rpc());
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+            (c.now(), port.clock().now(), c.network().stats().rpcs())
+        };
+        let serial = stage_end(1, None);
+        assert_eq!(serial.2, 8 * 4);
+        for threads in [1, 4, 8] {
+            for perturb in [None, Some(1), Some(7), Some(42)] {
+                let end = stage_end(threads, perturb);
+                assert_eq!(end, serial, "{threads} threads, perturb {perturb:?}");
+            }
         }
     }
 

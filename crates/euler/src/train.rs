@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use psgraph_sim::{FxHashMap, SimTime, SplitMix64};
+use psgraph_sim::{stage, FxHashMap, NodeClock, SimTime, SplitMix64};
 use psgraph_tensor::{Adam, Columns, Graph, Linear, Optimizer, SageBatch, SageOps, Tensor};
 
 use crate::cluster::EulerCluster;
@@ -171,13 +171,14 @@ pub fn train(
     let mut models: Vec<Model> = (0..cfg.workers).map(|_| Model::new(cfg)).collect();
     let mut opts: Vec<Adam> = (0..cfg.workers).map(|_| Adam::new(cfg.lr)).collect();
 
+    let clients: Vec<&NodeClock> = (0..cluster.num_workers()).map(|w| cluster.worker(w)).collect();
     let mut loss_per_epoch = Vec::new();
     let mut epoch_times = Vec::new();
     for epoch in 0..cfg.epochs {
         let e0 = cluster.clock().now();
         let mut loss_sum = 0.0;
         let mut batches = 0u64;
-        for (w, (model, opt)) in models.iter_mut().zip(&mut opts).enumerate() {
+        let mut train_worker = |w: usize, model: &mut Model, opt: &mut Adam| {
             let mine: Vec<u64> = train_v
                 .iter()
                 .copied()
@@ -213,7 +214,15 @@ pub fn train(
                     &[&gw1, &gb1, &gw2, &gb2],
                 );
             }
-        }
+        };
+        // The workers train concurrently: one stage over their clocks, so a
+        // worker's queries queue behind the others' in sim order, not in the
+        // order this loop happens to run the workers.
+        stage(&clients, || {
+            for (w, (model, opt)) in models.iter_mut().zip(&mut opts).enumerate() {
+                train_worker(w, model, opt);
+            }
+        });
         // Synchronous weight averaging at the epoch barrier.
         average_models(cluster, &mut models, cfg);
         cluster.barrier();

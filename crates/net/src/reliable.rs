@@ -154,7 +154,9 @@ impl Network {
     /// charges the request wire time (+ injected delay), queues on the
     /// port, and returns the response; failed attempts charge an
     /// exponential-backoff timeout to the client clock. Without an active
-    /// chaos schedule this is exactly one [`Network::rpc`].
+    /// chaos schedule this is exactly one [`Network::rpc`]. The client
+    /// waits on its own clock and the receipt reads the round trip, so a
+    /// delivery never runs inside a stage (`sim::stage`).
     #[allow(clippy::too_many_arguments)]
     pub fn send_reliable(
         &self,
@@ -169,8 +171,10 @@ impl Network {
         deliver: &mut dyn FnMut(),
     ) -> Result<DeliveryReceipt, DeliveryError> {
         let Some(chaos) = self.chaos_if_active() else {
-            let rtt = self.rpc(client, port, req_bytes, server_ops, resp_bytes);
+            let sent = client.now();
+            client.sync_to(self.rpc_at(sent, port, req_bytes, server_ops, resp_bytes));
             deliver();
+            let rtt = client.now() - sent;
             return Ok(DeliveryReceipt { attempts: 1, applications: 1, rtt, ..Default::default() });
         };
 
@@ -239,7 +243,7 @@ mod tests {
         let plain = Network::new(CostModel::default());
         let c0 = NodeClock::new();
         let p0 = ServicePort::new(NodeId::Server(0));
-        let rtt0 = plain.rpc(&c0, &p0, 100, 50, 100);
+        plain.rpc(&c0, &p0, 100, 50, 100);
 
         let n = Network::new(CostModel::default());
         let c = NodeClock::new();
@@ -259,7 +263,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!((r.attempts, r.applications, hits), (1, 1, 1));
-        assert_eq!(r.rtt, rtt0);
+        assert_eq!(r.rtt, c0.now());
         assert_eq!(c.now(), c0.now());
     }
 

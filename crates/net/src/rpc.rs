@@ -84,9 +84,14 @@ impl NetworkStats {
 ///
 /// Concurrent RPCs to the same port serialize in simulated time — the
 /// second request starts service only when the first finishes — which is
-/// what makes an under-provisioned parameter server a bottleneck.
+/// what makes an under-provisioned parameter server a bottleneck. A clone
+/// is the same port (a request recorded inside a stage holds one until the
+/// stage charges it).
+#[derive(Debug, Clone)]
+pub struct ServicePort(Arc<Port>);
+
 #[derive(Debug)]
-pub struct ServicePort {
+struct Port {
     id: NodeId,
     clock: NodeClock,
     next_free: Mutex<SimTime>,
@@ -94,36 +99,36 @@ pub struct ServicePort {
 
 impl ServicePort {
     pub fn new(id: NodeId) -> Self {
-        ServicePort {
+        ServicePort(Arc::new(Port {
             id,
             clock: NodeClock::new(),
             next_free: Mutex::new(SimTime::ZERO),
-        }
+        }))
     }
 
     pub fn id(&self) -> NodeId {
-        self.id
+        self.0.id
     }
 
     pub fn clock(&self) -> &NodeClock {
-        &self.clock
+        &self.0.clock
     }
 
     /// Reserve the port from `arrival` for `service`: returns the completion
     /// time. Requests arriving while the port is busy wait their turn.
     pub(crate) fn serve(&self, arrival: SimTime, service: SimTime) -> SimTime {
-        let mut free = self.next_free.lock();
+        let mut free = self.0.next_free.lock();
         let start = free.max(arrival);
         let done = start + service;
         *free = done;
-        self.clock.sync_to(done);
+        self.0.clock.sync_to(done);
         done
     }
 
     /// Reset after a node restart: the replacement is idle from `t`.
     pub fn reset(&self, t: SimTime) {
-        *self.next_free.lock() = t;
-        self.clock.reset_to(t);
+        *self.0.next_free.lock() = t;
+        self.0.clock.reset_to(t);
     }
 }
 
@@ -185,8 +190,10 @@ impl Network {
     }
 
     /// A synchronous RPC from `client` to `port`: one [`Network::rpc_at`]
-    /// leg that leaves now, and the client blocks (its clock jumps to the
-    /// response arrival). Returns the round-trip simulated duration.
+    /// leg that leaves now, and the client blocks until the response is
+    /// back — at once, or when the client's stage ends if it is inside one
+    /// ([`NodeClock::request`]). Nothing reads the round trip: inside a
+    /// stage it is not known yet.
     pub fn rpc(
         &self,
         client: &NodeClock,
@@ -194,11 +201,11 @@ impl Network {
         req_bytes: u64,
         server_ops: u64,
         resp_bytes: u64,
-    ) -> SimTime {
-        let sent_at = client.now();
-        let back = self.rpc_at(sent_at, port, req_bytes, server_ops, resp_bytes);
-        client.sync_to(back);
-        back.saturating_sub(sent_at)
+    ) {
+        let (net, port) = (self.clone(), port.clone());
+        client.request(client.now(), move |at| {
+            net.rpc_at(at, &port, req_bytes, server_ops, resp_bytes)
+        });
     }
 
     /// One leg of a request that leaves its client at `at`; returns when
@@ -225,7 +232,7 @@ impl Network {
             // chaos runs replayable from the seed alone (determinism rule,
             // DESIGN.md "Fault model").
             let lane = req_bytes ^ resp_bytes.rotate_left(21) ^ server_ops.rotate_left(42);
-            arrival += chaos.delay(FaultSite::Rpc, port.id.as_key(), lane);
+            arrival += chaos.delay(FaultSite::Rpc, port.id().as_key(), lane);
         }
         let done = port.serve(arrival, self.cost.cpu_cost(server_ops));
         self.stats.rpc_count.fetch_add(1, Ordering::Relaxed);
@@ -268,9 +275,9 @@ mod tests {
         let n = net();
         let client = NodeClock::new();
         let port = ServicePort::new(NodeId::Server(0));
-        let rtt = n.rpc(&client, &port, 1000, 1000, 1000);
+        n.rpc(&client, &port, 1000, 1000, 1000);
+        let rtt = client.now();
         assert!(rtt > SimTime::ZERO);
-        assert_eq!(client.now().as_nanos(), rtt.as_nanos());
         // Two latencies minimum.
         assert!(rtt >= n.cost_model().net_latency + n.cost_model().net_latency);
     }
@@ -364,13 +371,41 @@ mod tests {
         for (req, ops, resp) in [(100, 7, 900), (5_000, 1_000_000, 8), (0, 0, 0)] {
             c.advance(SimTime(1_234));
             d.advance(SimTime(1_234));
-            let rtt = n.rpc(&c, &p, req, ops, resp);
-            let sent = d.now();
-            d.sync_to(m.rpc_at(sent, &q, req, ops, resp));
+            n.rpc(&c, &p, req, ops, resp);
+            d.sync_to(m.rpc_at(d.now(), &q, req, ops, resp));
             assert_eq!(c.now(), d.now());
-            assert_eq!(rtt, d.now() - sent);
             assert_eq!(p.clock().now(), q.clock().now());
         }
+    }
+
+    #[test]
+    fn in_a_stage_the_request_that_left_first_is_served_first() {
+        // Client `a` computes for 1 s, then calls; client `b` calls at
+        // once. The host calls `a` first. Each call is 10 B each way
+        // (net 25 009 ns) and 1 s of service at the one port.
+        let ops = 2_000_000_000;
+        let run = |staged: bool| {
+            let n = net();
+            let (a, b) = (NodeClock::new(), NodeClock::new());
+            let port = ServicePort::new(NodeId::Server(0));
+            let calls = || {
+                a.advance(SimTime::from_secs(1));
+                n.rpc(&a, &port, 10, ops, 10);
+                n.rpc(&b, &port, 10, ops, 10);
+            };
+            if staged {
+                psgraph_sim::stage(&[&a, &b], calls);
+            } else {
+                calls();
+            }
+            (a.now().as_nanos(), b.now().as_nanos(), port.clock().now().as_nanos())
+        };
+        // Sim order: `b` arrives at 25 009, is served until 1 000 025 009 and
+        // is back at 1 000 050 018; `a` arrives at 1 000 025 009, finds the
+        // port just free, and is back at 2 000 050 018.
+        assert_eq!(run(true), (2_000_050_018, 1_000_050_018, 2_000_025_009));
+        // Host order: `b` queues behind `a`, which left a second later.
+        assert_eq!(run(false), (2_000_050_018, 3_000_050_018, 3_000_025_009));
     }
 
     #[test]
@@ -386,7 +421,8 @@ mod tests {
             let n = net();
             let c = NodeClock::new();
             let port = ServicePort::new(NodeId::Server(0));
-            n.rpc(&c, &port, 1000, 1000, 1000)
+            n.rpc(&c, &port, 1000, 1000, 1000);
+            c.now()
         };
         // A blocking RPC, then two legs of one fan-out leaving at its return.
         let run = || {
@@ -394,8 +430,8 @@ mod tests {
             n.attach_chaos(FaultSchedule::new(cfg));
             let c = NodeClock::new();
             let port = ServicePort::new(NodeId::Server(0));
-            let rtt = n.rpc(&c, &port, 1000, 1000, 1000);
-            (rtt, [0, 1].map(|_| n.rpc_at(c.now(), &port, 300, 300, 300)))
+            n.rpc(&c, &port, 1000, 1000, 1000);
+            (c.now(), [0, 1].map(|_| n.rpc_at(c.now(), &port, 300, 300, 300)))
         };
         let (a, b) = (run(), run());
         assert!(a.0 > plain, "chaos delay did not lengthen the rtt: {} vs {plain}", a.0);
@@ -406,7 +442,8 @@ mod tests {
         n.attach_chaos(FaultSchedule::off());
         let c = NodeClock::new();
         let port = ServicePort::new(NodeId::Server(0));
-        assert_eq!(n.rpc(&c, &port, 1000, 1000, 1000), plain);
+        n.rpc(&c, &port, 1000, 1000, 1000);
+        assert_eq!(c.now(), plain);
     }
 
     #[test]
@@ -436,10 +473,10 @@ mod tests {
         let b = NodeClock::new();
         let port = ServicePort::new(NodeId::Executor(0));
         let bulk = n.bulk_fetch(&a, 1_000_000);
-        let mut rpc_total = SimTime::ZERO;
         for _ in 0..100 {
-            rpc_total += n.rpc(&b, &port, 10_000, 0, 0);
+            n.rpc(&b, &port, 10_000, 0, 0);
         }
+        let rpc_total = b.now();
         assert!(bulk < rpc_total, "bulk {bulk} vs rpcs {rpc_total}");
     }
 }

@@ -15,8 +15,9 @@
 //! through the bounds-checked [`Reader`]). DESIGN.md §8.8 states the
 //! contract.
 
+use psgraph_net::ServicePort;
 use psgraph_sim::bytes::Buf;
-use psgraph_sim::{FxHashMap, NodeClock, SimTime};
+use psgraph_sim::{FxHashMap, NodeClock};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
@@ -139,17 +140,15 @@ pub(crate) type LegCost = (u64, u64, u64);
 /// The legs of one request, in flight together: every leg leaves the
 /// client at the same instant, and the client resumes when the slowest is
 /// back (see [`PsObject::fan_out`]).
-pub(crate) struct FanOut<'a> {
-    ps: &'a Ps,
-    departs: SimTime,
-    back: SimTime,
+#[derive(Default)]
+pub(crate) struct FanOut {
+    legs: Vec<(ServicePort, LegCost)>,
 }
 
-impl FanOut<'_> {
-    /// Charge one leg that ran, on `server`'s port.
-    pub(crate) fn leg(&mut self, server: &PsServer, (req_bytes, ops, resp_bytes): LegCost) {
-        let back = self.ps.network().rpc_at(self.departs, server.port(), req_bytes, ops, resp_bytes);
-        self.back = self.back.max(back);
+impl FanOut {
+    /// One leg that ran, on `server`'s port.
+    pub(crate) fn leg(&mut self, server: &PsServer, cost: LegCost) {
+        self.legs.push((server.port().clone(), cost));
     }
 }
 
@@ -258,18 +257,25 @@ impl PsObject {
     }
 
     /// One request from `client`, its legs in flight together: every leg
-    /// `body` charges ([`FanOut::leg`]) leaves at the client's current
+    /// `body` declares ([`FanOut::leg`]) leaves at the client's current
     /// time, and the client resumes when the slowest is back — on an
-    /// error too, having paid for the legs charged before it.
+    /// error too, having paid for the legs declared before it. The legs
+    /// are charged through [`NodeClock::request`]: at once, or when the
+    /// client's stage ends if it is inside one.
     pub(crate) fn fan_out<T>(
         &self,
         client: &NodeClock,
-        body: impl FnOnce(&mut FanOut<'_>) -> Result<T>,
+        body: impl FnOnce(&mut FanOut) -> Result<T>,
     ) -> Result<T> {
         let departs = client.now();
-        let mut fan = FanOut { ps: &self.ps, departs, back: departs };
+        let mut fan = FanOut::default();
         let out = body(&mut fan);
-        client.sync_to(fan.back);
+        let (net, legs) = (self.ps.network().clone(), fan.legs);
+        client.request(departs, move |at| {
+            legs.iter().fold(at, |back, (port, (req_bytes, ops, resp_bytes))| {
+                back.max(net.rpc_at(at, port, *req_bytes, *ops, *resp_bytes))
+            })
+        });
         out
     }
 
@@ -512,6 +518,7 @@ mod tests {
     use crate::vector::VecPart;
     use psgraph_harness::prop::{check, Source};
     use psgraph_harness::{prop_assert, prop_assert_eq};
+    use psgraph_sim::{stage, SimTime};
 
     fn object(servers: usize, layout: PartitionLayout) -> PsObject {
         PsObject::new(
@@ -620,6 +627,49 @@ mod tests {
         let rtts: Vec<SimTime> = legs.iter().map(|&leg| rtt(&obj, leg)).collect();
         assert_eq!(client.now(), t1 + *rtts.iter().max().unwrap());
         assert!(client.now() < t1 + rtts.iter().fold(SimTime::ZERO, |a, &b| a + b));
+    }
+
+    #[test]
+    fn a_request_recorded_in_a_stage_costs_what_it_costs_at_once() {
+        check(
+            "a_request_recorded_in_a_stage_costs_what_it_costs_at_once",
+            |src: &mut Source| {
+                let servers = src.usize_range(1, 5);
+                // More partitions than servers: legs of one request share ports.
+                let parts = src.usize_range(servers, 3 * servers + 1);
+                let leg = |s: &mut Source| {
+                    (s.u64_range(0, 4_000), s.u64_range(0, 200_000), s.u64_range(0, 4_000))
+                };
+                let legs: Vec<LegCost> = (0..parts).map(|_| leg(src)).collect();
+                // A dead server stops the request at its first partition, after k legs.
+                let dead = if src.bool() { Some(src.usize_range(0, servers)) } else { None };
+                // The client's departure, and work already queued at server 0.
+                let (start, queued) = (src.u64_range(0, 200_000), src.u64_range(0, 400_000));
+                (servers, parts, legs, dead, start, queued)
+            },
+            |(servers, parts, legs, dead, start, queued)| {
+                let run = |staged: bool| {
+                    let layout = PartitionLayout::new(Partitioner::Range, 1_000, *parts, *servers);
+                    let obj = object(*servers, layout);
+                    let net = obj.ps.network();
+                    net.rpc_at(SimTime::ZERO, obj.ps.server(0).port(), 0, *queued, 0);
+                    if let Some(d) = dead {
+                        obj.ps.kill_server(*d);
+                    }
+                    let client = NodeClock::new();
+                    client.advance(SimTime(*start));
+                    let request = || obj.each_partition(&client, |p, _| Ok(legs[p]));
+                    let out = if staged { stage(&[&client], request) } else { request() };
+                    let ports: Vec<SimTime> =
+                        (0..*servers).map(|s| obj.ps.server(s).port().clock().now()).collect();
+                    let stats = net.stats();
+                    let traffic = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
+                    (out, client.now(), ports, traffic)
+                };
+                prop_assert_eq!(run(true), run(false));
+                Ok(())
+            },
+        );
     }
 
     #[test]

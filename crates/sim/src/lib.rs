@@ -8,7 +8,9 @@
 //! constants in [`CostModel`]. A BSP superstep advances the global
 //! [`ClusterClock`] by the maximum over the participating node clocks, which
 //! reproduces the synchronous-parallel timing of the paper's cluster without
-//! needing a thousand machines.
+//! needing a thousand machines. Inside a [`stage`] the participants'
+//! requests are charged in sim order when the stage ends, so the host's
+//! schedule does not decide whose request a server queues first.
 
 pub mod bytes;
 pub mod chaos;
@@ -22,7 +24,7 @@ pub mod sync;
 
 pub use bytes::{Buf, BufMut, Bytes};
 pub use chaos::{ChaosConfig, FaultSchedule, FaultSite, FaultStats};
-pub use clock::{ClusterClock, NodeClock, SimTime, Watermark};
+pub use clock::{stage, ClusterClock, NodeClock, SimTime, Watermark};
 pub use cost::CostModel;
 pub use failpoint::{FailAction, FailPlan, FailureInjector};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

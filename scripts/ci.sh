@@ -123,9 +123,13 @@ cargo run --release --offline -p psgraph-bench --bin repro -- ablations --scale 
 # the batch path: a small `repro -- fig6` prints the digests of the
 # PSGraph PageRank / Common Neighbor / K-Core / Triangle Count outputs,
 # whose executor tasks read and write the PS concurrently — the line
-# must not vary either.
+# must not vary either — and a digest of the sim times of the jobs whose
+# stages never read what they write (PageRank, Common Neighbor, Triangle
+# Count): a stage's PS requests are charged in sim order, so their clock
+# must not vary with the schedule.
 : >/tmp/ci-perturb-digests.log
 : >/tmp/ci-perturb-fig6.log
+: >/tmp/ci-perturb-fig6-sim.log
 for seed in 1 2 3 4 5 6 7 8 9 10; do
     echo "ci: perturbation seed $seed"
     PSGRAPH_POOL_PERTURB=$seed cargo run --release --offline -p psgraph-bench --bin repro -- \
@@ -134,7 +138,9 @@ for seed in 1 2 3 4 5 6 7 8 9 10; do
         stream --scale 0.01 --events 2000 --shards 2 | grep 'final state digest' \
         >>/tmp/ci-perturb-digests.log
     PSGRAPH_POOL_PERTURB=$seed cargo run --release --offline -p psgraph-bench --bin repro -- \
-        fig6 --scale 0.02 | grep 'PSGraph output digests' >>/tmp/ci-perturb-fig6.log
+        fig6 --scale 0.02 >/tmp/ci-perturb-fig6-run.log
+    grep 'PSGraph output digests' /tmp/ci-perturb-fig6-run.log >>/tmp/ci-perturb-fig6.log
+    grep 'PSGraph sim digest' /tmp/ci-perturb-fig6-run.log >>/tmp/ci-perturb-fig6-sim.log
 done
 if [ "$(sort -u /tmp/ci-perturb-digests.log | wc -l)" -ne 1 ]; then
     echo "ci: sharded stream digest varies across claim schedules" >&2
@@ -146,7 +152,13 @@ if [ "$(sort -u /tmp/ci-perturb-fig6.log | wc -l)" -ne 1 ]; then
     sort /tmp/ci-perturb-fig6.log | uniq -c >&2
     exit 1
 fi
+if [ "$(sort -u /tmp/ci-perturb-fig6-sim.log | wc -l)" -ne 1 ]; then
+    echo "ci: fig6 sim times vary across claim schedules" >&2
+    sort /tmp/ci-perturb-fig6-sim.log | uniq -c >&2
+    exit 1
+fi
 head -1 /tmp/ci-perturb-fig6.log
+head -1 /tmp/ci-perturb-fig6-sim.log
 
 # A run worth keeping is recorded under results/ deliberately, as text;
 # running CI must not rewrite a tracked artifact. Compared with the

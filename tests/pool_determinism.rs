@@ -4,11 +4,16 @@
 //! canonical partition order, never completion order — these tests pin
 //! that rule end-to-end through PageRank, the monotone fixed-point jobs
 //! (K-Core, Connected Components), Common Neighbor, the shuffle
-//! machinery and the serving frontend's per-shard scatter.
+//! machinery and the serving frontend's per-shard scatter. The sim clock
+//! of a stage is pinned the same way: its PS requests are charged in sim
+//! order, not in the order the pool ran the executors.
 
 use std::sync::Arc;
 
-use psgraph::core::algos::{CommonNeighbor, ConnectedComponents, KCore, PageRank};
+use psgraph::core::algos::{
+    CommonNeighbor, ConnectedComponents, GraphSage, GraphSageConfig, KCore, Line, LineConfig,
+    PageRank,
+};
 use psgraph::core::runner::distribute_edges;
 use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::dataflow::{Cluster, ClusterConfig, Rdd};
@@ -147,6 +152,64 @@ fn kcore_cc_and_common_neighbor_identical_across_pools_and_schedules() {
         assert!(
             batch_outputs(Pool::with_perturb(4, Some(seed))) == baseline,
             "perturbation seed {seed} changed the outputs"
+        );
+    }
+}
+
+/// Sim time of PageRank, Common Neighbor, GraphSage and LINE, each on a
+/// fresh deployment on `pool`. K-Core, CC, Label Propagation and Fast
+/// Unfolding are left out on purpose: their stages read what the same
+/// stage writes on the PS, and which of a stage's pushes a read sees still
+/// follows the host's schedule — K-Core's and CC's superstep counts, and
+/// with them their RPCs and clocks, can differ on a larger pool.
+fn sim_elapsed(pool: Pool) -> [u64; 4] {
+    let pool = Arc::new(pool);
+    let ctx = || PsGraphContext::new(PsGraphConfig::default().with_pool(Arc::clone(&pool)));
+    let g = gen::rmat(256, 2_000, Default::default(), 31).dedup();
+    let n = g.num_vertices();
+    let pagerank = {
+        let ctx = ctx();
+        let edges = distribute_edges(&ctx, &g, 12).unwrap();
+        PageRank { max_iterations: 8, ..Default::default() }.run(&ctx, &edges, n).unwrap().stats
+    };
+    let common_neighbor = {
+        let ctx = ctx();
+        let edges = distribute_edges(&ctx, &g, 12).unwrap();
+        CommonNeighbor { batch_size: 64, ..Default::default() }.run(&ctx, &edges, n).unwrap().stats
+    };
+    let graphsage = {
+        let ctx = ctx();
+        let s = gen::sbm2(400, 6.0, 0.5, 16, 0.8, 5);
+        let edges = distribute_edges(&ctx, &s.graph, 8).unwrap();
+        GraphSage::new(GraphSageConfig { epochs: 1, ..Default::default() })
+            .run(&ctx, &edges, &Arc::new(s.features), &Arc::new(s.labels), 400)
+            .unwrap()
+            .stats
+    };
+    let line = {
+        let ctx = ctx();
+        let edges = distribute_edges(&ctx, &g, 8).unwrap();
+        let job = Line::new(LineConfig { epochs: 1, ..Default::default() });
+        job.run(&ctx, &edges, n).unwrap().stats
+    };
+    [pagerank, common_neighbor, graphsage, line].map(|s| s.elapsed.as_nanos())
+}
+
+#[test]
+fn stage_sim_time_identical_across_pools_and_schedules() {
+    let baseline = sim_elapsed(Pool::with_perturb(1, None));
+    for threads in &POOL_SIZES[1..] {
+        assert_eq!(
+            sim_elapsed(Pool::with_perturb(*threads, None)),
+            baseline,
+            "sim time (PageRank, Common Neighbor, GraphSage, LINE) diverges at {threads} threads"
+        );
+    }
+    for seed in [1u64, 7, 42] {
+        assert_eq!(
+            sim_elapsed(Pool::with_perturb(4, Some(seed))),
+            baseline,
+            "perturbation seed {seed} changed the sim time"
         );
     }
 }
