@@ -5,7 +5,7 @@
 
 use psgraph::core::algos::{CommonNeighbor, KCore, PageRank};
 use psgraph::core::runner::distribute_edges;
-use psgraph::core::{PsGraphConfig, PsGraphContext};
+use psgraph::core::PsGraphContext;
 use psgraph::graph::{gen, metrics};
 use psgraph::sim::{FailPlan, SimTime};
 use std::sync::Arc;
@@ -160,17 +160,8 @@ fn failure_free_runs_are_reproducible() {
     for (v, (a, b)) in r1.iter().zip(&r2).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: {a} vs {b}");
     }
-    // Simulated time is *near*-deterministic: per-node costs are exact,
-    // but PS-port queueing order also depends on thread interleaving.
-    let ratio = t1.as_secs_f64() / t2.as_secs_f64();
-    assert!((0.9..1.1).contains(&ratio), "elapsed {t1} vs {t2}");
+    // Simulated time too: a stage's PS requests are charged in sim order,
+    // whichever thread reached a server first.
+    assert_eq!(t1, t2);
     assert!(t1 > SimTime::ZERO);
-    // On a pool of 1 there is no interleaving: the claim is exact, ranks
-    // and simulated time (what the benchmark's serial pass relies on).
-    let serial = || {
-        let pool = Arc::new(psgraph_harness::Pool::with_perturb(1, None));
-        let (ranks, elapsed) = run(PsGraphContext::new(PsGraphConfig::default().with_pool(pool)));
-        (ranks.into_iter().map(f64::to_bits).collect::<Vec<_>>(), elapsed)
-    };
-    assert_eq!(serial(), serial(), "a pool of 1 repeats to the bit");
 }
