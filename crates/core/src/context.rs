@@ -33,13 +33,6 @@ impl Default for PsGraphConfig {
 }
 
 impl PsGraphConfig {
-    /// Share one cost model across the whole simulated datacenter.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cluster.cost = cost.clone();
-        self.ps.cost = cost;
-        self
-    }
-
     /// Run the cluster's stage tasks and the PS's psFunc fan-out on one
     /// explicit thread pool (thread-count sweeps, determinism tests).
     pub fn with_pool(mut self, pool: std::sync::Arc<psgraph_harness::Pool>) -> Self {

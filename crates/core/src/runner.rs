@@ -8,7 +8,8 @@ use psgraph_dataflow::rdd::Provenance;
 use psgraph_dataflow::{Cluster, Rdd};
 use psgraph_graph::io;
 use psgraph_graph::EdgeList;
-use psgraph_sim::NodeClock;
+use psgraph_sim::bytes::{BufMut, Scalar};
+use psgraph_sim::{NodeClock, Reader};
 
 use crate::context::PsGraphContext;
 use crate::error::{CoreError, Result};
@@ -125,10 +126,9 @@ pub fn save_vertex_values(
     values: &[(u64, f64)],
 ) -> Result<()> {
     let mut buf = Vec::with_capacity(8 + values.len() * 16);
-    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
-    for &(v, x) in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-        buf.extend_from_slice(&x.to_le_bytes());
+    buf.put_u64_le(values.len() as u64);
+    for &value in values {
+        value.put_le(&mut buf);
     }
     ctx.dfs().write(path, &buf, ctx.cluster().driver())?;
     Ok(())
@@ -137,21 +137,11 @@ pub fn save_vertex_values(
 /// Read back a `(vertex, value)` table written by [`save_vertex_values`].
 pub fn load_vertex_values(ctx: &Arc<PsGraphContext>, path: &str) -> Result<Vec<(u64, f64)>> {
     let bytes = ctx.dfs().read(path, ctx.cluster().driver())?;
-    if bytes.len() < 8 {
-        return Err(CoreError::Invalid(format!("truncated vertex table {path}")));
-    }
-    let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-    if bytes.len() < 8 + n * 16 {
-        return Err(CoreError::Invalid(format!("truncated vertex table {path}")));
-    }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = 8 + i * 16;
-        let v = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-        let x = f64::from_le_bytes(bytes[off + 8..off + 16].try_into().unwrap());
-        out.push((v, x));
-    }
-    Ok(out)
+    Reader::decode(&bytes, "vertex table", |r| {
+        let n = r.count::<u64>(16)?;
+        r.vec(n)
+    })
+    .map_err(|e| CoreError::Invalid(format!("{path}: {e}")))
 }
 
 #[cfg(test)]

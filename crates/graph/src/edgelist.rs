@@ -113,14 +113,6 @@ impl WeightedEdgeList {
         WeightedEdgeList { num_vertices, edges }
     }
 
-    /// Unit weights from a plain edge list.
-    pub fn from_unweighted(e: &EdgeList) -> Self {
-        WeightedEdgeList {
-            num_vertices: e.num_vertices(),
-            edges: e.edges().iter().map(|&(s, d)| (s, d, 1.0)).collect(),
-        }
-    }
-
     pub fn num_vertices(&self) -> u64 {
         self.num_vertices
     }
@@ -203,8 +195,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_from_unweighted() {
-        let w = WeightedEdgeList::from_unweighted(&EdgeList::new(3, vec![(0, 1), (1, 2)]));
+    fn weighted_degrees_and_total() {
+        let w = WeightedEdgeList::new(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
         assert_eq!(w.total_weight(), 2.0);
         assert_eq!(w.weighted_degrees(), vec![1.0, 2.0, 1.0]);
         assert_eq!(w.num_edges(), 2);

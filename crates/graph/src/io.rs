@@ -7,9 +7,9 @@
 //! a text format of `src<TAB>dst` lines (what raw logs look like; Euler's
 //! preprocessing pipeline parses and rewrites it).
 
-use psgraph_sim::bytes::{Buf, BufMut};
 use psgraph_dfs::{Dfs, DfsError};
-use psgraph_sim::NodeClock;
+use psgraph_sim::bytes::BufMut;
+use psgraph_sim::{Corrupt, NodeClock, Reader};
 
 use crate::edgelist::EdgeList;
 
@@ -31,25 +31,26 @@ pub fn write_binary(
     dfs.write(path, &buf, clock)
 }
 
+/// A file whose blocks passed their checksums but that does not parse.
+fn corrupt(path: &str) -> DfsError {
+    DfsError::Corrupt { path: path.to_string(), block: 0 }
+}
+
 /// Read the binary edge-list format.
 pub fn read_binary(dfs: &Dfs, path: &str, clock: &NodeClock) -> Result<EdgeList, DfsError> {
     let bytes = dfs.read(path, clock)?;
-    let mut buf = &bytes[..];
-    if buf.remaining() < 16 {
-        return Err(DfsError::Corrupt { path: path.to_string(), block: 0 });
-    }
-    let n = buf.get_u64_le();
-    let m = buf.get_u64_le() as usize;
-    if buf.remaining() < m * 16 {
-        return Err(DfsError::Corrupt { path: path.to_string(), block: 0 });
-    }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let s = buf.get_u64_le();
-        let d = buf.get_u64_le();
-        edges.push((s, d));
-    }
-    Ok(EdgeList::new(n, edges))
+    Reader::decode(&bytes, "edge list", |r| {
+        let n = r.get()?;
+        let m = r.count::<u64>(16)?;
+        let edges: Vec<(u64, u64)> = r.vec(m)?;
+        // Every endpoint names a vertex: one test of the largest, after the run.
+        let top = edges.iter().fold(0, |top, &(s, d)| top.max(s).max(d));
+        if !edges.is_empty() && top >= n {
+            return Err(r.corrupt("edge endpoint out of range"));
+        }
+        Ok(EdgeList::new(n, edges))
+    })
+    .map_err(|_| corrupt(path))
 }
 
 /// Write the raw text format (`src\tdst\n` per line) — the log-like input
@@ -74,64 +75,19 @@ pub fn write_text(
 pub fn read_text(dfs: &Dfs, path: &str, clock: &NodeClock) -> Result<EdgeList, DfsError> {
     let bytes = dfs.read(path, clock)?;
     let text = std::str::from_utf8(&bytes)
-        .map_err(|_| DfsError::Corrupt { path: path.to_string(), block: 0 })?;
+        .map_err(|_| corrupt(path))?;
     let mut edges = Vec::new();
     for line in text.lines() {
         let mut it = line.split('\t');
         let (Some(a), Some(b)) = (it.next(), it.next()) else {
-            return Err(DfsError::Corrupt { path: path.to_string(), block: 0 });
+            return Err(corrupt(path));
         };
         let (Ok(s), Ok(d)) = (a.parse(), b.parse()) else {
-            return Err(DfsError::Corrupt { path: path.to_string(), block: 0 });
+            return Err(corrupt(path));
         };
         edges.push((s, d));
     }
     Ok(EdgeList::from_pairs(edges))
-}
-
-/// Write a weighted edge list (Fast Unfolding input): header (n, m),
-/// then `(src, dst, weight)` triples.
-pub fn write_weighted(
-    dfs: &Dfs,
-    path: &str,
-    g: &crate::edgelist::WeightedEdgeList,
-    clock: &NodeClock,
-) -> Result<(), DfsError> {
-    let mut buf = Vec::with_capacity(16 + g.num_edges() * 24);
-    buf.put_u64_le(g.num_vertices());
-    buf.put_u64_le(g.num_edges() as u64);
-    for &(s, d, w) in g.edges() {
-        buf.put_u64_le(s);
-        buf.put_u64_le(d);
-        buf.put_f64_le(w);
-    }
-    dfs.write(path, &buf, clock)
-}
-
-/// Read a weighted edge list written by [`write_weighted`].
-pub fn read_weighted(
-    dfs: &Dfs,
-    path: &str,
-    clock: &NodeClock,
-) -> Result<crate::edgelist::WeightedEdgeList, DfsError> {
-    let bytes = dfs.read(path, clock)?;
-    let mut buf = &bytes[..];
-    if buf.remaining() < 16 {
-        return Err(DfsError::Corrupt { path: path.to_string(), block: 0 });
-    }
-    let n = buf.get_u64_le();
-    let m = buf.get_u64_le() as usize;
-    if buf.remaining() < m * 24 {
-        return Err(DfsError::Corrupt { path: path.to_string(), block: 0 });
-    }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let s = buf.get_u64_le();
-        let d = buf.get_u64_le();
-        let w = buf.get_f64_le();
-        edges.push((s, d, w));
-    }
-    Ok(crate::edgelist::WeightedEdgeList::new(n, edges))
 }
 
 /// Write per-vertex features + labels (the DS3 classification inputs):
@@ -168,25 +124,17 @@ pub fn read_features(
     clock: &NodeClock,
 ) -> Result<(Vec<Vec<f32>>, Vec<usize>), DfsError> {
     let bytes = dfs.read(path, clock)?;
-    let mut buf = &bytes[..];
-    if buf.remaining() < 16 {
-        return Err(DfsError::Corrupt { path: path.to_string(), block: 0 });
-    }
-    let n = buf.get_u64_le() as usize;
-    let dim = buf.get_u64_le() as usize;
-    if buf.remaining() < n * (dim * 4 + 4) {
-        return Err(DfsError::Corrupt { path: path.to_string(), block: 0 });
-    }
-    let mut features = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut row = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            row.push(buf.get_f32_le());
-        }
-        features.push(row);
-    }
-    let labels = (0..n).map(|_| buf.get_u32_le() as usize).collect();
-    Ok((features, labels))
+    Reader::decode(&bytes, "feature table", |r| {
+        // Every vertex carries at least its 4-byte label.
+        let n = r.count::<u64>(4)?;
+        let dim = r.usize()?;
+        let len = n.checked_mul(dim).ok_or_else(|| r.corrupt("length overflows"))?;
+        let flat: Vec<f32> = r.vec(len)?;
+        let labels: Vec<u32> = r.vec(n)?;
+        let features = (0..n).map(|i| flat[i * dim..(i + 1) * dim].to_vec()).collect();
+        Ok::<_, Corrupt>((features, labels.into_iter().map(|l| l as usize).collect()))
+    })
+    .map_err(|_| corrupt(path))
 }
 
 #[cfg(test)]
@@ -260,22 +208,6 @@ mod tests {
         let (f2, l2) = read_features(&dfs, "/f", &clk).unwrap();
         assert_eq!(f2, feats);
         assert_eq!(l2, labels);
-    }
-
-    #[test]
-    fn weighted_roundtrip() {
-        let dfs = Dfs::in_memory();
-        let clk = NodeClock::new();
-        let w = crate::edgelist::WeightedEdgeList::new(
-            5,
-            vec![(0, 1, 0.5), (3, 4, 2.25), (1, 1, -1.0)],
-        );
-        write_weighted(&dfs, "/w", &w, &clk).unwrap();
-        let back = read_weighted(&dfs, "/w", &clk).unwrap();
-        assert_eq!(back, w);
-        // Truncated payload detected.
-        dfs.write("/bad", &[0u8; 10], &clk).unwrap();
-        assert!(read_weighted(&dfs, "/bad", &clk).is_err());
     }
 
     #[test]

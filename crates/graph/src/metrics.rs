@@ -332,7 +332,8 @@ mod tests {
     #[test]
     fn modularity_prefers_true_communities() {
         let s = gen::sbm2(100, 8.0, 0.5, 4, 0.1, 3);
-        let w = WeightedEdgeList::from_unweighted(&s.graph);
+        let edges = s.graph.edges().iter().map(|&(u, v)| (u, v, 1.0)).collect();
+        let w = WeightedEdgeList::new(s.graph.num_vertices(), edges);
         let truth: Vec<u64> = s.labels.iter().map(|&l| l as u64).collect();
         let q_true = modularity(&w, &truth);
         let singleton: Vec<u64> = (0..100).collect();

@@ -430,6 +430,35 @@ macro_rules! prop_assert_eq {
     }};
 }
 
+/// What every decoder of untrusted bytes owes a damaged encoding: each
+/// strict prefix of `bytes`, and `bytes` with a byte appended, fail to
+/// decode (no prefix of an encoding is itself one); `bytes` with bit `bit`
+/// of byte `at % len` flipped, for each `(at, bit)` of `flips`, decodes to
+/// an error or to a value `usable` accepts (it also gets the damaged
+/// bytes). A panic in `decode` fails the property.
+pub fn survives_damage<T, E>(
+    bytes: &[u8],
+    flips: &[(u64, u32)],
+    mut decode: impl FnMut(&[u8]) -> Result<T, E>,
+    usable: impl FnOnce(T, &[u8]) -> PropResult,
+) -> PropResult {
+    for cut in 0..bytes.len() {
+        prop_assert!(decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+    }
+    let mut longer = bytes.to_vec();
+    longer.push(0);
+    prop_assert!(decode(&longer).is_err(), "trailing byte accepted");
+    let mut damaged = bytes.to_vec();
+    for &(at, bit) in flips {
+        let at = (at % damaged.len() as u64) as usize;
+        damaged[at] ^= 1 << bit;
+    }
+    match decode(&damaged) {
+        Ok(value) => usable(value, &damaged),
+        Err(_) => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

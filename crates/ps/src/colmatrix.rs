@@ -17,11 +17,11 @@
 //! their partial dot products in parallel.
 
 use psgraph_sim::bytes::BufMut;
-use psgraph_sim::{NodeClock, SplitMix64};
+use psgraph_sim::{NodeClock, Reader, SplitMix64};
 use std::sync::Arc;
 
 use crate::error::{PsError, Result};
-use crate::object::{Partition, PsObject, Reader};
+use crate::object::{Partition, PsObject};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
 
@@ -69,17 +69,16 @@ impl Partition for ColPart {
     }
 
     fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes, "col-matrix");
-        let (col_start, col_end) = (r.usize()?, r.usize()?);
-        let len = r.count(4)?;
-        // `width()` and `row()` rely on a non-empty column range that the
-        // data tiles exactly.
-        if col_start >= col_end || !len.is_multiple_of(col_end - col_start) {
-            return Err(r.corrupt("data does not tile the column range"));
-        }
-        let data = r.elems(len)?;
-        r.finish()?;
-        Ok(ColPart { col_start, col_end, data })
+        Reader::decode(bytes, "col-matrix checkpoint", |r| {
+            let (col_start, col_end) = (r.usize()?, r.usize()?);
+            let len = r.count::<u64>(4)?;
+            // `width()` and `row()` rely on a non-empty column range that the
+            // data tiles exactly.
+            if col_start >= col_end || !len.is_multiple_of(col_end - col_start) {
+                return Err(r.corrupt("data does not tile the column range").into());
+            }
+            Ok(ColPart { col_start, col_end, data: r.vec(len)? })
+        })
     }
 }
 

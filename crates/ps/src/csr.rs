@@ -12,11 +12,11 @@
 //! routed by `PsObject` like every other handle's.
 
 use psgraph_sim::bytes::BufMut;
-use psgraph_sim::NodeClock;
+use psgraph_sim::{NodeClock, Reader};
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::object::{each_partition, Partition, PsObject, Reader};
+use crate::object::{each_partition, Partition, PsObject};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
 
@@ -35,6 +35,15 @@ impl CsrPart {
         let i = (v - self.start) as usize;
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
+}
+
+/// Whether CSR `offsets` tile `targets` packed targets: they start at 0,
+/// never decrease and end at `targets`, so every consecutive pair slices
+/// the targets.
+pub(crate) fn offsets_tile(offsets: &[u64], targets: usize) -> bool {
+    offsets.first() == Some(&0)
+        && offsets.last() == Some(&(targets as u64))
+        && offsets.windows(2).all(|w| w[0] <= w[1])
 }
 
 impl Partition for CsrPart {
@@ -58,20 +67,17 @@ impl Partition for CsrPart {
     }
 
     fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes, "CSR");
-        let start = r.u64()?;
-        let (n_off, n_tgt) = (r.usize()?, r.usize()?);
-        let offsets: Vec<u64> = r.elems(n_off)?;
-        let targets: Vec<u64> = r.elems(n_tgt)?;
-        // `neighbors()` slices `targets` by consecutive offsets.
-        if offsets.first() != Some(&0)
-            || offsets.last() != Some(&(n_tgt as u64))
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(r.corrupt("offsets do not tile the targets"));
-        }
-        r.finish()?;
-        Ok(CsrPart { start, offsets, targets })
+        Reader::decode(bytes, "CSR checkpoint", |r| {
+            let start = r.get()?;
+            let (n_off, n_tgt) = (r.count::<u64>(8)?, r.count::<u64>(8)?);
+            let offsets = r.vec(n_off)?;
+            let targets = r.vec(n_tgt)?;
+            // `neighbors()` slices `targets` by consecutive offsets.
+            if !offsets_tile(&offsets, n_tgt) {
+                return Err(r.corrupt("offsets do not tile the targets").into());
+            }
+            Ok(CsrPart { start, offsets, targets })
+        })
     }
 }
 

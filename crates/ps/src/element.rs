@@ -1,30 +1,19 @@
-//! Element types storable in PS vectors/matrices, with fixed-width
-//! little-endian encoding for checkpoints and additive merge semantics for
-//! `push_add`.
+//! Element types storable in PS vectors/matrices: a fixed-width
+//! little-endian [`Scalar`] encoding for checkpoints, and additive merge
+//! semantics for `push_add`.
 
-use psgraph_sim::bytes::{Buf, BufMut};
+use psgraph_sim::bytes::Scalar;
 
 /// A numeric element of a PS data structure.
-pub trait Element: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static {
-    /// Encoded width in bytes.
-    const WIDTH: usize;
-
+pub trait Element: Scalar + Send + Sync + Default + PartialEq + std::fmt::Debug + 'static {
     /// Additive merge used by `push_add` (saturating for integers).
     fn add(self, other: Self) -> Self;
 
     /// Lossy view as `f64` (server-side aggregates, convergence checks).
     fn to_f64(self) -> f64;
-
-    /// Append the little-endian encoding to `buf`.
-    fn encode(&self, buf: &mut impl BufMut);
-
-    /// Decode from the front of `buf` (must hold at least `WIDTH` bytes).
-    fn decode(buf: &mut impl Buf) -> Self;
 }
 
 impl Element for f64 {
-    const WIDTH: usize = 8;
-
     fn add(self, other: Self) -> Self {
         self + other
     }
@@ -32,19 +21,9 @@ impl Element for f64 {
     fn to_f64(self) -> f64 {
         self
     }
-
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_f64_le(*self);
-    }
-
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_f64_le()
-    }
 }
 
 impl Element for f32 {
-    const WIDTH: usize = 4;
-
     fn add(self, other: Self) -> Self {
         self + other
     }
@@ -52,95 +31,41 @@ impl Element for f32 {
     fn to_f64(self) -> f64 {
         self as f64
     }
-
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_f32_le(*self);
-    }
-
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_f32_le()
-    }
 }
 
 impl Element for u64 {
-    const WIDTH: usize = 8;
-
     fn add(self, other: Self) -> Self {
         self.saturating_add(other)
     }
 
     fn to_f64(self) -> f64 {
         self as f64
-    }
-
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u64_le(*self);
-    }
-
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_u64_le()
     }
 }
 
 impl Element for i64 {
-    const WIDTH: usize = 8;
-
     fn add(self, other: Self) -> Self {
         self.saturating_add(other)
     }
 
     fn to_f64(self) -> f64 {
         self as f64
-    }
-
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_i64_le(*self);
-    }
-
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_i64_le()
     }
 }
 
 impl Element for u32 {
-    const WIDTH: usize = 4;
-
     fn add(self, other: Self) -> Self {
         self.saturating_add(other)
     }
 
     fn to_f64(self) -> f64 {
         self as f64
-    }
-
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32_le(*self);
-    }
-
-    fn decode(buf: &mut impl Buf) -> Self {
-        buf.get_u32_le()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip<E: Element>(v: E) -> E {
-        let mut buf = Vec::new();
-        v.encode(&mut buf);
-        assert_eq!(buf.len(), E::WIDTH);
-        E::decode(&mut buf.as_slice())
-    }
-
-    #[test]
-    fn encode_decode_roundtrips() {
-        assert_eq!(roundtrip(3.5f64), 3.5);
-        assert_eq!(roundtrip(-1.25f32), -1.25);
-        assert_eq!(roundtrip(u64::MAX), u64::MAX);
-        assert_eq!(roundtrip(-42i64), -42);
-        assert_eq!(roundtrip(7u32), 7);
-    }
 
     #[test]
     fn add_semantics() {

@@ -49,6 +49,12 @@ impl From<OutOfMemory> for PsError {
     }
 }
 
+impl From<psgraph_sim::Corrupt> for PsError {
+    fn from(e: psgraph_sim::Corrupt) -> Self {
+        PsError::Dfs(e.to_string())
+    }
+}
+
 impl From<psgraph_dfs::DfsError> for PsError {
     fn from(e: psgraph_dfs::DfsError) -> Self {
         PsError::Dfs(e.to_string())

@@ -62,11 +62,6 @@ impl Master {
         &self.clock
     }
 
-    /// Heartbeats received so far (diagnostics; drained by health checks).
-    pub fn pending_heartbeats(&self) -> usize {
-        self.monitor.len()
-    }
-
     pub fn checks_run(&self) -> u64 {
         self.checks_run.load(Ordering::Relaxed)
     }

@@ -10,13 +10,13 @@
 //! Routing, liveness and the RPC charge are `PsObject`'s.
 
 use psgraph_sim::bytes::BufMut;
-use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
+use psgraph_sim::{FxHashMap, NodeClock, Reader, SplitMix64};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::element::Element;
 use crate::error::{PsError, Result};
-use crate::object::{Partition, PsObject, Reader};
+use crate::object::{Partition, PsObject};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
 
@@ -73,8 +73,8 @@ impl<E: Element> Partition for MatPart<E> {
                 buf.put_u64_le(*start);
                 buf.put_u64_le(*cols as u64);
                 buf.put_u64_le(data.len() as u64);
-                for v in data {
-                    v.encode(&mut buf);
+                for &v in data {
+                    v.put_le(&mut buf);
                 }
             }
             MatPart::Sparse { cols, map } => {
@@ -85,8 +85,8 @@ impl<E: Element> Partition for MatPart<E> {
                 keys.sort_unstable();
                 for k in keys {
                     buf.put_u64_le(k);
-                    for v in &map[&k] {
-                        v.encode(&mut buf);
+                    for &v in &map[&k] {
+                        v.put_le(&mut buf);
                     }
                 }
             }
@@ -95,32 +95,29 @@ impl<E: Element> Partition for MatPart<E> {
     }
 
     fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes, "matrix");
-        let part = match r.u8()? {
+        Reader::decode(bytes, "matrix checkpoint", |r| match r.get::<u8>()? {
             0 => {
-                let start = r.u64()?;
+                let start = r.get()?;
                 let cols = r.usize()?;
-                let len = r.count(E::WIDTH)?;
+                let len = r.count::<u64>(E::WIDTH)?;
                 if cols == 0 || !len.is_multiple_of(cols) {
-                    return Err(r.corrupt("data is not whole rows"));
+                    return Err(r.corrupt("data is not whole rows").into());
                 }
-                MatPart::Dense { start, cols, data: r.elems(len)? }
+                Ok(MatPart::Dense { start, cols, data: r.vec(len)? })
             }
             1 => {
                 let cols = r.usize()?;
                 let row_bytes = cols.checked_mul(E::WIDTH).and_then(|b| b.checked_add(8));
-                let n = r.count(row_bytes.ok_or_else(|| r.corrupt("row width overflows"))?)?;
+                let n = r.count::<u64>(row_bytes.ok_or_else(|| r.corrupt("row width overflows"))?)?;
                 let mut map = FxHashMap::default();
                 for _ in 0..n {
-                    let k = r.u64()?;
-                    map.insert(k, r.elems(cols)?);
+                    let k = r.get()?;
+                    map.insert(k, r.vec(cols)?);
                 }
-                MatPart::Sparse { cols, map }
+                Ok(MatPart::Sparse { cols, map })
             }
-            t => return Err(r.corrupt(&format!("bad partition tag {t}"))),
-        };
-        r.finish()?;
-        Ok(part)
+            t => Err(r.corrupt(format!("bad partition tag {t}")).into()),
+        })
     }
 }
 

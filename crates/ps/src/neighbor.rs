@@ -19,11 +19,11 @@
 //! cost formula plus what it does to one partition.
 
 use psgraph_sim::bytes::BufMut;
-use psgraph_sim::{FxHashMap, NodeClock, SplitMix64};
+use psgraph_sim::{FxHashMap, NodeClock, Reader, SplitMix64};
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::object::{each_partition, Partition, PsObject, Reader};
+use crate::object::{each_partition, Partition, PsObject};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
 
@@ -130,20 +130,20 @@ fn encode_part(map: &TablePart) -> Vec<u8> {
 
 /// Inverse of [`encode_part`], under the [`Partition::decode`] contract.
 fn decode_part(bytes: &[u8]) -> Result<TablePart> {
-    let mut r = Reader::new(bytes, "neighbor-table");
-    // Every entry carries at least its 16-byte (vertex, length) header.
-    let n = r.count(16)?;
-    let mut map = TablePart::default();
-    map.reserve(n);
-    for _ in 0..n {
-        let k = r.u64()?;
-        let len = r.count(8)?;
-        if map.insert(k, NeighborEntry::new(r.elems(len)?)).is_some() {
-            return Err(r.corrupt("vertex listed twice"));
+    Reader::decode(bytes, "neighbor-table checkpoint", |r| {
+        // Every entry carries at least its 16-byte (vertex, length) header.
+        let n = r.count::<u64>(16)?;
+        let mut map = TablePart::default();
+        map.reserve(n);
+        for _ in 0..n {
+            let k = r.get()?;
+            let len = r.count::<u64>(8)?;
+            if map.insert(k, NeighborEntry::new(r.vec(len)?)).is_some() {
+                return Err(r.corrupt("vertex listed twice").into());
+            }
         }
-    }
-    r.finish()?;
-    Ok(map)
+        Ok(map)
+    })
 }
 
 impl Partition for TablePart {

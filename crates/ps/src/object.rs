@@ -12,17 +12,15 @@
 //! per request, every leg that ran charged from it, the client resuming at
 //! the slowest ([`PsObject::fan_out`]) — and what the cluster needs from a
 //! partition type to checkpoint and restore it ([`Partition`], decoded
-//! through the bounds-checked [`Reader`]). DESIGN.md §8.8 states the
-//! contract.
+//! through the bounds-checked [`Reader`](psgraph_sim::Reader)). DESIGN.md
+//! §8.8 states the contract.
 
 use psgraph_net::ServicePort;
-use psgraph_sim::bytes::Buf;
 use psgraph_sim::{FxHashMap, NodeClock};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::element::Element;
 use crate::error::{PsError, Result};
 use crate::partition::PartitionLayout;
 use crate::ps::{ObjectOps, Ps, RecoveryMode};
@@ -36,7 +34,7 @@ pub(crate) trait Partition: Send + Sync + Sized + 'static {
     /// Inverse of [`Partition::encode`]. The buffer comes off the DFS, so
     /// nothing in it is trusted: a truncated or corrupt checkpoint is a
     /// [`PsError::Dfs`], never a panic or an allocation sized by a corrupt
-    /// length ([`Reader`] enforces both).
+    /// length ([`Reader`](psgraph_sim::Reader) enforces both).
     fn decode(bytes: &[u8]) -> Result<Self>;
 
     /// Bytes this partition occupies on its server.
@@ -433,79 +431,6 @@ impl PsObject {
     }
 }
 
-/// Bounds-checked cursor over an untrusted checkpoint buffer: every read
-/// checks the bytes left first (the `sim::bytes` getters panic on a short
-/// buffer by contract), and every on-disk length is bounded by the bytes
-/// that are left before anything is allocated for it.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    what: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    /// `what` names the format in error messages.
-    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> Self {
-        Reader { buf, what }
-    }
-
-    pub(crate) fn corrupt(&self, why: &str) -> PsError {
-        PsError::Dfs(format!("corrupt {} checkpoint: {why}", self.what))
-    }
-
-    fn need(&self, bytes: usize) -> Result<()> {
-        if self.buf.len() < bytes {
-            return Err(self.corrupt("truncated"));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    /// A `u64` field used as an in-memory size or index.
-    pub(crate) fn usize(&mut self) -> Result<usize> {
-        usize::try_from(self.u64()?).map_err(|_| self.corrupt("field exceeds the address space"))
-    }
-
-    /// An on-disk count of items that take at least `width` bytes each: no
-    /// more than the bytes left can hold.
-    pub(crate) fn count(&mut self, width: usize) -> Result<usize> {
-        let n = self.u64()?;
-        if n > (self.buf.len() / width) as u64 {
-            return Err(self.corrupt("count exceeds the bytes present"));
-        }
-        Ok(n as usize)
-    }
-
-    pub(crate) fn elem<E: Element>(&mut self) -> Result<E> {
-        self.need(E::WIDTH)?;
-        Ok(E::decode(&mut self.buf))
-    }
-
-    pub(crate) fn elems<E: Element>(&mut self, n: usize) -> Result<Vec<E>> {
-        self.need(
-            n.checked_mul(E::WIDTH)
-                .ok_or_else(|| self.corrupt("length overflows"))?,
-        )?;
-        Ok((0..n).map(|_| E::decode(&mut self.buf)).collect())
-    }
-
-    /// The encoding ends here: anything left over is corruption.
-    pub(crate) fn finish(self) -> Result<()> {
-        if !self.buf.is_empty() {
-            return Err(self.corrupt("trailing bytes"));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,8 +441,8 @@ mod tests {
     use crate::partition::Partitioner;
     use crate::ps::PsConfig;
     use crate::vector::VecPart;
-    use psgraph_harness::prop::{check, Source};
-    use psgraph_harness::{prop_assert, prop_assert_eq};
+    use psgraph_harness::prop::{self, check, Source};
+    use psgraph_harness::prop_assert_eq;
     use psgraph_sim::{stage, SimTime};
 
     fn object(servers: usize, layout: PartitionLayout) -> PsObject {
@@ -750,25 +675,12 @@ mod tests {
         let back = P::decode(&bytes).map_err(|e| e.to_string())?;
         prop_assert_eq!(back.encode(), bytes.clone());
         prop_assert_eq!(back.approx_bytes(), part.approx_bytes());
-        // Truncated anywhere: a clean error (no prefix of an encoding is
-        // itself one), never a panic. Same for anything after the end.
-        for cut in 0..bytes.len() {
-            prop_assert!(P::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
-        }
-        let mut longer = bytes.clone();
-        longer.push(0);
-        prop_assert!(P::decode(&longer).is_err(), "trailing byte accepted");
-        // Bit flips: an error or some partition that can be used, never a
+        // Damaged: an error or some partition that can be used, never a
         // panic or an allocation sized by a corrupt length.
-        let mut damaged = bytes.clone();
-        for &(at, bit) in flips {
-            let at = (at % damaged.len() as u64) as usize;
-            damaged[at] ^= 1 << bit;
-        }
-        if let Ok(part) = P::decode(&damaged) {
+        prop::survives_damage(&bytes, flips, P::decode, |part, damaged| {
             prop_assert_eq!(part.encode().len(), damaged.len());
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     #[test]

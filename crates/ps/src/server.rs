@@ -314,11 +314,6 @@ impl PsServer {
             }
         }
     }
-
-    /// Number of stored partitions (diagnostics).
-    pub fn partition_count(&self) -> usize {
-        self.store.read().len()
-    }
 }
 
 #[cfg(test)]
@@ -512,6 +507,5 @@ mod tests {
         assert!(!s.contains("x", 1));
         assert!(s.contains("y", 0));
         assert_eq!(s.memory().in_use(), 10);
-        assert_eq!(s.partition_count(), 1);
     }
 }

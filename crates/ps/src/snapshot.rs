@@ -17,11 +17,11 @@
 //! tier answers with exactly the numbers training produced.
 
 use psgraph_dfs::Dfs;
-use psgraph_sim::bytes::{Buf, BufMut};
-use psgraph_sim::NodeClock;
+use psgraph_sim::bytes::BufMut;
+use psgraph_sim::{NodeClock, Reader};
 
 use crate::colmatrix::ColMatrixHandle;
-use crate::csr::CsrHandle;
+use crate::csr::{offsets_tile, CsrHandle};
 use crate::element::Element;
 use crate::error::{PsError, Result};
 use crate::matrix::MatrixHandle;
@@ -35,6 +35,10 @@ const MAGIC: u64 = 0x5053_4753_4E41_5032;
 
 /// Delta file magic ("PSGDLTA1" as big-endian bytes).
 const DELTA_MAGIC: u64 = 0x5053_4744_4C54_4131;
+
+/// The fewest bytes an entry header takes: name length, kind, rows, cols
+/// and version count.
+const HEADER_MIN: usize = 21;
 
 /// Rows pulled per RPC when exporting matrices/adjacency (bounds the
 /// transient client-side buffer, and matches how a real exporter would
@@ -88,6 +92,38 @@ pub struct SnapshotEntry {
     pub part_versions: Vec<u64>,
 }
 
+/// Append the entry header the manifest and the delta share.
+fn put_header(
+    buf: &mut Vec<u8>,
+    name: &str,
+    kind: SnapshotKind,
+    rows: u64,
+    cols: u32,
+    versions: &[u64],
+) {
+    buf.put_u32_le(name.len() as u32);
+    buf.put_slice(name.as_bytes());
+    buf.put_u8(kind.tag());
+    buf.put_u64_le(rows);
+    buf.put_u32_le(cols);
+    buf.put_u32_le(versions.len() as u32);
+    for &v in versions {
+        buf.put_u64_le(v);
+    }
+}
+
+/// Inverse of [`put_header`].
+fn get_header(r: &mut Reader) -> Result<SnapshotEntry> {
+    let len = r.count::<u32>(1)?;
+    let name = String::from_utf8(r.bytes(len)?.to_vec())
+        .map_err(|_| r.corrupt("non-UTF-8 object name"))?;
+    let kind = SnapshotKind::from_tag(r.get()?)?;
+    let (rows, cols) = (r.get()?, r.get()?);
+    let n_parts = r.count::<u32>(8)?;
+    let part_versions = r.vec(n_parts)?;
+    Ok(SnapshotEntry { name, kind, rows, cols, part_versions })
+}
+
 /// The snapshot directory listing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotManifest {
@@ -104,55 +140,23 @@ impl SnapshotManifest {
         buf.put_u64_le(MAGIC);
         buf.put_u32_le(self.entries.len() as u32);
         for e in &self.entries {
-            buf.put_u32_le(e.name.len() as u32);
-            buf.extend_from_slice(e.name.as_bytes());
-            buf.put_u8(e.kind.tag());
-            buf.put_u64_le(e.rows);
-            buf.put_u32_le(e.cols);
-            buf.put_u32_le(e.part_versions.len() as u32);
-            for &v in &e.part_versions {
-                buf.put_u64_le(v);
-            }
+            put_header(&mut buf, &e.name, e.kind, e.rows, e.cols, &e.part_versions);
         }
         buf
     }
 
-    fn decode(mut bytes: &[u8]) -> Result<Self> {
-        let buf = &mut bytes;
-        if buf.remaining() < 12 || buf.get_u64_le() != MAGIC {
-            return Err(PsError::Dfs("bad snapshot manifest magic".into()));
-        }
-        let count = buf.get_u32_le() as usize;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            if buf.remaining() < 4 {
-                return Err(PsError::Dfs("truncated snapshot manifest".into()));
-            }
-            let name_len = buf.get_u32_le() as usize;
-            if buf.remaining() < name_len + 17 {
-                return Err(PsError::Dfs("truncated snapshot manifest".into()));
-            }
-            let name = String::from_utf8(buf[..name_len].to_vec())
-                .map_err(|_| PsError::Dfs("non-UTF-8 snapshot object name".into()))?;
-            buf.advance(name_len);
-            let kind = SnapshotKind::from_tag(buf.get_u8())?;
-            let rows = buf.get_u64_le();
-            let cols = buf.get_u32_le();
-            let n_parts = buf.get_u32_le() as usize;
-            if buf.remaining() < n_parts * 8 {
-                return Err(PsError::Dfs("truncated snapshot manifest".into()));
-            }
-            let part_versions = (0..n_parts).map(|_| buf.get_u64_le()).collect();
-            entries.push(SnapshotEntry { name, kind, rows, cols, part_versions });
-        }
-        Ok(SnapshotManifest { entries })
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        Reader::decode(bytes, "snapshot manifest", |r| {
+            r.magic(&MAGIC.to_le_bytes())?;
+            let count = r.count::<u32>(HEADER_MIN)?;
+            let entries = (0..count).map(|_| get_header(r)).collect::<Result<_>>()?;
+            Ok(SnapshotManifest { entries })
+        })
     }
 
     /// Read the manifest of a snapshot directory.
     pub fn load(dfs: &Dfs, dir: &str, client: &NodeClock) -> Result<Self> {
-        let bytes = dfs
-            .read(&manifest_path(dir), client)
-            .map_err(|e| PsError::Dfs(e.to_string()))?;
+        let bytes = dfs.read(&manifest_path(dir), client)?;
         Self::decode(&bytes)
     }
 }
@@ -181,52 +185,36 @@ pub fn load_object(
     entry: &SnapshotEntry,
     client: &NodeClock,
 ) -> Result<SnapshotData> {
-    let bytes = dfs
-        .read(&object_path(dir, &entry.name), client)
-        .map_err(|e| PsError::Dfs(e.to_string()))?;
-    let mut slice: &[u8] = &bytes;
-    let buf = &mut slice;
-    if buf.remaining() < 13 {
-        return Err(PsError::Dfs(format!("truncated snapshot object {}", entry.name)));
-    }
-    let kind = SnapshotKind::from_tag(buf.get_u8())?;
-    let rows = buf.get_u64_le();
-    let cols = buf.get_u32_le() as usize;
-    if kind != entry.kind || rows != entry.rows || cols != entry.cols as usize {
-        return Err(PsError::Dfs(format!(
-            "snapshot object {} does not match its manifest entry",
-            entry.name
-        )));
-    }
-    let need = |buf: &&[u8], n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(PsError::Dfs(format!("truncated snapshot object {}", entry.name)))
-        } else {
-            Ok(())
+    let bytes = dfs.read(&object_path(dir, &entry.name), client)?;
+    Reader::decode(&bytes, "snapshot object", |r| {
+        let kind = SnapshotKind::from_tag(r.get()?)?;
+        let (rows, cols) = (r.usize()?, r.get::<u32>()?);
+        if kind != entry.kind || rows as u64 != entry.rows || cols != entry.cols {
+            return Err(PsError::Dfs(format!(
+                "snapshot object {} does not match its manifest entry",
+                entry.name
+            )));
         }
-    };
-    Ok(match kind {
-        SnapshotKind::VecF64 => {
-            need(buf, rows as usize * 8)?;
-            SnapshotData::VecF64((0..rows).map(|_| buf.get_f64_le()).collect())
-        }
-        SnapshotKind::VecU64 => {
-            need(buf, rows as usize * 8)?;
-            SnapshotData::VecU64((0..rows).map(|_| buf.get_u64_le()).collect())
-        }
-        SnapshotKind::MatF32 => {
-            let n = rows as usize * cols;
-            need(buf, n * 4)?;
-            SnapshotData::MatF32 { cols, data: (0..n).map(|_| buf.get_f32_le()).collect() }
-        }
-        SnapshotKind::Adjacency => {
-            need(buf, (rows as usize + 1) * 8 + 8)?;
-            let offsets: Vec<u64> = (0..=rows).map(|_| buf.get_u64_le()).collect();
-            let n_tgt = buf.get_u64_le() as usize;
-            need(buf, n_tgt * 8)?;
-            let targets = (0..n_tgt).map(|_| buf.get_u64_le()).collect();
-            SnapshotData::Adjacency { offsets, targets }
-        }
+        let cols = cols as usize;
+        Ok(match kind {
+            SnapshotKind::VecF64 => SnapshotData::VecF64(r.vec(rows)?),
+            SnapshotKind::VecU64 => SnapshotData::VecU64(r.vec(rows)?),
+            SnapshotKind::MatF32 => {
+                let n = rows.checked_mul(cols).ok_or_else(|| r.corrupt("length overflows"))?;
+                SnapshotData::MatF32 { cols, data: r.vec(n)? }
+            }
+            SnapshotKind::Adjacency => {
+                let n_off = rows.checked_add(1).ok_or_else(|| r.corrupt("length overflows"))?;
+                let offsets = r.vec(n_off)?;
+                let n_tgt = r.count::<u64>(8)?;
+                let targets = r.vec(n_tgt)?;
+                // The serve tier slices `targets` by consecutive offsets.
+                if !offsets_tile(&offsets, n_tgt) {
+                    return Err(r.corrupt("offsets do not tile the targets").into());
+                }
+                SnapshotData::Adjacency { offsets, targets }
+            }
+        })
     })
 }
 
@@ -285,9 +273,7 @@ impl<'a> SnapshotWriter<'a> {
         bytes.put_u64_le(entry.rows);
         bytes.put_u32_le(entry.cols);
         bytes.extend_from_slice(&payload);
-        self.dfs
-            .write(&object_path(&self.dir, &entry.name), &bytes, self.client)
-            .map_err(|e| PsError::Dfs(e.to_string()))?;
+        self.dfs.write(&object_path(&self.dir, &entry.name), &bytes, self.client)?;
         self.manifest.entries.push(entry);
         Ok(())
     }
@@ -306,8 +292,8 @@ impl<'a> SnapshotWriter<'a> {
         let part_versions = h.partition_versions()?;
         let values = h.pull_all(self.client)?;
         let mut payload = Vec::with_capacity(values.len() * E::WIDTH);
-        for v in &values {
-            v.encode(&mut payload);
+        for &v in &values {
+            v.put_le(&mut payload);
         }
         let entry = SnapshotEntry {
             name: h.name().to_string(),
@@ -400,9 +386,7 @@ impl<'a> SnapshotWriter<'a> {
     /// Write the manifest and return it. Must be called last — objects
     /// written after `finish` would not be listed.
     pub fn finish(self) -> Result<SnapshotManifest> {
-        self.dfs
-            .write(&manifest_path(&self.dir), &self.manifest.encode(), self.client)
-            .map_err(|e| PsError::Dfs(e.to_string()))?;
+        self.dfs.write(&manifest_path(&self.dir), &self.manifest.encode(), self.client)?;
         Ok(self.manifest)
     }
 }
@@ -436,6 +420,39 @@ impl PatchRegion {
             PatchRegion::Adj { .. } => 3,
             PatchRegion::RowsF32 { .. } => 4,
         }
+    }
+
+    fn decode(r: &mut Reader) -> Result<Self> {
+        Ok(match r.get::<u8>()? {
+            0 => {
+                let row_lo = r.get()?;
+                let len = r.count::<u64>(8)?;
+                PatchRegion::RowsF64 { row_lo, values: r.vec(len)? }
+            }
+            1 => {
+                let row_lo = r.get()?;
+                let len = r.count::<u64>(8)?;
+                PatchRegion::RowsU64 { row_lo, values: r.vec(len)? }
+            }
+            2 => {
+                let (col_lo, col_hi) = (r.get()?, r.get()?);
+                let len = r.count::<u64>(4)?;
+                PatchRegion::Cols { col_lo, col_hi, data: r.vec(len)? }
+            }
+            3 => {
+                let row_lo = r.get()?;
+                let n_off = r.count::<u64>(8)?;
+                let offsets = r.vec(n_off)?;
+                let n_tgt = r.count::<u64>(8)?;
+                PatchRegion::Adj { row_lo, offsets, targets: r.vec(n_tgt)? }
+            }
+            4 => {
+                let row_lo = r.get()?;
+                let len = r.count::<u64>(4)?;
+                PatchRegion::RowsF32 { row_lo, data: r.vec(len)? }
+            }
+            t => return Err(r.corrupt(format!("unknown patch region tag {t}")).into()),
+        })
     }
 }
 
@@ -482,15 +499,7 @@ impl SnapshotDelta {
         buf.put_u64_le(DELTA_MAGIC);
         buf.put_u32_le(self.entries.len() as u32);
         for e in &self.entries {
-            buf.put_u32_le(e.name.len() as u32);
-            buf.extend_from_slice(e.name.as_bytes());
-            buf.put_u8(e.kind.tag());
-            buf.put_u64_le(e.rows);
-            buf.put_u32_le(e.cols);
-            buf.put_u32_le(e.part_versions.len() as u32);
-            for &v in &e.part_versions {
-                buf.put_u64_le(v);
-            }
+            put_header(&mut buf, &e.name, e.kind, e.rows, e.cols, &e.part_versions);
             buf.put_u32_le(e.regions.len() as u32);
             for r in &e.regions {
                 buf.put_u8(r.tag());
@@ -541,96 +550,27 @@ impl SnapshotDelta {
         buf
     }
 
-    fn decode(mut bytes: &[u8]) -> Result<Self> {
-        let buf = &mut bytes;
-        let bad = || PsError::Dfs("truncated snapshot delta".into());
-        if buf.remaining() < 12 || buf.get_u64_le() != DELTA_MAGIC {
-            return Err(PsError::Dfs("bad snapshot delta magic".into()));
-        }
-        let need = |buf: &&[u8], n: usize| -> Result<()> {
-            if buf.remaining() < n {
-                Err(bad())
-            } else {
-                Ok(())
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        Reader::decode(bytes, "snapshot delta", |r| {
+            r.magic(&DELTA_MAGIC.to_le_bytes())?;
+            // Each entry is a header and a region count.
+            let count = r.count::<u32>(HEADER_MIN + 4)?;
+            let mut entries = Vec::with_capacity(count);
+            for _ in 0..count {
+                let SnapshotEntry { name, kind, rows, cols, part_versions } = get_header(r)?;
+                // Each region is at least a tag and two 8-byte fields.
+                let n_regions = r.count::<u32>(17)?;
+                let regions = (0..n_regions).map(|_| PatchRegion::decode(r));
+                let regions = regions.collect::<Result<_>>()?;
+                entries.push(DeltaEntry { name, kind, rows, cols, part_versions, regions });
             }
-        };
-        let count = buf.get_u32_le() as usize;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            need(buf, 4)?;
-            let name_len = buf.get_u32_le() as usize;
-            need(buf, name_len + 21)?;
-            let name = String::from_utf8(buf[..name_len].to_vec())
-                .map_err(|_| PsError::Dfs("non-UTF-8 delta object name".into()))?;
-            buf.advance(name_len);
-            let kind = SnapshotKind::from_tag(buf.get_u8())?;
-            let rows = buf.get_u64_le();
-            let cols = buf.get_u32_le();
-            let n_parts = buf.get_u32_le() as usize;
-            need(buf, n_parts * 8 + 4)?;
-            let part_versions = (0..n_parts).map(|_| buf.get_u64_le()).collect();
-            let n_regions = buf.get_u32_le() as usize;
-            let mut regions = Vec::with_capacity(n_regions);
-            for _ in 0..n_regions {
-                need(buf, 1)?;
-                regions.push(match buf.get_u8() {
-                    0 => {
-                        need(buf, 16)?;
-                        let row_lo = buf.get_u64_le();
-                        let len = buf.get_u64_le() as usize;
-                        need(buf, len * 8)?;
-                        let values = (0..len).map(|_| buf.get_f64_le()).collect();
-                        PatchRegion::RowsF64 { row_lo, values }
-                    }
-                    1 => {
-                        need(buf, 16)?;
-                        let row_lo = buf.get_u64_le();
-                        let len = buf.get_u64_le() as usize;
-                        need(buf, len * 8)?;
-                        let values = (0..len).map(|_| buf.get_u64_le()).collect();
-                        PatchRegion::RowsU64 { row_lo, values }
-                    }
-                    2 => {
-                        need(buf, 16)?;
-                        let col_lo = buf.get_u32_le();
-                        let col_hi = buf.get_u32_le();
-                        let len = buf.get_u64_le() as usize;
-                        need(buf, len * 4)?;
-                        let data = (0..len).map(|_| buf.get_f32_le()).collect();
-                        PatchRegion::Cols { col_lo, col_hi, data }
-                    }
-                    3 => {
-                        need(buf, 16)?;
-                        let row_lo = buf.get_u64_le();
-                        let n_off = buf.get_u64_le() as usize;
-                        need(buf, n_off * 8 + 8)?;
-                        let offsets = (0..n_off).map(|_| buf.get_u64_le()).collect();
-                        let n_tgt = buf.get_u64_le() as usize;
-                        need(buf, n_tgt * 8)?;
-                        let targets = (0..n_tgt).map(|_| buf.get_u64_le()).collect();
-                        PatchRegion::Adj { row_lo, offsets, targets }
-                    }
-                    4 => {
-                        need(buf, 16)?;
-                        let row_lo = buf.get_u64_le();
-                        let len = buf.get_u64_le() as usize;
-                        need(buf, len * 4)?;
-                        let data = (0..len).map(|_| buf.get_f32_le()).collect();
-                        PatchRegion::RowsF32 { row_lo, data }
-                    }
-                    t => return Err(PsError::Dfs(format!("unknown patch region tag {t}"))),
-                });
-            }
-            entries.push(DeltaEntry { name, kind, rows, cols, part_versions, regions });
-        }
-        Ok(SnapshotDelta { entries })
+            Ok(SnapshotDelta { entries })
+        })
     }
 
     /// Read the delta file of a snapshot directory.
     pub fn load(dfs: &Dfs, dir: &str, client: &NodeClock) -> Result<Self> {
-        let bytes = dfs
-            .read(&delta_path(dir), client)
-            .map_err(|e| PsError::Dfs(e.to_string()))?;
+        let bytes = dfs.read(&delta_path(dir), client)?;
         Self::decode(&bytes)
     }
 }
@@ -807,9 +747,7 @@ impl<'a> DeltaWriter<'a> {
     /// Write the delta file and return the delta. [`SnapshotDelta::rebase`]
     /// the base manifest with it to chain further deltas.
     pub fn finish(self) -> Result<SnapshotDelta> {
-        self.dfs
-            .write(&delta_path(&self.dir), &self.delta.encode(), self.client)
-            .map_err(|e| PsError::Dfs(e.to_string()))?;
+        self.dfs.write(&delta_path(&self.dir), &self.delta.encode(), self.client)?;
         Ok(self.delta)
     }
 }

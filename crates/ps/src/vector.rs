@@ -8,14 +8,14 @@
 //! formula plus a per-partition closure; routing, liveness and the RPC
 //! charge are `PsObject`'s.
 
-use psgraph_sim::bytes::BufMut;
-use psgraph_sim::{FxHashMap, NodeClock};
+use psgraph_sim::bytes::{BufMut, Scalar};
+use psgraph_sim::{FxHashMap, NodeClock, Reader};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::element::Element;
 use crate::error::{PsError, Result};
-use crate::object::{Partition, PlanRun, PsObject, PullPlan, Reader};
+use crate::object::{Partition, PlanRun, PsObject, PullPlan};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
 use crate::server::PsServer;
@@ -84,8 +84,8 @@ impl<E: Element> Partition for VecPart<E> {
                 buf.put_u8(0);
                 buf.put_u64_le(*start);
                 buf.put_u64_le(data.len() as u64);
-                for v in data {
-                    v.encode(&mut buf);
+                for &v in data {
+                    v.put_le(&mut buf);
                 }
             }
             VecPart::Sparse { map } => {
@@ -93,9 +93,8 @@ impl<E: Element> Partition for VecPart<E> {
                 buf.put_u64_le(map.len() as u64);
                 let mut entries: Vec<_> = map.iter().collect();
                 entries.sort_by_key(|(k, _)| **k); // deterministic checkpoints
-                for (k, v) in entries {
-                    buf.put_u64_le(*k);
-                    v.encode(&mut buf);
+                for (&k, &v) in entries {
+                    (k, v).put_le(&mut buf);
                 }
             }
         }
@@ -103,27 +102,18 @@ impl<E: Element> Partition for VecPart<E> {
     }
 
     fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes, "vector");
-        let part = match r.u8()? {
+        Reader::decode(bytes, "vector checkpoint", |r| match r.get::<u8>()? {
             0 => {
-                let start = r.u64()?;
-                let len = r.count(E::WIDTH)?;
-                VecPart::Dense { start, data: r.elems(len)? }
+                let start = r.get()?;
+                let len = r.count::<u64>(E::WIDTH)?;
+                Ok(VecPart::Dense { start, data: r.vec(len)? })
             }
             1 => {
-                let len = r.count(8 + E::WIDTH)?;
-                let mut map = FxHashMap::default();
-                map.reserve(len);
-                for _ in 0..len {
-                    let k = r.u64()?;
-                    map.insert(k, r.elem()?);
-                }
-                VecPart::Sparse { map }
+                let len = r.count::<u64>(8 + E::WIDTH)?;
+                Ok(VecPart::Sparse { map: r.vec::<(u64, E)>(len)?.into_iter().collect() })
             }
-            t => return Err(r.corrupt(&format!("bad partition tag {t}"))),
-        };
-        r.finish()?;
-        Ok(part)
+            t => Err(r.corrupt(format!("bad partition tag {t}")).into()),
+        })
     }
 }
 

@@ -49,14 +49,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    pub fn as_minutes_f64(self) -> f64 {
-        self.as_secs_f64() / 60.0
-    }
-
-    pub fn as_hours_f64(self) -> f64 {
-        self.as_secs_f64() / 3600.0
-    }
-
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
@@ -379,8 +371,6 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
         assert!((SimTime::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
-        assert!((SimTime::from_secs(7200).as_hours_f64() - 2.0).abs() < 1e-12);
-        assert!((SimTime::from_secs(90).as_minutes_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -107,21 +107,6 @@ impl FailureInjector {
         due
     }
 
-    /// Whether a specific node dies at this superstep (consumes the plan).
-    /// Only [`FailAction::Kill`] plans match — scripted restarts are
-    /// delivered via [`FailureInjector::take_due`].
-    pub fn should_kill(&self, kind: NodeKind, node_id: usize, superstep: u64) -> bool {
-        let mut guard = self.inner.lock();
-        let before = guard.len();
-        guard.retain(|p| {
-            !(p.kind == kind
-                && p.node_id == node_id
-                && p.at_superstep == superstep
-                && p.action == FailAction::Kill)
-        });
-        guard.len() != before
-    }
-
     /// Number of kills still pending.
     pub fn pending(&self) -> usize {
         self.inner.lock().len()
@@ -135,20 +120,18 @@ mod tests {
     #[test]
     fn empty_injector_never_kills() {
         let inj = FailureInjector::none();
-        assert!(!inj.should_kill(NodeKind::Executor, 0, 0));
-        assert!(inj.take_due(NodeKind::Server, 0).is_empty());
+        assert!(inj.take_due(NodeKind::Executor, 0).is_empty());
         assert_eq!(inj.pending(), 0);
     }
 
     #[test]
     fn kill_fires_once_at_the_right_step() {
         let inj = FailureInjector::with_plans([FailPlan::kill_executor(2, 5)]);
-        assert!(!inj.should_kill(NodeKind::Executor, 2, 4));
-        assert!(!inj.should_kill(NodeKind::Executor, 1, 5));
-        assert!(!inj.should_kill(NodeKind::Server, 2, 5));
-        assert!(inj.should_kill(NodeKind::Executor, 2, 5));
+        assert!(inj.take_due(NodeKind::Executor, 4).is_empty());
+        assert!(inj.take_due(NodeKind::Server, 5).is_empty());
+        assert_eq!(inj.take_due(NodeKind::Executor, 5), vec![FailPlan::kill_executor(2, 5)]);
         // Consumed: does not fire again.
-        assert!(!inj.should_kill(NodeKind::Executor, 2, 5));
+        assert!(inj.take_due(NodeKind::Executor, 5).is_empty());
         assert_eq!(inj.pending(), 0);
     }
 
@@ -172,19 +155,16 @@ mod tests {
         let inj = FailureInjector::none();
         inj.schedule(FailPlan::kill_datanode(9, 1));
         assert_eq!(inj.pending(), 1);
-        assert!(inj.should_kill(NodeKind::Datanode, 9, 1));
+        assert_eq!(inj.take_due(NodeKind::Datanode, 1), vec![FailPlan::kill_datanode(9, 1)]);
     }
 
     #[test]
-    fn restart_plans_bypass_should_kill() {
+    fn take_due_delivers_restarts_with_their_action() {
         let inj = FailureInjector::with_plans([
             FailPlan::kill_replica(1, 4),
             FailPlan::restart_replica(1, 8),
         ]);
-        assert!(inj.should_kill(NodeKind::Replica, 1, 4));
-        // The restart at step 8 is not a kill...
-        assert!(!inj.should_kill(NodeKind::Replica, 1, 8));
-        // ...but take_due still delivers it, action intact.
+        assert_eq!(inj.take_due(NodeKind::Replica, 4)[0].action, FailAction::Kill);
         let due = inj.take_due(NodeKind::Replica, 8);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].action, FailAction::Restart);
@@ -196,7 +176,7 @@ mod tests {
         let a = FailureInjector::none();
         let b = a.clone();
         a.schedule(FailPlan::kill_executor(0, 0));
-        assert!(b.should_kill(NodeKind::Executor, 0, 0));
+        assert_eq!(b.take_due(NodeKind::Executor, 0).len(), 1);
         assert_eq!(a.pending(), 0);
     }
 }

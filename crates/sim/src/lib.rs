@@ -22,7 +22,7 @@ pub mod memory;
 pub mod rng;
 pub mod sync;
 
-pub use bytes::{Buf, BufMut, Bytes};
+pub use bytes::{BufMut, Bytes, Corrupt, Reader, Scalar};
 pub use chaos::{ChaosConfig, FaultSchedule, FaultSite, FaultStats};
 pub use clock::{stage, ClusterClock, NodeClock, SimTime, Watermark};
 pub use cost::CostModel;

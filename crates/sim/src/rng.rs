@@ -3,8 +3,8 @@
 //!
 //! [`SplitMix64`] is tiny, passes BigCrush-adjacent smoke tests, and — more
 //! importantly here — makes every experiment reproducible from a single
-//! `u64` seed. The heavier distributions (normal, exponential, Zipf,
-//! Pareto) are implemented as inherent samplers so the workspace needs no
+//! `u64` seed. The heavier distributions (exponential, Zipf) are
+//! implemented as inherent samplers so the workspace needs no
 //! external `rand`/`rand_distr` crates (hermetic build policy).
 
 /// SplitMix64 PRNG (Steele, Lea & Flood 2014).
@@ -29,13 +29,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit output (upper half of the 64-bit state, which mixes
-    /// better than the lower).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)`. Uses the widening-multiply trick; bias is
     /// negligible for bounds far below 2^64 (all our uses).
     #[inline]
@@ -44,24 +37,10 @@ impl SplitMix64 {
         ((self.next() as u128 * bound as u128) >> 64) as u64
     }
 
-    /// Uniform in `[lo, hi)`.
-    #[inline]
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        lo + self.next_below(hi - lo)
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn next_f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo < hi);
-        lo + self.next_f64() * (hi - lo)
     }
 
     /// Bernoulli draw: `true` with probability `p`.
@@ -70,40 +49,10 @@ impl SplitMix64 {
         self.next_f64() < p
     }
 
-    /// Fill `dest` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for c in &mut chunks {
-            c.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let b = self.next().to_le_bytes();
-            rem.copy_from_slice(&b[..rem.len()]);
-        }
-    }
-
-    /// Standard normal via Box–Muller (two fresh uniforms per draw; no
-    /// cached spare, keeping the generator `Copy` and replay-exact).
-    pub fn next_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        // 1 - U ∈ (0, 1] keeps the log finite.
-        let u = 1.0 - self.next_f64();
-        let v = self.next_f64();
-        let r = (-2.0 * u.ln()).sqrt();
-        mean + std_dev * r * (std::f64::consts::TAU * v).cos()
-    }
-
     /// Exponential with rate `lambda` (mean `1/lambda`), by inversion.
     pub fn next_exp(&mut self, lambda: f64) -> f64 {
         debug_assert!(lambda > 0.0);
         -(1.0 - self.next_f64()).ln() / lambda
-    }
-
-    /// Pareto with minimum `scale` and tail index `shape`, by inversion.
-    /// Heavy-tailed service/degree model: P(X > x) = (scale/x)^shape.
-    pub fn next_pareto(&mut self, scale: f64, shape: f64) -> f64 {
-        debug_assert!(scale > 0.0 && shape > 0.0);
-        scale * (1.0 - self.next_f64()).powf(-1.0 / shape)
     }
 
     /// Zipf over `{1, …, n}` with exponent `s > 0`: P(k) ∝ k^-s.
@@ -213,41 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_handles_remainder() {
-        let mut r = SplitMix64::new(3);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn uniform_range_helpers() {
-        let mut r = SplitMix64::new(11);
-        for _ in 0..1000 {
-            let v = r.next_range(10, 20);
-            assert!((10..20).contains(&v));
-            let f = r.next_f64_range(-2.0, 3.0);
-            assert!((-2.0..3.0).contains(&f));
-        }
-    }
-
-    #[test]
-    fn normal_moments_are_sane() {
-        let mut r = SplitMix64::new(21);
-        let n = 50_000;
-        let (mut sum, mut sumsq) = (0.0, 0.0);
-        for _ in 0..n {
-            let v = r.next_normal(3.0, 2.0);
-            sum += v;
-            sumsq += v * v;
-        }
-        let mean = sum / n as f64;
-        let var = sumsq / n as f64 - mean * mean;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
     fn exponential_mean_matches_rate() {
         let mut r = SplitMix64::new(23);
         let n = 50_000;
@@ -255,17 +169,6 @@ mod tests {
         let mean = sum / n as f64;
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
         assert!((0..1000).all(|_| r.next_exp(4.0) >= 0.0));
-    }
-
-    #[test]
-    fn pareto_respects_scale_and_tail() {
-        let mut r = SplitMix64::new(25);
-        let n = 50_000;
-        let draws: Vec<f64> = (0..n).map(|_| r.next_pareto(1.0, 2.0)).collect();
-        assert!(draws.iter().all(|&x| x >= 1.0));
-        // P(X > 2) = (1/2)^2 = 0.25.
-        let over = draws.iter().filter(|&&x| x > 2.0).count() as f64 / n as f64;
-        assert!((over - 0.25).abs() < 0.01, "tail {over}");
     }
 
     #[test]

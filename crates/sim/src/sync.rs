@@ -9,7 +9,6 @@
 //! surface `Result`s at every call site.
 
 use std::sync::{self, LockResult};
-use std::time::Duration;
 
 /// Mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]
@@ -85,18 +84,6 @@ impl Condvar {
         unpoison(self.0.wait(guard))
     }
 
-    /// Wait with a timeout; returns the guard and whether the wait timed
-    /// out. Timed waits make missed-notify bugs self-healing, so the pool
-    /// uses them exclusively.
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: sync::MutexGuard<'a, T>,
-        dur: Duration,
-    ) -> (sync::MutexGuard<'a, T>, bool) {
-        let (g, res) = unpoison(self.0.wait_timeout(guard, dur));
-        (g, res.timed_out())
-    }
-
     pub fn notify_one(&self) {
         self.0.notify_one();
     }
@@ -123,8 +110,7 @@ mod tests {
         let (lock, cv) = &*pair;
         let mut g = lock.lock();
         while !*g {
-            let (ng, _timed_out) = cv.wait_timeout(g, Duration::from_millis(50));
-            g = ng;
+            g = cv.wait(g);
         }
         assert!(*g);
         h.join().unwrap();

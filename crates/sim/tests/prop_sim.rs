@@ -3,7 +3,7 @@
 
 use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
-use psgraph_sim::{Buf, BufMut, SplitMix64};
+use psgraph_sim::{BufMut, Corrupt, Reader, SplitMix64};
 
 #[test]
 fn next_below_respects_bound() {
@@ -91,16 +91,23 @@ fn byte_buffer_roundtrips_typed_values() {
                     _ => buf.put_f64_le(f64::from_bits(v)),
                 }
             }
-            let mut rd: &[u8] = &buf;
-            for &(tag, v) in values {
-                match tag {
-                    0 => prop_assert_eq!(rd.get_u8() as u64, v as u8 as u64),
-                    1 => prop_assert_eq!(rd.get_u32_le() as u64, v as u32 as u64),
-                    2 => prop_assert_eq!(rd.get_u64_le(), v),
-                    _ => prop_assert_eq!(rd.get_f64_le().to_bits(), v),
-                }
-            }
-            prop_assert_eq!(rd.remaining(), 0);
+            let back = Reader::decode(&buf, "values", |rd| {
+                values
+                    .iter()
+                    .map(|&(tag, _)| match tag {
+                        0 => rd.get::<u8>().map(u64::from),
+                        1 => rd.get::<u32>().map(u64::from),
+                        2 => rd.get::<u64>(),
+                        _ => rd.get::<f64>().map(f64::to_bits),
+                    })
+                    .collect::<Result<Vec<_>, Corrupt>>()
+            });
+            let want = values.iter().map(|&(tag, v)| match tag {
+                0 => v as u8 as u64,
+                1 => v as u32 as u64,
+                _ => v,
+            });
+            prop_assert_eq!(back, Ok(want.collect::<Vec<_>>()));
             Ok(())
         },
     );

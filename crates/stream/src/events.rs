@@ -2,7 +2,8 @@
 //! synthetic streams and a DFS-backed event log for exact replay.
 
 use psgraph_dfs::Dfs;
-use psgraph_sim::{FxHashSet, NodeClock, SimTime, SplitMix64};
+use psgraph_sim::bytes::BufMut;
+use psgraph_sim::{Corrupt, FxHashSet, NodeClock, Reader, SimTime, SplitMix64};
 
 use crate::error::{Result, StreamError};
 
@@ -187,16 +188,16 @@ impl EventLog {
         client: &NodeClock,
     ) -> Result<()> {
         let mut buf = Vec::with_capacity(16 + events.len() * 25);
-        buf.extend_from_slice(LOG_MAGIC);
-        buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
+        buf.put_slice(LOG_MAGIC);
+        buf.put_u64_le(events.len() as u64);
         for ev in events {
-            buf.push(match ev.op {
-                EdgeOp::Add => 0u8,
+            buf.put_u8(match ev.op {
+                EdgeOp::Add => 0,
                 EdgeOp::Remove => 1,
             });
-            buf.extend_from_slice(&ev.src.to_le_bytes());
-            buf.extend_from_slice(&ev.dst.to_le_bytes());
-            buf.extend_from_slice(&ev.at.as_nanos().to_le_bytes());
+            buf.put_u64_le(ev.src);
+            buf.put_u64_le(ev.dst);
+            buf.put_u64_le(ev.at.as_nanos());
         }
         dfs.write(path, &buf, client)?;
         Ok(())
@@ -205,36 +206,22 @@ impl EventLog {
     /// Read the log back, bit-exact.
     pub fn replay(dfs: &Dfs, path: &str, client: &NodeClock) -> Result<Vec<EdgeEvent>> {
         let bytes = dfs.read(path, client)?;
-        let buf: &[u8] = &bytes;
-        if buf.len() < 16 || &buf[..8] != LOG_MAGIC {
-            return Err(StreamError::Corrupt(format!("{path}: bad event-log header")));
-        }
-        let count = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let mut events = Vec::with_capacity(count);
-        let mut off = 16;
-        for _ in 0..count {
-            if off + 25 > buf.len() {
-                return Err(StreamError::Corrupt(format!("{path}: truncated event log")));
+        Reader::decode(&bytes, "event log", |r| {
+            r.magic(LOG_MAGIC)?;
+            let count = r.count::<u64>(25)?;
+            let mut events = Vec::with_capacity(count);
+            for _ in 0..count {
+                let op = match r.get::<u8>()? {
+                    0 => EdgeOp::Add,
+                    1 => EdgeOp::Remove,
+                    t => return Err(r.corrupt(format!("unknown event tag {t}"))),
+                };
+                let (src, dst, at) = (r.get()?, r.get()?, r.get()?);
+                events.push(EdgeEvent { op, src, dst, at: SimTime::from_nanos(at) });
             }
-            let op = match buf[off] {
-                0 => EdgeOp::Add,
-                1 => EdgeOp::Remove,
-                t => {
-                    return Err(StreamError::Corrupt(format!(
-                        "{path}: unknown event tag {t}"
-                    )))
-                }
-            };
-            let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-            events.push(EdgeEvent {
-                op,
-                src: u64_at(off + 1),
-                dst: u64_at(off + 9),
-                at: SimTime::from_nanos(u64_at(off + 17)),
-            });
-            off += 25;
-        }
-        Ok(events)
+            Ok(events)
+        })
+        .map_err(|e: Corrupt| StreamError::Corrupt(format!("{path}: {e}")))
     }
 }
 

@@ -56,11 +56,6 @@ pub struct IngestStats {
 }
 
 impl IngestStats {
-    /// All skipped events (duplicate adds + missing removes).
-    pub fn skipped_total(&self) -> u64 {
-        self.skipped_dup_adds + self.skipped_missing_removes
-    }
-
     /// Fold another ingestor's counters in (shard aggregation).
     pub fn merge(&mut self, o: &IngestStats) {
         self.accepted += o.accepted;
@@ -187,12 +182,6 @@ impl Ingestor {
         self.watermark.now()
     }
 
-    /// Admission counters of the ingest mailbox (accepted / dropped /
-    /// retried) — backpressure loss made observable.
-    pub fn mailbox_counters(&self) -> psgraph_net::MailboxCounters {
-        self.mailbox.counters()
-    }
-
     /// Record a sender-side retry after a refused [`Ingestor::offer`].
     pub fn note_offer_retry(&self) {
         self.mailbox.note_retry();
@@ -209,11 +198,6 @@ impl Ingestor {
         self.mailbox.drain();
         self.watermark = Watermark::new();
         self.watermark.observe(at);
-    }
-
-    /// How far processing trails event time at `at`.
-    pub fn freshness_lag(&self, at: SimTime) -> SimTime {
-        self.watermark.lag(at)
     }
 
     /// Drain the mailbox into the batch's event list (arrival order).
@@ -438,7 +422,6 @@ mod tests {
         assert_eq!(fx.applied, vec![(0, 5, true), (0, 1, false), (0, 1, true)]);
         assert_eq!(fx.watermark, SimTime::from_millis(5));
         assert_eq!(ing.watermark(), SimTime::from_millis(5));
-        assert_eq!(ing.freshness_lag(SimTime::from_millis(12)), SimTime::from_millis(7));
 
         // Effects carry old → new live lists; the table agrees.
         assert_eq!(fx.effects, vec![(0, vec![1, 2], vec![2, 5, 1])]);
@@ -452,7 +435,6 @@ mod tests {
         assert_eq!(st.applied_removes, 1);
         assert_eq!(st.skipped_dup_adds, 1, "duplicate (3,4) add");
         assert_eq!(st.skipped_missing_removes, 1, "missing (3,9) remove");
-        assert_eq!(st.skipped_total(), 2);
         assert_eq!(st.batches, 1);
     }
 

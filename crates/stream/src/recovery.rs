@@ -17,7 +17,8 @@
 
 use psgraph_dfs::Dfs;
 use psgraph_net::rpc::NodeId;
-use psgraph_sim::{NodeClock, SimTime};
+use psgraph_sim::bytes::BufMut;
+use psgraph_sim::{Corrupt, NodeClock, Reader, SimTime};
 
 use crate::error::{Result, StreamError};
 use crate::events::EventLog;
@@ -47,11 +48,11 @@ impl StreamCheckpoint {
     /// write-then-rename.
     pub fn write(&self, dfs: &Dfs, path: &str, client: &NodeClock) -> Result<()> {
         let mut buf = Vec::with_capacity(40);
-        buf.extend_from_slice(CKPT_MAGIC);
-        buf.extend_from_slice(&self.generation.to_le_bytes());
-        buf.extend_from_slice(&self.batches_done.to_le_bytes());
-        buf.extend_from_slice(&self.events_done.to_le_bytes());
-        buf.extend_from_slice(&self.watermark.as_nanos().to_le_bytes());
+        buf.put_slice(CKPT_MAGIC);
+        buf.put_u64_le(self.generation);
+        buf.put_u64_le(self.batches_done);
+        buf.put_u64_le(self.events_done);
+        buf.put_u64_le(self.watermark.as_nanos());
         dfs.write(path, &buf, client)?;
         Ok(())
     }
@@ -59,19 +60,13 @@ impl StreamCheckpoint {
     /// Read the checkpoint back, bit-exact.
     pub fn read(dfs: &Dfs, path: &str, client: &NodeClock) -> Result<StreamCheckpoint> {
         let bytes = dfs.read(path, client)?;
-        let buf: &[u8] = &bytes;
-        if buf.len() != 40 || &buf[..8] != CKPT_MAGIC {
-            return Err(StreamError::Corrupt(format!(
-                "{path}: bad stream-checkpoint header"
-            )));
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        Ok(StreamCheckpoint {
-            generation: u64_at(8),
-            batches_done: u64_at(16),
-            events_done: u64_at(24),
-            watermark: SimTime::from_nanos(u64_at(32)),
+        Reader::decode(&bytes, "stream checkpoint", |r| {
+            r.magic(CKPT_MAGIC)?;
+            let (generation, batches_done, events_done) = (r.get()?, r.get()?, r.get()?);
+            let watermark = SimTime::from_nanos(r.get()?);
+            Ok(StreamCheckpoint { generation, batches_done, events_done, watermark })
         })
+        .map_err(|e: Corrupt| StreamError::Corrupt(format!("{path}: {e}")))
     }
 }
 

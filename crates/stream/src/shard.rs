@@ -142,11 +142,6 @@ impl ShardedIngestor {
         self.shards.iter().map(Ingestor::pending).sum()
     }
 
-    /// Per-shard lifetime counters, shard order.
-    pub fn shard_stats(&self) -> Vec<IngestStats> {
-        self.shards.iter().map(Ingestor::stats).collect()
-    }
-
     /// Aggregate lifetime counters across shards.
     pub fn stats(&self) -> IngestStats {
         let mut acc = IngestStats::default();
@@ -154,12 +149,6 @@ impl ShardedIngestor {
             acc.merge(&sh.stats());
         }
         acc
-    }
-
-    /// Per-shard watermarks, shard order (diagnostics; the merge rule is
-    /// [`ShardedIngestor::watermark`]).
-    pub fn shard_watermarks(&self) -> Vec<SimTime> {
-        self.shards.iter().map(Ingestor::watermark).collect()
     }
 
     /// The min-merged watermark: `min` over effective shard watermarks
@@ -184,12 +173,6 @@ impl ShardedIngestor {
         self.merged.now()
     }
 
-    /// How far the merged watermark trails event time at `at`.
-    pub fn freshness_lag(&self, at: SimTime) -> SimTime {
-        self.watermark();
-        self.merged.lag(at)
-    }
-
     /// Crash recovery: drop undrained events everywhere and rewind every
     /// watermark to `at` (the checkpoint the PS state rolled back to) —
     /// the per-shard analogue of [`Ingestor::reset_for_replay`].
@@ -204,17 +187,6 @@ impl ShardedIngestor {
         self.routed.observe(at);
         self.merged = Watermark::new();
         self.merged.observe(at);
-    }
-
-    /// Drain one shard only (tests and targeted catch-up): the shard's
-    /// own micro-batch on its own clock. The merged watermark advances
-    /// only as far as the slowest shard allows.
-    pub fn drain_shard(&mut self, i: usize) -> Result<BatchEffect> {
-        self.pending_seqs[i].clear();
-        let clock = &self.clocks[i];
-        let fx = self.shards[i].apply_pending(clock)?;
-        self.watermark();
-        Ok(fx)
     }
 
     /// Drain every shard as one logical micro-batch:
@@ -341,9 +313,8 @@ mod tests {
         assert_eq!(st.applied_adds, 3);
         assert_eq!(st.applied_removes, 1);
         assert_eq!(st.skipped_dup_adds, 1);
-        let per = sharded.shard_stats();
-        assert_eq!(per[0].applied_adds, 2);
-        assert_eq!(per[1].skipped_dup_adds, 1);
+        assert_eq!(sharded.shards[0].stats().applied_adds, 2);
+        assert_eq!(sharded.shards[1].stats().skipped_dup_adds, 1);
 
         // The shared table holds the merged result.
         let live = sharded.adjacency().pull(&client, &[0, 9]).unwrap();
@@ -352,27 +323,15 @@ mod tests {
     }
 
     #[test]
-    fn merged_watermark_is_min_and_monotone_under_out_of_order_progress() {
+    fn merged_watermark_waits_for_undrained_events() {
         let mut sharded = setup(2, 16);
-        // Events land on both shards; drain only shard 1 (the "fast"
-        // shard): the straggler (shard 0, undrained) must hold the merge.
+        // Events land on both shards: undrained, they hold the merge.
         assert!(sharded.offer(NodeId::Driver, ev(EdgeOp::Add, 1, 2, 10)));
         assert!(sharded.offer(NodeId::Driver, ev(EdgeOp::Add, 9, 3, 20)));
-        sharded.drain_shard(1).unwrap();
-        assert_eq!(sharded.shard_watermarks()[1], SimTime::from_millis(20));
-        assert_eq!(
-            sharded.watermark(),
-            SimTime::ZERO,
-            "a fast shard must not mask the straggler"
-        );
-        assert_eq!(
-            sharded.freshness_lag(SimTime::from_millis(25)),
-            SimTime::from_millis(25)
-        );
+        assert_eq!(sharded.watermark(), SimTime::ZERO);
 
-        // The straggler catches up → merged jumps to the min (= newest
-        // routed event, since both are now fully drained).
-        sharded.drain_shard(0).unwrap();
+        // Both drained → merged jumps to the newest routed event.
+        sharded.drain_all().unwrap();
         assert_eq!(sharded.watermark(), SimTime::from_millis(20));
 
         // Out-of-order progress never regresses the ratchet: new events
@@ -381,7 +340,7 @@ mod tests {
         assert!(sharded.offer(NodeId::Driver, ev(EdgeOp::Add, 2, 4, 40)));
         let before = sharded.watermark();
         assert_eq!(before, SimTime::from_millis(20), "undrained event holds the merge");
-        sharded.drain_shard(0).unwrap();
+        sharded.drain_all().unwrap();
         assert_eq!(sharded.watermark(), SimTime::from_millis(40));
     }
 
@@ -411,8 +370,8 @@ mod tests {
         sharded.reset_for_replay(SimTime::from_millis(20));
         assert_eq!(sharded.pending(), 0);
         assert_eq!(sharded.watermark(), SimTime::from_millis(20));
-        for wm in sharded.shard_watermarks() {
-            assert_eq!(wm, SimTime::from_millis(20));
+        for sh in &sharded.shards {
+            assert_eq!(sh.watermark(), SimTime::from_millis(20));
         }
     }
 }

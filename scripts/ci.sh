@@ -13,6 +13,19 @@ if grep -q '^source = ' Cargo.lock; then
     exit 1
 fi
 
+# One reader: outside `sim::bytes` (and the hasher's word loads) no
+# non-test code decodes little-endian bytes by hand or names the deleted
+# `Buf` trait — every format reads through `sim::bytes::Reader`.
+hand_decoded="$(find crates/*/src -name '*.rs' \
+    ! -path crates/sim/src/bytes.rs ! -path crates/sim/src/hash.rs | sort |
+    xargs awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+        /from_le_bytes|(^|[^A-Za-z0-9_])Buf([^A-Za-z0-9_]|$)/ { print FILENAME ":" FNR ": " $0 }')"
+if [ -n "$hand_decoded" ]; then
+    echo "ci: bytes decoded outside sim::bytes::Reader:" >&2
+    echo "$hand_decoded" >&2
+    exit 1
+fi
+
 # Warnings are errors in every crate and every target: libraries, the
 # `repro` binary, examples, unit and integration tests.
 RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
