@@ -91,12 +91,22 @@ impl<'a> Interpreter<'a> {
                     ),
                     None => None,
                 };
-                let pp = exec::run_pushed(self.truth, 0, n, &plan.stages, q_row)?;
-                Ok(match plan.stages.last() {
-                    Some(Stage::Collect { .. }) => {
-                        PlanOutput::Vertices(pp.rows.into_iter().map(|(v, _)| v).collect())
+                // A terminal top-k runs here by its definition, sort then
+                // truncate, so every answer checked against this
+                // interpreter checks `exec::top_k` too.
+                let (body, top) = match plan.stages.split_last() {
+                    Some((Stage::TopK(k), body)) => (body, Some(*k)),
+                    _ => (&plan.stages[..], None),
+                };
+                let pp = exec::run_pushed(self.truth, 0, n, body, q_row)?;
+                Ok(match top {
+                    Some(k) => {
+                        let mut ranked = pp.rows;
+                        sort_ranked(&mut ranked);
+                        ranked.truncate(k);
+                        PlanOutput::Ranked(ranked)
                     }
-                    _ => PlanOutput::Ranked(pp.rows),
+                    None => PlanOutput::Vertices(pp.rows.into_iter().map(|(v, _)| v).collect()),
                 })
             }
             Source::Seed(seed) => self.run_seeded(plan, seed),

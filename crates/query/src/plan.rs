@@ -25,7 +25,7 @@
 //! `All` plans score full rows shard-side in column order
 //! ([`crate::exec::dot_full`]); `Seed` plans score candidate sets as
 //! per-column-shard partial sums added in shard order
-//! ([`crate::exec::dot_cols`]). The pushdown decision can therefore
+//! (`exec::dot_cols`). The pushdown decision can therefore
 //! never change result bits, only where the same fold runs.
 
 use std::fmt;

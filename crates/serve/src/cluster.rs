@@ -454,7 +454,7 @@ impl ServeCluster {
     /// Like [`ServeCluster::demo`] but also returns the live PS backend,
     /// so tests and benches can keep training (mutating the PS objects)
     /// and hot-swap deltas into the running tier.
-    pub fn demo_with_ps(
+    pub(crate) fn demo_with_ps(
         n: u64,
         dim: usize,
         cfg: &ServeConfig,
@@ -685,7 +685,7 @@ pub struct SwapStats {
     pub regions_applied: usize,
 }
 
-/// The live PS side of a [`ServeCluster::demo_with_ps`] tier: keep
+/// The live PS side of a `ServeCluster::demo_with_ps` tier: keep
 /// writing to the handles, export a delta against `manifest`, and
 /// [`ServeCluster::swap_in`] the result.
 pub struct DemoBackend {

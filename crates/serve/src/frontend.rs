@@ -258,12 +258,8 @@ impl Frontend {
 
     /// Recompute shard statistics from the currently-installed data (the
     /// hot-swap path calls this after installing a delta).
-    pub fn refresh_stats(&mut self) {
+    pub(crate) fn refresh_stats(&mut self) {
         self.stats = Self::tier_stats(&self.router);
-    }
-
-    pub fn push_policy(&self) -> PushPolicy {
-        self.push_policy
     }
 
     pub fn set_push_policy(&mut self, policy: PushPolicy) {
@@ -291,7 +287,7 @@ impl Frontend {
     /// calls this with exactly the keys a snapshot delta touched, so
     /// surviving entries are provably still valid. Returns the number
     /// invalidated.
-    pub fn invalidate_keys(&mut self, keep: impl FnMut(&CacheKey) -> bool) -> usize {
+    pub(crate) fn invalidate_keys(&mut self, keep: impl FnMut(&CacheKey) -> bool) -> usize {
         self.cache.retain(keep)
     }
 
@@ -371,7 +367,7 @@ impl Frontend {
     }
 
     /// The sliding-window p99 latency, once enough samples exist.
-    pub fn window_p99(&self) -> Option<SimTime> {
+    pub(crate) fn window_p99(&self) -> Option<SimTime> {
         if self.recent.len() < SLO_MIN_SAMPLES {
             return None;
         }
@@ -823,8 +819,7 @@ impl Frontend {
                     return Ok(match plan.stages.last().unwrap() {
                         Stage::TopK(k) => {
                             let mut rows = rows;
-                            exec::sort_ranked(&mut rows);
-                            rows.truncate(*k);
+                            exec::top_k(&mut rows, *k);
                             (Value::Ranked(rows), done)
                         }
                         Stage::Collect { cap } => {
@@ -944,9 +939,8 @@ impl Frontend {
                 Stage::TopK(k) => {
                     let sc = scores.take().unwrap_or_default();
                     let mut ranked: Vec<(u64, f64)> = ids.iter().copied().zip(sc).collect();
-                    exec::sort_ranked(&mut ranked);
                     acc.pruned_topk += ranked.len().saturating_sub(*k) as u64;
-                    ranked.truncate(*k);
+                    exec::top_k(&mut ranked, *k);
                     return Ok((Value::Ranked(ranked), done));
                 }
                 Stage::Collect { cap } => {

@@ -43,9 +43,7 @@ pub use psgraph_query::{
     ExpandMode, GraphTruth, Interpreter, Plan, PlanOutput, Pred, PushPolicy, Scorer, Source,
     Stage,
 };
-pub use loadgen::{
-    assert_freshness, max_state_age, LoadReport, Mode, QueryMix, ScriptedAction, Workload,
-};
+pub use loadgen::{LoadReport, Mode, QueryMix, ScriptedAction, Workload};
 pub use monitor::{Monitor, RecoveryEvent};
 pub use router::Router;
 pub use shard::{Query, Replica, ShardData, ShardSpec, Value};

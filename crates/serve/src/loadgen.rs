@@ -59,11 +59,6 @@ impl Default for QueryMix {
 }
 
 impl QueryMix {
-    /// Point lookups only (rank / community / neighbors / embedding).
-    pub fn point_only() -> Self {
-        QueryMix { khop: 0, topk: 0, rank: 35, neighbors: 20, ..QueryMix::default() }
-    }
-
     fn total(&self) -> u64 {
         (self.rank
             + self.community
@@ -483,82 +478,10 @@ pub fn run_with(
     }
 }
 
-/// The worst staleness any answered query could have observed: for each
-/// answered query, the gap between its arrival and the most recent
-/// refresh (hot-swap) that completed before it. `refreshes` must be
-/// ascending; queries arriving before the first refresh measure their
-/// age from `SimTime::ZERO`, i.e. from the initial snapshot load.
-pub fn max_state_age(report: &LoadReport, refreshes: &[SimTime]) -> SimTime {
-    debug_assert!(refreshes.windows(2).all(|w| w[0] <= w[1]), "refreshes must be sorted");
-    let mut worst = SimTime::ZERO;
-    for (idx, _) in &report.latencies {
-        let at = report.issued_at[*idx];
-        let last = refreshes
-            .iter()
-            .rev()
-            .find(|&&r| r <= at)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        worst = worst.max(at.saturating_sub(last));
-    }
-    worst
-}
-
-/// Panic unless every answered query saw state no older than `bound` —
-/// the serving-tier freshness contract `repro -- stream` enforces.
-pub fn assert_freshness(report: &LoadReport, refreshes: &[SimTime], bound: SimTime) {
-    let worst = max_state_age(report, refreshes);
-    assert!(
-        worst <= bound,
-        "freshness violated: a query observed state {worst:?} old, bound {bound:?}"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{ServeCluster, ServeConfig};
-
-    fn report_with(issued_at: Vec<SimTime>) -> LoadReport {
-        let latencies = (0..issued_at.len()).map(|i| (i, SimTime::ZERO)).collect();
-        LoadReport {
-            issued: issued_at.len(),
-            answered: issued_at.len(),
-            shed: 0,
-            failed: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            hit_rate: 0.0,
-            mailbox_dropped: 0,
-            mailbox_retried: 0,
-            makespan: SimTime::ZERO,
-            issued_at,
-            latencies,
-            values: Vec::new(),
-            plans: Vec::new(),
-            plan_counters: PlanCounters::default(),
-        }
-    }
-
-    #[test]
-    fn max_state_age_measures_gap_to_latest_refresh() {
-        let ms = SimTime::from_millis;
-        let report = report_with(vec![ms(1), ms(4), ms(9)]);
-        // No refresh: everything aged from the initial load at t=0.
-        assert_eq!(max_state_age(&report, &[]), ms(9));
-        // A refresh at t=3ms resets the clock for later queries.
-        assert_eq!(max_state_age(&report, &[ms(3)]), ms(6));
-        // Frequent refreshes bound the age.
-        assert_eq!(max_state_age(&report, &[ms(3), ms(8)]), ms(1));
-        assert_freshness(&report, &[ms(3), ms(8)], ms(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "freshness violated")]
-    fn assert_freshness_panics_on_stale_answers() {
-        let report = report_with(vec![SimTime::from_millis(10)]);
-        assert_freshness(&report, &[], SimTime::from_millis(5));
-    }
 
     #[test]
     fn cache_counters_are_per_run_on_a_reused_cluster() {
@@ -581,7 +504,9 @@ mod tests {
 
     #[test]
     fn zipf_point_lookups_hit_a_small_cache_and_never_a_zero_budget_one() {
-        let wl = Workload { queries: 5_000, mix: QueryMix::point_only(), ..Workload::default() };
+        // Point lookups only (rank / community / neighbors / embedding).
+        let mix = QueryMix { khop: 0, topk: 0, rank: 35, neighbors: 20, ..QueryMix::default() };
+        let wl = Workload { queries: 5_000, mix, ..Workload::default() };
         let report = |cache_budget: u64| {
             let cfg = ServeConfig { cache_budget, ..ServeConfig::default() };
             let (mut cluster, _) = ServeCluster::demo(4_096, 16, &cfg).unwrap();

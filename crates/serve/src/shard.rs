@@ -11,6 +11,7 @@
 //! router and the admission controller read as its load.
 
 use psgraph_net::{Mailbox, NodeId, ServicePort};
+use psgraph_query::exec::dot_partial;
 use psgraph_sim::sync::RwLock;
 use psgraph_sim::SimTime;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,11 +36,11 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    pub fn owns_vertex(&self, v: u64) -> bool {
+    pub(crate) fn owns_vertex(&self, v: u64) -> bool {
         (self.vertex_lo..self.vertex_hi).contains(&v)
     }
 
-    pub fn col_width(&self) -> usize {
+    pub(crate) fn col_width(&self) -> usize {
         self.col_hi - self.col_lo
     }
 }
@@ -140,7 +141,7 @@ impl ShardData {
 
     /// This shard's column slice of row `v` (any vertex, not just local —
     /// embeddings are column-partitioned).
-    pub fn embed_cols(&self, v: u64) -> Result<&[f32]> {
+    pub(crate) fn embed_cols(&self, v: u64) -> Result<&[f32]> {
         let embed = self
             .embed
             .as_ref()
@@ -152,16 +153,11 @@ impl ShardData {
     }
 
     /// Partial dot products `⟨v, c⟩` over this shard's columns for each
-    /// candidate — the serving analogue of the psFunc `dot_pairs`.
-    pub fn partial_dots(&self, v: u64, candidates: &[u64]) -> Result<Vec<f64>> {
-        let row_v = self.embed_cols(v)?.to_vec();
-        candidates
-            .iter()
-            .map(|&c| {
-                let row_c = self.embed_cols(c)?;
-                Ok(row_v.iter().zip(row_c).map(|(a, b)| *a as f64 * *b as f64).sum())
-            })
-            .collect()
+    /// candidate ([`psgraph_query::exec::dot_partial`]) — the serving
+    /// analogue of the psFunc `dot_pairs`.
+    pub(crate) fn partial_dots(&self, v: u64, candidates: &[u64]) -> Result<Vec<f64>> {
+        let row_v = self.embed_cols(v)?;
+        candidates.iter().map(|&c| Ok(dot_partial(row_v, self.embed_cols(c)?))).collect()
     }
 
     /// Statistics the cost-based planner reads to choose pushdown cuts.
@@ -335,7 +331,7 @@ impl Replica {
         self.index
     }
 
-    pub fn global_id(&self) -> usize {
+    pub(crate) fn global_id(&self) -> usize {
         self.global_id
     }
 
@@ -364,14 +360,14 @@ impl Replica {
 
     /// Bring the replica back into service with an empty queue (a restarted
     /// process holds no in-flight work). Returns whether it was dead.
-    pub fn revive(&self) -> bool {
+    pub(crate) fn revive(&self) -> bool {
         let _ = self.pending.drain();
         !self.alive.swap(true, Ordering::AcqRel)
     }
 
     /// In-flight queries still unfinished at `now`: drops completions that
     /// are in the past and reports how many remain.
-    pub fn load_at(&self, now: SimTime) -> usize {
+    pub(crate) fn load_at(&self, now: SimTime) -> usize {
         let mut remaining = 0;
         for m in self.pending.drain() {
             if m.payload > now && self.pending.try_post(m.from, m.sent_at, m.payload) {

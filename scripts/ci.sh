@@ -36,6 +36,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-goin
 # debug too, for the overflow checks and `debug_assert!`s the release
 # run below compiles out.
 cargo test -q --offline -p psgraph-harness
+# The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
+# that release builds would wrap silently.
+cargo test -q --offline -p psgraph-query
 
 cargo build --release --offline --workspace
 # Release mode: the fig6/table emergence tests simulate whole cluster
