@@ -105,10 +105,6 @@ impl Executor {
         self.id
     }
 
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     pub fn clock(&self) -> &NodeClock {
         &self.clock
     }

@@ -123,16 +123,8 @@ impl<T: Record> Rdd<T> {
         &self.inner.cluster
     }
 
-    pub fn name(&self) -> &str {
-        &self.inner.name
-    }
-
     pub fn num_partitions(&self) -> usize {
         self.inner.parts.len()
-    }
-
-    pub fn has_lineage(&self) -> bool {
-        self.provenance.is_some()
     }
 
     /// Read partition `p`, failing if its home executor is dead or the
@@ -327,11 +319,6 @@ impl<T: Record> Rdd<T> {
     pub fn sever_lineage(&self) -> Rdd<T> {
         Rdd { inner: Arc::clone(&self.inner), provenance: None }
     }
-
-    /// Bytes currently charged for this RDD across all executors.
-    pub fn resident_bytes(&self) -> u64 {
-        self.inner.charged.iter().map(|c| *c.lock()).sum()
-    }
 }
 
 /// Write `data` into slot `p`, charging the executor's memory meter.
@@ -393,7 +380,6 @@ mod tests {
         let rdd = Rdd::from_vec(&c, vec![0u64; 10_000], 4).unwrap();
         let used_mid: u64 = (0..c.num_executors()).map(|i| c.executor(i).memory().in_use()).sum();
         assert!(used_mid >= used_before + 80_000);
-        assert!(rdd.resident_bytes() >= 80_000);
         drop(rdd);
         let used_after: u64 = (0..c.num_executors()).map(|i| c.executor(i).memory().in_use()).sum();
         assert_eq!(used_after, used_before);

@@ -428,12 +428,6 @@ where
             Ok(hash_join_ref(&l, &r))
         })
     }
-
-    /// Count records per key.
-    pub fn count_by_key(&self, num_out: usize) -> Result<Rdd<(K, u64)>> {
-        let ones = self.map(|(k, _v)| (k.clone(), 1u64))?;
-        ones.reduce_by_key(num_out, |a, b| a + b)
-    }
 }
 
 fn hash_join<K, V, W>(left: Vec<(K, V)>, right: Vec<(K, W)>) -> Vec<(K, (V, W))>
@@ -710,16 +704,6 @@ mod tests {
                 assert_eq!(key_partition(k, 4), p);
             }
         }
-    }
-
-    #[test]
-    fn count_by_key_counts() {
-        let c = cluster();
-        let pairs: Vec<(u64, u64)> = (0..90).map(|i| (i % 3, i)).collect();
-        let rdd = Rdd::from_vec(&c, pairs, 4).unwrap();
-        let mut out = rdd.count_by_key(2).unwrap().collect().unwrap();
-        out.sort_unstable();
-        assert_eq!(out, vec![(0, 30), (1, 30), (2, 30)]);
     }
 
     #[test]

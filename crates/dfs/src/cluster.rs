@@ -27,9 +27,9 @@ impl Default for DfsConfig {
     }
 }
 
-/// One datanode: an in-memory block store that can be killed and restarted.
+/// One datanode: an in-memory block store that can be killed.
 #[derive(Debug, Default)]
-pub struct Datanode {
+struct Datanode {
     blocks: RwLock<FxHashMap<BlockId, Block>>,
     alive: psgraph_sim::sync::Mutex<bool>,
 }
@@ -39,7 +39,7 @@ impl Datanode {
         Datanode { blocks: RwLock::default(), alive: Mutex::new(true) }
     }
 
-    pub fn is_alive(&self) -> bool {
+    fn is_alive(&self) -> bool {
         *self.alive.lock()
     }
 
@@ -57,18 +57,8 @@ impl Datanode {
         self.blocks.write().clear();
     }
 
-    fn restart(&self) {
-        *self.alive.lock() = true;
-    }
-
-    /// Number of block replicas held.
-    pub fn block_count(&self) -> usize {
-        self.blocks.read().len()
-    }
-
-    /// Test hook: flip one byte of a stored replica without updating its
-    /// checksum.
-    pub fn corrupt(&self, id: BlockId) -> bool {
+    /// Flip one byte of a stored replica without updating its checksum.
+    fn corrupt(&self, id: BlockId) -> bool {
         let mut map = self.blocks.write();
         if let Some(b) = map.get_mut(&id) {
             if b.data.is_empty() {
@@ -136,10 +126,6 @@ impl Dfs {
     /// A DFS with default config on a default network (tests, examples).
     pub fn in_memory() -> Self {
         Dfs::new(DfsConfig::default(), Network::new(Default::default()))
-    }
-
-    pub fn config(&self) -> &DfsConfig {
-        &self.config
     }
 
     fn live_datanodes(&self) -> Vec<usize> {
@@ -307,21 +293,6 @@ impl Dfs {
         Ok(())
     }
 
-    /// Restart a killed datanode (comes back empty; re-replication is out
-    /// of scope — reads use surviving replicas).
-    pub fn restart_datanode(&self, i: usize) -> Result<(), DfsError> {
-        self.datanodes
-            .get(i)
-            .ok_or(DfsError::NoSuchDatanode(i))?
-            .restart();
-        Ok(())
-    }
-
-    /// Access a datanode (tests / corruption injection).
-    pub fn datanode(&self, i: usize) -> Option<&Datanode> {
-        self.datanodes.get(i)
-    }
-
     /// Total bytes of user data stored (not counting replication).
     pub fn total_bytes(&self) -> u64 {
         self.files.read().values().map(|m| m.len).sum()
@@ -419,22 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_does_not_resurrect_lost_blocks() {
-        let dfs = small_dfs();
-        let clk = NodeClock::new();
-        dfs.write("/d", b"abcdefgh", &clk).unwrap();
-        for i in 0..3 {
-            dfs.kill_datanode(i).unwrap();
-            dfs.restart_datanode(i).unwrap();
-        }
-        // Datanodes are back but empty.
-        assert!(dfs.read("/d", &clk).is_err());
-        // New writes work again.
-        dfs.write("/d2", b"xyz", &clk).unwrap();
-        assert_eq!(&dfs.read("/d2", &clk).unwrap()[..], b"xyz");
-    }
-
-    #[test]
     fn write_fails_without_enough_live_datanodes() {
         let dfs = small_dfs();
         let clk = NodeClock::new();
@@ -454,7 +409,7 @@ mod tests {
         // Corrupt the replica on whichever datanode holds block 0 first.
         let mut corrupted = false;
         for i in 0..3 {
-            if dfs.datanode(i).unwrap().corrupt(BlockId(0)) {
+            if dfs.datanodes[i].corrupt(BlockId(0)) {
                 corrupted = true;
                 break;
             }
@@ -513,7 +468,7 @@ mod tests {
         let clk = NodeClock::new();
         dfs.write("/d", b"abcdefgh", &clk).unwrap();
         for i in 0..3 {
-            dfs.datanode(i).unwrap().corrupt(BlockId(0));
+            dfs.datanodes[i].corrupt(BlockId(0));
         }
         match dfs.read("/d", &clk).unwrap_err() {
             DfsError::Corrupt { block, .. } => assert_eq!(block, 0),
@@ -526,12 +481,12 @@ mod tests {
         let dfs = small_dfs();
         let clk = NodeClock::new();
         dfs.write("/d", b"abcdefgh12345678", &clk).unwrap();
-        let held: usize = (0..3).map(|i| dfs.datanode(i).unwrap().block_count()).sum();
+        let held: usize = dfs.datanodes.iter().map(|dn| dn.blocks.read().len()).sum();
         assert!(held > 0);
         assert!(dfs.delete("/d"));
         assert!(!dfs.exists("/d"));
         assert!(!dfs.delete("/d"));
-        let held: usize = (0..3).map(|i| dfs.datanode(i).unwrap().block_count()).sum();
+        let held: usize = dfs.datanodes.iter().map(|dn| dn.blocks.read().len()).sum();
         assert_eq!(held, 0);
     }
 

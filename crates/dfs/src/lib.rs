@@ -13,5 +13,5 @@ pub mod cluster;
 pub mod error;
 
 pub use block::{checksum, Block, BlockId};
-pub use cluster::{Datanode, Dfs, DfsConfig, FileStatus};
+pub use cluster::{Dfs, DfsConfig, FileStatus};
 pub use error::DfsError;

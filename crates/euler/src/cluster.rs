@@ -51,10 +51,6 @@ impl EulerCluster {
         &self.workers[i]
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, v: u64) -> usize {
         (psgraph_sim::hash::hash_u64(v) % self.shards.len() as u64) as usize
     }

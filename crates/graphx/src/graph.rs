@@ -97,12 +97,6 @@ impl GxGraph {
             8,
         )
     }
-
-    /// All vertex ids that appear in the edge table.
-    pub fn vertex_ids(&self) -> Result<Rdd<u64>, DataflowError> {
-        let ids = self.edges.flat_map(|&(s, d)| vec![s, d])?;
-        ids.distinct(self.parts())
-    }
 }
 
 #[cfg(test)]
@@ -145,15 +139,5 @@ mod tests {
         let mut ns = gx.neighbor_sets().unwrap().collect().unwrap();
         ns.sort_by_key(|(v, _)| *v);
         assert_eq!(ns, vec![(0, vec![1, 2]), (1, vec![0]), (2, vec![0])]);
-    }
-
-    #[test]
-    fn vertex_ids_cover_endpoints() {
-        let c = Cluster::local();
-        let g = psgraph_graph::EdgeList::new(10, vec![(0, 9), (3, 4)]);
-        let gx = GxGraph::from_edgelist(&c, &g, 2).unwrap();
-        let mut ids = gx.vertex_ids().unwrap().collect().unwrap();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 3, 4, 9]);
     }
 }

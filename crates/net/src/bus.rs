@@ -7,7 +7,6 @@ use psgraph_sim::sync::Mutex;
 use psgraph_sim::SimTime;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::rpc::NodeId;
 
@@ -21,7 +20,7 @@ pub struct MailboxCounters {
     /// Posts refused because the mailbox was full (or chaos-dropped).
     pub dropped: u64,
     /// Sender-side retries after a refused post (reported via
-    /// [`Mailbox::note_retry`] / [`Sender::note_retry`]).
+    /// [`Mailbox::note_retry`]).
     pub retried: u64,
 }
 
@@ -50,58 +49,14 @@ pub struct Message<T> {
     pub payload: T,
 }
 
-/// Shared queue state: the deque plus a capacity (`usize::MAX` =
-/// unbounded).
-#[derive(Debug)]
-struct Shared<T> {
-    queue: Mutex<VecDeque<Message<T>>>,
-    capacity: usize,
-    counters: Counters,
-}
-
-/// A cloneable producer handle onto a [`Mailbox`].
-#[derive(Debug)]
-pub struct Sender<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        Sender { shared: Arc::clone(&self.shared) }
-    }
-}
-
-impl<T> Sender<T> {
-    /// Post a message. On a bounded mailbox that is full this reports
-    /// backpressure by handing the message back; on an unbounded mailbox
-    /// it always succeeds.
-    pub fn send(&self, msg: Message<T>) -> Result<(), Message<T>> {
-        let mut queue = self.shared.queue.lock();
-        if queue.len() >= self.shared.capacity {
-            self.shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(msg);
-        }
-        queue.push_back(msg);
-        self.shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Record that this producer retried after a refused post.
-    pub fn note_retry(&self) {
-        self.shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Admission counters of the mailbox this sender feeds.
-    pub fn counters(&self) -> MailboxCounters {
-        self.shared.counters.snapshot()
-    }
-}
-
 /// MPSC mailbox — unbounded by default ([`Mailbox::new`]), or with a hard
 /// capacity ([`Mailbox::bounded`]) whose producers see backpressure.
 #[derive(Debug)]
 pub struct Mailbox<T> {
-    shared: Arc<Shared<T>>,
+    queue: Mutex<VecDeque<Message<T>>>,
+    /// `usize::MAX` when unbounded.
+    capacity: usize,
+    counters: Counters,
 }
 
 impl<T> Default for Mailbox<T> {
@@ -112,47 +67,30 @@ impl<T> Default for Mailbox<T> {
 
 impl<T> Mailbox<T> {
     pub fn new() -> Self {
-        Mailbox {
-            shared: Arc::new(Shared {
-                queue: Mutex::default(),
-                capacity: usize::MAX,
-                counters: Counters::default(),
-            }),
-        }
+        Mailbox { queue: Mutex::default(), capacity: usize::MAX, counters: Counters::default() }
     }
 
     /// A mailbox holding at most `capacity` pending messages. Posting to
-    /// a full one fails ([`Mailbox::try_post`] / [`Sender::send`]) — the
-    /// admission-control building block for bounded request queues.
+    /// a full one fails ([`Mailbox::try_post`]) — the admission-control
+    /// building block for bounded request queues.
     pub fn bounded(capacity: usize) -> Self {
         assert!(capacity > 0, "a zero-capacity mailbox would reject everything");
-        Mailbox {
-            shared: Arc::new(Shared {
-                queue: Mutex::default(),
-                capacity,
-                counters: Counters::default(),
-            }),
-        }
+        Mailbox { queue: Mutex::default(), capacity, counters: Counters::default() }
     }
 
     /// The capacity (`usize::MAX` when unbounded).
     pub fn capacity(&self) -> usize {
-        self.shared.capacity
-    }
-
-    /// A sender handle that producers can keep.
-    pub fn sender(&self) -> Sender<T> {
-        Sender { shared: Arc::clone(&self.shared) }
+        self.capacity
     }
 
     /// Post a message. Panics if the mailbox is bounded and full — callers
-    /// of bounded mailboxes must use [`Mailbox::try_post`] (or
-    /// [`Sender::send`]) and handle the backpressure.
+    /// of bounded mailboxes must use [`Mailbox::try_post`] and handle the
+    /// backpressure.
     pub fn post(&self, from: NodeId, sent_at: SimTime, payload: T) {
         assert!(
             self.try_post(from, sent_at, payload),
             "post to a full bounded mailbox (capacity {}); use try_post",
-            self.shared.capacity
+            self.capacity
         );
     }
 
@@ -160,13 +98,13 @@ impl<T> Mailbox<T> {
     /// accepted.
     #[must_use]
     pub fn try_post(&self, from: NodeId, sent_at: SimTime, payload: T) -> bool {
-        let mut queue = self.shared.queue.lock();
-        if queue.len() >= self.shared.capacity {
-            self.shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut queue = self.queue.lock();
+        if queue.len() >= self.capacity {
+            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         queue.push_back(Message { from, sent_at, payload });
-        self.shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -174,25 +112,25 @@ impl<T> Mailbox<T> {
     /// at-least-once senders' extra work visible next to the drops that
     /// caused it.
     pub fn note_retry(&self) {
-        self.shared.counters.retried.fetch_add(1, Ordering::Relaxed);
+        self.counters.retried.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Admission counters: accepted/dropped/retried since creation.
     pub fn counters(&self) -> MailboxCounters {
-        self.shared.counters.snapshot()
+        self.counters.snapshot()
     }
 
     /// Drain every pending message.
     pub fn drain(&self) -> Vec<Message<T>> {
-        self.shared.queue.lock().drain(..).collect()
+        self.queue.lock().drain(..).collect()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.shared.queue.lock().is_empty()
+        self.queue.lock().is_empty()
     }
 
     pub fn len(&self) -> usize {
-        self.shared.queue.lock().len()
+        self.queue.lock().len()
     }
 }
 
@@ -220,13 +158,8 @@ mod tests {
         assert_eq!(mb.capacity(), 2);
         assert!(mb.try_post(NodeId::Driver, SimTime::ZERO, 1));
         assert!(mb.try_post(NodeId::Driver, SimTime::ZERO, 2));
-        // Full: try_post refuses, Sender::send hands the message back.
+        // Full: try_post refuses.
         assert!(!mb.try_post(NodeId::Driver, SimTime::ZERO, 3));
-        let tx = mb.sender();
-        let rejected = tx
-            .send(Message { from: NodeId::Driver, sent_at: SimTime::ZERO, payload: 4 })
-            .unwrap_err();
-        assert_eq!(rejected.payload, 4);
         // Draining frees capacity again.
         let got: Vec<u32> = mb.drain().into_iter().map(|m| m.payload).collect();
         assert_eq!(got, vec![1, 2]);
@@ -241,15 +174,9 @@ mod tests {
         assert!(mb.try_post(NodeId::Driver, SimTime::ZERO, 2));
         assert!(!mb.try_post(NodeId::Driver, SimTime::ZERO, 3));
         mb.note_retry();
-        let tx = mb.sender();
-        assert!(tx
-            .send(Message { from: NodeId::Driver, sent_at: SimTime::ZERO, payload: 4 })
-            .is_err());
-        tx.note_retry();
-        let c = mb.counters();
-        assert_eq!(c, MailboxCounters { accepted: 2, dropped: 2, retried: 2 });
-        // Sender and mailbox share one counter set.
-        assert_eq!(tx.counters(), c);
+        assert!(!mb.try_post(NodeId::Driver, SimTime::ZERO, 4));
+        mb.note_retry();
+        assert_eq!(mb.counters(), MailboxCounters { accepted: 2, dropped: 2, retried: 2 });
         // Draining frees space; the next accept is counted too.
         mb.drain();
         assert!(mb.try_post(NodeId::Driver, SimTime::ZERO, 5));
@@ -262,31 +189,5 @@ mod tests {
         let mb: Mailbox<()> = Mailbox::bounded(1);
         mb.post(NodeId::Driver, SimTime::ZERO, ());
         mb.post(NodeId::Driver, SimTime::ZERO, ());
-    }
-
-    #[test]
-    fn sender_handle_posts_from_other_threads() {
-        let mb: Mailbox<usize> = Mailbox::new();
-        let tx = mb.sender();
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let tx = tx.clone();
-                std::thread::spawn(move || {
-                    tx.send(Message {
-                        from: NodeId::Server(i),
-                        sent_at: SimTime::ZERO,
-                        payload: i,
-                    })
-                    .unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(mb.len(), 4);
-        let mut got: Vec<usize> = mb.drain().into_iter().map(|m| m.payload).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
     }
 }

@@ -12,6 +12,6 @@ pub mod bus;
 pub mod reliable;
 pub mod rpc;
 
-pub use bus::{Mailbox, MailboxCounters, Message, Sender};
+pub use bus::{Mailbox, MailboxCounters, Message};
 pub use reliable::{DeliveryError, DeliveryReceipt, IdempotencyFilter, RetryPolicy};
 pub use rpc::{Network, NetworkStats, NodeId, ServicePort};

@@ -60,6 +60,6 @@ pub use ps::{Ps, PsConfig, RecoveryMode};
 pub use psfunc::PartitionViewMut;
 pub use residual_push::{PushFrontier, PushRound};
 pub use server::PsServer;
-pub use snapshot::{SnapshotData, SnapshotEntry, SnapshotKind, SnapshotManifest, SnapshotWriter};
+pub use snapshot::{SnapshotEntry, SnapshotKind, SnapshotManifest, SnapshotWriter};
 pub use sync::SyncMode;
 pub use vector::VectorHandle;

@@ -161,15 +161,6 @@ impl SnapshotManifest {
     }
 }
 
-/// A decoded snapshot object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotData {
-    VecF64(Vec<f64>),
-    VecU64(Vec<u64>),
-    MatF32 { cols: usize, data: Vec<f32> },
-    Adjacency { offsets: Vec<u64>, targets: Vec<u64> },
-}
-
 fn manifest_path(dir: &str) -> String {
     format!("{}/MANIFEST", dir.trim_end_matches('/'))
 }
@@ -178,13 +169,15 @@ fn object_path(dir: &str, name: &str) -> String {
     format!("{}/{name}.snap", dir.trim_end_matches('/'))
 }
 
-/// Load one object of a snapshot, charging the read to `client`.
+/// Load one object of a snapshot, charging the read to `client`, as the
+/// [`PatchRegion`] that rewrites all of it (`row_lo` 0; a matrix as its
+/// full rows, `cols` wide as `entry` says).
 pub fn load_object(
     dfs: &Dfs,
     dir: &str,
     entry: &SnapshotEntry,
     client: &NodeClock,
-) -> Result<SnapshotData> {
+) -> Result<PatchRegion> {
     let bytes = dfs.read(&object_path(dir, &entry.name), client)?;
     Reader::decode(&bytes, "snapshot object", |r| {
         let kind = SnapshotKind::from_tag(r.get()?)?;
@@ -197,22 +190,22 @@ pub fn load_object(
         }
         let cols = cols as usize;
         Ok(match kind {
-            SnapshotKind::VecF64 => SnapshotData::VecF64(r.vec(rows)?),
-            SnapshotKind::VecU64 => SnapshotData::VecU64(r.vec(rows)?),
+            SnapshotKind::VecF64 => PatchRegion::RowsF64 { row_lo: 0, values: r.vec(rows)? },
+            SnapshotKind::VecU64 => PatchRegion::RowsU64 { row_lo: 0, values: r.vec(rows)? },
             SnapshotKind::MatF32 => {
                 let n = rows.checked_mul(cols).ok_or_else(|| r.corrupt("length overflows"))?;
-                SnapshotData::MatF32 { cols, data: r.vec(n)? }
+                PatchRegion::RowsF32 { row_lo: 0, data: r.vec(n)? }
             }
             SnapshotKind::Adjacency => {
                 let n_off = rows.checked_add(1).ok_or_else(|| r.corrupt("length overflows"))?;
                 let offsets = r.vec(n_off)?;
                 let n_tgt = r.count::<u64>(8)?;
                 let targets = r.vec(n_tgt)?;
-                // The serve tier slices `targets` by consecutive offsets.
+                // Consecutive offsets slice the targets.
                 if !offsets_tile(&offsets, n_tgt) {
                     return Err(r.corrupt("offsets do not tile the targets").into());
                 }
-                SnapshotData::Adjacency { offsets, targets }
+                PatchRegion::Adj { row_lo: 0, offsets, targets }
             }
         })
     })
@@ -836,7 +829,7 @@ mod tests {
         assert_eq!(loaded, manifest);
 
         match load_object(&dfs, "/snapshot/test", loaded.entry("rank").unwrap(), &c).unwrap() {
-            SnapshotData::VecF64(v) => {
+            PatchRegion::RowsF64 { row_lo: 0, values: v } => {
                 let got: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
                 let want: Vec<u64> = rank_vals.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(got, want);
@@ -844,12 +837,11 @@ mod tests {
             other => panic!("wrong kind: {other:?}"),
         }
         match load_object(&dfs, "/snapshot/test", loaded.entry("label").unwrap(), &c).unwrap() {
-            SnapshotData::VecU64(v) => assert_eq!(v, label_vals),
+            PatchRegion::RowsU64 { row_lo: 0, values } => assert_eq!(values, label_vals),
             other => panic!("wrong kind: {other:?}"),
         }
         match load_object(&dfs, "/snapshot/test", loaded.entry("embed").unwrap(), &c).unwrap() {
-            SnapshotData::MatF32 { cols, data } => {
-                assert_eq!(cols, 6);
+            PatchRegion::RowsF32 { row_lo: 0, data } => {
                 let want: Vec<u32> =
                     embed_rows.iter().flatten().map(|x| x.to_bits()).collect();
                 let got: Vec<u32> = data.iter().map(|x| x.to_bits()).collect();
@@ -861,10 +853,10 @@ mod tests {
         assert_eq!((empty_entry.rows, empty_entry.cols), (0, 4));
         assert_eq!(
             load_object(&dfs, "/snapshot/test", empty_entry, &c).unwrap(),
-            SnapshotData::MatF32 { cols: 4, data: vec![] }
+            PatchRegion::RowsF32 { row_lo: 0, data: vec![] }
         );
         match load_object(&dfs, "/snapshot/test", loaded.entry("adj").unwrap(), &c).unwrap() {
-            SnapshotData::Adjacency { offsets, targets } => {
+            PatchRegion::Adj { row_lo: 0, offsets, targets } => {
                 assert_eq!(offsets.len(), 8);
                 assert_eq!(targets.len(), 6);
                 assert_eq!(&targets[offsets[6] as usize..offsets[7] as usize], &[5, 4, 3]);
@@ -1052,10 +1044,7 @@ mod tests {
         let base = w.finish().unwrap();
         let base_data = match load_object(&dfs, "/sm", base.entry("feat").unwrap(), &c).unwrap()
         {
-            SnapshotData::MatF32 { cols, data } => {
-                assert_eq!(cols, 5);
-                data
-            }
+            PatchRegion::RowsF32 { row_lo: 0, data } => data,
             other => panic!("wrong kind: {other:?}"),
         };
 
@@ -1086,7 +1075,7 @@ mod tests {
         let full = w2.finish().unwrap();
         let full_data =
             match load_object(&dfs, "/sm-full", full.entry("feat").unwrap(), &c).unwrap() {
-                SnapshotData::MatF32 { data, .. } => data,
+                PatchRegion::RowsF32 { row_lo: 0, data } => data,
                 other => panic!("wrong kind: {other:?}"),
             };
         let got: Vec<u32> = patched.iter().map(|x| x.to_bits()).collect();
@@ -1116,7 +1105,7 @@ mod tests {
         w.neighbor_table(&t).unwrap();
         let base = w.finish().unwrap();
         match load_object(&dfs, "/sn", base.entry("adj").unwrap(), &c).unwrap() {
-            SnapshotData::Adjacency { offsets, targets } => {
+            PatchRegion::Adj { row_lo: 0, offsets, targets } => {
                 assert_eq!(offsets.len(), 13);
                 assert_eq!(&targets[offsets[5] as usize..offsets[6] as usize], &[0, 7]);
             }

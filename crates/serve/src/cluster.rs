@@ -3,8 +3,7 @@
 use psgraph_dfs::Dfs;
 use psgraph_net::Network;
 use psgraph_ps::snapshot::{
-    load_object, DeltaEntry, PatchRegion, SnapshotData, SnapshotDelta, SnapshotManifest,
-    SnapshotWriter,
+    load_object, DeltaEntry, PatchRegion, SnapshotDelta, SnapshotManifest, SnapshotWriter,
 };
 use psgraph_ps::{
     ColMatrixHandle, CsrHandle, Element, Partitioner, Ps, PsConfig, RecoveryMode, VectorHandle,
@@ -70,6 +69,21 @@ pub struct ObjectMap {
     pub adjacency: Option<String>,
 }
 
+impl ObjectMap {
+    /// Each served object's name with the cache tag of its role — the
+    /// one role → tag table.
+    fn roles(&self) -> impl Iterator<Item = (&str, u8)> {
+        [
+            (&self.ranks, TAG_RANK),
+            (&self.communities, TAG_COMMUNITY),
+            (&self.embeddings, TAG_EMBEDDING),
+            (&self.adjacency, TAG_NEIGHBORS),
+        ]
+        .into_iter()
+        .filter_map(|(name, tag)| Some((name.as_deref()?, tag)))
+    }
+}
+
 /// The serving tier: replicated shards plus the frontend driving them.
 pub struct ServeCluster {
     replicas: Vec<Arc<Replica>>,
@@ -83,7 +97,10 @@ pub struct ServeCluster {
 
 impl ServeCluster {
     /// Load a snapshot directory into `cfg.shards × cfg.replicas_per_shard`
-    /// read replicas, charging the DFS reads to `client`.
+    /// read replicas, charging the DFS reads to `client`. Each served
+    /// object is read as the region that rewrites all of it and patched
+    /// into zero-filled shards by the region loop [`ServeCluster::swap_in`]
+    /// uses, so a snapshot is checked exactly as a delta is.
     pub fn load(
         dfs: &Dfs,
         dir: &str,
@@ -94,115 +111,50 @@ impl ServeCluster {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.replicas_per_shard > 0, "need at least one replica per shard");
         let manifest = SnapshotManifest::load(dfs, dir, client)?;
-        let fetch = |name: &Option<String>| -> Result<Option<SnapshotData>> {
-            match name {
-                None => Ok(None),
-                Some(name) => {
-                    let entry = manifest
-                        .entry(name)
-                        .ok_or_else(|| ServeError::MissingObject(name.clone()))?;
-                    Ok(Some(load_object(dfs, dir, entry, client)?))
-                }
-            }
-        };
-
-        let ranks = match fetch(&objects.ranks)? {
-            Some(SnapshotData::VecF64(v)) => Some(v),
-            Some(_) => return Err(ServeError::Dfs("ranks object is not a f64 vector".into())),
-            None => None,
-        };
-        let communities = match fetch(&objects.communities)? {
-            Some(SnapshotData::VecU64(v)) => Some(v),
-            Some(_) => {
-                return Err(ServeError::Dfs("communities object is not a u64 vector".into()))
-            }
-            None => None,
-        };
-        let embeddings = match fetch(&objects.embeddings)? {
-            Some(SnapshotData::MatF32 { cols, data }) => Some((cols, data)),
-            Some(_) => {
-                return Err(ServeError::Dfs("embeddings object is not a f32 matrix".into()))
-            }
-            None => None,
-        };
-        let adjacency = match fetch(&objects.adjacency)? {
-            Some(SnapshotData::Adjacency { offsets, targets }) => Some((offsets, targets)),
-            Some(_) => return Err(ServeError::Dfs("adjacency object is not a CSR".into())),
-            None => None,
-        };
-
-        let mut num_vertices = None;
-        let mut check = |n: u64, what: &str| -> Result<()> {
-            match num_vertices {
-                None => {
-                    num_vertices = Some(n);
-                    Ok(())
-                }
-                Some(m) if m == n => Ok(()),
-                Some(m) => Err(ServeError::Dfs(format!(
-                    "{what} has {n} vertices but another object has {m}"
-                ))),
-            }
-        };
-        if let Some(r) = &ranks {
-            check(r.len() as u64, "ranks")?;
-        }
-        if let Some(c) = &communities {
-            check(c.len() as u64, "communities")?;
-        }
-        if let Some((offsets, _)) = &adjacency {
-            check(offsets.len() as u64 - 1, "adjacency")?;
-        }
-        if let Some((cols, data)) = &embeddings {
-            check((data.len() / cols.max(&1)) as u64, "embeddings")?;
-        }
-        let n = num_vertices
-            .ok_or_else(|| ServeError::Dfs("snapshot maps no objects to serve".into()))?;
-        let dim = embeddings.as_ref().map_or(0, |(cols, _)| *cols);
+        // Each served object as a delta entry whose one region rewrites
+        // all of it.
+        let entries = objects
+            .roles()
+            .map(|(name, _)| {
+                let e =
+                    manifest.entry(name).ok_or_else(|| ServeError::MissingObject(name.into()))?;
+                Ok(DeltaEntry {
+                    name: e.name.clone(),
+                    kind: e.kind,
+                    rows: e.rows,
+                    cols: e.cols,
+                    part_versions: Vec::new(),
+                    regions: vec![load_object(dfs, dir, e, client)?],
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let n = entries
+            .first()
+            .ok_or_else(|| ServeError::Dfs("snapshot maps no objects to serve".into()))?
+            .rows;
+        let dim = objects
+            .embeddings
+            .as_deref()
+            .and_then(|name| manifest.entry(name))
+            .map_or(0, |e| e.cols as usize);
+        let specs: Vec<ShardSpec> = (0..cfg.shards)
+            .map(|s| {
+                let (vertex_lo, vertex_hi) = vertex_range(s, n, cfg.shards);
+                let (col_lo, col_hi) = col_range(s, dim, cfg.shards);
+                ShardSpec { num_shards: cfg.shards, shard: s, vertex_lo, vertex_hi, col_lo, col_hi }
+            })
+            .collect();
+        let zeroed = |s: usize| zero_shard(specs[s], n, dim, objects);
+        let mut working: Vec<Option<ShardData>> = specs.iter().map(|_| None).collect();
+        patch_regions(objects, &entries, &specs, n, dim, &mut working, zeroed)?;
 
         let mut replicas = Vec::new();
         let mut shards = Vec::with_capacity(cfg.shards);
         let queue_depth = cfg.policy.queue_cap + cfg.policy.batch_max;
-        for s in 0..cfg.shards {
-            let (vlo, vhi) = vertex_range(s, n, cfg.shards);
-            let (clo, chi) = col_range(s, dim, cfg.shards);
-            let spec = ShardSpec {
-                num_shards: cfg.shards,
-                shard: s,
-                vertex_lo: vlo,
-                vertex_hi: vhi,
-                col_lo: clo,
-                col_hi: chi,
-            };
-            let data = Arc::new(ShardData {
-                spec,
-                ranks: ranks.as_ref().map(|r| r[vlo as usize..vhi as usize].to_vec()),
-                communities: communities
-                    .as_ref()
-                    .map(|c| c[vlo as usize..vhi as usize].to_vec()),
-                adjacency: adjacency.as_ref().map(|(offsets, targets)| {
-                    let base = offsets[vlo as usize];
-                    let local: Vec<u64> = offsets[vlo as usize..=vhi as usize]
-                        .iter()
-                        .map(|o| o - base)
-                        .collect();
-                    let t =
-                        targets[base as usize..offsets[vhi as usize] as usize].to_vec();
-                    Adjacency { offsets: local, targets: t }
-                }),
-                embed: embeddings.as_ref().map(|(cols, data)| {
-                    let width = chi - clo;
-                    let mut slice = Vec::with_capacity(n as usize * width);
-                    for r in 0..n as usize {
-                        slice.extend_from_slice(&data[r * cols + clo..r * cols + chi]);
-                    }
-                    EmbedSlice { rows: n, width, data: slice }
-                }),
-                embed_rows: embeddings.as_ref().map(|(cols, data)| {
-                    let slice = data[vlo as usize * cols..vhi as usize * cols].to_vec();
-                    EmbedSlice { rows: vhi - vlo, width: *cols, data: slice }
-                }),
-            });
+        for (s, data) in working.into_iter().enumerate() {
+            // A shard no region reached (no vertices, no columns) stays
+            // zero-filled.
+            let data = Arc::new(data.unwrap_or_else(|| zeroed(s)));
             let mut shard_reps = Vec::with_capacity(cfg.replicas_per_shard);
             for i in 0..cfg.replicas_per_shard {
                 let global = s * cfg.replicas_per_shard + i;
@@ -289,43 +241,11 @@ impl ServeCluster {
         // Working copies of patched shards, cloned from the live data on
         // first touch.
         let mut rebuilt: Vec<Option<ShardData>> = specs.iter().map(|_| None).collect();
+        let live = |s: usize| (*router.replicas(s)[0].data()).clone();
         // Vertex ranges whose cached answers are stale, per cache tag.
-        let mut dirty_rows: Vec<(u8, Range<u64>)> = Vec::new();
-        let mut regions_applied = 0usize;
-
-        for entry in &delta.entries {
-            let role = [
-                (&self.objects.ranks, TAG_RANK),
-                (&self.objects.communities, TAG_COMMUNITY),
-                (&self.objects.embeddings, TAG_EMBEDDING),
-                (&self.objects.adjacency, TAG_NEIGHBORS),
-            ]
-            .into_iter()
-            .find(|(name, _)| name.as_deref() == Some(entry.name.as_str()));
-            // Objects the cluster does not serve are none of our
-            // business — skip them.
-            let Some((_, tag)) = role else { continue };
-            for region in &entry.regions {
-                regions_applied += 1;
-                let span = region_span(tag, entry, region, n, dim)?;
-                // The one shard-overlap loop: clip the region to each
-                // shard's vertex and column ranges, and run the region's
-                // copy kernel on the working copy of every shard it
-                // reaches.
-                for (s, spec) in specs.iter().enumerate() {
-                    let (r, c) = (&span.rows, &span.cols);
-                    let rows = r.start.max(spec.vertex_lo)..r.end.min(spec.vertex_hi);
-                    let cols = c.start.max(spec.col_lo)..c.end.min(spec.col_hi);
-                    if rows.is_empty() && cols.is_empty() {
-                        continue;
-                    }
-                    let data = rebuilt[s]
-                        .get_or_insert_with(|| (*router.replicas(s)[0].data()).clone());
-                    patch_shard(data, entry, region, rows, cols)?;
-                }
-                dirty_rows.push((tag, span.rows));
-            }
-        }
+        let dirty_rows =
+            patch_regions(&self.objects, &delta.entries, &specs, n, dim, &mut rebuilt, live)?;
+        let regions_applied = dirty_rows.len();
 
         let mut shards_rebuilt = 0;
         for (s, slot) in rebuilt.into_iter().enumerate() {
@@ -521,6 +441,70 @@ struct Backend {
     embeddings: Option<ColMatrixHandle>,
 }
 
+/// Shard `spec`'s working copy before any object is patched in: every
+/// object `objects` serves, zero-filled at its shape on the shard.
+fn zero_shard(spec: ShardSpec, n: u64, dim: usize, objects: &ObjectMap) -> ShardData {
+    let rows = (spec.vertex_hi - spec.vertex_lo) as usize;
+    let embeddings = objects.embeddings.as_ref();
+    let embed = |rows: u64, width: usize| {
+        EmbedSlice { rows, width, data: vec![0.0; rows as usize * width] }
+    };
+    ShardData {
+        spec,
+        ranks: objects.ranks.as_ref().map(|_| vec![0.0; rows]),
+        communities: objects.communities.as_ref().map(|_| vec![0; rows]),
+        adjacency: objects
+            .adjacency
+            .as_ref()
+            .map(|_| Adjacency { offsets: vec![0; rows + 1], targets: Vec::new() }),
+        embed: embeddings.map(|_| embed(n, spec.col_hi - spec.col_lo)),
+        embed_rows: embeddings.map(|_| embed(rows as u64, dim)),
+    }
+}
+
+/// The one region loop behind [`ServeCluster::load`] and
+/// [`ServeCluster::swap_in`]. Every region of every served entry is
+/// checked first ([`region_span`]); then each is clipped to each shard's
+/// vertex and column ranges and copied ([`patch_shard`]) into the working
+/// copy of every shard it reaches, which `first_touch(s)` makes the first
+/// time shard `s` is reached. Returns each region's cache tag and the
+/// vertex rows it rewrote, in order.
+fn patch_regions(
+    objects: &ObjectMap,
+    entries: &[DeltaEntry],
+    specs: &[ShardSpec],
+    n: u64,
+    dim: usize,
+    working: &mut [Option<ShardData>],
+    first_touch: impl Fn(usize) -> ShardData,
+) -> Result<Vec<(u8, Range<u64>)>> {
+    let mut checked = Vec::new();
+    for entry in entries {
+        // Objects the cluster does not serve are none of our business.
+        let Some((_, tag)) = objects.roles().find(|&(name, _)| name == entry.name) else {
+            continue;
+        };
+        for region in &entry.regions {
+            checked.push((tag, entry, region, region_span(tag, entry, region, n, dim)?));
+        }
+    }
+    let mut rewritten = Vec::with_capacity(checked.len());
+    for (tag, entry, region, span) in checked {
+        for (s, spec) in specs.iter().enumerate() {
+            let (r, c) = (&span.rows, &span.cols);
+            let rows = r.start.max(spec.vertex_lo)..r.end.min(spec.vertex_hi);
+            let cols = c.start.max(spec.col_lo)..c.end.min(spec.col_hi);
+            if rows.is_empty() && cols.is_empty() {
+                continue;
+            }
+            let data = working[s].get_or_insert_with(|| first_touch(s));
+            patch_shard(data, entry, region, rows, cols)?;
+        }
+        rewritten.push((tag, span.rows));
+    }
+    Ok(rewritten)
+}
+
 /// The rows × columns of a served table that one patch region rewrites.
 /// Vertex-keyed regions span no columns; a column stripe spans every
 /// row; a row-matrix patch spans every column (each column shard holds
@@ -531,10 +515,11 @@ struct Span {
 }
 
 /// Check `region` against its entry and the tier's shape, and return the
-/// span it rewrites. `SnapshotDelta::decode` only checks lengths against
-/// its buffer, so everything the copy kernels in [`patch_shard`] index
-/// by — row and column bounds, payload sizes, CSR offsets — is checked
-/// here, once, before any shard is patched.
+/// span it rewrites. Decoding only checks lengths against the buffer, so
+/// everything the copy kernels in [`patch_shard`] index by — row and
+/// column bounds, payload sizes, CSR offsets — is checked here, once,
+/// before any shard is patched; so is every adjacency target, which later
+/// hops use as a vertex id.
 fn region_span(
     tag: u8,
     entry: &DeltaEntry,
@@ -542,7 +527,7 @@ fn region_span(
     n: u64,
     dim: usize,
 ) -> Result<Span> {
-    let bad = |what: &str| ServeError::Dfs(format!("delta entry {}: {what}", entry.name));
+    let bad = |what: &str| ServeError::Dfs(format!("snapshot object {}: {what}", entry.name));
     if entry.rows != n {
         return Err(bad(&format!("has {} rows but the tier serves {n} vertices", entry.rows)));
     }
@@ -586,6 +571,9 @@ fn region_span(
             };
             if offsets.windows(2).any(|w| w[0] > w[1]) || last > targets.len() as u64 {
                 return Err(bad("adjacency offsets are not monotone within the targets"));
+            }
+            if targets.iter().any(|&t| t >= n) {
+                return Err(bad("an adjacency target is not a vertex"));
             }
             Ok(Span { rows: rows_from(*row_lo, offsets.len() - 1)?, cols: 0..0 })
         }

@@ -1,5 +1,6 @@
 //! Property tests for the serving tier: exact-LRU byte-budget semantics,
-//! router liveness, and bit-identical snapshot round-trips.
+//! router liveness, and loads and hot-swaps that serve exactly the
+//! snapshot's arrays.
 
 use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
@@ -198,77 +199,270 @@ fn router_never_routes_to_a_dead_replica() {
     );
 }
 
+/// The objects a tier serves, as plain arrays (`None` = not served).
+struct Truth {
+    ranks: Option<Vec<f64>>,
+    communities: Option<Vec<u64>>,
+    adjacency: Option<Vec<Vec<u64>>>,
+    embeddings: Option<Vec<Vec<f32>>>,
+}
+
+/// The naive reference for shard `s` of `shards`: each truth array sliced
+/// by the shard's vertex range (and, for the column-sliced embedding
+/// copy, its column range).
+fn naive_shard(t: &Truth, n: u64, dim: usize, s: usize, shards: usize) -> ShardData {
+    use psgraph_serve::shard::{col_range, vertex_range, Adjacency, EmbedSlice};
+
+    let (vertex_lo, vertex_hi) = vertex_range(s, n, shards);
+    let (col_lo, col_hi) = col_range(s, dim, shards);
+    let (lo, hi) = (vertex_lo as usize, vertex_hi as usize);
+    let spec = ShardSpec { num_shards: shards, shard: s, vertex_lo, vertex_hi, col_lo, col_hi };
+    ShardData {
+        spec,
+        ranks: t.ranks.as_ref().map(|r| r[lo..hi].to_vec()),
+        communities: t.communities.as_ref().map(|c| c[lo..hi].to_vec()),
+        adjacency: t.adjacency.as_ref().map(|lists| {
+            let mut adj = Adjacency { offsets: vec![0], targets: Vec::new() };
+            for list in &lists[lo..hi] {
+                adj.targets.extend(list);
+                adj.offsets.push(adj.targets.len() as u64);
+            }
+            adj
+        }),
+        embed: t.embeddings.as_ref().map(|rows| {
+            let data = rows.iter().flat_map(|r| r[col_lo..col_hi].iter().copied()).collect();
+            EmbedSlice { rows: n, width: col_hi - col_lo, data }
+        }),
+        embed_rows: t.embeddings.as_ref().map(|rows| EmbedSlice {
+            rows: vertex_hi - vertex_lo,
+            width: dim,
+            data: rows[lo..hi].concat(),
+        }),
+    }
+}
+
+/// Whether every replica of `cluster` serves exactly `want(shard)`. Debug
+/// text tells float bits apart (signed zeros included), so this is
+/// bit-equality for the finite values these tests use.
+fn replicas_serve(
+    cluster: &psgraph_serve::ServeCluster,
+    want: impl Fn(usize) -> ShardData,
+) -> Result<(), String> {
+    for rep in cluster.replicas() {
+        let (got, want) = (format!("{:?}", rep.data()), format!("{:?}", want(rep.shard())));
+        prop_assert_eq!(got, want, "replica {} of shard {}", rep.index(), rep.shard());
+    }
+    Ok(())
+}
+
 #[test]
-fn snapshot_export_load_roundtrips_bit_identically() {
+fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
     use psgraph_dfs::Dfs;
-    use psgraph_ps::snapshot::{load_object, SnapshotData, SnapshotWriter};
+    use psgraph_ps::snapshot::{DeltaWriter, SnapshotWriter};
     use psgraph_ps::{
-        ColMatrixHandle, Partitioner, Ps, PsConfig, RecoveryMode, VectorHandle,
+        ColMatrixHandle, MatrixHandle, NeighborTableHandle, Partitioner, Ps, PsConfig,
+        RecoveryMode, VectorHandle,
     };
+    use psgraph_serve::{ObjectMap, ServeCluster, ServeConfig};
+
+    /// The embedding matrix, row- or column-partitioned on the PS.
+    enum Embed {
+        Rows(MatrixHandle<f32>),
+        Cols(ColMatrixHandle),
+    }
+
+    #[derive(Debug)]
+    struct Case {
+        n: u64,
+        dim: usize,
+        shards: usize,
+        replicas: usize,
+        servers: usize,
+        /// Which of ranks / communities / adjacency / embeddings are served.
+        roles: [bool; 4],
+        row_matrix: bool,
+        ranks: Vec<f64>,
+        communities: Vec<u64>,
+        adjacency: Vec<Vec<u64>>,
+        embeddings: Vec<Vec<f32>>,
+        // The writes between the base snapshot and the delta.
+        set_ranks: Vec<(u64, f64)>,
+        set_communities: Vec<(u64, u64)>,
+        edge_ops: Vec<(u64, u64, bool)>,
+        set_rows: Vec<(u64, Vec<f32>)>,
+    }
 
     check(
-        "snapshot_export_load_roundtrips_bit_identically",
+        "load_slices_like_the_truth_and_swap_matches_a_full_reload",
         |src: &mut Source| {
-            let n = src.usize_range(1, 60) as u64;
-            let dim = src.usize_range(1, 9);
-            let servers = src.usize_range(1, 4);
-            let values = (0..n).map(|_| src.f64_range(-1e6, 1e6)).collect::<Vec<_>>();
-            let rows = (0..n)
-                .map(|_| (0..dim).map(|_| src.f64_range(-100.0, 100.0) as f32).collect())
-                .collect::<Vec<Vec<f32>>>();
-            (n, servers, values, rows)
+            let n = src.u64_range(1, 40);
+            let dim = src.usize_range(1, 10);
+            let mask = src.usize_range(1, 16);
+            let row =
+                |s: &mut Source| (0..dim).map(|_| s.f64_range(-100.0, 100.0) as f32).collect();
+            Case {
+                n,
+                dim,
+                shards: src.usize_range(1, 7),
+                replicas: src.usize_range(1, 3),
+                servers: src.usize_range(1, 4),
+                roles: [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0, mask & 8 != 0],
+                row_matrix: src.bool(),
+                ranks: (0..n).map(|_| src.f64_range(-1e6, 1e6)).collect(),
+                communities: (0..n).map(|_| src.u64_range(0, 9)).collect(),
+                adjacency: (0..n)
+                    .map(|_| {
+                        let mut ns = src.vec_with(0, 4, |s| s.u64_range(0, n));
+                        ns.sort_unstable();
+                        ns.dedup();
+                        ns
+                    })
+                    .collect(),
+                embeddings: (0..n).map(|_| row(src)).collect(),
+                set_ranks: src.vec_with(0, 4, |s| (s.u64_range(0, n), s.f64_range(-1e6, 1e6))),
+                set_communities: src.vec_with(0, 4, |s| (s.u64_range(0, n), s.u64_range(0, 9))),
+                edge_ops: src.vec_with(0, 6, |s| (s.u64_range(0, n), s.u64_range(0, n), s.bool())),
+                set_rows: src.vec_with(0, 3, |s| (s.u64_range(0, n), row(s))),
+            }
         },
-        |(n, servers, values, rows)| {
-            let ps = Ps::new(PsConfig { servers: *servers, ..Default::default() });
+        |c| {
+            let ps = Ps::new(PsConfig { servers: c.servers, ..Default::default() });
             let dfs = Dfs::in_memory();
             let client = NodeClock::new();
-            let ids: Vec<u64> = (0..*n).collect();
+            let ids: Vec<u64> = (0..c.n).collect();
+            let (range, mode) = (Partitioner::Range, RecoveryMode::Consistent);
+            let [serve_ranks, serve_communities, serve_adjacency, serve_embeddings] = c.roles;
 
-            let hv = VectorHandle::<f64>::create(
-                &ps,
-                "p.vec",
-                *n,
-                Partitioner::Range,
-                RecoveryMode::Consistent,
-            )
-            .unwrap();
-            hv.push_set(&client, &ids, values).unwrap();
-
-            let dim = rows[0].len();
-            let hm =
-                ColMatrixHandle::create(&ps, "p.mat", *n, dim, RecoveryMode::Inconsistent)
-                    .unwrap();
-            hm.push_add_rows(&client, &ids, rows).unwrap();
-
-            let mut w = SnapshotWriter::new(&dfs, "/prop/snap", &client);
-            w.vector_f64(&hv).unwrap();
-            w.colmatrix(&hm).unwrap();
-            let manifest = w.finish().unwrap();
-
-            match load_object(&dfs, "/prop/snap", manifest.entry("p.vec").unwrap(), &client)
-                .unwrap()
-            {
-                SnapshotData::VecF64(got) => {
-                    prop_assert_eq!(got.len(), values.len());
-                    for (g, w) in got.iter().zip(values) {
-                        prop_assert_eq!(g.to_bits(), w.to_bits());
-                    }
+            let ranks = serve_ranks.then(|| {
+                let h = VectorHandle::<f64>::create(&ps, "p.rank", c.n, range, mode).unwrap();
+                h.push_set(&client, &ids, &c.ranks).unwrap();
+                h
+            });
+            let communities = serve_communities.then(|| {
+                let h = VectorHandle::<u64>::create(&ps, "p.community", c.n, range, mode).unwrap();
+                h.push_set(&client, &ids, &c.communities).unwrap();
+                h
+            });
+            let adjacency = serve_adjacency.then(|| {
+                let h = NeighborTableHandle::create(&ps, "p.adj", c.n, range, mode).unwrap();
+                let lists: Vec<(u64, Vec<u64>)> =
+                    ids.iter().copied().zip(c.adjacency.clone()).collect();
+                h.push(&client, &lists).unwrap();
+                h
+            });
+            let embeddings = serve_embeddings.then(|| {
+                if c.row_matrix {
+                    let h = MatrixHandle::<f32>::create(&ps, "p.embed", c.n, c.dim, range, mode);
+                    let h = h.unwrap();
+                    h.push_set_rows(&client, &ids, &c.embeddings).unwrap();
+                    Embed::Rows(h)
+                } else {
+                    let mode = RecoveryMode::Inconsistent;
+                    let h = ColMatrixHandle::create(&ps, "p.embed", c.n, c.dim, mode).unwrap();
+                    h.push_add_rows(&client, &ids, &c.embeddings).unwrap();
+                    Embed::Cols(h)
                 }
-                other => return Err(format!("wrong kind {other:?}")),
-            }
-            match load_object(&dfs, "/prop/snap", manifest.entry("p.mat").unwrap(), &client)
-                .unwrap()
-            {
-                SnapshotData::MatF32 { cols, data } => {
-                    prop_assert_eq!(cols, dim);
-                    let want: Vec<u32> =
-                        rows.iter().flatten().map(|x| x.to_bits()).collect();
-                    let got: Vec<u32> = data.iter().map(|x| x.to_bits()).collect();
-                    prop_assert_eq!(got, want);
+            });
+            let objects = ObjectMap {
+                ranks: serve_ranks.then(|| "p.rank".to_string()),
+                communities: serve_communities.then(|| "p.community".to_string()),
+                adjacency: serve_adjacency.then(|| "p.adj".to_string()),
+                embeddings: serve_embeddings.then(|| "p.embed".to_string()),
+            };
+            let export = |dir: &str| {
+                let mut w = SnapshotWriter::new(&dfs, dir, &client);
+                if let Some(h) = &ranks {
+                    w.vector_f64(h).unwrap();
                 }
-                other => return Err(format!("wrong kind {other:?}")),
+                if let Some(h) = &communities {
+                    w.vector_u64(h).unwrap();
+                }
+                if let Some(h) = &adjacency {
+                    w.neighbor_table(h).unwrap();
+                }
+                match &embeddings {
+                    Some(Embed::Rows(h)) => w.matrix_f32(h).unwrap(),
+                    Some(Embed::Cols(h)) => w.colmatrix(h).unwrap(),
+                    None => {}
+                }
+                w.finish().unwrap()
+            };
+            // The served arrays, read back off the PS.
+            let truth = || Truth {
+                ranks: ranks.as_ref().map(|h| h.pull_all(&client).unwrap()),
+                communities: communities.as_ref().map(|h| h.pull_all(&client).unwrap()),
+                adjacency: adjacency
+                    .as_ref()
+                    .map(|h| h.pull(&client, &ids).unwrap().iter().map(|l| l.to_vec()).collect()),
+                embeddings: embeddings.as_ref().map(|e| match e {
+                    Embed::Rows(h) => h.pull_rows(&client, &ids).unwrap(),
+                    Embed::Cols(h) => h.pull_rows(&client, &ids).unwrap(),
+                }),
+            };
+            let cfg = ServeConfig {
+                shards: c.shards,
+                replicas_per_shard: c.replicas,
+                ..ServeConfig::default()
+            };
+            let dim = if serve_embeddings { c.dim } else { 0 };
+
+            // The base load is the truth, sliced.
+            let base = export("/p/base");
+            let mut cluster = ServeCluster::load(&dfs, "/p/base", &objects, &cfg, &client).unwrap();
+            let t0 = Truth {
+                ranks: serve_ranks.then(|| c.ranks.clone()),
+                communities: serve_communities.then(|| c.communities.clone()),
+                adjacency: serve_adjacency.then(|| c.adjacency.clone()),
+                embeddings: serve_embeddings.then(|| c.embeddings.clone()),
+            };
+            replicas_serve(&cluster, |s| naive_shard(&t0, c.n, dim, s, c.shards))?;
+
+            // Write, then swap the delta in: the tier equals a full reload.
+            for &(v, x) in &c.set_ranks {
+                if let Some(h) = &ranks {
+                    h.push_set(&client, &[v], &[x]).unwrap();
+                }
             }
-            Ok(())
+            for &(v, x) in &c.set_communities {
+                if let Some(h) = &communities {
+                    h.push_set(&client, &[v], &[x]).unwrap();
+                }
+            }
+            if let Some(h) = &adjacency {
+                h.update_edges(&client, &c.edge_ops).unwrap();
+            }
+            for (v, row) in &c.set_rows {
+                let (v, row) = (&[*v], std::slice::from_ref(row));
+                match &embeddings {
+                    Some(Embed::Rows(h)) => h.push_set_rows(&client, v, row).unwrap(),
+                    Some(Embed::Cols(h)) => h.push_add_rows(&client, v, row).unwrap(),
+                    None => {}
+                }
+            }
+            let mut dw = DeltaWriter::new(&dfs, "/p/base", &base, &client);
+            if let Some(h) = &ranks {
+                dw.vector_f64(h).unwrap();
+            }
+            if let Some(h) = &communities {
+                dw.vector_u64(h).unwrap();
+            }
+            if let Some(h) = &adjacency {
+                dw.neighbor_table(h).unwrap();
+            }
+            match &embeddings {
+                Some(Embed::Rows(h)) => dw.matrix_f32(h).unwrap(),
+                Some(Embed::Cols(h)) => dw.colmatrix(h).unwrap(),
+                None => 0,
+            };
+            cluster.swap_in(&dw.finish().unwrap()).unwrap();
+            export("/p/full");
+            let reload = ServeCluster::load(&dfs, "/p/full", &objects, &cfg, &client).unwrap();
+            let fresh: Vec<ShardData> = (0..c.shards)
+                .map(|s| (*reload.replicas()[s * c.replicas].data()).clone())
+                .collect();
+            replicas_serve(&cluster, |s| fresh[s].clone())?;
+            let t1 = truth();
+            replicas_serve(&reload, |s| naive_shard(&t1, c.n, dim, s, c.shards))
         },
     );
 }

@@ -9,12 +9,13 @@
 //! 1. **Events** ([`events`]) — timestamped edge add/remove events, from
 //!    a drift-parameterized RMAT source ([`events::DriftRmat`]) or
 //!    replayed bit-exactly from a DFS event log ([`events::EventLog`]).
-//! 2. **Ingest** ([`ingest`]) — a bounded-mailbox micro-batch ingestor
-//!    applies events to mutable PS state (tombstone-backed neighbor
-//!    table + degree vector) and tracks an event-time watermark for
-//!    freshness accounting. For write throughput, [`shard`] routes the
-//!    stream across N such ingestors keyed by edge owner (source-range
-//!    tiling) and merges freshness as the min across shard watermarks.
+//! 2. **Ingest** ([`shard`]) — the [`ShardedIngestor`] routes events
+//!    across N owner-keyed lanes (source-range tiling; each a bounded
+//!    mailbox with its own writer clock and watermark), drains them as
+//!    one micro-batch into mutable PS state (tombstone-backed neighbor
+//!    table + degree vector, planned driver-side by [`ingest`]), and
+//!    merges freshness as the min across lane watermarks. One lane is
+//!    the plain single-writer ingestor.
 //! 3. **Maintain** — each batch's effects feed the incremental
 //!    maintainers in `psgraph_core::algos::incremental`: PageRank by
 //!    residual re-push, connected components by union-on-add and bounded
@@ -33,7 +34,7 @@ pub mod shard;
 
 pub use error::{Result, StreamError};
 pub use events::{DriftRmat, DriftRmatSource, EdgeEvent, EdgeOp, EventLog};
-pub use ingest::{BatchEffect, IngestConfig, IngestStats, Ingestor};
+pub use ingest::{BatchEffect, IngestConfig, IngestStats};
 pub use recovery::{replay_from_log, StreamCheckpoint};
 pub use refresh::{RefreshConfig, RefreshDriver, SwapRecord};
 pub use shard::ShardedIngestor;

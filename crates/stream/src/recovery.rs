@@ -9,7 +9,7 @@
 //! generation corresponds to. After a crash at an arbitrary point —
 //! mid-batch, mid-checkpoint, mid-refresh — recovery rolls every
 //! `Consistent` object back to the last *published* generation, rewinds
-//! the ingestor ([`Ingestor::reset_for_replay`]), and re-drives the event
+//! the ingestor ([`ShardedIngestor::reset_for_replay`]), and re-drives the event
 //! log suffix through [`replay_from_log`]. Replay is idempotent: slot
 //! application skips duplicate adds and missing removes, so events the
 //! crashed run had already absorbed past the checkpoint re-apply to the
@@ -22,7 +22,8 @@ use psgraph_sim::{Corrupt, NodeClock, Reader, SimTime};
 
 use crate::error::{Result, StreamError};
 use crate::events::EventLog;
-use crate::ingest::{BatchEffect, Ingestor};
+use crate::ingest::BatchEffect;
+use crate::shard::ShardedIngestor;
 
 const CKPT_MAGIC: &[u8; 8] = b"PSGSCK01";
 
@@ -76,14 +77,20 @@ impl StreamCheckpoint {
 /// maintainers and re-take checkpoints. `batch_idx` is the *absolute*
 /// batch number (`from_event / batch_size + local index`), so a replayed
 /// run regroups events exactly as the fault-free run did — the
-/// precondition for bit-identical final PS state.
+/// precondition for bit-identical final PS state. The log is read on
+/// `client`'s clock; the batches drain on the ingestor's lane clocks.
+///
+/// The ingestor must hold no undrained events (a crashed run's are
+/// dropped by [`ShardedIngestor::reset_for_replay`]): they would fold
+/// into the first replayed batch and crowd its events out of the
+/// mailboxes.
 ///
 /// Returns the number of batches replayed.
 pub fn replay_from_log(
     dfs: &Dfs,
     path: &str,
     client: &NodeClock,
-    ingestor: &mut Ingestor,
+    ingestor: &mut ShardedIngestor,
     from_event: usize,
     to_event: usize,
     batch_size: usize,
@@ -100,6 +107,12 @@ pub fn replay_from_log(
             "replay start {from_event} is not a batch boundary (batch {batch_size})"
         )));
     }
+    if ingestor.pending() != 0 {
+        return Err(StreamError::Invalid(format!(
+            "replay into an ingestor still holding {} undrained events",
+            ingestor.pending()
+        )));
+    }
     let events = EventLog::replay(dfs, path, client)?;
     let to = to_event.min(events.len());
     if from_event >= to {
@@ -108,13 +121,15 @@ pub fn replay_from_log(
     let first_batch = (from_event / batch_size) as u64;
     let mut batches = 0usize;
     for chunk in events[from_event..to].chunks(batch_size) {
-        for ev in chunk {
-            // Capacity was checked above and the mailbox starts drained,
-            // so offers cannot be refused mid-chunk.
-            let accepted = ingestor.offer(NodeId::Driver, *ev);
-            debug_assert!(accepted, "replay chunk exceeded mailbox capacity");
+        for (i, ev) in chunk.iter().enumerate() {
+            if !ingestor.offer(NodeId::Driver, *ev) {
+                return Err(StreamError::Invalid(format!(
+                    "replay event {} refused by a full mailbox",
+                    from_event + batches * batch_size + i
+                )));
+            }
         }
-        let fx = ingestor.apply_pending(client)?;
+        let fx = ingestor.drain_all()?;
         on_batch(first_batch + batches as u64, &fx)?;
         batches += 1;
     }
@@ -124,10 +139,9 @@ pub fn replay_from_log(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{DriftRmat, EdgeEvent};
-    use crate::ingest::{IngestConfig, Ingestor};
+    use crate::events::{DriftRmat, EdgeEvent, EdgeOp};
+    use crate::ingest::IngestConfig;
     use psgraph_ps::{Ps, PsConfig};
-    use std::sync::Arc;
 
     #[test]
     fn checkpoint_roundtrips_through_dfs() {
@@ -151,7 +165,7 @@ mod tests {
         let client = NodeClock::new();
         let ps = Ps::new(PsConfig::default());
         let cfg = IngestConfig { mailbox_cap: 8, ..IngestConfig::default() };
-        let mut ing = Ingestor::create(&ps, &cfg, 16).unwrap();
+        let mut ing = ShardedIngestor::create(&ps, &cfg, 16, 1).unwrap();
         EventLog::write(&dfs, "/stream/log", &[], &client).unwrap();
         let nop = |_b: u64, _fx: &BatchEffect| Ok(());
         assert!(replay_from_log(&dfs, "/stream/log", &client, &mut ing, 0, 0, 0, nop).is_err());
@@ -161,6 +175,47 @@ mod tests {
             replay_from_log(&dfs, "/stream/log", &client, &mut ing, 0, 0, 4, nop).unwrap(),
             0
         );
+    }
+
+    /// Undrained events would fold into the first replayed batch and
+    /// crowd its events out of the mailbox (a cap-8 mailbox holding 5,
+    /// then batches of 4: one log event refused and lost). Replay refuses
+    /// to start instead, and leaves the ingestor as it was.
+    #[test]
+    fn replay_refuses_an_ingestor_with_undrained_events() {
+        let dfs = Dfs::in_memory();
+        let client = NodeClock::new();
+        let ps = Ps::new(PsConfig::default());
+        let cfg = IngestConfig { mailbox_cap: 8, ..IngestConfig::default() };
+        let mut ing = ShardedIngestor::create(&ps, &cfg, 16, 1).unwrap();
+        let ev =
+            |src, ms| EdgeEvent { op: EdgeOp::Add, src, dst: 15, at: SimTime::from_millis(ms) };
+        let log: Vec<EdgeEvent> = (0..8).map(|i| ev(i, 100 + i)).collect();
+        EventLog::write(&dfs, "/stream/log", &log, &client).unwrap();
+        for i in 0..5 {
+            assert!(ing.offer(NodeId::Driver, ev(i, i)));
+        }
+
+        let mut batches = 0;
+        let replayed = replay_from_log(&dfs, "/stream/log", &client, &mut ing, 0, 8, 4, |_, _| {
+            batches += 1;
+            Ok(())
+        });
+        assert!(matches!(replayed, Err(StreamError::Invalid(_))), "got {replayed:?}");
+        assert_eq!(batches, 0);
+        assert_eq!(ing.pending(), 5);
+        assert_eq!((ing.stats().accepted, ing.stats().rejected), (5, 0));
+
+        // Once the crashed run's events are dropped, the log replays whole.
+        ing.reset_for_replay(SimTime::ZERO);
+        let mut drained = Vec::new();
+        let replayed = replay_from_log(&dfs, "/stream/log", &client, &mut ing, 0, 8, 4, |_, fx| {
+            drained.push(fx.drained);
+            Ok(())
+        });
+        assert_eq!(replayed.unwrap(), 2);
+        assert_eq!(drained, vec![4, 4]);
+        assert_eq!(ing.stats().rejected, 0);
     }
 
     /// The full recovery protocol end-to-end: run fault-free, then run a
@@ -182,17 +237,12 @@ mod tests {
         };
         let events = gen_events();
 
-        let content = |ing: &Ingestor, client: &NodeClock| -> (Vec<Vec<u64>>, Vec<u64>) {
+        let content = |ing: &ShardedIngestor, client: &NodeClock| -> (Vec<Vec<u64>>, Vec<u64>) {
             let ids: Vec<u64> = (0..N).collect();
-            let adj: Vec<Vec<u64>> = ing
-                .adjacency
-                .pull(client, &ids)
-                .unwrap()
-                .iter()
-                .map(|l| l.to_vec())
-                .collect();
+            let adj: Vec<Vec<u64>> =
+                ing.adjacency().pull(client, &ids).unwrap().iter().map(|l| l.to_vec()).collect();
             let deg: Vec<u64> =
-                ing.degrees.pull(client, &ids).unwrap().iter().map(|d| d.to_bits()).collect();
+                ing.degrees().pull(client, &ids).unwrap().iter().map(|d| d.to_bits()).collect();
             (adj, deg)
         };
 
@@ -201,7 +251,7 @@ mod tests {
             let dfs = Dfs::in_memory();
             let client = NodeClock::new();
             let cfg = IngestConfig { mailbox_cap: BATCH, ..IngestConfig::default() };
-            let ing = Ingestor::create(&ps, &cfg, N).unwrap();
+            let ing = ShardedIngestor::create(&ps, &cfg, N, 2).unwrap();
             EventLog::write(&dfs, "/stream/log", &events, &client).unwrap();
             (ps, dfs, client, ing)
         };
@@ -265,10 +315,5 @@ mod tests {
         .unwrap();
         assert_eq!(replayed, BATCHES - ck.batches_done as usize);
         assert_eq!(content(&ing_b, &client_b), reference, "recovered state diverged");
-
-        // Recovery must not echo pre-crash versions (epoch bump), so the
-        // delta writer's dirtiness inequality stays sound.
-        let pre = Arc::strong_count(&ps_b); // silence unused-arc lint paths
-        let _ = pre;
     }
 }

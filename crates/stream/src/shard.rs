@@ -1,57 +1,96 @@
-//! Sharded multi-writer ingest: the event stream split across N
-//! ingestor mailboxes keyed by edge owner (`src` range tiling — the same
-//! `query::part` math the serving tier shards by), drained in parallel,
-//! with freshness merged as the **min across shard watermarks**.
+//! The ingestor: the event stream split across N owner-keyed lanes
+//! (`src` range tiling — the same `query::part` math the serving tier
+//! shards by), drained in parallel as one logical micro-batch, with
+//! freshness merged as the **min across lane watermarks**.
 //!
-//! Every shard is a full [`Ingestor`] — its own bounded mailbox, its own
-//! [`psgraph_sim::Watermark`], its own lifetime counters — but all
-//! shards write *one* adjacency table and *one* degree vector: shard `i`
-//! owns the contiguous source range `vertex_range(i)`, so no two shards
-//! ever touch the same entry and the final PS state is bit-identical to
-//! a single-ingestor run over the same events.
+//! A lane is a bounded mailbox, a writer clock, a watermark and the
+//! arrival sequence numbers of its undrained events. The `{prefix}.adj`
+//! neighbor table, the `{prefix}.deg` degree vector and the lifetime
+//! [`IngestStats`] belong to the ingestor: lane `i` owns the contiguous
+//! source range `vertex_range(i)`, so no two lanes ever touch the same
+//! entry and the final PS state is bit-identical at every lane count.
+//! One lane is the plain single-writer ingestor.
+//!
+//! Backpressure is explicit: [`ShardedIngestor::offer`] refuses an event
+//! when its lane's mailbox is full, and the caller decides whether to
+//! drop, retry, or drain a batch first — the same admission-control
+//! contract the serve frontend uses for queries.
 //!
 //! Determinism (DESIGN.md §6): the wall-clock-parallel stages are the
-//! pure per-shard mirror computation (`plan_batch` on the worker pool)
+//! pure per-lane mirror computation (`plan_batch` on the worker pool)
 //! and the per-partition table writes
 //! ([`NeighborTableHandle::update_edges_sharded`]); every RPC charge and
-//! every merge fold runs serially in canonical shard order, so both the
+//! every merge fold runs serially in canonical lane order, so both the
 //! results and the simulated-time accounting are identical for every
 //! pool size and claim schedule.
 //!
 //! Watermark rule: the merged watermark is `min` over the *effective*
-//! shard watermarks — a fast shard must not mask a straggler, so a shard
+//! lane watermarks — a fast lane must not mask a straggler, so a lane
 //! with undrained events holds the merge back at its own watermark. A
-//! shard that is fully drained counts as caught up to the newest event
-//! routed anywhere (`routed`): an idle shard (nothing in its key range
+//! lane that is fully drained counts as caught up to the newest event
+//! routed anywhere (`routed`): an idle lane (nothing in its key range
 //! lately) must not pin global freshness at its last event either. The
 //! merge is folded through a monotone [`Watermark`] ratchet, so observed
-//! freshness never moves backwards even when shards drain out of order.
+//! freshness never moves backwards even when lanes drain out of order.
 
 use std::sync::Arc;
 
 use psgraph_harness::Pool;
+use psgraph_net::bus::Mailbox;
 use psgraph_net::rpc::NodeId;
-use psgraph_ps::{NeighborTableHandle, Ps, VectorHandle};
-use psgraph_sim::{NodeClock, SimTime, Watermark};
+use psgraph_ps::{NeighborTableHandle, Partitioner, Ps, RecoveryMode, VectorHandle};
+use psgraph_sim::{FxHashMap, NodeClock, SimTime, Watermark};
 
 use crate::error::Result;
 use crate::events::EdgeEvent;
-use crate::ingest::{
-    batch_sources, plan_batch, BatchEffect, IngestConfig, IngestStats, Ingestor,
-};
+use crate::ingest::{batch_sources, plan_batch, BatchEffect, IngestConfig, IngestStats};
 
-/// Routes edge events to per-owner ingestor shards and drains them as
-/// one logical micro-batch with a min-merged watermark.
+/// One owner-keyed writer of the ingestor.
+struct Lane {
+    mailbox: Mailbox<EdgeEvent>,
+    /// Each lane is its own ingest node, so its RPC costs accrue on its
+    /// own clock (the whole point of sharding the write path).
+    clock: NodeClock,
+    /// Max event time this lane has applied.
+    watermark: Watermark,
+    /// Global arrival sequence numbers of the undrained events,
+    /// FIFO-aligned with the mailbox — how the drain reconstructs the
+    /// exact cross-lane arrival order for the maintainers.
+    seqs: Vec<u64>,
+}
+
+impl Lane {
+    fn new(mailbox_cap: usize) -> Lane {
+        Lane {
+            mailbox: Mailbox::bounded(mailbox_cap),
+            clock: NodeClock::new(),
+            watermark: Watermark::new(),
+            seqs: Vec::new(),
+        }
+    }
+
+    /// The lane's watermark as the merge sees it: a drained lane is
+    /// caught up to `routed`.
+    fn effective_watermark(&self, routed: SimTime) -> SimTime {
+        if self.mailbox.is_empty() {
+            self.watermark.now().max(routed)
+        } else {
+            self.watermark.now()
+        }
+    }
+}
+
+/// Drains timestamped edge events into PS state in micro-batches: routes
+/// each event to its owner lane and drains every lane as one logical
+/// micro-batch with a min-merged watermark.
 pub struct ShardedIngestor {
-    shards: Vec<Ingestor>,
-    /// Per-shard writer clocks: each shard is its own ingest node, so
-    /// shard RPC costs accrue independently (the whole point of sharding
-    /// the write path).
-    clocks: Vec<NodeClock>,
-    /// Global arrival sequence numbers of each shard's undrained events,
-    /// FIFO-aligned with its mailbox — how the drain reconstructs the
-    /// exact cross-shard arrival order for the maintainers.
-    pending_seqs: Vec<Vec<u64>>,
+    lanes: Vec<Lane>,
+    /// The live out-neighbor table (`{prefix}.adj`), tombstone-backed.
+    adjacency: NeighborTableHandle,
+    /// Live out-degrees as f64 (`{prefix}.deg`), kept in lockstep.
+    degrees: VectorHandle<f64>,
+    stats: IngestStats,
+    /// The next arrival sequence number.
     seq: u64,
     /// Newest event time accepted into any mailbox.
     routed: Watermark,
@@ -63,8 +102,8 @@ pub struct ShardedIngestor {
 }
 
 impl ShardedIngestor {
-    /// `shards` ingestors over one shared `{prefix}.adj` / `{prefix}.deg`
-    /// pair, each with its own `mailbox_cap`-bounded mailbox.
+    /// Create `{prefix}.adj` / `{prefix}.deg` over `n` vertices and
+    /// `shards` lanes, each with its own `mailbox_cap`-bounded mailbox.
     pub fn create(
         ps: &Arc<Ps>,
         cfg: &IngestConfig,
@@ -72,17 +111,26 @@ impl ShardedIngestor {
         shards: usize,
     ) -> Result<ShardedIngestor> {
         assert!(shards >= 1, "need at least one shard");
-        let first = Ingestor::create(ps, cfg, n)?;
-        let (adj, deg) = (first.adjacency.clone(), first.degrees.clone());
-        let mut all = vec![first];
-        for _ in 1..shards {
-            all.push(Ingestor::over(adj.clone(), deg.clone(), cfg.mailbox_cap, n));
-        }
+        let adjacency = NeighborTableHandle::create(
+            ps,
+            format!("{}.adj", cfg.prefix),
+            n,
+            Partitioner::Range,
+            RecoveryMode::Consistent,
+        )?;
+        let degrees = VectorHandle::<f64>::create(
+            ps,
+            format!("{}.deg", cfg.prefix),
+            n,
+            Partitioner::Range,
+            RecoveryMode::Consistent,
+        )?;
         Ok(ShardedIngestor {
-            clocks: (0..shards).map(|_| NodeClock::new()).collect(),
-            pending_seqs: vec![Vec::new(); shards],
+            lanes: (0..shards).map(|_| Lane::new(cfg.mailbox_cap)).collect(),
+            adjacency,
+            degrees,
+            stats: IngestStats::default(),
             seq: 0,
-            shards: all,
             routed: Watermark::new(),
             merged: Watermark::new(),
             n,
@@ -90,171 +138,186 @@ impl ShardedIngestor {
         })
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub fn num_vertices(&self) -> u64 {
-        self.n
-    }
-
-    /// The shared adjacency table every shard writes.
+    /// The adjacency table every lane writes.
     pub fn adjacency(&self) -> &NeighborTableHandle {
-        &self.shards[0].adjacency
+        &self.adjacency
     }
 
-    /// The shared degree vector every shard writes.
+    /// The degree vector every lane writes.
     pub fn degrees(&self) -> &VectorHandle<f64> {
-        &self.shards[0].degrees
+        &self.degrees
     }
 
     /// Load the base graph (deduped) before the stream starts.
     pub fn bootstrap(&self, client: &NodeClock, edges: &[(u64, u64)]) -> Result<()> {
-        self.shards[0].bootstrap(client, edges)
+        let mut lists: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
+        for &(s, d) in edges {
+            lists.entry(s).or_default().push(d);
+        }
+        let mut entries: Vec<(u64, Vec<u64>)> = lists.into_iter().collect();
+        entries.sort_unstable_by_key(|&(s, _)| s);
+        let (ids, degs): (Vec<u64>, Vec<f64>) =
+            entries.iter().map(|(s, l)| (*s, l.len() as f64)).unzip();
+        self.adjacency.push(client, &entries)?;
+        self.degrees.push_set(client, &ids, &degs)?;
+        Ok(())
     }
 
-    /// Which shard owns `ev` (contiguous source-range tiling).
+    /// Which lane owns `ev` (contiguous source-range tiling).
     pub fn owner(&self, ev: &EdgeEvent) -> usize {
-        ev.owner(self.n, self.shards.len())
+        ev.owner(self.n, self.lanes.len())
     }
 
-    /// Route an event to its owner shard's mailbox; `false` means that
-    /// shard is full (backpressure) and the caller should drain.
+    /// Route an event to its owner lane's mailbox; `false` means that
+    /// lane is full (backpressure) and the caller should drain.
     pub fn offer(&mut self, from: NodeId, ev: EdgeEvent) -> bool {
         let s = self.owner(&ev);
-        let ok = self.shards[s].offer(from, ev);
+        let lane = &mut self.lanes[s];
+        let ok = lane.mailbox.try_post(from, ev.at, ev);
         if ok {
+            self.stats.accepted += 1;
             self.routed.observe(ev.at);
-            self.pending_seqs[s].push(self.seq);
+            lane.seqs.push(self.seq);
             self.seq += 1;
+        } else {
+            self.stats.rejected += 1;
         }
         ok
     }
 
     /// Record a sender-side retry after a refused offer of `ev` (charged
-    /// to the owner shard's mailbox, like the offer itself).
+    /// to the owner lane's mailbox, like the offer itself).
     pub fn note_offer_retry(&self, ev: &EdgeEvent) {
-        self.shards[self.owner(ev)].note_offer_retry();
+        self.lanes[self.owner(ev)].mailbox.note_retry();
     }
 
-    /// Events waiting across all shard mailboxes.
+    /// Events waiting across all lane mailboxes.
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(Ingestor::pending).sum()
+        self.lanes.iter().map(|lane| lane.mailbox.len()).sum()
     }
 
-    /// Aggregate lifetime counters across shards.
+    /// The micro-batch size ceiling: a batch of at most this many events
+    /// fits even when every event routes to one lane.
+    pub(crate) fn capacity(&self) -> usize {
+        self.lanes[0].mailbox.capacity()
+    }
+
+    /// Lifetime counters across every drained batch.
     pub fn stats(&self) -> IngestStats {
-        let mut acc = IngestStats::default();
-        for sh in &self.shards {
-            acc.merge(&sh.stats());
-        }
-        acc
+        self.stats
     }
 
-    /// The min-merged watermark: `min` over effective shard watermarks
-    /// (a fully drained shard counts as caught up to the newest routed
-    /// event), ratcheted so it never regresses as shards drain out of
+    /// The min-merged watermark: `min` over effective lane watermarks
+    /// (a fully drained lane counts as caught up to the newest routed
+    /// event), ratcheted so it never regresses as lanes drain out of
     /// order.
     pub fn watermark(&self) -> SimTime {
         let routed = self.routed.now();
-        let eff_min = self
-            .shards
-            .iter()
-            .map(|sh| {
-                if sh.pending() == 0 {
-                    sh.watermark().max(routed)
-                } else {
-                    sh.watermark()
-                }
-            })
-            .min()
-            .unwrap_or(routed);
-        self.merged.observe(eff_min);
+        let eff_min = self.lanes.iter().map(|lane| lane.effective_watermark(routed)).min();
+        self.merged.observe(eff_min.unwrap_or(routed));
         self.merged.now()
     }
 
-    /// Crash recovery: drop undrained events everywhere and rewind every
-    /// watermark to `at` (the checkpoint the PS state rolled back to) —
-    /// the per-shard analogue of [`Ingestor::reset_for_replay`].
+    /// Crash recovery: drop any in-flight (undrained) events and rewind
+    /// every watermark to `at` — the watermark recorded by the checkpoint
+    /// the PS state was just rolled back to. The event-log replay then
+    /// re-offers everything after the checkpoint; re-applying events the
+    /// crashed run had already absorbed is safe because slot application
+    /// is idempotent (duplicate adds and missing removes are skipped, and
+    /// degree deltas derive from actual list changes).
     pub fn reset_for_replay(&mut self, at: SimTime) {
-        for sh in &mut self.shards {
-            sh.reset_for_replay(at);
+        let rewound = || {
+            let w = Watermark::new();
+            w.observe(at);
+            w
+        };
+        for lane in &mut self.lanes {
+            lane.mailbox.drain();
+            lane.seqs.clear();
+            lane.watermark = rewound();
         }
-        for q in &mut self.pending_seqs {
-            q.clear();
-        }
-        self.routed = Watermark::new();
-        self.routed.observe(at);
-        self.merged = Watermark::new();
-        self.merged.observe(at);
+        self.routed = rewound();
+        self.merged = rewound();
     }
 
-    /// Drain every shard as one logical micro-batch:
+    /// Drain every lane as one logical micro-batch:
     ///
-    /// 1. *serial, shard order* — drain each mailbox and pull the old
-    ///    out-lists on the shard's own clock;
-    /// 2. *parallel on the pool* — plan each shard's mutations (the
+    /// 1. *serial, lane order* — drain each mailbox and pull the old
+    ///    out-lists on the lane's own clock;
+    /// 2. *parallel on the pool* — plan each lane's mutations (the
     ///    driver-side mirror of the table's slot semantics, pure CPU);
     /// 3. *concurrent per-partition writes* — one
     ///    [`NeighborTableHandle::update_edges_sharded`] call applies all
-    ///    shards' lanes, charging each to its own clock, verifying each
-    ///    shard's mirror against the table's applied counts;
-    /// 4. *serial, shard order* — degree deltas, then commit each shard's
+    ///    lanes' ops, charging each to its own clock, verifying each
+    ///    lane's mirror against the table's applied counts;
+    /// 4. *serial, lane order* — degree deltas, then fold each lane's
     ///    counters and watermark.
     ///
-    /// The returned effect is the exact single-ingestor equivalent:
-    /// `effects` concatenated in shard order is globally source-sorted
-    /// (ranges ascend), and `applied` is re-interleaved into global
-    /// arrival order via the sequence numbers recorded at offer time.
+    /// The table gets each lane's interleaved add/remove sequence in
+    /// arrival order and the degrees its net per-source delta; batches
+    /// that change nothing skip the writes entirely, so they cannot dirty
+    /// a partition (and a cadence of pure duplicates never pays a delta
+    /// swap). In the returned effect, `effects` concatenated in lane
+    /// order is globally source-sorted (ranges ascend), and `applied` is
+    /// re-interleaved into global arrival order via the sequence numbers
+    /// recorded at offer time.
     pub fn drain_all(&mut self) -> Result<BatchEffect> {
-        let shards = self.shards.len();
         let mut batches: Vec<(Vec<EdgeEvent>, Vec<u64>, Vec<Vec<u64>>)> =
-            Vec::with_capacity(shards);
-        let mut seqs: Vec<Vec<u64>> = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let events = self.shards[i].drain_events();
-            seqs.push(std::mem::take(&mut self.pending_seqs[i]));
+            Vec::with_capacity(self.lanes.len());
+        let mut seqs: Vec<Vec<u64>> = Vec::with_capacity(self.lanes.len());
+        for lane in &mut self.lanes {
+            let events: Vec<EdgeEvent> =
+                lane.mailbox.drain().into_iter().map(|m| m.payload).collect();
+            seqs.push(std::mem::take(&mut lane.seqs));
             let srcs = batch_sources(&events);
-            let old = self.shards[i].pull_old(&self.clocks[i], &srcs)?;
-            batches.push((events, srcs, old));
+            let old = self.adjacency.pull(&lane.clock, &srcs)?;
+            batches.push((events, srcs, old.iter().map(|l| l.to_vec()).collect()));
         }
 
         let planned = self.pool.map(batches, |(events, srcs, old)| {
             plan_batch(&events, &srcs, old)
         });
 
-        let lanes: Vec<(usize, (&NodeClock, &[(u64, u64, bool)]))> = planned
+        let writes: Vec<(usize, (&NodeClock, &[(u64, u64, bool)]))> = planned
             .iter()
             .enumerate()
             .filter(|(_, p)| !p.applied.is_empty())
-            .map(|(i, p)| (i, (&self.clocks[i], p.ops.as_slice())))
+            .map(|(i, p)| (i, (&self.lanes[i].clock, p.ops.as_slice())))
             .collect();
-        if !lanes.is_empty() {
-            let lane_refs: Vec<(&NodeClock, &[(u64, u64, bool)])> =
-                lanes.iter().map(|&(_, l)| l).collect();
-            let counts = self.shards[0].adjacency.update_edges_sharded(&lane_refs)?;
-            for (&(i, _), &(adds, removes)) in lanes.iter().zip(&counts) {
+        if !writes.is_empty() {
+            let lane_ops: Vec<(&NodeClock, &[(u64, u64, bool)])> =
+                writes.iter().map(|&(_, w)| w).collect();
+            let counts = self.adjacency.update_edges_sharded(&lane_ops)?;
+            for (&(i, _), &(adds, removes)) in writes.iter().zip(&counts) {
                 planned[i].check_table_counts(adds, removes)?;
             }
         }
-        for (i, p) in planned.iter().enumerate() {
+        for (lane, p) in self.lanes.iter().zip(&planned) {
             if !p.deg_ids.is_empty() {
-                self.shards[i].degrees.push_add(&self.clocks[i], &p.deg_ids, &p.deg_deltas)?;
+                self.degrees.push_add(&lane.clock, &p.deg_ids, &p.deg_deltas)?;
             }
         }
 
         let mut merged = BatchEffect::default();
         let mut applied_seq: Vec<(u64, (u64, u64, bool))> = Vec::new();
-        for (i, p) in planned.into_iter().enumerate() {
+        for ((lane, p), seqs) in self.lanes.iter_mut().zip(planned).zip(seqs) {
             if p.drained == 0 {
                 continue;
             }
             for (&j, &op) in p.applied_idx.iter().zip(&p.applied) {
-                applied_seq.push((seqs[i][j], op));
+                applied_seq.push((seqs[j], op));
             }
-            let fx = self.shards[i].commit(p);
-            merged.drained += fx.drained;
-            merged.effects.extend(fx.effects);
+            let adds = p.applied.iter().filter(|&&(_, _, add)| add).count() as u64;
+            self.stats.applied_adds += adds;
+            self.stats.applied_removes += p.applied.len() as u64 - adds;
+            self.stats.skipped_dup_adds += p.dup_adds;
+            self.stats.skipped_missing_removes += p.missing_removes;
+            lane.watermark.observe(p.max_at);
+            merged.drained += p.drained;
+            merged.effects.extend(p.effects);
+        }
+        if merged.drained > 0 {
+            self.stats.batches += 1;
         }
         applied_seq.sort_unstable_by_key(|&(s, _)| s);
         merged.applied = applied_seq.into_iter().map(|(_, op)| op).collect();
@@ -273,14 +336,76 @@ mod tests {
         EdgeEvent { op, src, dst, at: SimTime::from_millis(ms) }
     }
 
-    fn setup(shards: usize, n: u64) -> ShardedIngestor {
+    fn setup_cap(shards: usize, n: u64, cap: usize) -> ShardedIngestor {
         let ps = Ps::new(PsConfig::default());
-        let cfg = IngestConfig { mailbox_cap: 64, ..IngestConfig::default() };
+        let cfg = IngestConfig { mailbox_cap: cap, ..IngestConfig::default() };
         ShardedIngestor::create(&ps, &cfg, n, shards).unwrap()
     }
 
+    fn setup(shards: usize, n: u64) -> ShardedIngestor {
+        setup_cap(shards, n, 64)
+    }
+
     #[test]
-    fn routes_by_owner_and_matches_single_ingestor() {
+    fn batch_applies_events_in_order_and_tracks_watermark() {
+        let mut ing = setup(1, 16);
+        let client = NodeClock::new();
+        ing.bootstrap(&client, &[(0, 1), (0, 2), (3, 4)]).unwrap();
+        for e in [
+            ev(EdgeOp::Add, 0, 5, 1),
+            ev(EdgeOp::Remove, 0, 1, 2),
+            ev(EdgeOp::Add, 0, 1, 3),  // re-add after remove
+            ev(EdgeOp::Add, 3, 4, 4),  // duplicate → skipped
+            ev(EdgeOp::Remove, 3, 9, 5), // missing → skipped
+        ] {
+            assert!(ing.offer(NodeId::Driver, e));
+        }
+        let fx = ing.drain_all().unwrap();
+        assert_eq!(fx.drained, 5);
+        assert_eq!(fx.applied, vec![(0, 5, true), (0, 1, false), (0, 1, true)]);
+        assert_eq!(fx.watermark, SimTime::from_millis(5));
+        assert_eq!(ing.watermark(), SimTime::from_millis(5));
+
+        // Effects carry old → new live lists; the table agrees.
+        assert_eq!(fx.effects, vec![(0, vec![1, 2], vec![2, 5, 1])]);
+        let live = ing.adjacency().pull(&client, &[0]).unwrap().remove(0);
+        assert_eq!(live.as_slice(), &[2, 5, 1]);
+        // Degrees track net deltas (source 0: 2 → 3; source 3 unchanged).
+        assert_eq!(ing.degrees().pull(&client, &[0, 3]).unwrap(), vec![3.0, 1.0]);
+
+        let st = ing.stats();
+        assert_eq!(st.applied_adds, 2);
+        assert_eq!(st.applied_removes, 1);
+        assert_eq!(st.skipped_dup_adds, 1, "duplicate (3,4) add");
+        assert_eq!(st.skipped_missing_removes, 1, "missing (3,9) remove");
+        assert_eq!(st.batches, 1);
+    }
+
+    #[test]
+    fn full_mailbox_pushes_back() {
+        let mut ing = setup_cap(1, 16, 2);
+        assert!(ing.offer(NodeId::Driver, ev(EdgeOp::Add, 1, 2, 1)));
+        assert!(ing.offer(NodeId::Driver, ev(EdgeOp::Add, 2, 3, 2)));
+        assert!(!ing.offer(NodeId::Driver, ev(EdgeOp::Add, 3, 4, 3)), "backpressure");
+        assert_eq!(ing.pending(), 2);
+        assert_eq!(ing.stats().rejected, 1);
+        let fx = ing.drain_all().unwrap();
+        assert_eq!(fx.drained, 2);
+        // Drained capacity admits the retry.
+        assert!(ing.offer(NodeId::Driver, ev(EdgeOp::Add, 3, 4, 3)));
+    }
+
+    #[test]
+    fn empty_batch_is_a_cheap_no_op() {
+        let mut ing = setup_cap(2, 16, 8);
+        let fx = ing.drain_all().unwrap();
+        assert_eq!(fx.drained, 0);
+        assert!(fx.effects.is_empty() && fx.applied.is_empty());
+        assert_eq!(ing.stats().batches, 0);
+    }
+
+    #[test]
+    fn routes_by_owner_and_merges_in_arrival_order() {
         // 16 vertices / 2 shards: sources 0..8 to shard 0, 8..16 to 1.
         let mut sharded = setup(2, 16);
         let client = NodeClock::new();
@@ -297,6 +422,7 @@ mod tests {
             assert!(sharded.offer(NodeId::Driver, e));
         }
         assert_eq!(sharded.pending(), 5);
+        assert_eq!(sharded.lanes[0].mailbox.len(), 3);
         let fx = sharded.drain_all().unwrap();
         assert_eq!(fx.drained, 5);
         // Applied re-interleaved into exact global arrival order.
@@ -313,8 +439,7 @@ mod tests {
         assert_eq!(st.applied_adds, 3);
         assert_eq!(st.applied_removes, 1);
         assert_eq!(st.skipped_dup_adds, 1);
-        assert_eq!(sharded.shards[0].stats().applied_adds, 2);
-        assert_eq!(sharded.shards[1].stats().skipped_dup_adds, 1);
+        assert_eq!(st.batches, 1, "one logical batch across both lanes");
 
         // The shared table holds the merged result.
         let live = sharded.adjacency().pull(&client, &[0, 9]).unwrap();
@@ -367,11 +492,13 @@ mod tests {
         }
         sharded.drain_all().unwrap();
         assert_eq!(sharded.watermark(), SimTime::from_millis(40));
+        assert!(sharded.offer(NodeId::Driver, ev(EdgeOp::Add, 1, 2, 50)));
         sharded.reset_for_replay(SimTime::from_millis(20));
         assert_eq!(sharded.pending(), 0);
         assert_eq!(sharded.watermark(), SimTime::from_millis(20));
-        for sh in &sharded.shards {
-            assert_eq!(sh.watermark(), SimTime::from_millis(20));
+        for lane in &sharded.lanes {
+            assert_eq!(lane.watermark.now(), SimTime::from_millis(20));
+            assert!(lane.seqs.is_empty());
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests for the streaming tier: randomized event streams
-//! driven through the real `Ingestor`, checked against independent
+//! driven through the real `ShardedIngestor`, checked against independent
 //! models — full PageRank recomputes, reference connected components,
 //! and a naive Vec model of the tombstone neighbor table.
 
@@ -14,8 +14,7 @@ use psgraph_net::rpc::NodeId;
 use psgraph_ps::{NeighborTableHandle, Partitioner, Ps, PsConfig, RecoveryMode};
 use psgraph_sim::{FxHashMap, NodeClock, SimTime, SplitMix64};
 use psgraph_stream::{
-    replay_from_log, DriftRmat, EdgeEvent, EdgeOp, EventLog, IngestConfig, Ingestor,
-    ShardedIngestor,
+    replay_from_log, DriftRmat, EdgeEvent, EdgeOp, EventLog, IngestConfig, ShardedIngestor,
 };
 
 /// Drive `events` through the ingestor in micro-batches of `batch`,
@@ -24,7 +23,7 @@ use psgraph_stream::{
 struct Harness {
     ps: Arc<Ps>,
     client: NodeClock,
-    ingestor: Ingestor,
+    ingestor: ShardedIngestor,
     pr: IncrementalPageRank,
     pr_state: psgraph_core::algos::PrState,
     cc: IncrementalCc,
@@ -36,13 +35,13 @@ impl Harness {
         let ps = Ps::new(PsConfig::default());
         let client = NodeClock::new();
         let cfg = IngestConfig { prefix: prefix.into(), mailbox_cap: 512 };
-        let ingestor = Ingestor::create(&ps, &cfg, n).unwrap();
+        let ingestor = ShardedIngestor::create(&ps, &cfg, n, 1).unwrap();
         ingestor.bootstrap(&client, base).unwrap();
         let pr = IncrementalPageRank::default();
         let mut pr_state = pr.create_state(&ps, &format!("{prefix}.pr"), n).unwrap();
-        pr.init_full(&mut pr_state, &client, &ingestor.adjacency).unwrap();
+        pr.init_full(&mut pr_state, &client, ingestor.adjacency()).unwrap();
         let mut cc = IncrementalCc::create(&ps, &format!("{prefix}.cc"), n).unwrap();
-        cc.bootstrap(&client, &ingestor.adjacency).unwrap();
+        cc.bootstrap(&client, ingestor.adjacency()).unwrap();
         Harness { ps, client, ingestor, pr, pr_state, cc, n }
     }
 
@@ -50,15 +49,15 @@ impl Harness {
         for &ev in events {
             assert!(self.ingestor.offer(NodeId::Driver, ev), "mailbox overflow in test");
         }
-        let fx = self.ingestor.apply_pending(&self.client).unwrap();
+        let fx = self.ingestor.drain_all().unwrap();
         self.pr.on_batch(&mut self.pr_state, &self.client, &fx.effects).unwrap();
-        self.pr.propagate(&mut self.pr_state, &self.client, &self.ingestor.adjacency).unwrap();
-        self.cc.on_batch(&self.client, &fx.applied, &self.ingestor.adjacency).unwrap();
+        self.pr.propagate(&mut self.pr_state, &self.client, self.ingestor.adjacency()).unwrap();
+        self.cc.on_batch(&self.client, &fx.applied, self.ingestor.adjacency()).unwrap();
     }
 
     fn live_edges(&self) -> Vec<(u64, u64)> {
         let ids: Vec<u64> = (0..self.n).collect();
-        let lists = self.ingestor.adjacency.pull(&self.client, &ids).unwrap();
+        let lists = self.ingestor.adjacency().pull(&self.client, &ids).unwrap();
         let mut edges = Vec::new();
         for (s, list) in lists.iter().enumerate() {
             for &d in list.iter() {
@@ -115,7 +114,7 @@ fn incremental_pagerank_matches_full_recompute_over_random_stream() {
 
         let mut full_state =
             h.pr.create_state(&h.ps, &format!("p1.full{round}"), n).unwrap();
-        h.pr.init_full(&mut full_state, &h.client, &h.ingestor.adjacency).unwrap();
+        h.pr.init_full(&mut full_state, &h.client, h.ingestor.adjacency()).unwrap();
         let inc = h.pr.ranks(&h.pr_state, &h.client).unwrap();
         let full = h.pr.ranks(&full_state, &h.client).unwrap();
         let linf = inc
@@ -218,8 +217,8 @@ fn drift_source_through_ingestor_preserves_live_set() {
     got.sort_unstable();
     assert_eq!(got, want, "table diverged from the source's live set");
     let ids: Vec<u64> = (0..n).collect();
-    let degs = h.ingestor.degrees.pull(&h.client, &ids).unwrap();
-    let lists = h.ingestor.adjacency.pull(&h.client, &ids).unwrap();
+    let degs = h.ingestor.degrees().pull(&h.client, &ids).unwrap();
+    let lists = h.ingestor.adjacency().pull(&h.client, &ids).unwrap();
     for (v, (deg, list)) in degs.iter().zip(&lists).enumerate() {
         assert_eq!(*deg, list.len() as f64, "degree of {v} out of lockstep");
     }
@@ -232,14 +231,16 @@ fn drift_source_through_ingestor_preserves_live_set() {
 
 #[test]
 fn sharded_ingest_is_bit_identical_to_single_ingestor() {
-    // The tentpole equivalence: over any random event stream, shard
-    // count, and batch size, routing the stream across owner-keyed
-    // ingestor shards and draining them as one logical batch must be
-    // indistinguishable from a single ingestor — byte-identical neighbor
-    // lists (slot order included), degree bits, per-batch effects,
-    // applied ops in arrival order, watermarks, and lifetime counters.
-    // Identical effects/applied per batch makes the incremental
-    // maintainers (which consume only those) identical by construction.
+    // The lane equivalence: over any random event stream, shard count,
+    // and batch size, routing the stream across owner-keyed lanes and
+    // draining them as one logical batch must be indistinguishable from
+    // a one-lane ingestor — byte-identical neighbor lists (slot order
+    // included), degree bits, per-batch effects, applied ops in arrival
+    // order, watermarks, and lifetime counters. One lane is a fair
+    // reference: it runs none of the routing, sequence re-interleaving
+    // or min-merge code under test. Identical effects/applied per batch
+    // makes the incremental maintainers (which consume only those)
+    // identical by construction.
     check(
         "sharded_ingest_is_bit_identical_to_single_ingestor",
         |src: &mut Source| {
@@ -263,7 +264,7 @@ fn sharded_ingest_is_bit_identical_to_single_ingestor() {
             // to one shard fits.
             let cfg = IngestConfig { prefix: "shp".into(), mailbox_cap: batch };
             let ps_a = Ps::new(PsConfig::default());
-            let mut single = Ingestor::create(&ps_a, &cfg, n).unwrap();
+            let mut single = ShardedIngestor::create(&ps_a, &cfg, n, 1).unwrap();
             single.bootstrap(&client, base.edges()).unwrap();
             let ps_b = Ps::new(PsConfig::default());
             let mut sharded = ShardedIngestor::create(&ps_b, &cfg, n, shards).unwrap();
@@ -271,10 +272,10 @@ fn sharded_ingest_is_bit_identical_to_single_ingestor() {
 
             for chunk in events.chunks(batch.max(1)) {
                 for &ev in chunk {
-                    assert!(single.offer(NodeId::Driver, ev), "single mailbox overflow");
+                    assert!(single.offer(NodeId::Driver, ev), "one-lane mailbox overflow");
                     assert!(sharded.offer(NodeId::Driver, ev), "shard mailbox overflow");
                 }
-                let fa = single.apply_pending(&client).unwrap();
+                let fa = single.drain_all().unwrap();
                 let fb = sharded.drain_all().unwrap();
                 prop_assert_eq!(fa.drained, fb.drained, "drained count diverged");
                 prop_assert_eq!(
@@ -291,7 +292,7 @@ fn sharded_ingest_is_bit_identical_to_single_ingestor() {
             // partitions in the same per-source order).
             let ids: Vec<u64> = (0..n).collect();
             let adj_a: Vec<Vec<u64>> = single
-                .adjacency
+                .adjacency()
                 .pull(&client, &ids)
                 .unwrap()
                 .into_iter()
@@ -306,7 +307,7 @@ fn sharded_ingest_is_bit_identical_to_single_ingestor() {
                 .collect();
             prop_assert_eq!(adj_a, adj_b, "neighbor table diverged");
             let deg_a: Vec<u64> =
-                single.degrees.pull(&client, &ids).unwrap().iter().map(|d| d.to_bits()).collect();
+                single.degrees().pull(&client, &ids).unwrap().iter().map(|d| d.to_bits()).collect();
             let deg_b: Vec<u64> = sharded
                 .degrees()
                 .pull(&client, &ids)
@@ -326,6 +327,7 @@ fn sharded_ingest_is_bit_identical_to_single_ingestor() {
                 sb.skipped_missing_removes,
                 "skipped_missing_removes"
             );
+            prop_assert_eq!(sa.batches, sb.batches, "batches");
             Ok(())
         },
     );
@@ -333,8 +335,9 @@ fn sharded_ingest_is_bit_identical_to_single_ingestor() {
 
 #[test]
 fn event_log_replay_is_idempotent_after_crash() {
-    // Crash-recovery property over any stream, batch size, and rewind
-    // point, in two flavors mirroring the two real crash modes:
+    // Crash-recovery property over any stream, batch size, lane count and
+    // rewind point, against a fault-free one-lane run, in two flavors
+    // mirroring the two real crash modes:
     //
     // 1. Ingestor crash, PS survives: the ingestor loses its stream
     //    position and re-applies an *already-applied* batch suffix from
@@ -357,10 +360,11 @@ fn event_log_replay_is_idempotent_after_crash() {
             // Raw rewind draw; reduced mod the actual batch count once the
             // stream is generated (self-loop draws emit nothing).
             let rewind_raw = src.usize_range(0, 4096);
+            let shards = src.usize_range(1, 5);
             let seed = src.u64_range(0, u64::MAX - 1);
-            (n, total, batch, rewind_raw, seed)
+            (n, total, batch, rewind_raw, shards, seed)
         },
-        |&(n, total, batch, rewind_raw, seed)| {
+        |&(n, total, batch, rewind_raw, shards, seed)| {
             let dfs = Dfs::in_memory();
             let client = NodeClock::new();
             let mut rng = SplitMix64::new(seed);
@@ -374,24 +378,24 @@ fn event_log_replay_is_idempotent_after_crash() {
             // suffix [rewind*batch, len) was already applied once.
             let rewind = rewind_raw % events.len().div_ceil(batch);
             EventLog::write(&dfs, "/prop/events", &events, &client).unwrap();
-            let pull = |ing: &Ingestor| {
+            let pull = |ing: &ShardedIngestor| {
                 let ids: Vec<u64> = (0..n).collect();
                 let adj: Vec<Vec<u64>> = ing
-                    .adjacency
+                    .adjacency()
                     .pull(&client, &ids)
                     .unwrap()
                     .into_iter()
                     .map(|l| l.to_vec())
                     .collect();
-                let degs: Vec<u64> =
-                    ing.degrees.pull(&client, &ids).unwrap().iter().map(|d| d.to_bits()).collect();
+                let degs = ing.degrees().pull(&client, &ids).unwrap();
+                let degs: Vec<u64> = degs.iter().map(|d| d.to_bits()).collect();
                 (adj, degs)
             };
 
             // Fault-free reference: one clean pass over the whole log.
             let ps_a = Ps::new(PsConfig::default());
             let cfg = IngestConfig { prefix: "prop".into(), mailbox_cap: batch };
-            let mut a = Ingestor::create(&ps_a, &cfg, n).unwrap();
+            let mut a = ShardedIngestor::create(&ps_a, &cfg, n, 1).unwrap();
             replay_from_log(&dfs, "/prop/events", &client, &mut a, 0, events.len(), batch, |_, _| {
                 Ok(())
             })
@@ -401,7 +405,7 @@ fn event_log_replay_is_idempotent_after_crash() {
             // to an aligned batch, re-apply the suffix against the
             // already-mutated PS state.
             let ps_b = Ps::new(PsConfig::default());
-            let mut b = Ingestor::create(&ps_b, &cfg, n).unwrap();
+            let mut b = ShardedIngestor::create(&ps_b, &cfg, n, shards).unwrap();
             let mut wm_at_batch = Vec::new();
             replay_from_log(&dfs, "/prop/events", &client, &mut b, 0, events.len(), batch, |_, fx| {
                 wm_at_batch.push(fx.watermark);
@@ -447,7 +451,7 @@ fn event_log_replay_is_idempotent_after_crash() {
             // Flavor 2 — PS crash: checkpoint at the rewind boundary
             // during the first pass, crash + restore, replay the suffix.
             let ps_c = Ps::new(PsConfig::default());
-            let mut c = Ingestor::create(&ps_c, &cfg, n).unwrap();
+            let mut c = ShardedIngestor::create(&ps_c, &cfg, n, shards).unwrap();
             if rewind == 0 {
                 ps_c.checkpoint_all_generation(&dfs, 1).unwrap();
             }

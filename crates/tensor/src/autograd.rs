@@ -13,8 +13,7 @@ pub struct Var(usize);
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Leaf (input or parameter). `requires_grad` distinguishes params
-    /// from inputs for [`Graph::is_param`].
+    /// Leaf: a trainable parameter when `requires_grad`, else an input.
     Leaf { requires_grad: bool },
     MatMul(Var, Var),
     /// `A·x` for a constant sparse operator `A`.
@@ -23,14 +22,10 @@ enum Op {
     /// `x + bias_row` broadcast over rows.
     AddBias(Var, Var),
     Relu(Var),
-    Sigmoid(Var),
-    Tanh(Var),
     Scale(Var, f32),
     ConcatCols(Var, Var),
     /// Mean softmax cross-entropy against integer labels; scalar output.
     SoftmaxCrossEntropy { logits: Var, labels: Vec<usize> },
-    /// Mean squared error against a constant target; scalar output.
-    Mse { pred: Var, target: Tensor },
 }
 
 struct Node {
@@ -63,11 +58,8 @@ impl Graph {
             }
             Op::Spmm(_, x)
             | Op::Relu(x)
-            | Op::Sigmoid(x)
-            | Op::Tanh(x)
             | Op::Scale(x, _)
-            | Op::SoftmaxCrossEntropy { logits: x, .. }
-            | Op::Mse { pred: x, .. } => needs(x),
+            | Op::SoftmaxCrossEntropy { logits: x, .. } => needs(x),
         };
         self.nodes.push(Node { op, value, grad: None, needs_grad });
         Var(self.nodes.len() - 1)
@@ -93,11 +85,6 @@ impl Graph {
     /// of `v` (a constant input has none).
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.nodes[v.0].grad.as_ref()
-    }
-
-    /// Whether `v` is a trainable parameter leaf.
-    pub fn is_param(&self, v: Var) -> bool {
-        matches!(self.nodes[v.0].op, Op::Leaf { requires_grad: true })
     }
 
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
@@ -126,16 +113,6 @@ impl Graph {
         self.push(Op::Relu(x), value)
     }
 
-    pub fn sigmoid(&mut self, x: Var) -> Var {
-        let value = self.value(x).map(|v| 1.0 / (1.0 + (-v).exp()));
-        self.push(Op::Sigmoid(x), value)
-    }
-
-    pub fn tanh(&mut self, x: Var) -> Var {
-        let value = self.value(x).map(f32::tanh);
-        self.push(Op::Tanh(x), value)
-    }
-
     pub fn scale(&mut self, x: Var, k: f32) -> Var {
         let value = self.value(x).scale(k);
         self.push(Op::Scale(x, k), value)
@@ -160,21 +137,6 @@ impl Graph {
             Op::SoftmaxCrossEntropy { logits, labels: labels.to_vec() },
             Tensor::from_vec(1, 1, vec![loss]),
         )
-    }
-
-    /// Mean squared error against `target` (scalar `1 × 1`).
-    pub fn mse(&mut self, pred: Var, target: Tensor) -> Var {
-        let p = self.value(pred);
-        assert_eq!((p.rows(), p.cols()), (target.rows(), target.cols()));
-        let n = p.len() as f32;
-        let loss = p
-            .data()
-            .iter()
-            .zip(target.data())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f32>()
-            / n;
-        self.push(Op::Mse { pred, target }, Tensor::from_vec(1, 1, vec![loss]))
     }
 
     /// Add `g()` to `v`'s gradient — computed only if `v` needs one.
@@ -222,12 +184,6 @@ impl Graph {
                 Op::Relu(x) => self.accumulate(x, |t| {
                     g.hadamard(&t.value(x).map(|v| if v > 0.0 { 1.0 } else { 0.0 }))
                 }),
-                Op::Sigmoid(x) => {
-                    self.accumulate(x, |t| g.hadamard(&t.nodes[i].value.map(|v| v * (1.0 - v))))
-                }
-                Op::Tanh(x) => {
-                    self.accumulate(x, |t| g.hadamard(&t.nodes[i].value.map(|v| 1.0 - v * v)))
-                }
                 Op::Scale(x, k) => self.accumulate(x, |_| g.scale(k)),
                 Op::ConcatCols(a, b) => {
                     let ca = self.value(a).cols();
@@ -249,14 +205,6 @@ impl Graph {
                         dl.set(r, y, v - 1.0);
                     }
                     dl.scale(scale)
-                }),
-                Op::Mse { pred, target } => self.accumulate(pred, |t| {
-                    let scale = g.get(0, 0) * 2.0 / t.value(pred).len() as f32;
-                    let mut dp = t.value(pred).clone();
-                    for (d, want) in dp.data_mut().iter_mut().zip(target.data()) {
-                        *d -= want;
-                    }
-                    dp.scale(scale)
                 }),
             }
         }
@@ -313,14 +261,14 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_linear_mse() {
+    fn grad_check_linear() {
         let w = Tensor::uniform(3, 2, 0.5, 11);
         check_grads(
             |g, p| {
                 let x = g.input(Tensor::uniform(4, 3, 1.0, 5));
                 let w = g.param(p.clone());
                 let y = g.matmul(x, w);
-                let loss = g.mse(y, Tensor::uniform(4, 2, 1.0, 6));
+                let loss = g.softmax_cross_entropy(y, &[0, 1, 1, 0]);
                 (w, loss)
             },
             w,
@@ -335,7 +283,7 @@ mod tests {
                 let x = g.input(Tensor::uniform(4, 2, 1.0, 9));
                 let b = g.param(p.clone());
                 let y = g.add_bias(x, b);
-                let loss = g.mse(y, Tensor::zeros(4, 2));
+                let loss = g.softmax_cross_entropy(y, &[1, 0, 0, 1]);
                 (b, loss)
             },
             b,
@@ -343,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_check_relu_sigmoid_tanh_chain() {
+    fn grad_check_relu_chain() {
         let w = Tensor::uniform(2, 2, 0.7, 21);
         check_grads(
             |g, p| {
@@ -351,9 +299,8 @@ mod tests {
                 let w = g.param(p.clone());
                 let h = g.matmul(x, w);
                 let h = g.relu(h);
-                let h = g.sigmoid(h);
-                let h = g.tanh(h);
-                let loss = g.mse(h, Tensor::zeros(3, 2));
+                let h = g.matmul(h, w);
+                let loss = g.softmax_cross_entropy(h, &[1, 0, 1]);
                 (w, loss)
             },
             w,
@@ -370,7 +317,7 @@ mod tests {
                 let a = g.matmul(x, w);
                 let b = g.scale(a, 0.5);
                 let cat = g.concat_cols(a, b);
-                let loss = g.mse(cat, Tensor::zeros(3, 4));
+                let loss = g.softmax_cross_entropy(cat, &[3, 0, 2]);
                 (w, loss)
             },
             w,
@@ -403,7 +350,7 @@ mod tests {
                 let w = g.param(p.clone());
                 let a = g.matmul(x, w);
                 let b = g.matmul(a, w); // w used twice
-                let loss = g.mse(b, Tensor::zeros(2, 2));
+                let loss = g.softmax_cross_entropy(b, &[1, 0]);
                 (w, loss)
             },
             w,
@@ -412,28 +359,28 @@ mod tests {
 
     #[test]
     fn training_reduces_loss() {
-        // One linear layer learning y = x·W* on random data.
+        // One linear layer learning the labels `argmax(x·W*)` on random data.
         let wstar = Tensor::uniform(3, 2, 1.0, 1);
         let x = Tensor::uniform(16, 3, 1.0, 2);
-        let y = x.matmul(&wstar);
+        let y = x.matmul(&wstar).argmax_rows();
         let mut w = Tensor::uniform(3, 2, 0.1, 3);
-        let mut first = None;
-        let mut last = 0.0;
+        let mut losses = Vec::new();
         for _ in 0..200 {
             let mut g = Graph::new();
             let xv = g.input(x.clone());
             let wv = g.param(w.clone());
             let pred = g.matmul(xv, wv);
-            let loss = g.mse(pred, y.clone());
+            let loss = g.softmax_cross_entropy(pred, &y);
             g.backward(loss);
             let gw = g.grad(wv).unwrap();
             for (wi, gi) in w.data_mut().iter_mut().zip(gw.data()) {
-                *wi -= 0.1 * gi;
+                *wi -= gi;
             }
-            last = g.scalar(loss);
-            first.get_or_insert(last);
+            losses.push(g.scalar(loss));
         }
-        assert!(last < first.unwrap() * 0.01, "loss {first:?} → {last}");
+        let (first, last) = (losses[0], losses[199]);
+        assert!(last < first * 0.25, "loss {first} → {last}");
+        assert_eq!(x.matmul(&w).argmax_rows(), y, "the layer separates the labels");
     }
 
     #[test]
@@ -443,8 +390,8 @@ mod tests {
         let pre = g.relu(x); // constant: only inputs upstream
         let w = g.param(Tensor::uniform(2, 2, 1.0, 5));
         let y = g.matmul(pre, w);
-        let h = g.tanh(y);
-        let loss = g.mse(h, Tensor::zeros(2, 2));
+        let h = g.relu(y);
+        let loss = g.softmax_cross_entropy(h, &[0, 1]);
         g.backward(loss);
         assert!(g.grad(w).is_some());
         // Gradient flows *through* a node that depends on a parameter …
@@ -469,7 +416,7 @@ mod tests {
                 let w = g.param(p.clone());
                 let h = g.matmul(x, w);
                 let agg = g.spmm(&a, h);
-                let loss = g.mse(agg, Tensor::uniform(3, 2, 1.0, 20));
+                let loss = g.softmax_cross_entropy(agg, &[1, 0, 1]);
                 (w, loss)
             },
             w,
@@ -479,14 +426,15 @@ mod tests {
     /// A random operator of one to six rows and columns: empty rows,
     /// repeated columns and explicit zero weights included.
     fn arb_operator(s: &mut Source) -> SparseRows {
-        let mut a = SparseRows::new(s.usize_range(1, 7));
+        let cols = s.usize_range(1, 7);
+        let mut a = SparseRows::new(cols);
         for _ in 0..s.usize_range(1, 7) {
             let entries = s.vec_with(0, 6, |s| {
                 let w = match s.choice(5) {
                     0 => 0.0,
                     k => (s.choice(64) as f32 - 32.0) / (8.0 * k as f32),
                 };
-                (s.usize_range(0, a.cols()), w)
+                (s.usize_range(0, cols), w)
             });
             a.push_row(entries);
         }
@@ -500,18 +448,21 @@ mod tests {
             "spmm_equals_matmul_on_the_materialised_matrix",
             |s: &mut Source| (arb_operator(s), s.usize_range(1, 6), s.any_u64()),
             |(a, width, seed)| {
+                let dense = a.to_dense();
                 // `x` is a parameter here so that its gradient is kept.
                 let run = |apply: &dyn Fn(&mut Graph, Var) -> Var| {
                     let mut g = Graph::new();
-                    let x = g.param(Tensor::uniform(a.cols(), *width, 2.0, *seed));
+                    let x = g.param(Tensor::uniform(dense.cols(), *width, 2.0, *seed));
                     let y = apply(&mut g, x);
-                    let loss = g.mse(y, Tensor::uniform(a.rows(), *width, 2.0, seed ^ 1));
+                    let labels: Vec<usize> =
+                        (0..a.rows()).map(|r| (r + *seed as usize) % width).collect();
+                    let loss = g.softmax_cross_entropy(y, &labels);
                     g.backward(loss);
                     (bits(g.value(y)), g.grad(x).map(bits))
                 };
                 let sparse = run(&|g, x| g.spmm(a, x));
                 let dense = run(&|g, x| {
-                    let av = g.input(a.to_dense());
+                    let av = g.input(dense.clone());
                     g.matmul(av, x)
                 });
                 prop_assert_eq!(sparse, dense);

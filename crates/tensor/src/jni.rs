@@ -9,21 +9,18 @@
 //! paper actually pays.
 
 use psgraph_sim::{CostModel, NodeClock, SimTime};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::tensor::Tensor;
 
-/// Charges JVM ↔ native copy costs and counts traffic.
+/// Charges JVM ↔ native copy costs.
 #[derive(Debug)]
 pub struct JniBridge {
     cost: CostModel,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
 }
 
 impl JniBridge {
     pub fn new(cost: CostModel) -> Self {
-        JniBridge { cost, bytes_in: AtomicU64::new(0), bytes_out: AtomicU64::new(0) }
+        JniBridge { cost }
     }
 
     /// Feed `bytes` of graph data — features plus the index structures of
@@ -31,7 +28,6 @@ impl JniBridge {
     pub fn feed(&self, clock: &NodeClock, bytes: u64) -> SimTime {
         let c = self.cost.jni_cost(bytes);
         clock.advance(c);
-        self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
         c
     }
 
@@ -40,16 +36,7 @@ impl JniBridge {
         let bytes: u64 = tensors.iter().map(|t| t.byte_size()).sum();
         let c = self.cost.jni_cost(bytes);
         clock.advance(c);
-        self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
         c
-    }
-
-    pub fn bytes_in(&self) -> u64 {
-        self.bytes_in.load(Ordering::Relaxed)
-    }
-
-    pub fn bytes_out(&self) -> u64 {
-        self.bytes_out.load(Ordering::Relaxed)
     }
 }
 
@@ -58,15 +45,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn feed_and_read_back_charge_time_and_count() {
-        let b = JniBridge::new(CostModel::default());
+    fn feed_and_read_back_charge_their_bytes() {
+        let cost = CostModel::default();
+        let b = JniBridge::new(cost.clone());
         let clock = NodeClock::new();
         let t = Tensor::zeros(100, 100); // 40 kB
         let c1 = b.feed(&clock, 2 * t.byte_size());
-        assert!(c1 > SimTime::ZERO);
-        assert_eq!(b.bytes_in(), 80_000);
+        assert_eq!(c1, cost.jni_cost(80_000));
         let c2 = b.read_back(&clock, &[&t]);
-        assert_eq!(b.bytes_out(), 40_000);
+        assert_eq!(c2, cost.jni_cost(40_000));
         assert_eq!(clock.now(), c1 + c2);
     }
 

@@ -61,11 +61,6 @@ impl Linear {
             bias: Tensor::from_vec(1, out_dim, flat[in_dim * out_dim..].to_vec()),
         }
     }
-
-    /// Number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.weight.len() + self.bias.len()
-    }
 }
 
 /// Vertex ids numbered by first appearance — which row of a layer's
@@ -205,7 +200,6 @@ mod tests {
     fn linear_shapes_and_forward() {
         let layer = Linear::new(3, 2, 7);
         assert_eq!((layer.in_dim(), layer.out_dim()), (3, 2));
-        assert_eq!(layer.param_count(), 8);
         let mut g = Graph::new();
         let x = g.input(Tensor::uniform(4, 3, 1.0, 1));
         let (y, _, _) = layer.forward(&mut g, x);
@@ -233,9 +227,9 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::uniform(4, 3, 1.0, 2));
         let (y, wv, bv) = layer.forward(&mut g, x);
-        let loss = g.mse(y, Tensor::zeros(4, 2));
+        let loss = g.softmax_cross_entropy(y, &[0, 1, 1, 0]);
         g.backward(loss);
-        assert!(g.grad(wv).unwrap().norm() > 0.0);
+        assert!(g.grad(wv).unwrap().data().iter().any(|&v| v != 0.0));
         assert_eq!(g.grad(bv).unwrap().cols(), 2);
     }
 

@@ -54,10 +54,6 @@ impl SparseRows {
         self.offsets.len() - 1
     }
 
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// In-memory footprint in bytes (JNI transfer sizing): offsets,
     /// indices and weights, four bytes each.
     pub fn byte_size(&self) -> u64 {
@@ -129,7 +125,7 @@ mod tests {
         a.push_row([(3, 1.0), (1, 0.1), (3, 0.5), (1, 0.2), (1, 0.3)]);
         a.push_row([]);
         a.push_row([(0, 0.0)]);
-        assert_eq!((a.rows(), a.cols()), (3, 4));
+        assert_eq!(a.rows(), 3);
         assert_eq!(a.row(0).collect::<Vec<_>>(), vec![(1, (0.1f32 + 0.2) + 0.3), (3, 1.5)]);
         assert_eq!(a.row(1).count(), 0);
         assert_eq!(a.row(2).collect::<Vec<_>>(), vec![(0, 0.0)]);

@@ -57,10 +57,6 @@ impl Tensor {
         &mut self.data
     }
 
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// In-memory footprint in bytes (JNI transfer sizing).
     pub fn byte_size(&self) -> u64 {
         (self.data.len() * 4) as u64
@@ -177,16 +173,6 @@ impl Tensor {
         out
     }
 
-    /// Sum of all entries.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// Row-wise softmax.
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
@@ -288,7 +274,6 @@ mod tests {
         let c = a.concat_cols(&b);
         assert_eq!(c, Tensor::from_vec(2, 3, vec![1., 3., 4., 2., 5., 6.]));
         assert_eq!(c.col_sum(), Tensor::from_vec(1, 3, vec![3., 8., 10.]));
-        assert_eq!(c.sum(), 21.0);
     }
 
     #[test]
@@ -310,9 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_norm_and_map() {
+    fn hadamard_and_map() {
         let a = Tensor::from_vec(1, 3, vec![3., 0., 4.]);
-        assert_eq!(a.norm(), 5.0);
         assert_eq!(a.hadamard(&a), Tensor::from_vec(1, 3, vec![9., 0., 16.]));
         assert_eq!(a.map(|v| v + 1.0), Tensor::from_vec(1, 3, vec![4., 1., 5.]));
     }

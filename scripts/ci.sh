@@ -39,6 +39,10 @@ cargo test -q --offline -p psgraph-harness
 # The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
 # that release builds would wrap silently.
 cargo test -q --offline -p psgraph-query
+# So do the CSR splice every shard goes through at load and swap time
+# (`o - plo + olo`, `o - ohi + shift` on u64) and the ingestor's lane and
+# sequence bookkeeping.
+cargo test -q --offline -p psgraph-serve -p psgraph-stream
 
 cargo build --release --offline --workspace
 # Release mode: the fig6/table emergence tests simulate whole cluster

@@ -10,10 +10,10 @@ use psgraph_stream::{EdgeEvent, EdgeOp, EventLog};
 use psgraph::core::{runner, PsGraphContext};
 use psgraph::dfs::Dfs;
 use psgraph::graph::{io, EdgeList};
-use psgraph::ps::snapshot::{load_object, DeltaWriter, SnapshotDelta};
+use psgraph::ps::snapshot::{load_object, DeltaWriter, PatchRegion, SnapshotDelta};
 use psgraph::ps::{
-    ColMatrixHandle, CsrHandle, MatrixHandle, Partitioner, RecoveryMode, SnapshotData,
-    SnapshotEntry, SnapshotKind, SnapshotManifest, SnapshotWriter, VectorHandle,
+    ColMatrixHandle, CsrHandle, MatrixHandle, Partitioner, RecoveryMode, SnapshotEntry,
+    SnapshotKind, SnapshotManifest, SnapshotWriter, VectorHandle,
 };
 use psgraph::serve::{ObjectMap, ServeCluster, ServeConfig};
 use psgraph::sim::{NodeClock, SimTime};
@@ -112,6 +112,46 @@ fn serve_load_rejects_adjacency_offsets_past_the_targets() {
     bytes[13 + 4 * 8] = 9;
     dfs.write("/snap/adj.snap", &bytes, c).unwrap();
     assert!(ServeCluster::load(dfs, "/snap", &objects, &cfg, c).is_err());
+}
+
+/// An adjacency target names a vertex the next hop looks up: a target past
+/// the last vertex is refused when a snapshot is loaded and when a delta is
+/// swapped in, by the one check both share. Unchecked, a k-hop from such a
+/// vertex sizes its visited bitmap by the target (2^40 ids: 128 GiB).
+#[test]
+fn serve_rejects_adjacency_targets_past_the_last_vertex() {
+    let ctx = PsGraphContext::local();
+    let (dfs, c) = (ctx.dfs(), ctx.cluster().driver());
+    let adj = |tables: &[(u64, Vec<u64>)]| {
+        CsrHandle::build(ctx.ps(), "adj", 4, tables, c, RecoveryMode::Inconsistent).unwrap()
+    };
+    let mut w = SnapshotWriter::new(dfs, "/snap", c);
+    w.adjacency(&adj(&[(0, vec![1, 2]), (3, vec![0])])).unwrap();
+    let base = w.finish().unwrap();
+    let objects = ObjectMap { adjacency: Some("adj".into()), ..ObjectMap::default() };
+    let cfg = ServeConfig::default();
+    // Both files end with their last adjacency target.
+    let retarget = |path: &str| {
+        let mut bytes = dfs.read(path, c).unwrap().to_vec();
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        dfs.write(path, &bytes, c).unwrap();
+    };
+
+    let good = dfs.read("/snap/adj.snap", c).unwrap().to_vec();
+    retarget("/snap/adj.snap");
+    assert!(ServeCluster::load(dfs, "/snap", &objects, &cfg, c).is_err(), "snapshot object");
+    dfs.write("/snap/adj.snap", &good, c).unwrap();
+    let mut cluster = ServeCluster::load(dfs, "/snap", &objects, &cfg, c).unwrap();
+
+    let mut dw = DeltaWriter::new(dfs, "/snap", &base, c);
+    dw.adjacency(&adj(&[(0, vec![1, 2]), (3, vec![2])])).unwrap();
+    let intact = dw.finish().unwrap();
+    let mut control = ServeCluster::load(dfs, "/snap", &objects, &cfg, c).unwrap();
+    control.swap_in(&intact).unwrap();
+    retarget("/snap/DELTA");
+    let delta = SnapshotDelta::load(dfs, "/snap", c).unwrap();
+    assert!(cluster.swap_in(&delta).is_err(), "delta");
 }
 
 /// A snapshot under `dir` with every object kind, and a delta of it with
@@ -261,19 +301,24 @@ fn no_reader_panics_on_damaged_bytes() {
             for entry in &manifest.entries {
                 let (path, rows) = (format!("/snap/{}.snap", entry.name), entry.rows as usize);
                 let read = || load_object(dfs, "/snap", entry, c);
-                file_survives_damage(dfs, c, &path, flips, read, |data, _| {
-                    match data {
-                        SnapshotData::VecF64(v) => prop_assert_eq!(v.len(), rows),
-                        SnapshotData::VecU64(v) => prop_assert_eq!(v.len(), rows),
-                        SnapshotData::MatF32 { cols, data } => {
-                            prop_assert_eq!(data.len(), rows * cols)
+                file_survives_damage(dfs, c, &path, flips, read, |region, _| {
+                    match region {
+                        PatchRegion::RowsF64 { row_lo: 0, values } => {
+                            prop_assert_eq!(values.len(), rows)
                         }
-                        SnapshotData::Adjacency { offsets, targets } => {
+                        PatchRegion::RowsU64 { row_lo: 0, values } => {
+                            prop_assert_eq!(values.len(), rows)
+                        }
+                        PatchRegion::RowsF32 { row_lo: 0, data } => {
+                            prop_assert_eq!(data.len(), rows * entry.cols as usize)
+                        }
+                        PatchRegion::Adj { row_lo: 0, offsets, targets } => {
                             prop_assert_eq!(offsets.len(), rows + 1);
                             prop_assert_eq!(offsets.first(), Some(&0));
                             prop_assert_eq!(offsets.last(), Some(&(targets.len() as u64)));
                             prop_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
                         }
+                        other => return Err(format!("not a whole object: {other:?}")),
                     }
                     Ok(())
                 })?;
