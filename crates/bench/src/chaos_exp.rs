@@ -118,7 +118,7 @@ pub struct ChaosRepro {
 }
 
 impl ChaosRepro {
-    pub fn total_wrong(&self) -> usize {
+    fn total_wrong(&self) -> usize {
         self.seeds.iter().map(|s| s.wrong).sum()
     }
 

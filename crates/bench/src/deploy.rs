@@ -65,14 +65,12 @@ impl PaperAlloc {
         PaperAlloc { executors: 500, exec_mem_gb: 55, servers: 0, server_mem_gb: 0 };
     pub const PSGRAPH_DS3: PaperAlloc =
         PaperAlloc { executors: 30, exec_mem_gb: 10, servers: 30, server_mem_gb: 10 };
-    pub const EULER_DS3: PaperAlloc =
-        PaperAlloc { executors: 90, exec_mem_gb: 50, servers: 0, server_mem_gb: 0 };
 
-    pub fn total_exec_bytes(&self) -> f64 {
+    fn total_exec_bytes(&self) -> f64 {
         (self.executors * self.exec_mem_gb) as f64 * (1u64 << 30) as f64
     }
 
-    pub fn total_server_bytes(&self) -> f64 {
+    fn total_server_bytes(&self) -> f64 {
         (self.servers * self.server_mem_gb) as f64 * (1u64 << 30) as f64
     }
 }

@@ -20,7 +20,7 @@ use crate::report::{fnv, Cell, Row, Table};
 
 /// Iterations used for PageRank on both systems (the paper runs to
 /// convergence; ~30 damped iterations reach machine-precision ranks).
-pub const PR_ITERATIONS: u64 = 30;
+const PR_ITERATIONS: u64 = 30;
 
 /// One Fig. 6 cell outcome.
 #[derive(Debug, Clone, PartialEq)]

@@ -24,7 +24,6 @@ use psgraph_serve::{
     ExpandMode, GraphTruth, Mode, Plan, PlanCounters, Pred, PushPolicy, QueryMix, Scorer,
     ServeCluster, ServeConfig, Source, Stage, Workload,
 };
-use psgraph_sim::failpoint::FailureInjector;
 use psgraph_sim::{SimTime, SplitMix64};
 
 use crate::report::{Cell, Row, Table};
@@ -221,7 +220,7 @@ pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
         plan_palette: mixed_palette(),
         ..Workload::default()
     };
-    let report = loadgen::run(&mut mixed_cluster, &wl, &FailureInjector::none(), true);
+    let report = loadgen::run(&mut mixed_cluster, &wl, true);
     let mut wrong = wrong_in(&report);
 
     // Leg 2: plan-only ablation, closed-loop so admission never sheds
@@ -247,7 +246,7 @@ pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
     };
     let run_leg = |push: PushPolicy| -> Result<(AblationLeg, LoadReport), CoreError> {
         let mut c = cluster(&truth, shards, push)?;
-        let rep = loadgen::run(&mut c, &leg_wl, &FailureInjector::none(), true);
+        let rep = loadgen::run(&mut c, &leg_wl, true);
         assert_eq!(rep.shed, 0, "closed-loop ablation leg must not shed");
         assert_eq!(rep.failed, 0, "ablation leg must not fail");
         let leg = AblationLeg {

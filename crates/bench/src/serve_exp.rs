@@ -6,10 +6,11 @@
 //! 2-shard × 2-replica serving tier, and replay a Zipf(1.0) open-loop
 //! stream against it. Three scripted events exercise self-healing:
 //!
-//! 1. At `queries/2` a [`psgraph_sim::FailPlan::kill_replica`] takes one
-//!    replica down. A [`psgraph_serve::Monitor`] heartbeat loop detects
-//!    the death, charges a container restart from the cost model, and
-//!    rejoins the replica — tail latency degrades, then recovers.
+//! 1. At `queries/2` a scripted `ReplicaCrash` point of a
+//!    [`psgraph_sim::FaultSchedule`] takes one replica down. A
+//!    [`psgraph_serve::Monitor`] heartbeat loop detects the death, charges
+//!    a container restart from the cost model, and rejoins the replica —
+//!    tail latency degrades, then recovers.
 //! 2. At `3·queries/4` the PS "keeps training": a slice of the ranks and
 //!    communities and a few embedding rows change, a
 //!    [`psgraph_ps::snapshot::DeltaWriter`] exports only the dirty
@@ -32,8 +33,7 @@ use psgraph_serve::{
     GraphTruth, Monitor, ObjectMap, ScriptedAction, ServeCluster, ServeConfig, SwapStats,
     Workload,
 };
-use psgraph_sim::failpoint::{FailPlan, FailureInjector};
-use psgraph_sim::{CostModel, NodeClock, SimTime};
+use psgraph_sim::{CostModel, FaultSchedule, FaultSite, NodeClock, SimTime};
 
 use crate::deploy::{psgraph_context, PaperAlloc, ScaleRule};
 use crate::report::{Cell, Row, Table};
@@ -207,7 +207,7 @@ pub fn run_serve(scale: f64, queries: usize) -> Result<ServeRepro, CoreError> {
     let kill_at = queries / 2;
     let swap_at = queries * 3 / 4;
     let wl = Workload { queries, ..Default::default() };
-    let injector = FailureInjector::with_plans([FailPlan::kill_replica(1, kill_at as u64)]);
+    let chaos = FaultSchedule::scripted([(FaultSite::ReplicaCrash, kill_at as u64, 1)]);
     let monitor = Monitor::new(cost);
     let mut swap_stats: Option<SwapStats> = None;
     let report;
@@ -228,7 +228,7 @@ pub fn run_serve(scale: f64, queries: usize) -> Result<ServeRepro, CoreError> {
         report = psgraph_serve::loadgen::run_with(
             &mut cluster,
             &wl,
-            &injector,
+            &chaos,
             true,
             Some(&monitor),
             &mut actions,

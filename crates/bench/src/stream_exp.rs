@@ -114,7 +114,7 @@ pub struct StreamRepro {
 }
 
 impl StreamRepro {
-    pub fn mean_swap_ms(&self) -> f64 {
+    fn mean_swap_ms(&self) -> f64 {
         if self.swap_walls_ms.is_empty() {
             0.0
         } else {

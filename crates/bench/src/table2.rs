@@ -15,7 +15,7 @@ use psgraph_core::algos::CommonNeighbor;
 use psgraph_core::runner::distribute_edges;
 use psgraph_core::CoreError;
 use psgraph_graph::Dataset;
-use psgraph_sim::{FailPlan, SimTime};
+use psgraph_sim::{FaultSchedule, FaultSite, SimTime};
 
 use crate::deploy::{psgraph_context, PaperAlloc, ScaleRule};
 use crate::report::{Cell, Row, Table};
@@ -45,15 +45,13 @@ fn run_one(scale: f64, failure: Failure) -> Result<RunOutput, CoreError> {
     let g = Dataset::Ds1.generate(scale);
     let rule = ScaleRule::new(Dataset::Ds1, scale);
     let ctx = psgraph_context(rule, PaperAlloc::PSGRAPH_DS1);
-    match failure {
-        Failure::None => {}
-        Failure::Executor => {
-            ctx.cluster().injector().schedule(FailPlan::kill_executor(1, 2));
-        }
-        Failure::Server => {
-            ctx.ps().injector().schedule(FailPlan::kill_server(1, 2));
-        }
-    }
+    // Node 1 dies at the top of superstep 2.
+    let site = match failure {
+        Failure::None => None,
+        Failure::Executor => Some(FaultSite::ExecutorCrash),
+        Failure::Server => Some(FaultSite::PsCrash),
+    };
+    ctx.attach_chaos(FaultSchedule::scripted(site.map(|site| (site, 2, 1))));
     let edges = distribute_edges(&ctx, &g, ctx.cluster().default_partitions())?;
     let out = CommonNeighbor { checkpoint: true, ..Default::default() }
         .run(&ctx, &edges, g.num_vertices())?;

@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn failed_run_releases_its_neighbor_table() {
         use psgraph_ps::VectorHandle;
-        use psgraph_sim::FailPlan;
+        use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(60, 300, Default::default(), 233).dedup();
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
@@ -290,10 +290,12 @@ mod tests {
         };
         let before = in_use();
         // Server 0 dies with nothing checkpointed: the run must fail …
-        ctx.ps().injector().schedule(FailPlan::kill_server(0, 1));
+        let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 1, 0)]);
+        ctx.attach_chaos(chaos.clone());
         CommonNeighbor { checkpoint: false, batch_size: 8 }
             .run(&ctx, &edges, g.num_vertices())
             .unwrap_err();
+        assert_eq!(chaos.stats().crashes, 1);
         // … and still hand the surviving servers' memory back.
         assert!(!ctx.ps().is_registered("cn.adj"));
         assert!(ctx.ps().is_registered("other"));
@@ -302,14 +304,16 @@ mod tests {
 
     #[test]
     fn survives_ps_failure_with_checkpoint() {
-        use psgraph_sim::FailPlan;
+        use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(40, 250, Default::default(), 47).dedup();
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
-        ctx.ps().injector().schedule(FailPlan::kill_server(1, 3));
+        let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 3, 1)]);
+        ctx.attach_chaos(chaos.clone());
         let out = CommonNeighbor { batch_size: 8, checkpoint: true }
             .run(&ctx, &edges, 40)
             .unwrap();
+        assert_eq!(chaos.stats().crashes, 1);
         // Counts still match the exact reference.
         let queried: Vec<(u64, u64)> = out.counts.iter().map(|&(a, b, _)| (a, b)).collect();
         let exact = metrics::common_neighbors_exact(&g, &queried);

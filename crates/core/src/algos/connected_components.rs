@@ -146,12 +146,14 @@ mod tests {
 
     #[test]
     fn survives_executor_failure() {
-        use psgraph_sim::FailPlan;
+        use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(50, 120, Default::default(), 31).dedup();
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
-        ctx.cluster().injector().schedule(FailPlan::kill_executor(2, 1));
+        let chaos = FaultSchedule::scripted([(FaultSite::ExecutorCrash, 1, 2)]);
+        ctx.attach_chaos(chaos.clone());
         let out = ConnectedComponents::default().run(&ctx, &edges, 50).unwrap();
+        assert_eq!(chaos.stats().crashes, 1);
         let reference = metrics::connected_components(&g);
         for a in 0..50usize {
             for b in 0..50usize {

@@ -521,12 +521,14 @@ mod tests {
 
     #[test]
     fn survives_executor_failure_during_training() {
-        use psgraph_sim::FailPlan;
+        use psgraph_sim::{FaultSchedule, FaultSite};
         let (ctx, edges, feats, labels) = sbm_setup(200);
-        ctx.cluster().injector().schedule(FailPlan::kill_executor(1, 2));
+        let chaos = FaultSchedule::scripted([(FaultSite::ExecutorCrash, 2, 1)]);
+        ctx.attach_chaos(chaos.clone());
         let out = GraphSage::new(GraphSageConfig { epochs: 3, ..Default::default() })
             .run(&ctx, &edges, &feats, &labels, 200)
             .unwrap();
+        assert_eq!(chaos.stats().crashes, 1);
         assert!(out.test_accuracy > 0.7, "accuracy {}", out.test_accuracy);
     }
 }

@@ -184,12 +184,14 @@ mod tests {
 
     #[test]
     fn survives_executor_failure() {
-        use psgraph_sim::FailPlan;
+        use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(40, 200, Default::default(), 31).dedup();
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
-        ctx.cluster().injector().schedule(FailPlan::kill_executor(0, 2));
+        let chaos = FaultSchedule::scripted([(FaultSite::ExecutorCrash, 2, 0)]);
+        ctx.attach_chaos(chaos.clone());
         let out = KCore::default().run(&ctx, &edges, 40).unwrap();
+        assert_eq!(chaos.stats().crashes, 1);
         assert_eq!(out.coreness, metrics::kcore_exact(&g));
     }
 }

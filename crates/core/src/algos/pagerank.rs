@@ -461,17 +461,18 @@ mod tests {
 
     #[test]
     fn survives_executor_failure_mid_run() {
-        use psgraph_sim::FailPlan;
+        use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(64, 400, Default::default(), 17).dedup();
         let ranks = |kill_at: Option<u64>| -> Vec<u64> {
             let ctx = PsGraphContext::local();
             let edges = distribute_edges(&ctx, &g, 8).unwrap();
-            if let Some(step) = kill_at {
-                ctx.cluster().injector().schedule(FailPlan::kill_executor(1, step));
-            }
+            let chaos =
+                FaultSchedule::scripted(kill_at.map(|step| (FaultSite::ExecutorCrash, step, 1)));
+            ctx.attach_chaos(chaos.clone());
             let out = PageRank { max_iterations: 20, ..Default::default() }
                 .run(&ctx, &edges, 64)
                 .unwrap();
+            assert_eq!(chaos.stats().crashes, u64::from(kill_at.is_some()));
             out.ranks.iter().map(|r| r.to_bits()).collect()
         };
         // Bit for bit the failure-free ranks (a tolerance would let a
@@ -485,14 +486,16 @@ mod tests {
 
     #[test]
     fn survives_server_failure_with_checkpointing() {
-        use psgraph_sim::FailPlan;
+        use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(64, 400, Default::default(), 19).dedup();
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
-        ctx.ps().injector().schedule(FailPlan::kill_server(0, 4));
+        let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 4, 0)]);
+        ctx.attach_chaos(chaos.clone());
         let out = PageRank { max_iterations: 30, checkpoint_every: 1, ..Default::default() }
             .run(&ctx, &edges, 64)
             .unwrap();
+        assert_eq!(chaos.stats().crashes, 1);
         let ctx2 = PsGraphContext::local();
         let edges2 = distribute_edges(&ctx2, &g, 8).unwrap();
         let clean = PageRank { max_iterations: 30, ..Default::default() }

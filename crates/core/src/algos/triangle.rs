@@ -143,13 +143,15 @@ mod tests {
 
     #[test]
     fn failed_run_releases_its_neighbor_table() {
-        use psgraph_sim::FailPlan;
+        use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(60, 300, Default::default(), 61).dedup();
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
         // The table is never checkpointed, so a dead server fails the run.
-        ctx.ps().injector().schedule(FailPlan::kill_server(1, 1));
+        let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 1, 1)]);
+        ctx.attach_chaos(chaos.clone());
         TriangleCount { batch_size: 8 }.run(&ctx, &edges, g.num_vertices()).unwrap_err();
+        assert_eq!(chaos.stats().crashes, 1);
         assert!(!ctx.ps().is_registered("tc.adj"));
         assert_eq!(ctx.ps().resident_bytes(), 0);
     }

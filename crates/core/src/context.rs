@@ -8,7 +8,8 @@ use psgraph_dfs::{Dfs, DfsConfig};
 use psgraph_net::Network;
 use psgraph_ps::sync::SyncController;
 use psgraph_ps::{Master, Ps, PsConfig, SyncMode};
-use psgraph_sim::{CostModel, SimTime};
+use psgraph_sim::sync::Mutex;
+use psgraph_sim::{CostModel, FaultSchedule, FaultSite, SimTime};
 
 use crate::error::Result;
 
@@ -89,6 +90,7 @@ pub struct PsGraphContext {
     dfs: Arc<Dfs>,
     sync: SyncController,
     master: Master,
+    chaos: Mutex<FaultSchedule>,
 }
 
 impl std::fmt::Debug for PsGraphContext {
@@ -111,6 +113,7 @@ impl PsGraphContext {
             dfs,
             sync: SyncController::new(config.sync),
             master: Master::new(),
+            chaos: Mutex::default(),
         })
     }
 
@@ -142,6 +145,14 @@ impl PsGraphContext {
 
     pub fn cost(&self) -> &CostModel {
         self.cluster.cost()
+    }
+
+    /// Attach the fault schedule whose crash points
+    /// [`PsGraphContext::superstep_maintenance`] consults: executor `e` dies
+    /// at superstep `s` when `crash(ExecutorCrash, s, e)` fires, server `i`
+    /// when `crash(PsCrash, s, i)` does. Off by default.
+    pub fn attach_chaos(&self, sched: FaultSchedule) {
+        *self.chaos.lock() = sched;
     }
 
     /// Current simulated time (global barrier clock).
@@ -176,7 +187,8 @@ impl PsGraphContext {
 
     /// Failure maintenance at the top of superstep `step` (§III-B/C):
     ///
-    /// * kills any executor/server whose scripted failure is due,
+    /// * kills every executor/server whose crash point fires at `step` in
+    ///   the attached fault schedule,
     /// * has the master detect + restart them (charging detection and
     ///   container-restart overhead to the global clock),
     /// * restores the failed server's partitions from the last checkpoint
@@ -188,10 +200,18 @@ impl PsGraphContext {
     ///
     /// Returns `(killed executors, killed servers)`.
     pub fn superstep_maintenance(&self, step: u64) -> Result<(Vec<usize>, Vec<usize>)> {
-        let killed_execs = self.cluster.apply_failures(step);
-        let killed_servers = self.ps.apply_failures(step);
-
+        let chaos = self.chaos.lock().clone();
+        let killed_execs: Vec<usize> = (0..self.cluster.num_executors())
+            .filter(|&e| chaos.crash(FaultSite::ExecutorCrash, step, e as u64))
+            .collect();
+        let killed_servers: Vec<usize> = (0..self.ps.num_servers())
+            .filter(|&i| chaos.crash(FaultSite::PsCrash, step, i as u64))
+            .collect();
+        for &i in &killed_servers {
+            self.ps.kill_server(i);
+        }
         for &e in &killed_execs {
+            self.cluster.kill_executor(e);
             self.cluster.restart_executor(e); // charges restart overhead
         }
         if !killed_servers.is_empty() {
@@ -221,7 +241,7 @@ impl PsGraphContext {
 mod tests {
     use super::*;
     use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
-    use psgraph_sim::{FailPlan, NodeClock};
+    use psgraph_sim::NodeClock;
 
     #[test]
     fn context_wires_components() {
@@ -277,7 +297,8 @@ mod tests {
         .unwrap();
         v.push_set(&c, &[0, 63], &[1.0, 2.0]).unwrap();
         ctx.ps().checkpoint_all(ctx.dfs()).unwrap();
-        ctx.ps().injector().schedule(FailPlan::kill_server(0, 5));
+        let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 5, 0)]);
+        ctx.attach_chaos(chaos.clone());
         let before = ctx.now();
         let (e, s) = ctx.superstep_maintenance(5).unwrap();
         assert!(e.is_empty());
@@ -285,12 +306,14 @@ mod tests {
         assert!(ctx.now() > before, "recovery must cost time");
         // Data intact after recovery.
         assert_eq!(v.pull(&c, &[0, 63]).unwrap(), vec![1.0, 2.0]);
+        assert_eq!(chaos.stats().crashes, 1);
     }
 
     #[test]
     fn maintenance_restarts_executor_and_blocks_peers() {
         let ctx = PsGraphContext::local();
-        ctx.cluster().injector().schedule(FailPlan::kill_executor(2, 1));
+        let chaos = FaultSchedule::scripted([(FaultSite::ExecutorCrash, 1, 2)]);
+        ctx.attach_chaos(chaos.clone());
         let (e, s) = ctx.superstep_maintenance(1).unwrap();
         assert_eq!(e, vec![2]);
         assert!(s.is_empty());
@@ -301,5 +324,6 @@ mod tests {
             assert_eq!(ctx.cluster().executor(i).clock().now(), t);
         }
         assert!(t >= ctx.cost().restart_overhead());
+        assert_eq!(chaos.stats().crashes, 1);
     }
 }

@@ -3,9 +3,7 @@
 use psgraph_harness::Pool;
 use psgraph_net::Network;
 use psgraph_sim::sync::Mutex;
-use psgraph_sim::{
-    stage, ClusterClock, CostModel, FailureInjector, MemoryMeter, NodeClock, SimTime,
-};
+use psgraph_sim::{stage, ClusterClock, CostModel, MemoryMeter, NodeClock, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,7 +144,6 @@ pub struct Cluster {
     clock: ClusterClock,
     driver: NodeClock,
     executors: Vec<Arc<Executor>>,
-    injector: FailureInjector,
     stages_run: AtomicU64,
     pool: Arc<Pool>,
 }
@@ -184,7 +181,6 @@ impl Cluster {
             clock: ClusterClock::new(),
             driver: NodeClock::new(),
             executors,
-            injector: FailureInjector::none(),
             stages_run: AtomicU64::new(0),
             pool,
         })
@@ -213,10 +209,6 @@ impl Cluster {
 
     pub fn driver(&self) -> &NodeClock {
         &self.driver
-    }
-
-    pub fn injector(&self) -> &FailureInjector {
-        &self.injector
     }
 
     /// The thread pool stage tasks execute on.
@@ -376,21 +368,6 @@ impl Cluster {
             Ok(out)
         })?;
         Ok(self.in_partition_order(per_executor))
-    }
-
-    /// Consume any failure-injection plans due at `superstep`, killing the
-    /// targeted executors. Returns the ids killed.
-    pub fn apply_failures(&self, superstep: u64) -> Vec<usize> {
-        use psgraph_sim::failpoint::NodeKind;
-        let due = self.injector.take_due(NodeKind::Executor, superstep);
-        let mut killed = Vec::with_capacity(due.len());
-        for plan in due {
-            if plan.node_id < self.executors.len() {
-                self.kill_executor(plan.node_id);
-                killed.push(plan.node_id);
-            }
-        }
-        killed
     }
 }
 
@@ -575,17 +552,6 @@ mod tests {
         c.kill_executor(2);
         assert_eq!(c.executor(2).incarnation(), inc + 1);
         assert_eq!(c.executor(2).memory().in_use(), 0);
-    }
-
-    #[test]
-    fn apply_failures_consumes_plans() {
-        use psgraph_sim::FailPlan;
-        let c = Cluster::local();
-        c.injector().schedule(FailPlan::kill_executor(3, 2));
-        assert!(c.apply_failures(1).is_empty());
-        assert_eq!(c.apply_failures(2), vec![3]);
-        assert!(!c.executor(3).is_alive());
-        assert!(c.apply_failures(2).is_empty());
     }
 
     #[test]

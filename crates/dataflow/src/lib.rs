@@ -20,9 +20,10 @@
 //!    with OOM, which is how the GraphX baseline fails on K-Core, Triangle
 //!    Count, and the DS2 dataset in Fig. 6.
 //!
-//! Executor failure is injected via `psgraph_sim::FailureInjector`; lost
-//! partitions are rebuilt through lineage ([`Rdd::recover`]), mirroring
-//! Spark's recompute-from-source recovery described in §III-C.
+//! Executor failure is injected with [`Cluster::kill_executor`] (at a
+//! crash point of the deployment's fault schedule); lost partitions are
+//! rebuilt through lineage ([`Rdd::recover`]), mirroring Spark's
+//! recompute-from-source recovery described in §III-C.
 
 pub mod cluster;
 pub mod error;

@@ -114,7 +114,7 @@ impl Source {
     }
 
     /// Uniform in `[0, 1)` with 53-bit resolution (shrinks toward 0.0).
-    pub fn f64_unit(&mut self) -> f64 {
+    fn f64_unit(&mut self) -> f64 {
         self.choice(F64_BOUND) as f64 * (1.0 / F64_BOUND as f64)
     }
 

@@ -4,8 +4,7 @@
 use psgraph_harness::Pool;
 use psgraph_net::Network;
 use psgraph_sim::sync::RwLock;
-use psgraph_sim::failpoint::NodeKind;
-use psgraph_sim::{CostModel, FailureInjector, FxHashMap, NodeClock, SimTime};
+use psgraph_sim::{CostModel, FxHashMap, NodeClock, SimTime};
 use std::sync::Arc;
 
 use psgraph_dfs::Dfs;
@@ -67,7 +66,6 @@ pub struct Ps {
     config: PsConfig,
     network: Network,
     servers: Vec<Arc<PsServer>>,
-    injector: FailureInjector,
     registry: RwLock<FxHashMap<String, Arc<dyn ObjectOps>>>,
     pool: Arc<Pool>,
 }
@@ -96,7 +94,6 @@ impl Ps {
             config,
             network,
             servers,
-            injector: FailureInjector::none(),
             registry: RwLock::default(),
             pool,
         })
@@ -117,10 +114,6 @@ impl Ps {
 
     pub fn network(&self) -> &Network {
         &self.network
-    }
-
-    pub fn injector(&self) -> &FailureInjector {
-        &self.injector
     }
 
     /// The thread pool psFunc partition application runs on.
@@ -161,19 +154,6 @@ impl Ps {
     /// Restart a dead server at simulated time `t` (empty store).
     pub fn restart_server(&self, id: usize, t: SimTime) {
         self.servers[id].restart(t);
-    }
-
-    /// Consume failure plans due at `superstep`, killing targeted servers.
-    pub fn apply_failures(&self, superstep: u64) -> Vec<usize> {
-        let due = self.injector.take_due(NodeKind::Server, superstep);
-        let mut killed = Vec::with_capacity(due.len());
-        for plan in due {
-            if plan.node_id < self.servers.len() {
-                self.kill_server(plan.node_id);
-                killed.push(plan.node_id);
-            }
-        }
-        killed
     }
 
     /// Checkpoint file layout. Generational checkpoints live in their own
@@ -340,16 +320,6 @@ mod tests {
         ps.restart_server(1, SimTime::from_secs(10));
         assert!(ps.server(1).is_alive());
         assert_eq!(ps.server(1).port().clock().now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn apply_failures_kills_due_servers() {
-        use psgraph_sim::FailPlan;
-        let ps = Ps::local();
-        ps.injector().schedule(FailPlan::kill_server(0, 4));
-        assert!(ps.apply_failures(3).is_empty());
-        assert_eq!(ps.apply_failures(4), vec![0]);
-        assert!(!ps.server(0).is_alive());
     }
 
     #[test]

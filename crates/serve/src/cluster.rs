@@ -197,10 +197,10 @@ impl ServeCluster {
         &mut self.frontend
     }
 
-    /// Kill replica `global_id` (as scripted by a
-    /// [`psgraph_sim::FailPlan::kill_replica`]). Returns whether it was
-    /// alive. The router stops sending it traffic from the next query on;
-    /// already-completed answers are unaffected because shard data is
+    /// Kill replica `global_id` (a `ReplicaCrash` point of the load
+    /// generator's fault schedule, or the chaos soak). Returns whether it
+    /// was alive. The router stops sending it traffic from the next query
+    /// on; already-completed answers are unaffected because shard data is
     /// immutable.
     pub fn kill_replica(&self, global_id: usize) -> bool {
         self.replicas

@@ -20,9 +20,9 @@
 //!    absorbs the Zipf head, batching amortizes per-message latency,
 //!    and admission control sheds load to defend a p99 SLO.
 //! 4. **Measure** — [`loadgen`] replays open- or closed-loop Zipf
-//!    traffic, optionally killing replicas mid-run via
-//!    `psgraph_sim::failpoint`, and reports QPS and latency percentiles
-//!    in simulated time.
+//!    traffic, optionally killing replicas mid-run at the crash points
+//!    of a `psgraph_sim::FaultSchedule`, and reports QPS and latency
+//!    percentiles in simulated time.
 
 pub mod cache;
 pub mod cluster;

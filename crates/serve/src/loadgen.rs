@@ -14,8 +14,7 @@
 //! so the hot head of the distribution spreads across range-partitioned
 //! shards instead of all landing on shard 0.
 
-use psgraph_sim::failpoint::{FailAction, FailureInjector, NodeKind};
-use psgraph_sim::{SimTime, SplitMix64};
+use psgraph_sim::{FaultSchedule, FaultSite, SimTime, SplitMix64};
 use std::collections::BinaryHeap;
 
 use crate::cluster::ServeCluster;
@@ -273,28 +272,22 @@ impl<'a> ScriptedAction<'a> {
     }
 }
 
-/// Drive `wl` against the cluster. Between queries the injector is
-/// consulted with the *query index* as the superstep, so a scripted
-/// [`psgraph_sim::FailPlan::kill_replica`] fires mid-run. Answers are
-/// recorded when `record_values` is set (for verification).
-pub fn run(
-    cluster: &mut ServeCluster,
-    wl: &Workload,
-    injector: &FailureInjector,
-    record_values: bool,
-) -> LoadReport {
-    run_with(cluster, wl, injector, record_values, None, &mut [])
+/// Drive `wl` against the cluster, fault-free. Answers are recorded when
+/// `record_values` is set (for verification).
+pub fn run(cluster: &mut ServeCluster, wl: &Workload, record_values: bool) -> LoadReport {
+    run_with(cluster, wl, &FaultSchedule::off(), record_values, None, &mut [])
 }
 
-/// [`run`], plus self-healing and scripted mutations: a [`Monitor`] is
-/// ticked at every arrival (heartbeats, detection, and rejoin happen on
-/// the workload's simulated timeline), scripted
-/// [`psgraph_sim::FailPlan::restart_replica`] plans revive replicas
-/// directly, and each [`ScriptedAction`] fires once at its query index.
+/// [`run`], plus replica kills, self-healing and scripted mutations:
+/// replica `r` dies just before query `i` when `crash(ReplicaCrash, i, r)`
+/// fires in `chaos` (a [`FaultSchedule::scripted`] point, say), a
+/// [`Monitor`] is ticked at every arrival (heartbeats, detection, and
+/// rejoin happen on the workload's simulated timeline), and each
+/// [`ScriptedAction`] fires once at its query index.
 pub fn run_with(
     cluster: &mut ServeCluster,
     wl: &Workload,
-    injector: &FailureInjector,
+    chaos: &FaultSchedule,
     record_values: bool,
     monitor: Option<&Monitor>,
     actions: &mut [ScriptedAction<'_>],
@@ -321,26 +314,21 @@ pub fn run_with(
     let mut outcomes: Vec<(usize, Outcome)> = Vec::with_capacity(wl.queries);
     let mut t_last = SimTime::ZERO;
 
-    // Everything that happens between queries, in order: scripted
-    // kills/restarts, monitor heartbeats and rejoins, then scripted
-    // actions (draining first so batches complete pre-action).
+    // Everything that happens between queries, in order: replica kills,
+    // monitor heartbeats and rejoins, then scripted actions (draining
+    // first so batches complete pre-action).
     fn prologue(
         cluster: &mut ServeCluster,
-        injector: &FailureInjector,
+        chaos: &FaultSchedule,
         monitor: Option<&Monitor>,
         actions: &mut [ScriptedAction<'_>],
         i: usize,
         now: SimTime,
         outcomes: &mut Vec<(usize, Outcome)>,
     ) {
-        for plan in injector.take_due(NodeKind::Replica, i as u64) {
-            match plan.action {
-                FailAction::Kill => {
-                    cluster.kill_replica(plan.node_id);
-                }
-                FailAction::Restart => {
-                    cluster.revive_replica(plan.node_id);
-                }
+        for r in 0..cluster.replicas().len() {
+            if chaos.crash(FaultSite::ReplicaCrash, i as u64, r as u64) {
+                cluster.kill_replica(r);
             }
         }
         if let Some(m) = monitor {
@@ -360,7 +348,7 @@ pub fn run_with(
             assert!(qps > 0.0, "open-loop workload needs a positive rate");
             let mut t = SimTime::ZERO;
             for i in 0..wl.queries {
-                prologue(cluster, injector, monitor, actions, i, t, &mut outcomes);
+                prologue(cluster, chaos, monitor, actions, i, t, &mut outcomes);
                 issued_at.push(t);
                 match next_query(&mut rng, n, scramble, wl) {
                     Draw::Q(q) => {
@@ -387,7 +375,7 @@ pub fn run_with(
             for i in 0..wl.queries {
                 let std::cmp::Reverse((at_ns, w)) = heap.pop().expect("worker heap");
                 let at = SimTime::from_nanos(at_ns);
-                prologue(cluster, injector, monitor, actions, i, at, &mut outcomes);
+                prologue(cluster, chaos, monitor, actions, i, at, &mut outcomes);
                 issued_at.push(at);
                 let outs = match next_query(&mut rng, n, scramble, wl) {
                     Draw::Q(q) => {
@@ -490,8 +478,8 @@ mod tests {
         // would count the first run's lookups again in the second.
         let (mut cluster, _) = ServeCluster::demo(4_096, 16, &ServeConfig::default()).unwrap();
         let wl = Workload { queries: 3_000, ..Workload::default() };
-        let warm = run(&mut cluster, &wl, &FailureInjector::none(), false);
-        let second = run(&mut cluster, &wl, &FailureInjector::none(), false);
+        let warm = run(&mut cluster, &wl, false);
+        let second = run(&mut cluster, &wl, false);
         assert!(warm.cache_hits + warm.cache_misses > 0, "the warm-up must look up the cache");
         assert!(
             second.cache_hits + second.cache_misses <= wl.queries as u64,
@@ -510,7 +498,7 @@ mod tests {
         let report = |cache_budget: u64| {
             let cfg = ServeConfig { cache_budget, ..ServeConfig::default() };
             let (mut cluster, _) = ServeCluster::demo(4_096, 16, &cfg).unwrap();
-            run(&mut cluster, &wl, &FailureInjector::none(), false)
+            run(&mut cluster, &wl, false)
         };
         assert_eq!(report(0).cache_hits, 0, "a zero-budget cache cannot hit");
         let hit_rate = report(256 * 1024).hit_rate;
@@ -525,12 +513,12 @@ mod tests {
             mix: QueryMix { topk_all: 50, ..QueryMix::default() },
             ..Workload::default()
         };
-        let injector = FailureInjector::none();
         let fired = std::cell::Cell::new(false);
         let mut actions = [ScriptedAction::new(100, |_c: &mut ServeCluster| {
             fired.set(true);
         })];
-        let report = run_with(&mut cluster, &wl, &injector, true, None, &mut actions);
+        let report =
+            run_with(&mut cluster, &wl, &FaultSchedule::off(), true, None, &mut actions);
         assert!(actions[0].fired_at.is_some(), "action records when it fired");
         assert_eq!(actions[0].fired_at.unwrap(), report.issued_at[100]);
         assert!(fired.get());

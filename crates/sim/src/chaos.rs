@@ -12,6 +12,12 @@
 //! heartbeat round, block id); retries pass a fresh `lane` so a lost
 //! message is not lost identically forever.
 //!
+//! A scripted kill — "kill executor 1 at superstep 2", Table II's
+//! experiment — is a crash point of a [`FaultSchedule::scripted`]
+//! schedule: `crash(site, key, lane)` answers yes at each listed point,
+//! whatever the seed. Like every decision it fires each time its point is
+//! asked, not once.
+//!
 //! The hash chain is the same SplitMix64 used by the harness RNG, so
 //! per-site streams inherit its mixing quality. Injection counters are
 //! atomics — observability only, never consulted by decisions.
@@ -40,6 +46,8 @@ pub enum FaultSite {
     PsCrash,
     /// Serve replica process crash points.
     ReplicaCrash,
+    /// Spark executor process crash points.
+    ExecutorCrash,
 }
 
 impl FaultSite {
@@ -52,6 +60,7 @@ impl FaultSite {
             FaultSite::DfsWrite => 0x4446_535F_5752_4954,
             FaultSite::PsCrash => 0x5053_5F43_5241_5348,
             FaultSite::ReplicaCrash => 0x5245_504C_4943_415F,
+            FaultSite::ExecutorCrash => 0x4558_4543_5F43_5241,
         }
     }
 }
@@ -137,12 +146,15 @@ struct Counters {
 struct Inner {
     cfg: ChaosConfig,
     active: bool,
+    /// Crash points `(site, key, lane)` that fire whatever the seed.
+    scripted: Vec<(FaultSite, u64, u64)>,
     counters: Counters,
 }
 
 /// Cheap-to-clone handle on a seeded fault schedule (see module docs for
-/// the determinism rule). Attach one to `Network`, `Dfs`, a `Mailbox`, or
-/// the serve `Monitor`; the default everywhere is [`FaultSchedule::off`].
+/// the determinism rule). Attach one to `Network`, `Dfs`, a `Mailbox`, the
+/// serve `Monitor` or a `PsGraphContext`, or hand one to the serve load
+/// generator; the default everywhere is [`FaultSchedule::off`].
 #[derive(Debug, Clone)]
 pub struct FaultSchedule {
     inner: Arc<Inner>,
@@ -156,9 +168,22 @@ impl Default for FaultSchedule {
 
 impl FaultSchedule {
     pub fn new(cfg: ChaosConfig) -> Self {
+        FaultSchedule::build(cfg, Vec::new())
+    }
+
+    /// A schedule whose only faults are the listed crash points
+    /// `(site, key, lane)`: [`FaultSchedule::crash`] answers yes at each of
+    /// them and no anywhere else. No probabilistic class is enabled, so
+    /// [`FaultSchedule::is_active`] stays false and every other hook keeps
+    /// its short-circuit path.
+    pub fn scripted(points: impl IntoIterator<Item = (FaultSite, u64, u64)>) -> Self {
+        FaultSchedule::build(ChaosConfig::off(), points.into_iter().collect())
+    }
+
+    fn build(cfg: ChaosConfig, scripted: Vec<(FaultSite, u64, u64)>) -> Self {
         let active = cfg.any_enabled();
         FaultSchedule {
-            inner: Arc::new(Inner { cfg, active, counters: Counters::default() }),
+            inner: Arc::new(Inner { cfg, active, scripted, counters: Counters::default() }),
         }
     }
 
@@ -254,16 +279,19 @@ impl FaultSchedule {
         SimTime(1 + s.next_below(max))
     }
 
-    /// Does a crash point fire here?
+    /// Does a crash point fire here? A scripted point always does.
     pub fn crash(&self, site: FaultSite, key: u64, lane: u64) -> bool {
-        if !self.inner.active {
-            return false;
-        }
-        let mut s = self.stream(site, key, lane);
-        s.next();
-        s.next();
-        s.next(); // independent draw position from loss/dup/delay
-        let hit = s.next_bool(self.inner.cfg.p_crash);
+        let hit = if self.inner.scripted.contains(&(site, key, lane)) {
+            true
+        } else if self.inner.active {
+            let mut s = self.stream(site, key, lane);
+            s.next();
+            s.next();
+            s.next(); // independent draw position from loss/dup/delay
+            s.next_bool(self.inner.cfg.p_crash)
+        } else {
+            false
+        };
         if hit {
             self.inner.counters.crashes.fetch_add(1, Ordering::Relaxed);
         }
@@ -364,6 +392,27 @@ mod tests {
             assert!(!s.corrupt(FaultSite::DfsWrite, k, 0));
         }
         assert_eq!(s.stats(), FaultStats::default());
+    }
+
+    #[test]
+    fn scripted_points_fire_whenever_asked_and_nothing_else_does() {
+        let s = FaultSchedule::scripted([
+            (FaultSite::ExecutorCrash, 5, 2),
+            (FaultSite::PsCrash, 5, 1),
+        ]);
+        assert!(!s.is_active());
+        assert!(s.crash(FaultSite::ExecutorCrash, 5, 2));
+        // A pure function: asking again gives the same answer.
+        assert!(s.crash(FaultSite::ExecutorCrash, 5, 2));
+        assert!(s.crash(FaultSite::PsCrash, 5, 1));
+        for k in 0..100u64 {
+            for lane in 0..4u64 {
+                assert!(!s.crash(FaultSite::ExecutorCrash, k, lane) || (k, lane) == (5, 2));
+                assert!(!s.crash(FaultSite::ReplicaCrash, k, lane));
+                assert!(!s.lose_request(FaultSite::Delivery, k, lane));
+            }
+        }
+        assert_eq!(s.stats(), FaultStats { crashes: 4, ..FaultStats::default() });
     }
 
     #[test]

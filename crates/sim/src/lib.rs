@@ -16,7 +16,6 @@ pub mod bytes;
 pub mod chaos;
 pub mod clock;
 pub mod cost;
-pub mod failpoint;
 pub mod hash;
 pub mod memory;
 pub mod rng;
@@ -26,7 +25,6 @@ pub use bytes::{BufMut, Bytes, Corrupt, Reader, Scalar};
 pub use chaos::{ChaosConfig, FaultSchedule, FaultSite, FaultStats};
 pub use clock::{stage, ClusterClock, NodeClock, SimTime, Watermark};
 pub use cost::CostModel;
-pub use failpoint::{FailAction, FailPlan, FailureInjector};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use memory::{MemoryMeter, OutOfMemory};
 pub use rng::SplitMix64;

@@ -26,6 +26,40 @@ if [ -n "$hand_decoded" ]; then
     exit 1
 fi
 
+# Panic ratchet: the non-test `.unwrap(` / `.expect(` sites of each crate
+# (every `src/` file cut at its first `#[cfg(test)]`, as `scripts/loc.sh`
+# cuts it) may fall but never rise above the ceilings below. A change that
+# removes sites lowers its crate's ceiling with it.
+panic_ceilings="bench 35
+core 3
+dataflow 2
+dfs 0
+euler 6
+graph 1
+graphx 0
+harness 1
+net 0
+ps 4
+query 2
+serve 14
+sim 3
+stream 2
+tensor 3"
+panic_sites="$(for dir in crates/*/; do
+    find "${dir}src" -name '*.rs' | sort | xargs awk -v crate="$(basename "$dir")" '
+        FNR == 1 { in_test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        !in_test { n += gsub(/\.(unwrap|expect)\(/, "") }
+        END { print crate, n + 0 }'
+done)"
+panics_over="$(join -a2 -e 0 -o 0,1.2,2.2 <(sort <<<"$panic_ceilings") <(sort <<<"$panic_sites") |
+    awk '$3 > $2 { print $1 ": " $3 " sites, ceiling " $2 }')"
+if [ -n "$panics_over" ]; then
+    echo "ci: non-test .unwrap( / .expect( sites rose:" >&2
+    echo "$panics_over" >&2
+    exit 1
+fi
+
 # Warnings are errors in every crate and every target: libraries, the
 # `repro` binary, examples, unit and integration tests.
 RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets

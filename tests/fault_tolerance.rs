@@ -7,7 +7,7 @@ use psgraph::core::algos::{CommonNeighbor, KCore, PageRank};
 use psgraph::core::runner::distribute_edges;
 use psgraph::core::PsGraphContext;
 use psgraph::graph::{gen, metrics};
-use psgraph::sim::{FailPlan, SimTime};
+use psgraph::sim::{ChaosConfig, FaultSchedule, FaultSite, SimTime};
 use std::sync::Arc;
 
 #[test]
@@ -17,11 +17,13 @@ fn executor_and_server_failures_in_one_run() {
     let edges = distribute_edges(&ctx, &g, 8).unwrap();
     // Kill an executor at superstep 2 and a PS server at superstep 4.
     // Small batches force enough supersteps for both kills to fire.
-    ctx.cluster().injector().schedule(FailPlan::kill_executor(2, 2));
-    ctx.ps().injector().schedule(FailPlan::kill_server(1, 4));
+    let chaos =
+        FaultSchedule::scripted([(FaultSite::ExecutorCrash, 2, 2), (FaultSite::PsCrash, 4, 1)]);
+    ctx.attach_chaos(chaos.clone());
     let out = CommonNeighbor { checkpoint: true, batch_size: 8 }
         .run(&ctx, &edges, g.num_vertices())
         .unwrap();
+    assert_eq!(chaos.stats().crashes, 2);
     let queried: Vec<(u64, u64)> = out.counts.iter().map(|&(a, b, _)| (a, b)).collect();
     let exact = metrics::common_neighbors_exact(&g, &queried);
     for ((_, _, c), e) in out.counts.iter().zip(&exact) {
@@ -31,16 +33,55 @@ fn executor_and_server_failures_in_one_run() {
 }
 
 #[test]
+fn seeded_crashes_never_change_common_neighbor() {
+    // Table II with the kills drawn from a seeded schedule: any executor
+    // and any server may die at the top of any superstep, several at once.
+    let g = gen::rmat(120, 900, Default::default(), 211).dedup();
+    let run = |chaos: FaultSchedule| {
+        let ctx = PsGraphContext::local();
+        let edges = distribute_edges(&ctx, &g, 8).unwrap();
+        ctx.attach_chaos(chaos);
+        let out = CommonNeighbor { checkpoint: true, batch_size: 8 }
+            .run(&ctx, &edges, g.num_vertices())
+            .unwrap();
+        let cluster = ctx.cluster();
+        let restarts: u64 =
+            (0..cluster.num_executors()).map(|e| cluster.executor(e).incarnation()).sum();
+        (out.counts, restarts, ctx.master().recoveries())
+    };
+    let (clean, _, _) = run(FaultSchedule::off());
+    let (mut executor_kills, mut server_kills) = (0, 0);
+    for seed in 1..=20 {
+        let chaos = FaultSchedule::new(ChaosConfig { seed, p_crash: 0.05, ..ChaosConfig::off() });
+        let (counts, restarts, recoveries) = run(chaos.clone());
+        assert_eq!(counts, clean, "seed {seed}: crashes changed the counts");
+        assert_eq!(
+            restarts + recoveries,
+            chaos.stats().crashes,
+            "seed {seed}: every crash is recovered once"
+        );
+        executor_kills += restarts;
+        server_kills += recoveries;
+    }
+    assert!(executor_kills > 0 && server_kills > 0, "both kinds of node must die");
+}
+
+#[test]
 fn repeated_executor_failures() {
     let g = gen::rmat(100, 700, Default::default(), 223).dedup();
     let ctx = PsGraphContext::local();
     let edges = distribute_edges(&ctx, &g, 8).unwrap();
-    // Three kills across the run, different executors.
-    for (e, step) in [(0usize, 2u64), (1, 5), (3, 9)] {
-        ctx.cluster().injector().schedule(FailPlan::kill_executor(e, step));
-    }
+    // Three kills across the run, different executors. K-Core runs 8 or 9
+    // supersteps here, so the last kill still lands.
+    let chaos = FaultSchedule::scripted([
+        (FaultSite::ExecutorCrash, 2, 0),
+        (FaultSite::ExecutorCrash, 4, 1),
+        (FaultSite::ExecutorCrash, 6, 3),
+    ]);
+    ctx.attach_chaos(chaos.clone());
     let out = KCore::default().run(&ctx, &edges, g.num_vertices()).unwrap();
     assert_eq!(out.coreness, metrics::kcore_exact(&g));
+    assert_eq!(chaos.stats().crashes, 3, "every kill must land inside the run");
 }
 
 #[test]
@@ -50,15 +91,13 @@ fn consistent_recovery_rolls_pagerank_back_correctly() {
     let run = |kill: bool| {
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
-        if kill {
-            ctx.ps().injector().schedule(FailPlan::kill_server(0, 6));
-        }
-        (
-            PageRank { max_iterations: 25, checkpoint_every: 2, ..Default::default() }
-                .run(&ctx, &edges, g.num_vertices())
-                .unwrap(),
-            ctx.now(),
-        )
+        let chaos = FaultSchedule::scripted(kill.then_some((FaultSite::PsCrash, 6, 0)));
+        ctx.attach_chaos(chaos.clone());
+        let out = PageRank { max_iterations: 25, checkpoint_every: 2, ..Default::default() }
+            .run(&ctx, &edges, g.num_vertices())
+            .unwrap();
+        assert_eq!(chaos.stats().crashes, u64::from(kill));
+        (out, ctx.now())
     };
     let (clean, t_clean) = run(false);
     let (failed, t_failed) = run(true);
@@ -75,12 +114,14 @@ fn dfs_survives_datanode_loss_under_checkpointing() {
     let edges = distribute_edges(&ctx, &g, 8).unwrap();
     // Write checkpoints, lose a datanode, then force a server recovery
     // that must read the checkpoint from the surviving replicas.
-    ctx.ps().injector().schedule(FailPlan::kill_server(1, 3));
+    let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 3, 1)]);
+    ctx.attach_chaos(chaos.clone());
     ctx.dfs().kill_datanode(0).unwrap();
     let out = CommonNeighbor { checkpoint: true, batch_size: 8 }
         .run(&ctx, &edges, g.num_vertices())
         .unwrap();
     assert!(!out.counts.is_empty());
+    assert_eq!(chaos.stats().crashes, 1);
 }
 
 #[test]
@@ -90,10 +131,12 @@ fn unrecoverable_when_checkpoint_missing() {
     let g = gen::rmat(60, 300, Default::default(), 233).dedup();
     let ctx = PsGraphContext::local();
     let edges = distribute_edges(&ctx, &g, 8).unwrap();
-    ctx.ps().injector().schedule(FailPlan::kill_server(0, 1));
+    let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 1, 0)]);
+    ctx.attach_chaos(chaos.clone());
     let err = CommonNeighbor { checkpoint: false, batch_size: 8 }
         .run(&ctx, &edges, g.num_vertices())
         .unwrap_err();
+    assert_eq!(chaos.stats().crashes, 1);
     assert!(
         err.to_string().contains("checkpoint"),
         "expected a no-checkpoint error, got: {err}"
@@ -109,35 +152,39 @@ fn executor_kill_mid_run_does_not_change_kcore_or_common_neighbor() {
     // plan's own life cycle is pinned in `core::agent`'s tests).
     let g = gen::rmat(120, 900, Default::default(), 241).dedup();
     let n = g.num_vertices();
-    let deploy = |kill: Option<FailPlan>| {
+    // `kill` is `(superstep, executor)`; each run checks its kill landed.
+    let deploy = |kill: Option<(u64, u64)>| {
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 12).unwrap();
-        if let Some(plan) = kill {
-            ctx.cluster().injector().schedule(plan);
-        }
-        (ctx, edges)
+        let chaos = FaultSchedule::scripted(
+            kill.map(|(step, executor)| (FaultSite::ExecutorCrash, step, executor)),
+        );
+        ctx.attach_chaos(chaos.clone());
+        (ctx, edges, chaos, u64::from(kill.is_some()))
     };
     let kcore = |kill| {
-        let (ctx, edges) = deploy(kill);
+        let (ctx, edges, chaos, scripted) = deploy(kill);
         let out = KCore::default().run(&ctx, &edges, n).unwrap();
+        assert_eq!(chaos.stats().crashes, scripted);
         (out.coreness, out.stats.supersteps, ctx.now())
     };
     let (clean, steps, t_clean) = kcore(None);
     assert!(steps > 3, "the kill below must land mid-run");
-    let (killed, _, t_killed) = kcore(Some(FailPlan::kill_executor(1, 2)));
+    let (killed, _, t_killed) = kcore(Some((2, 1)));
     assert_eq!(killed, clean);
     assert_eq!(killed, metrics::kcore_exact(&g));
     assert!(t_killed >= t_clean + PsGraphContext::local().cost().restart_overhead());
 
     let common = |kill| {
-        let (ctx, edges) = deploy(kill);
+        let (ctx, edges, chaos, scripted) = deploy(kill);
         let out = CommonNeighbor { batch_size: 16, ..Default::default() }.run(&ctx, &edges, n).unwrap();
+        assert_eq!(chaos.stats().crashes, scripted);
         (out.counts, out.stats.supersteps)
     };
     let (clean, steps) = common(None);
     assert!(steps > 3, "the kill below must land mid-run");
     // Superstep 1 is the adjacency push; 2 is the second round of pairs.
-    let (killed, _) = common(Some(FailPlan::kill_executor(2, 2)));
+    let (killed, _) = common(Some((2, 2)));
     assert_eq!(killed, clean, "same counts, in the same order");
 }
 

@@ -19,7 +19,6 @@ use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::dataflow::{Cluster, ClusterConfig, Rdd};
 use psgraph::graph::gen;
 use psgraph::serve::{loadgen, QueryMix, ServeCluster, ServeConfig, Workload};
-use psgraph::sim::failpoint::FailureInjector;
 use psgraph_harness::Pool;
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
@@ -233,7 +232,7 @@ fn topk_all_report(pool: Pool) -> loadgen::LoadReport {
         compound: 0,
     };
     let wl = Workload { queries: 200, zipf_s: 1.0, mix, ..Default::default() };
-    loadgen::run(&mut cluster, &wl, &FailureInjector::none(), true)
+    loadgen::run(&mut cluster, &wl, true)
 }
 
 #[test]

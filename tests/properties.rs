@@ -7,15 +7,17 @@
 //! external crates). Each property is reproducible: failures print a
 //! `PSGRAPH_PROP_SEED=...` replay line.
 
+use std::sync::Arc;
+
 use psgraph_harness::prop::{check_with, Config, Source};
-use psgraph_harness::{prop_assert, prop_assert_eq};
+use psgraph_harness::{prop_assert, prop_assert_eq, Pool};
 
 use psgraph::core::algos::{KCore, PageRank, TriangleCount};
 use psgraph::core::runner::distribute_edges;
-use psgraph::core::PsGraphContext;
+use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::graph::{metrics, EdgeList};
 use psgraph::ps::{PartitionLayout, Partitioner, RecoveryMode, VectorHandle};
-use psgraph::sim::NodeClock;
+use psgraph::sim::{FaultSchedule, FaultSite, NodeClock};
 
 /// Generator: a random small graph as a deduplicated edge list.
 fn arb_graph(src: &mut Source) -> EdgeList {
@@ -243,20 +245,35 @@ fn graphsage_sampling_is_valid() {
 
 const FAILURE_CASES: u32 = 6;
 
+/// K-Core's coreness and superstep count on a pool of 1: on a larger pool
+/// the count depends on the claim schedule, and the property below must
+/// know it in advance.
+fn kcore_on_one_thread(g: &EdgeList, chaos: FaultSchedule) -> (Vec<u64>, u64) {
+    let ctx = PsGraphContext::new(PsGraphConfig::default().with_pool(Arc::new(Pool::new(1))));
+    let edges = distribute_edges(&ctx, g, 8).unwrap();
+    ctx.attach_chaos(chaos);
+    let out = KCore::default().run(&ctx, &edges, g.num_vertices()).unwrap();
+    (out.coreness, out.stats.supersteps)
+}
+
 #[test]
 fn executor_failure_never_changes_kcore() {
     check_with(
         "executor_failure_never_changes_kcore",
         &Config::with_cases(FAILURE_CASES),
-        |src| (arb_graph(src), src.usize_range(0, 4), src.u64_range(1, 6)),
+        |src| {
+            let g = arb_graph(src);
+            let victim = src.u64_range(0, 4);
+            // A superstep the fault-free run reaches, so the kill lands.
+            let (_, steps) = kcore_on_one_thread(&g, FaultSchedule::off());
+            let step = src.u64_range(0, steps);
+            (g, victim, step)
+        },
         |(g, victim, step)| {
-            let ctx = PsGraphContext::local();
-            let edges = distribute_edges(&ctx, g, 8).unwrap();
-            ctx.cluster()
-                .injector()
-                .schedule(psgraph::sim::FailPlan::kill_executor(*victim, *step));
-            let out = KCore::default().run(&ctx, &edges, g.num_vertices()).unwrap();
-            prop_assert_eq!(out.coreness, metrics::kcore_exact(g));
+            let chaos = FaultSchedule::scripted([(FaultSite::ExecutorCrash, *step, *victim)]);
+            let (coreness, _) = kcore_on_one_thread(g, chaos.clone());
+            prop_assert_eq!(coreness, metrics::kcore_exact(g));
+            prop_assert_eq!(chaos.stats().crashes, 1);
             Ok(())
         },
     );
