@@ -15,8 +15,7 @@ use psgraph_graph::metrics::sorted_intersection_count;
 use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
 
 use crate::context::{PsGraphContext, RunStats};
-use crate::error::PsResultExt;
-use crate::error::Result;
+use crate::error::{CoreError, PsResultExt, Result};
 
 /// Common-neighbor job configuration.
 #[derive(Debug, Clone)]
@@ -110,7 +109,7 @@ impl CommonNeighbor {
                         })
                         .collect())
                 })
-                .map_err(crate::error::CoreError::from)?;
+                .map_err(CoreError::from)?;
             results.extend(ctx.cluster().in_partition_order(round_results));
         }
 
@@ -126,19 +125,29 @@ pub(crate) fn push_adjacency(
     tables: &Rdd<(u64, Vec<u64>)>,
     adj: &NeighborTableHandle,
 ) -> Result<()> {
-    ctx.cluster()
+    let unsorted = ctx
+        .cluster()
         .run_executors(tables.num_partitions(), |exec, parts| {
             let entries: Vec<(u64, Vec<u64>)> =
                 tables.partitions(parts)?.iter().flat_map(|part| part.iter().cloned()).collect();
-            // The per-pair kernel merges the lists as pushed.
-            debug_assert!(entries.iter().all(|(_, ns)| ns.windows(2).all(|w| w[0] < w[1])));
+            // The per-pair kernel's derived comparison count holds only
+            // for strictly ascending lists: refuse any other.
+            let bad = entries.iter().find(|(_, ns)| ns.windows(2).any(|w| w[0] >= w[1]));
+            if let Some(&(v, _)) = bad {
+                return Ok(Some(v));
+            }
             if !entries.is_empty() {
                 adj.push(exec.clock(), &entries).df()?;
             }
-            Ok(())
+            Ok(None)
         })
-        .map_err(crate::error::CoreError::from)?;
-    Ok(())
+        .map_err(CoreError::from)?;
+    match unsorted.into_iter().flatten().next() {
+        Some(v) => Err(CoreError::Invalid(format!(
+            "neighbor list of vertex {v} is not strictly ascending"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Rounds needed to stream `pairs` in batches of `batch` per partition.
@@ -150,7 +159,7 @@ pub(crate) fn num_rounds(
     let counts = ctx
         .cluster()
         .run_stage(pairs.num_partitions(), |p, _exec| Ok(pairs.partition(p)?.len().div_ceil(batch)))
-        .map_err(crate::error::CoreError::from)?;
+        .map_err(CoreError::from)?;
     Ok(counts.into_iter().max().unwrap_or(0))
 }
 
@@ -174,7 +183,7 @@ pub(crate) fn count_common(
         batches.iter().flat_map(|pairs| pairs.iter()).flat_map(|&(a, b)| [a, b]).collect();
     let neigh = adj.pull(exec.clock(), &wanted).df()?;
     let mut lists = neigh.chunks_exact(2);
-    let mut work = 0u64;
+    let (mut work, mut scratch) = (0u64, Vec::new());
     let counts = batches
         .iter()
         .map(|pairs| {
@@ -182,7 +191,8 @@ pub(crate) fn count_common(
                 .by_ref()
                 .take(pairs.len())
                 .map(|ab| {
-                    let (count, comparisons) = sorted_intersection_count(&ab[0], &ab[1]);
+                    let (count, comparisons) =
+                        sorted_intersection_count(&ab[0], &ab[1], &mut scratch);
                     work += comparisons;
                     count
                 })
@@ -271,6 +281,25 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         assert!(small.stats.supersteps > big.stats.supersteps);
+    }
+
+    #[test]
+    fn unsorted_neighbor_list_is_refused_before_it_is_pushed() {
+        let ctx = PsGraphContext::local();
+        let adj = NeighborTableHandle::create(
+            ctx.ps(), "adj", 10, Partitioner::Hash, RecoveryMode::Inconsistent,
+        )
+        .unwrap();
+        // Out of order, and a repeat: the derived comparison count would
+        // be wrong for either.
+        for bad in [vec![1u64, 3, 2], vec![4, 4]] {
+            let entries = vec![(0u64, vec![1u64, 2]), (5, bad)];
+            let tables = Rdd::from_vec(ctx.cluster(), entries, 2).unwrap();
+            let err = push_adjacency(&ctx, &tables, &adj).unwrap_err();
+            assert!(matches!(&err, CoreError::Invalid(m) if m.contains("vertex 5")), "{err}");
+        }
+        let pulled = adj.pull(&psgraph_sim::NodeClock::new(), &[5]).unwrap();
+        assert!(pulled[0].is_empty(), "the refused list never reached the PS");
     }
 
     #[test]

@@ -2,9 +2,14 @@
 //! distributed implementations. Deliberately simple and obviously correct;
 //! only used on small test graphs.
 //!
-//! The one exception is [`sorted_intersection_count`]: the per-pair
-//! kernel the distributed Common Neighbor / Triangle Count jobs (PSGraph
-//! and the GraphX baseline alike) run on every queried pair.
+//! The exceptions are the kernels the distributed jobs share:
+//! [`h_index`] (K-Core's update rule) and [`sorted_intersection_count`],
+//! the per-pair kernel the Common Neighbor / Triangle Count jobs (PSGraph
+//! and the GraphX baseline alike) run on every queried pair. Its
+//! comparison count is what the callers charge to the sim clock: for
+//! lists of comparable length it intersects through a bitmap and returns
+//! the step count a linear merge would have taken, derived in closed form;
+//! for a hub against a short list it gallops and counts what it did.
 
 use psgraph_sim::{FxHashMap, FxHashSet};
 
@@ -53,13 +58,9 @@ pub fn kcore_exact(g: &EdgeList) -> Vec<u64> {
     let mut core = vec![0u64; n];
     let mut removed = vec![false; n];
     let mut k = 0u64;
-    for _ in 0..n {
-        // Peel the minimum-degree remaining vertex; its coreness is the
-        // running maximum of peel degrees.
-        let v = (0..n)
-            .filter(|&v| !removed[v])
-            .min_by_key(|&v| degree[v])
-            .unwrap();
+    // Peel the minimum-degree remaining vertex; its coreness is the
+    // running maximum of peel degrees.
+    while let Some(v) = (0..n).filter(|&v| !removed[v]).min_by_key(|&v| degree[v]) {
         k = k.max(degree[v]);
         core[v] = k;
         removed[v] = true;
@@ -123,27 +124,27 @@ pub fn common_neighbors_exact(g: &EdgeList, pairs: &[(u64, u64)]) -> Vec<u64> {
 const GALLOP_RATIO: usize = 8;
 
 /// `|a ∩ b|` for two strictly ascending lists, plus the number of element
-/// comparisons made — the work a caller charges to its executor clock.
+/// comparisons a sorted-list intersection makes — the work a caller
+/// charges to its executor clock.
 ///
-/// Lists of comparable length are merged linearly; when one is at least
-/// `GALLOP_RATIO` times longer, each element of the shorter one is
-/// located in the longer one by an exponential probe from a moving lower
-/// bound followed by a binary search, so a hub's list is not walked for
-/// every low-degree partner. Either way `comparisons ≤ a.len() + b.len()`.
-pub fn sorted_intersection_count(a: &[u64], b: &[u64]) -> (u64, u64) {
+/// Lists of comparable length are intersected through a bitmap over ids
+/// in `scratch`, and the comparison count is that of a linear merge,
+/// derived rather than walked (see `bitmap_merge_count`). When one list
+/// is at least `GALLOP_RATIO` times longer, each element of the shorter
+/// one is located in the longer one by an exponential probe from a moving
+/// lower bound followed by a binary search, so a hub's list is not walked
+/// for every low-degree partner; those comparisons are counted as made.
+/// Either way `comparisons ≤ a.len() + b.len()`.
+///
+/// `scratch` is kept by the caller across calls, like [`h_index`]'s: start
+/// it empty; it grows to `(m >> 6) + 1` words, `m` the smaller of the two
+/// last ids, and is all-zero whenever this returns.
+pub fn sorted_intersection_count(a: &[u64], b: &[u64], scratch: &mut Vec<u64>) -> (u64, u64) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let (mut count, mut comparisons) = (0u64, 0u64);
     if large.len() < small.len().saturating_mul(GALLOP_RATIO) {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < small.len() && j < large.len() {
-            let (x, y) = (small[i], large[j]);
-            comparisons += 1;
-            count += (x == y) as u64;
-            i += (x <= y) as usize;
-            j += (y <= x) as usize;
-        }
-        return (count, comparisons);
+        return bitmap_merge_count(small, large, scratch);
     }
+    let (mut count, mut comparisons) = (0u64, 0u64);
     // Everything before `lo` in `large` is smaller than the current `x`.
     let mut lo = 0usize;
     for &x in small {
@@ -179,6 +180,37 @@ pub fn sorted_intersection_count(a: &[u64], b: &[u64]) -> (u64, u64) {
         }
     }
     (count, comparisons)
+}
+
+/// The merge path of [`sorted_intersection_count`].
+///
+/// No id above `m = min(small.last, large.last)` can be common, so only
+/// the prefixes up to `m` are visited: `small`'s bits are set in `scratch`,
+/// `large`'s are tested, and the touched words are zeroed again.
+///
+/// A linear merge of strictly ascending lists consumes one element per
+/// step, or one from each list on a match, and stops right after consuming
+/// `m` — by then it has consumed every element `≤ m` of both lists. Its
+/// step count is therefore `rank≤(small, m) + rank≤(large, m) − count`.
+fn bitmap_merge_count(small: &[u64], large: &[u64], scratch: &mut Vec<u64>) -> (u64, u64) {
+    let (Some(&s_last), Some(&l_last)) = (small.last(), large.last()) else {
+        return (0, 0);
+    };
+    let m = s_last.min(l_last);
+    let small = &small[..small.partition_point(|&x| x <= m)];
+    let large = &large[..large.partition_point(|&y| y <= m)];
+    let words = (m >> 6) as usize + 1;
+    if scratch.len() < words {
+        scratch.resize(words, 0);
+    }
+    for &x in small {
+        scratch[(x >> 6) as usize] |= 1 << (x & 63);
+    }
+    let count: u64 = large.iter().map(|&y| (scratch[(y >> 6) as usize] >> (y & 63)) & 1).sum();
+    for &x in small {
+        scratch[(x >> 6) as usize] = 0;
+    }
+    (count, (small.len() + large.len()) as u64 - count)
 }
 
 /// H-index of a multiset: the largest `h` such that at least `h` values

@@ -94,11 +94,74 @@ fn arb_sorted_unique(src: &mut Source, len: usize, max_gap: u64) -> Vec<u64> {
         .collect()
 }
 
-fn intersection_matches_hash_set(a: &[u64], b: &[u64]) -> Result<(), String> {
+/// The kernel `metrics::sorted_intersection_count` replaced: a counted
+/// linear merge below `GALLOP_RATIO`, the counted gallop walk (kept as is)
+/// from it on. The new kernel must return the same `(count, comparisons)`
+/// pair, because the comparisons are what Common Neighbor charges.
+fn reference_intersection(a: &[u64], b: &[u64]) -> (u64, u64) {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let (mut count, mut comparisons) = (0u64, 0u64);
+    if large.len() < small.len().saturating_mul(8) {
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < small.len() && j < large.len() {
+            let (x, y) = (small[i], large[j]);
+            comparisons += 1;
+            count += (x == y) as u64;
+            i += (x <= y) as usize;
+            j += (y <= x) as usize;
+        }
+        return (count, comparisons);
+    }
+    let mut lo = 0usize;
+    for &x in small {
+        let (mut hi, mut step) = (lo, 1usize);
+        while hi < large.len() {
+            comparisons += 1;
+            if large[hi] >= x {
+                break;
+            }
+            lo = hi + 1;
+            hi = lo + step;
+            step *= 2;
+        }
+        let mut end = hi.min(large.len());
+        while lo < end {
+            let mid = lo + (end - lo) / 2;
+            comparisons += 1;
+            if large[mid] < x {
+                lo = mid + 1;
+            } else {
+                end = mid;
+            }
+        }
+        if lo == large.len() {
+            break;
+        }
+        comparisons += 1;
+        if large[lo] == x {
+            count += 1;
+            lo += 1;
+        }
+    }
+    (count, comparisons)
+}
+
+/// Both argument orders against a `HashSet` count and the reference pair,
+/// once with `scratch` (carried over from earlier calls) and once with a
+/// fresh scratch; `scratch` must be all-zero afterwards.
+fn intersection_matches_reference(
+    a: &[u64],
+    b: &[u64],
+    scratch: &mut Vec<u64>,
+) -> Result<(), String> {
     let set: std::collections::HashSet<u64> = b.iter().copied().collect();
     let want = a.iter().filter(|v| set.contains(v)).count() as u64;
     for (x, y) in [(a, b), (b, a)] {
-        let (count, comparisons) = sorted_intersection_count(x, y);
+        let got = sorted_intersection_count(x, y, scratch);
+        prop_assert_eq!(got, reference_intersection(x, y), "{:?} ∩ {:?}", x, y);
+        prop_assert_eq!(got, sorted_intersection_count(x, y, &mut Vec::new()));
+        prop_assert!(scratch.iter().all(|&w| w == 0), "scratch left dirty by {:?} ∩ {:?}", x, y);
+        let (count, comparisons) = got;
         prop_assert_eq!(count, want, "|{:?} ∩ {:?}|", x, y);
         prop_assert!(
             comparisons <= (x.len() + y.len()) as u64,
@@ -113,6 +176,8 @@ fn intersection_matches_hash_set(a: &[u64], b: &[u64]) -> Result<(), String> {
 
 #[test]
 fn sorted_intersection_matches_hash_set_at_every_length_ratio() {
+    // One scratch across all cases, as an executor keeps it across pairs.
+    let scratch = std::cell::RefCell::new(Vec::new());
     check(
         "sorted_intersection_matches_hash_set_at_every_length_ratio",
         |src: &mut Source| {
@@ -127,7 +192,7 @@ fn sorted_intersection_matches_hash_set_at_every_length_ratio() {
             let max_gap = ratio as u64 * src.u64_range(1, 9);
             (arb_sorted_unique(src, short_len, max_gap), long)
         },
-        |(short, long)| intersection_matches_hash_set(short, long),
+        |(short, long)| intersection_matches_reference(short, long, &mut scratch.borrow_mut()),
     );
 }
 
@@ -135,9 +200,12 @@ fn sorted_intersection_matches_hash_set_at_every_length_ratio() {
 fn sorted_intersection_edge_cases() {
     let long: Vec<u64> = (0..100).map(|i| i * 2).collect();
     let odd: Vec<u64> = (0..100).map(|i| i * 2 + 1).collect();
+    let edges = [0u64, 63, 64, 127, 128];
+    let scratch = &mut Vec::new();
     for (a, b, want) in [
         (&[][..], &[][..], 0u64),
         (&[], &long[..], 0),
+        (&[], &[5][..], 0),
         (&long[..], &long[..], 100),
         (&long[..], &odd[..], 0),
         (&[198], &long[..], 1),
@@ -146,14 +214,28 @@ fn sorted_intersection_edge_cases() {
         (&[7], &[7], 1),
         (&[7], &[8], 0),
         (&[0, 198], &long[..], 2),
+        // Last elements in each order: <, =, >.
+        (&[1, 2, 3], &[2, 3, 9], 2),
+        (&[1, 2, 9], &[2, 3, 9], 2),
+        (&[1, 2, 10], &[2, 3, 9], 1),
+        // Ids at the bitmap's word edges.
+        (&edges[..], &edges[..], 5),
+        (&edges[..], &[63, 64, 65][..], 2),
+        (&[0, 127][..], &edges[..], 2),
+        (&[128][..], &[64, 128][..], 1),
+        (&[62, 65, 126, 129][..], &edges[..], 0),
     ] {
-        assert_eq!(sorted_intersection_count(a, b).0, want, "{a:?} ∩ {b:?}");
-        intersection_matches_hash_set(a, b).unwrap();
+        assert_eq!(sorted_intersection_count(a, b, scratch).0, want, "{a:?} ∩ {b:?}");
+        intersection_matches_reference(a, b, scratch).unwrap();
     }
+    // The scratch grows to the smaller last element's word, no further.
+    let fresh = &mut Vec::new();
+    sorted_intersection_count(&[3, 64], &[5, 200], fresh);
+    assert_eq!(fresh.len(), 2);
     // Identical lists merge in one comparison per element; a lone element
     // is found in a long list in logarithmically many.
-    assert_eq!(sorted_intersection_count(&long, &long), (100, 100));
-    assert!(sorted_intersection_count(&[198], &long).1 <= 16);
+    assert_eq!(sorted_intersection_count(&long, &long, scratch), (100, 100));
+    assert!(sorted_intersection_count(&[198], &long, scratch).1 <= 16);
 }
 
 /// The definition `metrics::h_index` replaced: sort descending, take the

@@ -74,8 +74,17 @@ fn gx_cn_one_batch(
         let keyed_part = keyed_by_b.partition_by_key(parts)?;
         nbrs.join_copartitioned(&keyed_part)? // (b, (N(b), (N(a), a)))
     };
-    let counted =
-        with_both.map(|&(b, (ref nb, (ref na, a)))| (a, b, sorted_intersection_count(na, nb).0))?;
+    // `map`'s charge, with one intersection scratch per partition.
+    let counted = with_both.map_partitions(
+        |records| {
+            let mut scratch = Vec::new();
+            records
+                .iter()
+                .map(|(b, (nb, (na, a)))| (*a, *b, sorted_intersection_count(na, nb, &mut scratch).0))
+                .collect()
+        },
+        batch.cluster().config().ops_per_record,
+    )?;
     counted.collect()
 }
 

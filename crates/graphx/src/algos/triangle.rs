@@ -22,8 +22,17 @@ pub fn gx_triangle_count(gx: &GxGraph) -> Result<u64, DataflowError> {
     // ⋈ N(b): each record now carries TWO adjacency lists.
     let with_both = keyed_by_b.join(&nbrs, parts)?; // (b, ((a, N(a)), N(b)))
 
-    let counts =
-        with_both.map(|&(_b, ((_a, ref na), ref nb))| sorted_intersection_count(na, nb).0)?;
+    // `map`'s charge, with one intersection scratch per partition.
+    let counts = with_both.map_partitions(
+        |records| {
+            let mut scratch = Vec::new();
+            records
+                .iter()
+                .map(|(_b, ((_a, na), nb))| sorted_intersection_count(na, nb, &mut scratch).0)
+                .collect()
+        },
+        gx.cluster().config().ops_per_record,
+    )?;
 
     let total: u64 = counts.fold(0u64, |acc, &c| acc + c)?;
     debug_assert_eq!(total % 3, 0);

@@ -214,9 +214,11 @@ impl NeighborTableHandle {
     }
 
     /// Push neighbor lists (replacing any existing entry for the vertex).
+    /// Keys and neighbor ids are both bounds-checked.
     pub fn push(&self, client: &NodeClock, entries: &[(u64, Vec<u64>)]) -> Result<()> {
         let ids = || entries.iter().map(|(v, _)| *v);
         self.obj.check(ids())?;
+        self.obj.check(entries.iter().flat_map(|(_, ns)| ns.iter().copied()))?;
         self.obj.scatter(client, ids().enumerate(), |server, _, parts| {
             let lens = || parts.iter().flat_map(|(_, at)| at).map(|&pos| entries[pos].1.len() as u64);
             let req_bytes = lens().map(|len| 16 + len * 8).sum();
@@ -516,6 +518,8 @@ mod tests {
         let t = table(&ps);
         assert!(t.pull(&c, &[100]).is_err());
         assert!(t.push(&c, &[(100, vec![])]).is_err());
+        assert!(t.push(&c, &[(1, vec![2, 100])]).is_err(), "neighbor ids are bounds-checked too");
+        assert!(t.is_empty().unwrap(), "a refused push writes nothing");
         assert!(t.add_edges(&c, &[(1, 100)]).is_err(), "dst is bounds-checked too");
         assert!(t.remove_edges(&c, &[(100, 1)]).is_err());
     }
@@ -655,7 +659,10 @@ mod tests {
     fn memory_grows_with_pushes() {
         let ps = ps();
         let c = NodeClock::new();
-        let t = table(&ps);
+        let t = NeighborTableHandle::create(
+            &ps, "adj", 1000, Partitioner::Hash, RecoveryMode::Inconsistent,
+        )
+        .unwrap();
         let before = t.resident_bytes().unwrap();
         t.push(&c, &[(1, (0..1000).collect())]).unwrap();
         assert!(t.resident_bytes().unwrap() >= before + 8000);
@@ -666,7 +673,7 @@ mod tests {
         let ps = Ps::new(PsConfig { servers: 1, memory_per_server: 512, ..Default::default() });
         let c = NodeClock::new();
         let t = NeighborTableHandle::create(
-            &ps, "adj", 100, Partitioner::Hash, RecoveryMode::Inconsistent,
+            &ps, "adj", 10_000, Partitioner::Hash, RecoveryMode::Inconsistent,
         )
         .unwrap();
         let err = t.push(&c, &[(1, (0..10_000).collect())]).unwrap_err();

@@ -35,7 +35,7 @@ core 3
 dataflow 2
 dfs 0
 euler 6
-graph 1
+graph 0
 graphx 0
 harness 1
 net 0
@@ -71,8 +71,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-goin
 # run below compiles out.
 cargo test -q --offline -p psgraph-harness
 # The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
-# that release builds would wrap silently.
-cargo test -q --offline -p psgraph-query
+# that release builds would wrap silently; so does the intersection
+# kernel's bitmap (`x >> 6` words, the derived `ranks - count`).
+cargo test -q --offline -p psgraph-query -p psgraph-graph
 # So do the CSR splice every shard goes through at load and swap time
 # (`o - plo + olo`, `o - ohi + shift` on u64) and the ingestor's lane and
 # sequence bookkeeping.
