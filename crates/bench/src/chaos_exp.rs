@@ -89,7 +89,6 @@ pub struct SeedOutcome {
     pub corrupt_fallbacks: u64,
     /// Batches replayed from the event log during recoveries.
     pub batches_replayed: usize,
-    pub queries: usize,
     pub answered: usize,
     /// Answered compound plans (a subset of `answered`), each verified
     /// bit-for-bit against the interpreter over the swap-time truth.
@@ -416,7 +415,6 @@ fn run_once(
             dup_suppressed: filter.suppressed(),
             corrupt_fallbacks: rig.dfs.corrupt_fallbacks(),
             batches_replayed,
-            queries: rig.tally.queries,
             answered: rig.tally.answered,
             compound_answered,
             unserved: rig.tally.unserved,

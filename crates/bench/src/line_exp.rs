@@ -18,7 +18,6 @@ use crate::report::{Cell, Row, Table};
 /// Measured LINE results.
 #[derive(Debug, Clone)]
 pub struct LineResult {
-    pub epochs: u64,
     pub per_epoch: SimTime,
     pub total: SimTime,
     pub final_loss: f64,
@@ -53,7 +52,6 @@ pub fn run_line(scale: f64) -> Result<LineResult, CoreError> {
     let (total, final_loss) = run(true)?;
     let (total_rows, _) = run(false)?;
     Ok(LineResult {
-        epochs,
         per_epoch: SimTime::from_nanos(total.as_nanos() / epochs),
         total,
         final_loss,

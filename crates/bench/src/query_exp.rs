@@ -36,7 +36,6 @@ const QUERY_DIM: usize = 16;
 #[derive(Debug, Clone)]
 pub struct AblationLeg {
     pub counters: PlanCounters,
-    pub answered: usize,
     pub p50: SimTime,
     pub p99: SimTime,
 }
@@ -251,7 +250,6 @@ pub fn run_query(scale: f64, queries: usize) -> Result<QueryRepro, CoreError> {
         assert_eq!(rep.failed, 0, "ablation leg must not fail");
         let leg = AblationLeg {
             counters: rep.plan_counters,
-            answered: rep.answered,
             p50: rep.percentile(0.50),
             p99: rep.percentile(0.99),
         };

@@ -27,7 +27,7 @@ use psgraph_core::CoreError;
 use psgraph_graph::Dataset;
 use psgraph_ps::snapshot::DeltaWriter;
 use psgraph_ps::{
-    ColMatrixHandle, CsrHandle, Partitioner, RecoveryMode, SnapshotWriter, VectorHandle,
+    ColMatrixHandle, NeighborTableHandle, Partitioner, RecoveryMode, SnapshotWriter, VectorHandle,
 };
 use psgraph_serve::{
     GraphTruth, Monitor, ObjectMap, ScriptedAction, ServeCluster, ServeConfig, SwapStats,
@@ -118,22 +118,10 @@ pub fn run_serve(scale: f64, queries: usize) -> Result<ServeRepro, CoreError> {
     let client = NodeClock::new();
     client.sync_to(train_time);
     let ids: Vec<u64> = (0..n).collect();
-    let ps = ctx.ps();
-    let hr = VectorHandle::<f64>::create(
-        ps,
-        "serve.rank",
-        n,
-        Partitioner::Range,
-        RecoveryMode::Consistent,
-    )?;
+    let (ps, range, consistent) = (ctx.ps(), Partitioner::Range, RecoveryMode::Consistent);
+    let hr = VectorHandle::<f64>::create(ps, "serve.rank", n, range, consistent)?;
     hr.push_set(&client, &ids, &ranks)?;
-    let hc = VectorHandle::<u64>::create(
-        ps,
-        "serve.community",
-        n,
-        Partitioner::Range,
-        RecoveryMode::Consistent,
-    )?;
+    let hc = VectorHandle::<u64>::create(ps, "serve.community", n, range, consistent)?;
     hc.push_set(&client, &ids, &labels)?;
     let hm = ColMatrixHandle::create(ps, "serve.embed", n, SERVE_DIM, RecoveryMode::Inconsistent)?;
     hm.push_add_rows(&client, &ids, &embeddings)?;
@@ -142,13 +130,14 @@ pub fn run_serve(scale: f64, queries: usize) -> Result<ServeRepro, CoreError> {
         .enumerate()
         .map(|(i, ns)| (i as u64, ns.clone()))
         .collect();
-    let ha = CsrHandle::build(ps, "serve.adj", n, &tables, &client, RecoveryMode::Consistent)?;
+    let ha = NeighborTableHandle::create(ps, "serve.adj", n, range, consistent)?;
+    ha.push(&client, &tables)?;
 
     let mut w = SnapshotWriter::new(ctx.dfs(), "/serve/snapshot", &client);
     w.vector_f64(&hr)?;
     w.vector_u64(&hc)?;
     w.colmatrix(&hm)?;
-    w.adjacency(&ha)?;
+    w.neighbor_table(&ha)?;
     let manifest = w.finish()?;
 
     // Bring up 2 shards × 2 replicas over the snapshot. The default cost
@@ -220,7 +209,7 @@ pub fn run_serve(scale: f64, queries: usize) -> Result<ServeRepro, CoreError> {
             dw.vector_f64(&hr).expect("delta ranks");
             dw.vector_u64(&hc).expect("delta communities");
             dw.colmatrix(&hm).expect("delta embeddings");
-            let untouched = dw.adjacency(&ha).expect("delta adjacency");
+            let untouched = dw.neighbor_table(&ha).expect("delta adjacency");
             assert_eq!(untouched, 0, "adjacency never changed — no partition may export");
             let delta = dw.finish().expect("delta export");
             swap_stats = Some(cluster.swap_in(&delta).expect("hot swap"));

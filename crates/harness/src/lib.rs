@@ -24,4 +24,4 @@ pub mod pool;
 pub mod prop;
 
 pub use pool::Pool;
-pub use prop::{Config, Gen, Source};
+pub use prop::{Config, Source};

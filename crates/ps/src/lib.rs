@@ -31,7 +31,6 @@
 //! checkpoint encode / bounds-checked decode of a partition.
 
 pub mod colmatrix;
-pub mod csr;
 pub mod element;
 pub mod error;
 pub mod master;
@@ -48,7 +47,6 @@ pub mod sync;
 pub mod vector;
 
 pub use colmatrix::ColMatrixHandle;
-pub use csr::CsrHandle;
 pub use element::Element;
 pub use error::PsError;
 pub use master::Master;

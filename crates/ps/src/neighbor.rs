@@ -1,6 +1,10 @@
-//! Server-resident neighbor tables (paper §III-A, §IV-B): the adjacency
-//! structure used by Common Neighbor, Triangle Count, and GraphSage's
-//! neighbor sampling.
+//! Server-resident neighbor tables (paper §III-A, §IV-B): the one PS
+//! adjacency object — Common Neighbor, Triangle Count, GraphSage's
+//! neighbor sampling and the streaming loop read it, and
+//! [`SnapshotWriter::neighbor_table`](crate::SnapshotWriter::neighbor_table)
+//! exports it as the immutable CSR the serving tier loads. CSR exists only
+//! where the adjacency no longer changes: the snapshot file and the serve
+//! shard.
 //!
 //! Executors build `(src, Array[dst])` entries with `groupBy` and push
 //! them to the PS; afterwards any executor can pull the adjacency of any

@@ -435,7 +435,6 @@ impl PsObject {
 mod tests {
     use super::*;
     use crate::colmatrix::ColPart;
-    use crate::csr::CsrPart;
     use crate::matrix::MatPart;
     use crate::neighbor::{NeighborEntry, TablePart};
     use crate::partition::Partitioner;
@@ -726,28 +725,16 @@ mod tests {
                     .enumerate()
                     .map(|(v, ns)| (v as u64 * 7, NeighborEntry::new(ns.clone())))
                     .collect();
-                let mut csr = CsrPart {
-                    start: src.u64_range(0, 100),
-                    offsets: vec![0],
-                    targets: vec![],
-                };
-                for ns in &lists {
-                    csr.targets.extend_from_slice(ns);
-                    csr.offsets.push(csr.targets.len() as u64);
-                }
                 let flips = src.vec_with(1, 4, |s| (s.any_u64(), s.choice(8) as u32));
-                (
-                    vec_dense, vec_sparse, mat_dense, mat_sparse, col, table, csr, flips,
-                )
+                (vec_dense, vec_sparse, mat_dense, mat_sparse, col, table, flips)
             },
-            |(vec_dense, vec_sparse, mat_dense, mat_sparse, col, table, csr, flips)| {
+            |(vec_dense, vec_sparse, mat_dense, mat_sparse, col, table, flips)| {
                 survives_damage::<VecPart<f64>>(vec_dense, flips)?;
                 survives_damage::<VecPart<u64>>(vec_sparse, flips)?;
                 survives_damage::<MatPart<f32>>(mat_dense, flips)?;
                 survives_damage::<MatPart<f32>>(mat_sparse, flips)?;
                 survives_damage(col, flips)?;
-                survives_damage(table, flips)?;
-                survives_damage(csr, flips)
+                survives_damage(table, flips)
             },
         );
     }
@@ -776,19 +763,6 @@ mod tests {
             },
         ] {
             assert!(ColPart::decode(&bad.encode()).is_err(), "{bad:?}");
-        }
-        // CSR offsets that run backwards or past the targets.
-        let csr = CsrPart {
-            start: 0,
-            offsets: vec![0, 2, 3],
-            targets: vec![7, 8, 9],
-        };
-        for offsets in [vec![0, 3, 2, 3], vec![1, 2, 3], vec![0, 2, 4], vec![]] {
-            let bad = CsrPart {
-                offsets,
-                ..csr.clone()
-            };
-            assert!(CsrPart::decode(&bad.encode()).is_err(), "{bad:?}");
         }
         // A dense matrix whose data is not whole rows.
         let mat = MatPart::Dense {

@@ -21,7 +21,6 @@ use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{NodeClock, Reader};
 
 use crate::colmatrix::ColMatrixHandle;
-use crate::csr::{offsets_tile, CsrHandle};
 use crate::element::Element;
 use crate::error::{PsError, Result};
 use crate::matrix::MatrixHandle;
@@ -211,6 +210,15 @@ pub fn load_object(
     })
 }
 
+/// Whether CSR `offsets` tile `targets` packed targets: they start at 0,
+/// never decrease and end at `targets`, so every consecutive pair slices
+/// the targets.
+fn offsets_tile(offsets: &[u64], targets: usize) -> bool {
+    offsets.first() == Some(&0)
+        && offsets.last() == Some(&(targets as u64))
+        && offsets.windows(2).all(|w| w[0] <= w[1])
+}
+
 /// The ids `[start, end)` in requests of at most [`EXPORT_CHUNK`].
 fn chunks(start: u64, end: u64) -> impl Iterator<Item = Vec<u64>> {
     (start..end)
@@ -218,18 +226,20 @@ fn chunks(start: u64, end: u64) -> impl Iterator<Item = Vec<u64>> {
         .map(move |lo| (lo..(lo + EXPORT_CHUNK as u64).min(end)).collect())
 }
 
-/// The CSR (`offsets` from 0, packed `targets`) of the adjacency lists
-/// `pull` returns for each request, concatenated in request order.
-fn pull_csr<L: AsRef<Vec<u64>>>(
+/// The CSR (`offsets` from 0, packed `targets`) of the live lists `h`
+/// holds for each request's ids, pulled by `client` one request at a
+/// time and concatenated in request order.
+fn pull_csr(
+    h: &NeighborTableHandle,
+    client: &NodeClock,
     requests: impl Iterator<Item = Vec<u64>>,
-    mut pull: impl FnMut(&[u64]) -> Result<Vec<L>>,
 ) -> Result<(Vec<u64>, Vec<u64>)> {
     let mut offsets = vec![0u64];
     let mut targets: Vec<u64> = Vec::new();
     for ids in requests {
         offsets.reserve(ids.len());
-        for ns in pull(&ids)? {
-            targets.extend_from_slice(ns.as_ref());
+        for ns in h.pull(client, &ids)? {
+            targets.extend_from_slice(&ns);
             offsets.push(targets.len() as u64);
         }
     }
@@ -337,27 +347,11 @@ impl<'a> SnapshotWriter<'a> {
         self.write_object(entry, payload)
     }
 
-    /// Export a CSR adjacency snapshot.
-    pub fn adjacency(&mut self, h: &CsrHandle) -> Result<()> {
-        let client = self.client;
-        self.csr(h.name(), h.num_vertices(), h.partition_versions()?, |ids| h.pull(client, ids))
-    }
-
-    /// Export a mutable neighbor table as a CSR adjacency snapshot (live
-    /// lists only — tombstones never reach the file).
+    /// Export a neighbor table as a CSR adjacency snapshot (live lists
+    /// only — tombstones never reach the file).
     pub fn neighbor_table(&mut self, h: &NeighborTableHandle) -> Result<()> {
-        let client = self.client;
-        self.csr(h.name(), h.num_vertices(), h.partition_versions()?, |ids| h.pull(client, ids))
-    }
-
-    fn csr<L: AsRef<Vec<u64>>>(
-        &mut self,
-        name: &str,
-        n: u64,
-        part_versions: Vec<u64>,
-        pull: impl FnMut(&[u64]) -> Result<Vec<L>>,
-    ) -> Result<()> {
-        let (offsets, targets) = pull_csr(chunks(0, n), pull)?;
+        let (n, part_versions) = (h.num_vertices(), h.partition_versions()?);
+        let (offsets, targets) = pull_csr(h, self.client, chunks(0, n))?;
         let mut payload = Vec::with_capacity((offsets.len() + 1 + targets.len()) * 8);
         for &o in &offsets {
             payload.put_u64_le(o);
@@ -367,7 +361,7 @@ impl<'a> SnapshotWriter<'a> {
             payload.put_u64_le(t);
         }
         let entry = SnapshotEntry {
-            name: name.to_string(),
+            name: h.name().to_string(),
             kind: SnapshotKind::Adjacency,
             rows: n,
             cols: 0,
@@ -709,30 +703,11 @@ impl<'a> DeltaWriter<'a> {
     /// as a CSR patch of its vertex range (live lists only). Returns the
     /// re-exported count.
     pub fn neighbor_table(&mut self, h: &NeighborTableHandle) -> Result<usize> {
-        let client = self.client;
-        let versions = h.partition_versions()?;
-        self.csr(h.name(), h.layout(), versions, |ids| h.pull(client, ids))
-    }
-
-    /// Diff a CSR adjacency (dirty only when rebuilt under the same
-    /// name). Returns the re-exported count.
-    pub fn adjacency(&mut self, h: &CsrHandle) -> Result<usize> {
-        let client = self.client;
-        let versions = h.partition_versions()?;
-        self.csr(h.name(), h.layout(), versions, |ids| h.pull(client, ids))
-    }
-
-    fn csr<L: AsRef<Vec<u64>>>(
-        &mut self,
-        name: &str,
-        layout: &PartitionLayout,
-        part_versions: Vec<u64>,
-        mut pull: impl FnMut(&[u64]) -> Result<Vec<L>>,
-    ) -> Result<usize> {
-        self.diff(name, SnapshotKind::Adjacency, layout.size, 0, part_versions, |p| {
+        let (client, name, layout) = (self.client, h.name(), h.layout());
+        self.diff(name, SnapshotKind::Adjacency, layout.size, 0, h.partition_versions()?, |p| {
             let (start, end) = range_of(layout, name, p)?;
             // One request per dirty partition.
-            let (offsets, targets) = pull_csr(std::iter::once((start..end).collect()), &mut pull)?;
+            let (offsets, targets) = pull_csr(h, client, std::iter::once((start..end).collect()))?;
             Ok(PatchRegion::Adj { row_lo: start, offsets, targets })
         })
     }
@@ -804,9 +779,9 @@ mod tests {
         embed.init_uniform(&c, 9, 1.0).unwrap();
         let embed_rows = embed.pull_rows(&c, &ids).unwrap();
 
-        let tables = vec![(0u64, vec![1, 2]), (3, vec![0]), (6, vec![5, 4, 3])];
-        let adj =
-            CsrHandle::build(&ps, "adj", 7, &tables, &c, RecoveryMode::Inconsistent).unwrap();
+        let (range, mode) = (Partitioner::Range, RecoveryMode::Inconsistent);
+        let adj = NeighborTableHandle::create(&ps, "adj", 7, range, mode).unwrap();
+        adj.push(&c, &[(0, vec![1, 2]), (3, vec![0]), (6, vec![5, 4, 3])]).unwrap();
 
         // A matrix with no rows still has a width.
         let empty = MatrixHandle::<f32>::create(
@@ -819,7 +794,7 @@ mod tests {
         w.vector_f64(&ranks).unwrap();
         w.vector_u64(&labels).unwrap();
         w.colmatrix(&embed).unwrap();
-        w.adjacency(&adj).unwrap();
+        w.neighbor_table(&adj).unwrap();
         w.matrix_f32(&empty).unwrap();
         let manifest = w.finish().unwrap();
         assert_eq!(manifest.entries.len(), 5);
@@ -898,6 +873,14 @@ mod tests {
     }
 
     #[test]
+    fn offsets_tile_only_when_every_pair_slices_the_targets() {
+        assert!(offsets_tile(&[0, 2, 3], 3));
+        for offsets in [&[0, 3, 2, 3][..], &[1, 2, 3], &[0, 2, 4], &[]] {
+            assert!(!offsets_tile(offsets, 3), "{offsets:?}");
+        }
+    }
+
+    #[test]
     fn delta_exports_only_dirty_partitions() {
         let ps = ps();
         let dfs = psgraph_dfs::Dfs::in_memory();
@@ -966,26 +949,27 @@ mod tests {
         let embed =
             ColMatrixHandle::create(&ps, "embed", 5, 6, RecoveryMode::Inconsistent).unwrap();
         embed.init_uniform(&c, 5, 1.0).unwrap();
-        let tables = vec![(0u64, vec![1, 2]), (3, vec![0])];
-        let adj =
-            CsrHandle::build(&ps, "adj", 5, &tables, &c, RecoveryMode::Inconsistent).unwrap();
+        // 5 vertices over 3 servers → range partitions {0}, {1}, {2, 3, 4}.
+        let (range, mode) = (Partitioner::Range, RecoveryMode::Inconsistent);
+        let adj = NeighborTableHandle::create(&ps, "adj", 5, range, mode).unwrap();
+        adj.push(&c, &[(0, vec![1, 2]), (3, vec![0])]).unwrap();
 
         let mut w = SnapshotWriter::new(&dfs, "/s2", &c);
         w.colmatrix(&embed).unwrap();
-        w.adjacency(&adj).unwrap();
+        w.neighbor_table(&adj).unwrap();
         let base = w.finish().unwrap();
 
         // A row update dirties every column partition it spans.
         embed.push_add_rows(&c, &[2], &[vec![1.0f32; 6]]).unwrap();
         let want = embed.pull_rows(&c, &[2]).unwrap().remove(0);
-        // Rebuilding under the same name continues the version counters.
-        let tables2 = vec![(0u64, vec![4]), (3, vec![0])];
-        let adj2 =
-            CsrHandle::build(&ps, "adj", 5, &tables2, &c, RecoveryMode::Inconsistent).unwrap();
+        // Vertex 0's list becomes [4] and vertex 3 gains 2: two of the
+        // three partitions move.
+        adj.update_edges(&c, &[(0, 1, false), (0, 2, false), (0, 4, true), (3, 2, true)])
+            .unwrap();
 
         let mut dw = DeltaWriter::new(&dfs, "/s2", &base, &c);
         assert!(dw.colmatrix(&embed).unwrap() >= 1);
-        assert!(dw.adjacency(&adj2).unwrap() >= 1);
+        assert_eq!(dw.neighbor_table(&adj).unwrap(), 2);
         let delta = dw.finish().unwrap();
 
         // Stitch the Cols regions back together for row 2 and compare
@@ -1006,7 +990,8 @@ mod tests {
             assert_eq!(x.unwrap().to_bits(), want[j].to_bits(), "col {j}");
         }
 
-        // Adjacency regions carry the rebuilt neighbour lists.
+        // Adjacency regions carry the live neighbour lists of the dirty
+        // partitions only.
         let mut neigh = vec![None::<Vec<u64>>; 5];
         for r in &delta.entry("adj").unwrap().regions {
             match r {
@@ -1021,7 +1006,9 @@ mod tests {
             }
         }
         assert_eq!(neigh[0].clone().unwrap(), vec![4]);
-        assert_eq!(neigh[3].clone().unwrap(), vec![0]);
+        assert_eq!(neigh[3].clone().unwrap(), vec![0, 2]);
+        assert_eq!(neigh[4].clone().unwrap(), Vec::<u64>::new());
+        assert_eq!(neigh[1], None, "the untouched partition is not re-exported");
 
         assert_eq!(SnapshotDelta::load(&dfs, "/s2", &c).unwrap(), delta);
     }

@@ -1,10 +1,10 @@
 //! Golden sim-cost test for the PS client tier: pins what "same bytes,
-//! same RPC order, same sim clock" means for the five handles.
+//! same RPC order, same sim clock" means for the four handles.
 //!
 //! One fixed script drives every public operation of `VectorHandle`,
-//! `MatrixHandle`, `ColMatrixHandle`, `NeighborTableHandle` and
-//! `CsrHandle` — plus the snapshot / delta writers, checkpoint + recovery
-//! and the fused residual-push round that sit on top of them — on a
+//! `MatrixHandle`, `ColMatrixHandle` and `NeighborTableHandle` — plus the
+//! snapshot / delta writers, checkpoint + recovery and the fused
+//! residual-push round that sit on top of them — on a
 //! 4-server PS (the benchmark's `SIM_SERVERS`) and on a 7-server PS (where,
 //! until PR 21, the order a request visited its servers could depend on
 //! which key it named first), under the Range and the Hash partitioner. Requests include
@@ -46,6 +46,20 @@
 //! before the dead server, and the port clocks that leaves behind — plus
 //! the rendered digest of the ten `plan.build` lines whose plan lists its
 //! ids in the new order (`results/PERF_pr21_gnn_epoch.txt` lists them).
+//!
+//! Re-recorded once more when the PS-resident CSR store was deleted and
+//! the neighbor table became the one PS adjacency object: the script lost
+//! its CSR operations — `csr.*`, `snapshot.adjacency`,
+//! `delta.rebuild csr`, `delta.adjacency`, `recovered csr.pull` and the two
+//! `dead1 csr.*` lines, 23 per configuration, 92 in all (970 → 878 lines).
+//! A script compared the 878 survivors with the parent's lines, label by
+//! label: 818 are byte-identical once `client=` / `ports=` are stripped; 40
+//! differ only in the sim clock the snapshot / delta export lines embed in
+//! their result; the other 20 are the `snapshot.finish`, `snapshot.files`,
+//! `delta.finish`, `delta.files` and `checkpoint.files` digests, whose
+//! listings no longer hold the `csr` object. No line's `rpcs`, `sent` or
+//! `recv` moved (`results/SIMPLICITY_pr29.txt` holds the script and its
+//! output).
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -53,7 +67,7 @@ use std::sync::Arc;
 use psgraph_dfs::Dfs;
 use psgraph_ps::snapshot::DeltaWriter;
 use psgraph_ps::{
-    ColMatrixHandle, CsrHandle, MatrixHandle, NeighborTableHandle, PartitionLayout,
+    ColMatrixHandle, MatrixHandle, NeighborTableHandle, PartitionLayout,
     PartitionViewMut, Partitioner, Ps, PsConfig, PushFrontier, RecoveryMode, SnapshotManifest,
     SnapshotWriter, VectorHandle,
 };
@@ -420,30 +434,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.op("neighbor.partition_versions", |_| nt.partition_versions());
     t.op("neighbor.resident_bytes", |_| nt.resident_bytes());
 
-    // ---- CSR ----
-    let tables: Vec<(u64, Vec<u64>)> = (0..N)
-        .step_by(3)
-        .map(|k| (k, (0..(k % 5)).map(|i| (k * 3 + i) % N).collect()))
-        .collect();
-    // (The handle itself is not rendered: its `Debug` text is not a cost.)
-    let mut built = None;
-    t.op("csr.build", |c| {
-        built
-            .insert(CsrHandle::build(&ps, "csr", N, &tables, c, rec).unwrap())
-            .num_vertices()
-    });
-    let csr = built.unwrap();
-    for (name, keys) in &reqs {
-        t.op(&format!("csr.pull {name}"), |c| csr.pull(c, keys));
-    }
-    for (name, keys) in &reqs {
-        t.op(&format!("csr.degrees {name}"), |c| csr.degrees(c, keys));
-    }
-    t.op("csr.out_of_bounds", |c| csr.degrees(c, &[N]));
-    t.op("csr.num_edges", |_| csr.num_edges());
-    t.op("csr.partition_versions", |_| csr.partition_versions());
-    t.op("csr.resident_bytes", |_| csr.resident_bytes());
-
     // ---- fused residual push (needs one range layout) ----
     if partitioner == Partitioner::Range {
         let ranks = VectorHandle::<f64>::create(&ps, "pr.ranks", N, partitioner, rec).unwrap();
@@ -480,9 +470,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
         t.op("snapshot.colmatrix", |_| {
             (w.colmatrix(&cm), client.now().as_nanos())
         });
-        t.op("snapshot.adjacency", |_| {
-            (w.adjacency(&csr), client.now().as_nanos())
-        });
         t.op("snapshot.neighbor_table", |_| {
             (w.neighbor_table(&nt), client.now().as_nanos())
         });
@@ -505,13 +492,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.op("delta.dirty neighbor", |c| {
         nt.update_edges(c, &[(55, 6, true), (3, 11, false)])
     });
-    let mut rebuilt = None;
-    t.op("delta.rebuild csr", |c| {
-        rebuilt
-            .insert(CsrHandle::build(&ps, "csr", N, &tables[1..], c, rec).unwrap())
-            .num_edges()
-    });
-    let csr2 = rebuilt.unwrap();
     {
         let client = NodeClock::new();
         client.sync_to(t.client.now());
@@ -527,9 +507,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
         });
         t.op("delta.colmatrix", |_| {
             (w.colmatrix(&cm), client.now().as_nanos())
-        });
-        t.op("delta.adjacency", |_| {
-            (w.adjacency(&csr2), client.now().as_nanos())
         });
         t.op("delta.neighbor_table", |_| {
             (w.neighbor_table(&nt), client.now().as_nanos())
@@ -557,7 +534,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.op("recovered colmatrix.pull_rows", |c| cm.pull_rows(c, &crow));
     t.op("recovered neighbor.pull", |c| nt.pull(c, &mixed));
     t.op("recovered neighbor.tombstones", |_| nt.tombstones());
-    t.op("recovered csr.pull", |c| csr2.pull(c, &mixed));
     t.op("recovered partition_versions", |_| {
         (
             v.partition_versions(),
@@ -593,8 +569,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.op("dead1 neighbor.update_edges_sharded", |c| {
         nt.update_edges_sharded(&[(c, &lane0), (&lane_clock, &lane1)])
     });
-    t.op("dead1 csr.pull", |c| csr2.pull(c, &mixed));
-    t.op("dead1 csr.degrees", |c| csr2.degrees(c, &reqs[1].1));
     t.op("dead1 partition_versions", |_| v.partition_versions());
     t.op("dead1 resident_bytes", |_| m.resident_bytes());
     t.op("dead1 checkpoint", |_| ps.checkpoint(&dfs, "v"));

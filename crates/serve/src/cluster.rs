@@ -6,7 +6,8 @@ use psgraph_ps::snapshot::{
     load_object, DeltaEntry, PatchRegion, SnapshotDelta, SnapshotManifest, SnapshotWriter,
 };
 use psgraph_ps::{
-    ColMatrixHandle, CsrHandle, Element, Partitioner, Ps, PsConfig, RecoveryMode, VectorHandle,
+    ColMatrixHandle, Element, NeighborTableHandle, Partitioner, Ps, PsConfig, RecoveryMode,
+    VectorHandle,
 };
 use psgraph_sim::{CostModel, NodeClock};
 use std::ops::Range;
@@ -277,8 +278,10 @@ impl ServeCluster {
     /// the same path production data takes, so shard slicing, column
     /// partitioning, and the planner's statistics all come out exactly
     /// as a real load. Any object may be `None` (the tier then refuses
-    /// the queries needing it); at least one must be present, and all
-    /// present objects must agree on the vertex count.
+    /// the queries needing it); at least one must be present, all
+    /// present objects must agree on the vertex count (checked before any
+    /// PS object is built), every adjacency target must be a vertex, and
+    /// every embedding row must have the first row's width.
     pub fn from_arrays(
         ranks: Option<&[f64]>,
         communities: Option<&[u64]>,
@@ -303,13 +306,22 @@ impl ServeCluster {
         embeddings: Option<&[Vec<f32>]>,
         cfg: &ServeConfig,
     ) -> Result<(Self, Backend)> {
-        let n = ranks
-            .map(<[f64]>::len)
-            .or(communities.map(<[u64]>::len))
-            .or(adjacency.map(<[Vec<u64>]>::len))
-            .or(embeddings.map(<[Vec<f32>]>::len))
-            .ok_or_else(|| ServeError::Dfs("from_arrays needs at least one object".into()))?
-            as u64;
+        let mut lens = [
+            ranks.map(<[f64]>::len),
+            communities.map(<[u64]>::len),
+            adjacency.map(<[Vec<u64>]>::len),
+            embeddings.map(<[Vec<f32>]>::len),
+        ]
+        .into_iter()
+        .flatten();
+        let n = lens
+            .next()
+            .ok_or_else(|| ServeError::Dfs("from_arrays needs at least one object".into()))?;
+        if let Some(len) = lens.find(|&len| len != n) {
+            let msg = format!("from_arrays: objects of {n} and of {len} vertices");
+            return Err(ServeError::Dfs(msg));
+        }
+        let n = n as u64;
 
         let ps = Ps::new(PsConfig::default());
         let dfs = Dfs::in_memory();
@@ -321,10 +333,13 @@ impl ServeCluster {
         let communities =
             communities.map(|c| vector(&ps, name("community"), &ids, c, &client)).transpose()?;
         let adjacency = adjacency
-            .map(|adj| {
+            .map(|adj| -> Result<_> {
+                let (range, mode) = (Partitioner::Range, RecoveryMode::Consistent);
+                let h = NeighborTableHandle::create(&ps, name("adj"), n, range, mode)?;
                 let tables: Vec<(u64, Vec<u64>)> =
                     adj.iter().enumerate().map(|(i, ns)| (i as u64, ns.clone())).collect();
-                CsrHandle::build(&ps, name("adj"), n, &tables, &client, RecoveryMode::Consistent)
+                h.push(&client, &tables)?;
+                Ok(h)
             })
             .transpose()?;
         let embeddings = embeddings
@@ -349,7 +364,7 @@ impl ServeCluster {
             objects.communities = Some(name("community"));
         }
         if let Some(h) = &adjacency {
-            w.adjacency(h)?;
+            w.neighbor_table(h)?;
             objects.adjacency = Some(name("adj"));
         }
         if let Some(h) = &embeddings {
@@ -437,7 +452,7 @@ struct Backend {
     manifest: SnapshotManifest,
     ranks: Option<VectorHandle<f64>>,
     communities: Option<VectorHandle<u64>>,
-    adjacency: Option<CsrHandle>,
+    adjacency: Option<NeighborTableHandle>,
     embeddings: Option<ColMatrixHandle>,
 }
 
@@ -686,7 +701,7 @@ pub struct DemoBackend {
     pub manifest: SnapshotManifest,
     pub ranks: VectorHandle<f64>,
     pub communities: VectorHandle<u64>,
-    pub adjacency: CsrHandle,
+    pub adjacency: NeighborTableHandle,
     pub embeddings: ColMatrixHandle,
 }
 
@@ -927,20 +942,26 @@ mod tests {
         let (mut cluster, truth, backend) =
             ServeCluster::demo_with_ps(24, 4, &ServeConfig::default()).unwrap();
 
-        // Warm the cache: a rank the delta will touch, one it won't, and
-        // an embedding row.
+        // Warm the cache: a rank and a neighbour list the delta will
+        // touch, one of each it won't, and an embedding row.
         let mut t = SimTime::ZERO;
-        for (i, q) in [Query::Rank(1), Query::Rank(23), Query::Embedding(5)]
-            .into_iter()
-            .enumerate()
-        {
+        let warm = [
+            Query::Rank(1),
+            Query::Rank(23),
+            Query::Embedding(5),
+            Query::Neighbors(3),
+            Query::Neighbors(20),
+        ];
+        for (i, q) in warm.into_iter().enumerate() {
             cluster.frontend_mut().execute_now(i, t, q);
             t += SimTime::from_millis(1);
         }
 
         // Train a little more: ranks 0..3 change (one PS partition of
         // twelve vertices → shard 0 only), one embedding row changes
-        // (dirties every column partition).
+        // (dirties every column partition), and vertex 3 drops neighbour
+        // 4 and gains 10 the way the streaming ingestor edits the table
+        // (shard 0 again).
         backend
             .ranks
             .push_set(&backend.client, &[0, 1, 2], &[10.0, 11.0, 12.0])
@@ -950,23 +971,26 @@ mod tests {
             .push_add_rows(&backend.client, &[5], &[vec![1.0f32; 4]])
             .unwrap();
         let new_embed_5 = backend.embeddings.pull_rows(&backend.client, &[5]).unwrap().remove(0);
+        backend.adjacency.update_edges(&backend.client, &[(3, 4, false), (3, 10, true)]).unwrap();
 
         let mut dw =
             DeltaWriter::new(&backend.dfs, &backend.dir, &backend.manifest, &backend.client);
         assert_eq!(dw.vector_f64(&backend.ranks).unwrap(), 1);
         assert!(dw.colmatrix(&backend.embeddings).unwrap() >= 1);
         assert_eq!(dw.vector_u64(&backend.communities).unwrap(), 0);
-        assert_eq!(dw.adjacency(&backend.adjacency).unwrap(), 0);
+        assert_eq!(dw.neighbor_table(&backend.adjacency).unwrap(), 1);
         let delta = dw.finish().unwrap();
 
         let stats = cluster.swap_in(&delta).unwrap();
         assert_eq!(stats.shards_rebuilt, 2, "rank patch hits shard 0, embed patch hits both");
-        // Stale keys gone — rank 1 and embedding 5 — untouched rank 23
-        // kept.
-        assert!(stats.keys_invalidated >= 2);
+        // Stale keys gone — rank 1, embedding 5 and vertex 3's list —
+        // untouched rank 23 and vertex 20's list kept.
+        assert!(stats.keys_invalidated >= 3);
         assert!(cluster.frontend().cache().peek(&(TAG_RANK, 1)).is_none());
         assert!(cluster.frontend().cache().peek(&(TAG_EMBEDDING, 5)).is_none());
+        assert!(cluster.frontend().cache().peek(&(TAG_NEIGHBORS, 3)).is_none());
         assert!(cluster.frontend().cache().peek(&(TAG_RANK, 23)).is_some());
+        assert!(cluster.frontend().cache().peek(&(TAG_NEIGHBORS, 20)).is_some());
 
         // Post-swap answers match post-update PS state, bit for bit.
         let outs = cluster.frontend_mut().execute_now(10, t, Query::Rank(1));
@@ -987,6 +1011,14 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
+        let outs = cluster.frontend_mut().execute_now(13, t, Query::Neighbors(3));
+        match &outs[0].1 {
+            Outcome::Answered { value: Value::Neighbors(ns), cached, .. } => {
+                assert!(!cached);
+                assert_eq!((&truth.adjacency[3], ns), (&vec![4, 5], &vec![5, 10]));
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
         // The surviving cache entry still answers, correctly.
         let outs = cluster.frontend_mut().execute_now(12, t, Query::Rank(23));
         match &outs[0].1 {
@@ -996,6 +1028,44 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
+    }
+
+    /// Arrays that disagree on the vertex count, a ragged embedding row
+    /// and an adjacency target past the last vertex are each an error,
+    /// never a panic or a tier serving empty lists.
+    #[test]
+    fn from_arrays_refuses_inconsistent_arrays() {
+        let cfg = ServeConfig::default();
+        let (_, t) = ServeCluster::demo(8, 2, &cfg).unwrap();
+        let build = |r: &[f64], c: &[u64], a: &[Vec<u64>], e: &[Vec<f32>]| {
+            ServeCluster::from_arrays(Some(r), Some(c), Some(a), Some(e), &cfg).map(|_| ())
+        };
+        assert!(build(&t.ranks, &t.communities, &t.adjacency, &t.embeddings).is_ok());
+        for len in [7, 9] {
+            let mut r = t.ranks.clone();
+            r.resize(len, 0.5);
+            let mut c = t.communities.clone();
+            c.resize(len, 1);
+            let mut a = t.adjacency.clone();
+            a.resize(len, Vec::new());
+            let mut e = t.embeddings.clone();
+            e.resize(len, vec![0.5; 2]);
+            let results = [
+                build(&r, &t.communities, &t.adjacency, &t.embeddings),
+                build(&t.ranks, &c, &t.adjacency, &t.embeddings),
+                build(&t.ranks, &t.communities, &a, &t.embeddings),
+                build(&t.ranks, &t.communities, &t.adjacency, &e),
+            ];
+            for (object, got) in results.into_iter().enumerate() {
+                assert!(got.is_err(), "object {object} with {len} of 8 entries: {got:?}");
+            }
+        }
+        let mut ragged = t.embeddings.clone();
+        ragged[3].push(0.5);
+        assert!(build(&t.ranks, &t.communities, &t.adjacency, &ragged).is_err());
+        let mut past = t.adjacency.clone();
+        past[2].push(8);
+        assert!(build(&t.ranks, &t.communities, &past, &t.embeddings).is_err());
     }
 
     /// `SnapshotDelta::decode` accepts all of these (it checks lengths

@@ -5,8 +5,7 @@
 //! algorithm: compute out-degrees into a PS vector, then run a
 //! user-defined psFunc that rescales the whole vector *on the servers* —
 //! no degree ever crosses the network after the initial push. The job is
-//! then driven end-to-end through `run_job` (load → transform → save),
-//! and the same adjacency is mirrored into the memory-dense CSR store.
+//! then driven end-to-end through `run_job` (load → transform → save).
 //!
 //! ```text
 //! cargo run --release --example custom_operator
@@ -18,7 +17,7 @@ use psgraph::core::runner;
 use psgraph::core::{run_job, GraphAlgorithm, PsGraphContext};
 use psgraph::dataflow::Rdd;
 use psgraph::graph::{gen, io};
-use psgraph::ps::{CsrHandle, PartitionViewMut, Partitioner, RecoveryMode, VectorHandle};
+use psgraph::ps::{PartitionViewMut, Partitioner, RecoveryMode, VectorHandle};
 
 /// A user-defined algorithm: normalized degree centrality.
 struct DegreeCentrality;
@@ -100,18 +99,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert!((top[0].1 - 1.0).abs() < 1e-12, "max normalizes to 1.0");
 
-    // Bonus: snapshot the adjacency into the dense CSR store and compare
-    // footprints with the mutable neighbor table.
-    let tables: Vec<(u64, Vec<u64>)> = g.neighbor_tables().into_iter().collect();
-    let csr = CsrHandle::build(
-        ctx.ps(), "adj.csr", g.num_vertices(), &tables, ctx.cluster().driver(),
-        RecoveryMode::Inconsistent,
-    )?;
-    println!(
-        "CSR snapshot: {} edges in {} KB on the servers",
-        csr.num_edges()?,
-        csr.resident_bytes()? / 1024
-    );
     println!("total simulated cluster time: {}", ctx.now());
     Ok(())
 }

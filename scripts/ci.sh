@@ -39,7 +39,7 @@ graph 0
 graphx 0
 harness 1
 net 0
-ps 4
+ps 3
 query 2
 serve 14
 sim 3

@@ -2,6 +2,8 @@
 //! through its public reader: an error or a value that can be used, never
 //! a panic or an allocation sized by a corrupt count.
 
+use std::sync::Arc;
+
 use psgraph_harness::prop::{self, check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
 use psgraph_stream::recovery::StreamCheckpoint;
@@ -12,8 +14,8 @@ use psgraph::dfs::Dfs;
 use psgraph::graph::{io, EdgeList};
 use psgraph::ps::snapshot::{load_object, DeltaWriter, PatchRegion, SnapshotDelta};
 use psgraph::ps::{
-    ColMatrixHandle, CsrHandle, MatrixHandle, Partitioner, RecoveryMode, SnapshotEntry,
-    SnapshotKind, SnapshotManifest, SnapshotWriter, VectorHandle,
+    ColMatrixHandle, MatrixHandle, NeighborTableHandle, Partitioner, Ps, RecoveryMode,
+    SnapshotEntry, SnapshotKind, SnapshotManifest, SnapshotWriter, VectorHandle,
 };
 use psgraph::serve::{ObjectMap, ServeCluster, ServeConfig};
 use psgraph::sim::{NodeClock, SimTime};
@@ -93,15 +95,28 @@ fn counts_that_overflow_and_trailing_bytes_are_errors() {
     }
 }
 
+/// A range-partitioned neighbor table `adj` over `n` vertices holding
+/// `tables`, pushed by `c` — the PS object an adjacency snapshot is
+/// exported from.
+fn adjacency(
+    ps: &Arc<Ps>,
+    c: &NodeClock,
+    n: u64,
+    tables: &[(u64, Vec<u64>)],
+) -> NeighborTableHandle {
+    let (range, mode) = (Partitioner::Range, RecoveryMode::Inconsistent);
+    let adj = NeighborTableHandle::create(ps, "adj", n, range, mode).unwrap();
+    adj.push(c, tables).unwrap();
+    adj
+}
+
 #[test]
 fn serve_load_rejects_adjacency_offsets_past_the_targets() {
     let ctx = PsGraphContext::local();
     let (dfs, c) = (ctx.dfs(), ctx.cluster().driver());
-    let tables = [(0u64, vec![1, 2]), (3, vec![0])];
-    let adj = CsrHandle::build(ctx.ps(), "adj", 4, &tables, c, RecoveryMode::Inconsistent);
-    let adj = adj.unwrap();
+    let adj = adjacency(ctx.ps(), c, 4, &[(0, vec![1, 2]), (3, vec![0])]);
     let mut w = SnapshotWriter::new(dfs, "/snap", c);
-    w.adjacency(&adj).unwrap();
+    w.neighbor_table(&adj).unwrap();
     w.finish().unwrap();
     let objects = ObjectMap { adjacency: Some("adj".into()), ..ObjectMap::default() };
     let cfg = ServeConfig::default();
@@ -109,6 +124,7 @@ fn serve_load_rejects_adjacency_offsets_past_the_targets() {
 
     // Kind, rows and cols, then 5 offsets: the last one, 3, becomes 9.
     let mut bytes = dfs.read("/snap/adj.snap", c).unwrap().to_vec();
+    assert_eq!(bytes[13..], le(&[0, 2, 2, 2, 3, 3, 1, 2, 0]), "offsets, count, targets");
     bytes[13 + 4 * 8] = 9;
     dfs.write("/snap/adj.snap", &bytes, c).unwrap();
     assert!(ServeCluster::load(dfs, "/snap", &objects, &cfg, c).is_err());
@@ -122,34 +138,37 @@ fn serve_load_rejects_adjacency_offsets_past_the_targets() {
 fn serve_rejects_adjacency_targets_past_the_last_vertex() {
     let ctx = PsGraphContext::local();
     let (dfs, c) = (ctx.dfs(), ctx.cluster().driver());
-    let adj = |tables: &[(u64, Vec<u64>)]| {
-        CsrHandle::build(ctx.ps(), "adj", 4, tables, c, RecoveryMode::Inconsistent).unwrap()
-    };
+    let adj = adjacency(ctx.ps(), c, 4, &[(0, vec![1, 2]), (3, vec![0])]);
     let mut w = SnapshotWriter::new(dfs, "/snap", c);
-    w.adjacency(&adj(&[(0, vec![1, 2]), (3, vec![0])])).unwrap();
+    w.neighbor_table(&adj).unwrap();
     let base = w.finish().unwrap();
     let objects = ObjectMap { adjacency: Some("adj".into()), ..ObjectMap::default() };
     let cfg = ServeConfig::default();
-    // Both files end with their last adjacency target.
-    let retarget = |path: &str| {
+    // Both files end with their last adjacency target: vertex 3's last
+    // neighbour, `last`.
+    let retarget = |path: &str, last: u64| {
         let mut bytes = dfs.read(path, c).unwrap().to_vec();
         let at = bytes.len() - 8;
+        assert_eq!(bytes[at..], le(&[last]), "{path} ends with vertex 3's last neighbour");
         bytes[at..].copy_from_slice(&(1u64 << 40).to_le_bytes());
         dfs.write(path, &bytes, c).unwrap();
     };
 
     let good = dfs.read("/snap/adj.snap", c).unwrap().to_vec();
-    retarget("/snap/adj.snap");
+    retarget("/snap/adj.snap", 0);
     assert!(ServeCluster::load(dfs, "/snap", &objects, &cfg, c).is_err(), "snapshot object");
     dfs.write("/snap/adj.snap", &good, c).unwrap();
     let mut cluster = ServeCluster::load(dfs, "/snap", &objects, &cfg, c).unwrap();
 
+    // Vertex 3's list becomes [2]: the delta's one region is the last
+    // partition, which ends with vertex 3.
+    adj.update_edges(c, &[(3, 0, false), (3, 2, true)]).unwrap();
     let mut dw = DeltaWriter::new(dfs, "/snap", &base, c);
-    dw.adjacency(&adj(&[(0, vec![1, 2]), (3, vec![2])])).unwrap();
+    assert_eq!(dw.neighbor_table(&adj).unwrap(), 1);
     let intact = dw.finish().unwrap();
     let mut control = ServeCluster::load(dfs, "/snap", &objects, &cfg, c).unwrap();
     control.swap_in(&intact).unwrap();
-    retarget("/snap/DELTA");
+    retarget("/snap/DELTA", 2);
     let delta = SnapshotDelta::load(dfs, "/snap", c).unwrap();
     assert!(cluster.swap_in(&delta).is_err(), "delta");
 }
@@ -168,28 +187,26 @@ fn snapshot(ctx: &PsGraphContext, dir: &str) -> (SnapshotManifest, SnapshotDelta
     embed.init_uniform(c, 3, 1.0).unwrap();
     let feat = MatrixHandle::<f32>::create(ps, "feat", 6, 2, range, consistent).unwrap();
     feat.init_uniform(c, 5, 1.0).unwrap();
-    let tables = [(0u64, vec![1, 2]), (4, vec![5])];
-    let adj = CsrHandle::build(ps, "adj", 6, &tables, c, RecoveryMode::Inconsistent).unwrap();
+    let adj = adjacency(ps, c, 6, &[(0, vec![1, 2]), (4, vec![5])]);
     let mut w = SnapshotWriter::new(dfs, dir, c);
     w.vector_f64(&rank).unwrap();
     w.vector_u64(&label).unwrap();
     w.colmatrix(&embed).unwrap();
     w.matrix_f32(&feat).unwrap();
-    w.adjacency(&adj).unwrap();
+    w.neighbor_table(&adj).unwrap();
     let base = w.finish().unwrap();
 
     rank.push_set(c, &[1], &[9.0]).unwrap();
     label.push_set(c, &[5], &[7]).unwrap();
     embed.push_add_rows(c, &[2], &[vec![1.0; 2]]).unwrap();
     feat.push_set_rows(c, &[0], &[vec![0.25, -1.0]]).unwrap();
-    let tables = [(0u64, vec![3]), (4, vec![5])];
-    let adj = CsrHandle::build(ps, "adj", 6, &tables, c, RecoveryMode::Inconsistent).unwrap();
+    adj.update_edges(c, &[(0, 1, false), (0, 2, false), (0, 3, true)]).unwrap();
     let mut dw = DeltaWriter::new(dfs, dir, &base, c);
     dw.vector_f64(&rank).unwrap();
     dw.vector_u64(&label).unwrap();
     dw.colmatrix(&embed).unwrap();
     dw.matrix_f32(&feat).unwrap();
-    dw.adjacency(&adj).unwrap();
+    dw.neighbor_table(&adj).unwrap();
     let delta = dw.finish().unwrap();
     (base, delta)
 }
