@@ -8,10 +8,11 @@
 //! talks to the PS once per round for all its partitions' batches, so a
 //! hub's list reaches it once per round, not once per partition.
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 use psgraph_dataflow::{DataflowError, Executor, Rdd};
-use psgraph_graph::metrics::sorted_intersection_count;
+use psgraph_graph::metrics::Anchor;
 use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
 
 use crate::context::{PsGraphContext, RunStats};
@@ -173,6 +174,12 @@ pub(crate) fn batch_of(part: &[(u64, u64)], round: usize, batch: usize) -> &[(u6
 /// current batch of every partition it hosts — one request, so a list that
 /// several batches name is shipped once — and count `|N(a) ∩ N(b)|` per
 /// pair, batch by batch.
+///
+/// Each pair is keyed by the endpoint with the longer list (ties: the
+/// smaller id), and the pairs of one key are counted against one
+/// [`Anchor`] load of its list, so a hub's list is loaded once per round
+/// however many of the round's pairs name it. The counts go back to their
+/// pairs' slots, and the charged work is the same sum in any order.
 pub(crate) fn count_common(
     ctx: &PsGraphContext,
     exec: &Executor,
@@ -182,25 +189,33 @@ pub(crate) fn count_common(
     let wanted: Vec<u64> =
         batches.iter().flat_map(|pairs| pairs.iter()).flat_map(|&(a, b)| [a, b]).collect();
     let neigh = adj.pull(exec.clock(), &wanted).df()?;
-    let mut lists = neigh.chunks_exact(2);
-    let (mut work, mut scratch) = (0u64, Vec::new());
-    let counts = batches
-        .iter()
-        .map(|pairs| {
-            lists
-                .by_ref()
-                .take(pairs.len())
-                .map(|ab| {
-                    let (count, comparisons) =
-                        sorted_intersection_count(&ab[0], &ab[1], &mut scratch);
-                    work += comparisons;
-                    count
-                })
-                .collect()
+    // `(key, slot)`: the pair in slot `s` has its ids at `wanted[2s..2s + 2]`
+    // and its lists at the same places in `neigh`.
+    let mut keyed: Vec<(u64, usize)> = (0..wanted.len() / 2)
+        .map(|slot| {
+            let [a, b] = [2 * slot, 2 * slot + 1].map(|i| (neigh[i].len(), Reverse(wanted[i])));
+            (if a >= b { wanted[2 * slot] } else { wanted[2 * slot + 1] }, slot)
         })
         .collect();
+    keyed.sort_unstable();
+    let mut counts = vec![0u64; keyed.len()];
+    let (mut work, mut anchor) = (0u64, Anchor::default());
+    for run in keyed.chunk_by(|x, y| x.0 == y.0) {
+        // The key's side of a slot, and the other side.
+        let sides = |slot: usize| {
+            let i = 2 * slot + (wanted[2 * slot] != run[0].0) as usize;
+            (&neigh[i], &neigh[i ^ 1])
+        };
+        let mut anchored = anchor.load(sides(run[0].1).0);
+        for &(_, slot) in run {
+            let (count, comparisons) = anchored.count(sides(slot).1);
+            counts[slot] = count;
+            work += comparisons;
+        }
+    }
     exec.charge_cpu(ctx.cluster().cost(), work * 3);
-    Ok(counts)
+    let mut counts = counts.into_iter();
+    Ok(batches.iter().map(|pairs| counts.by_ref().take(pairs.len()).collect()).collect())
 }
 
 #[cfg(test)]
@@ -281,6 +296,77 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         assert!(small.stats.supersteps > big.stats.supersteps);
+    }
+
+    /// The per-pair form `count_common` groups: each pair's two lists
+    /// through the one-pair kernel, in slot order.
+    fn count_common_per_pair(
+        ctx: &PsGraphContext,
+        exec: &Executor,
+        adj: &NeighborTableHandle,
+        batches: &[&[(u64, u64)]],
+    ) -> Vec<Vec<u64>> {
+        let wanted: Vec<u64> =
+            batches.iter().flat_map(|pairs| pairs.iter()).flat_map(|&(a, b)| [a, b]).collect();
+        let neigh = adj.pull(exec.clock(), &wanted).unwrap();
+        let mut lists = neigh.chunks_exact(2);
+        let (mut work, mut anchor) = (0u64, Anchor::default());
+        let counts = batches
+            .iter()
+            .map(|pairs| {
+                let per_pair = lists.by_ref().take(pairs.len()).map(|ab| {
+                    let (count, comparisons) =
+                        metrics::sorted_intersection_count(&ab[0], &ab[1], &mut anchor);
+                    work += comparisons;
+                    count
+                });
+                per_pair.collect()
+            })
+            .collect();
+        exec.charge_cpu(ctx.cluster().cost(), work * 3);
+        counts
+    }
+
+    #[test]
+    fn grouped_round_counts_and_charges_like_the_per_pair_kernel() {
+        // Hub 0 is adjacent to 1..=40, a path and a chord join 1..=5, 6 has
+        // three neighbours spread over the hub's range, 40 only the hub,
+        // and 41..50 no list at all.
+        let mut edges: Vec<(u64, u64)> = (1..=40).map(|v| (0, v)).collect();
+        edges.extend([(1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (6, 20), (6, 39)]);
+        let g = EdgeList::new(50, edges);
+        let batches: [&[(u64, u64)]; 4] = [
+            // The hub recurs on either side; (4, 5) is the only pair keyed
+            // by 4, a run of one.
+            &[(0, 1), (2, 0), (0, 3), (1, 2), (4, 0), (6, 0), (4, 5)],
+            // A self pair, an endpoint with no list on either side, and the
+            // hub against a one-element list.
+            &[(3, 3), (45, 2), (0, 45), (0, 40), (2, 4)],
+            &[],
+            &[(5, 1), (40, 0), (45, 45), (6, 3)],
+        ];
+        type Round<'a> =
+            dyn Fn(&PsGraphContext, &Executor, &NeighborTableHandle) -> Vec<Vec<u64>> + 'a;
+        let run = |count: &Round<'_>| {
+            let ctx = PsGraphContext::local();
+            let edges = distribute_edges(&ctx, &g, 4).unwrap();
+            let tables = crate::runner::to_undirected_neighbor_tables(&edges).unwrap();
+            let adj = NeighborTableHandle::create(
+                ctx.ps(), "adj", 50, Partitioner::Hash, RecoveryMode::Inconsistent,
+            )
+            .unwrap();
+            push_adjacency(&ctx, &tables, &adj).unwrap();
+            let exec = ctx.cluster().executor(0);
+            let counts = count(&ctx, exec, &adj);
+            (counts, exec.clock().now())
+        };
+        let grouped = run(&|ctx, exec, adj| count_common(ctx, exec, adj, &batches).unwrap());
+        // Same counts in the same places, and the same charge to the clock.
+        assert_eq!(grouped, run(&|ctx, exec, adj| count_common_per_pair(ctx, exec, adj, &batches)));
+        let pairs: Vec<(u64, u64)> = batches.concat();
+        let exact = metrics::common_neighbors_exact(&g, &pairs);
+        assert_eq!(grouped.0.concat(), exact);
+        assert_eq!(grouped.0.iter().map(Vec::len).collect::<Vec<_>>(), [7, 5, 0, 4]);
     }
 
     #[test]

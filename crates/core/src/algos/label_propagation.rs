@@ -82,19 +82,16 @@ impl LabelPropagation {
                         cursor += 1;
                         let nlabels = &got[cursor..cursor + ns.len()];
                         cursor += ns.len();
-                        if ns.is_empty() {
-                            continue;
-                        }
                         let mut freq: FxHashMap<u64, u64> = FxHashMap::default();
                         for &l in nlabels {
                             *freq.entry(l).or_default() += 1;
                         }
-                        let best = freq
-                            .iter()
-                            .map(|(&l, &c)| (c, std::cmp::Reverse(l)))
-                            .max()
-                            .map(|(_, std::cmp::Reverse(l))| l)
-                            .unwrap();
+                        // The most frequent label, ties to the smallest; a
+                        // vertex without neighbours keeps its own.
+                        let best = freq.iter().map(|(&l, &c)| (c, std::cmp::Reverse(l))).max();
+                        let Some((_, std::cmp::Reverse(best))) = best else {
+                            continue;
+                        };
                         work += ns.len() as u64;
                         if best != own {
                             upd_idx.push(*v);

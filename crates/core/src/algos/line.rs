@@ -139,6 +139,9 @@ impl Line {
             LineOrder::First => None,
         };
         ctx.cluster().clock().barrier([ctx.cluster().driver()]);
+        // Second order scores against the context matrix, first order
+        // against the embeddings themselves.
+        let target_matrix = context.as_ref().unwrap_or(&embed);
 
         // Noise distribution from out-degrees (driver-side, shared).
         let degrees = {
@@ -161,7 +164,6 @@ impl Line {
             supersteps += 1;
 
             let embed_ref = &embed;
-            let context_ref = &context;
             let noise_ref = &noise;
             let partition_losses: Vec<(f64, u64)> = ctx
                 .cluster()
@@ -187,10 +189,6 @@ impl Line {
                             }
                         }
                         samples_n += samples.len() as u64;
-                        let target_matrix: &ColMatrixHandle = match cfg.order {
-                            LineOrder::Second => context_ref.as_ref().unwrap(),
-                            LineOrder::First => embed_ref,
-                        };
                         let pairs: Vec<(u64, u64)> =
                             samples.iter().map(|&(i, t, _)| (i, t)).collect();
                         if cfg.use_psfunc {

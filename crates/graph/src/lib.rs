@@ -11,8 +11,8 @@
 //! (power-iteration PageRank, peeling K-core, exact triangle count,
 //! modularity) used by the test suites to validate the distributed
 //! algorithms, never by the benchmarks themselves — plus
-//! [`metrics::sorted_intersection_count`], the sorted-list intersection
-//! kernel the Common Neighbor / Triangle Count jobs run per pair.
+//! [`metrics::Anchor`], the sorted-list intersection kernel the Common
+//! Neighbor / Triangle Count jobs run per pair.
 
 pub mod datasets;
 pub mod edgelist;

@@ -3,13 +3,15 @@
 //! only used on small test graphs.
 //!
 //! The exceptions are the kernels the distributed jobs share:
-//! [`h_index`] (K-Core's update rule) and [`sorted_intersection_count`],
-//! the per-pair kernel the Common Neighbor / Triangle Count jobs (PSGraph
-//! and the GraphX baseline alike) run on every queried pair. Its
-//! comparison count is what the callers charge to the sim clock: for
-//! lists of comparable length it intersects through a bitmap and returns
-//! the step count a linear merge would have taken, derived in closed form;
-//! for a hub against a short list it gallops and counts what it did.
+//! [`h_index`] (K-Core's update rule) and [`Anchor`], the sorted-list
+//! intersection the Common Neighbor / Triangle Count jobs (PSGraph and the
+//! GraphX baseline alike) run on every queried pair. It holds one list as a
+//! bitmap over ids with per-word prefix popcounts, so one executor round
+//! loads a hub's list once for all its partners. Its comparison count is
+//! what the callers charge to the sim clock: the steps of a linear merge
+//! for lists of comparable length, of a gallop for a hub against a short
+//! list — both derived in closed form from ranks, neither walked.
+//! [`sorted_intersection_count`] is its one-pair form.
 
 use psgraph_sim::{FxHashMap, FxHashSet};
 
@@ -118,99 +120,228 @@ pub fn common_neighbors_exact(g: &EdgeList, pairs: &[(u64, u64)]) -> Vec<u64> {
         .collect()
 }
 
-/// Below this `large.len() / small.len()` ratio a linear merge is faster;
-/// from it on, galloping wins on the host (measured crossover 8–10×) and
-/// stays under `small + large` comparisons on every input.
+/// Below this `long.len() / short.len()` ratio the kernel prices a linear
+/// merge; from it on, a gallop of the short list through the long one (the
+/// measured host crossover of the two walks was 8–10×). Either way the
+/// comparisons stay at most `short + long`.
 const GALLOP_RATIO: usize = 8;
 
 /// `|a ∩ b|` for two strictly ascending lists, plus the number of element
 /// comparisons a sorted-list intersection makes — the work a caller
-/// charges to its executor clock.
+/// charges to its executor clock. The one-pair form of [`Anchor`]: it
+/// loads the shorter list, counts the longer against it and unloads, so
+/// `anchor` is all-zero again when this returns.
+pub fn sorted_intersection_count(a: &[u64], b: &[u64], anchor: &mut Anchor) -> (u64, u64) {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    anchor.load(short).count(long)
+}
+
+/// The sorted-list intersection kernel: one strictly ascending list, the
+/// anchor, held as a bitmap over ids, against which any number of partner
+/// lists are counted — an executor round that names a hub in many pairs
+/// loads the hub's list once.
 ///
-/// Lists of comparable length are intersected through a bitmap over ids
-/// in `scratch`, and the comparison count is that of a linear merge,
-/// derived rather than walked (see `bitmap_merge_count`). When one list
-/// is at least `GALLOP_RATIO` times longer, each element of the shorter
-/// one is located in the longer one by an exponential probe from a moving
-/// lower bound followed by a binary search, so a hub's list is not walked
-/// for every low-degree partner; those comparisons are counted as made.
-/// Either way `comparisons ≤ a.len() + b.len()`.
+/// [`Anchored::count`] returns `|anchor ∩ other|` and the comparison count
+/// of the intersection the callers charge for: a linear merge when the
+/// longer list is less than `GALLOP_RATIO` times the shorter, else a
+/// gallop of the shorter through the longer (an exponential probe from a
+/// moving lower bound, then a binary search). Neither walk is made; both
+/// counts are derived in closed form (DESIGN.md §8, mechanism 7).
 ///
-/// `scratch` is kept by the caller across calls, like [`h_index`]'s: start
-/// it empty; it grows to `(m >> 6) + 1` words, `m` the smaller of the two
-/// last ids, and is all-zero whenever this returns.
-pub fn sorted_intersection_count(a: &[u64], b: &[u64], scratch: &mut Vec<u64>) -> (u64, u64) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if large.len() < small.len().saturating_mul(GALLOP_RATIO) {
-        return bitmap_merge_count(small, large, scratch);
+/// The caller keeps one across loads, like [`h_index`]'s scratch: the
+/// bitmap grows to `(last >> 6) + 1` words for the largest last id loaded,
+/// and is all-zero whenever no list is loaded.
+#[derive(Debug, Default)]
+pub struct Anchor {
+    bits: Vec<u64>,
+    /// `ranks[w]` is the number of set bits in `bits[..w]`. Built only when
+    /// a loaded list is galloped through; stale otherwise.
+    ranks: Vec<usize>,
+}
+
+impl Anchor {
+    /// Load `list`, which must be strictly ascending, until the returned
+    /// view is dropped.
+    pub fn load<'a>(&'a mut self, list: &'a [u64]) -> Anchored<'a> {
+        if let Some(&last) = list.last() {
+            let words = (last >> 6) as usize + 1;
+            if self.bits.len() < words {
+                self.bits.resize(words, 0);
+            }
+            for &x in list {
+                self.bits[(x >> 6) as usize] |= 1 << (x & 63);
+            }
+        }
+        Anchored { anchor: self, list, ranked: false }
     }
-    let (mut count, mut comparisons) = (0u64, 0u64);
-    // Everything before `lo` in `large` is smaller than the current `x`.
-    let mut lo = 0usize;
-    for &x in small {
-        // Gallop: double the stride until `large[hi] >= x` (or the end).
-        let (mut hi, mut step) = (lo, 1usize);
-        while hi < large.len() {
-            comparisons += 1;
-            if large[hi] >= x {
-                break;
-            }
-            lo = hi + 1;
-            hi = lo + step;
-            step *= 2;
+
+    /// Whether no bit is set, as whenever no list is loaded.
+    pub fn is_clear(&self) -> bool {
+        self.bits.iter().all(|&w| w == 0)
+    }
+}
+
+/// A list loaded into an [`Anchor`]; dropping it unloads the list.
+#[derive(Debug)]
+pub struct Anchored<'a> {
+    anchor: &'a mut Anchor,
+    list: &'a [u64],
+    ranked: bool,
+}
+
+impl Anchored<'_> {
+    /// `(|anchor ∩ other|, comparisons)` for a strictly ascending `other`:
+    /// what a counted merge of the two lists returns below `GALLOP_RATIO`,
+    /// and a counted gallop of the shorter through the longer from it on,
+    /// whichever side the anchor is. The comparisons are at most
+    /// `anchor.len() + other.len()`.
+    pub fn count(&mut self, other: &[u64]) -> (u64, u64) {
+        let (a, b) = (self.list.len(), other.len());
+        if a.max(b) < a.min(b).saturating_mul(GALLOP_RATIO) {
+            return self.merge(other);
         }
-        // Lower bound of `x` in `large[lo..hi]`.
-        let mut end = hi.min(large.len());
-        while lo < end {
-            let mid = lo + (end - lo) / 2;
-            comparisons += 1;
-            if large[mid] < x {
-                lo = mid + 1;
-            } else {
-                end = mid;
-            }
+        if a <= b {
+            return gallop(self.list, b, |x, lo| {
+                let r = lo + other[lo..].partition_point(|&y| y < x);
+                (r, other.get(r) == Some(&x))
+            });
         }
-        if lo == large.len() {
+        // The anchor is the long side: `rank<(anchor, x)` and `x ∈ anchor`
+        // are a rank lookup and a bit test.
+        let last = self.list[a - 1];
+        let Anchor { bits, ranks } = &mut *self.anchor;
+        if !self.ranked {
+            let words = (last >> 6) as usize + 1;
+            ranks.clear();
+            ranks.extend(bits[..words].iter().scan(0, |seen, &w| {
+                let before = *seen;
+                *seen += w.count_ones() as usize;
+                Some(before)
+            }));
+            self.ranked = true;
+        }
+        gallop(other, a, |x, _| {
+            if x > last {
+                return (a, false);
+            }
+            let (word, bit) = (bits[(x >> 6) as usize], x & 63);
+            let below = (word & ((1 << bit) - 1)).count_ones() as usize;
+            (ranks[(x >> 6) as usize] + below, (word >> bit) & 1 == 1)
+        })
+    }
+
+    /// The merge path. No id above `m = min(last anchor, last other)` can be
+    /// common, so only `other`'s ids up to `m` are tested against the
+    /// bitmap. A linear merge of strictly ascending lists consumes one
+    /// element per step, or one from each list on a match, and stops right
+    /// after consuming `m` — by then it has consumed every element `≤ m` of
+    /// both lists. Its step count is therefore
+    /// `rank≤(anchor, m) + rank≤(other, m) − count`.
+    fn merge(&self, other: &[u64]) -> (u64, u64) {
+        let (Some(&a_last), Some(&o_last)) = (self.list.last(), other.last()) else {
+            return (0, 0);
+        };
+        let m = a_last.min(o_last);
+        let other = &other[..other.partition_point(|&y| y <= m)];
+        let bits = &self.anchor.bits;
+        let count: u64 = other.iter().map(|&y| (bits[(y >> 6) as usize] >> (y & 63)) & 1).sum();
+        let in_anchor = self.list.partition_point(|&x| x <= m);
+        (count, (in_anchor + other.len()) as u64 - count)
+    }
+}
+
+impl Drop for Anchored<'_> {
+    fn drop(&mut self) {
+        for &x in self.list {
+            self.anchor.bits[(x >> 6) as usize] = 0;
+        }
+    }
+}
+
+/// The gallop path: `(count, comparisons)` of a counted gallop of `short`
+/// through a strictly ascending list of `len` ids, given
+/// `locate(x, lo) = (rank<(long, x), x ∈ long)` for an `x` whose rank is at
+/// least `lo`.
+///
+/// The walk this prices keeps a lower bound `lo` (everything before it is
+/// `< x`) and locates each `x` in three parts: exponential probes, a binary
+/// search between the last two probes ([`gallop_steps`] counts both from
+/// the rank `r` alone), then one comparison with the id at `r` — unless the
+/// list ran out (`r = len`), which ends the walk.
+fn gallop(
+    short: &[u64],
+    len: usize,
+    mut locate: impl FnMut(u64, usize) -> (usize, bool),
+) -> (u64, u64) {
+    let (mut count, mut comparisons, mut lo) = (0u64, 0u64, 0usize);
+    for &x in short {
+        let (r, found) = locate(x, lo);
+        comparisons += gallop_steps(lo, r, len);
+        if r == len {
             break;
         }
         comparisons += 1;
-        if large[lo] == x {
-            count += 1;
-            lo += 1;
-        }
+        count += found as u64;
+        lo = r + found as usize;
     }
     (count, comparisons)
 }
 
-/// The merge path of [`sorted_intersection_count`].
+/// Probes plus binary-search steps a gallop from `lo` takes to the lower
+/// bound `r ≥ lo` of its target in a list of `len` ids.
 ///
-/// No id above `m = min(small.last, large.last)` can be common, so only
-/// the prefixes up to `m` are visited: `small`'s bits are set in `scratch`,
-/// `large`'s are tested, and the touched words are zeroed again.
-///
-/// A linear merge of strictly ascending lists consumes one element per
-/// step, or one from each list on a match, and stops right after consuming
-/// `m` — by then it has consumed every element `≤ m` of both lists. Its
-/// step count is therefore `rank≤(small, m) + rank≤(large, m) − count`.
-fn bitmap_merge_count(small: &[u64], large: &[u64], scratch: &mut Vec<u64>) -> (u64, u64) {
-    let (Some(&s_last), Some(&l_last)) = (small.last(), large.last()) else {
-        return (0, 0);
-    };
-    let m = s_last.min(l_last);
-    let small = &small[..small.partition_point(|&x| x <= m)];
-    let large = &large[..large.partition_point(|&y| y <= m)];
-    let words = (m >> 6) as usize + 1;
-    if scratch.len() < words {
-        scratch.resize(words, 0);
+/// The probes land at `p_k = lo + 2^k + k − 1`, and the first at or past
+/// `r` is number `K = probe_exponent(r − lo)`. If `p_K < len` the walk made
+/// `K + 1` probes, then searched `[p_{K−1} + 1, p_K)`, a window of exactly
+/// `2^(K−1)` slots, in `search_steps(K − 1, r − p_{K−1} − 1)` steps (no
+/// search for `K = 0`). Otherwise it made `K` probes and searched
+/// `[p_{K−1} + 1, len)`, a window cut short by the end of the list; only
+/// that search, which happens near the list's tail alone, is walked.
+fn gallop_steps(lo: usize, r: usize, len: usize) -> u64 {
+    let k = probe_exponent(r - lo);
+    let probe = |k: usize| lo + (1 << k) + k - 1;
+    if probe(k) < len {
+        return match k {
+            0 => 1,
+            _ => (k + 1 + search_steps(k - 1, r - probe(k - 1) - 1)) as u64,
+        };
     }
-    for &x in small {
-        scratch[(x >> 6) as usize] |= 1 << (x & 63);
+    let (mut start, mut end) = (if k == 0 { lo } else { probe(k - 1) + 1 }, len);
+    let mut steps = k;
+    while start < end {
+        let mid = start + (end - start) / 2;
+        steps += 1;
+        if mid < r {
+            start = mid + 1;
+        } else {
+            end = mid;
+        }
     }
-    let count: u64 = large.iter().map(|&y| (scratch[(y >> 6) as usize] >> (y & 63)) & 1).sum();
-    for &x in small {
-        scratch[(x >> 6) as usize] = 0;
+    steps as u64
+}
+
+/// The smallest `k` with `2^k + k − 1 ≥ d`: the number of the first
+/// gallop probe that lands `d` or more slots past the lower bound. With `b`
+/// the bit length of `d`, `k = b` always satisfies it and `k = b − 2` never
+/// does (`2^(b−2) + b − 3 < 2^(b−1) ≤ d`), so it is `b − 1` when that
+/// satisfies it, else `b`.
+fn probe_exponent(d: usize) -> usize {
+    let b = (usize::BITS - d.leading_zeros()) as usize;
+    if b > 0 && (1 << (b - 1)) + b - 2 >= d {
+        b - 1
+    } else {
+        b
     }
-    (count, (small.len() + large.len()) as u64 - count)
+}
+
+/// Steps of a lower-bound binary search over `2^m` slots whose target is at
+/// offset `t ≤ 2^m`: `m + [t ≤ 1]`. The first step halves the window at
+/// offset `2^(m−1)`. For `t ≤ 2^(m−1)` the lower `2^(m−1)` slots remain,
+/// with the same `t`. Otherwise `2^(m−1) − 1` slots remain, and a window
+/// of `2^j − 1` slots always takes exactly `j` steps. One slot takes one
+/// step.
+fn search_steps(m: usize, t: usize) -> usize {
+    m + (t <= 1) as usize
 }
 
 /// H-index of a multiset: the largest `h` such that at least `h` values
@@ -359,6 +490,37 @@ mod tests {
         assert_eq!(h_index(&[10, 10], scratch), 2);
         assert_eq!(h_index(&[], scratch), 0);
         assert_eq!(h_index(&[0, 0], scratch), 0);
+    }
+
+    #[test]
+    fn probe_exponent_matches_the_probe_loop() {
+        // The walk's probes from `lo = 0`: `hi` is `p_k`, `k` counts them.
+        let (mut k, mut hi, mut step) = (0usize, 0usize, 1usize);
+        for d in 0..1usize << 16 {
+            while hi < d {
+                (k, hi, step) = (k + 1, hi + 1 + step, step * 2);
+            }
+            assert_eq!(probe_exponent(d), k, "d = {d}");
+        }
+    }
+
+    #[test]
+    fn search_steps_match_the_binary_search() {
+        for m in 0..=12 {
+            for t in 0..=1usize << m {
+                let (mut lo, mut end, mut steps) = (0usize, 1usize << m, 0usize);
+                while lo < end {
+                    let mid = lo + (end - lo) / 2;
+                    steps += 1;
+                    if mid < t {
+                        lo = mid + 1;
+                    } else {
+                        end = mid;
+                    }
+                }
+                assert_eq!(search_steps(m, t), steps, "2^{m} slots, target offset {t}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for graph containers and generators, using the in-tree
 //! harness.
 
-use psgraph_graph::metrics::{h_index, sorted_intersection_count};
+use psgraph_graph::metrics::{h_index, sorted_intersection_count, Anchor};
 use psgraph_graph::{gen, EdgeList};
 use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
@@ -94,10 +94,10 @@ fn arb_sorted_unique(src: &mut Source, len: usize, max_gap: u64) -> Vec<u64> {
         .collect()
 }
 
-/// The kernel `metrics::sorted_intersection_count` replaced: a counted
-/// linear merge below `GALLOP_RATIO`, the counted gallop walk (kept as is)
-/// from it on. The new kernel must return the same `(count, comparisons)`
-/// pair, because the comparisons are what Common Neighbor charges.
+/// The walks the kernel `metrics::Anchor` derives its counts from: a
+/// counted linear merge below `GALLOP_RATIO`, a counted gallop from it on.
+/// The kernel must return the same `(count, comparisons)` pair, because the
+/// comparisons are what Common Neighbor charges.
 fn reference_intersection(a: &[u64], b: &[u64]) -> (u64, u64) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let (mut count, mut comparisons) = (0u64, 0u64);
@@ -146,22 +146,20 @@ fn reference_intersection(a: &[u64], b: &[u64]) -> (u64, u64) {
     (count, comparisons)
 }
 
-/// Both argument orders against a `HashSet` count and the reference pair,
-/// once with `scratch` (carried over from earlier calls) and once with a
-/// fresh scratch; `scratch` must be all-zero afterwards.
-fn intersection_matches_reference(
-    a: &[u64],
-    b: &[u64],
-    scratch: &mut Vec<u64>,
-) -> Result<(), String> {
+/// Both argument orders against a `HashSet` count and the reference pair:
+/// the one-pair form, and `anchor` loaded with either list (so the anchor
+/// is the long side once and the short side once). `anchor` is carried
+/// over from earlier calls and must be all-zero after each.
+fn intersection_matches_reference(a: &[u64], b: &[u64], anchor: &mut Anchor) -> Result<(), String> {
     let set: std::collections::HashSet<u64> = b.iter().copied().collect();
     let want = a.iter().filter(|v| set.contains(v)).count() as u64;
     for (x, y) in [(a, b), (b, a)] {
-        let got = sorted_intersection_count(x, y, scratch);
-        prop_assert_eq!(got, reference_intersection(x, y), "{:?} ∩ {:?}", x, y);
-        prop_assert_eq!(got, sorted_intersection_count(x, y, &mut Vec::new()));
-        prop_assert!(scratch.iter().all(|&w| w == 0), "scratch left dirty by {:?} ∩ {:?}", x, y);
-        let (count, comparisons) = got;
+        let reference = reference_intersection(x, y);
+        prop_assert_eq!(sorted_intersection_count(x, y, anchor), reference, "{:?} ∩ {:?}", x, y);
+        prop_assert!(anchor.is_clear(), "bitmap left dirty by {:?} ∩ {:?}", x, y);
+        prop_assert_eq!(anchor.load(x).count(y), reference, "anchor {:?} ∩ {:?}", x, y);
+        prop_assert!(anchor.is_clear(), "anchor {:?} left dirty", x);
+        let (count, comparisons) = reference;
         prop_assert_eq!(count, want, "|{:?} ∩ {:?}|", x, y);
         prop_assert!(
             comparisons <= (x.len() + y.len()) as u64,
@@ -174,25 +172,53 @@ fn intersection_matches_reference(
     Ok(())
 }
 
+/// A short list against a long one at a length ratio of 1 … 10 000.
+fn arb_short_and_long(src: &mut Source) -> (Vec<u64>, Vec<u64>) {
+    // Ratios 1:1 … 1:10 000 cover the merge branch, the gallop branch and
+    // the switch between them.
+    let ratio = [1usize, 2, 5, 7, 8, 9, 16, 100, 1_000, 10_000][src.choice(10) as usize];
+    let short_len = src.usize_range(0, 2.max(4_000 / ratio));
+    let long = arb_sorted_unique(src, short_len.max(1) * ratio, 3);
+    // The long list's mean gap is 2, so a mean gap of 2·ratio spans the
+    // same id range; draw from a quarter to twice that, so the short list
+    // may end early or run past the long one's last id (a gallop window
+    // cut short by the end of the list).
+    let max_gap = ratio as u64 * src.u64_range(1, 9);
+    (arb_sorted_unique(src, short_len, max_gap), long)
+}
+
 #[test]
 fn sorted_intersection_matches_hash_set_at_every_length_ratio() {
-    // One scratch across all cases, as an executor keeps it across pairs.
-    let scratch = std::cell::RefCell::new(Vec::new());
+    // One anchor across all cases, as an executor keeps it across rounds.
+    let anchor = std::cell::RefCell::new(Anchor::default());
     check(
         "sorted_intersection_matches_hash_set_at_every_length_ratio",
+        arb_short_and_long,
+        |(short, long)| intersection_matches_reference(short, long, &mut anchor.borrow_mut()),
+    );
+}
+
+#[test]
+fn one_anchor_counts_many_partners_and_unloads_clean() {
+    check(
+        "one_anchor_counts_many_partners_and_unloads_clean",
         |src: &mut Source| {
-            // Ratios 1:1 … 1:10 000 cover the merge branch, the gallop
-            // branch and the switch between them.
-            let ratio = [1usize, 2, 5, 7, 8, 9, 16, 100, 1_000, 10_000][src.choice(10) as usize];
-            let short_len = src.usize_range(0, 2.max(4_000 / ratio));
-            let long = arb_sorted_unique(src, short_len.max(1) * ratio, 3);
-            // The long list's mean gap is 2, so a mean gap of 2·ratio spans
-            // the same id range; draw from a quarter to twice that, so the
-            // short list may end early or overshoot.
-            let max_gap = ratio as u64 * src.u64_range(1, 9);
-            (arb_sorted_unique(src, short_len, max_gap), long)
+            let hub_len = src.usize_range(0, 3_000);
+            let hub = arb_sorted_unique(src, hub_len, 3);
+            let partners: Vec<Vec<u64>> =
+                (0..50).map(|_| arb_short_and_long(src).0).collect();
+            (hub, partners)
         },
-        |(short, long)| intersection_matches_reference(short, long, &mut scratch.borrow_mut()),
+        |(hub, partners)| {
+            let mut anchor = Anchor::default();
+            let mut anchored = anchor.load(hub);
+            for p in partners {
+                prop_assert_eq!(anchored.count(p), reference_intersection(hub, p), "{:?}", p);
+            }
+            drop(anchored);
+            prop_assert!(anchor.is_clear(), "bitmap left dirty after 50 partners");
+            Ok(())
+        },
     );
 }
 
@@ -201,7 +227,7 @@ fn sorted_intersection_edge_cases() {
     let long: Vec<u64> = (0..100).map(|i| i * 2).collect();
     let odd: Vec<u64> = (0..100).map(|i| i * 2 + 1).collect();
     let edges = [0u64, 63, 64, 127, 128];
-    let scratch = &mut Vec::new();
+    let anchor = &mut Anchor::default();
     for (a, b, want) in [
         (&[][..], &[][..], 0u64),
         (&[], &long[..], 0),
@@ -224,18 +250,32 @@ fn sorted_intersection_edge_cases() {
         (&[0, 127][..], &edges[..], 2),
         (&[128][..], &[64, 128][..], 1),
         (&[62, 65, 126, 129][..], &edges[..], 0),
+        (&edges[..], &long[..], 3),
+        (&[63, 64, 500][..], &long[..], 1),
     ] {
-        assert_eq!(sorted_intersection_count(a, b, scratch).0, want, "{a:?} ∩ {b:?}");
-        intersection_matches_reference(a, b, scratch).unwrap();
+        assert_eq!(sorted_intersection_count(a, b, anchor).0, want, "{a:?} ∩ {b:?}");
+        intersection_matches_reference(a, b, anchor).unwrap();
     }
-    // The scratch grows to the smaller last element's word, no further.
-    let fresh = &mut Vec::new();
-    sorted_intersection_count(&[3, 64], &[5, 200], fresh);
-    assert_eq!(fresh.len(), 2);
     // Identical lists merge in one comparison per element; a lone element
     // is found in a long list in logarithmically many.
-    assert_eq!(sorted_intersection_count(&long, &long, scratch), (100, 100));
-    assert!(sorted_intersection_count(&[198], &long, scratch).1 <= 16);
+    assert_eq!(sorted_intersection_count(&long, &long, anchor), (100, 100));
+    assert!(sorted_intersection_count(&[198], &long, anchor).1 <= 16);
+}
+
+#[test]
+fn gallop_counts_every_target_offset_of_every_window() {
+    // A hub of `len` even ids against one or two ids anywhere in and past
+    // its range: every probe window, inside the list and cut short by its
+    // end, with the target at every offset (0, 1, 2, …) within it.
+    let anchor = &mut Anchor::default();
+    for len in 8..=70 {
+        let hub: Vec<u64> = (0..len).map(|i| 2 * i).collect();
+        for x in 0..2 * len + 2 {
+            for partner in [vec![x], vec![x, x + 1], vec![x, x + 5]] {
+                intersection_matches_reference(&partner, &hub, anchor).unwrap();
+            }
+        }
+    }
 }
 
 /// The definition `metrics::h_index` replaced: sort descending, take the

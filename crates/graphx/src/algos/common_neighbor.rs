@@ -2,7 +2,7 @@
 //! count, but returning per-pair overlap counts.
 
 use psgraph_dataflow::{DataflowError, Rdd};
-use psgraph_graph::metrics::sorted_intersection_count;
+use psgraph_graph::metrics::{sorted_intersection_count, Anchor};
 
 use crate::graph::GxGraph;
 
@@ -74,13 +74,13 @@ fn gx_cn_one_batch(
         let keyed_part = keyed_by_b.partition_by_key(parts)?;
         nbrs.join_copartitioned(&keyed_part)? // (b, (N(b), (N(a), a)))
     };
-    // `map`'s charge, with one intersection scratch per partition.
+    // `map`'s charge, with one intersection anchor per partition.
     let counted = with_both.map_partitions(
         |records| {
-            let mut scratch = Vec::new();
+            let mut anchor = Anchor::default();
             records
                 .iter()
-                .map(|(b, (nb, (na, a)))| (*a, *b, sorted_intersection_count(na, nb, &mut scratch).0))
+                .map(|(b, (nb, (na, a)))| (*a, *b, sorted_intersection_count(na, nb, &mut anchor).0))
                 .collect()
         },
         batch.cluster().config().ops_per_record,

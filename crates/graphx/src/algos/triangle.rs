@@ -6,7 +6,7 @@
 //! This is the second Fig. 6 OOM.
 
 use psgraph_dataflow::DataflowError;
-use psgraph_graph::metrics::sorted_intersection_count;
+use psgraph_graph::metrics::{sorted_intersection_count, Anchor};
 
 use crate::graph::GxGraph;
 
@@ -22,13 +22,13 @@ pub fn gx_triangle_count(gx: &GxGraph) -> Result<u64, DataflowError> {
     // ⋈ N(b): each record now carries TWO adjacency lists.
     let with_both = keyed_by_b.join(&nbrs, parts)?; // (b, ((a, N(a)), N(b)))
 
-    // `map`'s charge, with one intersection scratch per partition.
+    // `map`'s charge, with one intersection anchor per partition.
     let counts = with_both.map_partitions(
         |records| {
-            let mut scratch = Vec::new();
+            let mut anchor = Anchor::default();
             records
                 .iter()
-                .map(|(_b, ((_a, na), nb))| sorted_intersection_count(na, nb, &mut scratch).0)
+                .map(|(_b, ((_a, na), nb))| sorted_intersection_count(na, nb, &mut anchor).0)
                 .collect()
         },
         gx.cluster().config().ops_per_record,

@@ -31,7 +31,7 @@ fi
 # cuts it) may fall but never rise above the ceilings below. A change that
 # removes sites lowers its crate's ceiling with it.
 panic_ceilings="bench 35
-core 3
+core 1
 dataflow 2
 dfs 0
 euler 6
@@ -72,12 +72,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-goin
 cargo test -q --offline -p psgraph-harness
 # The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
 # that release builds would wrap silently; so does the intersection
-# kernel's bitmap (`x >> 6` words, the derived `ranks - count`).
+# kernel (`x >> 6` words, the derived `ranks - count`, the gallop's probe
+# offsets `lo + 2^k + k - 1` and rank differences).
 cargo test -q --offline -p psgraph-query -p psgraph-graph
 # So do the CSR splice every shard goes through at load and swap time
 # (`o - plo + olo`, `o - ohi + shift` on u64) and the ingestor's lane and
 # sequence bookkeeping.
 cargo test -q --offline -p psgraph-serve -p psgraph-stream
+# And Common Neighbor / Triangle Count's round grouping: `2 * slot`
+# indexing and the counts written back by slot.
+cargo test -q --offline -p psgraph-core --lib -- common_neighbor triangle
 
 cargo build --release --offline --workspace
 # Release mode: the fig6/table emergence tests simulate whole cluster
