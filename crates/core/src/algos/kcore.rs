@@ -4,21 +4,21 @@
 //! Uses the h-index iteration of Montresor, De Pellegrini & Miorandi
 //! (2013): start with `core[v] = degree(v)` and repeatedly set `core[v]`
 //! to the H-index of its neighbors' current values. The sequence is
-//! monotonically non-increasing and converges to the exact coreness. The
-//! `coreness` vector lives on the PS; executors hold the (undirected)
-//! neighbor tables, read the estimates through their [`PsAgent`]'s plan —
-//! one request per executor per superstep — and push only changed values,
-//! the same increment-sparsity trick as PageRank. The iteration is
-//! monotone, so its fixed point does not depend on which of this
-//! superstep's pushes a read already sees.
+//! monotonically non-increasing and converges to the exact coreness. It is
+//! one fold of the shared neighbourhood program (`algos::superstep`): the
+//! `coreness` vector lives on the PS, each executor reads the estimates of
+//! its partitions' vertices and their neighbors once per superstep and
+//! pushes only changed values, the same increment-sparsity trick as
+//! PageRank. The iteration is monotone, so its fixed point does not depend
+//! on which of this superstep's pushes a read already sees.
 
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
 use psgraph_graph::metrics::h_index;
-use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
+use psgraph_ps::VectorHandle;
 
-use crate::agent::PsAgent;
+use super::superstep::{run_program, NeighborhoodProgram};
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
 use crate::error::Result;
@@ -50,82 +50,49 @@ impl KCore {
         edges: &Rdd<(u64, u64)>,
         num_vertices: u64,
     ) -> Result<KCoreOutput> {
-        let start = ctx.now();
-        let snap = ctx.net_snapshot();
+        let (coreness, stats) = run_program(self, ctx, edges, num_vertices)?;
+        Ok(KCoreOutput { coreness, stats })
+    }
+}
 
-        // Undirected neighbor tables: both edge directions are emitted
-        // inside the shuffle write (pipelined — no symmetric copy), and
-        // groups are sorted/deduped inside the aggregation.
-        let tables = crate::runner::to_undirected_neighbor_tables(edges)?;
+impl NeighborhoodProgram for KCore {
+    const NAME: &'static str = "kcore";
+    const VECTOR: &'static str = "kcore.core";
+    /// The h-index's counting buffer.
+    type Scratch = Vec<u32>;
 
-        let _objects = super::PsObjects::new(ctx, &["kcore.core"]);
-        let core = VectorHandle::<u64>::create(
-            ctx.ps(), "kcore.core", num_vertices, Partitioner::Range, RecoveryMode::Consistent,
-        )?;
+    fn max_iterations(&self) -> u64 {
+        self.max_iterations
+    }
 
-        // Initialize core[v] = degree(v): each executor pushes the degrees
-        // of all its partitions as one request.
-        ctx.cluster()
-            .run_executors(tables.num_partitions(), |exec, parts| {
-                let local = tables.partitions(parts)?;
-                let (idx, vals): (Vec<u64>, Vec<u64>) =
-                    local.iter().flat_map(|part| part.iter()).map(|(v, ns)| (*v, ns.len() as u64)).unzip();
-                if !idx.is_empty() {
-                    core.push_set(exec.clock(), &idx, &vals).df()?;
-                }
-                Ok(())
-            })
-            .map_err(crate::error::CoreError::from)?;
-
-        let agent = PsAgent::new(ctx.cluster());
-        let mut supersteps = 0;
-        for step in 0..self.max_iterations {
-            let (killed_execs, _) = ctx.superstep_maintenance(step)?;
-            if !killed_execs.is_empty() {
-                tables.recover()?;
+    /// `core[v] = degree(v)`: each executor pushes the degrees of all its
+    /// partitions as one request. A vertex without edges is in no table
+    /// and keeps 0.
+    fn init(
+        &self,
+        ctx: &PsGraphContext,
+        tables: &Rdd<(u64, Vec<u64>)>,
+        values: &VectorHandle<u64>,
+    ) -> Result<()> {
+        ctx.cluster().run_executors(tables.num_partitions(), |exec, parts| {
+            let local = tables.partitions(parts)?;
+            let (idx, vals): (Vec<u64>, Vec<u64>) =
+                local.iter().flat_map(|part| part.iter()).map(|(v, ns)| (*v, ns.len() as u64)).unzip();
+            if !idx.is_empty() {
+                values.push_set(exec.clock(), &idx, &vals).df()?;
             }
-            supersteps += 1;
+            Ok(())
+        })?;
+        Ok(())
+    }
 
-            let changes: Vec<u64> = ctx
-                .cluster()
-                .run_executors(tables.num_partitions(), |exec, parts| {
-                    let local = tables.partitions(parts)?;
-                    // One planned pull of the current estimates of every
-                    // local vertex and its neighbors, all partitions at once.
-                    let got = agent.pull(exec, &core, || super::neighborhood_keys(&local))?;
-                    let mut cursor = 0usize;
-                    let mut upd_idx = Vec::new();
-                    let mut upd_val = Vec::new();
-                    let mut work = 0u64;
-                    let mut scratch = Vec::new();
-                    for (v, ns) in local.iter().flat_map(|part| part.iter()) {
-                        let own = got[cursor];
-                        cursor += 1;
-                        let h = h_index(&got[cursor..cursor + ns.len()], &mut scratch).min(own);
-                        cursor += ns.len();
-                        work += ns.len() as u64;
-                        if h < own {
-                            upd_idx.push(*v);
-                            upd_val.push(h);
-                        }
-                    }
-                    exec.charge_cpu(ctx.cluster().cost(), work * 6);
-                    if !upd_idx.is_empty() {
-                        core.push_set(exec.clock(), &upd_idx, &upd_val).df()?;
-                    }
-                    Ok(upd_idx.len() as u64)
-                })
-                .map_err(crate::error::CoreError::from)?;
+    fn update(own: u64, nbrs: &[u64], scratch: &mut Vec<u32>) -> Option<u64> {
+        let h = h_index(nbrs, scratch).min(own);
+        (h < own).then_some(h)
+    }
 
-            if changes.iter().sum::<u64>() == 0 {
-                break;
-            }
-        }
-
-        let coreness = core.pull_all(ctx.cluster().driver())?;
-        ctx.cluster().clock().barrier([ctx.cluster().driver()]);
-
-        Ok(KCoreOutput { coreness, stats: ctx.stats_since(start, snap, supersteps) })
+    fn cpu_ops(_vertices: u64, neighbors: u64) -> u64 {
+        6 * neighbors
     }
 }
 

@@ -9,6 +9,7 @@ pub mod kcore;
 pub mod label_propagation;
 pub mod line;
 pub mod pagerank;
+pub(crate) mod superstep;
 pub mod triangle;
 
 pub use common_neighbor::CommonNeighbor;
@@ -21,22 +22,6 @@ pub use label_propagation::LabelPropagation;
 pub use line::{Line, LineConfig, LineOrder};
 pub use pagerank::PageRank;
 pub use triangle::TriangleCount;
-
-/// One partition of a neighbor-table RDD: `(vertex, neighbors)` rows.
-type NeighborTable = std::sync::Arc<Vec<(u64, Vec<u64>)>>;
-
-/// The per-superstep read of the neighborhood-aggregating jobs (K-Core,
-/// Connected Components): `[v, N(v)…]` for every vertex of `tables`, in
-/// table order.
-pub(crate) fn neighborhood_keys(tables: &[NeighborTable]) -> Vec<u64> {
-    let rows = || tables.iter().flat_map(|part| part.iter());
-    let mut keys = Vec::with_capacity(rows().map(|(_, ns)| 1 + ns.len()).sum());
-    for (v, ns) in rows() {
-        keys.push(*v);
-        keys.extend_from_slice(ns);
-    }
-    keys
-}
 
 /// The PS objects a job creates under fixed names. Dropping it unregisters
 /// them, so a job releases its server memory on every exit — a `?` on a

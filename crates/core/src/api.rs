@@ -18,7 +18,8 @@ use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
 
-use crate::algos::{ConnectedComponents, KCore, LabelPropagation, PageRank};
+use crate::algos::superstep::{run_program, NeighborhoodProgram};
+use crate::algos::PageRank;
 use crate::context::PsGraphContext;
 use crate::error::Result;
 use crate::runner;
@@ -55,9 +56,11 @@ impl GraphAlgorithm for PageRank {
     }
 }
 
-impl GraphAlgorithm for KCore {
+/// K-Core, Label Propagation and Connected Components: one `u64` per
+/// vertex, reported as `f64`.
+impl<P: NeighborhoodProgram> GraphAlgorithm for P {
     fn name(&self) -> &'static str {
-        "kcore"
+        P::NAME
     }
 
     fn transform(
@@ -66,40 +69,8 @@ impl GraphAlgorithm for KCore {
         edges: &Rdd<(u64, u64)>,
         num_vertices: u64,
     ) -> Result<Vec<(u64, f64)>> {
-        let out = self.run(ctx, edges, num_vertices)?;
-        Ok(out.coreness.iter().enumerate().map(|(v, &c)| (v as u64, c as f64)).collect())
-    }
-}
-
-impl GraphAlgorithm for LabelPropagation {
-    fn name(&self) -> &'static str {
-        "label_propagation"
-    }
-
-    fn transform(
-        &self,
-        ctx: &Arc<PsGraphContext>,
-        edges: &Rdd<(u64, u64)>,
-        num_vertices: u64,
-    ) -> Result<Vec<(u64, f64)>> {
-        let out = self.run(ctx, edges, num_vertices)?;
-        Ok(out.labels.iter().enumerate().map(|(v, &l)| (v as u64, l as f64)).collect())
-    }
-}
-
-impl GraphAlgorithm for ConnectedComponents {
-    fn name(&self) -> &'static str {
-        "connected_components"
-    }
-
-    fn transform(
-        &self,
-        ctx: &Arc<PsGraphContext>,
-        edges: &Rdd<(u64, u64)>,
-        num_vertices: u64,
-    ) -> Result<Vec<(u64, f64)>> {
-        let out = self.run(ctx, edges, num_vertices)?;
-        Ok(out.labels.iter().enumerate().map(|(v, &l)| (v as u64, l as f64)).collect())
+        let (values, _) = run_program(self, ctx, edges, num_vertices)?;
+        Ok(values.iter().enumerate().map(|(v, &x)| (v as u64, x as f64)).collect())
     }
 }
 
@@ -121,6 +92,7 @@ pub fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algos::{ConnectedComponents, KCore, LabelPropagation};
     use psgraph_graph::{gen, io, metrics};
 
     #[test]

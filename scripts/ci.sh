@@ -31,7 +31,7 @@ fi
 # cuts it) may fall but never rise above the ceilings below. A change that
 # removes sites lowers its crate's ceiling with it.
 panic_ceilings="bench 35
-core 1
+core 0
 dataflow 2
 dfs 0
 euler 6

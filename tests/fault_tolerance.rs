@@ -3,11 +3,13 @@
 //! kills (DFS replication), and combinations — results must always match
 //! the failure-free run.
 
-use psgraph::core::algos::{CommonNeighbor, KCore, PageRank};
+use psgraph::core::algos::{CommonNeighbor, FastUnfolding, KCore, LabelPropagation, PageRank};
 use psgraph::core::runner::distribute_edges;
-use psgraph::core::PsGraphContext;
+use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::graph::{gen, metrics};
-use psgraph::sim::{ChaosConfig, FaultSchedule, FaultSite, SimTime};
+use psgraph::sim::{ChaosConfig, FaultSchedule, FaultSite, SimTime, SplitMix64};
+use psgraph_harness::Pool;
+use std::fmt::Debug;
 use std::sync::Arc;
 
 #[test]
@@ -64,6 +66,60 @@ fn seeded_crashes_never_change_common_neighbor() {
         server_kills += recoveries;
     }
     assert!(executor_kills > 0 && server_kills > 0, "both kinds of node must die");
+}
+
+/// Twenty seeds, each scripting two executor kills at a superstep and an
+/// executor drawn from the seed: `run` — a job on a fresh deployment with
+/// the schedule attached, returning its output, superstep count and
+/// executor restarts — must give the fault-free output every time, each
+/// crash must restart its executor once, and some kill must land.
+fn seeded_executor_kills_never_change<T: PartialEq + Debug>(
+    job: &str,
+    run: impl Fn(FaultSchedule) -> (T, u64, u64),
+) {
+    let (clean, steps, _) = run(FaultSchedule::off());
+    let executors = PsGraphContext::local().cluster().num_executors() as u64;
+    let mut landed = 0;
+    for seed in 1..=20 {
+        let mut rng = SplitMix64::new(seed);
+        let chaos = FaultSchedule::scripted(
+            (0..2).map(|_| (FaultSite::ExecutorCrash, rng.next_below(steps), rng.next_below(executors))),
+        );
+        let (out, _, restarts) = run(chaos.clone());
+        assert_eq!(out, clean, "{job}, seed {seed}: executor kills changed the output");
+        assert_eq!(restarts, chaos.stats().crashes, "{job}, seed {seed}: one restart per crash");
+        landed += restarts;
+    }
+    assert!(landed > 0, "{job}: no kill landed inside the run");
+}
+
+#[test]
+fn seeded_executor_kills_never_change_label_propagation_or_fast_unfolding() {
+    // Both jobs read what their own stages write, so their results follow
+    // the order the host runs the executors in: a pool of one fixes it.
+    let g = gen::rmat(120, 900, Default::default(), 211).dedup();
+    let n = g.num_vertices();
+    let deploy = |chaos: FaultSchedule| {
+        let pool = Arc::new(Pool::new(1));
+        let ctx = PsGraphContext::new(PsGraphConfig::default().with_pool(pool));
+        let edges = distribute_edges(&ctx, &g, 8).unwrap();
+        ctx.attach_chaos(chaos);
+        (ctx, edges)
+    };
+    let restarts = |ctx: &PsGraphContext| {
+        let cluster = ctx.cluster();
+        (0..cluster.num_executors()).map(|e| cluster.executor(e).incarnation()).sum::<u64>()
+    };
+    seeded_executor_kills_never_change("label propagation", |chaos| {
+        let (ctx, edges) = deploy(chaos);
+        let out = LabelPropagation::default().run(&ctx, &edges, n).unwrap();
+        (out.labels, out.stats.supersteps, restarts(&ctx))
+    });
+    seeded_executor_kills_never_change("fast unfolding", |chaos| {
+        let (ctx, edges) = deploy(chaos);
+        let out = FastUnfolding::default().run_unweighted(&ctx, &edges, n).unwrap();
+        ((out.communities, out.modularity.to_bits()), out.stats.supersteps, restarts(&ctx))
+    });
 }
 
 #[test]
