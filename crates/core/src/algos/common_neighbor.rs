@@ -12,7 +12,7 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 
 use psgraph_dataflow::{DataflowError, Executor, Rdd};
-use psgraph_graph::metrics::Anchor;
+use psgraph_graph::metrics::{intersection_ops, Anchor};
 use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
 
 use crate::context::{PsGraphContext, RunStats};
@@ -131,8 +131,8 @@ pub(crate) fn push_adjacency(
         .run_executors(tables.num_partitions(), |exec, parts| {
             let entries: Vec<(u64, Vec<u64>)> =
                 tables.partitions(parts)?.iter().flat_map(|part| part.iter().cloned()).collect();
-            // The per-pair kernel's derived comparison count holds only
-            // for strictly ascending lists: refuse any other.
+            // The kernel's bitmap count needs strictly ascending lists: a
+            // repeat counts twice, an id out of order can fall past its `≤ last` cut.
             let bad = entries.iter().find(|(_, ns)| ns.windows(2).any(|w| w[0] >= w[1]));
             if let Some(&(v, _)) = bad {
                 return Ok(Some(v));
@@ -178,8 +178,8 @@ pub(crate) fn batch_of(part: &[(u64, u64)], round: usize, batch: usize) -> &[(u6
 /// Each pair is keyed by the endpoint with the longer list (ties: the
 /// smaller id), and the pairs of one key are counted against one
 /// [`Anchor`] load of its list, so a hub's list is loaded once per round
-/// however many of the round's pairs name it. The counts go back to their
-/// pairs' slots, and the charged work is the same sum in any order.
+/// however many of the round's pairs name it; the counts go back to their
+/// pairs' slots. A pair is charged `3 ×` [`intersection_ops`] of its lengths.
 pub(crate) fn count_common(
     ctx: &PsGraphContext,
     exec: &Executor,
@@ -199,20 +199,20 @@ pub(crate) fn count_common(
         .collect();
     keyed.sort_unstable();
     let mut counts = vec![0u64; keyed.len()];
-    let (mut work, mut anchor) = (0u64, Anchor::default());
+    let mut anchor = Anchor::default();
     for run in keyed.chunk_by(|x, y| x.0 == y.0) {
         // The key's side of a slot, and the other side.
         let sides = |slot: usize| {
             let i = 2 * slot + (wanted[2 * slot] != run[0].0) as usize;
             (&neigh[i], &neigh[i ^ 1])
         };
-        let mut anchored = anchor.load(sides(run[0].1).0);
+        let anchored = anchor.load(sides(run[0].1).0);
         for &(_, slot) in run {
-            let (count, comparisons) = anchored.count(sides(slot).1);
-            counts[slot] = count;
-            work += comparisons;
+            counts[slot] = anchored.count(sides(slot).1);
         }
     }
+    let work: u64 =
+        neigh.chunks_exact(2).map(|ab| intersection_ops(ab[0].len(), ab[1].len())).sum();
     exec.charge_cpu(ctx.cluster().cost(), work * 3);
     let mut counts = counts.into_iter();
     Ok(batches.iter().map(|pairs| counts.by_ref().take(pairs.len()).collect()).collect())
@@ -315,10 +315,8 @@ mod tests {
             .iter()
             .map(|pairs| {
                 let per_pair = lists.by_ref().take(pairs.len()).map(|ab| {
-                    let (count, comparisons) =
-                        metrics::sorted_intersection_count(&ab[0], &ab[1], &mut anchor);
-                    work += comparisons;
-                    count
+                    work += intersection_ops(ab[0].len(), ab[1].len());
+                    metrics::sorted_intersection_count(&ab[0], &ab[1], &mut anchor)
                 });
                 per_pair.collect()
             })
@@ -376,8 +374,8 @@ mod tests {
             ctx.ps(), "adj", 10, Partitioner::Hash, RecoveryMode::Inconsistent,
         )
         .unwrap();
-        // Out of order, and a repeat: the derived comparison count would
-        // be wrong for either.
+        // Out of order, and a repeat: the bitmap count could miss the one
+        // and would count the other twice.
         for bad in [vec![1u64, 3, 2], vec![4, 4]] {
             let entries = vec![(0u64, vec![1u64, 2]), (5, bad)];
             let tables = Rdd::from_vec(ctx.cluster(), entries, 2).unwrap();

@@ -12,7 +12,9 @@
 //! modularity) used by the test suites to validate the distributed
 //! algorithms, never by the benchmarks themselves — plus
 //! [`metrics::Anchor`], the sorted-list intersection kernel the Common
-//! Neighbor / Triangle Count jobs run per pair.
+//! Neighbor / Triangle Count jobs run per pair, and
+//! [`metrics::intersection_ops`], the ops PSGraph's executors are charged
+//! for one.
 
 pub mod datasets;
 pub mod edgelist;

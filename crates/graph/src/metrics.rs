@@ -6,12 +6,11 @@
 //! [`h_index`] (K-Core's update rule) and [`Anchor`], the sorted-list
 //! intersection the Common Neighbor / Triangle Count jobs (PSGraph and the
 //! GraphX baseline alike) run on every queried pair. It holds one list as a
-//! bitmap over ids with per-word prefix popcounts, so one executor round
-//! loads a hub's list once for all its partners. Its comparison count is
-//! what the callers charge to the sim clock: the steps of a linear merge
-//! for lists of comparable length, of a gallop for a hub against a short
-//! list — both derived in closed form from ranks, neither walked.
-//! [`sorted_intersection_count`] is its one-pair form.
+//! bitmap over ids, so one executor round loads a hub's list once for all
+//! its partners, and returns the count alone;
+//! [`sorted_intersection_count`] is its one-pair form. What PSGraph's
+//! executors are charged for a pair is declared, not measured:
+//! [`intersection_ops`] of the two list lengths.
 
 use psgraph_sim::{FxHashMap, FxHashSet};
 
@@ -120,18 +119,26 @@ pub fn common_neighbors_exact(g: &EdgeList, pairs: &[(u64, u64)]) -> Vec<u64> {
         .collect()
 }
 
-/// Below this `long.len() / short.len()` ratio the kernel prices a linear
-/// merge; from it on, a gallop of the short list through the long one (the
-/// measured host crossover of the two walks was 8–10×). Either way the
-/// comparisons stay at most `short + long`.
-const GALLOP_RATIO: usize = 8;
+/// The ops a sorted-list intersection of an `a_len`-long and a `b_len`-long
+/// list is charged: with `s` the shorter length and `l` the longer, the
+/// textbook bound `min(s + l, s·(2⌈log₂⌈l/s⌉⌉ + 2))` — a linear merge, or a
+/// gallop of the short list through the long one, whichever is cheaper —
+/// and `0` when either list is empty. Taking the minimum picks the walk, so
+/// no ratio constant does. The charge grows with `l`; in `s` it can step
+/// down where `⌈l/s⌉` crosses a power of two, as the bound's ceilings do.
+pub fn intersection_ops(a_len: usize, b_len: usize) -> u64 {
+    let (s, l) = (a_len.min(b_len) as u64, a_len.max(b_len) as u64);
+    if s == 0 {
+        return 0;
+    }
+    let log_ratio = u64::from(u64::BITS - (l.div_ceil(s) - 1).leading_zeros());
+    (s + l).min(s * (2 * log_ratio + 2))
+}
 
-/// `|a ∩ b|` for two strictly ascending lists, plus the number of element
-/// comparisons a sorted-list intersection makes — the work a caller
-/// charges to its executor clock. The one-pair form of [`Anchor`]: it
-/// loads the shorter list, counts the longer against it and unloads, so
-/// `anchor` is all-zero again when this returns.
-pub fn sorted_intersection_count(a: &[u64], b: &[u64], anchor: &mut Anchor) -> (u64, u64) {
+/// `|a ∩ b|` for two strictly ascending lists. The one-pair form of
+/// [`Anchor`]: it loads the shorter list, counts the longer against it and
+/// unloads, so `anchor` is all-zero again when this returns.
+pub fn sorted_intersection_count(a: &[u64], b: &[u64], anchor: &mut Anchor) -> u64 {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     anchor.load(short).count(long)
 }
@@ -139,14 +146,8 @@ pub fn sorted_intersection_count(a: &[u64], b: &[u64], anchor: &mut Anchor) -> (
 /// The sorted-list intersection kernel: one strictly ascending list, the
 /// anchor, held as a bitmap over ids, against which any number of partner
 /// lists are counted — an executor round that names a hub in many pairs
-/// loads the hub's list once.
-///
-/// [`Anchored::count`] returns `|anchor ∩ other|` and the comparison count
-/// of the intersection the callers charge for: a linear merge when the
-/// longer list is less than `GALLOP_RATIO` times the shorter, else a
-/// gallop of the shorter through the longer (an exponential probe from a
-/// moving lower bound, then a binary search). Neither walk is made; both
-/// counts are derived in closed form (DESIGN.md §8, mechanism 7).
+/// loads the hub's list once. What a caller charges for a pair is
+/// [`intersection_ops`] of the two lengths, not anything the kernel does.
 ///
 /// The caller keeps one across loads, like [`h_index`]'s scratch: the
 /// bitmap grows to `(last >> 6) + 1` words for the largest last id loaded,
@@ -154,9 +155,6 @@ pub fn sorted_intersection_count(a: &[u64], b: &[u64], anchor: &mut Anchor) -> (
 #[derive(Debug, Default)]
 pub struct Anchor {
     bits: Vec<u64>,
-    /// `ranks[w]` is the number of set bits in `bits[..w]`. Built only when
-    /// a loaded list is galloped through; stale otherwise.
-    ranks: Vec<usize>,
 }
 
 impl Anchor {
@@ -172,7 +170,7 @@ impl Anchor {
                 self.bits[(x >> 6) as usize] |= 1 << (x & 63);
             }
         }
-        Anchored { anchor: self, list, ranked: false }
+        Anchored { anchor: self, list }
     }
 
     /// Whether no bit is set, as whenever no list is loaded.
@@ -186,67 +184,19 @@ impl Anchor {
 pub struct Anchored<'a> {
     anchor: &'a mut Anchor,
     list: &'a [u64],
-    ranked: bool,
 }
 
 impl Anchored<'_> {
-    /// `(|anchor ∩ other|, comparisons)` for a strictly ascending `other`:
-    /// what a counted merge of the two lists returns below `GALLOP_RATIO`,
-    /// and a counted gallop of the shorter through the longer from it on,
-    /// whichever side the anchor is. The comparisons are at most
-    /// `anchor.len() + other.len()`.
-    pub fn count(&mut self, other: &[u64]) -> (u64, u64) {
-        let (a, b) = (self.list.len(), other.len());
-        if a.max(b) < a.min(b).saturating_mul(GALLOP_RATIO) {
-            return self.merge(other);
-        }
-        if a <= b {
-            return gallop(self.list, b, |x, lo| {
-                let r = lo + other[lo..].partition_point(|&y| y < x);
-                (r, other.get(r) == Some(&x))
-            });
-        }
-        // The anchor is the long side: `rank<(anchor, x)` and `x ∈ anchor`
-        // are a rank lookup and a bit test.
-        let last = self.list[a - 1];
-        let Anchor { bits, ranks } = &mut *self.anchor;
-        if !self.ranked {
-            let words = (last >> 6) as usize + 1;
-            ranks.clear();
-            ranks.extend(bits[..words].iter().scan(0, |seen, &w| {
-                let before = *seen;
-                *seen += w.count_ones() as usize;
-                Some(before)
-            }));
-            self.ranked = true;
-        }
-        gallop(other, a, |x, _| {
-            if x > last {
-                return (a, false);
-            }
-            let (word, bit) = (bits[(x >> 6) as usize], x & 63);
-            let below = (word & ((1 << bit) - 1)).count_ones() as usize;
-            (ranks[(x >> 6) as usize] + below, (word >> bit) & 1 == 1)
-        })
-    }
-
-    /// The merge path. No id above `m = min(last anchor, last other)` can be
-    /// common, so only `other`'s ids up to `m` are tested against the
-    /// bitmap. A linear merge of strictly ascending lists consumes one
-    /// element per step, or one from each list on a match, and stops right
-    /// after consuming `m` — by then it has consumed every element `≤ m` of
-    /// both lists. Its step count is therefore
-    /// `rank≤(anchor, m) + rank≤(other, m) − count`.
-    fn merge(&self, other: &[u64]) -> (u64, u64) {
-        let (Some(&a_last), Some(&o_last)) = (self.list.last(), other.last()) else {
-            return (0, 0);
+    /// `|anchor ∩ other|` for a strictly ascending `other`. No id past the
+    /// anchor's last can be common, so only `other`'s ids up to it are
+    /// tested against the bitmap — a repeated id would be counted twice.
+    pub fn count(&self, other: &[u64]) -> u64 {
+        let Some(&last) = self.list.last() else {
+            return 0;
         };
-        let m = a_last.min(o_last);
-        let other = &other[..other.partition_point(|&y| y <= m)];
         let bits = &self.anchor.bits;
-        let count: u64 = other.iter().map(|&y| (bits[(y >> 6) as usize] >> (y & 63)) & 1).sum();
-        let in_anchor = self.list.partition_point(|&x| x <= m);
-        (count, (in_anchor + other.len()) as u64 - count)
+        let other = &other[..other.partition_point(|&y| y <= last)];
+        other.iter().map(|&y| (bits[(y >> 6) as usize] >> (y & 63)) & 1).sum()
     }
 }
 
@@ -256,92 +206,6 @@ impl Drop for Anchored<'_> {
             self.anchor.bits[(x >> 6) as usize] = 0;
         }
     }
-}
-
-/// The gallop path: `(count, comparisons)` of a counted gallop of `short`
-/// through a strictly ascending list of `len` ids, given
-/// `locate(x, lo) = (rank<(long, x), x ∈ long)` for an `x` whose rank is at
-/// least `lo`.
-///
-/// The walk this prices keeps a lower bound `lo` (everything before it is
-/// `< x`) and locates each `x` in three parts: exponential probes, a binary
-/// search between the last two probes ([`gallop_steps`] counts both from
-/// the rank `r` alone), then one comparison with the id at `r` — unless the
-/// list ran out (`r = len`), which ends the walk.
-fn gallop(
-    short: &[u64],
-    len: usize,
-    mut locate: impl FnMut(u64, usize) -> (usize, bool),
-) -> (u64, u64) {
-    let (mut count, mut comparisons, mut lo) = (0u64, 0u64, 0usize);
-    for &x in short {
-        let (r, found) = locate(x, lo);
-        comparisons += gallop_steps(lo, r, len);
-        if r == len {
-            break;
-        }
-        comparisons += 1;
-        count += found as u64;
-        lo = r + found as usize;
-    }
-    (count, comparisons)
-}
-
-/// Probes plus binary-search steps a gallop from `lo` takes to the lower
-/// bound `r ≥ lo` of its target in a list of `len` ids.
-///
-/// The probes land at `p_k = lo + 2^k + k − 1`, and the first at or past
-/// `r` is number `K = probe_exponent(r − lo)`. If `p_K < len` the walk made
-/// `K + 1` probes, then searched `[p_{K−1} + 1, p_K)`, a window of exactly
-/// `2^(K−1)` slots, in `search_steps(K − 1, r − p_{K−1} − 1)` steps (no
-/// search for `K = 0`). Otherwise it made `K` probes and searched
-/// `[p_{K−1} + 1, len)`, a window cut short by the end of the list; only
-/// that search, which happens near the list's tail alone, is walked.
-fn gallop_steps(lo: usize, r: usize, len: usize) -> u64 {
-    let k = probe_exponent(r - lo);
-    let probe = |k: usize| lo + (1 << k) + k - 1;
-    if probe(k) < len {
-        return match k {
-            0 => 1,
-            _ => (k + 1 + search_steps(k - 1, r - probe(k - 1) - 1)) as u64,
-        };
-    }
-    let (mut start, mut end) = (if k == 0 { lo } else { probe(k - 1) + 1 }, len);
-    let mut steps = k;
-    while start < end {
-        let mid = start + (end - start) / 2;
-        steps += 1;
-        if mid < r {
-            start = mid + 1;
-        } else {
-            end = mid;
-        }
-    }
-    steps as u64
-}
-
-/// The smallest `k` with `2^k + k − 1 ≥ d`: the number of the first
-/// gallop probe that lands `d` or more slots past the lower bound. With `b`
-/// the bit length of `d`, `k = b` always satisfies it and `k = b − 2` never
-/// does (`2^(b−2) + b − 3 < 2^(b−1) ≤ d`), so it is `b − 1` when that
-/// satisfies it, else `b`.
-fn probe_exponent(d: usize) -> usize {
-    let b = (usize::BITS - d.leading_zeros()) as usize;
-    if b > 0 && (1 << (b - 1)) + b - 2 >= d {
-        b - 1
-    } else {
-        b
-    }
-}
-
-/// Steps of a lower-bound binary search over `2^m` slots whose target is at
-/// offset `t ≤ 2^m`: `m + [t ≤ 1]`. The first step halves the window at
-/// offset `2^(m−1)`. For `t ≤ 2^(m−1)` the lower `2^(m−1)` slots remain,
-/// with the same `t`. Otherwise `2^(m−1) − 1` slots remain, and a window
-/// of `2^j − 1` slots always takes exactly `j` steps. One slot takes one
-/// step.
-fn search_steps(m: usize, t: usize) -> usize {
-    m + (t <= 1) as usize
 }
 
 /// H-index of a multiset: the largest `h` such that at least `h` values
@@ -493,32 +357,25 @@ mod tests {
     }
 
     #[test]
-    fn probe_exponent_matches_the_probe_loop() {
-        // The walk's probes from `lo = 0`: `hi` is `p_k`, `k` counts them.
-        let (mut k, mut hi, mut step) = (0usize, 0usize, 1usize);
-        for d in 0..1usize << 16 {
-            while hi < d {
-                (k, hi, step) = (k + 1, hi + 1 + step, step * 2);
-            }
-            assert_eq!(probe_exponent(d), k, "d = {d}");
-        }
-    }
-
-    #[test]
-    fn search_steps_match_the_binary_search() {
-        for m in 0..=12 {
-            for t in 0..=1usize << m {
-                let (mut lo, mut end, mut steps) = (0usize, 1usize << m, 0usize);
-                while lo < end {
-                    let mid = lo + (end - lo) / 2;
-                    steps += 1;
-                    if mid < t {
-                        lo = mid + 1;
-                    } else {
-                        end = mid;
-                    }
+    fn intersection_ops_is_the_cheaper_walk_of_the_two_lengths() {
+        assert_eq!(intersection_ops(5, 5), 10, "a merge of two equal lists");
+        assert_eq!(intersection_ops(1, 1000), 22, "one id galloped through 1000");
+        // A ratio of exactly 8 gallops (3 levels), one of ⌈80/9⌉ = 9 merges.
+        assert_eq!(intersection_ops(10, 80), 80);
+        assert_eq!(intersection_ops(9, 80), 89);
+        for a in 0..300 {
+            let mut previous = 0;
+            for b in 0..300 {
+                let ops = intersection_ops(a, b);
+                if a == 0 || b == 0 {
+                    assert_eq!(ops, 0, "({a}, {b})");
                 }
-                assert_eq!(search_steps(m, t), steps, "2^{m} slots, target offset {t}");
+                assert_eq!(ops, intersection_ops(b, a), "({a}, {b}) in either order");
+                assert!(ops <= (a + b) as u64, "({a}, {b}) charged {ops}");
+                if b >= a {
+                    assert!(ops >= previous, "({a}, {b}) charged less than ({a}, {})", b - 1);
+                }
+                previous = ops;
             }
         }
     }

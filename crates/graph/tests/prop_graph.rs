@@ -94,95 +94,39 @@ fn arb_sorted_unique(src: &mut Source, len: usize, max_gap: u64) -> Vec<u64> {
         .collect()
 }
 
-/// The walks the kernel `metrics::Anchor` derives its counts from: a
-/// counted linear merge below `GALLOP_RATIO`, a counted gallop from it on.
-/// The kernel must return the same `(count, comparisons)` pair, because the
-/// comparisons are what Common Neighbor charges.
-fn reference_intersection(a: &[u64], b: &[u64]) -> (u64, u64) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let (mut count, mut comparisons) = (0u64, 0u64);
-    if large.len() < small.len().saturating_mul(8) {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < small.len() && j < large.len() {
-            let (x, y) = (small[i], large[j]);
-            comparisons += 1;
-            count += (x == y) as u64;
-            i += (x <= y) as usize;
-            j += (y <= x) as usize;
-        }
-        return (count, comparisons);
-    }
-    let mut lo = 0usize;
-    for &x in small {
-        let (mut hi, mut step) = (lo, 1usize);
-        while hi < large.len() {
-            comparisons += 1;
-            if large[hi] >= x {
-                break;
-            }
-            lo = hi + 1;
-            hi = lo + step;
-            step *= 2;
-        }
-        let mut end = hi.min(large.len());
-        while lo < end {
-            let mid = lo + (end - lo) / 2;
-            comparisons += 1;
-            if large[mid] < x {
-                lo = mid + 1;
-            } else {
-                end = mid;
-            }
-        }
-        if lo == large.len() {
-            break;
-        }
-        comparisons += 1;
-        if large[lo] == x {
-            count += 1;
-            lo += 1;
-        }
-    }
-    (count, comparisons)
+/// `|a ∩ b|` by the obvious route: a `HashSet` of one list, probed with
+/// the other.
+fn reference_intersection(a: &[u64], b: &[u64]) -> u64 {
+    let set: std::collections::HashSet<u64> = b.iter().copied().collect();
+    a.iter().filter(|v| set.contains(v)).count() as u64
 }
 
-/// Both argument orders against a `HashSet` count and the reference pair:
-/// the one-pair form, and `anchor` loaded with either list (so the anchor
-/// is the long side once and the short side once). `anchor` is carried
-/// over from earlier calls and must be all-zero after each.
+/// Both argument orders against the reference count: the one-pair form,
+/// and `anchor` loaded with either list (so the anchor is the long side
+/// once and the short side once). `anchor` is carried over from earlier
+/// calls and must be all-zero after each.
 fn intersection_matches_reference(a: &[u64], b: &[u64], anchor: &mut Anchor) -> Result<(), String> {
-    let set: std::collections::HashSet<u64> = b.iter().copied().collect();
-    let want = a.iter().filter(|v| set.contains(v)).count() as u64;
+    let want = reference_intersection(a, b);
     for (x, y) in [(a, b), (b, a)] {
-        let reference = reference_intersection(x, y);
-        prop_assert_eq!(sorted_intersection_count(x, y, anchor), reference, "{:?} ∩ {:?}", x, y);
+        prop_assert_eq!(sorted_intersection_count(x, y, anchor), want, "{:?} ∩ {:?}", x, y);
         prop_assert!(anchor.is_clear(), "bitmap left dirty by {:?} ∩ {:?}", x, y);
-        prop_assert_eq!(anchor.load(x).count(y), reference, "anchor {:?} ∩ {:?}", x, y);
+        prop_assert_eq!(anchor.load(x).count(y), want, "anchor {:?} ∩ {:?}", x, y);
         prop_assert!(anchor.is_clear(), "anchor {:?} left dirty", x);
-        let (count, comparisons) = reference;
-        prop_assert_eq!(count, want, "|{:?} ∩ {:?}|", x, y);
-        prop_assert!(
-            comparisons <= (x.len() + y.len()) as u64,
-            "{} comparisons for lengths {} and {}",
-            comparisons,
-            x.len(),
-            y.len()
-        );
     }
     Ok(())
 }
 
 /// A short list against a long one at a length ratio of 1 … 10 000.
 fn arb_short_and_long(src: &mut Source) -> (Vec<u64>, Vec<u64>) {
-    // Ratios 1:1 … 1:10 000 cover the merge branch, the gallop branch and
-    // the switch between them.
+    // Ratios 1:1 … 1:10 000: from lists of like length to a hub against a
+    // few ids.
     let ratio = [1usize, 2, 5, 7, 8, 9, 16, 100, 1_000, 10_000][src.choice(10) as usize];
     let short_len = src.usize_range(0, 2.max(4_000 / ratio));
     let long = arb_sorted_unique(src, short_len.max(1) * ratio, 3);
     // The long list's mean gap is 2, so a mean gap of 2·ratio spans the
     // same id range; draw from a quarter to twice that, so the short list
-    // may end early or run past the long one's last id (a gallop window
-    // cut short by the end of the list).
+    // may end early or run past the long one's last id (either anchor's
+    // `≤ last` cut).
     let max_gap = ratio as u64 * src.u64_range(1, 9);
     (arb_sorted_unique(src, short_len, max_gap), long)
 }
@@ -211,7 +155,7 @@ fn one_anchor_counts_many_partners_and_unloads_clean() {
         },
         |(hub, partners)| {
             let mut anchor = Anchor::default();
-            let mut anchored = anchor.load(hub);
+            let anchored = anchor.load(hub);
             for p in partners {
                 prop_assert_eq!(anchored.count(p), reference_intersection(hub, p), "{:?}", p);
             }
@@ -253,28 +197,8 @@ fn sorted_intersection_edge_cases() {
         (&edges[..], &long[..], 3),
         (&[63, 64, 500][..], &long[..], 1),
     ] {
-        assert_eq!(sorted_intersection_count(a, b, anchor).0, want, "{a:?} ∩ {b:?}");
+        assert_eq!(sorted_intersection_count(a, b, anchor), want, "{a:?} ∩ {b:?}");
         intersection_matches_reference(a, b, anchor).unwrap();
-    }
-    // Identical lists merge in one comparison per element; a lone element
-    // is found in a long list in logarithmically many.
-    assert_eq!(sorted_intersection_count(&long, &long, anchor), (100, 100));
-    assert!(sorted_intersection_count(&[198], &long, anchor).1 <= 16);
-}
-
-#[test]
-fn gallop_counts_every_target_offset_of_every_window() {
-    // A hub of `len` even ids against one or two ids anywhere in and past
-    // its range: every probe window, inside the list and cut short by its
-    // end, with the target at every offset (0, 1, 2, …) within it.
-    let anchor = &mut Anchor::default();
-    for len in 8..=70 {
-        let hub: Vec<u64> = (0..len).map(|i| 2 * i).collect();
-        for x in 0..2 * len + 2 {
-            for partner in [vec![x], vec![x, x + 1], vec![x, x + 5]] {
-                intersection_matches_reference(&partner, &hub, anchor).unwrap();
-            }
-        }
     }
 }
 

@@ -80,7 +80,7 @@ fn gx_cn_one_batch(
             let mut anchor = Anchor::default();
             records
                 .iter()
-                .map(|(b, (nb, (na, a)))| (*a, *b, sorted_intersection_count(na, nb, &mut anchor).0))
+                .map(|(b, (nb, (na, a)))| (*a, *b, sorted_intersection_count(na, nb, &mut anchor)))
                 .collect()
         },
         batch.cluster().config().ops_per_record,

@@ -28,7 +28,7 @@ pub fn gx_triangle_count(gx: &GxGraph) -> Result<u64, DataflowError> {
             let mut anchor = Anchor::default();
             records
                 .iter()
-                .map(|(_b, ((_a, na), nb))| sorted_intersection_count(na, nb, &mut anchor).0)
+                .map(|(_b, ((_a, na), nb))| sorted_intersection_count(na, nb, &mut anchor))
                 .collect()
         },
         gx.cluster().config().ops_per_record,

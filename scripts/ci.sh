@@ -72,8 +72,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-goin
 cargo test -q --offline -p psgraph-harness
 # The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
 # that release builds would wrap silently; so does the intersection
-# kernel (`x >> 6` words, the derived `ranks - count`, the gallop's probe
-# offsets `lo + 2^k + k - 1` and rank differences).
+# kernel (`x >> 6` words) and its declared charge (`u64` products of the
+# list lengths).
 cargo test -q --offline -p psgraph-query -p psgraph-graph
 # So do the CSR splice every shard goes through at load and swap time
 # (`o - plo + olo`, `o - ohi + shift` on u64) and the ingestor's lane and
@@ -82,6 +82,9 @@ cargo test -q --offline -p psgraph-serve -p psgraph-stream
 # And Common Neighbor / Triangle Count's round grouping: `2 * slot`
 # indexing and the counts written back by slot.
 cargo test -q --offline -p psgraph-core --lib -- common_neighbor triangle
+# GraphX's two jobs run the kernel's one-pair form, the only caller that
+# loads the shorter list and counts the longer one against it.
+cargo test -q --offline -p psgraph-graphx --lib -- common_neighbor triangle
 
 cargo build --release --offline --workspace
 # Release mode: the fig6/table emergence tests simulate whole cluster
