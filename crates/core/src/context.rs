@@ -7,30 +7,18 @@ use psgraph_dataflow::{Cluster, ClusterConfig};
 use psgraph_dfs::{Dfs, DfsConfig};
 use psgraph_net::Network;
 use psgraph_ps::sync::SyncController;
-use psgraph_ps::{Master, Ps, PsConfig, SyncMode};
+use psgraph_ps::{Master, Ps, PsConfig};
 use psgraph_sim::sync::Mutex;
 use psgraph_sim::{CostModel, FaultSchedule, FaultSite, SimTime};
 
 use crate::error::Result;
 
 /// Everything needed to stand up one PSGraph deployment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PsGraphConfig {
     pub cluster: ClusterConfig,
     pub ps: PsConfig,
     pub dfs: DfsConfig,
-    pub sync: SyncMode,
-}
-
-impl Default for PsGraphConfig {
-    fn default() -> Self {
-        PsGraphConfig {
-            cluster: ClusterConfig::default(),
-            ps: PsConfig::default(),
-            dfs: DfsConfig::default(),
-            sync: SyncMode::Bsp,
-        }
-    }
 }
 
 impl PsGraphConfig {
@@ -88,7 +76,6 @@ pub struct PsGraphContext {
     cluster: Arc<Cluster>,
     ps: Arc<Ps>,
     dfs: Arc<Dfs>,
-    sync: SyncController,
     master: Master,
     chaos: Mutex<FaultSchedule>,
 }
@@ -111,7 +98,6 @@ impl PsGraphContext {
             cluster,
             ps,
             dfs,
-            sync: SyncController::new(config.sync),
             master: Master::new(),
             chaos: Mutex::default(),
         })
@@ -132,10 +118,6 @@ impl PsGraphContext {
 
     pub fn dfs(&self) -> &Arc<Dfs> {
         &self.dfs
-    }
-
-    pub fn sync(&self) -> &SyncController {
-        &self.sync
     }
 
     /// The PS master (health checks, restart + recovery bookkeeping).
@@ -231,7 +213,7 @@ impl PsGraphContext {
             let clocks: Vec<_> = (0..self.cluster.num_executors())
                 .map(|i| self.cluster.executor(i).clock())
                 .collect();
-            self.sync.block_until(self.cluster.clock(), clocks.iter().copied(), until);
+            SyncController::block_until(self.cluster.clock(), clocks.iter().copied(), until);
         }
         Ok((killed_execs, killed_servers))
     }

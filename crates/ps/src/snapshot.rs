@@ -2,19 +2,27 @@
 //!
 //! Training leaves ranks/communities/embeddings/adjacency live on the
 //! parameter servers; the serving tier (`psgraph-serve`) wants an
-//! immutable, flat copy it can shard for read traffic. A
-//! [`SnapshotWriter`] pulls each object through the normal client RPC
-//! path (charging the exporting client's clock) and writes one flat file
-//! per object plus a `MANIFEST` to the DFS:
+//! immutable, flat copy it can shard for read traffic. One writer,
+//! [`DeltaWriter`], pulls each object's partitions whose write version
+//! moved since a base [`SnapshotManifest`] through the normal client RPC
+//! path (charging the exporting client's clock) and writes them, as
+//! [`PatchRegion`]s, into one [`SnapshotDelta`] file on the DFS. A full
+//! export ([`SnapshotWriter`]) is that writer with no base: every
+//! partition of every object is dirty.
 //!
 //! ```text
-//! <dir>/MANIFEST            magic, entry count, per-entry (name, kind, rows, cols)
-//! <dir>/<name>.snap         kind tag + shape + little-endian payload
+//! <dir>/SNAPSHOT   full export: magic, entry count, per entry
+//!                  (name, kind, rows, cols, versions, regions)
+//! <dir>/DELTA      the latest delta, in the same encoding
 //! ```
 //!
-//! Values are encoded bit-exactly (`to_bits`/`from_bits` for floats), so
-//! export → load round-trips f32/f64 with no re-quantization — the serve
-//! tier answers with exactly the numbers training produced.
+//! The two files never share a path, so a refresh never overwrites the
+//! file a load reads. Values are encoded bit-exactly (`to_bits`/`from_bits`
+//! for floats), so export → load round-trips f32/f64 with no
+//! re-quantization — the serve tier answers with exactly the numbers
+//! training produced.
+
+use std::ops::{Deref, DerefMut};
 
 use psgraph_dfs::Dfs;
 use psgraph_sim::bytes::BufMut;
@@ -23,36 +31,26 @@ use psgraph_sim::{NodeClock, Reader};
 use crate::colmatrix::ColMatrixHandle;
 use crate::element::Element;
 use crate::error::{PsError, Result};
-use crate::matrix::MatrixHandle;
 use crate::neighbor::NeighborTableHandle;
 use crate::partition::PartitionLayout;
 use crate::vector::VectorHandle;
 
-/// Manifest magic ("PSGSNAP2" as big-endian bytes — v2 added the
-/// per-partition write versions that delta export diffs against).
-const MAGIC: u64 = 0x5053_4753_4E41_5032;
-
-/// Delta file magic ("PSGDLTA1" as big-endian bytes).
+/// File magic ("PSGDLTA1" as big-endian bytes).
 const DELTA_MAGIC: u64 = 0x5053_4744_4C54_4131;
 
 /// The fewest bytes an entry header takes: name length, kind, rows, cols
 /// and version count.
 const HEADER_MIN: usize = 21;
 
-/// Rows pulled per RPC when exporting matrices/adjacency (bounds the
-/// transient client-side buffer, and matches how a real exporter would
-/// stream).
-const EXPORT_CHUNK: usize = 4096;
-
 /// What one snapshot object holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
     VecF64,
     VecU64,
-    /// Row-major `rows × cols` f32 (from either a row- or
-    /// column-partitioned matrix — the flat form is the same).
+    /// Row-major `rows × cols` f32 of a column-partitioned matrix, one
+    /// column stripe per partition.
     MatF32,
-    /// CSR adjacency: `rows + 1` offsets plus packed targets.
+    /// CSR adjacency: per partition, offsets plus packed targets.
     Adjacency,
 }
 
@@ -91,39 +89,8 @@ pub struct SnapshotEntry {
     pub part_versions: Vec<u64>,
 }
 
-/// Append the entry header the manifest and the delta share.
-fn put_header(
-    buf: &mut Vec<u8>,
-    name: &str,
-    kind: SnapshotKind,
-    rows: u64,
-    cols: u32,
-    versions: &[u64],
-) {
-    buf.put_u32_le(name.len() as u32);
-    buf.put_slice(name.as_bytes());
-    buf.put_u8(kind.tag());
-    buf.put_u64_le(rows);
-    buf.put_u32_le(cols);
-    buf.put_u32_le(versions.len() as u32);
-    for &v in versions {
-        buf.put_u64_le(v);
-    }
-}
-
-/// Inverse of [`put_header`].
-fn get_header(r: &mut Reader) -> Result<SnapshotEntry> {
-    let len = r.count::<u32>(1)?;
-    let name = String::from_utf8(r.bytes(len)?.to_vec())
-        .map_err(|_| r.corrupt("non-UTF-8 object name"))?;
-    let kind = SnapshotKind::from_tag(r.get()?)?;
-    let (rows, cols) = (r.get()?, r.get()?);
-    let n_parts = r.count::<u32>(8)?;
-    let part_versions = r.vec(n_parts)?;
-    Ok(SnapshotEntry { name, kind, rows, cols, part_versions })
-}
-
-/// The snapshot directory listing.
+/// What a reader of the snapshot files holds: each object's shape and
+/// per-partition versions, the base the next delta is diffed against.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotManifest {
     pub entries: Vec<SnapshotEntry>,
@@ -133,249 +100,16 @@ impl SnapshotManifest {
     pub fn entry(&self, name: &str) -> Option<&SnapshotEntry> {
         self.entries.iter().find(|e| e.name == name)
     }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_u64_le(MAGIC);
-        buf.put_u32_le(self.entries.len() as u32);
-        for e in &self.entries {
-            put_header(&mut buf, &e.name, e.kind, e.rows, e.cols, &e.part_versions);
-        }
-        buf
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        Reader::decode(bytes, "snapshot manifest", |r| {
-            r.magic(&MAGIC.to_le_bytes())?;
-            let count = r.count::<u32>(HEADER_MIN)?;
-            let entries = (0..count).map(|_| get_header(r)).collect::<Result<_>>()?;
-            Ok(SnapshotManifest { entries })
-        })
-    }
-
-    /// Read the manifest of a snapshot directory.
-    pub fn load(dfs: &Dfs, dir: &str, client: &NodeClock) -> Result<Self> {
-        let bytes = dfs.read(&manifest_path(dir), client)?;
-        Self::decode(&bytes)
-    }
 }
 
-fn manifest_path(dir: &str) -> String {
-    format!("{}/MANIFEST", dir.trim_end_matches('/'))
+/// The file a full export of `dir` writes and a serving tier loads.
+pub fn snapshot_path(dir: &str) -> String {
+    format!("{}/SNAPSHOT", dir.trim_end_matches('/'))
 }
 
-fn object_path(dir: &str, name: &str) -> String {
-    format!("{}/{name}.snap", dir.trim_end_matches('/'))
-}
-
-/// Load one object of a snapshot, charging the read to `client`, as the
-/// [`PatchRegion`] that rewrites all of it (`row_lo` 0; a matrix as its
-/// full rows, `cols` wide as `entry` says).
-pub fn load_object(
-    dfs: &Dfs,
-    dir: &str,
-    entry: &SnapshotEntry,
-    client: &NodeClock,
-) -> Result<PatchRegion> {
-    let bytes = dfs.read(&object_path(dir, &entry.name), client)?;
-    Reader::decode(&bytes, "snapshot object", |r| {
-        let kind = SnapshotKind::from_tag(r.get()?)?;
-        let (rows, cols) = (r.usize()?, r.get::<u32>()?);
-        if kind != entry.kind || rows as u64 != entry.rows || cols != entry.cols {
-            return Err(PsError::Dfs(format!(
-                "snapshot object {} does not match its manifest entry",
-                entry.name
-            )));
-        }
-        let cols = cols as usize;
-        Ok(match kind {
-            SnapshotKind::VecF64 => PatchRegion::RowsF64 { row_lo: 0, values: r.vec(rows)? },
-            SnapshotKind::VecU64 => PatchRegion::RowsU64 { row_lo: 0, values: r.vec(rows)? },
-            SnapshotKind::MatF32 => {
-                let n = rows.checked_mul(cols).ok_or_else(|| r.corrupt("length overflows"))?;
-                PatchRegion::RowsF32 { row_lo: 0, data: r.vec(n)? }
-            }
-            SnapshotKind::Adjacency => {
-                let n_off = rows.checked_add(1).ok_or_else(|| r.corrupt("length overflows"))?;
-                let offsets = r.vec(n_off)?;
-                let n_tgt = r.count::<u64>(8)?;
-                let targets = r.vec(n_tgt)?;
-                // Consecutive offsets slice the targets.
-                if !offsets_tile(&offsets, n_tgt) {
-                    return Err(r.corrupt("offsets do not tile the targets").into());
-                }
-                PatchRegion::Adj { row_lo: 0, offsets, targets }
-            }
-        })
-    })
-}
-
-/// Whether CSR `offsets` tile `targets` packed targets: they start at 0,
-/// never decrease and end at `targets`, so every consecutive pair slices
-/// the targets.
-fn offsets_tile(offsets: &[u64], targets: usize) -> bool {
-    offsets.first() == Some(&0)
-        && offsets.last() == Some(&(targets as u64))
-        && offsets.windows(2).all(|w| w[0] <= w[1])
-}
-
-/// The ids `[start, end)` in requests of at most [`EXPORT_CHUNK`].
-fn chunks(start: u64, end: u64) -> impl Iterator<Item = Vec<u64>> {
-    (start..end)
-        .step_by(EXPORT_CHUNK)
-        .map(move |lo| (lo..(lo + EXPORT_CHUNK as u64).min(end)).collect())
-}
-
-/// The CSR (`offsets` from 0, packed `targets`) of the live lists `h`
-/// holds for each request's ids, pulled by `client` one request at a
-/// time and concatenated in request order.
-fn pull_csr(
-    h: &NeighborTableHandle,
-    client: &NodeClock,
-    requests: impl Iterator<Item = Vec<u64>>,
-) -> Result<(Vec<u64>, Vec<u64>)> {
-    let mut offsets = vec![0u64];
-    let mut targets: Vec<u64> = Vec::new();
-    for ids in requests {
-        offsets.reserve(ids.len());
-        for ns in h.pull(client, &ids)? {
-            targets.extend_from_slice(&ns);
-            offsets.push(targets.len() as u64);
-        }
-    }
-    Ok((offsets, targets))
-}
-
-/// Exports live PS objects into a snapshot directory on the DFS.
-pub struct SnapshotWriter<'a> {
-    dfs: &'a Dfs,
-    dir: String,
-    client: &'a NodeClock,
-    manifest: SnapshotManifest,
-}
-
-impl<'a> SnapshotWriter<'a> {
-    pub fn new(dfs: &'a Dfs, dir: impl Into<String>, client: &'a NodeClock) -> Self {
-        SnapshotWriter {
-            dfs,
-            dir: dir.into(),
-            client,
-            manifest: SnapshotManifest::default(),
-        }
-    }
-
-    fn write_object(&mut self, entry: SnapshotEntry, payload: Vec<u8>) -> Result<()> {
-        if self.manifest.entry(&entry.name).is_some() {
-            return Err(PsError::Dfs(format!(
-                "snapshot already contains an object named {}",
-                entry.name
-            )));
-        }
-        let mut bytes = Vec::with_capacity(13 + payload.len());
-        bytes.put_u8(entry.kind.tag());
-        bytes.put_u64_le(entry.rows);
-        bytes.put_u32_le(entry.cols);
-        bytes.extend_from_slice(&payload);
-        self.dfs.write(&object_path(&self.dir, &entry.name), &bytes, self.client)?;
-        self.manifest.entries.push(entry);
-        Ok(())
-    }
-
-    /// Export a dense f64 vector (ranks, scores).
-    pub fn vector_f64(&mut self, h: &VectorHandle<f64>) -> Result<()> {
-        self.vector(h, SnapshotKind::VecF64)
-    }
-
-    /// Export a dense u64 vector (community / label assignments).
-    pub fn vector_u64(&mut self, h: &VectorHandle<u64>) -> Result<()> {
-        self.vector(h, SnapshotKind::VecU64)
-    }
-
-    fn vector<E: Element>(&mut self, h: &VectorHandle<E>, kind: SnapshotKind) -> Result<()> {
-        let part_versions = h.partition_versions()?;
-        let values = h.pull_all(self.client)?;
-        let mut payload = Vec::with_capacity(values.len() * E::WIDTH);
-        for &v in &values {
-            v.put_le(&mut payload);
-        }
-        let entry = SnapshotEntry {
-            name: h.name().to_string(),
-            kind,
-            rows: values.len() as u64,
-            cols: 1,
-            part_versions,
-        };
-        self.write_object(entry, payload)
-    }
-
-    /// Export a row-partitioned f32 matrix.
-    pub fn matrix_f32(&mut self, h: &MatrixHandle<f32>) -> Result<()> {
-        let versions = h.partition_versions()?;
-        self.matrix(h.name(), h.rows(), h.cols(), versions, [h.pull_all(self.client)])
-    }
-
-    /// Export a column-partitioned f32 matrix (LINE/GraphSage embeddings),
-    /// gathering full rows in chunks through the normal pull path.
-    pub fn colmatrix(&mut self, h: &ColMatrixHandle) -> Result<()> {
-        let (client, versions) = (self.client, h.partition_versions()?);
-        let rows = chunks(0, h.rows()).map(|ids| h.pull_rows(client, &ids));
-        self.matrix(h.name(), h.rows(), h.cols(), versions, rows)
-    }
-
-    /// Write a `rows × cols` matrix whose rows arrive in pulled chunks.
-    fn matrix(
-        &mut self,
-        name: &str,
-        rows: u64,
-        cols: usize,
-        part_versions: Vec<u64>,
-        pulled: impl IntoIterator<Item = Result<Vec<Vec<f32>>>>,
-    ) -> Result<()> {
-        let mut payload = Vec::with_capacity(rows as usize * cols * 4);
-        for chunk in pulled {
-            for v in chunk?.iter().flatten() {
-                payload.put_f32_le(*v);
-            }
-        }
-        let entry = SnapshotEntry {
-            name: name.to_string(),
-            kind: SnapshotKind::MatF32,
-            rows,
-            cols: cols as u32,
-            part_versions,
-        };
-        self.write_object(entry, payload)
-    }
-
-    /// Export a neighbor table as a CSR adjacency snapshot (live lists
-    /// only — tombstones never reach the file).
-    pub fn neighbor_table(&mut self, h: &NeighborTableHandle) -> Result<()> {
-        let (n, part_versions) = (h.num_vertices(), h.partition_versions()?);
-        let (offsets, targets) = pull_csr(h, self.client, chunks(0, n))?;
-        let mut payload = Vec::with_capacity((offsets.len() + 1 + targets.len()) * 8);
-        for &o in &offsets {
-            payload.put_u64_le(o);
-        }
-        payload.put_u64_le(targets.len() as u64);
-        for &t in &targets {
-            payload.put_u64_le(t);
-        }
-        let entry = SnapshotEntry {
-            name: h.name().to_string(),
-            kind: SnapshotKind::Adjacency,
-            rows: n,
-            cols: 0,
-            part_versions,
-        };
-        self.write_object(entry, payload)
-    }
-
-    /// Write the manifest and return it. Must be called last — objects
-    /// written after `finish` would not be listed.
-    pub fn finish(self) -> Result<SnapshotManifest> {
-        self.dfs.write(&manifest_path(&self.dir), &self.manifest.encode(), self.client)?;
-        Ok(self.manifest)
-    }
+/// The file a delta export of `dir` writes.
+pub fn delta_path(dir: &str) -> String {
+    format!("{}/DELTA", dir.trim_end_matches('/'))
 }
 
 /// One contiguous region of changed data within a [`DeltaEntry`].
@@ -392,10 +126,6 @@ pub enum PatchRegion {
     /// Replacement CSR adjacency for rows
     /// `[row_lo, row_lo + offsets.len() - 1)`, offsets rebased to 0.
     Adj { row_lo: u64, offsets: Vec<u64>, targets: Vec<u64> },
-    /// Replacement rows of a *row-partitioned* f32 matrix: full rows
-    /// `[row_lo, row_lo + data.len() / cols)`, row-major (`cols` comes
-    /// from the enclosing [`DeltaEntry`]).
-    RowsF32 { row_lo: u64, data: Vec<f32> },
 }
 
 impl PatchRegion {
@@ -405,7 +135,6 @@ impl PatchRegion {
             PatchRegion::RowsU64 { .. } => 1,
             PatchRegion::Cols { .. } => 2,
             PatchRegion::Adj { .. } => 3,
-            PatchRegion::RowsF32 { .. } => 4,
         }
     }
 
@@ -433,11 +162,6 @@ impl PatchRegion {
                 let n_tgt = r.count::<u64>(8)?;
                 PatchRegion::Adj { row_lo, offsets, targets: r.vec(n_tgt)? }
             }
-            4 => {
-                let row_lo = r.get()?;
-                let len = r.count::<u64>(4)?;
-                PatchRegion::RowsF32 { row_lo, data: r.vec(len)? }
-            }
             t => return Err(r.corrupt(format!("unknown patch region tag {t}")).into()),
         })
     }
@@ -456,8 +180,10 @@ pub struct DeltaEntry {
     pub regions: Vec<PatchRegion>,
 }
 
-/// The partitions that changed since a base [`SnapshotManifest`]. Objects
-/// with no changed partitions are omitted entirely — that is the point.
+/// The contents of one snapshot file: the partitions that changed since
+/// a base [`SnapshotManifest`], or every partition when there was none.
+/// Objects with no changed partitions are omitted from a delta entirely —
+/// that is the point.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotDelta {
     pub entries: Vec<DeltaEntry>,
@@ -468,14 +194,24 @@ impl SnapshotDelta {
         self.entries.iter().find(|e| e.name == name)
     }
 
-    /// The base manifest advanced past this delta: same objects, changed
-    /// entries carrying the delta's versions. Feed the result to the next
-    /// [`DeltaWriter`] so deltas chain.
+    /// The base manifest advanced past this delta: changed entries carry
+    /// the delta's versions, and objects the base lacks are appended (so
+    /// rebasing a full export onto the empty manifest gives its own
+    /// manifest). Feed the result to the next [`DeltaWriter`] so deltas
+    /// chain.
     pub fn rebase(&self, base: &SnapshotManifest) -> SnapshotManifest {
         let mut next = base.clone();
-        for e in &mut next.entries {
-            if let Some(d) = self.entry(&e.name) {
-                e.part_versions = d.part_versions.clone();
+        for d in &self.entries {
+            let e = SnapshotEntry {
+                name: d.name.clone(),
+                kind: d.kind,
+                rows: d.rows,
+                cols: d.cols,
+                part_versions: d.part_versions.clone(),
+            };
+            match next.entries.iter_mut().find(|b| b.name == d.name) {
+                Some(b) => *b = e,
+                None => next.entries.push(e),
             }
         }
         next
@@ -486,7 +222,15 @@ impl SnapshotDelta {
         buf.put_u64_le(DELTA_MAGIC);
         buf.put_u32_le(self.entries.len() as u32);
         for e in &self.entries {
-            put_header(&mut buf, &e.name, e.kind, e.rows, e.cols, &e.part_versions);
+            buf.put_u32_le(e.name.len() as u32);
+            buf.put_slice(e.name.as_bytes());
+            buf.put_u8(e.kind.tag());
+            buf.put_u64_le(e.rows);
+            buf.put_u32_le(e.cols);
+            buf.put_u32_le(e.part_versions.len() as u32);
+            for &v in &e.part_versions {
+                buf.put_u64_le(v);
+            }
             buf.put_u32_le(e.regions.len() as u32);
             for r in &e.regions {
                 buf.put_u8(r.tag());
@@ -524,13 +268,6 @@ impl SnapshotDelta {
                             buf.put_u64_le(t);
                         }
                     }
-                    PatchRegion::RowsF32 { row_lo, data } => {
-                        buf.put_u64_le(*row_lo);
-                        buf.put_u64_le(data.len() as u64);
-                        for &x in data {
-                            buf.put_f32_le(x);
-                        }
-                    }
                 }
             }
         }
@@ -544,7 +281,13 @@ impl SnapshotDelta {
             let count = r.count::<u32>(HEADER_MIN + 4)?;
             let mut entries = Vec::with_capacity(count);
             for _ in 0..count {
-                let SnapshotEntry { name, kind, rows, cols, part_versions } = get_header(r)?;
+                let len = r.count::<u32>(1)?;
+                let name = String::from_utf8(r.bytes(len)?.to_vec())
+                    .map_err(|_| r.corrupt("non-UTF-8 object name"))?;
+                let kind = SnapshotKind::from_tag(r.get()?)?;
+                let (rows, cols) = (r.get()?, r.get()?);
+                let n_parts = r.count::<u32>(8)?;
+                let part_versions = r.vec(n_parts)?;
                 // Each region is at least a tag and two 8-byte fields.
                 let n_regions = r.count::<u32>(17)?;
                 let regions = (0..n_regions).map(|_| PatchRegion::decode(r));
@@ -555,50 +298,51 @@ impl SnapshotDelta {
         })
     }
 
-    /// Read the delta file of a snapshot directory.
-    pub fn load(dfs: &Dfs, dir: &str, client: &NodeClock) -> Result<Self> {
-        let bytes = dfs.read(&delta_path(dir), client)?;
+    /// Read one snapshot file — [`snapshot_path`] or [`delta_path`] of
+    /// a directory — charging the read to `client`.
+    pub fn load(dfs: &Dfs, path: &str, client: &NodeClock) -> Result<Self> {
+        let bytes = dfs.read(path, client)?;
         Self::decode(&bytes)
     }
 }
 
-fn delta_path(dir: &str) -> String {
-    format!("{}/DELTA", dir.trim_end_matches('/'))
-}
-
-/// The key interval of range partition `p`; a delta can only patch
-/// contiguous rows.
-fn range_of(layout: &PartitionLayout, name: &str, p: usize) -> Result<(u64, u64)> {
-    layout
-        .range_of(p)
+/// The key interval of each partition of `layout`: a region patches
+/// contiguous rows, so only a range-partitioned object can be exported.
+fn ranges(layout: &PartitionLayout, name: &str) -> Result<Vec<(u64, u64)>> {
+    (0..layout.num_partitions)
+        .map(|p| layout.range_of(p))
+        .collect::<Option<_>>()
         .ok_or_else(|| PsError::Dfs(format!("delta: {name} is not range-partitioned")))
 }
 
-/// Exports only the partitions whose write version moved since a base
-/// manifest — the incremental counterpart of [`SnapshotWriter`]. Each
-/// export method pulls the dirty partitions through the normal client RPC
-/// path and records them as [`PatchRegion`]s; unchanged objects cost
-/// nothing but a version check.
+/// Exports the partitions whose write version moved since a base
+/// manifest — every partition when there is none ([`SnapshotWriter`]).
+/// Each export method pulls the dirty partitions through the normal
+/// client RPC path and records them as [`PatchRegion`]s; unchanged
+/// objects cost nothing but a version check.
 pub struct DeltaWriter<'a> {
     dfs: &'a Dfs,
-    dir: String,
+    path: String,
     client: &'a NodeClock,
-    base: &'a SnapshotManifest,
+    base: Option<&'a SnapshotManifest>,
     delta: SnapshotDelta,
 }
 
 impl<'a> DeltaWriter<'a> {
+    /// A delta of `dir` against `base`, written to [`delta_path`].
     pub fn new(
         dfs: &'a Dfs,
-        dir: impl Into<String>,
+        dir: &str,
         base: &'a SnapshotManifest,
         client: &'a NodeClock,
     ) -> Self {
-        DeltaWriter { dfs, dir: dir.into(), client, base, delta: SnapshotDelta::default() }
+        let (path, delta) = (delta_path(dir), SnapshotDelta::default());
+        DeltaWriter { dfs, path, client, base: Some(base), delta }
     }
 
-    /// The base entry for `name`, validated against the live object's
-    /// shape; returns the indices of partitions whose version moved.
+    /// The partitions of `name` to re-export: those whose version moved
+    /// since the base entry, validated against the live object's shape —
+    /// or all of them with no base.
     fn dirty_partitions(
         &self,
         name: &str,
@@ -606,8 +350,13 @@ impl<'a> DeltaWriter<'a> {
         rows: u64,
         current: &[u64],
     ) -> Result<Vec<usize>> {
-        let base = self
-            .base
+        if self.delta.entry(name).is_some() {
+            return Err(PsError::Dfs(format!("snapshot already contains an object named {name}")));
+        }
+        let Some(base) = self.base else {
+            return Ok((0..current.len()).collect());
+        };
+        let base = base
             .entry(name)
             .ok_or_else(|| PsError::Dfs(format!("delta: {name} not in the base manifest")))?;
         if base.kind != kind || base.rows != rows {
@@ -625,9 +374,9 @@ impl<'a> DeltaWriter<'a> {
             .collect())
     }
 
-    /// Diff one object against the base manifest: `region(p)` exports
-    /// partition `p` for each partition whose version moved, and the entry
-    /// is recorded unless nothing did. Returns the re-exported count.
+    /// Diff one object against the base: `region(p)` exports partition `p`
+    /// for each dirty partition, and the entry is recorded unless nothing
+    /// moved. Returns the re-exported count.
     fn diff(
         &mut self,
         name: &str,
@@ -662,9 +411,9 @@ impl<'a> DeltaWriter<'a> {
         kind: SnapshotKind,
         region: impl Fn(u64, Vec<E>) -> PatchRegion,
     ) -> Result<usize> {
-        let client = self.client;
+        let (client, ranges) = (self.client, ranges(h.layout(), h.name())?);
         self.diff(h.name(), kind, h.size(), 1, h.partition_versions()?, |p| {
-            let (start, end) = range_of(h.layout(), h.name(), p)?;
+            let (start, end) = ranges[p];
             let ids: Vec<u64> = (start..end).collect();
             Ok(region(start, h.pull(client, &ids)?))
         })
@@ -684,39 +433,68 @@ impl<'a> DeltaWriter<'a> {
         })
     }
 
-    /// Diff a row-partitioned f32 matrix: each dirty partition is one
-    /// contiguous block of full rows. Returns the re-exported count.
-    pub fn matrix_f32(&mut self, h: &MatrixHandle<f32>) -> Result<usize> {
-        let (client, cols) = (self.client, h.cols() as u32);
-        self.diff(h.name(), SnapshotKind::MatF32, h.rows(), cols, h.partition_versions()?, |p| {
-            let (start, end) = range_of(h.layout(), h.name(), p)?;
-            let ids: Vec<u64> = (start..end).collect();
-            let mut data = Vec::with_capacity(ids.len() * h.cols());
-            for row in h.pull_rows(client, &ids)? {
-                data.extend_from_slice(&row);
-            }
-            Ok(PatchRegion::RowsF32 { row_lo: start, data })
-        })
-    }
-
-    /// Diff a mutable neighbor table: each dirty partition is re-exported
-    /// as a CSR patch of its vertex range (live lists only). Returns the
-    /// re-exported count.
+    /// Diff a mutable neighbor table: each dirty partition is re-exported,
+    /// in one request, as a CSR patch of its vertex range (live lists only —
+    /// tombstones never reach the file). Returns the re-exported count.
     pub fn neighbor_table(&mut self, h: &NeighborTableHandle) -> Result<usize> {
         let (client, name, layout) = (self.client, h.name(), h.layout());
+        let ranges = ranges(layout, name)?;
         self.diff(name, SnapshotKind::Adjacency, layout.size, 0, h.partition_versions()?, |p| {
-            let (start, end) = range_of(layout, name, p)?;
-            // One request per dirty partition.
-            let (offsets, targets) = pull_csr(h, client, std::iter::once((start..end).collect()))?;
+            let (start, end) = ranges[p];
+            let ids: Vec<u64> = (start..end).collect();
+            let (mut offsets, mut targets) = (vec![0u64], Vec::new());
+            for ns in h.pull(client, &ids)? {
+                targets.extend_from_slice(&ns);
+                offsets.push(targets.len() as u64);
+            }
             Ok(PatchRegion::Adj { row_lo: start, offsets, targets })
         })
     }
 
-    /// Write the delta file and return the delta. [`SnapshotDelta::rebase`]
+    /// Write the file and return what it holds. [`SnapshotDelta::rebase`]
     /// the base manifest with it to chain further deltas.
     pub fn finish(self) -> Result<SnapshotDelta> {
-        self.dfs.write(&delta_path(&self.dir), &self.delta.encode(), self.client)?;
+        self.dfs.write(&self.path, &self.delta.encode(), self.client)?;
         Ok(self.delta)
+    }
+}
+
+/// A full export of live PS objects: the [`DeltaWriter`] with no base, so
+/// every partition of every object is dirty, written to [`snapshot_path`].
+/// Objects are exported through the delta writer's methods.
+pub struct SnapshotWriter<'a>(DeltaWriter<'a>);
+
+impl<'a> SnapshotWriter<'a> {
+    pub fn new(dfs: &'a Dfs, dir: &str, client: &'a NodeClock) -> Self {
+        let (path, delta) = (snapshot_path(dir), SnapshotDelta::default());
+        SnapshotWriter(DeltaWriter { dfs, path, client, base: None, delta })
+    }
+
+    /// Write the snapshot file and return its manifest — the base of the
+    /// next [`DeltaWriter`]. The exported regions are dropped before the
+    /// file goes to the DFS, so the export never holds every object three
+    /// times over (regions, encoded file, DFS blocks): that raised the
+    /// serving benchmark's peak RSS.
+    pub fn finish(self) -> Result<SnapshotManifest> {
+        let DeltaWriter { dfs, path, client, delta, .. } = self.0;
+        let (bytes, manifest) = (delta.encode(), delta.rebase(&SnapshotManifest::default()));
+        drop(delta);
+        dfs.write(&path, &bytes, client)?;
+        Ok(manifest)
+    }
+}
+
+impl<'a> Deref for SnapshotWriter<'a> {
+    type Target = DeltaWriter<'a>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for SnapshotWriter<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
@@ -731,46 +509,55 @@ mod tests {
         Ps::new(PsConfig { servers: 3, ..Default::default() })
     }
 
-    #[test]
-    fn manifest_roundtrip() {
-        let m = SnapshotManifest {
-            entries: vec![
-                SnapshotEntry {
-                    name: "rank".into(),
-                    kind: SnapshotKind::VecF64,
-                    rows: 10,
-                    cols: 1,
-                    part_versions: vec![1, 1, 2],
-                },
-                SnapshotEntry {
-                    name: "embed".into(),
-                    kind: SnapshotKind::MatF32,
-                    rows: 10,
-                    cols: 16,
-                    part_versions: vec![3],
-                },
-            ],
-        };
-        assert_eq!(SnapshotManifest::decode(&m.encode()).unwrap(), m);
-        assert!(SnapshotManifest::decode(&[0u8; 8]).is_err());
+    /// Each row of `e` as its regions spell it — a vector value's bits, a
+    /// neighbour list, a matrix row's column bits in stripe order — or
+    /// `None` where no region reaches.
+    fn stitch(e: &DeltaEntry) -> Vec<Option<Vec<u64>>> {
+        let mut rows = vec![None::<Vec<u64>>; e.rows as usize];
+        for r in &e.regions {
+            match r {
+                PatchRegion::RowsF64 { row_lo, values } => {
+                    for (i, x) in values.iter().enumerate() {
+                        rows[*row_lo as usize + i] = Some(vec![x.to_bits()]);
+                    }
+                }
+                PatchRegion::RowsU64 { row_lo, values } => {
+                    for (i, &x) in values.iter().enumerate() {
+                        rows[*row_lo as usize + i] = Some(vec![x]);
+                    }
+                }
+                PatchRegion::Cols { col_lo, col_hi, data } => {
+                    let width = (col_hi - col_lo) as usize;
+                    for (v, row) in rows.iter_mut().enumerate() {
+                        let stripe = &data[v * width..(v + 1) * width];
+                        row.get_or_insert_with(Vec::new)
+                            .extend(stripe.iter().map(|x| x.to_bits() as u64));
+                    }
+                }
+                PatchRegion::Adj { row_lo, offsets, targets } => {
+                    for i in 0..offsets.len() - 1 {
+                        let ns = &targets[offsets[i] as usize..offsets[i + 1] as usize];
+                        rows[*row_lo as usize + i] = Some(ns.to_vec());
+                    }
+                }
+            }
+        }
+        rows
     }
 
     #[test]
-    fn export_load_all_kinds() {
+    fn full_export_writes_every_partition_bit_exactly() {
         let ps = ps();
         let dfs = psgraph_dfs::Dfs::in_memory();
         let c = psgraph_sim::NodeClock::new();
+        let (range, mode) = (Partitioner::Range, RecoveryMode::Consistent);
 
-        let ranks =
-            VectorHandle::<f64>::create(&ps, "rank", 7, Partitioner::Range, RecoveryMode::Consistent)
-                .unwrap();
+        let ranks = VectorHandle::<f64>::create(&ps, "rank", 7, range, mode).unwrap();
         let ids: Vec<u64> = (0..7).collect();
         let rank_vals: Vec<f64> = (0..7).map(|i| 0.1 * i as f64 + 0.013).collect();
         ranks.push_set(&c, &ids, &rank_vals).unwrap();
 
-        let labels =
-            VectorHandle::<u64>::create(&ps, "label", 7, Partitioner::Hash, RecoveryMode::Consistent)
-                .unwrap();
+        let labels = VectorHandle::<u64>::create(&ps, "label", 7, range, mode).unwrap();
         let label_vals: Vec<u64> = (0..7).map(|i| i * 3 % 5).collect();
         labels.push_set(&c, &ids, &label_vals).unwrap();
 
@@ -779,66 +566,54 @@ mod tests {
         embed.init_uniform(&c, 9, 1.0).unwrap();
         let embed_rows = embed.pull_rows(&c, &ids).unwrap();
 
-        let (range, mode) = (Partitioner::Range, RecoveryMode::Inconsistent);
         let adj = NeighborTableHandle::create(&ps, "adj", 7, range, mode).unwrap();
         adj.push(&c, &[(0, vec![1, 2]), (3, vec![0]), (6, vec![5, 4, 3])]).unwrap();
 
         // A matrix with no rows still has a width.
-        let empty = MatrixHandle::<f32>::create(
-            &ps, "empty", 0, 4, Partitioner::Range, RecoveryMode::Inconsistent,
-        )
-        .unwrap();
+        let empty =
+            ColMatrixHandle::create(&ps, "empty", 0, 4, RecoveryMode::Inconsistent).unwrap();
 
         let t0 = c.now();
         let mut w = SnapshotWriter::new(&dfs, "/snapshot/test", &c);
-        w.vector_f64(&ranks).unwrap();
-        w.vector_u64(&labels).unwrap();
-        w.colmatrix(&embed).unwrap();
-        w.neighbor_table(&adj).unwrap();
-        w.matrix_f32(&empty).unwrap();
+        assert_eq!(w.vector_f64(&ranks).unwrap(), 3, "every partition is dirty");
+        assert_eq!(w.vector_u64(&labels).unwrap(), 3);
+        assert_eq!(w.colmatrix(&embed).unwrap(), 3);
+        assert_eq!(w.neighbor_table(&adj).unwrap(), 3);
+        assert_eq!(w.colmatrix(&empty).unwrap(), 3);
         let manifest = w.finish().unwrap();
         assert_eq!(manifest.entries.len(), 5);
         assert!(c.now() > t0, "export must charge simulated time");
 
-        let loaded = SnapshotManifest::load(&dfs, "/snapshot/test", &c).unwrap();
-        assert_eq!(loaded, manifest);
-
-        match load_object(&dfs, "/snapshot/test", loaded.entry("rank").unwrap(), &c).unwrap() {
-            PatchRegion::RowsF64 { row_lo: 0, values: v } => {
-                let got: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
-                let want: Vec<u64> = rank_vals.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        match load_object(&dfs, "/snapshot/test", loaded.entry("label").unwrap(), &c).unwrap() {
-            PatchRegion::RowsU64 { row_lo: 0, values } => assert_eq!(values, label_vals),
-            other => panic!("wrong kind: {other:?}"),
-        }
-        match load_object(&dfs, "/snapshot/test", loaded.entry("embed").unwrap(), &c).unwrap() {
-            PatchRegion::RowsF32 { row_lo: 0, data } => {
-                let want: Vec<u32> =
-                    embed_rows.iter().flatten().map(|x| x.to_bits()).collect();
-                let got: Vec<u32> = data.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-        let empty_entry = loaded.entry("empty").unwrap();
+        let file = SnapshotDelta::load(&dfs, &snapshot_path("/snapshot/test"), &c).unwrap();
+        assert_eq!(file.rebase(&SnapshotManifest::default()), manifest);
+        let whole = |rows: Vec<Vec<u64>>| rows.into_iter().map(Some).collect::<Vec<_>>();
+        let stitched = |name: &str| stitch(file.entry(name).unwrap());
+        assert_eq!(stitched("rank"), whole(rank_vals.iter().map(|x| vec![x.to_bits()]).collect()));
+        assert_eq!(stitched("label"), whole(label_vals.iter().map(|&x| vec![x]).collect()));
+        let embed_bits = embed_rows.iter().map(|r| r.iter().map(|x| x.to_bits() as u64).collect());
+        assert_eq!(stitched("embed"), whole(embed_bits.collect()));
+        let lists = [vec![1, 2], vec![], vec![], vec![0], vec![], vec![], vec![5, 4, 3]];
+        assert_eq!(stitched("adj"), whole(lists.to_vec()));
+        let empty_entry = file.entry("empty").unwrap();
         assert_eq!((empty_entry.rows, empty_entry.cols), (0, 4));
-        assert_eq!(
-            load_object(&dfs, "/snapshot/test", empty_entry, &c).unwrap(),
-            PatchRegion::RowsF32 { row_lo: 0, data: vec![] }
-        );
-        match load_object(&dfs, "/snapshot/test", loaded.entry("adj").unwrap(), &c).unwrap() {
-            PatchRegion::Adj { row_lo: 0, offsets, targets } => {
-                assert_eq!(offsets.len(), 8);
-                assert_eq!(targets.len(), 6);
-                assert_eq!(&targets[offsets[6] as usize..offsets[7] as usize], &[5, 4, 3]);
-                assert_eq!(&targets[offsets[1] as usize..offsets[2] as usize], &[] as &[u64]);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
+    }
+
+    /// A region patches contiguous rows: a hash-partitioned vector or
+    /// neighbor table cannot be exported, and says so.
+    #[test]
+    fn full_export_of_hash_partitioned_objects_is_an_error() {
+        let ps = ps();
+        let dfs = psgraph_dfs::Dfs::in_memory();
+        let c = psgraph_sim::NodeClock::new();
+        let (hash, mode) = (Partitioner::Hash, RecoveryMode::Consistent);
+        let ranks = VectorHandle::<f64>::create(&ps, "rank", 7, hash, mode).unwrap();
+        let labels = VectorHandle::<u64>::create(&ps, "label", 7, hash, mode).unwrap();
+        let adj = NeighborTableHandle::create(&ps, "adj", 7, hash, mode).unwrap();
+        let mut w = SnapshotWriter::new(&dfs, "/s", &c);
+        assert!(matches!(w.vector_f64(&ranks), Err(PsError::Dfs(_))));
+        assert!(matches!(w.vector_u64(&labels), Err(PsError::Dfs(_))));
+        assert!(matches!(w.neighbor_table(&adj), Err(PsError::Dfs(_))));
+        assert!(w.finish().unwrap().entries.is_empty(), "nothing was recorded");
     }
 
     #[test]
@@ -853,31 +628,6 @@ mod tests {
         let mut w = SnapshotWriter::new(&dfs, "/snapshot/dup", &c);
         w.vector_f64(&v).unwrap();
         assert!(matches!(w.vector_f64(&v), Err(PsError::Dfs(_))));
-    }
-
-    #[test]
-    fn mismatched_entry_rejected_on_load() {
-        let ps = ps();
-        let dfs = psgraph_dfs::Dfs::in_memory();
-        let c = psgraph_sim::NodeClock::new();
-        let v = VectorHandle::<f64>::create(
-            &ps, "v", 3, Partitioner::Range, RecoveryMode::Consistent,
-        )
-        .unwrap();
-        let mut w = SnapshotWriter::new(&dfs, "/s", &c);
-        w.vector_f64(&v).unwrap();
-        let m = w.finish().unwrap();
-        let mut entry = m.entry("v").unwrap().clone();
-        entry.rows = 99;
-        assert!(load_object(&dfs, "/s", &entry, &c).is_err());
-    }
-
-    #[test]
-    fn offsets_tile_only_when_every_pair_slices_the_targets() {
-        assert!(offsets_tile(&[0, 2, 3], 3));
-        for offsets in [&[0, 3, 2, 3][..], &[1, 2, 3], &[0, 2, 4], &[]] {
-            assert!(!offsets_tile(offsets, 3), "{offsets:?}");
-        }
     }
 
     #[test]
@@ -927,14 +677,18 @@ mod tests {
             other => panic!("wrong region: {other:?}"),
         }
 
-        // Round-trips through the DFS bit-exactly.
-        let loaded = SnapshotDelta::load(&dfs, "/s", &c).unwrap();
+        // Round-trips through the DFS bit-exactly, beside the snapshot
+        // file it leaves as it was.
+        let loaded = SnapshotDelta::load(&dfs, &delta_path("/s"), &c).unwrap();
         assert_eq!(loaded, delta);
+        let full = SnapshotDelta::load(&dfs, &snapshot_path("/s"), &c).unwrap();
+        assert_eq!(full.rebase(&SnapshotManifest::default()), base);
 
         // Rebase advances versions: the next delta against the rebased
         // manifest is empty.
         let next = delta.rebase(&base);
         assert_ne!(next, base);
+        assert_eq!(next.entries.len(), base.entries.len());
         let mut dw2 = DeltaWriter::new(&dfs, "/s", &next, &c);
         assert_eq!(dw2.vector_f64(&ranks).unwrap(), 0);
         assert!(dw2.finish().unwrap().entries.is_empty());
@@ -972,107 +726,20 @@ mod tests {
         assert_eq!(dw.neighbor_table(&adj).unwrap(), 2);
         let delta = dw.finish().unwrap();
 
-        // Stitch the Cols regions back together for row 2 and compare
-        // bit-exactly against the live matrix.
-        let mut row = vec![None::<f32>; 6];
-        for r in &delta.entry("embed").unwrap().regions {
-            match r {
-                PatchRegion::Cols { col_lo, col_hi, data } => {
-                    let width = (col_hi - col_lo) as usize;
-                    for j in 0..width {
-                        row[*col_lo as usize + j] = Some(data[2 * width + j]);
-                    }
-                }
-                other => panic!("wrong region: {other:?}"),
-            }
-        }
-        for (j, x) in row.iter().enumerate() {
-            assert_eq!(x.unwrap().to_bits(), want[j].to_bits(), "col {j}");
-        }
+        // Row 2, stitched from the column stripes, is the live row bit
+        // for bit.
+        let row2 = want.iter().map(|x| x.to_bits() as u64).collect();
+        assert_eq!(stitch(delta.entry("embed").unwrap())[2], Some(row2));
 
         // Adjacency regions carry the live neighbour lists of the dirty
         // partitions only.
-        let mut neigh = vec![None::<Vec<u64>>; 5];
-        for r in &delta.entry("adj").unwrap().regions {
-            match r {
-                PatchRegion::Adj { row_lo, offsets, targets } => {
-                    for i in 0..offsets.len() - 1 {
-                        neigh[*row_lo as usize + i] = Some(
-                            targets[offsets[i] as usize..offsets[i + 1] as usize].to_vec(),
-                        );
-                    }
-                }
-                other => panic!("wrong region: {other:?}"),
-            }
-        }
-        assert_eq!(neigh[0].clone().unwrap(), vec![4]);
-        assert_eq!(neigh[3].clone().unwrap(), vec![0, 2]);
-        assert_eq!(neigh[4].clone().unwrap(), Vec::<u64>::new());
+        let neigh = stitch(delta.entry("adj").unwrap());
+        assert_eq!(neigh[0], Some(vec![4]));
+        assert_eq!(neigh[3], Some(vec![0, 2]));
+        assert_eq!(neigh[4], Some(vec![]));
         assert_eq!(neigh[1], None, "the untouched partition is not re-exported");
 
-        assert_eq!(SnapshotDelta::load(&dfs, "/s2", &c).unwrap(), delta);
-    }
-
-    #[test]
-    fn delta_matrix_f32_roundtrip_bit_identical() {
-        let ps = ps();
-        let dfs = psgraph_dfs::Dfs::in_memory();
-        let c = psgraph_sim::NodeClock::new();
-
-        // 12 rows over 3 servers → range partitions of 4 rows.
-        let m = MatrixHandle::<f32>::create(
-            &ps, "feat", 12, 5, Partitioner::Range, RecoveryMode::Inconsistent,
-        )
-        .unwrap();
-        m.init_uniform(&c, 11, 1.0).unwrap();
-
-        let mut w = SnapshotWriter::new(&dfs, "/sm", &c);
-        w.matrix_f32(&m).unwrap();
-        let base = w.finish().unwrap();
-        let base_data = match load_object(&dfs, "/sm", base.entry("feat").unwrap(), &c).unwrap()
-        {
-            PatchRegion::RowsF32 { row_lo: 0, data } => data,
-            other => panic!("wrong kind: {other:?}"),
-        };
-
-        // Dirty one row in the middle partition.
-        m.push_set_rows(&c, &[6], &[vec![0.25f32, -1.5, 3.0, 0.0, 9.75]]).unwrap();
-
-        let mut dw = DeltaWriter::new(&dfs, "/sm", &base, &c);
-        assert_eq!(dw.matrix_f32(&m).unwrap(), 1);
-        let delta = dw.finish().unwrap();
-        assert_eq!(SnapshotDelta::load(&dfs, "/sm", &c).unwrap(), delta);
-
-        // Apply the patch to the base payload: the result must be
-        // bit-identical to a fresh full export of the live matrix.
-        let mut patched = base_data;
-        let e = delta.entry("feat").unwrap();
-        assert_eq!(e.regions.len(), 1);
-        match &e.regions[0] {
-            PatchRegion::RowsF32 { row_lo, data } => {
-                assert_eq!(*row_lo, 4, "the middle partition starts at row 4");
-                assert_eq!(data.len(), 4 * 5, "full partition, full rows");
-                let at = *row_lo as usize * 5;
-                patched[at..at + data.len()].copy_from_slice(data);
-            }
-            other => panic!("wrong region: {other:?}"),
-        }
-        let mut w2 = SnapshotWriter::new(&dfs, "/sm-full", &c);
-        w2.matrix_f32(&m).unwrap();
-        let full = w2.finish().unwrap();
-        let full_data =
-            match load_object(&dfs, "/sm-full", full.entry("feat").unwrap(), &c).unwrap() {
-                PatchRegion::RowsF32 { row_lo: 0, data } => data,
-                other => panic!("wrong kind: {other:?}"),
-            };
-        let got: Vec<u32> = patched.iter().map(|x| x.to_bits()).collect();
-        let want: Vec<u32> = full_data.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(got, want);
-
-        // Rebase → nothing further to export.
-        let next = delta.rebase(&base);
-        let mut dw2 = DeltaWriter::new(&dfs, "/sm", &next, &c);
-        assert_eq!(dw2.matrix_f32(&m).unwrap(), 0);
+        assert_eq!(SnapshotDelta::load(&dfs, &delta_path("/s2"), &c).unwrap(), delta);
     }
 
     #[test]
@@ -1091,13 +758,10 @@ mod tests {
         let mut w = SnapshotWriter::new(&dfs, "/sn", &c);
         w.neighbor_table(&t).unwrap();
         let base = w.finish().unwrap();
-        match load_object(&dfs, "/sn", base.entry("adj").unwrap(), &c).unwrap() {
-            PatchRegion::Adj { row_lo: 0, offsets, targets } => {
-                assert_eq!(offsets.len(), 13);
-                assert_eq!(&targets[offsets[5] as usize..offsets[6] as usize], &[0, 7]);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
+        let full = SnapshotDelta::load(&dfs, &snapshot_path("/sn"), &c).unwrap();
+        let lists = stitch(full.entry("adj").unwrap());
+        assert_eq!(lists.len(), 12);
+        assert_eq!(lists[5], Some(vec![0, 7]));
 
         // Mutate only the middle partition (vertices 4..8): the delta
         // re-exports exactly that vertex range, tombstones excluded.
@@ -1120,7 +784,7 @@ mod tests {
             }
             other => panic!("wrong region: {other:?}"),
         }
-        assert_eq!(SnapshotDelta::load(&dfs, "/sn", &c).unwrap(), delta);
+        assert_eq!(SnapshotDelta::load(&dfs, &delta_path("/sn"), &c).unwrap(), delta);
 
         let next = delta.rebase(&base);
         let mut dw2 = DeltaWriter::new(&dfs, "/sn", &next, &c);

@@ -51,8 +51,9 @@ impl SyncController {
     }
 
     /// Block `workers` until simulated time `until` (failure recovery:
-    /// healthy executors wait at the barrier while a peer restarts).
-    pub fn block_until<'a, I>(&self, clock: &ClusterClock, workers: I, until: SimTime)
+    /// healthy executors wait at the barrier while a peer restarts). The
+    /// same under either mode.
+    pub fn block_until<'a, I>(clock: &ClusterClock, workers: I, until: SimTime)
     where
         I: IntoIterator<Item = &'a NodeClock>,
     {
@@ -117,15 +118,14 @@ mod tests {
 
     #[test]
     fn block_until_holds_everyone() {
-        let ctrl = SyncController::default();
         let clock = ClusterClock::new();
         let a = NodeClock::new();
         a.advance(SimTime::from_secs(2));
-        ctrl.block_until(&clock, [&a], SimTime::from_secs(30));
+        SyncController::block_until(&clock, [&a], SimTime::from_secs(30));
         assert_eq!(a.now(), SimTime::from_secs(30));
         assert_eq!(clock.now(), SimTime::from_secs(30));
         // Blocking to the past is a no-op.
-        ctrl.block_until(&clock, [&a], SimTime::from_secs(1));
+        SyncController::block_until(&clock, [&a], SimTime::from_secs(1));
         assert_eq!(a.now(), SimTime::from_secs(30));
     }
 

@@ -3,7 +3,7 @@
 use psgraph_dfs::Dfs;
 use psgraph_net::Network;
 use psgraph_ps::snapshot::{
-    load_object, DeltaEntry, PatchRegion, SnapshotDelta, SnapshotManifest, SnapshotWriter,
+    snapshot_path, DeltaEntry, PatchRegion, SnapshotDelta, SnapshotManifest, SnapshotWriter,
 };
 use psgraph_ps::{
     ColMatrixHandle, Element, NeighborTableHandle, Partitioner, Ps, PsConfig, RecoveryMode,
@@ -98,9 +98,9 @@ pub struct ServeCluster {
 
 impl ServeCluster {
     /// Load a snapshot directory into `cfg.shards × cfg.replicas_per_shard`
-    /// read replicas, charging the DFS reads to `client`. Each served
-    /// object is read as the region that rewrites all of it and patched
-    /// into zero-filled shards by the region loop [`ServeCluster::swap_in`]
+    /// read replicas, charging the DFS read to `client`. The snapshot file
+    /// is a delta with every partition dirty: its regions are patched into
+    /// zero-filled shards by the region loop [`ServeCluster::swap_in`]
     /// uses, so a snapshot is checked exactly as a delta is.
     pub fn load(
         dfs: &Dfs,
@@ -111,32 +111,31 @@ impl ServeCluster {
     ) -> Result<Self> {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.replicas_per_shard > 0, "need at least one replica per shard");
-        let manifest = SnapshotManifest::load(dfs, dir, client)?;
-        // Each served object as a delta entry whose one region rewrites
-        // all of it.
-        let entries = objects
-            .roles()
-            .map(|(name, _)| {
-                let e =
-                    manifest.entry(name).ok_or_else(|| ServeError::MissingObject(name.into()))?;
-                Ok(DeltaEntry {
-                    name: e.name.clone(),
-                    kind: e.kind,
-                    rows: e.rows,
-                    cols: e.cols,
-                    part_versions: Vec::new(),
-                    regions: vec![load_object(dfs, dir, e, client)?],
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let snapshot = SnapshotDelta::load(dfs, &snapshot_path(dir), client)?;
+        let served = |name: &str| {
+            snapshot.entry(name).ok_or_else(|| ServeError::MissingObject(name.into()))
+        };
+        let entries = objects.roles().map(|(name, _)| served(name)).collect::<Result<Vec<_>>>()?;
         let n = entries
             .first()
             .ok_or_else(|| ServeError::Dfs("snapshot maps no objects to serve".into()))?
             .rows;
+        // A full export rewrites every row of every served object (every
+        // column of the embeddings): a region lost from a damaged file
+        // must not leave zeros serving in its place, nor a damaged row
+        // count size the zero-filled shards.
+        for ((_, tag), e) in objects.roles().zip(&entries) {
+            let covered: u64 = e.regions.iter().map(extent).sum();
+            let want = if tag == TAG_EMBEDDING { e.cols as u64 } else { e.rows };
+            if covered != want {
+                let msg = format!("snapshot object {}: regions cover {covered} of {want}", e.name);
+                return Err(ServeError::Dfs(msg));
+            }
+        }
         let dim = objects
             .embeddings
             .as_deref()
-            .and_then(|name| manifest.entry(name))
+            .and_then(|name| snapshot.entry(name))
             .map_or(0, |e| e.cols as usize);
         let specs: Vec<ShardSpec> = (0..cfg.shards)
             .map(|s| {
@@ -147,7 +146,7 @@ impl ServeCluster {
             .collect();
         let zeroed = |s: usize| zero_shard(specs[s], n, dim, objects);
         let mut working: Vec<Option<ShardData>> = specs.iter().map(|_| None).collect();
-        patch_regions(objects, &entries, &specs, n, dim, &mut working, zeroed)?;
+        patch_regions(objects, &snapshot.entries, &specs, n, dim, &mut working, zeroed)?;
 
         let mut replicas = Vec::new();
         let mut shards = Vec::with_capacity(cfg.shards);
@@ -412,17 +411,22 @@ impl ServeCluster {
             Some(&truth.embeddings),
             cfg,
         )?;
-        let built = "the demo tier builds every object";
+        let (Some(ranks), Some(communities), Some(adjacency), Some(embeddings)) =
+            (b.ranks, b.communities, b.adjacency, b.embeddings)
+        else {
+            return Err(ServeError::Dfs("the demo tier builds every object".into()));
+        };
+        let (ps, dfs, client, dir, manifest) = (b.ps, b.dfs, b.client, b.dir, b.manifest);
         let backend = DemoBackend {
-            ps: b.ps,
-            dfs: b.dfs,
-            client: b.client,
-            dir: b.dir,
-            manifest: b.manifest,
-            ranks: b.ranks.expect(built),
-            communities: b.communities.expect(built),
-            adjacency: b.adjacency.expect(built),
-            embeddings: b.embeddings.expect(built),
+            ps,
+            dfs,
+            client,
+            dir,
+            manifest,
+            ranks,
+            communities,
+            adjacency,
+            embeddings,
         };
         Ok((cluster, truth, backend))
     }
@@ -500,11 +504,11 @@ fn patch_regions(
             continue;
         };
         for region in &entry.regions {
-            checked.push((tag, entry, region, region_span(tag, entry, region, n, dim)?));
+            checked.push((tag, region, region_span(tag, entry, region, n, dim)?));
         }
     }
     let mut rewritten = Vec::with_capacity(checked.len());
-    for (tag, entry, region, span) in checked {
+    for (tag, region, span) in checked {
         for (s, spec) in specs.iter().enumerate() {
             let (r, c) = (&span.rows, &span.cols);
             let rows = r.start.max(spec.vertex_lo)..r.end.min(spec.vertex_hi);
@@ -513,7 +517,7 @@ fn patch_regions(
                 continue;
             }
             let data = working[s].get_or_insert_with(|| first_touch(s));
-            patch_shard(data, entry, region, rows, cols)?;
+            patch_shard(data, region, rows, cols)?;
         }
         rewritten.push((tag, span.rows));
     }
@@ -522,11 +526,20 @@ fn patch_regions(
 
 /// The rows × columns of a served table that one patch region rewrites.
 /// Vertex-keyed regions span no columns; a column stripe spans every
-/// row; a row-matrix patch spans every column (each column shard holds
-/// all rows of its slice).
+/// row.
 struct Span {
     rows: Range<u64>,
     cols: Range<usize>,
+}
+
+/// How many rows `region` rewrites — columns, for a column stripe.
+fn extent(region: &PatchRegion) -> u64 {
+    match region {
+        PatchRegion::RowsF64 { values, .. } => values.len() as u64,
+        PatchRegion::RowsU64 { values, .. } => values.len() as u64,
+        PatchRegion::Cols { col_lo, col_hi, .. } => col_hi.saturating_sub(*col_lo) as u64,
+        PatchRegion::Adj { offsets, .. } => offsets.len().saturating_sub(1) as u64,
+    }
 }
 
 /// Check `region` against its entry and the tier's shape, and return the
@@ -574,12 +587,6 @@ fn region_span(
             }
             Ok(Span { rows: 0..n, cols: lo..hi })
         }
-        (TAG_EMBEDDING, PatchRegion::RowsF32 { row_lo, data }) => {
-            if cols == 0 || data.len() % cols != 0 {
-                return Err(bad("row payload is not a whole number of rows"));
-            }
-            Ok(Span { rows: rows_from(*row_lo, data.len() / cols)?, cols: 0..cols })
-        }
         (TAG_NEIGHBORS, PatchRegion::Adj { row_lo, offsets, targets }) => {
             let Some(&last) = offsets.last() else {
                 return Err(bad("adjacency region has no offsets"));
@@ -600,7 +607,6 @@ fn region_span(
 /// `rows` / `cols` are the region's span clipped to the shard.
 fn patch_shard(
     data: &mut ShardData,
-    entry: &DeltaEntry,
     region: &PatchRegion,
     rows: Range<u64>,
     cols: Range<usize>,
@@ -642,21 +648,6 @@ fn patch_shard(
                     let src = v as usize * stripe;
                     er.data[dst + col_lo..dst + col_hi].copy_from_slice(&patch[src..src + stripe]);
                 }
-            }
-        }
-        PatchRegion::RowsF32 { row_lo, data: patch } => {
-            let dim = entry.cols as usize;
-            if !cols.is_empty() {
-                let embed = data.embed.as_mut().ok_or_else(|| unserved("embeddings"))?;
-                for (i, row) in patch.chunks_exact(dim).enumerate() {
-                    let dst = (*row_lo as usize + i) * embed.width;
-                    embed.data[dst..dst + cols.len()].copy_from_slice(&row[cols.clone()]);
-                }
-            }
-            if let Some(er) = data.embed_rows.as_mut() {
-                let src = past(*row_lo);
-                er.data[local.start * dim..local.end * dim]
-                    .copy_from_slice(&patch[src.start * dim..src.end * dim]);
             }
         }
         PatchRegion::Adj { row_lo, offsets, targets } => {
@@ -861,81 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn row_matrix_delta_swaps_rows_and_invalidates_per_row() {
-        use psgraph_ps::snapshot::DeltaWriter;
-        use psgraph_ps::MatrixHandle;
-
-        let ps = Ps::new(PsConfig::default());
-        let dfs = Dfs::in_memory();
-        let client = NodeClock::new();
-        let (n, dim) = (24u64, 4usize);
-        let h = MatrixHandle::<f32>::create(
-            &ps,
-            "m.embed",
-            n,
-            dim,
-            Partitioner::Range,
-            RecoveryMode::Consistent,
-        )
-        .unwrap();
-        let ids: Vec<u64> = (0..n).collect();
-        let rows: Vec<Vec<f32>> = (0..n)
-            .map(|i| (0..dim).map(|j| ((i * 17 + j as u64 * 5) % 11) as f32 * 0.2 - 1.0).collect())
-            .collect();
-        h.push_set_rows(&client, &ids, &rows).unwrap();
-
-        let mut w = SnapshotWriter::new(&dfs, "/snapshot/rowmat", &client);
-        w.matrix_f32(&h).unwrap();
-        let manifest = w.finish().unwrap();
-        let objects = ObjectMap { embeddings: Some("m.embed".into()), ..ObjectMap::default() };
-        let mut cluster =
-            ServeCluster::load(&dfs, "/snapshot/rowmat", &objects, &ServeConfig::default(), &client)
-                .unwrap();
-
-        // Warm the cache: one row the delta dirties, one it does not.
-        cluster.frontend_mut().execute_now(0, SimTime::ZERO, Query::Embedding(2));
-        cluster.frontend_mut().execute_now(1, SimTime::ZERO, Query::Embedding(20));
-
-        // Touch rows 0..3 — one Range partition of twelve rows.
-        let patch: Vec<Vec<f32>> = (0..3).map(|i| vec![i as f32 + 0.5; dim]).collect();
-        h.push_set_rows(&client, &[0, 1, 2], &patch).unwrap();
-        let fresh = h.pull_rows(&client, &ids).unwrap();
-
-        let mut dw = DeltaWriter::new(&dfs, "/snapshot/rowmat", &manifest, &client);
-        assert_eq!(dw.matrix_f32(&h).unwrap(), 1, "one dirty partition");
-        let delta = dw.finish().unwrap();
-        let stats = cluster.swap_in(&delta).unwrap();
-        assert!(stats.regions_applied >= 1);
-
-        // Row-precise invalidation: the patched partition's cached row is
-        // gone, the far row survived.
-        assert!(cluster.frontend().cache().peek(&(TAG_EMBEDDING, 2)).is_none());
-        assert!(cluster.frontend().cache().peek(&(TAG_EMBEDDING, 20)).is_some());
-
-        // Post-swap gather and cross-shard top-k both see the new rows.
-        let t = SimTime::from_millis(5);
-        let outs = cluster.frontend_mut().execute_now(10, t, Query::Embedding(1));
-        match &outs[0].1 {
-            Outcome::Answered { value: Value::Embedding(e), cached, .. } => {
-                assert!(!cached);
-                let got: Vec<u32> = e.iter().map(|x| x.to_bits()).collect();
-                let want: Vec<u32> = fresh[1].iter().map(|x| x.to_bits()).collect();
-                assert_eq!(got, want);
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        let outs = cluster.frontend_mut().execute_now(11, t, Query::TopKAll { v: 1, k: 5 });
-        match &outs[0].1 {
-            Outcome::Answered { value: Value::Ranked(r), .. } => {
-                let mut truth = GraphTruth::new(n);
-                truth.embeddings = Some(fresh);
-                assert_ranked(r, &truth, &Plan::topk_all(1, 5));
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
-
-    #[test]
     fn swap_in_patches_shards_and_invalidates_exactly() {
         use psgraph_ps::snapshot::DeltaWriter;
 
@@ -1116,14 +1032,6 @@ mod tests {
             (
                 "u64 rows past the last vertex",
                 community(PatchRegion::RowsU64 { row_lo: 24, values: vec![1] }),
-            ),
-            (
-                "f32 rows past the last vertex",
-                embed(4, PatchRegion::RowsF32 { row_lo: 23, data: vec![0.5; 8] }),
-            ),
-            (
-                "f32 payload not whole rows",
-                embed(4, PatchRegion::RowsF32 { row_lo: 0, data: vec![0.5; 5] }),
             ),
             (
                 "region kind does not match the object",

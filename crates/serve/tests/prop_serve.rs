@@ -260,16 +260,10 @@ fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
     use psgraph_dfs::Dfs;
     use psgraph_ps::snapshot::{DeltaWriter, SnapshotWriter};
     use psgraph_ps::{
-        ColMatrixHandle, MatrixHandle, NeighborTableHandle, Partitioner, Ps, PsConfig,
-        RecoveryMode, VectorHandle,
+        ColMatrixHandle, NeighborTableHandle, Partitioner, Ps, PsConfig, RecoveryMode,
+        VectorHandle,
     };
     use psgraph_serve::{ObjectMap, ServeCluster, ServeConfig};
-
-    /// The embedding matrix, row- or column-partitioned on the PS.
-    enum Embed {
-        Rows(MatrixHandle<f32>),
-        Cols(ColMatrixHandle),
-    }
 
     #[derive(Debug)]
     struct Case {
@@ -280,7 +274,6 @@ fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
         servers: usize,
         /// Which of ranks / communities / adjacency / embeddings are served.
         roles: [bool; 4],
-        row_matrix: bool,
         ranks: Vec<f64>,
         communities: Vec<u64>,
         adjacency: Vec<Vec<u64>>,
@@ -307,7 +300,6 @@ fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
                 replicas: src.usize_range(1, 3),
                 servers: src.usize_range(1, 4),
                 roles: [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0, mask & 8 != 0],
-                row_matrix: src.bool(),
                 ranks: (0..n).map(|_| src.f64_range(-1e6, 1e6)).collect(),
                 communities: (0..n).map(|_| src.u64_range(0, 9)).collect(),
                 adjacency: (0..n)
@@ -351,17 +343,10 @@ fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
                 h
             });
             let embeddings = serve_embeddings.then(|| {
-                if c.row_matrix {
-                    let h = MatrixHandle::<f32>::create(&ps, "p.embed", c.n, c.dim, range, mode);
-                    let h = h.unwrap();
-                    h.push_set_rows(&client, &ids, &c.embeddings).unwrap();
-                    Embed::Rows(h)
-                } else {
-                    let mode = RecoveryMode::Inconsistent;
-                    let h = ColMatrixHandle::create(&ps, "p.embed", c.n, c.dim, mode).unwrap();
-                    h.push_add_rows(&client, &ids, &c.embeddings).unwrap();
-                    Embed::Cols(h)
-                }
+                let mode = RecoveryMode::Inconsistent;
+                let h = ColMatrixHandle::create(&ps, "p.embed", c.n, c.dim, mode).unwrap();
+                h.push_add_rows(&client, &ids, &c.embeddings).unwrap();
+                h
             });
             let objects = ObjectMap {
                 ranks: serve_ranks.then(|| "p.rank".to_string()),
@@ -380,10 +365,8 @@ fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
                 if let Some(h) = &adjacency {
                     w.neighbor_table(h).unwrap();
                 }
-                match &embeddings {
-                    Some(Embed::Rows(h)) => w.matrix_f32(h).unwrap(),
-                    Some(Embed::Cols(h)) => w.colmatrix(h).unwrap(),
-                    None => {}
+                if let Some(h) = &embeddings {
+                    w.colmatrix(h).unwrap();
                 }
                 w.finish().unwrap()
             };
@@ -394,10 +377,7 @@ fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
                 adjacency: adjacency
                     .as_ref()
                     .map(|h| h.pull(&client, &ids).unwrap().iter().map(|l| l.to_vec()).collect()),
-                embeddings: embeddings.as_ref().map(|e| match e {
-                    Embed::Rows(h) => h.pull_rows(&client, &ids).unwrap(),
-                    Embed::Cols(h) => h.pull_rows(&client, &ids).unwrap(),
-                }),
+                embeddings: embeddings.as_ref().map(|h| h.pull_rows(&client, &ids).unwrap()),
             };
             let cfg = ServeConfig {
                 shards: c.shards,
@@ -432,11 +412,8 @@ fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
                 h.update_edges(&client, &c.edge_ops).unwrap();
             }
             for (v, row) in &c.set_rows {
-                let (v, row) = (&[*v], std::slice::from_ref(row));
-                match &embeddings {
-                    Some(Embed::Rows(h)) => h.push_set_rows(&client, v, row).unwrap(),
-                    Some(Embed::Cols(h)) => h.push_add_rows(&client, v, row).unwrap(),
-                    None => {}
+                if let Some(h) = &embeddings {
+                    h.push_add_rows(&client, &[*v], std::slice::from_ref(row)).unwrap();
                 }
             }
             let mut dw = DeltaWriter::new(&dfs, "/p/base", &base, &client);
@@ -449,11 +426,9 @@ fn load_slices_like_the_truth_and_swap_matches_a_full_reload() {
             if let Some(h) = &adjacency {
                 dw.neighbor_table(h).unwrap();
             }
-            match &embeddings {
-                Some(Embed::Rows(h)) => dw.matrix_f32(h).unwrap(),
-                Some(Embed::Cols(h)) => dw.colmatrix(h).unwrap(),
-                None => 0,
-            };
+            if let Some(h) = &embeddings {
+                dw.colmatrix(h).unwrap();
+            }
             cluster.swap_in(&dw.finish().unwrap()).unwrap();
             export("/p/full");
             let reload = ServeCluster::load(&dfs, "/p/full", &objects, &cfg, &client).unwrap();

@@ -46,7 +46,8 @@ pub struct RefreshDriver {
 
 impl RefreshDriver {
     /// `manifest` is the snapshot the tier was loaded from; `dir` its DFS
-    /// directory (deltas are written next to it).
+    /// directory (deltas are written beside the snapshot file, never over
+    /// it).
     pub fn new(dir: impl Into<String>, manifest: SnapshotManifest, cfg: RefreshConfig) -> Self {
         RefreshDriver {
             dir: dir.into(),
@@ -118,5 +119,56 @@ impl RefreshDriver {
     /// The manifest the serving tier currently reflects.
     pub fn manifest(&self) -> &SnapshotManifest {
         &self.manifest
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psgraph_ps::{Partitioner, Ps, PsConfig, RecoveryMode, SnapshotWriter};
+    use psgraph_serve::{ObjectMap, Outcome, Query, ServeConfig, Value};
+
+    /// A refresh writes its delta beside the snapshot file, never over it:
+    /// loading the directory afterwards still serves the base.
+    #[test]
+    fn load_after_a_refresh_still_reads_the_base() {
+        let ps = Ps::new(PsConfig::default());
+        let (dfs, client) = (Dfs::in_memory(), NodeClock::new());
+        let (range, mode) = (Partitioner::Range, RecoveryMode::Consistent);
+        let ranks = VectorHandle::<f64>::create(&ps, "r", 8, range, mode).unwrap();
+        ranks.push_set(&client, &(0..8).collect::<Vec<_>>(), &[0.5; 8]).unwrap();
+        let labels = VectorHandle::<u64>::create(&ps, "l", 8, range, mode).unwrap();
+        let adjacency = NeighborTableHandle::create(&ps, "a", 8, range, mode).unwrap();
+        let mut w = SnapshotWriter::new(&dfs, "/s", &client);
+        w.vector_f64(&ranks).unwrap();
+        w.vector_u64(&labels).unwrap();
+        w.neighbor_table(&adjacency).unwrap();
+        let manifest = w.finish().unwrap();
+        let objects = ObjectMap {
+            ranks: Some("r".into()),
+            communities: Some("l".into()),
+            adjacency: Some("a".into()),
+            embeddings: None,
+        };
+        let cfg = ServeConfig::default();
+        let load = || ServeCluster::load(&dfs, "/s", &objects, &cfg, &client).unwrap();
+        let mut cluster = load();
+
+        ranks.push_set(&client, &[3], &[9.0]).unwrap();
+        let mut driver = RefreshDriver::new("/s", manifest, RefreshConfig::default());
+        let at = client.now();
+        let swap = driver
+            .refresh(&dfs, &client, &mut cluster, &ranks, &labels, &adjacency, at)
+            .unwrap();
+        assert_eq!(swap.map(|s| s.dirty_partitions), Some(1));
+
+        let rank3 = |tier: &mut ServeCluster| {
+            match &tier.frontend_mut().execute_now(0, SimTime::ZERO, Query::Rank(3))[0].1 {
+                Outcome::Answered { value: Value::Rank(r), .. } => *r,
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        };
+        assert_eq!(rank3(&mut cluster), 9.0, "the live tier serves the refresh");
+        assert_eq!(rank3(&mut load()), 0.5, "a load reads the base snapshot");
     }
 }

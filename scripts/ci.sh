@@ -41,7 +41,7 @@ harness 1
 net 0
 ps 3
 query 2
-serve 14
+serve 10
 sim 3
 stream 2
 tensor 3"
@@ -79,6 +79,9 @@ cargo test -q --offline -p psgraph-query -p psgraph-graph
 # (`o - plo + olo`, `o - ohi + shift` on u64) and the ingestor's lane and
 # sequence bookkeeping.
 cargo test -q --offline -p psgraph-serve -p psgraph-stream
+# And the snapshot file's region codec: the lengths and counts it reads
+# and the per-partition ranges the writer pulls.
+cargo test -q --offline -p psgraph-ps --lib -- snapshot
 # And Common Neighbor / Triangle Count's round grouping: `2 * slot`
 # indexing and the counts written back by slot.
 cargo test -q --offline -p psgraph-core --lib -- common_neighbor triangle

@@ -12,10 +12,10 @@ use psgraph_stream::{EdgeEvent, EdgeOp, EventLog};
 use psgraph::core::{runner, PsGraphContext};
 use psgraph::dfs::Dfs;
 use psgraph::graph::{io, EdgeList};
-use psgraph::ps::snapshot::{load_object, DeltaWriter, PatchRegion, SnapshotDelta};
+use psgraph::ps::snapshot::{delta_path, snapshot_path, DeltaWriter, SnapshotDelta};
 use psgraph::ps::{
-    ColMatrixHandle, MatrixHandle, NeighborTableHandle, Partitioner, Ps, RecoveryMode,
-    SnapshotEntry, SnapshotKind, SnapshotManifest, SnapshotWriter, VectorHandle,
+    ColMatrixHandle, NeighborTableHandle, Partitioner, Ps, RecoveryMode, SnapshotManifest,
+    SnapshotWriter, VectorHandle,
 };
 use psgraph::serve::{ObjectMap, ServeCluster, ServeConfig};
 use psgraph::sim::{NodeClock, SimTime};
@@ -29,21 +29,23 @@ fn le(fields: &[u64]) -> Vec<u8> {
 fn counts_that_overflow_and_trailing_bytes_are_errors() {
     let ctx = PsGraphContext::local();
     let (dfs, c) = (ctx.dfs(), ctx.cluster().driver());
-    let object = SnapshotEntry {
-        name: "v".into(),
-        kind: SnapshotKind::VecF64,
-        rows: 1 << 61,
-        cols: 1,
-        part_versions: vec![],
-    };
+    let ranks = ObjectMap { ranks: Some("v".into()), ..ObjectMap::default() };
+    let cfg = ServeConfig::default();
     let mut log = Vec::new();
     EventLog::write(dfs, "/log", &[], c).unwrap();
     log.extend_from_slice(&dfs.read("/log", c).unwrap());
     log.push(0);
-    let mut delta = b"1ATLDGSP\x01\x00\x00\x00\x01\x00\x00\x00v\x00".to_vec();
-    delta.extend(le(&[8]));
-    delta.extend([1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]);
-    delta.extend(le(&[0, 1 << 61]));
+    // One f64 entry `v`: its rows, then cols 1, no versions, one region
+    // (tag 0), then the region's row_lo and length.
+    let entry = |rows: u64| {
+        let mut bytes = b"1ATLDGSP\x01\x00\x00\x00\x01\x00\x00\x00v\x00".to_vec();
+        bytes.extend(le(&[rows]));
+        bytes.extend([1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]);
+        bytes
+    };
+    let delta = [entry(8), le(&[0, 1 << 61])].concat();
+    // A region of one value must not size shards for 2^61 vertices.
+    let snapshot = [entry(1 << 61), le(&[0, 1, 0])].concat();
     type Fails<'a> = Box<dyn Fn() -> bool + 'a>;
     let table: [(&str, &str, Vec<u8>, Fails); 7] = [
         (
@@ -71,16 +73,16 @@ fn counts_that_overflow_and_trailing_bytes_are_errors() {
             Box::new(|| io::read_features(dfs, "/features", c).is_err()),
         ),
         (
-            "snapshot object, rows = 2^61",
-            "/snap/v.snap",
-            [&[0][..], &le(&[1 << 61]), &[1, 0, 0, 0]].concat(),
-            Box::new(|| load_object(dfs, "/snap", &object, c).is_err()),
+            "snapshot, rows = 2^61",
+            "/snap/SNAPSHOT",
+            snapshot,
+            Box::new(|| ServeCluster::load(dfs, "/snap", &ranks, &cfg, c).is_err()),
         ),
         (
             "snapshot delta, region of 2^61 values",
             "/snap/DELTA",
             delta,
-            Box::new(|| SnapshotDelta::load(dfs, "/snap", c).is_err()),
+            Box::new(|| SnapshotDelta::load(dfs, &delta_path("/snap"), c).is_err()),
         ),
         (
             "vertex table, n = 2^60",
@@ -122,11 +124,14 @@ fn serve_load_rejects_adjacency_offsets_past_the_targets() {
     let cfg = ServeConfig::default();
     ServeCluster::load(dfs, "/snap", &objects, &cfg, c).unwrap();
 
-    // Kind, rows and cols, then 5 offsets: the last one, 3, becomes 9.
-    let mut bytes = dfs.read("/snap/adj.snap", c).unwrap().to_vec();
-    assert_eq!(bytes[13..], le(&[0, 2, 2, 2, 3, 3, 1, 2, 0]), "offsets, count, targets");
-    bytes[13 + 4 * 8] = 9;
-    dfs.write("/snap/adj.snap", &bytes, c).unwrap();
+    // The file ends with the last partition's region, vertices 2 and 3:
+    // row_lo, 3 offsets, count, targets. Its last offset, 1, becomes 9.
+    let path = snapshot_path("/snap");
+    let mut bytes = dfs.read(&path, c).unwrap().to_vec();
+    let at = bytes.len() - 7 * 8;
+    assert_eq!(bytes[at..], le(&[2, 3, 0, 0, 1, 1, 0]), "row_lo, offsets, count, targets");
+    bytes[at + 4 * 8] = 9;
+    dfs.write(&path, &bytes, c).unwrap();
     assert!(ServeCluster::load(dfs, "/snap", &objects, &cfg, c).is_err());
 }
 
@@ -154,10 +159,11 @@ fn serve_rejects_adjacency_targets_past_the_last_vertex() {
         dfs.write(path, &bytes, c).unwrap();
     };
 
-    let good = dfs.read("/snap/adj.snap", c).unwrap().to_vec();
-    retarget("/snap/adj.snap", 0);
-    assert!(ServeCluster::load(dfs, "/snap", &objects, &cfg, c).is_err(), "snapshot object");
-    dfs.write("/snap/adj.snap", &good, c).unwrap();
+    let full = snapshot_path("/snap");
+    let good = dfs.read(&full, c).unwrap().to_vec();
+    retarget(&full, 0);
+    assert!(ServeCluster::load(dfs, "/snap", &objects, &cfg, c).is_err(), "snapshot");
+    dfs.write(&full, &good, c).unwrap();
     let mut cluster = ServeCluster::load(dfs, "/snap", &objects, &cfg, c).unwrap();
 
     // Vertex 3's list becomes [2]: the delta's one region is the last
@@ -168,14 +174,14 @@ fn serve_rejects_adjacency_targets_past_the_last_vertex() {
     let intact = dw.finish().unwrap();
     let mut control = ServeCluster::load(dfs, "/snap", &objects, &cfg, c).unwrap();
     control.swap_in(&intact).unwrap();
-    retarget("/snap/DELTA", 2);
-    let delta = SnapshotDelta::load(dfs, "/snap", c).unwrap();
+    retarget(&delta_path("/snap"), 2);
+    let delta = SnapshotDelta::load(dfs, &delta_path("/snap"), c).unwrap();
     assert!(cluster.swap_in(&delta).is_err(), "delta");
 }
 
 /// A snapshot under `dir` with every object kind, and a delta of it with
-/// every region kind.
-fn snapshot(ctx: &PsGraphContext, dir: &str) -> (SnapshotManifest, SnapshotDelta) {
+/// every region kind; and the map that serves all four objects.
+fn snapshot(ctx: &PsGraphContext, dir: &str) -> (SnapshotManifest, SnapshotDelta, ObjectMap) {
     let (ps, dfs, c) = (ctx.ps(), ctx.dfs(), ctx.cluster().driver());
     let ids: Vec<u64> = (0..6).collect();
     let (range, consistent) = (Partitioner::Range, RecoveryMode::Consistent);
@@ -185,30 +191,31 @@ fn snapshot(ctx: &PsGraphContext, dir: &str) -> (SnapshotManifest, SnapshotDelta
     label.push_set(c, &ids, &[0, 1, 1, 2, 0, 2]).unwrap();
     let embed = ColMatrixHandle::create(ps, "embed", 6, 2, RecoveryMode::Inconsistent).unwrap();
     embed.init_uniform(c, 3, 1.0).unwrap();
-    let feat = MatrixHandle::<f32>::create(ps, "feat", 6, 2, range, consistent).unwrap();
-    feat.init_uniform(c, 5, 1.0).unwrap();
     let adj = adjacency(ps, c, 6, &[(0, vec![1, 2]), (4, vec![5])]);
     let mut w = SnapshotWriter::new(dfs, dir, c);
     w.vector_f64(&rank).unwrap();
     w.vector_u64(&label).unwrap();
     w.colmatrix(&embed).unwrap();
-    w.matrix_f32(&feat).unwrap();
     w.neighbor_table(&adj).unwrap();
     let base = w.finish().unwrap();
 
     rank.push_set(c, &[1], &[9.0]).unwrap();
     label.push_set(c, &[5], &[7]).unwrap();
     embed.push_add_rows(c, &[2], &[vec![1.0; 2]]).unwrap();
-    feat.push_set_rows(c, &[0], &[vec![0.25, -1.0]]).unwrap();
     adj.update_edges(c, &[(0, 1, false), (0, 2, false), (0, 3, true)]).unwrap();
     let mut dw = DeltaWriter::new(dfs, dir, &base, c);
     dw.vector_f64(&rank).unwrap();
     dw.vector_u64(&label).unwrap();
     dw.colmatrix(&embed).unwrap();
-    dw.matrix_f32(&feat).unwrap();
     dw.neighbor_table(&adj).unwrap();
     let delta = dw.finish().unwrap();
-    (base, delta)
+    let objects = ObjectMap {
+        ranks: Some("rank".into()),
+        communities: Some("label".into()),
+        embeddings: Some("embed".into()),
+        adjacency: Some("adj".into()),
+    };
+    (base, delta, objects)
 }
 
 /// The damage property for the file at `path`, which `read` decodes: the
@@ -235,7 +242,8 @@ fn file_survives_damage<T, E>(
 fn no_reader_panics_on_damaged_bytes() {
     let ctx = PsGraphContext::local();
     let (dfs, c) = (ctx.dfs(), ctx.cluster().driver());
-    let (manifest, delta) = snapshot(&ctx, "/snap");
+    let (manifest, delta, objects) = snapshot(&ctx, "/snap");
+    let cfg = ServeConfig::default();
     // A value read from damaged bytes is usable when its writer encodes it
     // back to exactly those bytes.
     let reencodes = |write: &dyn Fn(&str), damaged: &[u8]| {
@@ -311,38 +319,34 @@ fn no_reader_panics_on_damaged_bytes() {
                 reencodes(&|path| runner::save_vertex_values(&ctx, path, &t).unwrap(), damaged)
             })?;
 
-            // The snapshot files: the manifest, each object and the delta.
-            prop_assert_eq!(&SnapshotManifest::load(dfs, "/snap", c).unwrap(), &manifest);
-            let read = || SnapshotManifest::load(dfs, "/snap", c);
-            file_survives_damage(dfs, c, "/snap/MANIFEST", flips, read, |_, _| Ok(()))?;
-            for entry in &manifest.entries {
-                let (path, rows) = (format!("/snap/{}.snap", entry.name), entry.rows as usize);
-                let read = || load_object(dfs, "/snap", entry, c);
-                file_survives_damage(dfs, c, &path, flips, read, |region, _| {
-                    match region {
-                        PatchRegion::RowsF64 { row_lo: 0, values } => {
-                            prop_assert_eq!(values.len(), rows)
-                        }
-                        PatchRegion::RowsU64 { row_lo: 0, values } => {
-                            prop_assert_eq!(values.len(), rows)
-                        }
-                        PatchRegion::RowsF32 { row_lo: 0, data } => {
-                            prop_assert_eq!(data.len(), rows * entry.cols as usize)
-                        }
-                        PatchRegion::Adj { row_lo: 0, offsets, targets } => {
-                            prop_assert_eq!(offsets.len(), rows + 1);
-                            prop_assert_eq!(offsets.first(), Some(&0));
-                            prop_assert_eq!(offsets.last(), Some(&(targets.len() as u64)));
-                            prop_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-                        }
-                        other => return Err(format!("not a whole object: {other:?}")),
-                    }
-                    Ok(())
-                })?;
-            }
-            prop_assert_eq!(&SnapshotDelta::load(dfs, "/snap", c).unwrap(), &delta);
-            let read = || SnapshotDelta::load(dfs, "/snap", c);
-            file_survives_damage(dfs, c, "/snap/DELTA", flips, read, |_, _| Ok(()))
+            // The snapshot files, one encoding: the full export, read back
+            // by loading a tier whose every shard must come out whole, and
+            // the delta.
+            let (full, delta_file) = (snapshot_path("/snap"), delta_path("/snap"));
+            let loaded = SnapshotDelta::load(dfs, &full, c).unwrap();
+            prop_assert_eq!(&loaded.rebase(&SnapshotManifest::default()), &manifest);
+            let read = || ServeCluster::load(dfs, "/snap", &objects, &cfg, c);
+            file_survives_damage(dfs, c, &full, flips, read, |tier, _| {
+                let rows = 6;
+                for rep in tier.replicas() {
+                    let (data, spec) = (rep.data(), rep.data().spec);
+                    let local = (spec.vertex_hi - spec.vertex_lo) as usize;
+                    prop_assert_eq!(data.ranks.as_ref().map(Vec::len), Some(local));
+                    prop_assert_eq!(data.communities.as_ref().map(Vec::len), Some(local));
+                    let adj = data.adjacency.as_ref().ok_or("no adjacency")?;
+                    prop_assert_eq!(adj.offsets.len(), local + 1);
+                    prop_assert_eq!(adj.offsets.first(), Some(&0));
+                    prop_assert_eq!(adj.offsets.last(), Some(&(adj.targets.len() as u64)));
+                    prop_assert!(adj.offsets.windows(2).all(|w| w[0] <= w[1]));
+                    prop_assert!(adj.targets.iter().all(|&t| t < rows));
+                    let embed = data.embed_rows.as_ref().ok_or("no embedding rows")?;
+                    prop_assert_eq!(embed.data.len(), local * 2);
+                }
+                Ok(())
+            })?;
+            prop_assert_eq!(&SnapshotDelta::load(dfs, &delta_file, c).unwrap(), &delta);
+            let read = || SnapshotDelta::load(dfs, &delta_file, c);
+            file_survives_damage(dfs, c, &delta_file, flips, read, |_, _| Ok(()))
         },
     );
 }
