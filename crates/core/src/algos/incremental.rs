@@ -6,7 +6,9 @@
 //! round is one fused server-side operator
 //! ([`VectorHandle::residual_push`]) over the co-located rank, residual
 //! and out-list partitions, and only the frontier and cross-partition Δs
-//! cross the wire. The PS holds two vectors, `ranks` and `res`, with the
+//! cross the wire. Inside a partition the round is one ascending
+//! Gauss–Seidel sweep: a contribution to a higher id on the same server is
+//! absorbed in the round it is made, one to a lower id in the next. The PS holds two vectors, `ranks` and `res`, with the
 //! invariant
 //!
 //! ```text

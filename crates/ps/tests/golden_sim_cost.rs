@@ -74,6 +74,18 @@
 //! comes before the base lookup). No `delta.` export line's `rpcs`,
 //! `sent` or `recv` moved; the `results/` simplicity ledger of this
 //! re-recording holds the comparing script and its output.
+//!
+//! Re-recorded once more when the residual-push round became one
+//! ascending Gauss–Seidel sweep per partition (a local contribution is
+//! absorbed in the round it is made). Of the 870 lines, 770 are
+//! byte-identical and 92 differ only in clock readings: 76 in `client=` /
+//! `ports=` alone, 16 snapshot / delta export lines also in the clock
+//! their result embeds. The other 8: the six `residual_push.round *`
+//! lines (fewer contributions and ids returned; both runs end their third
+//! round with an empty frontier where the Jacobi round left one id) and
+//! the two range `checkpoint.files` digests, whose checkpointed `pr.ranks`
+//! / `pr.res` partitions hold the sweep's state. `residual_push.ranks` is
+//! unchanged.
 
 use std::fmt::Debug;
 use std::sync::Arc;

@@ -39,7 +39,7 @@ graph 0
 graphx 0
 harness 1
 net 0
-ps 3
+ps 2
 query 2
 serve 10
 sim 3
@@ -88,6 +88,10 @@ cargo test -q --offline -p psgraph-core --lib -- common_neighbor triangle
 # GraphX's two jobs run the kernel's one-pair form, the only caller that
 # loads the shorter list and counts the longer one against it.
 cargo test -q --offline -p psgraph-graphx --lib -- common_neighbor triangle
+# And the residual-push sweep: the `(x - start) as usize` index into each
+# partition, and the mark words that straddle two partitions' ranges.
+cargo test -q --offline -p psgraph-ps --lib -- residual_push
+cargo test -q --offline -p psgraph-core --test prop_incremental
 
 cargo build --release --offline --workspace
 # Release mode: the fig6/table emergence tests simulate whole cluster
