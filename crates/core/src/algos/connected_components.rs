@@ -107,7 +107,12 @@ mod tests {
     fn survives_executor_failure() {
         use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(50, 120, Default::default(), 31).dedup();
-        let ctx = PsGraphContext::local();
+        // A pool of 1: the job is order-sensitive and these tests are
+        // about the algorithm, not the claim schedule (DESIGN.md §6,
+        // ROADMAP item 2) — on a larger pool the superstep count can
+        // differ and the scripted kill can miss its superstep.
+        let pool = Arc::new(psgraph_harness::Pool::new(1));
+        let ctx = PsGraphContext::new(crate::PsGraphConfig::default().with_pool(pool));
         let edges = distribute_edges(&ctx, &g, 8).unwrap();
         let chaos = FaultSchedule::scripted([(FaultSite::ExecutorCrash, 1, 2)]);
         ctx.attach_chaos(chaos.clone());

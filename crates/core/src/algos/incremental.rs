@@ -2,13 +2,15 @@
 //! mutating graph — the computation half of the streaming loop
 //! (`psgraph-stream` feeds these from micro-batches of edge events).
 //!
-//! **PageRank** uses Gauss–Southwell residual pushing, run on the PS: each
-//! round is one fused server-side operator
-//! ([`VectorHandle::residual_push`]) over the co-located rank, residual
-//! and out-list partitions, and only the frontier and cross-partition Δs
-//! cross the wire. Inside a partition the round is one ascending
-//! Gauss–Seidel sweep: a contribution to a higher id on the same server is
-//! absorbed in the round it is made, one to a lower id in the next. The PS holds two vectors, `ranks` and `res`, with the
+//! **PageRank** uses Gauss–Southwell residual pushing, run on the PS: one
+//! [`VectorHandle::residual_push`] call pushes to convergence, rounds of
+//! one fused server-side operator over the co-located rank, residual and
+//! out-list partitions, with the servers sending each other their
+//! cross-partition Δs between rounds. The driver sends the frontier once
+//! and hears back once per server. Inside a partition a round is one
+//! ascending Gauss–Seidel sweep: a contribution to a higher id on the same
+//! server is absorbed in the round it is made, one to a lower id in the
+//! next. The PS holds two vectors, `ranks` and `res`, with the
 //! invariant
 //!
 //! ```text
@@ -45,7 +47,8 @@ pub struct IncrementalPageRank {
     /// pushed. Accuracy is ~`threshold · n / (1-d)` in L∞, so the default
     /// keeps modest graphs far inside 1e-6.
     pub threshold: f64,
-    /// Safety valve on push rounds per [`IncrementalPageRank::propagate`].
+    /// Safety valve on push rounds per [`IncrementalPageRank::propagate`]
+    /// (the servers stop there and send the frontier back).
     pub max_rounds: usize,
 }
 
@@ -61,7 +64,7 @@ pub struct PrState {
     pub ranks: VectorHandle<f64>,
     residuals: VectorHandle<f64>,
     /// Vertices whose residual may exceed the threshold, plus the
-    /// cross-partition contributions still in flight between rounds.
+    /// cross-partition contributions still in flight, between calls.
     front: PushFrontier,
     /// Running totals over every round so far: vertices absorbed and
     /// contributions that crossed partitions.
@@ -71,7 +74,7 @@ pub struct PrState {
 
 impl PrState {
     /// Frontier vertices (and undelivered contributions) awaiting the
-    /// next push round.
+    /// next [`IncrementalPageRank::propagate`].
     pub fn dirty_len(&self) -> usize {
         self.front.len()
     }
@@ -175,38 +178,35 @@ impl IncrementalPageRank {
         Ok(())
     }
 
-    /// Push residuals until every vertex is at or below the threshold,
-    /// one fused PS round at a time. Returns the number of rounds. On
-    /// `Err` — a dead server, or `max_rounds` reached — the frontier is
-    /// left as it stood before the failed round, so a later call resumes
-    /// instead of mistaking the state for converged.
+    /// Push residuals until every vertex is at or below the threshold, in
+    /// one server-side run. Returns the number of rounds. A dead server is
+    /// an `Err` before anything moves, with the frontier as it was; on
+    /// `max_rounds` the frontier holds the state the servers stopped at,
+    /// so a later call resumes instead of mistaking it for converged.
     pub fn propagate(
         &self,
         st: &mut PrState,
         client: &NodeClock,
         adj: &NeighborTableHandle,
     ) -> Result<usize> {
-        let mut rounds = 0usize;
-        while !st.front.is_empty() {
-            if rounds == self.max_rounds {
-                return Err(CoreError::Invalid(format!(
-                    "incremental pagerank did not converge within {} rounds",
-                    self.max_rounds
-                )));
-            }
-            let round = st.ranks.residual_push(
-                client,
-                &st.residuals,
-                adj,
-                self.damping,
-                self.threshold,
-                &mut st.front,
-            )?;
-            rounds += 1;
-            st.pushed.0 += round.absorbed as u64;
-            st.pushed.1 += round.remote as u64;
+        let run = st.ranks.residual_push(
+            client,
+            &st.residuals,
+            adj,
+            self.damping,
+            self.threshold,
+            self.max_rounds,
+            &mut st.front,
+        )?;
+        st.pushed.0 += run.absorbed as u64;
+        st.pushed.1 += run.remote as u64;
+        if !st.front.is_empty() {
+            return Err(CoreError::Invalid(format!(
+                "incremental pagerank did not converge within {} rounds",
+                self.max_rounds
+            )));
         }
-        Ok(rounds)
+        Ok(run.rounds)
     }
 
     /// Current ranks (unnormalized, like [`crate::algos::PageRank`]).

@@ -303,10 +303,11 @@ fn fused_round_is_bit_identical_across_pool_sizes_and_schedules() {
 }
 
 #[test]
-fn propagate_costs_at_most_one_rpc_per_server_per_round() {
+fn propagate_costs_a_request_per_server_and_a_message_per_peer_per_round() {
     let g = gen::rmat(96, 500, Default::default(), 29).dedup();
     let mut rig = Rig::new(PsConfig::default(), &g);
-    assert_eq!(rig.ps.num_servers(), 2);
+    let s = rig.ps.num_servers() as u64;
+    assert_eq!(s, 2);
     let mut rng = SplitMix64::new(0xB0D6);
     for _ in 0..4 {
         let ops = rig.random_ops(&mut rng, 24);
@@ -315,9 +316,10 @@ fn propagate_costs_at_most_one_rpc_per_server_per_round() {
         let rounds = rig.propagate().unwrap() as u64;
         let rpcs = rig.ps.network().stats().rpcs() - rpcs0;
         assert!(rounds > 0, "an effective batch needs at least one round");
-        assert!(
-            (rounds..=2 * rounds).contains(&rpcs),
-            "{rpcs} RPCs over {rounds} rounds: every round is one RPC per server with work"
+        assert_eq!(
+            rpcs,
+            s + s * (s - 1) * rounds,
+            "{rounds} rounds: one request per server, then one message per peer per round"
         );
     }
 }

@@ -6,7 +6,9 @@
 //! caller, queues on the callee's service port, and updates global traffic
 //! statistics. The model is a simplified single-server queue per port —
 //! good enough to reproduce the communication-bound behaviour of the
-//! paper's parameter server under 10 GbE.
+//! paper's parameter server under 10 GbE. Besides client legs
+//! (`Network::rpc_at`), servers can finish a request among themselves in
+//! rounds of peer-to-peer messages (`Network::exchange_at`).
 
 pub mod bus;
 pub mod reliable;
@@ -14,4 +16,4 @@ pub mod rpc;
 
 pub use bus::{Mailbox, MailboxCounters, Message};
 pub use reliable::{DeliveryError, DeliveryReceipt, IdempotencyFilter, RetryPolicy};
-pub use rpc::{Network, NetworkStats, NodeId, ServicePort};
+pub use rpc::{Network, NetworkStats, NodeId, ServicePort, Step};

@@ -80,6 +80,21 @@ impl NetworkStats {
     }
 }
 
+/// The chaos lane of a message of `bytes` bytes in a call whose shape is
+/// also `b` and `c` ([`Network::send`]).
+fn lane(bytes: u64, b: u64, c: u64) -> u64 {
+    bytes ^ c.rotate_left(21) ^ b.rotate_left(42)
+}
+
+/// What one port does in one round of a [`Network::exchange_at`]: serve
+/// `ops` of CPU, then send every other port `t` a message of `bytes[t]`
+/// bytes (its own entry is not sent).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Step {
+    pub ops: u64,
+    pub bytes: Vec<u64>,
+}
+
 /// The service side of a node: its clock plus a FIFO availability horizon.
 ///
 /// Concurrent RPCs to the same port serialize in simulated time — the
@@ -224,21 +239,83 @@ impl Network {
         server_ops: u64,
         resp_bytes: u64,
     ) -> SimTime {
-        let mut arrival = at + self.cost.net_cost(req_bytes);
-        if let Some(chaos) = self.chaos_if_active() {
-            // Keyed by the call *shape* (callee + sizes + work), not by a
-            // draw counter: the same logical call is perturbed identically
-            // on every run and under any thread interleaving, which keeps
-            // chaos runs replayable from the seed alone (determinism rule,
-            // DESIGN.md "Fault model").
-            let lane = req_bytes ^ resp_bytes.rotate_left(21) ^ server_ops.rotate_left(42);
-            arrival += chaos.delay(FaultSite::Rpc, port.id().as_key(), lane);
-        }
+        let arrival = self.send(at, port.id(), req_bytes, server_ops, resp_bytes);
         let done = port.serve(arrival, self.cost.cpu_cost(server_ops));
         self.stats.rpc_count.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_sent.fetch_add(req_bytes, Ordering::Relaxed);
         self.stats.bytes_received.fetch_add(resp_bytes, Ordering::Relaxed);
         done + self.cost.net_cost(resp_bytes)
+    }
+
+    /// When `bytes` sent to `to` at `at` arrive: `net_cost(bytes)` plus
+    /// the chaos delay drawn for the message, keyed by the call *shape*
+    /// (callee, `bytes` and two more sizes of the call, `b` and `c`), not
+    /// by a draw counter: the same logical call is perturbed identically
+    /// on every run and under any thread interleaving, which keeps chaos
+    /// runs replayable from the seed alone (determinism rule, DESIGN.md
+    /// "Fault model"). Counts `bytes` in `bytes_sent`; the caller counts
+    /// the RPC.
+    fn send(&self, at: SimTime, to: NodeId, bytes: u64, b: u64, c: u64) -> SimTime {
+        self.stats.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+        let mut arrival = at + self.cost.net_cost(bytes);
+        if let Some(chaos) = self.chaos_if_active() {
+            arrival += chaos.delay(FaultSite::Rpc, to.as_key(), lane(bytes, b, c));
+        }
+        arrival
+    }
+
+    /// One request to every port of `ports` that the servers finish among
+    /// themselves: it leaves the client at `at`, the servers run
+    /// `rounds`, exchanging one message per ordered pair of them after
+    /// each round, and the client resumes when the last response is back.
+    /// No clock but the ports' moves (as with [`Network::rpc_at`]).
+    ///
+    /// Timeline: port `s`'s request travels `net_cost(req_bytes[s])`.
+    /// Port `s` starts round `k` once its request (for `k = 0`) or its own
+    /// round `k − 1` is done and every peer's round-`k − 1` message has
+    /// arrived, and is served FIFO for `cpu_cost(rounds[k][s].ops)`
+    /// (`ServicePort::serve`); it then sends each peer `t` a message of
+    /// `rounds[k][s].bytes[t]` bytes, which travels `net_cost` of them.
+    /// Once the last round's messages are in, port `s`'s response travels
+    /// `net_cost(resp_bytes[s])` back. Every request and every message
+    /// draws the [`FaultSite::Rpc`] delay an [`Network::rpc_at`] request
+    /// draws; a request and its response count as one RPC, and so does
+    /// each message.
+    pub fn exchange_at(
+        &self,
+        at: SimTime,
+        ports: &[ServicePort],
+        req_bytes: &[u64],
+        rounds: &[Vec<Step>],
+        resp_bytes: &[u64],
+    ) -> SimTime {
+        let n_rounds = rounds.len() as u64;
+        let mut ready: Vec<SimTime> = ports
+            .iter()
+            .zip(req_bytes.iter().zip(resp_bytes))
+            .map(|(port, (&req, &resp))| self.send(at, port.id(), req, n_rounds, resp))
+            .collect();
+        for (k, round) in rounds.iter().enumerate() {
+            let done: Vec<SimTime> = ports
+                .iter()
+                .zip(round.iter().zip(&ready))
+                .map(|(port, (step, &start))| port.serve(start, self.cost.cpu_cost(step.ops)))
+                .collect();
+            ready.clone_from(&done);
+            for (s, step) in round.iter().enumerate() {
+                let from = ports[s].id().as_key();
+                for (t, &bytes) in step.bytes.iter().enumerate().filter(|&(t, _)| t != s) {
+                    let arrival = self.send(done[s], ports[t].id(), bytes, k as u64, from);
+                    ready[t] = ready[t].max(arrival);
+                    self.stats.rpc_count.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        self.stats.rpc_count.fetch_add(ports.len() as u64, Ordering::Relaxed);
+        self.stats.bytes_received.fetch_add(resp_bytes.iter().sum(), Ordering::Relaxed);
+        ready
+            .iter()
+            .zip(resp_bytes)
+            .fold(at, |back, (&sent, &resp)| back.max(sent + self.cost.net_cost(resp)))
     }
 
     /// Bulk point-to-point transfer (shuffle fetch): pipelined, so only
@@ -444,6 +521,109 @@ mod tests {
         let port = ServicePort::new(NodeId::Server(0));
         n.rpc(&c, &port, 1000, 1000, 1000);
         assert_eq!(c.now(), plain);
+    }
+
+    /// Two ports, two rounds. Every message is an 8 B header (25 007 ns
+    /// on the wire). Round 0: port 0 computes 1 ms, port 1 0.1 ms; round
+    /// 1: port 0 nothing, port 1 1 ms. Port 1 answers with 16 B.
+    fn two_port_exchange(n: &Network, ports: &[ServicePort]) -> SimTime {
+        let step = |ops, to: usize| {
+            let mut bytes = vec![0, 0];
+            bytes[to] = 8;
+            Step { ops, bytes }
+        };
+        let rounds = [
+            vec![step(2_000_000, 1), step(200_000, 0)],
+            vec![step(0, 1), step(2_000_000, 0)],
+        ];
+        n.exchange_at(SimTime(1_000_000), ports, &[0, 0], &rounds, &[0, 16])
+    }
+
+    fn two_ports() -> [ServicePort; 2] {
+        [ServicePort::new(NodeId::Server(0)), ServicePort::new(NodeId::Server(1))]
+    }
+
+    fn port_clocks(ports: &[ServicePort]) -> Vec<u64> {
+        ports.iter().map(|p| p.clock().now().as_nanos()).collect()
+    }
+
+    #[test]
+    fn an_exchange_runs_each_round_when_its_inputs_are_in() {
+        let n = net();
+        let cost = n.cost_model();
+        assert_eq!(
+            [0, 8, 16].map(|b| cost.net_cost(b).as_nanos()),
+            [25_000, 25_007, 25_014]
+        );
+        let ports = two_ports();
+        // Both requests arrive at 1 025 000. Round 0: port 0 is done at
+        // 2 025 000, port 1 at 1 125 000; their messages arrive at
+        // 2 050 007 (at 1) and 1 150 007 (at 0). Round 1: port 0 starts
+        // at 2 025 000 (its own round is the later input) and is done at
+        // once; port 1 starts at 2 050 007 (port 0's message) and is done
+        // at 3 050 007. Port 1's message reaches port 0 at 3 075 014, so
+        // the responses are back at 3 100 014 and 3 075 021.
+        assert_eq!(two_port_exchange(&n, &ports).as_nanos(), 3_100_014);
+        assert_eq!(port_clocks(&ports), [2_025_000, 3_050_007]);
+        // Two requests with their responses, and four messages of 8 B.
+        assert_eq!(n.stats().rpcs(), 6);
+        assert_eq!((n.stats().bytes_sent(), n.stats().bytes_received()), (32, 16));
+
+        // Port 1 busy until 2 500 000: its round 0 runs 2 500 000 –
+        // 2 600 000 and its message holds port 0's round 1 until
+        // 2 625 007. Port 0's round-1 message (2 650 014) now waits for
+        // port 1's own round, done at 3 600 000; port 1's reaches port 0
+        // at 3 625 007, and port 0's empty response is back at 3 650 007.
+        let (n, ports) = (net(), two_ports());
+        ports[1].serve(SimTime::ZERO, SimTime(2_500_000));
+        assert_eq!(two_port_exchange(&n, &ports).as_nanos(), 3_650_007);
+        assert_eq!(port_clocks(&ports), [2_625_007, 3_600_000]);
+    }
+
+    #[test]
+    fn a_delayed_message_moves_only_what_waits_for_it() {
+        use psgraph_sim::ChaosConfig;
+        // Every draw of `two_port_exchange`: its two requests, then the
+        // messages of rounds 0 and 1 as (from, to).
+        let key = |s: usize| NodeId::Server(s).as_key();
+        let mut draws = vec![(key(0), lane(0, 2, 0)), (key(1), lane(0, 2, 16))];
+        for k in 0..2 {
+            draws.extend([(0, 1), (1, 0)].map(|(s, t)| (key(t), lane(8, k, key(s)))));
+        }
+        let cfg = |seed| ChaosConfig {
+            seed,
+            p_delay: 0.2,
+            max_delay: SimTime(500_000),
+            ..ChaosConfig::off()
+        };
+        // The first seed that delays draw `i` alone, and by how much.
+        let only = |i: usize| {
+            (0..10_000)
+                .find_map(|seed| {
+                    let sched = FaultSchedule::new(cfg(seed));
+                    let delays: Vec<SimTime> =
+                        draws.iter().map(|&(k, l)| sched.delay(FaultSite::Rpc, k, l)).collect();
+                    let fired: Vec<usize> =
+                        (0..delays.len()).filter(|&j| delays[j] > SimTime::ZERO).collect();
+                    (fired == [i]).then_some((seed, delays[i]))
+                })
+                .expect("a seed delays one draw alone")
+        };
+        let run = |seed| {
+            let (n, ports) = (net(), two_ports());
+            n.attach_chaos(FaultSchedule::new(cfg(seed)));
+            (two_port_exchange(&n, &ports).as_nanos(), port_clocks(&ports))
+        };
+        let plain = (3_100_014, vec![2_025_000, 3_050_007]);
+        // Port 1's round-0 message reaches port 0 well before port 0's
+        // own round is done (≈ 0.875 ms): up to 0.5 ms late, it moves nothing.
+        let (seed, _) = only(3);
+        assert_eq!(run(seed), plain);
+        // Port 0's round-0 message starts port 1's round 1, which ends the
+        // exchange: it moves port 1's clock and the end, not port 0.
+        let (seed, late) = only(2);
+        let late = late.as_nanos();
+        assert_eq!(run(seed), (3_100_014 + late, vec![2_025_000, 3_050_007 + late]));
     }
 
     #[test]

@@ -107,16 +107,25 @@ impl ColMatrixHandle {
         cols: usize,
         recovery: RecoveryMode,
     ) -> Result<Self> {
-        assert!(cols > 0, "need at least one column");
+        let name = name.into();
+        if cols == 0 {
+            return Err(PsError::DimensionMismatch(format!("{name}: need at least one column")));
+        }
         let layout = PartitionLayout::new(
             Partitioner::Range,
             cols as u64,
             ps.num_servers().min(cols),
             ps.num_servers(),
         );
+        let ranges: Vec<(u64, u64)> = (0..layout.num_partitions)
+            .map(|p| layout.range_of(p))
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                PsError::DimensionMismatch(format!("{name}: columns need a range layout"))
+            })?;
         let obj = PsObject::new(ps, name, layout);
         obj.install(recovery, |p| {
-            let (c0, c1) = obj.layout.range_of(p).expect("range layout");
+            let (c0, c1) = ranges[p];
             ColPart {
                 col_start: c0 as usize,
                 col_end: c1 as usize,
@@ -367,6 +376,13 @@ mod tests {
         let c = NodeClock::new();
         let rows = m.pull_rows(&c, &[0]).unwrap();
         assert_eq!(rows[0].len(), 9);
+    }
+
+    #[test]
+    fn zero_columns_are_an_error_not_a_panic() {
+        let ps = ps();
+        let err = ColMatrixHandle::create(&ps, "u", 10, 0, RecoveryMode::Inconsistent);
+        assert!(matches!(err, Err(PsError::DimensionMismatch(_))), "{err:?}");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! * **Operators**: `pull`, `push_add`, `push_set`, fills, and
 //!   user-defined server-side functions (*psFunc*, §III-A) — including the
 //!   server-side partial dot products used by LINE (§IV-D) and the
-//!   Adam/AdaGrad optimizers used by GraphSage (§IV-E), and the fused
-//!   residual-push round of online PageRank (`residual_push`).
+//!   Adam/AdaGrad optimizers used by GraphSage (§IV-E), and online
+//!   PageRank's residual push, run to quiescence on the servers with the
+//!   boundary Δs sent server to server (`residual_push`).
 //! * **Synchronization** (`sync`): BSP and ASP superstep control.
 //! * **Checkpoint/recovery** (`ps`, `master`): periodic per-server
 //!   checkpoints to the DFS, a master that health-checks servers, restarts
@@ -27,8 +28,9 @@
 //! bytes, server-side queueing + CPU, via `psgraph_net`. The handles share
 //! one crate-private client core (`object`): key → (server, partition)
 //! grouping, the liveness check before a leg, the charge of a request's
-//! legs (all leaving at once, the client resuming at the slowest), and
-//! checkpoint encode / bounds-checked decode of a partition.
+//! legs (all leaving at once, the client resuming at the slowest) or of
+//! one the servers finish among themselves, and checkpoint encode /
+//! bounds-checked decode of a partition.
 
 pub mod colmatrix;
 pub mod element;
@@ -56,7 +58,7 @@ pub use object::PullPlan;
 pub use partition::{PartitionLayout, Partitioner};
 pub use ps::{Ps, PsConfig, RecoveryMode};
 pub use psfunc::PartitionViewMut;
-pub use residual_push::{PushFrontier, PushRound};
+pub use residual_push::{PushFrontier, PushRun};
 pub use server::PsServer;
 pub use snapshot::{SnapshotEntry, SnapshotKind, SnapshotManifest, SnapshotWriter};
 pub use sync::SyncMode;

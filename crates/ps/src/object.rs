@@ -10,12 +10,13 @@
 //! kept for requests that repeat — across calls or within one
 //! ([`PullPlan`], [`PsObject::replay`]), the charge — one departure time
 //! per request, every leg that ran charged from it, the client resuming at
-//! the slowest ([`PsObject::fan_out`]) — and what the cluster needs from a
+//! the slowest ([`PsObject::fan_out`]), or one request the servers finish
+//! among themselves ([`PsObject::exchange`]) — and what the cluster needs from a
 //! partition type to checkpoint and restore it ([`Partition`], decoded
 //! through the bounds-checked [`Reader`](psgraph_sim::Reader)). DESIGN.md
 //! §8.8 states the contract.
 
-use psgraph_net::ServicePort;
+use psgraph_net::{ServicePort, Step};
 use psgraph_sim::{FxHashMap, NodeClock};
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -275,6 +276,27 @@ impl PsObject {
             })
         });
         out
+    }
+
+    /// One request from `client` to every server of the layout that the
+    /// servers finish among themselves
+    /// ([`Network::exchange_at`](psgraph_net::Network::exchange_at)):
+    /// `req[s]` / `resp[s]` bytes to and from server `s`, and what each
+    /// server did in each round. It leaves at the client's current time
+    /// and is charged through [`NodeClock::request`], as a fan-out is.
+    pub(crate) fn exchange(
+        &self,
+        client: &NodeClock,
+        req: Vec<u64>,
+        rounds: Vec<Vec<Step>>,
+        resp: Vec<u64>,
+    ) {
+        let ports: Vec<ServicePort> =
+            (0..self.layout.num_servers).map(|s| self.ps.server(s).port().clone()).collect();
+        let net = self.ps.network().clone();
+        client.request(client.now(), move |at| {
+            net.exchange_at(at, &ports, &req, &rounds, &resp)
+        });
     }
 
     /// One leg per server that owns any of `keys`, as one

@@ -1,27 +1,39 @@
-//! The fused residual-push round: Gauss–Southwell PageRank maintenance
-//! run *where the rows already are* (paper §III-A, §IV-A — computation
-//! travels to the PS, only Δs cross the wire).
+//! Residual-push PageRank maintenance run *where the rows already are*,
+//! to quiescence on the servers (paper §III-A, §IV-A — computation
+//! travels to the PS, only Δs cross the wire; GraphD's workers exchange
+//! superstep messages directly, PAPERS.md).
 //!
 //! `ranks`, `res` and the out-neighbor table share one range
 //! [`PartitionLayout`](crate::PartitionLayout), so a vertex's rank,
-//! residual and out-list sit on the same server. One round is one RPC per
-//! server that has work — a psFunc in the sense of [`crate::psfunc`], over
-//! three co-located partitions instead of one:
+//! residual and out-list sit on the same server. One
+//! [`VectorHandle::residual_push`] call is one request per server and one
+//! response per server; between them the servers run rounds of a psFunc
+//! in the sense of [`crate::psfunc`], over three co-located partitions
+//! instead of one, and exchange their boundary Δs among themselves:
 //!
 //! * **request** — the frontier ids the server owns, plus the
-//!   contributions `(dst, Δ)` other servers emitted for it last round;
-//! * **server side**, one ascending Gauss–Seidel sweep — add the inbound
-//!   contributions to `res`, then visit the candidates (frontier ∪
-//!   inbound destinations) in ascending id. A candidate with
-//!   `|res| > threshold` is absorbed (`rank += r; res = 0`) and its live
-//!   slots are walked in place: `d·r/deg` goes straight into the `res` of
-//!   each local neighbor `x`, and into a per-destination combiner for a
-//!   remote one. A local `x` above the absorbed vertex joins this sweep
-//!   (absorbed when the sweep reaches it, if it is above the threshold by
-//!   then); one at or below it waits for the next round;
-//! * **response** — the combined remote contributions sorted by `dst`,
-//!   and the local ids the sweep touched behind itself whose residual is
-//!   still above the threshold (the next frontier), ascending.
+//!   contributions `(dst, Δ)` bound for it that the driver holds (left
+//!   over from a call that stopped at its round cap);
+//! * **a round, server side**: one ascending Gauss–Seidel sweep per
+//!   partition — add the inbound contributions to `res`, then visit the
+//!   candidates (frontier ∪ inbound destinations) in ascending id. A
+//!   candidate with `|res| > threshold` is absorbed (`rank += r; res =
+//!   0`) and its live slots are walked in place: `d·r/deg` goes straight
+//!   into the `res` of each local neighbor `x`, and into a
+//!   per-destination combiner for another partition's. A local `x` above
+//!   the absorbed vertex joins this sweep (absorbed when the sweep reaches
+//!   it, if it is above the threshold by then); one at or below it waits
+//!   for the next round, as does everything bound for another partition;
+//! * **between rounds** every server sends every peer one message: an 8 B
+//!   header (the count, and whether the sender has local work left) and
+//!   its combined contributions for the peer's partitions, 16 B each.
+//!   Every server then knows the same thing — whether any frontier or
+//!   contribution is left anywhere — and stops or starts the next round
+//!   on it, so no driver round trip sits between two rounds;
+//! * **response** — after the last round, nothing but the counters,
+//!   unless the call stopped at its `max_rounds` cap with work left: then
+//!   the leftover frontier ids (8 B each) and contributions (16 B each)
+//!   come back into the [`PushFrontier`] for the next call.
 //!
 //! The floating-point fold order is canonical — a destination receives
 //! its inbound partials (in ascending source-partition order) at the start
@@ -29,9 +41,14 @@
 //! source order — and the partitions run serially on the calling thread
 //! in partition order (the bodies share the frontier's `n`-sized scratch
 //! and append to one next frontier; overlapping them would need a copy of
-//! both per partition), so results and simulated time are a pure function
-//! of (state, frontier).
+//! both per partition), so results are a pure function of (state,
+//! frontier), and a run to quiescence is bit-identical to any split of it
+//! into capped calls. Each round's per-server work and message sizes are
+//! recorded and the whole schedule is charged once
+//! ([`Network::exchange_at`](psgraph_net::Network::exchange_at)), so
+//! simulated time is schedule-invariant too.
 
+use psgraph_net::Step;
 use psgraph_sim::NodeClock;
 
 use crate::error::{PsError, Result};
@@ -100,17 +117,19 @@ impl Scratch {
     }
 }
 
-/// What the driver holds between rounds of a residual-push run: the
-/// frontier and the cross-partition contributions still in flight. It is
-/// replaced only when a whole round succeeded, so an `Err` leaves it
-/// exactly as it was at the start of the failed round.
+/// What the driver holds between residual-push calls: the frontier and
+/// the cross-partition contributions still in flight. Empty after a call
+/// that ran to quiescence; after one that stopped at its round cap it
+/// holds what the servers sent back, and a later call resumes from it.
+/// It only ever holds the state between two whole rounds, so an `Err`
+/// leaves it at the last round boundary the servers reached.
 #[derive(Debug, Default)]
 pub struct PushFrontier {
     /// Vertices whose residual may exceed the threshold: ascending, distinct.
     ids: Vec<u64>,
-    /// Contributions emitted last round and not yet delivered, per
-    /// destination partition, in ascending source-partition order (each
-    /// source's run sorted by `dst`).
+    /// Contributions emitted and not yet delivered, per destination
+    /// partition, in ascending source-partition order (each source's run
+    /// sorted by `dst`).
     inbound: Vec<Vec<(u64, f64)>>,
     /// Kernel scratch, empty between rounds.
     scratch: Scratch,
@@ -137,11 +156,34 @@ impl PushFrontier {
         self.ids.sort_unstable();
         self.ids.dedup();
     }
+
+    /// The frontier's size on the wire, by the server that owns it: 8 B
+    /// per frontier id and 16 B per contribution bound for a partition of
+    /// the server — what the driver sends each server, or each sends back
+    /// after a cap.
+    fn bytes_by_server(
+        &self,
+        ranges: &[(u64, u64)],
+        server_of: impl Fn(usize) -> usize,
+        servers: usize,
+    ) -> Vec<u64> {
+        let mut bytes = vec![0; servers];
+        let mut lo = 0;
+        for (p, &(_, end)) in ranges.iter().enumerate() {
+            let hi = lo + self.ids[lo..].partition_point(|&v| v < end);
+            let inbound = self.inbound.get(p).map_or(0, Vec::len);
+            bytes[server_of(p)] += 8 * (hi - lo) as u64 + 16 * inbound as u64;
+            lo = hi;
+        }
+        bytes
+    }
 }
 
-/// Counters of one [`VectorHandle::residual_push`] round.
+/// Counters of one [`VectorHandle::residual_push`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PushRound {
+pub struct PushRun {
+    /// Rounds the servers ran.
+    pub rounds: usize,
     /// Vertices whose residual was absorbed into their rank.
     pub absorbed: usize,
     /// Combined contributions that left their source partition.
@@ -159,16 +201,21 @@ struct Leg {
 }
 
 impl VectorHandle<f64> {
-    /// One fused residual-push round over `self` (ranks), `res` and `adj`
-    /// — see the module docs for the protocol. Advances `front` to the
-    /// next round's frontier on success and leaves it untouched on `Err`.
+    /// Residual-push rounds over `self` (ranks), `res` and `adj` until no
+    /// frontier id or contribution is left, or `max_rounds` rounds ran —
+    /// see the module docs for the protocol. `front` holds what is left:
+    /// nothing after a run to quiescence, the state after the last round
+    /// on a cap. A call with nothing to do (an empty frontier or a cap of
+    /// 0) sends nothing.
     ///
-    /// Declared cost per involved server: request 8 B per frontier id +
-    /// 16 B per inbound contribution, response 16 B per outbound
-    /// contribution + 8 B per returned id, server CPU per vertex
-    /// absorbed, slot scanned and residual written. The legs leave
-    /// `client` together and it resumes when the slowest is back (a leg
-    /// needs only its own request, so the servers work in parallel).
+    /// Every server must be up before any partition is touched
+    /// (`Err(ServerDown)` leaves `front` as it was). Declared cost, charged
+    /// once for the whole run: request 8 B per frontier id + 16 B per
+    /// inbound contribution; per round and server, CPU per vertex
+    /// absorbed, slot scanned and residual written, then an 8 B header +
+    /// 16 B per contribution to each peer; response 8 B per leftover id +
+    /// 16 B per leftover contribution.
+    #[allow(clippy::too_many_arguments)]
     pub fn residual_push(
         &self,
         client: &NodeClock,
@@ -176,8 +223,9 @@ impl VectorHandle<f64> {
         adj: &NeighborTableHandle,
         damping: f64,
         threshold: f64,
+        max_rounds: usize,
         front: &mut PushFrontier,
-    ) -> Result<PushRound> {
+    ) -> Result<PushRun> {
         let layout = self.layout();
         let not_shared = || {
             PsError::DimensionMismatch(format!(
@@ -202,33 +250,38 @@ impl VectorHandle<f64> {
                 size: n,
             });
         }
-        let ps = &self.obj.ps;
+        let mut run = PushRun::default();
+        if front.is_empty() || max_rounds == 0 {
+            return Ok(run);
+        }
+        let servers = layout.num_servers;
+        for s in 0..servers {
+            self.obj.ps.server(s).ensure_alive()?;
+        }
+        let server_of = |p: usize| layout.server_of_partition(p);
         front.scratch.ensure(n as usize);
         front.inbound.resize_with(parts, Vec::new);
+        let req = front.bytes_by_server(&ranges, server_of, servers);
 
-        // Every leg's server must be up before any partition is touched.
-        let mut legs = Vec::with_capacity(parts);
-        let mut lo = 0;
-        for (p, &(_, end)) in ranges.iter().enumerate() {
-            let hi = lo + front.ids[lo..].partition_point(|&v| v < end);
-            if hi > lo || !front.inbound[p].is_empty() {
-                ps.server(layout.server_of_partition(p)).ensure_alive()?;
-                legs.push((p, lo..hi));
+        let mut schedule = Vec::new();
+        let outcome = loop {
+            if front.is_empty() || run.rounds == max_rounds {
+                break Ok(());
             }
-            lo = hi;
-        }
-
-        let mut next_ids = Vec::with_capacity(front.ids.len());
-        let mut next_inbound = vec![Vec::new(); parts];
-        let mut round = PushRound::default();
-        self.obj.fan_out(client, |fan| {
-            for (p, span) in legs {
-                let local = ranges[p].0..ranges[p].1;
-                let (ids, inbound) = (&front.ids[span], &front.inbound[p]);
+            let mut steps = vec![Step { ops: 0, bytes: vec![8; servers] }; servers];
+            let mut next_ids = Vec::with_capacity(front.ids.len());
+            let mut next_inbound = vec![Vec::new(); parts];
+            let mut lo = 0;
+            let swept = ranges.iter().enumerate().try_for_each(|(p, &(start, end))| {
+                let hi = lo + front.ids[lo..].partition_point(|&v| v < end);
+                let (ids, inbound) = (&front.ids[lo..hi], &front.inbound[p]);
+                lo = hi;
+                if ids.is_empty() && inbound.is_empty() {
+                    return Ok(());
+                }
+                let step = &mut steps[server_of(p)];
                 let scratch = &mut front.scratch;
-                let returned = next_ids.len();
-                let server = self.obj.server(p);
-                let leg = server.update_pair_with(
+                let leg = self.obj.server(p).update_pair_with(
                     (self.name(), p),
                     (res.name(), p),
                     (adj.name(), p),
@@ -239,8 +292,8 @@ impl VectorHandle<f64> {
                             let e = PsError::TypeMismatch { name: self.name().to_string() };
                             return (Err(e), [false; 2]);
                         };
-                        let width = local.end - local.start;
-                        let at = |x: u64| (x - local.start) as usize;
+                        let width = end - start;
+                        let at = |x: u64| (x - start) as usize;
                         let mut leg = Leg { applied: inbound.len(), ..Leg::default() };
                         for &(dst, delta) in inbound {
                             res[at(dst)] += delta;
@@ -249,8 +302,8 @@ impl VectorHandle<f64> {
                         for &v in ids {
                             scratch.mark(v);
                         }
-                        let mut from = local.start;
-                        while let Some(v) = scratch.next(from, local.end) {
+                        let mut from = start;
+                        while let Some(v) = scratch.next(from, end) {
                             from = v + 1;
                             let r = res[at(v)];
                             if r.abs() <= threshold {
@@ -273,7 +326,7 @@ impl VectorHandle<f64> {
                             // branching around two loop bodies, measured
                             // ≈ 10 % faster on the kernel.
                             for &x in entry.slots().iter().filter(|&&x| x < n) {
-                                let i = x.wrapping_sub(local.start);
+                                let i = x.wrapping_sub(start);
                                 let here = i < width;
                                 let (sums, j): (&mut [f64], usize) = if here {
                                     (&mut res[..], i as usize)
@@ -289,7 +342,9 @@ impl VectorHandle<f64> {
                         // the threshold again if a contribution reached it
                         // from behind, so the next frontier is the local
                         // marks still above it. Drained ids ascend, so
-                        // their partition only moves forward.
+                        // their partition only moves forward. A
+                        // contribution to another server's partition
+                        // rides in this round's message to that server.
                         let mut q = 0;
                         scratch.drain(|x, sum| {
                             while x >= ranges[q].1 {
@@ -298,6 +353,9 @@ impl VectorHandle<f64> {
                             if q != p {
                                 next_inbound[q].push((x, sum));
                                 leg.remote += 1;
+                                if server_of(q) != server_of(p) {
+                                    step.bytes[server_of(q)] += 16;
+                                }
                             } else if res[at(x)].abs() > threshold {
                                 next_ids.push(x);
                             }
@@ -306,18 +364,22 @@ impl VectorHandle<f64> {
                         (Ok(leg), wrote)
                     },
                 )??;
-                let req_bytes = 8 * ids.len() as u64 + 16 * inbound.len() as u64;
-                let ops = self.obj.item_ops((leg.absorbed + leg.slots + leg.applied) as u64);
-                let resp_bytes = 16 * leg.remote as u64 + 8 * (next_ids.len() - returned) as u64;
-                fan.leg(server, (req_bytes, ops, resp_bytes));
-                round.absorbed += leg.absorbed;
-                round.remote += leg.remote;
+                step.ops += self.obj.item_ops((leg.absorbed + leg.slots + leg.applied) as u64);
+                run.absorbed += leg.absorbed;
+                run.remote += leg.remote;
+                Ok(())
+            });
+            if let Err(e) = swept {
+                break Err(e);
             }
-            Ok(())
-        })?;
-        front.ids = next_ids;
-        front.inbound = next_inbound;
-        Ok(round)
+            front.ids = next_ids;
+            front.inbound = next_inbound;
+            schedule.push(steps);
+            run.rounds += 1;
+        };
+        let resp = front.bytes_by_server(&ranges, server_of, servers);
+        self.obj.exchange(client, req, schedule, resp);
+        outcome.map(|()| run)
     }
 }
 
@@ -354,8 +416,14 @@ mod tests {
     }
 
     impl Fixture {
-        fn round(&self, front: &mut PushFrontier) -> Result<PushRound> {
-            self.ranks.residual_push(&self.client, &self.res, &self.adj, 0.5, 1e-9, front)
+        /// One call of at most `max_rounds` rounds.
+        fn push(&self, max_rounds: usize, front: &mut PushFrontier) -> Result<PushRun> {
+            let (c, res, adj) = (&self.client, &self.res, &self.adj);
+            self.ranks.residual_push(c, res, adj, 0.5, 1e-9, max_rounds, front)
+        }
+
+        fn round(&self, front: &mut PushFrontier) -> Result<PushRun> {
+            self.push(1, front)
         }
 
         fn state(&self) -> (Vec<f64>, Vec<f64>) {
@@ -374,7 +442,7 @@ mod tests {
         front.extend([1, 0, 1]);
         assert_eq!(front.len(), 2, "extend sorts and dedups");
         let round = f.round(&mut front).unwrap();
-        assert_eq!(round, PushRound { absorbed: 2, remote: 0 });
+        assert_eq!(round, PushRun { rounds: 1, absorbed: 2, remote: 0 });
         assert_eq!(f.state(), (vec![1.0, 2.5, 0.0, 0.0], vec![1.25, 0.0, 0.0, 0.0]));
         assert_eq!(front.ids, [0], "only 0 was touched behind the sweep");
         assert!(front.inbound.iter().all(Vec::is_empty));
@@ -416,7 +484,7 @@ mod tests {
         let mut front = PushFrontier::default();
         front.extend([10, 60]);
         let round = f.round(&mut front).unwrap();
-        assert_eq!(round, PushRound { absorbed: 3, remote: 2 });
+        assert_eq!(round, PushRun { rounds: 1, absorbed: 3, remote: 2 });
         assert_eq!(front.ids, [52]);
         assert_eq!(front.inbound, [vec![(5, 0.25)], vec![(55, 0.25)]]);
         let (ranks, res) = f.state();
@@ -427,7 +495,7 @@ mod tests {
         assert_eq!(nonzero(&res), [(52, 0.25)]);
 
         let round = f.round(&mut front).unwrap();
-        assert_eq!(round, PushRound { absorbed: 3, remote: 0 });
+        assert_eq!(round, PushRun { rounds: 1, absorbed: 3, remote: 0 });
         assert!(front.is_empty());
         let (ranks, res) = f.state();
         assert_eq!(
@@ -446,29 +514,92 @@ mod tests {
         f.res.push_set(&f.client, &[0, 1], &[4.0, 2.0]).unwrap();
         let mut front = PushFrontier::default();
         front.extend([0, 1]);
-        let rpcs0 = f.ps.network().stats().rpcs();
+        let stats = f.ps.network().stats();
+        let (rpcs0, sent0, recv0) = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
         let round = f.round(&mut front).unwrap();
-        assert_eq!(round, PushRound { absorbed: 2, remote: 2 });
-        assert_eq!(f.ps.network().stats().rpcs() - rpcs0, 1, "only server 0 had work");
+        assert_eq!(round, PushRun { rounds: 1, absorbed: 2, remote: 2 });
+        // A request per server (16 B of frontier ids to server 0), one
+        // message each way (server 0's carries the two contributions),
+        // and the two come back in server 1's response: the cap is hit.
+        assert_eq!(stats.rpcs() - rpcs0, 2 + 2);
+        assert_eq!(stats.bytes_sent() - sent0, 16 + (8 + 32) + 8);
+        assert_eq!(stats.bytes_received() - recv0, 32);
         assert_eq!(f.state(), (vec![4.0, 2.0, 0.0, 0.0], vec![0.0; 4]));
         assert_eq!(front.len(), 2, "two contributions in flight");
 
         let round = f.round(&mut front).unwrap();
-        assert_eq!(round, PushRound { absorbed: 2, remote: 0 });
+        assert_eq!(round, PushRun { rounds: 1, absorbed: 2, remote: 0 });
         // 2 received 0.5·4/2 + 0.5·2/1 = 2, 3 received 0.5·4/2 = 1.
         assert_eq!(f.state(), (vec![4.0, 2.0, 2.0, 1.0], vec![0.0; 4]));
         assert!(front.is_empty(), "2 and 3 have no out-edges");
     }
 
     #[test]
-    fn a_dead_server_fails_the_round_before_anything_moves() {
-        let f = fixture(4, &[(0, vec![2]), (2, vec![0])]);
-        f.res.push_set(&f.client, &[0, 2], &[1.0, 1.0]).unwrap();
+    fn one_call_runs_to_quiescence_with_one_request_per_server() {
+        // The chain 3 -> 2 -> 1 -> 0 across both servers (0, 1 on server
+        // 0; 2, 3 on server 1) takes a round per hop.
+        let lists = [(3, vec![2]), (2, vec![1]), (1, vec![0])];
+        let seeded = || {
+            let f = fixture(4, &lists);
+            f.res.push_set(&f.client, &[3], &[1.0]).unwrap();
+            let mut front = PushFrontier::default();
+            front.extend([3]);
+            (f, front)
+        };
+        let (f, mut front) = seeded();
+        let stats = f.ps.network().stats();
+        let (rpcs0, sent0, recv0) = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
+        let t0 = f.client.now();
+        let run = f.push(100, &mut front).unwrap();
+        assert_eq!(run, PushRun { rounds: 4, absorbed: 4, remote: 1 });
+        assert!(front.is_empty());
+        // Two requests (8 B: the frontier id) with their empty responses,
+        // and two header messages a round; 2 -> 1 crossed in round 1.
+        assert_eq!(stats.rpcs() - rpcs0, 2 + 2 * 4);
+        assert_eq!(stats.bytes_sent() - sent0, 8 + 8 * 8 + 16);
+        assert_eq!(stats.bytes_received() - recv0, 0);
+        // One round trip to the servers, and a message between rounds.
+        let cost = f.ps.network().cost_model();
+        assert!(f.client.now() - t0 < cost.net_latency.scale(2.0 + 4.0 + 0.5));
+
+        // The same rounds as capped calls leave the same bits behind.
+        let (g, mut front) = seeded();
+        let mut total = PushRun::default();
+        while !front.is_empty() {
+            let r = g.round(&mut front).unwrap();
+            total = PushRun {
+                rounds: total.rounds + r.rounds,
+                absorbed: total.absorbed + r.absorbed,
+                remote: total.remote + r.remote,
+            };
+        }
+        assert_eq!(total, run);
+        assert_eq!(g.state(), f.state());
+    }
+
+    #[test]
+    fn an_empty_frontier_or_a_zero_cap_sends_nothing() {
+        let f = fixture(4, &[(0, vec![2])]);
+        f.res.push_set(&f.client, &[0], &[1.0]).unwrap();
+        let rpcs0 = f.ps.network().stats().rpcs();
         let mut front = PushFrontier::default();
-        front.extend([0, 2]);
+        assert_eq!(f.push(100, &mut front).unwrap(), PushRun::default());
+        front.extend([0]);
+        assert_eq!(f.push(0, &mut front).unwrap(), PushRun::default());
+        assert_eq!(front.len(), 1);
+        assert_eq!(f.ps.network().stats().rpcs(), rpcs0);
+    }
+
+    #[test]
+    fn a_dead_server_fails_the_call_before_anything_moves() {
+        // Server 1 has no work, but the servers finish the run together.
+        let f = fixture(4, &[(0, vec![1])]);
+        f.res.push_set(&f.client, &[0], &[1.0]).unwrap();
+        let mut front = PushFrontier::default();
+        front.extend([0]);
         f.ps.kill_server(1);
-        assert_eq!(f.round(&mut front).unwrap_err(), PsError::ServerDown { id: 1 });
-        assert_eq!(front.len(), 2);
+        assert_eq!(f.push(100, &mut front).unwrap_err(), PsError::ServerDown { id: 1 });
+        assert_eq!(front.len(), 1);
         assert_eq!(f.ranks.pull(&f.client, &[0]).unwrap(), vec![0.0], "server 0 was not touched");
     }
 
@@ -481,10 +612,10 @@ mod tests {
         .unwrap();
         let mut front = PushFrontier::default();
         front.extend([9]);
-        let err = f.ranks.residual_push(&f.client, &wide, &f.adj, 0.5, 1e-9, &mut front);
+        let err = f.ranks.residual_push(&f.client, &wide, &f.adj, 0.5, 1e-9, 1, &mut front);
         assert!(matches!(err, Err(PsError::DimensionMismatch(_))));
         assert!(matches!(f.round(&mut front), Err(PsError::IndexOutOfBounds { index: 9, .. })));
-        let err = f.ranks.residual_push(&f.client, &f.ranks, &f.adj, 0.5, 1e-9, &mut front);
+        let err = f.ranks.residual_push(&f.client, &f.ranks, &f.adj, 0.5, 1e-9, 1, &mut front);
         assert!(err.is_err(), "ranks and res must be distinct objects");
     }
 }

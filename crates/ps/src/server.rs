@@ -61,11 +61,8 @@ fn disjoint_mut<'s, const N: usize>(
         )));
     }
     let keys = parts.map(key);
-    let found = store.get_disjoint_mut(keys.each_ref());
-    if found.iter().any(Option::is_none) {
-        return Err(not_found(&parts));
-    }
-    Ok(found.map(|part| part.expect("checked above")))
+    let found: Option<Vec<_>> = store.get_disjoint_mut(keys.each_ref()).into_iter().collect();
+    found.and_then(|found| found.try_into().ok()).ok_or_else(|| not_found(&parts))
 }
 
 /// A PS server node.

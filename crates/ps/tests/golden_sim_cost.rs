@@ -86,6 +86,22 @@
 //! the two range `checkpoint.files` digests, whose checkpointed `pr.ranks`
 //! / `pr.res` partitions hold the sweep's state. `residual_push.ranks` is
 //! unchanged.
+//!
+//! Re-recorded once more when a residual-push call started to run its
+//! rounds to quiescence on the servers, which send each other their
+//! boundary Δs between rounds (one request and one response per server
+//! per call). The three `residual_push.round *` lines are now calls capped
+//! at one round: each is a request per server, a message per ordered pair
+//! of servers and, on the cap, the leftovers in the responses — same
+//! counters and frontier lengths, more RPCs and bytes. Two lines are new:
+//! `residual_push.reseed` puts `pr.ranks` / `pr.res` back to the seeded
+//! state, and `residual_push.run` runs the same three rounds as one call
+//! (counters equal to the rounds' sums). Of the 870 parent lines, 770 are
+//! byte-identical and 78 differ in `client=` / `ports=` alone, among them
+//! `residual_push.ranks` (same ranks) and both range `checkpoint.files`
+//! digests (the run leaves the same bits the rounds did); 16 snapshot /
+//! delta export lines also differ in the clock their result embeds, and
+//! the six `residual_push.round *` lines as described.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -471,10 +487,19 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
         front.extend(mixed.iter().copied());
         for round in 0..3 {
             t.op(&format!("residual_push.round {round}"), |c| {
-                let r = ranks.residual_push(c, &res, &nt, 0.85, 1e-3, &mut front);
+                let r = ranks.residual_push(c, &res, &nt, 0.85, 1e-3, 1, &mut front);
                 (r, front.len())
             });
         }
+        // The same three rounds again, as one call from the same state.
+        t.op("residual_push.reseed", |c| {
+            (ranks.fill(c, 0.0), res.fill(c, 0.0), res.push_set(c, &mixed, &f64s(&mixed)))
+        });
+        front.extend(mixed.iter().copied());
+        t.op("residual_push.run", |c| {
+            let r = ranks.residual_push(c, &res, &nt, 0.85, 1e-3, usize::MAX, &mut front);
+            (r, front.len())
+        });
         t.op("residual_push.ranks", |c| ranks.pull(c, &mixed));
     }
 

@@ -4,7 +4,7 @@ use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
 use psgraph_ps::{
     ColMatrixHandle, NeighborTableHandle, PartitionLayout, Partitioner, Ps, PsConfig,
-    RecoveryMode, VectorHandle,
+    PushFrontier, PushRun, RecoveryMode, VectorHandle,
 };
 use psgraph_sim::{NodeClock, SimTime};
 
@@ -580,4 +580,96 @@ fn a_multi_server_request_costs_its_slowest_leg_and_ships_what_its_legs_ship() {
             Ok(())
         },
     );
+}
+
+#[derive(Debug)]
+struct PushCase {
+    n: u64,
+    servers: usize,
+    edges: Vec<(u64, u64)>,
+    /// One or two phases, pushed after each.
+    phases: Vec<Phase>,
+}
+
+#[derive(Debug)]
+struct Phase {
+    edits: Vec<(u64, u64, bool)>,
+    /// Residual deltas, whose vertices join the frontier.
+    seeds: Vec<(u64, f64)>,
+}
+
+fn arb_push_case(src: &mut Source) -> PushCase {
+    let n = src.u64_range(2, 64);
+    let servers = src.usize_range(1, 5);
+    let edge = |s: &mut Source| (s.u64_range(0, n), s.u64_range(0, n));
+    let edges = src.vec_with(0, 3 * n as usize, edge);
+    let phases = src.vec_with(1, 3, |s| {
+        let edits = s.vec_with(0, 12, |s| (s.u64_range(0, n), s.u64_range(0, n), s.bool()));
+        let seeds = s.vec_with(1, 8, |s| (s.u64_range(0, n), s.f64_range(-2.0, 2.0)));
+        Phase { edits, seeds }
+    });
+    PushCase { n, servers, edges, phases }
+}
+
+/// Ranks and residual bits after `case`'s phases, each pushed by calls
+/// of at most `cap` rounds until the frontier is empty, the calls' summed
+/// counters and the RPCs they cost.
+fn pushed(case: &PushCase, cap: usize) -> (Vec<u64>, Vec<u64>, PushRun, u64) {
+    let ps = Ps::new(PsConfig { servers: case.servers, ..PsConfig::default() });
+    let client = NodeClock::new();
+    let vector = |name: &str| {
+        VectorHandle::<f64>::create(&ps, name, case.n, Partitioner::Range, RecoveryMode::Consistent)
+            .unwrap()
+    };
+    let (ranks, res) = (vector("ranks"), vector("res"));
+    let adj = NeighborTableHandle::create(
+        &ps, "adj", case.n, Partitioner::Range, RecoveryMode::Consistent,
+    )
+    .unwrap();
+    let mut lists = vec![Vec::new(); case.n as usize];
+    for &(s, d) in &case.edges {
+        lists[s as usize].push(d);
+    }
+    let base: Vec<(u64, Vec<u64>)> = (0..case.n).zip(lists).collect();
+    adj.push(&client, &base).unwrap();
+    let mut front = PushFrontier::default();
+    let (mut total, mut rpcs) = (PushRun::default(), 0);
+    for Phase { edits, seeds } in &case.phases {
+        adj.update_edges(&client, edits).unwrap();
+        for &(v, r) in seeds {
+            res.push_add(&client, &[v], &[r]).unwrap();
+        }
+        front.extend(seeds.iter().map(|&(v, _)| v));
+        let rpcs0 = ps.network().stats().rpcs();
+        while !front.is_empty() {
+            let run = ranks.residual_push(&client, &res, &adj, 0.85, 1e-6, cap, &mut front);
+            let run = run.unwrap();
+            total.rounds += run.rounds;
+            total.absorbed += run.absorbed;
+            total.remote += run.remote;
+        }
+        rpcs += ps.network().stats().rpcs() - rpcs0;
+    }
+    let bits = |v: &VectorHandle<f64>| -> Vec<u64> {
+        v.pull_all(&client).unwrap().iter().map(|x| x.to_bits()).collect()
+    };
+    (bits(&ranks), bits(&res), total, rpcs)
+}
+
+#[test]
+fn a_run_to_quiescence_equals_its_rounds_one_call_at_a_time() {
+    check("a_run_to_quiescence_equals_its_rounds_one_call_at_a_time", arb_push_case, |case| {
+        let (ranks, res, run, rpcs) = pushed(case, usize::MAX);
+        let (step_ranks, step_res, step_run, step_rpcs) = pushed(case, 1);
+        prop_assert_eq!(ranks, step_ranks, "rank bits");
+        prop_assert_eq!(res, step_res, "residual bits");
+        prop_assert_eq!(run, step_run, "rounds, absorbed and remote");
+        // One request per server per call, and one message per ordered
+        // pair of servers per round: one call per phase, or per round.
+        let (s, rounds) = (case.servers as u64, run.rounds as u64);
+        let phases = case.phases.len() as u64;
+        prop_assert_eq!(rpcs, s * phases + s * (s - 1) * rounds);
+        prop_assert_eq!(step_rpcs, s * rounds + s * (s - 1) * rounds);
+        Ok(())
+    });
 }

@@ -39,7 +39,7 @@ graph 0
 graphx 0
 harness 1
 net 0
-ps 2
+ps 0
 query 2
 serve 10
 sim 3
@@ -70,6 +70,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --keep-goin
 # debug too, for the overflow checks and `debug_assert!`s the release
 # run below compiles out.
 cargo test -q --offline -p psgraph-harness
+# The server-to-server exchange's timeline adds and compares `SimTime`s
+# per round and message (`u64` nanoseconds).
+cargo test -q --offline -p psgraph-net
 # The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
 # that release builds would wrap silently; so does the intersection
 # kernel (`x >> 6` words) and its declared charge (`u64` products of the
