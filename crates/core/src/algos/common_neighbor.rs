@@ -111,7 +111,7 @@ impl CommonNeighbor {
                         .collect())
                 })
                 .map_err(CoreError::from)?;
-            results.extend(ctx.cluster().in_partition_order(round_results));
+            results.extend(ctx.cluster().in_partition_order(round_results)?);
         }
 
         let counts: Vec<(u64, u64, u64)> = results.into_iter().flatten().collect();

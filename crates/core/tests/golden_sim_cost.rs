@@ -63,6 +63,21 @@
 //! `elapsed=` moved; at the parent commit (12f503c) they read 7894570ns
 //! (Common Neighbor) and 9037937ns (Triangle Count).
 //!
+//! Re-recorded a third time when the shuffle's reduce side started to
+//! fetch as Spark does: one leg per source executor, all in flight, each
+//! source reading its own shuffle files from its own disk port, instead of
+//! one chunk at a time with every disk read charged to the reducer. Results,
+//! `ps_rpcs` and `ps_bytes` held; every `elapsed=` fell or held; at the
+//! parent commit (448987e) they read 8095469ns (Common Neighbor),
+//! 9185050ns (Triangle Count), 6526803ns (PageRank), 8829776ns (K-Core),
+//! 8089457ns (Connected Components), 8133226ns (Label Propagation),
+//! 95753994ns (Fast Unfolding), 23910265ns (GraphSage) and 14145939ns
+//! (LINE, both orders). `spark_bytes=` rose by the request legs' block ids
+//! alone (8 B per remote block): +384 (Common Neighbor, GraphSage), +768
+//! (Triangle Count), +3448 (PageRank), +3456 (K-Core, CC, LPA) and +16984
+//! (Fast Unfolding), 32336 B in all; at the parent they read 572192,
+//! 788416, 286352, 572192, 572192, 572192, 1514688 and 408096.
+//!
 //! A deliberate cost-model change re-records the lines (the failure
 //! message prints the actual ones); a digest must not move with it.
 
@@ -103,14 +118,14 @@ fn run(job: impl FnOnce(&Arc<PsGraphContext>) -> (String, RunStats)) -> String {
 }
 
 const EXPECTED: &[&str] = &[
-    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=28 ps_bytes=4364416 spark_bytes=572192 elapsed=8095469ns",
-    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=28 ps_bytes=4293840 spark_bytes=788416 elapsed=9185050ns",
-    "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=286352 elapsed=6526803ns",
-    "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=123 ps_bytes=752280 spark_bytes=572192 elapsed=8829776ns",
-    "connected_components: components=328 supersteps=4 ps_rpcs=53 ps_bytes=421128 spark_bytes=572192 elapsed=8089457ns",
-    "label_propagation: labels=7e362f97326ff396 kept_own=328 supersteps=4 ps_rpcs=53 ps_bytes=421736 spark_bytes=572192 elapsed=8133226ns",
-    "fast_unfolding: communities=cdb9917dd8802be7 modularity=3fbd61e8a9877559 supersteps=47 ps_rpcs=4278 ps_bytes=20028112 spark_bytes=1514688 elapsed=95753994ns",
-    "graphsage: loss=f8bfd9cb90d44881 accuracy=92328807b4eb6fed supersteps=4 ps_rpcs=964 ps_bytes=10057232 spark_bytes=408096 elapsed=23910265ns",
+    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=28 ps_bytes=4364416 spark_bytes=572576 elapsed=5746570ns",
+    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=28 ps_bytes=4293840 spark_bytes=789184 elapsed=6745400ns",
+    "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=289800 elapsed=3043765ns",
+    "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=123 ps_bytes=752280 spark_bytes=575648 elapsed=4323466ns",
+    "connected_components: components=328 supersteps=4 ps_rpcs=53 ps_bytes=421128 spark_bytes=575648 elapsed=3583147ns",
+    "label_propagation: labels=7e362f97326ff396 kept_own=328 supersteps=4 ps_rpcs=53 ps_bytes=421736 spark_bytes=575648 elapsed=3626916ns",
+    "fast_unfolding: communities=cdb9917dd8802be7 modularity=3fbd61e8a9877559 supersteps=47 ps_rpcs=4278 ps_bytes=20028112 spark_bytes=1531672 elapsed=78332097ns",
+    "graphsage: loss=f8bfd9cb90d44881 accuracy=92328807b4eb6fed supersteps=4 ps_rpcs=964 ps_bytes=10057232 spark_bytes=408480 elapsed=23492046ns",
     "line(second): loss=8913c0a2c2554574 embeddings=211cd4d92341965c supersteps=2 ps_rpcs=390 ps_bytes=27783296 spark_bytes=0 elapsed=14145939ns",
     "line(first): loss=9fea2211ca7f304e embeddings=2bf198f17803dab8 supersteps=2 ps_rpcs=388 ps_bytes=27783232 spark_bytes=0 elapsed=14145939ns",
 ];

@@ -1,7 +1,7 @@
 //! The simulated Spark cluster: a driver plus a pool of executors.
 
 use psgraph_harness::Pool;
-use psgraph_net::Network;
+use psgraph_net::{Network, NodeId, ServicePort};
 use psgraph_sim::sync::Mutex;
 use psgraph_sim::{stage, ClusterClock, CostModel, MemoryMeter, NodeClock, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,17 +72,22 @@ impl ClusterConfig {
     }
 }
 
-/// One executor: clock + memory budget + liveness + incarnation counter.
+/// One executor: clock + memory budget + liveness + incarnation counter +
+/// the disk its shuffle files live on.
 ///
 /// The incarnation counter invalidates partition data cached on the
 /// executor when it is killed: data written under incarnation `k` is
-/// unreadable once the executor is restarted as incarnation `k+1`.
+/// unreadable once the executor is restarted as incarnation `k+1`. The
+/// disk is not reset by a kill or a restart: shuffle files outlive the
+/// executor behind the external shuffle service (DESIGN.md §8, mechanism
+/// 3), and reads of them queue there in sim time.
 #[derive(Debug)]
 pub struct Executor {
     id: usize,
     cores: usize,
     clock: NodeClock,
     memory: MemoryMeter,
+    disk: ServicePort,
     alive: AtomicBool,
     incarnation: AtomicU64,
 }
@@ -94,6 +99,7 @@ impl Executor {
             cores,
             clock: NodeClock::new(),
             memory: MemoryMeter::new(format!("executor-{id}"), memory),
+            disk: ServicePort::new(NodeId::Executor(id)),
             alive: AtomicBool::new(true),
             incarnation: AtomicU64::new(0),
         }
@@ -109,6 +115,12 @@ impl Executor {
 
     pub fn memory(&self) -> &MemoryMeter {
         &self.memory
+    }
+
+    /// The port that serves this executor's blocks: every read of its
+    /// shuffle files, local or for a remote reducer, is served FIFO here.
+    pub fn disk(&self) -> &ServicePort {
+        &self.disk
     }
 
     pub fn is_alive(&self) -> bool {
@@ -136,6 +148,9 @@ impl Executor {
         self.alive.store(true, Ordering::Release);
     }
 }
+
+/// Bytes of one block id in a fetch request.
+const BLOCK_ID_BYTES: u64 = 8;
 
 /// The simulated Spark cluster.
 pub struct Cluster {
@@ -244,6 +259,49 @@ impl Cluster {
         self.stages_run.load(Ordering::Relaxed)
     }
 
+    /// One fetch by `client` that leaves at `departs`, of `blocks` given
+    /// as (source executor, bytes); returns the bytes fetched. There is one
+    /// leg per source, all in flight together, and the client resumes at
+    /// the slowest ([`NodeClock::request`]: at once outside a stage, in sim
+    /// order when the stage ends inside one). A source serves its leg at
+    /// its disk port for `read` of its bytes, FIFO. A remote leg (its
+    /// source is not `local`) sends the block ids there first and streams
+    /// the bytes back ([`Network::fetch_at`]); a local one is the read
+    /// alone.
+    pub(crate) fn fetch(
+        &self,
+        client: &NodeClock,
+        departs: SimTime,
+        local: Option<usize>,
+        blocks: impl IntoIterator<Item = (usize, u64)>,
+        read: impl Fn(u64) -> SimTime,
+    ) -> u64 {
+        let mut per_source = vec![(0u64, 0u64); self.executors.len()];
+        for (from, bytes) in blocks {
+            per_source[from].0 += 1;
+            per_source[from].1 += bytes;
+        }
+        let legs: Vec<_> = per_source
+            .iter()
+            .zip(&self.executors)
+            .filter(|&(&(count, _), _)| count > 0)
+            .map(|(&(count, bytes), e)| {
+                let req = (local != Some(e.id)).then_some(count * BLOCK_ID_BYTES);
+                (e.disk.clone(), req, read(bytes), bytes)
+            })
+            .collect();
+        let network = self.network.clone();
+        client.request(departs, move |at| {
+            legs.iter().fold(at, |back, (disk, req, read, bytes)| {
+                back.max(match req {
+                    Some(req) => network.fetch_at(at, disk, *req, *read, *bytes),
+                    None => disk.serve(at, *read),
+                })
+            })
+        });
+        per_source.iter().map(|&(_, bytes)| bytes).sum()
+    }
+
     /// Kill an executor: memory cleared, cached partitions invalidated.
     pub fn kill_executor(&self, id: usize) {
         self.executors[id].kill();
@@ -296,21 +354,18 @@ impl Cluster {
             .collect();
         let first_err: Mutex<Option<DataflowError>> = Mutex::new(None);
         let task = |(exec, parts): (&Arc<Executor>, Vec<usize>)| {
-            if first_err.lock().is_some() {
-                return None;
+            if let Some(e) = &*first_err.lock() {
+                return Err(e.clone());
             }
             let outcome = if exec.is_alive() {
                 f(exec, &parts)
             } else {
                 Err(DataflowError::ExecutorLost { id: exec.id() })
             };
-            match outcome {
-                Ok(r) => Some(r),
-                Err(e) => {
-                    first_err.lock().get_or_insert(e);
-                    None
-                }
+            if let Err(e) = &outcome {
+                first_err.lock().get_or_insert_with(|| e.clone());
             }
+            outcome
         };
 
         let clients: Vec<&NodeClock> = hosted.iter().map(|&(e, _)| e.clock()).collect();
@@ -323,23 +378,27 @@ impl Cluster {
         self.clock
             .barrier(self.executors.iter().filter(|e| e.is_alive()).map(|e| e.clock()));
 
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every executor task stored a result or an error"))
-            .collect())
+        // No error was recorded, so every task returned its result.
+        results.into_iter().collect()
     }
 
     /// Per-partition values that [`Cluster::run_executors`] tasks returned
     /// (one `Vec` per executor, in the order of its `parts`), back in
-    /// partition order.
-    pub fn in_partition_order<R>(&self, per_executor: Vec<Vec<R>>) -> Vec<R> {
+    /// partition order. The values are read as the results of a stage of
+    /// as many partitions as there are values; an executor that returned
+    /// fewer or more than it hosts there is an error.
+    pub fn in_partition_order<R>(&self, per_executor: Vec<Vec<R>>) -> Result<Vec<R>> {
         let tasks = per_executor.iter().map(Vec::len).sum();
         let mut per_executor: Vec<_> = per_executor.into_iter().map(Vec::into_iter).collect();
+        let executors = self.executors.len();
         (0..tasks)
             .map(|p| {
-                per_executor[p % self.executors.len()]
-                    .next()
-                    .expect("one value per hosted partition")
+                per_executor.get_mut(p % executors).and_then(Iterator::next).ok_or_else(|| {
+                    DataflowError::Other(format!(
+                        "executor {} returned no value for partition {p} of {tasks}",
+                        p % executors
+                    ))
+                })
             })
             .collect()
     }
@@ -367,7 +426,7 @@ impl Cluster {
             }
             Ok(out)
         })?;
-        Ok(self.in_partition_order(per_executor))
+        self.in_partition_order(per_executor)
     }
 }
 
@@ -399,7 +458,7 @@ mod tests {
             assert_eq!(c.stages_run(), 2);
             assert_eq!(
                 c.in_partition_order(vec![vec![0, 4], vec![1, 5], vec![2], vec![3]]),
-                vec![0, 1, 2, 3, 4, 5]
+                Ok(vec![0, 1, 2, 3, 4, 5])
             );
             // Same failure semantics as a partition-indexed stage: the
             // first error recorded is the stage's, and an executor that
@@ -432,6 +491,23 @@ mod tests {
             assert_eq!(err, DataflowError::ExecutorLost { id: 3 }, "{threads} threads");
             assert_eq!(c.run_executors(3, |e, _| Ok(e.id())), Ok(vec![0, 1, 2]));
         }
+    }
+
+    #[test]
+    fn a_per_executor_result_of_the_wrong_length_is_an_error_not_a_panic() {
+        let c = Cluster::local();
+        // Eight partitions on four executors, but executor 1 returned one
+        // value instead of two: partition 5 has none.
+        let short = c.in_partition_order(vec![vec![0, 4], vec![1], vec![2, 6], vec![3, 7]]);
+        assert!(matches!(short, Err(DataflowError::Other(_))), "{short:?}");
+        // Executor 1 returned a third value: read as a stage of nine
+        // partitions, partition 8 (executor 0's) has none.
+        let long = c.in_partition_order(vec![vec![0, 4], vec![1, 5, 9], vec![2, 6], vec![3, 7]]);
+        assert!(matches!(long, Err(DataflowError::Other(_))), "{long:?}");
+        // More vectors than executors: the fifth one is never read.
+        let extra = c.in_partition_order(vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
+        assert!(matches!(extra, Err(DataflowError::Other(_))), "{extra:?}");
+        assert_eq!(c.in_partition_order(Vec::<Vec<u8>>::new()), Ok(vec![]));
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //!   serialized, and spilled to local disk (we charge serialization CPU
 //!   and disk-write time; the bucketed data itself is "on disk", i.e. not
 //!   held against the executor's memory budget).
-//! * **Reduce side** — each output partition fetches its buckets (disk
-//!   read + network for remote buckets + deserialization), then
-//!   aggregates in an in-memory hash table. The hash table and the
-//!   materialized output *are* charged against the memory budget — this
-//!   is exactly where GraphX's join-based message passing explodes on
-//!   power-law graphs (Fig. 6).
+//! * **Reduce side** — each output partition fetches its buckets with
+//!   one leg per source executor, all in flight, each source reading its
+//!   own shuffle files from its own disk (remote legs also cross the
+//!   network); then it deserializes them and aggregates in an in-memory
+//!   hash table. The hash table and the materialized output *are*
+//!   charged against the memory budget — this is exactly where GraphX's
+//!   join-based message passing explodes on power-law graphs (Fig. 6).
 
 use psgraph_sim::FxHashMap;
 use std::hash::Hash;
@@ -21,7 +22,7 @@ use std::sync::Arc;
 use psgraph_sim::sync::Mutex;
 use psgraph_sim::memory::Reservation;
 
-use crate::cluster::Executor;
+use crate::cluster::{Cluster, Executor};
 use crate::error::Result;
 use crate::rdd::{Provenance, Rdd};
 use crate::record::{slice_bytes, Record};
@@ -127,16 +128,19 @@ where
     Ok(out)
 }
 
-/// Reduce-side fetch for output partition `p`: charges disk/network/deser
-/// and returns the merged pair stream plus its byte volume. The chunks
-/// stay retained (shuffle files persist on local disk / the external
-/// shuffle service until the shuffled RDD is dropped, as in Spark), which
-/// is also what the shuffled RDD's provenance replays on recovery.
+/// Reduce-side fetch for output partition `p`: charges the fetch and the
+/// deserialization and returns the merged pair stream plus its byte
+/// volume. The fetch is Spark's: one leg per source executor, all in
+/// flight together, each source reading its own shuffle files from its
+/// own disk ([`Cluster::fetch`]); the reducer resumes at the slowest leg
+/// and then deserializes every byte. The chunks stay retained (shuffle
+/// files persist on local disk / the external shuffle service until the
+/// shuffled RDD is dropped, as in Spark), which is also what the shuffled
+/// RDD's provenance replays on recovery.
 fn fetch_bucket<K, V>(
     chunks: &[BucketChunk<K, V>],
     exec: &Executor,
-    cost: &psgraph_sim::CostModel,
-    network: &psgraph_net::Network,
+    cluster: &Cluster,
 ) -> (Vec<(K, V)>, u64)
 where
     K: Record,
@@ -144,21 +148,19 @@ where
 {
     // Canonical merge order: by producing map partition, not by the
     // (scheduling-dependent) order map tasks appended their chunks.
-    let mut order: Vec<usize> = (0..chunks.len()).collect();
-    order.sort_unstable_by_key(|&i| chunks[i].from_part);
-    let mut merged = Vec::new();
-    let mut total_bytes = 0u64;
-    for &i in &order {
-        let chunk = &chunks[i];
-        exec.clock().advance(cost.disk_bulk_cost(chunk.bytes));
-        if chunk.from_exec != exec.id() {
-            network.bulk_fetch(exec.clock(), chunk.bytes);
-        }
-        exec.clock().advance(cost.ser_cost(chunk.bytes));
-        total_bytes += chunk.bytes;
-        merged.extend(chunk.pairs.iter().cloned());
-    }
-    (merged, total_bytes)
+    let mut order: Vec<&BucketChunk<K, V>> = chunks.iter().collect();
+    order.sort_unstable_by_key(|chunk| chunk.from_part);
+    let merged = order.iter().flat_map(|chunk| chunk.pairs.iter().cloned()).collect();
+    let cost = cluster.cost();
+    let bytes = cluster.fetch(
+        exec.clock(),
+        exec.clock().now(),
+        Some(exec.id()),
+        chunks.iter().map(|chunk| (chunk.from_exec, chunk.bytes)),
+        |bytes| cost.disk_bulk_cost(bytes),
+    );
+    exec.clock().advance(cost.ser_cost(bytes));
+    (merged, bytes)
 }
 
 /// Identity extractor for pair RDDs.
@@ -212,8 +214,7 @@ where
     let cluster_prov = Arc::clone(&cluster);
     let prov: Provenance<U> = Arc::new(move |p, exec| {
         let guard = buckets_prov[p].lock();
-        let (merged, _) =
-            fetch_bucket(&guard, exec, cluster_prov.cost(), cluster_prov.network());
+        let (merged, _) = fetch_bucket(&guard, exec, &cluster_prov);
         Ok(agg_prov(merged))
     });
 
@@ -221,8 +222,7 @@ where
     let buckets2 = Arc::clone(&buckets);
     Rdd::materialize(&cluster, name, num_out, Some(prov), move |p, exec| {
         let guard = buckets2[p].lock();
-        let (merged, in_bytes) =
-            fetch_bucket(&guard, exec, cluster2.cost(), cluster2.network());
+        let (merged, in_bytes) = fetch_bucket(&guard, exec, &cluster2);
         drop(guard);
         // Hash-table overhead while aggregating.
         let overhead = in_bytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN + 64;
@@ -352,21 +352,15 @@ where
         let rb_prov = Arc::clone(&right_buckets);
         let cluster_prov = Arc::clone(&cluster);
         let prov: Provenance<(K, (V, W))> = Arc::new(move |p, exec| {
-            let (l, _) = fetch_bucket(
-                &lb_prov[p].lock(), exec, cluster_prov.cost(), cluster_prov.network(),
-            );
-            let (r, _) = fetch_bucket(
-                &rb_prov[p].lock(), exec, cluster_prov.cost(), cluster_prov.network(),
-            );
+            let (l, _) = fetch_bucket(&lb_prov[p].lock(), exec, &cluster_prov);
+            let (r, _) = fetch_bucket(&rb_prov[p].lock(), exec, &cluster_prov);
             Ok(hash_join(l, r))
         });
 
         let cluster2 = Arc::clone(&cluster);
         Rdd::materialize(&cluster, "join", num_out, Some(prov), move |p, exec| {
-            let (left, lbytes) =
-                fetch_bucket(&left_buckets[p].lock(), exec, cluster2.cost(), cluster2.network());
-            let (right, rbytes) =
-                fetch_bucket(&right_buckets[p].lock(), exec, cluster2.cost(), cluster2.network());
+            let (left, lbytes) = fetch_bucket(&left_buckets[p].lock(), exec, &cluster2);
+            let (right, rbytes) = fetch_bucket(&right_buckets[p].lock(), exec, &cluster2);
             // Build-side hash table + streamed probe side working set.
             let overhead =
                 lbytes + lbytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN + rbytes + 64;
@@ -600,7 +594,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{Cluster, ClusterConfig};
+    use crate::cluster::ClusterConfig;
+    use psgraph_sim::SimTime;
 
     fn cluster() -> Arc<Cluster> {
         Cluster::local()
@@ -850,6 +845,139 @@ mod tests {
             fused_peak < unfused_peak,
             "fused {fused_peak} should stay below unfused {unfused_peak}"
         );
+    }
+
+    /// A chunk of `bytes` from map partition `from_part` on executor
+    /// `from_exec`, carrying one pair that names them.
+    fn chunk(from_part: usize, from_exec: usize, bytes: u64) -> BucketChunk<u64, u64> {
+        BucketChunk { from_part, from_exec, bytes, pairs: vec![(from_part as u64, bytes)] }
+    }
+
+    #[test]
+    fn a_reduce_partition_ends_at_its_slowest_leg_plus_deserialization() {
+        let c = Cluster::new(ClusterConfig::default().with_executors(3));
+        // Executor 0 reduces 0.3 MB of its own, 1.5 MB from executor 1 (two
+        // blocks) and 0.15 MB from executor 2, appended out of map order.
+        let chunks =
+            [chunk(4, 1, 750_000), chunk(0, 0, 300_000), chunk(2, 2, 150_000), chunk(1, 1, 750_000)];
+        let (merged, bytes) = fetch_bucket(&chunks, c.executor(0), &c);
+        assert_eq!(merged, [(0, 300_000), (1, 750_000), (2, 150_000), (4, 750_000)]);
+        assert_eq!(bytes, 1_950_000);
+        // Every leg leaves at 0. Local: the 2 ms disk read alone. Executor
+        // 1: 16 B of block ids (25 014 ns), a 10 ms read, 1.5 MB back
+        // (1 388 636 ns) — the slowest, back at 11 413 650. Executor 2:
+        // 25 007 + 1 ms + 161 363, back at 1 186 370. Then 3.9 M ops of
+        // deserialization: 1.95 ms.
+        let cost = c.cost();
+        assert_eq!(
+            [cost.net_cost(16), cost.net_cost(8), cost.net_cost(1_500_000), cost.net_cost(150_000)]
+                .map(SimTime::as_nanos),
+            [25_014, 25_007, 1_388_636, 161_363]
+        );
+        assert_eq!(c.executor(0).clock().now().as_nanos(), 11_413_650 + 1_950_000);
+        // Each source's disk served its own read, from the request's arrival.
+        let disk = |e: usize| c.executor(e).disk().clock().now().as_nanos();
+        assert_eq!([disk(0), disk(1), disk(2)], [2_000_000, 10_025_014, 1_025_007]);
+        // Two RPCs (the local leg is none), block ids out, blocks back.
+        let stats = c.network().stats();
+        assert_eq!((stats.rpcs(), stats.bytes_sent(), stats.bytes_received()), (2, 24, 1_650_000));
+    }
+
+    #[test]
+    fn reducers_of_one_source_queue_at_its_disk_in_departure_then_executor_order() {
+        // Executors 0, 1 and 2 each read 1.5 MB from executor 3. Executor 0
+        // computes 1 ms first; 1 and 2 leave at 0. The disk serves 1
+        // (arrives 25 007, read until 10 025 007), then 2 (the tie goes to
+        // the lower index; until 20 025 007), then 0 (arrived at 1 025 007;
+        // until 30 025 007). Each is back 1 388 636 later and deserializes
+        // for 1.5 ms.
+        let end = |read_done: u64| read_done + 1_388_636 + 1_500_000;
+        let fetch = |c: &Cluster, e: usize| {
+            let exec = c.executor(e);
+            if e == 0 {
+                exec.charge_cpu(c.cost(), 4_000_000);
+            }
+            fetch_bucket(&[chunk(e, 3, 1_500_000)], exec, c);
+        };
+        // The host runs them in reverse; the stage charges them in sim order.
+        let c = Cluster::new(ClusterConfig::default().with_executors(4));
+        let clocks: Vec<&psgraph_sim::NodeClock> = (0..3).map(|e| c.executor(e).clock()).collect();
+        psgraph_sim::stage(&clocks, || (0..3).rev().for_each(|e| fetch(&c, e)));
+        let ends: Vec<u64> = clocks.iter().map(|clock| clock.now().as_nanos()).collect();
+        assert_eq!(ends, [end(30_025_007), end(10_025_007), end(20_025_007)]);
+        assert_eq!(c.executor(3).disk().clock().now().as_nanos(), 30_025_007);
+        // A stage of the three reducers ends at the same time on any pool
+        // and claim schedule.
+        let run = |threads: usize, perturb: Option<u64>| {
+            let pool = Arc::new(psgraph_harness::Pool::with_perturb(threads, perturb));
+            let c = Cluster::new(ClusterConfig::default().with_executors(4).with_pool(pool));
+            c.run_executors(3, |exec, _| {
+                fetch(&c, exec.id());
+                Ok(())
+            })
+            .unwrap();
+            (c.now().as_nanos(), c.executor(3).disk().clock().now().as_nanos())
+        };
+        for (threads, perturb) in [(1, None), (2, None), (4, None), (4, Some(1)), (4, Some(7))] {
+            assert_eq!(
+                run(threads, perturb),
+                (end(30_025_007), 30_025_007),
+                "{threads} threads, perturb {perturb:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_lost_shuffled_partition_is_refetched_and_the_restarted_disk_still_serves() {
+        let c = cluster();
+        let (executors, maps, reduces) = (c.num_executors(), 8, 4);
+        let records: Vec<(u64, u64)> = (0..400u64).map(|i| (i % 23, i)).collect();
+        let grouped = Rdd::from_vec(&c, records.clone(), maps).unwrap().group_by_key(reduces).unwrap();
+        let before = grouped.partition(1).unwrap();
+        let disk1 = c.executor(1).disk().clock().now();
+        c.kill_executor(1);
+        c.restart_executor(1);
+        // The disk outlives the executor: neither kill nor restart reset it.
+        assert_eq!(c.executor(1).disk().clock().now(), disk1);
+        let restarted = c.now();
+        grouped.recover().unwrap();
+        assert_eq!(grouped.partition(1).unwrap(), before);
+        // Reduce partition 1 (on executor 1) by source executor: blocks and
+        // bytes (a (u64, u64) record is 16 B). Map partition `m` holds
+        // records `i ≡ m (mod 8)` and runs on executor `m mod 4`.
+        let mut legs = vec![(0u64, 0u64); executors];
+        for m in 0..maps {
+            let bytes = records
+                .iter()
+                .skip(m)
+                .step_by(maps)
+                .filter(|(k, _)| key_partition(k, reduces) == 1)
+                .count() as u64
+                * 16;
+            if bytes > 0 {
+                legs[m % executors].0 += 1;
+                legs[m % executors].1 += bytes;
+            }
+        }
+        let cost = c.cost();
+        let slowest = legs
+            .iter()
+            .enumerate()
+            .map(|(e, &(blocks, bytes))| {
+                let read = cost.disk_bulk_cost(bytes);
+                if e == 1 {
+                    read
+                } else {
+                    cost.net_cost(blocks * 8) + read + cost.net_cost(bytes)
+                }
+            })
+            .max()
+            .unwrap();
+        let total: u64 = legs.iter().map(|l| l.1).sum();
+        assert!(legs[1].1 > 0, "executor 1 holds some of the partition's files");
+        assert_eq!(c.executor(1).clock().now(), restarted + slowest + cost.ser_cost(total));
+        // The restarted executor's disk served its own files after the restart.
+        assert_eq!(c.executor(1).disk().clock().now(), restarted + cost.disk_bulk_cost(legs[1].1));
     }
 
     #[test]

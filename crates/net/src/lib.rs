@@ -8,7 +8,9 @@
 //! good enough to reproduce the communication-bound behaviour of the
 //! paper's parameter server under 10 GbE. Besides client legs
 //! (`Network::rpc_at`), servers can finish a request among themselves in
-//! rounds of peer-to-peer messages (`Network::exchange_at`).
+//! rounds of peer-to-peer messages (`Network::exchange_at`), and a block
+//! fetch's leg is served for a given time rather than CPU ops — a shuffle
+//! source reading its disk (`Network::fetch_at`).
 
 pub mod bus;
 pub mod reliable;

@@ -130,8 +130,11 @@ impl ServicePort {
     }
 
     /// Reserve the port from `arrival` for `service`: returns the completion
-    /// time. Requests arriving while the port is busy wait their turn.
-    pub(crate) fn serve(&self, arrival: SimTime, service: SimTime) -> SimTime {
+    /// time. Requests arriving while the port is busy wait their turn. A
+    /// request that crosses no network (an executor reading its own
+    /// shuffle files) is served here directly; every other goes through a
+    /// [`Network`] leg.
+    pub fn serve(&self, arrival: SimTime, service: SimTime) -> SimTime {
         let mut free = self.0.next_free.lock();
         let start = free.max(arrival);
         let done = start + service;
@@ -318,8 +321,34 @@ impl Network {
             .fold(at, |back, (&sent, &resp)| back.max(sent + self.cost.net_cost(resp)))
     }
 
-    /// Bulk point-to-point transfer (shuffle fetch): pipelined, so only
-    /// wire time plus a single latency is charged to the receiver.
+    /// One leg of a block fetch that leaves its client at `at`; returns
+    /// when the last byte is back. No clock but the port's moves, so the
+    /// legs of one fetch all leave at the same `at` and the client resumes
+    /// at the slowest of them (as with [`Network::rpc_at`]).
+    ///
+    /// Timeline: the request (`req_bytes`, the block ids) travels
+    /// `net_cost(req_bytes)`, queues at the port (FIFO in sim time), is
+    /// served for `service` — the source reading the blocks, a time rather
+    /// than CPU ops — and the `resp_bytes` travel `net_cost(resp_bytes)`
+    /// back. The leg counts one RPC and draws no chaos delay: the block
+    /// transfer service is not a PS RPC, and no fault site covers it.
+    pub fn fetch_at(
+        &self,
+        at: SimTime,
+        port: &ServicePort,
+        req_bytes: u64,
+        service: SimTime,
+        resp_bytes: u64,
+    ) -> SimTime {
+        self.stats.rpc_count.fetch_add(1, Ordering::Relaxed);
+        self.stats.bytes_sent.fetch_add(req_bytes, Ordering::Relaxed);
+        self.stats.bytes_received.fetch_add(resp_bytes, Ordering::Relaxed);
+        port.serve(at + self.cost.net_cost(req_bytes), service) + self.cost.net_cost(resp_bytes)
+    }
+
+    /// Bulk point-to-point transfer (a broadcast's copy to one receiver):
+    /// pipelined, so only wire time plus a single latency is charged to
+    /// the receiver.
     pub fn bulk_fetch(&self, receiver: &NodeClock, bytes: u64) -> SimTime {
         let cost = self.cost.net_latency + self.cost.net_bulk_cost(bytes);
         receiver.advance(cost);
@@ -624,6 +653,34 @@ mod tests {
         let (seed, late) = only(2);
         let late = late.as_nanos();
         assert_eq!(run(seed), (3_100_014 + late, vec![2_025_000, 3_050_007 + late]));
+    }
+
+    #[test]
+    fn a_fetch_leg_queues_its_service_time_between_two_transfers() {
+        use psgraph_sim::ChaosConfig;
+        let n = net();
+        let cost = n.cost_model();
+        let at = SimTime::from_secs(1);
+        let port = ServicePort::new(NodeId::Executor(2));
+        let read = SimTime::from_millis(3);
+        let back = at + cost.net_cost(16) + read + cost.net_cost(40_000);
+        assert_eq!(n.fetch_at(at, &port, 16, read, 40_000), back);
+        assert_eq!(port.clock().now(), back - cost.net_cost(40_000));
+        // A second leg arriving at once waits for the first one's read.
+        assert_eq!(n.fetch_at(at, &port, 16, read, 40_000), back + read);
+        assert_eq!(n.stats().rpcs(), 2);
+        assert_eq!((n.stats().bytes_sent(), n.stats().bytes_received()), (32, 80_000));
+        // No chaos delay: an attached schedule leaves the leg as it was.
+        let cfg = ChaosConfig {
+            seed: 7,
+            p_delay: 1.0,
+            max_delay: SimTime(1_000_000),
+            ..ChaosConfig::off()
+        };
+        let chaotic = net();
+        chaotic.attach_chaos(FaultSchedule::new(cfg));
+        let fresh = ServicePort::new(NodeId::Executor(2));
+        assert_eq!(chaotic.fetch_at(at, &fresh, 16, read, 40_000), back);
     }
 
     #[test]

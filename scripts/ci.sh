@@ -32,7 +32,7 @@ fi
 # removes sites lowers its crate's ceiling with it.
 panic_ceilings="bench 35
 core 0
-dataflow 2
+dataflow 0
 dfs 0
 euler 6
 graph 0
@@ -73,6 +73,8 @@ cargo test -q --offline -p psgraph-harness
 # The server-to-server exchange's timeline adds and compares `SimTime`s
 # per round and message (`u64` nanoseconds).
 cargo test -q --offline -p psgraph-net
+# So does the shuffle fetch's, per source executor and leg.
+cargo test -q --offline -p psgraph-dataflow
 # The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
 # that release builds would wrap silently; so does the intersection
 # kernel (`x >> 6` words) and its declared charge (`u64` products of the

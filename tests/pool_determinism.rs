@@ -119,6 +119,42 @@ fn perturbed_schedules_do_not_change_outputs() {
     }
 }
 
+/// A skewed groupBy on `pool`: its groups, in partition order, and the
+/// sim time the shuffle took. A third of the records share one key, so
+/// one reducer reads far more than the others, and every reducer's legs
+/// queue at the same four source disks: the order they are served in is
+/// the stage's sim order, never the order the pool ran the reducers.
+fn group_by(pool: Pool) -> (Vec<(u64, Vec<u64>)>, u64) {
+    let cluster = Cluster::new(ClusterConfig::default().with_pool(Arc::new(pool)));
+    let records: Vec<(u64, u64)> =
+        (0..6_000u64).map(|i| (if i % 3 == 0 { 0 } else { i % 101 }, i)).collect();
+    let rdd = Rdd::from_vec(&cluster, records, 12).unwrap();
+    let start = cluster.now();
+    let grouped = rdd.group_by_key(8).unwrap();
+    let took = (cluster.now() - start).as_nanos();
+    (grouped.collect().unwrap(), took)
+}
+
+#[test]
+fn group_by_output_and_sim_time_identical_across_pools_and_schedules() {
+    let baseline = group_by(Pool::with_perturb(1, None));
+    assert_eq!(baseline.0.iter().map(|(_, vs)| vs.len()).sum::<usize>(), 6_000);
+    for threads in [2, 4] {
+        assert_eq!(
+            group_by(Pool::with_perturb(threads, None)),
+            baseline,
+            "groupBy diverges on a {threads}-worker pool"
+        );
+    }
+    for seed in [1u64, 7, 42] {
+        assert_eq!(
+            group_by(Pool::with_perturb(4, Some(seed))),
+            baseline,
+            "perturbation seed {seed} changed the groupBy"
+        );
+    }
+}
+
 /// K-Core coreness, CC labels and Common Neighbor counts on one pool. The
 /// executors talk to the PS once per superstep for all their partitions
 /// (12 partitions on 4 executors), concurrently: which of a superstep's
