@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use psgraph_dataflow::{Cluster, DataflowError, Executor};
-use psgraph_ps::{Element, PullPlan, VectorHandle};
+use psgraph_ps::{Element, PullPlan, PullResponse, VectorHandle};
 use psgraph_sim::sync::Mutex;
 
 use crate::error::PsResultExt;
@@ -37,13 +37,18 @@ struct Held {
 /// One job's PS agents, one per executor of the cluster.
 pub struct PsAgent<'a> {
     cluster: &'a Cluster,
+    /// What the job's reads want back, fixed in every plan.
+    response: PullResponse,
     plans: Vec<Mutex<Option<Held>>>,
 }
 
 impl<'a> PsAgent<'a> {
-    pub fn new(cluster: &'a Cluster) -> Self {
+    /// The agents of a job whose reads want `response` back: PageRank's
+    /// Δrank read is [`PullResponse::Sparse`] (§IV-A), a neighbourhood
+    /// program's read is [`PullResponse::Dense`].
+    pub fn new(cluster: &'a Cluster, response: PullResponse) -> Self {
         let plans = (0..cluster.num_executors()).map(|_| Mutex::new(None)).collect();
-        PsAgent { cluster, plans }
+        PsAgent { cluster, response, plans }
     }
 
     /// `exec`'s plan: built from `keys()` over `vector`'s layout when this
@@ -60,14 +65,15 @@ impl<'a> PsAgent<'a> {
         }
         // A plan from before a restart went with the executor's memory:
         // there is nothing to free.
-        let plan = Arc::new(vector.plan(&keys()).df()?);
+        let plan = Arc::new(vector.plan(&keys(), self.response).df()?);
         exec.memory().alloc(plan.approx_bytes())?;
         *slot = Some(Held { built_by: exec.incarnation(), plan: Arc::clone(&plan) });
         Ok(plan)
     }
 
     /// The job's per-superstep read on `exec`: `vector` at `keys()` (any
-    /// order, duplicates allowed), result aligned with the keys. `keys`
+    /// order, duplicates allowed), result aligned with the keys, with the
+    /// agent's response. `keys`
     /// runs only when the executor has to build its plan — on its first
     /// read and on the first after a restart — and must name the same
     /// request every time.
@@ -79,18 +85,6 @@ impl<'a> PsAgent<'a> {
     ) -> Result<Vec<E>> {
         let plan = self.plan(exec, vector, keys)?;
         vector.pull_planned(exec.clock(), &plan).df()
-    }
-
-    /// [`PsAgent::pull`] through [`VectorHandle::pull_sparse_planned`]:
-    /// only nonzero entries are charged on the way back.
-    pub fn pull_sparse<E: Element>(
-        &self,
-        exec: &Executor,
-        vector: &VectorHandle<E>,
-        keys: impl FnOnce() -> Vec<u64>,
-    ) -> Result<Vec<E>> {
-        let plan = self.plan(exec, vector, keys)?;
-        vector.pull_sparse_planned(exec.clock(), &plan).df()
     }
 }
 
@@ -135,7 +129,7 @@ mod tests {
             })
         };
         {
-            let agent = PsAgent::new(cluster);
+            let agent = PsAgent::new(cluster, PullResponse::Dense);
             let rpcs = ctx.ps().network().stats().rpcs();
             assert_eq!(read(&agent).unwrap(), vec![7.0, 3.0, 7.0, 99.0, 3.0]);
             assert_eq!(read(&agent).unwrap(), vec![7.0, 3.0, 7.0, 99.0, 3.0]);
@@ -154,7 +148,7 @@ mod tests {
             assert_eq!(built.load(Ordering::Relaxed), 2, "a restarted executor builds its own plan");
             assert_eq!(exec.memory().in_use(), held);
             // Other executors hold their own plans.
-            agent.pull_sparse(cluster.executor(0), &v, || vec![3, 3]).unwrap();
+            agent.pull(cluster.executor(0), &v, || vec![3, 3]).unwrap();
             assert!(cluster.executor(0).memory().in_use() > 0);
         }
         // The job is over: exactly what the live plans held is handed back.
@@ -166,7 +160,7 @@ mod tests {
     fn agent_surfaces_ps_errors_and_executor_oom() {
         let ctx = PsGraphContext::local();
         let v = vector(&ctx, "agent.e", 10);
-        let agent = PsAgent::new(ctx.cluster());
+        let agent = PsAgent::new(ctx.cluster(), PullResponse::Sparse);
         let exec = ctx.cluster().executor(2);
         let err = agent.pull(exec, &v, || vec![10]).unwrap_err();
         assert!(err.to_string().contains("out of bounds"), "{err}");

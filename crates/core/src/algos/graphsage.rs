@@ -126,7 +126,7 @@ impl GraphSage {
             .map_err(CoreError::from)?;
 
         // Features: executors push their split of X to the PS.
-        let x = MatrixHandle::<f32>::create(
+        let x = MatrixHandle::<f32>::create_row_split(
             ctx.ps(), "gs.x", num_vertices, cfg.feat_dim, Partitioner::Hash,
             RecoveryMode::Inconsistent,
         )?;
@@ -148,11 +148,11 @@ impl GraphSage {
         // Weight matrices: W¹ is (2f+1) × h (weights + bias row), W² is
         // (2h+1) × classes. The driver loads the "PyTorch model" and
         // pushes the initialized weights (Fig. 5 step 2).
-        let w1 = MatrixHandle::<f32>::create(
+        let w1 = MatrixHandle::<f32>::create_row_split(
             ctx.ps(), "gs.w1", (2 * cfg.feat_dim + 1) as u64, cfg.hidden_dim,
             Partitioner::Range, RecoveryMode::Inconsistent,
         )?;
-        let w2 = MatrixHandle::<f32>::create(
+        let w2 = MatrixHandle::<f32>::create_row_split(
             ctx.ps(), "gs.w2", (2 * cfg.hidden_dim + 1) as u64, cfg.num_classes,
             Partitioner::Range, RecoveryMode::Inconsistent,
         )?;

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
-use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
+use psgraph_ps::{Partitioner, PullResponse, RecoveryMode, VectorHandle};
 
 use crate::agent::PsAgent;
 use crate::context::{PsGraphContext, RunStats};
@@ -166,7 +166,7 @@ impl PageRank {
             ctx.ps().checkpoint_all(ctx.dfs())?;
         }
 
-        let agent = PsAgent::new(ctx.cluster());
+        let agent = PsAgent::new(ctx.cluster(), PullResponse::Sparse);
         let num_parts = tables.num_partitions();
         let mut contrib: Vec<Option<f64>> = vec![None; num_vertices as usize];
         let mut supersteps = 0;
@@ -188,8 +188,8 @@ impl PageRank {
                 .run_executors(num_parts, |exec, parts| {
                     let local = tables.partitions(parts)?;
                     let sources = || local.iter().flat_map(|part| part.iter());
-                    let deltas = agent
-                        .pull_sparse(exec, &dranks, || sources().map(|(src, _)| *src).collect())?;
+                    let deltas =
+                        agent.pull(exec, &dranks, || sources().map(|(src, _)| *src).collect())?;
                     let mut updates = Vec::new();
                     let mut work = 0u64;
                     for ((src, neighbors), delta) in sources().zip(deltas) {

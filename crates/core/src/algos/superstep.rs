@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
-use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
+use psgraph_ps::{Partitioner, PullResponse, RecoveryMode, VectorHandle};
 
 use super::PsObjects;
 use crate::agent::PsAgent;
@@ -95,7 +95,7 @@ pub(crate) fn run_program<P: NeighborhoodProgram>(
     )?;
     program.init(ctx, &tables, &values)?;
 
-    let agent = PsAgent::new(ctx.cluster());
+    let agent = PsAgent::new(ctx.cluster(), PullResponse::Dense);
     let step = || -> Result<u64> {
         let changes = ctx.cluster().run_executors(tables.num_partitions(), |exec, parts| {
             let local = tables.partitions(parts)?;

@@ -8,15 +8,17 @@
 //!
 //! * **Partitioners** (`partition`): hash, range, and hash-range layouts
 //!   mapping vertex/row indices to partitions and partitions to servers.
-//! * **Data structures** (`vector`, `matrix`, `colmatrix`, `neighbor`):
-//!   typed handles over server-resident dense/sparse vectors, row- and
-//!   column-partitioned matrices, and neighbor tables.
-//! * **Operators**: `pull`, `push_add`, `push_set`, fills, and
+//! * **Data structures** (`vector`, `matrix`, `neighbor`): typed handles
+//!   over server-resident dense/sparse vectors, matrices — one partition
+//!   type, a row set × a column range, split by rows (GraphSage) or by
+//!   columns (LINE, the serving embeddings) — and neighbor tables.
+//! * **Operators**: `pull`, `push_add`, `push_set`, fills, one planned
+//!   read per vector whose plan carries a dense or sparse response, and
 //!   user-defined server-side functions (*psFunc*, §III-A) — including the
-//!   server-side partial dot products used by LINE (§IV-D) and the
-//!   Adam/AdaGrad optimizers used by GraphSage (§IV-E), and online
-//!   PageRank's residual push, run to quiescence on the servers with the
-//!   boundary Δs sent server to server (`residual_push`).
+//!   server-side partial dot products used by LINE (§IV-D), the Adam
+//!   optimizer used by GraphSage (§IV-E), and online PageRank's residual
+//!   push, run to quiescence on the servers with the boundary Δs sent
+//!   server to server (`residual_push`).
 //! * **Synchronization** (`sync`): BSP and ASP superstep control.
 //! * **Checkpoint/recovery** (`ps`, `master`): periodic per-server
 //!   checkpoints to the DFS, a master that health-checks servers, restarts
@@ -32,7 +34,6 @@
 //! one the servers finish among themselves, and checkpoint encode /
 //! bounds-checked decode of a partition.
 
-pub mod colmatrix;
 pub mod element;
 pub mod error;
 pub mod master;
@@ -48,13 +49,12 @@ pub mod snapshot;
 pub mod sync;
 pub mod vector;
 
-pub use colmatrix::ColMatrixHandle;
 pub use element::Element;
 pub use error::PsError;
 pub use master::Master;
-pub use matrix::MatrixHandle;
+pub use matrix::{ColMatrixHandle, MatrixHandle};
 pub use neighbor::{NeighborEntry, NeighborTableHandle};
-pub use object::PullPlan;
+pub use object::{PullPlan, PullResponse};
 pub use partition::{PartitionLayout, Partitioner};
 pub use ps::{Ps, PsConfig, RecoveryMode};
 pub use psfunc::PartitionViewMut;

@@ -82,10 +82,23 @@ pub(crate) type ServerGroup = Vec<(usize, Vec<usize>)>;
 /// the plan's distinct ids.
 pub(crate) type PlanRun = (usize, Range<usize>);
 
+/// What a planned vector read's servers send back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PullResponse {
+    /// Every value read.
+    Dense,
+    /// The nonzero values plus a presence bitmap — the §IV-A sparsity
+    /// optimization ("the ranks of many vertices barely change …
+    /// transferring the increments of ranks"). Same result; only the
+    /// charged response bytes differ.
+    Sparse,
+}
+
 /// The routing of one keyed read, worked out once and replayed: the
 /// request's *distinct* ids grouped by (server, partition) as the one-shot
 /// request over them would group them, plus where every request position —
-/// repeats included — finds its value among them.
+/// repeats included — finds its value among them, and the response the
+/// reader chose.
 ///
 /// A replay contacts the same servers as the one-shot request would and
 /// charges over the distinct ids only, so a duplicate-free plan costs
@@ -95,6 +108,7 @@ pub(crate) type PlanRun = (usize, Range<usize>);
 #[derive(Debug, Clone)]
 pub struct PullPlan {
     layout: PartitionLayout,
+    pub(crate) response: PullResponse,
     /// Distinct ids, one contiguous run per (server, partition) group.
     ids: Vec<u64>,
     /// One leg per server, ascending: the server, and its partitions with
@@ -308,10 +322,22 @@ impl PsObject {
         &self,
         client: &NodeClock,
         keys: impl IntoIterator<Item = (usize, u64)>,
+        visit: impl FnMut(&PsServer, u64, ServerGroup) -> Result<LegCost>,
+    ) -> Result<()> {
+        self.scatter_groups(client, self.group(keys), visit)
+    }
+
+    /// [`PsObject::scatter`] over groups already formed, in the shape
+    /// [`PsObject::group`] returns them — for a handle that keeps one
+    /// position in several partitions (a column-split matrix's row).
+    pub(crate) fn scatter_groups(
+        &self,
+        client: &NodeClock,
+        groups: Vec<(usize, ServerGroup)>,
         mut visit: impl FnMut(&PsServer, u64, ServerGroup) -> Result<LegCost>,
     ) -> Result<()> {
         self.fan_out(client, |fan| {
-            for (s, parts) in self.group(keys) {
+            for (s, parts) in groups {
                 let server = self.ps.server(s);
                 server.ensure_alive()?;
                 let n = parts.iter().map(|(_, positions)| positions.len() as u64).sum();
@@ -366,7 +392,7 @@ impl PsObject {
         for slot in &mut slots {
             *slot = moved_to[*slot as usize];
         }
-        Ok(PullPlan { layout: self.layout.clone(), ids, legs, slots })
+        Ok(PullPlan { layout: self.layout.clone(), response: PullResponse::Dense, ids, legs, slots })
     }
 
     /// [`PsObject::scatter`] over a plan: one leg per server of the plan;
@@ -456,8 +482,7 @@ impl PsObject {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colmatrix::ColPart;
-    use crate::matrix::MatPart;
+    use crate::matrix::{MatPart, RowSet};
     use crate::neighbor::{NeighborEntry, TablePart};
     use crate::partition::Partitioner;
     use crate::ps::PsConfig;
@@ -722,24 +747,26 @@ mod tests {
                         .into_iter()
                         .collect(),
                 };
+                // The one matrix partition under its three forms: dense rows
+                // and sparse rows of every column (the row split), and a
+                // column slice of every row (the column split).
                 let (cols, rows) = (src.usize_range(1, 4), src.usize_range(0, 4));
-                let mat_dense = MatPart::Dense {
-                    start: src.u64_range(0, 100),
-                    cols,
-                    data: f32s(src, cols * rows),
+                let mat_dense = MatPart {
+                    cols: 0..cols,
+                    rows: RowSet::Dense { start: src.u64_range(0, 100), data: f32s(src, cols * rows) },
                 };
-                let mat_sparse = MatPart::Sparse {
-                    cols,
-                    map: src
-                        .vec_with(0, 5, |s| (s.u64_range(0, 50), f32s(s, cols)))
-                        .into_iter()
-                        .collect(),
+                let mat_sparse = MatPart {
+                    cols: 0..cols,
+                    rows: RowSet::Sparse(
+                        src.vec_with(0, 5, |s| (s.u64_range(0, 50), f32s(s, cols)))
+                            .into_iter()
+                            .collect(),
+                    ),
                 };
                 let col_start = src.usize_range(0, 5);
-                let col = ColPart {
-                    col_start,
-                    col_end: col_start + cols,
-                    data: f32s(src, cols * rows),
+                let col = MatPart {
+                    cols: col_start..col_start + cols,
+                    rows: RowSet::Dense { start: 0, data: f32s(src, cols * rows) },
                 };
                 let lists = src.vec_with(0, 6, |s| s.vec_with(0, 5, |s| s.u64_range(0, 50)));
                 let table: TablePart = lists
@@ -755,7 +782,7 @@ mod tests {
                 survives_damage::<VecPart<u64>>(vec_sparse, flips)?;
                 survives_damage::<MatPart<f32>>(mat_dense, flips)?;
                 survives_damage::<MatPart<f32>>(mat_sparse, flips)?;
-                survives_damage(col, flips)?;
+                survives_damage::<MatPart<f32>>(col, flips)?;
                 survives_damage(table, flips)
             },
         );
@@ -763,36 +790,31 @@ mod tests {
 
     #[test]
     fn decoders_reject_encodings_that_would_panic_on_use() {
-        // A reversed / empty column range, or data that does not tile it.
-        let col = ColPart {
-            col_start: 2,
-            col_end: 4,
-            data: vec![1.0; 4],
+        let dense = |cols, start, data: Vec<f32>| MatPart { cols, rows: RowSet::Dense { start, data } };
+        let sparse = |cols, rows: Vec<(u64, Vec<f32>)>| MatPart {
+            cols,
+            rows: RowSet::Sparse(rows.into_iter().collect()),
         };
         for bad in [
-            ColPart {
-                col_start: 4,
-                col_end: 2,
-                ..col.clone()
-            },
-            ColPart {
-                col_end: 2,
-                ..col.clone()
-            },
-            ColPart {
-                col_end: 5,
-                ..col.clone()
-            },
+            // A column slice with a reversed or empty column range, or data
+            // that does not tile it.
+            dense(Range { start: 4, end: 2 }, 0, vec![1.0; 4]),
+            dense(Range { start: 2, end: 2 }, 0, vec![1.0; 4]),
+            dense(2..5, 0, vec![1.0; 4]),
+            // Dense rows of every column that are not whole rows, and the
+            // same ranges under them.
+            dense(0..3, 0, vec![0.0; 4]),
+            dense(Range { start: 0, end: 0 }, 7, vec![]),
+            dense(Range { start: 3, end: 0 }, 7, vec![0.0; 3]),
+            // Sparse rows with a reversed or empty range, or one row of
+            // the wrong width, wider or narrower.
+            sparse(Range { start: 3, end: 0 }, vec![(1, vec![0.0; 3])]),
+            sparse(Range { start: 0, end: 0 }, vec![]),
+            sparse(0..3, vec![(1, vec![0.0; 3]), (4, vec![0.0; 4])]),
+            sparse(0..3, vec![(1, vec![0.0; 2])]),
         ] {
-            assert!(ColPart::decode(&bad.encode()).is_err(), "{bad:?}");
+            assert!(MatPart::<f32>::decode(&bad.encode()).is_err(), "{bad:?}");
         }
-        // A dense matrix whose data is not whole rows.
-        let mat = MatPart::Dense {
-            start: 0,
-            cols: 3,
-            data: vec![0.0f32; 4],
-        };
-        assert!(MatPart::<f32>::decode(&mat.encode()).is_err());
         // A count far larger than the buffer never sizes an allocation.
         let mut huge = vec![0u8];
         huge.extend_from_slice(&0u64.to_le_bytes());

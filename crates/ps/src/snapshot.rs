@@ -28,9 +28,9 @@ use psgraph_dfs::Dfs;
 use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{NodeClock, Reader};
 
-use crate::colmatrix::ColMatrixHandle;
 use crate::element::Element;
 use crate::error::{PsError, Result};
+use crate::matrix::ColMatrixHandle;
 use crate::neighbor::NeighborTableHandle;
 use crate::partition::PartitionLayout;
 use crate::vector::VectorHandle;
@@ -419,17 +419,14 @@ impl<'a> DeltaWriter<'a> {
         })
     }
 
-    /// Diff a column-partitioned matrix: each dirty partition is one
-    /// column stripe of every row. Returns the re-exported count.
+    /// Diff a column-split matrix: each dirty partition is one column
+    /// stripe of every row. Returns the re-exported count; a row-split
+    /// matrix is a `DimensionMismatch`.
     pub fn colmatrix(&mut self, h: &ColMatrixHandle) -> Result<usize> {
         let (client, cols) = (self.client, h.cols() as u32);
         self.diff(h.name(), SnapshotKind::MatF32, h.rows(), cols, h.partition_versions()?, |p| {
-            let part = h.pull_col_slice(client, p)?;
-            Ok(PatchRegion::Cols {
-                col_lo: part.col_start as u32,
-                col_hi: part.col_end as u32,
-                data: part.data,
-            })
+            let (cols, data) = h.pull_block(client, p)?;
+            Ok(PatchRegion::Cols { col_lo: cols.start as u32, col_hi: cols.end as u32, data })
         })
     }
 

@@ -15,10 +15,9 @@ use std::sync::Arc;
 
 use crate::element::Element;
 use crate::error::{PsError, Result};
-use crate::object::{Partition, PlanRun, PsObject, PullPlan};
+use crate::object::{Partition, PsObject, PullPlan, PullResponse};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
-use crate::server::PsServer;
 
 /// One stored vector partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,84 +182,41 @@ impl<E: Element> VectorHandle<E> {
         Ok(out)
     }
 
-    /// Like [`VectorHandle::pull`], but the servers send only the nonzero
-    /// entries plus a presence bitmap — the §IV-A sparsity optimization
-    /// ("the ranks of many vertices barely change … transferring the
-    /// increments of ranks"). Same result as `pull`; only the charged
-    /// response bytes differ (each leg declares them after the visit).
-    pub fn pull_sparse(&self, client: &NodeClock, indices: &[u64]) -> Result<Vec<E>> {
-        self.obj.check(indices.iter().copied())?;
-        let mut out = vec![E::default(); indices.len()];
-        self.obj.scatter(client, indices.iter().copied().enumerate(), |server, n, parts| {
-            let mut nonzero = 0u64;
-            for (p, positions) in parts {
-                server.get(&self.obj.name, p, |part: &VecPart<E>| {
-                    for &pos in &positions {
-                        let v = part.get(indices[pos]);
-                        if v != E::default() {
-                            nonzero += 1;
-                        }
-                        out[pos] = v;
-                    }
-                })?;
-            }
-            Ok((n * 8, self.obj.item_ops(n), nonzero * E::WIDTH as u64 + n / 8 + 8))
-        })?;
-        Ok(out)
-    }
-
     /// Route a request that will be issued again and again (a superstep's
-    /// `[v, N(v)…]` read): see [`PullPlan`]. Any vector with this layout
-    /// can replay the plan.
-    pub fn plan(&self, indices: &[u64]) -> Result<PullPlan> {
-        self.obj.plan(indices)
+    /// `[v, N(v)…]` read), with the response its reads want: see
+    /// [`PullPlan`]. Any vector with this layout can replay the plan.
+    pub fn plan(&self, indices: &[u64], response: PullResponse) -> Result<PullPlan> {
+        let mut plan = self.obj.plan(indices)?;
+        plan.response = response;
+        Ok(plan)
     }
 
     /// [`VectorHandle::pull`] of the request `plan` was built from: same
     /// result, same servers contacted, but each distinct index
     /// crosses the wire once — request, server ops and response are
     /// charged over the distinct indices, and repeats are filled in
-    /// client-side.
+    /// client-side. A [`PullResponse::Sparse`] plan's servers send only
+    /// the nonzero values and a presence bitmap, so each leg declares its
+    /// response after the visit.
     pub fn pull_planned(&self, client: &NodeClock, plan: &PullPlan) -> Result<Vec<E>> {
         let mut distinct = vec![E::default(); plan.distinct()];
         self.obj.replay(client, plan, |server, n, runs| {
-            self.read_runs(server, plan, runs, &mut distinct)?;
-            Ok((n * 8, self.obj.item_ops(n), n * E::WIDTH as u64))
+            let mut nonzero = 0;
+            for (p, run) in runs {
+                server.get(&self.obj.name, *p, |part: &VecPart<E>| {
+                    for (slot, &key) in distinct[run.clone()].iter_mut().zip(&plan.ids()[run.clone()]) {
+                        *slot = part.get(key);
+                        nonzero += (*slot != E::default()) as u64;
+                    }
+                })?;
+            }
+            let resp_bytes = match plan.response {
+                PullResponse::Dense => n * E::WIDTH as u64,
+                PullResponse::Sparse => nonzero * E::WIDTH as u64 + n / 8 + 8,
+            };
+            Ok((n * 8, self.obj.item_ops(n), resp_bytes))
         })?;
         Ok(plan.fan_out(&distinct))
-    }
-
-    /// [`VectorHandle::pull_sparse`] of the request `plan` was built from,
-    /// charged over its distinct indices like
-    /// [`VectorHandle::pull_planned`].
-    pub fn pull_sparse_planned(&self, client: &NodeClock, plan: &PullPlan) -> Result<Vec<E>> {
-        let mut distinct = vec![E::default(); plan.distinct()];
-        self.obj.replay(client, plan, |server, n, runs| {
-            let nonzero = self.read_runs(server, plan, runs, &mut distinct)?;
-            Ok((n * 8, self.obj.item_ops(n), nonzero * E::WIDTH as u64 + n / 8 + 8))
-        })?;
-        Ok(plan.fan_out(&distinct))
-    }
-
-    /// Read one server's runs of `plan`'s distinct ids into `distinct`;
-    /// returns how many of the values read are nonzero.
-    fn read_runs(
-        &self,
-        server: &PsServer,
-        plan: &PullPlan,
-        runs: &[PlanRun],
-        distinct: &mut [E],
-    ) -> Result<u64> {
-        let mut nonzero = 0;
-        for (p, run) in runs {
-            server.get(&self.obj.name, *p, |part: &VecPart<E>| {
-                for (slot, &key) in distinct[run.clone()].iter_mut().zip(&plan.ids()[run.clone()]) {
-                    *slot = part.get(key);
-                    nonzero += (*slot != E::default()) as u64;
-                }
-            })?;
-        }
-        Ok(nonzero)
     }
 
     /// Add `values[i]` into position `indices[i]` (the `push`+`add`
@@ -567,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn pull_sparse_bills_each_server_for_its_own_share() {
+    fn a_sparse_response_bills_each_server_for_its_own_share() {
         let ps = Ps::new(PsConfig { servers: 4, ..Default::default() });
         let c = client();
         let v = VectorHandle::<f64>::create(
@@ -586,17 +542,20 @@ mod tests {
             f();
             (stats.bytes_sent() - sent, stats.bytes_received() - recv, c.now() - t0)
         };
-        let (dense_sent, dense_recv, dense_time) = charged(&|| drop(v.pull(&c, &idx).unwrap()));
+        let read = |response| v.pull_planned(&c, &v.plan(&idx, response).unwrap()).unwrap();
+        let (dense_sent, dense_recv, dense_time) =
+            charged(&|| drop(read(PullResponse::Dense)));
         let (sparse_sent, sparse_recv, sparse_time) =
-            charged(&|| drop(v.pull_sparse(&c, &idx).unwrap()));
+            charged(&|| drop(read(PullResponse::Sparse)));
         assert_eq!(dense_sent, 8 * 1000);
+        assert_eq!(dense_recv, 8 * 1000);
         assert_eq!(sparse_sent, 8 * 1000, "each server is sent its own indices only");
         // 100 values plus one 250-bit presence map (+8) per server.
         assert_eq!(sparse_recv, 100 * 8 + 4 * (250 / 8 + 8));
         assert!(sparse_recv < dense_recv);
-        // Same server ops as `pull`, fewer bytes: never the slower call.
+        // Same server ops as the dense read, fewer bytes: never the slower call.
         assert!(sparse_time <= dense_time, "{sparse_time} vs {dense_time}");
-        assert_eq!(v.pull_sparse(&c, &idx).unwrap(), v.pull(&c, &idx).unwrap());
+        assert_eq!(read(PullResponse::Sparse), v.pull(&c, &idx).unwrap());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Golden sim-cost test for the PS client tier: pins what "same bytes,
-//! same RPC order, same sim clock" means for the four handles.
+//! same RPC order, same sim clock" means for the three handles.
 //!
 //! One fixed script drives every public operation of `VectorHandle`,
-//! `MatrixHandle`, `ColMatrixHandle` and `NeighborTableHandle` — plus the
+//! `MatrixHandle` (split by rows, and by columns as `ColMatrixHandle`) and
+//! `NeighborTableHandle` — plus the
 //! snapshot / delta writers, checkpoint + recovery and the fused
 //! residual-push round that sit on top of them — on a
 //! 4-server PS (the benchmark's `SIM_SERVERS`) and on a 7-server PS (where,
@@ -102,6 +103,34 @@
 //! digests (the run leaves the same bits the rounds did); 16 snapshot /
 //! delta export lines also differ in the clock their result embeds, and
 //! the six `residual_push.round *` lines as described.
+//!
+//! Re-recorded once more when the row- and column-partitioned matrices
+//! became one matrix object (one partition type and codec, every row-keyed
+//! operation routed to the partitions holding the row) and the vector kept
+//! one planned read whose plan names its response. Deleted with their
+//! operations: `vector.pull_sparse *`, `matrix.sgd_step *`,
+//! `matrix.adagrad_step *`, `matrix.pull_all` and `dead1 vector.pull_sparse`
+//! (20 lines per configuration, 874 → 794); the `plan.pull_sparse_planned *`
+//! lines are now `plan.pull_planned sparse *` over plans built with the
+//! sparse response; one line is new per configuration, `matrix.dot_pairs row
+//! split`, which is refused before any leg (794 → 798). Compared label by
+//! label with the parent's survivors: 184 are byte-identical, 490 differ in
+//! `client=` / `ports=` alone, 36 also in the clock their result embeds.
+//! Only the eight `colmatrix.pull_rows empty` / `colmatrix.push_add_rows
+//! empty` lines moved their `rpcs` / `sent` / `recv`: an empty row request
+//! now contacts no server on either split, where the column split sent one
+//! 0-byte request per server. 76 lines moved their result alone: the
+//! `matrix.pull_rows` and `recovered matrix.pull_rows` values and the
+//! versions of `m` in `matrix.partition_versions` and `recovered
+//! partition_versions` (the deleted SGD / AdaGrad steps no longer
+//! write `m`, and `init_uniform` seeds every partition with the column
+//! split's salt); `colmatrix.partition_versions` and `snapshot.finish`
+//! (the empty push no longer writes `cm`, one version lower) and with them
+//! the `snapshot.files` / `delta.files` digests; the `checkpoint.files`
+//! digests (the merged codec, and no AdaGrad shadow `m.G`); and the
+//! rendered `plan.build` plans, which now show their response. The
+//! `results/` simplicity ledger of this re-recording holds the script and
+//! its output.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -110,8 +139,8 @@ use psgraph_dfs::Dfs;
 use psgraph_ps::snapshot::{snapshot_path, DeltaWriter, SnapshotDelta};
 use psgraph_ps::{
     ColMatrixHandle, MatrixHandle, NeighborTableHandle, PartitionLayout,
-    PartitionViewMut, Partitioner, Ps, PsConfig, PushFrontier, RecoveryMode, SnapshotManifest,
-    SnapshotWriter, VectorHandle,
+    PartitionViewMut, Partitioner, Ps, PsConfig, PullPlan, PullResponse, PushFrontier,
+    RecoveryMode, SnapshotManifest, SnapshotWriter, VectorHandle,
 };
 use psgraph_sim::NodeClock;
 
@@ -267,11 +296,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     for (name, keys) in &reqs {
         t.op(&format!("vector.pull {name}"), |c| v.pull(c, keys));
     }
-    for (name, keys) in &reqs {
-        t.op(&format!("vector.pull_sparse {name}"), |c| {
-            v.pull_sparse(c, keys)
-        });
-    }
     let labels: Vec<u64> = mixed.iter().map(|k| k % 5).collect();
     t.op("vector<u64>.push_set mixed", |c| {
         u.push_set(c, &mixed, &labels)
@@ -316,8 +340,8 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.op("vector.partition_versions", |_| v.partition_versions());
     t.op("vector.resident_bytes", |_| v.resident_bytes());
 
-    // ---- row-partitioned matrix ----
-    let m = MatrixHandle::<f32>::create(&ps, "m", N, 3, partitioner, rec).unwrap();
+    // ---- row-split matrix ----
+    let m = MatrixHandle::<f32>::create_row_split(&ps, "m", N, 3, partitioner, rec).unwrap();
     t.op("matrix.init_uniform", |c| m.init_uniform(c, 7, 0.5));
     for (name, keys) in &reqs {
         t.op(&format!("matrix.push_set_rows {name}"), |c| {
@@ -327,16 +351,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     for (name, keys) in &reqs {
         t.op(&format!("matrix.push_add_rows {name}"), |c| {
             m.push_add_rows(c, keys, &rows3(keys))
-        });
-    }
-    for (name, keys) in &reqs {
-        t.op(&format!("matrix.sgd_step {name}"), |c| {
-            m.sgd_step(c, keys, &rows3(keys), 0.1)
-        });
-    }
-    for (name, keys) in &reqs {
-        t.op(&format!("matrix.adagrad_step {name}"), |c| {
-            m.adagrad_step(c, keys, &rows3(keys), 0.1, 1e-8)
         });
     }
     for (step, (name, keys)) in reqs.iter().enumerate() {
@@ -358,15 +372,15 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
             m.pull_rows(c, keys)
         });
     }
-    t.op("matrix.pull_all", |c| m.pull_all(c));
     t.op("matrix.out_of_bounds", |c| m.pull_rows(c, &[N]));
     t.op("matrix.bad_width", |c| {
         m.push_add_rows(c, &[0], &[vec![1.0; 2]])
     });
+    t.op("matrix.dot_pairs row split", |c| m.dot_pairs(c, &m, &[(0, 1)]));
     t.op("matrix.partition_versions", |_| m.partition_versions());
     t.op("matrix.resident_bytes", |_| m.resident_bytes());
 
-    // ---- column-partitioned matrix ----
+    // ---- column-split matrix ----
     let cm = ColMatrixHandle::create(&ps, "cm", ROWS, COLS, rec).unwrap();
     let cm2 = ColMatrixHandle::create(&ps, "cm2", ROWS, COLS, rec).unwrap();
     t.op("colmatrix.init_uniform", |c| cm.init_uniform(c, 3, 1.0));
@@ -591,7 +605,6 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
     // ---- server 1 down: the error, and what was charged before it ----
     ps.kill_server(1);
     t.op("dead1 vector.pull", |c| v.pull(c, &mixed));
-    t.op("dead1 vector.pull_sparse", |c| v.pull_sparse(c, &reqs[1].1));
     t.op("dead1 vector.push_add", |c| {
         v.push_add(c, &mixed, &f64s(&mixed))
     });
@@ -624,7 +637,7 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
 /// The planned reads, on a PS of their own so that every line above stays
 /// where it was recorded: each request shape is routed once
 /// (`VectorHandle::plan` charges nothing) and replayed through
-/// `pull_planned` / `pull_sparse_planned`, again after a write, on a second
+/// `pull_planned` with the dense and the sparse response, again after a write, on a second
 /// vector of the same layout, against a vector of another layout, and with
 /// server 1 down.
 fn run_plans(servers: usize, partitioner: Partitioner) -> Vec<String> {
@@ -656,7 +669,9 @@ fn run_plans(servers: usize, partitioner: Partitioner) -> Vec<String> {
     t.op("plan.seed", |c| v.push_set(c, &mixed[..6], &f64s(&mixed[..6])));
     let mut plans = Vec::new();
     for (name, keys) in &reqs {
-        let plan = t.op_ret(&format!("plan.build {name}"), |_| v.plan(keys)).unwrap();
+        let plan = t
+            .op_ret(&format!("plan.build {name}"), |_| v.plan(keys, PullResponse::Dense))
+            .unwrap();
         t.op(&format!("plan.shape {name}"), |_| {
             (plan.positions(), plan.distinct(), plan.approx_bytes())
         });
@@ -667,17 +682,21 @@ fn run_plans(servers: usize, partitioner: Partitioner) -> Vec<String> {
             v.pull_planned(c, plan)
         });
     }
-    for ((name, _), plan) in reqs.iter().zip(&plans) {
-        t.op(&format!("plan.pull_sparse_planned {name}"), |c| {
-            v.pull_sparse_planned(c, plan)
+    // The same requests with the sparse response (building a plan charges
+    // nothing, so it records no line).
+    let sparse: Vec<PullPlan> =
+        reqs.iter().map(|(_, keys)| v.plan(keys, PullResponse::Sparse).unwrap()).collect();
+    for ((name, _), plan) in reqs.iter().zip(&sparse) {
+        t.op(&format!("plan.pull_planned sparse {name}"), |c| {
+            v.pull_planned(c, plan)
         });
     }
     t.op("plan.write", |c| v.push_add(c, &mixed, &f64s(&mixed)));
     t.op("plan.pull_planned mixed after write", |c| {
         v.pull_planned(c, &plans[0])
     });
-    t.op("plan.pull_sparse_planned rev after write", |c| {
-        v.pull_sparse_planned(c, &plans[1])
+    t.op("plan.pull_planned sparse rev after write", |c| {
+        v.pull_planned(c, &sparse[1])
     });
     t.op("plan.pull_planned same layout", |c| {
         u.pull_planned(c, &plans[0])
@@ -686,14 +705,16 @@ fn run_plans(servers: usize, partitioner: Partitioner) -> Vec<String> {
         wide.pull_planned(c, &plans[0])
     });
     t.op("plan.build out_of_bounds", |_| {
-        v.plan(&[1, N]).map(|p| p.distinct())
+        v.plan(&[1, N], PullResponse::Dense).map(|p| p.distinct())
     });
     ps.kill_server(1);
     t.op("dead1 plan.pull_planned", |c| v.pull_planned(c, &plans[0]));
-    t.op("dead1 plan.pull_sparse_planned", |c| {
-        v.pull_sparse_planned(c, &plans[1])
+    t.op("dead1 plan.pull_planned sparse", |c| {
+        v.pull_planned(c, &sparse[1])
     });
-    t.op("dead1 plan.build", |_| v.plan(&mixed).map(|p| p.distinct()));
+    t.op("dead1 plan.build", |_| {
+        v.plan(&mixed, PullResponse::Dense).map(|p| p.distinct())
+    });
     t.lines
 }
 

@@ -4,7 +4,7 @@ use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
 use psgraph_ps::{
     ColMatrixHandle, NeighborTableHandle, PartitionLayout, Partitioner, Ps, PsConfig,
-    PushFrontier, PushRun, RecoveryMode, VectorHandle,
+    PullResponse, PushFrontier, PushRun, RecoveryMode, VectorHandle,
 };
 use psgraph_sim::{NodeClock, SimTime};
 
@@ -111,7 +111,8 @@ fn sparse_pull_matches_dense_pull_under_any_partitioner() {
                 (0..vals.len()).map(|i| i as u64 % size).collect();
             v.push_add(&clock, &idx, vals).unwrap();
             let dense = v.pull_all(&clock).unwrap();
-            let sparse = v.pull_sparse(&clock, queries).unwrap();
+            let plan = v.plan(queries, PullResponse::Sparse).unwrap();
+            let sparse = v.pull_planned(&clock, &plan).unwrap();
             for (q, got) in queries.iter().zip(&sparse) {
                 prop_assert_eq!(*got, dense[*q as usize], "query {}", q);
             }
@@ -181,17 +182,12 @@ fn planned_pull_replays_the_one_shot_pull_and_charges_distinct_ids_only() {
                 }
             }
             type Read = fn(&VectorHandle<f64>, &NodeClock, &[u64]) -> Vec<f64>;
-            let flavours: [(Read, Read); 2] = [
-                (
-                    |v, c, ids| v.pull(c, ids).unwrap(),
-                    |v, c, ids| v.pull_planned(c, &v.plan(ids).unwrap()).unwrap(),
-                ),
-                (
-                    |v, c, ids| v.pull_sparse(c, ids).unwrap(),
-                    |v, c, ids| v.pull_sparse_planned(c, &v.plan(ids).unwrap()).unwrap(),
-                ),
-            ];
-            for (one_shot, planned) in flavours {
+            let one_shot: Read = |v, c, ids| v.pull(c, ids).unwrap();
+            let dense: Read =
+                |v, c, ids| v.pull_planned(c, &v.plan(ids, PullResponse::Dense).unwrap()).unwrap();
+            let sparse: Read =
+                |v, c, ids| v.pull_planned(c, &v.plan(ids, PullResponse::Sparse).unwrap()).unwrap();
+            for planned in [dense, sparse] {
                 // Same values as the one-shot request, repeats included.
                 let want = fresh(&|v, c| one_shot(v, c, ids));
                 let got = fresh(&|v, c| planned(v, c, ids));
@@ -202,21 +198,36 @@ fn planned_pull_replays_the_one_shot_pull_and_charges_distinct_ids_only() {
                 prop_assert_eq!(&got.1, &got_distinct.1);
                 prop_assert_eq!((got.2, got.3, got.4), (got_distinct.2, got_distinct.3, got_distinct.4));
                 prop_assert_eq!(&got.5, &got_distinct.5);
-                // … and a duplicate-free plan charges exactly what `pull`
-                // does: RPCs, bytes each way, client clock, port clocks.
-                let want_distinct = fresh(&|v, c| one_shot(v, c, &distinct));
-                prop_assert_eq!(&got_distinct, &want_distinct);
             }
+            // … and a duplicate-free dense plan charges exactly what `pull`
+            // does: RPCs, bytes each way, client clock, port clocks.
+            prop_assert_eq!(fresh(&|v, c| dense(v, c, &distinct)), fresh(&|v, c| one_shot(v, c, &distinct)));
+            // A sparse plan makes one RPC per server that owns any id, sends
+            // each 8 bytes per distinct id it owns (n), and gets back its
+            // nonzero values and a presence bitmap: nonzero·8 + n/8 + 8.
+            let layout = PartitionLayout::new(*partitioner, *size, *servers, *servers);
+            let value = |k: u64| writes.iter().rev().find(|(w, _)| *w == k).map_or(0.0, |&(_, x)| x);
+            let mut shares: std::collections::BTreeMap<usize, (u64, u64)> = Default::default();
+            for &k in &distinct {
+                let (n, nonzero) = shares.entry(layout.server_of(k)).or_default();
+                *n += 1;
+                *nonzero += (value(k) != 0.0) as u64;
+            }
+            let got = fresh(&|v, c| sparse(v, c, ids));
+            prop_assert_eq!(got.1, shares.len() as u64);
+            prop_assert_eq!(got.2, shares.values().map(|(n, _)| 8 * n).sum::<u64>());
+            prop_assert_eq!(got.3, shares.values().map(|(n, nonzero)| nonzero * 8 + n / 8 + 8).sum::<u64>());
             // A plan holds routing, not values: a replay after a write sees it.
             let (replayed, ..) = fresh(&|v, c| {
-                let plan = v.plan(ids).unwrap();
+                let plan = v.plan(ids, PullResponse::Dense).unwrap();
                 assert_eq!((plan.positions(), plan.distinct()), (ids.len(), distinct.len()));
                 v.pull_planned(c, &plan).unwrap();
                 let (idx, vals): (Vec<u64>, Vec<f64>) = later.iter().copied().unzip();
                 v.push_set(c, &idx, &vals).unwrap();
                 let second = v.pull_planned(c, &plan).unwrap();
                 assert_eq!(second, v.pull(c, ids).unwrap());
-                assert_eq!(v.pull_sparse_planned(c, &plan).unwrap(), second);
+                let sparse = v.plan(ids, PullResponse::Sparse).unwrap();
+                assert_eq!(v.pull_planned(c, &sparse).unwrap(), second);
                 second
             });
             for (pos, k) in ids.iter().enumerate() {
@@ -497,7 +508,7 @@ fn a_multi_server_request_costs_its_slowest_leg_and_ships_what_its_legs_ship() {
             let client = NodeClock::new();
             let rec = RecoveryMode::Inconsistent;
             let v = VectorHandle::<f64>::create(&ps, "prop.v", size, partitioner, rec).unwrap();
-            let m = psgraph_ps::MatrixHandle::<f32>::create(&ps, "prop.m", size, 3, partitioner, rec)
+            let m = psgraph_ps::MatrixHandle::<f32>::create_row_split(&ps, "prop.m", size, 3, partitioner, rec)
                 .unwrap();
             let adj = NeighborTableHandle::create(&ps, "prop.n", size, partitioner, rec).unwrap();
             let table: Vec<(u64, Vec<u64>)> =
@@ -505,7 +516,7 @@ fn a_multi_server_request_costs_its_slowest_leg_and_ships_what_its_legs_ship() {
             adj.push(&client, &table).unwrap();
             let ones = vec![1.0; keys.len()];
             v.push_set(&client, keys, &ones).unwrap();
-            let plan = v.plan(keys).unwrap();
+            let plan = v.plan(keys, PullResponse::Dense).unwrap();
 
             // Keyed requests: the legs are the one-server requests over each
             // server's keys, so the request must ship their sum and cost
@@ -521,7 +532,7 @@ fn a_multi_server_request_costs_its_slowest_leg_and_ships_what_its_legs_ship() {
                 ("vector.pull_planned", Box::new(|c, ks| {
                     // The plan of the whole request replays; a restriction plans anew.
                     let own;
-                    let p = if ks.len() == keys.len() { &plan } else { own = v.plan(ks).unwrap(); &own };
+                    let p = if ks.len() == keys.len() { &plan } else { own = v.plan(ks, PullResponse::Dense).unwrap(); &own };
                     drop(v.pull_planned(c, p).unwrap())
                 })),
                 ("matrix.pull_rows", Box::new(|c, ks| drop(m.pull_rows(c, ks).unwrap()))),

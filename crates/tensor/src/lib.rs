@@ -8,7 +8,7 @@
 //! nonlinear activations, the two-layer mean-aggregator forward both
 //! GraphSage trainers share ([`nn::SageBatch`]), softmax cross-entropy
 //! loss, and client-side optimizers for the Euler baseline (PSGraph itself runs
-//! its optimizers server-side as psFuncs — see `psgraph_ps::MatrixHandle`).
+//! Adam server-side as a psFunc — see `psgraph_ps::MatrixHandle::adam_step`).
 //! The [`jni::JniBridge`] charges the JVM ↔ native copy costs the paper
 //! pays when feeding graph data into PyTorch and reading gradients back.
 //!

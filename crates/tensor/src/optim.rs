@@ -1,7 +1,8 @@
 //! Client-side optimizers over plain tensors.
 //!
-//! PSGraph runs its optimizers *on the servers* (psFunc — see
-//! `psgraph_ps::MatrixHandle::adam_step`); these local versions exist for
+//! PSGraph runs its one optimizer, Adam, *on the servers* (a psFunc — see
+//! `psgraph_ps::MatrixHandle::adam_step`, with the moments in shadow
+//! matrices beside the weights); these local versions (SGD, Adam) exist for
 //! the Euler baseline, which trains worker-side, and for unit-level
 //! comparisons between the two placements.
 

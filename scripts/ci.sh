@@ -96,6 +96,10 @@ cargo test -q --offline -p psgraph-graphx --lib -- common_neighbor triangle
 # And the residual-push sweep: the `(x - start) as usize` index into each
 # partition, and the mark words that straddle two partitions' ranges.
 cargo test -q --offline -p psgraph-ps --lib -- residual_push
+# And the one matrix partition: the `(row - start) * width` index every
+# row access goes through, and the column-range arithmetic of the column
+# split's slices and of the checkpoint decoder.
+cargo test -q --offline -p psgraph-ps --lib -- matrix
 cargo test -q --offline -p psgraph-core --test prop_incremental
 
 cargo build --release --offline --workspace

@@ -16,7 +16,7 @@ use psgraph::core::algos::{KCore, PageRank, TriangleCount};
 use psgraph::core::runner::distribute_edges;
 use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::graph::{metrics, EdgeList};
-use psgraph::ps::{PartitionLayout, Partitioner, RecoveryMode, VectorHandle};
+use psgraph::ps::{PartitionLayout, Partitioner, PullResponse, RecoveryMode, VectorHandle};
 use psgraph::sim::{FaultSchedule, FaultSite, NodeClock};
 
 /// Generator: a random small graph as a deduplicated edge list.
@@ -126,9 +126,10 @@ fn ps_vector_pull_matches_reference_model() {
             }
             let all = v.pull_all(&clock).unwrap();
             prop_assert_eq!(all, model.clone());
-            // Sparse pull agrees with plain pull.
+            // The planned read with the sparse response agrees with plain pull.
             let idx: Vec<u64> = (0..size).collect();
-            prop_assert_eq!(v.pull_sparse(&clock, &idx).unwrap(), model);
+            let plan = v.plan(&idx, PullResponse::Sparse).unwrap();
+            prop_assert_eq!(v.pull_planned(&clock, &plan).unwrap(), model);
             ctx.ps().unregister("prop.v");
             Ok(())
         },
