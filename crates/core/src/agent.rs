@@ -13,10 +13,11 @@
 //! of its partitions name crosses the wire once (DESIGN.md §8, mechanism
 //! 8). Jobs drive it from [`Cluster::run_executors`].
 //!
-//! The plan is executor state: it is charged to the executor's memory
-//! budget, and it dies with the executor — a plan built under an earlier
-//! incarnation is never replayed, the restarted executor builds its own
-//! from the recovered partitions.
+//! The plan is executor state (`ExecutorState`, which Common Neighbor's
+//! and Triangle Count's kept lists use too): it is charged to the
+//! executor's memory budget, and it dies with the executor — a plan built
+//! under an earlier incarnation is never replayed, the restarted executor
+//! builds its own from the recovered partitions.
 
 use std::sync::Arc;
 
@@ -28,18 +29,70 @@ use crate::error::PsResultExt;
 
 type Result<T> = std::result::Result<T, DataflowError>;
 
-/// The plan an executor holds, and the incarnation of it that built it.
-struct Held {
-    built_by: u64,
-    plan: Arc<PullPlan>,
+/// What a value kept on an executor holds on the executor's memory meter.
+pub(crate) trait Charged {
+    fn charged(&self) -> u64;
+}
+
+impl Charged for Arc<PullPlan> {
+    fn charged(&self) -> u64 {
+        self.approx_bytes()
+    }
+}
+
+/// A value a job keeps on every executor of the cluster from one stage to
+/// the next. It is executor state: whoever builds or grows it charges what
+/// it holds to the executor's memory budget, and it dies with the executor
+/// — a value an earlier incarnation built is neither used nor freed (the
+/// kill cleared the meter), the restarted executor builds its own. Dropping
+/// it hands back what the live incarnations hold.
+pub(crate) struct ExecutorState<'a, T: Charged> {
+    cluster: &'a Cluster,
+    /// Per executor: the incarnation that built the value, and the value.
+    slots: Vec<Mutex<Option<(u64, T)>>>,
+}
+
+impl<'a, T: Charged> ExecutorState<'a, T> {
+    pub(crate) fn new(cluster: &'a Cluster) -> Self {
+        let slots = (0..cluster.num_executors()).map(|_| Mutex::new(None)).collect();
+        ExecutorState { cluster, slots }
+    }
+
+    /// `f` on `exec`'s value, built by `build` first when this incarnation
+    /// of the executor holds none.
+    pub(crate) fn with<R>(
+        &self,
+        exec: &Executor,
+        build: impl FnOnce() -> Result<T>,
+        f: impl FnOnce(&mut T) -> Result<R>,
+    ) -> Result<R> {
+        let mut slot = self.slots[exec.id()].lock();
+        let value = match slot.take() {
+            Some((built_by, value)) if built_by == exec.incarnation() => value,
+            _ => build()?,
+        };
+        f(&mut slot.insert((exec.incarnation(), value)).1)
+    }
+}
+
+impl<T: Charged> Drop for ExecutorState<'_, T> {
+    fn drop(&mut self) {
+        for (id, slot) in self.slots.iter().enumerate() {
+            let exec = self.cluster.executor(id);
+            if let Some((built_by, value)) = slot.lock().as_ref() {
+                if *built_by == exec.incarnation() {
+                    exec.memory().free(value.charged());
+                }
+            }
+        }
+    }
 }
 
 /// One job's PS agents, one per executor of the cluster.
 pub struct PsAgent<'a> {
-    cluster: &'a Cluster,
     /// What the job's reads want back, fixed in every plan.
     response: PullResponse,
-    plans: Vec<Mutex<Option<Held>>>,
+    plans: ExecutorState<'a, Arc<PullPlan>>,
 }
 
 impl<'a> PsAgent<'a> {
@@ -47,8 +100,7 @@ impl<'a> PsAgent<'a> {
     /// Δrank read is [`PullResponse::Sparse`] (§IV-A), a neighbourhood
     /// program's read is [`PullResponse::Dense`].
     pub fn new(cluster: &'a Cluster, response: PullResponse) -> Self {
-        let plans = (0..cluster.num_executors()).map(|_| Mutex::new(None)).collect();
-        PsAgent { cluster, response, plans }
+        PsAgent { response, plans: ExecutorState::new(cluster) }
     }
 
     /// `exec`'s plan: built from `keys()` over `vector`'s layout when this
@@ -59,16 +111,12 @@ impl<'a> PsAgent<'a> {
         vector: &VectorHandle<E>,
         keys: impl FnOnce() -> Vec<u64>,
     ) -> Result<Arc<PullPlan>> {
-        let mut slot = self.plans[exec.id()].lock();
-        if let Some(held) = slot.as_ref().filter(|held| held.built_by == exec.incarnation()) {
-            return Ok(Arc::clone(&held.plan));
-        }
-        // A plan from before a restart went with the executor's memory:
-        // there is nothing to free.
-        let plan = Arc::new(vector.plan(&keys(), self.response).df()?);
-        exec.memory().alloc(plan.approx_bytes())?;
-        *slot = Some(Held { built_by: exec.incarnation(), plan: Arc::clone(&plan) });
-        Ok(plan)
+        let build = || {
+            let plan = vector.plan(&keys(), self.response).df()?;
+            exec.memory().alloc(plan.approx_bytes())?;
+            Ok(Arc::new(plan))
+        };
+        self.plans.with(exec, build, |plan| Ok(Arc::clone(plan)))
     }
 
     /// The job's per-superstep read on `exec`: `vector` at `keys()` (any
@@ -85,18 +133,6 @@ impl<'a> PsAgent<'a> {
     ) -> Result<Vec<E>> {
         let plan = self.plan(exec, vector, keys)?;
         vector.pull_planned(exec.clock(), &plan).df()
-    }
-}
-
-impl Drop for PsAgent<'_> {
-    fn drop(&mut self) {
-        for (id, slot) in self.plans.iter().enumerate() {
-            let exec = self.cluster.executor(id);
-            // What an earlier incarnation held went when it was killed.
-            if let Some(held) = slot.lock().as_ref().filter(|held| held.built_by == exec.incarnation()) {
-                exec.memory().free(held.plan.approx_bytes());
-            }
-        }
     }
 }
 

@@ -12,9 +12,9 @@ use psgraph_dataflow::Rdd;
 use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
 
 use crate::context::{PsGraphContext, RunStats};
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 
-use super::common_neighbor::{batch_of, count_common, num_rounds, push_adjacency};
+use super::common_neighbor::{push_adjacency, stream_pairs};
 
 /// Triangle-count job configuration.
 #[derive(Debug, Clone)]
@@ -44,17 +44,19 @@ impl TriangleCount {
     ) -> Result<TriangleOutput> {
         let start = ctx.now();
         let snap = ctx.net_snapshot();
-        let mut supersteps = 0;
 
-        // Canonical undirected edges (a < b), deduped via shuffle.
-        let canon = edges.flat_map(|&(s, d)| {
+        // Canonical undirected edges (a < b), deduped via shuffle. The
+        // shuffle's files rebuild a lost partition of `canon`, so the
+        // undeduped copy is released at once.
+        let undeduped = edges.flat_map(|&(s, d)| {
             if s == d {
                 vec![]
             } else {
                 vec![(s.min(d), s.max(d))]
             }
         })?;
-        let canon = canon.distinct(canon.num_partitions())?;
+        let canon = undeduped.distinct(undeduped.num_partitions())?;
+        undeduped.unpersist();
 
         // Undirected adjacency on the PS (pipelined symmetrize).
         let tables = crate::runner::to_undirected_neighbor_tables(&canon)?;
@@ -67,37 +69,31 @@ impl TriangleCount {
             RecoveryMode::Inconsistent,
         )?;
         push_adjacency(ctx, &tables, &adj)?;
-        supersteps += 1;
+        tables.unpersist();
+        let mut supersteps = 1;
 
         // Stream canonical edges; each common neighbor of (a, b) closes a
         // triangle; every triangle is counted once per of its 3 edges.
-        let batch = self.batch_size.max(1);
-        let mut total = 0u64;
-        for round in 0..num_rounds(ctx, &canon, batch)? {
-            let (killed_execs, _) = ctx.superstep_maintenance(supersteps)?;
-            if !killed_execs.is_empty() {
-                canon.recover()?;
-            }
-            supersteps += 1;
-
-            let partials: Vec<u64> = ctx
-                .cluster()
-                .run_executors(canon.num_partitions(), |exec, parts| {
-                    let local = canon.partitions(parts)?;
-                    let batches: Vec<&[(u64, u64)]> =
-                        local.iter().map(|part| batch_of(part, round, batch)).collect();
-                    Ok(count_common(ctx, exec, &adj, &batches)?.into_iter().flatten().sum())
-                })
-                .map_err(crate::error::CoreError::from)?;
-            total += partials.into_iter().sum::<u64>();
-        }
-
-        debug_assert_eq!(total % 3, 0, "each triangle counted exactly 3 times");
+        let rounds = stream_pairs(ctx, &adj, &canon, self.batch_size, &mut supersteps, |_, counts| {
+            counts.into_iter().flatten().sum::<u64>()
+        })?;
         Ok(TriangleOutput {
-            triangles: total / 3,
+            triangles: triangles_from(rounds.into_iter().flatten().sum())?,
             stats: ctx.stats_since(start, snap, supersteps),
         })
     }
+}
+
+/// Triangles from `Σ |N(u) ∩ N(v)|` over the canonical edges: each
+/// triangle is counted once per edge, so anything but a multiple of three
+/// is a wrong count, not a rounding to hide.
+fn triangles_from(edge_sum: u64) -> Result<u64> {
+    if edge_sum % 3 != 0 {
+        return Err(CoreError::Invalid(format!(
+            "the edges' common-neighbor counts sum to {edge_sum}, not a multiple of 3"
+        )));
+    }
+    Ok(edge_sum / 3)
 }
 
 #[cfg(test)]
@@ -154,6 +150,17 @@ mod tests {
         assert_eq!(chaos.stats().crashes, 1);
         assert!(!ctx.ps().is_registered("tc.adj"));
         assert_eq!(ctx.ps().resident_bytes(), 0);
+    }
+
+    #[test]
+    fn a_sum_that_is_not_three_per_triangle_is_an_error() {
+        assert_eq!(triangles_from(0).unwrap(), 0);
+        assert_eq!(triangles_from(3 * 56).unwrap(), 56);
+        for wrong in [1, 7, 3 * 56 + 2] {
+            let err = triangles_from(wrong).unwrap_err();
+            let names_it = matches!(&err, CoreError::Invalid(m) if m.contains(&wrong.to_string()));
+            assert!(names_it, "{err}");
+        }
     }
 
     #[test]

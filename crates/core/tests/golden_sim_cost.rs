@@ -78,6 +78,15 @@
 //! (Fast Unfolding), 32336 B in all; at the parent they read 572192,
 //! 788416, 286352, 572192, 572192, 572192, 1514688 and 408096.
 //!
+//! The `common_neighbor:` and `triangle_count:` lines were re-recorded
+//! when the two jobs started to keep a pulled list on its executor until
+//! the last round that names it (within the executor's memory budget)
+//! instead of pulling every list a round names again. Results, supersteps,
+//! `ps_rpcs` and `spark_bytes` held — every round still pulls something
+//! here; `ps_bytes` and `elapsed=` fell. At the parent commit (dc1db2d)
+//! they read `ps_bytes=4364416 elapsed=5746570ns` (Common Neighbor) and
+//! `ps_bytes=4293840 elapsed=6745400ns` (Triangle Count).
+//!
 //! A deliberate cost-model change re-records the lines (the failure
 //! message prints the actual ones); a digest must not move with it.
 
@@ -118,8 +127,8 @@ fn run(job: impl FnOnce(&Arc<PsGraphContext>) -> (String, RunStats)) -> String {
 }
 
 const EXPECTED: &[&str] = &[
-    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=28 ps_bytes=4364416 spark_bytes=572576 elapsed=5746570ns",
-    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=28 ps_bytes=4293840 spark_bytes=789184 elapsed=6745400ns",
+    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=28 ps_bytes=1830544 spark_bytes=572576 elapsed=4867334ns",
+    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=28 ps_bytes=1824304 spark_bytes=789184 elapsed=5953893ns",
     "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=289800 elapsed=3043765ns",
     "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=123 ps_bytes=752280 spark_bytes=575648 elapsed=4323466ns",
     "connected_components: components=328 supersteps=4 ps_rpcs=53 ps_bytes=421128 spark_bytes=575648 elapsed=3583147ns",

@@ -1,12 +1,12 @@
 //! Property tests for algorithm invariants that hold on any graph, using
 //! the in-tree harness.
 
-use psgraph_core::algos::{ConnectedComponents, KCore, PageRank, TriangleCount};
+use psgraph_core::algos::{CommonNeighbor, ConnectedComponents, KCore, PageRank, TriangleCount};
 use psgraph_core::runner::distribute_edges;
 use psgraph_core::{PsGraphConfig, PsGraphContext};
 use psgraph_harness::prop::{check_with, Config, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
-use psgraph_graph::EdgeList;
+use psgraph_graph::{gen, metrics, EdgeList};
 
 fn arb_graph(src: &mut Source) -> EdgeList {
     let n = src.u64_range(4, 40);
@@ -117,4 +117,84 @@ fn thresholded_pagerank_is_independent_of_the_partition_count() {
             Ok(())
         },
     );
+}
+
+/// Common Neighbor and Triangle Count keep pulled lists on their executors
+/// within the executors' memory budgets, so a budget may change what is
+/// pulled when, never the answer. Each job runs with `free` bytes left on
+/// every executor: ample, the least it finishes in (found by bisection —
+/// one byte less must be an OOM, so the budget is the only bound), and
+/// half way between. Every run's counts are the exact ones, and after
+/// every run each executor's meter reads what it read before.
+#[test]
+fn common_neighbor_and_triangle_count_are_exact_within_any_budget_they_finish_in() {
+    let arb = |src: &mut Source| {
+        let n = src.u64_range(8, 50);
+        let m = src.usize_range(1, 6 * n as usize);
+        let g = if src.bool() {
+            gen::rmat(n, m, Default::default(), src.any_u64())
+        } else {
+            gen::erdos_renyi(n, m, src.any_u64())
+        };
+        (g.dedup(), [2, 5, 16][src.usize_range(0, 3)])
+    };
+    check_with("cn_tc_within_budgets", &Config::with_cases(8), arb, |(g, batch)| {
+        // Common Neighbor's counts come in partition order: compare them sorted.
+        let exact = metrics::common_neighbors_exact(g, g.edges());
+        let mut exact_counts: Vec<(u64, u64, u64)> =
+            g.edges().iter().zip(exact).map(|(&(a, b), c)| (a, b, c)).collect();
+        exact_counts.sort_unstable();
+        let exact_triangles = metrics::triangles_exact(g);
+        for triangles in [false, true] {
+            // The job's counts with `free` bytes left on every executor.
+            let run = |free: u64| {
+                let ctx = PsGraphContext::local();
+                let edges = distribute_edges(&ctx, g, 6).unwrap();
+                let cluster = ctx.cluster();
+                let meters: Vec<_> =
+                    (0..cluster.num_executors()).map(|e| cluster.executor(e).memory()).collect();
+                let before: Vec<u64> = meters.iter().map(|m| m.in_use()).collect();
+                for m in &meters {
+                    m.alloc(m.budget() - m.in_use() - free).unwrap();
+                }
+                let fillers: Vec<u64> = meters.iter().map(|m| m.in_use()).collect();
+                let out = if triangles {
+                    TriangleCount { batch_size: *batch }
+                        .run(&ctx, &edges, g.num_vertices())
+                        .map(|out| vec![(0, 0, out.triangles)])
+                } else {
+                    CommonNeighbor { batch_size: *batch, ..Default::default() }
+                        .run(&ctx, &edges, g.num_vertices())
+                        .map(|mut out| {
+                            out.counts.sort_unstable();
+                            out.counts
+                        })
+                };
+                let after: Vec<u64> = meters.iter().map(|m| m.in_use()).collect();
+                assert_eq!(after, fillers, "free {free}: the job handed its memory back");
+                for (m, (&filled, &idle)) in meters.iter().zip(fillers.iter().zip(&before)) {
+                    m.free(filled - idle);
+                }
+                out
+            };
+            let want = if triangles { vec![(0, 0, exact_triangles)] } else { exact_counts.clone() };
+            let ample = 1 << 24;
+            prop_assert_eq!(run(ample).unwrap(), want.clone());
+            let (mut fails, mut fits) = (0u64, ample);
+            while fits - fails > 1 {
+                let mid = (fails + fits) / 2;
+                match run(mid) {
+                    Ok(_) => fits = mid,
+                    Err(e) if e.is_oom() => fails = mid,
+                    Err(e) => return Err(format!("free {mid}: {e}")),
+                }
+            }
+            for free in [fits, (fits + ample) / 2] {
+                let got = run(free).unwrap();
+                prop_assert_eq!(got, want.clone(), "triangles {}, free {}", triangles, free);
+            }
+            prop_assert!(run(fits - 1).unwrap_err().is_oom());
+        }
+        Ok(())
+    });
 }

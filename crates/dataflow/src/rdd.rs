@@ -34,17 +34,26 @@ struct RddInner<T: Record> {
     cluster: Arc<Cluster>,
     name: String,
     parts: Vec<PartitionSlot<T>>,
-    /// Bytes charged per partition (for Drop-time release).
-    charged: Vec<psgraph_sim::sync::Mutex<u64>>,
+    /// Bytes charged per partition, and the executor incarnation charged.
+    charged: Vec<psgraph_sim::sync::Mutex<(u64, u64)>>,
+}
+
+impl<T: Record> RddInner<T> {
+    /// Hand partition `p`'s charge back — unless the incarnation it was
+    /// charged to was killed since, which emptied the meter already.
+    fn release(&self, p: usize) {
+        let (bytes, incarnation) = std::mem::take(&mut *self.charged[p].lock());
+        let exec = self.cluster.executor_for(p);
+        if bytes > 0 && incarnation == exec.incarnation() {
+            exec.memory().free(bytes);
+        }
+    }
 }
 
 impl<T: Record> Drop for RddInner<T> {
     fn drop(&mut self) {
-        for (p, charged) in self.charged.iter().enumerate() {
-            let bytes = *charged.lock();
-            if bytes > 0 {
-                self.cluster.executor_for(p).memory().free(bytes);
-            }
+        for p in 0..self.charged.len() {
+            self.release(p);
         }
     }
 }
@@ -89,7 +98,7 @@ impl<T: Record> Rdd<T> {
             cluster: Arc::clone(cluster),
             name: name.into(),
             parts: (0..partitions).map(|_| PartitionSlot::default()).collect(),
-            charged: (0..partitions).map(|_| psgraph_sim::sync::Mutex::new(0)).collect(),
+            charged: (0..partitions).map(|_| psgraph_sim::sync::Mutex::new((0, 0))).collect(),
         });
 
         let inner2 = Arc::clone(&inner);
@@ -179,13 +188,7 @@ impl<T: Record> Rdd<T> {
             if !exec.is_alive() {
                 return Err(DataflowError::ExecutorLost { id: exec.id() });
             }
-            // Free anything still charged for the stale copy.
-            let mut charged = self.inner.charged[p].lock();
-            if *charged > 0 {
-                exec.memory().free(*charged);
-                *charged = 0;
-            }
-            drop(charged);
+            self.inner.release(p);
             let data = prov(p, exec)?;
             store_partition(&self.inner, p, exec, data)?;
         }
@@ -333,12 +336,9 @@ impl<T: Record> Rdd<T> {
     /// Meant for a shuffled RDD read only through a materialized child: its
     /// provenance replays the retained shuffle files and pins no ancestor.
     pub fn unpersist(&self) {
-        for (p, (slot, charged)) in self.inner.parts.iter().zip(&self.inner.charged).enumerate() {
+        for (p, slot) in self.inner.parts.iter().enumerate() {
             *slot.data.write() = None;
-            let bytes = std::mem::take(&mut *charged.lock());
-            if bytes > 0 {
-                self.inner.cluster.executor_for(p).memory().free(bytes);
-            }
+            self.inner.release(p);
         }
     }
 }
@@ -355,7 +355,7 @@ fn store_partition<T: Record>(
         + (data.len() as u64 + crate::record::slice_boxed_elems(&data)) * overhead
         + 64; // partition object overhead
     exec.memory().alloc(bytes)?;
-    *inner.charged[p].lock() = bytes;
+    *inner.charged[p].lock() = (bytes, exec.incarnation());
     *inner.parts[p].data.write() = Some((Arc::new(data), exec.incarnation()));
     Ok(())
 }
@@ -483,6 +483,27 @@ mod tests {
         rdd.recover().unwrap();
         // Only partitions 2 and 6 (home: executor 2) were rebuilt; totals intact.
         assert_eq!(rdd.count().unwrap(), 64);
+    }
+
+    #[test]
+    fn a_killed_executors_charges_are_not_freed_twice() {
+        let c = cluster();
+        let exec = c.executor(2);
+        // Partitions 2 and 6 live on executor 2, for both RDDs.
+        let kept = Rdd::from_vec(&c, (0..64u64).collect(), 8).unwrap();
+        let lost = Rdd::from_vec(&c, (0..64u64).collect(), 8).unwrap();
+        let held = exec.memory().in_use();
+        c.kill_executor(2);
+        c.restart_executor(2);
+        // The kill emptied the meter; the rebuilt partitions are charged
+        // again, and what the dead incarnation held is not taken off them.
+        kept.recover().unwrap();
+        let rebuilt = exec.memory().in_use();
+        assert_eq!(rebuilt * 2, held);
+        drop(lost);
+        assert_eq!(exec.memory().in_use(), rebuilt);
+        kept.unpersist();
+        assert_eq!(exec.memory().in_use(), 0);
     }
 
     #[test]

@@ -140,6 +140,26 @@ impl<E: Element> MatPart<E> {
 }
 
 impl<E: Element> Partition for MatPart<E> {
+    /// The column range, and the dense rows' start and value count (`None`
+    /// for sparse rows).
+    type Shape = (Range<usize>, Option<(u64, usize)>);
+
+    fn shape(&self) -> Self::Shape {
+        let dense = match &self.rows {
+            RowSet::Dense { start, data } => Some((*start, data.len())),
+            RowSet::Sparse(_) => None,
+        };
+        (self.cols.clone(), dense)
+    }
+
+    /// Only the row split stores rows by key, and its layout is over rows.
+    fn keys_fit(&self, layout: &PartitionLayout, partition: usize) -> bool {
+        match &self.rows {
+            RowSet::Dense { .. } => true,
+            RowSet::Sparse(map) => map.keys().all(|&k| layout.holds(partition, k)),
+        }
+    }
+
     fn approx_bytes(&self) -> u64 {
         match &self.rows {
             RowSet::Dense { data, .. } => (data.len() * E::WIDTH) as u64 + 48,

@@ -151,6 +151,18 @@ fn decode_part(bytes: &[u8]) -> Result<TablePart> {
 }
 
 impl Partition for TablePart {
+    /// A table partition holds its vertices by key alone.
+    type Shape = ();
+
+    fn shape(&self) {}
+
+    /// Its vertices belong to the slot, and their neighbours are vertices.
+    fn keys_fit(&self, layout: &PartitionLayout, partition: usize) -> bool {
+        self.iter().all(|(&v, e)| {
+            layout.holds(partition, v) && e.slots().iter().all(|&n| n < layout.size)
+        })
+    }
+
     fn encode(&self) -> Vec<u8> {
         encode_part(self)
     }

@@ -18,7 +18,6 @@
 
 use psgraph_net::{ServicePort, Step};
 use psgraph_sim::{FxHashMap, NodeClock};
-use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -40,14 +39,27 @@ pub(crate) trait Partition: Send + Sync + Sized + 'static {
 
     /// Bytes this partition occupies on its server.
     fn approx_bytes(&self) -> u64;
+
+    /// What an object's layout fixes about the partition in a slot — its
+    /// column range, its dense extent — as opposed to what it holds.
+    type Shape: PartialEq + Send + Sync + 'static;
+
+    /// This partition's [`Partition::Shape`].
+    fn shape(&self) -> Self::Shape;
+
+    /// Whether every key the partition holds by key (a dense partition's
+    /// keys are its shape's) belongs to slot `partition` of `layout`, and
+    /// every id it stores lies in the layout's key space.
+    fn keys_fit(&self, layout: &PartitionLayout, partition: usize) -> bool;
 }
 
 /// The checkpoint / recovery hooks of an object whose partitions are `P`s.
-struct PartOps<P> {
+struct PartOps<P: Partition> {
     name: String,
     layout: PartitionLayout,
     recovery: RecoveryMode,
-    _p: PhantomData<fn() -> P>,
+    /// Each slot's shape, as the object was created.
+    shapes: Vec<P::Shape>,
 }
 
 impl<P: Partition> ObjectOps for PartOps<P> {
@@ -67,8 +79,19 @@ impl<P: Partition> ObjectOps for PartOps<P> {
         server.get(&self.name, partition, P::encode)
     }
 
+    /// A checkpoint that decodes cleanly is installed only if it fits its
+    /// slot: the same shape as the slot was created with, and keys of the
+    /// slot. Anything else would be read past its ends by the next request.
     fn decode_partition(&self, server: &PsServer, partition: usize, bytes: &[u8]) -> Result<()> {
         let part = P::decode(bytes)?;
+        let fits = self.shapes.get(partition).is_some_and(|shape| part.shape() == *shape)
+            && part.keys_fit(&self.layout, partition);
+        if !fits {
+            return Err(PsError::Dfs(format!(
+                "checkpoint of {}[{partition}] does not fit the object's layout",
+                self.name
+            )));
+        }
         let size = part.approx_bytes();
         server.insert(&self.name, partition, part, size)
     }
@@ -206,16 +229,18 @@ impl PsObject {
         recovery: RecoveryMode,
         mut build: impl FnMut(usize) -> P,
     ) -> Result<()> {
+        let mut shapes = Vec::with_capacity(self.layout.num_partitions);
         for p in 0..self.layout.num_partitions {
             let part = build(p);
             let bytes = part.approx_bytes();
+            shapes.push(part.shape());
             self.server(p).insert(&self.name, p, part, bytes)?;
         }
         self.ps.register(Arc::new(PartOps::<P> {
             name: self.name.clone(),
             layout: self.layout.clone(),
             recovery,
-            _p: PhantomData,
+            shapes,
         }));
         Ok(())
     }
@@ -786,6 +811,97 @@ mod tests {
                 survives_damage(table, flips)
             },
         );
+    }
+
+    /// Overwrite slot 0's checkpoint of `name` with `bad`, lose server 0
+    /// and recover it: the recovery must fail on the slot and install
+    /// nothing there; with the real checkpoint back, it must recover to
+    /// `read()`'s value before the loss.
+    fn refuses_to_recover<T: PartialEq + std::fmt::Debug>(
+        ps: &Arc<Ps>,
+        name: &str,
+        bad: &[u8],
+        read: impl Fn() -> Result<T>,
+    ) {
+        let (dfs, c) = (psgraph_dfs::Dfs::in_memory(), NodeClock::new());
+        // Server 0 holds slot 0 of every object, and recovers them all.
+        ps.checkpoint_all(&dfs).unwrap();
+        let path = format!("/ckpt/{name}/part-00000");
+        let good = dfs.read(&path, &c).unwrap();
+        dfs.write(&path, bad, &c).unwrap();
+        let before = read().unwrap();
+        ps.kill_server(0);
+        ps.restart_server(0, c.now());
+        let err = ps.recover_server(0, &dfs, &c).unwrap_err();
+        assert!(matches!(&err, PsError::Dfs(m) if m.contains(&format!("{name}[0]"))), "{err}");
+        assert!(read().is_err(), "{name}: nothing was installed in slot 0");
+        assert!(ps.is_registered(name));
+        dfs.write(&path, &good, &c).unwrap();
+        ps.recover_server(0, &dfs, &c).unwrap();
+        assert_eq!(read().unwrap(), before);
+    }
+
+    #[test]
+    fn recovery_refuses_a_checkpoint_that_does_not_fit_its_slot() {
+        use crate::{MatrixHandle, NeighborTableHandle, VectorHandle};
+        let ps = Ps::new(PsConfig { servers: 2, ..Default::default() });
+        let c = NodeClock::new();
+        let inconsistent = RecoveryMode::Inconsistent;
+        let dense = |cols: Range<usize>, start, n| MatPart::<f32> {
+            cols,
+            rows: RowSet::Dense { start, data: vec![0.5; n] },
+        };
+
+        // A 3 × 4 matrix split by columns: slot 0 holds columns 0..2. A
+        // slice of columns 0..9 decodes cleanly, and a row read would
+        // slice past the end of the output row.
+        let u = MatrixHandle::<f32>::create(&ps, "u", 3, 4, inconsistent).unwrap();
+        u.push_set_rows(&c, &[1], &[vec![1.0, 2.0, 3.0, 4.0]]).unwrap();
+        refuses_to_recover(&ps, "u", &dense(0..9, 0, 27).encode(), || u.pull_rows(&c, &[1]));
+        // The right columns, but a row short.
+        refuses_to_recover(&ps, "u", &dense(0..2, 0, 4).encode(), || u.pull_rows(&c, &[1]));
+
+        // Rows split by range: slot 0 holds rows 0..5, so its dense rows
+        // start at 0.
+        let row_split = |name, partitioner| {
+            MatrixHandle::<f32>::create_row_split(&ps, name, 10, 2, partitioner, inconsistent)
+        };
+        let w = row_split("w", Partitioner::Range).unwrap();
+        w.push_set_rows(&c, &[3], &[vec![3.0, 3.5]]).unwrap();
+        refuses_to_recover(&ps, "w", &dense(0..2, 5, 10).encode(), || w.pull_rows(&c, &[3]));
+
+        // Rows split by hash, stored by key: a row of the other slot.
+        let h = row_split("h", Partitioner::Hash).unwrap();
+        let other = (0..10).find(|&k| h.layout().partition_of(k) == 1).unwrap();
+        let mine = (0..10).find(|&k| h.layout().partition_of(k) == 0).unwrap();
+        h.push_set_rows(&c, &[mine], &[vec![1.0, 2.0]]).unwrap();
+        let stray = MatPart::<f32> {
+            cols: 0..2,
+            rows: RowSet::Sparse([(other, vec![9.0, 9.0])].into_iter().collect()),
+        };
+        refuses_to_recover(&ps, "h", &stray.encode(), || h.pull_rows(&c, &[mine]));
+
+        // A sparse vector: a key of the other slot, and one past the end.
+        let v = VectorHandle::<f64>::create(&ps, "v", 10, Partitioner::Hash, inconsistent).unwrap();
+        v.push_set(&c, &[mine], &[4.0]).unwrap();
+        for key in [other, 10] {
+            let bad = VecPart::<f64>::Sparse { map: [(key, 1.0)].into_iter().collect() };
+            refuses_to_recover(&ps, "v", &bad.encode(), || v.pull_all(&c));
+        }
+        // A dense vector slice that starts elsewhere.
+        let r =
+            VectorHandle::<f64>::create(&ps, "r", 10, Partitioner::Range, inconsistent).unwrap();
+        let bad = VecPart::<f64>::Dense { start: 1, data: vec![0.0; 5] };
+        refuses_to_recover(&ps, "r", &bad.encode(), || r.pull_all(&c));
+
+        // A neighbor table: a vertex of the other slot, and a neighbour
+        // that is no vertex.
+        let t = NeighborTableHandle::create(&ps, "t", 10, Partitioner::Hash, inconsistent).unwrap();
+        t.push(&c, &[(mine, vec![other])]).unwrap();
+        for entry in [(other, vec![mine]), (mine, vec![10])] {
+            let bad: TablePart = [(entry.0, NeighborEntry::new(entry.1))].into_iter().collect();
+            refuses_to_recover(&ps, "t", &bad.encode(), || t.pull(&c, &[mine]));
+        }
     }
 
     #[test]

@@ -86,6 +86,11 @@ impl PartitionLayout {
         }
     }
 
+    /// Whether `key` is in the key space and partition `partition` holds it.
+    pub(crate) fn holds(&self, partition: usize, key: u64) -> bool {
+        key < self.size && self.partition_of(key) == partition
+    }
+
     /// Server hosting a partition (round-robin placement).
     pub fn server_of_partition(&self, partition: usize) -> usize {
         partition % self.num_servers

@@ -69,6 +69,23 @@ impl<E: Element> VecPart<E> {
 }
 
 impl<E: Element> Partition for VecPart<E> {
+    /// A dense slice's start and length; `None` for a sparse partition.
+    type Shape = Option<(u64, usize)>;
+
+    fn shape(&self) -> Self::Shape {
+        match self {
+            VecPart::Dense { start, data } => Some((*start, data.len())),
+            VecPart::Sparse { .. } => None,
+        }
+    }
+
+    fn keys_fit(&self, layout: &PartitionLayout, partition: usize) -> bool {
+        match self {
+            VecPart::Dense { .. } => true,
+            VecPart::Sparse { map } => map.keys().all(|&k| layout.holds(partition, k)),
+        }
+    }
+
     fn approx_bytes(&self) -> u64 {
         match self {
             VecPart::Dense { data, .. } => (data.len() * E::WIDTH) as u64 + 32,

@@ -88,7 +88,9 @@ cargo test -q --offline -p psgraph-serve -p psgraph-stream
 # and the per-partition ranges the writer pulls.
 cargo test -q --offline -p psgraph-ps --lib -- snapshot
 # And Common Neighbor / Triangle Count's round grouping: `2 * slot`
-# indexing and the counts written back by slot.
+# indexing and the counts written back by slot; and their pair stream's
+# last-use bookkeeping, `usize` round arithmetic (`i / batch`, the last
+# round per id, the kept lists released and evicted by it).
 cargo test -q --offline -p psgraph-core --lib -- common_neighbor triangle
 # GraphX's two jobs run the kernel's one-pair form, the only caller that
 # loads the shorter list and counts the longer one against it.
@@ -100,6 +102,9 @@ cargo test -q --offline -p psgraph-ps --lib -- residual_push
 # row access goes through, and the column-range arithmetic of the column
 # split's slices and of the checkpoint decoder.
 cargo test -q --offline -p psgraph-ps --lib -- matrix
+# And recovery's check that a checkpointed partition fits its slot: the
+# column ranges, dense row starts and keys it compares with the layout.
+cargo test -q --offline -p psgraph-ps --lib -- object
 cargo test -q --offline -p psgraph-core --test prop_incremental
 
 cargo build --release --offline --workspace

@@ -3,7 +3,9 @@
 //! kills (DFS replication), and combinations — results must always match
 //! the failure-free run.
 
-use psgraph::core::algos::{CommonNeighbor, FastUnfolding, KCore, LabelPropagation, PageRank};
+use psgraph::core::algos::{
+    CommonNeighbor, FastUnfolding, KCore, LabelPropagation, PageRank, TriangleCount,
+};
 use psgraph::core::runner::distribute_edges;
 use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::graph::{gen, metrics};
@@ -242,6 +244,53 @@ fn executor_kill_mid_run_does_not_change_kcore_or_common_neighbor() {
     // Superstep 1 is the adjacency push; 2 is the second round of pairs.
     let (killed, _) = common(Some((2, 2)));
     assert_eq!(killed, clean, "same counts, in the same order");
+}
+
+#[test]
+fn executor_kill_mid_rounds_keeps_counts_and_hands_back_kept_lists() {
+    // Common Neighbor and Triangle Count keep pulled lists on their
+    // executors between rounds. A kill mid-rounds takes them with the
+    // executor's memory and its replacement pulls what it needs again: the
+    // counts are the fault-free ones, and once the job is over every
+    // executor's meter reads what it read before the job — nothing kept is
+    // left charged, and nothing the kill already freed is freed twice.
+    let g = gen::rmat(120, 900, Default::default(), 241).dedup();
+    let n = g.num_vertices();
+    // `kill` is `(superstep, executor)`; superstep 1 is the adjacency push,
+    // 2 the second round of pairs. Returns the counts and the supersteps.
+    let run = |kill: Option<(u64, u64)>, triangles: bool| {
+        let ctx = PsGraphContext::local();
+        let edges = distribute_edges(&ctx, &g, 12).unwrap();
+        let chaos = FaultSchedule::scripted(
+            kill.map(|(step, executor)| (FaultSite::ExecutorCrash, step, executor)),
+        );
+        ctx.attach_chaos(chaos.clone());
+        let cluster = ctx.cluster();
+        let in_use = || -> Vec<u64> {
+            (0..cluster.num_executors()).map(|e| cluster.executor(e).memory().in_use()).collect()
+        };
+        let before = in_use();
+        let out = if triangles {
+            let out = TriangleCount { batch_size: 16 }.run(&ctx, &edges, n).unwrap();
+            (vec![out.triangles], out.stats.supersteps)
+        } else {
+            let job = CommonNeighbor { batch_size: 16, ..Default::default() };
+            let out = job.run(&ctx, &edges, n).unwrap();
+            (out.counts.iter().map(|&(_, _, c)| c).collect(), out.stats.supersteps)
+        };
+        assert_eq!(chaos.stats().crashes, u64::from(kill.is_some()));
+        // Triangle Count reads the edges only before its rounds.
+        edges.recover().unwrap();
+        assert_eq!(in_use(), before, "kill {kill:?}, triangles {triangles}");
+        out
+    };
+    for triangles in [false, true] {
+        let (clean, steps) = run(None, triangles);
+        assert!(steps > 3, "the kill below must land mid-rounds");
+        assert_eq!(run(Some((2, 1)), triangles), (clean.clone(), steps));
+        assert_eq!(run(Some((steps - 1, 3)), triangles), (clean, steps));
+    }
+    assert_eq!(run(None, true).0, vec![metrics::triangles_exact(&g)]);
 }
 
 #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use psgraph::core::algos::{
     CommonNeighbor, ConnectedComponents, GraphSage, GraphSageConfig, KCore, Line, LineConfig,
-    PageRank,
+    PageRank, TriangleCount,
 };
 use psgraph::core::runner::distribute_edges;
 use psgraph::core::{PsGraphConfig, PsGraphContext};
@@ -191,13 +191,16 @@ fn kcore_cc_and_common_neighbor_identical_across_pools_and_schedules() {
     }
 }
 
-/// Sim time of PageRank, Common Neighbor, GraphSage and LINE, each on a
-/// fresh deployment on `pool`. K-Core, CC, Label Propagation and Fast
-/// Unfolding are left out on purpose: their stages read what the same
-/// stage writes on the PS, and which of a stage's pushes a read sees still
-/// follows the host's schedule — K-Core's and CC's superstep counts, and
-/// with them their RPCs and clocks, can differ on a larger pool.
-fn sim_elapsed(pool: Pool) -> [u64; 4] {
+/// Sim time of PageRank, Common Neighbor, Triangle Count, GraphSage and
+/// LINE, each on a fresh deployment on `pool`, and the PS bytes Common
+/// Neighbor and Triangle Count moved (which lists a round pulls depends on
+/// what its executor kept, never on the schedule). K-Core, CC, Label
+/// Propagation and Fast Unfolding are left out on purpose: their stages
+/// read what the same stage writes on the PS, and which of a stage's pushes
+/// a read sees still follows the host's schedule — K-Core's and CC's
+/// superstep counts, and with them their RPCs and clocks, can differ on a
+/// larger pool.
+fn sim_elapsed(pool: Pool) -> Vec<(&'static str, u64)> {
     let pool = Arc::new(pool);
     let ctx = || PsGraphContext::new(PsGraphConfig::default().with_pool(Arc::clone(&pool)));
     let g = gen::rmat(256, 2_000, Default::default(), 31).dedup();
@@ -211,6 +214,11 @@ fn sim_elapsed(pool: Pool) -> [u64; 4] {
         let ctx = ctx();
         let edges = distribute_edges(&ctx, &g, 12).unwrap();
         CommonNeighbor { batch_size: 64, ..Default::default() }.run(&ctx, &edges, n).unwrap().stats
+    };
+    let triangle_count = {
+        let ctx = ctx();
+        let edges = distribute_edges(&ctx, &g, 12).unwrap();
+        TriangleCount { batch_size: 64 }.run(&ctx, &edges, n).unwrap().stats
     };
     let graphsage = {
         let ctx = ctx();
@@ -227,7 +235,15 @@ fn sim_elapsed(pool: Pool) -> [u64; 4] {
         let job = Line::new(LineConfig { epochs: 1, ..Default::default() });
         job.run(&ctx, &edges, n).unwrap().stats
     };
-    [pagerank, common_neighbor, graphsage, line].map(|s| s.elapsed.as_nanos())
+    vec![
+        ("PageRank", pagerank.elapsed.as_nanos()),
+        ("Common Neighbor", common_neighbor.elapsed.as_nanos()),
+        ("Common Neighbor PS bytes", common_neighbor.ps_net_bytes),
+        ("Triangle Count", triangle_count.elapsed.as_nanos()),
+        ("Triangle Count PS bytes", triangle_count.ps_net_bytes),
+        ("GraphSage", graphsage.elapsed.as_nanos()),
+        ("LINE", line.elapsed.as_nanos()),
+    ]
 }
 
 #[test]
@@ -237,14 +253,14 @@ fn stage_sim_time_identical_across_pools_and_schedules() {
         assert_eq!(
             sim_elapsed(Pool::with_perturb(*threads, None)),
             baseline,
-            "sim time (PageRank, Common Neighbor, GraphSage, LINE) diverges at {threads} threads"
+            "sim time or PS bytes diverge at {threads} threads"
         );
     }
     for seed in [1u64, 7, 42] {
         assert_eq!(
             sim_elapsed(Pool::with_perturb(4, Some(seed))),
             baseline,
-            "perturbation seed {seed} changed the sim time"
+            "perturbation seed {seed} changed the sim time or PS bytes"
         );
     }
 }
