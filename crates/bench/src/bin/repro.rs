@@ -133,6 +133,7 @@ fn run_fig6(a: &Args) {
     println!("{}", fig6::table(&cells));
     println!("{}", fig6::digest_line(&cells));
     println!("{}", fig6::sim_digest_line(&cells));
+    println!("{}", fig6::graphx_sim_digest_line(&cells));
 }
 
 fn run_line(a: &Args) {

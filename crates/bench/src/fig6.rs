@@ -34,6 +34,14 @@ impl Outcome {
         matches!(self, Outcome::Oom)
     }
 
+    /// The sim nanoseconds a sim digest hashes, an OOM as `u64::MAX`.
+    fn sim_nanos(&self) -> u64 {
+        match self {
+            Outcome::Time(t) => t.as_nanos(),
+            Outcome::Oom => u64::MAX,
+        }
+    }
+
     fn to_cell(&self) -> Cell {
         match self {
             Outcome::Time(t) => Cell::Text(t.to_string()),
@@ -294,14 +302,17 @@ const SIM_SCHEDULE_FREE: [&str; 5] = [
 /// One line digesting the PSGraph sim times of the schedule-free rows —
 /// what CI compares across claim schedules next to [`digest_line`].
 pub fn sim_digest_line(cells: &[Fig6Cell]) -> String {
-    let nanos = cells
-        .iter()
-        .filter(|c| SIM_SCHEDULE_FREE.contains(&c.label))
-        .map(|c| match c.psgraph {
-            Outcome::Time(t) => t.as_nanos(),
-            Outcome::Oom => u64::MAX,
-        });
+    let rows = cells.iter().filter(|c| SIM_SCHEDULE_FREE.contains(&c.label));
+    let nanos = rows.map(|c| c.psgraph.sim_nanos());
     format!("PSGraph sim digest ({}): {:016x}", SIM_SCHEDULE_FREE.join(", "), fnv(nanos))
+}
+
+/// One line digesting every row's GraphX sim time (or OOM): the GraphX
+/// jobs never touch a PS, so no row depends on the claim schedule, and CI
+/// compares this line across schedules too.
+pub fn graphx_sim_digest_line(cells: &[Fig6Cell]) -> String {
+    let nanos = cells.iter().map(|c| c.graphx.sim_nanos());
+    format!("GraphX sim digest (every row): {:016x}", fnv(nanos))
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use psgraph_dataflow::Rdd;
 use psgraph_ps::{Partitioner, PullResponse, RecoveryMode, VectorHandle};
 
+use super::superstep::supersteps;
 use crate::agent::PsAgent;
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
@@ -169,14 +170,8 @@ impl PageRank {
         let agent = PsAgent::new(ctx.cluster(), PullResponse::Sparse);
         let num_parts = tables.num_partitions();
         let mut contrib: Vec<Option<f64>> = vec![None; num_vertices as usize];
-        let mut supersteps = 0;
-        for step in 0..self.max_iterations {
-            let (killed_execs, _killed_servers) = ctx.superstep_maintenance(step)?;
-            if !killed_execs.is_empty() {
-                tables.recover()?;
-            }
-            supersteps += 1;
-
+        let mut steps_done = 0;
+        let step = || -> Result<u64> {
             // Steps 2–3, once per executor over all its partitions: pull Δ
             // of the local sources through the agent's plan (one RPC per
             // server) and compute the contribution every source that moved
@@ -234,17 +229,18 @@ impl PageRank {
                 })
                 .map_err(CoreError::from)?;
 
-            if self.checkpoint_every > 0 && (step + 1) % self.checkpoint_every == 0 {
+            steps_done += 1;
+            if self.checkpoint_every > 0 && steps_done % self.checkpoint_every == 0 {
                 ctx.ps().checkpoint_all(ctx.dfs())?;
             }
 
             // Convergence check on the driver.
             let residual = dranks.aggregate(ctx.cluster().driver(), f64::abs)?;
             ctx.cluster().clock().barrier([ctx.cluster().driver()]);
-            if residual / num_vertices as f64 <= self.tolerance {
-                break;
-            }
-        }
+            let converged = residual / num_vertices as f64 <= self.tolerance;
+            Ok(if converged { 0 } else { 1 })
+        };
+        let steps = supersteps(ctx, 0, self.max_iterations, || Ok(tables.recover()?), step)?;
 
         // Converged or out of iterations: fold the last deltas in for the
         // readout.
@@ -254,7 +250,7 @@ impl PageRank {
 
         Ok(PageRankOutput {
             ranks: out,
-            stats: ctx.stats_since(start, snap, supersteps),
+            stats: ctx.stats_since(start, snap, steps),
         })
     }
 }

@@ -1,7 +1,8 @@
 //! The superstep loop of the iterative vector jobs, and the neighbourhood
 //! vertex program K-Core, Connected Components and Label Propagation are
 //! folds of — PSGraph's `graphx::pregel` (DESIGN.md §8, mechanism 8).
-//! [`supersteps`] is the loop; Fast Unfolding's sweeps use it alone.
+//! [`supersteps`] is the loop; PageRank's supersteps and Fast Unfolding's
+//! sweeps use it alone.
 //! [`run_program`] runs a [`NeighborhoodProgram`] on it. Neither knows
 //! which job it serves.
 

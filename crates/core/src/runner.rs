@@ -76,7 +76,7 @@ fn edges_to_rdd(
         Ok(split2(p))
     });
     let cluster3 = Arc::clone(cluster);
-    Rdd::materialize(&cluster3, "edges", parts, Some(prov), move |p, exec| {
+    Rdd::materialize(&cluster3, "edges", parts, prov, move |p, exec| {
         cost_read(exec);
         Ok(split(p))
     })

@@ -11,10 +11,6 @@ pub enum DataflowError {
     Oom(OutOfMemory),
     /// An executor died (failure injection) while holding needed state.
     ExecutorLost { id: usize },
-    /// A lost partition could not be rebuilt because the RDD has no
-    /// lineage back to a stable source (never materialized from one, or
-    /// the lineage was truncated). Spark would fail the job the same way.
-    NoLineage { rdd: String },
     /// Underlying DFS failure while (re)reading source data.
     Dfs(String),
     /// Anything else.
@@ -26,9 +22,6 @@ impl fmt::Display for DataflowError {
         match self {
             DataflowError::Oom(e) => write!(f, "dataflow OOM: {e}"),
             DataflowError::ExecutorLost { id } => write!(f, "executor {id} lost"),
-            DataflowError::NoLineage { rdd } => {
-                write!(f, "cannot recover rdd {rdd}: no lineage to a stable source")
-            }
             DataflowError::Dfs(e) => write!(f, "dfs error: {e}"),
             DataflowError::Other(e) => write!(f, "dataflow error: {e}"),
         }
@@ -64,9 +57,6 @@ mod tests {
         let e: DataflowError = psgraph_dfs::DfsError::NotFound("/x".into()).into();
         assert!(e.to_string().contains("/x"));
         assert!(DataflowError::ExecutorLost { id: 3 }.to_string().contains('3'));
-        assert!(DataflowError::NoLineage { rdd: "edges".into() }
-            .to_string()
-            .contains("edges"));
         assert!(DataflowError::Other("boom".into()).to_string().contains("boom"));
     }
 }

@@ -61,12 +61,12 @@ impl<T: Record> Drop for RddInner<T> {
 /// A partitioned distributed dataset. Cheap to clone (shared partitions).
 pub struct Rdd<T: Record> {
     inner: Arc<RddInner<T>>,
-    provenance: Option<Provenance<T>>,
+    provenance: Provenance<T>,
 }
 
 impl<T: Record> Clone for Rdd<T> {
     fn clone(&self) -> Self {
-        Rdd { inner: Arc::clone(&self.inner), provenance: self.provenance.clone() }
+        Rdd { inner: Arc::clone(&self.inner), provenance: Arc::clone(&self.provenance) }
     }
 }
 
@@ -81,13 +81,13 @@ impl<T: Record> std::fmt::Debug for Rdd<T> {
 
 impl<T: Record> Rdd<T> {
     /// Materialize an RDD by running `compute` for every partition on its
-    /// home executor. `provenance` (if any) must be an *independent* recipe
-    /// reaching back to a stable source — it is what `recover` replays.
+    /// home executor. `provenance` must be an *independent* recipe reaching
+    /// back to a stable source — it is what `recover` replays.
     pub fn materialize<F>(
         cluster: &Arc<Cluster>,
         name: impl Into<String>,
         partitions: usize,
-        provenance: Option<Provenance<T>>,
+        provenance: Provenance<T>,
         compute: F,
     ) -> Result<Self>
     where
@@ -126,7 +126,7 @@ impl<T: Record> Rdd<T> {
         };
         let slice2 = slice.clone();
         let prov: Provenance<T> = Arc::new(move |p, _exec| Ok(slice2(p)));
-        Rdd::materialize(cluster, "from_vec", n, Some(prov), move |p, _exec| Ok(slice(p)))
+        Rdd::materialize(cluster, "from_vec", n, prov, move |p, _exec| Ok(slice(p)))
     }
 
     pub fn cluster(&self) -> &Arc<Cluster> {
@@ -162,10 +162,7 @@ impl<T: Record> Rdd<T> {
     pub fn partition_or_recompute(&self, p: usize, exec: &Executor) -> Result<Arc<Vec<T>>> {
         match self.partition(p) {
             Ok(d) => Ok(d),
-            Err(DataflowError::ExecutorLost { .. }) => match &self.provenance {
-                Some(prov) => Ok(Arc::new(prov(p, exec)?)),
-                None => Err(DataflowError::NoLineage { rdd: self.inner.name.clone() }),
-            },
+            Err(DataflowError::ExecutorLost { .. }) => Ok(Arc::new((self.provenance)(p, exec)?)),
             Err(e) => Err(e),
         }
     }
@@ -173,23 +170,13 @@ impl<T: Record> Rdd<T> {
     /// Rebuild every partition lost to executor failure, on the (restarted)
     /// home executors. No-op for healthy partitions.
     pub fn recover(&self) -> Result<()> {
-        let lost: Vec<usize> = (0..self.num_partitions())
-            .filter(|&p| self.partition(p).is_err())
-            .collect();
-        if lost.is_empty() {
-            return Ok(());
-        }
-        let prov = self
-            .provenance
-            .clone()
-            .ok_or_else(|| DataflowError::NoLineage { rdd: self.inner.name.clone() })?;
-        for p in lost {
+        for p in (0..self.num_partitions()).filter(|&p| self.partition(p).is_err()) {
             let exec = self.inner.cluster.executor_for(p);
             if !exec.is_alive() {
                 return Err(DataflowError::ExecutorLost { id: exec.id() });
             }
             self.inner.release(p);
-            let data = prov(p, exec)?;
+            let data = (self.provenance)(p, exec)?;
             store_partition(&self.inner, p, exec, data)?;
         }
         Ok(())
@@ -272,7 +259,7 @@ impl<T: Record> Rdd<T> {
         let cluster = Arc::clone(&self.inner.cluster);
         let cluster2 = Arc::clone(&cluster);
         let name = format!("{}→map", self.inner.name);
-        Rdd::materialize(&cluster, name, self.num_partitions(), Some(prov), move |p, exec| {
+        Rdd::materialize(&cluster, name, self.num_partitions(), prov, move |p, exec| {
             let src = parent.partition(p)?;
             exec.charge_cpu(cluster2.cost(), src.len() as u64 * ops_per_record);
             Ok(f(&src))
@@ -295,7 +282,7 @@ impl<T: Record> Rdd<T> {
             }
         });
         let cluster = Arc::clone(&self.inner.cluster);
-        Rdd::materialize(&cluster, "union", total, Some(prov), move |p, _exec| {
+        Rdd::materialize(&cluster, "union", total, prov, move |p, _exec| {
             if p < na {
                 Ok(a.partition(p)?.as_ref().clone())
             } else {
@@ -314,20 +301,6 @@ impl<T: Record> Rdd<T> {
             }
         }
         Ok(acc)
-    }
-
-    /// Drop the lineage chain, keeping the materialized data.
-    ///
-    /// Provenance closures hold their ancestor RDDs alive (and therefore
-    /// the ancestors' cached partitions and memory charges). Iterative
-    /// jobs that derive state-N+1 from state-N must sever the chain each
-    /// iteration or the whole history stays resident — the same reason
-    /// Spark programs `unpersist` superseded RDDs / `checkpoint`
-    /// periodically in iterative workloads. The severed RDD is no longer
-    /// recoverable through lineage (recover it by recomputing from its
-    /// source before severing, or accept job restart semantics).
-    pub fn sever_lineage(&self) -> Rdd<T> {
-        Rdd { inner: Arc::clone(&self.inner), provenance: None }
     }
 
     /// Drop the materialized partitions and release their memory, keeping
@@ -441,16 +414,6 @@ mod tests {
         let mut got = mapped.collect().unwrap();
         got.sort_unstable();
         assert_eq!(got, (1..101).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn recover_without_lineage_fails() {
-        let c = cluster();
-        let rdd: Rdd<u64> =
-            Rdd::materialize(&c, "no-lineage", 4, None, |_p, _e| Ok(vec![1, 2, 3])).unwrap();
-        c.kill_executor(0);
-        c.restart_executor(0);
-        assert!(matches!(rdd.recover(), Err(DataflowError::NoLineage { .. })));
     }
 
     #[test]

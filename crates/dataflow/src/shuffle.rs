@@ -163,29 +163,36 @@ where
     (merged, bytes)
 }
 
-/// Identity extractor for pair RDDs.
-fn identity_fm<K: Record, V: Record>() -> FlatMapFn<(K, V), K, V> {
-    Arc::new(|kv: &(K, V), out: &mut Vec<(K, V)>| out.push(kv.clone()))
+/// The extractor of a pair RDD's own wide ops: each record is its pair.
+fn push_pair<K: Record, V: Record>(kv: &(K, V), out: &mut Vec<(K, V)>) {
+    out.push(kv.clone());
 }
 
-/// Generic shuffled RDD: map side, then per-output aggregation `agg`.
-fn shuffled<K, V, U>(
-    parent: &Rdd<(K, V)>,
-    name: &str,
-    num_out: usize,
-    combine: Option<CombineFn<K, V>>,
-    agg: AggFn<K, V, U>,
-) -> Result<Rdd<U>>
-where
-    K: Record + Hash + Eq,
-    V: Record,
-    U: Record,
-{
-    shuffled_from(parent, identity_fm(), name, num_out, combine, agg)
+/// Combine `pairs` into one value per key with `f`, each key's values
+/// folded in arrival order — both the map-side combine and the reduce of
+/// a `reduce_by_key`.
+fn fold_by_key<K: Hash + Eq, V>(
+    pairs: impl IntoIterator<Item = (K, V)>,
+    f: &impl Fn(&V, &V) -> V,
+) -> FxHashMap<K, V> {
+    let mut map: FxHashMap<K, V> = FxHashMap::default();
+    for (k, v) in pairs {
+        match map.entry(k) {
+            std::collections::hash_map::Entry::Occupied(mut e) => {
+                let nv = f(e.get(), &v);
+                e.insert(nv);
+            }
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(v);
+            }
+        }
+    }
+    map
 }
 
-/// Generic shuffled RDD from any parent type via a pipelined extractor.
-fn shuffled_from<T, K, V, U>(
+/// Generic shuffled RDD: map side through the pipelined extractor `fm`,
+/// then per-output aggregation `agg`.
+fn shuffled<T, K, V, U>(
     parent: &Rdd<T>,
     fm: FlatMapFn<T, K, V>,
     name: &str,
@@ -220,7 +227,7 @@ where
 
     let cluster2 = Arc::clone(&cluster);
     let buckets2 = Arc::clone(&buckets);
-    Rdd::materialize(&cluster, name, num_out, Some(prov), move |p, exec| {
+    Rdd::materialize(&cluster, name, num_out, prov, move |p, exec| {
         let guard = buckets2[p].lock();
         let (merged, in_bytes) = fetch_bucket(&guard, exec, &cluster2);
         drop(guard);
@@ -241,19 +248,7 @@ where
     /// map-side combine — this is the expensive `groupBy` the paper uses
     /// to build neighbor tables).
     pub fn group_by_key(&self, num_out: usize) -> Result<Rdd<(K, Vec<V>)>> {
-        shuffled(
-            self,
-            "group_by_key",
-            num_out,
-            None,
-            Arc::new(|pairs: Vec<(K, V)>| {
-                let mut map: FxHashMap<K, Vec<V>> = FxHashMap::default();
-                for (k, v) in pairs {
-                    map.entry(k).or_default().push(v);
-                }
-                map.into_iter().collect()
-            }),
-        )
+        self.flat_map_group_by_key_with(num_out, push_pair, |_, _| {})
     }
 
     /// Like [`Rdd::group_by_key`] but post-processes each group in place
@@ -264,25 +259,7 @@ where
         num_out: usize,
         post: impl Fn(&K, &mut Vec<V>) + Send + Sync + 'static,
     ) -> Result<Rdd<(K, Vec<V>)>> {
-        let post = Arc::new(post);
-        shuffled(
-            self,
-            "group_by_key_with",
-            num_out,
-            None,
-            Arc::new(move |pairs: Vec<(K, V)>| {
-                let mut map: FxHashMap<K, Vec<V>> = FxHashMap::default();
-                for (k, v) in pairs {
-                    map.entry(k).or_default().push(v);
-                }
-                map.into_iter()
-                    .map(|(k, mut vs)| {
-                        post(&k, &mut vs);
-                        (k, vs)
-                    })
-                    .collect()
-            }),
-        )
+        self.flat_map_group_by_key_with(num_out, push_pair, post)
     }
 
     /// Combine values per key with `f` (map-side combine included).
@@ -291,60 +268,22 @@ where
         num_out: usize,
         f: impl Fn(&V, &V) -> V + Send + Sync + 'static,
     ) -> Result<Rdd<(K, V)>> {
-        let f = Arc::new(f);
-        let f_combine = Arc::clone(&f);
-        let combine: CombineFn<K, V> =
-            Arc::new(move |pairs: &mut Vec<(K, V)>| {
-                let mut map: FxHashMap<K, V> = FxHashMap::default();
-                for (k, v) in pairs.drain(..) {
-                    match map.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let nv = f_combine(e.get(), &v);
-                            e.insert(nv);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                        }
-                    }
-                }
-                pairs.extend(map);
-            });
-        let f_agg = Arc::clone(&f);
-        shuffled(
-            self,
-            "reduce_by_key",
-            num_out,
-            Some(combine),
-            Arc::new(move |pairs: Vec<(K, V)>| {
-                let mut map: FxHashMap<K, V> = FxHashMap::default();
-                for (k, v) in pairs {
-                    match map.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let nv = f_agg(e.get(), &v);
-                            e.insert(nv);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                        }
-                    }
-                }
-                map.into_iter().collect()
-            }),
-        )
+        self.flat_map_reduce_by_key(num_out, push_pair, f)
     }
 
-    /// Inner hash join. Both sides are co-partitioned into `num_out`
+    /// Inner hash join. Both sides are shuffled into `num_out`
     /// partitions; the left side is the build side (its hash table is
-    /// charged to memory), the right side streams. Output cardinality is
-    /// the sum over keys of |left(k)| × |right(k)| — on skewed graphs this
-    /// is the memory bomb that kills GraphX.
+    /// charged to memory), the right side streams, so the output is
+    /// right-major (see `join_build_left`). Output cardinality is the
+    /// sum over keys of |left(k)| × |right(k)| — on skewed graphs this is
+    /// the memory bomb that kills GraphX.
     pub fn join<W>(&self, other: &Rdd<(K, W)>, num_out: usize) -> Result<Rdd<(K, (V, W))>>
     where
         W: Record,
     {
         assert!(num_out > 0, "need at least one output partition");
-        let left_buckets = shuffle_map_side(self, num_out, identity_fm(), None)?;
-        let right_buckets = shuffle_map_side(other, num_out, identity_fm(), None)?;
+        let left_buckets = shuffle_map_side(self, num_out, Arc::new(push_pair), None)?;
+        let right_buckets = shuffle_map_side(other, num_out, Arc::new(push_pair), None)?;
         let cluster = Arc::clone(self.cluster());
 
         // Provenance replays the retained shuffle files (see `shuffled`).
@@ -354,11 +293,11 @@ where
         let prov: Provenance<(K, (V, W))> = Arc::new(move |p, exec| {
             let (l, _) = fetch_bucket(&lb_prov[p].lock(), exec, &cluster_prov);
             let (r, _) = fetch_bucket(&rb_prov[p].lock(), exec, &cluster_prov);
-            Ok(hash_join(l, r))
+            Ok(join_build_left(&l, &r))
         });
 
         let cluster2 = Arc::clone(&cluster);
-        Rdd::materialize(&cluster, "join", num_out, Some(prov), move |p, exec| {
+        Rdd::materialize(&cluster, "join", num_out, prov, move |p, exec| {
             let (left, lbytes) = fetch_bucket(&left_buckets[p].lock(), exec, &cluster2);
             let (right, rbytes) = fetch_bucket(&right_buckets[p].lock(), exec, &cluster2);
             // Build-side hash table + streamed probe side working set.
@@ -369,13 +308,14 @@ where
                 cluster2.cost(),
                 (left.len() + right.len()) as u64 * HASH_OPS,
             );
-            Ok(hash_join(left, right))
+            Ok(join_build_left(&left, &right))
         })
     }
 
     /// Repartition by key without aggregation.
     pub fn partition_by_key(&self, num_out: usize) -> Result<Rdd<(K, V)>> {
-        shuffled(self, "partition_by_key", num_out, None, Arc::new(|pairs| pairs))
+        let keep = Arc::new(|pairs| pairs);
+        shuffled(self, Arc::new(push_pair), "partition_by_key", num_out, None, keep)
     }
 
     /// Hash join against an already hash-partitioned table with the same
@@ -383,7 +323,9 @@ where
     /// sides came from [`Rdd::partition_by_key`] with `num_out`
     /// partitions). No shuffle moves: each partition joins locally, as
     /// Spark does when the partitioners match (GraphX's standard
-    /// vertex-table join path). The build side is `self`.
+    /// vertex-table join path). The table is built over the smaller side:
+    /// the output is right-major if that is `self`, left-major if it is
+    /// `other`.
     pub fn join_copartitioned<W>(&self, other: &Rdd<(K, W)>) -> Result<Rdd<(K, (V, W))>>
     where
         W: Record,
@@ -396,6 +338,13 @@ where
                 other.num_partitions()
             )));
         }
+        let join = |l: &[(K, V)], r: &[(K, W)]| {
+            if l.len() <= r.len() {
+                join_build_left(l, r)
+            } else {
+                join_build_right(l, r)
+            }
+        };
         let cluster = Arc::clone(self.cluster());
         let left = self.clone();
         let right = other.clone();
@@ -404,10 +353,10 @@ where
         let prov: Provenance<(K, (V, W))> = Arc::new(move |p, exec| {
             let l = left_prov.partition_or_recompute(p, exec)?;
             let r = right_prov.partition_or_recompute(p, exec)?;
-            Ok(hash_join_ref(&l, &r))
+            Ok(join(&l, &r))
         });
         let cluster2 = Arc::clone(&cluster);
-        Rdd::materialize(&cluster, "join_copart", num_out, Some(prov), move |p, exec| {
+        Rdd::materialize(&cluster, "join_copart", num_out, prov, move |p, exec| {
             let l = left.partition(p)?;
             let r = right.partition(p)?;
             let lbytes = slice_bytes(&l);
@@ -419,25 +368,28 @@ where
                 build_bytes + build_bytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN + 64;
             let _reservation = Reservation::new(exec.memory(), overhead)?;
             exec.charge_cpu(cluster2.cost(), (l.len() + r.len()) as u64 * HASH_OPS);
-            Ok(hash_join_ref(&l, &r))
+            Ok(join(&l, &r))
         })
     }
 }
 
-fn hash_join<K, V, W>(left: Vec<(K, V)>, right: Vec<(K, W)>) -> Vec<(K, (V, W))>
+/// Inner hash join with the table built over `left`, by reference: only
+/// matched records are cloned. Output is right-major — `right` record
+/// order, each right record's matches in `left` order.
+fn join_build_left<K, V, W>(left: &[(K, V)], right: &[(K, W)]) -> Vec<(K, (V, W))>
 where
     K: Record + Hash + Eq,
     V: Record,
     W: Record,
 {
-    let mut table: FxHashMap<K, Vec<V>> = FxHashMap::default();
+    let mut table: FxHashMap<&K, Vec<&V>> = FxHashMap::default();
     for (k, v) in left {
         table.entry(k).or_default().push(v);
     }
     let mut out = Vec::new();
     for (k, w) in right {
-        if let Some(vs) = table.get(&k) {
-            for v in vs {
+        if let Some(vs) = table.get(k) {
+            for &v in vs {
                 out.push((k.clone(), (v.clone(), w.clone())));
             }
         }
@@ -445,42 +397,24 @@ where
     out
 }
 
-/// Hash join over borrowed partitions: builds the table over the
-/// *smaller* side by reference and clones only matched records. The
-/// copartitioned fast path must not pay full-partition clones — that is
-/// precisely the work it exists to skip.
-fn hash_join_ref<K, V, W>(left: &[(K, V)], right: &[(K, W)]) -> Vec<(K, (V, W))>
+/// `join_build_left` with the table built over `right`. Output is
+/// left-major — `left` record order, each left record's matches in
+/// `right` order.
+fn join_build_right<K, V, W>(left: &[(K, V)], right: &[(K, W)]) -> Vec<(K, (V, W))>
 where
     K: Record + Hash + Eq,
     V: Record,
     W: Record,
 {
+    let mut table: FxHashMap<&K, Vec<&W>> = FxHashMap::default();
+    for (k, w) in right {
+        table.entry(k).or_default().push(w);
+    }
     let mut out = Vec::new();
-    if left.len() <= right.len() {
-        let mut table: FxHashMap<&K, Vec<&V>> = FxHashMap::default();
-        for (k, v) in left {
-            table.entry(k).or_default().push(v);
-        }
-        for (k, w) in right {
-            if let Some(vs) = table.get(k) {
-                for &v in vs {
-                    out.push((k.clone(), (v.clone(), w.clone())));
-                }
-            }
-        }
-    } else {
-        let mut table: FxHashMap<&K, Vec<&W>> = FxHashMap::default();
-        for (k, w) in right {
-            table.entry(k).or_default().push(w);
-        }
-        // Stream the left (probe) side in order so output order matches
-        // the build-left `hash_join` convention: left record order major,
-        // right matches minor.
-        for (k, v) in left {
-            if let Some(ws) = table.get(k) {
-                for &w in ws {
-                    out.push((k.clone(), (v.clone(), w.clone())));
-                }
+    for (k, v) in left {
+        if let Some(ws) = table.get(k) {
+            for &w in ws {
+                out.push((k.clone(), (v.clone(), w.clone())));
             }
         }
     }
@@ -502,45 +436,18 @@ impl<T: Record> Rdd<T> {
         V: Record,
     {
         let f = Arc::new(f);
-        let f_combine = Arc::clone(&f);
-        let combine: CombineFn<K, V> =
-            Arc::new(move |pairs: &mut Vec<(K, V)>| {
-                let mut map: FxHashMap<K, V> = FxHashMap::default();
-                for (k, v) in pairs.drain(..) {
-                    match map.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let nv = f_combine(e.get(), &v);
-                            e.insert(nv);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                        }
-                    }
-                }
-                pairs.extend(map);
-            });
         let f_agg = Arc::clone(&f);
-        shuffled_from(
+        let combine: CombineFn<K, V> = Arc::new(move |pairs: &mut Vec<(K, V)>| {
+            let map = fold_by_key(pairs.drain(..), &*f);
+            pairs.extend(map);
+        });
+        shuffled(
             self,
             Arc::new(fm),
             "flat_map_reduce_by_key",
             num_out,
             Some(combine),
-            Arc::new(move |pairs: Vec<(K, V)>| {
-                let mut map: FxHashMap<K, V> = FxHashMap::default();
-                for (k, v) in pairs {
-                    match map.entry(k) {
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            let nv = f_agg(e.get(), &v);
-                            e.insert(nv);
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                        }
-                    }
-                }
-                map.into_iter().collect()
-            }),
+            Arc::new(move |pairs: Vec<(K, V)>| fold_by_key(pairs, &*f_agg).into_iter().collect()),
         )
     }
 
@@ -556,8 +463,7 @@ impl<T: Record> Rdd<T> {
         K: Record + Hash + Eq,
         V: Record,
     {
-        let post = Arc::new(post);
-        shuffled_from(
+        shuffled(
             self,
             Arc::new(fm),
             "flat_map_group_by_key",
@@ -684,6 +590,22 @@ mod tests {
         let mut out = joined.collect().unwrap();
         out.sort_unstable();
         assert_eq!(out, vec![(1, (10, 100)), (1, (11, 100)), (2, (20, 200))]);
+    }
+
+    #[test]
+    fn join_kernels_emit_the_probe_sides_order() {
+        let left = [(1u64, 'a'), (1, 'b'), (2, 'c'), (3, 'd')];
+        let right = [(1u64, 'x'), (2, 'y'), (1, 'z')];
+        // Build left: right-major, a right record's matches in left order.
+        assert_eq!(
+            join_build_left(&left, &right),
+            [(1, ('a', 'x')), (1, ('b', 'x')), (2, ('c', 'y')), (1, ('a', 'z')), (1, ('b', 'z'))]
+        );
+        // Build right: left-major, a left record's matches in right order.
+        assert_eq!(
+            join_build_right(&left, &right),
+            [(1, ('a', 'x')), (1, ('a', 'z')), (1, ('b', 'x')), (1, ('b', 'z')), (2, ('c', 'y'))]
+        );
     }
 
     #[test]

@@ -165,19 +165,20 @@ pub fn gx_fast_unfolding_weighted(
                     continue;
                 }
                 // Apply moves: tagged union, keep the tagged (moved) value.
+                // The shuffle's output is read only through the new
+                // assignment: release it, keeping its lineage.
                 let tagged_old = v2c.map(|&(v, c)| (v, (c, 0u64)))?;
                 let tagged_new = moves.map(|&(v, c)| (v, (c, 1u64)))?;
-                v2c = tagged_old
+                let applied = tagged_old
                     .union(&tagged_new)?
-                    .reduce_by_key(parts, |a, b| if b.1 > a.1 { *b } else { *a })?
-                    .map(|&(v, (c, _))| (v, c))?
-                    .sever_lineage();
+                    .reduce_by_key(parts, |a, b| if b.1 > a.1 { *b } else { *a })?;
+                v2c = applied.map(|&(v, (c, _))| (v, c))?;
+                applied.unpersist();
                 // Recompute Σtot (vertex-sized shuffle via fresh broadcast).
                 let (v2c_new, _g4) = broadcast(cluster, &v2c, 16)?;
                 com2weight = ktab
                     .map(move |&(v, k)| (v2c_new[&v], k))?
-                    .reduce_by_key(parts, |a, b| a + b)?
-                    .sever_lineage();
+                    .reduce_by_key(parts, |a, b| a + b)?;
             }
             if sweep_moves == 0 {
                 break;
@@ -217,7 +218,8 @@ pub fn gx_fast_unfolding_weighted(
         let v2c_map = Arc::clone(&v2c_bc);
         let contracted = graph.map(move |&(s, (d, w))| ((v2c_map[&s], v2c_map[&d]), w))?;
         let merged = contracted.reduce_by_key(parts, |a, b| a + b)?;
-        graph = merged.map(|&((s, d), w)| (s, (d, w)))?.sever_lineage();
+        graph = merged.map(|&((s, d), w)| (s, (d, w)))?;
+        merged.unpersist();
     }
 
     Ok(GxLouvainOutput { communities: assign, modularity: best_q })

@@ -6,17 +6,12 @@
 //! memory. On skewed graphs the hub vertices' groups are enormous; this is
 //! the structural reason GraphX OOMs on K-Core in Fig. 6 while PSGraph
 //! (which pulls neighbor values from the PS in streamed batches) does not.
+//! The coreness table keeps its lineage: a narrow map of the grouped join,
+//! it pins that join's output (edge-sized, boxed values) until the next
+//! superstep's table replaces it, and nothing older.
 
 use psgraph_dataflow::DataflowError;
 use psgraph_graph::metrics::h_index;
-
-/// Spark iterative jobs truncate lineage only at checkpoint intervals
-/// (GraphX's Pregel never does it automatically; production jobs
-/// checkpoint every N rounds). Between checkpoints the narrow tail of
-/// each iteration's state chain stays resident — vertex-sized for
-/// PageRank/Louvain, but **edge-sized with grouped boxed values** for
-/// K-Core, which is what blows it up in Fig. 6.
-pub(crate) const CHECKPOINT_INTERVAL: u64 = 20;
 
 use crate::graph::GxGraph;
 
@@ -28,9 +23,9 @@ pub fn gx_kcore(gx: &GxGraph, max_iterations: u64) -> Result<Vec<(u64, u64)>, Da
 
     // cores init = undirected degree.
     let ones = und.map(|&(s, _)| (s, 1u64))?;
-    let mut cores = ones.reduce_by_key(parts, |a, b| a + b)?.sever_lineage();
+    let mut cores = ones.reduce_by_key(parts, |a, b| a + b)?;
 
-    for iter in 0..max_iterations {
+    for _ in 0..max_iterations {
         // Message per edge: (dst, core[src]) — join + shuffle.
         let msgs = und
             .join(&cores, parts)?
@@ -45,11 +40,7 @@ pub fn gx_kcore(gx: &GxGraph, max_iterations: u64) -> Result<Vec<(u64, u64)>, Da
             .join(&cores, parts)?
             .filter(|&(_, (new, old))| new != old)?
             .count()?;
-        cores = if (iter + 1) % CHECKPOINT_INTERVAL == 0 {
-            new_cores.sever_lineage()
-        } else {
-            new_cores
-        };
+        cores = new_cores;
         if changed == 0 {
             break;
         }

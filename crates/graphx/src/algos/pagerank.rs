@@ -27,7 +27,7 @@ pub fn gx_pagerank(
     )?;
 
     let mut ranks = zeros.map(|&(v, _)| (v, 1.0f64))?;
-    for iter in 0..iterations {
+    for _ in 0..iterations {
         // Triplets: join edge table (keyed by src) with rank and degree.
         let rank_deg = ranks.join(&degrees, parts)?;
         let contribs = gx
@@ -37,13 +37,10 @@ pub fn gx_pagerank(
         let sums = contribs.reduce_by_key(parts, |a, b| a + b)?;
         // Re-densify (vertices with no in-edges keep the base rank).
         let merged = zeros.union(&sums)?.reduce_by_key(parts, |a, b| a + b)?;
-        // Lineage is truncated only at checkpoint intervals (Spark
-        // iterative-job practice); between checkpoints the retained chain
-        // is merely vertex-sized for PageRank.
+        // The rank table keeps its lineage: it pins `merged` (vertex-sized)
+        // and nothing older, since a shuffle's output replays its retained
+        // files instead of its parents.
         ranks = merged.map(move |&(v, s)| (v, (1.0 - damping) + damping * s))?;
-        if (iter + 1) % crate::algos::kcore::CHECKPOINT_INTERVAL == 0 {
-            ranks = ranks.sever_lineage();
-        }
     }
 
     let mut out = ranks.collect()?;

@@ -209,10 +209,12 @@ cargo run --release --offline -p psgraph-bench --bin repro -- ablations --scale 
 # must not vary either — and a digest of the sim times of the jobs whose
 # stages never read what they write (PageRank, Common Neighbor, Triangle
 # Count): a stage's PS requests are charged in sim order, so their clock
-# must not vary with the schedule.
+# must not vary with the schedule. Nor may the GraphX column (every row's
+# sim time or OOM): those jobs never touch a PS.
 : >/tmp/ci-perturb-digests.log
 : >/tmp/ci-perturb-fig6.log
 : >/tmp/ci-perturb-fig6-sim.log
+: >/tmp/ci-perturb-fig6-gx.log
 for seed in 1 2 3 4 5 6 7 8 9 10; do
     echo "ci: perturbation seed $seed"
     PSGRAPH_POOL_PERTURB=$seed cargo run --release --offline -p psgraph-bench --bin repro -- \
@@ -224,6 +226,7 @@ for seed in 1 2 3 4 5 6 7 8 9 10; do
         fig6 --scale 0.02 >/tmp/ci-perturb-fig6-run.log
     grep 'PSGraph output digests' /tmp/ci-perturb-fig6-run.log >>/tmp/ci-perturb-fig6.log
     grep 'PSGraph sim digest' /tmp/ci-perturb-fig6-run.log >>/tmp/ci-perturb-fig6-sim.log
+    grep 'GraphX sim digest' /tmp/ci-perturb-fig6-run.log >>/tmp/ci-perturb-fig6-gx.log
 done
 if [ "$(sort -u /tmp/ci-perturb-digests.log | wc -l)" -ne 1 ]; then
     echo "ci: sharded stream digest varies across claim schedules" >&2
@@ -240,8 +243,14 @@ if [ "$(sort -u /tmp/ci-perturb-fig6-sim.log | wc -l)" -ne 1 ]; then
     sort /tmp/ci-perturb-fig6-sim.log | uniq -c >&2
     exit 1
 fi
+if [ "$(sort -u /tmp/ci-perturb-fig6-gx.log | wc -l)" -ne 1 ]; then
+    echo "ci: fig6 GraphX sim times vary across claim schedules" >&2
+    sort /tmp/ci-perturb-fig6-gx.log | uniq -c >&2
+    exit 1
+fi
 head -1 /tmp/ci-perturb-fig6.log
 head -1 /tmp/ci-perturb-fig6-sim.log
+head -1 /tmp/ci-perturb-fig6-gx.log
 
 # A run worth keeping is recorded under results/ deliberately, as text;
 # running CI must not rewrite a tracked artifact. Compared with the
