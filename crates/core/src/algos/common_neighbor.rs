@@ -1,10 +1,12 @@
 //! Common Neighbor (paper §IV-B): for each queried vertex pair, count the
 //! overlap of their neighbor sets (link-prediction feature).
 //!
-//! The neighbor tables are pushed to the PS once; afterwards the
-//! executors stream batches of pairs, pull both endpoints' adjacency from
-//! the PS, and intersect locally — no shuffle per query, which is why
-//! PSGraph beats GraphX 3× on DS1 and survives DS2 (Fig. 6). An executor
+//! The executors send their edges, both directions, straight to the PS,
+//! whose servers group them into the neighbor table (no `groupBy`: the
+//! table is read only on the PS); afterwards the executors stream batches
+//! of pairs, pull both endpoints' adjacency from the PS, and intersect
+//! locally — no shuffle at all, which is why PSGraph beats GraphX 3× on
+//! DS1 and survives DS2 (Fig. 6). An executor
 //! talks to the PS at most once per round for all its partitions' batches,
 //! and the adjacency does not change during the job, so it pulls a list
 //! once and keeps it until the last round that names it, as far as its
@@ -15,7 +17,7 @@ use std::sync::Arc;
 
 use psgraph_dataflow::{DataflowError, Executor, Rdd};
 use psgraph_graph::metrics::{intersection_ops, Anchor};
-use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
+use psgraph_ps::NeighborTableHandle;
 use psgraph_sim::FxHashMap;
 
 use crate::agent::{Charged, ExecutorState};
@@ -69,20 +71,9 @@ impl CommonNeighbor {
         let start = ctx.now();
         let snap = ctx.net_snapshot();
 
-        // Undirected adjacency via a pipelined symmetrize + groupBy
-        // (in-shuffle sort + dedup), pushed to the PS.
-        let tables = crate::runner::to_undirected_neighbor_tables(edges)?;
+        // Undirected adjacency, grouped on the servers.
         let _objects = super::PsObjects::new(ctx, &["cn.adj"]);
-        let adj = NeighborTableHandle::create(
-            ctx.ps(),
-            "cn.adj",
-            num_vertices,
-            Partitioner::Hash,
-            RecoveryMode::Inconsistent,
-        )?;
-        push_adjacency(ctx, &tables, &adj)?;
-        // From here on the job reads the PS only.
-        tables.unpersist();
+        let adj = crate::runner::undirected_table_on_ps(ctx, edges, "cn.adj", num_vertices)?;
         let mut supersteps = 1;
 
         if self.checkpoint {
@@ -104,38 +95,6 @@ fn with_counts(batches: &[&[(u64, u64)]], counts: Vec<Vec<u64>>) -> Vec<Vec<(u64
     let per_partition = batches.iter().zip(counts);
     let triple = |(&(a, b), c)| (a, b, c);
     per_partition.map(|(pairs, counts)| pairs.iter().zip(counts).map(triple).collect()).collect()
-}
-
-/// Push the neighbor tables to the PS table `adj`: every executor ships
-/// the lists of all its partitions as one request.
-pub(crate) fn push_adjacency(
-    ctx: &PsGraphContext,
-    tables: &Rdd<(u64, Vec<u64>)>,
-    adj: &NeighborTableHandle,
-) -> Result<()> {
-    let unsorted = ctx
-        .cluster()
-        .run_executors(tables.num_partitions(), |exec, parts| {
-            let entries: Vec<(u64, Vec<u64>)> =
-                tables.partitions(parts)?.iter().flat_map(|part| part.iter().cloned()).collect();
-            // The kernel's bitmap count needs strictly ascending lists: a
-            // repeat counts twice, an id out of order can fall past its `≤ last` cut.
-            let bad = entries.iter().find(|(_, ns)| ns.windows(2).any(|w| w[0] >= w[1]));
-            if let Some(&(v, _)) = bad {
-                return Ok(Some(v));
-            }
-            if !entries.is_empty() {
-                adj.push(exec.clock(), &entries).df()?;
-            }
-            Ok(None)
-        })
-        .map_err(CoreError::from)?;
-    match unsorted.into_iter().flatten().next() {
-        Some(v) => Err(CoreError::Invalid(format!(
-            "neighbor list of vertex {v} is not strictly ascending"
-        ))),
-        None => Ok(()),
-    }
 }
 
 /// The pair stream of Common Neighbor and Triangle Count: `pairs` in
@@ -412,7 +371,7 @@ pub(crate) fn count_common(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::distribute_edges;
+    use crate::runner::{distribute_edges, undirected_table_on_ps};
     use psgraph_graph::{gen, metrics, EdgeList};
     use psgraph_sim::FxHashMap;
 
@@ -542,12 +501,7 @@ mod tests {
         let run = |count: &Round<'_>| {
             let ctx = PsGraphContext::local();
             let edges = distribute_edges(&ctx, &g, 4).unwrap();
-            let tables = crate::runner::to_undirected_neighbor_tables(&edges).unwrap();
-            let adj = NeighborTableHandle::create(
-                ctx.ps(), "adj", 50, Partitioner::Hash, RecoveryMode::Inconsistent,
-            )
-            .unwrap();
-            push_adjacency(&ctx, &tables, &adj).unwrap();
+            let adj = undirected_table_on_ps(&ctx, &edges, "adj", 50).unwrap();
             let exec = ctx.cluster().executor(0);
             let counts = count(&ctx, exec, &adj);
             (counts, exec.clock().now())
@@ -675,12 +629,7 @@ mod tests {
         check_with("kept_lists", &Config::with_cases(32), gen, |(g, partitions, batch)| {
             let ctx = PsGraphContext::local();
             let pairs = distribute_edges(&ctx, g, *partitions).unwrap();
-            let tables = crate::runner::to_undirected_neighbor_tables(&pairs).unwrap();
-            let adj = NeighborTableHandle::create(
-                ctx.ps(), "adj", g.num_vertices(), Partitioner::Hash, RecoveryMode::Inconsistent,
-            )
-            .unwrap();
-            push_adjacency(&ctx, &tables, &adj).unwrap();
+            let adj = undirected_table_on_ps(&ctx, &pairs, "adj", g.num_vertices()).unwrap();
             let cluster = ctx.cluster();
             for e in 0..cluster.num_executors() {
                 let exec = cluster.executor(e);
@@ -751,27 +700,8 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_neighbor_list_is_refused_before_it_is_pushed() {
-        let ctx = PsGraphContext::local();
-        let adj = NeighborTableHandle::create(
-            ctx.ps(), "adj", 10, Partitioner::Hash, RecoveryMode::Inconsistent,
-        )
-        .unwrap();
-        // Out of order, and a repeat: the bitmap count could miss the one
-        // and would count the other twice.
-        for bad in [vec![1u64, 3, 2], vec![4, 4]] {
-            let entries = vec![(0u64, vec![1u64, 2]), (5, bad)];
-            let tables = Rdd::from_vec(ctx.cluster(), entries, 2).unwrap();
-            let err = push_adjacency(&ctx, &tables, &adj).unwrap_err();
-            assert!(matches!(&err, CoreError::Invalid(m) if m.contains("vertex 5")), "{err}");
-        }
-        let pulled = adj.pull(&psgraph_sim::NodeClock::new(), &[5]).unwrap();
-        assert!(pulled[0].is_empty(), "the refused list never reached the PS");
-    }
-
-    #[test]
     fn failed_run_releases_its_neighbor_table() {
-        use psgraph_ps::VectorHandle;
+        use psgraph_ps::{Partitioner, RecoveryMode, VectorHandle};
         use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(60, 300, Default::default(), 233).dedup();
         let ctx = PsGraphContext::local();

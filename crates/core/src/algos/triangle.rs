@@ -9,12 +9,11 @@
 use std::sync::Arc;
 
 use psgraph_dataflow::Rdd;
-use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
 
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::{CoreError, Result};
 
-use super::common_neighbor::{push_adjacency, stream_pairs};
+use super::common_neighbor::stream_pairs;
 
 /// Triangle-count job configuration.
 #[derive(Debug, Clone)]
@@ -58,18 +57,9 @@ impl TriangleCount {
         let canon = undeduped.distinct(undeduped.num_partitions())?;
         undeduped.unpersist();
 
-        // Undirected adjacency on the PS (pipelined symmetrize).
-        let tables = crate::runner::to_undirected_neighbor_tables(&canon)?;
+        // Undirected adjacency, grouped on the servers.
         let _objects = super::PsObjects::new(ctx, &["tc.adj"]);
-        let adj = NeighborTableHandle::create(
-            ctx.ps(),
-            "tc.adj",
-            num_vertices,
-            Partitioner::Hash,
-            RecoveryMode::Inconsistent,
-        )?;
-        push_adjacency(ctx, &tables, &adj)?;
-        tables.unpersist();
+        let adj = crate::runner::undirected_table_on_ps(ctx, &canon, "tc.adj", num_vertices)?;
         let mut supersteps = 1;
 
         // Stream canonical edges; each common neighbor of (a, b) closes a

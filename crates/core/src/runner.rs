@@ -1,18 +1,23 @@
 //! `GraphRunner` / `GraphIO` (paper Listing 1): load graph data from the
 //! DFS into executor RDDs, convert edge partitioning to vertex
-//! partitioning with `groupBy`, and save results.
+//! partitioning — with `groupBy` into neighbor-table RDDs, or straight
+//! into a PS neighbor table — and save results.
 
 use std::sync::Arc;
 
 use psgraph_dataflow::rdd::Provenance;
+use psgraph_dataflow::record::slice_bytes;
+use psgraph_dataflow::shuffle::HASH_OPS;
 use psgraph_dataflow::{Cluster, Rdd};
 use psgraph_graph::io;
 use psgraph_graph::EdgeList;
+use psgraph_ps::{NeighborTableHandle, Partitioner, RecoveryMode};
 use psgraph_sim::bytes::{BufMut, Scalar};
+use psgraph_sim::memory::Reservation;
 use psgraph_sim::{NodeClock, Reader};
 
 use crate::context::PsGraphContext;
-use crate::error::{CoreError, Result};
+use crate::error::{CoreError, PsResultExt, Result};
 
 /// Load a binary edge file from the DFS into an edge RDD.
 ///
@@ -83,6 +88,15 @@ fn edges_to_rdd(
     .map_err(CoreError::from)
 }
 
+/// Both directions of an edge, none of a self-loop: the records of an
+/// undirected neighbor table.
+pub fn undirected(&(s, d): &(u64, u64), out: &mut Vec<(u64, u64)>) {
+    if s != d {
+        out.push((s, d));
+        out.push((d, s));
+    }
+}
+
 /// Undirected neighbor tables straight from a directed edge RDD: both
 /// edge directions are emitted *inside* the shuffle write (pipelined), so
 /// no symmetric edge copy is ever materialized; groups are sorted and
@@ -91,19 +105,44 @@ pub fn to_undirected_neighbor_tables(
     edges: &Rdd<(u64, u64)>,
 ) -> Result<Rdd<(u64, Vec<u64>)>> {
     let parts = edges.num_partitions();
-    Ok(edges.flat_map_group_by_key_with(
-        parts,
-        |&(s, d), out| {
-            if s != d {
-                out.push((s, d));
-                out.push((d, s));
+    Ok(edges.flat_map_group_by_key_with(parts, undirected, |_src, dsts| {
+        dsts.sort_unstable();
+        dsts.dedup();
+    })?)
+}
+
+/// The same undirected table built on the PS as the hash-partitioned
+/// table `name`, for a job that reads it only there: every executor sends
+/// both directions of its partitions' edges in one
+/// [`NeighborTableHandle::merge_edges`] request, and the servers merge
+/// them into strictly ascending, duplicate-free lists — no shuffle. An
+/// executor is charged the shuffle map side's routing CPU ([`HASH_OPS`])
+/// per input edge, and its records (16 B each) on its memory meter.
+pub fn undirected_table_on_ps(
+    ctx: &PsGraphContext,
+    edges: &Rdd<(u64, u64)>,
+    name: &str,
+    num_vertices: u64,
+) -> Result<NeighborTableHandle> {
+    let (hash, inconsistent) = (Partitioner::Hash, RecoveryMode::Inconsistent);
+    let adj = NeighborTableHandle::create(ctx.ps(), name, num_vertices, hash, inconsistent)?;
+    ctx.cluster()
+        .run_executors(edges.num_partitions(), |exec, parts| {
+            let local = edges.partitions(parts)?;
+            let inputs: usize = local.iter().map(|part| part.len()).sum();
+            let mut records = Vec::with_capacity(2 * inputs);
+            for edge in local.iter().flat_map(|part| part.iter()) {
+                undirected(edge, &mut records);
             }
-        },
-        |_src, dsts| {
-            dsts.sort_unstable();
-            dsts.dedup();
-        },
-    )?)
+            let _records = Reservation::new(exec.memory(), slice_bytes(&records))?;
+            exec.charge_cpu(ctx.cluster().cost(), inputs as u64 * HASH_OPS);
+            if !records.is_empty() {
+                adj.merge_edges(exec.clock(), records).df()?;
+            }
+            Ok(())
+        })
+        .map_err(CoreError::from)?;
+    Ok(adj)
 }
 
 /// Fig. 4 step 1: `groupBy` the edge RDD into neighbor tables

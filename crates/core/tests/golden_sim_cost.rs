@@ -87,6 +87,21 @@
 //! they read `ps_bytes=4364416 elapsed=5746570ns` (Common Neighbor) and
 //! `ps_bytes=4293840 elapsed=6745400ns` (Triangle Count).
 //!
+//! The `common_neighbor:` and `triangle_count:` lines were re-recorded
+//! when the two jobs stopped building their adjacency with a `groupBy`
+//! shuffle and pushing the grouped lists: each executor now sends its
+//! edges, both directions, to the PS in one request and the servers merge
+//! them into the lists. Only these two lines moved, and only their costs:
+//! results and supersteps held. No shuffle is left in Common Neighbor
+//! (`spark_bytes=0`; Triangle Count keeps its `distinct`). A run is sent
+//! per executor and source, not per source, so `ps_bytes` rose by the
+//! extra runs' 16 B headers, and `ps_rpcs` by the build's legs: a grouped
+//! partition used to land on one server, an executor's edges now reach
+//! both. At the parent commit (c33cd47) they read `ps_rpcs=28
+//! ps_bytes=1830544 spark_bytes=572576 elapsed=4867334ns` (Common
+//! Neighbor) and `ps_rpcs=28 ps_bytes=1824304 spark_bytes=789184
+//! elapsed=5953893ns` (Triangle Count).
+//!
 //! A deliberate cost-model change re-records the lines (the failure
 //! message prints the actual ones); a digest must not move with it.
 
@@ -127,8 +142,8 @@ fn run(job: impl FnOnce(&Arc<PsGraphContext>) -> (String, RunStats)) -> String {
 }
 
 const EXPECTED: &[&str] = &[
-    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=28 ps_bytes=1830544 spark_bytes=572576 elapsed=4867334ns",
-    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=28 ps_bytes=1824304 spark_bytes=789184 elapsed=5953893ns",
+    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=32 ps_bytes=1916384 spark_bytes=0 elapsed=1909291ns",
+    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=32 ps_bytes=1879408 spark_bytes=283168 elapsed=3241615ns",
     "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=289800 elapsed=3043765ns",
     "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=123 ps_bytes=752280 spark_bytes=575648 elapsed=4323466ns",
     "connected_components: components=328 supersteps=4 ps_rpcs=53 ps_bytes=421128 spark_bytes=575648 elapsed=3583147ns",

@@ -2,11 +2,13 @@
 //! the in-tree harness.
 
 use psgraph_core::algos::{CommonNeighbor, ConnectedComponents, KCore, PageRank, TriangleCount};
-use psgraph_core::runner::distribute_edges;
+use psgraph_core::runner::{self, distribute_edges};
 use psgraph_core::{PsGraphConfig, PsGraphContext};
 use psgraph_harness::prop::{check_with, Config, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
 use psgraph_graph::{gen, metrics, EdgeList};
+use psgraph_ps::{NeighborTableHandle, Partitioner, PsError, RecoveryMode};
+use psgraph_sim::NodeClock;
 
 fn arb_graph(src: &mut Source) -> EdgeList {
     let n = src.u64_range(4, 40);
@@ -195,6 +197,84 @@ fn common_neighbor_and_triangle_count_are_exact_within_any_budget_they_finish_in
             }
             prop_assert!(run(fits - 1).unwrap_err().is_oom());
         }
+        Ok(())
+    });
+}
+
+/// Common Neighbor and Triangle Count build their adjacency on the PS:
+/// each writer sends both directions of its edges in one request and the
+/// servers merge them into the lists. The table must be the one `groupBy`
+/// builds, entry by entry, on 1–8 writers, whichever writer's request
+/// lands first and when one is sent twice. An id past the table is a
+/// typed error, and the request that names it writes nothing.
+#[test]
+fn the_ps_built_neighbor_table_is_the_grouped_one() {
+    let arb = |src: &mut Source| {
+        let n = src.u64_range(2, 40);
+        let m = src.usize_range(1, 5 * n as usize);
+        let mut edges = if src.bool() {
+            gen::rmat(n, m, Default::default(), src.any_u64()).edges().to_vec()
+        } else {
+            src.vec_with(m, m + 1, |s| (s.u64_range(0, n), s.u64_range(0, n)))
+        };
+        // A self-loop, a repeat, a reciprocal edge and both end ids.
+        let (a, b) = edges[src.usize_range(0, edges.len())];
+        edges.extend([(a, a), (a, b), (b, a), (0, n - 1)]);
+        let writers = src.usize_range(1, 9);
+        (EdgeList::new(n, edges), writers, src.bool(), src.usize_range(0, writers))
+    };
+    check_with("ps_built_table", &Config::with_cases(24), arb, |(g, writers, reverse, twice)| {
+        let n = g.num_vertices();
+        let mut config = PsGraphConfig::default();
+        config.cluster = config.cluster.with_executors(*writers);
+        let ctx = PsGraphContext::new(config);
+        let edges = distribute_edges(&ctx, g, *writers).unwrap();
+        let grouped = runner::to_undirected_neighbor_tables(&edges).unwrap().collect().unwrap();
+        let mut want = vec![vec![]; n as usize];
+        for (v, list) in &grouped {
+            want[*v as usize] = list.clone();
+        }
+        let clock = NodeClock::new();
+        let lists = |adj: &NeighborTableHandle| -> Vec<Vec<u64>> {
+            let ids: Vec<u64> = (0..n).collect();
+            adj.pull(&clock, &ids).unwrap().iter().map(|list| list.to_vec()).collect()
+        };
+
+        // The jobs' build: one request per executor.
+        let adj = runner::undirected_table_on_ps(&ctx, &edges, "job", n).unwrap();
+        prop_assert_eq!(lists(&adj), want.clone());
+        prop_assert_eq!(adj.len().unwrap(), grouped.len());
+
+        // The writers' requests by hand, one per partition, in either
+        // order and one of them again at the end.
+        let requests: Vec<Vec<(u64, u64)>> = (0..*writers)
+            .map(|w| {
+                let mut records = vec![];
+                edges.partition(w).unwrap().iter().for_each(|e| runner::undirected(e, &mut records));
+                records
+            })
+            .collect();
+        let hash = Partitioner::Hash;
+        let adj = NeighborTableHandle::create(ctx.ps(), "by_hand", n, hash, RecoveryMode::Inconsistent)
+            .unwrap();
+        for bad in [(n, 0), (0, n)] {
+            let mut records = requests.concat();
+            records.insert(records.len() / 2, bad);
+            let err = adj.merge_edges(&clock, records).unwrap_err();
+            let names_it = matches!(err, PsError::IndexOutOfBounds { index, .. } if index == n);
+            prop_assert!(names_it, "{:?}", err);
+            prop_assert!(adj.is_empty().unwrap(), "a refused request wrote something");
+        }
+        let mut order: Vec<usize> = (0..*writers).collect();
+        if *reverse {
+            order.reverse();
+        }
+        order.push(*twice);
+        for w in order {
+            adj.merge_edges(&clock, requests[w].clone()).unwrap();
+        }
+        prop_assert_eq!(lists(&adj), want);
+        prop_assert_eq!(adj.len().unwrap(), grouped.len());
         Ok(())
     });
 }

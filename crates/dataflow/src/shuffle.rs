@@ -28,7 +28,7 @@ use crate::rdd::{Provenance, Rdd};
 use crate::record::{slice_bytes, Record};
 
 /// CPU ops charged per record for hashing/bucketing.
-const HASH_OPS: u64 = 6;
+pub const HASH_OPS: u64 = 6;
 /// Extra transient memory factor for hash-table overhead during
 /// aggregation (bucket array, entry headers — the JVM pays more).
 const HASH_TABLE_OVERHEAD_NUM: u64 = 1;
@@ -210,33 +210,26 @@ where
     let buckets = shuffle_map_side(parent, num_out, fm, combine)?;
     let cluster = Arc::clone(parent.cluster());
 
-    // Provenance replays the retained shuffle files — NOT the parent
-    // lineage. Shuffle files live on local disk behind the external
-    // shuffle service (standard Yarn deployments, as at Tencent) and
-    // survive executor restarts; crucially this means a shuffled RDD does
-    // not pin its ancestors in memory, exactly like Spark, where only the
-    // driver's lineage metadata persists across stages.
-    let buckets_prov = Arc::clone(&buckets);
-    let agg_prov = Arc::clone(&agg);
-    let cluster_prov = Arc::clone(&cluster);
-    let prov: Provenance<U> = Arc::new(move |p, exec| {
-        let guard = buckets_prov[p].lock();
-        let (merged, _) = fetch_bucket(&guard, exec, &cluster_prov);
-        Ok(agg_prov(merged))
-    });
-
-    let cluster2 = Arc::clone(&cluster);
-    let buckets2 = Arc::clone(&buckets);
-    Rdd::materialize(&cluster, name, num_out, prov, move |p, exec| {
-        let guard = buckets2[p].lock();
-        let (merged, in_bytes) = fetch_bucket(&guard, exec, &cluster2);
+    // The reduce is also the provenance: it replays the retained shuffle
+    // files — NOT the parent lineage — so a lost partition is rebuilt at
+    // what building it cost. Shuffle files live on local disk behind the
+    // external shuffle service (standard Yarn deployments, as at Tencent)
+    // and survive executor restarts; crucially this means a shuffled RDD
+    // does not pin its ancestors in memory, exactly like Spark, where only
+    // the driver's lineage metadata persists across stages.
+    let reduce_cluster = Arc::clone(&cluster);
+    let reduce: Provenance<U> = Arc::new(move |p, exec| {
+        let guard = buckets[p].lock();
+        let (merged, in_bytes) = fetch_bucket(&guard, exec, &reduce_cluster);
         drop(guard);
         // Hash-table overhead while aggregating.
         let overhead = in_bytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN + 64;
         let _reservation = Reservation::new(exec.memory(), in_bytes + overhead)?;
-        exec.charge_cpu(cluster2.cost(), merged.len() as u64 * HASH_OPS);
+        exec.charge_cpu(reduce_cluster.cost(), merged.len() as u64 * HASH_OPS);
         Ok(agg(merged))
-    })
+    });
+    let build = Arc::clone(&reduce);
+    Rdd::materialize(&cluster, name, num_out, reduce, move |p, exec| build(p, exec))
 }
 
 impl<K, V> Rdd<(K, V)>
@@ -286,30 +279,24 @@ where
         let right_buckets = shuffle_map_side(other, num_out, Arc::new(push_pair), None)?;
         let cluster = Arc::clone(self.cluster());
 
-        // Provenance replays the retained shuffle files (see `shuffled`).
-        let lb_prov = Arc::clone(&left_buckets);
-        let rb_prov = Arc::clone(&right_buckets);
-        let cluster_prov = Arc::clone(&cluster);
-        let prov: Provenance<(K, (V, W))> = Arc::new(move |p, exec| {
-            let (l, _) = fetch_bucket(&lb_prov[p].lock(), exec, &cluster_prov);
-            let (r, _) = fetch_bucket(&rb_prov[p].lock(), exec, &cluster_prov);
-            Ok(join_build_left(&l, &r))
-        });
-
-        let cluster2 = Arc::clone(&cluster);
-        Rdd::materialize(&cluster, "join", num_out, prov, move |p, exec| {
-            let (left, lbytes) = fetch_bucket(&left_buckets[p].lock(), exec, &cluster2);
-            let (right, rbytes) = fetch_bucket(&right_buckets[p].lock(), exec, &cluster2);
+        // The join is also the provenance: it replays the retained shuffle
+        // files (see `shuffled`).
+        let join_cluster = Arc::clone(&cluster);
+        let join: Provenance<(K, (V, W))> = Arc::new(move |p, exec| {
+            let (left, lbytes) = fetch_bucket(&left_buckets[p].lock(), exec, &join_cluster);
+            let (right, rbytes) = fetch_bucket(&right_buckets[p].lock(), exec, &join_cluster);
             // Build-side hash table + streamed probe side working set.
             let overhead =
                 lbytes + lbytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN + rbytes + 64;
             let _reservation = Reservation::new(exec.memory(), overhead)?;
             exec.charge_cpu(
-                cluster2.cost(),
+                join_cluster.cost(),
                 (left.len() + right.len()) as u64 * HASH_OPS,
             );
             Ok(join_build_left(&left, &right))
-        })
+        });
+        let build = Arc::clone(&join);
+        Rdd::materialize(&cluster, "join", num_out, join, move |p, exec| build(p, exec))
     }
 
     /// Repartition by key without aggregation.
@@ -897,9 +884,93 @@ mod tests {
             .unwrap();
         let total: u64 = legs.iter().map(|l| l.1).sum();
         assert!(legs[1].1 > 0, "executor 1 holds some of the partition's files");
-        assert_eq!(c.executor(1).clock().now(), restarted + slowest + cost.ser_cost(total));
+        // Then it deserializes every byte and hashes every record, as the build did.
+        let cores = ClusterConfig::default().cores_per_executor as u64;
+        let hashing = cost.cpu_cost((total / 16 * HASH_OPS).div_ceil(cores));
+        assert_eq!(
+            c.executor(1).clock().now(),
+            restarted + slowest + cost.ser_cost(total) + hashing
+        );
         // The restarted executor's disk served its own files after the restart.
         assert_eq!(c.executor(1).disk().clock().now(), restarted + cost.disk_bulk_cost(legs[1].1));
+    }
+
+    /// Build `op` over `records` on one executor with one reduce partition
+    /// (so no other reducer queues at a disk), then lose that partition and
+    /// rebuild it from the retained shuffle files. `map_side` is the op's
+    /// map side alone, and `working` the reduce's reservation: the
+    /// rebuild must take the sim time the reduce took in the build, and
+    /// OOM with one byte less free than `working`, as the build does.
+    fn recovered_like_built<U: Record + PartialEq + std::fmt::Debug>(
+        records: &[(u64, u64)],
+        op: &dyn Fn(&Rdd<(u64, u64)>) -> Result<Rdd<U>>,
+        map_side: &dyn Fn(&Rdd<(u64, u64)>),
+        working: u64,
+    ) {
+        let cluster = || Cluster::new(ClusterConfig::default().with_executors(1));
+        // `op` on a fresh cluster with exactly `free` bytes left once its
+        // input is in place.
+        let built_with = |free: u64| {
+            let c = cluster();
+            let input = Rdd::from_vec(&c, records.to_vec(), 4).unwrap();
+            let meter = c.executor(0).memory();
+            meter.alloc(meter.budget() - meter.in_use() - free).unwrap();
+            op(&input).map(drop)
+        };
+        assert!(matches!(built_with(working - 1), Err(crate::DataflowError::Oom(_))));
+        built_with(working).unwrap();
+
+        let map_done = {
+            let c = cluster();
+            map_side(&Rdd::from_vec(&c, records.to_vec(), 4).unwrap());
+            c.executor(0).clock().now()
+        };
+        let c = cluster();
+        let out = op(&Rdd::from_vec(&c, records.to_vec(), 4).unwrap()).unwrap();
+        let exec = c.executor(0);
+        let reduce = exec.clock().now() - map_done;
+        let built = out.partition(0).unwrap();
+        let recovered_with = |free: u64| {
+            c.kill_executor(0);
+            c.restart_executor(0);
+            let filler = exec.memory().budget() - free;
+            exec.memory().alloc(filler).unwrap();
+            let restarted = exec.clock().now();
+            let rebuilt = out.recover();
+            exec.memory().free(filler);
+            rebuilt.map(|()| exec.clock().now() - restarted)
+        };
+        assert!(matches!(recovered_with(working - 1), Err(crate::DataflowError::Oom(_))));
+        assert_eq!(recovered_with(working).unwrap(), reduce);
+        assert_eq!(out.partition(0).unwrap(), built);
+    }
+
+    #[test]
+    fn a_recovered_shuffled_partition_costs_and_reserves_what_its_build_did() {
+        let overhead = |bytes: u64| bytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN;
+        // A group: every record is fetched and hashed.
+        let grouped: Vec<(u64, u64)> = (0..300).map(|i| (i % 7, i)).collect();
+        let bytes = slice_bytes(&grouped);
+        recovered_like_built(
+            &grouped,
+            &|rdd| rdd.group_by_key(1),
+            &|rdd| drop(shuffle_map_side(rdd, 1, Arc::new(push_pair), None).unwrap()),
+            bytes + overhead(bytes) + 64,
+        );
+        // A join of a table with itself: both sides are fetched, the left
+        // one built into the hash table.
+        let table: Vec<(u64, u64)> = (0..300).map(|i| (i, 3 * i)).collect();
+        let bytes = slice_bytes(&table);
+        recovered_like_built(
+            &table,
+            &|rdd| rdd.join(rdd, 1),
+            &|rdd| {
+                for _side in 0..2 {
+                    drop(shuffle_map_side(rdd, 1, Arc::new(push_pair), None).unwrap());
+                }
+            },
+            2 * bytes + overhead(bytes) + 64,
+        );
     }
 
     #[test]

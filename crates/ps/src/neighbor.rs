@@ -6,9 +6,14 @@
 //! where the adjacency no longer changes: the snapshot file and the serve
 //! shard.
 //!
-//! Executors build `(src, Array[dst])` entries with `groupBy` and push
-//! them to the PS; afterwards any executor can pull the adjacency of any
-//! vertex without a shuffle.
+//! Executors send their edge partitions straight to the servers
+//! ([`NeighborTableHandle::merge_edges`]), and the servers group them:
+//! each source's run of targets is merged into its list, which stays
+//! strictly ascending and duplicate-free whatever order the writers'
+//! requests land in — no `groupBy` shuffle. A job whose executors also
+//! walk the lists builds `(src, Array[dst])` entries with `groupBy` and
+//! pushes them ([`NeighborTableHandle::push`]). Afterwards any executor
+//! can pull the adjacency of any vertex without a shuffle.
 //!
 //! Entries are **mutable**: `update_edges` applies ordered add/remove
 //! operations so a streaming ingestor (`psgraph-stream`) can evolve the
@@ -24,10 +29,11 @@
 
 use psgraph_sim::bytes::BufMut;
 use psgraph_sim::{FxHashMap, NodeClock, Reader, SplitMix64};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::object::{each_partition, Partition, PsObject};
+use crate::object::{each_partition, LegCost, Partition, PsObject, ServerGroup};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
 
@@ -85,6 +91,26 @@ impl NeighborEntry {
         }
         Arc::make_mut(&mut self.slots).push(x);
         true
+    }
+
+    /// Merge the strictly ascending `run` into the live list, which must
+    /// be strictly ascending too, as a merge leaves it: afterwards it is
+    /// the strictly ascending union of both. Merging a run again changes
+    /// nothing.
+    pub(crate) fn merge(&mut self, run: &[u64]) {
+        let held = self.live();
+        debug_assert!(held.is_sorted_by(|a, b| a < b) && run.is_sorted_by(|a, b| a < b));
+        let mut merged = Vec::with_capacity(held.len() + run.len());
+        let (mut i, mut j) = (0, 0);
+        while i < held.len() && j < run.len() {
+            let (a, b) = (held[i], run[j]);
+            merged.push(a.min(b));
+            i += usize::from(a <= b);
+            j += usize::from(b <= a);
+        }
+        merged.extend_from_slice(&held[i..]);
+        merged.extend_from_slice(&run[j..]);
+        *self = NeighborEntry::new(merged);
     }
 
     /// Tombstone the slot holding `x` (if live), compacting once dead
@@ -236,9 +262,6 @@ impl NeighborTableHandle {
         self.obj.check(ids())?;
         self.obj.check(entries.iter().flat_map(|(_, ns)| ns.iter().copied()))?;
         self.obj.scatter(client, ids().enumerate(), |server, _, parts| {
-            let lens = || parts.iter().flat_map(|(_, at)| at).map(|&pos| entries[pos].1.len() as u64);
-            let req_bytes = lens().map(|len| 16 + len * 8).sum();
-            let items = lens().map(|len| len + 1).sum();
             for (p, positions) in &parts {
                 self.obj.write(server, *p, |part: &mut TablePart| {
                     for &pos in positions {
@@ -247,8 +270,62 @@ impl NeighborTableHandle {
                     }
                 })?;
             }
-            Ok((req_bytes, self.obj.item_ops(items), 8))
+            Ok(self.lists_cost(&parts, |pos| entries[pos].1.len()))
         })
+    }
+
+    /// Merge directed `(src, dst)` edges into the table: afterwards each
+    /// source's list is the strictly ascending union of the list it held
+    /// and the targets given for it. Every list the table holds must be
+    /// strictly ascending already, as a merge leaves it (or a pushed
+    /// `groupBy` list). The edges may come in any order and repeat. The
+    /// client sorts them by (source, target), drops repeats and sends
+    /// one run of targets per source, one request in all, so
+    /// however several writers' requests interleave on the servers, and
+    /// however often one is sent again, every list ends the same. Sources
+    /// and targets are bounds-checked before anything is written.
+    ///
+    /// A run of `len` targets is charged as [`push`](Self::push) charges
+    /// a list: `16 + 8·len` request bytes and `len + 1` server items.
+    /// The charge is fixed by the request alone, not by how long the list
+    /// a run lands on already is — that depends on which writer's request
+    /// a server applied first, and a stage's sim time may not — so the
+    /// server's walk over the list a run lands on goes uncharged.
+    pub fn merge_edges(
+        &self,
+        client: &NodeClock,
+        mut edges: Vec<(u64, u64)>,
+    ) -> Result<()> {
+        self.obj.check(edges.iter().flat_map(|&(src, dst)| [src, dst]))?;
+        edges.sort_unstable();
+        edges.dedup();
+        // Per run: its source and the range of its targets in `targets`.
+        let targets: Vec<u64> = edges.iter().map(|&(_, dst)| dst).collect();
+        let (mut runs, mut start): (Vec<(u64, Range<usize>)>, usize) = (Vec::new(), 0);
+        for run in edges.chunk_by(|a, b| a.0 == b.0) {
+            runs.push((run[0].0, start..start + run.len()));
+            start += run.len();
+        }
+        self.obj.scatter(client, runs.iter().map(|(src, _)| *src).enumerate(), |server, _, parts| {
+            for (p, positions) in &parts {
+                self.obj.write(server, *p, |part: &mut TablePart| {
+                    for &pos in positions {
+                        let (src, at) = &runs[pos];
+                        part.entry(*src).or_default().merge(&targets[at.clone()]);
+                    }
+                })?;
+            }
+            Ok(self.lists_cost(&parts, |pos| runs[pos].1.len()))
+        })
+    }
+
+    /// What one server's leg of a request writing whole lists costs: per
+    /// list of `len` ids (`len(position)`), `16 + 8·len` request bytes and
+    /// `len + 1` items; an 8-byte acknowledgement.
+    fn lists_cost(&self, parts: &ServerGroup, len: impl Fn(usize) -> usize) -> LegCost {
+        let lens = || parts.iter().flat_map(|(_, at)| at).map(|&pos| len(pos) as u64);
+        let req_bytes = lens().map(|len| 16 + len * 8).sum();
+        (req_bytes, self.obj.item_ops(lens().map(|len| len + 1).sum()), 8)
     }
 
     /// Apply ordered edge mutations: `(src, dst, add)` adds `dst` to
@@ -483,6 +560,7 @@ mod tests {
     use crate::error::PsError;
     use crate::ps::PsConfig;
     use psgraph_dfs::Dfs;
+    use psgraph_harness::prop_assert_eq;
 
     fn ps() -> Arc<Ps> {
         Ps::new(PsConfig { servers: 3, ..Default::default() })
@@ -538,6 +616,102 @@ mod tests {
         assert!(t.is_empty().unwrap(), "a refused push writes nothing");
         assert!(t.add_edges(&c, &[(1, 100)]).is_err(), "dst is bounds-checked too");
         assert!(t.remove_edges(&c, &[(100, 1)]).is_err());
+        for bad in [(100, 1), (1, 100)] {
+            let err = t.merge_edges(&c, vec![(2, 3), bad]).unwrap_err();
+            assert!(matches!(err, PsError::IndexOutOfBounds { index: 100, .. }), "{err}");
+        }
+        assert!(t.is_empty().unwrap(), "a refused merge writes nothing");
+    }
+
+    #[test]
+    fn merged_lists_are_ascending_whatever_order_the_requests_land_in() {
+        // Three writers' edges, out of order, repeated within and across
+        // writers; vertex 7 already holds a pushed list.
+        let writers: [Vec<(u64, u64)>; 3] = [
+            vec![(1, 9), (1, 2), (4, 0), (1, 9), (7, 5)],
+            vec![(1, 5), (4, 99), (1, 2)],
+            vec![(99, 4), (1, 0), (7, 1), (7, 8)],
+        ];
+        let want: [(u64, Vec<u64>); 5] = [
+            (0, vec![]),
+            (1, vec![0, 2, 5, 9]),
+            (4, vec![0, 99]),
+            (7, vec![1, 3, 5, 8]),
+            (99, vec![4]),
+        ];
+        let orders: [&[usize]; 4] = [&[0, 1, 2], &[2, 1, 0], &[1, 2, 0, 1], &[0, 0, 2, 1, 2]];
+        for order in orders {
+            let ps = ps();
+            let c = NodeClock::new();
+            let t = table(&ps);
+            t.push(&c, &[(7, vec![3, 5])]).unwrap();
+            for &w in order {
+                t.merge_edges(&c, writers[w].clone()).unwrap();
+            }
+            let ids: Vec<u64> = want.iter().map(|(v, _)| *v).collect();
+            let got: Vec<Vec<u64>> = t.pull(&c, &ids).unwrap().iter().map(|l| l.to_vec()).collect();
+            let lists: Vec<Vec<u64>> = want.iter().map(|(_, l)| l.clone()).collect();
+            assert_eq!(got, lists, "requests in order {order:?}");
+            assert_eq!(t.len().unwrap(), 4);
+        }
+    }
+
+    #[test]
+    fn a_merged_entry_is_the_ascending_union_of_its_live_list_and_the_run() {
+        use psgraph_harness::prop::{check, Source};
+        use std::collections::BTreeSet;
+        let gen = |src: &mut Source| {
+            // A strictly ascending held list, some of it removed, and a
+            // strictly ascending run.
+            let held: BTreeSet<u64> = src.vec_with(0, 24, |s| s.u64_range(0, 40)).into_iter().collect();
+            let removed = src.vec_with(0, 8, |s| s.u64_range(0, 40));
+            let run: BTreeSet<u64> = src.vec_with(0, 24, |s| s.u64_range(0, 40)).into_iter().collect();
+            let ascending = |set: BTreeSet<u64>| set.into_iter().collect::<Vec<u64>>();
+            (ascending(held), removed, ascending(run))
+        };
+        check("merge_is_the_union", gen, |(held, removed, run)| {
+            let mut entry = NeighborEntry::new(held.clone());
+            for &x in removed {
+                entry.remove(x);
+            }
+            let mut want: BTreeSet<u64> = entry.live().iter().copied().collect();
+            want.extend(run);
+            entry.merge(run);
+            prop_assert_eq!(entry.live().to_vec(), want.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(entry.slot_len(), entry.live_len());
+            let once = entry.live();
+            entry.merge(run);
+            prop_assert_eq!(entry.live(), once);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn one_merge_into_an_empty_table_costs_what_pushing_its_lists_costs() {
+        let edges: Vec<(u64, u64)> =
+            (0..300u64).map(|i| ((i * 37) % 61, (i * 11) % 97)).chain([(5, 6), (5, 6)]).collect();
+        let mut lists: Vec<(u64, Vec<u64>)> = Vec::new();
+        let mut sorted = edges.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        for run in sorted.chunk_by(|a, b| a.0 == b.0) {
+            lists.push((run[0].0, run.iter().map(|&(_, d)| d).collect()));
+        }
+        let cost = |write: &dyn Fn(&NeighborTableHandle, &NodeClock)| {
+            let ps = ps();
+            let c = NodeClock::new();
+            let t = table(&ps);
+            write(&t, &c);
+            let stats = ps.network().stats();
+            let ports: Vec<u64> =
+                (0..ps.num_servers()).map(|s| ps.server(s).port().clock().now().as_nanos()).collect();
+            let pulled = t.pull(&c, &(0..100).collect::<Vec<_>>()).unwrap();
+            (stats.rpcs(), stats.bytes_sent(), stats.bytes_received(), c.now(), ports, pulled)
+        };
+        assert_eq!(
+            cost(&|t, c| t.merge_edges(c, edges.clone()).unwrap()),
+            cost(&|t, c| t.push(c, &lists).unwrap())
+        );
     }
 
     #[test]

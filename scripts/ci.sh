@@ -87,6 +87,11 @@ cargo test -q --offline -p psgraph-serve -p psgraph-stream
 # And the snapshot file's region codec: the lengths and counts it reads
 # and the per-partition ranges the writer pulls.
 cargo test -q --offline -p psgraph-ps --lib -- snapshot
+# And the neighbor table's merge, which Common Neighbor and Triangle Count
+# build their adjacency with: the runs the client cuts from its sorted
+# edges, the request bytes and items it charges per run (`u64` sums), and
+# the union each server writes.
+cargo test -q --offline -p psgraph-ps --lib -- neighbor
 # And Common Neighbor / Triangle Count's round grouping: `2 * slot`
 # indexing and the counts written back by slot; and their pair stream's
 # last-use bookkeeping, `usize` round arithmetic (`i / batch`, the last

@@ -256,8 +256,9 @@ fn executor_kill_mid_rounds_keeps_counts_and_hands_back_kept_lists() {
     // left charged, and nothing the kill already freed is freed twice.
     let g = gen::rmat(120, 900, Default::default(), 241).dedup();
     let n = g.num_vertices();
-    // `kill` is `(superstep, executor)`; superstep 1 is the adjacency push,
-    // 2 the second round of pairs. Returns the counts and the supersteps.
+    // `kill` is `(superstep, executor)`; superstep 1 is the first round of
+    // pairs, right after the executors built the adjacency on the PS, and
+    // 2 the second. Returns the counts and the supersteps.
     let run = |kill: Option<(u64, u64)>, triangles: bool| {
         let ctx = PsGraphContext::local();
         let edges = distribute_edges(&ctx, &g, 12).unwrap();
@@ -287,6 +288,7 @@ fn executor_kill_mid_rounds_keeps_counts_and_hands_back_kept_lists() {
     for triangles in [false, true] {
         let (clean, steps) = run(None, triangles);
         assert!(steps > 3, "the kill below must land mid-rounds");
+        assert_eq!(run(Some((1, 0)), triangles), (clean.clone(), steps));
         assert_eq!(run(Some((2, 1)), triangles), (clean.clone(), steps));
         assert_eq!(run(Some((steps - 1, 3)), triangles), (clean, steps));
     }
