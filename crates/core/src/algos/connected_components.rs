@@ -48,6 +48,7 @@ impl ConnectedComponents {
 impl NeighborhoodProgram for ConnectedComponents {
     const NAME: &'static str = "connected_components";
     const VECTOR: &'static str = "cc.labels";
+    const ADJ: &'static str = "cc.adj";
     type Scratch = ();
 
     fn max_iterations(&self) -> u64 {

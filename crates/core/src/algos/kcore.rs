@@ -58,6 +58,7 @@ impl KCore {
 impl NeighborhoodProgram for KCore {
     const NAME: &'static str = "kcore";
     const VECTOR: &'static str = "kcore.core";
+    const ADJ: &'static str = "kcore.adj";
     /// The h-index's counting buffer.
     type Scratch = Vec<u32>;
 

@@ -52,6 +52,7 @@ impl LabelPropagation {
 impl NeighborhoodProgram for LabelPropagation {
     const NAME: &'static str = "label_propagation";
     const VECTOR: &'static str = "lp.labels";
+    const ADJ: &'static str = "lp.adj";
     /// Label frequencies among one vertex's neighbors.
     type Scratch = FxHashMap<u64, u64>;
 

@@ -48,6 +48,8 @@ pub(crate) trait NeighborhoodProgram {
     const NAME: &'static str;
     /// The name of the PS vector holding the values.
     const VECTOR: &'static str;
+    /// The name of the PS neighbor table the job's adjacency is built in.
+    const ADJ: &'static str;
     /// Reusable per-task buffer for [`NeighborhoodProgram::update`].
     type Scratch: Default;
 
@@ -76,6 +78,10 @@ pub(crate) trait NeighborhoodProgram {
 
 /// Run `program` on an edge RDD (treated as undirected) over
 /// `[0, num_vertices)`: every vertex's final value, and the run's stats.
+/// The adjacency is built on the servers, co-partitioned with `edges`
+/// (`runner::undirected_table_on_ps`), and read back whole onto the
+/// executors (`runner::pull_neighbor_tables`) — no shuffle; the table stays
+/// on the servers, where a restarted executor reads its partitions again.
 /// Each step every executor reads `[v, N(v)…]` of all its partitions with
 /// one planned pull, folds each vertex, charges the declared CPU and
 /// pushes the changed values with one `push_set`.
@@ -88,9 +94,10 @@ pub(crate) fn run_program<P: NeighborhoodProgram>(
     let start = ctx.now();
     let snap = ctx.net_snapshot();
 
-    let tables = crate::runner::to_undirected_neighbor_tables(edges)?;
+    let _objects = PsObjects::new(ctx, &[P::ADJ, P::VECTOR]);
+    let adj = crate::runner::undirected_table_on_ps(ctx, edges, P::ADJ, num_vertices)?;
+    let tables = crate::runner::pull_neighbor_tables(ctx, &adj)?;
 
-    let _objects = PsObjects::new(ctx, &[P::VECTOR]);
     let values = VectorHandle::<u64>::create(
         ctx.ps(), P::VECTOR, num_vertices, Partitioner::Range, RecoveryMode::Consistent,
     )?;

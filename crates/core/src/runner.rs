@@ -1,7 +1,8 @@
 //! `GraphRunner` / `GraphIO` (paper Listing 1): load graph data from the
 //! DFS into executor RDDs, convert edge partitioning to vertex
 //! partitioning — with `groupBy` into neighbor-table RDDs, or straight
-//! into a PS neighbor table — and save results.
+//! into a PS neighbor table co-partitioned with the edges, which the
+//! executors can read back as that RDD — and save results.
 
 use std::sync::Arc;
 
@@ -111,13 +112,17 @@ pub fn to_undirected_neighbor_tables(
     })?)
 }
 
-/// The same undirected table built on the PS as the hash-partitioned
-/// table `name`, for a job that reads it only there: every executor sends
-/// both directions of its partitions' edges in one
-/// [`NeighborTableHandle::merge_edges`] request, and the servers merge
-/// them into strictly ascending, duplicate-free lists — no shuffle. An
-/// executor is charged the shuffle map side's routing CPU ([`HASH_OPS`])
-/// per input edge, and its records (16 B each) on its memory meter.
+/// The same undirected table built on the PS as the table `name`,
+/// co-partitioned with `edges`: a [`Partitioner::Hash`] table of
+/// `edges.num_partitions()` partitions, so its partition `p` holds the
+/// vertices a shuffle of `edges` would send to partition `p` — the
+/// vertices [`to_undirected_neighbor_tables`]' partition `p` holds. Every
+/// executor sends both directions of its partitions' edges in one
+/// [`NeighborTableHandle::merge_edges`] request, and then the driver's one
+/// [`NeighborTableHandle::seal`] has the servers merge each list once into
+/// a strictly ascending, duplicate-free list — no shuffle. An executor is
+/// charged the shuffle map side's routing CPU ([`HASH_OPS`]) per input
+/// edge, and its records (16 B each) on its memory meter.
 pub fn undirected_table_on_ps(
     ctx: &PsGraphContext,
     edges: &Rdd<(u64, u64)>,
@@ -125,9 +130,12 @@ pub fn undirected_table_on_ps(
     num_vertices: u64,
 ) -> Result<NeighborTableHandle> {
     let (hash, inconsistent) = (Partitioner::Hash, RecoveryMode::Inconsistent);
-    let adj = NeighborTableHandle::create(ctx.ps(), name, num_vertices, hash, inconsistent)?;
+    let parts = edges.num_partitions();
+    let adj = NeighborTableHandle::create_partitioned(
+        ctx.ps(), name, num_vertices, hash, parts, inconsistent,
+    )?;
     ctx.cluster()
-        .run_executors(edges.num_partitions(), |exec, parts| {
+        .run_executors(parts, |exec, parts| {
             let local = edges.partitions(parts)?;
             let inputs: usize = local.iter().map(|part| part.len()).sum();
             let mut records = Vec::with_capacity(2 * inputs);
@@ -142,7 +150,30 @@ pub fn undirected_table_on_ps(
             Ok(())
         })
         .map_err(CoreError::from)?;
+    // The seal leaves the driver when the build stage is over.
+    let (clock, driver) = (ctx.cluster().clock(), ctx.cluster().driver());
+    clock.barrier([driver]);
+    adj.seal(driver)?;
+    clock.barrier([driver]);
     Ok(adj)
+}
+
+/// Partition `p` of the table `adj` back on the executors as RDD
+/// partition `p`, its rows in ascending vertex order: one
+/// [`NeighborTableHandle::pull_partitions`] request per partition, from
+/// the executor that hosts it. The read is also the provenance, so a
+/// restarted executor reads its partitions from the servers again.
+pub fn pull_neighbor_tables(
+    ctx: &PsGraphContext,
+    adj: &NeighborTableHandle,
+) -> Result<Rdd<(u64, Vec<u64>)>> {
+    let (parts, adj) = (adj.layout().num_partitions, adj.clone());
+    let read: Provenance<(u64, Vec<u64>)> = Arc::new(move |p, exec| {
+        adj.pull_partitions(exec.clock(), &[p]).df()
+    });
+    let build = Arc::clone(&read);
+    Rdd::materialize(ctx.cluster(), "neighbor_tables", parts, read, move |p, exec| build(p, exec))
+        .map_err(CoreError::from)
 }
 
 /// Fig. 4 step 1: `groupBy` the edge RDD into neighbor tables

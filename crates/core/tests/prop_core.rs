@@ -201,12 +201,15 @@ fn common_neighbor_and_triangle_count_are_exact_within_any_budget_they_finish_in
     });
 }
 
-/// Common Neighbor and Triangle Count build their adjacency on the PS:
-/// each writer sends both directions of its edges in one request and the
-/// servers merge them into the lists. The table must be the one `groupBy`
-/// builds, entry by entry, on 1–8 writers, whichever writer's request
-/// lands first and when one is sent twice. An id past the table is a
-/// typed error, and the request that names it writes nothing.
+/// Every job that walks or reads an undirected adjacency — Common
+/// Neighbor, Triangle Count, K-Core, CC, LPA — builds it on the PS: each
+/// writer sends both directions of its edges in one request, the servers
+/// hold the runs, and one seal merges each list. The table is
+/// co-partitioned with the edge RDD, so partition `p` read back whole must
+/// be partition `p` of the one `groupBy` builds, row by row, on 1–8
+/// writers, whichever order the writers' requests land in and when one is
+/// sent twice. An id past the table is a typed error, and the request
+/// that names it writes nothing.
 #[test]
 fn the_ps_built_neighbor_table_is_the_grouped_one() {
     let arb = |src: &mut Source| {
@@ -221,31 +224,38 @@ fn the_ps_built_neighbor_table_is_the_grouped_one() {
         let (a, b) = edges[src.usize_range(0, edges.len())];
         edges.extend([(a, a), (a, b), (b, a), (0, n - 1)]);
         let writers = src.usize_range(1, 9);
-        (EdgeList::new(n, edges), writers, src.bool(), src.usize_range(0, writers))
+        // The writers' requests land in the order of these keys.
+        let lands = src.vec_with(writers, writers + 1, |s| s.any_u64());
+        (EdgeList::new(n, edges), writers, lands, src.usize_range(0, writers))
     };
-    check_with("ps_built_table", &Config::with_cases(24), arb, |(g, writers, reverse, twice)| {
+    check_with("ps_built_table", &Config::with_cases(24), arb, |(g, writers, lands, twice)| {
         let n = g.num_vertices();
         let mut config = PsGraphConfig::default();
         config.cluster = config.cluster.with_executors(*writers);
         let ctx = PsGraphContext::new(config);
         let edges = distribute_edges(&ctx, g, *writers).unwrap();
-        let grouped = runner::to_undirected_neighbor_tables(&edges).unwrap().collect().unwrap();
-        let mut want = vec![vec![]; n as usize];
-        for (v, list) in &grouped {
-            want[*v as usize] = list.clone();
-        }
+        let grouped = runner::to_undirected_neighbor_tables(&edges).unwrap();
+        let want: Vec<Vec<(u64, Vec<u64>)>> = (0..*writers)
+            .map(|p| {
+                let mut rows = grouped.partition(p).unwrap().to_vec();
+                rows.sort_unstable();
+                rows
+            })
+            .collect();
         let clock = NodeClock::new();
-        let lists = |adj: &NeighborTableHandle| -> Vec<Vec<u64>> {
-            let ids: Vec<u64> = (0..n).collect();
-            adj.pull(&clock, &ids).unwrap().iter().map(|list| list.to_vec()).collect()
-        };
+        let parts: Vec<usize> = (0..*writers).collect();
 
-        // The jobs' build: one request per executor.
+        // The jobs' build: one request per executor, then the seal; read
+        // back by the servers and as the executors' RDD.
         let adj = runner::undirected_table_on_ps(&ctx, &edges, "job", n).unwrap();
-        prop_assert_eq!(lists(&adj), want.clone());
-        prop_assert_eq!(adj.len().unwrap(), grouped.len());
+        prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
+        let tables = runner::pull_neighbor_tables(&ctx, &adj).unwrap();
+        prop_assert_eq!(tables.num_partitions(), *writers);
+        for (p, rows) in want.iter().enumerate() {
+            prop_assert_eq!(tables.partition(p).unwrap().to_vec(), rows.clone(), "partition {}", p);
+        }
 
-        // The writers' requests by hand, one per partition, in either
+        // The writers' requests by hand, one per partition, in the drawn
         // order and one of them again at the end.
         let requests: Vec<Vec<(u64, u64)>> = (0..*writers)
             .map(|w| {
@@ -254,27 +264,28 @@ fn the_ps_built_neighbor_table_is_the_grouped_one() {
                 records
             })
             .collect();
-        let hash = Partitioner::Hash;
-        let adj = NeighborTableHandle::create(ctx.ps(), "by_hand", n, hash, RecoveryMode::Inconsistent)
-            .unwrap();
+        let (hash, inconsistent) = (Partitioner::Hash, RecoveryMode::Inconsistent);
+        let adj =
+            NeighborTableHandle::create_partitioned(ctx.ps(), "by_hand", n, hash, *writers, inconsistent)
+                .unwrap();
         for bad in [(n, 0), (0, n)] {
             let mut records = requests.concat();
             records.insert(records.len() / 2, bad);
             let err = adj.merge_edges(&clock, records).unwrap_err();
             let names_it = matches!(err, PsError::IndexOutOfBounds { index, .. } if index == n);
             prop_assert!(names_it, "{:?}", err);
+            adj.seal(&clock).unwrap();
             prop_assert!(adj.is_empty().unwrap(), "a refused request wrote something");
         }
         let mut order: Vec<usize> = (0..*writers).collect();
-        if *reverse {
-            order.reverse();
-        }
+        order.sort_by_key(|&w| lands[w]);
         order.push(*twice);
         for w in order {
             adj.merge_edges(&clock, requests[w].clone()).unwrap();
         }
-        prop_assert_eq!(lists(&adj), want);
-        prop_assert_eq!(adj.len().unwrap(), grouped.len());
+        adj.seal(&clock).unwrap();
+        prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
+        prop_assert_eq!(adj.len().unwrap(), want.iter().map(Vec::len).sum::<usize>());
         Ok(())
     });
 }

@@ -22,6 +22,9 @@ pub enum PsError {
     Dfs(String),
     /// No checkpoint available to recover from.
     NoCheckpoint(String),
+    /// A read of a neighbor-table list that holds merged runs the table
+    /// has not sealed yet.
+    Unsealed { name: String, vertex: u64 },
 }
 
 impl fmt::Display for PsError {
@@ -37,6 +40,9 @@ impl fmt::Display for PsError {
             PsError::DimensionMismatch(m) => write!(f, "ps dimension mismatch: {m}"),
             PsError::Dfs(e) => write!(f, "ps checkpoint I/O: {e}"),
             PsError::NoCheckpoint(n) => write!(f, "ps: no checkpoint for {n}"),
+            PsError::Unsealed { name, vertex } => {
+                write!(f, "ps {name}: vertex {vertex}'s list holds runs not yet sealed")
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! a set of PS servers and accessed by Spark executors through pull/push
 //! RPCs instead of shuffle joins. The crate provides:
 //!
-//! * **Partitioners** (`partition`): hash, range, and hash-range layouts
+//! * **Partitioners** (`partition`): hash and range layouts
 //!   mapping vertex/row indices to partitions and partitions to servers.
 //! * **Data structures** (`vector`, `matrix`, `neighbor`): typed handles
 //!   over server-resident dense/sparse vectors, matrices — one partition

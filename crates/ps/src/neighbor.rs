@@ -1,19 +1,24 @@
 //! Server-resident neighbor tables (paper §III-A, §IV-B): the one PS
-//! adjacency object — Common Neighbor, Triangle Count, GraphSage's
-//! neighbor sampling and the streaming loop read it, and
+//! adjacency object — Common Neighbor, Triangle Count, K-Core, Connected
+//! Components, Label Propagation, GraphSage's neighbor sampling and the
+//! streaming loop read it, and
 //! [`DeltaWriter::neighbor_table`](crate::snapshot::DeltaWriter::neighbor_table)
 //! exports it as the immutable CSR the serving tier loads. CSR exists only
 //! where the adjacency no longer changes: the snapshot file and the serve
 //! shard.
 //!
 //! Executors send their edge partitions straight to the servers
-//! ([`NeighborTableHandle::merge_edges`]), and the servers group them:
-//! each source's run of targets is merged into its list, which stays
-//! strictly ascending and duplicate-free whatever order the writers'
-//! requests land in — no `groupBy` shuffle. A job whose executors also
-//! walk the lists builds `(src, Array[dst])` entries with `groupBy` and
-//! pushes them ([`NeighborTableHandle::push`]). Afterwards any executor
-//! can pull the adjacency of any vertex without a shuffle.
+//! ([`NeighborTableHandle::merge_edges`]), which hold each source's runs
+//! of targets aside until the build's one
+//! [`seal`](NeighborTableHandle::seal) merges every list once: afterwards
+//! each list is strictly ascending and duplicate-free whatever order the
+//! writers' requests landed in — no `groupBy` shuffle. A list is never read
+//! half built: reading one that holds unsealed runs is an error. A job
+//! whose executors walk the lists reads its partitions back whole
+//! ([`NeighborTableHandle::pull_partitions`]). GraphSage builds
+//! `(src, Array[dst])` entries with `groupBy` and pushes them
+//! ([`NeighborTableHandle::push`]). Afterwards any executor can pull the
+//! adjacency of any vertex without a shuffle.
 //!
 //! Entries are **mutable**: `update_edges` applies ordered add/remove
 //! operations so a streaming ingestor (`psgraph-stream`) can evolve the
@@ -32,7 +37,7 @@ use psgraph_sim::{FxHashMap, NodeClock, Reader, SplitMix64};
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::error::Result;
+use crate::error::{PsError, Result};
 use crate::object::{each_partition, LegCost, Partition, PsObject, ServerGroup};
 use crate::partition::{PartitionLayout, Partitioner};
 use crate::ps::{Ps, RecoveryMode};
@@ -93,26 +98,6 @@ impl NeighborEntry {
         true
     }
 
-    /// Merge the strictly ascending `run` into the live list, which must
-    /// be strictly ascending too, as a merge leaves it: afterwards it is
-    /// the strictly ascending union of both. Merging a run again changes
-    /// nothing.
-    pub(crate) fn merge(&mut self, run: &[u64]) {
-        let held = self.live();
-        debug_assert!(held.is_sorted_by(|a, b| a < b) && run.is_sorted_by(|a, b| a < b));
-        let mut merged = Vec::with_capacity(held.len() + run.len());
-        let (mut i, mut j) = (0, 0);
-        while i < held.len() && j < run.len() {
-            let (a, b) = (held[i], run[j]);
-            merged.push(a.min(b));
-            i += usize::from(a <= b);
-            j += usize::from(b <= a);
-        }
-        merged.extend_from_slice(&held[i..]);
-        merged.extend_from_slice(&run[j..]);
-        *self = NeighborEntry::new(merged);
-    }
-
     /// Tombstone the slot holding `x` (if live), compacting once dead
     /// slots reach half the entry. Returns whether the edge was removed.
     pub fn remove(&mut self, x: u64) -> bool {
@@ -132,26 +117,130 @@ impl NeighborEntry {
     }
 }
 
-pub(crate) type TablePart = FxHashMap<u64, NeighborEntry>;
-
-fn part_bytes(map: &TablePart) -> u64 {
-    map.values().map(|e| 8 + 24 + e.slot_len() as u64 * 8)
-        .sum::<u64>()
-        + 48
+/// The runs one [`merge_edges`](NeighborTableHandle::merge_edges)
+/// request sent to one partition: their sources strictly ascending, each
+/// with the range of its targets in the request's buffer, which every
+/// partition the request reached shares.
+#[derive(Debug)]
+struct Runs {
+    targets: Arc<Vec<u64>>,
+    runs: Vec<(u64, Range<usize>)>,
 }
 
-fn encode_part(map: &TablePart) -> Vec<u8> {
+/// One partition of a table: its lists, and the runs merged into them
+/// since the last seal.
+#[derive(Debug, Default)]
+pub(crate) struct TablePart {
+    lists: FxHashMap<u64, NeighborEntry>,
+    /// Every request's runs since the last seal, in arrival order. A
+    /// source that received one has no readable list until
+    /// [`TablePart::seal`] merges its runs into it.
+    pending: Vec<Runs>,
+}
+
+impl TablePart {
+    /// Vertex `v`'s entry, for server-side operators on a table no build
+    /// writes to (residual push walks the streaming table).
+    pub(crate) fn get(&self, v: &u64) -> Option<&NeighborEntry> {
+        self.lists.get(v)
+    }
+
+    /// Vertex `v`'s entry for a reader of `table`, or an error if `v`
+    /// holds runs not yet sealed: a reader never sees half a list.
+    fn read(&self, table: &str, v: u64) -> Result<Option<&NeighborEntry>> {
+        let holds = |runs: &Runs| runs.runs.binary_search_by_key(&v, |&(src, _)| src).is_ok();
+        if self.pending.iter().any(holds) {
+            return Err(PsError::Unsealed { name: table.to_string(), vertex: v });
+        }
+        Ok(self.lists.get(&v))
+    }
+
+    /// Every `(vertex, live list)` in ascending vertex order, or an error
+    /// naming the smallest vertex that holds unsealed runs.
+    fn rows(&self, table: &str) -> Result<Vec<(u64, Vec<u64>)>> {
+        let firsts = self.pending.iter().filter_map(|runs| runs.runs.first());
+        if let Some(vertex) = firsts.map(|&(src, _)| src).min() {
+            return Err(PsError::Unsealed { name: table.to_string(), vertex });
+        }
+        let mut rows: Vec<(u64, Vec<u64>)> =
+            self.lists.iter().map(|(&v, e)| (v, e.live().to_vec())).collect();
+        rows.sort_unstable_by_key(|&(v, _)| v);
+        Ok(rows)
+    }
+
+    /// Each source with pending runs, ascending, and the list a seal
+    /// leaves it: the strictly ascending, duplicate-free union of its live
+    /// neighbours and its runs, built once.
+    fn merged(&self) -> Vec<(u64, Vec<u64>)> {
+        let mut order: Vec<(u64, usize, usize)> = Vec::new();
+        for (r, runs) in self.pending.iter().enumerate() {
+            order.extend(runs.runs.iter().enumerate().map(|(i, (src, _))| (*src, r, i)));
+        }
+        order.sort_unstable();
+        let targets = |&(_, r, i): &(u64, usize, usize)| {
+            let runs = &self.pending[r];
+            &runs.targets[runs.runs[i].1.clone()]
+        };
+        order
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let v = group[0].0;
+                let held = self.lists.get(&v).map(NeighborEntry::live);
+                let held = held.as_deref().map_or(&[][..], Vec::as_slice);
+                let len = held.len() + group.iter().map(|at| targets(at).len()).sum::<usize>();
+                let mut list = Vec::with_capacity(len);
+                list.extend_from_slice(held);
+                for at in group {
+                    list.extend_from_slice(targets(at));
+                }
+                list.sort_unstable();
+                list.dedup();
+                (v, list)
+            })
+            .collect()
+    }
+
+    /// Merge every source's pending runs into its list, each list once
+    /// ([`TablePart::merged`]). Returns `Σ (final_len + 1)` over the lists
+    /// it sealed, which the table's content alone fixes.
+    fn seal(&mut self) -> u64 {
+        let merged = self.merged();
+        self.pending.clear();
+        self.lists.reserve(merged.len());
+        let mut items = 0;
+        for (v, list) in merged {
+            items += list.len() as u64 + 1;
+            self.lists.insert(v, NeighborEntry::new(list));
+        }
+        items
+    }
+}
+
+fn part_bytes(part: &TablePart) -> u64 {
+    let lists = part.lists.values().map(|e| 8 + 24 + e.slot_len() as u64 * 8);
+    let runs = part.pending.iter().flat_map(|runs| &runs.runs);
+    lists.sum::<u64>() + runs.map(|(_, at)| 16 + at.len() as u64 * 8).sum::<u64>() + 48
+}
+
+/// A partition's checkpoint: its live lists, each as a seal would leave
+/// it — tombstones and unsealed runs are transient in-memory state, so a
+/// restore implies a compaction and a seal.
+fn encode_part(part: &TablePart) -> Vec<u8> {
+    let merged = part.merged();
+    let mut rows: Vec<(u64, Arc<Vec<u64>>)> = part
+        .lists
+        .iter()
+        .filter(|(v, _)| merged.binary_search_by_key(*v, |(k, _)| *k).is_err())
+        .map(|(&v, e)| (v, e.live()))
+        .collect();
+    rows.extend(merged.into_iter().map(|(v, list)| (v, Arc::new(list))));
+    rows.sort_unstable_by_key(|(v, _)| *v);
     let mut buf = Vec::new();
-    buf.put_u64_le(map.len() as u64);
-    let mut keys: Vec<u64> = map.keys().copied().collect();
-    keys.sort_unstable();
-    for k in keys {
-        // Checkpoints hold the live list only — tombstones are a
-        // transient in-memory artifact, so restore implies compaction.
-        let v = map[&k].live();
-        buf.put_u64_le(k);
-        buf.put_u64_le(v.len() as u64);
-        for &n in v.iter() {
+    buf.put_u64_le(rows.len() as u64);
+    for (v, list) in rows {
+        buf.put_u64_le(v);
+        buf.put_u64_le(list.len() as u64);
+        for &n in list.iter() {
             buf.put_u64_le(n);
         }
     }
@@ -163,16 +252,16 @@ fn decode_part(bytes: &[u8]) -> Result<TablePart> {
     Reader::decode(bytes, "neighbor-table checkpoint", |r| {
         // Every entry carries at least its 16-byte (vertex, length) header.
         let n = r.count::<u64>(16)?;
-        let mut map = TablePart::default();
-        map.reserve(n);
+        let mut part = TablePart::default();
+        part.lists.reserve(n);
         for _ in 0..n {
             let k = r.get()?;
             let len = r.count::<u64>(8)?;
-            if map.insert(k, NeighborEntry::new(r.vec(len)?)).is_some() {
+            if part.lists.insert(k, NeighborEntry::new(r.vec(len)?)).is_some() {
                 return Err(r.corrupt("vertex listed twice").into());
             }
         }
-        Ok(map)
+        Ok(part)
     })
 }
 
@@ -184,7 +273,7 @@ impl Partition for TablePart {
 
     /// Its vertices belong to the slot, and their neighbours are vertices.
     fn keys_fit(&self, layout: &PartitionLayout, partition: usize) -> bool {
-        self.iter().all(|(&v, e)| {
+        self.lists.iter().all(|(&v, e)| {
             layout.holds(partition, v) && e.slots().iter().all(|&n| n < layout.size)
         })
     }
@@ -213,8 +302,8 @@ fn apply_edge_ops(
     for &pos in positions {
         let (src, dst, add) = ops[pos];
         if add {
-            added += part.entry(src).or_default().add(dst) as usize;
-        } else if let Some(e) = part.get_mut(&src) {
+            added += part.lists.entry(src).or_default().add(dst) as usize;
+        } else if let Some(e) = part.lists.get_mut(&src) {
             removed += e.remove(dst) as usize;
         }
     }
@@ -228,7 +317,8 @@ pub struct NeighborTableHandle {
 }
 
 impl NeighborTableHandle {
-    /// Create an empty table over vertex ids `[0, num_vertices)`.
+    /// Create an empty table over vertex ids `[0, num_vertices)`, one
+    /// partition per server.
     pub fn create(
         ps: &Arc<Ps>,
         name: impl Into<String>,
@@ -236,8 +326,23 @@ impl NeighborTableHandle {
         partitioner: Partitioner,
         recovery: RecoveryMode,
     ) -> Result<Self> {
-        let layout =
-            PartitionLayout::new(partitioner, num_vertices, ps.num_servers(), ps.num_servers());
+        Self::create_partitioned(ps, name, num_vertices, partitioner, ps.num_servers(), recovery)
+    }
+
+    /// Create an empty table over vertex ids `[0, num_vertices)` in
+    /// `partitions` partitions, placed round-robin on the servers. A
+    /// [`Partitioner::Hash`] table of an RDD's partition count holds in
+    /// partition `p` the vertices the RDD's shuffle sends to its
+    /// partition `p`.
+    pub fn create_partitioned(
+        ps: &Arc<Ps>,
+        name: impl Into<String>,
+        num_vertices: u64,
+        partitioner: Partitioner,
+        partitions: usize,
+        recovery: RecoveryMode,
+    ) -> Result<Self> {
+        let layout = PartitionLayout::new(partitioner, num_vertices, partitions, ps.num_servers());
         let obj = PsObject::new(ps, name, layout);
         obj.install(recovery, |_| TablePart::default())?;
         Ok(NeighborTableHandle { obj })
@@ -266,7 +371,7 @@ impl NeighborTableHandle {
                 self.obj.write(server, *p, |part: &mut TablePart| {
                     for &pos in positions {
                         let (v, ns) = &entries[pos];
-                        part.insert(*v, NeighborEntry::new(ns.clone()));
+                        part.lists.insert(*v, NeighborEntry::new(ns.clone()));
                     }
                 })?;
             }
@@ -274,23 +379,22 @@ impl NeighborTableHandle {
         })
     }
 
-    /// Merge directed `(src, dst)` edges into the table: afterwards each
-    /// source's list is the strictly ascending union of the list it held
-    /// and the targets given for it. Every list the table holds must be
-    /// strictly ascending already, as a merge leaves it (or a pushed
-    /// `groupBy` list). The edges may come in any order and repeat. The
-    /// client sorts them by (source, target), drops repeats and sends
-    /// one run of targets per source, one request in all, so
-    /// however several writers' requests interleave on the servers, and
-    /// however often one is sent again, every list ends the same. Sources
-    /// and targets are bounds-checked before anything is written.
+    /// Merge directed `(src, dst)` edges into the table: after the next
+    /// [`seal`](Self::seal) each source's list is the strictly ascending
+    /// union of the list it held and the targets given for it. The edges
+    /// may come in any order and repeat. The client sorts them by
+    /// (source, target), drops repeats and sends one run of targets per
+    /// source, one request in all; a server only keeps the runs that land
+    /// in each of its partitions, walking no list, so however several
+    /// writers' requests interleave on the servers, and however often one
+    /// is sent again, every list ends the same. Sources and targets are bounds-checked
+    /// before anything is written. Until the seal, reading a source that
+    /// received a run is an error. (A streaming update of such a source
+    /// before the seal is merged, and sorted, with the runs.)
     ///
     /// A run of `len` targets is charged as [`push`](Self::push) charges
-    /// a list: `16 + 8·len` request bytes and `len + 1` server items.
-    /// The charge is fixed by the request alone, not by how long the list
-    /// a run lands on already is — that depends on which writer's request
-    /// a server applied first, and a stage's sim time may not — so the
-    /// server's walk over the list a run lands on goes uncharged.
+    /// a list: `16 + 8·len` request bytes and `len + 1` server items. The
+    /// merge itself is the seal's, charged by each list's final length.
     pub fn merge_edges(
         &self,
         client: &NodeClock,
@@ -300,7 +404,7 @@ impl NeighborTableHandle {
         edges.sort_unstable();
         edges.dedup();
         // Per run: its source and the range of its targets in `targets`.
-        let targets: Vec<u64> = edges.iter().map(|&(_, dst)| dst).collect();
+        let targets: Arc<Vec<u64>> = Arc::new(edges.iter().map(|&(_, dst)| dst).collect());
         let (mut runs, mut start): (Vec<(u64, Range<usize>)>, usize) = (Vec::new(), 0);
         for run in edges.chunk_by(|a, b| a.0 == b.0) {
             runs.push((run[0].0, start..start + run.len()));
@@ -308,14 +412,42 @@ impl NeighborTableHandle {
         }
         self.obj.scatter(client, runs.iter().map(|(src, _)| *src).enumerate(), |server, _, parts| {
             for (p, positions) in &parts {
-                self.obj.write(server, *p, |part: &mut TablePart| {
-                    for &pos in positions {
-                        let (src, at) = &runs[pos];
-                        part.entry(*src).or_default().merge(&targets[at.clone()]);
-                    }
-                })?;
+                let mine = Runs {
+                    targets: Arc::clone(&targets),
+                    runs: positions.iter().map(|&pos| runs[pos].clone()).collect(),
+                };
+                self.obj.write(server, *p, |part: &mut TablePart| part.pending.push(mine))?;
             }
             Ok(self.lists_cost(&parts, |pos| runs[pos].1.len()))
+        })
+    }
+
+    /// Merge every list's pending runs into it, each list once (see
+    /// [`merge_edges`](Self::merge_edges)): one request from `client` to
+    /// every server, each server sealing its partitions on the PS pool.
+    /// Server `s`'s leg is charged an 8-byte request and acknowledgement
+    /// and `Σ (final_len + 1)` items over the lists it sealed — a charge
+    /// the table's content fixes, whichever writer's run landed first.
+    /// Sealing again, with no run merged since, changes nothing. Every
+    /// server is checked alive before any partition is sealed.
+    pub fn seal(&self, client: &NodeClock) -> Result<()> {
+        let layout = &self.obj.layout;
+        self.obj.fan_out(client, |fan| {
+            for s in 0..layout.num_servers {
+                self.obj.ps.server(s).ensure_alive()?;
+            }
+            let sealed: Vec<Result<u64>> =
+                self.obj.ps.pool().map((0..layout.num_partitions).collect(), |p| {
+                    self.obj.write(self.obj.server(p), p, TablePart::seal)
+                });
+            let mut items = vec![0u64; layout.num_servers];
+            for (p, sealed) in sealed.into_iter().enumerate() {
+                items[layout.server_of_partition(p)] += sealed?;
+            }
+            for (s, items) in items.into_iter().enumerate() {
+                fan.leg(self.obj.ps.server(s), (8, self.obj.item_ops(items), 8));
+            }
+            Ok(())
         })
     }
 
@@ -444,20 +576,56 @@ impl NeighborTableHandle {
             let mut resp_bytes = 0u64;
             let mut items = 0u64;
             for (p, run) in runs {
-                server.get(&self.obj.name, *p, |part: &TablePart| {
-                    for (slot, id) in distinct[run.clone()].iter_mut().zip(&plan.ids()[run.clone()]) {
-                        if let Some(e) = part.get(id) {
+                server.get(&self.obj.name, *p, |part: &TablePart| -> Result<()> {
+                    let ids = &plan.ids()[run.clone()];
+                    for (slot, &id) in distinct[run.clone()].iter_mut().zip(ids) {
+                        if let Some(e) = part.read(&self.obj.name, id)? {
                             let ns = e.live();
                             resp_bytes += ns.len() as u64 * 8 + 16;
                             items += ns.len() as u64 + 1;
                             *slot = ns;
                         }
                     }
-                })?;
+                    Ok(())
+                })??;
             }
             Ok((n * 8, self.obj.item_ops(items), resp_bytes))
         })?;
         Ok(plan.fan_out(&distinct))
+    }
+
+    /// Every `(vertex, list)` row of partitions `parts`, partition by
+    /// partition in the order given, each partition's rows in ascending
+    /// vertex order. One request; a server's leg is charged `8` request
+    /// bytes per partition it reads, `Σ (len + 1)` items and
+    /// `Σ (16 + 8·len)` response bytes over the lists it sends. A
+    /// partition holding unsealed runs is an error, not a partial read.
+    pub fn pull_partitions(
+        &self,
+        client: &NodeClock,
+        parts: &[usize],
+    ) -> Result<Vec<(u64, Vec<u64>)>> {
+        let layout = &self.obj.layout;
+        self.obj.check_below(layout.num_partitions as u64, parts.iter().map(|&p| p as u64))?;
+        let mut by_server: Vec<ServerGroup> = vec![Vec::new(); layout.num_servers];
+        for (pos, &p) in parts.iter().enumerate() {
+            by_server[layout.server_of_partition(p)].push((p, vec![pos]));
+        }
+        let groups = by_server.into_iter().enumerate().filter(|(_, group)| !group.is_empty());
+        let mut out = vec![Vec::new(); parts.len()];
+        self.obj.scatter_groups(client, groups.collect(), |server, n, group| {
+            let (mut items, mut resp_bytes) = (0, 0);
+            for (p, positions) in group {
+                let rows =
+                    server.get(&self.obj.name, p, |part: &TablePart| part.rows(&self.obj.name))??;
+                let lens = || rows.iter().map(|(_, ns)| ns.len() as u64);
+                items += lens().map(|len| len + 1).sum::<u64>();
+                resp_bytes += lens().map(|len| 16 + 8 * len).sum::<u64>();
+                out[positions[0]] = rows;
+            }
+            Ok((8 * n, self.obj.item_ops(items), resp_bytes))
+        })?;
+        Ok(out.concat())
     }
 
     /// Out-degrees of `ids` (server-side; only counts cross the wire).
@@ -466,11 +634,13 @@ impl NeighborTableHandle {
         let mut out = vec![0u64; ids.len()];
         self.obj.scatter(client, ids.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
-                server.get(&self.obj.name, p, |part: &TablePart| {
+                server.get(&self.obj.name, p, |part: &TablePart| -> Result<()> {
                     for &pos in &positions {
-                        out[pos] = part.get(&ids[pos]).map_or(0, |e| e.live_len() as u64);
+                        let entry = part.read(&self.obj.name, ids[pos])?;
+                        out[pos] = entry.map_or(0, |e| e.live_len() as u64);
                     }
-                })?;
+                    Ok(())
+                })??;
             }
             Ok((n * 8, self.obj.item_ops(n), n * 8))
         })?;
@@ -491,10 +661,10 @@ impl NeighborTableHandle {
         let mut out: Vec<Vec<u64>> = vec![Vec::new(); ids.len()];
         self.obj.scatter(client, ids.iter().copied().enumerate(), |server, n, parts| {
             for (p, positions) in parts {
-                server.get(&self.obj.name, p, |part: &TablePart| {
+                server.get(&self.obj.name, p, |part: &TablePart| -> Result<()> {
                     for &pos in &positions {
                         let v = ids[pos];
-                        if let Some(e) = part.get(&v) {
+                        if let Some(e) = part.read(&self.obj.name, v)? {
                             let ns = e.live();
                             let mut rng = SplitMix64::new(seed ^ v.wrapping_mul(0x9E37_79B9));
                             if ns.len() <= k {
@@ -510,7 +680,8 @@ impl NeighborTableHandle {
                             }
                         }
                     }
-                })?;
+                    Ok(())
+                })??;
             }
             let sampled = n * k as u64;
             Ok((n * 8, self.obj.item_ops(sampled), sampled * 8))
@@ -528,9 +699,10 @@ impl NeighborTableHandle {
         Ok(total)
     }
 
-    /// Number of vertices with entries (diagnostics).
+    /// Number of vertices with lists (diagnostics; a vertex whose only
+    /// runs are unsealed has none yet).
     pub fn len(&self) -> Result<usize> {
-        self.sum_parts(TablePart::len)
+        self.sum_parts(|part| part.lists.len())
     }
 
     pub fn is_empty(&self) -> Result<bool> {
@@ -540,7 +712,7 @@ impl NeighborTableHandle {
     /// Total tombstoned slots across all entries (diagnostics: memory
     /// awaiting compaction).
     pub fn tombstones(&self) -> Result<usize> {
-        self.sum_parts(|part| part.values().map(|e| e.dead).sum())
+        self.sum_parts(|part| part.lists.values().map(|e| e.dead).sum())
     }
 
     /// Per-partition write versions (delta export diffs against these).
@@ -557,13 +729,21 @@ impl NeighborTableHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::PsError;
     use crate::ps::PsConfig;
     use psgraph_dfs::Dfs;
     use psgraph_harness::prop_assert_eq;
+    use psgraph_sim::SimTime;
 
     fn ps() -> Arc<Ps> {
         Ps::new(PsConfig { servers: 3, ..Default::default() })
+    }
+
+    /// A partition holding `lists` and no pending runs (the checkpoint
+    /// and recovery tests here and in `object::tests` build them).
+    impl FromIterator<(u64, NeighborEntry)> for TablePart {
+        fn from_iter<I: IntoIterator<Item = (u64, NeighborEntry)>>(lists: I) -> Self {
+            TablePart { lists: lists.into_iter().collect(), pending: Vec::new() }
+        }
     }
 
     fn table(ps: &Arc<Ps>) -> NeighborTableHandle {
@@ -648,6 +828,7 @@ mod tests {
             for &w in order {
                 t.merge_edges(&c, writers[w].clone()).unwrap();
             }
+            t.seal(&c).unwrap();
             let ids: Vec<u64> = want.iter().map(|(v, _)| *v).collect();
             let got: Vec<Vec<u64>> = t.pull(&c, &ids).unwrap().iter().map(|l| l.to_vec()).collect();
             let lists: Vec<Vec<u64>> = want.iter().map(|(_, l)| l.clone()).collect();
@@ -657,33 +838,127 @@ mod tests {
     }
 
     #[test]
-    fn a_merged_entry_is_the_ascending_union_of_its_live_list_and_the_run() {
+    fn a_sealed_list_is_the_ascending_union_of_its_live_list_and_its_runs() {
         use psgraph_harness::prop::{check, Source};
         use std::collections::BTreeSet;
         let gen = |src: &mut Source| {
-            // A strictly ascending held list, some of it removed, and a
-            // strictly ascending run.
+            // A held list in any order, some of it removed, and up to
+            // four strictly ascending runs.
             let held: BTreeSet<u64> = src.vec_with(0, 24, |s| s.u64_range(0, 40)).into_iter().collect();
+            let mut held: Vec<u64> = held.into_iter().collect();
+            if src.bool() {
+                held.reverse();
+            }
             let removed = src.vec_with(0, 8, |s| s.u64_range(0, 40));
-            let run: BTreeSet<u64> = src.vec_with(0, 24, |s| s.u64_range(0, 40)).into_iter().collect();
-            let ascending = |set: BTreeSet<u64>| set.into_iter().collect::<Vec<u64>>();
-            (ascending(held), removed, ascending(run))
+            let runs = src.vec_with(0, 4, |s| {
+                let run: BTreeSet<u64> = s.vec_with(0, 12, |s| s.u64_range(0, 40)).into_iter().collect();
+                run.into_iter().collect::<Vec<u64>>()
+            });
+            (held, removed, runs)
         };
-        check("merge_is_the_union", gen, |(held, removed, run)| {
+        check("seal_is_the_union", gen, |(held, removed, runs)| {
             let mut entry = NeighborEntry::new(held.clone());
             for &x in removed {
                 entry.remove(x);
             }
             let mut want: BTreeSet<u64> = entry.live().iter().copied().collect();
-            want.extend(run);
-            entry.merge(run);
-            prop_assert_eq!(entry.live().to_vec(), want.into_iter().collect::<Vec<_>>());
-            prop_assert_eq!(entry.slot_len(), entry.live_len());
-            let once = entry.live();
-            entry.merge(run);
-            prop_assert_eq!(entry.live(), once);
+            let mut part: TablePart = [(3, entry)].into_iter().collect();
+            for run in runs {
+                want.extend(run);
+                let targets = Arc::new(run.clone());
+                part.pending.push(Runs { targets, runs: vec![(3, 0..run.len())] });
+            }
+            let want: Vec<u64> = want.into_iter().collect();
+            let items = if runs.is_empty() { 0 } else { want.len() as u64 + 1 };
+            prop_assert_eq!(part.seal(), items, "Σ (final_len + 1) over the sealed lists");
+            let sealed = part.read("t", 3).unwrap().unwrap().clone();
+            if !runs.is_empty() {
+                prop_assert_eq!(sealed.live().to_vec(), want);
+                prop_assert_eq!(sealed.slot_len(), sealed.live_len());
+            }
+            prop_assert_eq!(part.seal(), 0, "a second seal seals nothing");
+            prop_assert_eq!(part.read("t", 3).unwrap().unwrap().live(), sealed.live());
             Ok(())
         });
+    }
+
+    #[test]
+    fn reading_a_list_before_the_seal_is_an_error() {
+        let ps = ps();
+        let c = NodeClock::new();
+        let t = table(&ps);
+        t.push(&c, &[(1, vec![2])]).unwrap();
+        t.merge_edges(&c, vec![(5, 6), (5, 7)]).unwrap();
+        let unsealed = |e: PsError| matches!(e, PsError::Unsealed { vertex: 5, .. });
+        assert!(unsealed(t.pull(&c, &[1, 5]).unwrap_err()));
+        assert!(unsealed(t.degrees(&c, &[5]).unwrap_err()));
+        assert!(unsealed(t.sample_neighbors(&c, &[5], 1, 0).unwrap_err()));
+        let p = t.layout().partition_of(5);
+        assert!(unsealed(t.pull_partitions(&c, &[p]).unwrap_err()));
+        assert_eq!(*t.pull(&c, &[1]).unwrap()[0], vec![2], "a list with no runs reads");
+        assert_eq!(t.len().unwrap(), 1, "an unsealed source has no list yet");
+        t.seal(&c).unwrap();
+        assert_eq!(*t.pull(&c, &[5]).unwrap()[0], vec![6, 7]);
+        let rows = t.pull_partitions(&c, &[p]).unwrap();
+        assert_eq!(rows.iter().find(|(v, _)| *v == 5).unwrap().1, vec![6, 7]);
+    }
+
+    #[test]
+    fn a_second_seal_changes_nothing() {
+        let ps = ps();
+        let c = NodeClock::new();
+        let t = table(&ps);
+        t.merge_edges(&c, vec![(5, 6), (1, 7), (5, 2), (99, 0)]).unwrap();
+        t.seal(&c).unwrap();
+        let parts: Vec<usize> = (0..t.layout().num_partitions).collect();
+        let (lists, bytes) = (t.pull_partitions(&c, &parts).unwrap(), t.resident_bytes().unwrap());
+        t.seal(&c).unwrap();
+        assert_eq!(t.pull_partitions(&c, &parts).unwrap(), lists);
+        assert_eq!(t.resident_bytes().unwrap(), bytes);
+    }
+
+    #[test]
+    fn a_second_build_merges_into_lists_already_held() {
+        let ps = ps();
+        let c = NodeClock::new();
+        let t = table(&ps);
+        t.merge_edges(&c, vec![(1, 9), (1, 3), (4, 5)]).unwrap();
+        t.seal(&c).unwrap();
+        // A held list loses an entry before the second build.
+        t.remove_edges(&c, &[(1, 9)]).unwrap();
+        t.merge_edges(&c, vec![(1, 4), (1, 3), (2, 8)]).unwrap();
+        t.merge_edges(&c, vec![(1, 0)]).unwrap();
+        t.seal(&c).unwrap();
+        let got = t.pull(&c, &[1, 2, 4]).unwrap();
+        assert_eq!(got.iter().map(|l| l.to_vec()).collect::<Vec<_>>(), [vec![0, 3, 4], vec![8], vec![5]]);
+        assert_eq!(t.tombstones().unwrap(), 0, "a seal compacts the lists it merges");
+    }
+
+    #[test]
+    fn pull_partitions_reads_whole_partitions_in_vertex_order_and_charges_their_lists() {
+        let ps = ps();
+        let c = NodeClock::new();
+        let t = NeighborTableHandle::create_partitioned(
+            &ps, "adj", 100, Partitioner::Hash, 7, RecoveryMode::Inconsistent,
+        )
+        .unwrap();
+        let lists: Vec<(u64, Vec<u64>)> = (0..40u64).map(|v| (v, (0..v % 5).collect())).collect();
+        t.push(&c, &lists).unwrap();
+        let parts = [5, 0, 3];
+        let before = (ps.network().stats().rpcs(), ps.network().stats().bytes_sent());
+        let received = ps.network().stats().bytes_received();
+        let got = t.pull_partitions(&c, &parts).unwrap();
+        let layout = t.layout();
+        let of = |p| lists.iter().filter(move |(v, _)| layout.partition_of(*v) == p).cloned();
+        let want: Vec<(u64, Vec<u64>)> = parts.iter().flat_map(|&p| of(p)).collect();
+        assert_eq!(got, want, "partitions in the order given, each ascending");
+        // Partitions 0 and 3 share server 0 of 3; 5 is on server 2.
+        let stats = ps.network().stats();
+        assert_eq!(stats.rpcs() - before.0, 2);
+        assert_eq!(stats.bytes_sent() - before.1, 8 * 3);
+        let resp: u64 = got.iter().map(|(_, ns)| 16 + 8 * ns.len() as u64).sum();
+        assert_eq!(stats.bytes_received() - received, resp);
+        assert!(t.pull_partitions(&c, &[7]).is_err(), "a partition past the layout");
     }
 
     #[test]
@@ -697,21 +972,45 @@ mod tests {
         for run in sorted.chunk_by(|a, b| a.0 == b.0) {
             lists.push((run[0].0, run.iter().map(|&(_, d)| d).collect()));
         }
+        // Each side writes, then seals. Sealing pushed lists seals
+        // nothing, so the merge pays the seal's charge on top of what the
+        // push pays: server `s` is busy `cpu(item_ops(Σ (len + 1)))`
+        // longer over the lists it holds, and the client waits for the
+        // slowest server.
         let cost = |write: &dyn Fn(&NeighborTableHandle, &NodeClock)| {
             let ps = ps();
             let c = NodeClock::new();
             let t = table(&ps);
             write(&t, &c);
+            t.seal(&c).unwrap();
             let stats = ps.network().stats();
-            let ports: Vec<u64> =
-                (0..ps.num_servers()).map(|s| ps.server(s).port().clock().now().as_nanos()).collect();
+            let ports: Vec<SimTime> =
+                (0..ps.num_servers()).map(|s| ps.server(s).port().clock().now()).collect();
             let pulled = t.pull(&c, &(0..100).collect::<Vec<_>>()).unwrap();
             (stats.rpcs(), stats.bytes_sent(), stats.bytes_received(), c.now(), ports, pulled)
         };
-        assert_eq!(
-            cost(&|t, c| t.merge_edges(c, edges.clone()).unwrap()),
-            cost(&|t, c| t.push(c, &lists).unwrap())
-        );
+        let merged = cost(&|t, c| t.merge_edges(c, edges.clone()).unwrap());
+        let pushed = cost(&|t, c| t.push(c, &lists).unwrap());
+        let ps = ps();
+        let layout = table(&ps).layout().clone();
+        let seal: Vec<SimTime> = (0..ps.num_servers())
+            .map(|s| {
+                let on_s = lists.iter().filter(|(v, _)| layout.server_of(*v) == s);
+                let items: u64 = on_s.map(|(_, l)| l.len() as u64 + 1).sum();
+                ps.cost().cpu_cost(items * ps.config().ops_per_item)
+            })
+            .collect();
+        assert!(seal.iter().all(|&t| t > SimTime::ZERO));
+        let (seal_wait, mut ports) = (seal.iter().copied().max().unwrap(), pushed.4.clone());
+        for (port, seal) in ports.iter_mut().zip(&seal) {
+            *port += *seal;
+        }
+        assert_eq!((merged.0, merged.1, merged.2), (pushed.0, pushed.1, pushed.2));
+        assert_eq!(merged.4, ports);
+        assert_eq!(merged.5, pushed.5);
+        // The pull that follows departs `seal_wait` later on the merge's
+        // side and queues nowhere, so its end moves by the same amount.
+        assert_eq!(merged.3, pushed.3 + seal_wait);
     }
 
     #[test]
@@ -896,8 +1195,7 @@ mod tests {
     // once in `object::tests`; these two are the table's own rules.
     #[test]
     fn decode_part_rejects_a_repeated_vertex_and_trailing_bytes() {
-        let mut part = TablePart::default();
-        part.insert(3, NeighborEntry::new(vec![1, 2]));
+        let part: TablePart = [(3, NeighborEntry::new(vec![1, 2]))].into_iter().collect();
         let good = encode_part(&part);
         assert!(decode_part(&good).is_ok());
 
@@ -914,13 +1212,17 @@ mod tests {
 
     #[test]
     fn encode_decode_part_roundtrip() {
-        let mut part = TablePart::default();
-        part.insert(3, NeighborEntry::new(vec![1, 2]));
-        part.insert(9, NeighborEntry::new(vec![]));
+        let lists = [(3, NeighborEntry::new(vec![1, 2])), (9, NeighborEntry::new(vec![]))];
+        let mut part: TablePart = lists.into_iter().collect();
+        // Unsealed runs are checkpointed as the seal would leave them.
+        let targets = Arc::new(vec![0, 2, 5, 7]);
+        part.pending.push(Runs { targets, runs: vec![(3, 0..3), (4, 3..4)] });
         let decoded = decode_part(&encode_part(&part)).unwrap();
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(*decoded[&3].live(), vec![1, 2]);
-        assert_eq!(decoded[&9].live_len(), 0);
+        assert_eq!(decoded.lists.len(), 3);
+        assert!(decoded.pending.is_empty());
+        assert_eq!(*decoded.lists[&3].live(), vec![0, 1, 2, 5]);
+        assert_eq!(*decoded.lists[&4].live(), vec![7]);
+        assert_eq!(decoded.lists[&9].live_len(), 0);
         assert!(decode_part(&[1, 2]).is_err());
     }
 }

@@ -1,12 +1,15 @@
 //! Partitioning strategies for PS data (paper §III-A: "We implement hash
-//! partition, range partition, and hash-range partition").
+//! partition, range partition, and hash-range partition"; no job here
+//! uses the hybrid, so only the first two exist).
 //!
 //! A [`PartitionLayout`] maps a key space `[0, size)` (vertex indices, row
 //! indices, or column indices) to `num_partitions` partitions, and each
 //! partition to a server (round-robin). Range partitioning keeps contiguous
 //! blocks together (cheap dense storage, range pulls); hash partitioning
-//! spreads skewed access; hash-range buckets by hash first and then splits
-//! each bucket by range (the hybrid-range strategy the paper cites).
+//! spreads skewed access, and places a key in the partition the dataflow
+//! shuffle (`psgraph_dataflow::shuffle::key_partition`, the same FxHash)
+//! sends it to, so a table with as many partitions as an RDD is
+//! co-partitioned with it.
 
 use psgraph_sim::hash::hash_u64;
 
@@ -17,8 +20,6 @@ pub enum Partitioner {
     Hash,
     /// Contiguous ranges of keys per partition.
     Range,
-    /// Hash into `buckets` groups, range-split within each group.
-    HashRange { buckets: usize },
 }
 
 /// A concrete layout: strategy + key-space size + partition count +
@@ -40,13 +41,6 @@ impl PartitionLayout {
     ) -> Self {
         assert!(num_partitions > 0, "need at least one partition");
         assert!(num_servers > 0, "need at least one server");
-        if let Partitioner::HashRange { buckets } = partitioner {
-            assert!(buckets > 0, "hash-range needs at least one bucket");
-            assert!(
-                num_partitions.is_multiple_of(buckets),
-                "hash-range partitions ({num_partitions}) must be a multiple of buckets ({buckets})"
-            );
-        }
         PartitionLayout { partitioner, size, num_partitions, num_servers }
     }
 
@@ -74,14 +68,6 @@ impl PartitionLayout {
             Partitioner::Range => {
                 let block = self.range_block(n);
                 ((key / block).min(n - 1)) as usize
-            }
-            Partitioner::HashRange { buckets } => {
-                let buckets = buckets as u64;
-                let per_bucket = n / buckets;
-                let bucket = hash_u64(key) % buckets;
-                let block = self.range_block(per_bucket);
-                let within = (key / block).min(per_bucket - 1);
-                (bucket * per_bucket + within) as usize
             }
         }
     }
@@ -113,13 +99,8 @@ impl PartitionLayout {
                 let end = if p == n - 1 { self.size } else { ((p + 1) * block).min(self.size) };
                 Some((start, end))
             }
-            _ => None,
+            Partitioner::Hash => None,
         }
-    }
-
-    /// Whether partitions are contiguous ranges (dense storage possible).
-    pub fn is_range(&self) -> bool {
-        matches!(self.partitioner, Partitioner::Range)
     }
 
     /// Partitions hosted by `server`.
@@ -186,25 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_range_covers_and_respects_buckets() {
-        let l = PartitionLayout::new(Partitioner::HashRange { buckets: 2 }, 1000, 8, 4);
-        covers_all(&l);
-        // Keys in the same hash bucket and close in index share partitions;
-        // coverage of all 8 partitions should still happen.
-        let mut used = std::collections::HashSet::new();
-        for k in 0..1000 {
-            used.insert(l.partition_of(k));
-        }
-        assert!(used.len() >= 6, "only {} partitions used", used.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of buckets")]
-    fn hash_range_validates_divisibility() {
-        PartitionLayout::new(Partitioner::HashRange { buckets: 3 }, 10, 8, 2);
-    }
-
-    #[test]
     fn server_round_robin() {
         let l = PartitionLayout::new(Partitioner::Range, 100, 6, 3);
         assert_eq!(l.server_of_partition(0), 0);
@@ -217,8 +179,6 @@ mod tests {
     fn range_of_none_for_hash() {
         let l = PartitionLayout::hash(100, 4);
         assert_eq!(l.range_of(0), None);
-        assert!(!l.is_range());
-        assert!(PartitionLayout::range(100, 4).is_range());
     }
 
     #[test]

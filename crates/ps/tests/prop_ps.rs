@@ -8,18 +8,12 @@ use psgraph_ps::{
 };
 use psgraph_sim::{NodeClock, SimTime};
 
-/// Any partitioner valid for `parts` partitions: `HashRange` requires the
-/// partition count to be a multiple of its bucket count, so buckets are
-/// drawn from the divisors of `parts`.
-fn arb_partitioner(src: &mut Source, parts: usize) -> Partitioner {
-    match src.choice(3) {
-        0 => Partitioner::Hash,
-        1 => Partitioner::Range,
-        _ => {
-            let divisors: Vec<usize> = (1..=parts).filter(|d| parts % d == 0).collect();
-            let buckets = divisors[src.choice(divisors.len() as u64) as usize];
-            Partitioner::HashRange { buckets }
-        }
+/// Either partitioner.
+fn arb_partitioner(src: &mut Source) -> Partitioner {
+    if src.bool() {
+        Partitioner::Hash
+    } else {
+        Partitioner::Range
     }
 }
 
@@ -31,7 +25,7 @@ fn partition_layout_is_total_and_stable() {
             let size = src.u64_range(1, 10_000);
             let parts = src.usize_range(1, 16);
             let servers = src.usize_range(1, 8);
-            let partitioner = arb_partitioner(src, parts);
+            let partitioner = arb_partitioner(src);
             (size, parts, servers, partitioner)
         },
         |&(size, parts, servers, partitioner)| {
@@ -57,7 +51,7 @@ fn vector_push_set_overwrites_push_add_accumulates() {
             let ops = src.vec_with(0, 40, |s| {
                 (s.u64_range(0, size), s.i64_range(-50, 50), s.bool())
             });
-            (size, ops, arb_partitioner(src, 3)) // Ps below runs 3 servers → 3 partitions
+            (size, ops, arb_partitioner(src))
         },
         |(size, ops, partitioner)| {
             let ps = Ps::new(PsConfig { servers: 3, ..Default::default() });
@@ -94,7 +88,7 @@ fn sparse_pull_matches_dense_pull_under_any_partitioner() {
             let size = src.u64_range(1, 200);
             let vals = src.vec_with(1, 50, |s| s.i64_range(-1000, 1000));
             let queries = src.vec_with(0, 60, |s| s.u64_range(0, size));
-            (size, vals, queries, arb_partitioner(src, 2)) // Ps below runs 2 servers → 2 partitions
+            (size, vals, queries, arb_partitioner(src))
         },
         |(size, vals, queries, partitioner)| {
             let ps = Ps::new(PsConfig { servers: 2, ..Default::default() });
@@ -285,7 +279,7 @@ fn neighbor_pull_ships_each_distinct_id_once() {
             // A small id range makes repeats the common case, as around a hub.
             let hot = src.u64_range(1, size + 1);
             let ids = src.vec_with(0, 80, |s| s.u64_range(0, hot));
-            (size, table, ids, arb_partitioner(src, 3))
+            (size, table, ids, arb_partitioner(src))
         },
         |(size, table, ids, partitioner)| {
             let mut distinct: Vec<u64> = Vec::new();
@@ -368,7 +362,7 @@ fn update_edges_and_its_sharded_form_apply_the_same_ops() {
                 let at = src.usize_range(0, ops.len() + 1);
                 ops.insert(at, (hot, dst, add));
             }
-            (size, base, ops, arb_partitioner(src, 3))
+            (size, base, ops, arb_partitioner(src))
         },
         |(size, base, ops, partitioner)| {
             let plain = table_after(base, *size, *partitioner, |adj, clock| {

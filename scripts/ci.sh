@@ -87,11 +87,16 @@ cargo test -q --offline -p psgraph-serve -p psgraph-stream
 # And the snapshot file's region codec: the lengths and counts it reads
 # and the per-partition ranges the writer pulls.
 cargo test -q --offline -p psgraph-ps --lib -- snapshot
-# And the neighbor table's merge, which Common Neighbor and Triangle Count
-# build their adjacency with: the runs the client cuts from its sorted
-# edges, the request bytes and items it charges per run (`u64` sums), and
-# the union each server writes.
+# And the neighbor table's build, which Common Neighbor, Triangle Count,
+# K-Core, CC and LPA make their adjacency with: the runs the client cuts
+# from its sorted edges, the request bytes and items it charges per run
+# (`u64` sums), the seal's per-server item sums, and the whole-partition
+# read's per-list response bytes.
 cargo test -q --offline -p psgraph-ps --lib -- neighbor
+# And the neighbourhood program on that table: the co-partitioned read
+# back onto the executors (one request per partition) and the per-step
+# `[v, N(v)…]` cursor arithmetic over the rows it returns.
+cargo test -q --offline -p psgraph-core --lib -- superstep kcore connected_components label_propagation
 # And Common Neighbor / Triangle Count's round grouping: `2 * slot`
 # indexing and the counts written back by slot; and their pair stream's
 # last-use bookkeeping, `usize` round arithmetic (`i / batch`, the last

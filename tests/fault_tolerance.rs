@@ -4,7 +4,8 @@
 //! the failure-free run.
 
 use psgraph::core::algos::{
-    CommonNeighbor, FastUnfolding, KCore, LabelPropagation, PageRank, TriangleCount,
+    CommonNeighbor, ConnectedComponents, FastUnfolding, KCore, LabelPropagation, PageRank,
+    TriangleCount,
 };
 use psgraph::core::runner::distribute_edges;
 use psgraph::core::{PsGraphConfig, PsGraphContext};
@@ -199,6 +200,54 @@ fn unrecoverable_when_checkpoint_missing() {
         err.to_string().contains("checkpoint"),
         "expected a no-checkpoint error, got: {err}"
     );
+}
+
+#[test]
+fn an_executor_killed_right_after_the_build_reads_its_adjacency_back_from_the_ps() {
+    // K-Core and CC build their adjacency on the servers and read it back
+    // whole; an executor killed at superstep 0 or 1 — right after the
+    // build — gets its partitions back by reading the servers again, not
+    // through a shuffle (`spark_bytes` stays 0).
+    let g = gen::rmat(120, 900, Default::default(), 241).dedup();
+    let n = g.num_vertices();
+    for (step, executor) in [(0, 1), (1, 3)] {
+        let deploy = || {
+            let ctx = PsGraphContext::local();
+            let edges = distribute_edges(&ctx, &g, 12).unwrap();
+            let chaos = FaultSchedule::scripted([(FaultSite::ExecutorCrash, step, executor)]);
+            ctx.attach_chaos(chaos.clone());
+            (ctx, edges, chaos)
+        };
+        let (ctx, edges, chaos) = deploy();
+        let out = KCore::default().run(&ctx, &edges, n).unwrap();
+        assert_eq!(chaos.stats().crashes, 1, "K-Core, kill at superstep {step}");
+        assert_eq!(ctx.cluster().executor(executor as usize).incarnation(), 1);
+        assert_eq!(out.coreness, metrics::kcore_exact(&g), "K-Core, kill at superstep {step}");
+        assert_eq!(out.stats.spark_net_bytes, 0);
+
+        let (ctx, edges, chaos) = deploy();
+        let out = ConnectedComponents::default().run(&ctx, &edges, n).unwrap();
+        assert_eq!(chaos.stats().crashes, 1, "CC, kill at superstep {step}");
+        assert_eq!(out.labels, metrics::connected_components(&g), "CC, kill at superstep {step}");
+        assert_eq!(out.stats.spark_net_bytes, 0);
+    }
+}
+
+#[test]
+fn a_ps_kill_during_kcore_is_no_checkpoint_and_releases_its_objects() {
+    // K-Core checkpoints neither its adjacency nor its values: a server
+    // lost mid-run cannot be restored, the job says so, and it leaves no
+    // object behind on the servers.
+    let g = gen::rmat(60, 300, Default::default(), 233).dedup();
+    let ctx = PsGraphContext::local();
+    let edges = distribute_edges(&ctx, &g, 8).unwrap();
+    let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 1, 0)]);
+    ctx.attach_chaos(chaos.clone());
+    let err = KCore::default().run(&ctx, &edges, g.num_vertices()).unwrap_err();
+    assert_eq!(chaos.stats().crashes, 1);
+    assert!(err.to_string().contains("no checkpoint"), "expected no checkpoint, got: {err}");
+    assert!(!ctx.ps().is_registered("kcore.adj"));
+    assert!(!ctx.ps().is_registered("kcore.core"));
 }
 
 #[test]

@@ -14,7 +14,7 @@ use psgraph::core::algos::{
     CommonNeighbor, ConnectedComponents, GraphSage, GraphSageConfig, KCore, Line, LineConfig,
     PageRank, TriangleCount,
 };
-use psgraph::core::runner::distribute_edges;
+use psgraph::core::runner::{self, distribute_edges};
 use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::dataflow::{Cluster, ClusterConfig, Rdd};
 use psgraph::graph::gen;
@@ -199,7 +199,9 @@ fn kcore_cc_and_common_neighbor_identical_across_pools_and_schedules() {
 /// read what the same stage writes on the PS, and which of a stage's pushes
 /// a read sees still follows the host's schedule — K-Core's and CC's
 /// superstep counts, and with them their RPCs and clocks, can differ on a
-/// larger pool.
+/// larger pool. What those three do before their first superstep is in:
+/// building the undirected table on the servers (whose seal is charged by
+/// the table's content) and reading it back onto the executors.
 fn sim_elapsed(pool: Pool) -> Vec<(&'static str, u64)> {
     let pool = Arc::new(pool);
     let ctx = || PsGraphContext::new(PsGraphConfig::default().with_pool(Arc::clone(&pool)));
@@ -235,6 +237,14 @@ fn sim_elapsed(pool: Pool) -> Vec<(&'static str, u64)> {
         let job = Line::new(LineConfig { epochs: 1, ..Default::default() });
         job.run(&ctx, &edges, n).unwrap().stats
     };
+    let neighbor_tables = {
+        let ctx = ctx();
+        let edges = distribute_edges(&ctx, &g, 12).unwrap();
+        let start = ctx.now();
+        let adj = runner::undirected_table_on_ps(&ctx, &edges, "adj", n).unwrap();
+        runner::pull_neighbor_tables(&ctx, &adj).unwrap();
+        ctx.now().saturating_sub(start).as_nanos()
+    };
     vec![
         ("PageRank", pagerank.elapsed.as_nanos()),
         ("Common Neighbor", common_neighbor.elapsed.as_nanos()),
@@ -243,6 +253,7 @@ fn sim_elapsed(pool: Pool) -> Vec<(&'static str, u64)> {
         ("Triangle Count PS bytes", triangle_count.ps_net_bytes),
         ("GraphSage", graphsage.elapsed.as_nanos()),
         ("LINE", line.elapsed.as_nanos()),
+        ("undirected table built on the PS and read back", neighbor_tables),
     ]
 }
 

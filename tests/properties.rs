@@ -146,15 +146,11 @@ fn partition_layout_covers_all_keys() {
                 src.u64_range(1, 5_000),
                 src.usize_range(1, 12),
                 src.usize_range(1, 6),
-                src.usize_range(0, 3),
+                src.bool(),
             )
         },
-        |&(size, parts, servers, which)| {
-            let partitioner = match which {
-                0 => Partitioner::Hash,
-                1 => Partitioner::Range,
-                _ => Partitioner::HashRange { buckets: 1 },
-            };
+        |&(size, parts, servers, hash)| {
+            let partitioner = if hash { Partitioner::Hash } else { Partitioner::Range };
             let layout = PartitionLayout::new(partitioner, size, parts, servers);
             for k in (0..size).step_by(1 + size as usize / 257) {
                 let p = layout.partition_of(k);
