@@ -22,12 +22,14 @@
 //!
 //! Entries are **mutable**: `update_edges` applies ordered add/remove
 //! operations so a streaming ingestor (`psgraph-stream`) can evolve the
-//! graph online. Removal is tombstone-based — the slot is overwritten
-//! with a sentinel rather than shifting the list, and an entry compacts
-//! once half its slots are dead. Because adds always append and
-//! compaction preserves slot order, the *live* neighbor list is always
-//! exactly "insertion order minus removed elements", independent of when
-//! compaction runs.
+//! graph online, and reports what they did — which ops took effect, and
+//! each touched source's live list before and after — so the writer
+//! learns a batch's effects from the write itself. Removal is
+//! tombstone-based — the slot is overwritten with a sentinel rather than
+//! shifting the list, and an entry compacts once half its slots are
+//! dead. Because adds always append and compaction preserves slot
+//! order, the *live* neighbor list is always exactly "insertion order
+//! minus removed elements", independent of when compaction runs.
 //!
 //! Requests are routed by `PsObject`; each keyed operation below is its
 //! cost formula plus what it does to one partition.
@@ -291,23 +293,69 @@ impl Partition for TablePart {
     }
 }
 
+/// What one lane's update did to one of its partitions.
+struct Applied {
+    /// Whether each op took effect, aligned with the op positions.
+    took_effect: Vec<bool>,
+    /// Each source the ops name, ascending: its live list before and after.
+    lists: Vec<(u64, Vec<u64>, Vec<u64>)>,
+    /// `Σ (len + 1)` items and `Σ (16 + 8·len)` bytes over the sources
+    /// that held a list before the ops: what reading them costs.
+    read: (u64, u64),
+}
+
 /// Apply the ordered edge operations `ops[pos]`, `pos` in `positions`, to
-/// one partition; returns how many adds and removes took effect.
+/// one partition of `table`, reading each source's live list before and
+/// after. A source holding unsealed runs is refused before anything is
+/// written, as a read of it is.
 fn apply_edge_ops(
     part: &mut TablePart,
+    table: &str,
     ops: &[(u64, u64, bool)],
     positions: &[usize],
-) -> (usize, usize) {
-    let (mut added, mut removed) = (0, 0);
-    for &pos in positions {
-        let (src, dst, add) = ops[pos];
-        if add {
-            added += part.lists.entry(src).or_default().add(dst) as usize;
-        } else if let Some(e) = part.lists.get_mut(&src) {
-            removed += e.remove(dst) as usize;
-        }
+) -> Result<Applied> {
+    let mut srcs: Vec<u64> = positions.iter().map(|&pos| ops[pos].0).collect();
+    srcs.sort_unstable();
+    srcs.dedup();
+    let mut read = (0, 0);
+    let mut before = Vec::with_capacity(srcs.len());
+    for &src in &srcs {
+        let live = part.read(table, src)?.map_or_else(Vec::new, |e| {
+            let live = e.live().to_vec();
+            read.0 += live.len() as u64 + 1;
+            read.1 += 16 + 8 * live.len() as u64;
+            live
+        });
+        before.push(live);
     }
-    (added, removed)
+    let took_effect = positions
+        .iter()
+        .map(|&pos| match ops[pos] {
+            (src, dst, true) => part.lists.entry(src).or_default().add(dst),
+            (src, dst, false) => part.lists.get_mut(&src).is_some_and(|e| e.remove(dst)),
+        })
+        .collect();
+    let lists = srcs
+        .into_iter()
+        .zip(before)
+        .map(|(src, before)| {
+            let after = part.lists.get(&src).map_or_else(Vec::new, |e| e.live().to_vec());
+            (src, before, after)
+        })
+        .collect();
+    Ok(Applied { took_effect, lists, read })
+}
+
+/// What one lane of [`NeighborTableHandle::update_edges_sharded`] did to
+/// the table.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EdgeReport {
+    /// Whether each op took effect, in op order: an add of a live edge and
+    /// a remove of an absent one did not.
+    pub took_effect: Vec<bool>,
+    /// Each source the ops name, ascending, with its live list before and
+    /// after the lane's ops.
+    pub lists: Vec<(u64, Vec<u64>, Vec<u64>)>,
 }
 
 /// Client handle to a PS neighbor table.
@@ -389,8 +437,8 @@ impl NeighborTableHandle {
     /// writers' requests interleave on the servers, and however often one
     /// is sent again, every list ends the same. Sources and targets are bounds-checked
     /// before anything is written. Until the seal, reading a source that
-    /// received a run is an error. (A streaming update of such a source
-    /// before the seal is merged, and sorted, with the runs.)
+    /// received a run is an error, and so is updating it
+    /// ([`update_edges`](Self::update_edges) reads the lists it writes).
     ///
     /// A run of `len` targets is charged as [`push`](Self::push) charges
     /// a list: `16 + 8·len` request bytes and `len + 1` server items. The
@@ -465,78 +513,96 @@ impl NeighborTableHandle {
     /// tombstones it otherwise (skipping absent edges). Operation order
     /// is preserved *per source vertex* — all ops on a source land in its
     /// partition in input order — so add→remove→add sequences resolve the
-    /// way a stream emitted them. Returns `(added, removed)` counts of
-    /// the operations that took effect.
-    pub fn update_edges(
-        &self,
-        client: &NodeClock,
-        ops: &[(u64, u64, bool)],
-    ) -> Result<(usize, usize)> {
-        self.obj.check(ops.iter().flat_map(|&(src, dst, _)| [src, dst]))?;
-        let (mut added, mut removed) = (0, 0);
-        self.obj.scatter(client, ops.iter().map(|op| op.0).enumerate(), |server, n, parts| {
-            for (p, positions) in parts {
-                let (a, r) = self.obj.write(server, p, |part: &mut TablePart| {
-                    apply_edge_ops(part, ops, &positions)
-                })?;
-                added += a;
-                removed += r;
-            }
-            Ok((n * 17, self.obj.item_ops(n), 16))
-        })?;
-        Ok((added, removed))
+    /// way a stream emitted them. The one-lane form of
+    /// [`update_edges_sharded`](Self::update_edges_sharded), charged and
+    /// reported as it is.
+    pub fn update_edges(&self, client: &NodeClock, ops: &[(u64, u64, bool)]) -> Result<EdgeReport> {
+        Ok(self.update_edges_sharded(&[(client, ops)])?.swap_remove(0))
     }
 
     /// Apply several writers' mutation lanes at once — the sharded
-    /// streaming ingest path, where each lane is one shard's micro-batch.
+    /// streaming ingest path, where each lane is one shard's micro-batch —
+    /// and report, per lane, what its ops did ([`EdgeReport`]). Lane
+    /// source sets must be disjoint; the sharded ingestor keys lanes by
+    /// source range, which makes them so.
     ///
-    /// Wire costs are charged in canonical (lane, server) order, each lane
-    /// as one fan-out on its *own* clock, so the simulated-time accounting —
-    /// including the port occupancy the writes leave behind for later
-    /// readers — is identical for every pool size. The per-partition data
-    /// application then runs concurrently on the PS worker pool: distinct
-    /// lanes usually dirty distinct partitions (both sides tile the same
-    /// vertex range), and at a range-boundary partition shared by two
-    /// lanes the entries are still source-disjoint, so the final content
-    /// is independent of task interleaving. Callers must guarantee that
-    /// lane source sets are disjoint; the sharded ingestor keys lanes by
-    /// source range, which does. Returns `(added, removed)` per lane.
+    /// Each lane is one request on its *own* clock, one leg per server its
+    /// sources live on. A leg of `n` ops is charged `17·n` request bytes;
+    /// `n + Σ (len + 1)` items, where the sum runs over the leg's sources
+    /// that held a list before the ops — the read a pull of those lists
+    /// is charged; and a response of `16 + ⌈n / 8⌉` bytes (a header and
+    /// one outcome bit per op) plus `Σ (16 + 8·len)` over the same lists.
+    /// The after lists are not charged: they are the before lists with the
+    /// outcomes applied. Every server the lanes reach is checked alive
+    /// before any partition is written; a dead one fails the call with
+    /// nothing written or charged.
+    ///
+    /// The per-partition writes run concurrently on the PS worker pool:
+    /// distinct lanes usually write distinct partitions (both sides tile
+    /// the same vertex range), and at a range-boundary partition shared by
+    /// two lanes the entries are still source-disjoint, so the content is
+    /// independent of task interleaving. The legs are charged afterwards
+    /// in canonical (lane, server) order, so the simulated-time accounting
+    /// — including the port occupancy the writes leave behind for later
+    /// readers — is identical for every pool size. A partition's version
+    /// moves only if one of its ops took effect.
     pub fn update_edges_sharded(
         &self,
         lanes: &[(&NodeClock, &[(u64, u64, bool)])],
-    ) -> Result<Vec<(usize, usize)>> {
+    ) -> Result<Vec<EdgeReport>> {
         for &(_, ops) in lanes {
             self.obj.check(ops.iter().flat_map(|&(src, dst, _)| [src, dst]))?;
         }
-        // (lane, partition, op positions): the grouping of every lane, in
-        // canonical (lane, server, partition) order.
-        let mut tasks: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-        for (lane, &(clock, ops)) in lanes.iter().enumerate() {
+        // One leg per (lane, server), in canonical order.
+        let mut legs: Vec<(usize, usize, ServerGroup)> = Vec::new();
+        for (lane, &(_, ops)) in lanes.iter().enumerate() {
+            for (s, parts) in self.obj.group(ops.iter().map(|op| op.0).enumerate()) {
+                self.obj.ps.server(s).ensure_alive()?;
+                legs.push((lane, s, parts));
+            }
+        }
+        let tasks: Vec<(usize, &(usize, Vec<usize>))> = legs
+            .iter()
+            .flat_map(|(lane, _, parts)| parts.iter().map(move |part| (*lane, part)))
+            .collect();
+        let applied = self.obj.ps.pool().map(tasks, |(lane, (p, positions))| {
+            self.obj.write_if(self.obj.server(*p), *p, |part: &mut TablePart| {
+                let applied = apply_edge_ops(part, &self.obj.name, lanes[lane].1, positions);
+                let wrote = applied.as_ref().is_ok_and(|a| a.took_effect.contains(&true));
+                (applied, wrote)
+            })?
+        });
+        let mut applied = applied.into_iter();
+        let mut reports: Vec<EdgeReport> = lanes
+            .iter()
+            .map(|(_, ops)| EdgeReport { took_effect: vec![false; ops.len()], lists: Vec::new() })
+            .collect();
+        let mut costs: Vec<Vec<(usize, LegCost)>> = vec![Vec::new(); lanes.len()];
+        for (lane, s, parts) in &legs {
+            let report = &mut reports[*lane];
+            let (mut n, mut read) = (0, (0, 0));
+            for ((_, positions), part) in parts.iter().zip(&mut applied) {
+                let part = part?;
+                for (&pos, took) in positions.iter().zip(part.took_effect) {
+                    report.took_effect[pos] = took;
+                }
+                report.lists.extend(part.lists);
+                n += positions.len() as u64;
+                read = (read.0 + part.read.0, read.1 + part.read.1);
+            }
+            let cost = (17 * n, self.obj.item_ops(n + read.0), 16 + n.div_ceil(8) + read.1);
+            costs[*lane].push((*s, cost));
+        }
+        for ((clock, _), (costs, report)) in lanes.iter().zip(costs.into_iter().zip(&mut reports)) {
             self.obj.fan_out(clock, |fan| {
-                for (s, parts) in self.obj.group(ops.iter().map(|op| op.0).enumerate()) {
-                    let server = self.obj.ps.server(s);
-                    server.ensure_alive()?;
-                    let n: u64 = parts.iter().map(|(_, positions)| positions.len() as u64).sum();
-                    fan.leg(server, (n * 17, self.obj.item_ops(n), 16));
-                    tasks.extend(parts.into_iter().map(|(p, positions)| (lane, p, positions)));
+                for (s, cost) in costs {
+                    fan.leg(self.obj.ps.server(s), cost);
                 }
                 Ok(())
             })?;
+            report.lists.sort_unstable_by_key(|&(src, _, _)| src);
         }
-        let results: Vec<Result<(usize, usize)>> =
-            self.obj.ps.pool().map((0..tasks.len()).collect(), |t| {
-                let (lane, p, ref positions) = tasks[t];
-                self.obj.write(self.obj.server(p), p, |part: &mut TablePart| {
-                    apply_edge_ops(part, lanes[lane].1, positions)
-                })
-            });
-        let mut out = vec![(0usize, 0usize); lanes.len()];
-        for (t, res) in results.into_iter().enumerate() {
-            let (a, r) = res?;
-            out[tasks[t].0].0 += a;
-            out[tasks[t].0].1 += r;
-        }
-        Ok(out)
+        Ok(reports)
     }
 
     /// Add directed edges (see [`NeighborTableHandle::update_edges`]).
@@ -544,7 +610,7 @@ impl NeighborTableHandle {
     pub fn add_edges(&self, client: &NodeClock, edges: &[(u64, u64)]) -> Result<usize> {
         let ops: Vec<(u64, u64, bool)> =
             edges.iter().map(|&(s, d)| (s, d, true)).collect();
-        Ok(self.update_edges(client, &ops)?.0)
+        Ok(self.update_edges(client, &ops)?.took_effect.iter().filter(|&&t| t).count())
     }
 
     /// Remove directed edges (see [`NeighborTableHandle::update_edges`]).
@@ -552,7 +618,7 @@ impl NeighborTableHandle {
     pub fn remove_edges(&self, client: &NodeClock, edges: &[(u64, u64)]) -> Result<usize> {
         let ops: Vec<(u64, u64, bool)> =
             edges.iter().map(|&(s, d)| (s, d, false)).collect();
-        Ok(self.update_edges(client, &ops)?.1)
+        Ok(self.update_edges(client, &ops)?.took_effect.iter().filter(|&&t| t).count())
     }
 
     /// Pull the adjacency of `ids` (any order, duplicates allowed). Vertices
@@ -1050,10 +1116,9 @@ mod tests {
         // Interleaved ops on one source must resolve in stream order:
         // add, remove, re-add → present once, now at the end of the list.
         t.push(&c, &[(1, vec![2, 3])]).unwrap();
-        let (a, r) = t
-            .update_edges(&c, &[(1, 2, false), (1, 4, true), (1, 2, true)])
-            .unwrap();
-        assert_eq!((a, r), (2, 1));
+        let report = t.update_edges(&c, &[(1, 2, false), (1, 4, true), (1, 2, true)]).unwrap();
+        assert_eq!(report.took_effect, [true, true, true]);
+        assert_eq!(report.lists, [(1, vec![2, 3], vec![3, 4, 2])]);
         assert_eq!(*t.pull(&c, &[1]).unwrap()[0], vec![3, 4, 2]);
     }
 
@@ -1092,7 +1157,14 @@ mod tests {
         let (c0, c1) = (NodeClock::new(), NodeClock::new());
         t1.push(&c0, &base).unwrap();
         let got = t1.update_edges_sharded(&[(&c0, &lane0), (&c1, &lane1)]).unwrap();
-        assert_eq!(got, vec![(2, 1), (2, 1)]);
+        assert_eq!(got[0].took_effect, [true, true, true]);
+        assert_eq!(got[0].lists, [(1, vec![2, 3], vec![3, 9, 2])]);
+        assert_eq!(got[1].took_effect, [true, true, true]);
+        assert_eq!(
+            got[1].lists,
+            [(60, vec![61], vec![62]), (61, vec![], vec![1])],
+            "sources ascending, an absent source's list empty"
+        );
 
         let ps2 = ps();
         let t2 = table(&ps2);
@@ -1120,6 +1192,78 @@ mod tests {
                 assert_eq!(b, a, "untouched partitions keep their version");
             }
         }
+    }
+
+    #[test]
+    fn only_a_partition_an_op_changed_moves_its_version() {
+        let ps = ps();
+        let c = NodeClock::new();
+        let t = table(&ps);
+        let p1 = t.layout().partition_of(1);
+        let v = (2..100).find(|&v| t.layout().partition_of(v) != p1).unwrap();
+        let p2 = t.layout().partition_of(v);
+        t.push(&c, &[(1, vec![2]), (v, vec![3])]).unwrap();
+        let before = t.partition_versions().unwrap();
+        // Vertex `v`'s partition sees a duplicate add and a missing remove.
+        let report = t.update_edges(&c, &[(v, 3, true), (1, 5, true), (v, 9, false)]).unwrap();
+        assert_eq!(report.took_effect, [false, true, false]);
+        let after = t.partition_versions().unwrap();
+        assert_eq!(after[p1], before[p1] + 1);
+        assert_eq!(after[p2], before[p2], "a partition no op changed keeps its version");
+    }
+
+    #[test]
+    fn an_update_is_charged_its_ops_and_the_lists_it_reads() {
+        let ps = Ps::new(PsConfig { servers: 1, ..Default::default() });
+        let c = NodeClock::new();
+        c.sync_to(SimTime::from_millis(1));
+        let t = table(&ps);
+        t.push(&c, &[(1, vec![2, 3, 4]), (2, vec![])]).unwrap();
+        let stats = ps.network().stats();
+        let (rpcs, sent, received) = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
+        let port = ps.server(0).port().clock().now();
+        // Nine ops on three sources; 7 holds no list, 1 three ids, 2 none.
+        let ops: Vec<(u64, u64, bool)> =
+            [1, 1, 7, 2, 1, 7, 2, 1, 1].iter().map(|&src| (src, 5, src != 2)).collect();
+        // A client a millisecond behind the port: the leg queues, so the
+        // port moves by exactly its service time.
+        t.update_edges(&NodeClock::new(), &ops).unwrap();
+        let stats = ps.network().stats();
+        assert_eq!(stats.rpcs() - rpcs, 1, "one request");
+        assert_eq!(stats.bytes_sent() - sent, 17 * 9);
+        // Σ (len + 1) over the held lists: vertex 1's three ids, 2's none.
+        let read = (3 + 1) + 1;
+        assert_eq!(stats.bytes_received() - received, 16 + 2 + (16 + 8 * 3) + 16);
+        let items = (9 + read) * ps.config().ops_per_item;
+        assert_eq!(ps.server(0).port().clock().now(), port + ps.cost().cpu_cost(items));
+    }
+
+    #[test]
+    fn an_update_refuses_unsealed_sources_and_dead_servers_before_writing() {
+        let ps = ps();
+        let c = NodeClock::new();
+        let t = table(&ps);
+        t.merge_edges(&c, vec![(5, 6)]).unwrap();
+        let err = t.update_edges(&c, &[(5, 7, true)]).unwrap_err();
+        assert!(matches!(err, PsError::Unsealed { vertex: 5, .. }), "{err}");
+        t.seal(&c).unwrap();
+        assert_eq!(*t.pull(&c, &[5]).unwrap()[0], vec![6], "the refused update wrote nothing");
+
+        // Lane 0 writes a live server, lane 1 a dead one.
+        let dead = t.layout().server_of(5);
+        let other = (0..100).find(|&v| t.layout().server_of(v) != dead).unwrap();
+        let p = t.layout().partition_of(other);
+        let version = t.partition_versions().unwrap()[p];
+        ps.kill_server(dead);
+        let (rpcs, clock) = (ps.network().stats().rpcs(), c.now());
+        let lane = NodeClock::new();
+        let lanes: [(&NodeClock, &[(u64, u64, bool)]); 2] =
+            [(&c, &[(other, 1, true)]), (&lane, &[(5, 8, true)])];
+        let err = t.update_edges_sharded(&lanes).unwrap_err();
+        assert!(matches!(err, PsError::ServerDown { id } if id == dead), "{err}");
+        assert_eq!((ps.network().stats().rpcs(), c.now(), lane.now()), (rpcs, clock, SimTime::ZERO));
+        assert_eq!(ps.server(t.layout().server_of(other)).version("adj", p).unwrap(), version);
+        assert!(t.pull(&c, &[other]).unwrap()[0].is_empty(), "nothing written");
     }
 
     #[test]

@@ -476,9 +476,20 @@ impl PsObject {
         p: usize,
         f: impl FnOnce(&mut P) -> R,
     ) -> Result<R> {
+        self.write_if(server, p, |part| (f(part), true))
+    }
+
+    /// [`PsObject::write`] where `f` also returns whether it changed the
+    /// partition: only a change bumps its version.
+    pub(crate) fn write_if<P: Partition, R>(
+        &self,
+        server: &PsServer,
+        p: usize,
+        f: impl FnOnce(&mut P) -> (R, bool),
+    ) -> Result<R> {
         server.update_resize(&self.name, p, |part: &mut P, _old| {
-            let r = f(part);
-            (r, part.approx_bytes())
+            let (r, wrote) = f(part);
+            (r, part.approx_bytes(), wrote)
         })
     }
 

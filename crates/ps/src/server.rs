@@ -210,29 +210,31 @@ impl PsServer {
         partition: usize,
         f: impl FnOnce(&mut T) -> R,
     ) -> Result<R> {
-        self.update_resize(name, partition, |t, bytes| (f(t), bytes))
+        self.update_resize(name, partition, |t, bytes| (f(t), bytes, true))
     }
 
     /// Mutable access where the closure may grow/shrink the partition: it
-    /// receives the current charged bytes and returns the new footprint.
+    /// receives the current charged bytes and returns its result, the new
+    /// footprint and whether it wrote; only a written partition has its
+    /// version bumped (as with [`PsServer::update_pair_with`]).
     pub fn update_resize<T: 'static, R>(
         &self,
         name: &str,
         partition: usize,
-        f: impl FnOnce(&mut T, u64) -> (R, u64),
+        f: impl FnOnce(&mut T, u64) -> (R, u64, bool),
     ) -> Result<R> {
         self.ensure_alive()?;
         let mut store = self.store.write();
         let [part] = disjoint_mut(&mut store, [(name, partition)])?;
         let old_bytes = part.bytes;
-        let (r, new_bytes) = f(part.typed_mut(name)?, old_bytes);
+        let (r, new_bytes, wrote) = f(part.typed_mut(name)?, old_bytes);
         if new_bytes > old_bytes {
             self.memory.alloc(new_bytes - old_bytes)?;
         } else {
             self.memory.free(old_bytes - new_bytes);
         }
         part.bytes = new_bytes;
-        part.version += 1;
+        part.version += wrote as u64;
         Ok(r)
     }
 
@@ -369,11 +371,11 @@ mod tests {
         s.insert("m", 0, Vec::<u64>::new(), 100).unwrap();
         s.update_resize("m", 0, |v: &mut Vec<u64>, _old| {
             v.push(7);
-            ((), 500)
+            ((), 500, true)
         })
         .unwrap();
         assert_eq!(s.memory().in_use(), 500);
-        s.update_resize("m", 0, |_: &mut Vec<u64>, _old| ((), 50)).unwrap();
+        s.update_resize("m", 0, |_: &mut Vec<u64>, _old| ((), 50, true)).unwrap();
         assert_eq!(s.memory().in_use(), 50);
     }
 
@@ -381,7 +383,7 @@ mod tests {
     fn update_resize_oom_rejects() {
         let s = PsServer::new(0, 100);
         s.insert("m", 0, (), 80).unwrap();
-        let err = s.update_resize("m", 0, |_: &mut (), _| ((), 500)).unwrap_err();
+        let err = s.update_resize("m", 0, |_: &mut (), _| ((), 500, true)).unwrap_err();
         assert!(matches!(err, PsError::Oom(_)));
     }
 
@@ -412,6 +414,8 @@ mod tests {
         assert_eq!(s.version("v", 0).unwrap(), 1, "reads do not bump");
         s.update("v", 0, |v: &mut Vec<f64>| v[0] = 1.0).unwrap();
         assert_eq!(s.version("v", 0).unwrap(), 2);
+        s.update_resize("v", 0, |_: &mut Vec<f64>, bytes| ((), bytes, false)).unwrap();
+        assert_eq!(s.version("v", 0).unwrap(), 2, "an update that wrote nothing does not bump");
         s.insert("v", 0, vec![0.0f64; 2], 16).unwrap();
         assert_eq!(s.version("v", 0).unwrap(), 3, "replace continues the count");
         assert!(matches!(s.version("v", 1), Err(PsError::NotFound(_))));

@@ -131,6 +131,28 @@
 //! rendered `plan.build` plans, which now show their response. The
 //! `results/` simplicity ledger of this re-recording holds the script and
 //! its output.
+//!
+//! Re-recorded once more when the table's write started to report what it
+//! did (`EdgeReport`: each op's outcome, each touched source's live list
+//! before and after) and to move a partition's version only where an op
+//! took effect. An update leg is now charged the lists it reads — `n +
+//! Σ (len + 1)` items and `16 + ⌈n / 8⌉ + Σ (16 + 8·len)` response bytes
+//! over the sources holding a list — and a dead server fails the call
+//! before anything is written or charged. Of the 798 lines, 488 are
+//! byte-identical, 241 differ in `client=` / `ports=` alone and 30 also in
+//! the clock their result embeds. The 28 `neighbor.update_edges*`,
+//! `neighbor.add_edges`, `neighbor.remove_edges` and `dead1
+//! neighbor.update_edges*` lines changed content (the report, the bytes
+//! received, no charge before a dead server), and so did the four
+//! `delta.dirty neighbor` lines, an `update_edges` call under another
+//! label. The other 7 follow from the version rule: `delta.dirty
+//! neighbor`'s duplicate add of `(55, 6)` no longer dirties 55's
+//! partition, so on both range layouts `delta.neighbor_table` exports one
+//! partition, not two (one RPC, fewer bytes), `delta.files` shows the
+//! smaller `DELTA` file, and `recovered partition_versions` reads that
+//! table partition one version lower (also on the 7-server hash layout).
+//! The `results/` simplicity ledger of this re-recording holds the script
+//! and its output.
 
 use std::fmt::Debug;
 use std::sync::Arc;

@@ -322,30 +322,43 @@ fn neighbor_pull_ships_each_distinct_id_once() {
     );
 }
 
-/// A table seeded with `base`, `ops` applied by `apply`: the counts it
-/// returned and every vertex's live list, tombstone total included.
-fn table_after(
-    base: &[(u64, Vec<u64>)],
-    size: u64,
-    partitioner: Partitioner,
-    apply: impl FnOnce(&NeighborTableHandle, &NodeClock) -> (usize, usize),
-) -> ((usize, usize), Vec<Vec<u64>>, usize) {
-    let ps = Ps::new(PsConfig { servers: 3, ..Default::default() });
-    let clock = NodeClock::new();
-    let adj =
-        NeighborTableHandle::create(&ps, "prop.upd", size, partitioner, RecoveryMode::Inconsistent)
-            .unwrap();
-    adj.push(&clock, base).unwrap();
-    let counts = apply(&adj, &clock);
-    let all: Vec<u64> = (0..size).collect();
-    let lists = adj.pull(&clock, &all).unwrap().iter().map(|l| l.to_vec()).collect();
-    (counts, lists, adj.tombstones().unwrap())
+/// The naive table: a `Vec` per source, "append if absent, remove the
+/// first occurrence". Applies `ops` and returns what the table's report
+/// must say — each op's outcome, and each source the ops name, ascending,
+/// with its list before and after.
+fn naive_update(
+    lists: &mut [Vec<u64>],
+    ops: &[(u64, u64, bool)],
+) -> (Vec<bool>, Vec<(u64, Vec<u64>, Vec<u64>)>) {
+    let mut srcs: Vec<u64> = ops.iter().map(|op| op.0).collect();
+    srcs.sort_unstable();
+    srcs.dedup();
+    let before: Vec<Vec<u64>> = srcs.iter().map(|&v| lists[v as usize].clone()).collect();
+    let took = ops
+        .iter()
+        .map(|&(src, dst, add)| {
+            let list = &mut lists[src as usize];
+            match list.iter().position(|&x| x == dst) {
+                None if add => {
+                    list.push(dst);
+                    true
+                }
+                Some(i) if !add => {
+                    list.remove(i);
+                    true
+                }
+                _ => false,
+            }
+        })
+        .collect();
+    let after = srcs.iter().zip(before).map(|(&v, b)| (v, b, lists[v as usize].clone()));
+    (took, after.collect())
 }
 
 #[test]
-fn update_edges_and_its_sharded_form_apply_the_same_ops() {
+fn update_edges_sharded_reports_what_the_naive_table_does() {
     check(
-        "update_edges_and_its_sharded_form_apply_the_same_ops",
+        "update_edges_sharded_reports_what_the_naive_table_does",
         |src: &mut Source| {
             let size = src.u64_range(2, 40);
             let mut base: Vec<(u64, Vec<u64>)> = Vec::new();
@@ -362,16 +375,50 @@ fn update_edges_and_its_sharded_form_apply_the_same_ops() {
                 let at = src.usize_range(0, ops.len() + 1);
                 ops.insert(at, (hot, dst, add));
             }
-            (size, base, ops, arb_partitioner(src))
+            // Each source's lane: any split, sources disjoint across lanes.
+            let lanes = src.usize_range(1, 5);
+            let lane_of: Vec<usize> = (0..size).map(|_| src.usize_range(0, lanes)).collect();
+            let servers = src.usize_range(1, 5);
+            (size, base, ops, lanes, lane_of, servers, arb_partitioner(src))
         },
-        |(size, base, ops, partitioner)| {
-            let plain = table_after(base, *size, *partitioner, |adj, clock| {
-                adj.update_edges(clock, ops).unwrap()
-            });
-            let sharded = table_after(base, *size, *partitioner, |adj, clock| {
-                adj.update_edges_sharded(&[(clock, ops.as_slice())]).unwrap()[0]
-            });
-            prop_assert_eq!(plain, sharded);
+        |(size, base, ops, lanes, lane_of, servers, partitioner)| {
+            let ps = Ps::new(PsConfig { servers: *servers, ..Default::default() });
+            let clock = NodeClock::new();
+            let adj = NeighborTableHandle::create(
+                &ps, "prop.upd", *size, *partitioner, RecoveryMode::Inconsistent,
+            )
+            .unwrap();
+            adj.push(&clock, base).unwrap();
+            let mut model = vec![Vec::new(); *size as usize];
+            for (v, list) in base {
+                model[*v as usize] = list.clone();
+            }
+            let lane_ops: Vec<Vec<(u64, u64, bool)>> = (0..*lanes)
+                .map(|l| ops.iter().copied().filter(|op| lane_of[op.0 as usize] == l).collect())
+                .collect();
+            let clocks: Vec<NodeClock> = (0..*lanes).map(|_| NodeClock::new()).collect();
+            let writes: Vec<(&NodeClock, &[(u64, u64, bool)])> =
+                clocks.iter().zip(&lane_ops).map(|(c, ops)| (c, ops.as_slice())).collect();
+            let versions = adj.partition_versions().unwrap();
+            let reports = adj.update_edges_sharded(&writes).unwrap();
+            prop_assert_eq!(reports.len(), *lanes);
+            let mut changed = vec![false; versions.len()];
+            for (report, ops) in reports.iter().zip(&lane_ops) {
+                let (took, lists) = naive_update(&mut model, ops);
+                prop_assert_eq!(&report.took_effect, &took);
+                prop_assert_eq!(&report.lists, &lists);
+                for (op, took) in ops.iter().zip(took) {
+                    changed[adj.layout().partition_of(op.0)] |= took;
+                }
+            }
+            let all: Vec<u64> = (0..*size).collect();
+            let got: Vec<Vec<u64>> = adj.pull(&clock, &all).unwrap().iter().map(|l| l.to_vec()).collect();
+            prop_assert_eq!(got, model);
+            // A partition's version moves iff one of its ops took effect.
+            let after = adj.partition_versions().unwrap();
+            for (p, ((b, a), changed)) in versions.iter().zip(&after).zip(changed).enumerate() {
+                prop_assert_eq!(a > b, changed, "partition {}", p);
+            }
             Ok(())
         },
     );

@@ -12,9 +12,6 @@ pub enum StreamError {
     Corrupt(String),
     /// Streaming invariant violated (freshness bound, verification).
     Invalid(String),
-    /// Internal consistency check failed (driver mirror vs table
-    /// semantics) — the maintainers would be fed wrong inputs.
-    Invariant(String),
 }
 
 impl fmt::Display for StreamError {
@@ -26,7 +23,6 @@ impl fmt::Display for StreamError {
             StreamError::Core(e) => write!(f, "{e}"),
             StreamError::Corrupt(m) => write!(f, "corrupt: {m}"),
             StreamError::Invalid(m) => write!(f, "invalid: {m}"),
-            StreamError::Invariant(m) => write!(f, "invariant violated: {m}"),
         }
     }
 }

@@ -13,9 +13,10 @@
 //!    across N owner-keyed lanes (source-range tiling; each a bounded
 //!    mailbox with its own writer clock and watermark), drains them as
 //!    one micro-batch into mutable PS state (tombstone-backed neighbor
-//!    table + degree vector, planned driver-side by [`ingest`]), and
-//!    merges freshness as the min across lane watermarks. One lane is
-//!    the plain single-writer ingestor.
+//!    table + degree vector) by one table write that reports which
+//!    events took effect ([`ingest::BatchEffect`]), and merges freshness
+//!    as the min across lane watermarks. One lane is the plain
+//!    single-writer ingestor.
 //! 3. **Maintain** — each batch's effects feed the incremental
 //!    maintainers in `psgraph_core::algos::incremental`: PageRank by
 //!    residual re-push, connected components by union-on-add and bounded

@@ -171,4 +171,73 @@ mod tests {
         assert_eq!(rank3(&mut cluster), 9.0, "the live tier serves the refresh");
         assert_eq!(rank3(&mut load()), 0.5, "a load reads the base snapshot");
     }
+
+    /// A batch of duplicate adds and missing removes writes nothing: no
+    /// `{prefix}.adj` or `{prefix}.deg` partition moves, and the refresh
+    /// after it exports nothing. And a partition whose ops were all no-ops
+    /// keeps its version even when the same lane changed another one.
+    #[test]
+    fn a_no_op_batch_dirties_nothing() {
+        use crate::{EdgeEvent, EdgeOp, IngestConfig, ShardedIngestor};
+        use psgraph_net::rpc::NodeId;
+
+        let ps = Ps::new(PsConfig { servers: 2, ..Default::default() });
+        let (dfs, client) = (Dfs::in_memory(), NodeClock::new());
+        let (range, mode) = (Partitioner::Range, RecoveryMode::Consistent);
+        let mut ingestor = ShardedIngestor::create(&ps, &IngestConfig::default(), 16, 1).unwrap();
+        ingestor.bootstrap(&client, &[(1, 2), (9, 10)]).unwrap();
+        let ranks = VectorHandle::<f64>::create(&ps, "r", 16, range, mode).unwrap();
+        let labels = VectorHandle::<u64>::create(&ps, "l", 16, range, mode).unwrap();
+        let mut w = SnapshotWriter::new(&dfs, "/s", &client);
+        w.vector_f64(&ranks).unwrap();
+        w.vector_u64(&labels).unwrap();
+        w.neighbor_table(ingestor.adjacency()).unwrap();
+        let manifest = w.finish().unwrap();
+        let objects = ObjectMap {
+            ranks: Some("r".into()),
+            communities: Some("l".into()),
+            adjacency: Some("stream.adj".into()),
+            embeddings: None,
+        };
+        let mut cluster =
+            ServeCluster::load(&dfs, "/s", &objects, &ServeConfig::default(), &client).unwrap();
+        let mut driver = RefreshDriver::new("/s", manifest, RefreshConfig::default());
+        let versions = |ing: &ShardedIngestor| {
+            let adj = ing.adjacency().partition_versions().unwrap();
+            (adj, ing.degrees().partition_versions().unwrap())
+        };
+        let ev = |op, src, dst| EdgeEvent { op, src, dst, at: SimTime::from_millis(1) };
+        let before = versions(&ingestor);
+
+        let no_ops = [
+            ev(EdgeOp::Add, 1, 2),
+            ev(EdgeOp::Remove, 1, 7),
+            ev(EdgeOp::Add, 9, 10),
+            ev(EdgeOp::Remove, 3, 4),
+        ];
+        for e in no_ops {
+            assert!(ingestor.offer(NodeId::Driver, e));
+        }
+        let fx = ingestor.drain_all().unwrap();
+        assert_eq!(fx.drained, 4);
+        assert!(fx.applied.is_empty() && fx.effects.is_empty());
+        assert_eq!(versions(&ingestor), before, "a no-op batch moves no version");
+        let at = client.now();
+        let swap = driver
+            .refresh(&dfs, &client, &mut cluster, &ranks, &labels, ingestor.adjacency(), at)
+            .unwrap();
+        assert!(swap.is_none(), "nothing to export");
+
+        // Source 1's partition changes; source 9's sees a duplicate add.
+        let layout = ingestor.adjacency().layout();
+        let (p1, p9) = (layout.partition_of(1), layout.partition_of(9));
+        assert_ne!(p1, p9);
+        for e in [ev(EdgeOp::Add, 1, 5), ev(EdgeOp::Add, 9, 10)] {
+            assert!(ingestor.offer(NodeId::Driver, e));
+        }
+        assert_eq!(ingestor.drain_all().unwrap().applied, [(1, 5, true)]);
+        let (adj, deg) = versions(&ingestor);
+        assert!(adj[p1] > before.0[p1] && deg[p1] > before.1[p1]);
+        assert_eq!((adj[p9], deg[p9]), (before.0[p9], before.1[p9]), "only no-ops landed in p9");
+    }
 }

@@ -16,10 +16,13 @@
 //! drop, retry, or drain a batch first — the same admission-control
 //! contract the serve frontend uses for queries.
 //!
-//! Determinism (DESIGN.md §6): the wall-clock-parallel stages are the
-//! pure per-lane mirror computation (`plan_batch` on the worker pool)
-//! and the per-partition table writes
-//! ([`NeighborTableHandle::update_edges_sharded`]); every RPC charge and
+//! A drain is one table write for all lanes
+//! ([`NeighborTableHandle::update_edges_sharded`]), which reports what
+//! each lane's events did; the ingestor keeps no copy of the table and
+//! decides nothing the table does not.
+//!
+//! Determinism (DESIGN.md §6): the only wall-clock-parallel stage is the
+//! table's per-partition writes on the PS pool; every RPC charge and
 //! every merge fold runs serially in canonical lane order, so both the
 //! results and the simulated-time accounting are identical for every
 //! pool size and claim schedule.
@@ -35,15 +38,14 @@
 
 use std::sync::Arc;
 
-use psgraph_harness::Pool;
 use psgraph_net::bus::Mailbox;
 use psgraph_net::rpc::NodeId;
 use psgraph_ps::{NeighborTableHandle, Partitioner, Ps, RecoveryMode, VectorHandle};
 use psgraph_sim::{FxHashMap, NodeClock, SimTime, Watermark};
 
 use crate::error::Result;
-use crate::events::EdgeEvent;
-use crate::ingest::{batch_sources, plan_batch, BatchEffect, IngestConfig, IngestStats};
+use crate::events::{EdgeEvent, EdgeOp};
+use crate::ingest::{BatchEffect, IngestConfig, IngestStats};
 
 /// One owner-keyed writer of the ingestor.
 struct Lane {
@@ -97,8 +99,6 @@ pub struct ShardedIngestor {
     /// The monotone min-merged watermark.
     merged: Watermark,
     n: u64,
-    /// The deployment's pool (`Ps::pool`): batches are planned on it.
-    pool: Arc<Pool>,
 }
 
 impl ShardedIngestor {
@@ -134,7 +134,6 @@ impl ShardedIngestor {
             routed: Watermark::new(),
             merged: Watermark::new(),
             n,
-            pool: Arc::clone(ps.pool()),
         })
     }
 
@@ -207,6 +206,12 @@ impl ShardedIngestor {
         self.stats
     }
 
+    /// Each lane's writer clock, in lane order: the sim time its own
+    /// requests have taken so far.
+    pub fn lane_times(&self) -> Vec<SimTime> {
+        self.lanes.iter().map(|lane| lane.clock.now()).collect()
+    }
+
     /// The min-merged watermark: `min` over effective lane watermarks
     /// (a fully drained lane counts as caught up to the newest routed
     /// event), ratcheted so it never regresses as lanes drain out of
@@ -242,79 +247,71 @@ impl ShardedIngestor {
 
     /// Drain every lane as one logical micro-batch:
     ///
-    /// 1. *serial, lane order* — drain each mailbox and pull the old
-    ///    out-lists on the lane's own clock;
-    /// 2. *parallel on the pool* — plan each lane's mutations (the
-    ///    driver-side mirror of the table's slot semantics, pure CPU);
-    /// 3. *concurrent per-partition writes* — one
-    ///    [`NeighborTableHandle::update_edges_sharded`] call applies all
-    ///    lanes' ops, charging each to its own clock, verifying each
-    ///    lane's mirror against the table's applied counts;
-    /// 4. *serial, lane order* — degree deltas, then fold each lane's
-    ///    counters and watermark.
+    /// 1. *one table write* — each non-empty lane's events, in arrival
+    ///    order, go to [`NeighborTableHandle::update_edges_sharded`] as
+    ///    that lane's ops, one request on the lane's own clock; the table
+    ///    reports which took effect and each touched source's live list
+    ///    before and after;
+    /// 2. *serial, lane order* — degree deltas from the before and after
+    ///    lengths, then each lane's counters and watermark.
     ///
-    /// The table gets each lane's interleaved add/remove sequence in
-    /// arrival order and the degrees its net per-source delta; batches
-    /// that change nothing skip the writes entirely, so they cannot dirty
-    /// a partition (and a cadence of pure duplicates never pays a delta
-    /// swap). In the returned effect, `effects` concatenated in lane
-    /// order is globally source-sorted (ranges ascend), and `applied` is
-    /// re-interleaved into global arrival order via the sequence numbers
-    /// recorded at offer time.
+    /// Degrees are pushed only where a length moved, so a batch that
+    /// changes nothing dirties no partition (and a cadence of pure
+    /// duplicates never pays a delta swap). In the returned effect,
+    /// `effects` concatenated in lane order is globally source-sorted
+    /// (ranges ascend), and `applied` is re-interleaved into global
+    /// arrival order via the sequence numbers recorded at offer time.
     pub fn drain_all(&mut self) -> Result<BatchEffect> {
-        let mut batches: Vec<(Vec<EdgeEvent>, Vec<u64>, Vec<Vec<u64>>)> =
-            Vec::with_capacity(self.lanes.len());
-        let mut seqs: Vec<Vec<u64>> = Vec::with_capacity(self.lanes.len());
-        for lane in &mut self.lanes {
+        let mut drained: Vec<(usize, Vec<EdgeEvent>, Vec<u64>)> = Vec::new();
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
             let events: Vec<EdgeEvent> =
                 lane.mailbox.drain().into_iter().map(|m| m.payload).collect();
-            seqs.push(std::mem::take(&mut lane.seqs));
-            let srcs = batch_sources(&events);
-            let old = self.adjacency.pull(&lane.clock, &srcs)?;
-            batches.push((events, srcs, old.iter().map(|l| l.to_vec()).collect()));
+            if !events.is_empty() {
+                drained.push((i, events, std::mem::take(&mut lane.seqs)));
+            }
         }
-
-        let planned = self.pool.map(batches, |(events, srcs, old)| {
-            plan_batch(&events, &srcs, old)
-        });
-
-        let writes: Vec<(usize, (&NodeClock, &[(u64, u64, bool)]))> = planned
+        let ops: Vec<Vec<(u64, u64, bool)>> = drained
             .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.applied.is_empty())
-            .map(|(i, p)| (i, (&self.lanes[i].clock, p.ops.as_slice())))
+            .map(|(_, events, _)| {
+                events.iter().map(|ev| (ev.src, ev.dst, ev.op == EdgeOp::Add)).collect()
+            })
             .collect();
-        if !writes.is_empty() {
-            let lane_ops: Vec<(&NodeClock, &[(u64, u64, bool)])> =
-                writes.iter().map(|&(_, w)| w).collect();
-            let counts = self.adjacency.update_edges_sharded(&lane_ops)?;
-            for (&(i, _), &(adds, removes)) in writes.iter().zip(&counts) {
-                planned[i].check_table_counts(adds, removes)?;
-            }
-        }
-        for (lane, p) in self.lanes.iter().zip(&planned) {
-            if !p.deg_ids.is_empty() {
-                self.degrees.push_add(&lane.clock, &p.deg_ids, &p.deg_deltas)?;
-            }
-        }
+        let writes: Vec<(&NodeClock, &[(u64, u64, bool)])> = drained
+            .iter()
+            .zip(&ops)
+            .map(|((i, _, _), ops)| (&self.lanes[*i].clock, ops.as_slice()))
+            .collect();
+        let reports = self.adjacency.update_edges_sharded(&writes)?;
 
         let mut merged = BatchEffect::default();
         let mut applied_seq: Vec<(u64, (u64, u64, bool))> = Vec::new();
-        for ((lane, p), seqs) in self.lanes.iter_mut().zip(planned).zip(seqs) {
-            if p.drained == 0 {
-                continue;
+        for (((i, events, seqs), ops), report) in drained.into_iter().zip(&ops).zip(reports) {
+            let lane = &mut self.lanes[i];
+            let effects: Vec<(u64, Vec<u64>, Vec<u64>)> =
+                report.lists.into_iter().filter(|(_, before, after)| before != after).collect();
+            let (deg_ids, deg_deltas): (Vec<u64>, Vec<f64>) = effects
+                .iter()
+                .filter(|(_, before, after)| before.len() != after.len())
+                .map(|(src, before, after)| (*src, after.len() as f64 - before.len() as f64))
+                .unzip();
+            if !deg_ids.is_empty() {
+                self.degrees.push_add(&lane.clock, &deg_ids, &deg_deltas)?;
             }
-            for (&j, &op) in p.applied_idx.iter().zip(&p.applied) {
-                applied_seq.push((seqs[j], op));
+            for ((&op, &took), seq) in ops.iter().zip(&report.took_effect).zip(seqs) {
+                let counter = match (op.2, took) {
+                    (true, true) => &mut self.stats.applied_adds,
+                    (false, true) => &mut self.stats.applied_removes,
+                    (true, false) => &mut self.stats.skipped_dup_adds,
+                    (false, false) => &mut self.stats.skipped_missing_removes,
+                };
+                *counter += 1;
+                if took {
+                    applied_seq.push((seq, op));
+                }
             }
-            let adds = p.applied.iter().filter(|&&(_, _, add)| add).count() as u64;
-            self.stats.applied_adds += adds;
-            self.stats.applied_removes += p.applied.len() as u64 - adds;
-            self.stats.skipped_dup_adds += p.dup_adds;
-            self.stats.skipped_missing_removes += p.missing_removes;
-            lane.watermark.observe(p.max_at);
-            merged.drained += p.drained;
-            merged.effects.extend(p.effects);
+            lane.watermark.observe(events.iter().map(|ev| ev.at).max().unwrap_or(SimTime::ZERO));
+            merged.drained += events.len();
+            merged.effects.extend(effects);
         }
         if merged.drained > 0 {
             self.stats.batches += 1;
@@ -379,6 +376,31 @@ mod tests {
         assert_eq!(st.skipped_dup_adds, 1, "duplicate (3,4) add");
         assert_eq!(st.skipped_missing_removes, 1, "missing (3,9) remove");
         assert_eq!(st.batches, 1);
+    }
+
+    #[test]
+    fn a_lane_writes_its_lists_in_one_rpc_per_batch() {
+        // Two lanes over two servers: lane i's sources all live on server i.
+        let ps = Ps::new(PsConfig { servers: 2, ..Default::default() });
+        let cfg = IngestConfig { mailbox_cap: 64, ..IngestConfig::default() };
+        let mut ing = ShardedIngestor::create(&ps, &cfg, 16, 2).unwrap();
+        ing.bootstrap(&NodeClock::new(), &[(0, 1), (3, 4), (9, 2)]).unwrap();
+        let rpcs = || ps.network().stats().rpcs();
+        let mut drain = |events: &[EdgeEvent]| {
+            for &e in events {
+                assert!(ing.offer(NodeId::Driver, e));
+            }
+            let before = rpcs();
+            ing.drain_all().unwrap();
+            rpcs() - before
+        };
+        let no_ops =
+            [ev(EdgeOp::Add, 0, 1, 1), ev(EdgeOp::Remove, 3, 9, 2), ev(EdgeOp::Add, 9, 2, 3)];
+        assert_eq!(drain(&no_ops), 2, "one table write per lane, no degree push");
+        let changes =
+            [ev(EdgeOp::Add, 0, 5, 4), ev(EdgeOp::Remove, 3, 4, 5), ev(EdgeOp::Add, 12, 2, 6)];
+        assert_eq!(drain(&changes), 4, "one table write and one degree push per lane");
+        assert_eq!(drain(&[ev(EdgeOp::Add, 1, 2, 7)]), 2, "an idle lane sends nothing");
     }
 
     #[test]

@@ -147,8 +147,10 @@ fn incremental_cc_matches_reference_over_random_stream() {
 fn neighbor_table_matches_naive_model_with_tombstone_churn() {
     // add → remove → add round-trips under heavy churn: the tombstone
     // table must always expose exactly the naive "append if absent,
-    // remove first occurrence" list, and compaction must keep dead slots
-    // bounded by live ones.
+    // remove first occurrence" list, report exactly the naive outcome of
+    // every op and the naive list of every touched source before and
+    // after the write, and compaction must keep dead slots bounded by
+    // live ones.
     let n = 12u64;
     let ps = Ps::new(PsConfig::default());
     let client = NodeClock::new();
@@ -162,27 +164,41 @@ fn neighbor_table_matches_naive_model_with_tombstone_churn() {
     .unwrap();
     let mut model: FxHashMap<u64, Vec<u64>> = FxHashMap::default();
     let mut rng = SplitMix64::new(2718);
+    let list_of = |model: &FxHashMap<u64, Vec<u64>>, v: u64| model.get(&v).cloned().unwrap_or_default();
     for _ in 0..60 {
+        let start = model.clone();
         let mut ops: Vec<(u64, u64, bool)> = Vec::new();
+        let mut took: Vec<bool> = Vec::new();
         for _ in 0..20 {
             let s = rng.next_below(n);
             let d = rng.next_below(n);
             let add = rng.next_bool(0.55);
             ops.push((s, d, add));
             let list = model.entry(s).or_default();
-            if add {
-                if !list.contains(&d) {
+            took.push(match list.iter().position(|&x| x == d) {
+                None if add => {
                     list.push(d);
+                    true
                 }
-            } else if let Some(i) = list.iter().position(|&x| x == d) {
-                list.remove(i);
-            }
+                Some(i) if !add => {
+                    list.remove(i);
+                    true
+                }
+                _ => false,
+            });
         }
-        table.update_edges(&client, &ops).unwrap();
+        let report = table.update_edges(&client, &ops).unwrap();
+        assert_eq!(report.took_effect, took, "per-op outcomes diverged from model");
+        let mut srcs: Vec<u64> = ops.iter().map(|op| op.0).collect();
+        srcs.sort_unstable();
+        srcs.dedup();
+        let want: Vec<(u64, Vec<u64>, Vec<u64>)> =
+            srcs.into_iter().map(|v| (v, list_of(&start, v), list_of(&model, v))).collect();
+        assert_eq!(report.lists, want, "before / after lists diverged from model");
         let ids: Vec<u64> = (0..n).collect();
         let lists = table.pull(&client, &ids).unwrap();
         for (v, got) in lists.iter().enumerate() {
-            let want = model.get(&(v as u64)).cloned().unwrap_or_default();
+            let want = list_of(&model, v as u64);
             assert_eq!(got.as_slice(), want.as_slice(), "vertex {v} diverged from model");
         }
         let live: usize = model.values().map(|l| l.len()).sum();

@@ -43,7 +43,7 @@ ps 0
 query 2
 serve 10
 sim 3
-stream 2
+stream 0
 tensor 3"
 panic_sites="$(for dir in crates/*/; do
     find "${dir}src" -name '*.rs' | sort | xargs awk -v crate="$(basename "$dir")" '
@@ -211,8 +211,10 @@ cargo run --release --offline -p psgraph-bench --bin repro -- ablations --scale 
 # among open jobs, a head start for helpers). The binaries' internal
 # correctness asserts — zero wrong answers, reference-equal results —
 # must hold on every schedule, and the sharded stream's state digest
-# must be the same on all ten: the sharded drain plans batches on the
-# pool, so this is the path a claim-order bug would corrupt. Same for
+# must be the same on all ten: the sharded drain's one table write runs
+# its per-partition writes, which build the report the batch's effect is
+# read from, on the pool, so this is the path a claim-order bug would
+# corrupt. Same for
 # the batch path: a small `repro -- fig6` prints the digests of the
 # PSGraph PageRank / Common Neighbor / K-Core / Triangle Count outputs,
 # whose executor tasks read and write the PS concurrently — the line

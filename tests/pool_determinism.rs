@@ -4,7 +4,8 @@
 //! canonical partition order, never completion order — these tests pin
 //! that rule end-to-end through PageRank, the monotone fixed-point jobs
 //! (K-Core, Connected Components), Common Neighbor, the shuffle
-//! machinery and the serving frontend's per-shard scatter. The sim clock
+//! machinery, the serving frontend's per-shard scatter and the sharded
+//! stream drain's table write. The sim clock
 //! of a stage is pinned the same way: its PS requests are charged in sim
 //! order, not in the order the pool ran the executors.
 
@@ -18,8 +19,12 @@ use psgraph::core::runner::{self, distribute_edges};
 use psgraph::core::{PsGraphConfig, PsGraphContext};
 use psgraph::dataflow::{Cluster, ClusterConfig, Rdd};
 use psgraph::graph::gen;
+use psgraph::net::rpc::NodeId;
+use psgraph::ps::{Ps, PsConfig};
 use psgraph::serve::{loadgen, QueryMix, ServeCluster, ServeConfig, Workload};
+use psgraph::sim::{NodeClock, SimTime};
 use psgraph_harness::Pool;
+use psgraph_stream::{BatchEffect, DriftRmat, IngestConfig, IngestStats, ShardedIngestor};
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
 
@@ -313,6 +318,44 @@ fn serve_answers_and_latencies_identical_across_pools_and_schedules() {
                 rep.latencies == baseline.latencies,
                 "simulated latencies diverge at {threads} threads, seed {seed}"
             );
+        }
+    }
+}
+
+/// Six batches of a drifting RMAT stream drained through four lanes on
+/// `pool`: every batch's effect, the lifetime counters and each lane's
+/// clock. The table's per-partition writes run on the pool and build the
+/// report each effect is read from; the lanes' requests are charged in
+/// lane order afterwards, so the clocks must not move with the schedule.
+fn sharded_drain(pool: Pool) -> (Vec<BatchEffect>, IngestStats, Vec<SimTime>) {
+    let ps = Ps::new(PsConfig { servers: 3, pool: Some(Arc::new(pool)), ..Default::default() });
+    let n = 96;
+    let cfg = IngestConfig { mailbox_cap: 256, ..IngestConfig::default() };
+    let mut ingestor = ShardedIngestor::create(&ps, &cfg, n, 4).unwrap();
+    let base = gen::rmat(n, 300, Default::default(), 5).dedup();
+    ingestor.bootstrap(&NodeClock::new(), base.edges()).unwrap();
+    let drift = DriftRmat { num_vertices: n, remove_fraction: 0.3, seed: 9, ..Default::default() };
+    let mut source = drift.start(base.edges());
+    let effects = (0..6)
+        .map(|_| {
+            for _ in 0..200 {
+                assert!(ingestor.offer(NodeId::Driver, source.next_event()));
+            }
+            ingestor.drain_all().unwrap()
+        })
+        .collect();
+    (effects, ingestor.stats(), ingestor.lane_times())
+}
+
+#[test]
+fn sharded_drain_effects_counters_and_lane_clocks_identical_across_pools_and_schedules() {
+    let baseline = sharded_drain(Pool::with_perturb(1, None));
+    assert!(baseline.0.iter().all(|fx| !fx.applied.is_empty()), "every batch changes the table");
+    assert!(baseline.2.iter().all(|&t| t > SimTime::ZERO), "every lane wrote");
+    for threads in POOL_SIZES {
+        for seed in [None, Some(1u64), Some(7), Some(42)] {
+            let run = sharded_drain(Pool::with_perturb(threads, seed));
+            assert!(run == baseline, "sharded drain diverges at {threads} threads, perturbation {seed:?}");
         }
     }
 }
