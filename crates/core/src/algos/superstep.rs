@@ -78,9 +78,10 @@ pub(crate) trait NeighborhoodProgram {
 
 /// Run `program` on an edge RDD (treated as undirected) over
 /// `[0, num_vertices)`: every vertex's final value, and the run's stats.
-/// The adjacency is built on the servers, co-partitioned with `edges`
-/// (`runner::undirected_table_on_ps`), and read back whole onto the
-/// executors (`runner::pull_neighbor_tables`) — no shuffle; the table stays
+/// The adjacency is built on the servers in a hash table of `edges`'
+/// partition count (`runner::undirected_table_on_ps`), and each partition
+/// is read back whole onto the executor hosting it
+/// (`runner::pull_neighbor_tables`) — no shuffle; the table stays
 /// on the servers, where a restarted executor reads its partitions again.
 /// Each step every executor reads `[v, N(v)…]` of all its partitions with
 /// one planned pull, folds each vertex, charges the declared CPU and

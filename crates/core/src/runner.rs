@@ -1,8 +1,8 @@
 //! `GraphRunner` / `GraphIO` (paper Listing 1): load graph data from the
 //! DFS into executor RDDs, convert edge partitioning to vertex
 //! partitioning — with `groupBy` into neighbor-table RDDs, or straight
-//! into a PS neighbor table co-partitioned with the edges, which the
-//! executors can read back as that RDD — and save results.
+//! into a PS neighbor table with the edge RDD's partition count, which the
+//! executors can read back one partition each as an RDD — and save results.
 
 use std::sync::Arc;
 
@@ -112,11 +112,12 @@ pub fn to_undirected_neighbor_tables(
     })?)
 }
 
-/// The same undirected table built on the PS as the table `name`,
-/// co-partitioned with `edges`: a [`Partitioner::Hash`] table of
-/// `edges.num_partitions()` partitions, so its partition `p` holds the
-/// vertices a shuffle of `edges` would send to partition `p` — the
-/// vertices [`to_undirected_neighbor_tables`]' partition `p` holds. Every
+/// The same undirected table built on the PS as the table `name`: a
+/// [`Partitioner::Hash`] table of `edges.num_partitions()` partitions,
+/// whose partition `p` holds the rows of [`to_undirected_neighbor_tables`]
+/// whose vertex the hash layout places in `p`
+/// (`PartitionLayout::partition_of`: `mix64(v) % P`, which spreads RMAT's
+/// low-bit hubs over the servers). Every
 /// executor sends both directions of its partitions' edges in one
 /// [`NeighborTableHandle::merge_edges`] request, and then the driver's one
 /// [`NeighborTableHandle::seal`] has the servers merge each list once into
@@ -159,7 +160,8 @@ pub fn undirected_table_on_ps(
 }
 
 /// Partition `p` of the table `adj` back on the executors as RDD
-/// partition `p`, its rows in ascending vertex order: one
+/// partition `p` (its rows are the vertices the table's layout places in
+/// `p`, not those a shuffle would send there), in ascending vertex order: one
 /// [`NeighborTableHandle::pull_partitions`] request per partition, from
 /// the executor that hosts it. The read is also the provenance, so a
 /// restarted executor reads its partitions from the servers again.

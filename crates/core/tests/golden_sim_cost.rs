@@ -122,6 +122,28 @@
 //! ps_bytes=1916384 elapsed=1909291ns` (Common Neighbor) and `ps_rpcs=32
 //! ps_bytes=1879408 elapsed=3241615ns` (Triangle Count).
 //!
+//! The `kcore:`, `connected_components:`, `label_propagation:`,
+//! `common_neighbor:`, `triangle_count:` and `graphsage:` lines were
+//! re-recorded when the PS hash layout started to place a key at
+//! `mix64(key) % partitions` instead of `FxHash(key) % partitions`, which
+//! kept a key's low bits and so RMAT's degree skew: these six jobs' tables
+//! are hash tables (GraphSage's `gs.adj` and `gs.x` too), so which vertices
+//! share a partition, a server and a reading executor moved. The results
+//! held — common-neighbor pairs and counts, triangles, coreness digest and
+//! maximum, components, GraphSage's loss and accuracy digests — except
+//! LPA's labels, an order-sensitive fold whose executor grouping moved
+//! (`kept_own` and its supersteps held). Common Neighbor and Triangle
+//! Count moved `elapsed=` alone. K-Core took one superstep more (8 → 9:
+//! its steps read what their own stage writes, on a different grouping).
+//! At the parent commit (7288d2e) they read `supersteps=8 ps_rpcs=157
+//! ps_bytes=1576936 elapsed=2034396ns` (K-Core), `ps_rpcs=87
+//! ps_bytes=1245784 elapsed=1294077ns` (CC), `labels=7e362f97326ff396
+//! … ps_rpcs=87 ps_bytes=1246392 elapsed=1337846ns` (LPA),
+//! `elapsed=2022881ns` (Common Neighbor), `elapsed=3355205ns` (Triangle
+//! Count) and `ps_rpcs=964 ps_bytes=10057232 elapsed=23492046ns`
+//! (GraphSage). PageRank, Fast Unfolding and LINE use Range layouts only
+//! and did not move.
+//!
 //! A deliberate cost-model change re-records the lines (the failure
 //! message prints the actual ones); a digest must not move with it.
 
@@ -162,14 +184,14 @@ fn run(job: impl FnOnce(&Arc<PsGraphContext>) -> (String, RunStats)) -> String {
 }
 
 const EXPECTED: &[&str] = &[
-    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=34 ps_bytes=1916416 spark_bytes=0 elapsed=2022881ns",
-    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=34 ps_bytes=1879440 spark_bytes=283168 elapsed=3355205ns",
+    "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=34 ps_bytes=1916416 spark_bytes=0 elapsed=1828543ns",
+    "triangle_count: triangles=170022 supersteps=4 ps_rpcs=34 ps_bytes=1879440 spark_bytes=283168 elapsed=3165733ns",
     "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=289800 elapsed=3043765ns",
-    "kcore: coreness=76d043e535627bf0 max=47 supersteps=8 ps_rpcs=157 ps_bytes=1576936 spark_bytes=0 elapsed=2034396ns",
-    "connected_components: components=328 supersteps=4 ps_rpcs=87 ps_bytes=1245784 spark_bytes=0 elapsed=1294077ns",
-    "label_propagation: labels=7e362f97326ff396 kept_own=328 supersteps=4 ps_rpcs=87 ps_bytes=1246392 spark_bytes=0 elapsed=1337846ns",
+    "kcore: coreness=76d043e535627bf0 max=47 supersteps=9 ps_rpcs=172 ps_bytes=1706080 spark_bytes=0 elapsed=1883227ns",
+    "connected_components: components=328 supersteps=4 ps_rpcs=88 ps_bytes=1267200 spark_bytes=0 elapsed=1124817ns",
+    "label_propagation: labels=f4078fb9556c4418 kept_own=328 supersteps=4 ps_rpcs=89 ps_bytes=1268632 spark_bytes=0 elapsed=1145276ns",
     "fast_unfolding: communities=cdb9917dd8802be7 modularity=3fbd61e8a9877559 supersteps=47 ps_rpcs=4278 ps_bytes=20028112 spark_bytes=1531672 elapsed=78332097ns",
-    "graphsage: loss=f8bfd9cb90d44881 accuracy=92328807b4eb6fed supersteps=4 ps_rpcs=964 ps_bytes=10057232 spark_bytes=408480 elapsed=23492046ns",
+    "graphsage: loss=f8bfd9cb90d44881 accuracy=92328807b4eb6fed supersteps=4 ps_rpcs=980 ps_bytes=10057360 spark_bytes=408480 elapsed=23500505ns",
     "line(second): loss=8913c0a2c2554574 embeddings=211cd4d92341965c supersteps=2 ps_rpcs=390 ps_bytes=27783296 spark_bytes=0 elapsed=14145939ns",
     "line(first): loss=9fea2211ca7f304e embeddings=2bf198f17803dab8 supersteps=2 ps_rpcs=388 ps_bytes=27783232 spark_bytes=0 elapsed=14145939ns",
 ];

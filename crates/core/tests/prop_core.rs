@@ -204,12 +204,15 @@ fn common_neighbor_and_triangle_count_are_exact_within_any_budget_they_finish_in
 /// Every job that walks or reads an undirected adjacency — Common
 /// Neighbor, Triangle Count, K-Core, CC, LPA — builds it on the PS: each
 /// writer sends both directions of its edges in one request, the servers
-/// hold the runs, and one seal merges each list. The table is
-/// co-partitioned with the edge RDD, so partition `p` read back whole must
-/// be partition `p` of the one `groupBy` builds, row by row, on 1–8
-/// writers, whichever order the writers' requests land in and when one is
-/// sent twice. An id past the table is a typed error, and the request
-/// that names it writes nothing.
+/// hold the runs, and one seal merges each list. The table has the edge
+/// RDD's partition count and places a vertex by its hash layout, so
+/// partition `p` — read by the servers and read back as the executors' RDD
+/// partition `p` — must be, row for row and in ascending order, the rows
+/// of the table `groupBy` builds whose vertex the layout puts in `p`, and
+/// the partitions together must be that whole table; on 1–8 writers,
+/// whichever order the writers' requests land in and when one is sent
+/// twice. An id past the table is a typed error, and the request that
+/// names it writes nothing.
 #[test]
 fn the_ps_built_neighbor_table_is_the_grouped_one() {
     let arb = |src: &mut Source| {
@@ -235,23 +238,29 @@ fn the_ps_built_neighbor_table_is_the_grouped_one() {
         let ctx = PsGraphContext::new(config);
         let edges = distribute_edges(&ctx, g, *writers).unwrap();
         let grouped = runner::to_undirected_neighbor_tables(&edges).unwrap();
-        let want: Vec<Vec<(u64, Vec<u64>)>> = (0..*writers)
-            .map(|p| {
-                let mut rows = grouped.partition(p).unwrap().to_vec();
-                rows.sort_unstable();
-                rows
-            })
-            .collect();
+        let mut table: Vec<(u64, Vec<u64>)> =
+            (0..*writers).flat_map(|p| grouped.partition(p).unwrap().to_vec()).collect();
+        table.sort_unstable();
         let clock = NodeClock::new();
         let parts: Vec<usize> = (0..*writers).collect();
 
         // The jobs' build: one request per executor, then the seal; read
         // back by the servers and as the executors' RDD.
         let adj = runner::undirected_table_on_ps(&ctx, &edges, "job", n).unwrap();
+        let layout = adj.layout().clone();
+        prop_assert_eq!(layout.num_partitions, *writers);
+        let want: Vec<Vec<(u64, Vec<u64>)>> = parts
+            .iter()
+            .map(|&p| table.iter().filter(|(v, _)| layout.partition_of(*v) == p).cloned().collect())
+            .collect();
+        let mut union = want.concat();
+        union.sort_unstable();
+        prop_assert_eq!(union, table.clone(), "the partitions together are the grouped table");
         prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
         let tables = runner::pull_neighbor_tables(&ctx, &adj).unwrap();
         prop_assert_eq!(tables.num_partitions(), *writers);
         for (p, rows) in want.iter().enumerate() {
+            prop_assert_eq!(adj.pull_partitions(&clock, &[p]).unwrap(), rows.clone(), "partition {}", p);
             prop_assert_eq!(tables.partition(p).unwrap().to_vec(), rows.clone(), "partition {}", p);
         }
 

@@ -379,9 +379,8 @@ impl NeighborTableHandle {
 
     /// Create an empty table over vertex ids `[0, num_vertices)` in
     /// `partitions` partitions, placed round-robin on the servers. A
-    /// [`Partitioner::Hash`] table of an RDD's partition count holds in
-    /// partition `p` the vertices the RDD's shuffle sends to its
-    /// partition `p`.
+    /// [`Partitioner::Hash`] table places vertex `v` in partition
+    /// `mix64(v) % partitions` ([`PartitionLayout::partition_of`]).
     pub fn create_partitioned(
         ps: &Arc<Ps>,
         name: impl Into<String>,

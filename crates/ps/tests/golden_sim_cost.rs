@@ -153,6 +153,23 @@
 //! table partition one version lower (also on the 7-server hash layout).
 //! The `results/` simplicity ledger of this re-recording holds the script
 //! and its output.
+//!
+//! Re-recorded once more when the hash layout started to place a key at
+//! `mix64(key) % partitions` (SplitMix64's finalizer) instead of at its
+//! FxHash, which kept the key's low bits. All 406 range lines are
+//! byte-identical; of the 392 hash lines 2 are identical, 262 differ in
+//! `client=` / `ports=` alone and 16 also in the clock their result
+//! embeds. The other 112 moved with placement: the `one`, `pair` and
+//! `pair-rev` requests pick their keys by server (`requests`), so they name
+//! other keys and leave other values behind for the reads after them, and
+//! which keys a request sends each server moves its `rpcs` / `sent` /
+//! `recv`. Run with the parent's keys (a scratch copy whose `requests`
+//! picks them by the FxHash server), every keyed read returns the parent's
+//! values except where placement is the result: partition versions, plan
+//! shapes and renderings, checkpoint digests, which keys server 1's
+//! recovery loses, whether a request reaches the dead server 1 (seven
+//! servers), and the sharded write's owner-keyed lanes. The `results/`
+//! perf ledger of this change holds both comparisons.
 
 use std::fmt::Debug;
 use std::sync::Arc;

@@ -73,13 +73,28 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` with the fast hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// One-shot hash of a `u64` key — used by the hash partitioners so that
-/// partition placement is stable across processes and runs.
+/// One-shot FxHash of a `u64` key: `key · K mod 2⁶⁴` with `K` odd, so its
+/// value mod a power of two is the key's own low bits times `K`. Stable
+/// across processes and runs; the dataflow shuffle's partitioner, Euler's
+/// shard placement and the train/test splits use it.
 #[inline]
 pub fn hash_u64(key: u64) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(key);
     h.finish()
+}
+
+/// SplitMix64's finalizer (Steele, Lea & Flood 2014): a bijection on `u64`
+/// in which every output bit depends on every input bit. The PS's hash
+/// layout places a key by `mix64(key) % partitions`, so placement does not
+/// follow how the ids were assigned (an RMAT id carries its degree in its
+/// low bits); [`crate::rng::SplitMix64`] draws each output through it.
+#[inline]
+pub fn mix64(key: u64) -> u64 {
+    let mut z = key;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -122,6 +137,44 @@ mod tests {
         let mut b = FxHasher::default();
         b.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    /// The inverse of `x ↦ x ^ (x >> shift)`.
+    fn unshift(y: u64, shift: u32) -> u64 {
+        let mut x = y;
+        for _ in 0..64 / shift {
+            x = y ^ (x >> shift);
+        }
+        x
+    }
+
+    /// The inverse of an odd `c` mod 2⁶⁴ (Newton: each step doubles the
+    /// correct low bits, from 3 at `x = c`).
+    fn inverse(c: u64) -> u64 {
+        let mut x = c;
+        for _ in 0..5 {
+            x = x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)));
+        }
+        assert_eq!(c.wrapping_mul(x), 1);
+        x
+    }
+
+    #[test]
+    fn mix64_is_a_bijection_on_a_sample() {
+        let unmix = |y: u64| {
+            let z = unshift(y, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+            let z = unshift(z, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+            unshift(z, 30)
+        };
+        let dense = 0..20_000u64;
+        let strided = (0..20_000u64).map(|i| i << 20);
+        let wide = (0..20_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let keys: FxHashSet<u64> = dense.chain(strided).chain(wide).chain([u64::MAX]).collect();
+        for &key in &keys {
+            assert_eq!(unmix(mix64(key)), key, "key {key:#x}");
+        }
+        let images: FxHashSet<u64> = keys.iter().map(|&key| mix64(key)).collect();
+        assert_eq!(images.len(), keys.len());
     }
 
     #[test]

@@ -23,10 +23,7 @@ impl SplitMix64 {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        crate::hash::mix64(self.state)
     }
 
     /// Uniform in `[0, bound)`. Uses the widening-multiply trick; bias is
@@ -119,6 +116,23 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next(), b.next());
         }
+    }
+
+    #[test]
+    fn first_outputs_match_the_reference_stream() {
+        // Vigna's splitmix64.c from seed 1234567, and from 0.
+        let mut r = SplitMix64::new(1_234_567);
+        let want = [
+            0x599E_D017_FB08_FC85,
+            0x2C73_F084_5854_0FA5,
+            0x883E_BCE5_A3F2_7C77,
+            0x3FBE_F740_E917_7B3F,
+            0xE3B8_3467_08CB_5ECD,
+        ];
+        assert_eq!(want.map(|_| r.next()), want);
+        let mut r = SplitMix64::new(0);
+        let want = [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4, 0x06C4_5D18_8009_454F];
+        assert_eq!(want.map(|_| r.next()), want);
     }
 
     #[test]

@@ -115,6 +115,11 @@ cargo test -q --offline -p psgraph-ps --lib -- matrix
 # And recovery's check that a checkpointed partition fits its slot: the
 # column ranges, dense row starts and keys it compares with the layout.
 cargo test -q --offline -p psgraph-ps --lib -- object
+# And the hash layout's placement: SplitMix64's finalizer multiplies and
+# shifts every key (`mix64`, also every draw of the sim RNG), and the
+# balance property sums RMAT degree mass per server (`u64`).
+cargo test -q --offline -p psgraph-ps --lib -- partition
+cargo test -q --offline -p psgraph-sim --lib -- hash rng
 cargo test -q --offline -p psgraph-core --test prop_incremental
 
 cargo build --release --offline --workspace
