@@ -248,6 +248,45 @@ fn axpy(to: &mut [f32], coef: f64, from: &[f32]) {
     }
 }
 
+/// Pairs one pass of [`dot_slice`] scores: eight independent add chains
+/// keep the core's f64 adders busy where one chain waits on each add.
+const LANES: usize = 8;
+
+/// One pair's partial dot product over a column slice: an f64 chain in
+/// column order from `+0.0`.
+#[inline]
+fn dot_chain(x: &[f32], y: &[f32]) -> f64 {
+    x.iter().zip(y).fold(0.0, |s, (a, b)| s + *a as f64 * *b as f64)
+}
+
+/// Adds the [`dot_chain`] of rows `a[i_k]` and `b[j_k]` to `out[k]` for
+/// every `pairs[k] = (i_k, j_k)`, over one column slice `w` wide (`a`,
+/// `b` row-major).
+/// Blocks of [`LANES`] pairs run their chains side by side, lane `l` of
+/// block `k` holding pair `LANES·k + l`; the remainder runs one chain at a
+/// time. Each chain is its pair's own, from `+0.0` in column order, so
+/// every sum carries `dot_chain`'s bits.
+fn dot_slice(a: &[f32], b: &[f32], w: usize, pairs: &[(u64, u64)], out: &mut [f64]) {
+    let mut blocks = pairs.chunks_exact(LANES);
+    let mut outs = out.chunks_exact_mut(LANES);
+    for (block, out) in (&mut blocks).zip(&mut outs) {
+        let rows: [(&[f32], &[f32]); LANES] =
+            std::array::from_fn(|l| (&a[span(block[l].0, w)], &b[span(block[l].1, w)]));
+        let mut acc = [0.0f64; LANES];
+        for c in 0..w {
+            for (s, (x, y)) in acc.iter_mut().zip(&rows) {
+                *s += x[c] as f64 * y[c] as f64;
+            }
+        }
+        for (o, s) in out.iter_mut().zip(acc) {
+            *o += s;
+        }
+    }
+    for (o, &(i, j)) in outs.into_remainder().iter_mut().zip(blocks.remainder()) {
+        *o += dot_chain(&a[span(i, w)], &b[span(j, w)]);
+    }
+}
+
 /// Typed client handle to a PS matrix, split by rows or by columns.
 #[derive(Debug, Clone)]
 pub struct MatrixHandle<E: Element> {
@@ -606,7 +645,10 @@ impl MatrixHandle<f32> {
     /// `out[k] = Σ_c self[i_k, c] × other[j_k, c]` for `pairs[k] = (i_k, j_k)`.
     /// Only ids and one f64 per pair per server cross the wire; the server
     /// CPU is `pairs × width × 2` raw ops (a multiply and an add per
-    /// column), not a per-item charge. Column split only.
+    /// column), not a per-item charge. Column split only. Each server's
+    /// partial is a chain from `+0.0` in column order (`dot_slice`, a
+    /// block of pairs per pass); the partials are added to `0.0` in
+    /// partition order.
     pub fn dot_pairs(
         &self,
         client: &NodeClock,
@@ -621,13 +663,7 @@ impl MatrixHandle<f32> {
         self.obj.each_partition(client, |p, server| {
             let width = server.get_pair(self.part(p), other.part(p), |a: &MatPart<f32>, b: &MatPart<f32>| {
                 let ((a, w), (b, _)) = (a.block(), b.block());
-                for (o, &(i, j)) in out.iter_mut().zip(pairs) {
-                    let mut s = 0.0f64;
-                    for (x, y) in a[span(i, w)].iter().zip(&b[span(j, w)]) {
-                        s += (*x as f64) * (*y as f64);
-                    }
-                    *o += s;
-                }
+                dot_slice(a, b, w, pairs, &mut out);
                 w as u64
             })?;
             Ok((n * 16, n * width * 2, n * 8))
@@ -913,22 +949,69 @@ mod tests {
         assert!((w - 2.0).abs() < 0.05, "adam failed to converge: {w}");
     }
 
+    /// Signed zeros and magnitudes a few thousand times apart beside
+    /// ordinary values: no product swamps a slice's sum, so a chain added
+    /// in another order shows in the bits.
+    fn arb_entry(rng: &mut SplitMix64) -> f32 {
+        let x = rng.next_f64() as f32 * 4.0 - 2.0;
+        match rng.next_below(8) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => x * 1e3,
+            3 => x * 1e-3,
+            _ => x,
+        }
+    }
+
     #[test]
     fn dot_pairs_matches_client_side_dot() {
-        let ps = ps(3);
-        let c = NodeClock::new();
-        let u = col_split(&ps, "u", 8, 7);
-        let v = col_split(&ps, "v", 8, 7);
-        u.init_uniform(&c, 1, 1.0).unwrap();
-        v.init_uniform(&c, 2, 1.0).unwrap();
-        let pairs = [(0u64, 1u64), (3, 3), (7, 0)];
-        let server_side = u.dot_pairs(&c, &v, &pairs).unwrap();
-        // Reference: pull rows and dot on the client.
-        for (k, &(i, j)) in pairs.iter().enumerate() {
-            let a = &u.pull_rows(&c, &[i]).unwrap()[0];
-            let b = &v.pull_rows(&c, &[j]).unwrap()[0];
-            let want: f64 = a.iter().zip(b).map(|(x, y)| *x as f64 * *y as f64).sum();
-            assert!((server_side[k] - want).abs() < 1e-6, "pair {k}");
+        let rows = 12u64;
+        let mut rng = SplitMix64::new(44);
+        for servers in 1..=5 {
+            // Slices of unequal widths, some wider than a block of pairs.
+            let cols = 9 * servers + 1;
+            let ps = ps(servers);
+            let c = NodeClock::new();
+            let u = col_split(&ps, "u", rows, cols);
+            let v = col_split(&ps, "v", rows, cols);
+            let slices: Vec<(usize, usize)> = (0..u.layout().num_partitions)
+                .map(|p| u.layout().range_of(p).map(|(a, b)| (a as usize, b as usize)).unwrap())
+                .collect();
+            let widths: std::collections::BTreeSet<usize> =
+                slices.iter().map(|(a, b)| b - a).collect();
+            assert_eq!(widths.len() > 1, servers > 1, "{servers} servers: {slices:?}");
+            let all: Vec<u64> = (0..rows).collect();
+            for m in [&u, &v] {
+                let values: Vec<Vec<f32>> =
+                    all.iter().map(|_| (0..cols).map(|_| arb_entry(&mut rng)).collect()).collect();
+                m.push_set_rows(&c, &all, &values).unwrap();
+            }
+            let (ur, vr) = (u.pull_rows(&c, &all).unwrap(), v.pull_rows(&c, &all).unwrap());
+            // The reference: per slice a chain from +0.0 in column order,
+            // the slices added to 0.0 in partition order.
+            let reference = |a: &[f32], b: &[f32]| {
+                slices.iter().fold(0.0f64, |total, &(c0, c1)| {
+                    let products = a[c0..c1].iter().zip(&b[c0..c1]);
+                    total + products.fold(0.0f64, |s, (x, y)| s + *x as f64 * *y as f64)
+                })
+            };
+            for n in 0..=3 * LANES + 5 {
+                let mut pairs: Vec<(u64, u64)> =
+                    (0..n).map(|_| (rng.next_below(rows), rng.next_below(rows))).collect();
+                // Repeated pairs, within a block and across blocks.
+                for k in (4..n).step_by(5) {
+                    pairs[k] = pairs[k - 4];
+                }
+                for (other, or) in [(&v, &vr), (&u, &ur)] {
+                    let got = u.dot_pairs(&c, other, &pairs).unwrap();
+                    let want: Vec<u64> = pairs
+                        .iter()
+                        .map(|&(i, j)| reference(&ur[i as usize], &or[j as usize]).to_bits())
+                        .collect();
+                    let got: Vec<u64> = got.iter().map(|d| d.to_bits()).collect();
+                    assert_eq!(got, want, "{servers} servers, {n} pairs, other {}", other.name());
+                }
+            }
         }
     }
 

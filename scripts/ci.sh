@@ -110,7 +110,9 @@ cargo test -q --offline -p psgraph-graphx --lib -- common_neighbor triangle
 cargo test -q --offline -p psgraph-ps --lib -- residual_push
 # And the one matrix partition: the `(row - start) * width` index every
 # row access goes through, and the column-range arithmetic of the column
-# split's slices and of the checkpoint decoder.
+# split's slices and of the checkpoint decoder; and `dot_pairs`' block of
+# pairs, lane `l` of block `k` scoring pair `8k + l`, checked bit for bit
+# against one chain per pair.
 cargo test -q --offline -p psgraph-ps --lib -- matrix
 # And recovery's check that a checkpointed partition fits its slot: the
 # column ranges, dense row starts and keys it compares with the layout.
