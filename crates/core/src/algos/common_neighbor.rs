@@ -23,6 +23,7 @@ use psgraph_sim::FxHashMap;
 use crate::agent::{Charged, ExecutorState};
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::{CoreError, PsResultExt, Result};
+use crate::runner::{table_on_ps, undirected};
 
 /// Common-neighbor job configuration.
 #[derive(Debug, Clone)]
@@ -73,7 +74,7 @@ impl CommonNeighbor {
 
         // Undirected adjacency, grouped on the servers.
         let _objects = super::PsObjects::new(ctx, &["cn.adj"]);
-        let adj = crate::runner::undirected_table_on_ps(ctx, edges, "cn.adj", num_vertices)?;
+        let adj = table_on_ps(ctx, edges, "cn.adj", num_vertices, undirected)?;
         let mut supersteps = 1;
 
         if self.checkpoint {
@@ -371,7 +372,7 @@ pub(crate) fn count_common(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{distribute_edges, undirected_table_on_ps};
+    use crate::runner::distribute_edges;
     use psgraph_graph::{gen, metrics, EdgeList};
     use psgraph_sim::FxHashMap;
 
@@ -501,7 +502,7 @@ mod tests {
         let run = |count: &Round<'_>| {
             let ctx = PsGraphContext::local();
             let edges = distribute_edges(&ctx, &g, 4).unwrap();
-            let adj = undirected_table_on_ps(&ctx, &edges, "adj", 50).unwrap();
+            let adj = table_on_ps(&ctx, &edges, "adj", 50, undirected).unwrap();
             let exec = ctx.cluster().executor(0);
             let counts = count(&ctx, exec, &adj);
             (counts, exec.clock().now())
@@ -629,7 +630,7 @@ mod tests {
         check_with("kept_lists", &Config::with_cases(32), gen, |(g, partitions, batch)| {
             let ctx = PsGraphContext::local();
             let pairs = distribute_edges(&ctx, g, *partitions).unwrap();
-            let adj = undirected_table_on_ps(&ctx, &pairs, "adj", g.num_vertices()).unwrap();
+            let adj = table_on_ps(&ctx, &pairs, "adj", g.num_vertices(), undirected).unwrap();
             let cluster = ctx.cluster();
             for e in 0..cluster.num_executors() {
                 let exec = cluster.executor(e);

@@ -1,17 +1,21 @@
 //! Delta-based PageRank on the parameter server (paper §IV-A, Fig. 4).
 //!
-//! The PS stores two vectors, `ranks` and `Δranks`. Each superstep:
+//! The PS stores the graph's out-table `pr.adj` and two vectors, `ranks`
+//! and `Δranks`. Edge partitioning becomes vertex partitioning once per
+//! job, on the servers: every executor sends its edges as given,
+//! self-loops kept, into `pr.adj` (`runner::table_on_ps` with
+//! `runner::directed`), and reads its partitions of the sealed table back
+//! as its neighbor tables (`runner::pull_neighbor_tables`) — where Fig. 4
+//! `groupBy`s the edge RDD through a disk shuffle. Each superstep:
 //!
-//! 1. executors hold vertex-partitioned neighbor tables (built once with
-//!    `groupBy`),
-//! 2. each executor pulls `Δranks` of its local source vertices — one
+//! 1. each executor pulls `Δranks` of its local source vertices — one
 //!    planned request over all its partitions, through its [`PsAgent`],
-//! 3. computes the damped contribution `d·Δ_src/L(src)` of every source
+//! 2. computes the damped contribution `d·Δ_src/L(src)` of every source
 //!    that moved; each destination's sum is gathered over its in-edges
 //!    through a `FoldPlan` built once per job,
-//! 4. the PS adds `Δranks` into `ranks` and zeroes `Δranks` (server-side
+//! 3. the PS adds `Δranks` into `ranks` and zeroes `Δranks` (server-side
 //!    `accumulate_and_reset`),
-//! 5. each executor pushes the sums of the destinations its partitions
+//! 4. each executor pushes the sums of the destinations its partitions
 //!    own into `Δranks`, again as one request.
 //!
 //! The run converges when `Σ|Δ|` falls below the tolerance. Only rank
@@ -28,7 +32,7 @@ use crate::agent::PsAgent;
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::PsResultExt;
 use crate::error::{CoreError, Result};
-use crate::runner::to_neighbor_tables;
+use crate::runner::{directed, pull_neighbor_tables, table_on_ps};
 
 /// PageRank job configuration.
 #[derive(Debug, Clone)]
@@ -42,8 +46,9 @@ pub struct PageRank {
     /// iterations; we leverage this sparsity to reduce the communication
     /// cost"). 0.0 = exact.
     pub delta_threshold: f64,
-    /// Checkpoint the PS state every `k` supersteps (0 = never). PageRank
-    /// is consistency-critical, so recovery rolls every server back.
+    /// Checkpoint the rank vectors every `k` supersteps (0 = never), and
+    /// the static out-table once, after its seal. PageRank is
+    /// consistency-critical, so recovery rolls every server back.
     pub checkpoint_every: u64,
 }
 
@@ -84,20 +89,16 @@ struct FoldPlan {
 }
 
 impl FoldPlan {
-    /// Transpose the (deduplicated) neighbor tables by counting sort,
-    /// visiting sources ascending. Host bookkeeping like the fold itself:
-    /// nothing here is charged to the sim clock.
+    /// Transpose the (deduplicated) neighbor tables, whose ids
+    /// `runner::table_on_ps` has bounds-checked, by counting sort, visiting
+    /// sources ascending. Host bookkeeping like the fold itself: nothing
+    /// here is charged to the sim clock.
     fn build(tables: &Rdd<(u64, Vec<u64>)>, num_vertices: u64) -> Result<FoldPlan> {
         let all: Vec<usize> = (0..tables.num_partitions()).collect();
         let parts = tables.partitions(&all)?;
-        let rows = || parts.iter().flat_map(|part| part.iter());
-        let mut ids = rows().flat_map(|(src, neighbors)| std::iter::once(src).chain(neighbors));
-        if let Some(id) = ids.find(|&&id| id >= num_vertices) {
-            return Err(CoreError::Invalid(format!("vertex id {id} outside [0, {num_vertices})")));
-        }
         let n = num_vertices as usize;
         let mut by_source: Vec<&[u64]> = vec![&[]; n];
-        for (src, neighbors) in rows() {
+        for (src, neighbors) in parts.iter().flat_map(|part| part.iter()) {
             by_source[*src as usize] = neighbors;
         }
         let mut offsets = vec![0usize; n + 1];
@@ -148,11 +149,16 @@ impl PageRank {
         let start = ctx.now();
         let snap = ctx.net_snapshot();
 
-        // groupBy: edge partitioning → vertex partitioning (Fig. 4 step 1).
-        let tables = to_neighbor_tables(edges)?;
+        // Edge partitioning → vertex partitioning (Fig. 4 step 1), on the
+        // servers; the static table is checkpointed once.
+        let _objects = super::PsObjects::new(ctx, &["pr.adj", "pr.ranks", "pr.dranks"]);
+        let adj = table_on_ps(ctx, edges, "pr.adj", num_vertices, directed)?;
+        if self.checkpoint_every > 0 {
+            ctx.ps().checkpoint(ctx.dfs(), "pr.adj")?;
+        }
+        let tables = pull_neighbor_tables(ctx, &adj)?;
         let plan = FoldPlan::build(&tables, num_vertices)?;
 
-        let _objects = super::PsObjects::new(ctx, &["pr.ranks", "pr.dranks"]);
         let ranks = VectorHandle::<f64>::create(
             ctx.ps(), "pr.ranks", num_vertices, Partitioner::Range, RecoveryMode::Consistent,
         )?;
@@ -163,8 +169,14 @@ impl PageRank {
         let seed: Vec<u64> = (0..num_vertices).collect();
         let seed_vals = vec![1.0 - self.damping; num_vertices as usize];
         dranks.push_set(ctx.cluster().driver(), &seed, &seed_vals)?;
+        let checkpoint = || -> Result<()> {
+            for name in ["pr.ranks", "pr.dranks"] {
+                ctx.ps().checkpoint(ctx.dfs(), name)?;
+            }
+            Ok(())
+        };
         if self.checkpoint_every > 0 {
-            ctx.ps().checkpoint_all(ctx.dfs())?;
+            checkpoint()?;
         }
 
         let agent = PsAgent::new(ctx.cluster(), PullResponse::Sparse);
@@ -172,7 +184,7 @@ impl PageRank {
         let mut contrib: Vec<Option<f64>> = vec![None; num_vertices as usize];
         let mut steps_done = 0;
         let step = || -> Result<u64> {
-            // Steps 2–3, once per executor over all its partitions: pull Δ
+            // Steps 1–2, once per executor over all its partitions: pull Δ
             // of the local sources through the agent's plan (one RPC per
             // server) and compute the contribution every source that moved
             // sends along each of its out-edges.
@@ -212,11 +224,11 @@ impl PageRank {
                 .pool()
                 .map((0..num_parts).collect(), |bucket| plan.fold(bucket, num_parts, &contrib));
 
-            // Step 4: PS folds Δranks into ranks and resets Δranks.
+            // Step 3: PS folds Δranks into ranks and resets Δranks.
             ranks.accumulate_and_reset(ctx.cluster().driver(), &dranks)?;
             ctx.cluster().clock().barrier([ctx.cluster().driver()]);
 
-            // Step 5: every executor pushes the sums its partitions own
+            // Step 4: every executor pushes the sums its partitions own
             // into Δranks, as one request.
             ctx.cluster()
                 .run_executors(num_parts, |exec, parts| {
@@ -231,7 +243,7 @@ impl PageRank {
 
             steps_done += 1;
             if self.checkpoint_every > 0 && steps_done % self.checkpoint_every == 0 {
-                ctx.ps().checkpoint_all(ctx.dfs())?;
+                checkpoint()?;
             }
 
             // Convergence check on the driver.
@@ -336,7 +348,8 @@ mod tests {
                 for num_parts in [1usize, 3, 8] {
                     let ctx = PsGraphContext::local();
                     let edges = distribute_edges(&ctx, g, num_parts).unwrap();
-                    let tables = to_neighbor_tables(&edges).unwrap();
+                    let adj = table_on_ps(&ctx, &edges, "adj", g.num_vertices(), directed).unwrap();
+                    let tables = pull_neighbor_tables(&ctx, &adj).unwrap();
                     let plan = FoldPlan::build(&tables, g.num_vertices()).unwrap();
                     let want = sorted_fold(g, num_parts, contrib);
                     for (bucket, want) in want.iter().enumerate() {
@@ -480,27 +493,37 @@ mod tests {
         assert_eq!(ranks(Some(0)), clean, "kill at step 0 changed the ranks");
     }
 
+    /// With a checkpoint every superstep, a server killed mid-run rolls
+    /// back to the last one, which is where the run was: the ranks are the
+    /// fault-free ones bit for bit. The static out-table is checkpointed
+    /// once, after its seal, and every other checkpoint — the seed's and
+    /// each superstep's — writes the two rank vectors and nothing else.
     #[test]
     fn survives_server_failure_with_checkpointing() {
         use psgraph_sim::{FaultSchedule, FaultSite};
         let g = gen::rmat(64, 400, Default::default(), 19).dedup();
-        let ctx = PsGraphContext::local();
-        let edges = distribute_edges(&ctx, &g, 8).unwrap();
-        let chaos = FaultSchedule::scripted([(FaultSite::PsCrash, 4, 0)]);
-        ctx.attach_chaos(chaos.clone());
-        let out = PageRank { max_iterations: 30, checkpoint_every: 1, ..Default::default() }
-            .run(&ctx, &edges, 64)
-            .unwrap();
-        assert_eq!(chaos.stats().crashes, 1);
-        let ctx2 = PsGraphContext::local();
-        let edges2 = distribute_edges(&ctx2, &g, 8).unwrap();
-        let clean = PageRank { max_iterations: 30, ..Default::default() }
-            .run(&ctx2, &edges2, 64)
-            .unwrap();
-        // Consistent recovery rolls back to the checkpoint, so results
-        // still converge to the same fixed point.
-        for (v, (a, b)) in out.ranks.iter().zip(&clean.ranks).enumerate() {
-            assert!((a - b).abs() < 1e-3, "vertex {v}: {a} vs {b}");
-        }
+        let run = |job: PageRank, kill: bool| {
+            let ctx = PsGraphContext::local();
+            let edges = distribute_edges(&ctx, &g, 8).unwrap();
+            let chaos = FaultSchedule::scripted(kill.then_some((FaultSite::PsCrash, 4, 0)));
+            ctx.attach_chaos(chaos.clone());
+            let out = job.run(&ctx, &edges, 64).unwrap();
+            assert_eq!(chaos.stats().crashes, u64::from(kill));
+            let bits: Vec<u64> = out.ranks.iter().map(|r| r.to_bits()).collect();
+            let stored = |name: &str| -> u64 {
+                let files = ctx.dfs().list(&format!("/ckpt/{name}/"));
+                files.iter().map(|path| ctx.dfs().status(path).unwrap().len).sum()
+            };
+            let vectors = stored("pr.ranks") + stored("pr.dranks");
+            (bits, out.stats.supersteps, ctx.dfs().bytes_written(), stored("pr.adj"), vectors)
+        };
+        let job = PageRank { max_iterations: 30, checkpoint_every: 1, ..Default::default() };
+        let (clean, ..) = run(PageRank { checkpoint_every: 0, ..job.clone() }, false);
+        let (ranks, steps, written, table, vectors) = run(job.clone(), true);
+        assert_eq!(ranks, clean, "the kill changed the ranks");
+        assert!(table > 0 && vectors > 0 && steps > 4);
+        assert_eq!(written, table + (1 + steps) * vectors, "what the checkpoints wrote");
+        let (unkilled, _, written_unkilled, ..) = run(job, false);
+        assert_eq!((unkilled, written_unkilled), (clean, written));
     }
 }

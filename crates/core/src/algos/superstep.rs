@@ -15,6 +15,7 @@ use super::PsObjects;
 use crate::agent::PsAgent;
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::{PsResultExt, Result};
+use crate::runner::{pull_neighbor_tables, table_on_ps, undirected};
 
 /// Run `step` at supersteps `first, first + 1, …` until one changes
 /// nothing (returns 0) or `max` have run; returns how many ran. Each
@@ -79,10 +80,10 @@ pub(crate) trait NeighborhoodProgram {
 /// Run `program` on an edge RDD (treated as undirected) over
 /// `[0, num_vertices)`: every vertex's final value, and the run's stats.
 /// The adjacency is built on the servers in a hash table of `edges`'
-/// partition count (`runner::undirected_table_on_ps`), and each partition
-/// is read back whole onto the executor hosting it
-/// (`runner::pull_neighbor_tables`) — no shuffle; the table stays
-/// on the servers, where a restarted executor reads its partitions again.
+/// partition count (`runner::table_on_ps` with `runner::undirected`), and
+/// each partition is read back whole onto the executor hosting it
+/// (`runner::pull_neighbor_tables`) — no shuffle; the table stays on the
+/// servers, where a restarted executor reads its partitions again.
 /// Each step every executor reads `[v, N(v)…]` of all its partitions with
 /// one planned pull, folds each vertex, charges the declared CPU and
 /// pushes the changed values with one `push_set`.
@@ -96,8 +97,8 @@ pub(crate) fn run_program<P: NeighborhoodProgram>(
     let snap = ctx.net_snapshot();
 
     let _objects = PsObjects::new(ctx, &[P::ADJ, P::VECTOR]);
-    let adj = crate::runner::undirected_table_on_ps(ctx, edges, P::ADJ, num_vertices)?;
-    let tables = crate::runner::pull_neighbor_tables(ctx, &adj)?;
+    let adj = table_on_ps(ctx, edges, P::ADJ, num_vertices, undirected)?;
+    let tables = pull_neighbor_tables(ctx, &adj)?;
 
     let values = VectorHandle::<u64>::create(
         ctx.ps(), P::VECTOR, num_vertices, Partitioner::Range, RecoveryMode::Consistent,

@@ -12,6 +12,7 @@ use psgraph_dataflow::Rdd;
 
 use crate::context::{PsGraphContext, RunStats};
 use crate::error::{CoreError, Result};
+use crate::runner::{table_on_ps, undirected};
 
 use super::common_neighbor::stream_pairs;
 
@@ -59,7 +60,7 @@ impl TriangleCount {
 
         // Undirected adjacency, grouped on the servers.
         let _objects = super::PsObjects::new(ctx, &["tc.adj"]);
-        let adj = crate::runner::undirected_table_on_ps(ctx, &canon, "tc.adj", num_vertices)?;
+        let adj = table_on_ps(ctx, &canon, "tc.adj", num_vertices, undirected)?;
         let mut supersteps = 1;
 
         // Stream canonical edges; each common neighbor of (a, b) closes a

@@ -1,8 +1,10 @@
 //! `GraphRunner` / `GraphIO` (paper Listing 1): load graph data from the
 //! DFS into executor RDDs, convert edge partitioning to vertex
-//! partitioning — with `groupBy` into neighbor-table RDDs, or straight
-//! into a PS neighbor table with the edge RDD's partition count, which the
-//! executors can read back one partition each as an RDD — and save results.
+//! partitioning — straight into a PS neighbor table with the edge RDD's
+//! partition count ([`table_on_ps`], from [`undirected`] or [`directed`]
+//! records), which the executors can read back one partition each as an
+//! RDD ([`pull_neighbor_tables`]), or with `groupBy` into neighbor-table
+//! RDDs — and save results.
 
 use std::sync::Arc;
 
@@ -98,10 +100,16 @@ pub fn undirected(&(s, d): &(u64, u64), out: &mut Vec<(u64, u64)>) {
     }
 }
 
+/// The edge as given, a self-loop too: the records of a directed
+/// (out-)neighbor table.
+pub fn directed(&edge: &(u64, u64), out: &mut Vec<(u64, u64)>) {
+    out.push(edge);
+}
+
 /// Undirected neighbor tables straight from a directed edge RDD: both
 /// edge directions are emitted *inside* the shuffle write (pipelined), so
 /// no symmetric edge copy is ever materialized; groups are sorted and
-/// deduped inside the aggregation.
+/// deduped inside the aggregation. GraphSage's adjacency.
 pub fn to_undirected_neighbor_tables(
     edges: &Rdd<(u64, u64)>,
 ) -> Result<Rdd<(u64, Vec<u64>)>> {
@@ -112,45 +120,56 @@ pub fn to_undirected_neighbor_tables(
     })?)
 }
 
-/// The same undirected table built on the PS as the table `name`: a
-/// [`Partitioner::Hash`] table of `edges.num_partitions()` partitions,
-/// whose partition `p` holds the rows of [`to_undirected_neighbor_tables`]
-/// whose vertex the hash layout places in `p`
-/// (`PartitionLayout::partition_of`: `mix64(v) % P`, which spreads RMAT's
-/// low-bit hubs over the servers). Every
-/// executor sends both directions of its partitions' edges in one
-/// [`NeighborTableHandle::merge_edges`] request, and then the driver's one
-/// [`NeighborTableHandle::seal`] has the servers merge each list once into
-/// a strictly ascending, duplicate-free list — no shuffle. An executor is
-/// charged the shuffle map side's routing CPU ([`HASH_OPS`]) per input
-/// edge, and its records (16 B each) on its memory meter.
-pub fn undirected_table_on_ps(
+/// The neighbor table of `edges` built on the PS as the table `name`,
+/// with `records` turning each edge into the table's `(vertex, neighbor)`
+/// records ([`undirected`] or [`directed`]): a [`Partitioner::Hash`] table
+/// of `edges.num_partitions()` partitions, whose partition `p` holds the
+/// rows `groupBy` would build from those records whose vertex the hash
+/// layout places in `p` (`PartitionLayout::partition_of`: `mix64(v) % P`,
+/// which spreads RMAT's low-bit hubs over the servers). Every executor
+/// sends its partitions' records in one [`NeighborTableHandle::merge_edges`]
+/// request, and then the driver's one [`NeighborTableHandle::seal`] has
+/// the servers merge each list once into a strictly ascending,
+/// duplicate-free list — no shuffle. An executor is charged the shuffle
+/// map side's routing CPU ([`HASH_OPS`]) per input edge, and its records
+/// (16 B each) on its memory meter. An edge naming an id outside
+/// `[0, num_vertices)` is [`CoreError::Invalid`]; the executor holding it
+/// sends nothing.
+pub fn table_on_ps(
     ctx: &PsGraphContext,
     edges: &Rdd<(u64, u64)>,
     name: &str,
     num_vertices: u64,
+    records: impl Fn(&(u64, u64), &mut Vec<(u64, u64)>) + Sync,
 ) -> Result<NeighborTableHandle> {
     let (hash, inconsistent) = (Partitioner::Hash, RecoveryMode::Inconsistent);
     let parts = edges.num_partitions();
     let adj = NeighborTableHandle::create_partitioned(
         ctx.ps(), name, num_vertices, hash, parts, inconsistent,
     )?;
-    ctx.cluster()
+    let out_of_range = ctx
+        .cluster()
         .run_executors(parts, |exec, parts| {
             let local = edges.partitions(parts)?;
+            let local_edges = || local.iter().flat_map(|part| part.iter());
+            let mut ids = local_edges().flat_map(|&(s, d)| [s, d]);
+            if let Some(id) = ids.find(|&id| id >= num_vertices) {
+                return Ok(Some(id));
+            }
             let inputs: usize = local.iter().map(|part| part.len()).sum();
-            let mut records = Vec::with_capacity(2 * inputs);
-            for edge in local.iter().flat_map(|part| part.iter()) {
-                undirected(edge, &mut records);
-            }
-            let _records = Reservation::new(exec.memory(), slice_bytes(&records))?;
+            let mut out = Vec::with_capacity(2 * inputs);
+            local_edges().for_each(|edge| records(edge, &mut out));
+            let _records = Reservation::new(exec.memory(), slice_bytes(&out))?;
             exec.charge_cpu(ctx.cluster().cost(), inputs as u64 * HASH_OPS);
-            if !records.is_empty() {
-                adj.merge_edges(exec.clock(), records).df()?;
+            if !out.is_empty() {
+                adj.merge_edges(exec.clock(), out).df()?;
             }
-            Ok(())
+            Ok(None)
         })
         .map_err(CoreError::from)?;
+    if let Some(id) = out_of_range.into_iter().flatten().next() {
+        return Err(CoreError::Invalid(format!("vertex id {id} outside [0, {num_vertices})")));
+    }
     // The seal leaves the driver when the build stage is over.
     let (clock, driver) = (ctx.cluster().clock(), ctx.cluster().driver());
     clock.barrier([driver]);
@@ -178,10 +197,13 @@ pub fn pull_neighbor_tables(
         .map_err(CoreError::from)
 }
 
-/// Fig. 4 step 1: `groupBy` the edge RDD into neighbor tables
-/// `(src, sorted unique Array[dst])` — edge partitioning → vertex
-/// partitioning. Sorting/dedup happens inside the shuffle aggregation
-/// (no second materialized copy).
+/// Fig. 4 step 1 as the paper writes it: `groupBy` the edge RDD into
+/// neighbor tables `(src, sorted unique Array[dst])` — edge partitioning →
+/// vertex partitioning. Sorting/dedup happens inside the shuffle
+/// aggregation (no second materialized copy). No job builds through it:
+/// PageRank builds the same rows on the PS ([`table_on_ps`] with
+/// [`directed`]). It stays as Listing 1's `groupBy` API and as the
+/// reference that build is checked against.
 pub fn to_neighbor_tables(edges: &Rdd<(u64, u64)>) -> Result<Rdd<(u64, Vec<u64>)>> {
     let parts = edges.num_partitions();
     Ok(edges.group_by_key_with(parts, |_src, dsts| {
@@ -254,6 +276,38 @@ mod tests {
             ns.sort_unstable();
         }
         assert_eq!(got, vec![(0, vec![1, 2]), (1, vec![2]), (3, vec![0])]);
+    }
+
+    /// Every job whose adjacency [`table_on_ps`] builds refuses an edge
+    /// naming an id past its vertex count with a typed error that names
+    /// the id and the count, whichever end of the edge holds it.
+    #[test]
+    fn an_out_of_range_id_is_invalid_in_every_server_built_job() {
+        use crate::algos::{
+            CommonNeighbor, ConnectedComponents, KCore, LabelPropagation, PageRank, TriangleCount,
+        };
+        type Job = fn(&Arc<PsGraphContext>, &Rdd<(u64, u64)>) -> Result<()>;
+        let jobs: [(&str, Job); 6] = [
+            ("PageRank", |ctx, edges| PageRank::default().run(ctx, edges, 5).map(drop)),
+            ("Common Neighbor", |ctx, edges| CommonNeighbor::default().run(ctx, edges, 5).map(drop)),
+            ("Triangle Count", |ctx, edges| TriangleCount::default().run(ctx, edges, 5).map(drop)),
+            ("K-Core", |ctx, edges| KCore::default().run(ctx, edges, 5).map(drop)),
+            ("CC", |ctx, edges| ConnectedComponents::default().run(ctx, edges, 5).map(drop)),
+            ("LPA", |ctx, edges| LabelPropagation::default().run(ctx, edges, 5).map(drop)),
+        ];
+        for (job, run) in jobs {
+            for (bad, id) in [((0, 5), 5), ((6, 1), 6)] {
+                let g = EdgeList::new(8, vec![(0, 1), (1, 2), (2, 0), bad]);
+                let ctx = PsGraphContext::local();
+                let edges = distribute_edges(&ctx, &g, 4).unwrap();
+                let err = run(&ctx, &edges).unwrap_err();
+                let want = format!("vertex id {id} outside [0, 5)");
+                assert!(
+                    matches!(&err, CoreError::Invalid(msg) if *msg == want),
+                    "{job}, {bad:?}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -186,7 +186,7 @@ fn run(job: impl FnOnce(&Arc<PsGraphContext>) -> (String, RunStats)) -> String {
 const EXPECTED: &[&str] = &[
     "common_neighbor: pairs=23860 common=673803 supersteps=4 ps_rpcs=34 ps_bytes=1916416 spark_bytes=0 elapsed=1828543ns",
     "triangle_count: triangles=170022 supersteps=4 ps_rpcs=34 ps_bytes=1879440 spark_bytes=283168 elapsed=3165733ns",
-    "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=206 ps_bytes=524092 spark_bytes=289800 elapsed=3043765ns",
+    "pagerank: ranks=62ea99719e63829e supersteps=10 ps_rpcs=240 ps_bytes=998402 spark_bytes=0 elapsed=1857000ns",
     "kcore: coreness=76d043e535627bf0 max=47 supersteps=9 ps_rpcs=172 ps_bytes=1706080 spark_bytes=0 elapsed=1883227ns",
     "connected_components: components=328 supersteps=4 ps_rpcs=88 ps_bytes=1267200 spark_bytes=0 elapsed=1124817ns",
     "label_propagation: labels=f4078fb9556c4418 kept_own=328 supersteps=4 ps_rpcs=89 ps_bytes=1268632 spark_bytes=0 elapsed=1145276ns",
@@ -285,8 +285,8 @@ fn batch_jobs_cost_exactly_what_they_did() {
 }
 
 const CYCLE_EXPECTED: &[&str] = &[
-    "pagerank(4-cycle, 1 steps): ranks=4c105ca20d7d0bf9 supersteps=1 ps_rpcs=14 ps_bytes=448 spark_bytes=0 elapsed=201140ns",
-    "pagerank(4-cycle, 2 steps): ranks=1fa86cd78279a129 supersteps=2 ps_rpcs=22 ps_bytes=704 spark_bytes=0 elapsed=301227ns",
+    "pagerank(4-cycle, 1 steps): ranks=4c105ca20d7d0bf9 supersteps=1 ps_rpcs=18 ps_bytes=688 spark_bytes=0 elapsed=350404ns",
+    "pagerank(4-cycle, 2 steps): ranks=1fa86cd78279a129 supersteps=2 ps_rpcs=26 ps_bytes=944 spark_bytes=0 elapsed=450491ns",
 ];
 
 /// One PageRank superstep, derived by hand in DESIGN.md §8 (mechanism 10):

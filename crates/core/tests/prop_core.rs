@@ -1,9 +1,12 @@
 //! Property tests for algorithm invariants that hold on any graph, using
 //! the in-tree harness.
 
+use std::collections::BTreeSet;
+
 use psgraph_core::algos::{CommonNeighbor, ConnectedComponents, KCore, PageRank, TriangleCount};
 use psgraph_core::runner::{self, distribute_edges};
-use psgraph_core::{PsGraphConfig, PsGraphContext};
+use psgraph_core::{CoreError, PsGraphConfig, PsGraphContext};
+use psgraph_dataflow::Rdd;
 use psgraph_harness::prop::{check_with, Config, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
 use psgraph_graph::{gen, metrics, EdgeList};
@@ -89,8 +92,12 @@ fn component_labels_are_constant_within_an_edge() {
 /// (bit for bit) may not depend on how the edge list was partitioned or on
 /// how many executors hold it, and neither may the PS bytes wherever the
 /// requests are comparable: on one executor every partitioning makes the
-/// same requests, so equal bytes mean equal key sets (on several, which
-/// executor holds which sources moves the per-request header bytes).
+/// same requests but one, so the bytes differ by that one's alone and equal
+/// otherwise means equal key sets (on several, which executor holds which
+/// sources moves the per-request header bytes). The one is the read-back
+/// of the out-table: one `pull_partitions` per partition, 8 request bytes
+/// each, so a P-partition run moves `8·(P − 2)` bytes more than the
+/// 2-partition run.
 #[test]
 fn thresholded_pagerank_is_independent_of_the_partition_count() {
     check_with(
@@ -111,7 +118,10 @@ fn thresholded_pagerank_is_independent_of_the_partition_count() {
             };
             let want = run(2, 1);
             for parts in [5, 8] {
-                prop_assert_eq!(run(parts, 1), want.clone(), "{} partitions vs 2", parts);
+                let (bits, bytes) = run(parts, 1);
+                prop_assert_eq!(&bits, &want.0, "{} partitions vs 2", parts);
+                let read_back = 8 * (parts as u64 - 2);
+                prop_assert_eq!(bytes, want.1 + read_back, "{} partitions vs 2", parts);
             }
             for parts in [2, 5, 8] {
                 prop_assert_eq!(&run(parts, 4).0, &want.0, "{} partitions on 4 executors", parts);
@@ -201,20 +211,29 @@ fn common_neighbor_and_triangle_count_are_exact_within_any_budget_they_finish_in
     });
 }
 
-/// Every job that walks or reads an undirected adjacency — Common
-/// Neighbor, Triangle Count, K-Core, CC, LPA — builds it on the PS: each
-/// writer sends both directions of its edges in one request, the servers
-/// hold the runs, and one seal merges each list. The table has the edge
-/// RDD's partition count and places a vertex by its hash layout, so
-/// partition `p` — read by the servers and read back as the executors' RDD
-/// partition `p` — must be, row for row and in ascending order, the rows
-/// of the table `groupBy` builds whose vertex the layout puts in `p`, and
-/// the partitions together must be that whole table; on 1–8 writers,
-/// whichever order the writers' requests land in and when one is sent
-/// twice. An id past the table is a typed error, and the request that
-/// names it writes nothing.
+/// Every job that walks or reads an adjacency builds it on the PS with
+/// one function, `runner::table_on_ps`: Common Neighbor, Triangle Count, K-Core, CC and LPA an
+/// undirected one (both directions of each edge, no self-loop), PageRank a
+/// directed one (each edge as given, self-loops kept). Each writer sends
+/// its records in one request, the servers hold the runs, and one seal
+/// merges each list. The table has the edge RDD's partition count and
+/// places a vertex by its hash layout, so partition `p` — read by the
+/// servers and read back as the executors' RDD partition `p` — must be,
+/// row for row and in ascending order, the rows of the table `groupBy`
+/// builds from the same records whose vertex the layout puts in `p`, and
+/// the partitions together must be that whole table; a vertex no record
+/// starts at (one with no out-edge, in the directed form) has a row on
+/// neither side. This holds on 1–8 writers, whichever order the writers'
+/// requests land in and when one is sent twice. An id past the table is a
+/// typed error, and the request that names it writes nothing.
 #[test]
 fn the_ps_built_neighbor_table_is_the_grouped_one() {
+    type Records = fn(&(u64, u64), &mut Vec<(u64, u64)>);
+    type Grouped = fn(&Rdd<(u64, u64)>) -> Result<Rdd<(u64, Vec<u64>)>, CoreError>;
+    let forms: [(&str, Records, Grouped); 2] = [
+        ("undirected", runner::undirected, runner::to_undirected_neighbor_tables),
+        ("directed", runner::directed, runner::to_neighbor_tables),
+    ];
     let arb = |src: &mut Source| {
         let n = src.u64_range(2, 40);
         let m = src.usize_range(1, 5 * n as usize);
@@ -223,9 +242,14 @@ fn the_ps_built_neighbor_table_is_the_grouped_one() {
         } else {
             src.vec_with(m, m + 1, |s| (s.u64_range(0, n), s.u64_range(0, n)))
         };
-        // A self-loop, a repeat, a reciprocal edge and both end ids.
+        // A self-loop, a repeat, a reciprocal edge and both end ids; then
+        // one vertex loses its out-edges, unless it is one of those.
         let (a, b) = edges[src.usize_range(0, edges.len())];
         edges.extend([(a, a), (a, b), (b, a), (0, n - 1)]);
+        let quiet = src.u64_range(0, n);
+        if ![0, a, b].contains(&quiet) {
+            edges.retain(|&(s, _)| s != quiet);
+        }
         let writers = src.usize_range(1, 9);
         // The writers' requests land in the order of these keys.
         let lands = src.vec_with(writers, writers + 1, |s| s.any_u64());
@@ -237,64 +261,77 @@ fn the_ps_built_neighbor_table_is_the_grouped_one() {
         config.cluster = config.cluster.with_executors(*writers);
         let ctx = PsGraphContext::new(config);
         let edges = distribute_edges(&ctx, g, *writers).unwrap();
-        let grouped = runner::to_undirected_neighbor_tables(&edges).unwrap();
-        let mut table: Vec<(u64, Vec<u64>)> =
-            (0..*writers).flat_map(|p| grouped.partition(p).unwrap().to_vec()).collect();
-        table.sort_unstable();
         let clock = NodeClock::new();
         let parts: Vec<usize> = (0..*writers).collect();
+        for (form, records, grouped) in forms {
+            let grouped = grouped(&edges).unwrap();
+            let mut table: Vec<(u64, Vec<u64>)> =
+                parts.iter().flat_map(|&p| grouped.partition(p).unwrap().to_vec()).collect();
+            table.sort_unstable();
+            // The writers' records, one request per partition.
+            let requests: Vec<Vec<(u64, u64)>> = parts
+                .iter()
+                .map(|&w| {
+                    let mut out = vec![];
+                    edges.partition(w).unwrap().iter().for_each(|e| records(e, &mut out));
+                    out
+                })
+                .collect();
+            let heads: BTreeSet<u64> = requests.iter().flatten().map(|&(v, _)| v).collect();
+            let rows: BTreeSet<u64> = table.iter().map(|&(v, _)| v).collect();
+            prop_assert_eq!(rows, heads, "{}: the grouped table's vertices", form);
 
-        // The jobs' build: one request per executor, then the seal; read
-        // back by the servers and as the executors' RDD.
-        let adj = runner::undirected_table_on_ps(&ctx, &edges, "job", n).unwrap();
-        let layout = adj.layout().clone();
-        prop_assert_eq!(layout.num_partitions, *writers);
-        let want: Vec<Vec<(u64, Vec<u64>)>> = parts
-            .iter()
-            .map(|&p| table.iter().filter(|(v, _)| layout.partition_of(*v) == p).cloned().collect())
-            .collect();
-        let mut union = want.concat();
-        union.sort_unstable();
-        prop_assert_eq!(union, table.clone(), "the partitions together are the grouped table");
-        prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
-        let tables = runner::pull_neighbor_tables(&ctx, &adj).unwrap();
-        prop_assert_eq!(tables.num_partitions(), *writers);
-        for (p, rows) in want.iter().enumerate() {
-            prop_assert_eq!(adj.pull_partitions(&clock, &[p]).unwrap(), rows.clone(), "partition {}", p);
-            prop_assert_eq!(tables.partition(p).unwrap().to_vec(), rows.clone(), "partition {}", p);
-        }
+            // The jobs' build: one request per executor, then the seal;
+            // read back by the servers and as the executors' RDD.
+            let adj = runner::table_on_ps(&ctx, &edges, form, n, records).unwrap();
+            let layout = adj.layout().clone();
+            prop_assert_eq!(layout.num_partitions, *writers);
+            let want: Vec<Vec<(u64, Vec<u64>)>> = parts
+                .iter()
+                .map(|&p| {
+                    let mine = table.iter().filter(|(v, _)| layout.partition_of(*v) == p);
+                    mine.cloned().collect()
+                })
+                .collect();
+            let mut union = want.concat();
+            union.sort_unstable();
+            prop_assert_eq!(union, table.clone(), "{}: the partitions together", form);
+            prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
+            let tables = runner::pull_neighbor_tables(&ctx, &adj).unwrap();
+            prop_assert_eq!(tables.num_partitions(), *writers);
+            for (p, rows) in want.iter().enumerate() {
+                let served = adj.pull_partitions(&clock, &[p]).unwrap();
+                prop_assert_eq!(served, rows.clone(), "{}: partition {}", form, p);
+                let read_back = tables.partition(p).unwrap().to_vec();
+                prop_assert_eq!(read_back, rows.clone(), "{}: partition {}", form, p);
+            }
 
-        // The writers' requests by hand, one per partition, in the drawn
-        // order and one of them again at the end.
-        let requests: Vec<Vec<(u64, u64)>> = (0..*writers)
-            .map(|w| {
-                let mut records = vec![];
-                edges.partition(w).unwrap().iter().for_each(|e| runner::undirected(e, &mut records));
-                records
-            })
-            .collect();
-        let (hash, inconsistent) = (Partitioner::Hash, RecoveryMode::Inconsistent);
-        let adj =
-            NeighborTableHandle::create_partitioned(ctx.ps(), "by_hand", n, hash, *writers, inconsistent)
-                .unwrap();
-        for bad in [(n, 0), (0, n)] {
-            let mut records = requests.concat();
-            records.insert(records.len() / 2, bad);
-            let err = adj.merge_edges(&clock, records).unwrap_err();
-            let names_it = matches!(err, PsError::IndexOutOfBounds { index, .. } if index == n);
-            prop_assert!(names_it, "{:?}", err);
+            // The writers' requests by hand, in the drawn order and one of
+            // them again at the end.
+            let (hash, inconsistent) = (Partitioner::Hash, RecoveryMode::Inconsistent);
+            let name = format!("{form} by hand");
+            let adj =
+                NeighborTableHandle::create_partitioned(ctx.ps(), &name, n, hash, *writers, inconsistent)
+                    .unwrap();
+            for bad in [(n, 0), (0, n)] {
+                let mut records = requests.concat();
+                records.insert(records.len() / 2, bad);
+                let err = adj.merge_edges(&clock, records).unwrap_err();
+                let names_it = matches!(err, PsError::IndexOutOfBounds { index, .. } if index == n);
+                prop_assert!(names_it, "{}: {:?}", form, err);
+                adj.seal(&clock).unwrap();
+                prop_assert!(adj.is_empty().unwrap(), "{}: a refused request wrote something", form);
+            }
+            let mut order: Vec<usize> = parts.clone();
+            order.sort_by_key(|&w| lands[w]);
+            order.push(*twice);
+            for w in order {
+                adj.merge_edges(&clock, requests[w].clone()).unwrap();
+            }
             adj.seal(&clock).unwrap();
-            prop_assert!(adj.is_empty().unwrap(), "a refused request wrote something");
+            prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
+            prop_assert_eq!(adj.len().unwrap(), want.iter().map(Vec::len).sum::<usize>());
         }
-        let mut order: Vec<usize> = (0..*writers).collect();
-        order.sort_by_key(|&w| lands[w]);
-        order.push(*twice);
-        for w in order {
-            adj.merge_edges(&clock, requests[w].clone()).unwrap();
-        }
-        adj.seal(&clock).unwrap();
-        prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
-        prop_assert_eq!(adj.len().unwrap(), want.iter().map(Vec::len).sum::<usize>());
         Ok(())
     });
 }

@@ -105,6 +105,8 @@ pub struct Dfs {
     /// Reads that detected a corrupt replica (checksum mismatch) and fell
     /// back to a good one — the observable half of corruption injection.
     corrupt_fallbacks: AtomicU64,
+    /// User bytes every successful write has stored, overwrites included.
+    bytes_written: AtomicU64,
 }
 
 impl Dfs {
@@ -120,6 +122,7 @@ impl Dfs {
             datanodes,
             next_block: Mutex::new(0),
             corrupt_fallbacks: AtomicU64::new(0),
+            bytes_written: AtomicU64::new(0),
         }
     }
 
@@ -190,6 +193,7 @@ impl Dfs {
 
         let meta = FileMeta { len: data.len() as u64, blocks, placement };
         self.files.write().insert(path.to_string(), meta);
+        self.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -296,6 +300,13 @@ impl Dfs {
     /// Total bytes of user data stored (not counting replication).
     pub fn total_bytes(&self) -> u64 {
         self.files.read().values().map(|m| m.len).sum()
+    }
+
+    /// Total bytes of user data written, each overwrite again (not
+    /// counting replication): what checkpoints and saves have cost, where
+    /// [`Dfs::total_bytes`] is only what is left stored.
+    pub fn bytes_written(&self) -> u64 {
+        self.bytes_written.load(Ordering::Relaxed)
     }
 
     /// The network this DFS charges costs to (chaos attaches here).
@@ -499,6 +510,9 @@ mod tests {
         dfs.write("/data/x", b"3", &clk).unwrap();
         assert_eq!(dfs.list("/ckpt/"), vec!["/ckpt/a", "/ckpt/b"]);
         assert_eq!(dfs.total_bytes(), 3);
+        // An overwrite is written again, and stored once.
+        dfs.write("/ckpt/a", b"45", &clk).unwrap();
+        assert_eq!((dfs.total_bytes(), dfs.bytes_written()), (4, 5));
     }
 
     #[test]

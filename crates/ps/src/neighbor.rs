@@ -1,7 +1,7 @@
 //! Server-resident neighbor tables (paper §III-A, §IV-B): the one PS
 //! adjacency object — Common Neighbor, Triangle Count, K-Core, Connected
-//! Components, Label Propagation, GraphSage's neighbor sampling and the
-//! streaming loop read it, and
+//! Components, Label Propagation, PageRank (its out-table), GraphSage's
+//! neighbor sampling and the streaming loop read it, and
 //! [`DeltaWriter::neighbor_table`](crate::snapshot::DeltaWriter::neighbor_table)
 //! exports it as the immutable CSR the serving tier loads. CSR exists only
 //! where the adjacency no longer changes: the snapshot file and the serve

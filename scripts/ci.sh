@@ -88,15 +88,22 @@ cargo test -q --offline -p psgraph-serve -p psgraph-stream
 # and the per-partition ranges the writer pulls.
 cargo test -q --offline -p psgraph-ps --lib -- snapshot
 # And the neighbor table's build, which Common Neighbor, Triangle Count,
-# K-Core, CC and LPA make their adjacency with: the runs the client cuts
+# K-Core, CC, LPA and PageRank make their adjacency with: the runs the client cuts
 # from its sorted edges, the request bytes and items it charges per run
 # (`u64` sums), the seal's per-server item sums, and the whole-partition
 # read's per-list response bytes.
 cargo test -q --offline -p psgraph-ps --lib -- neighbor
-# And the neighbourhood program on that table: the co-partitioned read
-# back onto the executors (one request per partition) and the per-step
-# `[v, N(v)…]` cursor arithmetic over the rows it returns.
-cargo test -q --offline -p psgraph-core --lib -- superstep kcore connected_components label_propagation
+# And the jobs on that table: the co-partitioned read back onto the
+# executors (one request per partition), the neighbourhood program's
+# per-step `[v, N(v)…]` cursor arithmetic over the rows it returns,
+# `table_on_ps`' directed form (PageRank's out-table, self-loops kept) and
+# its id bound, and PageRank's `FoldPlan`: the counting sort's `usize` offsets
+# (`offsets[dst + 1] += 1`, the prefix sum, `next[dst]`) it gathers by.
+# `out_of_range_ids_are_an_error_not_a_panic` builds its bad edge past
+# `EdgeList::new`'s debug-asserted bound on purpose, so it runs in the
+# release suite below only.
+cargo test -q --offline -p psgraph-core --lib -- superstep kcore connected_components \
+    label_propagation pagerank runner --skip pagerank::tests::out_of_range_ids_are_an_error_not_a_panic
 # And Common Neighbor / Triangle Count's round grouping: `2 * slot`
 # indexing and the counts written back by slot; and their pair stream's
 # last-use bookkeeping, `usize` round arithmetic (`i / batch`, the last

@@ -197,16 +197,19 @@ fn kcore_cc_and_common_neighbor_identical_across_pools_and_schedules() {
 }
 
 /// Sim time of PageRank, Common Neighbor, Triangle Count, GraphSage and
-/// LINE, each on a fresh deployment on `pool`, and the PS bytes Common
-/// Neighbor and Triangle Count moved (which lists a round pulls depends on
-/// what its executor kept, never on the schedule). K-Core, CC, Label
+/// LINE, each on a fresh deployment on `pool`, and the PS bytes PageRank,
+/// Common Neighbor and Triangle Count moved (which lists a round pulls
+/// depends on what its executor kept, never on the schedule; PageRank's
+/// out-table is built and read back on the servers, and which destinations
+/// a superstep pushes follows the canonical fold). K-Core, CC, Label
 /// Propagation and Fast Unfolding are left out on purpose: their stages
 /// read what the same stage writes on the PS, and which of a stage's pushes
 /// a read sees still follows the host's schedule — K-Core's and CC's
 /// superstep counts, and with them their RPCs and clocks, can differ on a
 /// larger pool. What those three do before their first superstep is in:
 /// building the undirected table on the servers (whose seal is charged by
-/// the table's content) and reading it back onto the executors.
+/// the table's content) and reading it back onto the executors; the
+/// directed table PageRank builds the same way is its own row.
 fn sim_elapsed(pool: Pool) -> Vec<(&'static str, u64)> {
     let pool = Arc::new(pool);
     let ctx = || PsGraphContext::new(PsGraphConfig::default().with_pool(Arc::clone(&pool)));
@@ -242,23 +245,25 @@ fn sim_elapsed(pool: Pool) -> Vec<(&'static str, u64)> {
         let job = Line::new(LineConfig { epochs: 1, ..Default::default() });
         job.run(&ctx, &edges, n).unwrap().stats
     };
-    let neighbor_tables = {
+    let neighbor_tables = |records: fn(&(u64, u64), &mut Vec<(u64, u64)>)| {
         let ctx = ctx();
         let edges = distribute_edges(&ctx, &g, 12).unwrap();
         let start = ctx.now();
-        let adj = runner::undirected_table_on_ps(&ctx, &edges, "adj", n).unwrap();
+        let adj = runner::table_on_ps(&ctx, &edges, "adj", n, records).unwrap();
         runner::pull_neighbor_tables(&ctx, &adj).unwrap();
         ctx.now().saturating_sub(start).as_nanos()
     };
     vec![
         ("PageRank", pagerank.elapsed.as_nanos()),
+        ("PageRank PS bytes", pagerank.ps_net_bytes),
         ("Common Neighbor", common_neighbor.elapsed.as_nanos()),
         ("Common Neighbor PS bytes", common_neighbor.ps_net_bytes),
         ("Triangle Count", triangle_count.elapsed.as_nanos()),
         ("Triangle Count PS bytes", triangle_count.ps_net_bytes),
         ("GraphSage", graphsage.elapsed.as_nanos()),
         ("LINE", line.elapsed.as_nanos()),
-        ("undirected table built on the PS and read back", neighbor_tables),
+        ("undirected table built on the PS and read back", neighbor_tables(runner::undirected)),
+        ("directed table built on the PS and read back", neighbor_tables(runner::directed)),
     ]
 }
 
