@@ -99,12 +99,13 @@ fn with_counts(batches: &[&[(u64, u64)]], counts: Vec<Vec<u64>>) -> Vec<Vec<(u64
 }
 
 /// The pair stream of Common Neighbor and Triangle Count: `pairs` in
-/// rounds of `batch` pairs per partition, each round one superstep (the
-/// first is `*supersteps`; a killed executor's partitions are recovered
-/// before the round that finds it dead). In a round every executor counts
-/// `|N(a) ∩ N(b)|` for the batches of all its partitions ([`count_common`])
-/// and hands them to `emit` with the batches; the result is what `emit`
-/// returned, per round and executor, in executor order.
+/// rounds of `batch` pairs per partition, each round one superstep of
+/// `superstep::supersteps` (the first is `*supersteps`; a killed
+/// executor's partitions are recovered before the round that finds it
+/// dead). In a round every executor counts `|N(a) ∩ N(b)|` for the
+/// batches of all its partitions ([`count_common`]) and hands them to
+/// `emit` with the batches; the result is what `emit` returned, per round
+/// and executor, in executor order.
 ///
 /// An executor's stream is fixed by its partitions, so before its first
 /// round it knows the last round that names each id ([`Held`]). A
@@ -121,27 +122,26 @@ pub(crate) fn stream_pairs<R: Send>(
 ) -> Result<Vec<Vec<R>>> {
     let batch = batch.max(1);
     let kept = ExecutorState::new(ctx.cluster());
-    (0..num_rounds(ctx, pairs, batch)?)
-        .map(|round| {
-            let (killed_execs, _) = ctx.superstep_maintenance(*supersteps)?;
-            if !killed_execs.is_empty() {
-                pairs.recover()?;
-            }
-            *supersteps += 1;
-            let per_executor = ctx.cluster().run_executors(pairs.num_partitions(), |exec, parts| {
-                let local = pairs.partitions(parts)?;
-                let batches: Vec<&[(u64, u64)]> =
-                    local.iter().map(|part| batch_of(part, round, batch)).collect();
-                kept.with(exec, || Held::index(exec, &local, batch), |held| {
-                    let (wanted, numbers) = held.pull(exec, adj, round, &batches)?;
-                    let counts = count_common(ctx, exec, &wanted, &held.lists(&numbers)?, &batches);
-                    held.release(exec, round, &numbers);
-                    Ok(emit(&batches, counts))
-                })
-            });
-            per_executor.map_err(CoreError::from)
-        })
-        .collect()
+    let rounds = num_rounds(ctx, pairs, batch)?;
+    let mut out = Vec::with_capacity(rounds);
+    let recover = || Ok(pairs.recover()?);
+    *supersteps += super::superstep::supersteps(ctx, *supersteps, rounds as u64, recover, || {
+        let round = out.len();
+        let per_executor = ctx.cluster().run_executors(pairs.num_partitions(), |exec, parts| {
+            let local = pairs.partitions(parts)?;
+            let batches: Vec<&[(u64, u64)]> =
+                local.iter().map(|part| batch_of(part, round, batch)).collect();
+            kept.with(exec, || Held::index(exec, &local, batch), |held| {
+                let (wanted, numbers) = held.pull(exec, adj, round, &batches)?;
+                let counts = count_common(ctx, exec, &wanted, &held.lists(&numbers)?, &batches);
+                held.release(exec, round, &numbers);
+                Ok(emit(&batches, counts))
+            })
+        });
+        out.push(per_executor.map_err(CoreError::from)?);
+        Ok(1) // every round runs
+    })?;
+    Ok(out)
 }
 
 /// Rounds needed to stream `pairs` in batches of `batch` per partition.

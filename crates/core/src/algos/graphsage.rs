@@ -205,12 +205,9 @@ impl GraphSage {
 
         let mut loss_per_epoch = Vec::new();
         let mut epoch_times = Vec::new();
-        for epoch in 0..cfg.epochs {
-            let (killed_execs, _) = ctx.superstep_maintenance(supersteps)?;
-            if !killed_execs.is_empty() {
-                train_rdd.recover()?;
-            }
-            supersteps += 1;
+        let recover = || Ok(train_rdd.recover()?);
+        let epochs = super::superstep::supersteps(ctx, supersteps, cfg.epochs, recover, || {
+            let epoch = loss_per_epoch.len() as u64;
             let e0 = ctx.now();
 
             let models_ref = &models;
@@ -258,7 +255,9 @@ impl GraphSage {
             });
             loss_per_epoch.push(if bsum == 0 { 0.0 } else { lsum / bsum as f64 });
             epoch_times.push(ctx.now().saturating_sub(e0));
-        }
+            Ok(1) // every epoch runs
+        })?;
+        supersteps += epochs;
 
         // Evaluation (driver-coordinated, same forward path).
         let train_accuracy = self.evaluate(ctx, &models, &train, labels)?;

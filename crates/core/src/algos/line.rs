@@ -156,12 +156,9 @@ impl Line {
         let noise = Arc::new(noise_table(&degrees));
 
         let mut loss_per_epoch = Vec::with_capacity(cfg.epochs as usize);
-        for epoch in 0..cfg.epochs {
-            let (killed_execs, _) = ctx.superstep_maintenance(supersteps)?;
-            if !killed_execs.is_empty() {
-                edges.recover()?;
-            }
-            supersteps += 1;
+        let recover = || Ok(edges.recover()?);
+        let epochs = super::superstep::supersteps(ctx, supersteps, cfg.epochs, recover, || {
+            let epoch = loss_per_epoch.len() as u64;
 
             let embed_ref = &embed;
             let noise_ref = &noise;
@@ -247,7 +244,9 @@ impl Line {
                 .into_iter()
                 .fold((0.0, 0), |(l, n), (pl, pn)| (l + pl, n + pn));
             loss_per_epoch.push(if n == 0 { 0.0 } else { loss_sum / n as f64 });
-        }
+            Ok(1) // every epoch runs
+        })?;
+        supersteps += epochs;
 
         // Final readout.
         let ids: Vec<u64> = (0..num_vertices).collect();

@@ -1,8 +1,10 @@
 //! The superstep loop of the iterative vector jobs, and the neighbourhood
 //! vertex program K-Core, Connected Components and Label Propagation are
 //! folds of — PSGraph's `graphx::pregel` (DESIGN.md §8, mechanism 8).
-//! [`supersteps`] is the loop; PageRank's supersteps and Fast Unfolding's
-//! sweeps use it alone.
+//! [`supersteps`] is the loop, and the one owner of failure maintenance
+//! and RDD recovery; PageRank's supersteps, Fast Unfolding's sweeps, Common
+//! Neighbor's and Triangle Count's pair rounds and GraphSage's and LINE's
+//! epochs use it alone.
 //! [`run_program`] runs a [`NeighborhoodProgram`] on it. Neither knows
 //! which job it serves.
 

@@ -130,7 +130,7 @@ impl PsGraphContext {
     }
 
     /// Attach the fault schedule whose crash points
-    /// [`PsGraphContext::superstep_maintenance`] consults: executor `e` dies
+    /// `PsGraphContext::superstep_maintenance` consults: executor `e` dies
     /// at superstep `s` when `crash(ExecutorCrash, s, e)` fires, server `i`
     /// when `crash(PsCrash, s, i)` does. Off by default.
     pub fn attach_chaos(&self, sched: FaultSchedule) {
@@ -181,7 +181,7 @@ impl PsGraphContext {
     /// caller's job — it knows which RDDs matter.
     ///
     /// Returns `(killed executors, killed servers)`.
-    pub fn superstep_maintenance(&self, step: u64) -> Result<(Vec<usize>, Vec<usize>)> {
+    pub(crate) fn superstep_maintenance(&self, step: u64) -> Result<(Vec<usize>, Vec<usize>)> {
         let chaos = self.chaos.lock().clone();
         let killed_execs: Vec<usize> = (0..self.cluster.num_executors())
             .filter(|&e| chaos.crash(FaultSite::ExecutorCrash, step, e as u64))

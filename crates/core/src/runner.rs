@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use psgraph_dataflow::rdd::Provenance;
 use psgraph_dataflow::record::slice_bytes;
 use psgraph_dataflow::shuffle::HASH_OPS;
 use psgraph_dataflow::{Cluster, Rdd};
@@ -61,32 +60,11 @@ fn edges_to_rdd(
     parts: usize,
 ) -> Result<Rdd<(u64, u64)>> {
     let share = total_bytes / parts as u64;
-    let graph2 = Arc::clone(&graph);
-    let cluster2 = Arc::clone(cluster);
-    let split = move |p: usize| -> Vec<(u64, u64)> {
-        graph2
-            .edges()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % parts == p)
-            .map(|(_, &e)| e)
-            .collect()
-    };
-    let split2 = split.clone();
-    let cost_read = move |exec: &psgraph_dataflow::Executor| {
-        let cost = cluster2.cost();
+    let cost = cluster.cost().clone();
+    Rdd::materialize(cluster, "edges", parts, move |p, exec| {
         exec.clock().advance(cost.disk_cost(share));
         exec.clock().advance(cost.net_bulk_cost(share));
-    };
-    let cost_read2 = cost_read.clone();
-    let prov: Provenance<(u64, u64)> = Arc::new(move |p, exec| {
-        cost_read2(exec);
-        Ok(split2(p))
-    });
-    let cluster3 = Arc::clone(cluster);
-    Rdd::materialize(&cluster3, "edges", parts, prov, move |p, exec| {
-        cost_read(exec);
-        Ok(split(p))
+        Ok(graph.edges().iter().skip(p).step_by(parts).copied().collect())
     })
     .map_err(CoreError::from)
 }
@@ -181,20 +159,18 @@ pub fn table_on_ps(
 /// Partition `p` of the table `adj` back on the executors as RDD
 /// partition `p` (its rows are the vertices the table's layout places in
 /// `p`, not those a shuffle would send there), in ascending vertex order: one
-/// [`NeighborTableHandle::pull_partitions`] request per partition, from
-/// the executor that hosts it. The read is also the provenance, so a
+/// [`NeighborTableHandle::pull_partition`] request per partition, from
+/// the executor that hosts it. The read is the partition's recipe, so a
 /// restarted executor reads its partitions from the servers again.
 pub fn pull_neighbor_tables(
     ctx: &PsGraphContext,
     adj: &NeighborTableHandle,
 ) -> Result<Rdd<(u64, Vec<u64>)>> {
     let (parts, adj) = (adj.layout().num_partitions, adj.clone());
-    let read: Provenance<(u64, Vec<u64>)> = Arc::new(move |p, exec| {
-        adj.pull_partitions(exec.clock(), &[p]).df()
-    });
-    let build = Arc::clone(&read);
-    Rdd::materialize(ctx.cluster(), "neighbor_tables", parts, read, move |p, exec| build(p, exec))
-        .map_err(CoreError::from)
+    Rdd::materialize(ctx.cluster(), "neighbor_tables", parts, move |p, exec| {
+        adj.pull_partition(exec.clock(), p).df()
+    })
+    .map_err(CoreError::from)
 }
 
 /// Fig. 4 step 1 as the paper writes it: `groupBy` the edge RDD into
@@ -241,6 +217,7 @@ pub fn load_vertex_values(ctx: &Arc<PsGraphContext>, path: &str) -> Result<Vec<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psgraph_dataflow::Record;
     use psgraph_graph::gen;
 
     #[test]
@@ -319,6 +296,73 @@ mod tests {
         ctx.cluster().restart_executor(1);
         edges.recover().unwrap();
         assert_eq!(edges.count().unwrap(), 256);
+    }
+
+    /// Build an RDD with `build` over what `prepare` made, on one executor,
+    /// then rebuild it after `unpersist` and after a kill: each rebuild
+    /// costs the executor the build's sim time, and the build and the
+    /// rebuilds alike OOM with one byte less free than the partitions
+    /// hold, and fit with it.
+    fn rebuilt_like_built<T: Record + PartialEq + std::fmt::Debug, S>(
+        name: &str,
+        prepare: impl Fn(&Arc<PsGraphContext>) -> S,
+        build: impl Fn(&Arc<PsGraphContext>, &S) -> Result<Rdd<T>>,
+    ) {
+        let fresh = || {
+            let mut config = crate::PsGraphConfig::default();
+            config.cluster = config.cluster.with_executors(1);
+            let ctx = PsGraphContext::new(config);
+            let prepared = prepare(&ctx);
+            (ctx, prepared)
+        };
+        let (ctx, prepared) = fresh();
+        let exec = ctx.cluster().executor(0);
+        let (start, idle) = (ctx.now().max(exec.clock().now()), exec.memory().in_use());
+        let rdd = build(&ctx, &prepared).unwrap();
+        let (cost, held) = (exec.clock().now() - start, exec.memory().in_use() - idle);
+        let built = rdd.collect().unwrap();
+        let built_with = |free: u64| {
+            let (ctx, prepared) = fresh();
+            let meter = ctx.cluster().executor(0).memory();
+            meter.alloc(meter.budget() - meter.in_use() - free).unwrap();
+            build(&ctx, &prepared).map(drop)
+        };
+        assert!(built_with(held - 1).unwrap_err().is_oom(), "{name}: build, one byte short");
+        built_with(held).unwrap();
+
+        let kill = || {
+            ctx.cluster().kill_executor(0);
+            ctx.cluster().restart_executor(0);
+        };
+        let unpersist = || rdd.unpersist();
+        for (how, lose) in [("unpersisted", &unpersist as &dyn Fn()), ("killed", &kill)] {
+            lose();
+            let start = exec.clock().now();
+            rdd.recover().unwrap();
+            assert_eq!(exec.clock().now() - start, cost, "{name}, {how}: sim time");
+            assert_eq!(rdd.collect().unwrap(), built, "{name}, {how}");
+            for free in [held - 1, held] {
+                lose();
+                let meter = exec.memory();
+                let filler = meter.budget() - meter.in_use() - free;
+                meter.alloc(filler).unwrap();
+                let rebuilt = rdd.recover();
+                meter.free(filler);
+                let oom = matches!(rebuilt, Err(psgraph_dataflow::DataflowError::Oom(_)));
+                assert_eq!(oom, free < held, "{name}, {how}: {free} B free of {held}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rebuilt_edge_or_table_partition_costs_and_reserves_what_its_build_did() {
+        let g = gen::rmat(64, 256, Default::default(), 5);
+        rebuilt_like_built("edges", |_| (), |ctx, ()| distribute_edges(ctx, &g, 4));
+        let table = |ctx: &Arc<PsGraphContext>| {
+            let edges = distribute_edges(ctx, &g, 4).unwrap();
+            table_on_ps(ctx, &edges, "adj", 64, undirected).unwrap()
+        };
+        rebuilt_like_built("neighbor tables", table, |ctx, adj| pull_neighbor_tables(ctx, adj));
     }
 
     #[test]

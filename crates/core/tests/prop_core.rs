@@ -95,7 +95,7 @@ fn component_labels_are_constant_within_an_edge() {
 /// same requests but one, so the bytes differ by that one's alone and equal
 /// otherwise means equal key sets (on several, which executor holds which
 /// sources moves the per-request header bytes). The one is the read-back
-/// of the out-table: one `pull_partitions` per partition, 8 request bytes
+/// of the out-table: one `pull_partition` per partition, 8 request bytes
 /// each, so a P-partition run moves `8·(P − 2)` bytes more than the
 /// 2-partition run.
 #[test]
@@ -263,6 +263,10 @@ fn the_ps_built_neighbor_table_is_the_grouped_one() {
         let edges = distribute_edges(&ctx, g, *writers).unwrap();
         let clock = NodeClock::new();
         let parts: Vec<usize> = (0..*writers).collect();
+        // Every partition of a table, one read each, in partition order.
+        let served = |adj: &NeighborTableHandle| -> Vec<Vec<(u64, Vec<u64>)>> {
+            parts.iter().map(|&p| adj.pull_partition(&clock, p).unwrap()).collect()
+        };
         for (form, records, grouped) in forms {
             let grouped = grouped(&edges).unwrap();
             let mut table: Vec<(u64, Vec<u64>)> =
@@ -296,12 +300,12 @@ fn the_ps_built_neighbor_table_is_the_grouped_one() {
             let mut union = want.concat();
             union.sort_unstable();
             prop_assert_eq!(union, table.clone(), "{}: the partitions together", form);
-            prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
+            let reads = served(&adj);
+            prop_assert_eq!(reads.concat(), want.concat(), "{}: the reads together", form);
             let tables = runner::pull_neighbor_tables(&ctx, &adj).unwrap();
             prop_assert_eq!(tables.num_partitions(), *writers);
             for (p, rows) in want.iter().enumerate() {
-                let served = adj.pull_partitions(&clock, &[p]).unwrap();
-                prop_assert_eq!(served, rows.clone(), "{}: partition {}", form, p);
+                prop_assert_eq!(reads[p].clone(), rows.clone(), "{}: partition {}", form, p);
                 let read_back = tables.partition(p).unwrap().to_vec();
                 prop_assert_eq!(read_back, rows.clone(), "{}: partition {}", form, p);
             }
@@ -329,7 +333,7 @@ fn the_ps_built_neighbor_table_is_the_grouped_one() {
                 adj.merge_edges(&clock, requests[w].clone()).unwrap();
             }
             adj.seal(&clock).unwrap();
-            prop_assert_eq!(adj.pull_partitions(&clock, &parts).unwrap(), want.concat());
+            prop_assert_eq!(served(&adj), want.clone(), "{}: by hand", form);
             prop_assert_eq!(adj.len().unwrap(), want.iter().map(Vec::len).sum::<usize>());
         }
         Ok(())

@@ -1,12 +1,14 @@
 //! Partitioned, memory-accounted, lineage-tracked datasets.
 //!
 //! An [`Rdd`] is materialized eagerly (this simulator has no lazy DAG
-//! optimizer — stage fusion is modeled by `map_partitions`), but carries a
-//! *provenance* closure: the recipe to rebuild any partition from its
-//! stable source. When an executor dies, partitions written under its old
-//! incarnation become unreadable and [`Rdd::recover`] recomputes exactly
-//! those through the provenance chain — Spark's lineage recovery in
-//! miniature (paper §III-C "Failure recovery").
+//! optimizer — stage fusion is modeled by `map_partitions`). Every
+//! partition has one *recipe*, a closure that reads the partition's
+//! parents (or its stable source) and computes it: the build runs it, and
+//! the RDD keeps it as its lineage. When an executor dies, partitions
+//! written under its old incarnation become unreadable and
+//! [`Rdd::recover`] replays the same recipe for exactly those — Spark's
+//! lineage recovery in miniature (paper §III-C "Failure recovery"). A
+//! rebuilt partition therefore costs, and reserves, what its build did.
 
 use psgraph_sim::sync::RwLock;
 use psgraph_sim::SimTime;
@@ -16,8 +18,9 @@ use crate::cluster::{Cluster, Executor};
 use crate::error::{DataflowError, Result};
 use crate::record::{slice_bytes, Record};
 
-/// The recipe to (re)compute a partition from a stable source.
-pub type Provenance<T> = Arc<dyn Fn(usize, &Executor) -> Result<Vec<T>> + Send + Sync>;
+/// How partition `p` is computed on an executor: the build and every
+/// rebuild run it.
+type Recipe<T> = Arc<dyn Fn(usize, &Executor) -> Result<Vec<T>> + Send + Sync>;
 
 struct PartitionSlot<T> {
     /// Partition contents, plus the executor incarnation that wrote them.
@@ -61,12 +64,12 @@ impl<T: Record> Drop for RddInner<T> {
 /// A partitioned distributed dataset. Cheap to clone (shared partitions).
 pub struct Rdd<T: Record> {
     inner: Arc<RddInner<T>>,
-    provenance: Provenance<T>,
+    recipe: Recipe<T>,
 }
 
 impl<T: Record> Clone for Rdd<T> {
     fn clone(&self) -> Self {
-        Rdd { inner: Arc::clone(&self.inner), provenance: Arc::clone(&self.provenance) }
+        Rdd { inner: Arc::clone(&self.inner), recipe: Arc::clone(&self.recipe) }
     }
 }
 
@@ -80,19 +83,17 @@ impl<T: Record> std::fmt::Debug for Rdd<T> {
 }
 
 impl<T: Record> Rdd<T> {
-    /// Materialize an RDD by running `compute` for every partition on its
-    /// home executor. `provenance` must be an *independent* recipe reaching
-    /// back to a stable source — it is what `recover` replays.
-    pub fn materialize<F>(
+    /// Materialize an RDD by running `recipe` for every partition on its
+    /// home executor. The recipe is also the RDD's lineage: [`Rdd::recover`]
+    /// and [`Rdd::partition_or_recompute`] replay it, so it reads its
+    /// parents through [`Rdd::partition_or_recompute`] (the live copy when
+    /// there is one) and reaches back to a stable source.
+    pub fn materialize(
         cluster: &Arc<Cluster>,
         name: impl Into<String>,
         partitions: usize,
-        provenance: Provenance<T>,
-        compute: F,
-    ) -> Result<Self>
-    where
-        F: Fn(usize, &Executor) -> Result<Vec<T>> + Send + Sync,
-    {
+        recipe: impl Fn(usize, &Executor) -> Result<Vec<T>> + Send + Sync + 'static,
+    ) -> Result<Self> {
         assert!(partitions > 0, "rdd needs at least one partition");
         let inner = Arc::new(RddInner {
             cluster: Arc::clone(cluster),
@@ -100,33 +101,23 @@ impl<T: Record> Rdd<T> {
             parts: (0..partitions).map(|_| PartitionSlot::default()).collect(),
             charged: (0..partitions).map(|_| psgraph_sim::sync::Mutex::new((0, 0))).collect(),
         });
-
-        let inner2 = Arc::clone(&inner);
-        cluster.run_stage(partitions, move |p, exec| {
-            let data = compute(p, exec)?;
-            store_partition(&inner2, p, exec, data)
+        let recipe: Recipe<T> = Arc::new(recipe);
+        cluster.run_stage(partitions, |p, exec| {
+            let data = recipe(p, exec)?;
+            store_partition(&inner, p, exec, data)
         })?;
-
-        Ok(Rdd { inner, provenance })
+        Ok(Rdd { inner, recipe })
     }
 
-    /// Distribute a driver-side vector across the cluster (round-robin).
-    /// The source vector itself is the stable source: provenance re-slices
-    /// it, so this RDD is always recoverable.
+    /// Distribute a driver-side vector across the cluster (round-robin:
+    /// partition `p` holds every `partitions`-th record from the `p`-th).
+    /// The source vector itself is the stable source, so this RDD is
+    /// always recoverable.
     pub fn from_vec(cluster: &Arc<Cluster>, data: Vec<T>, partitions: usize) -> Result<Self> {
-        let source = Arc::new(data);
         let n = partitions.max(1);
-        let src = Arc::clone(&source);
-        let slice = move |p: usize| -> Vec<T> {
-            src.iter()
-                .enumerate()
-                .filter(|(i, _)| i % n == p)
-                .map(|(_, v)| v.clone())
-                .collect()
-        };
-        let slice2 = slice.clone();
-        let prov: Provenance<T> = Arc::new(move |p, _exec| Ok(slice2(p)));
-        Rdd::materialize(cluster, "from_vec", n, prov, move |p, _exec| Ok(slice(p)))
+        Rdd::materialize(cluster, "from_vec", n, move |p, _exec| {
+            Ok(data.iter().skip(p).step_by(n).cloned().collect())
+        })
     }
 
     pub fn cluster(&self) -> &Arc<Cluster> {
@@ -162,13 +153,14 @@ impl<T: Record> Rdd<T> {
     pub fn partition_or_recompute(&self, p: usize, exec: &Executor) -> Result<Arc<Vec<T>>> {
         match self.partition(p) {
             Ok(d) => Ok(d),
-            Err(DataflowError::ExecutorLost { .. }) => Ok(Arc::new((self.provenance)(p, exec)?)),
+            Err(DataflowError::ExecutorLost { .. }) => Ok(Arc::new((self.recipe)(p, exec)?)),
             Err(e) => Err(e),
         }
     }
 
-    /// Rebuild every partition lost to executor failure, on the (restarted)
-    /// home executors. No-op for healthy partitions.
+    /// Rebuild every partition lost to executor failure (or dropped by
+    /// [`Rdd::unpersist`]) on its (restarted) home executor, by replaying
+    /// its recipe. No-op for healthy partitions.
     pub fn recover(&self) -> Result<()> {
         for p in (0..self.num_partitions()).filter(|&p| self.partition(p).is_err()) {
             let exec = self.inner.cluster.executor_for(p);
@@ -176,7 +168,7 @@ impl<T: Record> Rdd<T> {
                 return Err(DataflowError::ExecutorLost { id: exec.id() });
             }
             self.inner.release(p);
-            let data = (self.provenance)(p, exec)?;
+            let data = (self.recipe)(p, exec)?;
             store_partition(&self.inner, p, exec, data)?;
         }
         Ok(())
@@ -240,54 +232,35 @@ impl<T: Record> Rdd<T> {
     }
 
     /// The workhorse narrow op: transform a whole partition at once,
-    /// charging `ops_per_record × |partition|` of CPU. Provenance composes:
-    /// the child can be rebuilt by recomputing the parent partition (or
-    /// reading the parent's live copy) and re-applying `f`.
+    /// charging `ops_per_record × |partition|` of CPU. Lineage composes:
+    /// the recipe reads the parent partition (its live copy, or the
+    /// parent's own recipe replayed) and re-applies `f`.
     pub fn map_partitions<U: Record>(
         &self,
         f: impl Fn(&[T]) -> Vec<U> + Send + Sync + 'static,
         ops_per_record: u64,
     ) -> Result<Rdd<U>> {
-        let f = Arc::new(f);
         let parent = self.clone();
-        let parent_for_prov = self.clone();
-        let f_prov = Arc::clone(&f);
-        let prov: Provenance<U> = Arc::new(move |p, exec| {
-            let src = parent_for_prov.partition_or_recompute(p, exec)?;
-            Ok(f_prov(&src))
-        });
-        let cluster = Arc::clone(&self.inner.cluster);
-        let cluster2 = Arc::clone(&cluster);
         let name = format!("{}→map", self.inner.name);
-        Rdd::materialize(&cluster, name, self.num_partitions(), prov, move |p, exec| {
-            let src = parent.partition(p)?;
-            exec.charge_cpu(cluster2.cost(), src.len() as u64 * ops_per_record);
+        Rdd::materialize(self.cluster(), name, self.num_partitions(), move |p, exec| {
+            let src = parent.partition_or_recompute(p, exec)?;
+            exec.charge_cpu(parent.cluster().cost(), src.len() as u64 * ops_per_record);
             Ok(f(&src))
         })
     }
 
     /// Concatenate two RDDs (narrow union: partitions interleave).
     pub fn union(&self, other: &Rdd<T>) -> Result<Rdd<T>> {
-        let a = self.clone();
-        let b = other.clone();
+        let (a, b) = (self.clone(), other.clone());
         let na = self.num_partitions();
         let total = na + other.num_partitions();
-        let a2 = a.clone();
-        let b2 = b.clone();
-        let prov: Provenance<T> = Arc::new(move |p, exec| {
-            if p < na {
-                Ok(a2.partition_or_recompute(p, exec)?.as_ref().clone())
+        Rdd::materialize(self.cluster(), "union", total, move |p, exec| {
+            let part = if p < na {
+                a.partition_or_recompute(p, exec)?
             } else {
-                Ok(b2.partition_or_recompute(p - na, exec)?.as_ref().clone())
-            }
-        });
-        let cluster = Arc::clone(&self.inner.cluster);
-        Rdd::materialize(&cluster, "union", total, prov, move |p, _exec| {
-            if p < na {
-                Ok(a.partition(p)?.as_ref().clone())
-            } else {
-                Ok(b.partition(p - na)?.as_ref().clone())
-            }
+                b.partition_or_recompute(p - na, exec)?
+            };
+            Ok(part.as_ref().clone())
         })
     }
 
@@ -305,9 +278,10 @@ impl<T: Record> Rdd<T> {
 
     /// Drop the materialized partitions and release their memory, keeping
     /// the lineage (Spark's `unpersist`): a child that rebuilds a lost
-    /// partition recomputes this RDD's through its provenance, uncached.
-    /// Meant for a shuffled RDD read only through a materialized child: its
-    /// provenance replays the retained shuffle files and pins no ancestor.
+    /// partition recomputes this RDD's through its recipe, uncached, and
+    /// [`Rdd::recover`] rebuilds them all. Meant for a shuffled RDD read
+    /// only through a materialized child: its recipe replays the retained
+    /// shuffle files and pins no ancestor.
     pub fn unpersist(&self) {
         for (p, slot) in self.inner.parts.iter().enumerate() {
             *slot.data.write() = None;
@@ -522,7 +496,7 @@ mod tests {
         let m1 = rdd.map(|x| x * 10).unwrap();
         let m2 = m1.map(|x| x + 1).unwrap();
         drop(rdd);
-        drop(m1); // ancestors gone; provenance closures keep the recipes
+        drop(m1); // ancestors gone; m2's recipe keeps theirs
         c.kill_executor(3);
         c.restart_executor(3);
         m2.recover().unwrap();

@@ -24,7 +24,7 @@ use psgraph_sim::memory::Reservation;
 
 use crate::cluster::{Cluster, Executor};
 use crate::error::Result;
-use crate::rdd::{Provenance, Rdd};
+use crate::rdd::Rdd;
 use crate::record::{slice_bytes, Record};
 
 /// CPU ops charged per record for hashing/bucketing.
@@ -136,7 +136,7 @@ where
 /// and then deserializes every byte. The chunks stay retained (shuffle
 /// files persist on local disk / the external shuffle service until the
 /// shuffled RDD is dropped, as in Spark), which is also what the shuffled
-/// RDD's provenance replays on recovery.
+/// RDD's recipe replays on recovery.
 fn fetch_bucket<K, V>(
     chunks: &[BucketChunk<K, V>],
     exec: &Executor,
@@ -208,28 +208,25 @@ where
 {
     assert!(num_out > 0, "need at least one output partition");
     let buckets = shuffle_map_side(parent, num_out, fm, combine)?;
-    let cluster = Arc::clone(parent.cluster());
 
-    // The reduce is also the provenance: it replays the retained shuffle
-    // files — NOT the parent lineage — so a lost partition is rebuilt at
-    // what building it cost. Shuffle files live on local disk behind the
+    // The reduce is the recipe: it replays the retained shuffle files —
+    // NOT the parent lineage — so a lost partition is rebuilt at what
+    // building it cost. Shuffle files live on local disk behind the
     // external shuffle service (standard Yarn deployments, as at Tencent)
     // and survive executor restarts; crucially this means a shuffled RDD
     // does not pin its ancestors in memory, exactly like Spark, where only
     // the driver's lineage metadata persists across stages.
-    let reduce_cluster = Arc::clone(&cluster);
-    let reduce: Provenance<U> = Arc::new(move |p, exec| {
+    let cluster = Arc::clone(parent.cluster());
+    Rdd::materialize(parent.cluster(), name, num_out, move |p, exec| {
         let guard = buckets[p].lock();
-        let (merged, in_bytes) = fetch_bucket(&guard, exec, &reduce_cluster);
+        let (merged, in_bytes) = fetch_bucket(&guard, exec, &cluster);
         drop(guard);
         // Hash-table overhead while aggregating.
         let overhead = in_bytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN + 64;
         let _reservation = Reservation::new(exec.memory(), in_bytes + overhead)?;
-        exec.charge_cpu(reduce_cluster.cost(), merged.len() as u64 * HASH_OPS);
+        exec.charge_cpu(cluster.cost(), merged.len() as u64 * HASH_OPS);
         Ok(agg(merged))
-    });
-    let build = Arc::clone(&reduce);
-    Rdd::materialize(&cluster, name, num_out, reduce, move |p, exec| build(p, exec))
+    })
 }
 
 impl<K, V> Rdd<(K, V)>
@@ -277,26 +274,20 @@ where
         assert!(num_out > 0, "need at least one output partition");
         let left_buckets = shuffle_map_side(self, num_out, Arc::new(push_pair), None)?;
         let right_buckets = shuffle_map_side(other, num_out, Arc::new(push_pair), None)?;
-        let cluster = Arc::clone(self.cluster());
 
-        // The join is also the provenance: it replays the retained shuffle
-        // files (see `shuffled`).
-        let join_cluster = Arc::clone(&cluster);
-        let join: Provenance<(K, (V, W))> = Arc::new(move |p, exec| {
-            let (left, lbytes) = fetch_bucket(&left_buckets[p].lock(), exec, &join_cluster);
-            let (right, rbytes) = fetch_bucket(&right_buckets[p].lock(), exec, &join_cluster);
+        // The join is the recipe: it replays the retained shuffle files
+        // (see `shuffled`).
+        let cluster = Arc::clone(self.cluster());
+        Rdd::materialize(self.cluster(), "join", num_out, move |p, exec| {
+            let (left, lbytes) = fetch_bucket(&left_buckets[p].lock(), exec, &cluster);
+            let (right, rbytes) = fetch_bucket(&right_buckets[p].lock(), exec, &cluster);
             // Build-side hash table + streamed probe side working set.
             let overhead =
                 lbytes + lbytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN + rbytes + 64;
             let _reservation = Reservation::new(exec.memory(), overhead)?;
-            exec.charge_cpu(
-                join_cluster.cost(),
-                (left.len() + right.len()) as u64 * HASH_OPS,
-            );
+            exec.charge_cpu(cluster.cost(), (left.len() + right.len()) as u64 * HASH_OPS);
             Ok(join_build_left(&left, &right))
-        });
-        let build = Arc::clone(&join);
-        Rdd::materialize(&cluster, "join", num_out, join, move |p, exec| build(p, exec))
+        })
     }
 
     /// Repartition by key without aggregation.
@@ -325,27 +316,10 @@ where
                 other.num_partitions()
             )));
         }
-        let join = |l: &[(K, V)], r: &[(K, W)]| {
-            if l.len() <= r.len() {
-                join_build_left(l, r)
-            } else {
-                join_build_right(l, r)
-            }
-        };
-        let cluster = Arc::clone(self.cluster());
-        let left = self.clone();
-        let right = other.clone();
-        let left_prov = self.clone();
-        let right_prov = other.clone();
-        let prov: Provenance<(K, (V, W))> = Arc::new(move |p, exec| {
-            let l = left_prov.partition_or_recompute(p, exec)?;
-            let r = right_prov.partition_or_recompute(p, exec)?;
-            Ok(join(&l, &r))
-        });
-        let cluster2 = Arc::clone(&cluster);
-        Rdd::materialize(&cluster, "join_copart", num_out, prov, move |p, exec| {
-            let l = left.partition(p)?;
-            let r = right.partition(p)?;
+        let (left, right) = (self.clone(), other.clone());
+        Rdd::materialize(self.cluster(), "join_copart", num_out, move |p, exec| {
+            let l = left.partition_or_recompute(p, exec)?;
+            let r = right.partition_or_recompute(p, exec)?;
             let lbytes = slice_bytes(&l);
             let rbytes = slice_bytes(&r);
             // The hash table is built over the *smaller* side, by
@@ -354,8 +328,8 @@ where
             let overhead =
                 build_bytes + build_bytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN + 64;
             let _reservation = Reservation::new(exec.memory(), overhead)?;
-            exec.charge_cpu(cluster2.cost(), (l.len() + r.len()) as u64 * HASH_OPS);
-            Ok(join(&l, &r))
+            exec.charge_cpu(left.cluster().cost(), (l.len() + r.len()) as u64 * HASH_OPS);
+            Ok(if l.len() <= r.len() { join_build_left(&l, &r) } else { join_build_right(&l, &r) })
         })
     }
 }
@@ -895,82 +869,202 @@ mod tests {
         assert_eq!(c.executor(1).disk().clock().now(), restarted + cost.disk_bulk_cost(legs[1].1));
     }
 
-    /// Build `op` over `records` on one executor with one reduce partition
-    /// (so no other reducer queues at a disk), then lose that partition and
-    /// rebuild it from the retained shuffle files. `map_side` is the op's
-    /// map side alone, and `working` the reduce's reservation: the
-    /// rebuild must take the sim time the reduce took in the build, and
-    /// OOM with one byte less free than `working`, as the build does.
-    fn recovered_like_built<U: Record + PartialEq + std::fmt::Debug>(
+    /// The input of every op the rebuild property checks.
+    type Pairs = Rdd<(u64, u64)>;
+
+    /// What of its first steps is still live when an op's recipe starts.
+    type Live = Box<dyn std::any::Any>;
+
+    /// A map side's extractor over `(u64, u64)` records.
+    type Extract = fn(&(u64, u64), &mut Vec<(u64, u64)>);
+
+    /// The most `phase` holds on `meter` at once above what was in use
+    /// when it started: the meter's high-water mark is lifted past every
+    /// earlier one first, so the phase's own shows.
+    fn working_set<R>(meter: &psgraph_sim::MemoryMeter, phase: impl FnOnce() -> R) -> (R, u64) {
+        let lift = meter.peak();
+        meter.alloc(lift).unwrap();
+        let base = meter.in_use();
+        let out = phase();
+        let held = meter.peak() - base;
+        meter.free(lift);
+        (out, held)
+    }
+
+    /// Build `op` over `records` (4 partitions) on one executor, then
+    /// rebuild its output the ways lineage does: after `unpersist`, over
+    /// live parents, and — if `killable` — after the executor is killed
+    /// and restarted, when the parents are lost too. `before` runs what
+    /// `op` runs ahead of its output's recipe (a shuffle's map sides, a
+    /// second input, a composite op's first steps) and returns what of
+    /// that is still live when the recipe starts. A rebuild must take the
+    /// sim time the recipe took in the build and hold the working set it
+    /// held; the build and every rebuild OOM with one byte less free than
+    /// they hold, and fit with it. The records must make the recipe the
+    /// build's high-water mark, or the build's working set is `before`'s.
+    /// Returns the recipe's working set.
+    fn rebuilt_like_built<U: Record + PartialEq + std::fmt::Debug>(
+        name: &str,
         records: &[(u64, u64)],
-        op: &dyn Fn(&Rdd<(u64, u64)>) -> Result<Rdd<U>>,
-        map_side: &dyn Fn(&Rdd<(u64, u64)>),
-        working: u64,
-    ) {
-        let cluster = || Cluster::new(ClusterConfig::default().with_executors(1));
-        // `op` on a fresh cluster with exactly `free` bytes left once its
-        // input is in place.
-        let built_with = |free: u64| {
-            let c = cluster();
+        op: &dyn Fn(&Pairs) -> Result<Rdd<U>>,
+        before: &dyn Fn(&Pairs) -> Live,
+        killable: bool,
+    ) -> u64 {
+        let fresh = || {
+            let c = Cluster::new(ClusterConfig::default().with_executors(1));
             let input = Rdd::from_vec(&c, records.to_vec(), 4).unwrap();
+            (c, input)
+        };
+        let is_oom = |r: &Result<()>| matches!(r, Err(crate::DataflowError::Oom(_)));
+        let (before_done, before_held) = {
+            let (c, input) = fresh();
+            let meter = c.executor(0).memory();
+            let idle = meter.in_use();
+            let _live = before(&input);
+            (c.executor(0).clock().now(), meter.in_use() - idle)
+        };
+        let built_with = |free: u64| {
+            let (c, input) = fresh();
             let meter = c.executor(0).memory();
             meter.alloc(meter.budget() - meter.in_use() - free).unwrap();
             op(&input).map(drop)
         };
-        assert!(matches!(built_with(working - 1), Err(crate::DataflowError::Oom(_))));
-        built_with(working).unwrap();
-
-        let map_done = {
-            let c = cluster();
-            map_side(&Rdd::from_vec(&c, records.to_vec(), 4).unwrap());
-            c.executor(0).clock().now()
-        };
-        let c = cluster();
-        let out = op(&Rdd::from_vec(&c, records.to_vec(), 4).unwrap()).unwrap();
+        let (c, input) = fresh();
         let exec = c.executor(0);
-        let reduce = exec.clock().now() - map_done;
-        let built = out.partition(0).unwrap();
-        let recovered_with = |free: u64| {
+        let (out, working) = working_set(exec.memory(), || op(&input).unwrap());
+        assert!(is_oom(&built_with(working - 1)), "{name}: build, one byte short");
+        built_with(working).unwrap();
+        let (recipe_time, recipe_held) = (exec.clock().now() - before_done, working - before_held);
+        let built: Vec<_> = (0..out.num_partitions()).map(|p| out.partition(p).unwrap()).collect();
+
+        let unpersist = || out.unpersist();
+        let kill = || {
             c.kill_executor(0);
             c.restart_executor(0);
-            let filler = exec.memory().budget() - free;
-            exec.memory().alloc(filler).unwrap();
-            let restarted = exec.clock().now();
-            let rebuilt = out.recover();
-            exec.memory().free(filler);
-            rebuilt.map(|()| exec.clock().now() - restarted)
         };
-        assert!(matches!(recovered_with(working - 1), Err(crate::DataflowError::Oom(_))));
-        assert_eq!(recovered_with(working).unwrap(), reduce);
-        assert_eq!(out.partition(0).unwrap(), built);
+        let mut losses: Vec<(&str, &dyn Fn())> = vec![("unpersisted", &unpersist)];
+        if killable {
+            losses.push(("killed", &kill));
+        }
+        // Measured before any filler lifts the meter's high-water mark to
+        // the budget.
+        for (how, lose) in &losses {
+            lose();
+            let start = exec.clock().now();
+            let (rebuilt, held) = working_set(exec.memory(), || out.recover());
+            rebuilt.unwrap();
+            assert_eq!(exec.clock().now() - start, recipe_time, "{name}, {how}: sim time");
+            assert_eq!(held, recipe_held, "{name}, {how}: working set");
+            for (p, part) in built.iter().enumerate() {
+                assert_eq!(out.partition(p).unwrap(), *part, "{name}, {how}: partition {p}");
+            }
+        }
+        for (how, lose) in &losses {
+            for free in [recipe_held - 1, recipe_held] {
+                lose();
+                let filler = exec.memory().budget() - exec.memory().in_use() - free;
+                exec.memory().alloc(filler).unwrap();
+                let rebuilt = out.recover();
+                exec.memory().free(filler);
+                if free < recipe_held {
+                    assert!(is_oom(&rebuilt), "{name}, {how}: one byte short");
+                } else {
+                    rebuilt.unwrap();
+                }
+            }
+        }
+        recipe_held
     }
 
+    /// `sides` map sides of a shuffle of `rdd` into one partition through
+    /// `fm`, combined by `combine`: what a wide op runs before its recipe.
+    fn map_sides(
+        rdd: &Pairs,
+        sides: usize,
+        fm: Extract,
+        combine: Option<CombineFn<u64, u64>>,
+    ) -> Live {
+        for _side in 0..sides {
+            drop(shuffle_map_side(rdd, 1, Arc::new(fm), combine.clone()).unwrap());
+        }
+        Box::new(())
+    }
+
+    /// Every RDD op rebuilds a partition with its build's recipe, so the
+    /// rebuild costs the executor the build's sim time and needs the
+    /// build's free memory, to the byte.
     #[test]
-    fn a_recovered_shuffled_partition_costs_and_reserves_what_its_build_did() {
-        let overhead = |bytes: u64| bytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN;
-        // A group: every record is fetched and hashed.
+    fn a_rebuilt_partition_costs_and_reserves_what_its_build_did() {
+        let nothing = |_: &Pairs| -> Live { Box::new(()) };
+        let push: Extract = push_pair;
+        let both: Extract = |&(k, v), out| out.extend([(k, v), (v, k)]);
+        let sum = |a: &u64, b: &u64| a + b;
+        let summed: CombineFn<u64, u64> = Arc::new(move |pairs: &mut Vec<(u64, u64)>| {
+            let map = fold_by_key(pairs.drain(..), &sum);
+            pairs.extend(map);
+        });
+        let sorted = |_: &u64, vs: &mut Vec<u64>| vs.sort_unstable();
         let grouped: Vec<(u64, u64)> = (0..300).map(|i| (i % 7, i)).collect();
-        let bytes = slice_bytes(&grouped);
-        recovered_like_built(
-            &grouped,
-            &|rdd| rdd.group_by_key(1),
-            &|rdd| drop(shuffle_map_side(rdd, 1, Arc::new(push_pair), None).unwrap()),
-            bytes + overhead(bytes) + 64,
-        );
+        let table: Vec<(u64, u64)> = (0..300).map(|i| (i, 3 * i)).collect();
+        let disjoint: Vec<(u64, u64)> = (300..500).map(|i| (i, i)).collect();
+        let (g, t) = (&grouped, &table);
+        let overhead = |bytes: u64| bytes * HASH_TABLE_OVERHEAD_NUM / HASH_TABLE_OVERHEAD_DEN;
+
+        // The source, and the narrow ops: the recipe reads the parent.
+        let source = |rdd: &Pairs| Rdd::from_vec(rdd.cluster(), table.clone(), 3);
+        rebuilt_like_built("from_vec", g, &source, &nothing, true);
+        rebuilt_like_built("map", g, &|rdd| rdd.map(|&(k, v)| v * 10 + k), &nothing, true);
+        rebuilt_like_built("filter", g, &|rdd| rdd.filter(|&(k, _)| k % 3 != 0), &nothing, true);
+        let op = |rdd: &Pairs| rdd.flat_map(|&(k, v)| vec![k, v]);
+        rebuilt_like_built("flat_map", g, &op, &nothing, true);
+        let reversed = |part: &[(u64, u64)]| part.iter().rev().copied().collect();
+        let op = |rdd: &Pairs| rdd.map_partitions(reversed, 5);
+        rebuilt_like_built("map_partitions", g, &op, &nothing, true);
+        rebuilt_like_built("union", g, &|rdd| rdd.union(rdd), &nothing, true);
+        // The wide ops: the recipe replays the retained shuffle files.
+        let one_side = |rdd: &Pairs| map_sides(rdd, 1, push, None);
+        // A group holds every record fetched and its hash table.
+        let bytes = slice_bytes(g);
+        let op = |rdd: &Pairs| rdd.group_by_key(1);
+        let held = rebuilt_like_built("group_by_key", g, &op, &one_side, true);
+        assert_eq!(held, bytes + overhead(bytes) + 64);
+        let op = |rdd: &Pairs| rdd.group_by_key_with(1, sorted);
+        rebuilt_like_built("group_by_key_with", g, &op, &one_side, true);
+        let op = |rdd: &Pairs| rdd.flat_map_group_by_key_with(1, both, sorted);
+        let two_each = |rdd: &Pairs| map_sides(rdd, 1, both, None);
+        rebuilt_like_built("flat_map_group_by_key_with", g, &op, &two_each, true);
+        rebuilt_like_built("partition_by_key", g, &|rdd| rdd.partition_by_key(1), &one_side, true);
+        // Distinct keys, so the map-side combine leaves the reduce the most
+        // to hold.
+        let op = |rdd: &Pairs| rdd.reduce_by_key(1, sum);
+        let combined = |rdd: &Pairs| map_sides(rdd, 1, push, Some(Arc::clone(&summed)));
+        rebuilt_like_built("reduce_by_key", t, &op, &combined, true);
+        let op = |rdd: &Pairs| rdd.flat_map_reduce_by_key(1, both, sum);
+        let combined = |rdd: &Pairs| map_sides(rdd, 1, both, Some(Arc::clone(&summed)));
+        rebuilt_like_built("flat_map_reduce_by_key", t, &op, &combined, true);
         // A join of a table with itself: both sides are fetched, the left
         // one built into the hash table.
-        let table: Vec<(u64, u64)> = (0..300).map(|i| (i, 3 * i)).collect();
-        let bytes = slice_bytes(&table);
-        recovered_like_built(
-            &table,
-            &|rdd| rdd.join(rdd, 1),
-            &|rdd| {
-                for _side in 0..2 {
-                    drop(shuffle_map_side(rdd, 1, Arc::new(push_pair), None).unwrap());
-                }
-            },
-            2 * bytes + overhead(bytes) + 64,
-        );
+        let two_sides = |rdd: &Pairs| map_sides(rdd, 2, push, None);
+        let held = rebuilt_like_built("join", t, &|rdd| rdd.join(rdd, 1), &two_sides, true);
+        let bytes = slice_bytes(t);
+        assert_eq!(held, 2 * bytes + overhead(bytes) + 64);
+        // Disjoint keys: the hash table is all the join holds. Its last
+        // partition's table, over the smaller side (50 records of 16 B),
+        // on top of three empty partitions of 64 B.
+        let other = |rdd: &Pairs| Rdd::from_vec(rdd.cluster(), disjoint.clone(), 4);
+        let op = |rdd: &Pairs| rdd.join_copartitioned(&other(rdd)?);
+        let second_input = |rdd: &Pairs| -> Live { Box::new(other(rdd).unwrap()) };
+        let held = rebuilt_like_built("join_copartitioned", t, &op, &second_input, true);
+        assert_eq!(held, 3 * 64 + 800 + overhead(800) + 64);
+        // `distinct` is a map, a reduce and a map: its output is the last
+        // map over a live reduce. A kill loses the reduce too, and the
+        // rebuild pays for it again, so it is rebuilt over a live one only.
+        let first_steps = |rdd: &Pairs| -> Live {
+            let keyed = rdd.map(|t| (*t, ())).unwrap();
+            let reduced = keyed.reduce_by_key(1, |_, _| ()).unwrap();
+            Box::new((keyed, reduced))
+        };
+        rebuilt_like_built("distinct", g, &|rdd| rdd.distinct(1), &first_steps, false);
     }
 
     #[test]

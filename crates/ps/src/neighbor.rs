@@ -14,8 +14,8 @@
 //! each list is strictly ascending and duplicate-free whatever order the
 //! writers' requests landed in — no `groupBy` shuffle. A list is never read
 //! half built: reading one that holds unsealed runs is an error. A job
-//! whose executors walk the lists reads its partitions back whole
-//! ([`NeighborTableHandle::pull_partitions`]). GraphSage builds
+//! whose executors walk the lists reads its partitions back whole, one
+//! per request ([`NeighborTableHandle::pull_partition`]). GraphSage builds
 //! `(src, Array[dst])` entries with `groupBy` and pushes them
 //! ([`NeighborTableHandle::push`]). Afterwards any executor can pull the
 //! adjacency of any vertex without a shuffle.
@@ -659,38 +659,24 @@ impl NeighborTableHandle {
         Ok(plan.fan_out(&distinct))
     }
 
-    /// Every `(vertex, list)` row of partitions `parts`, partition by
-    /// partition in the order given, each partition's rows in ascending
-    /// vertex order. One request; a server's leg is charged `8` request
-    /// bytes per partition it reads, `Σ (len + 1)` items and
-    /// `Σ (16 + 8·len)` response bytes over the lists it sends. A
-    /// partition holding unsealed runs is an error, not a partial read.
-    pub fn pull_partitions(
-        &self,
-        client: &NodeClock,
-        parts: &[usize],
-    ) -> Result<Vec<(u64, Vec<u64>)>> {
-        let layout = &self.obj.layout;
-        self.obj.check_below(layout.num_partitions as u64, parts.iter().map(|&p| p as u64))?;
-        let mut by_server: Vec<ServerGroup> = vec![Vec::new(); layout.num_servers];
-        for (pos, &p) in parts.iter().enumerate() {
-            by_server[layout.server_of_partition(p)].push((p, vec![pos]));
-        }
-        let groups = by_server.into_iter().enumerate().filter(|(_, group)| !group.is_empty());
-        let mut out = vec![Vec::new(); parts.len()];
-        self.obj.scatter_groups(client, groups.collect(), |server, n, group| {
-            let (mut items, mut resp_bytes) = (0, 0);
-            for (p, positions) in group {
-                let rows =
-                    server.get(&self.obj.name, p, |part: &TablePart| part.rows(&self.obj.name))??;
-                let lens = || rows.iter().map(|(_, ns)| ns.len() as u64);
-                items += lens().map(|len| len + 1).sum::<u64>();
-                resp_bytes += lens().map(|len| 16 + 8 * len).sum::<u64>();
-                out[positions[0]] = rows;
-            }
-            Ok((8 * n, self.obj.item_ops(items), resp_bytes))
-        })?;
-        Ok(out.concat())
+    /// Every `(vertex, list)` row of partition `p`, in ascending vertex
+    /// order. One request to `p`'s server, charged `8` request bytes,
+    /// `Σ (len + 1)` items and `Σ (16 + 8·len)` response bytes over the
+    /// lists it sends. A partition holding unsealed runs is an error, not
+    /// a partial read.
+    pub fn pull_partition(&self, client: &NodeClock, p: usize) -> Result<Vec<(u64, Vec<u64>)>> {
+        self.obj.check_below(self.obj.layout.num_partitions as u64, [p as u64])?;
+        self.obj.fan_out(client, |fan| {
+            let server = self.obj.server(p);
+            server.ensure_alive()?;
+            let rows =
+                server.get(&self.obj.name, p, |part: &TablePart| part.rows(&self.obj.name))??;
+            let lens = || rows.iter().map(|(_, ns)| ns.len() as u64);
+            let items = lens().map(|len| len + 1).sum();
+            let resp_bytes = lens().map(|len| 16 + 8 * len).sum();
+            fan.leg(server, (8, self.obj.item_ops(items), resp_bytes));
+            Ok(rows)
+        })
     }
 
     /// Out-degrees of `ids` (server-side; only counts cross the wire).
@@ -959,12 +945,12 @@ mod tests {
         assert!(unsealed(t.degrees(&c, &[5]).unwrap_err()));
         assert!(unsealed(t.sample_neighbors(&c, &[5], 1, 0).unwrap_err()));
         let p = t.layout().partition_of(5);
-        assert!(unsealed(t.pull_partitions(&c, &[p]).unwrap_err()));
+        assert!(unsealed(t.pull_partition(&c, p).unwrap_err()));
         assert_eq!(*t.pull(&c, &[1]).unwrap()[0], vec![2], "a list with no runs reads");
         assert_eq!(t.len().unwrap(), 1, "an unsealed source has no list yet");
         t.seal(&c).unwrap();
         assert_eq!(*t.pull(&c, &[5]).unwrap()[0], vec![6, 7]);
-        let rows = t.pull_partitions(&c, &[p]).unwrap();
+        let rows = t.pull_partition(&c, p).unwrap();
         assert_eq!(rows.iter().find(|(v, _)| *v == 5).unwrap().1, vec![6, 7]);
     }
 
@@ -975,10 +961,12 @@ mod tests {
         let t = table(&ps);
         t.merge_edges(&c, vec![(5, 6), (1, 7), (5, 2), (99, 0)]).unwrap();
         t.seal(&c).unwrap();
-        let parts: Vec<usize> = (0..t.layout().num_partitions).collect();
-        let (lists, bytes) = (t.pull_partitions(&c, &parts).unwrap(), t.resident_bytes().unwrap());
+        let rows = || -> Vec<_> {
+            (0..t.layout().num_partitions).map(|p| t.pull_partition(&c, p).unwrap()).collect()
+        };
+        let (lists, bytes) = (rows(), t.resident_bytes().unwrap());
         t.seal(&c).unwrap();
-        assert_eq!(t.pull_partitions(&c, &parts).unwrap(), lists);
+        assert_eq!(rows(), lists);
         assert_eq!(t.resident_bytes().unwrap(), bytes);
     }
 
@@ -1000,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn pull_partitions_reads_whole_partitions_in_vertex_order_and_charges_their_lists() {
+    fn pull_partition_reads_a_whole_partition_in_vertex_order_and_charges_its_lists() {
         let ps = ps();
         let c = NodeClock::new();
         let t = NeighborTableHandle::create_partitioned(
@@ -1009,21 +997,24 @@ mod tests {
         .unwrap();
         let lists: Vec<(u64, Vec<u64>)> = (0..40u64).map(|v| (v, (0..v % 5).collect())).collect();
         t.push(&c, &lists).unwrap();
-        let parts = [5, 0, 3];
-        let before = (ps.network().stats().rpcs(), ps.network().stats().bytes_sent());
-        let received = ps.network().stats().bytes_received();
-        let got = t.pull_partitions(&c, &parts).unwrap();
         let layout = t.layout();
         let of = |p| lists.iter().filter(move |(v, _)| layout.partition_of(*v) == p).cloned();
-        let want: Vec<(u64, Vec<u64>)> = parts.iter().flat_map(|&p| of(p)).collect();
-        assert_eq!(got, want, "partitions in the order given, each ascending");
-        // Partitions 0 and 3 share server 0 of 3; 5 is on server 2.
-        let stats = ps.network().stats();
-        assert_eq!(stats.rpcs() - before.0, 2);
-        assert_eq!(stats.bytes_sent() - before.1, 8 * 3);
-        let resp: u64 = got.iter().map(|(_, ns)| 16 + 8 * ns.len() as u64).sum();
-        assert_eq!(stats.bytes_received() - received, resp);
-        assert!(t.pull_partitions(&c, &[7]).is_err(), "a partition past the layout");
+        let mut whole = Vec::new();
+        for p in [5, 0, 3, 1, 6, 2, 4] {
+            let stats = ps.network().stats();
+            let before = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
+            let got = t.pull_partition(&c, p).unwrap();
+            assert_eq!(got, of(p).collect::<Vec<_>>(), "partition {p}, ascending");
+            // One request to the partition's server: 8 B out, the lists back.
+            let stats = ps.network().stats();
+            let resp: u64 = got.iter().map(|(_, ns)| 16 + 8 * ns.len() as u64).sum();
+            let after = (stats.rpcs(), stats.bytes_sent(), stats.bytes_received());
+            assert_eq!(after, (before.0 + 1, before.1 + 8, before.2 + resp), "partition {p}");
+            whole.extend(got);
+        }
+        whole.sort_unstable();
+        assert_eq!(whole, lists, "the partitions together are the table");
+        assert!(t.pull_partition(&c, 7).is_err(), "a partition past the layout");
     }
 
     #[test]

@@ -73,7 +73,11 @@ cargo test -q --offline -p psgraph-harness
 # The server-to-server exchange's timeline adds and compares `SimTime`s
 # per round and message (`u64` nanoseconds).
 cargo test -q --offline -p psgraph-net
-# So does the shuffle fetch's, per source executor and leg.
+# So does the shuffle fetch's, per source executor and leg; and the
+# property that every RDD op rebuilds a partition with its build's recipe
+# (`shuffle::tests::a_rebuilt_partition_costs_and_reserves_what_its_build_did`:
+# the same sim time, an OOM one byte under the same working set, `u64`
+# meter sums).
 cargo test -q --offline -p psgraph-dataflow
 # The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
 # that release builds would wrap silently; so does the intersection
@@ -112,6 +116,11 @@ cargo test -q --offline -p psgraph-core --lib -- common_neighbor triangle
 # GraphX's two jobs run the kernel's one-pair form, the only caller that
 # loads the shorter list and counts the longer one against it.
 cargo test -q --offline -p psgraph-graphx --lib -- common_neighbor triangle
+# And the jobs whose recoveries replay the `union` and `join_copartitioned`
+# recipes, with their `u64` reservation sums: GraphX's Pregel and both
+# Fast Unfoldings.
+cargo test -q --offline -p psgraph-graphx --lib -- pregel fast_unfolding
+cargo test -q --offline -p psgraph-core --lib -- fast_unfolding
 # And the residual-push sweep: the `(x - start) as usize` index into each
 # partition, and the mark words that straddle two partitions' ranges.
 cargo test -q --offline -p psgraph-ps --lib -- residual_push
