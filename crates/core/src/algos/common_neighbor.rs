@@ -16,7 +16,7 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 
 use psgraph_dataflow::{DataflowError, Executor, Rdd};
-use psgraph_graph::metrics::{intersection_ops, Anchor};
+use psgraph_graph::metrics::{anchored_run_ops, Anchor};
 use psgraph_ps::NeighborTableHandle;
 use psgraph_sim::FxHashMap;
 
@@ -332,7 +332,10 @@ impl Held {
 /// smaller id), and the pairs of one key are counted against one
 /// [`Anchor`] load of its list, so a hub's list is loaded once per round
 /// however many of the round's pairs name it; the counts go back to their
-/// pairs' slots. A pair is charged `3 ×` [`intersection_ops`] of its lengths.
+/// pairs' slots. The round is charged what that walk costs: `3 ×`
+/// [`anchored_run_ops`] per key, the key's length against its partners'.
+/// A key named by one pair is charged that pair's `intersection_ops`, as
+/// it would be alone.
 pub(crate) fn count_common(
     ctx: &PsGraphContext,
     exec: &Executor,
@@ -350,20 +353,20 @@ pub(crate) fn count_common(
         .collect();
     keyed.sort_unstable();
     let mut counts = vec![0u64; keyed.len()];
-    let mut anchor = Anchor::default();
+    let (mut anchor, mut work) = (Anchor::default(), 0u64);
     for run in keyed.chunk_by(|x, y| x.0 == y.0) {
         // The key's side of a slot, and the other side.
         let sides = |slot: usize| {
             let i = 2 * slot + (wanted[2 * slot] != run[0].0) as usize;
             (neigh[i], neigh[i ^ 1])
         };
-        let anchored = anchor.load(sides(run[0].1).0);
+        let key = sides(run[0].1).0;
+        let anchored = anchor.load(key);
         for &(_, slot) in run {
             counts[slot] = anchored.count(sides(slot).1);
         }
+        work += anchored_run_ops(key.len(), run.iter().map(|&(_, slot)| sides(slot).1.len()));
     }
-    let work: u64 =
-        neigh.chunks_exact(2).map(|ab| intersection_ops(ab[0].len(), ab[1].len())).sum();
     exec.charge_cpu(ctx.cluster().cost(), work * 3);
     let mut counts = counts.into_iter();
     batches.iter().map(|pairs| counts.by_ref().take(pairs.len()).collect()).collect()
@@ -451,27 +454,22 @@ mod tests {
 
     /// The per-pair form `count_common` groups: each pair's two lists
     /// (`neigh`, two per pair in order) through the one-pair kernel, in
-    /// slot order.
-    fn count_common_per_pair(
-        ctx: &PsGraphContext,
-        exec: &Executor,
-        neigh: &[&[u64]],
-        batches: &[&[(u64, u64)]],
-    ) -> Vec<Vec<u64>> {
+    /// slot order. Also returns what the pairs cost counted alone,
+    /// `3 × intersection_ops` each.
+    fn count_per_pair(neigh: &[&[u64]], batches: &[&[(u64, u64)]]) -> (Vec<Vec<u64>>, u64) {
         let mut lists = neigh.chunks_exact(2);
         let (mut work, mut anchor) = (0u64, Anchor::default());
         let counts = batches
             .iter()
             .map(|pairs| {
                 let per_pair = lists.by_ref().take(pairs.len()).map(|ab| {
-                    work += intersection_ops(ab[0].len(), ab[1].len());
+                    work += metrics::intersection_ops(ab[0].len(), ab[1].len());
                     metrics::sorted_intersection_count(ab[0], ab[1], &mut anchor)
                 });
                 per_pair.collect()
             })
             .collect();
-        exec.charge_cpu(ctx.cluster().cost(), work * 3);
-        counts
+        (counts, work * 3)
     }
 
     /// The endpoints of `batches`' pairs, two per pair in order.
@@ -479,14 +477,69 @@ mod tests {
         batches.iter().flat_map(|pairs| pairs.iter()).flat_map(|&(a, b)| [a, b]).collect()
     }
 
+    /// What [`count_common`] charges a round, worked out apart from it: the
+    /// round's pairs gathered per key in a map (the longer list's endpoint,
+    /// the smaller id on a tie), each key's run charged `3 ×`
+    /// [`anchored_run_ops`] of its length and its partners'.
+    fn run_charge(wanted: &[u64], neigh: &[&[u64]]) -> u64 {
+        let mut runs: std::collections::BTreeMap<u64, (usize, Vec<usize>)> = Default::default();
+        for (ids, lists) in wanted.chunks_exact(2).zip(neigh.chunks_exact(2)) {
+            let (a, b) = (lists[0].len(), lists[1].len());
+            let k = usize::from(b > a || (b == a && ids[1] < ids[0]));
+            let run = runs.entry(ids[k]).or_insert((lists[k].len(), vec![]));
+            run.1.push(lists[1 - k].len());
+        }
+        let ops = |(key, partners): &(usize, Vec<usize>)| {
+            3 * anchored_run_ops(*key, partners.iter().copied())
+        };
+        runs.values().map(ops).sum()
+    }
+
     #[test]
-    fn grouped_round_counts_and_charges_like_the_per_pair_kernel() {
+    fn grouped_round_counts_like_the_per_pair_kernel_and_charges_its_runs() {
         // Hub 0 is adjacent to 1..=40, a path and a chord join 1..=5, 6 has
         // three neighbours spread over the hub's range, 40 only the hub,
         // and 41..50 no list at all.
         let mut edges: Vec<(u64, u64)> = (1..=40).map(|v| (0, v)).collect();
         edges.extend([(1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (6, 20), (6, 39)]);
         let g = EdgeList::new(50, edges);
+        type Round<'a> =
+            dyn Fn(&PsGraphContext, &Executor, &[u64], &[&[u64]]) -> Vec<Vec<u64>> + 'a;
+        // One round of `batches` on executor 0 through `count`, after the
+        // same pull: its counts and the executor's clock.
+        let run = |batches: &[&[(u64, u64)]], count: &Round<'_>| {
+            let ctx = PsGraphContext::local();
+            let edges = distribute_edges(&ctx, &g, 4).unwrap();
+            let adj = table_on_ps(&ctx, &edges, "adj", 50, undirected).unwrap();
+            let exec = ctx.cluster().executor(0);
+            let wanted = endpoints(batches);
+            let pulled = adj.pull(exec.clock(), &wanted).unwrap();
+            let neigh: Vec<&[u64]> = pulled.iter().map(|list| list.as_slice()).collect();
+            let counts = count(&ctx, exec, &wanted, &neigh);
+            (counts, exec.clock().now())
+        };
+        // The grouped kernel, the per-pair one, and the per-pair counts
+        // with the round charged per run as `run_charge` works it out.
+        let forms = |batches: &[&[(u64, u64)]]| {
+            let grouped = run(batches, &|ctx, exec, wanted, neigh| {
+                count_common(ctx, exec, wanted, neigh, batches)
+            });
+            let per_pair = run(batches, &|ctx, exec, _, neigh| {
+                let (counts, ops) = count_per_pair(neigh, batches);
+                exec.charge_cpu(ctx.cluster().cost(), ops);
+                counts
+            });
+            let per_run = run(batches, &|ctx, exec, wanted, neigh| {
+                exec.charge_cpu(ctx.cluster().cost(), run_charge(wanted, neigh));
+                count_per_pair(neigh, batches).0
+            });
+            // Same counts in the same places, and the clock of the runs.
+            assert_eq!(grouped.0, per_pair.0);
+            assert_eq!(grouped, per_run);
+            assert!(grouped.1 <= per_pair.1, "{:?} vs {:?}", grouped.1, per_pair.1);
+            (grouped, per_pair)
+        };
+
         let batches: [&[(u64, u64)]; 4] = [
             // The hub recurs on either side; (4, 5) is the only pair keyed
             // by 4, a run of one.
@@ -497,33 +550,20 @@ mod tests {
             &[],
             &[(5, 1), (40, 0), (45, 45), (6, 3)],
         ];
-        type Round<'a> =
-            dyn Fn(&PsGraphContext, &Executor, &NeighborTableHandle) -> Vec<Vec<u64>> + 'a;
-        let run = |count: &Round<'_>| {
-            let ctx = PsGraphContext::local();
-            let edges = distribute_edges(&ctx, &g, 4).unwrap();
-            let adj = table_on_ps(&ctx, &edges, "adj", 50, undirected).unwrap();
-            let exec = ctx.cluster().executor(0);
-            let counts = count(&ctx, exec, &adj);
-            (counts, exec.clock().now())
-        };
-        let wanted = endpoints(&batches);
-        let grouped = run(&|ctx, exec, adj| {
-            let pulled = adj.pull(exec.clock(), &wanted).unwrap();
-            let neigh: Vec<&[u64]> = pulled.iter().map(|list| list.as_slice()).collect();
-            count_common(ctx, exec, &wanted, &neigh, &batches)
-        });
-        let per_pair = run(&|ctx, exec, adj| {
-            let pulled = adj.pull(exec.clock(), &wanted).unwrap();
-            let neigh: Vec<&[u64]> = pulled.iter().map(|list| list.as_slice()).collect();
-            count_common_per_pair(ctx, exec, &neigh, &batches)
-        });
-        // Same counts in the same places, and the same charge to the clock.
-        assert_eq!(grouped, per_pair);
+        let (grouped, per_pair) = forms(&batches);
         let pairs: Vec<(u64, u64)> = batches.concat();
         let exact = metrics::common_neighbors_exact(&g, &pairs);
         assert_eq!(grouped.0.concat(), exact);
         assert_eq!(grouped.0.iter().map(Vec::len).collect::<Vec<_>>(), [7, 5, 0, 4]);
+        // The hub's partners walk against one load of its list for less
+        // than they gallop through it one by one.
+        assert!(grouped.1 < per_pair.1, "{:?} vs {:?}", grouped.1, per_pair.1);
+
+        // Keys 4, 1, 3 and 0 once each (ties to the smaller id): every run
+        // is one pair, charged as if it were counted alone.
+        let distinct: [&[(u64, u64)]; 2] = [&[(4, 5), (2, 1)], &[(6, 3), (0, 40)]];
+        let (grouped, per_pair) = forms(&distinct);
+        assert_eq!(grouped, per_pair);
     }
 
     /// What one executor's pair stream gave and cost through one form: the
@@ -574,8 +614,10 @@ mod tests {
     }
 
     /// The same stream in the per-round form: every round pulls all the
-    /// lists it names and counts pair by pair. Also returns each round's
-    /// working set — the bytes of the distinct lists it names.
+    /// lists it names and counts them with [`count_common`], so the kernel
+    /// clock the two forms take is the same only if keeping lists moves no
+    /// kernel charge. Also returns each round's working set — the bytes of
+    /// the distinct lists it names.
     fn stream_per_round(
         ctx: &PsGraphContext,
         exec: &Executor,
@@ -596,7 +638,7 @@ mod tests {
             working_sets.push(lists.values().sum());
             let t = exec.clock().now();
             let neigh: Vec<&[u64]> = neigh.iter().map(|list| list.as_slice()).collect();
-            out.counts.push(count_common_per_pair(ctx, exec, &neigh, &batches));
+            out.counts.push(count_common(ctx, exec, &wanted, &neigh, &batches));
             out.kernel_ns += (exec.clock().now() - t).as_nanos();
         }
         out.ps_bytes = ctx.ps().network().stats().total_bytes() - bytes;

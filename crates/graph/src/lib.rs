@@ -13,8 +13,9 @@
 //! algorithms, never by the benchmarks themselves — plus
 //! [`metrics::Anchor`], the sorted-list intersection kernel the Common
 //! Neighbor / Triangle Count jobs run per pair, and
-//! [`metrics::intersection_ops`], the ops PSGraph's executors are charged
-//! for one.
+//! [`metrics::anchored_run_ops`], the ops PSGraph's executors are charged
+//! for a loaded list and the partners counted against it
+//! ([`metrics::intersection_ops`] for one pair).
 
 pub mod datasets;
 pub mod edgelist;

@@ -9,8 +9,9 @@
 //! bitmap over ids, so one executor round loads a hub's list once for all
 //! its partners, and returns the count alone;
 //! [`sorted_intersection_count`] is its one-pair form. What PSGraph's
-//! executors are charged for a pair is declared, not measured:
-//! [`intersection_ops`] of the two list lengths.
+//! executors are charged is declared, not measured: [`anchored_run_ops`]
+//! of a loaded list and the partners counted against it, built on
+//! [`intersection_ops`] of one pair's two list lengths.
 
 use psgraph_sim::{FxHashMap, FxHashSet};
 
@@ -126,6 +127,8 @@ pub fn common_neighbors_exact(g: &EdgeList, pairs: &[(u64, u64)]) -> Vec<u64> {
 /// and `0` when either list is empty. Taking the minimum picks the walk, so
 /// no ratio constant does. The charge grows with `l`; in `s` it can step
 /// down where `⌈l/s⌉` crosses a power of two, as the bound's ceilings do.
+/// It is what a pair counted alone costs; a run of pairs that share one
+/// list is charged [`anchored_run_ops`], which is this for a run of one.
 pub fn intersection_ops(a_len: usize, b_len: usize) -> u64 {
     let (s, l) = (a_len.min(b_len) as u64, a_len.max(b_len) as u64);
     if s == 0 {
@@ -133,6 +136,25 @@ pub fn intersection_ops(a_len: usize, b_len: usize) -> u64 {
     }
     let log_ratio = u64::from(u64::BITS - (l.div_ceil(s) - 1).leading_zeros());
     (s + l).min(s * (2 * log_ratio + 2))
+}
+
+/// The ops a run of pairs that share one list is charged: the shared (key)
+/// list has `key_len` ids and its partners `partner_lens`. With `L` the
+/// key's length and `s₁…s_r` the partners', the charge is
+/// `min(Σᵢ intersection_ops(L, sᵢ), L + Σᵢ sᵢ)` — each pair counted alone,
+/// or the key loaded once and every partner walked against it, whichever is
+/// cheaper. It is [`intersection_ops`]' minimum lifted from a pair to a run,
+/// so no constant is chosen; a run of one is charged exactly
+/// [`intersection_ops`], which is already at most `s + L`. It is never more
+/// than the pairs counted alone, the same whatever the partners' order, and
+/// `0` when the key list is empty.
+pub fn anchored_run_ops(key_len: usize, partner_lens: impl IntoIterator<Item = usize>) -> u64 {
+    let (mut alone, mut walk) = (0u64, key_len as u64);
+    for s in partner_lens {
+        alone += intersection_ops(key_len, s);
+        walk += s as u64;
+    }
+    alone.min(walk)
 }
 
 /// `|a ∩ b|` for two strictly ascending lists. The one-pair form of
@@ -146,8 +168,9 @@ pub fn sorted_intersection_count(a: &[u64], b: &[u64], anchor: &mut Anchor) -> u
 /// The sorted-list intersection kernel: one strictly ascending list, the
 /// anchor, held as a bitmap over ids, against which any number of partner
 /// lists are counted — an executor round that names a hub in many pairs
-/// loads the hub's list once. What a caller charges for a pair is
-/// [`intersection_ops`] of the two lengths, not anything the kernel does.
+/// loads the hub's list once. What a caller charges for a load and the
+/// partners counted against it is [`anchored_run_ops`] of their lengths
+/// (for one pair, [`intersection_ops`]), not anything the kernel does.
 ///
 /// The caller keeps one across loads, like [`h_index`]'s scratch: the
 /// bitmap grows to `(last >> 6) + 1` words for the largest last id loaded,
@@ -378,6 +401,20 @@ mod tests {
                 previous = ops;
             }
         }
+    }
+
+    #[test]
+    fn anchored_run_ops_is_the_cheaper_walk_of_the_run() {
+        // A hub of 40 against eight short partners: one load and a walk of
+        // 40 + 17 ids, where the pairs alone gallop for 3·30 + 40 + 24 + 2·14.
+        let hub_partners = [3, 3, 4, 3, 2, 0, 1, 1];
+        assert_eq!(hub_partners.map(|s| intersection_ops(40, s)).iter().sum::<u64>(), 182);
+        assert_eq!(anchored_run_ops(40, hub_partners), 57);
+        // Two single ids against 1000: galloping twice beats loading 1000.
+        assert_eq!(anchored_run_ops(1000, [1, 1]), 44);
+        assert_eq!(anchored_run_ops(40, [3]), intersection_ops(40, 3));
+        assert_eq!(anchored_run_ops(0, [5, 9]), 0);
+        assert_eq!(anchored_run_ops(7, []), 0);
     }
 
     #[test]

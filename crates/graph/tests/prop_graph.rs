@@ -1,7 +1,9 @@
 //! Property tests for graph containers and generators, using the in-tree
 //! harness.
 
-use psgraph_graph::metrics::{h_index, sorted_intersection_count, Anchor};
+use psgraph_graph::metrics::{
+    anchored_run_ops, h_index, intersection_ops, sorted_intersection_count, Anchor,
+};
 use psgraph_graph::{gen, EdgeList};
 use psgraph_harness::prop::{check, Source};
 use psgraph_harness::{prop_assert, prop_assert_eq};
@@ -161,6 +163,46 @@ fn one_anchor_counts_many_partners_and_unloads_clean() {
             }
             drop(anchored);
             prop_assert!(anchor.is_clear(), "bitmap left dirty after 50 partners");
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn a_run_is_charged_the_cheaper_walk_and_never_more_than_its_pairs() {
+    check(
+        "a_run_is_charged_the_cheaper_walk_and_never_more_than_its_pairs",
+        |src: &mut Source| {
+            // Lengths from empty to far past the key's, so both walks win.
+            let key = if src.bool() { 0 } else { src.usize_range(0, 5_000) };
+            let partners = src.vec_with(1, 40, |s| s.usize_range(0, 6_000));
+            let swaps = src.vec_with(0, 40, |s| (s.usize_range(0, 40), s.usize_range(0, 40)));
+            (key, partners, swaps)
+        },
+        |(key, partners, swaps)| {
+            let key = *key;
+            let ops = anchored_run_ops(key, partners.iter().copied());
+            let alone: u64 = partners.iter().map(|&s| intersection_ops(key, s)).sum();
+            let walk = (key + partners.iter().sum::<usize>()) as u64;
+            prop_assert!(ops <= alone && ops <= walk, "{} > {} or {}", ops, alone, walk);
+            if key == 0 {
+                prop_assert_eq!(ops, 0);
+            }
+            let first = partners[0];
+            prop_assert_eq!(anchored_run_ops(key, [first]), intersection_ops(key, first));
+            // Any order of the partners.
+            let mut reordered = partners.clone();
+            for &(i, j) in swaps {
+                reordered.swap(i % partners.len(), j % partners.len());
+            }
+            prop_assert_eq!(anchored_run_ops(key, reordered), ops);
+            // Each prefix is charged no more than the next.
+            let mut previous = 0;
+            for r in 0..=partners.len() {
+                let prefix = anchored_run_ops(key, partners[..r].iter().copied());
+                prop_assert!(prefix >= previous, "{} partners: {} < {}", r, prefix, previous);
+                previous = prefix;
+            }
             Ok(())
         },
     );

@@ -169,7 +169,10 @@
 //! shapes and renderings, checkpoint digests, which keys server 1's
 //! recovery loses, whether a request reaches the dead server 1 (seven
 //! servers), and the sharded write's owner-keyed lanes. The `results/`
-//! perf ledger of this change holds both comparisons.
+//! perf ledger of this change holds both comparisons. Since then those
+//! keys are written down per layout (`requests`, the values this layout
+//! picked), so a later placement change moves what a line costs, not
+//! which keys it names; every line held when they were.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -177,7 +180,7 @@ use std::sync::Arc;
 use psgraph_dfs::Dfs;
 use psgraph_ps::snapshot::{snapshot_path, DeltaWriter, SnapshotDelta};
 use psgraph_ps::{
-    ColMatrixHandle, MatrixHandle, NeighborTableHandle, PartitionLayout,
+    ColMatrixHandle, MatrixHandle, NeighborTableHandle,
     PartitionViewMut, Partitioner, Ps, PsConfig, PullPlan, PullResponse, PushFrontier,
     RecoveryMode, SnapshotManifest, SnapshotWriter, VectorHandle,
 };
@@ -242,16 +245,21 @@ impl Probe {
 /// same keys reversed, one server's keys only, nothing — and one key each
 /// on servers 0 and 4 (0 and 3 of four) in both orders: with seven servers
 /// that pair was visited in the order the request named it until legs were
-/// grouped by ascending server.
-fn requests(layout: &PartitionLayout) -> Vec<(&'static str, Vec<u64>)> {
+/// grouped by ascending server. The `one` and `pair` keys are fixed per
+/// layout — three keys of server 2, and the first key of each end server,
+/// as the layouts placed them when they were written down — so a later
+/// placement change moves what the requests cost, not which keys they name.
+fn requests(partitioner: Partitioner, servers: usize) -> Vec<(&'static str, Vec<u64>)> {
     let mixed: Vec<u64> = vec![69, 3, 40, 3, 17, 55, 69, 22, 8, 61, 33];
     let mut rev = mixed.clone();
     rev.reverse();
-    let owned_by = |s: usize| (0..N).filter(move |&k| layout.server_of(k) == s);
-    let mut one: Vec<u64> = owned_by(2).take(3).collect();
-    one.push(one[0]);
-    let far = 4.min(layout.num_servers - 1);
-    let (a, b) = (owned_by(0).next().unwrap(), owned_by(far).next().unwrap());
+    let (one, (a, b)): (Vec<u64>, _) = match (partitioner, servers) {
+        (Partitioner::Range, 4) => (vec![34, 35, 36, 34], (0, 51)),
+        (Partitioner::Range, 7) => (vec![20, 21, 22, 20], (0, 40)),
+        (Partitioner::Hash, 4) => (vec![2, 17, 20, 2], (0, 9)),
+        (Partitioner::Hash, 7) => (vec![5, 7, 23, 5], (0, 3)),
+        other => panic!("no fixed keys for {other:?}"),
+    };
     vec![
         ("mixed", mixed),
         ("rev", rev),
@@ -314,8 +322,7 @@ fn run(servers: usize, partitioner: Partitioner) -> Vec<String> {
         lines: Vec::new(),
     };
     let rec = RecoveryMode::Inconsistent;
-    let layout = PartitionLayout::new(partitioner, N, servers, servers);
-    let reqs = requests(&layout);
+    let reqs = requests(partitioner, servers);
     let mixed = reqs[0].1.clone();
 
     // ---- vector ----
@@ -699,8 +706,7 @@ fn run_plans(servers: usize, partitioner: Partitioner) -> Vec<String> {
         lines: Vec::new(),
     };
     let rec = RecoveryMode::Inconsistent;
-    let layout = PartitionLayout::new(partitioner, N, servers, servers);
-    let reqs = requests(&layout);
+    let reqs = requests(partitioner, servers);
     let mixed = reqs[0].1.clone();
     let v = VectorHandle::<f64>::create(&ps, "v", N, partitioner, rec).unwrap();
     let u = VectorHandle::<u64>::create(&ps, "u", N, partitioner, rec).unwrap();

@@ -81,8 +81,9 @@ cargo test -q --offline -p psgraph-net
 cargo test -q --offline -p psgraph-dataflow
 # The plan kernels index by id arithmetic (`v >> 6`, mark-word growth)
 # that release builds would wrap silently; so does the intersection
-# kernel (`x >> 6` words) and its declared charge (`u64` products of the
-# list lengths).
+# kernel (`x >> 6` words) and its declared charges: a pair's (`u64`
+# products of the list lengths) and a run's, `anchored_run_ops` (`u64`
+# sums over a key's partners).
 cargo test -q --offline -p psgraph-query -p psgraph-graph
 # So do the CSR splice every shard goes through at load and swap time
 # (`o - plo + olo`, `o - ohi + shift` on u64) and the ingestor's lane and
